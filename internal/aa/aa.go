@@ -229,8 +229,8 @@ func (a *Agent) VerifyEvidence(req *Request) (ephid.Payload, error) {
 	if err != nil {
 		return ephid.Payload{}, fmt.Errorf("%w: %w", ErrUnknownHost, err)
 	}
-	pm, err := wire.NewPacketMAC(entry.Keys.MAC[:])
-	if err != nil {
+	var pm wire.PacketMAC
+	if err := pm.Init(entry.Keys.MAC[:]); err != nil {
 		return ephid.Payload{}, err
 	}
 	if !pm.Verify(req.Packet) {

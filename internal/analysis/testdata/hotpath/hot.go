@@ -6,9 +6,10 @@ package hot
 import "sync"
 
 type proc struct {
-	mu  sync.Mutex
-	ch  chan int
-	buf []byte
+	mu    sync.Mutex
+	ch    chan int
+	buf   []byte
+	state [16]byte
 }
 
 //apna:hotpath
@@ -24,7 +25,8 @@ func (p *proc) Process(frame []byte) int {
 	if frame == nil { //apna:coldpath
 		expensiveInit()
 	}
-	boxes(n)                        // want `passing int boxes into an interface`
+	boxes(n) // want `passing int boxes into an interface`
+	kernel(&p.state, n)
 	p.buf = append(p.buf, frame...) //apna:alloc-ok
 	go drain(p.ch)                  // want `goroutine spawn`
 	return n
@@ -41,6 +43,12 @@ func helper(b []byte) int {
 func expensiveInit() {
 	_ = make([]byte, 1<<16)
 }
+
+// kernel is implemented in assembly. A declaration without a body is a
+// leaf of the hot graph: there is nothing to walk, so it is accepted
+// under a root (the AES-NI MAC kernels are reached this way) — neither
+// reported nor a reason to stop checking the caller.
+func kernel(state *[16]byte, n int)
 
 // notHot is never reached from a root: allocations are fine here.
 func notHot() []byte {

@@ -1,9 +1,13 @@
 package border
 
 import (
+	"encoding/binary"
 	"testing"
 
+	"apna/internal/crypto"
 	"apna/internal/ephid"
+	"apna/internal/hostdb"
+	"apna/internal/wire"
 )
 
 // Allocation-regression tests for the forwarding fast path: after one
@@ -56,20 +60,141 @@ func TestEgressPipelineProcessBatchZeroAllocs(t *testing.T) {
 		t.Skip("alloc counts are unreliable under the race detector")
 	}
 	f := newFixture(t)
-	frames := [][]byte{egressFrame(t, f), egressFrame(t, f), egressFrame(t, f)}
+	// A full engine batch: eight rounds of the 8-lane MAC kernel, with
+	// one bad MAC so the verdict patch-up runs too.
+	frames := make([][]byte, 64)
+	for i := range frames {
+		frames[i] = egressFrame(t, f)
+	}
+	const bad = 37
+	frames[bad][len(frames[bad])-1] ^= 1
 	pipe := f.router.NewEgressPipeline()
 	dst := make([]Verdict, 0, len(frames))
 	dst = pipe.ProcessBatch(frames, dst) // warm caches
 	allocs := testing.AllocsPerRun(200, func() {
 		dst = pipe.ProcessBatch(frames, dst[:0])
-		for _, v := range dst {
-			if v != VerdictForward {
-				t.Fatalf("verdict %v", v)
+		for i, v := range dst {
+			want := VerdictForward
+			if i == bad {
+				want = VerdictDropBadMAC
+			}
+			if v != want {
+				t.Fatalf("frame %d: verdict %v, want %v", i, v, want)
 			}
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("EgressPipeline.ProcessBatch allocates %.1f times per batch", allocs)
+	}
+}
+
+// TestEgressVerifyZeroAllocs pins the slow path's side of the same
+// invariant: the router's single-packet egress check keys its packet
+// MAC on the stack and allocates nothing else. Where the AES-NI kernel
+// runs, keying allocates nothing either; the portable build's key
+// schedule is crypto/aes's and lives on the heap, so the bound is
+// whatever keying a packet MAC costs on this build.
+func TestEgressVerifyZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are unreliable under the race detector")
+	}
+	f := newFixture(t)
+	frame := egressFrame(t, f)
+	if v, _ := f.router.EgressVerify(frame); v != VerdictForward {
+		t.Fatalf("warm-up verdict %v", v)
+	}
+	keying := testing.AllocsPerRun(200, func() {
+		var pm wire.PacketMAC
+		if err := pm.Init(f.keys.MAC[:]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	allocs := testing.AllocsPerRun(200, func() {
+		if v, _ := f.router.EgressVerify(frame); v != VerdictForward {
+			t.Fatalf("verdict %v", v)
+		}
+	})
+	if allocs != keying {
+		t.Fatalf("EgressVerify allocates %.1f times per packet; keying its packet MAC accounts for %.1f", allocs, keying)
+	}
+}
+
+// TestEgressMACCacheBounded drives more distinct senders through one
+// pipeline than its key-schedule cache may hold: the cache must stay
+// within its bound, and the wholesale reset that keeps it there must
+// not change a single verdict.
+func TestEgressMACCacheBounded(t *testing.T) {
+	f := newFixture(t)
+	const hosts = maxCachedMACs + 1000
+	entries := make([]hostdb.Entry, hosts)
+	for i := range entries {
+		var keys crypto.HostASKeys
+		binary.BigEndian.PutUint32(keys.MAC[:], uint32(i))
+		entries[i] = hostdb.Entry{HID: ephid.HID(1000 + i), Keys: keys, RegisteredAt: f.now}
+	}
+	f.db.PutBatch(entries)
+
+	var remoteDst ephid.EphID
+	remoteDst[0] = 0xEE
+	pipe := f.router.NewEgressPipeline()
+	batch := make([][]byte, 0, 64)
+	var verdicts []Verdict
+	flush := func(first int) {
+		verdicts = pipe.ProcessBatch(batch, verdicts[:0])
+		for j, v := range verdicts {
+			// Every seventh sender's frame is tampered with.
+			want := VerdictForward
+			if (first+j)%7 == 0 {
+				want = VerdictDropBadMAC
+			}
+			if v != want {
+				t.Fatalf("sender %d (cache holds %d): verdict %v, want %v", first+j, len(pipe.macs), v, want)
+			}
+		}
+		if len(pipe.macs) > maxCachedMACs {
+			t.Fatalf("macs cache holds %d entries, bound is %d", len(pipe.macs), maxCachedMACs)
+		}
+		batch = batch[:0]
+	}
+	var pm wire.PacketMAC
+	for i, e := range entries {
+		p := wire.Packet{Header: wire.Header{
+			HopLimit: wire.DefaultHopLimit, Nonce: uint64(i), SrcAID: localAID, DstAID: remoteAID,
+			SrcEphID: f.sealer.Mint(ephid.Payload{HID: e.HID, ExpTime: uint32(f.now) + 600}),
+			DstEphID: remoteDst,
+		}}
+		frame, err := p.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pm.Init(e.Keys.MAC[:]); err != nil {
+			t.Fatal(err)
+		}
+		pm.Apply(frame)
+		if i%7 == 0 {
+			frame[wire.HeaderSize-1] ^= 1
+		}
+		if batch = append(batch, frame); len(batch) == cap(batch) {
+			flush(i + 1 - len(batch))
+		}
+	}
+	flush(hosts - len(batch))
+	if len(pipe.macs) == 0 || len(pipe.macs) >= hosts-maxCachedMACs+64 {
+		t.Fatalf("macs cache holds %d entries after %d senders: it was never reset", len(pipe.macs), hosts)
+	}
+	// A sender cached before the reset is still served after it.
+	first := entries[0]
+	p := wire.Packet{Header: wire.Header{
+		HopLimit: wire.DefaultHopLimit, SrcAID: localAID, DstAID: remoteAID,
+		SrcEphID: f.sealer.Mint(ephid.Payload{HID: first.HID, ExpTime: uint32(f.now) + 600}),
+	}}
+	frame, _ := p.Encode()
+	if err := pm.Init(first.Keys.MAC[:]); err != nil {
+		t.Fatal(err)
+	}
+	pm.Apply(frame)
+	if v := pipe.Process(frame); v != VerdictForward {
+		t.Fatalf("evicted sender's next frame: %v", v)
 	}
 }
 

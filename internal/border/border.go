@@ -329,9 +329,10 @@ func (r *Router) EgressVerify(frame []byte) (Verdict, [crypto.SymKeySize]byte) {
 	if err != nil {
 		return VerdictDropUnknownHost, zero
 	}
-	// Verify the packet MAC.
-	pm, err := wire.NewPacketMAC(macKey[:])
-	if err != nil || !pm.Verify(frame) {
+	// Verify the packet MAC. The key schedule lives on the stack: this
+	// path keeps no per-host state and allocates nothing per packet.
+	var pm wire.PacketMAC
+	if err := pm.Init(macKey[:]); err != nil || !pm.Verify(frame) {
 		return VerdictDropBadMAC, zero
 	}
 	return VerdictForward, macKey

@@ -59,12 +59,25 @@ type EgressPipeline struct {
 	r     *Router
 	macs  map[ephid.HID]*cachedMAC
 	opens openCache
+
+	// Scratch of ProcessBatch's second phase: the frames that passed
+	// every check before the packet MAC, and where their verdicts go.
+	batch   wire.MACBatch
+	pending []int
 }
 
+// cachedMAC is one host's packet-MAC key schedule. Entries are never
+// rekeyed in place: a frame parked for ProcessBatch's second phase keeps
+// pointing at the schedule of the key it was admitted under.
 type cachedMAC struct {
 	key [crypto.SymKeySize]byte
-	pm  *wire.PacketMAC
+	pm  wire.PacketMAC
 }
+
+// maxCachedMACs bounds EgressPipeline.macs the way openCache is
+// bounded: hosts that left the AS would otherwise keep a key schedule
+// for ever.
+const maxCachedMACs = 1 << 16
 
 // NewEgressPipeline creates a worker pipeline for the router.
 func (r *Router) NewEgressPipeline() *EgressPipeline {
@@ -80,40 +93,48 @@ func (r *Router) NewEgressPipeline() *EgressPipeline {
 //
 //apna:hotpath
 func (p *EgressPipeline) Process(frame []byte) Verdict {
-	return p.process(frame, p.r.now())
+	pm, v := p.admit(frame, p.r.now())
+	if pm != nil && !pm.Verify(frame) {
+		return VerdictDropBadMAC
+	}
+	return v
 }
 
-// process is Process with the clock hoisted out, so batches read the
-// clock once.
-func (p *EgressPipeline) process(frame []byte, now int64) Verdict {
+// admit runs every egress check that precedes the packet MAC, in the
+// order of Figure 4. It returns the verdict and, when that is
+// VerdictForward, the sender's key schedule: the frame is forwarded if
+// its packet MAC verifies under it. The clock is a parameter so that
+// batches read it once.
+func (p *EgressPipeline) admit(frame []byte, now int64) (*wire.PacketMAC, Verdict) {
 	r := p.r
 	pl, ok := p.opens.open(r.sealer, wire.FrameSrcEphID(frame))
 	if !ok {
-		return VerdictDropBadEphID
+		return nil, VerdictDropBadEphID
 	}
 	if pl.Expired(now) {
-		return VerdictDropExpired
+		return nil, VerdictDropExpired
 	}
 	if r.revoked.Contains(wire.FrameSrcEphID(frame)) {
-		return VerdictDropRevoked
+		return nil, VerdictDropRevoked
 	}
 	macKey, err := r.db.MACKey(pl.HID)
 	if err != nil {
-		return VerdictDropUnknownHost
+		return nil, VerdictDropUnknownHost
 	}
 	entry, ok := p.macs[pl.HID]
 	if !ok || entry.key != macKey { //apna:coldpath
-		pm, err := wire.NewPacketMAC(macKey[:])
-		if err != nil {
-			return VerdictDropBadMAC
+		entry = &cachedMAC{key: macKey}
+		if err := entry.pm.Init(macKey[:]); err != nil {
+			return nil, VerdictDropBadMAC
 		}
-		entry = &cachedMAC{key: macKey, pm: pm}
+		if len(p.macs) >= maxCachedMACs {
+			// Wholesale reset, as in openCache: refilling an entry is
+			// one key expansion.
+			clear(p.macs)
+		}
 		p.macs[pl.HID] = entry
 	}
-	if !entry.pm.Verify(frame) {
-		return VerdictDropBadMAC
-	}
-	return VerdictForward
+	return &entry.pm, VerdictForward
 }
 
 // ProcessBatch runs the egress checks over a batch of frames, appending
@@ -123,15 +144,36 @@ func (p *EgressPipeline) process(frame []byte, now int64) Verdict {
 // pure lookups. With cap(dst) >= len(dst)+len(frames) the call does not
 // allocate.
 //
+// It works in two phases. The first runs, frame by frame, every check
+// that precedes the packet MAC and settles the verdict of each frame
+// that fails one. The second verifies the packet MACs of the frames
+// still standing all together (wire.MACBatch) and turns the verdicts of
+// those that fail into VerdictDropBadMAC. A frame therefore reaches the
+// MAC only after every earlier check has passed, exactly as in Process,
+// and gets the verdict Process would give it.
+//
 //apna:hotpath
 func (p *EgressPipeline) ProcessBatch(frames [][]byte, dst []Verdict) []Verdict {
 	now := p.r.now()
+	p.batch.Reset(len(frames))
+	p.pending = p.pending[:0]
 	for _, frame := range frames {
 		if !wire.ValidFrame(frame) {
 			dst = append(dst, VerdictDropMalformed) //apna:alloc-ok
 			continue
 		}
-		dst = append(dst, p.process(frame, now)) //apna:alloc-ok
+		pm, v := p.admit(frame, now)
+		if pm != nil {
+			p.batch.Add(pm, frame)
+			p.pending = append(p.pending, len(dst)) //apna:alloc-ok
+		}
+		dst = append(dst, v) //apna:alloc-ok
+	}
+	p.batch.Verify()
+	for j, i := range p.pending {
+		if !p.batch.OK(j) {
+			dst[i] = VerdictDropBadMAC
+		}
 	}
 	return dst
 }

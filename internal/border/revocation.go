@@ -150,7 +150,9 @@ func SignOrder(secret *crypto.ASSecret, e ephid.EphID, expTime uint32) (*Revocat
 	o := &RevocationOrder{EphID: e, ExpTime: expTime}
 	var exp [4]byte
 	binary.BigEndian.PutUint32(exp[:], expTime)
-	c.SumTruncated(o.MAC[:], 8, []byte(orderContext), e[:], exp[:])
+	if err := c.SumTruncated(o.MAC[:], len(o.MAC), []byte(orderContext), e[:], exp[:]); err != nil {
+		return nil, err
+	}
 	return o, nil
 }
 

@@ -2,6 +2,7 @@ package crypto
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -23,44 +24,56 @@ var cmacMsg = []byte{
 	0xad, 0x2b, 0x41, 0x7b, 0xe6, 0x6c, 0x37, 0x10,
 }
 
+// rfc4493 are the Section 4 vectors.
+var rfc4493 = []struct {
+	name string
+	msg  []byte
+	want []byte
+}{
+	{"empty", nil, []byte{
+		0xbb, 0x1d, 0x69, 0x29, 0xe9, 0x59, 0x37, 0x28,
+		0x7f, 0xa3, 0x7d, 0x12, 0x9b, 0x75, 0x67, 0x46,
+	}},
+	{"16bytes", cmacMsg[:16], []byte{
+		0x07, 0x0a, 0x16, 0xb4, 0x6b, 0x4d, 0x41, 0x44,
+		0xf7, 0x9b, 0xdd, 0x9d, 0xd0, 0x4a, 0x28, 0x7c,
+	}},
+	{"40bytes", cmacMsg[:40], []byte{
+		0xdf, 0xa6, 0x67, 0x47, 0xde, 0x9a, 0xe6, 0x30,
+		0x30, 0xca, 0x32, 0x61, 0x14, 0x97, 0xc8, 0x27,
+	}},
+	{"64bytes", cmacMsg, []byte{
+		0x51, 0xf0, 0xbe, 0xbf, 0x7e, 0x3b, 0x9d, 0x92,
+		0xfc, 0x49, 0x74, 0x17, 0x79, 0x36, 0x3c, 0xfe,
+	}},
+}
+
+// TestCMACRFC4493Vectors drives the RFC vectors through Sum,
+// SumTruncated and Verify (and through the reference the differential
+// tests trust); TestMACBatchRFC4493 does the same for the batch.
 func TestCMACRFC4493Vectors(t *testing.T) {
-	cases := []struct {
-		name string
-		msg  []byte
-		want []byte
-	}{
-		{"empty", nil, []byte{
-			0xbb, 0x1d, 0x69, 0x29, 0xe9, 0x59, 0x37, 0x28,
-			0x7f, 0xa3, 0x7d, 0x12, 0x9b, 0x75, 0x67, 0x46,
-		}},
-		{"16bytes", cmacMsg[:16], []byte{
-			0x07, 0x0a, 0x16, 0xb4, 0x6b, 0x4d, 0x41, 0x44,
-			0xf7, 0x9b, 0xdd, 0x9d, 0xd0, 0x4a, 0x28, 0x7c,
-		}},
-		{"40bytes", cmacMsg[:40], []byte{
-			0xdf, 0xa6, 0x67, 0x47, 0xde, 0x9a, 0xe6, 0x30,
-			0x30, 0xca, 0x32, 0x61, 0x14, 0x97, 0xc8, 0x27,
-		}},
-		{"64bytes", cmacMsg, []byte{
-			0x51, 0xf0, 0xbe, 0xbf, 0x7e, 0x3b, 0x9d, 0x92,
-			0xfc, 0x49, 0x74, 0x17, 0x79, 0x36, 0x3c, 0xfe,
-		}},
-	}
 	c, err := NewCMAC(cmacKey)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range cases {
+	ref := newRefCMAC(t, cmacKey)
+	for _, tc := range rfc4493 {
 		t.Run(tc.name, func(t *testing.T) {
+			if got := ref.tag(tc.msg); !bytes.Equal(got[:], tc.want) {
+				t.Fatalf("reference CMAC = %x, want %x", got, tc.want)
+			}
 			got := c.Sum(nil, tc.msg)
 			if !bytes.Equal(got, tc.want) {
 				t.Errorf("CMAC = %x, want %x", got, tc.want)
 			}
-			if !c.Verify(tc.want, tc.msg) {
-				t.Error("Verify rejected correct tag")
-			}
-			if !c.Verify(tc.want[:8], tc.msg) {
-				t.Error("Verify rejected correct truncated tag")
+			for _, n := range []int{1, 8, 16} {
+				short := make([]byte, n)
+				if err := c.SumTruncated(short, n, tc.msg); err != nil || !bytes.Equal(short, tc.want[:n]) {
+					t.Errorf("SumTruncated(n=%d) = %x, %v, want %x", n, short, err, tc.want[:n])
+				}
+				if !c.Verify(tc.want[:n], tc.msg) {
+					t.Errorf("Verify rejected the correct %d-byte tag", n)
+				}
 			}
 		})
 	}
@@ -135,9 +148,25 @@ func TestCMACSumTruncated(t *testing.T) {
 	}
 	full := c.Sum(nil, cmacMsg)
 	var short [8]byte
-	c.SumTruncated(short[:], 8, cmacMsg)
+	if err := c.SumTruncated(short[:], 8, cmacMsg); err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(short[:], full[:8]) {
 		t.Errorf("truncated = %x, want %x", short, full[:8])
+	}
+	// A tag longer than the CMAC, an empty one, or one longer than its
+	// buffer is an error that leaves the buffer alone, not a panic.
+	var big [32]byte
+	for _, n := range []int{17, 0, -1} {
+		if err := c.SumTruncated(big[:], n, cmacMsg); !errors.Is(err, ErrTagSize) {
+			t.Errorf("SumTruncated(n=%d) = %v, want ErrTagSize", n, err)
+		}
+	}
+	if err := c.SumTruncated(big[:4], 8, cmacMsg); !errors.Is(err, ErrTagSize) {
+		t.Errorf("SumTruncated into a short buffer = %v, want ErrTagSize", err)
+	}
+	if big != [32]byte{} {
+		t.Error("a rejected SumTruncated wrote to its buffer")
 	}
 }
 

@@ -17,6 +17,7 @@ package apna
 // Run: go test -bench=. -benchmem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -209,13 +210,14 @@ func BenchmarkBorderEgressBatch(b *testing.B) {
 	}
 }
 
-func BenchmarkBorderIngress(b *testing.B) {
+// ingressBench builds a fixture whose frames are addressed to its own
+// hosts, so that ingress checks run against local state.
+func ingressBench(b *testing.B) (*pktgen.Fixture, [][]byte) {
+	b.Helper()
 	f, err := pktgen.NewFixture(64, 256)
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Rewrite destination EphIDs so ingress checks run against local
-	// hosts.
 	frames := make([][]byte, len(f.Frames))
 	for i, frame := range f.Frames {
 		dup := append([]byte(nil), frame...)
@@ -225,12 +227,17 @@ func BenchmarkBorderIngress(b *testing.B) {
 	}
 	// Populate the remote revocation list so the per-packet
 	// remote-source check performs real lookups against a non-empty
-	// sharded map — the steady state once revocation digests have been
+	// table — the steady state once revocation digests have been
 	// disseminated — and the alloc gate covers it.
 	for i := 0; i < 128; i++ {
 		e := f.Sealer.Mint(ephid.Payload{HID: 999, ExpTime: uint32(f.Now) + 3600})
 		f.Router.ApplyRemote(e, f.AID, uint32(f.Now)+3600)
 	}
+	return f, frames
+}
+
+func BenchmarkBorderIngress(b *testing.B) {
+	f, frames := ingressBench(b)
 	pipe := f.Router.NewIngressPipeline()
 	b.SetBytes(256)
 	b.ReportAllocs()
@@ -238,6 +245,25 @@ func BenchmarkBorderIngress(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if v, _ := pipe.Process(frames[i&63]); v != border.VerdictForward {
 			b.Fatalf("verdict %v", v)
+		}
+	}
+}
+
+// BenchmarkBorderIngressBatch measures the staged ingress path a whole
+// chunk at a time: what the parallel engine pays per batch.
+func BenchmarkBorderIngressBatch(b *testing.B) {
+	f, frames := ingressBench(b)
+	pipe := f.Router.NewIngressPipeline()
+	results := make([]border.IngressResult, 0, len(frames))
+	b.SetBytes(int64(256 * len(frames)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		results = pipe.ProcessBatch(frames, results[:0])
+		for _, res := range results {
+			if res.Verdict != border.VerdictForward {
+				b.Fatalf("verdict %v", res.Verdict)
+			}
 		}
 	}
 }
@@ -633,5 +659,64 @@ func BenchmarkRevocationListLookup(b *testing.B) {
 		if !l.Contains(probe) {
 			b.Fatal("missing")
 		}
+	}
+}
+
+// residentSizes are the table populations the write benchmarks start
+// from: what an insert costs must not depend on them.
+var residentSizes = []int{1_000, 100_000}
+
+// benchEphID is the i-th of a family of distinct EphIDs.
+func benchEphID(family byte, i int) ephid.EphID {
+	e := ephid.EphID{0: family}
+	binary.BigEndian.PutUint32(e[4:], uint32(i))
+	return e
+}
+
+// BenchmarkRevocationInsert prices one revocation order against lists of
+// two sizes (Section VIII-G2: the lists grow under a shutoff flood). The
+// list is rebuilt at its resident size every 10^4 inserts, outside the
+// timer, so the inserts measured are all into a list of about that size.
+func BenchmarkRevocationInsert(b *testing.B) {
+	for _, resident := range residentSizes {
+		b.Run(fmt.Sprintf("resident=%d", resident), func(b *testing.B) {
+			b.ReportAllocs()
+			var l *border.RevocationList
+			for i := 0; i < b.N; i++ {
+				if i%10_000 == 0 {
+					b.StopTimer()
+					l = new(border.RevocationList)
+					for j := 0; j < resident; j++ {
+						l.Insert(benchEphID('r', j), 1<<30)
+					}
+					b.StartTimer()
+				}
+				l.Insert(benchEphID('n', i), 1<<30)
+			}
+		})
+	}
+}
+
+// BenchmarkHostDBPut prices registering one host in databases of two
+// sizes, rebuilt as in BenchmarkRevocationInsert.
+func BenchmarkHostDBPut(b *testing.B) {
+	for _, resident := range residentSizes {
+		b.Run(fmt.Sprintf("resident=%d", resident), func(b *testing.B) {
+			b.ReportAllocs()
+			residents := make([]hostdb.Entry, resident)
+			for j := range residents {
+				residents[j].HID = ephid.HID(1 + j)
+			}
+			var db *hostdb.DB
+			for i := 0; i < b.N; i++ {
+				if i%10_000 == 0 {
+					b.StopTimer()
+					db = hostdb.New()
+					db.PutBatch(residents)
+					b.StartTimer()
+				}
+				db.Put(hostdb.Entry{HID: ephid.HID(1<<24 + i)})
+			}
+		})
 	}
 }

@@ -53,7 +53,7 @@ func runVerifyfirst(pass *Pass) error {
 
 // isVerifyCall reports whether the call is a signature verification:
 // any function or method whose name starts with Verify (cert.Verify,
-// VerifySignature, VerifyEvidence, crypto.VerifyInto, ...) or
+// VerifySignature, VerifyEvidence, crypto.Verify, ...) or
 // ed25519.Verify itself.
 func isVerifyCall(pkg *Package, call *ast.CallExpr) bool {
 	var id *ast.Ident

@@ -148,11 +148,11 @@ func TestEgressMACCacheBounded(t *testing.T) {
 				want = VerdictDropBadMAC
 			}
 			if v != want {
-				t.Fatalf("sender %d (cache holds %d): verdict %v, want %v", first+j, len(pipe.macs), v, want)
+				t.Fatalf("sender %d (cache holds %d): verdict %v, want %v", first+j, pipe.macs.n, v, want)
 			}
 		}
-		if len(pipe.macs) > maxCachedMACs {
-			t.Fatalf("macs cache holds %d entries, bound is %d", len(pipe.macs), maxCachedMACs)
+		if pipe.macs.n > maxCachedMACs {
+			t.Fatalf("macs cache holds %d entries, bound is %d", pipe.macs.n, maxCachedMACs)
 		}
 		batch = batch[:0]
 	}
@@ -179,8 +179,8 @@ func TestEgressMACCacheBounded(t *testing.T) {
 		}
 	}
 	flush(hosts - len(batch))
-	if len(pipe.macs) == 0 || len(pipe.macs) >= hosts-maxCachedMACs+64 {
-		t.Fatalf("macs cache holds %d entries after %d senders: it was never reset", len(pipe.macs), hosts)
+	if pipe.macs.n == 0 || pipe.macs.n >= hosts-maxCachedMACs+64 {
+		t.Fatalf("macs cache holds %d entries after %d senders: it was never reset", pipe.macs.n, hosts)
 	}
 	// A sender cached before the reset is still served after it.
 	first := entries[0]

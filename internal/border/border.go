@@ -152,9 +152,7 @@ type Router struct {
 	revoked RevocationList
 	// remoteRevoked holds EphIDs revoked by other ASes, installed by the
 	// local accountability engine from verified receipts and revocation
-	// digests, scoped per announcing AS. Same sharded copy-on-write
-	// structure as the local list, so the per-packet ingress check stays
-	// lock-free and 0 allocs/op.
+	// digests, scoped per announcing AS.
 	remoteRevoked RemoteRevocationList
 	ctlCMAC       ctlVerifier
 	stats         Stats
@@ -246,12 +244,10 @@ func (r *Router) handleInternal(frame []byte, _ *netsim.Port) {
 		r.stats.count(VerdictDropMalformed)
 		return
 	}
-	v, macKey := r.EgressVerify(frame)
-	if v != VerdictForward {
+	if v, _ := r.EgressVerify(frame); v != VerdictForward {
 		r.drop(v, frame)
 		return
 	}
-	_ = macKey
 	if wire.FrameDstAID(frame) == r.aid {
 		// Intra-AS traffic (host to host or host to service): deliver
 		// through the ingress checks so revocation applies.

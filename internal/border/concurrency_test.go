@@ -1,7 +1,11 @@
 package border
 
 import (
+	"encoding/binary"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"apna/internal/ephid"
 	"apna/internal/netsim"
@@ -147,5 +151,111 @@ func TestProcessBatchMixedVerdicts(t *testing.T) {
 		if v != want[i] {
 			t.Errorf("frame %d: verdict %v, want %v", i, v, want[i])
 		}
+	}
+}
+
+// revKey is the i-th EphID of a family: distinct for distinct (family,
+// i), and laid out so that splicing the halves of two keys gives a key
+// of no family.
+func revKey(family byte, i int) ephid.EphID {
+	var e ephid.EphID
+	e[0], e[8] = family, family
+	binary.BigEndian.PutUint32(e[4:], uint32(i))
+	binary.BigEndian.PutUint32(e[12:], ^uint32(i))
+	return e
+}
+
+// TestRevocationListsConcurrentWithWrites runs lock-free readers against
+// everything a writer does to a list: in-place inserts, expiry updates,
+// the rebuilds growth forces and the rebuilds GC does. Entries that stay
+// on the list must be found by every lookup, whichever table it lands
+// on; keys never inserted — among them halves of two resident keys
+// spliced together, which is what a torn slot would look like — must
+// never be; and an origin must never match an entry another announced.
+func TestRevocationListsConcurrentWithWrites(t *testing.T) {
+	const (
+		resident = 512
+		wave     = 3000 // enough to force several doublings per wave
+		waves    = 12
+		origin   = ephid.AID(200)
+		forever  = uint32(1 << 30)
+	)
+	var local RevocationList
+	var remote RemoteRevocationList
+	for i := 0; i < resident; i++ {
+		local.Insert(revKey('r', i), forever)
+		remote.Insert(revKey('r', i), origin, forever)
+	}
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for n := r; !stop.Load(); n++ {
+				i := n % resident
+				e := revKey('r', i)
+				spliced, next := e, revKey('r', (i+1)%resident)
+				copy(spliced[8:], next[8:])
+				switch {
+				case !local.Contains(e) || !remote.Matches(e, origin) || !remote.Contains(e):
+					t.Errorf("resident entry %d lost", i)
+				case remote.Matches(e, origin+1):
+					t.Errorf("resident entry %d matched another origin", i)
+				case local.Contains(spliced) || remote.Contains(spliced):
+					t.Errorf("a key spliced from entries %d and %d is on a list", i, (i+1)%resident)
+				case local.Contains(revKey('a', n)) || remote.Matches(revKey('a', n), origin):
+					t.Errorf("absent key %d found", n)
+				default:
+					continue
+				}
+				return
+			}
+		}(r)
+	}
+
+	for w := 0; w < waves && !t.Failed(); w++ {
+		exp := uint32(1000 + w)
+		for i := 0; i < wave; i++ {
+			local.Insert(revKey('w', w*wave+i), exp)
+			remote.Insert(revKey('w', w*wave+i), origin, exp)
+			if i%8 == 0 { // an identical re-insert and an expiry update, both in place
+				local.Insert(revKey('r', i%resident), forever)
+				remote.Insert(revKey('r', i%resident), origin, forever-uint32(i))
+			}
+		}
+		if got := local.Len(); got != resident+wave {
+			t.Fatalf("wave %d: local list holds %d, want %d", w, got, resident+wave)
+		}
+		if n, m := local.GC(int64(exp)+1), remote.GC(int64(exp)+1); n != wave || m != wave {
+			t.Fatalf("wave %d: GC reaped %d and %d, want %d", w, n, m, wave)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if local.Len() != resident || remote.Len() != resident {
+		t.Fatalf("lists hold %d and %d entries, want %d", local.Len(), remote.Len(), resident)
+	}
+}
+
+// TestRevocationReinsertIsLockFree pins what cumulative digests rely on:
+// installing an entry the list already holds, unchanged, does not wait
+// for the writer lock.
+func TestRevocationReinsertIsLockFree(t *testing.T) {
+	var l RemoteRevocationList
+	e := revKey('r', 1)
+	l.Insert(e, 200, 5000)
+	l.m.mu.Lock()
+	defer l.m.mu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		l.Insert(e, 200, 5000)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("re-inserting an identical entry blocked on the writer lock")
 	}
 }

@@ -1,0 +1,537 @@
+package border_test
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"apna/internal/border"
+	"apna/internal/crypto"
+	"apna/internal/ephid"
+	"apna/internal/hostdb"
+	"apna/internal/pktgen"
+	"apna/internal/wire"
+)
+
+// The whole-border differential test: one frame stream goes through a
+// slow reference that shares no table, cache or batch with the routers,
+// and through every way the routers can be driven — the single-packet
+// slow path, the pipelines' Process and their ProcessBatch at several
+// batch sizes, all with caches that stay warm across the stream — while
+// revocations, remote digests, host revocations, deletions, re-keys,
+// garbage collections and clock steps land between its parts. Every
+// frame must get the reference's verdict, and a forwarded frame the
+// reference's destination host, from every path.
+
+// diffSizes are the frame sizes mixed into the stream. The MAC input is
+// the frame less the 8-byte MAC field: 64 is the header alone (a partial
+// last block), 72 and 88 end exactly on a block boundary (K1), 73 is one
+// byte past one (K2), 65, 79 and 80 have a payload that fits, nearly
+// fills and exactly fills the staged head, and 1518 is the bulk case.
+var diffSizes = []int{64, 65, 72, 73, 79, 80, 88, 128, 256, 1000, 1518}
+
+// diffBatchSizes straddle the pipelines' 64-frame chunk.
+var diffBatchSizes = []int{1, 7, 63, 64, 65, 200}
+
+type remoteEntry struct {
+	e      ephid.EphID
+	origin ephid.AID
+}
+
+// refAS is one AS of the reference: plain maps beside the router under
+// test. Every mutation goes to both.
+type refAS struct {
+	f       *pktgen.Fixture
+	revoked map[ephid.EphID]uint32
+	remote  map[remoteEntry]uint32
+	hosts   map[ephid.HID]hostdb.Entry
+}
+
+func newRefAS(f *pktgen.Fixture) *refAS {
+	a := &refAS{f: f, revoked: map[ephid.EphID]uint32{}, remote: map[remoteEntry]uint32{}, hosts: map[ephid.HID]hostdb.Entry{}}
+	f.DB.Range(func(e hostdb.Entry) bool { a.hosts[e.HID] = e; return true })
+	return a
+}
+
+func (a *refAS) revoke(e ephid.EphID, exp uint32) {
+	a.revoked[e] = exp
+	a.f.Router.Revoked().Insert(e, exp)
+}
+
+func (a *refAS) applyRemote(e ephid.EphID, origin ephid.AID, exp uint32) {
+	a.remote[remoteEntry{e, origin}] = exp
+	a.f.Router.ApplyRemote(e, origin, exp)
+}
+
+func (a *refAS) revokeHost(hid ephid.HID) {
+	if h, ok := a.hosts[hid]; ok {
+		h.Status = hostdb.StatusRevoked
+		if h.RevokedAt == 0 {
+			h.RevokedAt = a.f.Now
+		}
+		a.hosts[hid] = h
+	}
+	a.f.DB.RevokeAt(hid, a.f.Now)
+}
+
+func (a *refAS) deleteHost(hid ephid.HID) {
+	delete(a.hosts, hid)
+	a.f.DB.Delete(hid)
+}
+
+func (a *refAS) putHost(e hostdb.Entry) {
+	a.hosts[e.HID] = e
+	a.f.DB.Put(e)
+}
+
+// gc runs every collector the AS has and checks each reaps what the
+// reference reaps.
+func (a *refAS) gc(t *testing.T, retention int64) {
+	t.Helper()
+	now := a.f.Now
+	var nRev, nRem, nHost int
+	for e, exp := range a.revoked {
+		if int64(exp) < now {
+			delete(a.revoked, e)
+			nRev++
+		}
+	}
+	for k, exp := range a.remote {
+		if int64(exp) < now {
+			delete(a.remote, k)
+			nRem++
+		}
+	}
+	for hid, h := range a.hosts {
+		if h.Status == hostdb.StatusRevoked && h.RevokedAt > 0 && h.RevokedAt+retention <= now {
+			delete(a.hosts, hid)
+			nHost++
+		}
+	}
+	if got := a.f.Router.Revoked().GC(now); got != nRev {
+		t.Fatalf("%v: revocation GC reaped %d, reference %d", a.f.AID, got, nRev)
+	}
+	if got := a.f.Router.RemoteRevoked().GC(now); got != nRem {
+		t.Fatalf("%v: remote revocation GC reaped %d, reference %d", a.f.AID, got, nRem)
+	}
+	if got := a.f.DB.GC(now, retention); got != nHost {
+		t.Fatalf("%v: hostdb GC reaped %d, reference %d", a.f.AID, got, nHost)
+	}
+	if got := a.f.Router.Revoked().Len(); got != len(a.revoked) {
+		t.Fatalf("%v: revocation list holds %d, reference %d", a.f.AID, got, len(a.revoked))
+	}
+	if got := a.f.Router.RemoteRevoked().Len(); got != len(a.remote) {
+		t.Fatalf("%v: remote revocation list holds %d, reference %d", a.f.AID, got, len(a.remote))
+	}
+	if got := a.f.DB.Len(); got != len(a.hosts) {
+		t.Fatalf("%v: hostdb holds %d, reference %d", a.f.AID, got, len(a.hosts))
+	}
+}
+
+// egress is the outgoing-packet check of Figure 4 in the order of paper
+// Section V-B: one decryption, the revocation and host_info lookups, one
+// MAC verification under a key schedule built for this packet alone.
+func (a *refAS) egress(frame []byte) border.Verdict {
+	e := wire.FrameSrcEphID(frame)
+	p, err := a.f.Sealer.Open(e)
+	if err != nil {
+		return border.VerdictDropBadEphID
+	}
+	if p.Expired(a.f.Now) {
+		return border.VerdictDropExpired
+	}
+	if _, ok := a.revoked[e]; ok {
+		return border.VerdictDropRevoked
+	}
+	h, ok := a.hosts[p.HID]
+	if !ok || h.Status == hostdb.StatusRevoked {
+		return border.VerdictDropUnknownHost
+	}
+	pm, err := wire.NewPacketMAC(h.Keys.MAC[:])
+	if err != nil || !pm.Verify(frame) {
+		return border.VerdictDropBadMAC
+	}
+	return border.VerdictForward
+}
+
+// ingress is the incoming-packet check of Figure 4.
+func (a *refAS) ingress(frame []byte) (border.Verdict, ephid.HID) {
+	e := wire.FrameDstEphID(frame)
+	p, err := a.f.Sealer.Open(e)
+	if err != nil {
+		return border.VerdictDropBadEphID, 0
+	}
+	if p.Expired(a.f.Now) {
+		return border.VerdictDropExpired, 0
+	}
+	if _, ok := a.revoked[e]; ok {
+		return border.VerdictDropRevoked, 0
+	}
+	if _, ok := a.remote[remoteEntry{wire.FrameSrcEphID(frame), wire.FrameSrcAID(frame)}]; ok {
+		return border.VerdictDropRevokedRemote, 0
+	}
+	if h, ok := a.hosts[p.HID]; !ok || h.Status == hostdb.StatusRevoked {
+		return border.VerdictDropUnknownHost, 0
+	}
+	return border.VerdictForward, p.HID
+}
+
+// outcome is what the border as a whole does with one frame.
+type outcome struct {
+	v   border.Verdict
+	hid ephid.HID // the destination host, when v is VerdictForward
+}
+
+func (o outcome) String() string { return fmt.Sprintf("%v (host %v)", o.v, o.hid) }
+
+// refVerdict is the reference for the whole border: egress at the source
+// AS, the route lookup, ingress at the destination AS.
+func refVerdict(src, dst *refAS, frame []byte) outcome {
+	if !wire.ValidFrame(frame) {
+		return outcome{v: border.VerdictDropMalformed}
+	}
+	if v := src.egress(frame); v != border.VerdictForward {
+		return outcome{v: v}
+	}
+	if _, ok := src.f.Router.LookupRoute(wire.FrameDstAID(frame)); !ok {
+		return outcome{v: border.VerdictDropNoRoute}
+	}
+	v, hid := dst.ingress(frame)
+	return outcome{v, hid}
+}
+
+// borderPath is one way of driving the two routers under test. Its
+// pipelines last as long as it does, so their caches are warm.
+type borderPath struct {
+	name string
+	run  func(frames [][]byte) []outcome
+}
+
+func routed(src *pktgen.Fixture, frame []byte) bool {
+	_, ok := src.Router.LookupRoute(wire.FrameDstAID(frame))
+	return ok
+}
+
+// perFrame composes a single-packet egress check, the route lookup and
+// a single-packet ingress check, behind the frame check the routers'
+// port handlers do first.
+func perFrame(name string, src *pktgen.Fixture, egress func([]byte) border.Verdict, ingress func([]byte) (border.Verdict, ephid.HID)) borderPath {
+	one := func(frame []byte) outcome {
+		if !wire.ValidFrame(frame) {
+			return outcome{v: border.VerdictDropMalformed}
+		}
+		if v := egress(frame); v != border.VerdictForward {
+			return outcome{v: v}
+		}
+		if !routed(src, frame) {
+			return outcome{v: border.VerdictDropNoRoute}
+		}
+		v, hid := ingress(frame)
+		return outcome{v, hid}
+	}
+	return borderPath{name, func(frames [][]byte) []outcome {
+		out := make([]outcome, len(frames))
+		for i, frame := range frames {
+			out[i] = one(frame)
+		}
+		return out
+	}}
+}
+
+// slowPath is the routers' uncached single-packet checks.
+func slowPath(src, dst *pktgen.Fixture) borderPath {
+	return perFrame("EgressVerify/IngressVerify", src, func(frame []byte) border.Verdict {
+		v, _ := src.Router.EgressVerify(frame)
+		return v
+	}, dst.Router.IngressVerify)
+}
+
+func singlePath(src, dst *pktgen.Fixture) borderPath {
+	return perFrame("Process", src, src.Router.NewEgressPipeline().Process, dst.Router.NewIngressPipeline().Process)
+}
+
+// batchPath drives the pipelines the way internal/engine does: a batch
+// through egress, the survivors through the route lookup, theirs through
+// ingress.
+func batchPath(src, dst *pktgen.Fixture, size int) borderPath {
+	eg, in := src.Router.NewEgressPipeline(), dst.Router.NewIngressPipeline()
+	var verdicts []border.Verdict
+	var results []border.IngressResult
+	return borderPath{fmt.Sprintf("ProcessBatch(%d)", size), func(frames [][]byte) []outcome {
+		out := make([]outcome, len(frames))
+		for at := 0; at < len(frames); at += size {
+			batch := frames[at:min(at+size, len(frames))]
+			verdicts = eg.ProcessBatch(batch, verdicts[:0])
+			var passed [][]byte
+			var index []int
+			for i, v := range verdicts {
+				out[at+i].v = v
+				if v != border.VerdictForward {
+					continue
+				}
+				if !routed(src, batch[i]) {
+					out[at+i].v = border.VerdictDropNoRoute
+					continue
+				}
+				passed, index = append(passed, batch[i]), append(index, at+i)
+			}
+			results = in.ProcessBatch(passed, results[:0])
+			for j, res := range results {
+				out[index[j]] = outcome{v: res.Verdict}
+				if res.Verdict == border.VerdictForward {
+					out[index[j]].hid = res.HID
+				}
+			}
+		}
+		return out
+	}}
+}
+
+// futureKeys is the key pair host hid gets if the stream re-keys it.
+func futureKeys(hid ephid.HID) crypto.HostASKeys {
+	return crypto.DeriveHostASKeys([]byte{byte(hid), byte(hid >> 8), 'r', 'e', 'k', 'e', 'y'})
+}
+
+// diffWorld is one run's routers, reference and stream.
+type diffWorld struct {
+	t        *testing.T
+	rng      *rand.Rand
+	hosts    int
+	src, dst *refAS
+	stream   [][]byte
+	// srcIDs and dstIDs are EphIDs of well-formed stream frames, the
+	// pool mid-stream revocations draw from.
+	srcIDs, dstIDs []ephid.EphID
+	nonce          uint64
+}
+
+// mint builds a frame of the given size from src host hid to dst host
+// dstHID, MACed under key, both EphIDs living for life seconds.
+func (w *diffWorld) mint(hid, dstHID ephid.HID, key [crypto.SymKeySize]byte, size int, life uint32, dstAID ephid.AID) []byte {
+	w.t.Helper()
+	w.nonce++
+	src, dst := w.src.f, w.dst.f
+	p := wire.Packet{
+		Header: wire.Header{
+			NextProto: wire.ProtoSession, HopLimit: wire.DefaultHopLimit, Nonce: w.nonce,
+			SrcAID: src.AID, DstAID: dstAID,
+			SrcEphID: src.Sealer.Mint(ephid.Payload{HID: hid, ExpTime: uint32(src.Now) + life}),
+			DstEphID: dst.Sealer.Mint(ephid.Payload{HID: dstHID, ExpTime: uint32(dst.Now) + life}),
+		},
+		Payload: make([]byte, size-wire.HeaderSize),
+	}
+	for i := range p.Payload {
+		p.Payload[i] = byte(w.nonce) + byte(i)
+	}
+	frame, err := p.Encode()
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	pm, err := wire.NewPacketMAC(key[:])
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	pm.Apply(frame)
+	return frame
+}
+
+func (w *diffWorld) host() ephid.HID { return ephid.HID(1 + w.rng.Intn(w.hosts)) }
+
+func newDiffWorld(t *testing.T, seed int64, hosts, rounds int) *diffWorld {
+	t.Helper()
+	pw, err := pktgen.NewWorld(pktgen.WorldConfig{
+		ASes: 2, HostsPerAS: hosts, FrameSize: 128, FramesPerLane: 20 * hosts, BadFrac: 0.5, Seed: seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lane := pw.Lanes[0]
+	w := &diffWorld{
+		t: t, rng: rand.New(rand.NewSource(seed)), hosts: hosts,
+		src: newRefAS(lane.Src), dst: newRefAS(lane.Dst), nonce: 1 << 20,
+	}
+	// The reference learns what pktgen revoked while minting the lanes
+	// by asking about the lanes' own EphIDs, the only ones it can
+	// concern; the counts must be pktgen's. (The stream is lane 0; the
+	// opposite lane's entries are in the same lists.)
+	exp := uint32(pw.Now) + 3600
+	for i, l := range pw.Lanes {
+		from, to := []*refAS{w.src, w.dst}[i], []*refAS{w.dst, w.src}[i]
+		for _, frame := range l.Frames {
+			e := wire.FrameSrcEphID(frame)
+			if l.Src.Router.Revoked().Contains(e) {
+				from.revoked[e] = exp
+			}
+			if l.Dst.Router.RemoteRevoked().Matches(e, l.Src.AID) {
+				to.remote[remoteEntry{e, l.Src.AID}] = exp
+			}
+		}
+		if got, want := len(from.revoked), l.Bad[pktgen.BadRevokedSrc]; got != want {
+			t.Fatalf("%v revoked %d lane EphIDs, pktgen installed %d", l.Src.AID, got, want)
+		}
+		if got, want := len(to.remote), l.Bad[pktgen.BadRemoteRevokedSrc]; got != want {
+			t.Fatalf("%v holds %d remote revocations, pktgen installed %d", l.Dst.AID, got, want)
+		}
+	}
+
+	w.stream = append(w.stream, lane.Frames...)
+	srcAID, dstAID := lane.Src.AID, lane.Dst.AID
+	for round := 0; round < rounds; round++ {
+		for _, size := range diffSizes {
+			hid := w.host()
+			frame := w.mint(hid, w.host(), w.src.hosts[hid].Keys.MAC, size, 3600, dstAID)
+			switch w.rng.Intn(5) {
+			case 0: // one bit flipped anywhere: header, EphIDs, MAC field or payload
+				frame[w.rng.Intn(len(frame))] ^= 1 << w.rng.Intn(8)
+			case 1: // a transit hop decrement must not matter
+				wire.FrameDecrementHopLimit(frame)
+			}
+			w.stream = append(w.stream, frame)
+		}
+		// A frame under the key its sender holds only after a re-key, one
+		// whose EphIDs die at the clock step, one toward an AS no route
+		// leads to, one each with an all-zero source and destination EphID
+		// (what a never-filled cache entry holds), and two that are not
+		// frames at all.
+		hid := w.host()
+		fk := futureKeys(hid)
+		h2 := w.host()
+		zeroSrc := w.mint(h2, w.host(), w.src.hosts[h2].Keys.MAC, 128, 3600, dstAID)
+		clear(zeroSrc[24:40])
+		zeroDst := w.mint(h2, w.host(), w.src.hosts[h2].Keys.MAC, 128, 3600, dstAID)
+		clear(zeroDst[40:56])
+		key := w.src.hosts[h2].Keys.MAC
+		if pm, err := wire.NewPacketMAC(key[:]); err == nil {
+			pm.Apply(zeroDst)
+		}
+		w.stream = append(w.stream, zeroSrc, zeroDst,
+			w.mint(hid, w.host(), fk.MAC, diffSizes[round%len(diffSizes)], 3600, dstAID),
+			w.mint(h2, w.host(), w.src.hosts[h2].Keys.MAC, 128, 30, dstAID),
+			w.mint(h2, w.host(), w.src.hosts[h2].Keys.MAC, 100, 3600, dstAID+srcAID),
+			make([]byte, w.rng.Intn(wire.HeaderSize)),
+			append([]byte(nil), lane.Frames[w.rng.Intn(len(lane.Frames))][:wire.HeaderSize-1+w.rng.Intn(2)]...))
+	}
+	w.rng.Shuffle(len(w.stream), func(i, j int) { w.stream[i], w.stream[j] = w.stream[j], w.stream[i] })
+	for _, frame := range w.stream {
+		if wire.ValidFrame(frame) {
+			w.srcIDs = append(w.srcIDs, wire.FrameSrcEphID(frame))
+			w.dstIDs = append(w.dstIDs, wire.FrameDstEphID(frame))
+		}
+	}
+	return w
+}
+
+// diffOps is how many kinds of mid-stream event apply knows.
+const diffOps = 10
+
+// apply lands one mid-stream event on the routers and the reference.
+func (w *diffWorld) apply(op byte) {
+	src, dst := w.src, w.dst
+	now := uint32(src.f.Now)
+	pick := func(ids []ephid.EphID) ephid.EphID { return ids[w.rng.Intn(len(ids))] }
+	switch op % diffOps {
+	case 0: // a sender's EphID is shut off at its own AS
+		src.revoke(pick(w.srcIDs), now+3600)
+	case 1: // ... by an entry that expires long before the EphID does
+		src.revoke(pick(w.srcIDs), now+45)
+	case 2: // a receiver's EphID is revoked at the destination AS
+		dst.revoke(pick(w.dstIDs), now+3600)
+	case 3: // the source AS's digest reaches the destination AS
+		dst.applyRemote(pick(w.srcIDs), src.f.AID, now+uint32(45+w.rng.Intn(2)*3600))
+	case 4: // another AS announces the same bytes: not its number space
+		dst.applyRemote(pick(w.srcIDs), src.f.AID+77, now+3600)
+	case 5: // a host is revoked, at either AS
+		[]*refAS{src, dst}[w.rng.Intn(2)].revokeHost(w.host())
+	case 6: // a host leaves
+		[]*refAS{src, dst}[w.rng.Intn(2)].deleteHost(w.host())
+	case 7: // a sender is re-keyed (or a revoked or deleted one comes back)
+		hid := w.host()
+		src.putHost(hostdb.Entry{HID: hid, Keys: futureKeys(hid), RegisteredAt: src.f.Now})
+	case 8: // a deleted receiver is registered again
+		hid := w.host()
+		dst.putHost(hostdb.Entry{HID: hid, Keys: futureKeys(hid), RegisteredAt: dst.f.Now})
+	case 9: // the clock passes the short lifetimes, then every GC runs
+		src.f.Now += 60
+		dst.f.Now += 60
+		src.gc(w.t, 30)
+		dst.gc(w.t, 30)
+	}
+}
+
+// runDifferential drives the stream through the reference and every
+// path in len(script)+1 parts with one scripted event between parts,
+// then once more whole: by then every cache holds an entry for
+// everything that changed. It returns how often each verdict came up.
+func runDifferential(t *testing.T, seed int64, hosts, rounds int, script []byte) map[border.Verdict]int {
+	t.Helper()
+	w := newDiffWorld(t, seed, hosts, rounds)
+	paths := []borderPath{slowPath(w.src.f, w.dst.f), singlePath(w.src.f, w.dst.f)}
+	for _, size := range diffBatchSizes {
+		paths = append(paths, batchPath(w.src.f, w.dst.f, size))
+	}
+	seen := make(map[border.Verdict]int)
+	check := func(label string, part [][]byte) {
+		t.Helper()
+		want := make([]outcome, len(part))
+		for i, frame := range part {
+			want[i] = refVerdict(w.src, w.dst, frame)
+			seen[want[i].v]++
+		}
+		for _, p := range paths {
+			got := p.run(part)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s, frame %d (%d B): %s = %v, reference %v", label, i, len(part[i]), p.name, got[i], want[i])
+				}
+			}
+		}
+	}
+	parts := len(script) + 1
+	for k := 0; k < parts; k++ {
+		lo, hi := k*len(w.stream)/parts, (k+1)*len(w.stream)/parts
+		check(fmt.Sprintf("part %d/%d", k+1, parts), w.stream[lo:hi])
+		if k < len(script) {
+			w.apply(script[k])
+		}
+	}
+	check("replay", w.stream)
+	return seen
+}
+
+// diffScript takes the stream through every event kind, the GC twice,
+// and a re-registration after the second.
+var diffScript = []byte{0, 1, 2, 3, 4, 5, 6, 9, 7, 8, 5, 6, 1, 3, 9, 7, 8, 0}
+
+// TestBorderDifferential is the property test: a few seeds, a stream of
+// some eleven hundred frames each.
+func TestBorderDifferential(t *testing.T) {
+	seen := make(map[border.Verdict]int)
+	for seed := int64(1); seed <= 3; seed++ {
+		for v, n := range runDifferential(t, seed, 24, 40, diffScript) {
+			seen[v] += n
+		}
+	}
+	for _, v := range []border.Verdict{
+		border.VerdictForward, border.VerdictDropMalformed, border.VerdictDropBadEphID,
+		border.VerdictDropExpired, border.VerdictDropRevoked, border.VerdictDropRevokedRemote,
+		border.VerdictDropUnknownHost, border.VerdictDropBadMAC, border.VerdictDropNoRoute,
+	} {
+		if seen[v] == 0 {
+			t.Errorf("the streams never produced %v", v)
+		}
+	}
+}
+
+// FuzzBorderDifferential lets the fuzzer pick the world's seed and the
+// script of mid-stream events over a smaller world.
+func FuzzBorderDifferential(f *testing.F) {
+	f.Add(int64(1), diffScript)
+	f.Add(int64(2), []byte{9, 9, 7, 7, 6, 8})
+	f.Add(int64(3), []byte{})
+	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
+		if len(script) > 24 {
+			script = script[:24]
+		}
+		runDifferential(t, seed, 6, 2, script)
+	})
+}

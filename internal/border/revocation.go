@@ -3,6 +3,7 @@ package border
 import (
 	"encoding/binary"
 	"errors"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 
@@ -10,82 +11,154 @@ import (
 	"apna/internal/ephid"
 )
 
-const revShards = 64
-
-// cowShards is the shared core of both revocation lists: a fixed array
-// of immutable expiry maps published through atomic pointers, read
-// lock-free per packet and copy-on-written under one writer mutex by
-// the rare control-plane mutations (revocation orders, digest
-// installs, GC). Copying is per shard, so the cost of one insert is
-// proportional to one shard's population.
-type cowShards[K comparable] struct {
-	mu     sync.Mutex // serializes writers
-	shards [revShards]atomic.Pointer[map[K]uint32]
+// revSlot is one slot of a revTable: the EphID as two words, the AS that
+// announced it revoked (0 in the local list), the expiry, the tag. Writers
+// fill slots of the table readers are probing, so every field is atomic;
+// tag is stored last and publishes the rest.
+type revSlot struct {
+	lo, hi atomic.Uint64
+	origin atomic.Uint32
+	exp    atomic.Uint32
+	tag    atomic.Uint32 // 0: empty, ends a probe chain; else the hash's high bits with bit 0 set
 }
 
-// snapshot returns shard i's current map (possibly nil). Lock-free.
-func (c *cowShards[K]) snapshot(i int) map[K]uint32 {
-	if m := c.shards[i].Load(); m != nil {
-		return *m
+// revTable is a flat open-addressed table, linear probing, never more
+// than half full. Slots only go from empty to full, so a chain a reader
+// is on cannot break under it; removal is GC's rebuild. seed keys the
+// hash: EphIDs are ciphertext and spread by their own bytes, but a peer
+// AS picks the bytes of the digests it signs and could fill one chain.
+type revTable struct {
+	seed  maphash.Seed
+	slots []revSlot // a power of two
+}
+
+func ephidWords(e *ephid.EphID) (lo, hi uint64) {
+	return binary.LittleEndian.Uint64(e[:8]), binary.LittleEndian.Uint64(e[8:])
+}
+
+// rebuilt returns an unpublished table with room for entries at a
+// quarter load that holds t's entries not expired by nowUnix.
+func (t *revTable) rebuilt(entries int, nowUnix int64) *revTable {
+	n := 16
+	for n < 4*entries {
+		n *= 2
+	}
+	nt := &revTable{seed: maphash.MakeSeed(), slots: make([]revSlot, n)}
+	for i := 0; t != nil && i < len(t.slots); i++ {
+		s := &t.slots[i]
+		if exp := s.exp.Load(); s.tag.Load() != 0 && int64(exp) >= nowUnix {
+			var e ephid.EphID
+			binary.LittleEndian.PutUint64(e[:8], s.lo.Load())
+			binary.LittleEndian.PutUint64(e[8:], s.hi.Load())
+			nt.put(e, s.origin.Load(), exp)
+		}
+	}
+	return nt
+}
+
+// put fills the first empty slot of e's chain. The table has one; the
+// caller knows (e, origin) is not in it, and is the only writer.
+func (t *revTable) put(e ephid.EphID, origin, exp uint32) {
+	h := maphash.Bytes(t.seed, e[:])
+	i := uint32(h)
+	for t.slots[i&uint32(len(t.slots)-1)].tag.Load() != 0 {
+		i++
+	}
+	s := &t.slots[i&uint32(len(t.slots)-1)]
+	lo, hi := ephidWords(&e)
+	s.lo.Store(lo)
+	s.hi.Store(hi)
+	s.origin.Store(origin)
+	s.exp.Store(exp)
+	s.tag.Store(uint32(h>>32) | 1)
+}
+
+// revList is the core of both revocation lists: one revTable behind an
+// atomic pointer, probed lock-free per packet and written in place under
+// mu by the control plane (revocation orders, digest installs). Only
+// growth past half load and a GC with something to reap build a new one.
+type revList struct {
+	mu sync.Mutex // serializes writers
+	t  atomic.Pointer[revTable]
+	n  atomic.Int64
+}
+
+// revProbe is a lookup split in two, so that a pipeline with a chunk of
+// EphIDs can overlap their cache misses: locate hashes and loads the home
+// slot's tag without branching on it, find compares and walks the chain.
+type revProbe struct {
+	t   *revTable
+	i   uint32 // the home slot
+	tag uint32 // what an entry for the EphID carries
+	cur uint32 // the home slot's tag, as locate loaded it
+}
+
+//apna:hotpath
+func (l *revList) locate(e ephid.EphID) revProbe {
+	t := l.t.Load()
+	if t == nil {
+		return revProbe{}
+	}
+	h := maphash.Bytes(t.seed, e[:])
+	i := uint32(h) & uint32(len(t.slots)-1)
+	return revProbe{t: t, i: i, tag: uint32(h>>32) | 1, cur: t.slots[i].tag.Load()}
+}
+
+// find resolves the probe to the slot holding (e, origin) — or, with
+// anyOrigin, e under whichever origin comes first — or nil. All origins
+// of one EphID are on one chain: the hash does not cover the origin.
+//
+//apna:hotpath
+func (p revProbe) find(e ephid.EphID, origin ephid.AID, anyOrigin bool) *revSlot {
+	lo, hi := ephidWords(&e)
+	for i, cur := p.i, p.cur; cur != 0; cur = p.t.slots[i].tag.Load() {
+		s := &p.t.slots[i]
+		if cur == p.tag && s.lo.Load() == lo && s.hi.Load() == hi && (anyOrigin || s.origin.Load() == uint32(origin)) {
+			return s
+		}
+		i = (i + 1) & uint32(len(p.t.slots)-1)
 	}
 	return nil
 }
 
-// insert adds (k, v) to shard i. Re-inserting an identical entry is a
-// lock-free no-op — cumulative revocation digests re-install their
-// whole contents every interval, and the steady state must not pay a
-// shard copy per already-present entry.
-func (c *cowShards[K]) insert(i int, k K, v uint32) {
-	if cur, ok := c.snapshot(i)[k]; ok && cur == v {
+// insert adds (e, origin) or updates its expiry. Re-inserting an
+// identical entry is a lock-free no-op — cumulative revocation digests
+// re-install their whole contents every interval.
+func (l *revList) insert(e ephid.EphID, origin ephid.AID, exp uint32) {
+	if s := l.locate(e).find(e, origin, false); s != nil && s.exp.Load() == exp {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	old := c.snapshot(i)
-	next := make(map[K]uint32, len(old)+1)
-	for kk, vv := range old {
-		next[kk] = vv
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if s := l.locate(e).find(e, origin, false); s != nil {
+		s.exp.Store(exp)
+		return
 	}
-	next[k] = v
-	c.shards[i].Store(&next)
+	t, n := l.t.Load(), int(l.n.Add(1))
+	if t != nil && n*2 <= len(t.slots) {
+		t.put(e, uint32(origin), exp)
+		return
+	}
+	t = t.rebuilt(n, 0)
+	t.put(e, uint32(origin), exp)
+	l.t.Store(t)
 }
 
-// gc removes entries whose values (expiry times) precede nowUnix,
-// returning how many were removed.
-func (c *cowShards[K]) gc(nowUnix int64) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for i := range c.shards {
-		old := c.snapshot(i)
-		removed := 0
-		for _, exp := range old {
-			if int64(exp) < nowUnix {
-				removed++
-			}
+// gc removes entries whose expiry precedes nowUnix, returning how many
+// were removed. A list that loses nothing is left as it is.
+func (l *revList) gc(nowUnix int64) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	t, removed := l.t.Load(), 0
+	for i := 0; t != nil && i < len(t.slots); i++ {
+		if s := &t.slots[i]; s.tag.Load() != 0 && int64(s.exp.Load()) < nowUnix {
+			removed++
 		}
-		if removed == 0 {
-			continue
-		}
-		next := make(map[K]uint32, len(old)-removed)
-		for k, exp := range old {
-			if int64(exp) >= nowUnix {
-				next[k] = exp
-			}
-		}
-		c.shards[i].Store(&next)
-		n += removed
 	}
-	return n
-}
-
-// size reports the total entry count.
-func (c *cowShards[K]) size() int {
-	n := 0
-	for i := range c.shards {
-		n += len(c.snapshot(i))
+	if removed > 0 {
+		l.t.Store(t.rebuilt(int(l.n.Add(int64(-removed))), nowUnix))
 	}
-	return n
+	return removed
 }
 
 // RevocationList is the revoked_ids set border routers consult per
@@ -94,26 +167,19 @@ func (c *cowShards[K]) size() int {
 // are dropped by the expiry check anyway, so keeping them on the list
 // buys nothing (Section VIII-G2).
 //
-// The per-packet read path (Contains) is lock-free; see cowShards.
-// Sharding by the EphID's first byte is uniform because EphIDs are
-// ciphertext.
+// The per-packet read path (Contains) is lock-free; see revList.
 type RevocationList struct {
-	m cowShards[ephid.EphID]
+	m revList
 }
-
-func revShardFor(e ephid.EphID) int { return int(e[0] % revShards) }
 
 // Insert adds an EphID with its expiration time.
-func (l *RevocationList) Insert(e ephid.EphID, expTime uint32) {
-	l.m.insert(revShardFor(e), e, expTime)
-}
+func (l *RevocationList) Insert(e ephid.EphID, expTime uint32) { l.m.insert(e, 0, expTime) }
 
 // Contains reports whether e is revoked. Lock-free.
 //
 //apna:hotpath
 func (l *RevocationList) Contains(e ephid.EphID) bool {
-	_, ok := l.m.snapshot(revShardFor(e))[e]
-	return ok
+	return l.m.locate(e).find(e, 0, false) != nil
 }
 
 // GC removes entries whose EphIDs have expired by nowUnix, returning
@@ -121,7 +187,7 @@ func (l *RevocationList) Contains(e ephid.EphID) bool {
 func (l *RevocationList) GC(nowUnix int64) int { return l.m.gc(nowUnix) }
 
 // Len reports the number of revoked EphIDs currently tracked.
-func (l *RevocationList) Len() int { return l.m.size() }
+func (l *RevocationList) Len() int { return int(l.m.n.Load()) }
 
 // RevocationOrder is the authenticated "revoke EphID_s" instruction the
 // accountability agent sends to border routers (the MAC_kAS(revoke
@@ -214,31 +280,25 @@ func (r *Router) ApplyOrder(o *RevocationOrder) error {
 // Revoked exposes the revocation list (for GC scheduling and tests).
 func (r *Router) Revoked() *RevocationList { return &r.revoked }
 
-// remoteKey scopes a remote revocation to the AS that announced it.
-// Only the issuing AS is authoritative for its EphIDs, so an entry
-// announced by origin O applies solely to frames claiming O as their
-// source AS: a rogue peer can blackhole identifiers only within its
-// own number space, and cannot overwrite (or pre-empt) another AS's
-// announcement of the same EphID bytes.
-type remoteKey struct {
-	e      ephid.EphID
-	origin ephid.AID
-}
-
 // RemoteRevocationList holds EphIDs revoked by *other* ASes, learned
 // through the inter-domain accountability plane (verified receipts and
-// revocation digests). Structure and concurrency discipline match
-// RevocationList (one shared cowShards core), so the per-packet
-// Matches lookup is lock-free and allocation-free, and re-installing
-// an unchanged entry from a cumulative digest is a lock-free no-op.
+// revocation digests). An entry is scoped to the AS that announced it:
+// only the issuing AS is authoritative for its EphIDs, so an entry
+// announced by origin O applies solely to frames claiming O as their
+// source AS. A rogue peer can blackhole identifiers only within its own
+// number space, and cannot overwrite (or pre-empt) another AS's
+// announcement of the same EphID bytes. Structure and concurrency
+// discipline are RevocationList's (one shared revList core): Matches is
+// lock-free and allocation-free, and re-installing an unchanged entry
+// from a cumulative digest is a lock-free no-op.
 type RemoteRevocationList struct {
-	m cowShards[remoteKey]
+	m revList
 }
 
 // Insert adds an EphID announced as revoked by origin, with its
 // expiration time.
 func (l *RemoteRevocationList) Insert(e ephid.EphID, origin ephid.AID, expTime uint32) {
-	l.m.insert(revShardFor(e), remoteKey{e: e, origin: origin}, expTime)
+	l.m.insert(e, origin, expTime)
 }
 
 // Matches reports whether e was announced revoked by srcAID — the
@@ -247,22 +307,15 @@ func (l *RemoteRevocationList) Insert(e ephid.EphID, origin ephid.AID, expTime u
 //
 //apna:hotpath
 func (l *RemoteRevocationList) Matches(e ephid.EphID, srcAID ephid.AID) bool {
-	_, ok := l.m.snapshot(revShardFor(e))[remoteKey{e: e, origin: srcAID}]
-	return ok
+	return l.m.locate(e).find(e, srcAID, false) != nil
 }
 
 // Contains reports whether e was announced revoked by *any* origin —
-// a diagnostics/test helper (the data plane uses Matches). It scans
-// one shard.
+// a diagnostics/test helper (the data plane uses Matches). Lock-free.
 //
 //apna:hotpath
 func (l *RemoteRevocationList) Contains(e ephid.EphID) bool {
-	for k := range l.m.snapshot(revShardFor(e)) {
-		if k.e == e {
-			return true
-		}
-	}
-	return false
+	return l.m.locate(e).find(e, 0, true) != nil
 }
 
 // GC removes entries whose EphIDs have expired by nowUnix, returning
@@ -270,7 +323,7 @@ func (l *RemoteRevocationList) Contains(e ephid.EphID) bool {
 func (l *RemoteRevocationList) GC(nowUnix int64) int { return l.m.gc(nowUnix) }
 
 // Len reports the number of remote revocation entries tracked.
-func (l *RemoteRevocationList) Len() int { return l.m.size() }
+func (l *RemoteRevocationList) Len() int { return int(l.m.n.Load()) }
 
 // ApplyRemote installs a remote revocation: an EphID that origin
 // revoked, learned through the inter-domain accountability plane.

@@ -79,3 +79,24 @@ func absorbLanes(lanes *[maxLanes]lane, live, n int) {
 	}
 	absorb8(lanes, n)
 }
+
+// encryptLanes is BlockPair.Encrypt on the kernel: one-block CBC from a
+// zero state is the block cipher itself, so the eight blocks are eight
+// lanes. It reports false, having done nothing, when a key has no round
+// keys for it. It calls the kernel itself, not absorbLanes, whose
+// portable branch would make escape analysis move a and b to the heap.
+func (p *BlockPair) encryptLanes(a, b *[PairLanes][aes.BlockSize]byte) bool {
+	if p.a.sw != nil || p.b.sw != nil {
+		return false
+	}
+	var lanes [maxLanes]lane
+	for i := range a {
+		lanes[i].key, lanes[i].src = &p.a, a[i][:]
+		lanes[PairLanes+i].key, lanes[PairLanes+i].src = &p.b, b[i][:]
+	}
+	absorb8(&lanes, 1)
+	for i := range a {
+		a[i], b[i] = lanes[i].state, lanes[PairLanes+i].state
+	}
+	return true
+}

@@ -14,3 +14,6 @@ func (s *schedule) absorb(state *[aes.BlockSize]byte, src []byte, n int) {
 // absorbLanes chains the first n blocks of every lanes[:live] into its
 // state.
 func absorbLanes(lanes *[maxLanes]lane, live, n int) { absorbEach(lanes, live, n) }
+
+// encryptLanes reports that there is no kernel to encrypt on.
+func (p *BlockPair) encryptLanes(a, b *[PairLanes][aes.BlockSize]byte) bool { return false }

@@ -53,18 +53,10 @@ func (c *CBCMAC) TagTruncated(dst []byte, n int, msg []byte) {
 // Verify reports whether tag matches the (possibly truncated) CBC-MAC of
 // the one-block msg, in constant time.
 func (c *CBCMAC) Verify(tag, msg []byte) bool {
-	var full [aes.BlockSize]byte
-	return c.VerifyInto(tag, msg, &full)
-}
-
-// VerifyInto is Verify with a caller-provided scratch block. The local
-// array in Verify escapes to the heap through the cipher.Block
-// interface call; hot paths (EphID opening on the forwarding fast path)
-// pass pooled scratch instead so verification does not allocate.
-func (c *CBCMAC) VerifyInto(tag, msg []byte, full *[aes.BlockSize]byte) bool {
 	if len(tag) == 0 || len(tag) > aes.BlockSize {
 		return false
 	}
-	c.Tag(full, msg)
+	var full [aes.BlockSize]byte
+	c.Tag(&full, msg)
 	return subtle.ConstantTimeCompare(tag, full[:len(tag)]) == 1
 }

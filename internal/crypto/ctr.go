@@ -32,18 +32,10 @@ func (b *BlockCipher) Keystream(dst *[aes.BlockSize]byte, counter *[aes.BlockSiz
 // counter block) into data, in place. It panics if data is longer than a
 // block; the EphID construction only ever encrypts 8 bytes.
 func (b *BlockCipher) XORKeystream(data []byte, counter *[aes.BlockSize]byte) {
-	var ks [aes.BlockSize]byte
-	b.XORKeystreamInto(data, counter, &ks)
-}
-
-// XORKeystreamInto is XORKeystream with a caller-provided keystream
-// scratch block, so allocation-free callers can keep the block out of
-// the heap (the local array in XORKeystream escapes through the
-// cipher.Block interface call).
-func (b *BlockCipher) XORKeystreamInto(data []byte, counter, ks *[aes.BlockSize]byte) {
 	if len(data) > aes.BlockSize {
 		panic(fmt.Sprintf("crypto: XORKeystream input %d exceeds one block", len(data))) //apna:coldpath
 	}
+	var ks [aes.BlockSize]byte
 	b.block.Encrypt(ks[:], counter[:])
 	for i := range data {
 		data[i] ^= ks[i]

@@ -47,6 +47,16 @@ func (h HID) String() string {
 	return fmt.Sprintf("%d.%d.%d.%d", byte(h>>24), byte(h>>16), byte(h>>8), byte(h))
 }
 
+// Hash mixes the HID into 32 well-spread bits (the murmur3 finalizer)
+// for the hash tables keyed by it: ASes hand HIDs out in sequence or
+// from one subnet, so their own bits spread badly.
+func (h HID) Hash() uint32 {
+	x := uint32(h)
+	x = (x ^ x>>16) * 0x85ebca6b
+	x = (x ^ x>>13) * 0xc2b2ae35
+	return x ^ x>>16
+}
+
 // AID is an AS identifier (e.g. an Autonomous System Number). Hosts are
 // fully addressed by an AID:EphID tuple (Section III-B).
 type AID uint32

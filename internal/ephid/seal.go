@@ -3,11 +3,11 @@ package ephid
 import (
 	"crypto/aes"
 	"crypto/rand"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 
 	"apna/internal/crypto"
@@ -38,6 +38,8 @@ var (
 type Sealer struct {
 	enc *crypto.BlockCipher
 	mac *crypto.CBCMAC
+	// pair holds both keys again, for opening: the MAC key first.
+	pair *crypto.BlockPair
 	// ivCtr is the IV allocation counter. Its low 32 bits, XORed with
 	// ivBase, form the per-EphID IV. A random base makes IVs
 	// unpredictable to outsiders without a bookkeeping table.
@@ -55,7 +57,11 @@ func NewSealer(secret *crypto.ASSecret) (*Sealer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ephid: %w", err)
 	}
-	s := &Sealer{enc: enc, mac: mac}
+	pair, err := crypto.NewBlockPair(secret.EphIDMACKey(), secret.EphIDEncKey())
+	if err != nil {
+		return nil, fmt.Errorf("ephid: %w", err)
+	}
+	s := &Sealer{enc: enc, mac: mac, pair: pair}
 	var seed [4]byte
 	if _, err := io.ReadFull(rand.Reader, seed[:]); err != nil {
 		return nil, fmt.Errorf("ephid: seeding IV base: %w", err)
@@ -102,20 +108,6 @@ func (s *Sealer) mintWithIV(p Payload, iv [ivLen]byte) EphID {
 	return e
 }
 
-// openScratch owns every block that would otherwise escape to the heap
-// through the cipher.Block interface calls inside Open. Instances are
-// pooled, making the steady-state Open — one per packet on the border
-// router fast path — allocation free.
-type openScratch struct {
-	macIn   [aes.BlockSize]byte
-	tagFull [aes.BlockSize]byte
-	counter [aes.BlockSize]byte
-	ks      [aes.BlockSize]byte
-	pt      [ctLen]byte
-}
-
-var openScratchPool = sync.Pool{New: func() any { return new(openScratch) }}
-
 // Open verifies and decrypts an EphID, returning its payload. It
 // performs the Encrypt-then-MAC verification first (constant time), then
 // decrypts — never touching the plaintext of a forged token. The
@@ -127,25 +119,50 @@ var openScratchPool = sync.Pool{New: func() any { return new(openScratch) }}
 //
 //apna:hotpath
 func (s *Sealer) Open(e EphID) (Payload, error) {
-	sc := openScratchPool.Get().(*openScratch)
-	p, err := s.openWith(e, sc)
-	openScratchPool.Put(sc)
-	return p, err
-}
-
-func (s *Sealer) openWith(e EphID, sc *openScratch) (Payload, error) {
-	copy(sc.macIn[:ivLen], e[ivOff:ivOff+ivLen])
-	clear(sc.macIn[ivLen : ivLen+4])
-	copy(sc.macIn[ivLen+4:], e[ctOff:ctOff+ctLen])
-	if !s.mac.VerifyInto(e[tagOff:tagOff+tagLen], sc.macIn[:], &sc.tagFull) {
+	var (
+		p  [1]Payload
+		ok [1]bool
+	)
+	s.OpenBatch([]EphID{e}, p[:], ok[:])
+	if !ok[0] {
 		return Payload{}, ErrBadTag
 	}
+	return p[0], nil
+}
 
-	copy(sc.counter[:ivLen], e[ivOff:ivOff+ivLen])
-	clear(sc.counter[ivLen:])
-	copy(sc.pt[:], e[ctOff:ctOff+ctLen])
-	s.enc.XORKeystreamInto(sc.pt[:], &sc.counter, &sc.ks)
-	return decodePlain(&sc.pt), nil
+// OpenBatch is Open over many EphIDs at once: ok[i] reports whether
+// ids[i] authenticates and out[i] is then its payload (the zero Payload
+// otherwise). out and ok must be at least as long as ids. An EphID's tag
+// and keystream are two independent one-block AES operations, so
+// crypto.PairLanes EphIDs go through the cipher together; each tag is
+// compared in constant time before its keystream is used.
+//
+//apna:hotpath
+func (s *Sealer) OpenBatch(ids []EphID, out []Payload, ok []bool) {
+	var mac, ctr [crypto.PairLanes][aes.BlockSize]byte
+	for at := 0; at < len(ids); at += crypto.PairLanes {
+		group := ids[at:min(at+crypto.PairLanes, len(ids))]
+		for i := range group {
+			e := &group[i]
+			// MAC input IV || 0^4 || CT, counter block IV || 0^12.
+			mac[i] = [aes.BlockSize]byte{}
+			copy(mac[i][:ivLen], e[ivOff:ivOff+ivLen])
+			copy(mac[i][ivLen+4:], e[ctOff:ctOff+ctLen])
+			ctr[i] = [aes.BlockSize]byte{}
+			copy(ctr[i][:ivLen], e[ivOff:ivOff+ivLen])
+		}
+		s.pair.Encrypt(&mac, &ctr, len(group))
+		for i := range group {
+			e := &group[i]
+			ok[at+i] = subtle.ConstantTimeCompare(e[tagOff:tagOff+tagLen], mac[i][:tagLen]) == 1
+			out[at+i] = Payload{}
+			if ok[at+i] {
+				var pt [ctLen]byte
+				subtle.XORBytes(pt[:], e[ctOff:ctOff+ctLen], ctr[i][:ctLen])
+				out[at+i] = decodePlain(&pt)
+			}
+		}
+	}
 }
 
 // OpenValid is Open plus an expiration check against nowUnix. It is the

@@ -3,6 +3,7 @@ package hostdb
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -211,4 +212,115 @@ func TestPutBatchMatchesPut(t *testing.T) {
 	if e, _ := b.Get(entries[0].HID); e.Strikes != 99 {
 		t.Fatal("PutBatch did not replace an existing entry")
 	}
+}
+
+// TestConcurrentRebuildsAndTombstoneReuse runs lock-free readers against
+// a single shard whose writer inserts in place, grows the table, reaps
+// with GC and deletes, so that tombstones pile up and later inserts of
+// other HIDs reuse them. Resident hosts, which no writer touches, must
+// resolve on every lookup across every rebuild; whatever a reader gets
+// for a churned HID must be that HID's own entry, never the one a reused
+// slot now holds; and HIDs never registered must stay unknown.
+func TestConcurrentRebuildsAndTombstoneReuse(t *testing.T) {
+	db, err := NewSharded(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		resident = 256
+		churn    = 2048
+		rounds   = 16
+	)
+	for i := 0; i < resident; i++ {
+		hid := ephid.HID(1 + i)
+		db.Put(Entry{HID: hid, Keys: keyFor(hid)})
+	}
+	churned := func(i int) ephid.HID { return ephid.HID(1<<20 + i) }
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for n := r; !stop.Load(); n++ {
+				hid := ephid.HID(1 + n%resident)
+				if key, err := db.MACKey(hid); err != nil || key != keyFor(hid).MAC || !db.Valid(hid) {
+					t.Errorf("resident host %v lost or torn: %v", hid, err)
+					return
+				}
+				hid = churned(n % churn)
+				if key, err := db.MACKey(hid); err == nil && key != keyFor(hid).MAC {
+					t.Errorf("MACKey(%v) returned another host's key", hid)
+					return
+				}
+				if e, err := db.Get(hid); err == nil && (e.HID != hid || e.Keys != keyFor(hid)) {
+					t.Errorf("Get(%v) returned host %v's entry", hid, e.HID)
+					return
+				}
+				if hid = ephid.HID(1<<30 + n); db.Valid(hid) {
+					t.Errorf("unregistered host %v reported valid", hid)
+					return
+				}
+			}
+		}(r)
+	}
+
+	// Each round registers a window of the churned HIDs (growth, then
+	// tombstone reuse), revokes half of it and deletes a quarter, and lets
+	// GC reap the revoked: every slot a round frees is one a later round's
+	// different HIDs land on.
+	for round := 0; round < rounds && !t.Failed(); round++ {
+		lo := round * 97 % churn
+		for i := 0; i < churn/2; i++ {
+			hid := churned((lo + i) % churn)
+			db.Put(Entry{HID: hid, Keys: keyFor(hid), RegisteredAt: int64(round)})
+			switch i % 4 {
+			case 0, 1:
+				db.RevokeAt(hid, int64(round)+1)
+			case 2:
+				db.Delete(hid)
+			}
+		}
+		db.GC(int64(round)+2, 1)
+	}
+	stop.Store(true)
+	wg.Wait()
+	for i := 0; i < resident; i++ {
+		if hid := ephid.HID(1 + i); !db.Valid(hid) {
+			t.Fatalf("resident host %v gone after the churn", hid)
+		}
+	}
+}
+
+// TestProbeSurvivesSlotReuse replays, step by step, the one interleaving
+// in which a reader could mistake one host's entry for another's: it has
+// matched a host's slot word, and before it follows the entry pointer
+// the host is deleted and the tombstone reused for a different HID. The
+// split lookup makes the window wide enough to stand in.
+func TestProbeSurvivesSlotReuse(t *testing.T) {
+	db, err := NewSharded(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := ephid.HID(7)
+	db.Put(Entry{HID: victim, Keys: keyFor(victim)})
+	slots := uint32(len(db.shards[0].t.Load().slots))
+	squatter := victim + 1
+	for squatter.Hash()%slots != victim.Hash()%slots {
+		squatter++
+	}
+
+	probe := db.Locate(victim) // the reader has seen the victim's word
+	db.Delete(victim)
+	db.Put(Entry{HID: squatter, Keys: keyFor(squatter)})
+	if s, _ := db.Locate(squatter).find(); s != &db.shards[0].t.Load().slots[probe.i] {
+		t.Fatal("the squatter did not reuse the victim's slot; the test no longer tests anything")
+	}
+	if key, err := probe.MACKey(); !errors.Is(err, ErrUnknownHost) {
+		t.Fatalf("a probe overtaken by delete and reuse returned key %x, err %v", key, err)
+	}
+	// Valid, by contrast, answers from the word Locate loaded: the host
+	// was valid then, and a lookup that ran wholly before the deletion
+	// would say so too.
 }

@@ -4,15 +4,17 @@
 //
 // It maps a host's HID to the symmetric keys the host shares with the AS
 // and to the host's standing (active or revoked). Border routers consult
-// it on every outgoing packet to fetch the MAC key (Figure 4), so the
-// read path must not contend with other forwarding workers: each shard
-// publishes an immutable map of immutable entries through an atomic
-// pointer, making steady-state lookups (MACKey, EncKey, Valid, Get)
-// entirely lock-free. Mutations serialize on a per-shard mutex,
-// copy-on-write the shard map (entry-status changes swap a per-entry
-// pointer without cloning the map), and publish the new snapshot
-// atomically — readers always observe either the old or the new entry,
-// never a torn one.
+// it on every outgoing packet to fetch the MAC key (Figure 4), so reads
+// must not contend with other forwarding workers, and the control plane
+// registers, revokes and reaps hosts by the million, so a write must not
+// copy what it does not change. Each shard is one flat open-addressed
+// table behind an atomic pointer; a slot is two atomic words, HID and
+// standing in one and a pointer to the immutable Entry in the other.
+// Readers take no lock. Writers serialize on the shard's mutex and write
+// in place — entry pointer first, slot word last — so an entry is seen
+// whole or not at all. Delete and GC leave tombstones for later inserts
+// to reuse; only an insert that would take the used slots past half
+// builds a new table. DESIGN.md §6 has the argument.
 package hostdb
 
 import (
@@ -82,22 +84,50 @@ const MaxShardCount = 1 << 16
 // per-packet lookup path.
 var ErrBadShardCount = errors.New("hostdb: shard count must be a power of two in [1, 65536]")
 
-// holder is the stable per-HID cell. The shard map points at holders,
-// so a status change (Revoke, AddStrike) swaps the holder's entry
-// pointer and never clones the map.
-type holder struct {
+// Slot words: a HID in the high half, these flags in the low. 0 is a
+// slot never used, which ends a probe chain; slotUsed alone is a
+// tombstone, which does not.
+const (
+	slotUsed    = 1 << iota // the slot has held an entry
+	slotLive                // it holds one now, for the HID in the high half
+	slotRevoked             // whose Status is StatusRevoked
+)
+
+type slot struct {
+	w atomic.Uint64
 	e atomic.Pointer[Entry]
 }
 
-type shardMap map[ephid.HID]*holder
-
-type shard struct {
-	mu sync.Mutex // serializes writers only
-	m  atomic.Pointer[shardMap]
+// table is one shard's slots, a power of two of them. used counts those
+// whose word is not 0 and is the writer's alone.
+type table struct {
+	slots []slot
+	used  int
 }
 
-// load returns the shard's current snapshot (never nil after New).
-func (s *shard) load() shardMap { return *s.m.Load() }
+// newTable makes room for live entries at a quarter load, so that it
+// takes as many inserts again before the next rebuild.
+func newTable(live int) *table {
+	n := 8
+	for n < 4*live {
+		n *= 2
+	}
+	return &table{slots: make([]slot, n)}
+}
+
+func wordFor(e *Entry) uint64 {
+	w := uint64(e.HID)<<32 | slotUsed | slotLive
+	if e.Status == StatusRevoked {
+		w |= slotRevoked
+	}
+	return w
+}
+
+type shard struct {
+	mu   sync.Mutex // serializes writers only
+	t    atomic.Pointer[table]
+	live atomic.Int64
+}
 
 // DB is the sharded host database. The zero value is not usable; call
 // New or NewSharded.
@@ -118,15 +148,14 @@ func New() *DB {
 // NewSharded returns an empty database with the given shard count,
 // which must be a power of two in [1, MaxShardCount]. Size it to the
 // expected population: one shard per few thousand hosts keeps writer
-// contention and per-mutation clone costs flat as the host count grows.
+// contention flat as the host count grows.
 func NewSharded(count int) (*DB, error) {
 	if count <= 0 || count > MaxShardCount || count&(count-1) != 0 {
 		return nil, fmt.Errorf("%w: %d", ErrBadShardCount, count)
 	}
 	db := &DB{shards: make([]shard, count), mask: uint32(count - 1)}
 	for i := range db.shards {
-		m := make(shardMap)
-		db.shards[i].m.Store(&m)
+		db.shards[i].t.Store(newTable(0))
 	}
 	return db, nil
 }
@@ -138,14 +167,77 @@ func (db *DB) shardFor(hid ephid.HID) *shard {
 	return &db.shards[uint32(hid)&db.mask]
 }
 
-// clone copies a shard map so a writer can extend it without touching
-// the published snapshot.
-func (m shardMap) clone(extra int) shardMap {
-	out := make(shardMap, len(m)+extra)
-	for k, v := range m {
-		out[k] = v
+// Probe is a lookup split in two, so that a caller with a batch of HIDs
+// can overlap their cache misses: Locate hashes and loads the home slot
+// without branching on what it finds; Valid and MACKey compare, walk the
+// chain and follow the entry pointer. Locate a batch before resolving it.
+type Probe struct {
+	t   *table
+	hid ephid.HID
+	i   uint32 // the home slot
+	w   uint64 // and its word, as Locate loaded it
+}
+
+// Locate starts a lookup of hid. Lock-free.
+//
+//apna:hotpath
+func (db *DB) Locate(hid ephid.HID) Probe {
+	t := db.shardFor(hid).t.Load()
+	i := hid.Hash() & uint32(len(t.slots)-1)
+	return Probe{t: t, hid: hid, i: i, w: t.slots[i].w.Load()}
+}
+
+// find walks the probe chain to hid's live slot and returns it with its
+// word as matched, or nil and 0.
+func (p Probe) find() (*slot, uint64) {
+	live := uint64(p.hid)<<32 | slotUsed | slotLive
+	for i, w := p.i, p.w; w != 0; w = p.t.slots[i].w.Load() {
+		if w&^slotRevoked == live {
+			return &p.t.slots[i], w
+		}
+		i = (i + 1) & uint32(len(p.t.slots)-1)
 	}
-	return out
+	return nil, 0
+}
+
+// entry resolves the probe to hid's published entry. Between the slot
+// word and the pointer a writer may have deleted the host and reused the
+// slot, so the entry has the last word on whose it is: a mismatch means
+// hid was deleted during the call. With active set a revoked host's
+// entry is an error too.
+func (p Probe) entry(active bool) (*Entry, error) {
+	s, _ := p.find()
+	if s == nil {
+		return nil, ErrUnknownHost
+	}
+	e := s.e.Load()
+	if e == nil || e.HID != p.hid {
+		return nil, ErrUnknownHost
+	}
+	if active && e.Status == StatusRevoked {
+		return nil, ErrRevoked
+	}
+	return e, nil
+}
+
+// Valid reports whether the located HID is registered and not revoked.
+// The slot word answers; the entry is not touched.
+//
+//apna:hotpath
+func (p Probe) Valid() bool {
+	_, w := p.find()
+	return w&(slotLive|slotRevoked) == slotLive
+}
+
+// MACKey returns the located host's per-packet MAC key, as DB.MACKey.
+//
+//apna:hotpath
+func (p Probe) MACKey() ([crypto.SymKeySize]byte, error) {
+	e, err := p.entry(true)
+	if err != nil {
+		return [crypto.SymKeySize]byte{}, err
+	}
+	return e.Keys.MAC, nil
 }
 
 // deepCopy returns a value copy whose HostPub does not alias the
@@ -156,9 +248,54 @@ func deepCopy(e Entry) Entry {
 	return e
 }
 
-func copyEntry(e Entry) *Entry {
-	copied := deepCopy(e)
-	return &copied
+// free returns the slot an insert of hid takes: the first slot on its
+// chain that holds no entry, tombstone or never used.
+func (t *table) free(hid ephid.HID) *slot {
+	for i := hid.Hash(); ; i++ {
+		if sl := &t.slots[i&uint32(len(t.slots)-1)]; sl.w.Load()&slotLive == 0 {
+			return sl
+		}
+	}
+}
+
+// put publishes e, the database's own copy, in place: entry pointer
+// first, slot word last. Only an insert that would take the used slots
+// past half builds a new table, published once it holds e too. The
+// caller holds s.mu.
+func (db *DB) put(s *shard, e *Entry) {
+	t := s.t.Load()
+	sl, _ := db.Locate(e.HID).find()
+	if sl == nil {
+		s.live.Add(1)
+		if sl = t.free(e.HID); sl.w.Load() == 0 && (t.used+1)*2 > len(t.slots) {
+			nt := newTable(int(s.live.Load()))
+			for i := range t.slots {
+				if old := &t.slots[i]; old.w.Load()&slotLive != 0 {
+					nt.fill(nt.free(ephid.HID(old.w.Load()>>32)), old.e.Load())
+				}
+			}
+			nt.fill(nt.free(e.HID), e)
+			s.t.Store(nt)
+			return
+		}
+	}
+	t.fill(sl, e)
+}
+
+// fill stores e in sl, a slot of t.
+func (t *table) fill(sl *slot, e *Entry) {
+	if sl.w.Load() == 0 {
+		t.used++
+	}
+	sl.e.Store(e)
+	sl.w.Store(wordFor(e))
+}
+
+// kill turns a live slot into a tombstone. The caller holds s.mu.
+func (s *shard) kill(sl *slot) {
+	sl.w.Store(slotUsed)
+	sl.e.Store(nil)
+	s.live.Add(-1)
 }
 
 // Put inserts or replaces the entry for a host.
@@ -166,66 +303,25 @@ func (db *DB) Put(e Entry) {
 	s := db.shardFor(e.HID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := s.load()
-	if h, ok := m[e.HID]; ok {
-		h.e.Store(copyEntry(e))
-		return
-	}
-	next := m.clone(1)
-	h := &holder{}
-	h.e.Store(copyEntry(e))
-	next[e.HID] = h
-	s.m.Store(&next)
+	e = deepCopy(e)
+	db.put(s, &e)
 }
 
-// PutBatch inserts or replaces many entries with one snapshot swap per
-// shard — the bootstrap path for experiments that register thousands of
-// hosts, where per-Put map cloning would be quadratic.
+// PutBatch inserts or replaces many entries — the bootstrap path for
+// experiments that register thousands of hosts.
 func (db *DB) PutBatch(entries []Entry) {
-	// Group by shard index first so each shard is cloned at most once.
-	byShard := make([][]Entry, len(db.shards))
-	for _, e := range entries {
-		i := uint32(e.HID) & db.mask
-		byShard[i] = append(byShard[i], e)
+	for i := range entries {
+		db.Put(entries[i])
 	}
-	for i := range byShard {
-		batch := byShard[i]
-		if len(batch) == 0 {
-			continue
-		}
-		s := &db.shards[i]
-		s.mu.Lock()
-		next := s.load().clone(len(batch))
-		for _, e := range batch {
-			if h, ok := next[e.HID]; ok {
-				h.e.Store(copyEntry(e))
-				continue
-			}
-			h := &holder{}
-			h.e.Store(copyEntry(e))
-			next[e.HID] = h
-		}
-		s.m.Store(&next)
-		s.mu.Unlock()
-	}
-}
-
-// get returns the published entry for hid, or nil. Lock-free.
-func (db *DB) get(hid ephid.HID) *Entry {
-	h, ok := db.shardFor(hid).load()[hid]
-	if !ok {
-		return nil
-	}
-	return h.e.Load()
 }
 
 // Get returns a copy of the entry for hid. The copy is deep (HostPub
 // included): published entries are immutable and must not be reachable
 // through a caller-held slice.
 func (db *DB) Get(hid ephid.HID) (Entry, error) {
-	e := db.get(hid)
-	if e == nil {
-		return Entry{}, ErrUnknownHost
+	e, err := db.Locate(hid).entry(false)
+	if err != nil {
+		return Entry{}, err
 	}
 	return deepCopy(*e), nil
 }
@@ -237,14 +333,7 @@ func (db *DB) Get(hid ephid.HID) (Entry, error) {
 //
 //apna:hotpath
 func (db *DB) MACKey(hid ephid.HID) ([crypto.SymKeySize]byte, error) {
-	e := db.get(hid)
-	if e == nil {
-		return [crypto.SymKeySize]byte{}, ErrUnknownHost
-	}
-	if e.Status == StatusRevoked {
-		return [crypto.SymKeySize]byte{}, ErrRevoked
-	}
-	return e.Keys.MAC, nil
+	return db.Locate(hid).MACKey()
 }
 
 // EncKey returns the control-message encryption key for an active host
@@ -252,12 +341,9 @@ func (db *DB) MACKey(hid ephid.HID) ([crypto.SymKeySize]byte, error) {
 //
 //apna:hotpath
 func (db *DB) EncKey(hid ephid.HID) ([crypto.SymKeySize]byte, error) {
-	e := db.get(hid)
-	if e == nil {
-		return [crypto.SymKeySize]byte{}, ErrUnknownHost
-	}
-	if e.Status == StatusRevoked {
-		return [crypto.SymKeySize]byte{}, ErrRevoked
+	e, err := db.Locate(hid).entry(true)
+	if err != nil {
+		return [crypto.SymKeySize]byte{}, err
 	}
 	return e.Keys.Enc, nil
 }
@@ -265,10 +351,7 @@ func (db *DB) EncKey(hid ephid.HID) ([crypto.SymKeySize]byte, error) {
 // Valid reports whether hid is registered and not revoked. Lock-free.
 //
 //apna:hotpath
-func (db *DB) Valid(hid ephid.HID) bool {
-	e := db.get(hid)
-	return e != nil && e.Status == StatusActive
-}
+func (db *DB) Valid(hid ephid.HID) bool { return db.Locate(hid).Valid() }
 
 // Revoke marks a host revoked. Unknown HIDs are ignored. Entries
 // revoked through this path carry no timestamp and are never reaped by
@@ -282,13 +365,13 @@ func (db *DB) RevokeAt(hid ephid.HID, nowUnix int64) {
 	s := db.shardFor(hid)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if h, ok := s.load()[hid]; ok {
-		next := *h.e.Load()
+	if e, err := db.Locate(hid).entry(false); err == nil {
+		next := *e
 		next.Status = StatusRevoked
 		if next.RevokedAt == 0 {
 			next.RevokedAt = nowUnix
 		}
-		h.e.Store(&next)
+		db.put(s, &next)
 	}
 }
 
@@ -299,27 +382,21 @@ func (db *DB) RevokeAt(hid ephid.HID, nowUnix int64) {
 // data-plane check — so retention is typically the AS's maximum EphID
 // lifetime (Section VIII-G2's revocation-management argument applied
 // to host_info). Entries revoked without a timestamp (RevokedAt 0)
-// are kept forever.
+// are kept forever. Reaped slots become tombstones; nothing is copied.
 func (db *DB) GC(nowUnix, retention int64) int {
 	reaped := 0
 	for i := range db.shards {
 		s := &db.shards[i]
 		s.mu.Lock()
-		m := s.load()
-		var dead []ephid.HID
-		for hid, h := range m {
-			e := h.e.Load()
-			if e.Status == StatusRevoked && e.RevokedAt > 0 && e.RevokedAt+retention <= nowUnix {
-				dead = append(dead, hid)
+		for t, j := s.t.Load(), 0; j < len(t.slots); j++ {
+			sl := &t.slots[j]
+			if sl.w.Load()&slotRevoked == 0 {
+				continue
 			}
-		}
-		if len(dead) > 0 {
-			next := m.clone(0)
-			for _, hid := range dead {
-				delete(next, hid)
+			if e := sl.e.Load(); e.RevokedAt > 0 && e.RevokedAt+retention <= nowUnix {
+				s.kill(sl)
+				reaped++
 			}
-			s.m.Store(&next)
-			reaped += len(dead)
 		}
 		s.mu.Unlock()
 	}
@@ -331,13 +408,13 @@ func (db *DB) AddStrike(hid ephid.HID) (int, error) {
 	s := db.shardFor(hid)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h, ok := s.load()[hid]
-	if !ok {
-		return 0, ErrUnknownHost
+	e, err := db.Locate(hid).entry(false)
+	if err != nil {
+		return 0, err
 	}
-	next := *h.e.Load()
+	next := *e
 	next.Strikes++
-	h.e.Store(&next)
+	db.put(s, &next)
 	return next.Strikes, nil
 }
 
@@ -347,30 +424,30 @@ func (db *DB) Delete(hid ephid.HID) {
 	s := db.shardFor(hid)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := s.load()
-	if _, ok := m[hid]; !ok {
-		return
+	if sl, _ := db.Locate(hid).find(); sl != nil {
+		s.kill(sl)
 	}
-	next := m.clone(0)
-	delete(next, hid)
-	s.m.Store(&next)
 }
 
 // Len returns the number of registered hosts.
 func (db *DB) Len() int {
 	n := 0
 	for i := range db.shards {
-		n += len(db.shards[i].load())
+		n += int(db.shards[i].live.Load())
 	}
 	return n
 }
 
 // Range calls fn for every entry (deep copy, like Get) until fn
-// returns false. It iterates a point-in-time snapshot of each shard.
+// returns false. It takes no lock: an entry in the database for the whole
+// call is visited once, one put or deleted meanwhile may or may not be.
 func (db *DB) Range(fn func(Entry) bool) {
 	for i := range db.shards {
-		for _, h := range db.shards[i].load() {
-			if !fn(deepCopy(*h.e.Load())) {
+		for t, j := db.shards[i].t.Load(), 0; j < len(t.slots); j++ {
+			if t.slots[j].w.Load()&slotLive == 0 {
+				continue
+			}
+			if e := t.slots[j].e.Load(); e != nil && !fn(deepCopy(*e)) {
 				return
 			}
 		}

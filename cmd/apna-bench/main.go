@@ -1,21 +1,19 @@
 // Command apna-bench regenerates the paper's evaluation artifacts
 // (Section V and Section VII-C): the MS performance table, the trace
 // statistics it is sized against, both Figure 8 forwarding series, the
-// connection-establishment latency analysis, the concurrent multi-flow
-// scenario (E6), the adversarial conformance sweep (E7), the multi-AS
+// connection-establishment latency analysis, the multi-AS
 // parallel-engine saturation run (E8), the lifecycle endurance sweep
 // (E9), the inter-domain accountability sweep (E10), the
 // million-host population ramp (E11), and the thousand-AS digest
 // dissemination sweep (E12); each table prints the paper's numbers
-// next to the measured ones.
+// next to the measured ones. E6 and E7 are scenario specs: run them
+// with apna-scenario -file scenarios/e6.json (or e7.json -seeds 5).
 //
-// The -seed flag drives every seeded experiment (E2 trace, E6
-// scenario, E7/E9/E10 sweep bases, E8 traffic mix, E11 population
-// model), so CI and local runs can sweep seeds; E7, E9 and E10
-// additionally take -seeds for the sweep width, and E7/E8/E9/E10/E11
-// exit nonzero if any paper invariant (E7), saturation sanity gate
-// (E8), lifecycle gate (E9), inter-domain gate (E10) or population
-// gate (E11) is violated.
+// The -seed flag drives every seeded experiment (E2 trace, E9/E10
+// sweep bases, E8 traffic mix, E11 population model, E12 graph), so CI
+// and local runs can sweep seeds; E9 and E10 additionally take -seeds
+// for the sweep width, and E8-E12 exit 2 if any of their gates is
+// violated.
 //
 // The trend-gated suites (E8, E9, E10, E11, E12) additionally take
 // -reruns N and -out PREFIX to emit PREFIX_run1.json..PREFIX_runN.json
@@ -29,8 +27,6 @@
 //	apna-bench -exp e1 -requests 500000 -workers 4
 //	apna-bench -exp e3 -pkts 200000
 //	apna-bench -exp e2 -small     # quick synthetic trace
-//	apna-bench -exp e6 -seed 7    # concurrent multi-flow scenario
-//	apna-bench -exp e7 -seed 1 -seeds 5 -adversaries 2 -json
 //	apna-bench -exp e8 -ases 4 -fwd-workers 8 -json > BENCH_e8.json
 //	apna-bench -exp e9 -seed 1 -seeds 3 -windows 4 -json > BENCH_e9.json
 //	apna-bench -exp e10 -seed 1 -seeds 3 -json > BENCH_e10.json
@@ -42,6 +38,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
@@ -52,7 +49,7 @@ import (
 
 func main() {
 	var (
-		exp         = flag.String("exp", "all", "experiment: e1, e2, e3 (includes e4), e5, e6, e7, e8, e9, e10, e11, e12, all")
+		exp         = flag.String("exp", "all", "experiment: e1, e2, e3 (includes e4), e5, e8, e9, e10, e11, e12, all")
 		requests    = flag.Int("requests", 500_000, "E1: number of EphID requests")
 		workers     = flag.Int("workers", 4, "E1: parallel issuance workers (paper: 4)")
 		fwdHosts    = flag.Int("hosts", 256, "E3/E8: simulated source hosts (per AS for E8)")
@@ -60,10 +57,10 @@ func main() {
 		fwdWork     = flag.Int("fwd-workers", runtime.NumCPU(), "E3/E8: forwarding workers, E11: population workers (cores)")
 		small       = flag.Bool("small", false, "E2: use a small trace instead of paper scale")
 		oneWay      = flag.Duration("oneway", 25*time.Millisecond, "E5: one-way inter-AS latency")
-		seed        = flag.Int64("seed", 1, "base seed for every seeded experiment (E2, E6, E7, E8)")
-		seeds       = flag.Int("seeds", 5, "E7/E9/E10: seeds in the sweep (seed, seed+1, ...)")
-		adversaries = flag.Int("adversaries", 2, "E7/E10: number of attackers")
-		jsonOut     = flag.Bool("json", false, "E7/E8/E9/E10: emit machine-readable JSON")
+		seed        = flag.Int64("seed", 1, "base seed for every seeded experiment (E2, E8-E12)")
+		seeds       = flag.Int("seeds", 5, "E9/E10: seeds in the sweep (seed, seed+1, ...)")
+		adversaries = flag.Int("adversaries", 2, "E10: number of attackers")
+		jsonOut     = flag.Bool("json", false, "E8-E12: emit machine-readable JSON")
 		e8ASes      = flag.Int("ases", 4, "E8: autonomous systems in the ring")
 		e8Batch     = flag.Int("batch", 64, "E8: frames per pipeline batch")
 		e8Bad       = flag.Float64("bad", 0.05, "E8: fraction of adversarial frames")
@@ -162,40 +159,6 @@ func main() {
 		fmt.Println()
 	}
 
-	if run("e6") {
-		cfg := experiments.DefaultScenario()
-		cfg.Seed = *seed
-		fmt.Fprintf(os.Stderr, "concurrent scenario: %d ASes x %d hosts, %d flows/host...\n",
-			cfg.ASes, cfg.HostsPerAS, cfg.FlowsPerHost)
-		res, err := experiments.RunE6(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		res.Fprint(os.Stdout)
-		fmt.Println()
-	}
-
-	if run("e7") {
-		cfg := experiments.DefaultAdversarial()
-		cfg.Adversaries = *adversaries
-		cfg.Seeds = experiments.SeedSweep(*seed, *seeds)
-		fmt.Fprintf(os.Stderr, "adversarial conformance: %d seeds, %d adversaries, chaos links...\n",
-			len(cfg.Seeds), cfg.Adversaries)
-		res, err := experiments.RunE7(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		ok, err := res.Report(os.Stdout, *jsonOut)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println()
-		if !ok {
-			fmt.Fprintln(os.Stderr, "apna-bench: E7 invariant violations")
-			os.Exit(2)
-		}
-	}
-
 	if run("e8") {
 		cfg := experiments.DefaultE8()
 		cfg.ASes = *e8ASes
@@ -230,131 +193,76 @@ func main() {
 		}
 	}
 
-	if run("e9") {
-		cfg := experiments.DefaultE9()
-		cfg.Windows = *e9Windows
-		cfg.EphIDLifetime = uint32(*e9Life)
-		cfg.Seeds = experiments.SeedSweep(*seed, *seeds)
-		ok := true
-		for i := 1; i <= *reruns; i++ {
-			fmt.Fprintf(os.Stderr, "lifecycle endurance (run %d/%d): %d seeds, %d windows x %ds EphIDs...\n",
-				i, *reruns, len(cfg.Seeds), cfg.Windows, cfg.EphIDLifetime)
-			res, err := experiments.RunE9(cfg)
-			if err != nil {
-				fatal(err)
-			}
-			if *jsonOut || *outPrefix != "" {
-				// The summary goes to stderr so the artifact stream
-				// stays a clean JSON-lines artifact (BENCH_e9.json).
-				res.Fprint(os.Stderr)
-			}
-			writeArtifact(i, func(w *os.File) error {
-				runOK, err := res.Report(w, *jsonOut || *outPrefix != "")
-				ok = ok && runOK
-				return err
-			})
-		}
-		fmt.Println()
-		if !ok {
-			fmt.Fprintln(os.Stderr, "apna-bench: E9 lifecycle gate failures")
-			os.Exit(2)
-		}
+	// The trend-gated sweeps share one shape: configure, then per rerun
+	// run, route the artifact, and exit 2 if any run's gate failed.
+	type result interface {
+		Fprint(io.Writer)
+		Report(io.Writer, bool) (bool, error)
 	}
-
-	if run("e10") {
-		cfg := experiments.DefaultE10()
-		cfg.ASes = *e10ASes
-		cfg.DigestInterval = *e10Digest
-		cfg.Attackers = *adversaries
-		cfg.Seeds = experiments.SeedSweep(*seed, *seeds)
-		ok := true
-		for i := 1; i <= *reruns; i++ {
-			fmt.Fprintf(os.Stderr, "inter-domain accountability (run %d/%d): %d seeds, %d-AS mesh, %v digests...\n",
-				i, *reruns, len(cfg.Seeds), cfg.ASes, cfg.DigestInterval)
-			res, err := experiments.RunE10(cfg)
-			if err != nil {
-				fatal(err)
+	gated := []struct {
+		name, banner string
+		run          func() (result, error)
+	}{
+		{"e9", "lifecycle endurance", func() (result, error) {
+			cfg := experiments.DefaultE9()
+			cfg.Windows = *e9Windows
+			cfg.EphIDLifetime = uint32(*e9Life)
+			cfg.Seeds = experiments.SeedSweep(*seed, *seeds)
+			return experiments.RunE9(cfg)
+		}},
+		{"e10", "inter-domain accountability", func() (result, error) {
+			cfg := experiments.DefaultE10()
+			cfg.ASes = *e10ASes
+			cfg.DigestInterval = *e10Digest
+			cfg.Attackers = *adversaries
+			cfg.Seeds = experiments.SeedSweep(*seed, *seeds)
+			return experiments.RunE10(cfg)
+		}},
+		{"e11", "population ramp", func() (result, error) {
+			cfg := experiments.DefaultE11()
+			cfg.Ticks = *e11Ticks
+			cfg.Workers = *fwdWork
+			cfg.Seed = *seed
+			cfg.P99BoundMs = *e11Bound
+			if *e11Full {
+				cfg.Tiers = append(cfg.Tiers, experiments.FullTopTier)
 			}
-			if *jsonOut || *outPrefix != "" {
-				// The summary goes to stderr so the artifact stream
-				// stays a clean JSON-lines artifact (BENCH_e10.json).
-				res.Fprint(os.Stderr)
-			}
-			writeArtifact(i, func(w *os.File) error {
-				runOK, err := res.Report(w, *jsonOut || *outPrefix != "")
-				ok = ok && runOK
-				return err
-			})
-		}
-		fmt.Println()
-		if !ok {
-			fmt.Fprintln(os.Stderr, "apna-bench: E10 inter-domain gate failures")
-			os.Exit(2)
-		}
+			return experiments.RunE11(cfg)
+		}},
+		{"e12", "digest dissemination", func() (result, error) {
+			cfg := experiments.DefaultE12()
+			cfg.Seed = *seed
+			cfg.Stubs = *e12Stubs
+			cfg.Ticks = *e12Ticks
+			return experiments.RunE12(cfg)
+		}},
 	}
-
-	if run("e11") {
-		cfg := experiments.DefaultE11()
-		cfg.Ticks = *e11Ticks
-		cfg.Workers = *fwdWork
-		cfg.Seed = *seed
-		cfg.P99BoundMs = *e11Bound
-		if *e11Full {
-			cfg.Tiers = append(cfg.Tiers, experiments.FullTopTier)
+	for _, g := range gated {
+		if !run(g.name) {
+			continue
 		}
+		asJSON := *jsonOut || *outPrefix != ""
 		ok := true
 		for i := 1; i <= *reruns; i++ {
-			fmt.Fprintf(os.Stderr, "population ramp (run %d/%d): %d tiers to %d hosts, %d ticks/tier...\n",
-				i, *reruns, len(cfg.Tiers), cfg.Tiers[len(cfg.Tiers)-1], cfg.Ticks)
-			res, err := experiments.RunE11(cfg)
+			fmt.Fprintf(os.Stderr, "%s: %s (run %d/%d)...\n", g.name, g.banner, i, *reruns)
+			res, err := g.run()
 			if err != nil {
 				fatal(err)
 			}
-			if *jsonOut || *outPrefix != "" {
+			if asJSON {
 				// The summary goes to stderr so the artifact stream
-				// stays a clean single JSON object (BENCH_e11.json).
+				// stays clean JSON (BENCH_eN.json).
 				res.Fprint(os.Stderr)
 			}
 			writeArtifact(i, func(w *os.File) error {
-				runOK, err := res.Report(w, *jsonOut || *outPrefix != "")
+				runOK, err := res.Report(w, asJSON)
 				ok = ok && runOK
 				return err
 			})
 		}
 		fmt.Println()
 		if !ok {
-			fmt.Fprintln(os.Stderr, "apna-bench: E11 population gate failures")
-			os.Exit(2)
-		}
-	}
-
-	if run("e12") {
-		cfg := experiments.DefaultE12()
-		cfg.Seed = *seed
-		cfg.Stubs = *e12Stubs
-		cfg.Ticks = *e12Ticks
-		ok := true
-		for i := 1; i <= *reruns; i++ {
-			fmt.Fprintf(os.Stderr, "digest dissemination (run %d/%d): %d ASes relay vs %d-AS mesh reference...\n",
-				i, *reruns, cfg.Core+cfg.Mid+cfg.Stubs, cfg.MeshASes)
-			res, err := experiments.RunE12(cfg)
-			if err != nil {
-				fatal(err)
-			}
-			if *jsonOut || *outPrefix != "" {
-				// The summary goes to stderr so the artifact stream
-				// stays a clean single JSON object (BENCH_e12.json).
-				res.Fprint(os.Stderr)
-			}
-			writeArtifact(i, func(w *os.File) error {
-				runOK, err := res.Report(w, *jsonOut || *outPrefix != "")
-				ok = ok && runOK
-				return err
-			})
-		}
-		fmt.Println()
-		if !ok {
-			fmt.Fprintln(os.Stderr, "apna-bench: E12 dissemination gate failures")
+			fmt.Fprintf(os.Stderr, "apna-bench: %s gate failures\n", g.name)
 			os.Exit(2)
 		}
 	}

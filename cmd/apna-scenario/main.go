@@ -1,44 +1,26 @@
-// Command apna-scenario drives the scenario layer: the concurrent
-// multi-flow scenario (E6) — M hosts across a full mesh of K ASes
-// running overlapping EphID issuances, handshakes and data waves in
-// one shared virtual timeline, optionally with mid-flight shutoffs —
-// the adversarial conformance scenario (E7), which adds attackers,
-// chaos links and the paper-invariant referee, the lifecycle endurance
-// scenario (E9), which runs long-lived flows across EphID expiry
-// horizons under the renewal engine, the inter-domain accountability
-// scenario (E10), which carries shutoffs AA-to-AA across an 8-AS mesh
-// and floods revocation digests, and the population ramp (E11), which
-// pushes a trace-driven modeled population of 10^3→10^6 hosts through
-// one AS's control plane. E7, E9 and E10 emit a JSON verdict per seed;
-// E11 emits a single JSON object with a provenance block.
-//
-// With -file the command instead runs a declarative scenario spec
+// Command apna-scenario runs a declarative scenario spec
 // (internal/scenario): the whole run — topology, attackers, chaos,
 // phases, invariants, bounds — comes from a JSON file, every chaotic
 // decision is captured as a replayable fault schedule (-record), and a
-// recorded schedule replays bit-exactly (-replay).
+// recorded schedule replays bit-exactly (-replay). The paper's
+// concurrent multi-flow scenario (E6) and adversarial conformance sweep
+// (E7) are the committed specs scenarios/e6.json and scenarios/e7.json;
+// the Go-driven experiments (E1-E5, E8-E12) live in apna-bench.
 //
-// The -seed flag (and for E7/E9/E10 -seeds, the sweep width) makes
-// runs reproducible and sweepable from CI.
+// -seed overrides the spec's seed; -seeds N sweeps the spec over
+// seed, seed+1, ... seed+N-1 (one verdict per seed, -json: one verdict
+// object per seed) and fails if any seed fails.
 //
-// Exit codes are uniform across every mode: 0 when the run met its
-// gate (bounds, invariants, promised work), 2 on a gate failure, 1 on
-// usage or internal errors.
+// Exit codes: 0 when every run met its gate (bounds, invariants,
+// promised work), 2 on a gate failure or a diverged replay, 1 on usage
+// or internal errors.
 //
 // Usage:
 //
-//	apna-scenario                          # default 4x4 mesh (E6)
-//	apna-scenario -ases 8 -hosts 8 -flows 4 -messages 5
-//	apna-scenario -shutoffs 0              # pure traffic, no revocations
-//	apna-scenario -exp e7                  # adversarial conformance sweep
-//	apna-scenario -exp e7 -seed 10 -seeds 8 -adversaries 3 -json
-//	apna-scenario -exp e9 -windows 5 -json # lifecycle endurance sweep
-//	apna-scenario -exp e10 -digest 5s -json # inter-domain accountability
-//	apna-scenario -exp e11 -json            # population ramp 10^3→10^6
-//	apna-scenario -exp e11 -e11-full -json  # extend the ramp to 10^7
-//	apna-scenario -file scenarios/e7.json -json          # declarative run
-//	apna-scenario -file s.json -record sched.json        # capture faults
-//	apna-scenario -file s.json -replay sched.json        # replay bit-exactly
+//	apna-scenario -file scenarios/e6.json                 # E6
+//	apna-scenario -file scenarios/e7.json -seeds 5 -json  # E7 sweep
+//	apna-scenario -file s.json -record sched.json         # capture faults
+//	apna-scenario -file s.json -replay sched.json         # replay bit-exactly
 package main
 
 import (
@@ -48,7 +30,6 @@ import (
 	"os"
 	"time"
 
-	"apna/internal/experiments"
 	"apna/internal/scenario"
 )
 
@@ -56,242 +37,81 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+func fatal(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "apna-scenario:", err)
+	return 1
+}
+
 func run(args []string, stdout, stderr io.Writer) int {
-	def := experiments.DefaultScenario()
-	adv := experiments.DefaultAdversarial()
-	endur := experiments.DefaultE9()
-	acct := experiments.DefaultE10()
-	pop := experiments.DefaultE11()
 	fs := flag.NewFlagSet("apna-scenario", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp         = fs.String("exp", "e6", "scenario: e6 (concurrent), e7 (adversarial conformance), e9 (lifecycle endurance), e10 (inter-domain accountability) or e11 (population ramp)")
-		file        = fs.String("file", "", "declarative scenario spec (JSON); overrides -exp")
-		record      = fs.String("record", "", "with -file: write the captured fault schedule here")
-		replayPath  = fs.String("replay", "", "with -file: replay this recorded fault schedule")
-		ases        = fs.Int("ases", def.ASes, "number of ASes (full mesh)")
-		hosts       = fs.Int("hosts", def.HostsPerAS, "hosts per AS")
-		flows       = fs.Int("flows", def.FlowsPerHost, "flows dialed per host")
-		messages    = fs.Int("messages", def.MessagesPerFlow, "data waves per flow")
-		shutoffs    = fs.Int("shutoffs", def.Shutoffs, "flows revoked mid-traffic")
-		latency     = fs.Duration("latency", def.LinkLatency, "one-way inter-AS latency")
-		seed        = fs.Int64("seed", def.Seed, "simulation seed (E7: sweep base; -file: spec override)")
-		seeds       = fs.Int("seeds", len(adv.Seeds), "E7/E9: seeds in the sweep (seed, seed+1, ...)")
-		adversaries = fs.Int("adversaries", adv.Adversaries, "E7/E9: number of attackers")
-		jsonOut     = fs.Bool("json", false, "E7/E9: emit one JSON verdict per seed; -file: emit the verdict object")
-		windows     = fs.Int("windows", endur.Windows, "E9: EphID validity windows to cross")
-		ephidLife   = fs.Uint("ephid-life", uint(endur.EphIDLifetime), "E9: client EphID lifetime in seconds")
-		digest      = fs.Duration("digest", acct.DigestInterval, "E10: revocation-digest dissemination interval")
-		popTicks    = fs.Int("pop-ticks", pop.Ticks, "E11: virtual ticks per population tier")
-		popWorkers  = fs.Int("pop-workers", 0, "E11: population workers (0: all cores)")
-		p99Bound    = fs.Float64("p99-bound", pop.P99BoundMs, "E11: issuance p99 gate in milliseconds")
-		e11Full     = fs.Bool("e11-full", false, "E11: extend the ramp to 10^7 modeled hosts")
+		file       = fs.String("file", "", "declarative scenario spec (JSON); required")
+		record     = fs.String("record", "", "write the captured fault schedule here")
+		replayPath = fs.String("replay", "", "replay this recorded fault schedule")
+		seed       = fs.Int64("seed", 0, "simulation seed (default: the spec's)")
+		seeds      = fs.Int("seeds", 1, "sweep the spec over this many consecutive seeds")
+		jsonOut    = fs.Bool("json", false, "emit the verdict object instead of the summary")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
-
-	// Which flags were set explicitly: E7 and E9 keep their own
-	// defaults (comparable to apna-bench and the CI gates) unless a
-	// sizing flag was given.
-	set := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-
-	fatal := func(err error) int {
-		fmt.Fprintln(stderr, "apna-scenario:", err)
-		return 1
+	if *file == "" {
+		return fatal(stderr, fmt.Errorf("-file is required (the experiments E8-E12 run from apna-bench)"))
 	}
-	gate := func(what string) int {
-		fmt.Fprintf(stderr, "apna-scenario: %s\n", what)
-		return 2
+	if *seeds > 1 && (*record != "" || *replayPath != "") {
+		return fatal(stderr, fmt.Errorf("-record and -replay bind one seed; drop -seeds"))
 	}
-
-	if *file != "" {
-		return runSpecFile(*file, *record, *replayPath, *seed, set["seed"], *jsonOut, stdout, stderr)
+	spec, err := scenario.Load(*file)
+	if err != nil {
+		return fatal(stderr, err)
 	}
-
-	start := time.Now() //apna:wallclock
-	switch *exp {
-	case "e6":
-		cfg := experiments.ScenarioConfig{
-			ASes: *ases, HostsPerAS: *hosts, FlowsPerHost: *flows,
-			MessagesPerFlow: *messages, Shutoffs: *shutoffs,
-			LinkLatency: *latency, Seed: *seed,
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "seed" {
+			spec.Seed = *seed
 		}
-		res, err := experiments.RunE6(cfg)
-		if err != nil {
-			return fatal(err)
-		}
-		if !res.Report(stdout) {
-			return gate("E6 scenario gate failures (shutoffs/traffic short of the configuration)")
-		}
-	case "e7":
-		cfg := adv
-		if set["ases"] {
-			cfg.ASes = *ases
-		}
-		if set["hosts"] {
-			cfg.HostsPerAS = *hosts
-		}
-		if set["flows"] {
-			cfg.FlowsPerHost = *flows
-		}
-		if set["messages"] {
-			cfg.MessagesPerFlow = *messages
-		}
-		if set["shutoffs"] {
-			cfg.Shutoffs = *shutoffs
-		}
-		if set["latency"] {
-			cfg.LinkLatency = *latency
-		}
-		cfg.Adversaries = *adversaries
-		cfg.Seeds = experiments.SeedSweep(*seed, *seeds)
-		res, err := experiments.RunE7(cfg)
-		if err != nil {
-			return fatal(err)
-		}
-		ok, err := res.Report(stdout, *jsonOut)
-		if err != nil {
-			return fatal(err)
-		}
-		if !ok {
-			return gate("E7 invariant violations")
-		}
-	case "e9":
-		cfg := endur
-		cfg.Windows = *windows
-		cfg.EphIDLifetime = uint32(*ephidLife)
-		cfg.Attackers = *adversaries
-		if set["latency"] {
-			cfg.LinkLatency = *latency
-		}
-		cfg.Seeds = experiments.SeedSweep(*seed, *seeds)
-		res, err := experiments.RunE9(cfg)
-		if err != nil {
-			return fatal(err)
-		}
-		if *jsonOut {
-			// The summary goes to stderr so stdout stays a clean
-			// JSON-lines artifact (BENCH_e9.json).
-			res.Fprint(stderr)
-		}
-		ok, err := res.Report(stdout, *jsonOut)
-		if err != nil {
-			return fatal(err)
-		}
-		if !ok {
-			return gate("E9 lifecycle gate failures")
-		}
-	case "e10":
-		cfg := acct
-		if set["ases"] {
-			cfg.ASes = *ases
-		}
-		if set["latency"] {
-			cfg.LinkLatency = *latency
-		}
-		cfg.DigestInterval = *digest
-		cfg.Attackers = *adversaries
-		cfg.Seeds = experiments.SeedSweep(*seed, *seeds)
-		res, err := experiments.RunE10(cfg)
-		if err != nil {
-			return fatal(err)
-		}
-		if *jsonOut {
-			// The summary goes to stderr so stdout stays a clean
-			// JSON-lines artifact (BENCH_e10.json).
-			res.Fprint(stderr)
-		}
-		ok, err := res.Report(stdout, *jsonOut)
-		if err != nil {
-			return fatal(err)
-		}
-		if !ok {
-			return gate("E10 inter-domain gate failures")
-		}
-	case "e11":
-		cfg := pop
-		cfg.Ticks = *popTicks
-		cfg.Workers = *popWorkers
-		cfg.Seed = *seed
-		cfg.P99BoundMs = *p99Bound
-		if *e11Full {
-			cfg.Tiers = append(cfg.Tiers, experiments.FullTopTier)
-		}
-		res, err := experiments.RunE11(cfg)
-		if err != nil {
-			return fatal(err)
-		}
-		if *jsonOut {
-			// The summary goes to stderr so stdout stays a clean
-			// single-object JSON artifact (BENCH_e11.json).
-			res.Fprint(stderr)
-		}
-		ok, err := res.Report(stdout, *jsonOut)
-		if err != nil {
-			return fatal(err)
-		}
-		if !ok {
-			return gate("E11 population gate failures")
-		}
-	default:
-		return fatal(fmt.Errorf("unknown scenario %q (want e6, e7, e9, e10 or e11)", *exp))
+	})
+	code := 0
+	for i := 0; i < max(*seeds, 1) && code != 1; i++ {
+		code = max(code, runSpec(spec, *record, *replayPath, *jsonOut, stdout, stderr))
+		spec.Seed++
 	}
-	// Under -json stdout is the artifact; the timing line goes to
-	// stderr so `> BENCH_eN.json` stays clean.
-	out := stdout
-	if *jsonOut {
-		out = stderr
-	}
-	fmt.Fprintf(out, "  total wall time:     %v\n", time.Since(start).Round(time.Millisecond)) //apna:wallclock
-	return 0
+	return code
 }
 
-// runSpecFile executes one declarative scenario spec: capture mode
+// runSpec executes the spec once at its current seed: capture mode
 // records the fault schedule (optionally to -record), replay mode
 // re-executes a recorded schedule and reports its alignment.
-func runSpecFile(path, record, replayPath string, seed int64, seedSet, jsonOut bool, stdout, stderr io.Writer) int {
-	fatal := func(err error) int {
-		fmt.Fprintln(stderr, "apna-scenario:", err)
-		return 1
-	}
-	spec, err := scenario.Load(path)
-	if err != nil {
-		return fatal(err)
-	}
-	if seedSet {
-		spec.Seed = seed
-	}
+func runSpec(spec *scenario.Spec, record, replayPath string, jsonOut bool, stdout, stderr io.Writer) int {
 	var opts scenario.RunOptions
 	if replayPath != "" {
 		sched, err := scenario.LoadSchedule(replayPath)
 		if err != nil {
-			return fatal(err)
+			return fatal(stderr, err)
 		}
 		opts.Replay = sched
 	}
 	start := time.Now() //apna:wallclock
 	res, err := scenario.Run(spec, opts)
 	if err != nil {
-		return fatal(err)
+		return fatal(stderr, err)
 	}
 	if record != "" {
 		if res.Schedule == nil {
-			return fatal(fmt.Errorf("-record is a capture-mode flag; drop -replay"))
+			return fatal(stderr, fmt.Errorf("-record is a capture-mode flag; drop -replay"))
 		}
 		if err := res.Schedule.Save(record); err != nil {
-			return fatal(err)
+			return fatal(stderr, err)
 		}
 	}
 	v := res.Verdict
 	if jsonOut {
 		raw, err := v.JSON()
 		if err != nil {
-			return fatal(err)
+			return fatal(stderr, err)
 		}
 		if _, err := stdout.Write(raw); err != nil {
-			return fatal(err)
+			return fatal(stderr, err)
 		}
 	} else {
 		verdict := "PASS"

@@ -15,26 +15,40 @@ func runCmd(t *testing.T, args ...string) (int, string, string) {
 	return code, stdout.String(), stderr.String()
 }
 
-// TestExitCodes pins the exit-code contract across every mode: 0 when
-// the gate passes, 2 on gate failures, 1 on usage errors. The E6 cases
-// are the regression for the latent inconsistency where E6 alone had
-// no gate and exited 0 no matter what the run carried.
+// TestExitCodes pins the exit-code contract: 0 when the gate passes, 2
+// on gate failures, 1 on usage errors.
 func TestExitCodes(t *testing.T) {
+	e6 := filepath.Join("..", "..", "scenarios", "e6.json")
+	e7 := filepath.Join("..", "..", "scenarios", "e7.json")
+	// Shutoffs requested in the first data wave: no evidence exists
+	// yet, nothing files, and under shutoffs_complete the run must
+	// gate-fail instead of silently skipping the revocations it was
+	// asked for.
+	noEvidence := filepath.Join(t.TempDir(), "no-evidence.json")
+	if err := os.WriteFile(noEvidence, []byte(`{
+		"name": "no-evidence",
+		"seed": 1,
+		"topology": {"kind": "full-mesh", "ases": 2, "hosts_per_as": 2, "link_latency": "1ms"},
+		"phases": [
+			{"name": "issue", "actions": [{"op": "issue", "per_host": 2, "lifetime_s": 60}]},
+			{"name": "dial", "actions": [{"op": "dial", "flows_per_host": 1}]},
+			{"name": "wave-0", "actions": [{"op": "send"}, {"op": "shutoff", "count": 2}]}
+		],
+		"bounds": {"shutoffs_complete": true}
+	}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		args []string
 		want int
 	}{
-		{"e6 default passes", nil, 0},
-		{"e6 no shutoffs passes", []string{"-shutoffs", "0"}, 0},
-		// Shutoffs requested but only one data wave: no evidence exists,
-		// nothing files, and the run must gate-fail instead of silently
-		// skipping the revocations it was asked for.
-		{"e6 shutoffs without evidence gate", []string{"-shutoffs", "2", "-messages", "1"}, 2},
-		{"e7 sweep passes", []string{"-exp", "e7"}, 0},
-		{"unknown scenario", []string{"-exp", "e99"}, 1},
+		{"e6 default passes", []string{"-file", e6}, 0},
+		{"e6 shutoffs without evidence gate", []string{"-file", noEvidence}, 2},
+		{"e7 sweep passes", []string{"-file", e7, "-seeds", "5"}, 0},
+		{"no spec file", nil, 1},
 		{"unknown flag", []string{"-no-such-flag"}, 1},
-		{"spec file passes", []string{"-file", filepath.Join("..", "..", "scenarios", "e6.json")}, 0},
+		{"spec file passes", []string{"-file", e6, "-seed", "7", "-json"}, 0},
 		{"spec file missing", []string{"-file", "no-such-spec.json"}, 1},
 	}
 	for _, tc := range cases {

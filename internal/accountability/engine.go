@@ -257,6 +257,8 @@ type Engine struct {
 	// the signed receipt already issued. A replayed request is answered
 	// from here without touching the agent (no double strike).
 	receipts map[[32]byte]*Receipt
+	// prunedAt is the clock second of the last prune walk.
+	prunedAt int64
 	// peerSeq is the highest digest seq applied per origin; relayHW the
 	// highest seq queued for relay forwarding (which can run ahead of
 	// applied across a gap).
@@ -532,12 +534,20 @@ func (e *Engine) HandleComplaint(c *Complaint, done func(*Receipt, error)) error
 }
 
 // prune drops pending requests and cached receipts past their
-// horizons. Called with e.mu held. Receipts lost to the network leave
-// their pending entries behind; the complaining host's future is
-// abandoned independently at timeline quiescence (and acks correlate
-// by sequence number, so a very late receipt firing a pruned-then-
-// replaced callback cannot mis-resolve anything).
+// horizons. Called with e.mu held, on every complaint, shutoff request
+// and flush; horizons and now are whole seconds, so a second walk
+// within one clock second could delete nothing and is skipped — under a
+// request flood the cost is one walk per second, not one per request.
+// Receipts lost to the network leave their pending entries behind; the
+// complaining host's future is abandoned independently at timeline
+// quiescence (and acks correlate by sequence number, so a very late
+// receipt firing a pruned-then-replaced callback cannot mis-resolve
+// anything).
 func (e *Engine) prune(now int64) {
+	if now == e.prunedAt {
+		return
+	}
+	e.prunedAt = now
 	for h, p := range e.pending {
 		if p.at+pendingHorizon < now {
 			delete(e.pending, h)

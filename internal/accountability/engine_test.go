@@ -590,3 +590,54 @@ func TestRevokedHostShutoffIsNoOp(t *testing.T) {
 		t.Fatalf("receipt %+v, want StatusAlreadyRevoked", r)
 	}
 }
+
+// TestPruneWalksOncePerClockSecond pins the housekeeping cost under a
+// shutoff flood: with 10^4 cached receipts, 10^3 fresh requests inside
+// one clock second walk the cache once, and a receipt is still evicted
+// by the first request after its horizon.
+func TestPruneWalksOncePerClockSecond(t *testing.T) {
+	w := newWorld(t, aidA, aidB)
+	offender := w.addHost(aidA, 7, 600)
+	victim := w.addHost(aidB, 8, 600)
+	c := NewComplaint(w.evidence(offender, victim, []byte("spam")), &victim.cert, &offender.cert, victim.sig)
+	enc, err := c.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := w.ases[aidA].engine
+	request := func(seq uint64) {
+		t.Helper()
+		req := &ShutoffRequest{Origin: aidB, Seq: seq, IssuedAt: w.now, Complaint: enc}
+		req.Sign(w.ases[aidB].signer)
+		if _, err := src.HandleShutoffRequest(req.Encode()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const cached = 10_000
+	for i := 0; i < cached; i++ {
+		h := [32]byte{1, byte(i >> 8), byte(i)}
+		src.receipts[h] = &Receipt{IssuedAt: w.now}
+	}
+	request(1) // this second's walk
+	// Only a walk can evict this one: already past its horizon, and
+	// planted after the walk this clock second has had.
+	stale := [32]byte{2}
+	src.receipts[stale] = &Receipt{IssuedAt: w.now - receiptHorizon - 1}
+	const flood = 1000
+	for seq := uint64(2); seq <= flood; seq++ {
+		request(seq)
+	}
+	if _, ok := src.receipts[stale]; !ok {
+		t.Fatal("a request inside an already-pruned clock second walked the receipt cache")
+	}
+	if got := len(src.receipts); got != cached+flood+1 {
+		t.Fatalf("receipt cache holds %d entries, want %d", got, cached+flood+1)
+	}
+
+	w.now++
+	request(flood + 1)
+	if _, ok := src.receipts[stale]; ok {
+		t.Error("stale receipt survived the first request after its horizon")
+	}
+}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -150,9 +149,6 @@ type E10Verdict struct {
 	// Failures lists human-readable gate breaches.
 	Failures []string `json:"failures,omitempty"`
 }
-
-// JSON renders the verdict as one JSON object.
-func (v *E10Verdict) JSON() ([]byte, error) { return json.Marshal(v) }
 
 // E10Result aggregates the sweep.
 type E10Result struct {
@@ -673,41 +669,12 @@ func (r *E10Result) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "  %s (%v wall)\n", status, r.WallElapsed.Round(time.Millisecond))
 }
 
-// FprintJSON emits a provenance header line followed by one JSON
-// verdict per seed, one per line, keeping the artifact valid JSON-lines.
+// FprintJSON emits the BENCH_e10.json artifact.
 func (r *E10Result) FprintJSON(w io.Writer) error {
-	header, err := json.Marshal(struct {
-		Experiment string           `json:"experiment"`
-		Provenance provenance.Block `json:"provenance"`
-	}{"e10", r.Provenance})
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s\n", header); err != nil {
-		return err
-	}
-	for i := range r.Verdicts {
-		raw, err := r.Verdicts[i].JSON()
-		if err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s\n", raw); err != nil {
-			return err
-		}
-	}
-	return nil
+	return fprintJSONLines(w, "e10", r.Provenance, r.Verdicts)
 }
 
-// Report renders the sweep to w — one JSON verdict per seed when
-// jsonOut (so `-json > BENCH_e10.json` yields a clean artifact), the
-// human summary otherwise — and returns whether every gate held.
+// Report renders the sweep to w and returns whether every gate held.
 func (r *E10Result) Report(w io.Writer, jsonOut bool) (bool, error) {
-	if jsonOut {
-		if err := r.FprintJSON(w); err != nil {
-			return false, err
-		}
-		return r.OK, nil
-	}
-	r.Fprint(w)
-	return r.OK, nil
+	return report(w, jsonOut, r.OK, r.Fprint, r.FprintJSON)
 }

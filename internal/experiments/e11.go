@@ -161,20 +161,7 @@ func (r *E11Result) Fprint(w io.Writer) {
 		r.WallElapsed.Round(time.Millisecond), r.Provenance.Commit)
 }
 
-// Report renders the sweep to w — the single-object JSON artifact when
-// jsonOut (so `-json > BENCH_e11.json` is clean), the table otherwise —
-// and returns whether every gate held.
+// Report renders the sweep to w and returns whether every gate held.
 func (r *E11Result) Report(w io.Writer, jsonOut bool) (bool, error) {
-	if jsonOut {
-		raw, err := r.JSON()
-		if err != nil {
-			return false, err
-		}
-		if _, err := fmt.Fprintln(w, string(raw)); err != nil {
-			return false, err
-		}
-		return r.OK, nil
-	}
-	r.Fprint(w)
-	return r.OK, nil
+	return report(w, jsonOut, r.OK, r.Fprint, fprintObject(r.JSON))
 }

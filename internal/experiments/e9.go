@@ -142,9 +142,6 @@ type E9Verdict struct {
 	Failures []string `json:"failures,omitempty"`
 }
 
-// JSON renders the verdict as one JSON object.
-func (v *E9Verdict) JSON() ([]byte, error) { return json.Marshal(v) }
-
 // E9Result aggregates the sweep.
 type E9Result struct {
 	Config      E9Config
@@ -632,21 +629,46 @@ func (r *E9Result) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "  %s (%v wall)\n", status, r.WallElapsed.Round(time.Millisecond))
 }
 
-// FprintJSON emits a provenance header line followed by one JSON
-// verdict per seed, one per line, keeping the artifact valid JSON-lines.
+// FprintJSON emits the BENCH_e9.json artifact.
 func (r *E9Result) FprintJSON(w io.Writer) error {
+	return fprintJSONLines(w, "e9", r.Provenance, r.Verdicts)
+}
+
+// Report renders the sweep to w and returns whether every gate held
+// on every seed.
+func (r *E9Result) Report(w io.Writer, jsonOut bool) (bool, error) {
+	return report(w, jsonOut, r.OK, r.Fprint, r.FprintJSON)
+}
+
+// SeedSweep expands a base seed into a sweep of n consecutive seeds
+// (base, base+1, ...); n is clamped to at least 1.
+func SeedSweep(base int64, n int) []int64 {
+	if n < 1 {
+		n = 1
+	}
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = base + int64(i)
+	}
+	return out
+}
+
+// fprintJSONLines emits a seed sweep's artifact: a provenance header
+// line followed by one JSON verdict per seed, one per line, keeping the
+// artifact valid JSON-lines.
+func fprintJSONLines[V any](w io.Writer, experiment string, prov provenance.Block, verdicts []V) error {
 	header, err := json.Marshal(struct {
 		Experiment string           `json:"experiment"`
 		Provenance provenance.Block `json:"provenance"`
-	}{"e9", r.Provenance})
+	}{experiment, prov})
 	if err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "%s\n", header); err != nil {
 		return err
 	}
-	for i := range r.Verdicts {
-		raw, err := r.Verdicts[i].JSON()
+	for i := range verdicts {
+		raw, err := json.Marshal(&verdicts[i])
 		if err != nil {
 			return err
 		}
@@ -657,17 +679,26 @@ func (r *E9Result) FprintJSON(w io.Writer) error {
 	return nil
 }
 
-// Report renders the sweep to w — one JSON verdict per seed when
-// jsonOut (so `-json > BENCH_e9.json` yields a clean artifact, like
-// E8), the human summary otherwise — and returns whether every gate
-// held on every seed.
-func (r *E9Result) Report(w io.Writer, jsonOut bool) (bool, error) {
+// report is the body of every gated result's Report: the JSON artifact
+// alone when jsonOut (so `-json > BENCH_eN.json` stays clean), the
+// human table otherwise.
+func report(w io.Writer, jsonOut, ok bool, table func(io.Writer), artifact func(io.Writer) error) (bool, error) {
 	if jsonOut {
-		if err := r.FprintJSON(w); err != nil {
-			return false, err
-		}
-		return r.OK, nil
+		return ok, artifact(w)
 	}
-	r.Fprint(w)
-	return r.OK, nil
+	table(w)
+	return ok, nil
+}
+
+// fprintObject adapts a single-object JSON renderer (E11, E12) to
+// report's artifact form: the object and a trailing newline.
+func fprintObject(render func() ([]byte, error)) func(io.Writer) error {
+	return func(w io.Writer) error {
+		raw, err := render()
+		if err != nil {
+			return err
+		}
+		_, err = fmt.Fprintln(w, string(raw))
+		return err
+	}
 }

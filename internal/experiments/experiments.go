@@ -1,8 +1,7 @@
-// Package experiments implements the reproduction harness: one function
-// per table/figure of the paper's evaluation (Section V), the latency
-// analysis of Section VII-C, and the concurrent multi-flow scenario
-// (E6). The cmd/apna-bench and cmd/apna-scenario binaries are thin
-// wrappers around this package.
+// Package experiments implements the reproduction harness behind
+// cmd/apna-bench: one function per table/figure of the paper's
+// evaluation (Section V), the latency analysis of Section VII-C, and
+// the gated sweeps E8-E12. E6 and E7 are specs under scenarios/.
 package experiments
 
 import (

@@ -116,9 +116,9 @@ type Host struct {
 	// reopening it to replayed ciphertext) nor fire a duplicate accept,
 	// while a genuine re-dial still gets its ack. The addressed EphID
 	// must be part of the key: the same initiator endpoint dialing a
-	// different EphID of this host is a new flow, not a replay. Growth
-	// is bounded by the number of peer flows, the same order as the
-	// session table itself.
+	// different EphID of this host is a new flow, not a replay. Entries
+	// live as long as the addressed EphID is pooled: Retire and
+	// ReapExpired drop them with it (forgetHandshakes).
 	hsCompleted map[hsFlowKey]hsAck
 
 	nonce uint64

@@ -276,6 +276,20 @@ func (h *Host) Retire(o *OwnedEphID) {
 			break
 		}
 	}
+	h.forgetHandshakes()
+}
+
+// forgetHandshakes drops the completed-handshake records whose
+// addressed EphID has left the pool. The responder path looks the
+// addressed EphID up in the pool before it consults hsCompleted, so
+// such a record can never be read again; replay protection for pooled
+// EphIDs is untouched.
+func (h *Host) forgetHandshakes() {
+	for fk := range h.hsCompleted {
+		if _, ok := h.pool[fk.dst]; !ok {
+			delete(h.hsCompleted, fk)
+		}
+	}
 }
 
 // ReapExpired drops expired EphIDs from the pool, returning how many
@@ -300,6 +314,9 @@ func (h *Host) ReapExpired() int {
 	}
 	h.poolList = kept
 	h.stats.EphIDsReaped += uint64(reaped)
+	if reaped > 0 {
+		h.forgetHandshakes()
+	}
 	return reaped
 }
 

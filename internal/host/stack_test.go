@@ -653,3 +653,70 @@ func TestStackRawPayloadTooLarge(t *testing.T) {
 		t.Error("oversized payload accepted")
 	}
 }
+
+// TestHandshakeRecordsLeaveWithTheirEphID pins the bound on the
+// responder's completed-handshake map: records answer replays with the
+// identical ack while the addressed EphID is pooled, and are dropped
+// with it once it expires and is reaped — after which a replay is an
+// ordinary bad handshake.
+func TestHandshakeRecordsLeaveWithTheirEphID(t *testing.T) {
+	d := newDuplex(t)
+	now := int64(1000)
+	d.b.cfg.Now = func() int64 { return now }
+	idB := d.issue(t, d.b, d.signB, ephid.KindData, 2)
+	idB.Cert.ExpTime = 2000
+	idB.Cert.Sign(d.signB)
+
+	// Capture initiator 0's handshake and every ack that answers it.
+	first := d.issue(t, d.a, d.signA, ephid.KindData, 10)
+	var handshake []byte
+	var acks [][]byte
+	d.link.AddTap(func(f []byte, _ *netsim.Port) {
+		var hdr wire.Header
+		if hdr.DecodeFromBytes(f) != nil || hdr.NextProto != wire.ProtoHandshake {
+			return
+		}
+		switch {
+		case hdr.SrcEphID == first.Cert.EphID:
+			handshake = append([]byte(nil), f...)
+		case hdr.DstEphID == first.Cert.EphID:
+			acks = append(acks, append([]byte(nil), f[wire.HeaderSize:]...))
+		}
+	})
+	const n = 8
+	for i := 0; i < n; i++ {
+		idA := first
+		if i > 0 {
+			idA = d.issue(t, d.a, d.signA, ephid.KindData, byte(10+i))
+		}
+		if _, err := d.a.Dial(idA, &idB.Cert, DialOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.sim.Run(10_000)
+	if len(d.b.hsCompleted) != n || handshake == nil || len(acks) != 1 {
+		t.Fatalf("records = %d, want %d (handshake captured: %v, acks: %d)",
+			len(d.b.hsCompleted), n, handshake != nil, len(acks))
+	}
+
+	// Before expiry a replay is answered with the identical ack.
+	d.b.HandleFrame(append([]byte(nil), handshake...), nil)
+	d.sim.Run(1000)
+	if d.b.Stats().DropReplay != 1 || len(acks) != 2 || !bytes.Equal(acks[0], acks[1]) {
+		t.Fatalf("replay before expiry: DropReplay = %d, acks = %d", d.b.Stats().DropReplay, len(acks))
+	}
+
+	// Past the serving EphID's expiry the reap takes the records along.
+	now = 2001
+	if got := d.b.ReapExpired(); got != 1 {
+		t.Fatalf("ReapExpired = %d, want 1", got)
+	}
+	if len(d.b.hsCompleted) != 0 {
+		t.Errorf("%d handshake records outlived their EphID", len(d.b.hsCompleted))
+	}
+	bad := d.b.Stats().DropBadHandshake
+	d.b.HandleFrame(append([]byte(nil), handshake...), nil)
+	if s := d.b.Stats(); s.DropBadHandshake != bad+1 || s.DropReplay != 1 {
+		t.Errorf("replay after expiry: DropBadHandshake %d -> %d, DropReplay = %d", bad, s.DropBadHandshake, s.DropReplay)
+	}
+}

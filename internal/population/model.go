@@ -1,81 +1,25 @@
 // Workload model: the samplers that turn a seed into realistic host
-// behavior. The shapes follow internal/trace (the Section V-A3 trace
-// synthesizer) — diurnal raised-cosine arrival intensity, Poisson
-// per-second counts, Zipf host popularity, dragonfly/tortoise flow
-// durations — plus a heavy-tailed Pareto flow-size law so the modeled
-// population also produces a byte volume. Everything is driven by
-// explicit *rand.Rand instances so one seed yields one event trace.
+// behavior. Arrival intensity, Poisson counts and flow durations are
+// internal/trace's (the Section V-A3 trace synthesizer); this file adds
+// the whole-second duration and a heavy-tailed Pareto flow-size law so
+// the modeled population also produces a byte volume. Everything is
+// driven by explicit *rand.Rand instances so one seed yields one event
+// trace.
 package population
 
 import (
 	"math"
 	"math/rand"
+
+	"apna/internal/trace"
 )
 
-// intensity is the diurnal arrival rate per host at the given tick of a
-// period-long virtual day: a raised cosine peaking at 14/24 of the
-// period with its trough 12 hours (half a period) away, exactly the
-// curve internal/trace fits to the paper's 24-hour trace. Short runs
-// compress the whole day into their tick budget (period = Ticks), so
-// even a 60-tick CI run sweeps peak and trough.
-func intensity(peak, base float64, tick, period int) float64 {
-	if period <= 0 {
-		return peak
-	}
-	phase := 2 * math.Pi * (float64(tick)/float64(period) - 14.0/24.0)
-	shape := (1 + math.Cos(phase)) / 2
-	return base + (peak-base)*shape
-}
-
-// poisson samples a Poisson variate: Knuth's product method for small
-// lambda, the normal approximation above 30 (indistinguishable there
-// and O(1), which matters when one worker's lambda is thousands).
-func poisson(rng *rand.Rand, lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda > 30 {
-		n := int(math.Round(lambda + math.Sqrt(lambda)*rng.NormFloat64()))
-		if n < 0 {
-			return 0
-		}
-		return n
-	}
-	l := math.Exp(-lambda)
-	k, p := 0, 1.0
-	for {
-		p *= rng.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
-// Duration-mixture parameters (Brownlee & Claffy dragonflies and
-// tortoises, the paper's citation for "98% of flows last less than 15
-// minutes"): most flows are short exponentials, a heavy Pareto tail
-// keeps a few alive for hours — those are the flows that must renew
-// their EphIDs, repeatedly, at validity-window edges.
-const (
-	dragonflyFrac  = 0.95
-	dragonflyMeanS = 45.0
-	tortoiseAlpha  = 1.3
-	tortoiseXmS    = 60.0
-	tortoiseCapS   = 6 * 3600.0
-)
-
-// sampleDuration draws a flow duration in whole seconds (at least 1).
+// sampleDuration draws a flow duration in whole seconds (at least 1)
+// from internal/trace's dragonfly/tortoise mixture — the long tail is
+// the flows that must renew their EphIDs, repeatedly, at
+// validity-window edges.
 func sampleDuration(rng *rand.Rand) uint32 {
-	var s float64
-	if rng.Float64() < dragonflyFrac {
-		s = rng.ExpFloat64() * dragonflyMeanS
-	} else {
-		s = tortoiseXmS * math.Pow(rng.Float64(), -1/tortoiseAlpha)
-		if s > tortoiseCapS {
-			s = tortoiseCapS
-		}
-	}
+	s := trace.SampleDuration(rng)
 	if s < 1 {
 		return 1
 	}
@@ -99,8 +43,3 @@ func sampleSize(rng *rand.Rand) uint64 {
 	}
 	return uint64(x)
 }
-
-// paretoMean returns the analytic mean of a Pareto(alpha, xm)
-// distribution (alpha > 1), used by the moment tests to check the
-// samplers against their closed forms.
-func paretoMean(alpha, xm float64) float64 { return alpha * xm / (alpha - 1) }

@@ -47,6 +47,7 @@ import (
 	"apna/internal/ephid"
 	"apna/internal/hostdb"
 	"apna/internal/ms"
+	"apna/internal/trace"
 	"apna/internal/wire"
 )
 
@@ -527,14 +528,14 @@ func (wk *worker) churn(t int, now int64) {
 // arrivals draws this tick's session arrivals from the diurnal Poisson
 // process and satisfies each from the host's EphID pool or the MS.
 func (wk *worker) arrivals(t int, now int64) {
-	lam := intensity(wk.cfg.PeakSessionsPerHost, wk.cfg.BaseSessionsPerHost,
+	lam := trace.Intensity(wk.cfg.PeakSessionsPerHost, wk.cfg.BaseSessionsPerHost,
 		t, wk.cfg.DiurnalPeriod) * float64(len(wk.hosts))
 	inFlash := wk.cfg.FlashMult > 0 &&
 		t >= wk.cfg.FlashTick && t < wk.cfg.FlashTick+wk.cfg.FlashTicks
 	if inFlash {
 		lam *= wk.cfg.FlashMult
 	}
-	n := poisson(wk.rng, lam)
+	n := trace.Poisson(wk.rng, lam)
 	if inFlash {
 		wk.c.flashArrivals += uint64(n)
 	}

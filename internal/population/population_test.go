@@ -126,9 +126,10 @@ func TestRunExercisesControlPlane(t *testing.T) {
 	}
 }
 
-// TestParetoDurationMoments checks the duration sampler against the
-// mixture's analytic mean within tolerance: 95% exponential(45s) plus
-// 5% Pareto(1.3, 60s) truncated at 6h.
+// TestParetoDurationMoments checks the whole-second duration sampler
+// against the analytic mean of internal/trace's mixture within
+// tolerance: 95% exponential(45s) plus 5% Pareto(1.3, 60s) truncated at
+// 6h.
 func TestParetoDurationMoments(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 200_000
@@ -146,20 +147,24 @@ func TestParetoDurationMoments(t *testing.T) {
 
 	// Truncated-Pareto mean: E[min(X, cap)] for X ~ Pareto(a, xm) is
 	// xm*a/(a-1) - (cap/(a-1))*(xm/cap)^a.
-	a, xm, cap := tortoiseAlpha, tortoiseXmS, tortoiseCapS
+	const a, xm, cap = 1.3, 60.0, 6 * 3600.0
 	tortoiseMean := paretoMean(a, xm) - cap/(a-1)*math.Pow(xm/cap, a)
-	want := dragonflyFrac*dragonflyMeanS + (1-dragonflyFrac)*tortoiseMean
+	want := 0.95*45 + 0.05*tortoiseMean
 	if rel := math.Abs(mean-want) / want; rel > 0.10 {
 		t.Errorf("duration mean %.1fs, want %.1fs ±10%% (rel err %.3f)", mean, want, rel)
 	}
 	// Deep-tail mass comes only from the Pareto component:
-	// P(D > c) = (1 - dragonflyFrac) * (xm/c)^alpha.
+	// P(D > c) = 0.05 * (xm/c)^alpha.
 	frac := float64(deepTail) / n
-	wantTail := (1 - dragonflyFrac) * math.Pow(tortoiseXmS/tailCut, tortoiseAlpha)
+	wantTail := 0.05 * math.Pow(xm/tailCut, a)
 	if frac < wantTail/2 || frac > wantTail*2 {
 		t.Errorf("deep-tail fraction %.5f, want ~%.5f (×/÷2)", frac, wantTail)
 	}
 }
+
+// paretoMean is the analytic mean of a Pareto(alpha, xm) distribution
+// (alpha > 1).
+func paretoMean(alpha, xm float64) float64 { return alpha * xm / (alpha - 1) }
 
 // TestParetoSizeMoments checks the flow-size sampler's mean against the
 // truncated Pareto closed form.
@@ -175,46 +180,6 @@ func TestParetoSizeMoments(t *testing.T) {
 	want := paretoMean(a, xm) - cap/(a-1)*math.Pow(xm/cap, a)
 	if rel := math.Abs(mean-want) / want; rel > 0.10 {
 		t.Errorf("size mean %.0fB, want %.0fB ±10%% (rel err %.3f)", mean, want, rel)
-	}
-}
-
-// TestDiurnalIntensity checks the raised-cosine curve's shape: the peak
-// sits at 14/24 of the period, the trough half a period away, and the
-// peak-to-trough ratio matches peak/base.
-func TestDiurnalIntensity(t *testing.T) {
-	const period = 86_400
-	peakTick := period * 14 / 24
-	troughTick := period * 2 / 24
-	peak := intensity(4.0, 1.0, peakTick, period)
-	trough := intensity(4.0, 1.0, troughTick, period)
-	if math.Abs(peak-4.0) > 1e-6 {
-		t.Errorf("intensity at peak hour = %v, want 4.0", peak)
-	}
-	if math.Abs(trough-1.0) > 1e-6 {
-		t.Errorf("intensity at trough hour = %v, want 1.0", trough)
-	}
-	for tick := 0; tick < period; tick += 600 {
-		v := intensity(4.0, 1.0, tick, period)
-		if v < 1.0-1e-9 || v > 4.0+1e-9 {
-			t.Fatalf("intensity(%d) = %v outside [base, peak]", tick, v)
-		}
-	}
-}
-
-// TestPoissonMoments checks the Poisson sampler's mean in both regimes
-// (Knuth below the normal-approximation threshold, normal above).
-func TestPoissonMoments(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, lambda := range []float64{2.5, 200} {
-		const n = 100_000
-		var sum float64
-		for i := 0; i < n; i++ {
-			sum += float64(poisson(rng, lambda))
-		}
-		mean := sum / n
-		if rel := math.Abs(mean-lambda) / lambda; rel > 0.05 {
-			t.Errorf("poisson(%v) mean %.2f (rel err %.3f)", lambda, mean, rel)
-		}
 	}
 }
 

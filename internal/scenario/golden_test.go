@@ -8,6 +8,24 @@ import (
 	"testing"
 )
 
+func loadSpec(t *testing.T, name string) *Spec {
+	t.Helper()
+	s, err := Load(filepath.Join("..", "..", "scenarios", name))
+	if err != nil {
+		t.Fatalf("load %s: %v", name, err)
+	}
+	return s
+}
+
+func runSpec(t *testing.T, s *Spec, opts RunOptions) *Result {
+	t.Helper()
+	res, err := Run(s, opts)
+	if err != nil {
+		t.Fatalf("run %s: %v", s.Name, err)
+	}
+	return res
+}
+
 // TestScenarioCorpusGolden runs every committed scenario spec, compares
 // its verdict byte for byte against the golden under
 // scenarios/testdata/, then replays the committed fault schedule and
@@ -114,5 +132,54 @@ func TestScheduleRoundTrip(t *testing.T) {
 	other := loadSpec(t, "e6.json")
 	if _, err := Run(other, RunOptions{Replay: sc}); err == nil {
 		t.Errorf("replay against a different spec accepted")
+	}
+}
+
+// TestE7SpecConformanceSweep is the adversarial conformance gate:
+// scenarios/e7.json (2 adversaries, chaos links) on seeds 1..5 must
+// hold every paper invariant on every seed, and every attack class
+// must both fire and be visibly rejected by the defense that the paper
+// says stops it.
+func TestE7SpecConformanceSweep(t *testing.T) {
+	s := loadSpec(t, "e7.json")
+	attacks := map[string]uint64{}
+	defenses := map[string]uint64{}
+	revoked := 0
+	for seed := int64(1); seed <= 5; seed++ {
+		s.Seed = seed
+		v := runSpec(t, s, RunOptions{}).Verdict
+		if !v.OK || v.Invariants == nil || !v.Invariants.OK {
+			raw, _ := v.JSON()
+			t.Errorf("seed %d violated invariants or bounds: %s", seed, raw)
+		}
+		if v.Flows == 0 || v.Delivered == 0 {
+			t.Errorf("seed %d carried no honest traffic (%d flows, %d delivered)", seed, v.Flows, v.Delivered)
+		}
+		for k, n := range v.Attacks {
+			attacks[k] += n
+		}
+		for k, n := range v.Defenses {
+			defenses[k] += n
+		}
+		revoked += v.Revoked
+	}
+	for _, kind := range []string{"forged-ephid", "foreign-ephid", "expired-ephid",
+		"source-spoof", "framing", "replay", "post-shutoff"} {
+		if attacks[kind] == 0 {
+			t.Errorf("attack %q never fired across the sweep", kind)
+		}
+	}
+	if revoked == 0 {
+		t.Error("no shutoff landed across the sweep")
+	}
+	// Forged/foreign/spoofed EphIDs fail authentication at egress,
+	// expired ones hit the expiry check, framing dies on the per-packet
+	// MAC, post-shutoff sends on the revocation list, and replays (and
+	// chaos duplicates) at the hosts' replay defences.
+	for _, drop := range []string{"drop-bad-ephid", "drop-expired", "drop-bad-mac",
+		"drop-revoked", "host-drop-replay"} {
+		if defenses[drop] == 0 {
+			t.Errorf("defense %q never fired across the sweep", drop)
+		}
 	}
 }

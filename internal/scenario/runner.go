@@ -32,9 +32,9 @@ type Result struct {
 	Replay   *netsim.ReplayStats
 }
 
-// hostState mirrors the hand-coded scenarios' per-host record: issued
-// EphIDs in order, plus the latest delivered message per sending
-// endpoint — the evidence a mid-flight shutoff presents.
+// hostState is the per-host record: issued EphIDs in order, plus the
+// latest delivered message per sending endpoint — the evidence a
+// mid-flight shutoff presents.
 type hostState struct {
 	ids  []*apna.OwnedEphID
 	last map[apna.Endpoint]apna.Message

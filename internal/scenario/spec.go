@@ -8,9 +8,9 @@
 // Every chaotic decision of a run is captured as a seq-stamped fault
 // schedule (netsim.CaptureFaults); re-running a spec against its
 // recorded schedule reproduces the run bit-exactly, and a hand-edited
-// schedule bends the network without touching any code. The hand-coded
-// scenarios E6 and E7 (internal/experiments) are expressible as specs;
-// the parity tests in this package prove the compiled form equivalent.
+// schedule bends the network without touching any code. The paper's
+// scenarios E6 and E7 are specs (scenarios/e6.json, scenarios/e7.json):
+// the spec is the implementation, pinned by the golden corpus test.
 package scenario
 
 import (
@@ -88,8 +88,7 @@ type Spec struct {
 }
 
 // TopologySpec describes the AS graph and host population. Hosts are
-// named "h<as>-<idx>" with two-digit zero padding, matching the
-// hand-coded scenarios.
+// named "h<as>-<idx>" with two-digit zero padding.
 type TopologySpec struct {
 	// Kind selects the generator: "full-mesh", "line", "star" or
 	// "as-graph".

@@ -109,7 +109,7 @@ func Generate(cfg Config) (*Stats, error) {
 
 	for s := 0; s < seconds; s++ {
 		lambda := intensity(cfg, s, seconds)
-		n := poisson(rng, lambda)
+		n := Poisson(rng, lambda)
 		if n > stats.PeakRate {
 			stats.PeakRate = n
 			stats.PeakSecond = s
@@ -118,7 +118,7 @@ func Generate(cfg Config) (*Stats, error) {
 		for i := 0; i < n; i++ {
 			seen.set(int(zipf.Uint64()))
 			if rng.Float64() < cfg.DurationSampleRate {
-				durations = append(durations, sampleDuration(rng))
+				durations = append(durations, time.Duration(SampleDuration(rng)*float64(time.Second)))
 			}
 		}
 	}
@@ -128,19 +128,29 @@ func Generate(cfg Config) (*Stats, error) {
 	return stats, nil
 }
 
-// intensity is the diurnal arrival rate at second s of the trace: a
-// raised cosine peaking at 14:00 with its trough at 02:00 (wrapping
-// proportionally for durations other than 24h).
+// intensity is the diurnal arrival rate at second s of the trace.
 func intensity(cfg Config, s, total int) float64 {
-	phase := 2 * math.Pi * (float64(s)/float64(total) - 14.0/24.0)
-	shape := (1 + math.Cos(phase)) / 2 // 1 at the peak hour, 0 at the trough
-	return cfg.BaseRate + (cfg.PeakRate-cfg.BaseRate)*shape
+	return Intensity(cfg.PeakRate, cfg.BaseRate, s, total)
 }
 
-// poisson samples a Poisson variate; for large lambda it uses the
-// normal approximation, which is indistinguishable at the rates the
-// trace uses and keeps generation O(1) per second.
-func poisson(rng *rand.Rand, lambda float64) int {
+// Intensity is the diurnal arrival rate at the given tick of a
+// period-long virtual day: a raised cosine peaking at 14/24 of the
+// period (14:00) with its trough half a period away (02:00), wrapping
+// proportionally for periods other than 24h. A non-positive period
+// means no diurnal shape: the peak rate throughout.
+func Intensity(peak, base float64, tick, period int) float64 {
+	if period <= 0 {
+		return peak
+	}
+	phase := 2 * math.Pi * (float64(tick)/float64(period) - 14.0/24.0)
+	shape := (1 + math.Cos(phase)) / 2 // 1 at the peak hour, 0 at the trough
+	return base + (peak-base)*shape
+}
+
+// Poisson samples a Poisson variate: Knuth's product method for small
+// lambda, the normal approximation above 30 (indistinguishable there
+// and O(1), which matters when lambda is in the thousands).
+func Poisson(rng *rand.Rand, lambda float64) int {
 	if lambda <= 0 {
 		return 0
 	}
@@ -151,7 +161,6 @@ func poisson(rng *rand.Rand, lambda float64) int {
 		}
 		return n
 	}
-	// Knuth's method for small lambda.
 	l := math.Exp(-lambda)
 	k, p := 0, 1.0
 	for {
@@ -163,19 +172,29 @@ func poisson(rng *rand.Rand, lambda float64) int {
 	}
 }
 
-// sampleDuration draws a session lifetime from the dragonfly/tortoise
-// mixture: 95% short-lived exponential sessions (mean 45 s), 5%
-// heavy-tailed Pareto "tortoises".
-func sampleDuration(rng *rand.Rand) time.Duration {
-	if rng.Float64() < 0.95 {
-		return time.Duration(rng.ExpFloat64() * 45 * float64(time.Second))
+// Duration-mixture parameters (Brownlee & Claffy dragonflies and
+// tortoises, the paper's citation for "98% of flows last less than 15
+// minutes"): most flows are short exponentials, a heavy Pareto tail
+// keeps a few alive for hours.
+const (
+	dragonflyFrac  = 0.95
+	dragonflyMeanS = 45.0
+	tortoiseAlpha  = 1.3
+	tortoiseXmS    = 60.0
+	tortoiseCapS   = 6 * 3600.0
+)
+
+// SampleDuration draws a session lifetime in seconds from the
+// dragonfly/tortoise mixture.
+func SampleDuration(rng *rand.Rand) float64 {
+	if rng.Float64() < dragonflyFrac {
+		return rng.ExpFloat64() * dragonflyMeanS
 	}
-	// Pareto alpha=1.3, xm=60s, capped at 6h.
-	x := 60 * math.Pow(rng.Float64(), -1/1.3)
-	if x > 6*3600 {
-		x = 6 * 3600
+	x := tortoiseXmS * math.Pow(rng.Float64(), -1/tortoiseAlpha)
+	if x > tortoiseCapS {
+		x = tortoiseCapS
 	}
-	return time.Duration(x * float64(time.Second))
+	return x
 }
 
 func percentiles(d []time.Duration) (p50, p98 time.Duration) {

@@ -8,7 +8,7 @@ package apna
 //	A1  -> BenchmarkEphIDMint/Open, BenchmarkCertSign/Verify
 //	A2  -> BenchmarkPacketMAC*/BenchmarkHeader*
 //	A3  -> BenchmarkBaselineForward/<size>
-//	A4  -> BenchmarkSessionSeal/Open
+//	A4  -> BenchmarkSessionSeal/Open, BenchmarkHostSend
 //	A5  -> BenchmarkAcquire/<granularity>
 //	E5' -> BenchmarkConnectionEstablishment (wall-clock cost of the
 //	       full handshake machinery, complementing the virtual-time
@@ -451,16 +451,20 @@ func benchSessionPair(b *testing.B) (*session.Session, *session.Session) {
 	return sa, sb
 }
 
+// BenchmarkSessionSeal seals the way a host does: appended behind what
+// the frame buffer already holds, into capacity reserved up front. CI
+// holds it to 0 allocs/op.
 func BenchmarkSessionSeal(b *testing.B) {
 	for _, size := range []int{64, 256, 1400} {
 		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
 			sa, _ := benchSessionPair(b)
 			pt := make([]byte, size)
+			buf := make([]byte, 0, size+sa.Overhead())
 			b.SetBytes(int64(size))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sa.Seal(pt, nil); err != nil {
+				if _, err := sa.AppendSeal(buf, pt, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -624,6 +628,62 @@ func BenchmarkConnectionEstablishment(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := alice.Connect(idA, &idB.Cert, nil); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHostSend is the host data path end to end, shaped like
+// bench/'s host_send: 32 host pairs across two ASes, one open connection
+// each, and per iteration one wave of 1 KiB messages sent through the
+// facade and run to delivery. It stands beside the border benchmarks
+// until the two measurement surfaces are folded together (ROADMAP
+// item 1); allocs/op is per wave, 32 messages.
+func BenchmarkHostSend(b *testing.B) {
+	const pairs, msgBytes = 32, 1024
+	names := func(prefix string) []string {
+		out := make([]string, pairs)
+		for i := range out {
+			out[i] = fmt.Sprintf("%s%02d", prefix, i)
+		}
+		return out
+	}
+	na, nb := names("a"), names("b")
+	in, err := New(1, WithAS(1, na...), WithAS(2, nb...), WithLink(1, 2, time.Millisecond))
+	if err != nil {
+		b.Fatal(err)
+	}
+	senders, receivers := make([]*Host, pairs), make([]*Host, pairs)
+	conns := make([]*host.Conn, pairs)
+	for i := range conns {
+		senders[i], receivers[i] = in.Host(na[i]), in.Host(nb[i])
+		idA, err := senders[i].NewEphID(ephid.KindData, 1<<20)
+		if err != nil {
+			b.Fatal(err)
+		}
+		idB, err := receivers[i].NewEphID(ephid.KindData, 1<<20)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if conns[i], err = senders[i].Connect(idA, &idB.Cert, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	msg := make([]byte, msgBytes)
+	ops := make([]Op, pairs)
+	b.SetBytes(pairs * msgBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, c := range conns {
+			ops[j] = senders[j].SendAsync(c, msg)
+		}
+		if err := in.AwaitAll(ops...); err != nil {
+			b.Fatal(err)
+		}
+		for j, r := range receivers {
+			if got := r.Stack.Inbox(); len(got) != 1 {
+				b.Fatalf("pair %d: %d messages delivered", j, len(got))
+			}
 		}
 	}
 }

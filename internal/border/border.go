@@ -238,7 +238,8 @@ func (r *Router) DetachHost(hid ephid.HID) {
 }
 
 // handleInternal processes frames from local hosts: the egress pipeline
-// plus intra-AS delivery.
+// plus intra-AS delivery. Like every netsim.Handler it owns frame, and
+// hands that same buffer on to the next hop.
 func (r *Router) handleInternal(frame []byte, _ *netsim.Port) {
 	if !wire.ValidFrame(frame) {
 		r.stats.count(VerdictDropMalformed)
@@ -270,12 +271,18 @@ func (r *Router) handleInternal(frame []byte, _ *netsim.Port) {
 
 // HandleExternalFrame injects a frame as if it arrived from a neighbor
 // AS — the hook used by gateways and by adversary simulations (replay
-// injection).
-func (r *Router) HandleExternalFrame(frame []byte) { r.handleExternal(frame, nil) }
+// injection). The frame stays the caller's: it is copied here, once,
+// and neither mutated nor retained.
+func (r *Router) HandleExternalFrame(frame []byte) {
+	r.handleExternal(append([]byte(nil), frame...), nil)
+}
 
 // HandleInternalFrame injects a frame as if it arrived from a local
-// host (gateway translation path).
-func (r *Router) HandleInternalFrame(frame []byte) { r.handleInternal(frame, nil) }
+// host (gateway translation path). Like HandleExternalFrame it copies
+// the caller's frame at entry.
+func (r *Router) HandleInternalFrame(frame []byte) {
+	r.handleInternal(append([]byte(nil), frame...), nil)
+}
 
 // handleExternal processes frames from neighbor ASes: ingress delivery
 // or transit forwarding.
@@ -361,8 +368,8 @@ func (r *Router) IngressVerify(frame []byte) (Verdict, ephid.HID) {
 	return VerdictForward, p.HID
 }
 
-// deliverLocal runs ingress verification and hands the frame to the
-// destination host's port.
+// deliverLocal runs ingress verification and hands the frame, which the
+// caller owns and gives up, to the destination host's port.
 func (r *Router) deliverLocal(frame []byte) Verdict {
 	v, hid := r.IngressVerify(frame)
 	if v != VerdictForward {
@@ -372,7 +379,7 @@ func (r *Router) deliverLocal(frame []byte) Verdict {
 	if !ok {
 		return VerdictDropUnknownHost
 	}
-	port.Send(frame)
+	port.Forward(frame)
 	r.stats.Delivered.Add(1)
 	return VerdictForward
 }
@@ -413,14 +420,14 @@ func (r *Router) LookupRoute(dst ephid.AID) (*netsim.Port, bool) {
 	return port, true
 }
 
-// forwardInterdomain sends the frame toward the destination AID via the
-// next-hop table.
+// forwardInterdomain sends the frame, which the caller owns and gives
+// up, toward the destination AID via the next-hop table.
 func (r *Router) forwardInterdomain(frame []byte) bool {
 	port, ok := r.LookupRoute(wire.FrameDstAID(frame))
 	if !ok {
 		return false
 	}
-	port.Send(frame)
+	port.Forward(frame)
 	return true
 }
 

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
 )
 
@@ -66,17 +67,21 @@ func NewAEAD(key []byte, direction byte) (*AEAD, error) {
 }
 
 // Seal encrypts and authenticates plaintext with the additional data aad,
-// appending nonce||ciphertext||tag to dst.
+// appending nonce||ciphertext||tag to dst. With Overhead()+len(plaintext)
+// bytes of spare capacity in dst the call does not allocate: room is
+// reserved once, and the nonce is written into dst and read from there,
+// so nothing is staged in a buffer that would escape through the
+// cipher.AEAD interface.
 func (a *AEAD) Seal(dst, plaintext, aad []byte) ([]byte, error) {
 	n := a.ctr.Add(1)
 	if n >= maxSeals {
 		return nil, ErrNonceExhausted
 	}
-	var nonce [NonceSize]byte
-	copy(nonce[:4], a.prefix[:])
-	binary.BigEndian.PutUint64(nonce[4:], n)
-	dst = append(dst, nonce[:]...)
-	return a.aead.Seal(dst, nonce[:], plaintext, aad), nil
+	dst = slices.Grow(dst, a.Overhead()+len(plaintext))
+	off := len(dst)
+	dst = append(dst, a.prefix[:]...)
+	dst = binary.BigEndian.AppendUint64(dst, n)
+	return a.aead.Seal(dst, dst[off:off+NonceSize], plaintext, aad), nil
 }
 
 // Open authenticates and decrypts a message produced by Seal (any Seal

@@ -23,7 +23,7 @@ func (h *Host) Ping(dst wire.Endpoint, seq uint16) error {
 		return ErrNoEphID
 	}
 	m := icmp.Message{Type: icmp.TypeEchoRequest, Seq: seq}
-	return h.send(wire.ProtoICMP, 0, src.Cert.EphID, dst, m.Encode())
+	return h.send(wire.ProtoICMP, 0, src.Cert.EphID, dst, m.Encode(), nil)
 }
 
 // handleICMP answers echo requests and surfaces replies and errors.
@@ -41,7 +41,7 @@ func (h *Host) handleICMP(hdr *wire.Header, payload []byte) {
 		}
 		reply := icmp.Message{Type: icmp.TypeEchoReply, Seq: m.Seq, Body: m.Body}
 		_ = h.send(wire.ProtoICMP, 0, hdr.DstEphID,
-			wire.Endpoint{AID: hdr.SrcAID, EphID: hdr.SrcEphID}, reply.Encode())
+			wire.Endpoint{AID: hdr.SrcAID, EphID: hdr.SrcEphID}, reply.Encode(), nil)
 	case icmp.TypeEchoReply:
 		if h.onEcho != nil {
 			h.onEcho(m.Seq)
@@ -94,7 +94,7 @@ func (h *Host) RequestShutoff(m Message) (wire.Endpoint, error) {
 		return wire.Endpoint{}, err
 	}
 	agent := wire.Endpoint{AID: peerCert.AID, EphID: peerCert.AAEphID}
-	return agent, h.send(wire.ProtoShutoff, 0, local.Cert.EphID, agent, payload)
+	return agent, h.send(wire.ProtoShutoff, 0, local.Cert.EphID, agent, payload, nil)
 }
 
 // RequestComplaint files a complaint about the flow that delivered m
@@ -133,5 +133,5 @@ func (h *Host) RequestComplaint(m Message) (wire.Endpoint, uint64, error) {
 	// The local agent's EphID is named in every certificate this AS
 	// issued — including the victim's own.
 	agent := wire.Endpoint{AID: h.cfg.AID, EphID: local.Cert.AAEphID}
-	return agent, seq, h.send(wire.ProtoAcct, wire.FlagControl, local.Cert.EphID, agent, payload)
+	return agent, seq, h.send(wire.ProtoAcct, wire.FlagControl, local.Cert.EphID, agent, payload, nil)
 }

@@ -12,24 +12,14 @@ import (
 // standard per-packet MAC for the source AS.
 
 // SendData encrypts and sends application data from a local EphID to a
-// peer endpoint with an established session.
+// peer endpoint with an established session. The data is sealed straight
+// into the frame that is sent; the caller keeps data.
 func (h *Host) SendData(local ephid.EphID, peer wire.Endpoint, data []byte) error {
-	key := sessKey{local: local, peer: peer}
-	sess, ok := h.sessions[key]
+	sess, ok := h.sessions[sessKey{local: local, peer: peer}]
 	if !ok {
 		return fmt.Errorf("%w: %v -> %v", ErrNoSession, local, peer)
 	}
-	h.nonce++
-	hdr := wire.Header{
-		Nonce:  h.nonce,
-		SrcAID: h.cfg.AID, DstAID: peer.AID,
-		SrcEphID: local, DstEphID: peer.EphID,
-	}
-	ct, err := sess.Seal(data, sessionAAD(&hdr))
-	if err != nil {
-		return err
-	}
-	return h.sendWithNonce(wire.ProtoSession, 0, local, peer, ct, hdr.Nonce)
+	return h.send(wire.ProtoSession, 0, local, peer, data, sess)
 }
 
 // Respond sends data back along the flow a message arrived on.
@@ -37,7 +27,8 @@ func (h *Host) Respond(m Message, data []byte) error {
 	return h.SendData(m.Flow.Dst.EphID, m.Flow.Src, data)
 }
 
-// handleSession processes an encrypted data packet.
+// handleSession processes an encrypted data packet carried by frame,
+// which the stack owns.
 func (h *Host) handleSession(hdr *wire.Header, payload []byte, frame []byte) {
 	key := sessKey{
 		local: hdr.DstEphID,
@@ -48,7 +39,7 @@ func (h *Host) handleSession(hdr *wire.Header, payload []byte, frame []byte) {
 		h.stats.DropNoSession++
 		return
 	}
-	pt, err := sess.Open(payload, sessionAAD(hdr))
+	pt, err := sess.Open(payload, h.sessionAAD(hdr))
 	if err != nil {
 		h.stats.DropDecrypt++
 		return
@@ -58,12 +49,13 @@ func (h *Host) handleSession(hdr *wire.Header, payload []byte, frame []byte) {
 		h.stats.DropReplay++
 		return
 	}
-	raw := append([]byte(nil), frame...)
-	h.lastFrame[key] = raw
+	// The delivered frame is ours (netsim.Handler): it is the evidence,
+	// not a copy of it.
+	h.lastFrame[key] = frame
 	h.deliver(Message{
 		Flow:    wire.FlowFromHeader(hdr),
 		Payload: pt,
-		Raw:     raw,
+		Raw:     frame,
 	})
 }
 

@@ -195,17 +195,16 @@ func (h *Host) Dial(local *OwnedEphID, peerCert *cert.Cert, opts DialOptions) (*
 	msg := handshakeMsg{cert: local.Cert}
 	flags := uint8(0)
 	zeroRTT := len(opts.Data0RTT) > 0
-	var nonce uint64
 	if zeroRTT {
-		// Encrypt 0-RTT data under the session with the dialed EphID.
-		h.nonce++ // reserve the nonce the packet will carry
-		nonce = h.nonce
+		// Encrypt 0-RTT data under the session with the dialed EphID,
+		// bound to the header nonce the handshake packet will carry:
+		// the one send draws next.
 		hdr := wire.Header{
-			Nonce:  nonce,
+			Nonce:  h.nonce + 1,
 			SrcAID: h.cfg.AID, DstAID: peer.AID,
 			SrcEphID: local.Cert.EphID, DstEphID: peer.EphID,
 		}
-		ct, err := sess.Seal(opts.Data0RTT, sessionAAD(&hdr))
+		ct, err := sess.Seal(opts.Data0RTT, h.sessionAAD(&hdr))
 		if err != nil {
 			return nil, err
 		}
@@ -216,13 +215,7 @@ func (h *Host) Dial(local *OwnedEphID, peerCert *cert.Cert, opts DialOptions) (*
 	if err != nil {
 		return nil, err
 	}
-	if zeroRTT {
-		// Send with the reserved nonce: bypass send()'s allocation.
-		err = h.sendWithNonce(wire.ProtoHandshake, flags, local.Cert.EphID, peer, payload, nonce)
-	} else {
-		err = h.send(wire.ProtoHandshake, flags, local.Cert.EphID, peer, payload)
-	}
-	if err != nil {
+	if err := h.send(wire.ProtoHandshake, flags, local.Cert.EphID, peer, payload, nil); err != nil {
 		return nil, err
 	}
 	// Record the in-flight dial only once the handshake actually left:
@@ -391,31 +384,6 @@ func (h *Host) AbortDial(conn *Conn) {
 	delete(h.lastFrame, key)
 }
 
-// sendWithNonce is send() with a caller-chosen nonce (already allocated
-// from the host's counter).
-func (h *Host) sendWithNonce(proto wire.NextProto, flags uint8, src ephid.EphID, dst wire.Endpoint, payload []byte, nonce uint64) error {
-	if h.port == nil {
-		return ErrNotAttached
-	}
-	p := wire.Packet{
-		Header: wire.Header{
-			NextProto: proto, Flags: flags, HopLimit: wire.DefaultHopLimit,
-			Nonce:  nonce,
-			SrcAID: h.cfg.AID, DstAID: dst.AID,
-			SrcEphID: src, DstEphID: dst.EphID,
-		},
-		Payload: payload,
-	}
-	frame, err := p.Encode()
-	if err != nil {
-		return err
-	}
-	h.mac.Apply(frame)
-	h.port.Send(frame)
-	h.stats.Sent++
-	return nil
-}
-
 // Send transmits application data on the connection, queueing it until
 // establishment if necessary. Sending on a closed connection fails with
 // ErrNoSession.
@@ -470,7 +438,7 @@ func (h *Host) handleHandshake(hdr *wire.Header, payload []byte, frame []byte) {
 	fk := hsFlowKey{peer: peer, dst: hdr.DstEphID}
 	if prev, done := h.hsCompleted[fk]; done {
 		h.stats.DropReplay++
-		_ = h.send(wire.ProtoHandshake, 0, prev.src, peer, prev.payload)
+		_ = h.send(wire.ProtoHandshake, 0, prev.src, peer, prev.payload, nil)
 		return
 	}
 
@@ -511,14 +479,14 @@ func (h *Host) handleHandshake(hdr *wire.Header, payload []byte, frame []byte) {
 				return
 			}
 		}
-		pt, err := sess0.Open(msg.data, sessionAAD(hdr))
+		pt, err := sess0.Open(msg.data, h.sessionAAD(hdr))
 		if err != nil {
 			h.stats.DropDecrypt++
 		} else {
 			zeroRTT = &Message{
 				Flow:    wire.Flow{Src: peer, Dst: wire.Endpoint{AID: h.cfg.AID, EphID: serving.Cert.EphID}},
 				Payload: pt,
-				Raw:     append([]byte(nil), frame...),
+				Raw:     frame,
 			}
 		}
 	}
@@ -531,7 +499,7 @@ func (h *Host) handleHandshake(hdr *wire.Header, payload []byte, frame []byte) {
 	if err != nil {
 		return
 	}
-	_ = h.send(wire.ProtoHandshake, 0, serving.Cert.EphID, peer, ackPayload)
+	_ = h.send(wire.ProtoHandshake, 0, serving.Cert.EphID, peer, ackPayload, nil)
 	// The handshake completed: remember its ack so duplicates are
 	// answered idempotently instead of re-deriving the session.
 	h.hsCompleted[fk] = hsAck{src: serving.Cert.EphID, payload: ackPayload}

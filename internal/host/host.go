@@ -14,6 +14,7 @@
 package host
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -61,7 +62,8 @@ type Message struct {
 	Flow wire.Flow
 	// Payload is the decrypted application data.
 	Payload []byte
-	// Raw is a copy of the raw frame that carried the data; it is the
+	// Raw is the raw frame that carried the data — the delivered buffer
+	// itself, which the stack owns and never writes again; it is the
 	// evidence a shutoff request must present (Figure 5).
 	Raw []byte
 }
@@ -121,7 +123,12 @@ type Host struct {
 	// ReapExpired drop them with it (forgetHandshakes).
 	hsCompleted map[hsFlowKey]hsAck
 
+	// nonce is the header nonce of the last packet sent; send draws
+	// nonce+1 for the next, and nothing else advances it.
 	nonce uint64
+	// aad is sessionAAD's scratch: the stack is single-threaded and the
+	// AEAD reads the additional data only during the call.
+	aad [sessionAADSize]byte
 	// complaintSeq numbers this host's inter-domain complaints; the
 	// agent echoes it in the acknowledgment so concurrent complaints
 	// resolve to their own receipts regardless of the order in which
@@ -292,50 +299,58 @@ func (h *Host) Inbox() []Message {
 	return m
 }
 
-// framePool recycles encode buffers across sends from every host
-// stack: netsim links copy frames at send time, so a buffer is free for
-// reuse the moment Port.Send returns and the steady-state send path
-// does not allocate per packet.
-var framePool wire.FramePool
-
-// send builds, MACs and transmits one packet.
-func (h *Host) send(proto wire.NextProto, flags uint8, src ephid.EphID, dst wire.Endpoint, payload []byte) error {
+// send is the one way a packet leaves this stack. It builds the frame
+// once, in one buffer — header, then data (sealed under sess with the
+// header bound as additional data when sess is non-nil, as is
+// otherwise), then the packet MAC over both — and hands that buffer to
+// the access link. A send that is refused consumes nothing: attachment
+// and size are checked before the header nonce or an AEAD counter value
+// is drawn.
+func (h *Host) send(proto wire.NextProto, flags uint8, src ephid.EphID, dst wire.Endpoint, data []byte, sess *session.Session) error {
 	if h.port == nil {
 		return ErrNotAttached
 	}
-	h.nonce++
-	p := wire.Packet{
-		Header: wire.Header{
-			NextProto: proto, Flags: flags, HopLimit: wire.DefaultHopLimit,
-			Nonce:  h.nonce,
-			SrcAID: h.cfg.AID, DstAID: dst.AID,
-			SrcEphID: src, DstEphID: dst.EphID,
-		},
-		Payload: payload,
+	n := len(data)
+	if sess != nil {
+		n += sess.Overhead()
 	}
-	buf := framePool.Get(wire.HeaderSize + len(payload))
-	frame, err := p.AppendTo(buf)
-	if err != nil {
-		framePool.Put(buf)
-		return err
+	if n > wire.MaxPayload {
+		return fmt.Errorf("%w: %d bytes", wire.ErrTooLarge, n)
+	}
+	h.nonce++
+	hdr := wire.Header{
+		NextProto: proto, Flags: flags, HopLimit: wire.DefaultHopLimit,
+		PayloadLen: uint16(n),
+		Nonce:      h.nonce,
+		SrcAID:     h.cfg.AID, DstAID: dst.AID,
+		SrcEphID: src, DstEphID: dst.EphID,
+	}
+	frame := hdr.AppendTo(make([]byte, 0, wire.HeaderSize+n))
+	if sess == nil {
+		frame = append(frame, data...)
+	} else {
+		var err error
+		if frame, err = sess.AppendSeal(frame, data, h.sessionAAD(&hdr)); err != nil {
+			return err
+		}
 	}
 	h.mac.Apply(frame)
-	h.port.Send(frame)
-	framePool.Put(frame)
+	h.port.Forward(frame)
 	h.stats.Sent++
 	return nil
 }
 
 // SendRaw sends an arbitrary protocol payload (service replies).
 func (h *Host) SendRaw(proto wire.NextProto, flags uint8, src ephid.EphID, dst wire.Endpoint, payload []byte) error {
-	return h.send(proto, flags, src, dst, payload)
+	return h.send(proto, flags, src, dst, payload, nil)
 }
 
 // ApplyMAC stamps a pre-built frame with this host's per-packet MAC —
 // the NAT-mode access point's MAC-replacement step (Section VII-B).
 func (h *Host) ApplyMAC(frame []byte) { h.mac.Apply(frame) }
 
-// SendFrame transmits a pre-built, already-MACed frame.
+// SendFrame transmits a pre-built, already-MACed frame. The frame is
+// copied: the caller keeps it.
 func (h *Host) SendFrame(frame []byte) error {
 	if h.port == nil {
 		return ErrNotAttached
@@ -345,21 +360,30 @@ func (h *Host) SendFrame(frame []byte) error {
 	return nil
 }
 
-// HandleFrame implements netsim.Handler: the host's receive demux.
+// HandleFrame implements netsim.Handler: the host's receive demux. The
+// stack owns frame from here on (a data frame becomes Message.Raw).
+// Registered hooks get a copy of the header: a pointer handed to a
+// function value escapes, and the copy keeps the decoded packet of
+// every other frame on the stack.
 func (h *Host) HandleFrame(frame []byte, _ *netsim.Port) {
 	pkt, err := wire.DecodePacket(frame)
 	if err != nil {
 		return
 	}
 	h.stats.Received++
-	for _, fn := range h.rawListeners[pkt.Header.NextProto] {
-		fn(&pkt.Header, pkt.Payload)
+	proto := pkt.Header.NextProto
+	listeners, handler := h.rawListeners[proto], h.rawHandlers[proto]
+	if len(listeners) > 0 || handler != nil {
+		hdr := pkt.Header
+		for _, fn := range listeners {
+			fn(&hdr, pkt.Payload)
+		}
+		if handler != nil {
+			handler(&hdr, pkt.Payload)
+			return
+		}
 	}
-	if fn, ok := h.rawHandlers[pkt.Header.NextProto]; ok {
-		fn(&pkt.Header, pkt.Payload)
-		return
-	}
-	switch pkt.Header.NextProto {
+	switch proto {
 	case wire.ProtoControl:
 		h.handleControlReply(&pkt.Header, pkt.Payload)
 	case wire.ProtoHandshake:
@@ -371,18 +395,20 @@ func (h *Host) HandleFrame(frame []byte, _ *netsim.Port) {
 	}
 }
 
-// sessionAAD builds the AEAD additional data binding ciphertext to the
-// packet's flow and nonce, preventing cross-flow splicing.
-func sessionAAD(hdr *wire.Header) []byte {
-	aad := make([]byte, 0, 8+4+ephid.Size+4+ephid.Size)
-	aad = append(aad,
-		byte(hdr.Nonce>>56), byte(hdr.Nonce>>48), byte(hdr.Nonce>>40), byte(hdr.Nonce>>32),
-		byte(hdr.Nonce>>24), byte(hdr.Nonce>>16), byte(hdr.Nonce>>8), byte(hdr.Nonce))
-	aad = append(aad, byte(hdr.SrcAID>>24), byte(hdr.SrcAID>>16), byte(hdr.SrcAID>>8), byte(hdr.SrcAID))
+// sessionAADSize is the length of a data packet's AEAD additional data:
+// header nonce, then source and destination AID:EphID.
+const sessionAADSize = 8 + 2*(4+ephid.Size)
+
+// sessionAAD builds, in the host's scratch, the AEAD additional data
+// binding ciphertext to the packet's flow and nonce, preventing
+// cross-flow splicing. The result is valid until the next call.
+func (h *Host) sessionAAD(hdr *wire.Header) []byte {
+	aad := h.aad[:0]
+	aad = binary.BigEndian.AppendUint64(aad, hdr.Nonce)
+	aad = binary.BigEndian.AppendUint32(aad, uint32(hdr.SrcAID))
 	aad = append(aad, hdr.SrcEphID[:]...)
-	aad = append(aad, byte(hdr.DstAID>>24), byte(hdr.DstAID>>16), byte(hdr.DstAID>>8), byte(hdr.DstAID))
-	aad = append(aad, hdr.DstEphID[:]...)
-	return aad
+	aad = binary.BigEndian.AppendUint32(aad, uint32(hdr.DstAID))
+	return append(aad, hdr.DstEphID[:]...)
 }
 
 // verifyPeerCert checks a peer certificate against the trust store and

@@ -84,7 +84,11 @@ func TestSessionAADBindsAllFields(t *testing.T) {
 	base := wire.Header{Nonce: 7, SrcAID: 1, DstAID: 2}
 	base.SrcEphID[0] = 3
 	base.DstEphID[0] = 4
-	aad := sessionAAD(&base)
+	var h Host
+	aad := bytes.Clone(h.sessionAAD(&base)) // the scratch is rewritten below
+	if len(aad) != sessionAADSize {
+		t.Fatalf("AAD is %d bytes, want %d", len(aad), sessionAADSize)
+	}
 
 	mutations := []func(*wire.Header){
 		func(h *wire.Header) { h.Nonce++ },
@@ -96,7 +100,7 @@ func TestSessionAADBindsAllFields(t *testing.T) {
 	for i, mutate := range mutations {
 		m := base
 		mutate(&m)
-		if bytes.Equal(aad, sessionAAD(&m)) {
+		if bytes.Equal(aad, h.sessionAAD(&m)) {
 			t.Errorf("mutation %d not reflected in AAD", i)
 		}
 	}

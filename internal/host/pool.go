@@ -106,7 +106,7 @@ func (h *Host) requestEphID(req *ms.Request, deliver func(*cert.Cert, error)) er
 		return err
 	}
 	msEndpoint := wire.Endpoint{AID: h.cfg.MSCert.AID, EphID: h.cfg.MSCert.EphID}
-	if err := h.send(wire.ProtoControl, wire.FlagControl, h.cfg.CtrlEphID, msEndpoint, ct); err != nil {
+	if err := h.send(wire.ProtoControl, wire.FlagControl, h.cfg.CtrlEphID, msEndpoint, ct, nil); err != nil {
 		return err
 	}
 	h.pendingEphID = append(h.pendingEphID, &pendingIssue{

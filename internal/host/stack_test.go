@@ -2,6 +2,8 @@ package host
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 
 	"apna/internal/cert"
@@ -718,5 +720,81 @@ func TestHandshakeRecordsLeaveWithTheirEphID(t *testing.T) {
 	d.b.HandleFrame(append([]byte(nil), handshake...), nil)
 	if s := d.b.Stats(); s.DropBadHandshake != bad+1 || s.DropReplay != 1 {
 		t.Errorf("replay after expiry: DropBadHandshake %d -> %d, DropReplay = %d", bad, s.DropBadHandshake, s.DropReplay)
+	}
+}
+
+// TestRefusedSendConsumesNothing is the regression test for SendData
+// sealing before checking: a send refused for size or for want of an
+// attachment used to burn a header nonce and an AEAD counter value. Both
+// are read off the wire — the header nonce, and the counter half of the
+// sealed message's 12-byte AEAD nonce — on the accepted messages either
+// side of the refused ones.
+func TestRefusedSendConsumesNothing(t *testing.T) {
+	d := newDuplex(t)
+	idA := d.issue(t, d.a, d.signA, ephid.KindData, 1)
+	idB := d.issue(t, d.b, d.signB, ephid.KindData, 2)
+	conn, err := d.a.Dial(idA, &idB.Cert, DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.sim.Run(1000)
+	if !conn.Established() {
+		t.Fatal("connection not established")
+	}
+
+	type nonces struct{ header, aead uint64 }
+	var sent []nonces
+	d.link.AddTap(func(f []byte, _ *netsim.Port) {
+		var hdr wire.Header
+		if hdr.DecodeFromBytes(f) == nil && hdr.NextProto == wire.ProtoSession && hdr.SrcAID == 1 {
+			sealed := f[wire.HeaderSize:]
+			sent = append(sent, nonces{hdr.Nonce, binary.BigEndian.Uint64(sealed[4:crypto.NonceSize])})
+		}
+	})
+	deliver := func(want string) {
+		t.Helper()
+		if err := conn.Send([]byte(want)); err != nil {
+			t.Fatal(err)
+		}
+		d.sim.Run(1000)
+		if got := d.b.Inbox(); len(got) != 1 || string(got[0].Payload) != want {
+			t.Fatalf("peer inbox %+v, want %q", got, want)
+		}
+	}
+	deliver("before")
+
+	hostNonce := d.a.nonce
+	sess := d.a.sessions[sessKey{local: idA.Cert.EphID, peer: conn.Peer()}]
+	tooLarge := make([]byte, wire.MaxPayload-sess.Overhead()+1)
+	if err := conn.Send(tooLarge); !errors.Is(err, wire.ErrTooLarge) {
+		t.Fatalf("oversize send: %v, want ErrTooLarge", err)
+	}
+	port := d.a.port
+	d.a.port = nil
+	if err := conn.Send([]byte("into the void")); !errors.Is(err, ErrNotAttached) {
+		t.Fatalf("unattached send: %v, want ErrNotAttached", err)
+	}
+	d.a.port = port
+	if d.a.nonce != hostNonce {
+		t.Errorf("refused sends moved the header nonce %d -> %d", hostNonce, d.a.nonce)
+	}
+
+	// The largest payload that fits is not refused, and the next message
+	// continues both counters without a gap and still opens at the peer.
+	if err := conn.Send(tooLarge[1:]); err != nil {
+		t.Fatalf("largest payload refused: %v", err)
+	}
+	d.sim.Run(1000)
+	if got := d.b.Inbox(); len(got) != 1 || len(got[0].Payload) != len(tooLarge)-1 {
+		t.Fatalf("largest payload not delivered: %d messages", len(got))
+	}
+	deliver("after")
+	if len(sent) != 3 {
+		t.Fatalf("%d data frames on the wire, want 3", len(sent))
+	}
+	for i := 1; i < len(sent); i++ {
+		if sent[i].header != sent[i-1].header+1 || sent[i].aead != sent[i-1].aead+1 {
+			t.Errorf("frame %d carries nonces %+v after %+v: a refused send consumed one", i, sent[i], sent[i-1])
+		}
 	}
 }

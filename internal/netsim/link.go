@@ -7,6 +7,11 @@ import (
 
 // Handler consumes frames arriving at a node. from identifies the port
 // the frame arrived on, letting routers distinguish interfaces.
+//
+// The frame belongs to the handler: no one else holds the backing
+// array, so the handler may mutate it, retain it, or pass it on with
+// Port.Forward. Code that calls HandleFrame directly must hand over a
+// buffer it will not touch again.
 type Handler interface {
 	HandleFrame(frame []byte, from *Port)
 }
@@ -96,9 +101,17 @@ func (p *Port) Label() string { return p.label }
 func (p *Port) Link() *Link { return p.link }
 
 // Send transmits a frame to the opposite port after the link latency
-// plus any chaotic delay. The frame is copied at send time: simulated
-// nodes may reuse buffers, and real links serialize bits, not aliases.
-func (p *Port) Send(frame []byte) {
+// plus any chaotic delay. The frame is copied at send time: the caller
+// keeps its buffer and may reuse it, and real links serialize bits, not
+// aliases.
+func (p *Port) Send(frame []byte) { p.transmit(frame, false) }
+
+// Forward is Send for a frame the caller owns and gives up: the buffer
+// itself is delivered to the opposite port, so the caller must not
+// touch it again. Taps and a chaos duplicate still get private copies.
+func (p *Port) Forward(frame []byte) { p.transmit(frame, true) }
+
+func (p *Port) transmit(frame []byte, owned bool) {
 	l := p.link
 	if l.chaos.partitioned(l.sim.now) {
 		l.sim.faultMark(l.name, FaultPartition)
@@ -119,27 +132,25 @@ func (p *Port) Send(frame []byte) {
 	for _, tap := range l.taps {
 		tap(append([]byte(nil), frame...), p)
 	}
-	p.deliverCopy(frame)
+	buf := frame
+	if !owned {
+		buf = append([]byte(nil), frame...)
+	}
+	p.deliver(buf)
 	if l.chaos.DupProb > 0 && l.sim.faultChance(l.name, FaultDup, l.chaos.DupProb) {
 		l.stats.Duplicated++
-		p.deliverCopy(frame)
+		p.deliver(append([]byte(nil), frame...))
 	}
 }
 
-// deliverCopy schedules one delivery of frame at the link latency plus
-// a fresh chaotic-delay draw; each copy jitters independently, so
-// duplicates can overtake originals.
-func (p *Port) deliverCopy(frame []byte) {
+// deliver schedules the delivery of buf, which the event then owns, at
+// the link latency plus a fresh chaotic-delay draw; each delivery
+// jitters independently, so duplicates can overtake originals.
+func (p *Port) deliver(buf []byte) {
 	l := p.link
 	extra, reordered := l.chaos.extraDelay(l.sim, l.name)
 	if reordered {
 		l.stats.Reordered++
 	}
-	buf := append([]byte(nil), frame...)
-	dst := p.peer
-	l.sim.Schedule(l.latency+extra, func() {
-		if dst.owner != nil {
-			dst.owner.HandleFrame(buf, dst)
-		}
-	})
+	l.sim.scheduleFrame(l.latency+extra, p.peer, buf)
 }

@@ -5,10 +5,28 @@
 // Time is virtual: link latencies advance a simulated clock instead of
 // sleeping, so protocol latency experiments (e.g. the
 // connection-establishment RTT analysis of Section VII-C) are exact,
-// fast and reproducible. Throughput experiments do not run through the
-// simulator at all — they drive the router pipelines directly (see
-// internal/pktgen) — so simulator overhead never pollutes performance
-// numbers.
+// fast and reproducible. The border forwarding experiments drive the
+// router pipelines directly (internal/engine, internal/pktgen); every
+// host-side experiment, scenario spec and the host_* benchmark
+// workloads run through the simulator, so what a frame costs here is
+// part of their numbers.
+//
+// # Frame ownership
+//
+// A frame in flight is one buffer with one owner at a time:
+//
+//   - Port.Send copies. The caller keeps its slice and may reuse it the
+//     moment Send returns.
+//   - Port.Forward transfers. The caller gives the slice up: it must not
+//     read, write or retain it afterwards. No copy is made on the way to
+//     the peer.
+//   - Handler.HandleFrame owns what it is given. The frame is private to
+//     the handler: it may mutate it in place (a transit hop-limit
+//     decrement), retain it (a host keeps it as evidence), or hand it on
+//     with Forward.
+//   - Taps and duplicates get copies. Every tap receives its own copy at
+//     send time, and a duplicating chaos link copies for the second
+//     delivery, so no two receivers ever share a backing array.
 package netsim
 
 import (
@@ -68,18 +86,42 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 // Schedule runs fn at now+delay. A negative delay panics: the simulator
 // cannot travel back in time.
 func (s *Simulator) Schedule(delay time.Duration, fn func()) {
+	s.enqueue(delay, event{fn: fn})
+}
+
+// scheduleFrame queues the delivery of buf to dst at now+delay: the
+// typed form of Schedule for the one event kind that dominates every
+// run, so a frame in flight costs no closure.
+func (s *Simulator) scheduleFrame(delay time.Duration, dst *Port, buf []byte) {
+	s.enqueue(delay, event{dst: dst, buf: buf})
+}
+
+func (s *Simulator) enqueue(delay time.Duration, ev event) {
 	if delay < 0 {
 		panic(fmt.Sprintf("netsim: negative delay %v", delay))
 	}
 	s.seq++
-	heap.Push(&s.queue, &event{at: s.now + delay, seq: s.seq, fn: fn})
+	ev.at, ev.seq = s.now+delay, s.seq
+	s.queue.push(ev)
+}
+
+// runNext pops and executes the earliest queued event.
+func (s *Simulator) runNext() {
+	ev := s.queue.pop()
+	s.now = ev.at
+	s.events++
+	if ev.dst == nil {
+		ev.fn()
+	} else if ev.dst.owner != nil {
+		ev.dst.owner.HandleFrame(ev.buf, ev.dst)
+	}
 }
 
 // PeekNext returns the timestamp of the earliest queued event, or false
 // if the queue is empty. Drivers that step the simulator toward a
 // deadline use it to stop before executing events past the deadline.
 func (s *Simulator) PeekNext() (time.Duration, bool) {
-	if s.queue.Len() == 0 {
+	if len(s.queue) == 0 {
 		return 0, false
 	}
 	return s.queue[0].at, true
@@ -92,17 +134,14 @@ func (s *Simulator) PeekNext() (time.Duration, bool) {
 // timers cannot keep a drained timeline alive. Use RunUntil / RunFor to
 // sweep timers across idle gaps when a scenario explicitly passes time.
 func (s *Simulator) Step() bool {
-	if s.queue.Len() == 0 {
+	if len(s.queue) == 0 {
 		return false
 	}
 	if t := s.dueTimer(s.queue[0].at); t != nil {
 		s.fireTimer(t)
 		return true
 	}
-	ev := heap.Pop(&s.queue).(*event)
-	s.now = ev.at
-	s.events++
-	ev.fn()
+	s.runNext()
 	return true
 }
 
@@ -149,7 +188,7 @@ func (s *Simulator) RunUntil(deadline time.Duration) int {
 	n := 0
 	for {
 		next := deadline + 1
-		if s.queue.Len() > 0 {
+		if len(s.queue) > 0 {
 			next = s.queue[0].at
 		}
 		timerFirst := s.timers.Len() > 0 && s.timers[0].due <= next
@@ -162,10 +201,7 @@ func (s *Simulator) RunUntil(deadline time.Duration) int {
 		if timerFirst {
 			s.fireTimer(s.timers[0])
 		} else {
-			ev := heap.Pop(&s.queue).(*event)
-			s.now = ev.at
-			s.events++
-			ev.fn()
+			s.runNext()
 		}
 		n++
 	}
@@ -223,35 +259,84 @@ func (t *Timer) heapRemove() {
 }
 
 // Pending reports the number of queued events.
-func (s *Simulator) Pending() int { return s.queue.Len() }
+func (s *Simulator) Pending() int { return len(s.queue) }
 
 // Events reports the total number of events executed so far.
 func (s *Simulator) Events() uint64 { return s.events }
 
+// event is one queued occurrence: a frame delivery when dst is set (buf
+// handed to dst's owner), otherwise a call of fn.
 type event struct {
 	at  time.Duration
 	seq uint64
 	fn  func()
+	dst *Port
+	buf []byte
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before is the queue order: time, then scheduling sequence. seq is
+// unique, so the order is total and the pop sequence is a function of
+// the schedule alone, not of the heap's shape.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return q[i].seq < q[j].seq
+	return e.seq < o.seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+
+// eventQueue is a binary min-heap of event values ordered by before.
+// Events are stored by value and sifted by hand: the queue is the
+// simulator's innermost loop, and a container/heap of *event costs an
+// allocation per event and an interface call per comparison.
+type eventQueue []event
+
+func (q *eventQueue) push(ev event) {
+	h := append(*q, ev)
+	*q = h
+	// Sift up: move parents down into the hole until ev fits.
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+}
+
+// pop removes and returns the earliest event. The queue must not be
+// empty.
+func (q *eventQueue) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // release the closure and the frame
+	h = h[:n]
+	*q = h
+	if n == 0 {
+		return top
+	}
+	// Sift down: move the smaller child up into the hole until last fits.
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && h[r].before(&h[child]) {
+			child = r
+		}
+		if !h[child].before(&last) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = last
+	return top
 }
 
 // timerQueue is the min-heap of recurring timers, ordered like the

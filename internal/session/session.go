@@ -86,10 +86,21 @@ func (s *Session) NextSeq() uint64 {
 	return s.sendSeq
 }
 
-// Seal encrypts plaintext for the peer, binding aad (typically the
-// immutable parts of the packet header).
+// Overhead is how much longer a sealed message is than its plaintext.
+func (s *Session) Overhead() int { return s.seal.Overhead() }
+
+// AppendSeal encrypts plaintext for the peer, binding aad (typically the
+// immutable parts of the packet header), and appends the sealed message
+// to dst. With Overhead()+len(plaintext) bytes of spare capacity in dst
+// it does not allocate, which is how a host seals straight into the
+// frame it sends.
+func (s *Session) AppendSeal(dst, plaintext, aad []byte) ([]byte, error) {
+	return s.seal.Seal(dst, plaintext, aad)
+}
+
+// Seal is AppendSeal into a fresh buffer.
 func (s *Session) Seal(plaintext, aad []byte) ([]byte, error) {
-	return s.seal.Seal(nil, plaintext, aad)
+	return s.AppendSeal(nil, plaintext, aad)
 }
 
 // Open decrypts a message from the peer.

@@ -278,3 +278,33 @@ func TestSessionSealOpenSizesProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAppendSealInPlace: the append form writes after what dst already
+// holds (a host seals behind the packet header it has just written),
+// leaves those bytes alone, yields what Seal yields, and — into a buffer
+// with Overhead()+len(plaintext) to spare — allocates nothing.
+func TestAppendSealInPlace(t *testing.T) {
+	a, b := pair(t)
+	pt, aad := bytes.Repeat([]byte{0xA5}, 1024), []byte("flow and nonce")
+	header := []byte("64 bytes of header in the real thing")
+	buf := make([]byte, 0, len(header)+len(pt)+a.Overhead())
+
+	out, err := a.AppendSeal(append(buf, header...), pt, aad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &out[0] != &buf[:1][0] || !bytes.HasPrefix(out, header) || len(out) != cap(buf) {
+		t.Fatalf("sealed %d bytes (cap %d), moved=%v", len(out), cap(buf), &out[0] != &buf[:1][0])
+	}
+	if got, err := b.Open(out[len(header):], aad); err != nil || !bytes.Equal(got, pt) {
+		t.Fatalf("peer cannot open what was sealed in place: %v", err)
+	}
+
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := a.AppendSeal(append(buf, header...), pt, aad); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("AppendSeal into a sized buffer allocates %v, want 0", n)
+	}
+}

@@ -215,20 +215,21 @@ func (p *Packet) Encode() ([]byte, error) {
 	return buf, nil
 }
 
-// DecodePacket parses a full frame. The returned packet's Payload
-// aliases data (gopacket NoCopy-style); the caller must not mutate data
-// while the packet is live.
-func DecodePacket(data []byte) (*Packet, error) {
+// DecodePacket parses a full frame. The packet is returned by value, so
+// a receive path holds it on the stack; its Payload aliases data
+// (gopacket NoCopy-style) and the caller must not mutate data while the
+// packet is live.
+func DecodePacket(data []byte) (Packet, error) {
 	var p Packet
 	if err := p.Header.DecodeFromBytes(data); err != nil {
-		return nil, err
+		return Packet{}, err
 	}
 	if int(p.Header.PayloadLen) != len(data)-HeaderSize {
-		return nil, fmt.Errorf("%w: header says %d, frame carries %d",
+		return Packet{}, fmt.Errorf("%w: header says %d, frame carries %d",
 			ErrBadLength, p.Header.PayloadLen, len(data)-HeaderSize)
 	}
 	p.Payload = data[HeaderSize:]
-	return &p, nil
+	return p, nil
 }
 
 // Raw frame accessors used on the border-router fast path, which

@@ -397,16 +397,6 @@ func BenchmarkHeaderAppendTo(b *testing.B) {
 	}
 }
 
-// BenchmarkFramePool measures a steady-state Get/Put cycle.
-func BenchmarkFramePool(b *testing.B) {
-	var p wire.FramePool
-	p.Put(p.Get(1518))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.Put(p.Get(1518))
-	}
-}
-
 // BenchmarkEngineSaturate runs a small end-to-end engine measurement:
 // multi-AS world, batched egress -> transit -> ingress.
 func BenchmarkEngineSaturate(b *testing.B) {

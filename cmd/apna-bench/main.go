@@ -13,7 +13,8 @@
 // sweep bases, E8 traffic mix, E11 population model, E12 graph), so CI
 // and local runs can sweep seeds; E9 and E10 additionally take -seeds
 // for the sweep width, and E8-E12 exit 2 if any of their gates is
-// violated.
+// violated. Usage errors, an -exp that names no experiment among them,
+// exit 1.
 //
 // The trend-gated suites (E8, E9, E10, E11, E12) additionally take
 // -reruns N and -out PREFIX to emit PREFIX_run1.json..PREFIX_runN.json
@@ -41,125 +42,145 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
+	"strings"
 	"time"
 
 	"apna/internal/experiments"
 	"apna/internal/trace"
 )
 
+// experimentNames is every value -exp takes.
+var experimentNames = []string{"all", "e1", "e2", "e3", "e4", "e5", "e8", "e9", "e10", "e11", "e12"}
+
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func fatal(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "apna-bench:", err)
+	return 1
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("apna-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp         = flag.String("exp", "all", "experiment: e1, e2, e3 (includes e4), e5, e8, e9, e10, e11, e12, all")
-		requests    = flag.Int("requests", 500_000, "E1: number of EphID requests")
-		workers     = flag.Int("workers", 4, "E1: parallel issuance workers (paper: 4)")
-		fwdHosts    = flag.Int("hosts", 256, "E3/E8: simulated source hosts (per AS for E8)")
-		pkts        = flag.Int("pkts", 500_000, "E3/E8: packets per worker")
-		fwdWork     = flag.Int("fwd-workers", runtime.NumCPU(), "E3/E8: forwarding workers, E11: population workers (cores)")
-		small       = flag.Bool("small", false, "E2: use a small trace instead of paper scale")
-		oneWay      = flag.Duration("oneway", 25*time.Millisecond, "E5: one-way inter-AS latency")
-		seed        = flag.Int64("seed", 1, "base seed for every seeded experiment (E2, E8-E12)")
-		seeds       = flag.Int("seeds", 5, "E9/E10: seeds in the sweep (seed, seed+1, ...)")
-		adversaries = flag.Int("adversaries", 2, "E10: number of attackers")
-		jsonOut     = flag.Bool("json", false, "E8-E12: emit machine-readable JSON")
-		e8ASes      = flag.Int("ases", 4, "E8: autonomous systems in the ring")
-		e8Batch     = flag.Int("batch", 64, "E8: frames per pipeline batch")
-		e8Bad       = flag.Float64("bad", 0.05, "E8: fraction of adversarial frames")
-		e9Windows   = flag.Int("windows", 4, "E9: EphID validity windows to cross")
-		e9Life      = flag.Uint("ephid-life", 120, "E9: client EphID lifetime in seconds")
-		e10ASes     = flag.Int("acct-ases", 8, "E10: autonomous systems in the full mesh")
-		e10Digest   = flag.Duration("digest", 10*time.Second, "E10: revocation-digest dissemination interval")
-		e11Ticks    = flag.Int("pop-ticks", experiments.DefaultE11().Ticks, "E11: virtual ticks per population tier")
-		e11Bound    = flag.Float64("p99-bound", experiments.DefaultE11().P99BoundMs, "E11: issuance p99 gate in milliseconds")
-		e11Full     = flag.Bool("e11-full", false, "E11: extend the ramp to 10^7 modeled hosts")
-		e12Stubs    = flag.Int("dissem-stubs", experiments.DefaultE12().Stubs, "E12: stub ASes in the relay graph (total = core + mid + stubs)")
-		e12Ticks    = flag.Int("dissem-ticks", experiments.DefaultE12().Ticks, "E12: measured digest intervals in the relay phase")
-		reruns      = flag.Int("reruns", 1, "E8/E9/E10/E11/E12: repeat the run N times for the trend gate (requires -out for N > 1)")
-		outPrefix   = flag.String("out", "", "E8/E9/E10/E11/E12: write each rerun's artifact to PREFIX_runN.json instead of stdout (implies -json)")
+		exp         = fs.String("exp", "all", "experiment: e1, e2, e3 (includes e4), e5, e8, e9, e10, e11, e12, all")
+		requests    = fs.Int("requests", 500_000, "E1: number of EphID requests")
+		workers     = fs.Int("workers", 4, "E1: parallel issuance workers (paper: 4)")
+		fwdHosts    = fs.Int("hosts", 256, "E3/E8: simulated source hosts (per AS for E8)")
+		pkts        = fs.Int("pkts", 500_000, "E3/E8: packets per worker")
+		fwdWork     = fs.Int("fwd-workers", runtime.NumCPU(), "E3/E8: forwarding workers, E11: population workers (cores)")
+		small       = fs.Bool("small", false, "E2: use a small trace instead of paper scale")
+		oneWay      = fs.Duration("oneway", 25*time.Millisecond, "E5: one-way inter-AS latency")
+		seed        = fs.Int64("seed", 1, "base seed for every seeded experiment (E2, E8-E12)")
+		seeds       = fs.Int("seeds", 5, "E9/E10: seeds in the sweep (seed, seed+1, ...)")
+		adversaries = fs.Int("adversaries", 2, "E10: number of attackers")
+		jsonOut     = fs.Bool("json", false, "E8-E12: emit machine-readable JSON")
+		e8ASes      = fs.Int("ases", 4, "E8: autonomous systems in the ring")
+		e8Batch     = fs.Int("batch", 64, "E8: frames per pipeline batch")
+		e8Bad       = fs.Float64("bad", 0.05, "E8: fraction of adversarial frames")
+		e9Windows   = fs.Int("windows", 4, "E9: EphID validity windows to cross")
+		e9Life      = fs.Uint("ephid-life", 120, "E9: client EphID lifetime in seconds")
+		e10ASes     = fs.Int("acct-ases", 8, "E10: autonomous systems in the full mesh")
+		e10Digest   = fs.Duration("digest", 10*time.Second, "E10: revocation-digest dissemination interval")
+		e11Ticks    = fs.Int("pop-ticks", experiments.DefaultE11().Ticks, "E11: virtual ticks per population tier")
+		e11Bound    = fs.Float64("p99-bound", experiments.DefaultE11().P99BoundMs, "E11: issuance p99 gate in milliseconds")
+		e11Full     = fs.Bool("e11-full", false, "E11: extend the ramp to 10^7 modeled hosts")
+		e12Stubs    = fs.Int("dissem-stubs", experiments.DefaultE12().Stubs, "E12: stub ASes in the relay graph (total = core + mid + stubs)")
+		e12Ticks    = fs.Int("dissem-ticks", experiments.DefaultE12().Ticks, "E12: measured digest intervals in the relay phase")
+		reruns      = fs.Int("reruns", 1, "E8/E9/E10/E11/E12: repeat the run N times for the trend gate (requires -out for N > 1)")
+		outPrefix   = fs.String("out", "", "E8/E9/E10/E11/E12: write each rerun's artifact to PREFIX_runN.json instead of stdout (implies -json)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 1
+	}
+	if !slices.Contains(experimentNames, *exp) {
+		return fatal(stderr, fmt.Errorf("unknown experiment %q (valid: %s; E6 and E7 are apna-scenario specs)",
+			*exp, strings.Join(experimentNames, ", ")))
+	}
 	if *reruns < 1 {
-		fatal(fmt.Errorf("-reruns must be >= 1"))
+		return fatal(stderr, fmt.Errorf("-reruns must be >= 1"))
 	}
 	if *reruns > 1 && *outPrefix == "" {
-		fatal(fmt.Errorf("-reruns > 1 needs -out so the artifacts land in separate files"))
+		return fatal(stderr, fmt.Errorf("-reruns > 1 needs -out so the artifacts land in separate files"))
 	}
 
 	// writeArtifact routes one rerun's artifact: to PREFIX_runN.json
 	// under -out (the trend gate compares the files), else stdout.
-	writeArtifact := func(run int, render func(w *os.File) error) {
+	writeArtifact := func(n int, render func(w io.Writer) error) error {
 		if *outPrefix == "" {
-			if err := render(os.Stdout); err != nil {
-				fatal(err)
-			}
-			return
+			return render(stdout)
 		}
-		name := fmt.Sprintf("%s_run%d.json", *outPrefix, run)
+		name := fmt.Sprintf("%s_run%d.json", *outPrefix, n)
 		f, err := os.Create(name)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := render(f); err != nil {
 			f.Close()
-			fatal(err)
+			return err
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", name)
+		fmt.Fprintf(stderr, "wrote %s\n", name)
+		return nil
 	}
 
-	run := func(name string) bool { return *exp == "all" || *exp == name }
+	selected := func(name string) bool { return *exp == "all" || *exp == name }
 	peak := 0
 
-	if run("e2") || run("e1") {
+	if selected("e2") || selected("e1") {
 		cfg := trace.PaperScale()
 		if *small {
 			cfg = trace.Config{Hosts: 50_000, Duration: time.Hour, PeakRate: 3_800, Seed: *seed}
 		}
 		cfg.Seed = *seed
-		fmt.Fprintf(os.Stderr, "generating %v synthetic trace (%d hosts)...\n", cfg.Duration, cfg.Hosts)
+		fmt.Fprintf(stderr, "generating %v synthetic trace (%d hosts)...\n", cfg.Duration, cfg.Hosts)
 		stats, err := experiments.RunE2(cfg)
 		if err != nil {
-			fatal(err)
+			return fatal(stderr, err)
 		}
 		peak = stats.PeakRate
-		if run("e2") {
-			experiments.FprintE2(os.Stdout, stats)
-			fmt.Println()
+		if selected("e2") {
+			experiments.FprintE2(stdout, stats)
+			fmt.Fprintln(stdout)
 		}
 	}
 
-	if run("e1") {
-		fmt.Fprintf(os.Stderr, "issuing %d EphIDs on %d workers...\n", *requests, *workers)
+	if selected("e1") {
+		fmt.Fprintf(stderr, "issuing %d EphIDs on %d workers...\n", *requests, *workers)
 		res, err := experiments.RunE1(*requests, *workers, peak)
 		if err != nil {
-			fatal(err)
+			return fatal(stderr, err)
 		}
-		res.Fprint(os.Stdout)
-		fmt.Println()
+		res.Fprint(stdout)
+		fmt.Fprintln(stdout)
 	}
 
-	if run("e3") || run("e4") {
-		fmt.Fprintf(os.Stderr, "forwarding sweep: %d hosts, %d workers, %d pkts/worker...\n",
+	if selected("e3") || selected("e4") {
+		fmt.Fprintf(stderr, "forwarding sweep: %d hosts, %d workers, %d pkts/worker...\n",
 			*fwdHosts, *fwdWork, *pkts)
 		results, err := experiments.RunE3(*fwdHosts, *fwdWork, *pkts)
 		if err != nil {
-			fatal(err)
+			return fatal(stderr, err)
 		}
-		experiments.FprintE3(os.Stdout, results)
-		fmt.Println()
+		experiments.FprintE3(stdout, results)
+		fmt.Fprintln(stdout)
 	}
 
-	if run("e5") {
+	if selected("e5") {
 		res, err := experiments.RunE5(*oneWay)
 		if err != nil {
-			fatal(err)
+			return fatal(stderr, err)
 		}
-		experiments.FprintE5(os.Stdout, res)
-		fmt.Println()
+		experiments.FprintE5(stdout, res)
+		fmt.Fprintln(stdout)
 	}
 
-	if run("e8") {
+	if selected("e8") {
 		cfg := experiments.DefaultE8()
 		cfg.ASes = *e8ASes
 		cfg.HostsPerAS = *fwdHosts
@@ -170,26 +191,28 @@ func main() {
 		cfg.Seed = *seed
 		ok := true
 		for i := 1; i <= *reruns; i++ {
-			fmt.Fprintf(os.Stderr, "engine saturation (run %d/%d): %d ASes x %d hosts, %d workers, %d pkts/worker...\n",
+			fmt.Fprintf(stderr, "engine saturation (run %d/%d): %d ASes x %d hosts, %d workers, %d pkts/worker...\n",
 				i, *reruns, cfg.ASes, cfg.HostsPerAS, cfg.Workers, cfg.PacketsPerWorker)
 			res, err := experiments.RunE8(cfg)
 			if err != nil {
-				fatal(err)
+				return fatal(stderr, err)
 			}
-			writeArtifact(i, func(w *os.File) error {
+			if err := writeArtifact(i, func(w io.Writer) error {
 				return res.Fprint(w, *jsonOut || *outPrefix != "")
-			})
+			}); err != nil {
+				return fatal(stderr, err)
+			}
 			ok = ok && res.OK
 			if !res.OK {
 				for _, f := range res.Failures {
-					fmt.Fprintf(os.Stderr, "apna-bench: E8 gate: %s\n", f)
+					fmt.Fprintf(stderr, "apna-bench: E8 gate: %s\n", f)
 				}
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		if !ok {
-			fmt.Fprintln(os.Stderr, "apna-bench: E8 saturation gate failures")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "apna-bench: E8 saturation gate failures")
+			return 2
 		}
 	}
 
@@ -238,37 +261,35 @@ func main() {
 		}},
 	}
 	for _, g := range gated {
-		if !run(g.name) {
+		if !selected(g.name) {
 			continue
 		}
 		asJSON := *jsonOut || *outPrefix != ""
 		ok := true
 		for i := 1; i <= *reruns; i++ {
-			fmt.Fprintf(os.Stderr, "%s: %s (run %d/%d)...\n", g.name, g.banner, i, *reruns)
+			fmt.Fprintf(stderr, "%s: %s (run %d/%d)...\n", g.name, g.banner, i, *reruns)
 			res, err := g.run()
 			if err != nil {
-				fatal(err)
+				return fatal(stderr, err)
 			}
 			if asJSON {
 				// The summary goes to stderr so the artifact stream
 				// stays clean JSON (BENCH_eN.json).
-				res.Fprint(os.Stderr)
+				res.Fprint(stderr)
 			}
-			writeArtifact(i, func(w *os.File) error {
+			if err := writeArtifact(i, func(w io.Writer) error {
 				runOK, err := res.Report(w, asJSON)
 				ok = ok && runOK
 				return err
-			})
+			}); err != nil {
+				return fatal(stderr, err)
+			}
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "apna-bench: %s gate failures\n", g.name)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "apna-bench: %s gate failures\n", g.name)
+			return 2
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "apna-bench:", err)
-	os.Exit(1)
+	return 0
 }

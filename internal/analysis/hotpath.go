@@ -23,8 +23,7 @@ import (
 // amortized cold branch (cache-miss population) from traversal
 // entirely. Dynamic calls (interface methods, function-typed fields
 // like Router.now) are outside the static graph; the runtime
-// AllocsPerRun tests and the CI bench gate remain the backstop for
-// those.
+// AllocsPerRun tests remain the backstop for those.
 var Hotpath = &Analyzer{
 	Name: "hotpath",
 	Doc:  "report allocations, locks and channel ops reachable from //apna:hotpath roots",

@@ -13,7 +13,8 @@ import (
 // Allocation-regression tests for the forwarding fast path: after one
 // warm-up packet fills the per-worker caches, the steady state must not
 // touch the heap at all — the precondition for "as fast as the hardware
-// allows" forwarding and the property the CI benchmark gate enforces.
+// allows" forwarding. These tests are the gate: CI greps no benchmark
+// output for allocations.
 
 func egressFrame(t *testing.T, f *fixture) []byte {
 	t.Helper()
@@ -233,9 +234,12 @@ func TestIngressPipelineProcessBatchZeroAllocs(t *testing.T) {
 				t.Fatalf("result %+v", res)
 			}
 		}
+		if v, hid := pipe.Process(frames[0]); v != VerdictForward || hid != f.hid {
+			t.Fatalf("verdict %v, host %v", v, hid)
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("IngressPipeline.ProcessBatch allocates %.1f times per batch", allocs)
+		t.Fatalf("IngressPipeline.ProcessBatch and Process allocate %.1f times per batch", allocs)
 	}
 }
 

@@ -18,6 +18,13 @@
 // Only symmetric cryptography appears on these paths (design choice 3,
 // Section IV), which is why the paper's prototype forwards at the NIC
 // line rate.
+//
+// The checks are implemented once, in EgressPipeline and IngressPipeline
+// (pipeline.go). The forwarding engine gives each worker its own pair;
+// a Router's port handlers forward through a pair the Router owns.
+// Router.EgressVerify and Router.IngressVerify are the stateless,
+// uncached statement of the same checks that the differential test and
+// bench/ hold the pipelines to; nothing forwards through them.
 package border
 
 import (
@@ -142,7 +149,10 @@ type forwardTables struct {
 	hostPorts map[ephid.HID]*netsim.Port // local HID -> internal port
 }
 
-// Router is one AS's border router.
+// Router is one AS's border router. Its tables (routes, ports, hostdb,
+// revocation lists) may be read and written from any goroutine. Its port
+// handlers and HandleExternalFrame/HandleInternalFrame share one pipeline
+// pair and must all run on one goroutine, as they do under netsim.
 type Router struct {
 	aid    ephid.AID
 	sealer *ephid.Sealer
@@ -164,6 +174,12 @@ type Router struct {
 	// packets (Section VIII-B). It must not retain frame. Published
 	// atomically: port handlers may be mid-packet when it is installed.
 	icmpSender atomic.Pointer[func(reason Verdict, frame []byte)]
+
+	// The pipelines the port handlers forward through, each created by
+	// the first frame that needs it: a router that only serves tables to
+	// other pipelines (pktgen worlds, the population world) has neither.
+	egress  *EgressPipeline
+	ingress *IngressPipeline
 }
 
 // New creates a border router. now supplies Unix seconds.
@@ -245,7 +261,10 @@ func (r *Router) handleInternal(frame []byte, _ *netsim.Port) {
 		r.stats.count(VerdictDropMalformed)
 		return
 	}
-	if v, _ := r.EgressVerify(frame); v != VerdictForward {
+	if r.egress == nil {
+		r.egress = r.NewEgressPipeline()
+	}
+	if v := r.egress.Process(frame); v != VerdictForward {
 		r.drop(v, frame)
 		return
 	}
@@ -310,8 +329,11 @@ func (r *Router) handleExternal(frame []byte, _ *netsim.Port) {
 }
 
 // EgressVerify runs the outgoing-packet checks of Figure 4 (bottom) and
-// returns the verdict plus, on success, the host's MAC key. It is
-// exported because the forwarding benchmark drives it directly.
+// returns the verdict plus, on success, the host's MAC key. It is the
+// reference for EgressPipeline — no cache, no batch, no state beyond
+// the router's tables — that differential_test.go and bench/'s verdict
+// checks compare the pipelines with; the router forwards through the
+// pipelines.
 func (r *Router) EgressVerify(frame []byte) (Verdict, [crypto.SymKeySize]byte) {
 	var zero [crypto.SymKeySize]byte
 
@@ -342,7 +364,9 @@ func (r *Router) EgressVerify(frame []byte) (Verdict, [crypto.SymKeySize]byte) {
 }
 
 // IngressVerify runs the incoming-packet checks of Figure 4 (top),
-// returning the verdict and, on success, the destination HID.
+// returning the verdict and, on success, the destination HID. Like
+// EgressVerify it is the reference for its pipeline, not a forwarding
+// path.
 func (r *Router) IngressVerify(frame []byte) (Verdict, ephid.HID) {
 	p, err := r.sealer.Open(wire.FrameDstEphID(frame))
 	if err != nil {
@@ -371,7 +395,10 @@ func (r *Router) IngressVerify(frame []byte) (Verdict, ephid.HID) {
 // deliverLocal runs ingress verification and hands the frame, which the
 // caller owns and gives up, to the destination host's port.
 func (r *Router) deliverLocal(frame []byte) Verdict {
-	v, hid := r.IngressVerify(frame)
+	if r.ingress == nil {
+		r.ingress = r.NewIngressPipeline()
+	}
+	v, hid := r.ingress.Process(frame)
 	if v != VerdictForward {
 		return v
 	}

@@ -1,6 +1,7 @@
 package border_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"apna/internal/crypto"
 	"apna/internal/ephid"
 	"apna/internal/hostdb"
+	"apna/internal/netsim"
 	"apna/internal/pktgen"
 	"apna/internal/wire"
 )
@@ -17,11 +19,14 @@ import (
 // slow reference that shares no table, cache or batch with the routers,
 // and through every way the routers can be driven — the single-packet
 // slow path, the pipelines' Process and their ProcessBatch at several
-// batch sizes, all with caches that stay warm across the stream — while
-// revocations, remote digests, host revocations, deletions, re-keys,
-// garbage collections and clock steps land between its parts. Every
-// frame must get the reference's verdict, and a forwarded frame the
-// reference's destination host, from every path.
+// batch sizes, all with caches that stay warm across the stream, and the
+// routers' own port handlers — while revocations, remote digests, host
+// revocations, deletions, re-keys, garbage collections and clock steps
+// land between its parts. Every frame must get the reference's verdict,
+// and a forwarded frame the reference's destination host, from every
+// path. The port handlers also get frames only they can tell apart
+// (intra-AS, control, transit), checked against the reference's account
+// of the dispatch around Figure 4.
 
 // diffSizes are the frame sizes mixed into the stream. The MAC input is
 // the frame less the 8-byte MAC field: 64 is the header alone (a partial
@@ -287,6 +292,170 @@ func batchPath(src, dst *pktgen.Fixture, size int) borderPath {
 	}}
 }
 
+// farAID lies beyond the destination AS, which has a link toward it;
+// strandedAID the source AS routes the same way, and the destination AS
+// not at all. No stream frame is addressed to either.
+const (
+	farAID      ephid.AID = 300
+	strandedAID ephid.AID = 301
+)
+
+// handled is what the port handlers do with one frame: the verdict of
+// the router that settled it and, for a forwarded frame, where it left
+// the two routers — at host hid of AS as, or with hid 0 on the link
+// toward AS as.
+type handled struct {
+	v   border.Verdict
+	as  ephid.AID
+	hid ephid.HID
+}
+
+func (h handled) String() string { return fmt.Sprintf("%v (%v, host %v)", h.v, h.as, h.hid) }
+
+// deliver is deliverLocal: the ingress check, then the host's port.
+// Every host the streams name has one.
+func (a *refAS) deliver(frame []byte) handled {
+	v, hid := a.ingress(frame)
+	if v != border.VerdictForward {
+		return handled{v: v}
+	}
+	return handled{v, a.f.AID, hid}
+}
+
+// refHandled is the reference for the port handlers: handleInternal at
+// the source AS and, for what leaves it, handleExternal at the
+// destination AS, under the routes newPortSide installs.
+func refHandled(src, dst *refAS, frame []byte) handled {
+	if !wire.ValidFrame(frame) {
+		return handled{v: border.VerdictDropMalformed}
+	}
+	if v := src.egress(frame); v != border.VerdictForward {
+		return handled{v: v}
+	}
+	to := wire.FrameDstAID(frame)
+	switch {
+	case to == src.f.AID:
+		return src.deliver(frame)
+	case wire.FrameFlags(frame)&wire.FlagControl != 0:
+		return handled{v: border.VerdictDropControlLeak}
+	case to == dst.f.AID:
+		return dst.deliver(frame)
+	case to != farAID && to != strandedAID:
+		return handled{v: border.VerdictDropNoRoute}
+	case wire.FrameHopLimit(frame) <= 1: // transit through dst uses the last hop up
+		return handled{v: border.VerdictDropHopLimit}
+	case to == strandedAID:
+		return handled{v: border.VerdictDropNoRoute}
+	}
+	return handled{v: border.VerdictForward, as: farAID}
+}
+
+// Counters past the verdicts' own, in the order counters reads them.
+const (
+	statDelivered = border.VerdictCount + iota
+	statEgressed
+	statTransited
+	statCount
+)
+
+// arrival is one frame reaching a sink: where, the counter that goes
+// with forwarding a frame there, and the frame.
+type arrival struct {
+	handled
+	stat  int
+	frame []byte
+}
+
+// portSide drives the two routers through their port handlers. Every
+// port ends in a sink that notes what came out of it; a frame's verdict
+// is read off the router's counters.
+type portSide struct {
+	sim      *netsim.Simulator
+	src, dst *pktgen.Fixture
+	out      []arrival // since the last injection
+}
+
+func newPortSide(seed int64, src, dst *pktgen.Fixture, hosts int) *portSide {
+	s := &portSide{sim: netsim.New(seed), src: src, dst: dst}
+	sink := func(as ephid.AID, hid ephid.HID, stat int) *netsim.Port {
+		link := s.sim.NewLink(fmt.Sprintf("sink %v/%v", as, hid), 0, 0)
+		link.B().Attach(netsim.HandlerFunc(func(frame []byte, _ *netsim.Port) {
+			s.out = append(s.out, arrival{handled{border.VerdictForward, as, hid}, stat, frame})
+		}), "sink")
+		return link.A()
+	}
+	src.Router.AttachNeighbor(dst.AID, sink(dst.AID, 0, statEgressed))
+	dst.Router.AttachNeighbor(farAID, sink(farAID, 0, statTransited))
+	for hid := ephid.HID(1); int(hid) <= hosts; hid++ {
+		src.Router.AttachHost(hid, sink(src.AID, hid, statDelivered))
+		dst.Router.AttachHost(hid, sink(dst.AID, hid, statDelivered))
+	}
+	src.Router.SetRoutes(netsim.Routes{dst.AID: dst.AID, farAID: dst.AID, strandedAID: dst.AID})
+	dst.Router.SetRoutes(netsim.Routes{src.AID: src.AID, farAID: farAID})
+	return s
+}
+
+func counters(r *border.Router) (c [statCount]uint64) {
+	st := r.Stats()
+	for v := range border.VerdictCount {
+		c[v] = st.Get(border.Verdict(v))
+	}
+	c[statDelivered], c[statEgressed], c[statTransited] = st.Delivered.Load(), st.Egressed.Load(), st.Transited.Load()
+	return c
+}
+
+// step injects one frame at one router and returns what the router did
+// with it. Exactly one counter may move, by one: a drop verdict's, and
+// then no sink sees the frame, or the counter that goes with the one
+// sink that does.
+func (s *portSide) step(t *testing.T, r *border.Router, inject func([]byte), frame []byte) arrival {
+	t.Helper()
+	before := counters(r)
+	s.out = s.out[:0]
+	inject(frame)
+	s.sim.Run(4)
+	moved := -1
+	for i, n := range counters(r) {
+		if n == before[i] {
+			continue
+		}
+		if moved >= 0 || n != before[i]+1 {
+			t.Fatalf("%v: one frame moved the counters from %v to %v", r.AID(), before, counters(r))
+		}
+		moved = i
+	}
+	if len(s.out) == 0 && moved > 0 && moved < border.VerdictCount {
+		return arrival{handled: handled{v: border.Verdict(moved)}}
+	}
+	if len(s.out) != 1 || moved != s.out[0].stat {
+		t.Fatalf("%v: counter %d moved and %d sinks saw the frame", r.AID(), moved, len(s.out))
+	}
+	return s.out[0]
+}
+
+// run takes each frame through the source AS's internal ports and, if
+// it leaves toward the destination AS, through that AS's external ones.
+// A frame comes out as it went in, transit's hop apart.
+func (s *portSide) run(t *testing.T, frames [][]byte) []handled {
+	t.Helper()
+	out := make([]handled, len(frames))
+	for i, frame := range frames {
+		want := append([]byte(nil), frame...)
+		a := s.step(t, s.src.Router, s.src.Router.HandleInternalFrame, frame)
+		if a.stat == statEgressed {
+			a = s.step(t, s.dst.Router, s.dst.Router.HandleExternalFrame, a.frame)
+			if a.stat == statTransited {
+				wire.FrameDecrementHopLimit(want)
+			}
+		}
+		if a.v == border.VerdictForward && !bytes.Equal(a.frame, want) {
+			t.Fatalf("frame %d: changed on the way to %v", i, a.handled)
+		}
+		out[i] = a.handled
+	}
+	return out
+}
+
 // futureKeys is the key pair host hid gets if the stream re-keys it.
 func futureKeys(hid ephid.HID) crypto.HostASKeys {
 	return crypto.DeriveHostASKeys([]byte{byte(hid), byte(hid >> 8), 'r', 'e', 'k', 'e', 'y'})
@@ -299,8 +468,13 @@ type diffWorld struct {
 	hosts    int
 	src, dst *refAS
 	stream   [][]byte
-	// srcIDs and dstIDs are EphIDs of well-formed stream frames, the
-	// pool mid-stream revocations draw from.
+	// dispatch holds the frames only the port handlers tell apart from
+	// the stream's: intra-AS, control and transit traffic.
+	dispatch [][]byte
+	ports    *portSide
+	// srcIDs and dstIDs are EphIDs of well-formed stream and dispatch
+	// frames that the source and the destination AS minted, the pool
+	// mid-stream revocations draw from.
 	srcIDs, dstIDs []ephid.EphID
 	nonce          uint64
 }
@@ -309,17 +483,22 @@ type diffWorld struct {
 // dstHID, MACed under key, both EphIDs living for life seconds.
 func (w *diffWorld) mint(hid, dstHID ephid.HID, key [crypto.SymKeySize]byte, size int, life uint32, dstAID ephid.AID) []byte {
 	w.t.Helper()
-	w.nonce++
 	src, dst := w.src.f, w.dst.f
-	p := wire.Packet{
-		Header: wire.Header{
-			NextProto: wire.ProtoSession, HopLimit: wire.DefaultHopLimit, Nonce: w.nonce,
-			SrcAID: src.AID, DstAID: dstAID,
-			SrcEphID: src.Sealer.Mint(ephid.Payload{HID: hid, ExpTime: uint32(src.Now) + life}),
-			DstEphID: dst.Sealer.Mint(ephid.Payload{HID: dstHID, ExpTime: uint32(dst.Now) + life}),
-		},
-		Payload: make([]byte, size-wire.HeaderSize),
-	}
+	return w.frame(wire.Header{
+		NextProto: wire.ProtoSession, HopLimit: wire.DefaultHopLimit,
+		SrcAID: src.AID, DstAID: dstAID,
+		SrcEphID: src.Sealer.Mint(ephid.Payload{HID: hid, ExpTime: uint32(src.Now) + life}),
+		DstEphID: dst.Sealer.Mint(ephid.Payload{HID: dstHID, ExpTime: uint32(dst.Now) + life}),
+	}, key, size)
+}
+
+// frame builds a frame of the given size under header h, with the next
+// nonce and a payload of its own, MACed under key.
+func (w *diffWorld) frame(h wire.Header, key [crypto.SymKeySize]byte, size int) []byte {
+	w.t.Helper()
+	w.nonce++
+	h.Nonce = w.nonce
+	p := wire.Packet{Header: h, Payload: make([]byte, size-wire.HeaderSize)}
 	for i := range p.Payload {
 		p.Payload[i] = byte(w.nonce) + byte(i)
 	}
@@ -418,7 +597,48 @@ func newDiffWorld(t *testing.T, seed int64, hosts, rounds int) *diffWorld {
 			w.dstIDs = append(w.dstIDs, wire.FrameDstEphID(frame))
 		}
 	}
+
+	w.ports = newPortSide(seed, lane.Src, lane.Dst, hosts)
+	for round := 0; round < rounds; round++ {
+		w.dispatchRound()
+	}
+	w.rng.Shuffle(len(w.dispatch), func(i, j int) { w.dispatch[i], w.dispatch[j] = w.dispatch[j], w.dispatch[i] })
 	return w
+}
+
+// dispatchRound adds a round of frames that take each branch of the
+// port handlers the stream's frames pass by: to a host of the source AS
+// itself (under the sender's key and under the one it holds only after a
+// re-key, so that skipping the egress check on the way shows), control
+// traffic staying inside the AS and trying to leave it, and transit
+// through the destination AS with hops to spare, on its last hop and
+// toward an AS it has no route to.
+func (w *diffWorld) dispatchRound() {
+	src, dst := w.src.f, w.dst.f
+	hid := w.host()
+	key := w.src.hosts[hid].Keys.MAC
+	add := func(to ephid.AID, at *pktgen.Fixture, flags, hops uint8, key [crypto.SymKeySize]byte) {
+		h := wire.Header{
+			NextProto: wire.ProtoSession, Flags: flags, HopLimit: hops,
+			SrcAID: src.AID, DstAID: to,
+			SrcEphID: src.Sealer.Mint(ephid.Payload{HID: hid, ExpTime: uint32(src.Now) + 3600}),
+			DstEphID: at.Sealer.Mint(ephid.Payload{HID: w.host(), ExpTime: uint32(at.Now) + 3600}),
+		}
+		w.dispatch = append(w.dispatch, w.frame(h, key, diffSizes[w.rng.Intn(len(diffSizes))]))
+		w.srcIDs = append(w.srcIDs, h.SrcEphID)
+		if at == src {
+			w.srcIDs = append(w.srcIDs, h.DstEphID)
+		} else {
+			w.dstIDs = append(w.dstIDs, h.DstEphID)
+		}
+	}
+	add(src.AID, src, 0, wire.DefaultHopLimit, key)
+	add(src.AID, src, 0, wire.DefaultHopLimit, futureKeys(hid).MAC)
+	add(src.AID, src, wire.FlagControl, wire.DefaultHopLimit, key)
+	add(dst.AID, dst, wire.FlagControl, wire.DefaultHopLimit, key)
+	add(farAID, dst, 0, wire.DefaultHopLimit, key)
+	add(farAID, dst, 0, 1, key)
+	add(strandedAID, dst, 0, wire.DefaultHopLimit, key)
 }
 
 // diffOps is how many kinds of mid-stream event apply knows.
@@ -470,7 +690,23 @@ func runDifferential(t *testing.T, seed int64, hosts, rounds int, script []byte)
 		paths = append(paths, batchPath(w.src.f, w.dst.f, size))
 	}
 	seen := make(map[border.Verdict]int)
-	check := func(label string, part [][]byte) {
+	// checkPorts holds the port handlers to the reference's account of
+	// them, which on a stream frame is its verdict on the frame.
+	checkPorts := func(label string, frames [][]byte, want []outcome) {
+		t.Helper()
+		for i, got := range w.ports.run(t, frames) {
+			ref := refHandled(w.src, w.dst, frames[i])
+			if want == nil {
+				seen[ref.v]++
+			} else if ref.v != want[i].v || ref.hid != want[i].hid {
+				t.Fatalf("%s, frame %d: the reference says %v of the border and %v of its ports", label, i, want[i], ref)
+			}
+			if got != ref {
+				t.Fatalf("%s, frame %d (%d B): port handlers = %v, reference %v", label, i, len(frames[i]), got, ref)
+			}
+		}
+	}
+	check := func(label string, part, dispatch [][]byte) {
 		t.Helper()
 		want := make([]outcome, len(part))
 		for i, frame := range part {
@@ -485,16 +721,18 @@ func runDifferential(t *testing.T, seed int64, hosts, rounds int, script []byte)
 				}
 			}
 		}
+		checkPorts(label, part, want)
+		checkPorts(label+", dispatch", dispatch, nil)
 	}
 	parts := len(script) + 1
 	for k := 0; k < parts; k++ {
-		lo, hi := k*len(w.stream)/parts, (k+1)*len(w.stream)/parts
-		check(fmt.Sprintf("part %d/%d", k+1, parts), w.stream[lo:hi])
+		part := func(frames [][]byte) [][]byte { return frames[k*len(frames)/parts : (k+1)*len(frames)/parts] }
+		check(fmt.Sprintf("part %d/%d", k+1, parts), part(w.stream), part(w.dispatch))
 		if k < len(script) {
 			w.apply(script[k])
 		}
 	}
-	check("replay", w.stream)
+	check("replay", w.stream, w.dispatch)
 	return seen
 }
 
@@ -515,6 +753,7 @@ func TestBorderDifferential(t *testing.T) {
 		border.VerdictForward, border.VerdictDropMalformed, border.VerdictDropBadEphID,
 		border.VerdictDropExpired, border.VerdictDropRevoked, border.VerdictDropRevokedRemote,
 		border.VerdictDropUnknownHost, border.VerdictDropBadMAC, border.VerdictDropNoRoute,
+		border.VerdictDropHopLimit, border.VerdictDropControlLeak,
 	} {
 		if seen[v] == 0 {
 			t.Errorf("the streams never produced %v", v)

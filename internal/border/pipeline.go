@@ -42,7 +42,8 @@ const openCacheSize = 4096
 // EphID — open, expiry, the local revocation list. live lists, in frame
 // order, the frames no check has dropped yet; every stage compacts it, so
 // a frame reaches a check only after passing every earlier one and gets
-// the single-packet path's verdict.
+// the verdict the reference (Router.EgressVerify, IngressVerify) gives it
+// alone.
 type admission struct {
 	r     *Router
 	opens openCache

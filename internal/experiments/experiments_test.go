@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"apna/internal/pktgen"
 	"apna/internal/trace"
 )
 
@@ -64,28 +66,47 @@ func TestRunE2AndReport(t *testing.T) {
 }
 
 func TestRunE3SmallAndReport(t *testing.T) {
-	results, err := RunE3(16, 1, 2_000)
+	const workers, budget = 2, 2_000
+	reports, err := RunE3(16, workers, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 5 {
-		t.Fatalf("results = %d", len(results))
+	if len(reports) != len(pktgen.PaperPacketSizes) {
+		t.Fatalf("reports = %d", len(reports))
 	}
-	// Figure 8a shape: the line-rate ceiling decreases with size; the
-	// delivered rate never exceeds it.
-	for i, r := range results {
-		if r.DeliveredPPS > r.LinePPS+1 {
-			t.Errorf("size %d: delivered above line rate", r.FrameSize)
+	var prev figure8Point
+	for i, rep := range reports {
+		if rep.FrameSize != pktgen.PaperPacketSizes[i] || rep.Workers != workers {
+			t.Errorf("report metadata: %d B, %d workers", rep.FrameSize, rep.Workers)
 		}
-		if i > 0 && r.LinePPS >= results[i-1].LinePPS {
-			t.Error("line rate not decreasing with size")
+		// Every worker spends its whole budget, and a clean world
+		// delivers every frame.
+		if rep.Packets != workers*budget || rep.Delivered != rep.Packets {
+			t.Errorf("size %d: %d packets, %d delivered, want %d of each", rep.FrameSize, rep.Packets, rep.Delivered, workers*budget)
 		}
-		if r.CoresForLineRate <= 0 {
+		if rep.PPS <= 0 {
+			t.Errorf("size %d: no throughput measured", rep.FrameSize)
+		}
+		// Figure 8a shape: the line-rate ceiling decreases with size; the
+		// delivered rate exceeds neither it nor what was measured, and
+		// the bit rate is that packet rate in frame bytes.
+		p := figure8(rep)
+		if p.deliveredPPS > p.linePPS+1 || p.deliveredPPS > rep.PPS+1 {
+			t.Errorf("size %d: delivered %.0f pps above line %.0f or pipeline %.0f", rep.FrameSize, p.deliveredPPS, p.linePPS, rep.PPS)
+		}
+		if want := p.deliveredPPS * float64(rep.FrameSize) * 8 / 1e9; math.Abs(p.deliveredGbps-want) > 1e-9 {
+			t.Errorf("size %d: gbps = %f, want %f", rep.FrameSize, p.deliveredGbps, want)
+		}
+		if i > 0 && p.linePPS >= prev.linePPS {
+			t.Errorf("line pps not decreasing: %f -> %f", prev.linePPS, p.linePPS)
+		}
+		if p.coresForLine <= 0 {
 			t.Error("no core projection")
 		}
+		prev = p
 	}
 	var sb strings.Builder
-	FprintE3(&sb, results)
+	FprintE3(&sb, reports)
 	out := sb.String()
 	if !strings.Contains(out, "1518") || !strings.Contains(out, "cores@line") {
 		t.Errorf("report incomplete:\n%s", out)

@@ -51,7 +51,6 @@ func (h *Host) handleSession(hdr *wire.Header, payload []byte, frame []byte) {
 	}
 	// The delivered frame is ours (netsim.Handler): it is the evidence,
 	// not a copy of it.
-	h.lastFrame[key] = frame
 	h.deliver(Message{
 		Flow:    wire.FlowFromHeader(hdr),
 		Payload: pt,

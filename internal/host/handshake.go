@@ -128,7 +128,6 @@ func (c *Conn) Close() {
 			key := sessKey{local: c.local.Cert.EphID, peer: c.peer}
 			delete(h.sessions, key)
 			delete(h.peerCerts, key)
-			delete(h.lastFrame, key)
 		}
 	}
 	c.established = false
@@ -297,7 +296,6 @@ func (h *Host) Migrate(c *Conn, succ *OwnedEphID, done func(error)) error {
 				key := sessKey{local: succ.Cert.EphID, peer: nc.peer}
 				delete(h.sessions, key)
 				delete(h.peerCerts, key)
-				delete(h.lastFrame, key)
 			}
 			h.Release(succ)
 			if done != nil {
@@ -314,7 +312,6 @@ func (h *Host) Migrate(c *Conn, succ *OwnedEphID, done func(error)) error {
 		h.removeConn(nc) // the temporary dial handle is absorbed into c
 		delete(h.sessions, oldKey)
 		delete(h.peerCerts, oldKey)
-		delete(h.lastFrame, oldKey)
 		h.Release(old)
 		h.stats.FlowsMigrated++
 		if done != nil {
@@ -381,7 +378,6 @@ func (h *Host) AbortDial(conn *Conn) {
 	key := sessKey{local: local, peer: conn.peer}
 	delete(h.sessions, key)
 	delete(h.peerCerts, key)
-	delete(h.lastFrame, key)
 }
 
 // Send transmits application data on the connection, queueing it until

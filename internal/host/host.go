@@ -95,7 +95,6 @@ type Host struct {
 
 	sessions  map[sessKey]*session.Session
 	peerCerts map[sessKey]*cert.Cert
-	lastFrame map[sessKey][]byte
 
 	echoListeners []func(wire.Endpoint, uint16)
 
@@ -208,7 +207,6 @@ func New(cfg Config) (*Host, error) {
 		pool:         make(map[ephid.EphID]*OwnedEphID),
 		sessions:     make(map[sessKey]*session.Session),
 		peerCerts:    make(map[sessKey]*cert.Cert),
-		lastFrame:    make(map[sessKey][]byte),
 		dials:        make(map[ephid.EphID][]*dialState),
 		hsCompleted:  make(map[hsFlowKey]hsAck),
 		flowTaps:     make(map[sessKey]func(Message) bool),

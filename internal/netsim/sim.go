@@ -6,8 +6,8 @@
 // sleeping, so protocol latency experiments (e.g. the
 // connection-establishment RTT analysis of Section VII-C) are exact,
 // fast and reproducible. The border forwarding experiments drive the
-// router pipelines directly (internal/engine, internal/pktgen); every
-// host-side experiment, scenario spec and the host_* benchmark
+// router pipelines directly (internal/engine over internal/pktgen
+// worlds); every host-side experiment, scenario spec and the host_* benchmark
 // workloads run through the simulator, so what a frame costs here is
 // part of their numbers.
 //

@@ -1,19 +1,14 @@
 // Package pktgen is the traffic-generator substrate for the forwarding
-// experiment (paper Section V-B3, Figure 8). It stands in for the
-// Spirent chassis of the paper's testbed: it builds valid APNA frames
-// of configurable sizes, drives border-router pipelines with them from
-// N workers, and converts the measured per-packet cost into the
-// packet-rate (Mpps) and bit-rate (Gbps) series of Figure 8, clamped
-// against a configurable line-rate capacity (120 Gbps in the paper:
-// 6 dual-port 10 GbE NICs).
+// experiments (paper Section V-B3, Figure 8). It stands in for the
+// Spirent chassis of the paper's testbed: it builds data-plane worlds —
+// routers, registered hosts and valid or sabotaged APNA frames of
+// configurable sizes — for internal/engine to drive, and knows the
+// testbed's line rate (120 Gbps in the paper: 6 dual-port 10 GbE NICs)
+// that the measured packet rates are clamped against.
 package pktgen
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"apna/internal/border"
 	"apna/internal/crypto"
@@ -115,96 +110,4 @@ func NewFixture(hosts, frameSize int) (*Fixture, error) {
 		f.Frames = append(f.Frames, frame)
 	}
 	return f, nil
-}
-
-// Result is one measurement point of the Figure 8 reproduction.
-type Result struct {
-	FrameSize int
-	Workers   int
-	Packets   uint64
-	Elapsed   time.Duration
-	// PipelinePPS is the raw software pipeline capability.
-	PipelinePPS float64
-	// LinePPS is the line-rate ceiling for this frame size.
-	LinePPS float64
-	// DeliveredPPS is min(PipelinePPS, LinePPS) — what the testbed
-	// would observe on the wire.
-	DeliveredPPS float64
-	// DeliveredGbps is the corresponding bit rate counting frame
-	// bytes (the paper's bit-rate axis).
-	DeliveredGbps float64
-	// LineLimited reports whether the NIC capacity, not the pipeline,
-	// was the bottleneck — the paper's headline claim is that this is
-	// true at every packet size.
-	LineLimited bool
-	// CoresForLineRate projects how many cores of this machine the
-	// software pipeline would need to saturate the line rate. The
-	// paper's DPDK/AES-NI C pipeline on 2x8 Xeon cores sat below the
-	// equivalent figure, hence its "no throughput penalty" result.
-	CoresForLineRate float64
-}
-
-// Run pumps the fixture's frames through per-worker egress pipelines
-// for roughly the given number of packets per worker and produces the
-// measurement.
-func (f *Fixture) Run(workers, packetsPerWorker int, capacityGbps float64) Result {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	var processed atomic.Uint64
-	var bad atomic.Uint64
-	var wg sync.WaitGroup
-	start := time.Now() //apna:wallclock
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			pipe := f.Router.NewEgressPipeline()
-			frames := f.Frames
-			n := len(frames)
-			local := 0
-			for i := 0; i < packetsPerWorker; i++ {
-				if pipe.Process(frames[(i+w)%n]) != border.VerdictForward {
-					bad.Add(1)
-				}
-				local++
-			}
-			processed.Add(uint64(local))
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start) //apna:wallclock
-
-	frameSize := len(f.Frames[0])
-	pps := float64(processed.Load()) / elapsed.Seconds()
-	line := LineRatePPS(capacityGbps, frameSize)
-	delivered := min(pps, line)
-	res := Result{
-		FrameSize: frameSize, Workers: workers,
-		Packets: processed.Load(), Elapsed: elapsed,
-		PipelinePPS: pps, LinePPS: line,
-		DeliveredPPS:     delivered,
-		DeliveredGbps:    delivered * float64(frameSize) * 8 / 1e9,
-		LineLimited:      pps >= line,
-		CoresForLineRate: line / (pps / float64(workers)),
-	}
-	if bad.Load() > 0 {
-		// A fixture bug, not a measurement: surface loudly.
-		panic(fmt.Sprintf("pktgen: %d frames failed verification", bad.Load()))
-	}
-	return res
-}
-
-// Sweep measures every frame size in sizes with the same worker count
-// and packet budget.
-func Sweep(hosts, workers, packetsPerWorker int, capacityGbps float64, sizes []int) ([]Result, error) {
-	results := make([]Result, 0, len(sizes))
-	for _, size := range sizes {
-		f, err := NewFixture(hosts, size)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, f.Run(workers, packetsPerWorker, capacityGbps))
-	}
-	return results, nil
 }

@@ -48,50 +48,3 @@ func TestFixtureRejectsTinyFrames(t *testing.T) {
 		t.Error("sub-header frame size accepted")
 	}
 }
-
-func TestRunProducesConsistentResult(t *testing.T) {
-	f, err := NewFixture(8, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := f.Run(2, 5_000, PaperCapacityGbps)
-	if res.Packets != 10_000 {
-		t.Errorf("packets = %d", res.Packets)
-	}
-	if res.PipelinePPS <= 0 {
-		t.Error("no throughput measured")
-	}
-	if res.DeliveredPPS > res.LinePPS+1 {
-		t.Error("delivered exceeds line rate")
-	}
-	if res.DeliveredPPS > res.PipelinePPS+1 {
-		t.Error("delivered exceeds pipeline capability")
-	}
-	wantGbps := res.DeliveredPPS * 128 * 8 / 1e9
-	if math.Abs(res.DeliveredGbps-wantGbps) > 1e-9 {
-		t.Errorf("gbps = %f, want %f", res.DeliveredGbps, wantGbps)
-	}
-	if res.FrameSize != 128 || res.Workers != 2 {
-		t.Errorf("result metadata: %+v", res)
-	}
-}
-
-func TestSweepPaperSizes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep is a heavier smoke test")
-	}
-	results, err := Sweep(64, 2, 2_000, PaperCapacityGbps, PaperPacketSizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(PaperPacketSizes) {
-		t.Fatalf("results = %d", len(results))
-	}
-	// Figure 8(a) shape: the line-rate ceiling (and hence delivered
-	// pps when line-limited) decreases with frame size.
-	for i := 1; i < len(results); i++ {
-		if results[i].LinePPS >= results[i-1].LinePPS {
-			t.Errorf("line pps not decreasing: %f -> %f", results[i-1].LinePPS, results[i].LinePPS)
-		}
-	}
-}

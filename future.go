@@ -107,7 +107,11 @@ func (p *Pending[T]) settle(idle bool) {
 }
 
 // awaitBudget bounds the events one Await call may execute, guarding
-// against livelocked timelines exactly like RunUntilIdle.
+// against livelocked timelines exactly like RunUntilIdle. It is counted
+// in events, not steps: a step that delivers a router a run of frames
+// executes one event per frame. (Operations resolve in host and service
+// handlers, which get their frames one by one, so a run never carries
+// Await past the event that resolved what it was waiting for.)
 const awaitBudget = 1 << 22
 
 // Await steps the simulator until every given operation resolves,
@@ -142,8 +146,8 @@ func (in *Internet) await(deadline time.Duration, bounded bool, ops []Op) error 
 	// next is a cursor over ops: everything before it is done. Checking
 	// only ops[next] per event keeps the loop O(events + ops) instead
 	// of rescanning the whole batch after every event.
-	next, steps := 0, 0
-	for steps < awaitBudget {
+	next, start := 0, in.Sim.Events()
+	for in.Sim.Events()-start < awaitBudget {
 		for next < len(ops) && ops[next].Done() {
 			next++
 		}
@@ -155,7 +159,6 @@ func (in *Internet) await(deadline time.Duration, bounded bool, ops []Op) error 
 			break
 		}
 		in.Sim.Step()
-		steps++
 	}
 	idle := in.Sim.Pending() == 0
 	for _, op := range ops {
@@ -230,6 +233,7 @@ func (in *Internet) settleLive() {
 	for _, op := range in.live {
 		op.settle(true)
 	}
+	clear(in.live) // a settled future must not stay reachable from the tail
 	in.live = in.live[:0]
 }
 
@@ -243,6 +247,7 @@ func (in *Internet) pruneLive() {
 			kept = append(kept, op)
 		}
 	}
+	clear(in.live[len(kept):])
 	in.live = kept
 }
 

@@ -7,6 +7,7 @@ import (
 	"apna/internal/crypto"
 	"apna/internal/ephid"
 	"apna/internal/hostdb"
+	"apna/internal/netsim"
 	"apna/internal/wire"
 )
 
@@ -258,5 +259,48 @@ func TestRevocationContainsZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("RevocationList.Contains allocates %.1f times per lookup", allocs)
+	}
+}
+
+// TestPortHandlersRunZeroAllocs pins the same for the routers on the
+// simulator: 64 frames that arrive at one instant go through a side's
+// HandleFrames as one run — ProcessBatch, then 64 Forwards — and once
+// the router's scratch and the event queue have grown to hold a run,
+// none of it touches the heap.
+func TestPortHandlersRunZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are unreliable under the race detector")
+	}
+	for _, side := range []string{"internal", "external"} {
+		f := newFixture(t)
+		tables := f.router.tables.Load()
+		// Frames enter at the far end of a link of the side and leave the
+		// router toward the far end of the other link, which keeps the
+		// buffers it is delivered for the next round.
+		in, out, frame := tables.hostPorts[f.hid].Link().B(), tables.asPorts[remoteAID].Link().B(), egressFrame
+		if side == "external" {
+			in, out, frame = out, in, ingressFrame
+		}
+		frames := make([][]byte, 64)
+		for i := range frames {
+			frames[i] = frame(t, f)
+		}
+		got := make([][]byte, 0, len(frames))
+		out.Attach(netsim.HandlerFunc(func(frame []byte, _ *netsim.Port) { got = append(got, frame) }), "sink")
+		run := func() {
+			got = got[:0]
+			for _, frame := range frames {
+				in.Forward(frame)
+			}
+			f.sim.Run(1 << 10)
+			if len(got) != len(frames) || len(f.router.valid) != len(frames) {
+				t.Fatalf("%s side: %d of %d frames came through, the last run had %d", side, len(got), len(frames), len(f.router.valid))
+			}
+			copy(frames, got)
+		}
+		run() // warm caches, grow the scratch and the queue
+		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+			t.Errorf("%s side: a run of %d frames allocates %.1f times", side, len(frames), allocs)
+		}
 	}
 }

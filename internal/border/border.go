@@ -21,10 +21,12 @@
 //
 // The checks are implemented once, in EgressPipeline and IngressPipeline
 // (pipeline.go). The forwarding engine gives each worker its own pair;
-// a Router's port handlers forward through a pair the Router owns.
-// Router.EgressVerify and Router.IngressVerify are the stateless,
-// uncached statement of the same checks that the differential test and
-// bench/ hold the pipelines to; nothing forwards through them.
+// a Router's port handlers forward through a pair the Router owns, and
+// take every frame netsim delivers at one instant through ProcessBatch
+// together (handlers.go). Router.EgressVerify and Router.IngressVerify
+// are the stateless, uncached statement of the same checks that the
+// differential test and bench/ hold the pipelines to; nothing forwards
+// through them.
 package border
 
 import (
@@ -152,7 +154,9 @@ type forwardTables struct {
 // Router is one AS's border router. Its tables (routes, ports, hostdb,
 // revocation lists) may be read and written from any goroutine. Its port
 // handlers and HandleExternalFrame/HandleInternalFrame share one pipeline
-// pair and must all run on one goroutine, as they do under netsim.
+// pair and one set of scratch slices: they must all run on one
+// goroutine, as they do under netsim, and the ICMP hook must not call
+// back into them.
 type Router struct {
 	aid    ephid.AID
 	sealer *ephid.Sealer
@@ -171,8 +175,10 @@ type Router struct {
 	tables atomic.Pointer[forwardTables]
 
 	// icmpSender, when set, is invited to emit ICMP errors for dropped
-	// packets (Section VIII-B). It must not retain frame. Published
-	// atomically: port handlers may be mid-packet when it is installed.
+	// packets (Section VIII-B). It must not retain frame, and it may send
+	// frames but change nothing a verdict depends on (see handlers.go).
+	// Published atomically: port handlers may be mid-packet when it is
+	// installed.
 	icmpSender atomic.Pointer[func(reason Verdict, frame []byte)]
 
 	// The pipelines the port handlers forward through, each created by
@@ -180,11 +186,22 @@ type Router struct {
 	// other pipelines (pktgen worlds, the population world) has neither.
 	egress  *EgressPipeline
 	ingress *IngressPipeline
+
+	// The port handlers (handlers.go) and the scratch of the run they
+	// are on, which grows to the longest run seen and is kept.
+	internal internalSide
+	external externalSide
+	one      [1][]byte       // a single frame's run
+	valid    [][]byte        // the run's well-formed frames, in order
+	verdicts []Verdict       // egress's, one per frame of valid
+	local    [][]byte        // the frames of valid bound for this AS's hosts
+	results  []IngressResult // ingress's, one per frame of local
 }
 
 // New creates a border router. now supplies Unix seconds.
 func New(aid ephid.AID, sealer *ephid.Sealer, db *hostdb.DB, secret *crypto.ASSecret, now func() int64) (*Router, error) {
 	r := &Router{aid: aid, sealer: sealer, db: db, now: now}
+	r.internal, r.external = internalSide{r}, externalSide{r}
 	r.tables.Store(&forwardTables{
 		asPorts:   make(map[ephid.AID]*netsim.Port),
 		hostPorts: make(map[ephid.HID]*netsim.Port),
@@ -203,7 +220,10 @@ func (r *Router) Stats() *Stats { return &r.stats }
 
 // SetICMPSender installs the ICMP error hook. The hook is published
 // atomically so it can be (re)installed while port handlers are
-// processing packets.
+// processing packets. It runs in the middle of a run's dispatch, after
+// the whole run was verified: it may send frames, and must neither
+// change what a verdict depends on (host_info, the revocation lists)
+// nor call back into the router's handlers.
 func (r *Router) SetICMPSender(fn func(reason Verdict, frame []byte)) {
 	if fn == nil {
 		r.icmpSender.Store(nil)
@@ -223,7 +243,7 @@ func (r *Router) SetRoutes(routes netsim.Routes) {
 
 // AttachNeighbor binds an external port toward a neighbor AS.
 func (r *Router) AttachNeighbor(aid ephid.AID, p *netsim.Port) {
-	p.Attach(netsim.HandlerFunc(r.handleExternal), "ext:"+aid.String())
+	p.Attach(&r.external, "ext:"+aid.String())
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	t := *r.tables.Load()
@@ -234,7 +254,7 @@ func (r *Router) AttachNeighbor(aid ephid.AID, p *netsim.Port) {
 
 // AttachHost binds an internal port toward a local host or service.
 func (r *Router) AttachHost(hid ephid.HID, p *netsim.Port) {
-	p.Attach(netsim.HandlerFunc(r.handleInternal), "int:"+hid.String())
+	p.Attach(&r.internal, "int:"+hid.String())
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	t := *r.tables.Load()
@@ -251,81 +271,6 @@ func (r *Router) DetachHost(hid ephid.HID) {
 	t.hostPorts = maps.Clone(t.hostPorts)
 	delete(t.hostPorts, hid)
 	r.tables.Store(&t)
-}
-
-// handleInternal processes frames from local hosts: the egress pipeline
-// plus intra-AS delivery. Like every netsim.Handler it owns frame, and
-// hands that same buffer on to the next hop.
-func (r *Router) handleInternal(frame []byte, _ *netsim.Port) {
-	if !wire.ValidFrame(frame) {
-		r.stats.count(VerdictDropMalformed)
-		return
-	}
-	if r.egress == nil {
-		r.egress = r.NewEgressPipeline()
-	}
-	if v := r.egress.Process(frame); v != VerdictForward {
-		r.drop(v, frame)
-		return
-	}
-	if wire.FrameDstAID(frame) == r.aid {
-		// Intra-AS traffic (host to host or host to service): deliver
-		// through the ingress checks so revocation applies.
-		if v := r.deliverLocal(frame); v != VerdictForward {
-			r.drop(v, frame)
-		}
-		return
-	}
-	if wire.FrameFlags(frame)&wire.FlagControl != 0 {
-		// Control traffic must never leave the AS.
-		r.drop(VerdictDropControlLeak, frame)
-		return
-	}
-	if !r.forwardInterdomain(frame) {
-		r.drop(VerdictDropNoRoute, frame)
-		return
-	}
-	r.stats.Egressed.Add(1)
-}
-
-// HandleExternalFrame injects a frame as if it arrived from a neighbor
-// AS — the hook used by gateways and by adversary simulations (replay
-// injection). The frame stays the caller's: it is copied here, once,
-// and neither mutated nor retained.
-func (r *Router) HandleExternalFrame(frame []byte) {
-	r.handleExternal(append([]byte(nil), frame...), nil)
-}
-
-// HandleInternalFrame injects a frame as if it arrived from a local
-// host (gateway translation path). Like HandleExternalFrame it copies
-// the caller's frame at entry.
-func (r *Router) HandleInternalFrame(frame []byte) {
-	r.handleInternal(append([]byte(nil), frame...), nil)
-}
-
-// handleExternal processes frames from neighbor ASes: ingress delivery
-// or transit forwarding.
-func (r *Router) handleExternal(frame []byte, _ *netsim.Port) {
-	if !wire.ValidFrame(frame) {
-		r.stats.count(VerdictDropMalformed)
-		return
-	}
-	if wire.FrameDstAID(frame) == r.aid {
-		if v := r.deliverLocal(frame); v != VerdictForward {
-			r.drop(v, frame)
-		}
-		return
-	}
-	// Transit: decrement hop limit, forward on AID.
-	if !wire.FrameDecrementHopLimit(frame) {
-		r.drop(VerdictDropHopLimit, frame)
-		return
-	}
-	if !r.forwardInterdomain(frame) {
-		r.drop(VerdictDropNoRoute, frame)
-		return
-	}
-	r.stats.Transited.Add(1)
 }
 
 // EgressVerify runs the outgoing-packet checks of Figure 4 (bottom) and
@@ -392,25 +337,6 @@ func (r *Router) IngressVerify(frame []byte) (Verdict, ephid.HID) {
 	return VerdictForward, p.HID
 }
 
-// deliverLocal runs ingress verification and hands the frame, which the
-// caller owns and gives up, to the destination host's port.
-func (r *Router) deliverLocal(frame []byte) Verdict {
-	if r.ingress == nil {
-		r.ingress = r.NewIngressPipeline()
-	}
-	v, hid := r.ingress.Process(frame)
-	if v != VerdictForward {
-		return v
-	}
-	port, ok := r.tables.Load().hostPorts[hid]
-	if !ok {
-		return VerdictDropUnknownHost
-	}
-	port.Forward(frame)
-	r.stats.Delivered.Add(1)
-	return VerdictForward
-}
-
 // DeliverToHost hands a frame directly to a local host's port,
 // bypassing the ingress pipeline. It exists for AS-internal feedback to
 // the AS's own authenticated customers — e.g. ICMP errors about a
@@ -445,22 +371,4 @@ func (r *Router) LookupRoute(dst ephid.AID) (*netsim.Port, bool) {
 		return nil, false
 	}
 	return port, true
-}
-
-// forwardInterdomain sends the frame, which the caller owns and gives
-// up, toward the destination AID via the next-hop table.
-func (r *Router) forwardInterdomain(frame []byte) bool {
-	port, ok := r.LookupRoute(wire.FrameDstAID(frame))
-	if !ok {
-		return false
-	}
-	port.Forward(frame)
-	return true
-}
-
-func (r *Router) drop(v Verdict, frame []byte) {
-	r.stats.count(v)
-	if fn := r.icmpSender.Load(); fn != nil {
-		(*fn)(v, frame)
-	}
 }

@@ -100,13 +100,13 @@ func (f *fixture) hostFrame(t *testing.T, dstAID ephid.AID, dstEphID ephid.EphID
 
 // inject delivers a frame to the router as if sent by the local host.
 func (f *fixture) inject(frame []byte) {
-	f.router.handleInternal(frame, nil)
+	f.router.internal.HandleFrame(frame, nil)
 	f.sim.Run(100)
 }
 
 // injectExternal delivers a frame as if arriving from AS 200.
 func (f *fixture) injectExternal(frame []byte) {
-	f.router.handleExternal(frame, nil)
+	f.router.external.HandleFrame(frame, nil)
 	f.sim.Run(100)
 }
 

@@ -38,7 +38,7 @@ func TestSetICMPSenderConcurrentWithTraffic(t *testing.T) {
 	for i := 0; i < 2_000; i++ {
 		// Drive drops directly (no simulator events are scheduled for a
 		// dropped frame, so this is safe off the sim goroutine).
-		f.router.handleInternal(bad, nil)
+		f.router.internal.HandleFrame(bad, nil)
 	}
 	<-done
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"apna/internal/border"
@@ -26,7 +27,11 @@ import (
 // and a forwarded frame the reference's destination host, from every
 // path. The port handlers also get frames only they can tell apart
 // (intra-AS, control, transit), checked against the reference's account
-// of the dispatch around Figure 4.
+// of the dispatch around Figure 4 — frame by frame, and then in runs of
+// the batch sizes through HandleFrames, the way netsim delivers the
+// frames of one instant: all that can be seen of a run from outside (the
+// counters, the drop hook's calls in order, what each port sent in
+// order) must be what the reference and the single frames give.
 
 // diffSizes are the frame sizes mixed into the stream. The MAC input is
 // the frame less the 8-byte MAC field: 64 is the header alone (a partial
@@ -322,32 +327,34 @@ func (a *refAS) deliver(frame []byte) handled {
 	return handled{v, a.f.AID, hid}
 }
 
-// refHandled is the reference for the port handlers: handleInternal at
-// the source AS and, for what leaves it, handleExternal at the
-// destination AS, under the routes newPortSide installs.
-func refHandled(src, dst *refAS, frame []byte) handled {
+// refHandled is the reference for the port handlers: the internal side
+// of the source AS and, for what leaves it, the external side of the
+// destination AS, under the routes newPortSide installs. at is the
+// router that settled the frame: 0 the source AS's, 1 the destination
+// AS's, which the frame reached by leaving the source AS.
+func refHandled(src, dst *refAS, frame []byte) (h handled, at int) {
 	if !wire.ValidFrame(frame) {
-		return handled{v: border.VerdictDropMalformed}
+		return handled{v: border.VerdictDropMalformed}, 0
 	}
 	if v := src.egress(frame); v != border.VerdictForward {
-		return handled{v: v}
+		return handled{v: v}, 0
 	}
 	to := wire.FrameDstAID(frame)
 	switch {
 	case to == src.f.AID:
-		return src.deliver(frame)
+		return src.deliver(frame), 0
 	case wire.FrameFlags(frame)&wire.FlagControl != 0:
-		return handled{v: border.VerdictDropControlLeak}
+		return handled{v: border.VerdictDropControlLeak}, 0
 	case to == dst.f.AID:
-		return dst.deliver(frame)
+		return dst.deliver(frame), 1
 	case to != farAID && to != strandedAID:
-		return handled{v: border.VerdictDropNoRoute}
+		return handled{v: border.VerdictDropNoRoute}, 0
 	case wire.FrameHopLimit(frame) <= 1: // transit through dst uses the last hop up
-		return handled{v: border.VerdictDropHopLimit}
+		return handled{v: border.VerdictDropHopLimit}, 1
 	case to == strandedAID:
-		return handled{v: border.VerdictDropNoRoute}
+		return handled{v: border.VerdictDropNoRoute}, 1
 	}
-	return handled{v: border.VerdictForward, as: farAID}
+	return handled{v: border.VerdictForward, as: farAID}, 1
 }
 
 // Counters past the verdicts' own, in the order counters reads them.
@@ -366,6 +373,67 @@ type arrival struct {
 	frame []byte
 }
 
+// tally is all that shows, outside the port handlers, of what they did
+// with a stretch of frames: how far each router's counters moved, the
+// verdicts each router's drop hook was called with, in order, and the
+// frames that came out of each port, in order.
+type tally struct {
+	stats [2][statCount]uint64
+	drops [2][]border.Verdict
+	sinks map[handled][][]byte
+}
+
+// note adds what the reference says of one frame: h, settled at router
+// at (see refHandled).
+func (ta *tally) note(h handled, at int, frame []byte) {
+	if at == 1 {
+		ta.stats[0][statEgressed]++
+	}
+	switch {
+	case h.v != border.VerdictForward:
+		ta.stats[at][h.v]++
+		if h.v != border.VerdictDropMalformed { // no ICMP error about what is not a frame
+			ta.drops[at] = append(ta.drops[at], h.v)
+		}
+		return
+	case h.as == farAID:
+		ta.stats[at][statTransited]++
+		frame = append([]byte(nil), frame...)
+		wire.FrameDecrementHopLimit(frame)
+	default:
+		ta.stats[at][statDelivered]++
+	}
+	ta.sinks[h] = append(ta.sinks[h], frame)
+}
+
+// differs describes the first difference between two tallies, or
+// returns "".
+func (ta *tally) differs(want *tally) string {
+	for at := range ta.stats {
+		if ta.stats[at] != want.stats[at] {
+			return fmt.Sprintf("router %d moved its counters by %v, want %v", at, ta.stats[at], want.stats[at])
+		}
+		if !slices.Equal(ta.drops[at], want.drops[at]) {
+			return fmt.Sprintf("router %d called the drop hook with %v, want %v", at, ta.drops[at], want.drops[at])
+		}
+	}
+	for h, frames := range want.sinks {
+		got := ta.sinks[h]
+		if len(got) != len(frames) {
+			return fmt.Sprintf("%d frames came out at %v, want %d", len(got), h, len(frames))
+		}
+		for i := range frames {
+			if !bytes.Equal(got[i], frames[i]) {
+				return fmt.Sprintf("frame %d out at %v is not the %dth frame bound there", i, h, i)
+			}
+		}
+	}
+	if len(ta.sinks) > len(want.sinks) {
+		return fmt.Sprintf("frames came out of %d ports, want %d", len(ta.sinks), len(want.sinks))
+	}
+	return ""
+}
+
 // portSide drives the two routers through their port handlers. Every
 // port ends in a sink that notes what came out of it; a frame's verdict
 // is read off the router's counters.
@@ -373,26 +441,54 @@ type portSide struct {
 	sim      *netsim.Simulator
 	src, dst *pktgen.Fixture
 	out      []arrival // since the last injection
+	seen     *tally    // what measure is watching
+	// The source AS's internal side and the destination AS's external
+	// side, as netsim sees them.
+	internal, external netsim.BatchHandler
 }
 
 func newPortSide(seed int64, src, dst *pktgen.Fixture, hosts int) *portSide {
-	s := &portSide{sim: netsim.New(seed), src: src, dst: dst}
+	s := &portSide{sim: netsim.New(seed), src: src, dst: dst, seen: &tally{sinks: map[handled][][]byte{}}}
 	sink := func(as ephid.AID, hid ephid.HID, stat int) *netsim.Port {
 		link := s.sim.NewLink(fmt.Sprintf("sink %v/%v", as, hid), 0, 0)
 		link.B().Attach(netsim.HandlerFunc(func(frame []byte, _ *netsim.Port) {
-			s.out = append(s.out, arrival{handled{border.VerdictForward, as, hid}, stat, frame})
+			h := handled{border.VerdictForward, as, hid}
+			s.out = append(s.out, arrival{h, stat, frame})
+			if stat != statEgressed { // the frame leaves the two routers here
+				s.seen.sinks[h] = append(s.seen.sinks[h], frame)
+			}
 		}), "sink")
 		return link.A()
 	}
 	src.Router.AttachNeighbor(dst.AID, sink(dst.AID, 0, statEgressed))
-	dst.Router.AttachNeighbor(farAID, sink(farAID, 0, statTransited))
+	far := sink(farAID, 0, statTransited)
+	dst.Router.AttachNeighbor(farAID, far)
+	var host *netsim.Port
 	for hid := ephid.HID(1); int(hid) <= hosts; hid++ {
-		src.Router.AttachHost(hid, sink(src.AID, hid, statDelivered))
+		host = sink(src.AID, hid, statDelivered)
+		src.Router.AttachHost(hid, host)
 		dst.Router.AttachHost(hid, sink(dst.AID, hid, statDelivered))
 	}
 	src.Router.SetRoutes(netsim.Routes{dst.AID: dst.AID, farAID: dst.AID, strandedAID: dst.AID})
 	dst.Router.SetRoutes(netsim.Routes{src.AID: src.AID, farAID: farAID})
+	for at, f := range []*pktgen.Fixture{src, dst} {
+		f.Router.SetICMPSender(func(v border.Verdict, _ []byte) { s.seen.drops[at] = append(s.seen.drops[at], v) })
+	}
+	s.internal, s.external = host.Owner().(netsim.BatchHandler), far.Owner().(netsim.BatchHandler)
 	return s
+}
+
+// measure returns the tally of what the port handlers do while fn runs.
+func (s *portSide) measure(fn func()) *tally {
+	before := [2][statCount]uint64{counters(s.src.Router), counters(s.dst.Router)}
+	s.seen = &tally{sinks: map[handled][][]byte{}}
+	fn()
+	for at, after := range [2][statCount]uint64{counters(s.src.Router), counters(s.dst.Router)} {
+		for i, n := range after {
+			s.seen.stats[at][i] = n - before[at][i]
+		}
+	}
+	return s.seen
 }
 
 func counters(r *border.Router) (c [statCount]uint64) {
@@ -431,6 +527,30 @@ func (s *portSide) step(t *testing.T, r *border.Router, inject func([]byte), fra
 		t.Fatalf("%v: counter %d moved and %d sinks saw the frame", r.AID(), moved, len(s.out))
 	}
 	return s.out[0]
+}
+
+// runs takes the frames through the same two sides size at a time, as
+// netsim hands over the frames of one instant: a run into the source
+// AS's internal side, and what leaves toward the destination AS as a run
+// into that AS's external side.
+func (s *portSide) runs(frames [][]byte, size int) {
+	for at := 0; at < len(frames); at += size {
+		run := make([][]byte, 0, size)
+		for _, frame := range frames[at:min(at+size, len(frames))] {
+			run = append(run, append([]byte(nil), frame...)) // the handler owns what it gets
+		}
+		s.out = s.out[:0]
+		s.internal.HandleFrames(run, nil)
+		s.sim.Run(1 << 20)
+		run = run[:0]
+		for _, a := range s.out {
+			if a.stat == statEgressed {
+				run = append(run, a.frame)
+			}
+		}
+		s.external.HandleFrames(run, nil)
+		s.sim.Run(1 << 20)
+	}
 }
 
 // run takes each frame through the source AS's internal ports and, if
@@ -691,18 +811,32 @@ func runDifferential(t *testing.T, seed int64, hosts, rounds int, script []byte)
 	}
 	seen := make(map[border.Verdict]int)
 	// checkPorts holds the port handlers to the reference's account of
-	// them, which on a stream frame is its verdict on the frame.
+	// them, which on a stream frame is its verdict on the frame: frame by
+	// frame first, then by what shows of the whole stretch, taken frame by
+	// frame and in runs of every batch size.
 	checkPorts := func(label string, frames [][]byte, want []outcome) {
 		t.Helper()
-		for i, got := range w.ports.run(t, frames) {
-			ref := refHandled(w.src, w.dst, frames[i])
+		ref := &tally{sinks: map[handled][][]byte{}}
+		var got []handled
+		single := w.ports.measure(func() { got = w.ports.run(t, frames) })
+		for i, got := range got {
+			h, at := refHandled(w.src, w.dst, frames[i])
+			ref.note(h, at, frames[i])
 			if want == nil {
-				seen[ref.v]++
-			} else if ref.v != want[i].v || ref.hid != want[i].hid {
-				t.Fatalf("%s, frame %d: the reference says %v of the border and %v of its ports", label, i, want[i], ref)
+				seen[h.v]++
+			} else if h.v != want[i].v || h.hid != want[i].hid {
+				t.Fatalf("%s, frame %d: the reference says %v of the border and %v of its ports", label, i, want[i], h)
 			}
-			if got != ref {
-				t.Fatalf("%s, frame %d (%d B): port handlers = %v, reference %v", label, i, len(frames[i]), got, ref)
+			if got != h {
+				t.Fatalf("%s, frame %d (%d B): port handlers = %v, reference %v", label, i, len(frames[i]), got, h)
+			}
+		}
+		if d := single.differs(ref); d != "" {
+			t.Fatalf("%s, frame by frame: %s", label, d)
+		}
+		for _, size := range diffBatchSizes {
+			if d := w.ports.measure(func() { w.ports.runs(frames, size) }).differs(ref); d != "" {
+				t.Fatalf("%s, in runs of %d: %s", label, size, d)
 			}
 		}
 	}

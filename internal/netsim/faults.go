@@ -166,7 +166,7 @@ func (s *Simulator) record(ev FaultEvent) {
 	s.faultSeq++
 	ev.Seq = s.faultSeq
 	ev.At = int64(s.now)
-	s.faultCap.Events = append(s.faultCap.Events, ev)
+	s.faultCap.Events = append(s.faultCap.Events, ev) //apna:alloc-ok
 }
 
 // take consumes the next schedule event, verifying it matches the
@@ -182,7 +182,7 @@ func (r *faultReplay) take(link, kind string) (FaultEvent, bool) {
 		return FaultEvent{}, false
 	}
 	ev := r.events[r.next]
-	if ev.Link != link || ev.Kind != kind {
+	if ev.Link != link || ev.Kind != kind { //apna:coldpath
 		r.stats.Mismatched++
 		r.stats.Desynced = true
 		if r.stats.FirstError == "" {

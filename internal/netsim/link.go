@@ -12,11 +12,34 @@ import (
 // array, so the handler may mutate it, retain it, or pass it on with
 // Port.Forward. Code that calls HandleFrame directly must hand over a
 // buffer it will not touch again.
+//
+// The simulator calls HandleFrame once per frame, in (time, seq) order,
+// unless the handler is also a BatchHandler; then it calls HandleFrames
+// instead, once per run.
 type Handler interface {
 	HandleFrame(frame []byte, from *Port)
 }
 
-// HandlerFunc adapts a function to the Handler interface.
+// BatchHandler is a Handler that takes the frames due at one instant
+// together, as a border router takes packets off its NIC. The simulator
+// delivers to it through HandleFrames only: frames[i] arrived on
+// from[i], in the order HandleFrame would have been called, and a frame
+// that is alone at its instant is a run of one (see "Runs" in the
+// package comment for what ends a run).
+//
+// Each frame belongs to the handler, as under Handler. The two slices
+// do not: they are the simulator's and are cleared and reused when
+// HandleFrames returns, so the handler must not retain them. One
+// handler value must be attached to every port whose frames may share a
+// run, and it must be comparable (a pointer).
+type BatchHandler interface {
+	Handler
+	HandleFrames(frames [][]byte, from []*Port)
+}
+
+// HandlerFunc adapts a function to the Handler interface. The result is
+// never a BatchHandler: wrapping a handler's HandleFrame in it makes the
+// simulator deliver to that handler frame by frame.
 type HandlerFunc func(frame []byte, from *Port)
 
 // HandleFrame implements Handler.
@@ -41,7 +64,8 @@ type Link struct {
 }
 
 // LinkStats counts traffic over a link (both directions). Dropped
-// includes partition drops; Duplicated and Reordered count the extra
+// includes partition drops and frames that crossed the link to a port
+// nothing is attached to; Duplicated and Reordered count the extra
 // copies and held-back frames the chaos configuration introduced.
 type LinkStats struct {
 	Frames         uint64
@@ -82,12 +106,14 @@ type Port struct {
 	link  *Link
 	peer  *Port
 	owner Handler
+	batch BatchHandler // owner, if it takes runs
 	label string
 }
 
 // Attach binds the port to its owning node.
 func (p *Port) Attach(owner Handler, label string) {
 	p.owner = owner
+	p.batch, _ = owner.(BatchHandler)
 	p.label = label
 }
 
@@ -129,15 +155,17 @@ func (p *Port) transmit(frame []byte, owned bool) {
 	}
 	l.stats.Frames++
 	l.stats.Bytes += uint64(len(frame))
-	for _, tap := range l.taps {
+	// The copies below are what a wiretap, Send and a duplicating link
+	// cost; a router Forwarding over a plain link makes none of them.
+	for _, tap := range l.taps { //apna:coldpath
 		tap(append([]byte(nil), frame...), p)
 	}
 	buf := frame
-	if !owned {
+	if !owned { //apna:coldpath
 		buf = append([]byte(nil), frame...)
 	}
 	p.deliver(buf)
-	if l.chaos.DupProb > 0 && l.sim.faultChance(l.name, FaultDup, l.chaos.DupProb) {
+	if l.chaos.DupProb > 0 && l.sim.faultChance(l.name, FaultDup, l.chaos.DupProb) { //apna:coldpath
 		l.stats.Duplicated++
 		p.deliver(append([]byte(nil), frame...))
 	}

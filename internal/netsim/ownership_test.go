@@ -72,3 +72,92 @@ func TestTapCopyIsIndependentOfAForwardedFrame(t *testing.T) {
 		t.Errorf("tap's capture changed to %d when the receiver mutated its frame", captured[0])
 	}
 }
+
+// runKeeper is a BatchHandler that keeps everything it is handed: the
+// frames, which are its own, and the two slices, which are not.
+type runKeeper struct {
+	sim          *Simulator
+	frames       [][]byte // kept frame by frame
+	slices       [][][]byte
+	from         [][]*Port
+	stepInsideOf int // the run during which it steps the simulator itself
+}
+
+func (k *runKeeper) HandleFrame(frame []byte, _ *Port) { k.frames = append(k.frames, frame) }
+
+func (k *runKeeper) HandleFrames(frames [][]byte, from []*Port) {
+	k.slices, k.from = append(k.slices, frames), append(k.from, from)
+	for i, frame := range frames {
+		if i == 1 && len(k.slices) == k.stepInsideOf {
+			k.sim.Run(1 << 10) // a run inside the run
+		}
+		k.HandleFrame(frame, from[i])
+	}
+}
+
+func TestRunFramesBelongToTheHandlerItsSlicesToTheSimulator(t *testing.T) {
+	sim := New(1)
+	l := sim.NewLink("run", time.Millisecond, 0)
+	k := &runKeeper{sim: sim}
+	l.B().Attach(k, "keeper")
+	sent := [][]byte{{1}, {2}, {3}}
+	for _, f := range sent {
+		l.A().Forward(f)
+	}
+	sim.Run(1 << 10)
+	if len(k.slices) != 1 || len(k.frames) != len(sent) {
+		t.Fatalf("%d frames came in %d runs, want %d in one", len(k.frames), len(k.slices), len(sent))
+	}
+	for i, f := range k.frames {
+		if !sameArray(f, sent[i]) {
+			t.Errorf("frame %d of the run is not the buffer that was forwarded", i)
+		}
+	}
+	// Nobody keeps the run's slices: what the handler held on to has been
+	// emptied, so the simulator pins no frame the handler let go of.
+	for i := range sent {
+		if k.slices[0][i] != nil || k.from[0][i] != nil {
+			t.Errorf("entry %d of the run's slices still set after HandleFrames returned", i)
+		}
+	}
+	// The next run reuses the slices and leaves the kept frames alone.
+	l.A().Forward([]byte{4})
+	sim.Run(1 << 10)
+	if len(k.frames) != 4 || k.frames[0][0] != 1 || k.frames[3][0] != 4 {
+		t.Fatalf("kept frames changed under a later run: %v", k.frames)
+	}
+}
+
+func TestRunInsideARunGetsItsOwnSlices(t *testing.T) {
+	sim := New(1)
+	l := sim.NewLink("outer", time.Millisecond, 0)
+	k := &runKeeper{sim: sim, stepInsideOf: 2}
+	l.B().Attach(k, "keeper")
+	// A first run, so that the simulator has slices to reuse.
+	for i := 0; i < 8; i++ {
+		l.A().Forward([]byte{0})
+	}
+	sim.Run(1 << 10)
+	k.frames = nil
+
+	for i := byte(1); i <= 3; i++ {
+		l.A().Forward([]byte{i})
+	}
+	for i := byte(4); i <= 6; i++ { // a later instant: the inner run
+		sim.Schedule(2*time.Millisecond, func() { l.A().Forward([]byte{i}) })
+	}
+	if n := sim.Run(1 << 10); n != 3 {
+		t.Fatalf("the outer Run counted %d events, want its own run of 3", n)
+	}
+	if sim.Events() != 8+9 {
+		t.Fatalf("%d events executed, want 17", sim.Events())
+	}
+	// The outer run went on where it stopped, over its own frames.
+	var got []byte
+	for _, f := range k.frames {
+		got = append(got, f[0])
+	}
+	if want := []byte{1, 4, 5, 6, 2, 3}; string(got) != string(want) {
+		t.Fatalf("frames handled in order %v, want %v", got, want)
+	}
+}

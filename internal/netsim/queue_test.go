@@ -346,3 +346,158 @@ func TestFrameEventAllocs(t *testing.T) {
 		t.Errorf("forward + step allocates %v per frame, want 0", allocs)
 	}
 }
+
+// Runs are checked against the simulator itself: one schedule is played
+// twice, to nodes that implement BatchHandler and to the same nodes
+// behind HandlerFunc, which hides HandleFrames so that every frame comes
+// alone. Three nodes own two ports each, on links with equal, different
+// and zero latencies, two of them with jitter and duplication in steps
+// coarse enough to tie; what a node does about a frame — send more
+// frames, some with no delay at all, schedule functions that send —
+// depends on the frame alone; timers fire throughout; and the driver
+// mixes RunUntil with Run under budgets small enough to stop inside a
+// run. Both plays must log the same (node, frame, port, time) sequence
+// and agree on every return value, on Events and on the clock.
+
+// delivery is one log entry of a run play.
+type delivery struct {
+	node  int // -1: a scheduled function, -2: a timer
+	frame uint32
+	port  string
+	at    time.Duration
+}
+
+type runPlay struct {
+	t     *testing.T
+	seed  int64
+	sim   *Simulator
+	links []*Link
+	log   []delivery
+	runs  []int // the length of every run handed over
+	next  uint32
+}
+
+const runPlayFrames = 1500
+
+type runNode struct {
+	p  *runPlay
+	id int
+}
+
+func (n *runNode) HandleFrame(frame []byte, from *Port) {
+	p := n.p
+	id := binary.BigEndian.Uint32(frame)
+	p.log = append(p.log, delivery{n.id, id, from.Label(), p.sim.Now()})
+	r := rand.New(rand.NewSource(p.seed*1_000_003 + int64(id)))
+	for k := r.Intn(4); k > 0; k-- {
+		link := p.links[r.Intn(len(p.links))]
+		if r.Intn(4) > 0 {
+			p.send(link)
+			continue
+		}
+		p.sim.Schedule(time.Duration(r.Intn(3)), func() {
+			p.log = append(p.log, delivery{node: -1, frame: id, at: p.sim.Now()})
+			p.send(link)
+		})
+	}
+}
+
+func (n *runNode) HandleFrames(frames [][]byte, from []*Port) {
+	n.p.runs = append(n.p.runs, len(frames))
+	for i, frame := range frames {
+		if from[i].Owner() != Handler(n) {
+			n.p.t.Errorf("node %d was handed a frame for %s in its run", n.id, from[i].Label())
+		}
+		n.HandleFrame(frame, from[i])
+	}
+}
+
+func (p *runPlay) send(l *Link) {
+	if p.next < runPlayFrames {
+		l.A().Forward(binary.BigEndian.AppendUint32(nil, p.next))
+		p.next++
+	}
+}
+
+func newRunPlay(t *testing.T, seed int64, batched bool) *runPlay {
+	p := &runPlay{t: t, seed: seed, sim: New(seed)}
+	for i, latency := range []time.Duration{0, 1, 0, 2, 1, 1} {
+		l := p.sim.NewLink(fmt.Sprint("l", i), latency, 0)
+		if i >= 4 {
+			l.SetChaos(ChaosConfig{Jitter: 2, DupProb: 0.2})
+		}
+		node := &runNode{p, i / 2}
+		if i%2 == 1 {
+			node = p.links[i-1].B().Owner().(*runNode) // one handler value per node
+		}
+		l.B().Attach(node, fmt.Sprint("n", node.id, "/", i))
+		p.links = append(p.links, l)
+	}
+	if !batched {
+		for _, l := range p.links {
+			l.B().Attach(HandlerFunc(l.B().Owner().HandleFrame), l.B().Label())
+		}
+	}
+	// A link to nowhere: its frames are events like any other.
+	p.links = append(p.links, p.sim.NewLink("void", 1, 0))
+	for i := 1; i <= 2; i++ {
+		l := p.links[i]
+		p.sim.Every(time.Duration(i), func() {
+			p.log = append(p.log, delivery{node: -2, at: p.sim.Now()})
+			p.send(l)
+		})
+	}
+	for i := 0; i < 40; i++ {
+		p.send(p.links[i%len(p.links)])
+	}
+	return p
+}
+
+func TestRunsDeliverWhatSingleFramesDeliver(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		runs, single := newRunPlay(t, seed, true), newRunPlay(t, seed, false)
+		drv := rand.New(rand.NewSource(seed ^ 0xba7c4))
+		for op := 0; runs.sim.Pending() > 0 || single.sim.Pending() > 0; op++ {
+			var got, want int
+			var what string
+			if drv.Intn(3) > 0 {
+				budget := 1 + drv.Intn(12)
+				what = fmt.Sprintf("Run(%d)", budget)
+				got, want = runs.sim.Run(budget), single.sim.Run(budget)
+				if got > budget {
+					t.Fatalf("seed %d op %d: %s executed %d events", seed, op, what, got)
+				}
+			} else {
+				deadline := single.sim.Now() + time.Duration(drv.Intn(3))
+				what = fmt.Sprintf("RunUntil(%v)", deadline)
+				got, want = runs.sim.RunUntil(deadline), single.sim.RunUntil(deadline)
+			}
+			if got != want || runs.sim.Events() != single.sim.Events() || runs.sim.Now() != single.sim.Now() {
+				t.Fatalf("seed %d op %d: %s = %d, events %d, now %v; frame by frame %d, %d, %v", seed, op, what,
+					got, runs.sim.Events(), runs.sim.Now(), want, single.sim.Events(), single.sim.Now())
+			}
+		}
+		if len(runs.log) != len(single.log) {
+			t.Fatalf("seed %d: %d log entries in runs, %d frame by frame", seed, len(runs.log), len(single.log))
+		}
+		for i, d := range runs.log {
+			if d != single.log[i] {
+				t.Fatalf("seed %d: entry %d is %+v in runs, %+v frame by frame", seed, i, d, single.log[i])
+			}
+		}
+		if runs.next != runPlayFrames {
+			t.Fatalf("seed %d: the schedule ended at %d frames, want it to reach the %d cap", seed, runs.next, runPlayFrames)
+		}
+		longest, frames := 0, 0
+		for _, n := range runs.runs {
+			longest, frames = max(longest, n), frames+n
+		}
+		if len(single.runs) != 0 || longest < 4 || len(runs.runs) > frames*3/4 {
+			t.Fatalf("seed %d: %d frames came in %d runs, the longest of %d (and %d runs behind HandlerFunc): the schedule does not exercise runs",
+				seed, frames, len(runs.runs), longest, len(single.runs))
+		}
+		if got, want := runs.links[len(runs.links)-1].Stats().Dropped, single.links[len(single.links)-1].Stats().Dropped; got == 0 || got != want {
+			t.Fatalf("seed %d: the unattached port dropped %d frames in runs, %d frame by frame", seed, got, want)
+		}
+	}
+}

@@ -27,11 +27,33 @@
 //   - Taps and duplicates get copies. Every tap receives its own copy at
 //     send time, and a duplicating chaos link copies for the second
 //     delivery, so no two receivers ever share a backing array.
+//
+// # Runs
+//
+// A border router verifies packets many at a time, so a handler that
+// also implements BatchHandler is handed every frame due at one instant
+// in one HandleFrames call — a run — instead of one HandleFrame call
+// each. A run is the longest stretch of consecutive queue entries, in
+// (time, seq) order, that are frame deliveries at the same instant to
+// ports of the same handler. It ends at the first entry that is
+// anything else: a Schedule'd function, a frame for another handler, a
+// later instant — or at the budget of the Run call executing it. The
+// boundary is therefore a function of the queue order alone; every
+// frame still counts as one event; and nothing can come between two
+// frames of a run that could not come between them delivered one by
+// one, because whatever a handler schedules sorts after everything
+// already queued for that instant and no timer can fall due inside an
+// instant it did not open (see dueTimer). The frames of a run belong
+// to the handler like any delivered frame; the two slices that carry
+// them belong to the simulator and are reused once HandleFrames
+// returns. A handler that does not implement BatchHandler — hosts,
+// services, anything behind HandlerFunc — sees no difference.
 package netsim
 
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -47,6 +69,12 @@ type Simulator struct {
 	rng    *rand.Rand
 	epoch  int64 // Unix seconds corresponding to virtual time zero
 	events uint64
+
+	// The slices a run is handed to its BatchHandler in, kept between
+	// runs. runNext takes them out while a run is being handled, so a
+	// handler that steps the simulator itself gets a nested run its own.
+	runFrames [][]byte
+	runFrom   []*Port
 
 	// Fault capture/replay state (see faults.go). At most one of
 	// faultCap/faultReplay is non-nil.
@@ -97,7 +125,7 @@ func (s *Simulator) scheduleFrame(delay time.Duration, dst *Port, buf []byte) {
 }
 
 func (s *Simulator) enqueue(delay time.Duration, ev event) {
-	if delay < 0 {
+	if delay < 0 { //apna:coldpath
 		panic(fmt.Sprintf("netsim: negative delay %v", delay))
 	}
 	s.seq++
@@ -105,16 +133,43 @@ func (s *Simulator) enqueue(delay time.Duration, ev event) {
 	s.queue.push(ev)
 }
 
-// runNext pops and executes the earliest queued event.
-func (s *Simulator) runNext() {
+// runNext pops and executes the earliest queued event and returns how
+// many events that was: one, unless the event opens a run (see the
+// package comment), which is executed whole or up to budget frames.
+func (s *Simulator) runNext(budget int) int {
 	ev := s.queue.pop()
 	s.now = ev.at
 	s.events++
 	if ev.dst == nil {
 		ev.fn()
-	} else if ev.dst.owner != nil {
-		ev.dst.owner.HandleFrame(ev.buf, ev.dst)
+		return 1
 	}
+	h := ev.dst.batch
+	if h == nil {
+		if ev.dst.owner != nil {
+			ev.dst.owner.HandleFrame(ev.buf, ev.dst)
+		} else {
+			ev.dst.link.stats.Dropped++
+		}
+		return 1
+	}
+	frames, from := append(s.runFrames, ev.buf), append(s.runFrom, ev.dst)
+	s.runFrames, s.runFrom = nil, nil
+	for len(frames) < budget && len(s.queue) > 0 {
+		head := &s.queue[0]
+		if head.at != ev.at || head.dst == nil || head.dst.batch != h {
+			break
+		}
+		frames, from = append(frames, head.buf), append(from, head.dst)
+		s.queue.pop()
+	}
+	n := len(frames)
+	s.events += uint64(n - 1)
+	h.HandleFrames(frames, from)
+	clear(frames) // the frames are the handler's now
+	clear(from)
+	s.runFrames, s.runFrom = frames[:0], from[:0]
+	return n
 }
 
 // PeekNext returns the timestamp of the earliest queued event, or false
@@ -127,27 +182,33 @@ func (s *Simulator) PeekNext() (time.Duration, bool) {
 	return s.queue[0].at, true
 }
 
-// Step executes the single next event — a queued event or a recurring
-// timer firing, whichever is due first — returning false if the event
-// queue is empty. Timers never fire against an empty queue: quiescence
-// ("nothing left to simulate") is defined by real events, so maintenance
-// timers cannot keep a drained timeline alive. Use RunUntil / RunFor to
-// sweep timers across idle gaps when a scenario explicitly passes time.
-func (s *Simulator) Step() bool {
+// Step executes the next event — a queued event or a recurring timer
+// firing, whichever is due first, and with a frame that opens a run the
+// rest of the run — returning false if the event queue is empty. Timers
+// never fire against an empty queue: quiescence ("nothing left to
+// simulate") is defined by real events, so maintenance timers cannot
+// keep a drained timeline alive. Use RunUntil / RunFor to sweep timers
+// across idle gaps when a scenario explicitly passes time.
+func (s *Simulator) Step() bool { return s.step(math.MaxInt) > 0 }
+
+// step is Step under a budget of events, returning how many it executed.
+func (s *Simulator) step(budget int) int {
 	if len(s.queue) == 0 {
-		return false
+		return 0
 	}
 	if t := s.dueTimer(s.queue[0].at); t != nil {
 		s.fireTimer(t)
-		return true
+		return 1
 	}
-	s.runNext()
-	return true
+	return s.runNext(budget)
 }
 
 // dueTimer returns the earliest running timer due at or before `at`, or
 // nil. Ties go to the timer so maintenance runs before the traffic it
-// gates (e.g. a renewal fires before the packet that needed it).
+// gates (e.g. a renewal fires before the packet that needed it). Once an
+// event at some instant has run, no timer is due at or before that
+// instant until the clock moves on: the ones that were have fired and
+// moved past it, and a new one is first due a positive interval later.
 func (s *Simulator) dueTimer(at time.Duration) *Timer {
 	if s.timers.Len() == 0 || s.timers[0].due > at {
 		return nil
@@ -167,13 +228,17 @@ func (s *Simulator) fireTimer(t *Timer) {
 	t.fn()
 }
 
-// Run executes events until the queue is empty or the budget of steps is
-// exhausted, returning the number of events executed. A budget guards
+// Run executes events until the queue is empty or the budget of events
+// is exhausted, returning the number of events executed. A budget guards
 // against livelocked simulations (two nodes bouncing a packet forever).
 func (s *Simulator) Run(budget int) int {
 	n := 0
-	for n < budget && s.Step() {
-		n++
+	for n < budget {
+		k := s.step(budget - n)
+		if k == 0 {
+			break
+		}
+		n += k
 	}
 	return n
 }
@@ -200,10 +265,10 @@ func (s *Simulator) RunUntil(deadline time.Duration) int {
 		}
 		if timerFirst {
 			s.fireTimer(s.timers[0])
+			n++
 		} else {
-			s.runNext()
+			n += s.runNext(math.MaxInt)
 		}
-		n++
 	}
 	if s.now < deadline {
 		s.now = deadline
@@ -291,7 +356,7 @@ func (e *event) before(o *event) bool {
 type eventQueue []event
 
 func (q *eventQueue) push(ev event) {
-	h := append(*q, ev)
+	h := append(*q, ev) //apna:alloc-ok
 	*q = h
 	// Sift up: move parents down into the hole until ev fits.
 	i := len(h) - 1

@@ -17,9 +17,9 @@ import (
 // across the border to the offender's AS; the offender's AS answers
 // with a signed receipt and floods revocation digests so every border
 // in the internet drops the revoked sender's frames. Host.Complain /
-// ComplainAsync file complaints; StartAccountability (or the
-// WithAccountability topology option) turns on periodic digest
-// dissemination; OnAccountability observes the whole plane.
+// ComplainAsync file complaints; the WithDissemination option turns on
+// periodic digest dissemination; OnAccountability observes the whole
+// plane.
 
 // Re-exported inter-domain accountability types.
 type (
@@ -69,7 +69,7 @@ const (
 var ErrComplaintRejected = errors.New("apna: complaint rejected by the accountability plane")
 
 // DefaultDigestInterval is the revocation-digest dissemination cadence
-// StartAccountability uses when given a non-positive interval.
+// WithDissemination uses when given a non-positive interval.
 const DefaultDigestInterval = 30 * time.Second
 
 // DefaultSnapshotEvery is the facade's anti-entropy cadence: every 2nd
@@ -96,54 +96,25 @@ type Dissemination struct {
 	SnapshotEvery int
 }
 
-// ConfigureDissemination applies a dissemination configuration to every
-// AS engine and (re)starts the digest timer. The relay overlay is the
-// set of physically linked ASes (Connect / WithLink / generators), so
-// under DisseminateRelay digests follow the same provider/customer
-// edges packets do.
-func (in *Internet) ConfigureDissemination(d Dissemination) {
+// startDissemination applies the configuration a WithDissemination
+// option asked for to every AS engine and starts the digest timer.
+func (in *Internet) startDissemination(d Dissemination) {
 	snap := d.SnapshotEvery
 	if snap <= 0 {
 		snap = DefaultSnapshotEvery
 	}
-	for _, as := range in.ASes() {
-		as.Acct.SetDissemination(d.Mode, snap)
-	}
-	in.StartAccountability(d.Interval)
-}
-
-// StartAccountability starts periodic revocation-digest dissemination:
-// every interval of virtual time, each AS's accountability engine
-// flushes a signed digest of its live revocations — a delta of the
-// changes since the previous flush, or periodically a full snapshot —
-// and each receiver installs the entries into its border routers'
-// remote revocation lists. Calling it again replaces the previous
-// timer; engine mode and snapshot cadence are left as configured (see
-// ConfigureDissemination). A non-positive interval selects
-// DefaultDigestInterval. Complaints and receipts work without it —
-// only cross-internet dissemination to uninvolved ASes needs the
-// timer.
-func (in *Internet) StartAccountability(interval time.Duration) {
+	interval := d.Interval
 	if interval <= 0 {
 		interval = DefaultDigestInterval
 	}
-	if in.acctTimer != nil {
-		in.acctTimer.Stop()
+	for _, as := range in.ASes() {
+		as.Acct.SetDissemination(d.Mode, snap)
 	}
-	in.acctTimer = in.Sim.Every(interval, func() {
+	in.Sim.Every(interval, func() {
 		for _, as := range in.ASes() {
 			as.Acct.FlushDigest()
 		}
 	})
-}
-
-// StopAccountability cancels digest dissemination. Engines keep
-// answering complaints and installing receipts.
-func (in *Internet) StopAccountability() {
-	if in.acctTimer != nil {
-		in.acctTimer.Stop()
-		in.acctTimer = nil
-	}
 }
 
 // OnAccountability installs an observer for every accountability-plane

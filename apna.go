@@ -27,6 +27,13 @@
 // AS 100), carries a MAC her AS verifies at egress, and is encrypted
 // end to end with a key derived from the two EphIDs' certificates.
 //
+// The options passed to New are the only way to describe an internet:
+// ASes and links (WithAS, WithLink, the WithLine/WithStar/WithFullMesh/
+// WithASGraph generators), hosts, attackers, chaos, the EphID lifecycle
+// engine and revocation-digest dissemination. Layout returns the ASes
+// and links a description lays out without building it; AddHost adds a
+// host to a running internet.
+//
 // Every blocking helper above is a thin Await wrapper over a
 // non-blocking *Async counterpart (NewEphIDAsync, ConnectAsync, ...)
 // returning a Pending future. Initiating many operations before
@@ -113,10 +120,8 @@ const (
 
 // Errors returned by the facade.
 var (
-	ErrDuplicateAS   = errors.New("apna: AS already exists")
 	ErrDuplicateHost = errors.New("apna: host name already exists")
 	ErrUnknownAS     = errors.New("apna: unknown AS")
-	ErrNotBuilt      = errors.New("apna: internet not built (call Build)")
 	ErrTimeout       = errors.New("apna: operation did not complete")
 )
 
@@ -157,28 +162,27 @@ type Internet struct {
 	attackers map[string]*Attacker
 	adjacency map[AID][]AID
 	links     map[asPair]*netsim.Link
-	built     bool
 	// live holds outstanding async operations with reply-routing state,
 	// settled (resolved or abandoned) whenever the timeline quiesces.
 	live []Op
 	// lifecycle, when non-nil, is the running EphID lifecycle engine
-	// (StartLifecycle / WithLifetimes).
+	// (WithLifetimes).
 	lifecycle *Lifecycle
 	// acctObserver, when non-nil, observes every accountability-plane
 	// event across all AS engines (OnAccountability).
 	acctObserver func(AcctEvent)
-	// acctTimer, when non-nil, is the running revocation-digest
-	// dissemination timer (StartAccountability / WithAccountability).
-	acctTimer *netsim.Timer
 }
 
-// NewInternet creates an empty internet with default options.
-func NewInternet(seed int64) (*Internet, error) {
-	return NewInternetWithOptions(seed, DefaultOptions())
-}
-
-// NewInternetWithOptions creates an empty internet.
-func NewInternetWithOptions(seed int64, opts Options) (*Internet, error) {
+// New builds a ready internet from a description: every AS stood up,
+// links connected, routes computed, hosts bootstrapped, attackers
+// attached and the optional engines started. The whole description is
+// validated before anything is built, so a bad one costs nothing and
+// fails with ErrBadTopology.
+func New(seed int64, topo ...TopologyOption) (*Internet, error) {
+	t, err := describe(topo)
+	if err != nil {
+		return nil, err
+	}
 	auth, err := rpki.NewAuthority()
 	if err != nil {
 		return nil, err
@@ -187,18 +191,56 @@ func NewInternetWithOptions(seed int64, opts Options) (*Internet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Internet{
+	in := &Internet{
 		Sim:       netsim.New(seed),
 		Trust:     rpki.NewTrustStore(auth.PublicKey()),
 		Zone:      zone,
-		opts:      opts,
+		opts:      t.opts,
 		authority: auth,
 		ases:      make(map[AID]*AS),
 		hosts:     make(map[string]*Host),
 		attackers: make(map[string]*Attacker),
 		adjacency: make(map[AID][]AID),
 		links:     make(map[asPair]*netsim.Link),
-	}, nil
+	}
+	for _, as := range t.ases {
+		if err := in.addAS(as.aid); err != nil {
+			return nil, err
+		}
+	}
+	for _, l := range t.links {
+		link := in.Sim.NewLink(fmt.Sprintf("%v-%v", l.A, l.B), l.Latency, 0)
+		in.ases[l.A].Router.AttachNeighbor(l.B, link.A())
+		in.ases[l.B].Router.AttachNeighbor(l.A, link.B())
+		in.adjacency[l.A] = append(in.adjacency[l.A], l.B)
+		in.adjacency[l.B] = append(in.adjacency[l.B], l.A)
+		in.links[pairOf(l.A, l.B)] = link
+	}
+	if err := in.introduce(); err != nil {
+		return nil, err
+	}
+	if t.chaos != nil {
+		for _, l := range in.links {
+			l.SetChaos(*t.chaos)
+		}
+	}
+	for _, as := range t.ases {
+		for _, name := range as.hosts {
+			if _, err := in.AddHost(as.aid, name); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for _, a := range t.attackers {
+		in.addAttacker(a.aid, a.name)
+	}
+	if t.lifetimes != nil {
+		in.startLifecycle(*t.lifetimes)
+	}
+	if t.dissem != nil {
+		in.startDissemination(*t.dissem)
+	}
+	return in, nil
 }
 
 // asPair keys an inter-AS link by its endpoints, lowest AID first.
@@ -252,43 +294,16 @@ func (in *Internet) Hosts() []*Host {
 	return hosts
 }
 
-// Connect links two ASes' border routers with the given one-way
-// latency.
-func (in *Internet) Connect(a, b AID, latency time.Duration) error {
-	asA, okA := in.ases[a]
-	asB, okB := in.ases[b]
-	if !okA || !okB {
-		return fmt.Errorf("%w: %v-%v", ErrUnknownAS, a, b)
-	}
-	link := in.Sim.NewLink(fmt.Sprintf("%v-%v", a, b), latency, 0)
-	asA.Router.AttachNeighbor(b, link.A())
-	asB.Router.AttachNeighbor(a, link.B())
-	in.adjacency[a] = append(in.adjacency[a], b)
-	in.adjacency[b] = append(in.adjacency[b], a)
-	in.links[pairOf(a, b)] = link
-	return nil
-}
-
 // InterASLink returns the link between two directly connected ASes, or
-// nil — the handle chaos configuration and adversarial wiretaps use.
+// nil — the handle partitions and adversarial wiretaps use.
 func (in *Internet) InterASLink(a, b AID) *netsim.Link { return in.links[pairOf(a, b)] }
 
-// SetInterASChaos applies a chaos configuration to every inter-AS link.
-// Intra-AS links (host access, service links) stay clean: AS-internal
-// control protocols assume ordered channels, matching the paper's model
-// where adversaries sit on the open internet, not inside the AS's
-// infrastructure.
-func (in *Internet) SetInterASChaos(cfg ChaosConfig) {
-	for _, l := range in.links {
-		l.SetChaos(cfg)
-	}
-}
-
-// Build computes inter-domain routes and installs them on every border
-// router, and introduces every accountability engine to its peers so
-// revocation digests can flood the whole internet. Call it after all
-// Connect calls; hosts can be added at any time.
-func (in *Internet) Build() error {
+// introduce runs once every AS and link exists: it computes inter-domain
+// routes and installs them on every border router, introduces every
+// accountability engine to its peers so revocation digests can flood
+// the whole internet, and gives every DNS resolver a referral to every
+// other AS's zone.
+func (in *Internet) introduce() error {
 	tables := netsim.ComputeAllRoutes(in.adjacency)
 	for aid, as := range in.ases {
 		as.Router.SetRoutes(tables[aid])
@@ -328,7 +343,6 @@ func (in *Internet) Build() error {
 			a.dnsSvc.AddReferral(ref)
 		}
 	}
-	in.built = true
 	return nil
 }
 

@@ -21,32 +21,14 @@ type world struct {
 
 func newWorld(t *testing.T) *world {
 	t.Helper()
-	in, err := NewInternet(1)
+	in, err := New(1,
+		WithAS(100, "alice"), WithAS(200), WithAS(300, "carol"),
+		WithLink(100, 200, 5*time.Millisecond),
+		WithLink(200, 300, 5*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, aid := range []AID{100, 200, 300} {
-		if _, err := in.AddAS(aid); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := in.Connect(100, 200, 5*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := in.Connect(200, 300, 5*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := in.Build(); err != nil {
-		t.Fatal(err)
-	}
-	w := &world{in: in}
-	if w.alice, err = in.AddHost(100, "alice"); err != nil {
-		t.Fatal(err)
-	}
-	if w.carol, err = in.AddHost(300, "carol"); err != nil {
-		t.Fatal(err)
-	}
-	return w
+	return &world{in: in, alice: in.Host("alice"), carol: in.Host("carol")}
 }
 
 func (w *world) ephID(t *testing.T, h *Host) *host.OwnedEphID {
@@ -260,27 +242,14 @@ func TestShutoffEndToEnd(t *testing.T) {
 }
 
 func TestStrikeEscalation(t *testing.T) {
-	in, err := NewInternetWithOptions(1, func() Options {
-		o := DefaultOptions()
-		o.StrikeLimit = 2
-		return o
-	}())
+	opts := DefaultOptions()
+	opts.StrikeLimit = 2
+	in, err := New(1, WithOptions(opts),
+		WithAS(1, "attacker"), WithAS(2, "victim"), WithLink(1, 2, time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, aid := range []AID{1, 2} {
-		if _, err := in.AddAS(aid); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := in.Connect(1, 2, time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := in.Build(); err != nil {
-		t.Fatal(err)
-	}
-	attacker, _ := in.AddHost(1, "attacker")
-	victim, _ := in.AddHost(2, "victim")
+	attacker, victim := in.Host("attacker"), in.Host("victim")
 	idV, err := victim.NewEphID(ephid.KindData, 900)
 	if err != nil {
 		t.Fatal(err)
@@ -443,19 +412,19 @@ func TestConnectToExpiredCertRejected(t *testing.T) {
 	}
 }
 
+// TestUnknownASRejected covers the one way onto a running internet:
+// AddHost. Links, attackers and duplicate ASes are description errors,
+// rejected by New (TestTopologyValidationRejects).
 func TestUnknownASRejected(t *testing.T) {
-	in, _ := NewInternet(1)
+	in, err := New(1, WithAS(7, "resident"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := in.AddHost(42, "ghost"); !errors.Is(err, ErrUnknownAS) {
 		t.Errorf("err = %v", err)
 	}
-	if err := in.Connect(1, 2, 0); !errors.Is(err, ErrUnknownAS) {
-		t.Errorf("err = %v", err)
-	}
-	if _, err := in.AddAS(7); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := in.AddAS(7); !errors.Is(err, ErrDuplicateAS) {
-		t.Errorf("err = %v", err)
+	if _, err := in.AddHost(7, "resident"); !errors.Is(err, ErrDuplicateHost) {
+		t.Errorf("duplicate AddHost err = %v", err)
 	}
 }
 

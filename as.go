@@ -60,34 +60,32 @@ type AS struct {
 // serviceLifetime is how long AS-internal service EphIDs live.
 const serviceLifetime = 365 * 24 * 3600
 
-// AddAS creates an AS with fresh keys, registers it with the RPKI
+// addAS creates an AS with fresh keys, registers it with the RPKI
 // authority, stands up its services, and wires them to its border
-// router.
-func (in *Internet) AddAS(aid AID) (*AS, error) {
-	if _, dup := in.ases[aid]; dup {
-		return nil, fmt.Errorf("%w: %v", ErrDuplicateAS, aid)
-	}
+// router. New calls it once per declared AS; validation has already
+// rejected duplicates.
+func (in *Internet) addAS(aid AID) error {
 	secret, err := crypto.NewASSecret()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sealer, err := ephid.NewSealer(secret)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	signer, err := crypto.GenerateSigner()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	dhKey, err := crypto.GenerateKeyPair()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	now := in.Sim.NowUnix
 
 	zone, err := dns.NewZoneFor(fmt.Sprintf("as%d", uint32(aid)))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	as := &AS{
 		AID: aid, in: in, secret: secret, sealer: sealer, signer: signer, dhKey: dhKey,
@@ -100,10 +98,10 @@ func (in *Internet) AddAS(aid AID) (*AS, error) {
 	// certificates and run the bootstrap DH.
 	rec, err := in.authority.Certify(aid, signer.PublicKey(), dhKey.PublicKey(), now()+10*365*24*3600)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := in.Trust.Add(rec); err != nil {
-		return nil, err
+		return err
 	}
 
 	as.RS = registry.New(registry.Config{AID: aid, ControlEphIDLifetime: 24 * 3600},
@@ -111,22 +109,22 @@ func (in *Internet) AddAS(aid AID) (*AS, error) {
 
 	as.Router, err = border.New(aid, sealer, as.DB, secret, now)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Service identities: the AA first (self-referencing certificate),
 	// then MS and DNS pointing at it.
 	as.aaID, err = as.RS.AllocServiceIdentity(ephid.KindControl, serviceLifetime, ephid.EphID{})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	as.msID, err = as.RS.AllocServiceIdentity(ephid.KindControl, serviceLifetime, as.aaID.EphID)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	as.dnsID, err = as.RS.AllocServiceIdentity(ephid.KindControl, serviceLifetime, as.aaID.EphID)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	as.RS.InstallServiceCerts(&as.msID.Cert, &as.dnsID.Cert)
 
@@ -150,11 +148,11 @@ func (in *Internet) AddAS(aid AID) (*AS, error) {
 	})
 
 	if err := as.mountServices(); err != nil {
-		return nil, err
+		return err
 	}
 	in.ases[aid] = as
 	in.adjacency[aid] = in.adjacency[aid] // ensure key exists for routing
-	return as, nil
+	return nil
 }
 
 // serviceHost builds a host stack for a service identity and attaches
@@ -195,7 +193,7 @@ func (as *AS) mountServices() error {
 
 	// DNS: ordinary session service. Names under the AS's own apex are
 	// answered from its authoritative zone, delegated apexes via signed
-	// referral (installed in Build, once every AS exists), and the rest
+	// referral (installed by New once every AS exists), and the rest
 	// from the shared root zone; misses get signed denials stamped on
 	// the virtual clock.
 	if as.dnsHost, err = as.serviceHost(as.dnsID, "dns"); err != nil {
@@ -310,8 +308,8 @@ func (as *AS) ServiceEndpoints() (msEp, dnsEp, aaEp Endpoint) {
 // GCRevocations removes expired entries from the router's revocation
 // list (Section VIII-G2), returning the number removed. This is the
 // manual hook for tests and diagnostics; production topologies run the
-// same reap on the lifecycle engine's timer (StartLifecycle /
-// WithLifetimes), which also reaps the hostdb.
+// same reap on the lifecycle engine's timer (WithLifetimes), which also
+// reaps the hostdb.
 func (as *AS) GCRevocations() int {
 	return as.Router.Revoked().GC(as.in.Sim.NowUnix())
 }

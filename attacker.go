@@ -1,7 +1,6 @@
 package apna
 
 import (
-	"errors"
 	"fmt"
 
 	"apna/internal/adversary"
@@ -38,9 +37,6 @@ const (
 	AttackFraming     = adversary.KindFraming
 )
 
-// ErrDuplicateAttacker is returned when an attacker name is reused.
-var ErrDuplicateAttacker = errors.New("apna: attacker name already exists")
-
 // attackerHIDBase keeps rogue-device port registrations clear of the
 // HID space the registry allocates to authenticated hosts. The router
 // never routes *to* these HIDs; the attacker only injects through the
@@ -57,26 +53,16 @@ type Attacker struct {
 	as *AS
 }
 
-// AddAttacker attaches a new attacker to an AS. The attacker is NOT a
-// bootstrapped subscriber — it holds no credentials, no kHA and no
-// EphIDs; everything it achieves must come from forging, capturing or
-// stealing.
-func (in *Internet) AddAttacker(aid AID, name string) (*Attacker, error) {
-	as, ok := in.ases[aid]
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrUnknownAS, aid)
-	}
-	if _, dup := in.attackers[name]; dup {
-		return nil, fmt.Errorf("%w: %q", ErrDuplicateAttacker, name)
-	}
+// addAttacker attaches the attacker a WithAttacker option declared;
+// validation has already placed it on a declared AS under a fresh name.
+func (in *Internet) addAttacker(aid AID, name string) {
+	as := in.ases[aid]
 	core := adversary.New(name, in.Sim)
 	link := in.Sim.NewLink("attacker-"+name, in.opts.HostLinkLatency, 0)
 	as.Router.AttachHost(attackerHIDBase+ephid.HID(len(in.attackers)), link.A())
 	core.AttachPort(link.B())
 	core.SetExternalInjector(as.Router.HandleExternalFrame)
-	a := &Attacker{Attacker: core, in: in, as: as}
-	in.attackers[name] = a
-	return a, nil
+	in.attackers[name] = &Attacker{Attacker: core, in: in, as: as}
 }
 
 // Attacker returns the attacker with the given name, or nil.

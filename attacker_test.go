@@ -32,6 +32,12 @@ func TestAttackerEndToEndReplayRejected(t *testing.T) {
 	if mallory == nil {
 		t.Fatal("attacker not built from topology option")
 	}
+	if got := mallory.AS().AID; got != AID(200) {
+		t.Errorf("attacker AS = %v, want AS200", got)
+	}
+	if in.Attacker("nobody") != nil {
+		t.Error("unknown attacker lookup returned non-nil")
+	}
 	if err := mallory.TapInterAS(100, 200); err != nil {
 		t.Fatal(err)
 	}
@@ -129,21 +135,5 @@ func TestChaosTopologyStillConverges(t *testing.T) {
 	link := in.InterASLink(100, 200)
 	if link == nil || link.Stats().Duplicated == 0 {
 		t.Error("chaos link recorded no duplication")
-	}
-}
-
-func TestAddAttackerErrors(t *testing.T) {
-	in, _, _ := adversarialPair(t)
-	if _, err := in.AddAttacker(999, "x"); err == nil {
-		t.Error("attacker on unknown AS accepted")
-	}
-	if _, err := in.AddAttacker(100, "mallory"); err == nil {
-		t.Error("duplicate attacker name accepted")
-	}
-	if in.Attacker("nobody") != nil {
-		t.Error("unknown attacker lookup returned non-nil")
-	}
-	if got := in.Attacker("mallory").AS().AID; got != AID(200) {
-		t.Errorf("attacker AS = %v, want AS200", got)
 	}
 }

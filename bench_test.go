@@ -581,30 +581,11 @@ func BenchmarkShutoffHandleRequest(b *testing.B) {
 // full handshake across the simulated internet (two X25519 exchanges,
 // two certificate verifications, the handshake round trip).
 func BenchmarkConnectionEstablishment(b *testing.B) {
-	in, err := NewInternet(1)
+	in, err := New(1, WithAS(1, "alice"), WithAS(2, "bob"), WithLink(1, 2, time.Microsecond))
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := in.AddAS(1); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := in.AddAS(2); err != nil {
-		b.Fatal(err)
-	}
-	if err := in.Connect(1, 2, time.Microsecond); err != nil {
-		b.Fatal(err)
-	}
-	if err := in.Build(); err != nil {
-		b.Fatal(err)
-	}
-	alice, err := in.AddHost(1, "alice")
-	if err != nil {
-		b.Fatal(err)
-	}
-	bob, err := in.AddHost(2, "bob")
-	if err != nil {
-		b.Fatal(err)
-	}
+	alice, bob := in.Host("alice"), in.Host("bob")
 	idA, err := alice.NewEphID(ephid.KindData, 1<<20)
 	if err != nil {
 		b.Fatal(err)

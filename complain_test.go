@@ -19,7 +19,7 @@ func buildComplaintWorld(t *testing.T) (*apna.Internet, *apna.Host, *apna.Host) 
 		apna.WithHosts(100, "spammer"),
 		apna.WithHosts(101, "victim"),
 		apna.WithHosts(102, "bystander"),
-		apna.WithAccountability(2*time.Second))
+		apna.WithDissemination(apna.Dissemination{Interval: 2 * time.Second}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,31 +24,15 @@ type world struct {
 
 func newWorld(t *testing.T) *world {
 	t.Helper()
-	in, err := apna.NewInternet(1)
+	in, err := apna.New(1,
+		apna.WithAS(100, "ap"), apna.WithAS(200, "peer"),
+		apna.WithLink(100, 200, time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := in.AddAS(100); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := in.AddAS(200); err != nil {
-		t.Fatal(err)
-	}
-	if err := in.Connect(100, 200, time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := in.Build(); err != nil {
-		t.Fatal(err)
-	}
-	w := &world{in: in}
-	if w.apHost, err = in.AddHost(100, "ap"); err != nil {
-		t.Fatal(err)
-	}
+	w := &world{in: in, apHost: in.Host("ap"), peer: in.Host("peer")}
 	w.nat = NewNAT(w.apHost.Stack, in.Sim)
 
-	if w.peer, err = in.AddHost(200, "peer"); err != nil {
-		t.Fatal(err)
-	}
 	peerEphID, err := w.peer.NewEphID(ephid.KindData, 900)
 	if err != nil {
 		t.Fatal(err)

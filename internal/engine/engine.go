@@ -19,13 +19,13 @@ package engine
 
 import (
 	"fmt"
-	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
 	"apna/internal/border"
 	"apna/internal/pktgen"
+	"apna/internal/quantile"
 	"apna/internal/wire"
 )
 
@@ -323,22 +323,13 @@ func percentiles(samples []float64) StageStats {
 	if len(samples) == 0 {
 		return StageStats{}
 	}
-	sort.Float64s(samples)
-	at := func(q float64) time.Duration {
-		idx := int(math.Ceil(q*float64(len(samples)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(samples) {
-			idx = len(samples) - 1
-		}
-		return time.Duration(samples[idx])
-	}
+	slices.Sort(samples)
+	at := func(q float64) time.Duration { return time.Duration(quantile.NearestRank(samples, q)) }
 	return StageStats{
 		P50:     at(0.50),
 		P90:     at(0.90),
 		P99:     at(0.99),
-		Max:     time.Duration(samples[len(samples)-1]),
+		Max:     at(1),
 		Samples: len(samples),
 	}
 }

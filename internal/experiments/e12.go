@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"time"
 
+	"apna"
 	"apna/internal/accountability"
 	"apna/internal/crypto"
 	"apna/internal/ephid"
@@ -50,10 +51,9 @@ import (
 //     bounded number of anti-entropy rounds.
 
 // E12Config parameterises the dissemination sweep. The AS graph is the
-// same deterministic provider/customer shape as the facade's
-// ASGraphConfig: a clique of core ASes, mid-tier ASes each homed to
-// ProvidersPerAS cores (round-robin), stubs each homed to
-// ProvidersPerAS mids.
+// facade's (apna.WithASGraph, laid out by apna.Layout): a clique of
+// core ASes, mid-tier ASes each homed to ProvidersPerAS cores
+// (round-robin), stubs each homed to ProvidersPerAS mids.
 type E12Config struct {
 	// Seed drives key generation order, loss, and nothing else — the
 	// schedule itself is deterministic.
@@ -382,37 +382,23 @@ func (w *e12World) mint(o, k int) ephid.EphID {
 	return id
 }
 
-// e12Graph mirrors the facade AS-graph generator: a core clique, then
-// each lower-tier AS homed round-robin to ProvidersPerAS providers in
-// the tier above.
-func e12Graph(core, mid, stubs, providers int) [][]int {
-	n := core + mid + stubs
-	adj := make([][]int, n)
-	addEdge := func(a, b int) {
+// e12Overlay lays out the facade's provider/customer AS graph
+// (apna.WithASGraph) at AIDs 1…n — the AIDs newE12World gives its
+// engines — and returns it as adjacency lists over engine indices
+// (index i is AID i+1), each AS's neighbors in link order.
+func e12Overlay(core, mid, stubs, providers int) ([][]int, error) {
+	aids, links, err := apna.Layout(apna.WithASGraph(1, apna.ASGraphConfig{
+		Core: core, Mid: mid, Stubs: stubs, ProvidersPerAS: providers}))
+	if err != nil {
+		return nil, fmt.Errorf("e12: %w", err)
+	}
+	adj := make([][]int, len(aids))
+	for _, l := range links {
+		a, b := int(l.A)-1, int(l.B)-1
 		adj[a] = append(adj[a], b)
 		adj[b] = append(adj[b], a)
 	}
-	for i := 0; i < core; i++ {
-		for j := i + 1; j < core; j++ {
-			addEdge(i, j)
-		}
-	}
-	attach := func(node, i, tierFirst, tierSize int) {
-		p := providers
-		if p > tierSize {
-			p = tierSize
-		}
-		for j := 0; j < p; j++ {
-			addEdge(tierFirst+(i*p+j)%tierSize, node)
-		}
-	}
-	for i := 0; i < mid; i++ {
-		attach(core+i, i, 0, core)
-	}
-	for i := 0; i < stubs; i++ {
-		attach(core+mid+i, i, core, mid)
-	}
-	return adj
+	return adj, nil
 }
 
 // bfsEcc returns the eccentricity of src and how many nodes it reaches.
@@ -469,8 +455,11 @@ func e12Origins(cfg E12Config) []int {
 // ---- phases ----
 
 func runE12Relay(cfg E12Config) (E12Relay, error) {
-	n := cfg.Core + cfg.Mid + cfg.Stubs
-	adj := e12Graph(cfg.Core, cfg.Mid, cfg.Stubs, cfg.ProvidersPerAS)
+	adj, err := e12Overlay(cfg.Core, cfg.Mid, cfg.Stubs, cfg.ProvidersPerAS)
+	if err != nil {
+		return E12Relay{}, err
+	}
+	n := len(adj)
 	w, err := newE12World(cfg, n, adj, accountability.ModeRelay, cfg.SnapshotEvery, 0, false)
 	if err != nil {
 		return E12Relay{}, err
@@ -628,7 +617,10 @@ func runE12Equiv(cfg E12Config) (E12Equiv, error) {
 	fail := func(format string, args ...any) {
 		r.Failures = append(r.Failures, fmt.Sprintf(format, args...))
 	}
-	adj := e12Graph(4, 12, n-16, cfg.ProvidersPerAS)
+	adj, err := e12Overlay(4, 12, n-16, cfg.ProvidersPerAS)
+	if err != nil {
+		return r, err
+	}
 	mesh, err := newE12World(cfg, n, nil, accountability.ModeMesh, cfg.EquivSnapshotEvery, cfg.EquivLoss, true)
 	if err != nil {
 		return r, err
@@ -735,9 +727,6 @@ func runE12Equiv(cfg E12Config) (E12Equiv, error) {
 
 // RunE12 executes the three-phase dissemination sweep.
 func RunE12(cfg E12Config) (*E12Result, error) {
-	if cfg.Core < 1 || cfg.Mid < 0 || cfg.Stubs < 0 || (cfg.Stubs > 0 && cfg.Mid < 1) {
-		return nil, fmt.Errorf("experiments: e12 needs a valid AS graph, got core=%d mid=%d stubs=%d", cfg.Core, cfg.Mid, cfg.Stubs)
-	}
 	if cfg.Interval <= 0 || cfg.Ticks < 4 || cfg.ActiveOrigins < 1 || cfg.ChurnPerTick < 1 ||
 		cfg.MeshASes < 2 || cfg.EquivChurnTicks < 1 || cfg.EquivMaxTicks < 1 {
 		return nil, fmt.Errorf("experiments: e12 config incomplete: %+v", cfg)

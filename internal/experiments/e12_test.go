@@ -33,27 +33,6 @@ func tinyE12() E12Config {
 	}
 }
 
-func TestE12GraphShape(t *testing.T) {
-	adj := e12Graph(4, 8, 24, 2)
-	if len(adj) != 36 {
-		t.Fatalf("graph has %d nodes, want 36", len(adj))
-	}
-	edges := 0
-	for _, nbrs := range adj {
-		edges += len(nbrs)
-	}
-	// core clique + 2 providers per mid and per stub
-	want := 2 * (4*3/2 + 8*2 + 24*2)
-	if edges != want {
-		t.Fatalf("graph has %d directed edges, want %d", edges, want)
-	}
-	for src := range adj {
-		if _, reached := bfsEcc(adj, src); reached != len(adj) {
-			t.Fatalf("graph disconnected from node %d", src)
-		}
-	}
-}
-
 func TestE12Origins(t *testing.T) {
 	cfg := tinyE12()
 	origins := e12Origins(cfg)

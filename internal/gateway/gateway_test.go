@@ -25,32 +25,15 @@ type world struct {
 
 func newWorld(t *testing.T) *world {
 	t.Helper()
-	in, err := apna.NewInternet(1)
+	in, err := apna.New(1,
+		apna.WithAS(100, "gw"), apna.WithAS(200, "native"),
+		apna.WithLink(100, 200, time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := in.AddAS(100); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := in.AddAS(200); err != nil {
-		t.Fatal(err)
-	}
-	if err := in.Connect(100, 200, time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := in.Build(); err != nil {
-		t.Fatal(err)
-	}
-
-	w := &world{in: in}
-	if w.gwHost, err = in.AddHost(100, "gw"); err != nil {
-		t.Fatal(err)
-	}
+	w := &world{in: in, gwHost: in.Host("gw"), native: in.Host("native")}
 	w.gw = New(w.gwHost.Stack, func(pkt []byte) { w.gwOut = append(w.gwOut, pkt) })
 
-	if w.native, err = in.AddHost(200, "native"); err != nil {
-		t.Fatal(err)
-	}
 	id, err := w.native.NewEphID(ephid.KindData, 900)
 	if err != nil {
 		t.Fatal(err)

@@ -35,7 +35,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -47,6 +47,7 @@ import (
 	"apna/internal/ephid"
 	"apna/internal/hostdb"
 	"apna/internal/ms"
+	"apna/internal/quantile"
 	"apna/internal/trace"
 	"apna/internal/wire"
 )
@@ -369,15 +370,10 @@ func mergeStats(rs ...*reservoir) OpStats {
 	if len(all) == 0 {
 		return out
 	}
-	sort.Float64s(all)
-	pick := func(p float64) float64 {
-		i := int(p * float64(len(all)))
-		if i >= len(all) {
-			i = len(all) - 1
-		}
-		return all[i]
-	}
-	out.P50us, out.P90us, out.P99us = pick(0.50), pick(0.90), pick(0.99)
+	slices.Sort(all)
+	out.P50us = quantile.NearestRank(all, 0.50)
+	out.P90us = quantile.NearestRank(all, 0.90)
+	out.P99us = quantile.NearestRank(all, 0.99)
 	return out
 }
 

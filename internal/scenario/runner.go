@@ -105,7 +105,20 @@ func Run(s *Spec, opts RunOptions) (*Result, error) {
 		}
 	}
 
-	in, err := apna.New(s.Seed, s.topoOptions()...)
+	topo, aids, _, err := s.compile()
+	if err != nil {
+		return nil, err
+	}
+	for i, aid := range aids {
+		names := make([]string, s.Topology.HostsPerAS)
+		for j := range names {
+			names[j] = hostName(i, j)
+		}
+		if len(names) > 0 {
+			topo = append(topo, apna.WithHosts(aid, names...))
+		}
+	}
+	in, err := apna.New(s.Seed, topo...)
 	if err != nil {
 		return nil, err
 	}
@@ -119,13 +132,9 @@ func Run(s *Spec, opts RunOptions) (*Result, error) {
 
 	r := &runner{
 		spec: s, in: in, verdict: &Verdict{Name: s.Name, Seed: s.Seed, SpecHash: specHash},
+		firstAID: aids[0], nASes: len(aids),
 		attackerAS: make(map[int]bool),
 	}
-	r.firstAID = apna.AID(s.Topology.FirstAID)
-	if r.firstAID == 0 {
-		r.firstAID = 100
-	}
-	r.nASes = len(s.Topology.aids())
 	r.hosts = in.Hosts()
 	r.verdict.Hosts = len(r.hosts)
 

@@ -2,8 +2,9 @@
 // specification of a whole simulation run — topology, host population,
 // attacker mix, chaos, virtual-time phases of actions, invariant
 // selection and pass/fail bounds — plus a generic runner that compiles
-// a Spec into the facade primitives (Topology, WithChaos, WithAttacker,
-// WithLifetimes, WithDissemination) and executes it on internal/netsim.
+// a Spec into the options of apna.New (a generator, WithHosts,
+// WithChaos, WithAttacker, WithLifetimes, WithDissemination) and
+// executes it on internal/netsim.
 //
 // Every chaotic decision of a run is captured as a seq-stamped fault
 // schedule (netsim.CaptureFaults); re-running a spec against its
@@ -302,56 +303,11 @@ func Load(path string) (*Spec, error) {
 	return s, nil
 }
 
-// aids returns the set of AIDs the topology declares, in order.
-func (t *TopologySpec) aids() []uint32 {
-	first := t.FirstAID
-	if first == 0 {
-		first = 100
-	}
-	n := t.ASes
-	if t.Kind == "as-graph" {
-		n = t.Core + t.Mid + t.Stubs
-	}
-	out := make([]uint32, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, first+uint32(i))
-	}
-	return out
-}
-
-// linked reports whether the topology declares a direct a-b link.
-func (t *TopologySpec) linked(a, b uint32) bool {
-	aids := t.aids()
-	idx := func(aid uint32) int {
-		for i, v := range aids {
-			if v == aid {
-				return i
-			}
-		}
-		return -1
-	}
-	ia, ib := idx(a), idx(b)
-	if ia < 0 || ib < 0 || ia == ib {
-		return false
-	}
-	switch t.Kind {
-	case "full-mesh":
-		return true
-	case "line":
-		return ia-ib == 1 || ib-ia == 1
-	case "star":
-		return ia == 0 || ib == 0
-	case "as-graph":
-		// Conservative: core-core links always exist; customer-provider
-		// assignment is deterministic but involved, so partitions in
-		// as-graph scenarios are only validated against the core mesh.
-		return ia < t.Core && ib < t.Core
-	}
-	return false
-}
-
-// Validate checks the whole spec: topology shape, attacker placement,
-// chaos ranges, phase actions and their cross-references.
+// Validate checks the whole spec: topology shape, size caps, phase
+// actions and their cross-references. The facade validates what it
+// builds — the AS graph, attacker placement, chaos ranges, lifecycle
+// durations — through apna.Layout, whose links the taps and partitions
+// are checked against.
 func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("%w: missing name", ErrBadSpec)
@@ -369,62 +325,48 @@ func (s *Spec) Validate() error {
 		if t.Stubs > 0 && t.Mid < 1 {
 			return fmt.Errorf("%w: as-graph stubs need a mid tier", ErrBadSpec)
 		}
-	default:
-		return fmt.Errorf("%w: unknown topology kind %q", ErrBadSpec, t.Kind)
 	}
 	// Size caps keep hostile or typo'd specs from allocating the world
-	// before anything runs.
-	const maxASes, maxHostsPerAS = 4096, 4096
+	// before anything runs — validation lays every link out, and a
+	// mesh has one per pair of its ASes, a customer one per provider.
+	const maxASes, maxMeshASes, maxProviders, maxHostsPerAS = 4096, 256, 16, 4096
 	for _, n := range []int{t.ASes, t.Core, t.Mid, t.Stubs} {
 		if n > maxASes {
 			return fmt.Errorf("%w: topology tier %d exceeds cap %d", ErrBadSpec, n, maxASes)
 		}
 	}
+	if (t.Kind == "full-mesh" && t.ASes > maxMeshASes) || (t.Kind == "as-graph" && t.Core > maxMeshASes) {
+		return fmt.Errorf("%w: full mesh of more than %d ASes exceeds cap", ErrBadSpec, maxMeshASes)
+	}
+	if t.ProvidersPerAS > maxProviders {
+		return fmt.Errorf("%w: providers_per_as %d exceeds cap %d", ErrBadSpec, t.ProvidersPerAS, maxProviders)
+	}
 	if t.HostsPerAS < 0 || t.HostsPerAS > maxHostsPerAS {
 		return fmt.Errorf("%w: hosts_per_as %d outside [0,%d]", ErrBadSpec, t.HostsPerAS, maxHostsPerAS)
 	}
-	if t.LinkLatency < 0 || t.CoreLatency < 0 {
-		return fmt.Errorf("%w: negative link latency", ErrBadSpec)
+	if d := s.Dissemination; d != nil {
+		switch d.Mode {
+		case "", "mesh", "relay":
+		default:
+			return fmt.Errorf("%w: dissemination mode %q is not \"mesh\" or \"relay\"", ErrBadSpec, d.Mode)
+		}
 	}
-	aids := make(map[uint32]bool)
-	for _, aid := range t.aids() {
-		aids[aid] = true
+	_, aids, links, err := s.compile()
+	if err != nil {
+		return err
 	}
-
-	if c := s.Chaos; c != nil {
-		for _, p := range []float64{c.Loss, c.DupProb, c.ReorderProb} {
-			if p < 0 || p > 1 {
-				return fmt.Errorf("%w: chaos probability %v outside [0,1]", ErrBadSpec, p)
-			}
-		}
-		if c.Jitter < 0 || c.ReorderDelay < 0 {
-			return fmt.Errorf("%w: negative chaos delay", ErrBadSpec)
-		}
-		for _, iv := range c.Partitions {
-			if iv.From < 0 || iv.Until <= iv.From {
-				return fmt.Errorf("%w: partition window [%v,%v) is empty or negative",
-					ErrBadSpec, iv.From.D(), iv.Until.D())
-			}
-		}
+	linked := make(map[[2]apna.AID]bool, 2*len(links))
+	for _, l := range links {
+		linked[[2]apna.AID{l.A, l.B}] = true
+		linked[[2]apna.AID{l.B, l.A}] = true
 	}
 
-	attackers := make(map[string]bool)
 	for _, a := range s.Attackers {
-		if a.Name == "" {
-			return fmt.Errorf("%w: attacker with empty name", ErrBadSpec)
-		}
-		if attackers[a.Name] {
-			return fmt.Errorf("%w: attacker %q declared twice", ErrBadSpec, a.Name)
-		}
-		attackers[a.Name] = true
-		if !aids[a.AS] {
-			return fmt.Errorf("%w: attacker %q on unknown AS %d", ErrBadSpec, a.Name, a.AS)
-		}
 		if len(a.Tap) > 0 {
 			if len(a.Tap) != 2 {
 				return fmt.Errorf("%w: attacker %q tap wants [a, b], got %v", ErrBadSpec, a.Name, a.Tap)
 			}
-			if !t.linked(a.Tap[0], a.Tap[1]) {
+			if !linked[[2]apna.AID{apna.AID(a.Tap[0]), apna.AID(a.Tap[1])}] {
 				return fmt.Errorf("%w: attacker %q taps missing link %d-%d",
 					ErrBadSpec, a.Name, a.Tap[0], a.Tap[1])
 			}
@@ -441,10 +383,9 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("%w: no phases", ErrBadSpec)
 	}
 	hostNames := make(map[string]bool)
-	for i, aid := range t.aids() {
+	for i := range aids {
 		for j := 0; j < t.HostsPerAS; j++ {
-			_ = aid
-			hostNames[fmt.Sprintf("h%02d-%02d", i, j)] = true
+			hostNames[hostName(i, j)] = true
 		}
 	}
 	published := make(map[string]bool)
@@ -497,7 +438,7 @@ func (s *Spec) Validate() error {
 				if a.Duration <= 0 {
 					return fmt.Errorf("%w: %s needs a positive duration", ErrBadSpec, where)
 				}
-				if !t.linked(a.A, a.B) {
+				if !linked[[2]apna.AID{apna.AID(a.A), apna.AID(a.B)}] {
 					return fmt.Errorf("%w: %s partitions missing link %d-%d", ErrBadSpec, where, a.A, a.B)
 				}
 			case OpPublish:
@@ -554,9 +495,15 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// topoOptions compiles the topology (plus chaos, attackers, lifecycle
-// and dissemination) into facade options.
-func (s *Spec) topoOptions() []apna.TopologyOption {
+// hostName names the j-th host of the i-th AS.
+func hostName(i, j int) string { return fmt.Sprintf("h%02d-%02d", i, j) }
+
+// compile turns everything in the spec but its hosts into facade
+// options and has apna.Layout validate them: it returns the options,
+// the ASes in generator order and the inter-AS links. Host names are
+// the scenario's own and unique by construction; Run adds them once
+// the ASes are known.
+func (s *Spec) compile() ([]apna.TopologyOption, []apna.AID, []apna.ASLink, error) {
 	t := &s.Topology
 	first := apna.AID(t.FirstAID)
 	if first == 0 {
@@ -580,6 +527,8 @@ func (s *Spec) topoOptions() []apna.TopologyOption {
 			ProvidersPerAS: t.ProvidersPerAS,
 			CoreLatency:    core, Latency: t.LinkLatency.D(),
 		}))
+	default:
+		return nil, nil, nil, fmt.Errorf("%w: unknown topology kind %q", ErrBadSpec, t.Kind)
 	}
 	if c := s.Chaos; c != nil {
 		cfg := apna.ChaosConfig{
@@ -591,15 +540,6 @@ func (s *Spec) topoOptions() []apna.TopologyOption {
 				apna.ChaosInterval{From: iv.From.D(), Until: iv.Until.D()})
 		}
 		topo = append(topo, apna.WithChaos(cfg))
-	}
-	for i, aid := range t.aids() {
-		names := make([]string, t.HostsPerAS)
-		for j := range names {
-			names[j] = fmt.Sprintf("h%02d-%02d", i, j)
-		}
-		if len(names) > 0 {
-			topo = append(topo, apna.WithHosts(apna.AID(aid), names...))
-		}
 	}
 	for _, a := range s.Attackers {
 		topo = append(topo, apna.WithAttacker(apna.AID(a.AS), a.Name))
@@ -620,5 +560,9 @@ func (s *Spec) topoOptions() []apna.TopologyOption {
 			Interval: d.Interval.D(), Mode: mode, SnapshotEvery: d.SnapshotEvery,
 		}))
 	}
-	return topo
+	aids, links, err := apna.Layout(topo...)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("%w: %w", ErrBadSpec, err)
+	}
+	return topo, aids, links, nil
 }

@@ -27,6 +27,32 @@ func TestParseValid(t *testing.T) {
 	}
 }
 
+// asGraph is a two-core, two-mid, two-stub hierarchy with one provider
+// per AS: cores 100-101, mids 102 (homed to 100) and 103 (to 101),
+// stubs 104 (to 102) and 105 (to 103).
+const asGraph = `{"kind": "as-graph", "core": 2, "mid": 2, "stubs": 2, "providers_per_as": 1,
+	"hosts_per_as": 1, "link_latency": "1ms"}`
+
+// TestValidatorAcceptsASGraphLinks: taps and partitions on an as-graph
+// are checked against the links the facade lays out, provider links
+// included, not against the core mesh alone.
+func TestValidatorAcceptsASGraphLinks(t *testing.T) {
+	cases := []struct{ name, json string }{
+		{"tap on a mid-core link", `{"name": "t", "topology": ` + asGraph + `,
+			"attackers": [{"name": "m", "as": 102, "tap": [102, 100]}],
+			"phases": [{"name": "p", "actions": [{"op": "run", "duration": "1ms"}]}]}`},
+		{"partition on a stub-mid link", `{"name": "t", "topology": ` + asGraph + `,
+			"phases": [{"name": "p", "actions": [{"op": "partition", "a": 104, "b": 102, "duration": "1ms"}]}]}`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Parse([]byte(tc.json)); err != nil {
+				t.Fatalf("valid spec rejected: %v", err)
+			}
+		})
+	}
+}
+
 func TestValidatorRejections(t *testing.T) {
 	cases := []struct {
 		name string
@@ -41,6 +67,10 @@ func TestValidatorRejections(t *testing.T) {
 			"phases": [{"name": "p", "actions": [{"op": "run", "duration": "1ms"}]}]}`, "ases >= 1"},
 		{"ases over cap", `{"name": "t", "topology": {"kind": "full-mesh", "ases": 100000, "hosts_per_as": 1, "link_latency": "1ms"},
 			"phases": [{"name": "p", "actions": [{"op": "run", "duration": "1ms"}]}]}`, "exceeds cap"},
+		{"full mesh over cap", `{"name": "t", "topology": {"kind": "full-mesh", "ases": 300, "hosts_per_as": 1, "link_latency": "1ms"},
+			"phases": [{"name": "p", "actions": [{"op": "run", "duration": "1ms"}]}]}`, "exceeds cap"},
+		{"providers over cap", `{"name": "t", "topology": {"kind": "as-graph", "core": 2, "mid": 4000, "stubs": 4000, "providers_per_as": 4000, "hosts_per_as": 1, "link_latency": "1ms"},
+			"phases": [{"name": "p", "actions": [{"op": "run", "duration": "1ms"}]}]}`, "exceeds cap"},
 		{"as-graph stubs without mid", `{"name": "t", "topology": {"kind": "as-graph", "core": 2, "stubs": 3, "hosts_per_as": 1, "link_latency": "1ms"},
 			"phases": [{"name": "p", "actions": [{"op": "run", "duration": "1ms"}]}]}`, "mid tier"},
 		{"chaos loss out of range", `{"name": "t", "topology": {"kind": "full-mesh", "ases": 2, "hosts_per_as": 1, "link_latency": "1ms"},
@@ -51,10 +81,16 @@ func TestValidatorRejections(t *testing.T) {
 			"phases": [{"name": "p", "actions": [{"op": "run", "duration": "1ms"}]}]}`, "empty or negative"},
 		{"attacker on unknown AS", `{"name": "t", "topology": {"kind": "full-mesh", "ases": 2, "hosts_per_as": 1, "link_latency": "1ms"},
 			"attackers": [{"name": "m", "as": 999}],
-			"phases": [{"name": "p", "actions": [{"op": "run", "duration": "1ms"}]}]}`, "unknown AS"},
+			"phases": [{"name": "p", "actions": [{"op": "run", "duration": "1ms"}]}]}`, "undeclared AS"},
 		{"attacker taps missing link", `{"name": "t", "topology": {"kind": "line", "ases": 3, "hosts_per_as": 1, "link_latency": "1ms"},
 			"attackers": [{"name": "m", "as": 100, "tap": [100, 102]}],
 			"phases": [{"name": "p", "actions": [{"op": "run", "duration": "1ms"}]}]}`, "missing link"},
+		{"attacker taps non-adjacent mids", `{"name": "t", "topology": ` + asGraph + `,
+			"attackers": [{"name": "m", "as": 102, "tap": [102, 103]}],
+			"phases": [{"name": "p", "actions": [{"op": "run", "duration": "1ms"}]}]}`, "missing link"},
+		{"unknown dissemination mode", `{"name": "t", "topology": {"kind": "full-mesh", "ases": 2, "hosts_per_as": 1, "link_latency": "1ms"},
+			"dissemination": {"interval": "1s", "mode": "rellay"},
+			"phases": [{"name": "p", "actions": [{"op": "run", "duration": "1ms"}]}]}`, "dissemination mode"},
 		{"duplicate attacker", `{"name": "t", "topology": {"kind": "full-mesh", "ases": 2, "hosts_per_as": 1, "link_latency": "1ms"},
 			"attackers": [{"name": "m", "as": 100}, {"name": "m", "as": 101}],
 			"phases": [{"name": "p", "actions": [{"op": "run", "duration": "1ms"}]}]}`, "declared twice"},

@@ -27,6 +27,8 @@ import (
 	"math/rand"
 	"slices"
 	"time"
+
+	"apna/internal/quantile"
 )
 
 // Config parameterizes the synthetic trace.
@@ -202,14 +204,7 @@ func percentiles(d []time.Duration) (p50, p98 time.Duration) {
 		return 0, 0
 	}
 	slices.Sort(d)
-	idx := func(p float64) int {
-		i := int(p * float64(len(d)))
-		if i >= len(d) {
-			i = len(d) - 1
-		}
-		return i
-	}
-	return d[idx(0.50)], d[idx(0.98)]
+	return quantile.NearestRank(d, 0.50), quantile.NearestRank(d, 0.98)
 }
 
 // bitset tracks host uniqueness compactly.

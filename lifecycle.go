@@ -160,17 +160,12 @@ type migration struct {
 	done     bool
 }
 
-// StartLifecycle starts the engine with the given configuration.
-// Starting twice replaces the previous engine (its timers stop).
-func (in *Internet) StartLifecycle(lt Lifetimes) *Lifecycle {
-	if in.lifecycle != nil {
-		in.lifecycle.Stop()
-	}
+// startLifecycle starts the engine a WithLifetimes option asked for.
+func (in *Internet) startLifecycle(lt Lifetimes) {
 	lc := &Lifecycle{in: in, cfg: lt.withDefaults(), renewing: make(map[EphID]bool)}
 	lc.check = in.Sim.Every(lc.cfg.CheckInterval, lc.tick)
 	lc.gc = in.Sim.Every(lc.cfg.GCInterval, lc.gcTick)
 	in.lifecycle = lc
-	return lc
 }
 
 // Lifecycle returns the running engine, or nil.

@@ -6,24 +6,24 @@ import (
 	"time"
 )
 
-// Topology is a declarative description of an internet: ASes, inter-AS
-// links and hosts. It validates up front and builds in one shot,
-// replacing the imperative NewInternet → AddAS → Connect → Build →
-// AddHost sequence. Construct one with NewTopology and the chainable
-// methods, or — more commonly — through New with functional options:
+// An internet is described by the functional options passed to New, and
+// by nothing else:
 //
 //	in, err := apna.New(seed,
 //		apna.WithAS(100, "alice"),
 //		apna.WithAS(200, "bob", "carol"),
 //		apna.WithLink(100, 200, 20*time.Millisecond))
 //
-// Generators produce whole shapes at once: WithLine, WithStar and
-// WithFullMesh lay out N-AS line, star and full-mesh topologies.
-type Topology struct {
+// Generators produce whole shapes at once: WithLine, WithStar,
+// WithFullMesh and WithASGraph. Layout validates a description and
+// returns the ASes and links it lays out, without building anything.
+
+// topology is the description the options write into. New and Layout
+// validate it as a whole before using any of it.
+type topology struct {
 	opts      Options
-	hasOpts   bool
 	ases      []topoAS
-	links     []topoLink
+	links     []ASLink
 	attackers []topoAttacker
 	chaos     *ChaosConfig
 	lifetimes *Lifetimes
@@ -36,246 +36,146 @@ type topoAS struct {
 	hosts []string
 }
 
-type topoLink struct {
-	a, b    AID
-	latency time.Duration
-}
-
 type topoAttacker struct {
 	aid  AID
 	name string
 }
 
+// ASLink is one inter-AS link of a description: the two ASes whose
+// border routers it connects and its one-way latency.
+type ASLink struct {
+	A, B    AID
+	Latency time.Duration
+}
+
 // ErrBadTopology wraps every topology validation failure.
 var ErrBadTopology = errors.New("apna: invalid topology")
 
-// TopologyOption mutates a Topology under construction.
-type TopologyOption func(*Topology)
+// TopologyOption adds to the description of an internet.
+type TopologyOption func(*topology)
 
-// New builds a ready internet from a declarative topology: every AS
-// stood up, links connected, routes computed, hosts bootstrapped.
-// Validation happens before any construction, so a bad topology costs
-// nothing.
-func New(seed int64, topo ...TopologyOption) (*Internet, error) {
-	t := NewTopology()
+// describe applies the options to an empty description and validates
+// the result.
+func describe(topo []TopologyOption) (*topology, error) {
+	t := &topology{opts: DefaultOptions()}
 	for _, o := range topo {
 		o(t)
 	}
-	return t.Build(seed)
+	return t, t.validate()
+}
+
+// Layout validates a description and returns the ASes and inter-AS links
+// it declares, in declaration order, without building anything. It is
+// how code outside the facade learns the shape a generator lays out:
+// the scenario validator checks taps and partitions against it, and E12
+// runs its engines over WithASGraph's graph.
+func Layout(topo ...TopologyOption) ([]AID, []ASLink, error) {
+	t, err := describe(topo)
+	if err != nil {
+		return nil, nil, err
+	}
+	aids := make([]AID, len(t.ases))
+	for i, as := range t.ases {
+		aids[i] = as.aid
+	}
+	return aids, t.links, nil
+}
+
+func (t *topology) addAS(aid AID, hosts ...string) {
+	t.ases = append(t.ases, topoAS{aid: aid, hosts: hosts})
+}
+
+func (t *topology) addLink(a, b AID, latency time.Duration) {
+	t.links = append(t.links, ASLink{A: a, B: b, Latency: latency})
 }
 
 // WithOptions sets the simulation options (latencies, strike limit, MS
-// policy).
+// policy). Without it New uses DefaultOptions.
 func WithOptions(o Options) TopologyOption {
-	return func(t *Topology) { t.Options(o) }
+	return func(t *topology) { t.opts = o }
 }
 
 // WithAS adds an AS and, optionally, named hosts attached to it.
 func WithAS(aid AID, hosts ...string) TopologyOption {
-	return func(t *Topology) { t.AS(aid, hosts...) }
+	return func(t *topology) { t.addAS(aid, hosts...) }
 }
 
 // WithLink connects two ASes' border routers with the given one-way
 // latency. Both ASes must be declared (by WithAS or a generator).
 func WithLink(a, b AID, latency time.Duration) TopologyOption {
-	return func(t *Topology) { t.Link(a, b, latency) }
+	return func(t *topology) { t.addLink(a, b, latency) }
 }
 
 // WithHosts attaches named hosts to an already-declared AS.
 func WithHosts(aid AID, names ...string) TopologyOption {
-	return func(t *Topology) { t.Hosts(aid, names...) }
+	return func(t *topology) {
+		for i := range t.ases {
+			if t.ases[i].aid == aid {
+				t.ases[i].hosts = append(t.ases[i].hosts, names...)
+				return
+			}
+		}
+		t.errs = append(t.errs, fmt.Errorf("%w: hosts %v on undeclared AS %v", ErrBadTopology, names, aid))
+	}
 }
 
 // WithLine generates a line topology of n ASes numbered first,
 // first+1, ..., chained by links of the given latency.
 func WithLine(first AID, n int, latency time.Duration) TopologyOption {
-	return func(t *Topology) { t.Line(first, n, latency) }
+	return func(t *topology) {
+		if n < 1 {
+			t.errs = append(t.errs, fmt.Errorf("%w: line of %d ASes", ErrBadTopology, n))
+			return
+		}
+		for i := 0; i < n; i++ {
+			t.addAS(first + AID(i))
+			if i > 0 {
+				t.addLink(first+AID(i-1), first+AID(i), latency)
+			}
+		}
+	}
 }
 
 // WithStar generates a star topology: a center AS plus `leaves` leaf
 // ASes numbered center+1, ..., each linked to the center.
 func WithStar(center AID, leaves int, latency time.Duration) TopologyOption {
-	return func(t *Topology) { t.Star(center, leaves, latency) }
+	return func(t *topology) {
+		if leaves < 1 {
+			t.errs = append(t.errs, fmt.Errorf("%w: star with %d leaves", ErrBadTopology, leaves))
+			return
+		}
+		t.addAS(center)
+		for i := 1; i <= leaves; i++ {
+			t.addAS(center + AID(i))
+			t.addLink(center, center+AID(i), latency)
+		}
+	}
 }
 
 // WithFullMesh generates a full mesh of n ASes numbered first,
 // first+1, ..., with a direct link between every pair.
 func WithFullMesh(first AID, n int, latency time.Duration) TopologyOption {
-	return func(t *Topology) { t.FullMesh(first, n, latency) }
-}
-
-// WithASGraph generates a provider/customer AS hierarchy (the internet
-// shape the paper assumes digests propagate across): a fully meshed
-// tier-1 core, mid-tier transit ASes multi-homed to core providers, and
-// stub leaf ASes multi-homed to mid providers. ASes are numbered first,
-// first+1, ... core-first; provider assignment is deterministic
-// round-robin, so the same config always yields the same graph.
-func WithASGraph(first AID, g ASGraphConfig) TopologyOption {
-	return func(t *Topology) { t.ASGraph(first, g) }
-}
-
-// WithChaos applies a chaos configuration (jitter, duplication,
-// reordering, loss, timed partitions) to every inter-AS link of the
-// built internet. Intra-AS links stay clean — the adversary sits on
-// the open internet, not inside AS infrastructure.
-func WithChaos(cfg ChaosConfig) TopologyOption {
-	return func(t *Topology) { t.Chaos(cfg) }
-}
-
-// WithAttacker attaches a named attacker to an AS (which must be
-// declared). Retrieve it after Build with Internet.Attacker(name).
-func WithAttacker(aid AID, name string) TopologyOption {
-	return func(t *Topology) { t.Attacker(aid, name) }
-}
-
-// WithLifetimes starts the EphID lifecycle engine on the built
-// internet: host pools are watched on lt.CheckInterval, identifiers
-// entering the renewal lead window are renewed through the MS's
-// rate-limited renewal path with live flows migrated to the successor,
-// and revocation-list plus host_info GC runs on lt.GCInterval. Zero
-// fields take DefaultLifetimes values.
-func WithLifetimes(lt Lifetimes) TopologyOption {
-	return func(t *Topology) { t.Lifetimes(lt) }
-}
-
-// WithAccountability starts revocation-digest dissemination on the
-// built internet: every interval of virtual time each AS's
-// accountability engine flushes a signed digest of its live revocations
-// (a delta of the churn since the last flush, periodically a full
-// anti-entropy snapshot) to every peer agent, so border routers across
-// the whole internet drop frames from remotely-revoked EphIDs. A
-// non-positive interval selects DefaultDigestInterval. Complaints
-// (Host.Complain) work without this option; only internet-wide
-// dissemination needs the timer. WithDissemination exposes the full
-// configuration (relay mode, snapshot cadence).
-func WithAccountability(digestInterval time.Duration) TopologyOption {
-	return func(t *Topology) { t.Accountability(digestInterval) }
-}
-
-// WithDissemination starts revocation-digest dissemination with an
-// explicit configuration: interval, mode (mesh flooding or the
-// bounded-fan-out relay overlay along physical links) and anti-entropy
-// snapshot cadence. Zero fields take defaults.
-func WithDissemination(d Dissemination) TopologyOption {
-	return func(t *Topology) { t.Dissemination(d) }
-}
-
-// NewTopology returns an empty topology for the chainable method API;
-// most callers use New with options instead.
-func NewTopology() *Topology { return &Topology{} }
-
-// Options sets the simulation options.
-func (t *Topology) Options(o Options) *Topology {
-	t.opts, t.hasOpts = o, true
-	return t
-}
-
-// AS declares an AS with optional named hosts.
-func (t *Topology) AS(aid AID, hosts ...string) *Topology {
-	t.ases = append(t.ases, topoAS{aid: aid, hosts: hosts})
-	return t
-}
-
-// Link declares a link between two declared ASes.
-func (t *Topology) Link(a, b AID, latency time.Duration) *Topology {
-	t.links = append(t.links, topoLink{a: a, b: b, latency: latency})
-	return t
-}
-
-// Chaos stores the inter-AS chaos configuration.
-func (t *Topology) Chaos(cfg ChaosConfig) *Topology {
-	t.chaos = &cfg
-	return t
-}
-
-// Attacker declares a named attacker attached to an AS.
-func (t *Topology) Attacker(aid AID, name string) *Topology {
-	t.attackers = append(t.attackers, topoAttacker{aid: aid, name: name})
-	return t
-}
-
-// Lifetimes stores the lifecycle-engine configuration.
-func (t *Topology) Lifetimes(lt Lifetimes) *Topology {
-	t.lifetimes = &lt
-	return t
-}
-
-// Accountability stores the revocation-digest dissemination cadence
-// with default mode and snapshot cadence.
-func (t *Topology) Accountability(digestInterval time.Duration) *Topology {
-	return t.Dissemination(Dissemination{Interval: digestInterval})
-}
-
-// Dissemination stores the full revocation-digest dissemination
-// configuration.
-func (t *Topology) Dissemination(d Dissemination) *Topology {
-	t.dissem = &d
-	return t
-}
-
-// Hosts attaches named hosts to a declared AS.
-func (t *Topology) Hosts(aid AID, names ...string) *Topology {
-	for i := range t.ases {
-		if t.ases[i].aid == aid {
-			t.ases[i].hosts = append(t.ases[i].hosts, names...)
-			return t
+	return func(t *topology) {
+		if n < 1 {
+			t.errs = append(t.errs, fmt.Errorf("%w: mesh of %d ASes", ErrBadTopology, n))
+			return
+		}
+		for i := 0; i < n; i++ {
+			t.addAS(first + AID(i))
+			for j := 0; j < i; j++ {
+				t.addLink(first+AID(j), first+AID(i), latency)
+			}
 		}
 	}
-	t.errs = append(t.errs, fmt.Errorf("%w: hosts %v on undeclared AS %v", ErrBadTopology, names, aid))
-	return t
 }
 
-// Line appends a line of n ASes chained by links.
-func (t *Topology) Line(first AID, n int, latency time.Duration) *Topology {
-	if n < 1 {
-		t.errs = append(t.errs, fmt.Errorf("%w: line of %d ASes", ErrBadTopology, n))
-		return t
-	}
-	for i := 0; i < n; i++ {
-		t.AS(first + AID(i))
-		if i > 0 {
-			t.Link(first+AID(i-1), first+AID(i), latency)
-		}
-	}
-	return t
-}
-
-// Star appends a center AS and `leaves` leaf ASes linked to it.
-func (t *Topology) Star(center AID, leaves int, latency time.Duration) *Topology {
-	if leaves < 1 {
-		t.errs = append(t.errs, fmt.Errorf("%w: star with %d leaves", ErrBadTopology, leaves))
-		return t
-	}
-	t.AS(center)
-	for i := 1; i <= leaves; i++ {
-		t.AS(center + AID(i))
-		t.Link(center, center+AID(i), latency)
-	}
-	return t
-}
-
-// FullMesh appends n ASes with a link between every pair.
-func (t *Topology) FullMesh(first AID, n int, latency time.Duration) *Topology {
-	if n < 1 {
-		t.errs = append(t.errs, fmt.Errorf("%w: mesh of %d ASes", ErrBadTopology, n))
-		return t
-	}
-	for i := 0; i < n; i++ {
-		t.AS(first + AID(i))
-		for j := 0; j < i; j++ {
-			t.Link(first+AID(j), first+AID(i), latency)
-		}
-	}
-	return t
-}
-
-// ASGraphConfig sizes a provider/customer AS hierarchy for the ASGraph
-// generator: Core tier-1 ASes in a full mesh, Mid transit ASes each
-// buying from ProvidersPerAS core providers, and Stubs leaf ASes each
-// buying from ProvidersPerAS mid providers. Total ASes =
-// Core + Mid + Stubs; maximum overlay depth is 4 hops
-// (stub → mid → core → mid → stub), so relay dissemination latency is
-// bounded by 4 digest intervals regardless of scale.
+// ASGraphConfig sizes a provider/customer AS hierarchy for WithASGraph:
+// Core tier-1 ASes in a full mesh, Mid transit ASes each buying from
+// ProvidersPerAS core providers, and Stubs leaf ASes each buying from
+// ProvidersPerAS mid providers. Total ASes = Core + Mid + Stubs; maximum
+// overlay depth is 4 hops (stub → mid → core → mid → stub), so relay
+// dissemination latency is bounded by 4 digest intervals regardless of
+// scale.
 type ASGraphConfig struct {
 	// Core is the number of fully meshed tier-1 ASes (>= 1).
 	Core int
@@ -293,46 +193,93 @@ type ASGraphConfig struct {
 	Latency time.Duration
 }
 
-// ASGraph appends a provider/customer hierarchy: a Core-AS full mesh at
-// first, Mid transit ASes at first+Core, Stubs leaves at
+// WithASGraph generates a provider/customer AS hierarchy (the internet
+// shape the paper assumes digests propagate across): a Core-AS full
+// mesh at first, Mid transit ASes at first+Core, Stubs leaves at
 // first+Core+Mid. Provider assignment is deterministic round-robin
 // (customer i's j-th provider is tier-above AS (i*P+j) mod tier size),
 // spreading customers evenly while keeping the graph reproducible.
-func (t *Topology) ASGraph(first AID, g ASGraphConfig) *Topology {
-	if g.Core < 1 || g.Mid < 0 || g.Stubs < 0 || (g.Stubs > 0 && g.Mid < 1) {
-		t.errs = append(t.errs, fmt.Errorf("%w: AS graph core=%d mid=%d stubs=%d",
-			ErrBadTopology, g.Core, g.Mid, g.Stubs))
-		return t
-	}
-	p := g.ProvidersPerAS
-	if p <= 0 {
-		p = 2
-	}
-	t.FullMesh(first, g.Core, g.CoreLatency)
-	attach := func(aid AID, i, providers int, tierFirst AID, tierSize int) {
-		t.AS(aid)
-		if providers > tierSize {
-			providers = tierSize
+func WithASGraph(first AID, g ASGraphConfig) TopologyOption {
+	return func(t *topology) {
+		if g.Core < 1 || g.Mid < 0 || g.Stubs < 0 || (g.Stubs > 0 && g.Mid < 1) {
+			t.errs = append(t.errs, fmt.Errorf("%w: AS graph core=%d mid=%d stubs=%d",
+				ErrBadTopology, g.Core, g.Mid, g.Stubs))
+			return
 		}
-		for j := 0; j < providers; j++ {
-			t.Link(tierFirst+AID((i*providers+j)%tierSize), aid, g.Latency)
+		p := g.ProvidersPerAS
+		if p <= 0 {
+			p = 2
+		}
+		WithFullMesh(first, g.Core, g.CoreLatency)(t)
+		attach := func(aid AID, i int, tierFirst AID, tierSize int) {
+			t.addAS(aid)
+			providers := min(p, tierSize)
+			for j := 0; j < providers; j++ {
+				t.addLink(tierFirst+AID((i*providers+j)%tierSize), aid, g.Latency)
+			}
+		}
+		midFirst := first + AID(g.Core)
+		for i := 0; i < g.Mid; i++ {
+			attach(midFirst+AID(i), i, first, g.Core)
+		}
+		stubFirst := midFirst + AID(g.Mid)
+		for i := 0; i < g.Stubs; i++ {
+			attach(stubFirst+AID(i), i, midFirst, g.Mid)
 		}
 	}
-	midFirst := first + AID(g.Core)
-	for i := 0; i < g.Mid; i++ {
-		attach(midFirst+AID(i), i, p, first, g.Core)
-	}
-	stubFirst := midFirst + AID(g.Mid)
-	for i := 0; i < g.Stubs; i++ {
-		attach(stubFirst+AID(i), i, p, midFirst, g.Mid)
-	}
-	return t
 }
 
-// Validate checks the whole description: generator arguments, duplicate
-// ASes, links between undeclared or identical ASes, negative latencies
-// and duplicate host names.
-func (t *Topology) Validate() error {
+// WithChaos applies a chaos configuration (jitter, duplication,
+// reordering, loss, timed partitions) to every inter-AS link of the
+// built internet. Intra-AS links (host access, service links) stay
+// clean: AS-internal control protocols assume ordered channels,
+// matching the paper's model where adversaries sit on the open
+// internet, not inside the AS's infrastructure.
+func WithChaos(cfg ChaosConfig) TopologyOption {
+	return func(t *topology) { t.chaos = &cfg }
+}
+
+// WithAttacker attaches a named attacker to an AS (which must be
+// declared) like a rogue device. The attacker is NOT a bootstrapped
+// subscriber — it holds no credentials, no kHA and no EphIDs;
+// everything it achieves must come from forging, capturing or
+// stealing. Retrieve it with Internet.Attacker(name).
+func WithAttacker(aid AID, name string) TopologyOption {
+	return func(t *topology) { t.attackers = append(t.attackers, topoAttacker{aid: aid, name: name}) }
+}
+
+// WithLifetimes starts the EphID lifecycle engine on the built
+// internet: host pools are watched on lt.CheckInterval, identifiers
+// entering the renewal lead window are renewed through the MS's
+// rate-limited renewal path with live flows migrated to the successor,
+// and revocation-list plus host_info GC runs on lt.GCInterval. Zero
+// fields take DefaultLifetimes values.
+func WithLifetimes(lt Lifetimes) TopologyOption {
+	return func(t *topology) { t.lifetimes = &lt }
+}
+
+// WithDissemination starts revocation-digest dissemination on the built
+// internet: every d.Interval of virtual time each AS's accountability
+// engine flushes a signed digest of its live revocations (a delta of
+// the churn since the last flush, every d.SnapshotEvery-th flush a full
+// anti-entropy snapshot), and each receiver installs the entries into
+// its border routers' remote revocation lists, so borders across the
+// whole internet drop frames from remotely-revoked EphIDs. d.Mode
+// selects mesh flooding or the bounded-fan-out relay overlay; the
+// overlay is the set of physically linked ASes, so under
+// DisseminateRelay digests follow the same provider/customer edges
+// packets do. Zero fields take DefaultDigestInterval, DisseminateMesh
+// and DefaultSnapshotEvery. Complaints (Host.Complain) work without
+// this option; only internet-wide dissemination needs the timer.
+func WithDissemination(d Dissemination) TopologyOption {
+	return func(t *topology) { t.dissem = &d }
+}
+
+// validate checks the whole description: generator arguments, duplicate
+// ASes, links between undeclared or identical ASes, negative latencies,
+// duplicate host names, attacker placement, chaos ranges and lifecycle
+// durations.
+func (t *topology) validate() error {
 	if len(t.errs) > 0 {
 		return t.errs[0]
 	}
@@ -353,24 +300,20 @@ func (t *Topology) Validate() error {
 			hostNames[name] = true
 		}
 	}
-	type pair struct{ lo, hi AID }
-	seen := make(map[pair]bool, len(t.links))
+	seen := make(map[asPair]bool, len(t.links))
 	for _, l := range t.links {
-		if l.a == l.b {
-			return fmt.Errorf("%w: self-link on AS %v", ErrBadTopology, l.a)
+		if l.A == l.B {
+			return fmt.Errorf("%w: self-link on AS %v", ErrBadTopology, l.A)
 		}
-		if !ases[l.a] || !ases[l.b] {
-			return fmt.Errorf("%w: link %v-%v references undeclared AS", ErrBadTopology, l.a, l.b)
+		if !ases[l.A] || !ases[l.B] {
+			return fmt.Errorf("%w: link %v-%v references undeclared AS", ErrBadTopology, l.A, l.B)
 		}
-		if l.latency < 0 {
-			return fmt.Errorf("%w: negative latency on link %v-%v", ErrBadTopology, l.a, l.b)
+		if l.Latency < 0 {
+			return fmt.Errorf("%w: negative latency on link %v-%v", ErrBadTopology, l.A, l.B)
 		}
-		k := pair{l.a, l.b}
-		if l.b < l.a {
-			k = pair{l.b, l.a}
-		}
+		k := pairOf(l.A, l.B)
 		if seen[k] {
-			return fmt.Errorf("%w: link %v-%v declared twice", ErrBadTopology, l.a, l.b)
+			return fmt.Errorf("%w: link %v-%v declared twice", ErrBadTopology, l.A, l.B)
 		}
 		seen[k] = true
 	}
@@ -412,56 +355,4 @@ func (t *Topology) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Build validates the topology and constructs the internet: ASes with
-// fresh keys and services, links, inter-domain routes, and bootstrapped
-// hosts, ready for traffic.
-func (t *Topology) Build(seed int64) (*Internet, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	opts := t.opts
-	if !t.hasOpts {
-		opts = DefaultOptions()
-	}
-	in, err := NewInternetWithOptions(seed, opts)
-	if err != nil {
-		return nil, err
-	}
-	for _, as := range t.ases {
-		if _, err := in.AddAS(as.aid); err != nil {
-			return nil, err
-		}
-	}
-	for _, l := range t.links {
-		if err := in.Connect(l.a, l.b, l.latency); err != nil {
-			return nil, err
-		}
-	}
-	if err := in.Build(); err != nil {
-		return nil, err
-	}
-	if t.chaos != nil {
-		in.SetInterASChaos(*t.chaos)
-	}
-	for _, as := range t.ases {
-		for _, name := range as.hosts {
-			if _, err := in.AddHost(as.aid, name); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, a := range t.attackers {
-		if _, err := in.AddAttacker(a.aid, a.name); err != nil {
-			return nil, err
-		}
-	}
-	if t.lifetimes != nil {
-		in.StartLifecycle(*t.lifetimes)
-	}
-	if t.dissem != nil {
-		in.ConfigureDissemination(*t.dissem)
-	}
-	return in, nil
 }

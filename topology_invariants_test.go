@@ -108,6 +108,9 @@ func TestTopologyValidationRejects(t *testing.T) {
 			if in != nil {
 				t.Error("invalid topology returned a built internet")
 			}
+			if _, _, err := Layout(tc.opts...); !errors.Is(err, ErrBadTopology) {
+				t.Errorf("Layout err = %v, want ErrBadTopology", err)
+			}
 		})
 	}
 }

@@ -95,27 +95,6 @@ func TestTopologyGenerators(t *testing.T) {
 	}
 }
 
-func TestTopologyChainableAPI(t *testing.T) {
-	in, err := NewTopology().
-		AS(1, "alice").
-		AS(2).
-		Hosts(2, "bob").
-		Link(1, 2, 2*time.Millisecond).
-		Build(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in.Host("alice") == nil || in.Host("bob") == nil {
-		t.Fatal("hosts missing")
-	}
-	if got := len(in.Hosts()); got != 2 {
-		t.Fatalf("Hosts() = %d", got)
-	}
-	if _, err := in.AddHost(1, "alice"); !errors.Is(err, ErrDuplicateHost) {
-		t.Errorf("duplicate AddHost err = %v", err)
-	}
-}
-
 func TestWithOptionsReachesSimulation(t *testing.T) {
 	opts := DefaultOptions()
 	opts.StrikeLimit = 1
@@ -129,36 +108,44 @@ func TestWithOptionsReachesSimulation(t *testing.T) {
 	}
 }
 
-// TestASGraphGenerator checks the provider/customer hierarchy without
-// building an internet: AS count, connectivity, the degree bound the
-// relay fan-out gate relies on, and determinism.
+// TestASGraphGenerator checks the provider/customer hierarchy through
+// Layout, without building an internet — the graph E12 and as-graph
+// scenario specs run on: AS numbering, link count, connectivity, the
+// degree bound the relay fan-out gate relies on, and determinism.
 func TestASGraphGenerator(t *testing.T) {
 	g := ASGraphConfig{Core: 4, Mid: 8, Stubs: 24, ProvidersPerAS: 2,
 		CoreLatency: time.Millisecond, Latency: 5 * time.Millisecond}
-	gen := func() *Topology { return NewTopology().ASGraph(1000, g) }
-	topo := gen()
-	if err := topo.Validate(); err != nil {
+	aids, links, err := Layout(WithASGraph(1000, g))
+	if err != nil {
 		t.Fatal(err)
 	}
 	total := g.Core + g.Mid + g.Stubs
-	if len(topo.ases) != total {
-		t.Fatalf("%d ASes, want %d", len(topo.ases), total)
+	if len(aids) != total {
+		t.Fatalf("%d ASes, want %d", len(aids), total)
+	}
+	for i, aid := range aids {
+		if aid != AID(1000+i) {
+			t.Fatalf("AS %d is %v, want %v (core, mid, stub tiers numbered in order)", i, aid, 1000+i)
+		}
 	}
 	// Every non-core AS has exactly ProvidersPerAS provider links;
 	// total links = core mesh + provider edges.
 	wantLinks := g.Core*(g.Core-1)/2 + (g.Mid+g.Stubs)*g.ProvidersPerAS
-	if len(topo.links) != wantLinks {
-		t.Fatalf("%d links, want %d", len(topo.links), wantLinks)
+	if len(links) != wantLinks {
+		t.Fatalf("%d links, want %d", len(links), wantLinks)
 	}
 	// Degree bound: a core AS carries the clique plus its round-robin
 	// share of mid customers; a mid AS its providers plus stub share.
 	deg := make(map[AID]int)
 	adj := make(map[AID][]AID)
-	for _, l := range topo.links {
-		deg[l.a]++
-		deg[l.b]++
-		adj[l.a] = append(adj[l.a], l.b)
-		adj[l.b] = append(adj[l.b], l.a)
+	for _, l := range links {
+		if l.Latency != g.Latency && l.Latency != g.CoreLatency {
+			t.Fatalf("link %v-%v latency %v", l.A, l.B, l.Latency)
+		}
+		deg[l.A]++
+		deg[l.B]++
+		adj[l.A] = append(adj[l.A], l.B)
+		adj[l.B] = append(adj[l.B], l.A)
 	}
 	maxDeg := 0
 	for _, d := range deg {
@@ -191,17 +178,20 @@ func TestASGraphGenerator(t *testing.T) {
 	if len(seen) != total {
 		t.Fatalf("BFS reached %d of %d ASes", len(seen), total)
 	}
-	// Determinism: a second generation yields the identical link list.
-	again := gen()
-	for i, l := range topo.links {
-		if again.links[i] != l {
-			t.Fatalf("link %d differs between generations: %v vs %v", i, l, again.links[i])
+	// Determinism: a second layout yields the identical link list.
+	_, again, err := Layout(WithASGraph(1000, g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range links {
+		if again[i] != l {
+			t.Fatalf("link %d differs between layouts: %v vs %v", i, l, again[i])
 		}
 	}
 	// Generator argument validation.
 	for _, bad := range []ASGraphConfig{{Core: 0}, {Core: 1, Stubs: 3}} {
-		if err := NewTopology().ASGraph(1, bad).Validate(); !errors.Is(err, ErrBadTopology) {
-			t.Errorf("ASGraph(%+v) err = %v, want ErrBadTopology", bad, err)
+		if _, _, err := Layout(WithASGraph(1, bad)); !errors.Is(err, ErrBadTopology) {
+			t.Errorf("WithASGraph(%+v) err = %v, want ErrBadTopology", bad, err)
 		}
 	}
 }

@@ -57,36 +57,54 @@ func TestEgressPipelineProcessZeroAllocs(t *testing.T) {
 	}
 }
 
+// revokeOthers puts n EphIDs no test frame carries on the router's local
+// list and n on its remote list under the AS the test frames claim as
+// source: every revocation probe of a test frame then misses in a table
+// of thousands of entries, fwd_churn's steady state.
+func revokeOthers(f *fixture, n int) {
+	for i := 0; i < n; i++ {
+		f.router.Revoked().Insert(revKey('L', i), uint32(f.now)+600)
+		f.router.ApplyRemote(revKey('R', i), localAID, uint32(f.now)+600)
+	}
+}
+
+// listSizes are the entries revokeOthers puts on each list before a
+// zero-allocation test: none, and enough for the miss path.
+var listSizes = []int{0, 10_000}
+
 func TestEgressPipelineProcessBatchZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are unreliable under the race detector")
 	}
-	f := newFixture(t)
-	// A full engine batch: eight rounds of the 8-lane MAC kernel, with
-	// one bad MAC so the verdict patch-up runs too.
-	frames := make([][]byte, 64)
-	for i := range frames {
-		frames[i] = egressFrame(t, f)
-	}
-	const bad = 37
-	frames[bad][len(frames[bad])-1] ^= 1
-	pipe := f.router.NewEgressPipeline()
-	dst := make([]Verdict, 0, len(frames))
-	dst = pipe.ProcessBatch(frames, dst) // warm caches
-	allocs := testing.AllocsPerRun(200, func() {
-		dst = pipe.ProcessBatch(frames, dst[:0])
-		for i, v := range dst {
-			want := VerdictForward
-			if i == bad {
-				want = VerdictDropBadMAC
-			}
-			if v != want {
-				t.Fatalf("frame %d: verdict %v, want %v", i, v, want)
-			}
+	for _, revoked := range listSizes {
+		f := newFixture(t)
+		revokeOthers(f, revoked)
+		// A full engine batch: eight rounds of the 8-lane MAC kernel, with
+		// one bad MAC so the verdict patch-up runs too.
+		frames := make([][]byte, 64)
+		for i := range frames {
+			frames[i] = egressFrame(t, f)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("EgressPipeline.ProcessBatch allocates %.1f times per batch", allocs)
+		const bad = 37
+		frames[bad][len(frames[bad])-1] ^= 1
+		pipe := f.router.NewEgressPipeline()
+		dst := make([]Verdict, 0, len(frames))
+		dst = pipe.ProcessBatch(frames, dst) // warm caches
+		allocs := testing.AllocsPerRun(200, func() {
+			dst = pipe.ProcessBatch(frames, dst[:0])
+			for i, v := range dst {
+				want := VerdictForward
+				if i == bad {
+					want = VerdictDropBadMAC
+				}
+				if v != want {
+					t.Fatalf("%d revoked: frame %d: verdict %v, want %v", revoked, i, v, want)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%d revoked: EgressPipeline.ProcessBatch allocates %.1f times per batch", revoked, allocs)
+		}
 	}
 }
 
@@ -223,24 +241,27 @@ func TestIngressPipelineProcessBatchZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are unreliable under the race detector")
 	}
-	f := newFixture(t)
-	frames := [][]byte{ingressFrame(t, f), ingressFrame(t, f)}
-	pipe := f.router.NewIngressPipeline()
-	dst := make([]IngressResult, 0, len(frames))
-	dst = pipe.ProcessBatch(frames, dst) // warm caches
-	allocs := testing.AllocsPerRun(200, func() {
-		dst = pipe.ProcessBatch(frames, dst[:0])
-		for _, res := range dst {
-			if res.Verdict != VerdictForward || res.HID != f.hid {
-				t.Fatalf("result %+v", res)
+	for _, revoked := range listSizes {
+		f := newFixture(t)
+		revokeOthers(f, revoked)
+		frames := [][]byte{ingressFrame(t, f), ingressFrame(t, f)}
+		pipe := f.router.NewIngressPipeline()
+		dst := make([]IngressResult, 0, len(frames))
+		dst = pipe.ProcessBatch(frames, dst) // warm caches
+		allocs := testing.AllocsPerRun(200, func() {
+			dst = pipe.ProcessBatch(frames, dst[:0])
+			for _, res := range dst {
+				if res.Verdict != VerdictForward || res.HID != f.hid {
+					t.Fatalf("%d revoked: result %+v", revoked, res)
+				}
 			}
+			if v, hid := pipe.Process(frames[0]); v != VerdictForward || hid != f.hid {
+				t.Fatalf("%d revoked: verdict %v, host %v", revoked, v, hid)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%d revoked: IngressPipeline.ProcessBatch and Process allocate %.1f times per batch", revoked, allocs)
 		}
-		if v, hid := pipe.Process(frames[0]); v != VerdictForward || hid != f.hid {
-			t.Fatalf("verdict %v, host %v", v, hid)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("IngressPipeline.ProcessBatch and Process allocate %.1f times per batch", allocs)
 	}
 }
 

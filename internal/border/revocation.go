@@ -11,25 +11,30 @@ import (
 	"apna/internal/ephid"
 )
 
-// revSlot is one slot of a revTable: the EphID as two words, the AS that
-// announced it revoked (0 in the local list), the expiry, the tag. Writers
-// fill slots of the table readers are probing, so every field is atomic;
-// tag is stored last and publishes the rest.
-type revSlot struct {
+// revEntry is what slot i of a revTable holds beside its tag: the EphID as
+// two words, the AS that announced it revoked (0 in the local list), the
+// expiry. Writers fill entries of the table readers are probing, so every
+// field is atomic.
+type revEntry struct {
 	lo, hi atomic.Uint64
 	origin atomic.Uint32
 	exp    atomic.Uint32
-	tag    atomic.Uint32 // 0: empty, ends a probe chain; else the hash's high bits with bit 0 set
 }
 
 // revTable is a flat open-addressed table, linear probing, never more
-// than half full. Slots only go from empty to full, so a chain a reader
-// is on cannot break under it; removal is GC's rebuild. seed keys the
-// hash: EphIDs are ciphertext and spread by their own bytes, but a peer
-// AS picks the bytes of the digests it signs and could fill one chain.
+// than half full, kept as two parallel arrays. A probe walks tags alone
+// and reads an entry only where the tag matches: most packets are on no
+// list, and their lookup touches 4 bytes of a dense array instead of a
+// 32-byte slot of one eight times its size. A tag is stored after its
+// entry and publishes it. Slots only go from empty to full, so a chain a
+// reader is on cannot break under it; removal is GC's rebuild. seed keys
+// the hash: EphIDs are ciphertext and spread by their own bytes, but a
+// peer AS picks the bytes of the digests it signs and could fill one
+// chain.
 type revTable struct {
-	seed  maphash.Seed
-	slots []revSlot // a power of two
+	seed    maphash.Seed
+	tags    []atomic.Uint32 // a power of two; 0: empty, ends a probe chain; else the hash's high bits with bit 0 set
+	entries []revEntry      // as long as tags
 }
 
 func ephidWords(e *ephid.EphID) (lo, hi uint64) {
@@ -43,34 +48,39 @@ func (t *revTable) rebuilt(entries int, nowUnix int64) *revTable {
 	for n < 4*entries {
 		n *= 2
 	}
-	nt := &revTable{seed: maphash.MakeSeed(), slots: make([]revSlot, n)}
-	for i := 0; t != nil && i < len(t.slots); i++ {
-		s := &t.slots[i]
-		if exp := s.exp.Load(); s.tag.Load() != 0 && int64(exp) >= nowUnix {
-			var e ephid.EphID
-			binary.LittleEndian.PutUint64(e[:8], s.lo.Load())
-			binary.LittleEndian.PutUint64(e[8:], s.hi.Load())
-			nt.put(e, s.origin.Load(), exp)
+	nt := &revTable{seed: maphash.MakeSeed(), tags: make([]atomic.Uint32, n), entries: make([]revEntry, n)}
+	for i := 0; t != nil && i < len(t.tags); i++ {
+		s := &t.entries[i]
+		if exp := s.exp.Load(); t.tags[i].Load() != 0 && int64(exp) >= nowUnix {
+			nt.put(s.ephID(), s.origin.Load(), exp)
 		}
 	}
 	return nt
 }
 
-// put fills the first empty slot of e's chain. The table has one; the
-// caller knows (e, origin) is not in it, and is the only writer.
+func (s *revEntry) ephID() (e ephid.EphID) {
+	binary.LittleEndian.PutUint64(e[:8], s.lo.Load())
+	binary.LittleEndian.PutUint64(e[8:], s.hi.Load())
+	return e
+}
+
+// put fills the first empty slot of e's chain, entry first, tag last. The
+// table has one; the caller knows (e, origin) is not in it, and is the
+// only writer.
 func (t *revTable) put(e ephid.EphID, origin, exp uint32) {
 	h := maphash.Bytes(t.seed, e[:])
-	i := uint32(h)
-	for t.slots[i&uint32(len(t.slots)-1)].tag.Load() != 0 {
-		i++
+	mask := uint32(len(t.tags) - 1)
+	i := uint32(h) & mask
+	for t.tags[i].Load() != 0 {
+		i = (i + 1) & mask
 	}
-	s := &t.slots[i&uint32(len(t.slots)-1)]
+	s := &t.entries[i]
 	lo, hi := ephidWords(&e)
 	s.lo.Store(lo)
 	s.hi.Store(hi)
 	s.origin.Store(origin)
 	s.exp.Store(exp)
-	s.tag.Store(uint32(h>>32) | 1)
+	t.tags[i].Store(uint32(h>>32) | 1)
 }
 
 // revList is the core of both revocation lists: one revTable behind an
@@ -100,23 +110,28 @@ func (l *revList) locate(e ephid.EphID) revProbe {
 		return revProbe{}
 	}
 	h := maphash.Bytes(t.seed, e[:])
-	i := uint32(h) & uint32(len(t.slots)-1)
-	return revProbe{t: t, i: i, tag: uint32(h>>32) | 1, cur: t.slots[i].tag.Load()}
+	i := uint32(h) & uint32(len(t.tags)-1)
+	return revProbe{t: t, i: i, tag: uint32(h>>32) | 1, cur: t.tags[i].Load()}
 }
 
-// find resolves the probe to the slot holding (e, origin) — or, with
+// find resolves the probe to the entry holding (e, origin) — or, with
 // anyOrigin, e under whichever origin comes first — or nil. All origins
-// of one EphID are on one chain: the hash does not cover the origin.
+// of one EphID are on one chain: the hash does not cover the origin. A
+// tag is 31 bits of the hash, so a match only says the entry beside it
+// is worth reading: two EphIDs can share a tag, and every origin of one
+// EphID carries the same tag, so the EphID and the origin are compared.
 //
 //apna:hotpath
-func (p revProbe) find(e ephid.EphID, origin ephid.AID, anyOrigin bool) *revSlot {
+func (p revProbe) find(e ephid.EphID, origin ephid.AID, anyOrigin bool) *revEntry {
 	lo, hi := ephidWords(&e)
-	for i, cur := p.i, p.cur; cur != 0; cur = p.t.slots[i].tag.Load() {
-		s := &p.t.slots[i]
-		if cur == p.tag && s.lo.Load() == lo && s.hi.Load() == hi && (anyOrigin || s.origin.Load() == uint32(origin)) {
-			return s
+	for i, cur := p.i, p.cur; cur != 0; cur = p.t.tags[i].Load() {
+		if cur == p.tag {
+			s := &p.t.entries[i]
+			if s.lo.Load() == lo && s.hi.Load() == hi && (anyOrigin || s.origin.Load() == uint32(origin)) {
+				return s
+			}
 		}
-		i = (i + 1) & uint32(len(p.t.slots)-1)
+		i = (i + 1) & uint32(len(p.t.tags)-1)
 	}
 	return nil
 }
@@ -135,7 +150,7 @@ func (l *revList) insert(e ephid.EphID, origin ephid.AID, exp uint32) {
 		return
 	}
 	t, n := l.t.Load(), int(l.n.Add(1))
-	if t != nil && n*2 <= len(t.slots) {
+	if t != nil && n*2 <= len(t.tags) {
 		t.put(e, uint32(origin), exp)
 		return
 	}
@@ -150,8 +165,8 @@ func (l *revList) gc(nowUnix int64) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	t, removed := l.t.Load(), 0
-	for i := 0; t != nil && i < len(t.slots); i++ {
-		if s := &t.slots[i]; s.tag.Load() != 0 && int64(s.exp.Load()) < nowUnix {
+	for i := 0; t != nil && i < len(t.tags); i++ {
+		if t.tags[i].Load() != 0 && int64(t.entries[i].exp.Load()) < nowUnix {
 			removed++
 		}
 	}

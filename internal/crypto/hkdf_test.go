@@ -3,6 +3,7 @@ package crypto
 import (
 	"bytes"
 	"encoding/hex"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -81,6 +82,40 @@ func TestDeriveKeyLabelsIndependent(t *testing.T) {
 	a2 := DeriveKey(secret, "label-a", 32)
 	if !bytes.Equal(a, a2) {
 		t.Error("derivation is not deterministic")
+	}
+}
+
+// TestDeriveHostASKeysIsDeriveKey pins that sharing one extract and one
+// keyed HMAC between the two host keys changes no byte of either: both
+// are DeriveKey's under their labels, for secrets of every length the
+// bootstrap or a test could hand in.
+func TestDeriveHostASKeysIsDeriveKey(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for n := 0; n <= 64; n++ {
+		for range 4 {
+			secret := make([]byte, n)
+			for i := range secret {
+				secret[i] = byte(rng.Uint32())
+			}
+			k := DeriveHostASKeys(secret)
+			if enc := DeriveKey(secret, labelHostEnc, SymKeySize); !bytes.Equal(k.Enc[:], enc) {
+				t.Fatalf("%d-byte secret %x: Enc = %x, DeriveKey gives %x", n, secret, k.Enc, enc)
+			}
+			if mac := DeriveKey(secret, labelHostMAC, SymKeySize); !bytes.Equal(k.MAC[:], mac) {
+				t.Fatalf("%d-byte secret %x: MAC = %x, DeriveKey gives %x", n, secret, k.MAC, mac)
+			}
+		}
+	}
+}
+
+// TestDeriveHostASKeysAllocs is a ceiling on what a host registration
+// pays for its keys: two keyed HMACs, the extract's PRK, the labels and
+// a block buffer per key — 17 allocations, 19 under the race detector
+// (34 when each key ran its own DeriveKey).
+func TestDeriveHostASKeysAllocs(t *testing.T) {
+	secret := bytes.Repeat([]byte{7}, 32)
+	if allocs := testing.AllocsPerRun(100, func() { DeriveHostASKeys(secret) }); allocs > 19 {
+		t.Fatalf("DeriveHostASKeys allocates %.0f times, want at most 19", allocs)
 	}
 }
 

@@ -1,7 +1,9 @@
 package crypto
 
 import (
+	"crypto/hmac"
 	"crypto/rand"
+	"crypto/sha256"
 	"fmt"
 	"io"
 )
@@ -92,11 +94,14 @@ type HostASKeys struct {
 }
 
 // DeriveHostASKeys derives the host<->AS key pair from a Diffie-Hellman
-// shared secret (the result of the bootstrap exchange in Figure 2).
+// shared secret (the result of the bootstrap exchange in Figure 2). The
+// keys are DeriveKey's under the two labels; both derivations share one
+// extract and one PRK-keyed HMAC, since they differ only in info.
 func DeriveHostASKeys(dhSecret []byte) HostASKeys {
 	var k HostASKeys
-	copy(k.Enc[:], DeriveKey(dhSecret, labelHostEnc, SymKeySize))
-	copy(k.MAC[:], DeriveKey(dhSecret, labelHostMAC, SymKeySize))
+	mac := hmac.New(sha256.New, HKDFExtract(nil, dhSecret))
+	expand(mac, k.Enc[:], []byte(labelHostEnc))
+	expand(mac, k.MAC[:], []byte(labelHostMAC))
 	return k
 }
 

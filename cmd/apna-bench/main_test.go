@@ -18,6 +18,7 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{"unknown experiment", []string{"-exp", "e13"}, 1, "valid: all, e1,"},
 		{"retired experiment", []string{"-exp", "e7"}, 1, "apna-scenario"},
+		{"retired experiment e10", []string{"-exp", "e10"}, 1, "scenarios/e10.json"},
 		{"reruns without out", []string{"-exp", "e12", "-reruns", "2"}, 1, "-out"},
 		{"unknown flag", []string{"-no-such-flag"}, 1, ""},
 		{"e5 runs", []string{"-exp", "e5"}, 0, ""},

@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"apna/internal/scenario"
 )
 
 func runCmd(t *testing.T, args ...string) (int, string, string) {
@@ -20,6 +24,7 @@ func runCmd(t *testing.T, args ...string) (int, string, string) {
 func TestExitCodes(t *testing.T) {
 	e6 := filepath.Join("..", "..", "scenarios", "e6.json")
 	e7 := filepath.Join("..", "..", "scenarios", "e7.json")
+	e10 := filepath.Join("..", "..", "scenarios", "e10.json")
 	// Shutoffs requested in the first data wave: no evidence exists
 	// yet, nothing files, and under shutoffs_complete the run must
 	// gate-fail instead of silently skipping the revocations it was
@@ -46,6 +51,7 @@ func TestExitCodes(t *testing.T) {
 		{"e6 default passes", []string{"-file", e6}, 0},
 		{"e6 shutoffs without evidence gate", []string{"-file", noEvidence}, 2},
 		{"e7 sweep passes", []string{"-file", e7, "-seeds", "5"}, 0},
+		{"e10 sweep passes", []string{"-file", e10, "-seed", "1", "-seeds", "5"}, 0},
 		{"no spec file", nil, 1},
 		{"unknown flag", []string{"-no-such-flag"}, 1},
 		{"spec file passes", []string{"-file", e6, "-seed", "7", "-json"}, 0},
@@ -85,6 +91,42 @@ func TestSpecGateFailure(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "delivered") {
 		t.Errorf("failure not named in output:\n%s", stdout)
+	}
+}
+
+// TestE10GatesHaveTeeth proves the gates scenarios/e10.json's actions
+// imply are live: without its dissemination block the third-party
+// borders never learn of the revocations the attackers then exploit,
+// and without its complaints nothing is revoked at all — either way
+// the run exits 2.
+func TestE10GatesHaveTeeth(t *testing.T) {
+	spec, err := scenario.Load(filepath.Join("..", "..", "scenarios", "e10.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	noDissemination := *spec
+	noDissemination.Dissemination = nil
+	noComplaint := *spec
+	noComplaint.Phases = slices.DeleteFunc(slices.Clone(spec.Phases), func(ph scenario.PhaseSpec) bool {
+		return slices.ContainsFunc(ph.Actions, func(a scenario.ActionSpec) bool { return a.Complain })
+	})
+	if len(noComplaint.Phases) != len(spec.Phases)-1 {
+		t.Fatalf("e10.json has no complaint phase to remove")
+	}
+	for name, s := range map[string]*scenario.Spec{"no dissemination": &noDissemination, "no complaint": &noComplaint} {
+		t.Run(name, func(t *testing.T) {
+			raw, err := json.Marshal(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "e10.json")
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if code, stdout, stderr := runCmd(t, "-file", path); code != 2 {
+				t.Fatalf("exit %d, want 2\n%s%s", code, stdout, stderr)
+			}
+		})
 	}
 }
 

@@ -64,6 +64,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -223,6 +224,12 @@ const (
 	receiptHorizon = 3600
 )
 
+// maxReceipts caps the receipt cache by count too: one hostile origin
+// AS can sign any number of distinct requests about one complaint. The
+// oldest entry goes first; as past the horizon, a re-executed request
+// about a revoked EphID only earns a no-op receipt.
+const maxReceipts = 1 << 16
+
 // Engine is one AS's inter-domain accountability plane. It shares the
 // simulator's single-goroutine discipline with the rest of the control
 // plane; the mutex only guards direct concurrent use from tests.
@@ -257,6 +264,9 @@ type Engine struct {
 	// the signed receipt already issued. A replayed request is answered
 	// from here without touching the agent (no double strike).
 	receipts map[[32]byte]*Receipt
+	// receiptOrder lists the cached request hashes oldest first, for
+	// eviction at maxReceipts.
+	receiptOrder [][32]byte
 	// prunedAt is the clock second of the last prune walk.
 	prunedAt int64
 	// peerSeq is the highest digest seq applied per origin; relayHW the
@@ -558,6 +568,21 @@ func (e *Engine) prune(now int64) {
 			delete(e.receipts, h)
 		}
 	}
+	e.receiptOrder = slices.DeleteFunc(e.receiptOrder, func(h [32]byte) bool {
+		_, ok := e.receipts[h]
+		return !ok
+	})
+}
+
+// cacheReceipt files a receipt under its request hash, evicting the
+// oldest cached receipts while the cache is full. Called with e.mu held.
+func (e *Engine) cacheReceipt(hash [32]byte, r *Receipt) {
+	for len(e.receipts) >= maxReceipts && len(e.receiptOrder) > 0 {
+		delete(e.receipts, e.receiptOrder[0])
+		e.receiptOrder = e.receiptOrder[1:]
+	}
+	e.receipts[hash] = r
+	e.receiptOrder = append(e.receiptOrder, hash)
 }
 
 // alreadyRevoked reports whether any of this AS's border routers has
@@ -689,7 +714,7 @@ func (e *Engine) HandleShutoffRequest(raw []byte) (*Receipt, error) {
 	r := e.execute(&c.Req, hash)
 	e.mu.Lock()
 	e.prune(now) // bounds the cache even without a digest timer
-	e.receipts[hash] = r
+	e.cacheReceipt(hash, r)
 	e.mu.Unlock()
 	e.emit(Event{Kind: "shutoff", Peer: sr.Origin, EphID: r.SrcEphID, Status: r.Status})
 	return r, nil

@@ -641,3 +641,63 @@ func TestPruneWalksOncePerClockSecond(t *testing.T) {
 		t.Error("stale receipt survived the first request after its horizon")
 	}
 }
+
+// TestReceiptCacheCappedByCount: a hostile origin AS signing distinct
+// requests about one complaint cannot grow the receipt cache past
+// maxReceipts inside the horizon. The oldest receipt goes first, and a
+// bit-exact replay of the evicted request is re-executed into a no-op
+// receipt, never a second revocation. Between the two real requests the
+// cache is filled through the same insertion path with stand-ins for
+// maxReceipts-1 further distinct requests (signing that many would make
+// the test slow, not stronger).
+func TestReceiptCacheCappedByCount(t *testing.T) {
+	w := newWorld(t, aidA, aidB)
+	offender := w.addHost(aidA, 7, 600)
+	victim := w.addHost(aidB, 8, 600)
+	c := NewComplaint(w.evidence(offender, victim, []byte("spam")), &victim.cert, &offender.cert, victim.sig)
+	enc, err := c.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := w.ases[aidA].engine
+	request := func(seq uint64) []byte {
+		req := &ShutoffRequest{Origin: aidB, Seq: seq, IssuedAt: w.now, Complaint: enc}
+		req.Sign(w.ases[aidB].signer)
+		return req.Encode()
+	}
+	handle := func(raw []byte, want Status) {
+		t.Helper()
+		r, err := src.HandleShutoffRequest(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Status != want {
+			t.Fatalf("receipt %v, want %v", r.Status, want)
+		}
+	}
+
+	first := request(1)
+	handle(first, StatusRevoked)
+	src.mu.Lock()
+	for i := 1; i < maxReceipts; i++ {
+		src.cacheReceipt([32]byte{1, byte(i >> 16), byte(i >> 8), byte(i)}, &Receipt{IssuedAt: w.now})
+	}
+	src.mu.Unlock()
+	handle(request(2), StatusAlreadyRevoked) // request maxReceipts+1
+	if got := len(src.receipts); got > maxReceipts {
+		t.Fatalf("receipt cache holds %d entries, cap %d", got, maxReceipts)
+	}
+	if _, ok := src.receipts[RequestHash(first)]; ok {
+		t.Fatal("the oldest receipt survived a full cache")
+	}
+
+	dupBefore := src.Stats().RequestsDuplicate
+	handle(first, StatusAlreadyRevoked)
+	st := src.Stats()
+	if st.Revocations != 1 {
+		t.Fatalf("%d revocations after replaying an evicted request, want 1", st.Revocations)
+	}
+	if st.RequestsDuplicate != dupBefore {
+		t.Fatal("an evicted request was answered from the cache")
+	}
+}

@@ -1,7 +1,7 @@
 // Package benchgate turns the repo's BENCH_*.json artifacts from
 // per-run snapshots into enforced trajectories: it parses every
-// artifact shape the bench job emits (single-object BENCH_e8/e11,
-// JSON-lines BENCH_e9/e10) into a common series of direction-tagged
+// artifact shape the bench job emits (single-object BENCH_e8/e11/e12,
+// JSON-lines BENCH_e9) into a common series of direction-tagged
 // metrics, aggregates N reruns per side, and applies a Mann–Whitney U
 // test with a minimum-effect-size threshold per metric, so noise never
 // fails the gate and real regressions cannot hide behind variance.

@@ -14,7 +14,7 @@ import (
 // tests pin (truncated JSON-lines, missing provenance, trailing
 // garbage).
 func FuzzParseArtifact(f *testing.F) {
-	for _, fixture := range []string{"BENCH_e8.json", "BENCH_e9.json", "BENCH_e10.json", "BENCH_e11.json"} {
+	for _, fixture := range []string{"BENCH_e8.json", "BENCH_e9.json", "BENCH_e11.json", "BENCH_e12.json"} {
 		if data, err := os.ReadFile(filepath.Join("testdata", fixture)); err == nil {
 			f.Add(data)
 			// A truncated prefix of every shape too.
@@ -24,7 +24,7 @@ func FuzzParseArtifact(f *testing.F) {
 	f.Add([]byte(`{"experiment":"e8","provenance":{"config_hash":"ab"},"report":{"pps":1}}`))
 	f.Add([]byte(`{"experiment":"e9","provenance":{"config_hash":"ab"}}` + "\n" + `{"seed":1}`))
 	f.Add([]byte(`{"experiment":"e11","provenance":{"config_hash":"ab"},"tiers":[{"hosts":10,"result":{}}]}`))
-	f.Add([]byte(`{"experiment":"e10","provenance":{}}`))
+	f.Add([]byte(`{"experiment":"e10","provenance":{"config_hash":"ab"}}` + "\n" + `{"seed":1}`))
 	f.Add([]byte("null"))
 	f.Add([]byte("[1,2,3]"))
 	f.Add([]byte(""))

@@ -215,8 +215,8 @@ func TestGateDeterministicMetricsTie(t *testing.T) {
 	mk := func(commit string) []*Artifact {
 		var arts []*Artifact
 		for i := 0; i < 3; i++ {
-			arts = append(arts, synth("e10", hash, commit,
-				Metric{Name: "receipts_verified", Direction: HigherBetter, Values: []float64{8}}))
+			arts = append(arts, synth("e9", hash, commit,
+				Metric{Name: "renewals", Direction: HigherBetter, Values: []float64{8}}))
 		}
 		return arts
 	}

@@ -59,18 +59,6 @@ func TestRegenerateFixtures(t *testing.T) {
 	}
 	write("BENCH_e9.json", e9buf.Bytes())
 
-	e10cfg := experiments.DefaultE10()
-	e10cfg.Seeds = []int64{1, 2}
-	e10res, err := experiments.RunE10(e10cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var e10buf bytes.Buffer
-	if err := e10res.FprintJSON(&e10buf); err != nil {
-		t.Fatal(err)
-	}
-	write("BENCH_e10.json", e10buf.Bytes())
-
 	e11cfg := experiments.DefaultE11()
 	e11cfg.Tiers = []int{500, 2_000}
 	e11cfg.Ticks = 10

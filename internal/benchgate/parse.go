@@ -29,8 +29,8 @@ func (d Direction) String() string {
 
 // Metric is one named measurement extracted from an artifact. Values
 // holds every sample the artifact carries for it: single-object
-// artifacts (E8, E11) contribute one value, JSON-lines sweeps (E9,
-// E10) contribute one value per seed verdict. Reruns of the same
+// artifacts (E8, E11, E12) contribute one value, the JSON-lines E9
+// sweep contributes one value per seed verdict. Reruns of the same
 // artifact merge their Values before the gate runs.
 type Metric struct {
 	Name      string
@@ -67,15 +67,15 @@ func (a *Artifact) MetricNames() []string {
 }
 
 // artifactHead is the common prefix of every artifact shape: the
-// single-object artifacts carry it inline, the JSON-lines artifacts as
-// their header line.
+// single-object artifacts carry it inline, the JSON-lines artifact as
+// its header line.
 type artifactHead struct {
 	Experiment string           `json:"experiment"`
 	Provenance provenance.Block `json:"provenance"`
 }
 
-// ParseArtifact decodes one BENCH_*.json artifact of any of the five
-// shapes. It refuses artifacts without a provenance config hash —
+// ParseArtifact decodes one BENCH_*.json artifact of any of the four
+// shapes (E8, E9, E11, E12). It refuses artifacts without a provenance config hash —
 // without one the gate cannot prove two runs are comparable — and
 // rejects trailing garbage, truncated JSON-lines, and unknown
 // experiments, so artifact-schema drift surfaces as a loud parse error
@@ -122,12 +122,6 @@ func ParseArtifact(data []byte) (*Artifact, error) {
 			return nil, err
 		}
 		return art, parseE9(lines, art)
-	case "e10":
-		lines, err := decodeLines(dec)
-		if err != nil {
-			return nil, err
-		}
-		return art, parseE10(lines, art)
 	case "":
 		return nil, fmt.Errorf("benchgate: artifact names no experiment")
 	default:
@@ -232,35 +226,6 @@ func parseE9(lines []json.RawMessage, art *Artifact) error {
 	art.addSeries("renewals_per_virtual_sec", HigherBetter, "1/s", perSec)
 	art.addSeries("renewals", HigherBetter, "count", renewals)
 	art.addSeries("delivered", HigherBetter, "count", delivered)
-	return nil
-}
-
-// ---- E10: inter-domain accountability, JSON-lines ----
-
-type e10Verdict struct {
-	Seed               json.Number `json:"seed"`
-	DisseminationMaxMs float64     `json:"dissemination_max_ms"`
-	ReceiptsVerified   float64     `json:"receipts_verified"`
-	HonestDelivered    float64     `json:"honest_delivered"`
-}
-
-func parseE10(lines []json.RawMessage, art *Artifact) error {
-	var dissem, receipts, honest []float64
-	for i, raw := range lines {
-		var v e10Verdict
-		if err := json.Unmarshal(raw, &v); err != nil {
-			return fmt.Errorf("benchgate: e10 verdict line %d: %w", i+1, err)
-		}
-		if v.Seed == "" {
-			return fmt.Errorf("benchgate: e10 verdict line %d carries no seed", i+1)
-		}
-		dissem = append(dissem, v.DisseminationMaxMs)
-		receipts = append(receipts, v.ReceiptsVerified)
-		honest = append(honest, v.HonestDelivered)
-	}
-	art.addSeries("dissemination_max_ms", LowerBetter, "ms", dissem)
-	art.addSeries("receipts_verified", HigherBetter, "count", receipts)
-	art.addSeries("honest_delivered", HigherBetter, "count", honest)
 	return nil
 }
 

@@ -45,10 +45,6 @@ func TestGoldenArtifactShapes(t *testing.T) {
 			metrics: []string{"renewals_per_virtual_sec", "renewals", "delivered"},
 		},
 		{
-			fixture: "BENCH_e10.json", experiment: "e10", samples: 2,
-			metrics: []string{"dissemination_max_ms", "receipts_verified", "honest_delivered"},
-		},
-		{
 			fixture: "BENCH_e11.json", experiment: "e11", samples: 1,
 			metrics: []string{
 				"events_per_sec@500", "issue_p99_us@500", "renew_p99_us@500",
@@ -100,7 +96,6 @@ func TestGoldenDirections(t *testing.T) {
 		"pps":                     {"BENCH_e8.json", HigherBetter},
 		"egress_p99_ns":           {"BENCH_e8.json", LowerBetter},
 		"delivered":               {"BENCH_e9.json", HigherBetter},
-		"dissemination_max_ms":    {"BENCH_e10.json", LowerBetter},
 		"events_per_sec@500":      {"BENCH_e11.json", HigherBetter},
 		"issue_p99_us@2000":       {"BENCH_e11.json", LowerBetter},
 		"peak_rss_bytes@500":      {"BENCH_e11.json", LowerBetter},
@@ -138,6 +133,7 @@ func TestParseArtifactRejects(t *testing.T) {
 		{"whitespace", "  \n\t", "empty artifact"},
 		{"not json", "pps: 12345", "not JSON"},
 		{"unknown experiment", `{"experiment":"e99","provenance":{"config_hash":"ab"}}`, "unknown experiment"},
+		{"retired e10 shape", `{"experiment":"e10","provenance":{"config_hash":"ab"}}` + "\n" + `{"seed":1}`, "unknown experiment"},
 		{"no experiment", `{"provenance":{"config_hash":"ab"}}`, "names no experiment"},
 		{"missing provenance", `{"experiment":"e8","report":{"pps":1}}`, "no provenance config hash"},
 		{"jsonlines header only", e9Header, "no verdict lines"},

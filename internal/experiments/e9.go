@@ -629,9 +629,30 @@ func (r *E9Result) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "  %s (%v wall)\n", status, r.WallElapsed.Round(time.Millisecond))
 }
 
-// FprintJSON emits the BENCH_e9.json artifact.
+// FprintJSON emits the BENCH_e9.json artifact: a provenance header
+// line followed by one JSON verdict per seed, one per line, keeping the
+// artifact valid JSON-lines.
 func (r *E9Result) FprintJSON(w io.Writer) error {
-	return fprintJSONLines(w, "e9", r.Provenance, r.Verdicts)
+	header, err := json.Marshal(struct {
+		Experiment string           `json:"experiment"`
+		Provenance provenance.Block `json:"provenance"`
+	}{"e9", r.Provenance})
+	if err != nil {
+		return err
+	}
+	if _, err := fmt.Fprintf(w, "%s\n", header); err != nil {
+		return err
+	}
+	for i := range r.Verdicts {
+		raw, err := json.Marshal(&r.Verdicts[i])
+		if err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintf(w, "%s\n", raw); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Report renders the sweep to w and returns whether every gate held
@@ -651,32 +672,6 @@ func SeedSweep(base int64, n int) []int64 {
 		out[i] = base + int64(i)
 	}
 	return out
-}
-
-// fprintJSONLines emits a seed sweep's artifact: a provenance header
-// line followed by one JSON verdict per seed, one per line, keeping the
-// artifact valid JSON-lines.
-func fprintJSONLines[V any](w io.Writer, experiment string, prov provenance.Block, verdicts []V) error {
-	header, err := json.Marshal(struct {
-		Experiment string           `json:"experiment"`
-		Provenance provenance.Block `json:"provenance"`
-	}{experiment, prov})
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s\n", header); err != nil {
-		return err
-	}
-	for i := range verdicts {
-		raw, err := json.Marshal(&verdicts[i])
-		if err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s\n", raw); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // report is the body of every gated result's Report: the JSON artifact

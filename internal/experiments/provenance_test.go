@@ -9,7 +9,7 @@ import (
 	"apna/internal/provenance"
 )
 
-// TestJSONLinesProvenanceHeader checks the E9/E10 artifacts lead with a
+// TestJSONLinesProvenanceHeader checks the E9 artifact leads with a
 // provenance header line and stay valid JSON-lines: every BENCH_*.json
 // must record which commit, seed and configuration produced it.
 func TestJSONLinesProvenanceHeader(t *testing.T) {
@@ -21,13 +21,6 @@ func TestJSONLinesProvenanceHeader(t *testing.T) {
 			r := &E9Result{
 				Provenance: provenance.Collect(1, DefaultE9()),
 				Verdicts:   []E9Verdict{{Seed: 1, OK: true}},
-			}
-			return r.FprintJSON(buf)
-		}},
-		{"e10", func(buf *bytes.Buffer) error {
-			r := &E10Result{
-				Provenance: provenance.Collect(1, DefaultE10()),
-				Verdicts:   []E10Verdict{{Seed: 1, OK: true}},
 			}
 			return r.FprintJSON(buf)
 		}},

@@ -124,9 +124,14 @@ func (c *Checker) Delivered(hostName string, m host.Message) {
 
 // Revoked records that a shutoff for e has been applied at the border
 // routers by the current virtual time.
-func (c *Checker) Revoked(e ephid.EphID) {
+func (c *Checker) Revoked(e ephid.EphID) { c.RevokedAt(e, c.now()) }
+
+// RevokedAt records that the shutoff for e took effect at virtual time
+// at — for a cross-AS complaint, when the source AS executed it, which
+// is earlier than when the victim learns so from the receipt.
+func (c *Checker) RevokedAt(e ephid.EphID, at time.Duration) {
 	if _, dup := c.revokedAt[e]; !dup {
-		c.revokedAt[e] = c.now()
+		c.revokedAt[e] = at
 	}
 }
 

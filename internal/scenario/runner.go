@@ -1,8 +1,10 @@
 package scenario
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"apna"
@@ -43,10 +45,16 @@ type hostState struct {
 // runFlow is one established (or attempted) flow.
 type runFlow struct {
 	src, dst    int
+	srcID       *apna.OwnedEphID
 	srcEp       apna.Endpoint
 	conn        *apna.Conn
 	established bool
 	revoked     bool
+	// complained marks a complaint target; lastSent and lastDelivered
+	// are the last waves the flow sent and delivered in (-1: none).
+	complained              bool
+	delivered               int
+	lastSent, lastDelivered int
 }
 
 // pendingResolve is a resolve action awaiting its phase's quiescence.
@@ -68,8 +76,9 @@ type runner struct {
 	in       *apna.Internet
 	firstAID apna.AID
 	nASes    int
+	perAS    int // hosts in every AS
 
-	hosts  []*apna.Host
+	hosts  []*apna.Host // layout order: AS-major, then role order
 	byAS   [][]int
 	states []hostState
 	flows  []runFlow
@@ -85,6 +94,14 @@ type runner struct {
 
 	compromised    []*adversary.Compromised
 	compromisedDst []apna.Endpoint
+
+	// The accountability plane's clocks, from OnAccountability: first
+	// revocations by EphID and by AS, first installs by [origin, AS].
+	revokedAt   map[apna.EphID]time.Duration
+	asRevokedAt map[apna.AID]time.Duration
+	installedAt map[[2]apna.AID]time.Duration
+
+	complaintTargets int
 }
 
 // Run compiles the spec into facade primitives, executes its phases on
@@ -109,14 +126,11 @@ func Run(s *Spec, opts RunOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	var names []string
 	for i, aid := range aids {
-		names := make([]string, s.Topology.HostsPerAS)
-		for j := range names {
-			names[j] = hostName(i, j)
-		}
-		if len(names) > 0 {
-			topo = append(topo, apna.WithHosts(aid, names...))
-		}
+		hosts := s.Topology.hosts(i)
+		topo = append(topo, apna.WithHosts(aid, hosts...))
+		names = append(names, hosts...)
 	}
 	in, err := apna.New(s.Seed, topo...)
 	if err != nil {
@@ -132,23 +146,22 @@ func Run(s *Spec, opts RunOptions) (*Result, error) {
 
 	r := &runner{
 		spec: s, in: in, verdict: &Verdict{Name: s.Name, Seed: s.Seed, SpecHash: specHash},
-		firstAID: aids[0], nASes: len(aids),
-		attackerAS: make(map[int]bool),
+		firstAID: aids[0], nASes: len(aids), perAS: len(names) / len(aids),
+		attackerAS:  make(map[int]bool),
+		revokedAt:   make(map[apna.EphID]time.Duration),
+		asRevokedAt: make(map[apna.AID]time.Duration),
+		installedAt: make(map[[2]apna.AID]time.Duration),
 	}
-	r.hosts = in.Hosts()
+	for _, name := range names {
+		r.hosts = append(r.hosts, in.Host(name))
+	}
 	r.verdict.Hosts = len(r.hosts)
 
 	if len(s.Invariants) > 0 {
 		// Grace covers the longest chaotic delivery path, as in E7.
-		maxLink := s.Topology.LinkLatency.D()
-		if s.Topology.CoreLatency.D() > maxLink {
-			maxLink = s.Topology.CoreLatency.D()
-		}
-		if c := s.Chaos; c != nil {
-			maxLink += c.Jitter.D() + c.ReorderDelay.D()
-		}
-		r.check = invariant.New(in.Sim.Now, 3*maxLink+10*time.Millisecond)
+		r.check = invariant.New(in.Sim.Now, 3*s.maxLink()+10*time.Millisecond)
 	}
+	in.OnAccountability(r.observe)
 
 	// Host wiring: delivery counting, evidence retention, referee taps.
 	r.byAS = make([][]int, r.nASes)
@@ -160,6 +173,12 @@ func Run(s *Spec, opts RunOptions) (*Result, error) {
 		h.Stack.OnMessage(func(m apna.Message) {
 			r.verdict.Delivered++
 			r.states[i].last[m.Flow.Src] = m
+			var fi, wave int
+			if n, _ := fmt.Sscanf(string(m.Payload), "flow %d wave %d", &fi, &wave); n == 2 && fi >= 0 && fi < len(r.flows) {
+				fl := &r.flows[fi]
+				fl.delivered++
+				fl.lastDelivered = max(fl.lastDelivered, wave)
+			}
 			if r.check != nil {
 				r.check.Delivered(h.Name, m)
 			}
@@ -210,9 +229,86 @@ func Run(s *Spec, opts RunOptions) (*Result, error) {
 	return res, nil
 }
 
+// maxLink is the longest one-way inter-AS delivery the spec's links and
+// chaos allow.
+func (s *Spec) maxLink() time.Duration {
+	l := max(s.Topology.LinkLatency.D(), s.Topology.CoreLatency.D())
+	if c := s.Chaos; c != nil {
+		l += c.Jitter.D() + c.ReorderDelay.D()
+	}
+	return l
+}
+
+// disseminationBound is the latency within which a revocation must
+// reach every AS under the spec's dissemination: one interval to the
+// first flush carrying it (a delta), two anti-entropy snapshot rounds
+// to ride out chaotic loss of the delta and of the first snapshot, and
+// propagation slack.
+func (s *Spec) disseminationBound() time.Duration {
+	snap := s.Dissemination.SnapshotEvery
+	if snap <= 0 {
+		snap = apna.DefaultSnapshotEvery
+	}
+	return time.Duration(1+2*snap)*s.Dissemination.Interval.D() + 10*s.maxLink()
+}
+
 // asIdx maps a host index to its AS's index in the topology.
 func (r *runner) asIdx(hostIdx int) int {
 	return int(r.hosts[hostIdx].AS().AID - r.firstAID)
+}
+
+// role is the host's role ("" without topology roles).
+func (r *runner) role(hostIdx int) string {
+	if len(r.spec.Topology.Roles) == 0 {
+		return ""
+	}
+	return r.spec.Topology.Roles[hostIdx%r.perAS]
+}
+
+// hostAt is the host of the given role in the AS with index as, which
+// wraps around the AS list.
+func (r *runner) hostAt(as int, role string) int {
+	as = (as%r.nASes + r.nASes) % r.nASes
+	return as*r.perAS + slices.Index(r.spec.Topology.Roles, role)
+}
+
+// serving is the host's serving endpoint: its last issued EphID.
+func (r *runner) serving(hostIdx int) *apna.OwnedEphID {
+	ids := r.states[hostIdx].ids
+	return ids[len(ids)-1]
+}
+
+// dropped sums one verdict over every AS's border router.
+func (r *runner) dropped(v border.Verdict) uint64 {
+	var n uint64
+	for _, as := range r.in.ASes() {
+		n += as.Router.Stats().Get(v)
+	}
+	return n
+}
+
+func (r *runner) fail(format string, args ...any) {
+	r.verdict.Failures = append(r.verdict.Failures, fmt.Sprintf(format, args...))
+}
+
+// observe timestamps the accountability plane: each revocation at its
+// source AS, and each AS's first install of another AS's digest
+// entries.
+func (r *runner) observe(ev apna.AcctEvent) {
+	now := r.in.Sim.Now()
+	switch {
+	case ev.Kind == "shutoff" && ev.Status == apna.ShutoffRevoked:
+		noteFirst(r.revokedAt, ev.EphID, now)
+		noteFirst(r.asRevokedAt, ev.AID, now)
+	case ev.Kind == "digest-install" && ev.Entries > 0:
+		noteFirst(r.installedAt, [2]apna.AID{ev.Peer, ev.AID}, now)
+	}
+}
+
+func noteFirst[K comparable](m map[K]time.Duration, k K, at time.Duration) {
+	if _, dup := m[k]; !dup {
+		m[k] = at
+	}
 }
 
 // phase executes one phase: actions in order collecting async ops, one
@@ -227,14 +323,17 @@ func (r *runner) phase(ph *PhaseSpec) error {
 		var err error
 		switch a.Op {
 		case OpIssue:
-			err = r.issue(a, &ops)
+			err = r.issue(a)
 		case OpDial:
-			err = r.dial(a, &ops)
+			err = r.dial(a)
 		case OpSend:
-			r.send(&ops)
+			err = r.send(a, &ops)
 		case OpShutoff:
-			sh := r.shutoff(a, &ops)
-			shutoffs = append(shutoffs, sh)
+			if a.Complain {
+				err = r.complain(a)
+			} else {
+				shutoffs = append(shutoffs, r.shutoff(a, &ops))
+			}
 		case OpAttack:
 			err = r.attack(a)
 		case OpPartition:
@@ -270,8 +369,10 @@ func (r *runner) phase(ph *PhaseSpec) error {
 }
 
 // issue requests a.PerHost fresh EphIDs on every host, all overlapping
-// — the E6/E7 issuance wave.
-func (r *runner) issue(a *ActionSpec, ops *[]apna.Op) error {
+// — the E6/E7 issuance wave. Issuance completes within its own await
+// so later actions in the same phase (dials, sends) can use the
+// identifiers.
+func (r *runner) issue(a *ActionSpec) error {
 	pend := make([][]*apna.Pending[*apna.OwnedEphID], len(r.hosts))
 	var all []apna.Op
 	for i, h := range r.hosts {
@@ -281,8 +382,6 @@ func (r *runner) issue(a *ActionSpec, ops *[]apna.Op) error {
 			all = append(all, p)
 		}
 	}
-	// Issuance completes within its own await so later actions in the
-	// same phase (dials, sends) can use the identifiers.
 	if err := r.in.AwaitAll(all...); err != nil {
 		return fmt.Errorf("issuance wave: %w", err)
 	}
@@ -298,77 +397,124 @@ func (r *runner) issue(a *ActionSpec, ops *[]apna.Op) error {
 			}
 		}
 	}
-	_ = ops
 	return nil
 }
 
-// dial establishes FlowsPerHost flows per host, spread across the
-// population with the E6/E7 round-robin so flows cross AS boundaries.
-// Each host dials from its f-th EphID toward the peer's last issued
-// EphID (the serving identifier).
-func (r *runner) dial(a *ActionSpec, ops *[]apna.Op) error {
-	hostsPerAS := r.spec.Topology.HostsPerAS
-	var dials []*apna.Pending[*apna.Conn]
-	firstFlow := len(r.flows)
-	for i, h := range r.hosts {
-		serving := len(r.states[i].ids) - 1
+// dial lays out the action's flows toward each peer's serving EphID —
+// each host of a role in a.To toward its target, from its first EphID,
+// or FlowsPerHost per host spread with the E6/E7 round-robin so flows
+// cross AS boundaries, the f-th from its f-th EphID — and dials them,
+// re-dialing the ones chaos kept from establishing a.Retries times.
+func (r *runner) dial(a *ActionSpec) error {
+	first := len(r.flows)
+	addFlow := func(src, dst int, id *apna.OwnedEphID) {
+		r.flows = append(r.flows, runFlow{src: src, dst: dst, srcID: id, srcEp: id.Endpoint(),
+			lastSent: -1, lastDelivered: -1})
+	}
+	for i := range r.hosts {
+		if t, ok := a.To[r.role(i)]; ok {
+			addFlow(i, r.hostAt(r.asIdx(i)+t.ASOffset, t.Role), r.states[i].ids[0])
+		}
 		for f := 0; f < a.FlowsPerHost; f++ {
-			peer := (i + 1 + f*hostsPerAS) % len(r.hosts)
+			peer := (i + 1 + f*r.perAS) % len(r.hosts)
 			if peer == i {
 				peer = (i + 1) % len(r.hosts)
 			}
-			dialed := &r.states[peer].ids[serving].Cert
-			p := h.ConnectAsync(r.states[i].ids[f], dialed, nil)
-			dials = append(dials, p)
-			r.flows = append(r.flows, runFlow{src: i, dst: peer, srcEp: r.states[i].ids[f].Endpoint()})
+			addFlow(i, peer, r.states[i].ids[f])
+		}
+	}
+	for attempt := 0; attempt <= a.Retries; attempt++ {
+		var dials []*apna.Pending[*apna.Conn]
+		var which []int
+		for fi := first; fi < len(r.flows); fi++ {
+			fl := &r.flows[fi]
+			if fl.established {
+				continue
+			}
+			dst := r.serving(fl.dst)
+			dials = append(dials, r.hosts[fl.src].ConnectAsync(fl.srcID, &dst.Cert, nil))
+			which = append(which, fi)
 			if r.check != nil {
-				r.check.Dialed(r.states[i].ids[f].Endpoint(),
-					apna.Endpoint{AID: dialed.AID, EphID: dialed.EphID})
+				r.check.Dialed(fl.srcEp, dst.Endpoint())
+			}
+		}
+		if len(dials) == 0 {
+			break
+		}
+		// The dial wave crosses chaotic links: lost handshakes surface as
+		// ErrTimeout and the affected flows wait for the next attempt.
+		if err := r.in.AwaitAll(apna.Ops(dials...)...); err != nil && !errors.Is(err, apna.ErrTimeout) {
+			return fmt.Errorf("handshake wave: %w", err)
+		}
+		for k, fi := range which {
+			if conn, err := dials[k].Result(); err == nil {
+				r.flows[fi].conn, r.flows[fi].established = conn, true
 			}
 		}
 	}
-	// The dial wave crosses chaotic links: lost handshakes surface as
-	// ErrTimeout and the affected flows are set aside, as in E7.
-	if err := r.in.AwaitAll(apna.Ops(dials...)...); err != nil && !errors.Is(err, apna.ErrTimeout) {
-		return fmt.Errorf("handshake wave: %w", err)
-	}
-	for i := range dials {
-		fl := &r.flows[firstFlow+i]
-		if conn, err := dials[i].Result(); err == nil {
-			fl.conn, fl.established = conn, true
+	for _, fl := range r.flows[first:] {
+		if fl.established {
 			r.verdict.Flows++
 		} else {
 			r.verdict.FlowsFailed++
 		}
 	}
-	_ = ops
 	return nil
 }
 
-// send queues one data wave on every established flow.
-func (r *runner) send(ops *[]apna.Op) {
+// send queues one data wave: a message on every established flow, or
+// a.PerFlow[role] on each whose source has that role. With a.Retries
+// the wave awaits on its own and goes out again, as the same wave,
+// while a flow that sent has delivered nothing (no evidence yet).
+func (r *runner) send(a *ActionSpec, ops *[]apna.Op) error {
 	wave := r.sendWave
 	r.sendWave++
-	for fi := range r.flows {
-		fl := &r.flows[fi]
-		if !fl.established {
-			continue
+	for attempt := 0; ; attempt++ {
+		var sent []apna.Op
+		for fi := range r.flows {
+			fl := &r.flows[fi]
+			n := 1
+			if a.PerFlow != nil {
+				n = a.PerFlow[r.role(fl.src)]
+			}
+			if !fl.established || n == 0 {
+				continue
+			}
+			fl.lastSent = wave
+			for range n {
+				msg := fmt.Sprintf("flow %d wave %d", fi, wave)
+				sent = append(sent, r.hosts[fl.src].SendAsync(fl.conn, []byte(msg)))
+				r.verdict.MessagesSent++
+			}
 		}
-		msg := fmt.Sprintf("flow %d wave %d", fi, wave)
-		*ops = append(*ops, r.hosts[fl.src].SendAsync(fl.conn, []byte(msg)))
-		r.verdict.MessagesSent++
+		if a.Retries == 0 {
+			*ops = append(*ops, sent...)
+			return nil
+		}
+		if err := r.in.AwaitAll(sent...); err != nil && !errors.Is(err, apna.ErrTimeout) {
+			return fmt.Errorf("wave %d: %w", wave, err)
+		}
+		silent := func(fl runFlow) bool { return fl.lastSent == wave && fl.delivered == 0 }
+		if attempt == a.Retries || !slices.ContainsFunc(r.flows, silent) {
+			return nil
+		}
 	}
 }
 
-// shutoff files a.Count mid-flight revocations: each victim presents
-// the evidence frame its stack retained for the offending flow. Target
-// selection prefers flows sourced inside attacker ASes when requested
-// (so post-shutoff compromise attacks have identities to steal).
-func (r *runner) shutoff(a *ActionSpec, ops *[]apna.Op) pendingShutoff {
+// targets selects a shutoff's a.Count target flows among the
+// established flows sourced by a.Roles (any host if unset), preferring
+// flows sourced inside attacker ASes when requested (so post-shutoff
+// compromise attacks have identities to steal). They come back ordered
+// by victim, in layout order: the order the victims file in.
+func (r *runner) targets(a *ActionSpec) []int {
+	eligible := func(fi int) bool {
+		fl := &r.flows[fi]
+		return fl.established && (len(a.Roles) == 0 || slices.Contains(a.Roles, r.role(fl.src)))
+	}
 	var targets []int
 	if a.PreferAttackerAS {
 		for fi := range r.flows {
-			if len(targets) < a.Count && r.flows[fi].established && r.attackerAS[r.asIdx(r.flows[fi].src)] {
+			if len(targets) < a.Count && eligible(fi) && r.attackerAS[r.asIdx(r.flows[fi].src)] {
 				targets = append(targets, fi)
 			}
 		}
@@ -377,12 +523,20 @@ func (r *runner) shutoff(a *ActionSpec, ops *[]apna.Op) pendingShutoff {
 		if len(targets) >= a.Count {
 			break
 		}
-		if r.flows[fi].established && !contains(targets, fi) {
+		if eligible(fi) && !slices.Contains(targets, fi) {
 			targets = append(targets, fi)
 		}
 	}
-	sh := pendingShutoff{act: a, targets: targets}
-	for _, fi := range targets {
+	slices.SortStableFunc(targets, func(x, y int) int { return r.flows[x].dst - r.flows[y].dst })
+	return targets
+}
+
+// shutoff files mid-flight revocations against the selected targets:
+// each victim presents the evidence frame its stack retained for the
+// offending flow.
+func (r *runner) shutoff(a *ActionSpec, ops *[]apna.Op) pendingShutoff {
+	sh := pendingShutoff{act: a, targets: r.targets(a)}
+	for _, fi := range sh.targets {
 		fl := r.flows[fi]
 		m, ok := r.states[fl.dst].last[fl.srcEp]
 		if !ok {
@@ -423,35 +577,96 @@ func (r *runner) shutoffGroundTruth(sh *pendingShutoff) {
 		if !sh.act.Steal {
 			continue
 		}
-		for _, att := range r.attackers {
-			if att.AS().AID != fl.srcEp.AID {
-				continue
-			}
-			macKey := r.hosts[fl.src].Stack.Config().Keys.MAC
-			comp, err := att.Compromise(macKey[:], fl.srcEp)
-			if err != nil {
-				continue
-			}
-			serving := len(r.states[fl.dst].ids) - 1
-			r.compromisedDst = append(r.compromisedDst, r.states[fl.dst].ids[serving].Endpoint())
+		k := slices.IndexFunc(r.attackers, func(att *apna.Attacker) bool { return att.AS().AID == fl.srcEp.AID })
+		if k < 0 {
+			continue
+		}
+		macKey := r.hosts[fl.src].Stack.Config().Keys.MAC
+		if comp, err := r.attackers[k].Compromise(macKey[:], fl.srcEp); err == nil {
+			r.compromisedDst = append(r.compromisedDst, r.serving(fl.dst).Endpoint())
 			r.compromised = append(r.compromised, comp)
-			break
 		}
 	}
 }
 
+// complain is the cross-AS form of shutoff: each victim complains to
+// its own AS about the selected target flow, presenting the evidence
+// frame it retained, and the unanswered complaints are re-filed up to
+// a.Retries times (a re-filed complaint about a revoked EphID earns a
+// no-op receipt, never a second revocation). A target is revoked once
+// the source AS's receipt names its EphID and verifies against that
+// AS's key; the revocation dates from when the source AS executed it.
+func (r *runner) complain(a *ActionSpec) error {
+	targets := r.targets(a)
+	r.complaintTargets += len(targets)
+	if len(targets) < a.Count {
+		r.fail("complaint targets %d < requested %d", len(targets), a.Count)
+	}
+	receipts := make([]*apna.ShutoffReceipt, len(targets))
+	for attempt := 0; attempt <= a.Retries; attempt++ {
+		var filed []*apna.Pending[*apna.ShutoffReceipt]
+		var which []int
+		for t, fi := range targets {
+			fl := &r.flows[fi]
+			fl.complained = true
+			if m, ok := r.states[fl.dst].last[fl.srcEp]; ok && receipts[t] == nil {
+				filed = append(filed, r.hosts[fl.dst].ComplainAsync(m))
+				which = append(which, t)
+			}
+		}
+		if len(filed) == 0 {
+			break
+		}
+		r.verdict.ShutoffsFiled += len(filed)
+		if err := r.in.AwaitAll(apna.Ops(filed...)...); err != nil && !errors.Is(err, apna.ErrTimeout) {
+			return fmt.Errorf("complaint wave: %w", err)
+		}
+		for k, t := range which {
+			switch rc, err := filed[k].Result(); {
+			case err == nil && rc.Status.Stopped():
+				receipts[t] = rc
+				r.verdict.ShutoffsAccepted++
+			case errors.Is(err, apna.ErrComplaintRejected):
+				r.fail("complaint about flow %d rejected", targets[t])
+			case err == nil:
+				r.fail("complaint about flow %d answered %v", targets[t], rc.Status)
+			}
+		}
+	}
+	for t, fi := range targets {
+		fl := &r.flows[fi]
+		switch rc := receipts[t]; {
+		case rc == nil:
+			r.fail("complaint about flow %d never obtained a receipt", fi)
+		case rc.Issuer != fl.srcEp.AID || rc.SrcEphID != fl.srcEp.EphID:
+			r.fail("flow %d receipt from %v names %v, want %v", fi, rc.Issuer, rc.SrcEphID, fl.srcEp)
+		case rc.Verify(r.in.Trust, r.in.Sim.NowUnix()) != nil:
+			r.fail("flow %d receipt fails signature verification", fi)
+		default:
+			fl.revoked = true
+			r.verdict.Revoked++
+			if r.check != nil {
+				r.check.RevokedAt(rc.SrcEphID, cmp.Or(r.revokedAt[rc.SrcEphID], r.in.Sim.Now()))
+			}
+		}
+	}
+	return nil
+}
+
 // attack makes every attacker probe the selected surfaces, replicating
 // the E7 attack block: per-surface injections toward a rotating victim,
-// optional on-path replay of captured traffic, and post-shutoff
-// transmissions from every stolen identity.
+// optional on-path replay of captured traffic, post-shutoff
+// transmissions from every stolen identity, and the third-party theft
+// of a.StealFrom, after which the timeline settles and every stolen
+// frame must have died on a remote revocation list.
 func (r *runner) attack(a *ActionSpec) error {
+	remoteBefore := r.dropped(border.VerdictDropRevokedRemote)
 	wave := r.attackWave
 	r.attackWave++
-	hostsPerAS := r.spec.Topology.HostsPerAS
+	replayed := 0
 	for k, att := range r.attackers {
 		dstHost := (k*7 + wave) % len(r.hosts)
-		serving := len(r.states[dstHost].ids) - 1
-		dst := r.states[dstHost].ids[serving].Endpoint()
+		dst := r.serving(dstHost).Endpoint()
 		aid := att.AS().AID
 		otherAID := r.firstAID + apna.AID((int(aid-r.firstAID)+1)%r.nASes)
 
@@ -462,13 +677,13 @@ func (r *runner) attack(a *ActionSpec) error {
 				err = att.InjectForged(aid, dst)
 			case SurfaceForeign:
 				// A genuine EphID of another AS, claimed as this AS's own.
-				foreign := r.byAS[int(otherAID-r.firstAID)][dstHost%hostsPerAS]
+				foreign := r.byAS[int(otherAID-r.firstAID)][dstHost%r.perAS]
 				err = att.InjectForeign(aid, r.states[foreign].ids[0].Cert.EphID, dst)
 			case SurfaceSpoofed:
 				err = att.InjectSpoofed(otherAID, dst, false)
 			case SurfaceFramed:
 				// Frame an honest neighbor in the attacker's own AS.
-				victim := r.byAS[int(aid-r.firstAID)][wave%hostsPerAS]
+				victim := r.byAS[int(aid-r.firstAID)][wave%r.perAS]
 				err = att.InjectFramed(r.states[victim].ids[0].Endpoint(), dst)
 			case SurfaceExpired:
 				// An expired identifier in the AS's genuine format.
@@ -483,9 +698,11 @@ func (r *runner) attack(a *ActionSpec) error {
 		if a.Replay {
 			// On-path replay of everything captured so far, injected at
 			// the attacker AS's external interface.
-			if _, err := att.ReplayCaptured(apna.AttackReplay, true); err != nil {
+			n, err := att.ReplayCaptured(apna.AttackReplay, true)
+			if err != nil {
 				return err
 			}
+			replayed += n
 		}
 		for ci, comp := range r.compromised {
 			if err := att.InjectCompromised(apna.AttackPostShutoff, comp,
@@ -493,8 +710,49 @@ func (r *runner) attack(a *ActionSpec) error {
 				return err
 			}
 		}
+		if a.StealFrom != nil {
+			if err := r.stealThirdParty(att, a.StealFrom); err != nil {
+				return err
+			}
+		}
+	}
+	if a.Replay && replayed == 0 {
+		r.fail("attackers captured nothing to replay (wiretap ineffective)")
+	}
+	if a.StealFrom != nil {
+		r.in.RunUntilIdle()
+		if n := r.dropped(border.VerdictDropRevokedRemote) - remoteBefore; n < uint64(len(r.attackers)) {
+			r.fail("remote revocation lists dropped %d frames after the theft, want >= %d stolen", n, len(r.attackers))
+		}
 	}
 	return nil
+}
+
+// stealThirdParty steals the identity of the host t names, counted from
+// the attacker's AS — its MAC key and its first flow's source EphID —
+// and injects one validly MACed frame from it at the attacker's own
+// border's external interface, toward the host of that flow's
+// destination role in the attacker's AS. That border must already hold
+// the stolen EphID on its remote revocation list: it is a third party,
+// so only dissemination can have put it there.
+func (r *runner) stealThirdParty(att *apna.Attacker, t *RoleTarget) error {
+	own := int(att.AS().AID - r.firstAID)
+	victim := r.hostAt(own+t.ASOffset, t.Role)
+	fi := slices.IndexFunc(r.flows, func(fl runFlow) bool { return fl.src == victim })
+	if fi < 0 {
+		return fmt.Errorf("%s has no flow to steal", r.hosts[victim].Name)
+	}
+	fl := &r.flows[fi]
+	if !att.AS().Router.RemoteRevoked().Contains(fl.srcEp.EphID) {
+		r.fail("%v had not learned of %v's revocation when %s stole it", att.AS().AID, fl.srcEp, att.Name())
+	}
+	macKey := r.hosts[victim].Stack.Config().Keys.MAC
+	comp, err := att.Compromise(macKey[:], fl.srcEp)
+	if err != nil {
+		return err
+	}
+	dst := r.serving(r.hostAt(own, r.role(fl.dst))).Endpoint()
+	return att.InjectCompromisedExternal(apna.AttackPostShutoff, comp, dst, []byte("post-shutoff"))
 }
 
 // publish stands a service up on a host: a receive-only EphID
@@ -531,8 +789,7 @@ func (r *runner) resolveOutcome(pr *pendingResolve) {
 	switch a.Expect {
 	case "ok":
 		if err != nil {
-			r.verdict.Failures = append(r.verdict.Failures,
-				fmt.Sprintf("resolve %s from %s: %v", a.As, a.From, err))
+			r.fail("resolve %s from %s: %v", a.As, a.From, err)
 			return
 		}
 		r.verdict.Resolved++
@@ -543,16 +800,14 @@ func (r *runner) resolveOutcome(pr *pendingResolve) {
 				_, err = h.Connect(id, crt, nil)
 			}
 			if err != nil {
-				r.verdict.Failures = append(r.verdict.Failures,
-					fmt.Sprintf("dial resolved %s from %s: %v", a.As, a.From, err))
+				r.fail("dial resolved %s from %s: %v", a.As, a.From, err)
 				return
 			}
 			r.verdict.ResolvedDials++
 		}
 	case "nxdomain":
 		if !errors.Is(err, dns.ErrNXDomain) {
-			r.verdict.Failures = append(r.verdict.Failures,
-				fmt.Sprintf("resolve %s from %s: want NXDOMAIN, got (%v, %v)", a.As, a.From, crt, err))
+			r.fail("resolve %s from %s: want NXDOMAIN, got (%v, %v)", a.As, a.From, crt, err)
 			return
 		}
 		r.verdict.Denied++
@@ -579,8 +834,80 @@ func (r *runner) flashcrowd(a *ActionSpec) error {
 	return nil
 }
 
+// complaintGates holds a complaining spec to what a cross-AS shutoff
+// promises: exactly one revocation per target, no honest EphID on any
+// border's local or remote list, the offenders' own AS dropping their
+// later traffic, and every other flow that sent in the last wave still
+// delivering.
+func (r *runner) complaintGates() {
+	v := r.verdict
+	lastWave := r.sendWave - 1
+	offenders := make(map[apna.EphID]bool)
+	for fi, fl := range r.flows {
+		if fl.complained || fl.revoked {
+			offenders[fl.srcEp.EphID] = true
+			continue
+		}
+		v.HonestDelivered += fl.delivered
+		if fl.lastSent == lastWave && fl.lastDelivered < lastWave {
+			r.fail("honest flow %d delivered nothing in the last wave", fi)
+		}
+	}
+	falselyRevoked := 0
+	for _, as := range r.in.ASes() {
+		v.Revocations += as.Acct.Stats().Revocations
+		for _, st := range r.states {
+			for _, id := range st.ids {
+				if e := id.Cert.EphID; !offenders[e] && (as.Router.Revoked().Contains(e) || as.Router.RemoteRevoked().Contains(e)) {
+					falselyRevoked++
+				}
+			}
+		}
+	}
+	if v.Revocations != uint64(r.complaintTargets) {
+		r.fail("%d revocations executed for %d complaint targets (idempotency breach or missed shutoff)",
+			v.Revocations, r.complaintTargets)
+	}
+	if falselyRevoked > 0 {
+		r.fail("%d honest EphIDs on a revocation list", falselyRevoked)
+	}
+	if r.dropped(border.VerdictDropRevoked) == 0 {
+		r.fail("no frame was dropped by a local revocation list (egress kill missing)")
+	}
+}
+
+// disseminationGates counts the digest traffic and holds every AS that
+// revoked to having its revocations installed at every other AS within
+// the spec's dissemination bound.
+func (r *runner) disseminationGates() {
+	v := r.verdict
+	ases := r.in.ASes()
+	var slowest time.Duration
+	for _, src := range ases {
+		st := src.Acct.Stats()
+		v.DigestsSent += st.DigestsSent
+		v.DigestEntriesInstalled += st.EntriesInstalled
+		revAt, revoked := r.asRevokedAt[src.AID]
+		for _, at := range ases {
+			if !revoked || at == src {
+				continue
+			}
+			t, ok := r.installedAt[[2]apna.AID{src.AID, at.AID}]
+			if !ok {
+				r.fail("%v never installed %v's revocation digest", at.AID, src.AID)
+				continue
+			}
+			slowest = max(slowest, t-revAt)
+		}
+	}
+	v.DisseminationMaxMs = float64(slowest.Microseconds()) / 1e3
+	if bound := r.spec.disseminationBound(); slowest > bound {
+		r.fail("dissemination latency %v exceeds bound %v", slowest, bound)
+	}
+}
+
 // finish referees the invariants, folds in attacker and defense
-// statistics, and evaluates the bounds.
+// statistics, and evaluates the gates the actions imply and the bounds.
 func (r *runner) finish() {
 	v := r.verdict
 	if len(r.attackers) > 0 {
@@ -599,12 +926,9 @@ func (r *runner) finish() {
 				v.Attacks[k.String()] += st.Injected[k]
 			}
 		}
-		for _, as := range r.in.ASes() {
-			st := as.Router.Stats()
-			for _, dv := range border.DropVerdicts() {
-				if n := st.Get(dv); n > 0 {
-					v.Defenses[dv.String()] += n
-				}
+		for _, dv := range border.DropVerdicts() {
+			if n := r.dropped(dv); n > 0 {
+				v.Defenses[dv.String()] = n
 			}
 		}
 		for _, h := range r.hosts {
@@ -626,27 +950,30 @@ func (r *runner) finish() {
 		v.Invariants = rep
 		ok = ok && rep.OK
 	}
+	if r.complaintTargets > 0 {
+		r.complaintGates()
+	}
+	if r.spec.Dissemination != nil {
+		r.disseminationGates()
+	}
 	if b := r.spec.Bounds; b != nil {
-		fail := func(format string, args ...any) {
-			v.Failures = append(v.Failures, fmt.Sprintf(format, args...))
-		}
 		if b.MinFlows > 0 && v.Flows < b.MinFlows {
-			fail("flows %d < min %d", v.Flows, b.MinFlows)
+			r.fail("flows %d < min %d", v.Flows, b.MinFlows)
 		}
 		if b.MaxFlowsFailed > 0 && v.FlowsFailed > b.MaxFlowsFailed {
-			fail("flows failed %d > max %d", v.FlowsFailed, b.MaxFlowsFailed)
+			r.fail("flows failed %d > max %d", v.FlowsFailed, b.MaxFlowsFailed)
 		}
 		if b.MinDelivered > 0 && v.Delivered < b.MinDelivered {
-			fail("delivered %d < min %d", v.Delivered, b.MinDelivered)
+			r.fail("delivered %d < min %d", v.Delivered, b.MinDelivered)
 		}
 		if b.MinRevoked > 0 && v.Revoked < b.MinRevoked {
-			fail("revoked %d < min %d", v.Revoked, b.MinRevoked)
+			r.fail("revoked %d < min %d", v.Revoked, b.MinRevoked)
 		}
 		if b.MinResolved > 0 && v.Resolved < b.MinResolved {
-			fail("resolved %d < min %d", v.Resolved, b.MinResolved)
+			r.fail("resolved %d < min %d", v.Resolved, b.MinResolved)
 		}
 		if b.MinFlashArrivals > 0 && v.FlashArrivals < b.MinFlashArrivals {
-			fail("flash arrivals %d < min %d", v.FlashArrivals, b.MinFlashArrivals)
+			r.fail("flash arrivals %d < min %d", v.FlashArrivals, b.MinFlashArrivals)
 		}
 		if b.ShutoffsComplete {
 			want := 0
@@ -661,21 +988,12 @@ func (r *runner) finish() {
 				want = len(r.flows)
 			}
 			if v.ShutoffsFiled < want {
-				fail("shutoffs filed %d < requested %d (evidence needs a data wave before the shutoff)", v.ShutoffsFiled, want)
+				r.fail("shutoffs filed %d < requested %d (evidence needs a data wave before the shutoff)", v.ShutoffsFiled, want)
 			}
 			if v.ShutoffsAccepted < v.ShutoffsFiled {
-				fail("shutoffs accepted %d < filed %d", v.ShutoffsAccepted, v.ShutoffsFiled)
+				r.fail("shutoffs accepted %d < filed %d", v.ShutoffsAccepted, v.ShutoffsFiled)
 			}
 		}
 	}
 	v.OK = ok && len(v.Failures) == 0
-}
-
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -9,9 +9,9 @@
 // Every chaotic decision of a run is captured as a seq-stamped fault
 // schedule (netsim.CaptureFaults); re-running a spec against its
 // recorded schedule reproduces the run bit-exactly, and a hand-edited
-// schedule bends the network without touching any code. The paper's
-// scenarios E6 and E7 are specs (scenarios/e6.json, scenarios/e7.json):
-// the spec is the implementation, pinned by the golden corpus test.
+// schedule bends the network without touching any code. The scenarios
+// E6, E7 and E10 are specs (scenarios/e6.json, e7.json, e10.json): the
+// spec is the implementation, pinned by the golden corpus test.
 package scenario
 
 import (
@@ -19,7 +19,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"time"
 
 	"apna"
@@ -89,7 +91,8 @@ type Spec struct {
 }
 
 // TopologySpec describes the AS graph and host population. Hosts are
-// named "h<as>-<idx>" with two-digit zero padding.
+// named "h<as>-<idx>" with two-digit zero padding, or "<role>-<as>"
+// when the topology declares roles.
 type TopologySpec struct {
 	// Kind selects the generator: "full-mesh", "line", "star" or
 	// "as-graph".
@@ -101,6 +104,10 @@ type TopologySpec struct {
 	ASes int `json:"ases,omitempty"`
 	// HostsPerAS bootstraps this many hosts in every AS.
 	HostsPerAS int `json:"hosts_per_as"`
+	// Roles, instead of HostsPerAS, bootstraps one host per role in
+	// every AS, in role order: roles ["srv", "bad"] put srv-00 and
+	// bad-00 in the first AS. Actions select hosts and flows by role.
+	Roles []string `json:"roles,omitempty"`
 	// LinkLatency is the one-way inter-AS latency.
 	LinkLatency Duration `json:"link_latency"`
 	// Core/Mid/Stubs/ProvidersPerAS size the "as-graph"
@@ -172,15 +179,20 @@ const (
 	// host, all overlapping.
 	OpIssue = "issue"
 	// OpDial establishes FlowsPerHost flows per host round-robin across
-	// the population (the E6/E7 peer spread), dialing each peer's last
-	// issued EphID.
+	// the population (the E6/E7 peer spread), or one flow per host of
+	// each role To names, dialing each peer's last issued EphID.
+	// Retries re-dials the flows that did not establish, from the same
+	// source EphID.
 	OpDial = "dial"
 	// OpSend sends one data wave ("flow %d wave %d") on every
-	// established flow.
+	// established flow, or PerFlow messages on the flows of each role
+	// PerFlow names. Retries re-sends the wave while a flow that sent
+	// in it has delivered nothing.
 	OpSend = "send"
 	// OpShutoff files Count mid-flight shutoffs using retained
-	// evidence; see ShutoffSpec fields for target selection, ground
-	// truth and identity theft.
+	// evidence, against flows sourced by Roles if set; see the shutoff
+	// fields for target selection, ground truth, identity theft and the
+	// cross-AS complaint form.
 	OpShutoff = "shutoff"
 	// OpAttack makes every attacker probe the selected attack surfaces.
 	OpAttack = "attack"
@@ -214,16 +226,36 @@ type ActionSpec struct {
 
 	// dial
 	FlowsPerHost int `json:"flows_per_host,omitempty"`
+	// To maps a role to the host each host of that role dials, from its
+	// first EphID, instead of the FlowsPerHost spread.
+	To map[string]RoleTarget `json:"to,omitempty"`
+	// Retries re-attempts what a dial, send or complaint left
+	// unfinished, at most this many times.
+	Retries int `json:"retries,omitempty"`
+
+	// send: messages per flow, by the role of the flow's source.
+	PerFlow map[string]int `json:"per_flow,omitempty"`
 
 	// shutoff
 	Count            int  `json:"count,omitempty"`
 	PreferAttackerAS bool `json:"prefer_attacker_as,omitempty"`
 	RecordRevoked    bool `json:"record_revoked,omitempty"`
 	Steal            bool `json:"steal,omitempty"`
+	// Roles limits the targets to flows sourced by hosts of these roles.
+	Roles []string `json:"roles,omitempty"`
+	// Complain files each shutoff as a complaint to the victim's own
+	// AS, which carries it across the border; the source AS's receipt
+	// is checked, and the revocation counts from when that AS made it.
+	Complain bool `json:"complain,omitempty"`
 
 	// attack
 	Surfaces []string `json:"surfaces,omitempty"`
 	Replay   bool     `json:"replay,omitempty"`
+	// StealFrom makes every attacker steal the identity of the host it
+	// names, counted from the attacker's AS, and inject a frame from it
+	// at its own border: a third party, which can learn of the
+	// revocation only through dissemination.
+	StealFrom *RoleTarget `json:"steal_from,omitempty"`
 
 	// partition
 	A        uint32   `json:"a,omitempty"`
@@ -239,6 +271,13 @@ type ActionSpec struct {
 
 	// flashcrowd
 	Population *PopulationSpec `json:"population,omitempty"`
+}
+
+// RoleTarget names a host relative to an AS: the host of role Role in
+// the AS ASOffset places after it, wrapping around the AS list.
+type RoleTarget struct {
+	Role     string `json:"role"`
+	ASOffset int    `json:"as_offset,omitempty"`
 }
 
 // Attack surface names for ActionSpec.Surfaces.
@@ -341,14 +380,27 @@ func (s *Spec) Validate() error {
 	if t.ProvidersPerAS > maxProviders {
 		return fmt.Errorf("%w: providers_per_as %d exceeds cap %d", ErrBadSpec, t.ProvidersPerAS, maxProviders)
 	}
-	if t.HostsPerAS < 0 || t.HostsPerAS > maxHostsPerAS {
-		return fmt.Errorf("%w: hosts_per_as %d outside [0,%d]", ErrBadSpec, t.HostsPerAS, maxHostsPerAS)
+	if t.HostsPerAS < 0 || t.HostsPerAS+len(t.Roles) > maxHostsPerAS {
+		return fmt.Errorf("%w: %d hosts per AS outside [0,%d]", ErrBadSpec, t.HostsPerAS+len(t.Roles), maxHostsPerAS)
+	}
+	if len(t.Roles) > 0 && t.HostsPerAS > 0 {
+		return fmt.Errorf("%w: roles replace hosts_per_as; set one of them", ErrBadSpec)
+	}
+	for i, role := range t.Roles {
+		if role == "" || slices.Contains(t.Roles[:i], role) {
+			return fmt.Errorf("%w: role %q is empty or declared twice", ErrBadSpec, role)
+		}
 	}
 	if d := s.Dissemination; d != nil {
 		switch d.Mode {
 		case "", "mesh", "relay":
 		default:
 			return fmt.Errorf("%w: dissemination mode %q is not \"mesh\" or \"relay\"", ErrBadSpec, d.Mode)
+		}
+		// The dissemination bound a run is held to is counted in
+		// intervals.
+		if d.Interval <= 0 {
+			return fmt.Errorf("%w: dissemination needs a positive interval", ErrBadSpec)
 		}
 	}
 	_, aids, links, err := s.compile()
@@ -384,10 +436,14 @@ func (s *Spec) Validate() error {
 	}
 	hostNames := make(map[string]bool)
 	for i := range aids {
-		for j := 0; j < t.HostsPerAS; j++ {
-			hostNames[hostName(i, j)] = true
+		for _, name := range t.hosts(i) {
+			hostNames[name] = true
 		}
 	}
+	// victimOffset is, per role, the AS offset of the host its flows
+	// dial: what a third-party theft must stay clear of.
+	victimOffset := make(map[string]int)
+	mod := func(off int) int { return (off%len(aids) + len(aids)) % len(aids) }
 	published := make(map[string]bool)
 	issued, dialed := false, false
 	for pi := range s.Phases {
@@ -395,6 +451,16 @@ func (s *Spec) Validate() error {
 		for ai := range ph.Actions {
 			a := &ph.Actions[ai]
 			where := fmt.Sprintf("phase %d (%s) action %d (%s)", pi, ph.Name, ai, a.Op)
+			const maxRetries = 16
+			retry := a.Op == OpDial || a.Op == OpSend || a.Complain
+			if a.Retries < 0 || a.Retries > maxRetries || a.Retries > 0 && !retry {
+				return fmt.Errorf("%w: %s retries %d (dials, sends and complaints retry up to %d times)", ErrBadSpec, where, a.Retries, maxRetries)
+			}
+			for _, role := range a.roles() {
+				if !slices.Contains(t.Roles, role) {
+					return fmt.Errorf("%w: %s names unknown role %q (topology declares %v)", ErrBadSpec, where, role, t.Roles)
+				}
+			}
 			switch a.Op {
 			case OpIssue:
 				if a.PerHost < 1 || a.LifetimeS < 1 {
@@ -402,8 +468,11 @@ func (s *Spec) Validate() error {
 				}
 				issued = true
 			case OpDial:
-				if a.FlowsPerHost < 1 {
-					return fmt.Errorf("%w: %s needs flows_per_host >= 1", ErrBadSpec, where)
+				if (a.To == nil) == (a.FlowsPerHost < 1) {
+					return fmt.Errorf("%w: %s needs exactly one of flows_per_host >= 1 and to", ErrBadSpec, where)
+				}
+				for role, dst := range a.To {
+					victimOffset[role] = dst.ASOffset
 				}
 				if !issued {
 					return fmt.Errorf("%w: %s before any issue action", ErrBadSpec, where)
@@ -412,6 +481,9 @@ func (s *Spec) Validate() error {
 			case OpSend:
 				if !dialed {
 					return fmt.Errorf("%w: %s before any dial action", ErrBadSpec, where)
+				}
+				if len(a.PerFlow) > 0 && slices.Min(slices.Collect(maps.Values(a.PerFlow))) < 1 {
+					return fmt.Errorf("%w: %s sends fewer than one message per flow", ErrBadSpec, where)
 				}
 			case OpShutoff:
 				if a.Count < 1 {
@@ -423,6 +495,9 @@ func (s *Spec) Validate() error {
 				if a.Steal && len(s.Attackers) == 0 {
 					return fmt.Errorf("%w: %s steals identities without attackers", ErrBadSpec, where)
 				}
+				if a.Complain && (a.RecordRevoked || a.Steal) {
+					return fmt.Errorf("%w: %s complaints check their receipts; drop record_revoked and steal", ErrBadSpec, where)
+				}
 			case OpAttack:
 				if len(s.Attackers) == 0 {
 					return fmt.Errorf("%w: %s without attackers", ErrBadSpec, where)
@@ -432,6 +507,19 @@ func (s *Spec) Validate() error {
 					case SurfaceForged, SurfaceForeign, SurfaceSpoofed, SurfaceFramed, SurfaceExpired:
 					default:
 						return fmt.Errorf("%w: %s has unknown surface %q", ErrBadSpec, where, sf)
+					}
+				}
+				if st := a.StealFrom; st != nil {
+					victim, ok := victimOffset[st.Role]
+					if !ok {
+						return fmt.Errorf("%w: %s steals from role %q, which dials nothing", ErrBadSpec, where, st.Role)
+					}
+					// The injection lands at the attacker's border; there
+					// the stolen host's own AS knows the revocation from
+					// its local list and its victim's AS from the receipt.
+					if mod(st.ASOffset) == 0 || mod(st.ASOffset+victim) == 0 {
+						return fmt.Errorf("%w: %s steal offset %d collapses onto the attacker's or the victim's AS among %d ASes",
+							ErrBadSpec, where, st.ASOffset, len(aids))
 					}
 				}
 			case OpPartition:
@@ -495,8 +583,30 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// hostName names the j-th host of the i-th AS.
-func hostName(i, j int) string { return fmt.Sprintf("h%02d-%02d", i, j) }
+// roles lists, in a fixed order, every role the action names.
+func (a *ActionSpec) roles() []string {
+	roles := slices.Concat(a.Roles, slices.Sorted(maps.Keys(a.To)), slices.Sorted(maps.Keys(a.PerFlow)))
+	for _, role := range slices.Sorted(maps.Keys(a.To)) {
+		roles = append(roles, a.To[role].Role)
+	}
+	if a.StealFrom != nil {
+		roles = append(roles, a.StealFrom.Role)
+	}
+	return roles
+}
+
+// hosts names the hosts of the i-th AS in layout order: one per role
+// ("srv-03"), or HostsPerAS numbered ones ("h03-00").
+func (t *TopologySpec) hosts(i int) []string {
+	var names []string
+	for j := range t.HostsPerAS {
+		names = append(names, fmt.Sprintf("h%02d-%02d", i, j))
+	}
+	for _, role := range t.Roles {
+		names = append(names, fmt.Sprintf("%s-%02d", role, i))
+	}
+	return names
+}
 
 // compile turns everything in the spec but its hosts into facade
 // options and has apna.Layout validate them: it returns the options,

@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -52,6 +53,16 @@ func TestValidatorAcceptsASGraphLinks(t *testing.T) {
 		})
 	}
 }
+
+// theft is a role spec whose bad hosts dial the server one AS over and
+// whose attacker then steals a bad host's identity steal_from places
+// away: %d is the offset.
+const theft = `{"name": "t", "topology": {"kind": "full-mesh", "ases": 4, "roles": ["srv", "bad"], "link_latency": "1ms"},
+	"attackers": [{"name": "m", "as": 100}],
+	"phases": [{"name": "p", "actions": [
+		{"op": "issue", "per_host": 1, "lifetime_s": 60},
+		{"op": "dial", "to": {"bad": {"role": "srv", "as_offset": 1}}},
+		{"op": "attack", "steal_from": {"role": "bad", "as_offset": %d}}]}]}`
 
 func TestValidatorRejections(t *testing.T) {
 	cases := []struct {
@@ -139,6 +150,36 @@ func TestValidatorRejections(t *testing.T) {
 			"phases": [{"name": "p", "actions": [{"op": "run"}]}]}`, "positive duration"},
 		{"unknown op", `{"name": "t", "topology": {"kind": "full-mesh", "ases": 2, "hosts_per_as": 1, "link_latency": "1ms"},
 			"phases": [{"name": "p", "actions": [{"op": "teleport"}]}]}`, "not a known op"},
+		{"roles beside hosts_per_as", `{"name": "t", "topology": {"kind": "full-mesh", "ases": 2, "hosts_per_as": 1, "roles": ["srv"], "link_latency": "1ms"},
+			"phases": [{"name": "p", "actions": [{"op": "run", "duration": "1ms"}]}]}`, "roles replace hosts_per_as"},
+		{"role declared twice", `{"name": "t", "topology": {"kind": "full-mesh", "ases": 2, "roles": ["srv", "srv"], "link_latency": "1ms"},
+			"phases": [{"name": "p", "actions": [{"op": "run", "duration": "1ms"}]}]}`, "declared twice"},
+		{"unknown role", `{"name": "t", "topology": {"kind": "full-mesh", "ases": 2, "roles": ["srv", "bad"], "link_latency": "1ms"},
+			"phases": [{"name": "p", "actions": [
+				{"op": "issue", "per_host": 1, "lifetime_s": 60},
+				{"op": "dial", "to": {"bad": {"role": "server"}}}]}]}`, "unknown role"},
+		{"dial with a spread and targets", `{"name": "t", "topology": {"kind": "full-mesh", "ases": 2, "roles": ["srv", "bad"], "link_latency": "1ms"},
+			"phases": [{"name": "p", "actions": [
+				{"op": "issue", "per_host": 1, "lifetime_s": 60},
+				{"op": "dial", "flows_per_host": 1, "to": {"bad": {"role": "srv"}}}]}]}`, "exactly one of"},
+		{"negative retries", `{"name": "t", "topology": {"kind": "full-mesh", "ases": 2, "hosts_per_as": 1, "link_latency": "1ms"},
+			"phases": [{"name": "p", "actions": [
+				{"op": "issue", "per_host": 2, "lifetime_s": 60},
+				{"op": "dial", "flows_per_host": 1, "retries": -1}]}]}`, "retries -1"},
+		{"retried shutoff", `{"name": "t", "topology": {"kind": "full-mesh", "ases": 2, "hosts_per_as": 1, "link_latency": "1ms"},
+			"phases": [{"name": "p", "actions": [
+				{"op": "issue", "per_host": 2, "lifetime_s": 60},
+				{"op": "dial", "flows_per_host": 1},
+				{"op": "shutoff", "count": 1, "retries": 2}]}]}`, "complaints retry up to"},
+		{"complaint without a digest interval", `{"name": "t", "topology": {"kind": "full-mesh", "ases": 2, "hosts_per_as": 1, "link_latency": "1ms"},
+			"dissemination": {"interval": "0s"},
+			"phases": [{"name": "p", "actions": [
+				{"op": "issue", "per_host": 2, "lifetime_s": 60},
+				{"op": "dial", "flows_per_host": 1},
+				{"op": "shutoff", "count": 1, "complain": true}]}]}`, "positive interval"},
+		{"steal offset onto the attacker's AS", fmt.Sprintf(theft, 4), "collapses onto the attacker's or the victim's AS"},
+		{"steal offset onto the victim's AS", fmt.Sprintf(theft, 3), "collapses onto the attacker's or the victim's AS"},
+		{"steal from a role that dials nothing", strings.Replace(fmt.Sprintf(theft, 2), `"role": "bad", "as_offset": 2`, `"role": "srv", "as_offset": 2`, 1), "dials nothing"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -212,6 +253,7 @@ func FuzzScenarioSpec(f *testing.F) {
 	f.Add([]byte(`{"topology": {"kind": "full-mesh", "ases": 99999999999}}`))
 	f.Add([]byte(`{"name": "x", "phases": [{"actions": [{"op": "run", "duration": -5}]}]}`))
 	f.Add([]byte(`not json at all`))
+	f.Add([]byte(fmt.Sprintf(theft, 2)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Parse(data)
 		if err != nil {

@@ -33,6 +33,17 @@ type Verdict struct {
 	Denied           int `json:"denied"`
 	ResolvedDials    int `json:"resolved_dials,omitempty"`
 
+	// Complaints count in ShutoffsFiled per attempt, in ShutoffsAccepted
+	// when answered and in Revoked once the receipt verifies; then the
+	// source ASes' revocations and the other flows' deliveries.
+	Revocations     uint64 `json:"revocations,omitempty"`
+	HonestDelivered int    `json:"honest_delivered,omitempty"`
+	// Dissemination: digests flushed, entries installed, and the slowest
+	// first install of an AS's revocations elsewhere (virtual ms).
+	DigestsSent            uint64  `json:"digests_sent,omitempty"`
+	DigestEntriesInstalled uint64  `json:"digest_entries_installed,omitempty"`
+	DisseminationMaxMs     float64 `json:"dissemination_max_ms,omitempty"`
+
 	Attacks  map[string]uint64 `json:"attacks,omitempty"`
 	Defenses map[string]uint64 `json:"defenses,omitempty"`
 

@@ -14,7 +14,6 @@
 package cert
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -157,9 +156,7 @@ func (c *Cert) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// Equal reports whether two certificates are byte-identical.
-func (c *Cert) Equal(o *Cert) bool {
-	a, _ := c.MarshalBinary()
-	b, _ := o.MarshalBinary()
-	return bytes.Equal(a, b)
-}
+// Equal reports whether two certificates are byte-identical. Every field
+// is fixed-size and encoded whole, so two encodings are equal exactly
+// when the values are.
+func (c *Cert) Equal(o *Cert) bool { return *c == *o }

@@ -17,8 +17,13 @@ type KeyPair struct {
 	priv *ecdh.PrivateKey
 }
 
-// GenerateKeyPair draws a fresh X25519 key pair from crypto/rand.
-func GenerateKeyPair() (*KeyPair, error) {
+// GenerateKeyPair returns a fresh X25519 key pair drawn from
+// crypto/rand. It is served from a stock that another core refills (see
+// stock), so the caller rarely pays for the generation itself.
+func GenerateKeyPair() (*KeyPair, error) { return dhStock.take() }
+
+// generateKeyPair draws an X25519 key pair from crypto/rand.
+func generateKeyPair() (*KeyPair, error) {
 	priv, err := ecdh.X25519().GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, fmt.Errorf("crypto: generating X25519 key: %w", err)

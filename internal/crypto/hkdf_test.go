@@ -114,6 +114,7 @@ func TestDeriveHostASKeysIsDeriveKey(t *testing.T) {
 // (34 when each key ran its own DeriveKey).
 func TestDeriveHostASKeysAllocs(t *testing.T) {
 	secret := bytes.Repeat([]byte{7}, 32)
+	waitRefills()
 	if allocs := testing.AllocsPerRun(100, func() { DeriveHostASKeys(secret) }); allocs > 19 {
 		t.Fatalf("DeriveHostASKeys allocates %.0f times, want at most 19", allocs)
 	}

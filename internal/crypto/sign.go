@@ -20,8 +20,13 @@ type Signer struct {
 	priv ed25519.PrivateKey
 }
 
-// GenerateSigner draws a fresh Ed25519 key pair from crypto/rand.
-func GenerateSigner() (*Signer, error) {
+// GenerateSigner returns a fresh Ed25519 key pair drawn from
+// crypto/rand. Like GenerateKeyPair, it is served from a stock that
+// another core refills.
+func GenerateSigner() (*Signer, error) { return sigStock.take() }
+
+// generateSigner draws an Ed25519 key pair from crypto/rand.
+func generateSigner() (*Signer, error) {
 	_, priv, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, fmt.Errorf("crypto: generating Ed25519 key: %w", err)

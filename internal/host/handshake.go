@@ -150,6 +150,9 @@ func (h *Host) flowShared(local ephid.EphID, peer wire.Endpoint) bool {
 // acknowledgments are matched back by the dialed EphID each ack echoes.
 type dialState struct {
 	conn *Conn
+	// cert is the peer certificate Dial verified. An ack that carries
+	// it again is not verified a second time.
+	cert cert.Cert
 }
 
 // DialOptions tunes connection establishment.
@@ -163,12 +166,15 @@ type DialOptions struct {
 }
 
 // Dial establishes a connection from the local EphID to the peer
-// certificate (obtained from DNS or out of band). The session key is
+// certificate (obtained from DNS or out of band). The certificate is
+// verified against the trust store first: the session key, and any
+// 0-RTT data sealed under it, come from its DHPub, so nothing may be
+// derived from a certificate its AS did not sign. The session key is
 // derived immediately; queued data flows once the ack confirms (or
 // immediately as 0-RTT data).
 func (h *Host) Dial(local *OwnedEphID, peerCert *cert.Cert, opts DialOptions) (*Conn, error) {
-	if peerCert.Expired(h.cfg.Now()) {
-		return nil, fmt.Errorf("%w: expired", ErrBadPeerCert)
+	if err := h.verifyCert(peerCert); err != nil {
+		return nil, err
 	}
 	peer := wire.Endpoint{AID: peerCert.AID, EphID: peerCert.EphID}
 	// Re-dialing a flow whose session already exists continues that
@@ -220,7 +226,7 @@ func (h *Host) Dial(local *OwnedEphID, peerCert *cert.Cert, opts DialOptions) (*
 	// Record the in-flight dial only once the handshake actually left:
 	// a failed send must not leave a record that would claim a later
 	// dial's acknowledgment.
-	h.dials[local.Cert.EphID] = append(h.dials[local.Cert.EphID], &dialState{conn: conn})
+	h.dials[local.Cert.EphID] = append(h.dials[local.Cert.EphID], &dialState{conn: conn, cert: *peerCert})
 	h.conns = append(h.conns, conn)
 	return conn, nil
 }
@@ -401,15 +407,14 @@ func (h *Host) handleHandshake(hdr *wire.Header, payload []byte, frame []byte) {
 		h.stats.DropBadHandshake++
 		return
 	}
-	if err := h.verifyPeerCert(&msg.cert, hdr.SrcAID, hdr.SrcEphID); err != nil {
-		h.stats.DropBadHandshake++
-		return
-	}
-
 	if msg.flags&hsFlagAck != 0 {
 		// Acks need no replay cache: each consumes its in-flight dial
 		// record, so a replayed ack matches nothing and is dropped.
 		h.handleHandshakeAck(hdr, msg)
+		return
+	}
+	if err := h.verifyPeerCert(&msg.cert, hdr.SrcAID, hdr.SrcEphID); err != nil {
+		h.stats.DropBadHandshake++
 		return
 	}
 
@@ -509,7 +514,9 @@ func (h *Host) handleHandshake(hdr *wire.Header, payload []byte, frame []byte) {
 // equals the serving EphID, for migrated (receive-only) dials it is the
 // published EphID the initiator addressed — so there is a single
 // matching rule and never a guess. Acks without the echo, or whose
-// echo matches no in-flight dial (already abandoned), are dropped.
+// echo matches no in-flight dial (already abandoned), are dropped, and
+// so are acks whose certificate fails verification; the dial stays in
+// flight.
 func (h *Host) handleHandshakeAck(hdr *wire.Header, msg *handshakeMsg) {
 	if len(msg.data) != ephid.Size {
 		h.stats.DropBadHandshake++
@@ -533,6 +540,20 @@ func (h *Host) handleHandshakeAck(hdr *wire.Header, msg *handshakeMsg) {
 		return
 	}
 	ds := list[idx]
+	// A direct dial's ack carries the very certificate Dial verified, so
+	// its signature is not checked again; it must still name the packet's
+	// source and be unexpired. A different certificate — the serving
+	// EphID of a receive-only dial — is verified in full.
+	var err error
+	if msg.cert.Equal(&ds.cert) {
+		err = h.checkCertSource(&msg.cert, hdr.SrcAID, hdr.SrcEphID)
+	} else {
+		err = h.verifyPeerCert(&msg.cert, hdr.SrcAID, hdr.SrcEphID)
+	}
+	if err != nil {
+		h.stats.DropBadHandshake++
+		return
+	}
 	conn := ds.conn
 	if serving != conn.peer {
 		// The server migrated us to a serving EphID: derive the real

@@ -409,12 +409,31 @@ func (h *Host) sessionAAD(hdr *wire.Header) []byte {
 	return append(aad, hdr.DstEphID[:]...)
 }
 
-// verifyPeerCert checks a peer certificate against the trust store and
-// the packet header it arrived in.
+// verifyPeerCert checks a peer certificate against the packet header it
+// arrived in and against the trust store.
 func (h *Host) verifyPeerCert(c *cert.Cert, srcAID ephid.AID, srcEphID ephid.EphID) error {
+	if err := h.checkCertSource(c, srcAID, srcEphID); err != nil {
+		return err
+	}
+	return h.verifyCert(c)
+}
+
+// checkCertSource checks what verifyPeerCert checks of a certificate
+// already verified against the trust store: that it names the packet's
+// source and has not expired since.
+func (h *Host) checkCertSource(c *cert.Cert, srcAID ephid.AID, srcEphID ephid.EphID) error {
 	if c.AID != srcAID || c.EphID != srcEphID {
 		return fmt.Errorf("%w: certificate does not match packet source", ErrBadPeerCert)
 	}
+	if c.Expired(h.cfg.Now()) {
+		return fmt.Errorf("%w: expired", ErrBadPeerCert)
+	}
+	return nil
+}
+
+// verifyCert checks a certificate against the trust store: signed by
+// its AS's current key, and unexpired.
+func (h *Host) verifyCert(c *cert.Cert) error {
 	key, err := h.cfg.Trust.SigKey(c.AID, h.cfg.Now())
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrBadPeerCert, err)

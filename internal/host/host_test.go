@@ -176,11 +176,13 @@ func TestSendDataWithoutSession(t *testing.T) {
 }
 
 func TestDialRejectsExpiredCert(t *testing.T) {
-	h := testHost(t)
-	local := owned(t, ephid.KindData, 9999, 1)
-	peer := owned(t, ephid.KindData, 1, 2) // expired at now=1000
-	if _, err := h.Dial(local, &peer.Cert, DialOptions{}); !errors.Is(err, ErrBadPeerCert) {
-		t.Errorf("err = %v", err)
+	d := newDuplex(t)
+	local := d.issue(t, d.a, d.signA, ephid.KindData, 1)
+	peer := d.issue(t, d.b, d.signB, ephid.KindData, 2)
+	peer.Cert.ExpTime = 1 // expired at now=1000, and signed as such
+	peer.Cert.Sign(d.signB)
+	if _, err := d.a.Dial(local, &peer.Cert, DialOptions{}); !errors.Is(err, ErrBadPeerCert) || !errors.Is(err, ephid.ErrExpired) {
+		t.Errorf("err = %v, want ErrBadPeerCert for expiry", err)
 	}
 }
 

@@ -28,7 +28,7 @@ type duplex struct {
 	signA, signB *crypto.Signer
 }
 
-func newDuplex(t *testing.T) *duplex {
+func newDuplex(t testing.TB) *duplex {
 	t.Helper()
 	d := &duplex{sim: netsim.New(1)}
 	auth, err := rpki.NewAuthority()
@@ -77,7 +77,7 @@ func newDuplex(t *testing.T) *duplex {
 }
 
 // issue mints a certified EphID for a host under its AS signer.
-func (d *duplex) issue(t *testing.T, h *Host, signer *crypto.Signer, kind ephid.Kind, tag byte) *OwnedEphID {
+func (d *duplex) issue(t testing.TB, h *Host, signer *crypto.Signer, kind ephid.Kind, tag byte) *OwnedEphID {
 	t.Helper()
 	dh, err := crypto.GenerateKeyPair()
 	if err != nil {
@@ -183,15 +183,10 @@ func TestStackReceiveOnlyMigration(t *testing.T) {
 func TestStackRejectsBadHandshakeCert(t *testing.T) {
 	d := newDuplex(t)
 	idA := d.issue(t, d.a, d.signA, ephid.KindData, 1)
-	// Certificate signed by the WRONG AS (B's identity forged by A's
-	// signer).
 	idB := d.issue(t, d.b, d.signB, ephid.KindData, 2)
-	forged := idB.Cert
-	forged.Sign(d.signA)
-	d.b.pool[forged.EphID].Cert = forged
 
-	// A dials with its own valid cert; B's stack must reject the
-	// *initiator's* cert if tampered. Tamper A's pool cert instead:
+	// A dials B's genuine certificate from an EphID whose own
+	// certificate has expired: B's stack must reject the initiator's.
 	badA := idA.Cert
 	badA.ExpTime = 1 // expired
 	badA.Sign(d.signA)
@@ -204,6 +199,85 @@ func TestStackRejectsBadHandshakeCert(t *testing.T) {
 	if d.b.Stats().DropBadHandshake == 0 {
 		t.Error("expired initiator cert accepted by responder")
 	}
+}
+
+// TestDialVerifiesPeerCert is the regression test for Dial deriving
+// keys from a certificate nobody had verified: a genuine certificate
+// with one DHPub byte flipped, passed out of band, used to get a session
+// keyed to the substituted public key and a 0-RTT frame sealed under it
+// on the wire before the ack's certificate check. Dial must refuse it
+// before any frame or flow state exists.
+func TestDialVerifiesPeerCert(t *testing.T) {
+	d := newDuplex(t)
+	idA := d.issue(t, d.a, d.signA, ephid.KindData, 1)
+	idB := d.issue(t, d.b, d.signB, ephid.KindData, 2)
+	substituted := idB.Cert
+	substituted.DHPub[0] ^= 1
+
+	sent := d.a.Stats().Sent
+	if _, err := d.a.Dial(idA, &substituted, DialOptions{Data0RTT: []byte("for B only")}); !errors.Is(err, ErrBadPeerCert) {
+		t.Fatalf("dialing a substituted DHPub: err = %v, want ErrBadPeerCert", err)
+	}
+	if got := d.a.Stats().Sent; got != sent {
+		t.Errorf("Sent %d -> %d: a frame left for an unverified certificate", sent, got)
+	}
+	if len(d.a.sessions) != 0 || len(d.a.peerCerts) != 0 || len(d.a.dials) != 0 || len(d.a.conns) != 0 {
+		t.Errorf("refused dial left state: %d sessions, %d peer certs, %d dials, %d conns",
+			len(d.a.sessions), len(d.a.peerCerts), len(d.a.dials), len(d.a.conns))
+	}
+
+	// The genuine certificate still dials, 0-RTT data and all.
+	conn, err := d.a.Dial(idA, &idB.Cert, DialOptions{Data0RTT: []byte("for B only")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.sim.Run(1000)
+	if msgs := d.b.Inbox(); !conn.Established() || len(msgs) != 1 || string(msgs[0].Payload) != "for B only" {
+		t.Fatalf("genuine dial: established %v, inbox %+v", conn.Established(), msgs)
+	}
+}
+
+// TestAckCertificateChecks pins what an ack's certificate still has to
+// pass once Dial verified the dialed one: the same certificate must be
+// unexpired when the ack lands, and a different one — the serving EphID
+// a receive-only dial migrates to — is verified in full. A failed check
+// drops the ack and leaves the dial in flight.
+func TestAckCertificateChecks(t *testing.T) {
+	t.Run("same certificate, expired by the ack", func(t *testing.T) {
+		d := newDuplex(t)
+		now := int64(1000)
+		d.a.cfg.Now = func() int64 { return now }
+		idA := d.issue(t, d.a, d.signA, ephid.KindData, 1)
+		idB := d.issue(t, d.b, d.signB, ephid.KindData, 2)
+		idB.Cert.ExpTime = 1500
+		idB.Cert.Sign(d.signB)
+		conn, err := d.a.Dial(idA, &idB.Cert, DialOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = 1501
+		d.sim.Run(1000)
+		if conn.Established() || d.a.Stats().DropBadHandshake != 1 || len(d.a.dials) != 1 {
+			t.Errorf("established %v, DropBadHandshake %d, dials in flight %d; want false, 1, 1",
+				conn.Established(), d.a.Stats().DropBadHandshake, len(d.a.dials))
+		}
+	})
+	t.Run("serving certificate not signed by its AS", func(t *testing.T) {
+		d := newDuplex(t)
+		idA := d.issue(t, d.a, d.signA, ephid.KindData, 1)
+		recvOnly := d.issue(t, d.b, d.signB, ephid.KindReceiveOnly, 2)
+		serving := d.issue(t, d.b, d.signB, ephid.KindData, 3)
+		serving.Cert.Sign(d.signA) // the wrong AS
+		conn, err := d.a.Dial(idA, &recvOnly.Cert, DialOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.sim.Run(1000)
+		if conn.Established() || d.a.Stats().DropBadHandshake != 1 || len(d.a.dials) != 1 {
+			t.Errorf("established %v, DropBadHandshake %d, dials in flight %d; want false, 1, 1",
+				conn.Established(), d.a.Stats().DropBadHandshake, len(d.a.dials))
+		}
+	})
 }
 
 func TestStackReplayRejected(t *testing.T) {

@@ -419,6 +419,10 @@ func DecodeReply(encKey []byte, srcEphID ephid.EphID, reply []byte) (*cert.Cert,
 	if len(plain) < 1 {
 		return nil, ErrBadRequest
 	}
+	if plain[0] != replyStatusOK && len(plain) != 1 {
+		// A denial is the status byte alone (sealReply).
+		return nil, fmt.Errorf("%w: %d bytes after reply status %d", ErrBadRequest, len(plain)-1, plain[0])
+	}
 	switch plain[0] {
 	case replyStatusOK:
 	case replyStatusRateLimited:

@@ -3,6 +3,7 @@ package session
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -31,6 +32,26 @@ func pair(t *testing.T) (*Session, *Session) {
 		t.Fatal(err)
 	}
 	return a, b
+}
+
+// awaitKeyRefills returns once no goroutine refills internal/crypto's
+// key stock. pair takes key pairs, and each take starts a refill on
+// another core; testing.AllocsPerRun counts every goroutine's mallocs,
+// so an allocation test waits for the refill to finish first. crypto's
+// TestStockRefillerInGoroutineDump pins the frame this looks for.
+func awaitKeyRefills() {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n == len(buf) {
+			buf = make([]byte, 2*len(buf))
+			continue
+		}
+		if !bytes.Contains(buf[:n], []byte("created by apna/internal/crypto.(*stock[")) {
+			return
+		}
+		runtime.Gosched()
+	}
 }
 
 func TestSessionBidirectional(t *testing.T) {
@@ -300,6 +321,7 @@ func TestAppendSealInPlace(t *testing.T) {
 		t.Fatalf("peer cannot open what was sealed in place: %v", err)
 	}
 
+	awaitKeyRefills()
 	if n := testing.AllocsPerRun(100, func() {
 		if _, err := a.AppendSeal(append(buf, header...), pt, aad); err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package apna
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -219,6 +220,27 @@ func TestEvidenceFromRawVerifiesAfterFurtherTraffic(t *testing.T) {
 	}
 }
 
+// awaitKeyRefills returns once no goroutine refills internal/crypto's
+// key stock. Building an internet takes key pairs, and each take starts
+// a refill on another core; testing.AllocsPerRun counts every
+// goroutine's mallocs, so an allocation test waits for the refill to
+// finish first. crypto's TestStockRefillerInGoroutineDump pins the
+// frame this looks for.
+func awaitKeyRefills() {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n == len(buf) {
+			buf = make([]byte, 2*len(buf))
+			continue
+		}
+		if !bytes.Contains(buf[:n], []byte("created by apna/internal/crypto.(*stock[")) {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
 // TestSendAllocCeiling pins the host data path's allocation budget: one
 // message through the facade — SendAsync, the simulator, both routers,
 // the peer's inbox — costs the frame, the plaintext, the inbox slice and
@@ -253,6 +275,7 @@ func TestSendAllocCeiling(t *testing.T) {
 		}
 	}
 	send() // grow the event queue and the live-operation registry
+	awaitKeyRefills()
 	if allocs := testing.AllocsPerRun(100, send); allocs > 5 {
 		t.Errorf("one message costs %v allocations, want at most 5", allocs)
 	} else {

@@ -19,6 +19,7 @@ package apna
 import (
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -316,35 +317,43 @@ func BenchmarkPacketMACVerify(b *testing.B) {
 
 // BenchmarkPacketMACVerifyBatch is BenchmarkPacketMACVerify through
 // wire.MACBatch, 64 frames from 64 senders at a time as the egress
-// pipeline hands them over: two uniform batches, and 64 B and 1518 B
-// frames alternating, where half of the lanes run dry early. One op is
-// one frame.
+// pipeline hands them over: two uniform batches, 64 B and 1518 B frames
+// alternating, and an IMIX of 64, 594 and 1518 B frames at 7:4:1 in a
+// fixed shuffled order. One op is one frame.
 func BenchmarkPacketMACVerifyBatch(b *testing.B) {
 	const batch = 64
+	imix := make([]int, batch)
+	for i := range imix {
+		imix[i] = [12]int{64, 64, 64, 64, 64, 64, 64, 594, 594, 594, 594, 1518}[i%12]
+	}
+	rand.New(rand.NewSource(1)).Shuffle(batch, func(i, j int) { imix[i], imix[j] = imix[j], imix[i] })
 	for _, mix := range []struct {
 		name  string
-		sizes [2]int
+		sizes []int // frame i is sizes[i%len(sizes)] bytes
 	}{
-		{"128B", [2]int{128, 128}},
-		{"1518B", [2]int{1518, 1518}},
-		{"64B+1518B", [2]int{64, 1518}},
+		{"128B", []int{128}},
+		{"1518B", []int{1518}},
+		{"64B+1518B", []int{64, 1518}},
+		{"IMIX", imix},
 	} {
 		b.Run(mix.name, func(b *testing.B) {
 			pms := make([]*wire.PacketMAC, batch)
 			frames := make([][]byte, batch)
+			total := 0
 			for i := range frames {
 				var err error
 				pms[i], err = wire.NewPacketMAC(crypto.DeriveKey([]byte{byte(i)}, "bench", crypto.SymKeySize))
 				if err != nil {
 					b.Fatal(err)
 				}
-				p := wire.Packet{Payload: make([]byte, mix.sizes[i%2]-wire.HeaderSize)}
+				p := wire.Packet{Payload: make([]byte, mix.sizes[i%len(mix.sizes)]-wire.HeaderSize)}
 				p.Header.HopLimit = 9
 				frames[i], _ = p.Encode()
 				pms[i].Apply(frames[i])
+				total += len(frames[i])
 			}
 			var mb wire.MACBatch
-			b.SetBytes(int64(mix.sizes[0]+mix.sizes[1]) / 2)
+			b.SetBytes(int64(total / batch))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n += batch {

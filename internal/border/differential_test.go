@@ -636,7 +636,12 @@ func (w *diffWorld) frame(h wire.Header, key [crypto.SymKeySize]byte, size int) 
 
 func (w *diffWorld) host() ephid.HID { return ephid.HID(1 + w.rng.Intn(w.hosts)) }
 
-func newDiffWorld(t *testing.T, seed int64, hosts, rounds int) *diffWorld {
+// newDiffWorld builds the world for seed. The stream and the dispatch
+// frames come shuffled or, with sorted, stably sorted by length: then a
+// batch holds long runs of one frame size, whose packet MACs go through
+// crypto.MACBatch in lock-step groups, and a flipped bit, a re-keyed
+// sender or an expired EphID sits in one lane of such a group.
+func newDiffWorld(t *testing.T, seed int64, hosts, rounds int, sorted bool) *diffWorld {
 	t.Helper()
 	pw, err := pktgen.NewWorld(pktgen.WorldConfig{
 		ASes: 2, HostsPerAS: hosts, FrameSize: 128, FramesPerLane: 20 * hosts, BadFrac: 0.5, Seed: seed,
@@ -723,6 +728,11 @@ func newDiffWorld(t *testing.T, seed int64, hosts, rounds int) *diffWorld {
 		w.dispatchRound()
 	}
 	w.rng.Shuffle(len(w.dispatch), func(i, j int) { w.dispatch[i], w.dispatch[j] = w.dispatch[j], w.dispatch[i] })
+	if sorted {
+		byLen := func(a, b []byte) int { return len(a) - len(b) }
+		slices.SortStableFunc(w.stream, byLen)
+		slices.SortStableFunc(w.dispatch, byLen)
+	}
 	return w
 }
 
@@ -802,9 +812,9 @@ func (w *diffWorld) apply(op byte) {
 // path in len(script)+1 parts with one scripted event between parts,
 // then once more whole: by then every cache holds an entry for
 // everything that changed. It returns how often each verdict came up.
-func runDifferential(t *testing.T, seed int64, hosts, rounds int, script []byte) map[border.Verdict]int {
+func runDifferential(t *testing.T, seed int64, hosts, rounds int, script []byte, sorted bool) map[border.Verdict]int {
 	t.Helper()
-	w := newDiffWorld(t, seed, hosts, rounds)
+	w := newDiffWorld(t, seed, hosts, rounds, sorted)
 	paths := []borderPath{slowPath(w.src.f, w.dst.f), singlePath(w.src.f, w.dst.f)}
 	for _, size := range diffBatchSizes {
 		paths = append(paths, batchPath(w.src.f, w.dst.f, size))
@@ -875,12 +885,14 @@ func runDifferential(t *testing.T, seed int64, hosts, rounds int, script []byte)
 var diffScript = []byte{0, 1, 2, 3, 4, 5, 6, 9, 7, 8, 5, 6, 1, 3, 9, 7, 8, 0}
 
 // TestBorderDifferential is the property test: a few seeds, a stream of
-// some eleven hundred frames each.
+// some eleven hundred frames each, shuffled and sorted by length.
 func TestBorderDifferential(t *testing.T) {
 	seen := make(map[border.Verdict]int)
 	for seed := int64(1); seed <= 3; seed++ {
-		for v, n := range runDifferential(t, seed, 24, 40, diffScript) {
-			seen[v] += n
+		for _, sorted := range []bool{false, true} {
+			for v, n := range runDifferential(t, seed, 24, 40, diffScript, sorted) {
+				seen[v] += n
+			}
 		}
 	}
 	for _, v := range []border.Verdict{
@@ -896,7 +908,8 @@ func TestBorderDifferential(t *testing.T) {
 }
 
 // FuzzBorderDifferential lets the fuzzer pick the world's seed and the
-// script of mid-stream events over a smaller world.
+// script of mid-stream events over a smaller world, whose stream it
+// drives shuffled and sorted by length.
 func FuzzBorderDifferential(f *testing.F) {
 	f.Add(int64(1), diffScript)
 	f.Add(int64(2), []byte{9, 9, 7, 7, 6, 8})
@@ -905,6 +918,7 @@ func FuzzBorderDifferential(f *testing.F) {
 		if len(script) > 24 {
 			script = script[:24]
 		}
-		runDifferential(t, seed, 6, 2, script)
+		runDifferential(t, seed, 6, 2, script, false)
+		runDifferential(t, seed, 6, 2, script, true)
 	})
 }

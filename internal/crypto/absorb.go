@@ -66,7 +66,6 @@ type lane struct {
 	state [aes.BlockSize]byte
 	key   *schedule
 	src   []byte // whole blocks to absorb next
-	ch    *chain // the message src is a run of; unused by absorbLanes
 }
 
 // absorbEach is absorbLanes one lane after the other.

@@ -16,7 +16,7 @@ var (
 	_ = [1]struct{}{}[unsafe.Offsetof(lane{}.state)-0]
 	_ = [1]struct{}{}[unsafe.Offsetof(lane{}.key)-16]
 	_ = [1]struct{}{}[unsafe.Offsetof(lane{}.src)-24]
-	_ = [1]struct{}{}[unsafe.Sizeof(lane{})-56]
+	_ = [1]struct{}{}[unsafe.Sizeof(lane{})-48]
 	_ = [1]struct{}{}[unsafe.Offsetof(schedule{}.rk)-0]
 )
 

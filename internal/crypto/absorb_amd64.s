@@ -8,10 +8,10 @@
 //	16  key   *schedule (round keys at offset 0, 11 x 16 bytes)
 //	24  src   []byte    (data pointer)
 //
-// and lanes are 56 bytes apart; absorb_amd64.go asserts both. No
+// and lanes are 48 bytes apart; absorb_amd64.go asserts both. No
 // instruction here is indexed by key, state or message bytes.
 
-#define LANE 56
+#define LANE 48
 #define KEY  16
 #define SRC  24
 

@@ -3,6 +3,7 @@ package crypto
 import (
 	"crypto/aes"
 	"crypto/subtle"
+	"encoding/binary"
 	"errors"
 )
 
@@ -85,7 +86,6 @@ type chain struct {
 	buf  [aes.BlockSize]byte
 	fill int  // bytes held in buf
 	done bool // the last block has been handed out
-	job  *MACJob
 }
 
 func newChain(c *CMAC, msg [][]byte) chain {
@@ -192,10 +192,26 @@ func (c *CMAC) Verify(tag []byte, msg ...[]byte) bool {
 }
 
 // tagMatches reports whether tag, of 1 to 16 bytes, is the start of the
-// full CMAC. The comparison is constant time.
+// full CMAC. The comparison is constant time: which bytes are read and
+// what is done with them depends on the tag's length alone, and every
+// difference is ORed into one word before anything is decided. It goes a
+// word at a time where the tag has whole words, where
+// subtle.ConstantTimeCompare goes a byte at a time: a batch compares one
+// tag per frame, and on short frames that loop showed in its profile.
 func tagMatches(tag []byte, full *[aes.BlockSize]byte) bool {
-	return len(tag) > 0 && len(tag) <= aes.BlockSize &&
-		subtle.ConstantTimeCompare(tag, full[:len(tag)]) == 1
+	if len(tag) == 0 || len(tag) > aes.BlockSize {
+		return false
+	}
+	le := binary.LittleEndian
+	var d uint64
+	i := 0
+	for ; i+8 <= len(tag); i += 8 {
+		d |= le.Uint64(tag[i:]) ^ le.Uint64(full[i:])
+	}
+	for ; i < len(tag); i++ {
+		d |= uint64(tag[i] ^ full[i])
+	}
+	return subtle.ConstantTimeEq(int32(uint32(d)|uint32(d>>32)), 0) == 1
 }
 
 // MACJob is one message of a batch: Tag is checked against the CMAC of
@@ -214,66 +230,257 @@ type MACJob struct {
 // scratch for that, reused across calls; it is not safe for concurrent
 // use.
 type MACBatch struct {
-	lanes  [maxLanes]lane
-	chains [maxLanes]chain
+	lanes [maxLanes]lane
+	plans [maxLanes]plan // lanes[i]'s message
+	steps [maxSteps]int  // the group's steps, in blocks
+	order [maxJobs]uint8 // the window's jobs by kind
+	kinds [maxJobs]kind  // the window's distinct segment lengths
+	of    [maxJobs]uint8 // the kind of each job
+}
+
+// maxJobs is how many jobs Verify orders at once; the border pipelines
+// hand over at most this many. maxSteps bounds a group's steps: a step
+// ends where any of its messages' runs ends, and a message has at most
+// four runs.
+const (
+	maxJobs  = 64
+	maxSteps = 4 * maxLanes
+)
+
+// kind is the segment lengths some of a window's jobs share, how many
+// jobs have them and where in order the next of them goes. Jobs of one
+// kind have equal plans, so their lanes leave every run at the same step.
+type kind struct {
+	len0, len1 int
+	n, at      int
+}
+
+// before reports whether k goes before o in the batch order: longer
+// messages first, so that in a group the lanes whose messages end first
+// are the last lanes.
+func (k *kind) before(o *kind) bool {
+	if s, t := k.len0+k.len1, o.len0+o.len1; s != t {
+		return s > t
+	}
+	return k.len0 > o.len0
+}
+
+// plan is one message cut into the whole-block runs its CBC chain
+// absorbs, one run per step of its group: the first segment's whole
+// blocks and the second's, read where they lie, a staged block where a
+// block straddles the two, and the staged last block, already padded (or
+// not) and XORed with K2 (or K1).
+type plan struct {
+	runs  [maxSteps][]byte
+	n     int // runs[:n] are the message
+	stage [2][aes.BlockSize]byte
+	job   *MACJob
+}
+
+// plan cuts job into its runs; empty runs are left out.
+func (p *plan) plan(job *MACJob) {
+	m0, m1 := job.Msg[0], job.Msg[1]
+	size := len(m0) + len(m1)
+	last := max(size-1, 0) &^ (aes.BlockSize - 1) // where the last block starts
+	a := min(len(m0), last) &^ (aes.BlockSize - 1)
+	n := 0
+	if a > 0 {
+		p.runs[n] = m0[:a]
+		n++
+	}
+	if a < min(len(m0), last) {
+		k := copy(p.stage[0][:], m0[a:])
+		copy(p.stage[0][k:], m1)
+		p.runs[n] = p.stage[0][:]
+		n++
+		a += aes.BlockSize
+	}
+	if a < last {
+		p.runs[n] = m1[a-len(m0) : last-len(m0)]
+		n++
+	}
+	// The last block is put together in two words: read back as words
+	// right after a byte-wise copy, it would stall the loads. Where the
+	// last segment holds a whole block, the block that ends the message
+	// is loaded and shifted down to the k bytes that are the last block.
+	le := binary.LittleEndian
+	k := uint(size - last)
+	end := m1
+	if len(m1) == 0 {
+		end = m0
+	}
+	var lo, hi uint64
+	if len(end) >= aes.BlockSize && last >= size-len(end) {
+		lo, hi = le.Uint64(end[len(end)-16:]), le.Uint64(end[len(end)-8:])
+		sh := (aes.BlockSize - k) * 8 // a shift by 64 or more is 0
+		lo, hi = lo>>sh|hi<<(64-sh)|hi>>(sh-64), hi>>sh
+	} else {
+		var buf [aes.BlockSize]byte
+		copy(buf[copy(buf[:], m0[min(last, len(m0)):]):], m1[max(last-len(m0), 0):])
+		lo, hi = le.Uint64(buf[:8]), le.Uint64(buf[8:])
+	}
+	key := &job.MAC.k1
+	if k < aes.BlockSize {
+		lo |= 0x80 << (k * 8)
+		hi |= 0x80 << (k*8 - 64)
+		key = &job.MAC.k2
+	}
+	fin := &p.stage[1]
+	le.PutUint64(fin[:8], lo^le.Uint64(key[:8]))
+	le.PutUint64(fin[8:], hi^le.Uint64(key[8:]))
+	p.runs[n] = fin[:]
+	p.n, p.job = n+1, job
 }
 
 // Verify sets every job's OK to what jobs[i].MAC.Verify(jobs[i].Tag,
 // jobs[i].Msg[0], jobs[i].Msg[1]) reports. Messages may have any mix of
 // lengths. It does not allocate.
 //
-// Jobs are started in order, one per lane. All busy lanes then advance
-// in lock-step by the shortest run any of them holds; a lane whose
-// message ends hands back its verdict and takes the next job, and once
-// the jobs run out the last busy lane is moved into its place, so the
-// busy lanes are always lanes[:live].
+// Up to maxJobs jobs at a time are ordered by their segment lengths and
+// cut into groups of up to maxLanes, one message per lane, and a group
+// goes through absorbLanes step by step: every busy lane stores its next
+// run as src, then one kernel call absorbs them all. The runs of a group
+// of one kind line up as planned; a mixed group's plans are first cut
+// wherever any of them has a run end, so the group steps by the shortest
+// run any lane holds. The order puts the lanes whose messages end first
+// last, so a lane whose message ends hands back its verdict and drops
+// out, and the busy lanes are always lanes[:live].
 func (b *MACBatch) Verify(jobs []MACJob) {
-	if len(jobs) == 1 {
-		// One chain has nothing to interleave with; skip the lanes.
-		jobs[0].OK = jobs[0].MAC.Verify(jobs[0].Tag, jobs[0].Msg[:]...)
-		return
-	}
-	live := 0
-	for live < maxLanes && live < len(jobs) {
-		b.lanes[live].ch = &b.chains[live]
-		b.lanes[live].start(&jobs[live])
-		live++
-	}
-	next := live // the first job no lane has taken
-	for live > 0 {
-		n := len(b.lanes[0].src)
-		for i := range b.lanes[1:live] {
-			n = min(n, len(b.lanes[1+i].src))
-		}
-		absorbLanes(&b.lanes, live, n/aes.BlockSize)
-		for i := 0; i < live; {
-			l := &b.lanes[i]
-			if l.src = l.src[n:]; len(l.src) > 0 {
-				i++
-				continue
+	for len(jobs) > 0 {
+		w := jobs[:min(len(jobs), maxJobs)]
+		jobs = jobs[len(w):]
+		order := b.sort(w)
+		for g := 0; g < len(w); g += maxLanes {
+			group := order[g:min(g+maxLanes, len(w))]
+			live := len(group)
+			for s, n := range b.start(w, group) {
+				for i := range b.lanes[:live] {
+					b.lanes[i].src = b.plans[i].runs[s]
+				}
+				absorbLanes(&b.lanes, live, n)
+				for live > 0 && b.plans[live-1].n == s+1 {
+					live--
+					job := b.plans[live].job
+					job.OK = tagMatches(job.Tag, &b.lanes[live].state)
+				}
 			}
-			if l.src = l.ch.next(); l.src != nil {
-				i++
-				continue
-			}
-			l.ch.job.OK = tagMatches(l.ch.job.Tag, &l.state)
-			if next < len(jobs) {
-				l.start(&jobs[next])
-				next++
-				i++
-				continue
-			}
-			live--
-			*l = b.lanes[live]
 		}
 	}
 }
 
-// start points the lane at a fresh job's first run.
-func (l *lane) start(job *MACJob) {
-	l.state = [aes.BlockSize]byte{}
-	l.key = &job.MAC.key
-	*l.ch = newChain(job.MAC, job.Msg[:])
-	l.ch.job = job
-	l.src = l.ch.next()
+// start plans the group's messages, keys a lane for each and returns
+// the group's steps.
+func (b *MACBatch) start(jobs []MACJob, group []uint8) []int {
+	for i, j := range group {
+		b.plans[i].plan(&jobs[j])
+		l := &b.lanes[i]
+		l.state, l.key = [aes.BlockSize]byte{}, &jobs[j].MAC.key
+	}
+	if b.of[group[0]] != b.of[group[len(group)-1]] {
+		return b.align(len(group))
+	}
+	p := &b.plans[0]
+	for s, run := range p.runs[:p.n] {
+		b.steps[s] = len(run) / aes.BlockSize
+	}
+	return b.steps[:p.n]
 }
+
+// align cuts the plans of a group of several kinds wherever any of them
+// has a run end, so that their runs line up, and returns the group's
+// steps.
+func (b *MACBatch) align(lanes int) []int {
+	// Every run end, in blocks into the message, ascending and once.
+	var ends [maxSteps]int
+	m := 0
+	for i := range b.plans[:lanes] {
+		at := 0
+		for _, run := range b.plans[i].runs[:b.plans[i].n] {
+			at += len(run) / aes.BlockSize
+			k := m
+			for k > 0 && ends[k-1] > at {
+				k--
+			}
+			if k > 0 && ends[k-1] == at {
+				continue
+			}
+			copy(ends[k+1:m+1], ends[k:m])
+			ends[k] = at
+			m++
+		}
+	}
+	for i := range b.plans[:lanes] {
+		p := &b.plans[i]
+		var runs [4][]byte
+		nr := copy(runs[:], p.runs[:p.n])
+		cur, r, at := runs[0], 0, 0
+		p.n = 0
+		for _, end := range ends[:m] {
+			if r == nr {
+				break
+			}
+			take := (end - at) * aes.BlockSize
+			p.runs[p.n], cur = cur[:take], cur[take:]
+			p.n++
+			at = end
+			if len(cur) == 0 {
+				if r++; r < nr {
+					cur = runs[r]
+				}
+			}
+		}
+	}
+	for s := range ends[:m] {
+		b.steps[s] = ends[s]
+		if s > 0 {
+			b.steps[s] -= ends[s-1]
+		}
+	}
+	return b.steps[:m]
+}
+
+// sort returns the jobs' indices with kinds in batch order and each
+// kind's jobs in input order: a counting sort over the distinct kinds,
+// one pass when there is only one.
+func (b *MACBatch) sort(jobs []MACJob) []uint8 {
+	d := 0
+	for j := range jobs {
+		len0, len1 := len(jobs[j].Msg[0]), len(jobs[j].Msg[1])
+		k := 0
+		for k < d && (b.kinds[k].len0 != len0 || b.kinds[k].len1 != len1) {
+			k++
+		}
+		if k == d {
+			b.kinds[d] = kind{len0: len0, len1: len1}
+			d++
+		}
+		b.kinds[k].n++
+		b.of[j] = uint8(k)
+	}
+	if d == 1 {
+		return inputOrder[:len(jobs)]
+	}
+	// A kind's jobs go after those of every kind that goes before it.
+	for k := range b.kinds[:d] {
+		b.kinds[k].at = 0
+		for t := range b.kinds[:d] {
+			if b.kinds[t].before(&b.kinds[k]) {
+				b.kinds[k].at += b.kinds[t].n
+			}
+		}
+	}
+	for j := range jobs {
+		k := &b.kinds[b.of[j]]
+		b.order[k.at] = uint8(j)
+		k.at++
+	}
+	return b.order[:len(jobs)]
+}
+
+// inputOrder is the order of a window whose jobs are all of one kind.
+var inputOrder = func() (o [maxJobs]uint8) {
+	for i := range o {
+		o[i] = uint8(i)
+	}
+	return o
+}()

@@ -158,8 +158,10 @@ func segment(rng *rand.Rand, msg []byte, max int) [][]byte {
 
 // checkDifferential compares every entry point with the reference on
 // inputs drawn from rng: one message of msgLen bytes under a key of
-// keyLen bytes, cut at random, and one batch of mixed lengths and keys
-// in which some tags have one bit flipped.
+// keyLen bytes, cut at random; one batch of mixed lengths and keys, and
+// one of runs of same-length, same-cut messages (the groups whose runs
+// line up), both with some tags one bit off; and that batch once more in
+// another order, which must permute the verdicts and nothing else.
 func checkDifferential(t *testing.T, rng *rand.Rand, keyLen, msgLen int) {
 	t.Helper()
 	key := make([]byte, keyLen)
@@ -185,12 +187,21 @@ func checkDifferential(t *testing.T, rng *rand.Rand, keyLen, msgLen int) {
 		t.Fatalf("key %x len %d: Verify accepted a tag with one bit flipped", key, msgLen)
 	}
 
-	// The batch: mostly AES-128 keys like the data plane's, now and then
-	// the message's own key (any size), lengths from empty to 4096 with
-	// block boundaries and their neighbours over-represented.
-	jobs := make([]MACJob, 1+rng.Intn(3*maxLanes))
-	flipped := make([]bool, len(jobs))
-	for j := range jobs {
+	// The batches: mostly AES-128 keys like the data plane's, now and
+	// then the message's own key (any size), lengths from empty to 4096
+	// with block boundaries and their neighbours over-represented.
+	length := func() int {
+		switch rng.Intn(3) {
+		case 0:
+			return rng.Intn(4097)
+		case 1:
+			return max(aes.BlockSize*rng.Intn(8)+rng.Intn(3)-1, 0)
+		}
+		return msgLen
+	}
+	var jobs []MACJob
+	var flipped []bool
+	add := func(jlen, cut int) {
 		jc, jkey := c, key
 		if rng.Intn(4) > 0 {
 			jkey = make([]byte, SymKeySize)
@@ -199,31 +210,59 @@ func checkDifferential(t *testing.T, rng *rand.Rand, keyLen, msgLen int) {
 				t.Fatal(err)
 			}
 		}
-		var jlen int
-		switch rng.Intn(3) {
-		case 0:
-			jlen = rng.Intn(4097)
-		case 1:
-			jlen = aes.BlockSize*rng.Intn(8) + rng.Intn(3) - 1
-		default:
-			jlen = msgLen
-		}
-		jmsg := make([]byte, max(jlen, 0))
+		jmsg := make([]byte, jlen)
 		rng.Read(jmsg)
 		tag := newRefCMAC(t, jkey).tag(jmsg)
 		tn := 1 + rng.Intn(aes.BlockSize)
-		if flipped[j] = rng.Intn(3) == 0; flipped[j] {
+		flip := rng.Intn(3) == 0
+		if flip {
 			tag[rng.Intn(tn)] ^= 1 << rng.Intn(8)
 		}
-		cut := rng.Intn(len(jmsg) + 1)
-		jobs[j] = MACJob{MAC: jc, Msg: [2][]byte{jmsg[:cut], jmsg[cut:]}, Tag: tag[:tn], OK: flipped[j]}
+		jobs = append(jobs, MACJob{MAC: jc, Msg: [2][]byte{jmsg[:cut], jmsg[cut:]}, Tag: tag[:tn], OK: flip})
+		flipped = append(flipped, flip)
+	}
+	check := func(what string) {
+		t.Helper()
+		var b MACBatch
+		b.Verify(jobs)
+		for j := range jobs {
+			if jobs[j].OK == flipped[j] {
+				t.Fatalf("%s of %d, job %d (len %d+%d, tag %d bytes): OK = %v with flipped = %v",
+					what, len(jobs), j, len(jobs[j].Msg[0]), len(jobs[j].Msg[1]), len(jobs[j].Tag), jobs[j].OK, flipped[j])
+			}
+		}
+	}
+	for range 1 + rng.Intn(3*maxLanes) {
+		jlen := length()
+		add(jlen, rng.Intn(jlen+1))
+	}
+	check("mixed batch")
+
+	jobs, flipped = nil, nil
+	for range 1 + rng.Intn(4) {
+		jlen := length()
+		cut := rng.Intn(jlen + 1)
+		for range 1 + rng.Intn(3*maxLanes) {
+			add(jlen, cut)
+		}
+	}
+	check("batch of runs")
+	verdicts := make([]bool, len(jobs))
+	for j := range jobs {
+		verdicts[j] = jobs[j].OK
+	}
+	perm := rng.Perm(len(jobs))
+	moved := make([]MACJob, len(jobs))
+	for j, from := range perm {
+		moved[j] = jobs[from]
+		moved[j].OK = !verdicts[from]
 	}
 	var b MACBatch
-	b.Verify(jobs)
-	for j := range jobs {
-		if jobs[j].OK == flipped[j] {
-			t.Fatalf("batch of %d, job %d (len %d+%d, tag %d bytes): OK = %v with flipped = %v",
-				len(jobs), j, len(jobs[j].Msg[0]), len(jobs[j].Msg[1]), len(jobs[j].Tag), jobs[j].OK, flipped[j])
+	b.Verify(moved)
+	for j, from := range perm {
+		if moved[j].OK != verdicts[from] {
+			t.Fatalf("batch of runs, permuted: job %d (was %d of %d) OK = %v, in order %v",
+				j, from, len(jobs), moved[j].OK, verdicts[from])
 		}
 	}
 }

@@ -198,7 +198,9 @@ func EncodeQuery(name string) ([]byte, error) {
 	return append(buf, name...), nil
 }
 
-// DecodeQuery parses a query message.
+// DecodeQuery parses a query message. A name longer than EncodeQuery
+// takes is ErrNameTooLong: the length field has room for one, but no
+// resolver sends it.
 func DecodeQuery(data []byte) (string, error) {
 	if len(data) < 3 || data[0] != msgQuery {
 		return "", ErrBadMessage
@@ -206,6 +208,9 @@ func DecodeQuery(data []byte) (string, error) {
 	n := int(binary.BigEndian.Uint16(data[1:]))
 	if len(data) != 3+n {
 		return "", ErrBadMessage
+	}
+	if n > 255 {
+		return "", ErrNameTooLong
 	}
 	return string(data[3:]), nil
 }

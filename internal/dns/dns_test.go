@@ -11,7 +11,7 @@ import (
 	"apna/internal/ephid"
 )
 
-func sampleCert(t *testing.T) (*cert.Cert, *crypto.Signer) {
+func sampleCert(t testing.TB) (*cert.Cert, *crypto.Signer) {
 	t.Helper()
 	signer, err := crypto.GenerateSigner()
 	if err != nil {

@@ -1,0 +1,106 @@
+package dns
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// FuzzDNSCodec drives the resolver's decoders — a query as the server
+// parses it, a response as the client does, and the signed record,
+// denial and referral a response carries — with arbitrary bytes. None
+// may panic, and every input a decoder accepts must re-encode to the same
+// bytes: none of these formats has slack. DecodeResponse must accept what
+// ParseResponse accepts, with the same status and record.
+func FuzzDNSCodec(f *testing.F) {
+	for _, msg := range realMessages(f) {
+		f.Add(msg)
+	}
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if name, err := DecodeQuery(data); err == nil {
+			if enc, err := EncodeQuery(name); err != nil || !bytes.Equal(enc, data) {
+				t.Fatalf("query re-encodes to %x (%v), want %x", enc, err, data)
+			}
+		}
+		if r, err := DecodeRecord(data); err == nil && !bytes.Equal(r.Encode(), data) {
+			t.Fatalf("record re-encodes to %x, want %x", r.Encode(), data)
+		}
+		if d, err := DecodeDenial(data); err == nil && !bytes.Equal(d.Encode(), data) {
+			t.Fatalf("denial re-encodes to %x, want %x", d.Encode(), data)
+		}
+		if r, err := DecodeReferral(data); err == nil && !bytes.Equal(r.Encode(), data) {
+			t.Fatalf("referral re-encodes to %x, want %x", r.Encode(), data)
+		}
+		r, err := ParseResponse(data)
+		status, rec, derr := DecodeResponse(data)
+		if (err == nil) != (derr == nil) {
+			t.Fatalf("ParseResponse says %v, DecodeResponse %v", err, derr)
+		}
+		if err != nil {
+			return
+		}
+		if status != r.Status || (rec == nil) != (r.Record == nil) || rec != nil && !bytes.Equal(rec.Encode(), r.Record.Encode()) {
+			t.Fatalf("DecodeResponse = %d, %v; ParseResponse = %+v", status, rec, r)
+		}
+		var body []byte
+		switch {
+		case r.Record != nil:
+			body = r.Record.Encode()
+		case r.Denial != nil:
+			body = r.Denial.Encode()
+		case r.Referral != nil:
+			body = r.Referral.Encode()
+		}
+		if enc := encodeBody(r.Status, body); !bytes.Equal(enc, data) {
+			t.Fatalf("response re-encodes to %x, want %x", enc, data)
+		}
+	})
+}
+
+// realMessages are what a resolver really sends: the queries for a few
+// names, the longest a name may be among them, and its answers to them —
+// a record, a denial and a referral, each alone and in its response —
+// and a legacy empty NXDOMAIN.
+func realMessages(tb testing.TB) [][]byte {
+	tb.Helper()
+	root, err := NewZone()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	local, err := NewZoneFor("as100")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	remote, err := NewZoneFor("as200")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c, _ := sampleCert(tb)
+	if _, err := root.Register("shop.example", c, 5000); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := local.Register("www.as100", c, 5000); err != nil {
+		tb.Fatal(err)
+	}
+	ref, err := root.Refer("as200", c, remote.PublicKey(), 5000)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s := NewService(root)
+	s.SetLocal(local)
+	s.AddReferral(ref)
+	s.SetNow(func() int64 { return 1000 })
+	msgs := [][]byte{EncodeResponse(StatusNXDomain, nil)}
+	longest := strings.Repeat("n", 251) + ".as9" // as long as a name may be
+	for _, name := range []string{"shop.example", "www.as100", "gone.as100", "missing.example", "x.as200", longest} {
+		q, err := EncodeQuery(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		resp := s.answer(name)
+		msgs = append(msgs, q, resp, resp[4:])
+	}
+	return msgs
+}

@@ -91,13 +91,18 @@ func (b *MACBatch) Reset(n int) {
 // Add queues frame to be verified under m. Neither may change until
 // Verify has returned.
 func (b *MACBatch) Add(m *PacketMAC, frame []byte) {
-	b.heads = append(b.heads, [macHeadSize]byte{}) //apna:alloc-ok
-	staged, rest := macInput(&b.heads[len(b.heads)-1], frame)
-	b.jobs = append(b.jobs, crypto.MACJob{ //apna:alloc-ok
-		MAC: &m.cmac,
-		Msg: [2][]byte{staged, rest},
-		Tag: frame[offMAC : offMAC+MACSize],
-	})
+	i := len(b.jobs)
+	if i == cap(b.jobs) || i == cap(b.heads) { //apna:coldpath
+		b.jobs = append(b.jobs, crypto.MACJob{})       //apna:alloc-ok
+		b.heads = append(b.heads, [macHeadSize]byte{}) //apna:alloc-ok
+	}
+	// The fields are set one by one: a MACJob literal is copied in whole,
+	// and the head's bytes past what macInput stages are never read.
+	b.jobs, b.heads = b.jobs[:i+1], b.heads[:i+1]
+	job := &b.jobs[i]
+	job.MAC = &m.cmac
+	job.Msg[0], job.Msg[1] = macInput(&b.heads[i], frame)
+	job.Tag = frame[offMAC : offMAC+MACSize]
 }
 
 // Verify checks every queued frame; OK then reports the outcomes.

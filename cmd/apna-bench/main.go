@@ -2,25 +2,23 @@
 // (Section V and Section VII-C): the MS performance table, the trace
 // statistics it is sized against, both Figure 8 forwarding series, the
 // connection-establishment latency analysis, the multi-AS
-// parallel-engine saturation run (E8), the lifecycle endurance sweep
-// (E9), the million-host population ramp (E11), and the thousand-AS
-// digest dissemination sweep (E12); each table prints the paper's
-// numbers next to the measured ones. E6, E7 and E10 are scenario
-// specs: run them with apna-scenario -file scenarios/e6.json (or
-// e7.json / e10.json -seeds 5).
+// parallel-engine saturation run (E8), the million-host population
+// ramp (E11), and the thousand-AS digest dissemination sweep (E12);
+// each table prints the paper's numbers next to the measured ones. E6,
+// E7, E9 and E10 are scenario specs: run them with apna-scenario -file
+// scenarios/e6.json (or e7.json / e9.json / e10.json -seeds 5).
 //
-// The -seed flag drives every seeded experiment (E2 trace, E9 sweep
-// base, E8 traffic mix, E11 population model, E12 graph), so CI and
-// local runs can sweep seeds; E9 additionally takes -seeds for the
-// sweep width, and E8, E9, E11 and E12 exit 2 if any of their gates is
-// violated. Usage errors, an -exp that names no experiment among them,
-// exit 1.
+// The -seed flag drives every seeded experiment (E2 trace, E8 traffic
+// mix, E11 population model, E12 graph); E8, E11 and E12 exit 2 if any
+// of their gates is violated. Usage errors, an -exp that names no
+// experiment among them, exit 1.
 //
-// The trend-gated suites (E8, E9, E11, E12) additionally take -reruns
-// N and -out PREFIX to emit PREFIX_run1.json..PREFIX_runN.json — the
-// rerun sets cmd/apna-gate compares against the provenance-pinned
-// baseline. E9 and E12 are deterministic, so -reruns 1 suffices for
-// them.
+// The gated runs additionally take -reruns N and -out PREFIX to emit
+// PREFIX_run1.json..PREFIX_runN.json. E8 and E11 time something, so
+// their rerun sets are what cmd/apna-gate compares against the
+// provenance-pinned baseline; E12 counts deterministically, so its
+// artifact is held byte for byte by a golden
+// (internal/experiments/testdata/e12.golden.json) instead.
 //
 // Usage:
 //
@@ -29,7 +27,6 @@
 //	apna-bench -exp e3 -pkts 200000
 //	apna-bench -exp e2 -small     # quick synthetic trace
 //	apna-bench -exp e8 -ases 4 -fwd-workers 8 -json > BENCH_e8.json
-//	apna-bench -exp e9 -seed 1 -seeds 3 -windows 4 -json > BENCH_e9.json
 //	apna-bench -exp e11 -json > BENCH_e11.json     # 10^3→10^6 ramp
 //	apna-bench -exp e11 -e11-full -json            # extend to 10^7
 //	apna-bench -exp e12 -json > BENCH_e12.json     # 1000-AS dissemination
@@ -50,7 +47,7 @@ import (
 )
 
 // experimentNames is every value -exp takes.
-var experimentNames = []string{"all", "e1", "e2", "e3", "e4", "e5", "e8", "e9", "e11", "e12"}
+var experimentNames = []string{"all", "e1", "e2", "e3", "e4", "e5", "e8", "e11", "e12"}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -65,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("apna-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp       = fs.String("exp", "all", "experiment: e1, e2, e3 (includes e4), e5, e8, e9, e11, e12, all")
+		exp       = fs.String("exp", "all", "experiment: e1, e2, e3 (includes e4), e5, e8, e11, e12, all")
 		requests  = fs.Int("requests", 500_000, "E1: number of EphID requests")
 		workers   = fs.Int("workers", 4, "E1: parallel issuance workers (paper: 4)")
 		fwdHosts  = fs.Int("hosts", 256, "E3/E8: simulated source hosts (per AS for E8)")
@@ -73,27 +70,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fwdWork   = fs.Int("fwd-workers", runtime.NumCPU(), "E3/E8: forwarding workers, E11: population workers (cores)")
 		small     = fs.Bool("small", false, "E2: use a small trace instead of paper scale")
 		oneWay    = fs.Duration("oneway", 25*time.Millisecond, "E5: one-way inter-AS latency")
-		seed      = fs.Int64("seed", 1, "base seed for every seeded experiment (E2, E8, E9, E11, E12)")
-		seeds     = fs.Int("seeds", 5, "E9: seeds in the sweep (seed, seed+1, ...)")
-		jsonOut   = fs.Bool("json", false, "E8, E9, E11, E12: emit machine-readable JSON")
+		seed      = fs.Int64("seed", 1, "seed for every seeded experiment (E2, E8, E11, E12)")
+		jsonOut   = fs.Bool("json", false, "E8, E11, E12: emit machine-readable JSON")
 		e8ASes    = fs.Int("ases", 4, "E8: autonomous systems in the ring")
 		e8Batch   = fs.Int("batch", 64, "E8: frames per pipeline batch")
 		e8Bad     = fs.Float64("bad", 0.05, "E8: fraction of adversarial frames")
-		e9Windows = fs.Int("windows", 4, "E9: EphID validity windows to cross")
-		e9Life    = fs.Uint("ephid-life", 120, "E9: client EphID lifetime in seconds")
 		e11Ticks  = fs.Int("pop-ticks", experiments.DefaultE11().Ticks, "E11: virtual ticks per population tier")
 		e11Bound  = fs.Float64("p99-bound", experiments.DefaultE11().P99BoundMs, "E11: issuance p99 gate in milliseconds")
 		e11Full   = fs.Bool("e11-full", false, "E11: extend the ramp to 10^7 modeled hosts")
 		e12Stubs  = fs.Int("dissem-stubs", experiments.DefaultE12().Stubs, "E12: stub ASes in the relay graph (total = core + mid + stubs)")
 		e12Ticks  = fs.Int("dissem-ticks", experiments.DefaultE12().Ticks, "E12: measured digest intervals in the relay phase")
-		reruns    = fs.Int("reruns", 1, "E8/E9/E11/E12: repeat the run N times for the trend gate (requires -out for N > 1)")
-		outPrefix = fs.String("out", "", "E8/E9/E11/E12: write each rerun's artifact to PREFIX_runN.json instead of stdout (implies -json)")
+		reruns    = fs.Int("reruns", 1, "E8/E11/E12: repeat the run N times (requires -out for N > 1)")
+		outPrefix = fs.String("out", "", "E8/E11/E12: write each rerun's artifact to PREFIX_runN.json instead of stdout (implies -json)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
 	if !slices.Contains(experimentNames, *exp) {
-		return fatal(stderr, fmt.Errorf("unknown experiment %q (valid: %s; E6, E7 and E10 are apna-scenario specs: scenarios/e6.json, scenarios/e7.json, scenarios/e10.json)",
+		return fatal(stderr, fmt.Errorf("unknown experiment %q (valid: %s; E6, E7, E9 and E10 are apna-scenario specs: scenarios/e6.json, scenarios/e7.json, scenarios/e9.json, scenarios/e10.json)",
 			*exp, strings.Join(experimentNames, ", ")))
 	}
 	if *reruns < 1 {
@@ -212,8 +206,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// The trend-gated sweeps share one shape: configure, then per rerun
-	// run, route the artifact, and exit 2 if any run's gate failed.
+	// The gated runs share one shape: configure, then per rerun run,
+	// route the artifact, and exit 2 if any run's gate failed.
 	type result interface {
 		Fprint(io.Writer)
 		Report(io.Writer, bool) (bool, error)
@@ -222,13 +216,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		name, banner string
 		run          func() (result, error)
 	}{
-		{"e9", "lifecycle endurance", func() (result, error) {
-			cfg := experiments.DefaultE9()
-			cfg.Windows = *e9Windows
-			cfg.EphIDLifetime = uint32(*e9Life)
-			cfg.Seeds = experiments.SeedSweep(*seed, *seeds)
-			return experiments.RunE9(cfg)
-		}},
 		{"e11", "population ramp", func() (result, error) {
 			cfg := experiments.DefaultE11()
 			cfg.Ticks = *e11Ticks

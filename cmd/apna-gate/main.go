@@ -1,11 +1,11 @@
 // Command apna-gate is the statistical bench-trend gate: it compares
-// the current crop of BENCH_*.json artifacts against a provenance-
-// pinned baseline and fails (exit 2) only on a statistically confirmed
-// regression — a Mann–Whitney U test under the significance level
-// *and* a median shift beyond the minimum effect size, in the metric's
-// harmful direction. Noise never fails the gate; a missing or
-// config-hash-mismatched baseline is a skip ("no comparable
-// baseline"), never a false verdict.
+// the current crop of BENCH_*.json artifacts (E8 and E11, the two timed
+// experiments) against a provenance-pinned baseline and fails (exit 2)
+// only on a statistically confirmed regression — a Mann–Whitney U test
+// under the significance level *and* a median shift beyond the minimum
+// effect size, in the metric's harmful direction. Noise never fails the
+// gate; a missing or config-hash-mismatched baseline is a skip ("no
+// comparable baseline"), never a false verdict.
 //
 // Usage:
 //
@@ -22,13 +22,14 @@
 // hashes.
 //
 // Exit codes: 0 pass/improved/skip, 1 usage or parse error, 2
-// confirmed regression.
+// confirmed regression — and only that.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -36,33 +37,44 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(1)
-	}
-	switch os.Args[1] {
-	case "compare":
-		os.Exit(runCompare(os.Args[2:]))
-	case "update":
-		os.Exit(runUpdate(os.Args[2:]))
-	case "-h", "-help", "--help", "help":
-		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "apna-gate: unknown subcommand %q\n", os.Args[1])
-		usage()
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
+func fatal(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "apna-gate:", err)
+	return 1
+}
+
+func usage(w io.Writer) {
+	fmt.Fprintln(w, `usage:
   apna-gate compare [-store DIR | -base f1,f2,...] [flags] ARTIFACT...
   apna-gate update  -store DIR ARTIFACT...
 run "apna-gate compare -h" for the compare flags`)
 }
 
-func runCompare(args []string) int {
-	fs := flag.NewFlagSet("compare", flag.ExitOnError)
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		usage(stderr)
+		return 1
+	}
+	switch args[0] {
+	case "compare":
+		return runCompare(args[1:], stdout, stderr)
+	case "update":
+		return runUpdate(args[1:], stdout, stderr)
+	case "-h", "-help", "--help", "help":
+		usage(stdout)
+		return 0
+	default:
+		fmt.Fprintf(stderr, "apna-gate: unknown subcommand %q\n", args[0])
+		usage(stderr)
+		return 1
+	}
+}
+
+func runCompare(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		storeDir  = fs.String("store", "", "baseline store directory (keyed by experiment + config hash)")
 		baseList  = fs.String("base", "", "comma-separated baseline artifact files (alternative to -store)")
@@ -73,32 +85,29 @@ func runCompare(args []string) int {
 		gateJSON  = fs.String("gate-json", "", "write the machine-readable gate document here (GATE.json)")
 		reportMD  = fs.String("report", "", "write the human-readable report here (report.md)")
 	)
-	fs.Parse(args)
-	if fs.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "apna-gate: compare needs current artifact files")
+	if err := fs.Parse(args); err != nil {
 		return 1
 	}
+	if fs.NArg() == 0 {
+		return fatal(stderr, errors.New("compare needs current artifact files"))
+	}
 	if (*storeDir == "") == (*baseList == "") {
-		fmt.Fprintln(os.Stderr, "apna-gate: compare needs exactly one of -store or -base")
-		return 1
+		return fatal(stderr, errors.New("compare needs exactly one of -store or -base"))
 	}
 	cfg := benchgate.Config{Alpha: *alpha, MinEffect: *minEffect, MinRuns: *minRuns}
 	var err error
 	if cfg.MetricMinEffect, err = parseEffects(*effects); err != nil {
-		fmt.Fprintln(os.Stderr, "apna-gate:", err)
-		return 1
+		return fatal(stderr, err)
 	}
 
 	groups, err := readGroups(fs.Args())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "apna-gate:", err)
-		return 1
+		return fatal(stderr, err)
 	}
 	var baseGroups []*benchgate.Group
 	if *baseList != "" {
 		if baseGroups, err = readGroups(strings.Split(*baseList, ",")); err != nil {
-			fmt.Fprintln(os.Stderr, "apna-gate: baseline:", err)
-			return 1
+			return fatal(stderr, fmt.Errorf("baseline: %w", err))
 		}
 	}
 
@@ -107,13 +116,11 @@ func runCompare(args []string) int {
 	for _, g := range groups {
 		baseline, err := baselineFor(g, store, baseGroups, *storeDir != "")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "apna-gate:", err)
-			return 1
+			return fatal(stderr, err)
 		}
 		res, err := benchgate.Compare(baseline, g.Artifacts, cfg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "apna-gate:", err)
-			return 1
+			return fatal(stderr, err)
 		}
 		gates = append(gates, res)
 	}
@@ -122,23 +129,20 @@ func runCompare(args []string) int {
 	if *gateJSON != "" {
 		raw, err := summary.JSON()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "apna-gate:", err)
-			return 1
+			return fatal(stderr, err)
 		}
 		if err := os.WriteFile(*gateJSON, append(raw, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "apna-gate:", err)
-			return 1
+			return fatal(stderr, err)
 		}
 	}
 	if *reportMD != "" {
 		if err := os.WriteFile(*reportMD, summary.Markdown(), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "apna-gate:", err)
-			return 1
+			return fatal(stderr, err)
 		}
 	}
-	printSummary(summary)
+	printSummary(stdout, summary)
 	if !summary.OK {
-		fmt.Fprintln(os.Stderr, "apna-gate: statistically confirmed regression")
+		fmt.Fprintln(stderr, "apna-gate: statistically confirmed regression")
 		return 2
 	}
 	return 0
@@ -167,26 +171,26 @@ func baselineFor(g *benchgate.Group, store benchgate.Store, baseGroups []*benchg
 	return nil, nil
 }
 
-func runUpdate(args []string) int {
-	fs := flag.NewFlagSet("update", flag.ExitOnError)
+func runUpdate(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("update", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	storeDir := fs.String("store", "", "baseline store directory")
-	fs.Parse(args)
-	if *storeDir == "" || fs.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "apna-gate: update needs -store and artifact files")
+	if err := fs.Parse(args); err != nil {
 		return 1
+	}
+	if *storeDir == "" || fs.NArg() == 0 {
+		return fatal(stderr, errors.New("update needs -store and artifact files"))
 	}
 	groups, err := readGroups(fs.Args())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "apna-gate:", err)
-		return 1
+		return fatal(stderr, err)
 	}
 	store := benchgate.Store{Dir: *storeDir}
 	for _, g := range groups {
 		if err := store.Save(g.Raws); err != nil {
-			fmt.Fprintln(os.Stderr, "apna-gate:", err)
-			return 1
+			return fatal(stderr, err)
 		}
-		fmt.Printf("apna-gate: baseline for %s (config %.12s) <- %d run(s)\n",
+		fmt.Fprintf(stdout, "apna-gate: baseline for %s (config %.12s) <- %d run(s)\n",
 			g.Experiment, g.ConfigHash, len(g.Raws))
 	}
 	return 0
@@ -225,22 +229,22 @@ func parseEffects(s string) (map[string]float64, error) {
 	return out, nil
 }
 
-// printSummary narrates each gate to stdout.
-func printSummary(s *benchgate.Summary) {
+// printSummary narrates each gate.
+func printSummary(w io.Writer, s *benchgate.Summary) {
 	for _, g := range s.Gates {
 		switch g.Status {
 		case benchgate.StatusNoBaseline:
-			fmt.Printf("%-4s %-12s %s\n", g.Experiment, "SKIP", g.Reason)
+			fmt.Fprintf(w, "%-4s %-12s %s\n", g.Experiment, "SKIP", g.Reason)
 		case benchgate.StatusFail:
-			fmt.Printf("%-4s %-12s %d regression(s), %d improvement(s) over %d metric(s)\n",
+			fmt.Fprintf(w, "%-4s %-12s %d regression(s), %d improvement(s) over %d metric(s)\n",
 				g.Experiment, "FAIL", g.Regressions, g.Improvements, len(g.Metrics))
 			for _, m := range g.Metrics {
 				if m.Verdict == benchgate.VerdictFail {
-					fmt.Printf("       %s: %s\n", m.Name, m.Reason)
+					fmt.Fprintf(w, "       %s: %s\n", m.Name, m.Reason)
 				}
 			}
 		default:
-			fmt.Printf("%-4s %-12s %d metric(s), %d improvement(s)\n",
+			fmt.Fprintf(w, "%-4s %-12s %d metric(s), %d improvement(s)\n",
 				g.Experiment, strings.ToUpper(string(g.Status)), len(g.Metrics), g.Improvements)
 		}
 	}

@@ -4,9 +4,10 @@
 // decision is captured as a replayable fault schedule (-record), and a
 // recorded schedule replays bit-exactly (-replay). The paper's
 // concurrent multi-flow scenario (E6), adversarial conformance sweep
-// (E7) and inter-domain accountability sweep (E10) are the committed
-// specs scenarios/e6.json, e7.json and e10.json; the Go-driven
-// experiments (E1-E5, E8, E9, E11, E12) live in apna-bench.
+// (E7), EphID lifecycle endurance sweep (E9) and inter-domain
+// accountability sweep (E10) are the committed specs scenarios/e6.json,
+// e7.json, e9.json and e10.json; the Go-driven experiments (E1-E5, E8,
+// E11, E12) live in apna-bench.
 //
 // -seed overrides the spec's seed; -seeds N sweeps the spec over
 // seed, seed+1, ... seed+N-1 (one verdict per seed, -json: one verdict
@@ -20,6 +21,7 @@
 //
 //	apna-scenario -file scenarios/e6.json                 # E6
 //	apna-scenario -file scenarios/e7.json -seeds 5 -json  # E7 sweep
+//	apna-scenario -file scenarios/e9.json -seeds 5        # E9 sweep
 //	apna-scenario -file scenarios/e10.json -seeds 5       # E10 sweep
 //	apna-scenario -file s.json -record sched.json         # capture faults
 //	apna-scenario -file s.json -replay sched.json         # replay bit-exactly
@@ -59,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if *file == "" {
-		return fatal(stderr, fmt.Errorf("-file is required (the experiments E1-E5, E8, E9, E11 and E12 run from apna-bench)"))
+		return fatal(stderr, fmt.Errorf("-file is required (the experiments E1-E5, E8, E11 and E12 run from apna-bench)"))
 	}
 	if *seeds > 1 && (*record != "" || *replayPath != "") {
 		return fatal(stderr, fmt.Errorf("-record and -replay bind one seed; drop -seeds"))

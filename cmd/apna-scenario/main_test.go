@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"apna/internal/scenario"
 )
@@ -24,6 +25,7 @@ func runCmd(t *testing.T, args ...string) (int, string, string) {
 func TestExitCodes(t *testing.T) {
 	e6 := filepath.Join("..", "..", "scenarios", "e6.json")
 	e7 := filepath.Join("..", "..", "scenarios", "e7.json")
+	e9 := filepath.Join("..", "..", "scenarios", "e9.json")
 	e10 := filepath.Join("..", "..", "scenarios", "e10.json")
 	// Shutoffs requested in the first data wave: no evidence exists
 	// yet, nothing files, and under shutoffs_complete the run must
@@ -51,6 +53,7 @@ func TestExitCodes(t *testing.T) {
 		{"e6 default passes", []string{"-file", e6}, 0},
 		{"e6 shutoffs without evidence gate", []string{"-file", noEvidence}, 2},
 		{"e7 sweep passes", []string{"-file", e7, "-seeds", "5"}, 0},
+		{"e9 sweep passes", []string{"-file", e9, "-seed", "1", "-seeds", "5"}, 0},
 		{"e10 sweep passes", []string{"-file", e10, "-seed", "1", "-seeds", "5"}, 0},
 		{"no spec file", nil, 1},
 		{"unknown flag", []string{"-no-such-flag"}, 1},
@@ -125,6 +128,60 @@ func TestE10GatesHaveTeeth(t *testing.T) {
 			}
 			if code, stdout, stderr := runCmd(t, "-file", path); code != 2 {
 				t.Fatalf("exit %d, want 2\n%s%s", code, stdout, stderr)
+			}
+		})
+	}
+}
+
+// TestE9GatesHaveTeeth proves the gates scenarios/e9.json's lifetimes
+// block implies are live. Without the lifecycle engine the pools expire
+// under the churn, and with a client pool of two the long flows hold
+// every EphID the churn would need: either way pooled dials starve
+// (ErrNoEphID). A check cadence longer than the run renews nothing, and
+// a GC cadence longer than the run reaps none of the voluntary
+// revocations. Each run exits 2.
+func TestE9GatesHaveTeeth(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "scenarios", "e9.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		mutate func(*scenario.Spec)
+		want   string
+	}{
+		{"no lifetimes", func(s *scenario.Spec) { s.Lifetimes = nil }, "ErrNoEphID"},
+		{"client pool of two", func(s *scenario.Spec) {
+			for i, a := range s.Phases[0].Actions {
+				if a.Op == scenario.OpIssue && slices.Equal(a.Roles, []string{"cli"}) {
+					s.Phases[0].Actions[i].PerHost = 2
+				}
+			}
+		}, "ErrNoEphID"},
+		{"renewals never start", func(s *scenario.Spec) { s.Lifetimes.CheckInterval = scenario.Duration(time.Hour) }, "no renewals"},
+		{"GC never runs", func(s *scenario.Spec) { s.Lifetimes.GCInterval = scenario.Duration(time.Hour) }, "reaped no revocation"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := scenario.Parse(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(s)
+			out, err := json.Marshal(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "e9.json")
+			if err := os.WriteFile(path, out, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			code, stdout, stderr := runCmd(t, "-file", path)
+			if code != 2 {
+				t.Fatalf("exit %d, want 2\n%s%s", code, stdout, stderr)
+			}
+			if !strings.Contains(stdout, tc.want) {
+				t.Errorf("failure %q not named in output:\n%s", tc.want, stdout)
 			}
 		})
 	}

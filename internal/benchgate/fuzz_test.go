@@ -10,21 +10,24 @@ import (
 // it must never panic, and whatever it accepts must honor the parsed
 // contract — a named experiment, a provenance config hash, and metric
 // series that exist where the gate will dereference them. Seeds
-// include every golden fixture plus the malformed shapes the rejection
-// tests pin (truncated JSON-lines, missing provenance, trailing
-// garbage).
+// include both golden fixtures, whole, truncated and followed by
+// trailing data, plus the malformed and retired shapes the rejection
+// tests pin (missing provenance, the E9/E10 JSON lines, the E12
+// object).
 func FuzzParseArtifact(f *testing.F) {
-	for _, fixture := range []string{"BENCH_e8.json", "BENCH_e9.json", "BENCH_e11.json", "BENCH_e12.json"} {
+	for _, fixture := range []string{"BENCH_e8.json", "BENCH_e11.json"} {
 		if data, err := os.ReadFile(filepath.Join("testdata", fixture)); err == nil {
 			f.Add(data)
-			// A truncated prefix of every shape too.
 			f.Add(data[:len(data)/2])
+			f.Add(append(data, `{"extra":true}`...))
 		}
 	}
 	f.Add([]byte(`{"experiment":"e8","provenance":{"config_hash":"ab"},"report":{"pps":1}}`))
+	f.Add([]byte(`{"experiment":"e8","report":{"pps":1}}`))
 	f.Add([]byte(`{"experiment":"e9","provenance":{"config_hash":"ab"}}` + "\n" + `{"seed":1}`))
 	f.Add([]byte(`{"experiment":"e11","provenance":{"config_hash":"ab"},"tiers":[{"hosts":10,"result":{}}]}`))
 	f.Add([]byte(`{"experiment":"e10","provenance":{"config_hash":"ab"}}` + "\n" + `{"seed":1}`))
+	f.Add([]byte(`{"experiment":"e12","provenance":{"config_hash":"ab"},"relay":{}}`))
 	f.Add([]byte("null"))
 	f.Add([]byte("[1,2,3]"))
 	f.Add([]byte(""))

@@ -1,7 +1,6 @@
 package benchgate
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -47,18 +46,6 @@ func TestRegenerateFixtures(t *testing.T) {
 	}
 	write("BENCH_e8.json", append(e8raw, '\n'))
 
-	e9cfg := experiments.DefaultE9()
-	e9cfg.Seeds = []int64{1, 2}
-	e9res, err := experiments.RunE9(e9cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var e9buf bytes.Buffer
-	if err := e9res.FprintJSON(&e9buf); err != nil {
-		t.Fatal(err)
-	}
-	write("BENCH_e9.json", e9buf.Bytes())
-
 	e11cfg := experiments.DefaultE11()
 	e11cfg.Tiers = []int{500, 2_000}
 	e11cfg.Ticks = 10
@@ -72,22 +59,4 @@ func TestRegenerateFixtures(t *testing.T) {
 		t.Fatal(err)
 	}
 	write("BENCH_e11.json", append(e11raw, '\n'))
-
-	e12cfg := experiments.DefaultE12()
-	e12cfg.Core, e12cfg.Mid, e12cfg.Stubs = 4, 8, 24
-	e12cfg.ActiveOrigins = 4
-	e12cfg.Backlog = 100
-	e12cfg.ChurnPerTick = 2
-	e12cfg.MeshASes = 8
-	e12cfg.EquivASes = 20
-	e12cfg.EquivChurnTicks = 2
-	e12res, err := experiments.RunE12(e12cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e12raw, err := e12res.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	write("BENCH_e12.json", append(e12raw, '\n'))
 }

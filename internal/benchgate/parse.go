@@ -27,10 +27,8 @@ func (d Direction) String() string {
 	return "higher-better"
 }
 
-// Metric is one named measurement extracted from an artifact. Values
-// holds every sample the artifact carries for it: single-object
-// artifacts (E8, E11, E12) contribute one value, the JSON-lines E9
-// sweep contributes one value per seed verdict. Reruns of the same
+// Metric is one named measurement extracted from an artifact. An
+// artifact contributes one value per metric; reruns of the same
 // artifact merge their Values before the gate runs.
 type Metric struct {
 	Name      string
@@ -66,18 +64,16 @@ func (a *Artifact) MetricNames() []string {
 	return names
 }
 
-// artifactHead is the common prefix of every artifact shape: the
-// single-object artifacts carry it inline, the JSON-lines artifact as
-// its header line.
+// artifactHead is the common prefix of both artifact shapes.
 type artifactHead struct {
 	Experiment string           `json:"experiment"`
 	Provenance provenance.Block `json:"provenance"`
 }
 
-// ParseArtifact decodes one BENCH_*.json artifact of any of the four
-// shapes (E8, E9, E11, E12). It refuses artifacts without a provenance config hash —
-// without one the gate cannot prove two runs are comparable — and
-// rejects trailing garbage, truncated JSON-lines, and unknown
+// ParseArtifact decodes one BENCH_*.json artifact of either of the two
+// shapes (E8, E11), each a single JSON object. It refuses artifacts
+// without a provenance config hash — without one the gate cannot prove
+// two runs are comparable — and rejects trailing data and unknown
 // experiments, so artifact-schema drift surfaces as a loud parse error
 // instead of a silently empty metric series.
 func ParseArtifact(data []byte) (*Artifact, error) {
@@ -86,7 +82,6 @@ func ParseArtifact(data []byte) (*Artifact, error) {
 		return nil, fmt.Errorf("benchgate: empty artifact")
 	}
 	dec := json.NewDecoder(bytes.NewReader(trimmed))
-	dec.UseNumber()
 	var first json.RawMessage
 	if err := dec.Decode(&first); err != nil {
 		return nil, fmt.Errorf("benchgate: artifact is not JSON: %w", err)
@@ -99,69 +94,27 @@ func ParseArtifact(data []byte) (*Artifact, error) {
 		return nil, fmt.Errorf("benchgate: artifact %q carries no provenance config hash", head.Experiment)
 	}
 
-	art := &Artifact{Experiment: head.Experiment, Provenance: head.Provenance}
+	var parse func(json.RawMessage, *Artifact) error
 	switch head.Experiment {
 	case "e8":
-		if err := requireEnd(dec); err != nil {
-			return nil, err
-		}
-		return art, parseE8(first, art)
+		parse = parseE8
 	case "e11":
-		if err := requireEnd(dec); err != nil {
-			return nil, err
-		}
-		return art, parseE11(first, art)
-	case "e12":
-		if err := requireEnd(dec); err != nil {
-			return nil, err
-		}
-		return art, parseE12(first, art)
-	case "e9":
-		lines, err := decodeLines(dec)
-		if err != nil {
-			return nil, err
-		}
-		return art, parseE9(lines, art)
+		parse = parseE11
 	case "":
 		return nil, fmt.Errorf("benchgate: artifact names no experiment")
 	default:
 		return nil, fmt.Errorf("benchgate: unknown experiment %q", head.Experiment)
 	}
-}
-
-// requireEnd rejects trailing JSON values after a single-object
-// artifact.
-func requireEnd(dec *json.Decoder) error {
 	if dec.More() {
-		return fmt.Errorf("benchgate: trailing data after single-object artifact")
+		return nil, fmt.Errorf("benchgate: trailing data after single-object artifact")
 	}
-	return nil
-}
-
-// decodeLines reads the verdict lines that follow a JSON-lines header.
-func decodeLines(dec *json.Decoder) ([]json.RawMessage, error) {
-	var lines []json.RawMessage
-	for dec.More() {
-		var line json.RawMessage
-		if err := dec.Decode(&line); err != nil {
-			return nil, fmt.Errorf("benchgate: verdict line %d: %w", len(lines)+1, err)
-		}
-		lines = append(lines, line)
-	}
-	if len(lines) == 0 {
-		return nil, fmt.Errorf("benchgate: JSON-lines artifact has a header but no verdict lines")
-	}
-	return lines, nil
+	art := &Artifact{Experiment: head.Experiment, Provenance: head.Provenance}
+	return art, parse(first, art)
 }
 
 // add appends one single-valued metric.
 func (a *Artifact) add(name string, dir Direction, unit string, v float64) {
 	a.Metrics = append(a.Metrics, Metric{Name: name, Direction: dir, Unit: unit, Values: []float64{v}})
-}
-
-// addSeries appends one metric with a sample per sweep line.
-func (a *Artifact) addSeries(name string, dir Direction, unit string, vs []float64) {
-	a.Metrics = append(a.Metrics, Metric{Name: name, Direction: dir, Unit: unit, Values: vs})
 }
 
 // ---- E8: engine saturation, single object ----
@@ -200,35 +153,6 @@ func parseE8(raw json.RawMessage, art *Artifact) error {
 	return nil
 }
 
-// ---- E9: lifecycle endurance, JSON-lines (one verdict per seed) ----
-
-type e9Verdict struct {
-	Seed           json.Number `json:"seed"`
-	RenewalsPerSec float64     `json:"renewals_per_virtual_sec"`
-	Renewals       float64     `json:"renewals"`
-	Delivered      float64     `json:"delivered"`
-}
-
-func parseE9(lines []json.RawMessage, art *Artifact) error {
-	var perSec, renewals, delivered []float64
-	for i, raw := range lines {
-		var v e9Verdict
-		if err := json.Unmarshal(raw, &v); err != nil {
-			return fmt.Errorf("benchgate: e9 verdict line %d: %w", i+1, err)
-		}
-		if v.Seed == "" {
-			return fmt.Errorf("benchgate: e9 verdict line %d carries no seed", i+1)
-		}
-		perSec = append(perSec, v.RenewalsPerSec)
-		renewals = append(renewals, v.Renewals)
-		delivered = append(delivered, v.Delivered)
-	}
-	art.addSeries("renewals_per_virtual_sec", HigherBetter, "1/s", perSec)
-	art.addSeries("renewals", HigherBetter, "count", renewals)
-	art.addSeries("delivered", HigherBetter, "count", delivered)
-	return nil
-}
-
 // ---- E11: population ramp, single object with per-tier results ----
 
 type e11Artifact struct {
@@ -247,38 +171,6 @@ type e11Artifact struct {
 			PeakRSSBytes float64 `json:"peak_rss_bytes"`
 		} `json:"result"`
 	} `json:"tiers"`
-}
-
-// ---- E12: digest dissemination sweep, single object with phases ----
-
-type e12Artifact struct {
-	Relay *struct {
-		MsgsPerIntervalMax    float64 `json:"msgs_per_interval_max"`
-		DeltaBytesPerInterval float64 `json:"delta_bytes_per_interval"`
-		SnapshotSyncBytes     float64 `json:"snapshot_sync_bytes"`
-		LatencyMaxMs          float64 `json:"latency_max_ms"`
-	} `json:"relay"`
-	Equivalence *struct {
-		MeshTicksToConverge  float64 `json:"mesh_ticks_to_converge"`
-		RelayTicksToConverge float64 `json:"relay_ticks_to_converge"`
-	} `json:"equivalence"`
-}
-
-func parseE12(raw json.RawMessage, art *Artifact) error {
-	var doc e12Artifact
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return fmt.Errorf("benchgate: e12 artifact: %w", err)
-	}
-	if doc.Relay == nil || doc.Equivalence == nil {
-		return fmt.Errorf("benchgate: e12 artifact carries no relay/equivalence phases")
-	}
-	art.add("relay_msgs_per_interval", LowerBetter, "msgs", doc.Relay.MsgsPerIntervalMax)
-	art.add("relay_delta_bytes_per_interval", LowerBetter, "B", doc.Relay.DeltaBytesPerInterval)
-	art.add("relay_snapshot_sync_bytes", LowerBetter, "B", doc.Relay.SnapshotSyncBytes)
-	art.add("relay_latency_max_ms", LowerBetter, "ms", doc.Relay.LatencyMaxMs)
-	art.add("equiv_mesh_ticks_to_converge", LowerBetter, "ticks", doc.Equivalence.MeshTicksToConverge)
-	art.add("equiv_relay_ticks_to_converge", LowerBetter, "ticks", doc.Equivalence.RelayTicksToConverge)
-	return nil
 }
 
 func parseE11(raw json.RawMessage, art *Artifact) error {

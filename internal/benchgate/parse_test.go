@@ -27,8 +27,7 @@ func TestGoldenArtifactShapes(t *testing.T) {
 		fixture    string
 		experiment string
 		metrics    []string
-		// samples is the expected Values length per metric (seeds for
-		// JSON-lines sweeps, 1 for single-object artifacts).
+		// samples is the expected Values length per metric.
 		samples int
 	}{
 		{
@@ -41,24 +40,12 @@ func TestGoldenArtifactShapes(t *testing.T) {
 			},
 		},
 		{
-			fixture: "BENCH_e9.json", experiment: "e9", samples: 2,
-			metrics: []string{"renewals_per_virtual_sec", "renewals", "delivered"},
-		},
-		{
 			fixture: "BENCH_e11.json", experiment: "e11", samples: 1,
 			metrics: []string{
 				"events_per_sec@500", "issue_p99_us@500", "renew_p99_us@500",
 				"gc_max_pause_us@500", "digest_bytes@500", "peak_rss_bytes@500",
 				"events_per_sec@2000", "issue_p99_us@2000", "renew_p99_us@2000",
 				"gc_max_pause_us@2000", "digest_bytes@2000", "peak_rss_bytes@2000",
-			},
-		},
-		{
-			fixture: "BENCH_e12.json", experiment: "e12", samples: 1,
-			metrics: []string{
-				"relay_msgs_per_interval", "relay_delta_bytes_per_interval",
-				"relay_snapshot_sync_bytes", "relay_latency_max_ms",
-				"equiv_mesh_ticks_to_converge", "equiv_relay_ticks_to_converge",
 			},
 		},
 	}
@@ -93,14 +80,11 @@ func TestGoldenDirections(t *testing.T) {
 		fixture string
 		want    Direction
 	}{
-		"pps":                     {"BENCH_e8.json", HigherBetter},
-		"egress_p99_ns":           {"BENCH_e8.json", LowerBetter},
-		"delivered":               {"BENCH_e9.json", HigherBetter},
-		"events_per_sec@500":      {"BENCH_e11.json", HigherBetter},
-		"issue_p99_us@2000":       {"BENCH_e11.json", LowerBetter},
-		"peak_rss_bytes@500":      {"BENCH_e11.json", LowerBetter},
-		"relay_msgs_per_interval": {"BENCH_e12.json", LowerBetter},
-		"relay_latency_max_ms":    {"BENCH_e12.json", LowerBetter},
+		"pps":                {"BENCH_e8.json", HigherBetter},
+		"egress_p99_ns":      {"BENCH_e8.json", LowerBetter},
+		"events_per_sec@500": {"BENCH_e11.json", HigherBetter},
+		"issue_p99_us@2000":  {"BENCH_e11.json", LowerBetter},
+		"peak_rss_bytes@500": {"BENCH_e11.json", LowerBetter},
 	}
 	for name, tc := range dirs {
 		art, err := ParseArtifact(readFixture(t, tc.fixture))
@@ -122,8 +106,9 @@ func TestGoldenDirections(t *testing.T) {
 // input must error, never yield a quietly empty metric series.
 func TestParseArtifactRejects(t *testing.T) {
 	e8 := string(readFixture(t, "BENCH_e8.json"))
-	e9 := string(readFixture(t, "BENCH_e9.json"))
-	e9Header := e9[:strings.IndexByte(e9, '\n')]
+	// The retired E9 artifact was JSON lines: a header, then a verdict
+	// per seed. Whatever its lines hold, the shape is refused.
+	e9Header := `{"experiment":"e9","provenance":{"config_hash":"ab"}}`
 	cases := []struct {
 		name  string
 		input string
@@ -136,14 +121,14 @@ func TestParseArtifactRejects(t *testing.T) {
 		{"retired e10 shape", `{"experiment":"e10","provenance":{"config_hash":"ab"}}` + "\n" + `{"seed":1}`, "unknown experiment"},
 		{"no experiment", `{"provenance":{"config_hash":"ab"}}`, "names no experiment"},
 		{"missing provenance", `{"experiment":"e8","report":{"pps":1}}`, "no provenance config hash"},
-		{"jsonlines header only", e9Header, "no verdict lines"},
-		{"truncated jsonlines", e9Header + "\n" + `{"seed":1,"renewals":`, "verdict line"},
-		{"verdict without seed", e9Header + "\n" + `{"renewals":3}`, "carries no seed"},
+		{"jsonlines header only", e9Header, "unknown experiment"},
+		{"truncated jsonlines", e8 + "\n" + `{"seed":1,"renewals":`, "trailing data"},
+		{"verdict without seed", e9Header + "\n" + `{"renewals":3}`, "unknown experiment"},
 		{"trailing garbage after object", e8 + `{"extra":true}`, "trailing data"},
 		{"e8 without report", `{"experiment":"e8","provenance":{"config_hash":"ab"}}`, "no report"},
 		{"e11 without tiers", `{"experiment":"e11","provenance":{"config_hash":"ab"}}`, "no tiers"},
 		{"e11 tier without result", `{"experiment":"e11","provenance":{"config_hash":"ab"},"tiers":[{"hosts":10}]}`, "no result"},
-		{"e12 without phases", `{"experiment":"e12","provenance":{"config_hash":"ab"}}`, "no relay/equivalence phases"},
+		{"e12 without phases", `{"experiment":"e12","provenance":{"config_hash":"ab"}}`, "unknown experiment"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -29,8 +29,7 @@ type storedBaseline struct {
 	ConfigHash string `json:"config_hash"`
 	Commit     string `json:"commit"`
 	SavedAt    string `json:"saved_at"`
-	// Artifacts holds each rerun's raw artifact bytes (JSON-lines
-	// artifacts embed newlines; a JSON string carries them fine).
+	// Artifacts holds each rerun's raw artifact bytes.
 	Artifacts []string `json:"artifacts"`
 }
 

@@ -32,22 +32,22 @@ func TestStoreRoundTrip(t *testing.T) {
 			t.Errorf("loaded artifact lost metrics: %d vs %d", len(l.Metrics), len(art.Metrics))
 		}
 	}
-	// JSON-lines artifacts survive the round trip too (embedded
-	// newlines inside the stored JSON strings).
-	e9 := readFixture(t, "BENCH_e9.json")
-	if err := store.Save([][]byte{e9}); err != nil {
+	// The E11 artifact is indented over many lines; the newlines
+	// survive inside the stored JSON strings.
+	e11 := readFixture(t, "BENCH_e11.json")
+	if err := store.Save([][]byte{e11}); err != nil {
 		t.Fatal(err)
 	}
-	e9art, err := ParseArtifact(e9)
+	e11art, err := ParseArtifact(e11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := store.Load("e9", e9art.Provenance.ConfigHash)
+	back, err := store.Load("e11", e11art.Provenance.ConfigHash)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != 1 || len(back[0].Metrics) != len(e9art.Metrics) {
-		t.Fatalf("e9 round trip lost data: %+v", back)
+	if len(back) != 1 || len(back[0].Metrics) != len(e11art.Metrics) {
+		t.Fatalf("e11 round trip lost data: %+v", back)
 	}
 }
 

@@ -316,24 +316,6 @@ func TestRevocationOrderTamperRejected(t *testing.T) {
 	}
 }
 
-func TestRevocationOrderCodec(t *testing.T) {
-	f := newFixture(t)
-	order, _ := SignOrder(f.secret, f.srcID, 999)
-	got, err := DecodeOrder(order.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != *order {
-		t.Error("roundtrip mismatch")
-	}
-	if err := f.router.ApplyOrder(got); err != nil {
-		t.Errorf("roundtripped order rejected: %v", err)
-	}
-	if _, err := DecodeOrder(make([]byte, OrderSize-1)); !errors.Is(err, ErrBadOrder) {
-		t.Errorf("short order: %v", err)
-	}
-}
-
 func TestRevocationListGC(t *testing.T) {
 	var l RevocationList
 	var ids []ephid.EphID

@@ -213,9 +213,6 @@ type RevocationOrder struct {
 	MAC     [8]byte
 }
 
-// OrderSize is the wire size of a revocation order.
-const OrderSize = ephid.Size + 4 + 8
-
 const orderContext = "apna/v1/revoke"
 
 // ErrBadOrder means a revocation order failed authentication.
@@ -235,26 +232,6 @@ func SignOrder(secret *crypto.ASSecret, e ephid.EphID, expTime uint32) (*Revocat
 		return nil, err
 	}
 	return o, nil
-}
-
-// Encode serializes the order.
-func (o *RevocationOrder) Encode() []byte {
-	buf := make([]byte, 0, OrderSize)
-	buf = append(buf, o.EphID[:]...)
-	buf = binary.BigEndian.AppendUint32(buf, o.ExpTime)
-	return append(buf, o.MAC[:]...)
-}
-
-// DecodeOrder parses a serialized order (without verifying it).
-func DecodeOrder(data []byte) (*RevocationOrder, error) {
-	if len(data) != OrderSize {
-		return nil, ErrBadOrder
-	}
-	var o RevocationOrder
-	copy(o.EphID[:], data)
-	o.ExpTime = binary.BigEndian.Uint32(data[ephid.Size:])
-	copy(o.MAC[:], data[ephid.Size+4:])
-	return &o, nil
 }
 
 // ctlVerifier verifies revocation orders; one per router, guarded by a

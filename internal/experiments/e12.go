@@ -786,5 +786,5 @@ func (r *E12Result) Fprint(w io.Writer) {
 
 // Report renders the sweep to w and returns whether every gate held.
 func (r *E12Result) Report(w io.Writer, jsonOut bool) (bool, error) {
-	return report(w, jsonOut, r.OK, r.Fprint, fprintObject(r.JSON))
+	return report(w, jsonOut, r.OK, r.Fprint, r.JSON)
 }

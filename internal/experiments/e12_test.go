@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -127,26 +129,51 @@ func TestE12Sweep(t *testing.T) {
 	}
 }
 
-// TestE12DeterministicArtifact asserts two runs with the same config
-// measure identical counts (wall time aside) — the property rerun
-// trend-gating relies on.
-func TestE12DeterministicArtifact(t *testing.T) {
-	cfg := tinyE12()
-	a, err := RunE12(cfg)
-	if err != nil {
-		t.Fatalf("run A: %v", err)
+// TestE12Golden runs the CI configuration, DefaultE12(), and compares
+// its artifact byte for byte, without the provenance block and the wall
+// time, with the committed golden: every count E12 reports is a
+// deterministic function of the configuration, so the golden holds them
+// exactly. Regenerate with:
+//
+//	E12_REGEN=1 go test ./internal/experiments -run TestE12Golden
+func TestE12Golden(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the 1000-AS sweep is too slow under the race detector")
 	}
-	b, err := RunE12(cfg)
+	res, err := RunE12(DefaultE12())
 	if err != nil {
-		t.Fatalf("run B: %v", err)
+		t.Fatalf("RunE12: %v", err)
 	}
-	a.WallElapsed, b.WallElapsed = 0, 0
-	// The provenance timestamp is wall time too: two runs straddling a
-	// second boundary must not fail the determinism assertion.
-	a.Provenance.Timestamp, b.Provenance.Timestamp = "", ""
-	ja, _ := a.JSON()
-	jb, _ := b.JSON()
-	if !bytes.Equal(ja, jb) {
-		t.Fatalf("reruns diverged:\nA: %s\nB: %s", ja, jb)
+	if !res.OK {
+		t.Errorf("gate failures: relay %v, mesh %v, equivalence %v",
+			res.Relay.Failures, res.Mesh.Failures, res.Equivalence.Failures)
+	}
+	raw, err := res.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	delete(doc, "provenance")
+	delete(doc, "wall_elapsed_ns")
+	got, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	path := filepath.Join("testdata", "e12.golden.json")
+	if os.Getenv("E12_REGEN") != "" {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (regenerate with E12_REGEN=1): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("artifact drifted from %s:\n got: %s\nwant: %s", path, got, want)
 	}
 }

@@ -67,13 +67,7 @@ type IDInfo struct {
 	Signature    [crypto.SignatureSize]byte
 }
 
-const (
-	idInfoTBS = ephid.Size + 4
-	// IDInfoSize is the wire size of a signed IDInfo.
-	IDInfoSize = idInfoTBS + crypto.SignatureSize
-
-	idInfoLabel = "apna/v1/idinfo"
-)
+const idInfoLabel = "apna/v1/idinfo"
 
 func (i *IDInfo) appendTBS(dst []byte) []byte {
 	dst = append(dst, i.ControlEphID[:]...)
@@ -85,23 +79,6 @@ func (i *IDInfo) Verify(asSigPub []byte) error {
 	if !crypto.Verify(asSigPub, idInfoLabel, i.appendTBS(nil), i.Signature[:]) {
 		return ErrBadIDInfo
 	}
-	return nil
-}
-
-// MarshalBinary encodes the signed IDInfo.
-func (i *IDInfo) MarshalBinary() ([]byte, error) {
-	out := i.appendTBS(make([]byte, 0, IDInfoSize))
-	return append(out, i.Signature[:]...), nil
-}
-
-// UnmarshalBinary decodes a signed IDInfo.
-func (i *IDInfo) UnmarshalBinary(data []byte) error {
-	if len(data) != IDInfoSize {
-		return fmt.Errorf("registry: id_info length %d, want %d", len(data), IDInfoSize)
-	}
-	copy(i.ControlEphID[:], data)
-	i.ExpTime = binary.BigEndian.Uint32(data[ephid.Size:])
-	copy(i.Signature[:], data[idInfoTBS:])
 	return nil
 }
 

@@ -204,31 +204,6 @@ func TestIDInfoTamperRejected(t *testing.T) {
 	}
 }
 
-func TestIDInfoMarshalRoundTrip(t *testing.T) {
-	f := newFixture(t)
-	res, _ := f.svc.Bootstrap([]byte("alice-token"), hostKey(t).PublicKey())
-	raw, err := res.IDInfo.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw) != IDInfoSize {
-		t.Fatalf("size %d", len(raw))
-	}
-	var got IDInfo
-	if err := got.UnmarshalBinary(raw); err != nil {
-		t.Fatal(err)
-	}
-	if got != res.IDInfo {
-		t.Error("roundtrip mismatch")
-	}
-	if err := got.Verify(f.signer.PublicKey()); err != nil {
-		t.Errorf("roundtripped IDInfo: %v", err)
-	}
-	if err := got.UnmarshalBinary(raw[:10]); err == nil {
-		t.Error("short IDInfo accepted")
-	}
-}
-
 func TestAllocServiceIdentity(t *testing.T) {
 	f := newFixture(t)
 	aa, err := f.svc.AllocServiceIdentity(ephid.KindControl, 1000, ephid.EphID{})

@@ -19,17 +19,10 @@ import (
 	"apna/internal/ephid"
 )
 
-const (
-	recordTBS = 4 + crypto.SigningPublicKeySize + crypto.X25519PublicKeySize + 8
-	// RecordSize is the wire size of a signed resource record.
-	RecordSize = recordTBS + crypto.SignatureSize
-
-	sigLabel = "apna/v1/rpki/record"
-)
+const sigLabel = "apna/v1/rpki/record"
 
 // Errors returned by the trust store.
 var (
-	ErrBadRecord   = errors.New("rpki: malformed resource record")
 	ErrBadSig      = errors.New("rpki: record signature invalid")
 	ErrUnknownAS   = errors.New("rpki: no record for AID")
 	ErrRecordStale = errors.New("rpki: record expired")
@@ -57,29 +50,6 @@ func (r *Record) appendTBS(dst []byte) []byte {
 	dst = append(dst, r.DHPub[:]...)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(r.NotAfter))
 	return dst
-}
-
-// MarshalBinary encodes the signed record.
-func (r *Record) MarshalBinary() ([]byte, error) {
-	out := r.appendTBS(make([]byte, 0, RecordSize))
-	return append(out, r.Signature[:]...), nil
-}
-
-// UnmarshalBinary decodes a signed record (without verifying it).
-func (r *Record) UnmarshalBinary(data []byte) error {
-	if len(data) != RecordSize {
-		return fmt.Errorf("%w: length %d", ErrBadRecord, len(data))
-	}
-	r.AID = ephid.AID(binary.BigEndian.Uint32(data))
-	off := 4
-	copy(r.SigPub[:], data[off:])
-	off += crypto.SigningPublicKeySize
-	copy(r.DHPub[:], data[off:])
-	off += crypto.X25519PublicKeySize
-	r.NotAfter = int64(binary.BigEndian.Uint64(data[off:]))
-	off += 8
-	copy(r.Signature[:], data[off:])
-	return nil
 }
 
 // Authority is the offline root of trust (standing in for the RIR

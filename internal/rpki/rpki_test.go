@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-	"testing/quick"
 
 	"apna/internal/crypto"
-	"apna/internal/ephid"
 )
 
 func testAuthority(t *testing.T) *Authority {
@@ -120,42 +118,5 @@ func TestCertifyRejectsBadKeySizes(t *testing.T) {
 	}
 	if _, err := auth.Certify(1, sigPub, dhPub[:31], 0); err == nil {
 		t.Error("short dh key accepted")
-	}
-}
-
-func TestRecordMarshalRoundTrip(t *testing.T) {
-	f := func(aid uint32, sig [32]byte, dh [32]byte, notAfter int64, s [64]byte) bool {
-		r := Record{AID: ephid.AID(aid), SigPub: sig, DHPub: dh, NotAfter: notAfter, Signature: s}
-		raw, _ := r.MarshalBinary()
-		if len(raw) != RecordSize {
-			return false
-		}
-		var got Record
-		if err := got.UnmarshalBinary(raw); err != nil {
-			return false
-		}
-		return got == r
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	var r Record
-	if err := r.UnmarshalBinary(make([]byte, RecordSize-1)); !errors.Is(err, ErrBadRecord) {
-		t.Errorf("short record: %v", err)
-	}
-}
-
-func TestMarshalledRecordStillVerifies(t *testing.T) {
-	auth := testAuthority(t)
-	sigPub, dhPub := testKeys(t)
-	rec, _ := auth.Certify(42, sigPub, dhPub, 1000)
-	raw, _ := rec.MarshalBinary()
-	var got Record
-	if err := got.UnmarshalBinary(raw); err != nil {
-		t.Fatal(err)
-	}
-	store := NewTrustStore(auth.PublicKey())
-	if err := store.Add(&got); err != nil {
-		t.Errorf("roundtripped record rejected: %v", err)
 	}
 }

@@ -183,3 +183,31 @@ func TestE7SpecConformanceSweep(t *testing.T) {
 		}
 	}
 }
+
+// TestE9SpecSweep is the lifecycle endurance gate: scenarios/e9.json on
+// seeds 1..5 must pass every gate its lifetimes block implies and every
+// paper invariant on every seed, with the lifecycle engine, the expiry
+// checks, the replaying attacker and the revocation GC all visibly at
+// work on each.
+func TestE9SpecSweep(t *testing.T) {
+	s := loadSpec(t, "e9.json")
+	for seed := int64(1); seed <= 5; seed++ {
+		s.Seed = seed
+		v := runSpec(t, s, RunOptions{}).Verdict
+		if !v.OK || v.Invariants == nil || !v.Invariants.OK {
+			raw, _ := v.JSON()
+			t.Errorf("seed %d failed a gate or an invariant: %s", seed, raw)
+		}
+		for what, n := range map[string]uint64{
+			"renewals":           v.Renewals,
+			"migrations":         v.Migrations,
+			"drop-expired":       v.Defenses["drop-expired"],
+			"replayed frames":    v.Attacks["replay"],
+			"revocations reaped": v.RevocationsReaped,
+		} {
+			if n == 0 {
+				t.Errorf("seed %d: no %s", seed, what)
+			}
+		}
+	}
+}

@@ -34,18 +34,20 @@ type Result struct {
 	Replay   *netsim.ReplayStats
 }
 
-// hostState is the per-host record: issued EphIDs in order, plus the
-// latest delivered message per sending endpoint — the evidence a
-// mid-flight shutoff presents.
+// hostState is the per-host record: issued EphIDs in order, the latest
+// delivered message per sending endpoint — the evidence a mid-flight
+// shutoff presents — and how many flows it dialed from its pool.
 type hostState struct {
-	ids  []*apna.OwnedEphID
-	last map[apna.Endpoint]apna.Message
+	ids     []*apna.OwnedEphID
+	last    map[apna.Endpoint]apna.Message
+	pooled  int
+	churned bool
 }
 
 // runFlow is one established (or attempted) flow.
 type runFlow struct {
 	src, dst    int
-	srcID       *apna.OwnedEphID
+	srcID       *apna.OwnedEphID // nil: drawn from the pool per attempt
 	srcEp       apna.Endpoint
 	conn        *apna.Conn
 	established bool
@@ -55,6 +57,8 @@ type runFlow struct {
 	complained              bool
 	delivered               int
 	lastSent, lastDelivered int
+	// windows counts deliveries per validity window of sending.
+	windows []int
 }
 
 // pendingResolve is a resolve action awaiting its phase's quiescence.
@@ -70,6 +74,25 @@ type pendingShutoff struct {
 	filed   []*apna.Pending[bool]
 }
 
+// pendingIssue is one host's issuance request awaiting its wave.
+type pendingIssue struct {
+	host int
+	p    *apna.Pending[*apna.OwnedEphID]
+}
+
+// pendingChurn is a churn action's dials awaiting the phase's await.
+type pendingChurn struct {
+	act   *ActionSpec
+	dials []churnDial
+}
+
+type churnDial struct {
+	host int
+	id   *apna.OwnedEphID
+	p    *apna.Pending[*apna.Conn]
+	conn *apna.Conn
+}
+
 // runner executes one compiled spec.
 type runner struct {
 	spec     *Spec
@@ -79,9 +102,12 @@ type runner struct {
 	perAS    int // hosts in every AS
 
 	hosts  []*apna.Host // layout order: AS-major, then role order
+	roles  []string     // the role of each host of an AS, in layout order
 	byAS   [][]int
 	states []hostState
 	flows  []runFlow
+
+	issuing []pendingIssue
 
 	attackers  []*apna.Attacker
 	attackerAS map[int]bool // AS indices hosting an attacker
@@ -89,8 +115,9 @@ type runner struct {
 	check   *invariant.Checker
 	verdict *Verdict
 
-	sendWave   int
-	attackWave int
+	sendWave      int
+	attackWave    int
+	expiredProbed bool
 
 	compromised    []*adversary.Compromised
 	compromisedDst []apna.Endpoint
@@ -102,6 +129,17 @@ type runner struct {
 	installedAt map[[2]apna.AID]time.Duration
 
 	complaintTargets int
+
+	// The lifecycle's books: the validity window (the shortest issued
+	// lifetime), when the first data wave went out, each wave's window,
+	// every issued EphID's expiry, the voluntarily revoked EphIDs and
+	// the churn messages sent.
+	window     time.Duration
+	sendStart  time.Duration
+	waveWindow []int
+	expOf      map[apna.EphID]uint32
+	voluntary  map[apna.EphID]bool
+	churnSent  int
 }
 
 // Run compiles the spec into facade primitives, executes its phases on
@@ -147,10 +185,13 @@ func Run(s *Spec, opts RunOptions) (*Result, error) {
 	r := &runner{
 		spec: s, in: in, verdict: &Verdict{Name: s.Name, Seed: s.Seed, SpecHash: specHash},
 		firstAID: aids[0], nASes: len(aids), perAS: len(names) / len(aids),
+		roles:       s.Topology.layout(),
 		attackerAS:  make(map[int]bool),
 		revokedAt:   make(map[apna.EphID]time.Duration),
 		asRevokedAt: make(map[apna.AID]time.Duration),
 		installedAt: make(map[[2]apna.AID]time.Duration),
+		expOf:       make(map[apna.EphID]uint32),
+		voluntary:   make(map[apna.EphID]bool),
 	}
 	for _, name := range names {
 		r.hosts = append(r.hosts, in.Host(name))
@@ -162,6 +203,21 @@ func Run(s *Spec, opts RunOptions) (*Result, error) {
 		r.check = invariant.New(in.Sim.Now, 3*s.maxLink()+10*time.Millisecond)
 	}
 	in.OnAccountability(r.observe)
+	if s.Lifetimes != nil {
+		r.window = s.validityWindow()
+		// Renewed EphIDs stay attributable and migration re-handshakes
+		// are dials, not replays.
+		in.Lifecycle().SetObserver(func(ev apna.LifecycleEvent) {
+			switch ev.Kind {
+			case "renewed":
+				r.issued(ev.Host, ev.New)
+			case "migrate-dial":
+				if r.check != nil {
+					r.check.Dialed(ev.New.Endpoint(), ev.Peer)
+				}
+			}
+		})
+	}
 
 	// Host wiring: delivery counting, evidence retention, referee taps.
 	r.byAS = make([][]int, r.nASes)
@@ -173,11 +229,21 @@ func Run(s *Spec, opts RunOptions) (*Result, error) {
 		h.Stack.OnMessage(func(m apna.Message) {
 			r.verdict.Delivered++
 			r.states[i].last[m.Flow.Src] = m
+			if s.Lifetimes != nil {
+				r.vetLifetime(m.Flow.Src.EphID)
+			}
 			var fi, wave int
 			if n, _ := fmt.Sscanf(string(m.Payload), "flow %d wave %d", &fi, &wave); n == 2 && fi >= 0 && fi < len(r.flows) {
 				fl := &r.flows[fi]
 				fl.delivered++
 				fl.lastDelivered = max(fl.lastDelivered, wave)
+				if wave >= 0 && wave < len(r.waveWindow) {
+					w := r.waveWindow[wave]
+					if w >= len(fl.windows) {
+						fl.windows = append(fl.windows, make([]int, w+1-len(fl.windows))...)
+					}
+					fl.windows[w]++
+				}
 			}
 			if r.check != nil {
 				r.check.Delivered(h.Name, m)
@@ -239,6 +305,20 @@ func (s *Spec) maxLink() time.Duration {
 	return l
 }
 
+// validityWindow is the lifecycle's window: the shortest lifetime the
+// spec issues or renews for.
+func (s *Spec) validityWindow() time.Duration {
+	life := s.Lifetimes.RenewLifetime
+	for _, ph := range s.Phases {
+		for _, a := range ph.Actions {
+			if a.Op == OpIssue && (life == 0 || a.LifetimeS < life) {
+				life = a.LifetimeS
+			}
+		}
+	}
+	return time.Duration(life) * time.Second
+}
+
 // disseminationBound is the latency within which a revocation must
 // reach every AS under the spec's dissemination: one interval to the
 // first flush carrying it (a delta), two anti-entropy snapshot rounds
@@ -259,17 +339,48 @@ func (r *runner) asIdx(hostIdx int) int {
 
 // role is the host's role ("" without topology roles).
 func (r *runner) role(hostIdx int) string {
-	if len(r.spec.Topology.Roles) == 0 {
+	if len(r.roles) == 0 {
 		return ""
 	}
-	return r.spec.Topology.Roles[hostIdx%r.perAS]
+	return r.roles[hostIdx%r.perAS]
 }
 
-// hostAt is the host of the given role in the AS with index as, which
-// wraps around the AS list.
+// hostAt is the (first) host of the given role in the AS with index
+// as, which wraps around the AS list.
 func (r *runner) hostAt(as int, role string) int {
 	as = (as%r.nASes + r.nASes) % r.nASes
-	return as*r.perAS + slices.Index(r.spec.Topology.Roles, role)
+	return as*r.perAS + slices.Index(r.roles, role)
+}
+
+// issued records a host's new EphID with the referee and, for the
+// lifecycle gates, its expiry.
+func (r *runner) issued(h *apna.Host, id *apna.OwnedEphID) {
+	r.expOf[id.Cert.EphID] = id.Cert.ExpTime
+	if r.check != nil {
+		r.check.Issued(h.AS().AID, id.Cert.EphID)
+	}
+}
+
+// vetLifetime counts a delivery from an EphID past its expiry (beyond
+// the one-second granularity of ExpTime) or voluntarily revoked.
+func (r *runner) vetLifetime(src apna.EphID) {
+	if exp, ok := r.expOf[src]; ok && r.in.Now() > int64(exp)+1 {
+		r.verdict.ExpiredAccepted++
+	}
+	if r.voluntary[src] {
+		r.verdict.RevokedAccepted++
+	}
+}
+
+// acquire takes a per-flow EphID from the host's pool, counting a pool
+// with none to give as an ErrNoEphID starvation.
+func (r *runner) acquire(hostIdx int) *apna.OwnedEphID {
+	id, err := r.hosts[hostIdx].Stack.Acquire(apna.PerFlow, "")
+	if err != nil {
+		r.verdict.NoEphIDErrors++
+		return nil
+	}
+	return id
 }
 
 // serving is the host's serving endpoint: its last issued EphID.
@@ -318,14 +429,22 @@ func (r *runner) phase(ph *PhaseSpec) error {
 	var ops []apna.Op
 	var resolves []pendingResolve
 	var shutoffs []pendingShutoff
+	var churns []pendingChurn
 	for ai := range ph.Actions {
 		a := &ph.Actions[ai]
+		if a.Op != OpIssue {
+			if err := r.awaitIssued(); err != nil {
+				return err
+			}
+		}
 		var err error
 		switch a.Op {
 		case OpIssue:
-			err = r.issue(a)
+			r.issue(a)
 		case OpDial:
 			err = r.dial(a)
+		case OpChurn:
+			churns = append(churns, r.churn(a, &ops))
 		case OpSend:
 			err = r.send(a, &ops)
 		case OpShutoff:
@@ -354,6 +473,9 @@ func (r *runner) phase(ph *PhaseSpec) error {
 			return err
 		}
 	}
+	if err := r.awaitIssued(); err != nil {
+		return err
+	}
 	if len(ops) > 0 {
 		if err := r.in.AwaitAll(ops...); err != nil && !errors.Is(err, apna.ErrTimeout) {
 			return err
@@ -365,55 +487,81 @@ func (r *runner) phase(ph *PhaseSpec) error {
 	for i := range resolves {
 		r.resolveOutcome(&resolves[i])
 	}
+	for i := range churns {
+		if err := r.finishChurn(&churns[i]); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
-// issue requests a.PerHost fresh EphIDs on every host, all overlapping
-// — the E6/E7 issuance wave. Issuance completes within its own await
-// so later actions in the same phase (dials, sends) can use the
-// identifiers.
-func (r *runner) issue(a *ActionSpec) error {
-	pend := make([][]*apna.Pending[*apna.OwnedEphID], len(r.hosts))
-	var all []apna.Op
+// issue requests a.PerHost fresh EphIDs on every host (or every host of
+// a.Roles), all overlapping — the issuance wave. The wave is awaited
+// before the phase's next action of another kind, so consecutive issue
+// actions overlap and later actions in the same phase (dials, sends)
+// can use the identifiers.
+func (r *runner) issue(a *ActionSpec) {
 	for i, h := range r.hosts {
-		for f := 0; f < a.PerHost; f++ {
-			p := h.NewEphIDAsync(apna.KindData, a.LifetimeS)
-			pend[i] = append(pend[i], p)
-			all = append(all, p)
+		if len(a.Roles) > 0 && !slices.Contains(a.Roles, r.role(i)) {
+			continue
+		}
+		for range a.PerHost {
+			r.issuing = append(r.issuing, pendingIssue{host: i, p: h.NewEphIDAsync(apna.KindData, a.LifetimeS)})
 		}
 	}
-	if err := r.in.AwaitAll(all...); err != nil {
+}
+
+// awaitIssued completes the pending issuance wave, if any.
+func (r *runner) awaitIssued() error {
+	if len(r.issuing) == 0 {
+		return nil
+	}
+	wave := r.issuing
+	r.issuing = nil
+	ops := make([]apna.Op, len(wave))
+	for k, pi := range wave {
+		ops[k] = pi.p
+	}
+	if err := r.in.AwaitAll(ops...); err != nil {
 		return fmt.Errorf("issuance wave: %w", err)
 	}
-	for i, h := range r.hosts {
-		for _, p := range pend[i] {
-			id, err := p.Result()
-			if err != nil {
-				return fmt.Errorf("issuance: %w", err)
-			}
-			r.states[i].ids = append(r.states[i].ids, id)
-			if r.check != nil {
-				r.check.Issued(h.AS().AID, id.Cert.EphID)
-			}
+	for _, pi := range wave {
+		id, err := pi.p.Result()
+		if err != nil {
+			return fmt.Errorf("issuance: %w", err)
 		}
+		r.states[pi.host].ids = append(r.states[pi.host].ids, id)
+		r.issued(r.hosts[pi.host], id)
 	}
 	return nil
 }
 
 // dial lays out the action's flows toward each peer's serving EphID —
-// each host of a role in a.To toward its target, from its first EphID,
-// or FlowsPerHost per host spread with the E6/E7 round-robin so flows
-// cross AS boundaries, the f-th from its f-th EphID — and dials them,
-// re-dialing the ones chaos kept from establishing a.Retries times.
+// each host of a role in a.To toward its target, from its first EphID
+// or a.FromPool times from its pool, or FlowsPerHost per host spread
+// with the E6/E7 round-robin so flows cross AS boundaries, the f-th
+// from its f-th EphID — and dials them, re-dialing the ones chaos kept
+// from establishing a.Retries times. A pooled flow acquires its EphID
+// per attempt and releases it when the attempt fails.
 func (r *runner) dial(a *ActionSpec) error {
 	first := len(r.flows)
 	addFlow := func(src, dst int, id *apna.OwnedEphID) {
-		r.flows = append(r.flows, runFlow{src: src, dst: dst, srcID: id, srcEp: id.Endpoint(),
-			lastSent: -1, lastDelivered: -1})
+		fl := runFlow{src: src, dst: dst, srcID: id, lastSent: -1, lastDelivered: -1}
+		if id != nil {
+			fl.srcEp = id.Endpoint()
+		}
+		r.flows = append(r.flows, fl)
 	}
 	for i := range r.hosts {
 		if t, ok := a.To[r.role(i)]; ok {
-			addFlow(i, r.hostAt(r.asIdx(i)+t.ASOffset, t.Role), r.states[i].ids[0])
+			dst := r.hostAt(r.asIdx(i)+t.ASOffset, t.Role)
+			if a.FromPool == 0 {
+				addFlow(i, dst, r.states[i].ids[0])
+			}
+			for range a.FromPool {
+				addFlow(i, dst, nil)
+			}
+			r.states[i].pooled += a.FromPool
 		}
 		for f := 0; f < a.FlowsPerHost; f++ {
 			peer := (i + 1 + f*r.perAS) % len(r.hosts)
@@ -423,6 +571,7 @@ func (r *runner) dial(a *ActionSpec) error {
 			addFlow(i, peer, r.states[i].ids[f])
 		}
 	}
+	pooled := a.FromPool > 0
 	for attempt := 0; attempt <= a.Retries; attempt++ {
 		var dials []*apna.Pending[*apna.Conn]
 		var which []int
@@ -430,6 +579,12 @@ func (r *runner) dial(a *ActionSpec) error {
 			fl := &r.flows[fi]
 			if fl.established {
 				continue
+			}
+			if pooled {
+				if fl.srcID = r.acquire(fl.src); fl.srcID == nil {
+					continue
+				}
+				fl.srcEp = fl.srcID.Endpoint()
 			}
 			dst := r.serving(fl.dst)
 			dials = append(dials, r.hosts[fl.src].ConnectAsync(fl.srcID, &dst.Cert, nil))
@@ -447,8 +602,14 @@ func (r *runner) dial(a *ActionSpec) error {
 			return fmt.Errorf("handshake wave: %w", err)
 		}
 		for k, fi := range which {
+			fl := &r.flows[fi]
 			if conn, err := dials[k].Result(); err == nil {
-				r.flows[fi].conn, r.flows[fi].established = conn, true
+				fl.conn, fl.established = conn, true
+			} else if pooled {
+				// The timed-out await drained the timeline, so the dial
+				// record is already abandoned: no stale record can claim
+				// a later ack for the released EphID.
+				r.hosts[fl.src].Stack.Release(fl.srcID)
 			}
 		}
 	}
@@ -469,6 +630,12 @@ func (r *runner) dial(a *ActionSpec) error {
 func (r *runner) send(a *ActionSpec, ops *[]apna.Op) error {
 	wave := r.sendWave
 	r.sendWave++
+	if r.window > 0 {
+		if wave == 0 {
+			r.sendStart = r.in.Sim.Now()
+		}
+		r.waveWindow = append(r.waveWindow, int((r.in.Sim.Now()-r.sendStart)/r.window))
+	}
 	for attempt := 0; ; attempt++ {
 		var sent []apna.Op
 		for fi := range r.flows {
@@ -499,6 +666,78 @@ func (r *runner) send(a *ActionSpec, ops *[]apna.Op) error {
 			return nil
 		}
 	}
+}
+
+// churn dials one flow from every host of a role in a.To toward its
+// target, each from a per-flow EphID acquired from the host's pool; the
+// dials join the phase's await.
+func (r *runner) churn(a *ActionSpec, ops *[]apna.Op) pendingChurn {
+	pc := pendingChurn{act: a}
+	for i := range r.hosts {
+		t, ok := a.To[r.role(i)]
+		if !ok {
+			continue
+		}
+		r.states[i].pooled++
+		r.states[i].churned = true
+		id := r.acquire(i)
+		if id == nil {
+			continue
+		}
+		dst := r.serving(r.hostAt(r.asIdx(i)+t.ASOffset, t.Role))
+		if r.check != nil {
+			r.check.Dialed(id.Endpoint(), dst.Endpoint())
+		}
+		p := r.hosts[i].ConnectAsync(id, &dst.Cert, nil)
+		pc.dials = append(pc.dials, churnDial{host: i, id: id, p: p})
+		*ops = append(*ops, p)
+	}
+	return pc
+}
+
+// finishChurn runs once the phase's await is over: each churn flow that
+// established sends one message, and once those are through it closes;
+// the first a.Revoke closed EphIDs are voluntarily revoked at their AS
+// and retired, the others and those of dials that failed go back to
+// the pool.
+func (r *runner) finishChurn(pc *pendingChurn) error {
+	var sends []apna.Op
+	var open []churnDial
+	for _, d := range pc.dials {
+		conn, err := d.p.Result()
+		if err != nil {
+			r.hosts[d.host].Stack.Release(d.id)
+			continue
+		}
+		d.conn = conn
+		open = append(open, d)
+		sends = append(sends, r.hosts[d.host].SendAsync(conn, []byte(fmt.Sprintf("churn %d", r.churnSent))))
+		r.churnSent++
+	}
+	if len(sends) > 0 {
+		if err := r.in.AwaitAll(sends...); err != nil && !errors.Is(err, apna.ErrTimeout) {
+			return fmt.Errorf("churn sends: %w", err)
+		}
+	}
+	revoke := pc.act.Revoke
+	for _, d := range open {
+		d.conn.Close()
+		if revoke == 0 {
+			continue
+		}
+		h, e := r.hosts[d.host], d.id.Cert.EphID
+		if err := h.AS().Agent.RevokeVoluntary(h.HID(), e); err != nil {
+			continue
+		}
+		revoke--
+		r.voluntary[e] = true
+		r.verdict.Revoked++
+		if r.check != nil {
+			r.check.Revoked(e)
+		}
+		h.Stack.Retire(d.id)
+	}
+	return nil
 }
 
 // targets selects a shutoff's a.Count target flows among the
@@ -672,6 +911,7 @@ func (r *runner) attack(a *ActionSpec) error {
 
 		for _, sf := range a.Surfaces {
 			var err error
+			r.expiredProbed = r.expiredProbed || sf == SurfaceExpired
 			switch sf {
 			case SurfaceForged:
 				err = att.InjectForged(aid, dst)
@@ -906,6 +1146,52 @@ func (r *runner) disseminationGates() {
 	}
 }
 
+// lifecycleGates holds a spec with a lifetimes block to what the
+// lifecycle engine promises: it renews and migrates, nothing is
+// delivered from an expired or voluntarily revoked EphID, every flow
+// delivers in every validity window of the run's data waves, a host
+// that churns dials more flows than its pool holds, and the scheduled
+// GC reaps what was voluntarily revoked.
+func (r *runner) lifecycleGates() {
+	v := r.verdict
+	st := r.in.Lifecycle().Stats()
+	v.Renewals, v.RenewalsFailed, v.Migrations = st.RenewalsCompleted, st.RenewalsFailed, st.MigrationsCompleted
+	v.RevocationsReaped = st.RevocationsReaped
+	if v.Renewals == 0 {
+		r.fail("lifecycle engine completed no renewals")
+	}
+	if v.Migrations == 0 {
+		r.fail("lifecycle engine migrated no flows")
+	}
+	if v.ExpiredAccepted > 0 {
+		r.fail("%d deliveries from expired EphIDs", v.ExpiredAccepted)
+	}
+	if v.RevokedAccepted > 0 {
+		r.fail("%d deliveries from revoked EphIDs", v.RevokedAccepted)
+	}
+	if n := len(r.waveWindow); n > 0 {
+		for fi, fl := range r.flows {
+			if !fl.established {
+				r.fail("flow %d never established", fi)
+				continue
+			}
+			for w := range r.waveWindow[n-1] + 1 {
+				if w >= len(fl.windows) || fl.windows[w] == 0 {
+					r.fail("flow %d delivered nothing in window %d", fi, w)
+				}
+			}
+		}
+	}
+	for i, hs := range r.states {
+		if hs.churned && hs.pooled <= len(hs.ids) {
+			r.fail("%s dialed %d flows from a pool of %d", r.hosts[i].Name, hs.pooled, len(hs.ids))
+		}
+	}
+	if len(r.voluntary) > 0 && v.RevocationsReaped == 0 {
+		r.fail("scheduled GC reaped no revocation entries")
+	}
+}
+
 // finish referees the invariants, folds in attacker and defense
 // statistics, and evaluates the gates the actions imply and the bounds.
 func (r *runner) finish() {
@@ -955,6 +1241,15 @@ func (r *runner) finish() {
 	}
 	if r.spec.Dissemination != nil {
 		r.disseminationGates()
+	}
+	if r.spec.Lifetimes != nil {
+		r.lifecycleGates()
+	}
+	if v.NoEphIDErrors > 0 {
+		r.fail("%d pooled dials found no EphID (ErrNoEphID)", v.NoEphIDErrors)
+	}
+	if r.expiredProbed && r.dropped(border.VerdictDropExpired) == 0 {
+		r.fail("no expired frame was dropped (expired probes ineffective)")
 	}
 	if b := r.spec.Bounds; b != nil {
 		if b.MinFlows > 0 && v.Flows < b.MinFlows {

@@ -10,8 +10,17 @@
 // schedule (netsim.CaptureFaults); re-running a spec against its
 // recorded schedule reproduces the run bit-exactly, and a hand-edited
 // schedule bends the network without touching any code. The scenarios
-// E6, E7 and E10 are specs (scenarios/e6.json, e7.json, e10.json): the
-// spec is the implementation, pinned by the golden corpus test.
+// E6, E7, E9 and E10 are specs (scenarios/e6.json, e7.json, e9.json,
+// e10.json): the spec is the implementation, pinned by the golden
+// corpus test.
+//
+// A spec is held to the gates its blocks and actions imply as well as
+// to its bounds: complaints to their receipts and revocations,
+// dissemination to its latency bound, a lifetimes block to the EphID
+// lifecycle's (renewals and migrations happen, no pooled dial starves,
+// nothing is delivered from an expired or revoked EphID, every flow
+// delivers in every validity window, churn outlives its pool and GC
+// reaps what was voluntarily revoked).
 package scenario
 
 import (
@@ -75,7 +84,8 @@ type Spec struct {
 	Chaos *ChaosSpec `json:"chaos,omitempty"`
 	// Attackers are rogue devices attached to ASes.
 	Attackers []AttackerSpec `json:"attackers,omitempty"`
-	// Lifetimes, when set, starts the EphID lifecycle engine.
+	// Lifetimes, when set, starts the EphID lifecycle engine and holds
+	// the run to the lifecycle gates.
 	Lifetimes *LifetimesSpec `json:"lifetimes,omitempty"`
 	// Dissemination, when set, starts revocation-digest dissemination.
 	Dissemination *DissemSpec `json:"dissemination,omitempty"`
@@ -92,7 +102,8 @@ type Spec struct {
 
 // TopologySpec describes the AS graph and host population. Hosts are
 // named "h<as>-<idx>" with two-digit zero padding, or "<role>-<as>"
-// when the topology declares roles.
+// when the topology declares roles ("<role>-<as>-<idx>" for a role
+// with several hosts per AS).
 type TopologySpec struct {
 	// Kind selects the generator: "full-mesh", "line", "star" or
 	// "as-graph".
@@ -108,6 +119,10 @@ type TopologySpec struct {
 	// every AS, in role order: roles ["srv", "bad"] put srv-00 and
 	// bad-00 in the first AS. Actions select hosts and flows by role.
 	Roles []string `json:"roles,omitempty"`
+	// RoleHosts gives a role more than one host per AS: {"cli": 2} puts
+	// cli-00-00 and cli-00-01 where cli-00 would be. A target naming the
+	// role means its first host.
+	RoleHosts map[string]int `json:"role_hosts,omitempty"`
 	// LinkLatency is the one-way inter-AS latency.
 	LinkLatency Duration `json:"link_latency"`
 	// Core/Mid/Stubs/ProvidersPerAS size the "as-graph"
@@ -176,14 +191,22 @@ type PhaseSpec struct {
 // Action ops.
 const (
 	// OpIssue requests PerHost EphIDs (lifetime LifetimeS) on every
-	// host, all overlapping.
+	// host, or on the hosts of Roles, all overlapping; consecutive issue
+	// actions share one await.
 	OpIssue = "issue"
 	// OpDial establishes FlowsPerHost flows per host round-robin across
-	// the population (the E6/E7 peer spread), or one flow per host of
-	// each role To names, dialing each peer's last issued EphID.
-	// Retries re-dials the flows that did not establish, from the same
-	// source EphID.
+	// the population (the E6/E7 peer spread), or one flow (FromPool
+	// flows) per host of each role To names, dialing each peer's last
+	// issued EphID. Retries re-dials the flows that did not establish,
+	// from the same source EphID, or from a fresh pool pick.
 	OpDial = "dial"
+	// OpChurn makes each host of a role To names dial its target from a
+	// per-flow EphID it acquires from its pool, overlapping the phase's
+	// other operations. Once the phase's await is over, every churn flow
+	// that established sends one message and closes, and the first
+	// Revoke EphIDs it closed are voluntarily revoked (Section VIII-G2)
+	// and retired; the others go back to the pool.
+	OpChurn = "churn"
 	// OpSend sends one data wave ("flow %d wave %d") on every
 	// established flow, or PerFlow messages on the flows of each role
 	// PerFlow names. Retries re-sends the wave while a flow that sent
@@ -227,8 +250,14 @@ type ActionSpec struct {
 	// dial
 	FlowsPerHost int `json:"flows_per_host,omitempty"`
 	// To maps a role to the host each host of that role dials, from its
-	// first EphID, instead of the FlowsPerHost spread.
+	// first EphID, instead of the FlowsPerHost spread (churn: the host
+	// each churn flow dials).
 	To map[string]RoleTarget `json:"to,omitempty"`
+	// FromPool makes a To dial open this many flows per host, each from
+	// a per-flow EphID acquired from the host's pool; a dial that does
+	// not establish returns its EphID, and a pool that has none to give
+	// counts as an ErrNoEphID starvation.
+	FromPool int `json:"from_pool,omitempty"`
 	// Retries re-attempts what a dial, send or complaint left
 	// unfinished, at most this many times.
 	Retries int `json:"retries,omitempty"`
@@ -241,12 +270,16 @@ type ActionSpec struct {
 	PreferAttackerAS bool `json:"prefer_attacker_as,omitempty"`
 	RecordRevoked    bool `json:"record_revoked,omitempty"`
 	Steal            bool `json:"steal,omitempty"`
-	// Roles limits the targets to flows sourced by hosts of these roles.
+	// Roles limits an issue to hosts of these roles, and a shutoff's
+	// targets to flows sourced by them.
 	Roles []string `json:"roles,omitempty"`
 	// Complain files each shutoff as a complaint to the victim's own
 	// AS, which carries it across the border; the source AS's receipt
 	// is checked, and the revocation counts from when that AS made it.
 	Complain bool `json:"complain,omitempty"`
+
+	// churn: how many of the EphIDs it closes are voluntarily revoked.
+	Revoke int `json:"revoke,omitempty"`
 
 	// attack
 	Surfaces []string `json:"surfaces,omitempty"`
@@ -380,8 +413,15 @@ func (s *Spec) Validate() error {
 	if t.ProvidersPerAS > maxProviders {
 		return fmt.Errorf("%w: providers_per_as %d exceeds cap %d", ErrBadSpec, t.ProvidersPerAS, maxProviders)
 	}
-	if t.HostsPerAS < 0 || t.HostsPerAS+len(t.Roles) > maxHostsPerAS {
-		return fmt.Errorf("%w: %d hosts per AS outside [0,%d]", ErrBadSpec, t.HostsPerAS+len(t.Roles), maxHostsPerAS)
+	perAS := t.HostsPerAS + len(t.Roles)
+	for role, n := range t.RoleHosts {
+		if !slices.Contains(t.Roles, role) || n < 2 || n > maxHostsPerAS {
+			return fmt.Errorf("%w: role_hosts gives undeclared role %q or a count %d outside [2,%d]", ErrBadSpec, role, n, maxHostsPerAS)
+		}
+		perAS += n - 1
+	}
+	if t.HostsPerAS < 0 || perAS > maxHostsPerAS {
+		return fmt.Errorf("%w: %d hosts per AS outside [0,%d]", ErrBadSpec, perAS, maxHostsPerAS)
 	}
 	if len(t.Roles) > 0 && t.HostsPerAS > 0 {
 		return fmt.Errorf("%w: roles replace hosts_per_as; set one of them", ErrBadSpec)
@@ -445,7 +485,11 @@ func (s *Spec) Validate() error {
 	victimOffset := make(map[string]int)
 	mod := func(off int) int { return (off%len(aids) + len(aids)) % len(aids) }
 	published := make(map[string]bool)
-	issued, dialed := false, false
+	// issuedTo is, per role ("" for every host), whether an issue
+	// action reached it: dials need EphIDs at both ends.
+	issuedTo := make(map[string]bool)
+	issued := func(role string) bool { return issuedTo[""] || issuedTo[role] }
+	dialed := false
 	for pi := range s.Phases {
 		ph := &s.Phases[pi]
 		for ai := range ph.Actions {
@@ -455,6 +499,13 @@ func (s *Spec) Validate() error {
 			retry := a.Op == OpDial || a.Op == OpSend || a.Complain
 			if a.Retries < 0 || a.Retries > maxRetries || a.Retries > 0 && !retry {
 				return fmt.Errorf("%w: %s retries %d (dials, sends and complaints retry up to %d times)", ErrBadSpec, where, a.Retries, maxRetries)
+			}
+			const maxPool = 64
+			if a.FromPool < 0 || a.FromPool > maxPool || a.FromPool > 0 && (a.Op != OpDial || a.To == nil) {
+				return fmt.Errorf("%w: %s from_pool %d (a dial toward to targets takes up to %d)", ErrBadSpec, where, a.FromPool, maxPool)
+			}
+			if a.Revoke < 0 || a.Revoke > 0 && a.Op != OpChurn {
+				return fmt.Errorf("%w: %s revoke %d (churn revokes zero or more of the EphIDs it closes)", ErrBadSpec, where, a.Revoke)
 			}
 			for _, role := range a.roles() {
 				if !slices.Contains(t.Roles, role) {
@@ -466,18 +517,31 @@ func (s *Spec) Validate() error {
 				if a.PerHost < 1 || a.LifetimeS < 1 {
 					return fmt.Errorf("%w: %s needs per_host and lifetime_s >= 1", ErrBadSpec, where)
 				}
-				issued = true
-			case OpDial:
-				if (a.To == nil) == (a.FlowsPerHost < 1) {
+				issuedTo[""] = issuedTo[""] || len(a.Roles) == 0
+				for _, role := range a.Roles {
+					issuedTo[role] = true
+				}
+			case OpDial, OpChurn:
+				if a.Op == OpChurn && a.To == nil {
+					return fmt.Errorf("%w: %s needs a to target", ErrBadSpec, where)
+				}
+				if a.Op == OpDial && (a.To == nil) == (a.FlowsPerHost < 1) {
 					return fmt.Errorf("%w: %s needs exactly one of flows_per_host >= 1 and to", ErrBadSpec, where)
 				}
-				for role, dst := range a.To {
-					victimOffset[role] = dst.ASOffset
-				}
-				if !issued {
+				everyHost := issued("") || len(t.Roles) > 0 && !slices.ContainsFunc(t.Roles, func(r string) bool { return !issued(r) })
+				if a.To == nil && !everyHost {
 					return fmt.Errorf("%w: %s before any issue action", ErrBadSpec, where)
 				}
-				dialed = true
+				for _, role := range slices.Sorted(maps.Keys(a.To)) {
+					dst := a.To[role]
+					if !issued(role) || !issued(dst.Role) {
+						return fmt.Errorf("%w: %s before any issue to %q and %q", ErrBadSpec, where, role, dst.Role)
+					}
+					if a.Op == OpDial {
+						victimOffset[role] = dst.ASOffset
+					}
+				}
+				dialed = dialed || a.Op == OpDial
 			case OpSend:
 				if !dialed {
 					return fmt.Errorf("%w: %s before any dial action", ErrBadSpec, where)
@@ -596,16 +660,35 @@ func (a *ActionSpec) roles() []string {
 }
 
 // hosts names the hosts of the i-th AS in layout order: one per role
-// ("srv-03"), or HostsPerAS numbered ones ("h03-00").
+// ("srv-03") or RoleHosts of it ("cli-03-00", "cli-03-01"), or
+// HostsPerAS numbered ones ("h03-00").
 func (t *TopologySpec) hosts(i int) []string {
 	var names []string
 	for j := range t.HostsPerAS {
 		names = append(names, fmt.Sprintf("h%02d-%02d", i, j))
 	}
 	for _, role := range t.Roles {
+		if n := t.RoleHosts[role]; n > 0 {
+			for j := range n {
+				names = append(names, fmt.Sprintf("%s-%02d-%02d", role, i, j))
+			}
+			continue
+		}
 		names = append(names, fmt.Sprintf("%s-%02d", role, i))
 	}
 	return names
+}
+
+// layout lists the role of each host of an AS in layout order, a role
+// once per host it has; nil without roles.
+func (t *TopologySpec) layout() []string {
+	var roles []string
+	for _, role := range t.Roles {
+		for range max(t.RoleHosts[role], 1) {
+			roles = append(roles, role)
+		}
+	}
+	return roles
 }
 
 // compile turns everything in the spec but its hosts into facade

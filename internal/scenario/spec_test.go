@@ -64,6 +64,16 @@ const theft = `{"name": "t", "topology": {"kind": "full-mesh", "ases": 4, "roles
 		{"op": "dial", "to": {"bad": {"role": "srv", "as_offset": 1}}},
 		{"op": "attack", "steal_from": {"role": "bad", "as_offset": %d}}]}]}`
 
+// pooled is a role spec with two clients per AS and one server: %s
+// is the action list of its one phase.
+const pooled = `{"name": "t", "topology": {"kind": "full-mesh", "ases": 2, "roles": ["srv", "cli"], "role_hosts": {"cli": 2}, "link_latency": "1ms"},
+	"phases": [{"name": "p", "actions": [%s]}]}`
+
+const (
+	issueAll  = `{"op": "issue", "per_host": 4, "lifetime_s": 60}`
+	toServers = `"to": {"cli": {"role": "srv", "as_offset": 1}}`
+)
+
 func TestValidatorRejections(t *testing.T) {
 	cases := []struct {
 		name string
@@ -180,6 +190,18 @@ func TestValidatorRejections(t *testing.T) {
 		{"steal offset onto the attacker's AS", fmt.Sprintf(theft, 4), "collapses onto the attacker's or the victim's AS"},
 		{"steal offset onto the victim's AS", fmt.Sprintf(theft, 3), "collapses onto the attacker's or the victim's AS"},
 		{"steal from a role that dials nothing", strings.Replace(fmt.Sprintf(theft, 2), `"role": "bad", "as_offset": 2`, `"role": "srv", "as_offset": 2`, 1), "dials nothing"},
+		{"pooled dial before any issue", fmt.Sprintf(pooled, `{"op": "dial", `+toServers+`, "from_pool": 2}`), "before any issue"},
+		{"pooled dial toward a role never issued", fmt.Sprintf(pooled,
+			`{"op": "issue", "roles": ["cli"], "per_host": 4, "lifetime_s": 60}, {"op": "dial", `+toServers+`, "from_pool": 2}`), "before any issue"},
+		{"negative from_pool", fmt.Sprintf(pooled, issueAll+`, {"op": "dial", `+toServers+`, "from_pool": -1}`), "from_pool -1"},
+		{"from_pool without targets", fmt.Sprintf(pooled, issueAll+`, {"op": "dial", "flows_per_host": 1, "from_pool": 2}`), "from_pool 2"},
+		{"churn without a target", fmt.Sprintf(pooled, issueAll+`, {"op": "churn"}`), "needs a to target"},
+		{"churn before any issue", fmt.Sprintf(pooled, `{"op": "churn", `+toServers+`}`), "before any issue"},
+		{"negative revoke count", fmt.Sprintf(pooled, issueAll+`, {"op": "churn", `+toServers+`, "revoke": -1}`), "revoke -1"},
+		{"revoke outside churn", fmt.Sprintf(pooled, issueAll+`, {"op": "dial", `+toServers+`, "revoke": 1}`), "revoke 1"},
+		{"issue to an unknown role", fmt.Sprintf(pooled, `{"op": "issue", "roles": ["bot"], "per_host": 1, "lifetime_s": 60}`), "unknown role"},
+		{"role_hosts for an undeclared role", strings.Replace(fmt.Sprintf(pooled, issueAll), `{"cli": 2}`, `{"bot": 2}`, 1), "role_hosts"},
+		{"role_hosts of one", strings.Replace(fmt.Sprintf(pooled, issueAll), `{"cli": 2}`, `{"cli": 1}`, 1), "role_hosts"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -254,6 +276,7 @@ func FuzzScenarioSpec(f *testing.F) {
 	f.Add([]byte(`{"name": "x", "phases": [{"actions": [{"op": "run", "duration": -5}]}]}`))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(fmt.Sprintf(theft, 2)))
+	f.Add([]byte(fmt.Sprintf(pooled, issueAll+`, {"op": "dial", `+toServers+`, "from_pool": 2}, {"op": "churn", `+toServers+`, "revoke": 1}`)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Parse(data)
 		if err != nil {

@@ -43,6 +43,16 @@ type Verdict struct {
 	DigestsSent            uint64  `json:"digests_sent,omitempty"`
 	DigestEntriesInstalled uint64  `json:"digest_entries_installed,omitempty"`
 	DisseminationMaxMs     float64 `json:"dissemination_max_ms,omitempty"`
+	// Lifecycle: the engine's renewals, migrations and GC-reaped
+	// revocation entries; pooled dials that found no EphID; deliveries
+	// from an EphID past its expiry or after its voluntary revocation.
+	Renewals          uint64 `json:"renewals,omitempty"`
+	RenewalsFailed    uint64 `json:"renewals_failed,omitempty"`
+	Migrations        uint64 `json:"migrations,omitempty"`
+	RevocationsReaped uint64 `json:"revocations_reaped,omitempty"`
+	NoEphIDErrors     int    `json:"no_ephid_errors,omitempty"`
+	ExpiredAccepted   int    `json:"expired_accepted,omitempty"`
+	RevokedAccepted   int    `json:"revoked_accepted,omitempty"`
 
 	Attacks  map[string]uint64 `json:"attacks,omitempty"`
 	Defenses map[string]uint64 `json:"defenses,omitempty"`

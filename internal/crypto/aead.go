@@ -28,9 +28,15 @@ const maxSeals = 1 << 48
 
 // AEAD wraps AES-GCM with deterministic nonce management. The 12-byte
 // nonce is a 4-byte random prefix fixed at construction plus a 8-byte
-// big-endian counter, so a sealer never reuses a nonce and two sealers
-// for the same key (one per direction of a session) are separated by the
-// caller-supplied direction byte mixed into the prefix.
+// big-endian counter, so a sealer never reuses a nonce. Two sealers for
+// the same key (one per direction of a session) are separated by the
+// direction bit, which is bit 0 of the prefix's first byte: their nonce
+// spaces are disjoint whatever the other 31 random prefix bits are.
+//
+// A counter nonce suits a long-lived sealer only. A key that seals one
+// message per sealer — the MS request and reply under a host's kHA key —
+// would restart the counter at 1 every time and leave just the prefix's
+// random bits between two nonces; such messages go through SealOnce.
 //
 // This is the "conventional CCA-secure scheme" the paper assumes for data
 // communication (Section IV-A, citing GCM).
@@ -46,9 +52,11 @@ const NonceSize = 12
 // Overhead is the ciphertext expansion of Seal: nonce plus GCM tag.
 func (a *AEAD) Overhead() int { return NonceSize + a.aead.Overhead() }
 
-// NewAEAD builds an AEAD from a 16- or 32-byte AES key. direction
-// distinguishes the two sealers of a bidirectional session so their nonce
-// spaces cannot collide even if the random prefixes did.
+// NewAEAD builds an AEAD from a 16- or 32-byte AES key. direction (0 or
+// 1) distinguishes the two sealers of a bidirectional session: it is
+// written into bit 0 of every nonce this AEAD seals, so the two nonce
+// spaces cannot collide. (Mixing it in by XOR would not do: two random
+// prefixes that differ only in that bit would then coincide.)
 func NewAEAD(key []byte, direction byte) (*AEAD, error) {
 	block, err := aes.NewCipher(key)
 	if err != nil {
@@ -62,8 +70,25 @@ func NewAEAD(key []byte, direction byte) (*AEAD, error) {
 	if _, err := io.ReadFull(rand.Reader, a.prefix[:]); err != nil {
 		return nil, fmt.Errorf("crypto: aead nonce prefix: %w", err)
 	}
-	a.prefix[0] ^= direction
+	a.prefix[0] = a.prefix[0]&^1 | direction&1
 	return a, nil
+}
+
+// SealOnce is Seal with a fresh random nonce instead of the counter: 95
+// random bits plus the direction bit. It is for keys that seal a handful
+// of messages per AEAD over a long life, where the counter would restart
+// at 1 with every new AEAD; 95 random bits put a collision among 2³²
+// messages under one key at about 2⁻³².
+func (a *AEAD) SealOnce(dst, plaintext, aad []byte) ([]byte, error) {
+	dst = slices.Grow(dst, a.Overhead()+len(plaintext))
+	off := len(dst)
+	dst = dst[:off+NonceSize]
+	nonce := dst[off:]
+	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
+		return nil, fmt.Errorf("crypto: aead nonce: %w", err)
+	}
+	nonce[0] = nonce[0]&^1 | a.prefix[0]&1
+	return a.aead.Seal(dst, nonce, plaintext, aad), nil
 }
 
 // Seal encrypts and authenticates plaintext with the additional data aad,

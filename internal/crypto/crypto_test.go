@@ -278,6 +278,36 @@ func TestAEADNoncesUnique(t *testing.T) {
 	}
 }
 
+// TestAEADDirectionBit: every nonce a direction-d AEAD seals, counter
+// or random, carries d in bit 0 of its first byte, so the two sealers
+// of one key never share a nonce — including the prefixes a XOR of the
+// direction into random bits would have let collide.
+func TestAEADDirectionBit(t *testing.T) {
+	key := DeriveKey([]byte("secret"), "test", SymKeySize)
+	for dir := byte(0); dir < 2; dir++ {
+		for i := 0; i < 64; i++ {
+			a, err := NewAEAD(key, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counted, err := a.Seal(nil, []byte("x"), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			once, err := a.SealOnce(nil, []byte("x"), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if counted[0]&1 != dir || once[0]&1 != dir {
+				t.Fatalf("direction %d: nonces %x, %x", dir, counted[:NonceSize], once[:NonceSize])
+			}
+			if got, err := a.Open(nil, once, nil); err != nil || string(got) != "x" {
+				t.Fatalf("SealOnce output does not open: %q, %v", got, err)
+			}
+		}
+	}
+}
+
 func TestAEADKeySizes(t *testing.T) {
 	if _, err := NewAEAD(make([]byte, 16), 0); err != nil {
 		t.Errorf("16-byte key rejected: %v", err)

@@ -10,6 +10,11 @@
 // Both directions are encrypted so an observer inside the AS cannot
 // link the issued EphIDs to the requesting control EphID
 // (sender-flow unlinkability, Section IV-C).
+//
+// The service side is two steps, Admit and Admitted.Seal; HandleRequest
+// runs both. Admit decides everything (authentication, renewal budget,
+// the minted EphID) and Seal signs and encrypts, so a caller with a
+// spare core can hand the signature to it.
 package ms
 
 import (
@@ -150,8 +155,11 @@ func (p Policy) Clamp(requested uint32) uint32 {
 }
 
 // Service is the Management Service of one AS. It is safe for
-// concurrent use; the paper parallelizes issuance across 4 processes
-// and so do the benchmarks.
+// concurrent use; the paper parallelizes issuance across 4 processes.
+// Here the population engine's workers call it concurrently, and each
+// request splits in two: Admit makes every decision on the caller, and
+// the Admitted's Seal — the Ed25519 signature, ~80% of the cost — may
+// run on another core.
 type Service struct {
 	aid     ephid.AID
 	sealer  *ephid.Sealer
@@ -296,8 +304,37 @@ func (s *Service) RenewTracked() int {
 
 // HandleRequest implements Figure 3. srcEphID is the source EphID of
 // the request packet (the host's control EphID) and ciphertext the
-// encrypted request. It returns the encrypted certificate reply.
+// encrypted request. It returns the encrypted certificate reply. It is
+// Admit followed by Seal.
 func (s *Service) HandleRequest(srcEphID ephid.EphID, ciphertext []byte) ([]byte, error) {
+	a, err := s.Admit(srcEphID, ciphertext)
+	if err != nil {
+		return nil, err
+	}
+	return a.Seal()
+}
+
+// Admitted is a request the service has admitted: Figure 3 up to the
+// signature. Every decision is made — the requester authenticated, the
+// renewal budget charged, the EphID minted — and what is left, signing
+// the certificate and encrypting the reply, touches no service state.
+// So Seal may run on another goroutine while the admitting one reads
+// Denial, EphID and ExpTime.
+type Admitted struct {
+	signer *crypto.Signer
+	encKey [crypto.SymKeySize]byte
+	src    ephid.EphID
+	status byte
+	cert   cert.Cert
+}
+
+// Admit runs Figure 3 up to the signature: it opens and checks the
+// control EphID, looks up the host's kHA key, decrypts and decodes the
+// request, charges a renewal against the host's budget, and mints the
+// EphID into an unsigned certificate. An error means the request is
+// dropped unanswered; a renewal denial is not an error but an admitted
+// request whose reply carries the denial (Denial).
+func (s *Service) Admit(srcEphID ephid.EphID, ciphertext []byte) (*Admitted, error) {
 	now := s.now()
 
 	// (HID, T1) = Dec(kA, EphID_ctrl); abort on forgery or expiry.
@@ -328,32 +365,58 @@ func (s *Service) HandleRequest(srcEphID ephid.EphID, ciphertext []byte) ([]byte
 	if err != nil {
 		return nil, err
 	}
+	a := &Admitted{signer: s.signer, encKey: encKey, src: srcEphID}
 	if req.Renewing() {
 		if err := s.checkRenewal(p.HID, req, now); err != nil {
 			// The requester is authenticated and its request well
 			// formed, so the denial is answered, not dropped: the host
 			// matches replies to requests FIFO, and a silent drop would
 			// desynchronize every later reply on that host.
-			return s.sealReply(encKey[:], srcEphID, statusOf(err), nil)
+			a.status = statusOf(err)
+			return a, nil
 		}
 	}
-
-	c, err := s.Issue(p.HID, req)
-	if err != nil {
-		return nil, err
-	}
+	a.cert = s.mint(p.HID, req)
 	if req.Renewing() {
 		s.renewed.Add(1)
 	}
+	return a, nil
+}
 
-	// Encrypt the certificate so observers cannot link the new EphID
-	// to the control EphID. Direction 1 separates the reply nonce
-	// space from the host's request nonce space under the shared key.
-	raw, err := c.MarshalBinary()
-	if err != nil {
-		return nil, err
+// Denial reports the renewal denial the reply will carry
+// (ErrRenewRateLimited or ErrForeignPrev), or nil if a certificate
+// was minted.
+func (a *Admitted) Denial() error { return statusErr(a.status) }
+
+// EphID is the minted identifier (zero on a denial).
+func (a *Admitted) EphID() ephid.EphID { return a.cert.EphID }
+
+// ExpTime is the minted identifier's expiry (zero on a denial).
+func (a *Admitted) ExpTime() uint32 { return a.cert.ExpTime }
+
+// Cert is the certificate the reply carries, signed once Seal has
+// returned; nil on a denial.
+func (a *Admitted) Cert() *cert.Cert {
+	if a.status != replyStatusOK {
+		return nil
 	}
-	return s.sealReply(encKey[:], srcEphID, replyStatusOK, raw)
+	return &a.cert
+}
+
+// Seal signs the certificate and encrypts the reply under the host's
+// kHA key, bound to the requesting control EphID — the status byte
+// alone for a denial. Encryption keeps observers from linking the new
+// EphID to the control EphID. Call it once.
+func (a *Admitted) Seal() ([]byte, error) {
+	var raw []byte
+	if a.status == replyStatusOK {
+		a.cert.Sign(a.signer)
+		var err error
+		if raw, err = a.cert.MarshalBinary(); err != nil {
+			return nil, err
+		}
+	}
+	return sealReply(a.encKey[:], a.src, a.status, raw)
 }
 
 // Reply status codes, the first byte of the decrypted reply.
@@ -373,9 +436,25 @@ func statusOf(err error) byte {
 	return replyStatusForeignPrev
 }
 
+// statusErr maps a wire status back to its denial error (nil for OK).
+func statusErr(status byte) error {
+	switch status {
+	case replyStatusOK:
+		return nil
+	case replyStatusRateLimited:
+		return ErrRenewRateLimited
+	case replyStatusForeignPrev:
+		return ErrForeignPrev
+	}
+	return fmt.Errorf("%w: reply status %d", ErrBadRequest, status)
+}
+
 // sealReply encrypts a status byte plus optional certificate under the
-// host's kHA key, bound to the requesting control EphID.
-func (s *Service) sealReply(encKey []byte, srcEphID ephid.EphID, status byte, raw []byte) ([]byte, error) {
+// host's kHA key, bound to the requesting control EphID. Direction 1
+// separates the reply nonces from the host's request nonces under the
+// shared key, and each message draws its own random nonce (SealOnce):
+// the key lives as long as the host's registration.
+func sealReply(encKey []byte, srcEphID ephid.EphID, status byte, raw []byte) ([]byte, error) {
 	replyAEAD, err := crypto.NewAEAD(encKey, 1)
 	if err != nil {
 		return nil, err
@@ -383,23 +462,29 @@ func (s *Service) sealReply(encKey []byte, srcEphID ephid.EphID, status byte, ra
 	plain := make([]byte, 0, 1+len(raw))
 	plain = append(plain, status)
 	plain = append(plain, raw...)
-	return replyAEAD.Seal(nil, plain, srcEphID[:])
+	return replyAEAD.SealOnce(nil, plain, srcEphID[:])
+}
+
+// mint fills the unsigned certificate for an already-validated host:
+// Issue without the signature.
+func (s *Service) mint(hid ephid.HID, req *Request) cert.Cert {
+	exp := uint32(s.now()) + s.policy.Clamp(req.Lifetime)
+	id := s.sealer.Mint(ephid.Payload{HID: hid, ExpTime: exp})
+	s.issued()
+	return cert.Cert{
+		Kind: req.Kind, EphID: id, ExpTime: exp,
+		AID: s.aid, AAEphID: s.aaEphID,
+		DHPub: req.DHPub, SigPub: req.SigPub,
+	}
 }
 
 // Issue mints and certifies an EphID for an already-validated host.
 // This is the core generation step measured in the paper's MS
 // performance experiment (Section V-A3).
 func (s *Service) Issue(hid ephid.HID, req *Request) (*cert.Cert, error) {
-	exp := uint32(s.now()) + s.policy.Clamp(req.Lifetime)
-	id := s.sealer.Mint(ephid.Payload{HID: hid, ExpTime: exp})
-	c := &cert.Cert{
-		Kind: req.Kind, EphID: id, ExpTime: exp,
-		AID: s.aid, AAEphID: s.aaEphID,
-		DHPub: req.DHPub, SigPub: req.SigPub,
-	}
+	c := s.mint(hid, req)
 	c.Sign(s.signer)
-	s.issued()
-	return c, nil
+	return &c, nil
 }
 
 // DecodeReply is the host-side decryption of the MS reply: it recovers
@@ -423,14 +508,8 @@ func DecodeReply(encKey []byte, srcEphID ephid.EphID, reply []byte) (*cert.Cert,
 		// A denial is the status byte alone (sealReply).
 		return nil, fmt.Errorf("%w: %d bytes after reply status %d", ErrBadRequest, len(plain)-1, plain[0])
 	}
-	switch plain[0] {
-	case replyStatusOK:
-	case replyStatusRateLimited:
-		return nil, ErrRenewRateLimited
-	case replyStatusForeignPrev:
-		return nil, ErrForeignPrev
-	default:
-		return nil, fmt.Errorf("%w: reply status %d", ErrBadRequest, plain[0])
+	if err := statusErr(plain[0]); err != nil {
+		return nil, err
 	}
 	var c cert.Cert
 	if err := c.UnmarshalBinary(plain[1:]); err != nil {
@@ -441,11 +520,11 @@ func DecodeReply(encKey []byte, srcEphID ephid.EphID, reply []byte) (*cert.Cert,
 
 // EncodeRequest is the host-side encryption of a request under the
 // host's kHA encryption key, bound to the control EphID it will be sent
-// from.
+// from. Like the reply, each request draws its own random nonce.
 func EncodeRequest(encKey []byte, srcEphID ephid.EphID, req *Request) ([]byte, error) {
 	aead, err := crypto.NewAEAD(encKey, 0)
 	if err != nil {
 		return nil, err
 	}
-	return aead.Seal(nil, req.Encode(), srcEphID[:])
+	return aead.SealOnce(nil, req.Encode(), srcEphID[:])
 }

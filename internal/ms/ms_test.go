@@ -3,6 +3,7 @@ package ms
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -483,6 +484,271 @@ func TestRenewalStormPerHIDBudgets(t *testing.T) {
 	if silent != 0 || granted != hosts*burst || denied != hosts {
 		t.Errorf("post-rollover storm: granted=%d denied=%d silent=%d, want %d/%d/0",
 			granted, denied, silent, hosts*burst, hosts)
+	}
+}
+
+// exchange is what one request's trip through the service shows the
+// outside: the service's error, or the reply as the host decodes it,
+// plus how the renewal counters moved. The certificate is kept minus
+// its EphIDs and signature, which no two services share (the sealer's
+// IV base and the AS key are random per fixture); the EphID's payload
+// is kept instead, and the agent EphID and signature are checked.
+type exchange struct {
+	err, denial     string
+	cert            cert.Cert
+	payload         ephid.Payload
+	renewed, denied uint64
+}
+
+func (f *fixture) exchangeOf(t *testing.T, reply []byte, err error) exchange {
+	t.Helper()
+	x := exchange{err: fmt.Sprint(err)}
+	if err == nil {
+		c, derr := DecodeReply(f.keys.Enc[:], f.ctrlID, reply)
+		x.denial = fmt.Sprint(derr)
+		if derr == nil {
+			if verr := c.Verify(f.signer.PublicKey(), f.now); verr != nil {
+				t.Errorf("issued certificate does not verify: %v", verr)
+			}
+			p, oerr := f.sealer.Open(c.EphID)
+			if oerr != nil {
+				t.Errorf("issued EphID does not open: %v", oerr)
+			}
+			if c.AAEphID != f.aaEphID {
+				t.Errorf("certificate names agent %x, want %x", c.AAEphID, f.aaEphID)
+			}
+			x.payload = p
+			x.cert = *c
+			x.cert.EphID, x.cert.AAEphID, x.cert.Signature = ephid.EphID{}, ephid.EphID{}, [crypto.SignatureSize]byte{}
+		}
+	}
+	x.renewed, x.denied = f.svc.Renewed(), f.svc.RenewDenied()
+	return x
+}
+
+// fixedRequest is a plain request whose bound keys are the same in
+// every call, so two services' certificates for it can be compared.
+func fixedRequest() *Request {
+	req := &Request{Kind: ephid.KindData, Lifetime: 600}
+	copy(req.DHPub[:], bytes.Repeat([]byte{0x11}, len(req.DHPub)))
+	copy(req.SigPub[:], bytes.Repeat([]byte{0x22}, len(req.SigPub)))
+	return req
+}
+
+// TestAdmitSealMatchesHandleRequest: Admit then Seal is HandleRequest,
+// on every path through Figure 3 — the same error, or a reply that
+// decodes to the same certificate or the same denial, and the same
+// movement of the renewal counters. Each case runs on a fresh fixture
+// per path.
+func TestAdmitSealMatchesHandleRequest(t *testing.T) {
+	renewal := func(f *fixture, prevHID ephid.HID) *Request {
+		req := fixedRequest()
+		req.Flags = ReqFlagRenew
+		req.Prev = f.sealer.Mint(ephid.Payload{HID: prevHID, ExpTime: uint32(f.now) + 30})
+		return req
+	}
+	encode := func(f *fixture, req *Request) (ephid.EphID, []byte) {
+		ct, err := EncodeRequest(f.keys.Enc[:], f.ctrlID, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f.ctrlID, ct
+	}
+	cases := []struct {
+		name  string
+		build func(*fixture) (ephid.EphID, []byte)
+	}{
+		{"issue", func(f *fixture) (ephid.EphID, []byte) {
+			req := fixedRequest()
+			return encode(f, req)
+		}},
+		{"renewal", func(f *fixture) (ephid.EphID, []byte) {
+			return encode(f, renewal(f, f.hid))
+		}},
+		{"rate-limited", func(f *fixture) (ephid.EphID, []byte) {
+			f.svc.policy.RenewBurst = 1
+			req := renewal(f, f.hid)
+			if err := f.svc.checkRenewal(f.hid, req, f.now); err != nil {
+				t.Fatal(err)
+			}
+			return encode(f, req)
+		}},
+		{"foreign-prev", func(f *fixture) (ephid.EphID, []byte) {
+			f.db.Put(hostdb.Entry{HID: 99, Keys: crypto.DeriveHostASKeys([]byte("other"))})
+			return encode(f, renewal(f, 99))
+		}},
+		{"forged-ctrl", func(f *fixture) (ephid.EphID, []byte) {
+			_, ct := encode(f, renewal(f, f.hid))
+			return ephid.EphID{0: 0xFF}, ct
+		}},
+		{"expired-ctrl", func(f *fixture) (ephid.EphID, []byte) {
+			return f.sealer.Mint(ephid.Payload{HID: f.hid, ExpTime: uint32(f.now) - 1}), []byte("x")
+		}},
+		{"unknown-hid", func(f *fixture) (ephid.EphID, []byte) {
+			return f.sealer.Mint(ephid.Payload{HID: 999, ExpTime: uint32(f.now) + 100}), []byte("x")
+		}},
+		{"revoked-hid", func(f *fixture) (ephid.EphID, []byte) {
+			f.db.Revoke(f.hid)
+			req := fixedRequest()
+			return encode(f, req)
+		}},
+		{"wrong-key", func(f *fixture) (ephid.EphID, []byte) {
+			req := fixedRequest()
+			other := crypto.DeriveHostASKeys([]byte("mallory"))
+			ct, err := EncodeRequest(other.Enc[:], f.ctrlID, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f.ctrlID, ct
+		}},
+		{"malformed", func(f *fixture) (ephid.EphID, []byte) {
+			aead, err := crypto.NewAEAD(f.keys.Enc[:], 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ct, err := aead.SealOnce(nil, make([]byte, RequestSize-1), f.ctrlID[:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f.ctrlID, ct
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t)
+			src, ct := tc.build(f)
+			reply, err := f.svc.HandleRequest(src, ct)
+			want := f.exchangeOf(t, reply, err)
+
+			f = newFixture(t)
+			src, ct = tc.build(f)
+			a, err := f.svc.Admit(src, ct)
+			if err == nil {
+				// The decisions are readable before the seal.
+				denial, id, exp := a.Denial(), a.EphID(), a.ExpTime()
+				if reply, err = a.Seal(); err != nil {
+					t.Fatalf("seal: %v", err)
+				}
+				c, derr := DecodeReply(f.keys.Enc[:], f.ctrlID, reply)
+				switch {
+				case denial != nil:
+					if !errors.Is(derr, denial) || a.Cert() != nil || id != (ephid.EphID{}) || exp != 0 {
+						t.Errorf("admitted denial %v decoded to %v (cert %v, EphID %x, exp %d)", denial, derr, a.Cert(), id, exp)
+					}
+				case derr != nil || !c.Equal(a.Cert()) || c.EphID != id || c.ExpTime != exp:
+					t.Errorf("reply decoded to %+v, %v; admitted %+v", c, derr, a.Cert())
+				}
+			}
+			if got := f.exchangeOf(t, reply, err); got != want {
+				t.Errorf("Admit+Seal %+v\nHandleRequest %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestSealConcurrent: admitted requests are sealed from eight
+// goroutines while the admitting goroutine reads their decisions; each
+// reply decodes under its own host's key to the admitted certificate,
+// which verifies against the AS key. Run it under -race.
+func TestSealConcurrent(t *testing.T) {
+	f := newFixture(t)
+	const n, sealers = 64, 8
+	type host struct {
+		keys crypto.HostASKeys
+		ctrl ephid.EphID
+		adm  *Admitted
+	}
+	hs := make([]host, n)
+	for i := range hs {
+		hid := ephid.HID(2000 + i)
+		h := &hs[i]
+		h.keys = crypto.DeriveHostASKeys([]byte{byte(i), 0xC})
+		h.ctrl = f.sealer.Mint(ephid.Payload{HID: hid, ExpTime: uint32(f.now) + 3600})
+		f.db.Put(hostdb.Entry{HID: hid, Keys: h.keys, RegisteredAt: f.now})
+		req, _, _ := sampleRequest(t)
+		ct, err := EncodeRequest(h.keys.Enc[:], h.ctrl, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.adm, err = f.svc.Admit(h.ctrl, ct); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replies := make([][]byte, n)
+	var wg sync.WaitGroup
+	for s := range sealers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := s; i < n; i += sealers {
+				var err error
+				if replies[i], err = hs[i].adm.Seal(); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	ids := make(map[ephid.EphID]uint32, n)
+	for i := range hs {
+		ids[hs[i].adm.EphID()] = hs[i].adm.ExpTime()
+	}
+	wg.Wait()
+	if len(ids) != n {
+		t.Fatalf("%d distinct EphIDs minted for %d requests", len(ids), n)
+	}
+	for i, h := range hs {
+		c, err := DecodeReply(h.keys.Enc[:], h.ctrl, replies[i])
+		if err != nil {
+			t.Fatalf("reply %d: %v", i, err)
+		}
+		if !c.Equal(h.adm.Cert()) || ids[c.EphID] != c.ExpTime {
+			t.Errorf("reply %d carries %+v, admitted %+v", i, c, h.adm.Cert())
+		}
+		if err := c.Verify(f.signer.PublicKey(), f.now); err != nil {
+			t.Errorf("reply %d: %v", i, err)
+		}
+	}
+}
+
+// TestMessageNoncesAreFresh: requests and replies share the host's kHA
+// key for as long as it is registered, so every message needs a nonce
+// no other message under that key has. Before SealOnce each one was a
+// 4-byte random prefix and a counter that always read 1, and
+// collisions were likely after about 2¹⁶ messages.
+func TestMessageNoncesAreFresh(t *testing.T) {
+	f := newFixture(t)
+	const n = 4096
+	seen := make(map[[crypto.NonceSize]byte]bool, 2*n)
+	tails := map[bool]map[[8]byte]bool{false: {}, true: {}}
+	note := func(msg []byte, reply bool) {
+		var nonce [crypto.NonceSize]byte
+		copy(nonce[:], msg)
+		if seen[nonce] {
+			t.Fatalf("nonce %x repeated", nonce)
+		}
+		seen[nonce] = true
+		if dir := nonce[0]&1 == 1; dir != reply {
+			t.Fatalf("nonce %x: direction bit %v on a reply=%v message", nonce, dir, reply)
+		}
+		tails[reply][[8]byte(nonce[4:])] = true
+	}
+	req, _, _ := sampleRequest(t)
+	for range n {
+		ct, err := EncodeRequest(f.keys.Enc[:], f.ctrlID, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply, err := f.svc.HandleRequest(f.ctrlID, ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		note(ct, false)
+		note(reply, true)
+	}
+	for reply, set := range tails {
+		if len(set) < 2 {
+			t.Errorf("reply=%v: nonce bytes 4-11 are constant across %d messages", reply, n)
+		}
 	}
 }
 

@@ -19,7 +19,10 @@
 // seeded from (Seed, worker) and from virtual time, and every modeled
 // host is owned by exactly one worker, so the logical event trace —
 // which host did what at which tick, and every counter — is a pure
-// function of the Config. Only wall-clock measurements (latencies,
+// function of the Config. Helper goroutines on the cores the workers
+// leave idle sign and seal the MS replies, but every decision is made
+// on the worker by ms.Service.Admit, so they change no outcome, only
+// the wall time. Only wall-clock measurements (latencies,
 // events/sec, RSS) vary between runs. EphID byte values are not part of
 // the trace: the sealer's IV counter is shared across workers, so the
 // identifiers themselves depend on scheduling.
@@ -403,6 +406,112 @@ type worker struct {
 	issue   reservoir
 	renew   reservoir
 	trace   []traceEvent
+
+	// helpers feeds this worker's spare-core helpers; its capacity is
+	// their count, and it is nil (every seal inline) when there are
+	// none. inflight counts the seal jobs handed to them this tick.
+	helpers  chan *sealJob
+	inflight sync.WaitGroup
+	// samples are this tick's latency samples in issue order, folded
+	// into the reservoirs once every seal is back; free recycles jobs.
+	samples []sample
+	free    []*sealJob
+}
+
+// sealJob is the second half of one round trip: seal the admitted
+// reply, decode it as the host would, and check that it carries what
+// was admitted. The host's key and control EphID are copied in, since
+// churn may hand the host's slot to a new identity before a helper
+// gets to the job.
+type sealJob struct {
+	enc  [crypto.SymKeySize]byte
+	ctrl ephid.EphID
+	adm  *ms.Admitted
+	end  time.Time
+	bad  bool
+}
+
+func (j *sealJob) run() {
+	_, err := reply(j.enc[:], j.ctrl, j.adm)
+	j.bad = !errors.Is(err, j.adm.Denial())
+	j.end = time.Now() //apna:wallclock
+}
+
+// sample is one issuance or renewal latency sample. It spans from the
+// first admit's start to the later of the worker finishing its part
+// (end) and the last of its seals being checked, so a wait for a
+// helper counts, and a renewal's sample spans its denial and its
+// fallback.
+type sample struct {
+	hid        ephid.HID
+	start, end time.Time
+	jobs       [2]*sealJob
+	into       *reservoir
+}
+
+// request admits one request from h and hands its seal off (seal). The
+// error is Admit's, or the denial the reply will carry.
+func (wk *worker) request(h *hostState, prev *ephid.EphID, sm *sample) (*ms.Admitted, error) {
+	a, err := wk.w.admit(h, wk.cfg.EphIDLifetime, prev)
+	if err != nil {
+		return nil, err
+	}
+	j := wk.seal(h, a)
+	if sm.jobs[0] == nil {
+		sm.jobs[0] = j
+	} else {
+		sm.jobs[1] = j
+	}
+	return a, a.Denial()
+}
+
+// seal offers the job to this worker's helpers without blocking; if
+// none can take it now, the worker seals it itself, right away. So at
+// most two jobs per helper are ever outstanding, and with no helper
+// every request is sealed inline.
+func (wk *worker) seal(h *hostState, a *ms.Admitted) *sealJob {
+	var j *sealJob
+	if n := len(wk.free); n > 0 {
+		j, wk.free = wk.free[n-1], wk.free[:n-1]
+	} else {
+		j = new(sealJob)
+	}
+	j.enc, j.ctrl, j.adm = h.keys.Enc, h.ctrl, a
+	wk.inflight.Add(1)
+	select {
+	case wk.helpers <- j:
+	default:
+		j.run()
+		wk.inflight.Done()
+	}
+	return j
+}
+
+// collect waits for the seals handed off this tick, then folds every
+// sample into its reservoir in issue order. A reply that did not carry
+// what was admitted counts as ErrNoEphID.
+func (wk *worker) collect(t int) {
+	wk.inflight.Wait()
+	for _, sm := range wk.samples {
+		end, bad := sm.end, false
+		for _, j := range sm.jobs {
+			if j == nil {
+				continue
+			}
+			if j.end.After(end) {
+				end = j.end
+			}
+			bad = bad || j.bad
+			j.adm = nil
+			wk.free = append(wk.free, j)
+		}
+		sm.into.add(float64(end.Sub(sm.start).Nanoseconds()) / 1e3)
+		if bad {
+			wk.c.errNoEphID++
+			wk.rec(t, evNoEphID, sm.hid)
+		}
+	}
+	wk.samples = wk.samples[:0]
 }
 
 func (wk *worker) rec(tick int, kind byte, hid ephid.HID) {
@@ -446,6 +555,7 @@ func (wk *worker) tick(t int) {
 	wk.renewals(t, now)
 	wk.churn(t, now)
 	wk.arrivals(t, now)
+	wk.collect(t)
 }
 
 // renewals drains this tick's renewal bucket: live flows renew their
@@ -464,25 +574,26 @@ func (wk *worker) renewals(t int, now int64) {
 		if s.busyUntil <= now {
 			continue // flow ended; let the identifier lapse
 		}
-		t0 := time.Now() //apna:wallclock
-		c, err := wk.w.issue(h, wk.cfg.EphIDLifetime, &s.id)
+		sm := sample{hid: h.hid, start: time.Now(), into: &wk.renew} //apna:wallclock
+		a, err := wk.request(h, &s.id, &sm)
 		if errors.Is(err, ms.ErrRenewRateLimited) {
 			// Denied renewals fall back to plain issuance, which the
 			// policy deliberately leaves unthrottled: the flow stays
 			// alive, only the identifier-history linkage is cut.
 			wk.c.renewDenied++
 			wk.rec(t, evRenewDenied, h.hid)
-			c, err = wk.w.issue(h, wk.cfg.EphIDLifetime, nil)
+			a, err = wk.request(h, nil, &sm)
 		}
-		wk.renew.add(float64(time.Since(t0).Nanoseconds()) / 1e3) //apna:wallclock
+		sm.end = time.Now() //apna:wallclock
+		wk.samples = append(wk.samples, sm)
 		if err != nil {
 			wk.c.errNoEphID++
 			wk.rec(t, evNoEphID, h.hid)
 			continue
 		}
 		wk.c.renewals++
-		s.id, s.exp = c.EphID, c.ExpTime
-		wk.schedule(sc.slot, c.ExpTime, t)
+		s.id, s.exp = a.EphID(), a.ExpTime()
+		wk.schedule(sc.slot, s.exp, t)
 		wk.rec(t, evRenew, h.hid)
 	}
 }
@@ -564,9 +675,10 @@ func (wk *worker) arrivals(t int, now int64) {
 			wk.rec(t, evPoolHit, h.hid)
 			continue
 		}
-		t0 := time.Now() //apna:wallclock
-		c, err := wk.w.issue(h, wk.cfg.EphIDLifetime, nil)
-		wk.issue.add(float64(time.Since(t0).Nanoseconds()) / 1e3) //apna:wallclock
+		sm := sample{hid: h.hid, start: time.Now(), into: &wk.issue} //apna:wallclock
+		a, err := wk.request(h, nil, &sm)
+		sm.end = time.Now() //apna:wallclock
+		wk.samples = append(wk.samples, sm)
 		if err != nil {
 			wk.c.errNoEphID++
 			wk.rec(t, evNoEphID, h.hid)
@@ -575,8 +687,8 @@ func (wk *worker) arrivals(t int, now int64) {
 		wk.c.issued++
 		if idleAny >= 0 {
 			sl := &wk.slots[idleAny]
-			sl.id, sl.exp, sl.busyUntil = c.EphID, c.ExpTime, now+int64(dur)
-			wk.schedule(int32(idleAny), c.ExpTime, t)
+			sl.id, sl.exp, sl.busyUntil = a.EphID(), a.ExpTime(), now+int64(dur)
+			wk.schedule(int32(idleAny), sl.exp, t)
 			wk.rec(t, evIssue, h.hid)
 		} else {
 			// Pool exhausted: the flow runs on an unpooled identifier
@@ -629,6 +741,33 @@ func Run(cfg Config) (*Result, error) {
 	}
 	setupWG.Wait()
 
+	// Spare-core helpers: one per P the workers leave idle, shared out
+	// round-robin. They only sign, seal and check replies the workers
+	// admitted, so every decision stays on the workers (DESIGN §10,
+	// "Spare cores seal").
+	spare := max(runtime.GOMAXPROCS(0)-cfg.Workers, 0)
+	var helperWG sync.WaitGroup
+	for i, wk := range workers {
+		n := spare / cfg.Workers
+		if i < spare%cfg.Workers {
+			n++
+		}
+		if n == 0 {
+			continue
+		}
+		wk.helpers = make(chan *sealJob, n)
+		helperWG.Add(n)
+		for range n {
+			go func() {
+				defer helperWG.Done()
+				for j := range wk.helpers {
+					j.run()
+					wk.inflight.Done()
+				}
+			}()
+		}
+	}
+
 	comp := newComplainer(w, &cfg)
 	res := &Result{Config: cfg, ReceiptStatus: map[string]uint64{}, HostdbShards: w.db.ShardCount()}
 
@@ -679,7 +818,11 @@ func Run(cfg Config) (*Result, error) {
 	elapsed := time.Since(t0) //apna:wallclock
 	for i := range start {
 		close(start[i])
+		if workers[i].helpers != nil {
+			close(workers[i].helpers)
+		}
 	}
+	helperWG.Wait()
 
 	// Merge.
 	issueRes := make([]*reservoir, 0, len(workers))
@@ -895,10 +1038,49 @@ func (r *Result) Fprint(out io.Writer) {
 		r.RenewLatency.P99us, float64(r.PeakRSSBytes)/(1<<20))
 }
 
-// issue is the full host→MS round trip: encode and encrypt the request
-// under the host's kHA key, run Figure 3 in the service, decrypt and
-// parse the reply. prev non-nil makes it a renewal.
+// errReplyMismatch reports a reply that decoded to something other
+// than what the service admitted.
+var errReplyMismatch = errors.New("population: reply does not carry what was admitted")
+
+// issue is the full host→MS round trip on the caller: admit, then
+// reply. The complainer uses it between ticks.
 func (w *world) issue(h *hostState, lifetime uint32, prev *ephid.EphID) (*cert.Cert, error) {
+	a, err := w.admit(h, lifetime, prev)
+	if err != nil {
+		return nil, err
+	}
+	return reply(h.keys.Enc[:], h.ctrl, a)
+}
+
+// reply is the round trip's second half: the service seals the
+// admitted reply, and the host decrypts and parses it under its own
+// kHA key. The reply must carry exactly what was admitted — the
+// certificate, or the denial, which comes back as the error.
+func reply(enc []byte, ctrl ephid.EphID, a *ms.Admitted) (*cert.Cert, error) {
+	raw, err := a.Seal()
+	if err != nil {
+		return nil, err
+	}
+	c, err := ms.DecodeReply(enc, ctrl, raw)
+	if denial := a.Denial(); denial != nil {
+		if !errors.Is(err, denial) {
+			return nil, errReplyMismatch
+		}
+		return nil, denial
+	}
+	if err != nil {
+		return nil, err
+	}
+	if !c.Equal(a.Cert()) {
+		return nil, errReplyMismatch
+	}
+	return c, nil
+}
+
+// admit is the round trip's first half: encode and encrypt the request
+// under the host's kHA key, then run Figure 3 in the service up to the
+// signature. prev non-nil makes it a renewal.
+func (w *world) admit(h *hostState, lifetime uint32, prev *ephid.EphID) (*ms.Admitted, error) {
 	req := ms.Request{Kind: ephid.KindData, Lifetime: lifetime}
 	if prev != nil {
 		req.Flags = ms.ReqFlagRenew
@@ -912,9 +1094,5 @@ func (w *world) issue(h *hostState, lifetime uint32, prev *ephid.EphID) (*cert.C
 	if err != nil {
 		return nil, err
 	}
-	reply, err := w.ms.HandleRequest(h.ctrl, ct)
-	if err != nil {
-		return nil, err
-	}
-	return ms.DecodeReply(h.keys.Enc[:], h.ctrl, reply)
+	return w.ms.Admit(h.ctrl, ct)
 }

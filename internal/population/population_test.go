@@ -1,8 +1,10 @@
 package population
 
 import (
+	"maps"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -28,22 +30,24 @@ func smallConfig() Config {
 // logical strips a Result to its deterministic fields (wall-clock
 // measurements excluded).
 type logical struct {
-	arrivals, poolHits, issued, overflow, renewals, denied, noEphID uint64
-	joins, leaves, bytes, complaints, replays, revoked, dups        uint64
-	gcReaped, digestLast, hostdb                                    int
-	digestBytes, events, traceEvents                                uint64
-	trace                                                           string
+	arrivals, flash, poolHits, issued, overflow, renewals, denied, noEphID uint64
+	joins, leaves, bytes, complaints, replays, revoked, dups               uint64
+	gcRuns, digestFlushes, digestBytes, events, traceEvents                uint64
+	gcReaped, digestLast, renewTracked, hostdb                             int
+	trace                                                                  string
 }
 
 func logicalOf(r *Result) logical {
 	return logical{
-		arrivals: r.Arrivals, poolHits: r.PoolHits, issued: r.Issued,
+		arrivals: r.Arrivals, flash: r.FlashArrivals, poolHits: r.PoolHits, issued: r.Issued,
 		overflow: r.OverflowIssued, renewals: r.Renewals, denied: r.RenewDenied,
 		noEphID: r.ErrNoEphID, joins: r.Joins, leaves: r.Leaves,
 		bytes: r.ModeledBytes, complaints: r.Complaints, replays: r.Replays,
 		revoked: r.OffendersRevoked, dups: r.AcctDuplicates,
-		gcReaped: r.GCReaped, digestLast: r.DigestEntriesLast, hostdb: r.HostdbHosts,
-		digestBytes: r.DigestBytes, events: r.Events, traceEvents: r.TraceEvents,
+		gcRuns: r.GCRuns, digestFlushes: r.DigestFlushes, digestBytes: r.DigestBytes,
+		events: r.Events, traceEvents: r.TraceEvents,
+		gcReaped: r.GCReaped, digestLast: r.DigestEntriesLast,
+		renewTracked: r.RenewTracked, hostdb: r.HostdbHosts,
 		trace: r.TraceHash,
 	}
 }
@@ -75,6 +79,42 @@ func TestDeterministicTrace(t *testing.T) {
 	}
 	if c.TraceHash == a.TraceHash {
 		t.Fatalf("different seeds produced the same trace hash %s", a.TraceHash)
+	}
+}
+
+// TestSpareCoreSealingMatchesInline: with no spare core every reply is
+// sealed on its worker; with spare cores most go to helpers. The run
+// must not notice. A renewal budget of one makes denials and their
+// fallbacks go through helpers too, and churn and complaints stay on.
+func TestSpareCoreSealingMatchesInline(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		cfg := smallConfig()
+		cfg.Workers = workers
+		cfg.RenewBurst = 1
+		var runs [2]*Result
+		for i, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			r, err := Run(cfg)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatalf("workers %d, GOMAXPROCS %d: %v", workers, procs, err)
+			}
+			if r.ErrNoEphID != 0 {
+				t.Errorf("workers %d, GOMAXPROCS %d: ErrNoEphID = %d", workers, procs, r.ErrNoEphID)
+			}
+			runs[i] = r
+		}
+		if runs[0].RenewDenied == 0 || runs[0].Complaints == 0 || runs[0].Leaves == 0 {
+			t.Errorf("workers %d: a path went unexercised: %d denials, %d complaints, %d leaves",
+				workers, runs[0].RenewDenied, runs[0].Complaints, runs[0].Leaves)
+		}
+		t.Logf("workers %d: trace %.12s, %d denials", workers, runs[0].TraceHash, runs[0].RenewDenied)
+		if a, b := logicalOf(runs[0]), logicalOf(runs[1]); a != b {
+			t.Errorf("workers %d: helpers changed the run:\n inline  %+v\n helpers %+v", workers, a, b)
+		}
+		if a, b := runs[0].ReceiptStatus, runs[1].ReceiptStatus; !maps.Equal(a, b) {
+			t.Errorf("workers %d: receipt statuses %v inline, %v with helpers", workers, a, b)
+		}
 	}
 }
 

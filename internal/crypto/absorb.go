@@ -12,8 +12,9 @@ import (
 // schedule.absorb chains whole blocks into one CBC state, absorbLanes
 // chains them into up to maxLanes independent states in lock-step. Each
 // has an AES-NI kernel (absorb_amd64.s) and the portable loop over
-// crypto/aes below; absorb_amd64.go and absorb_generic.go pick between
-// them from CPUID and GOARCH.
+// crypto/aes below, and absorbLanes has a third body, the same eight
+// chains on VAES with AVX-512; absorb_amd64.go and absorb_generic.go
+// pick between them from CPUID and GOARCH.
 
 // maxLanes is how many independent CBC chains absorbLanes interleaves:
 // AESENC has a latency of several cycles and a throughput of one or two
@@ -21,7 +22,54 @@ import (
 // fill it.
 const maxLanes = 8
 
-// schedule is one chain's expanded AES key. Where the kernel runs, an
+// laneKernel is a body of absorbLanes. The kernels form a ladder: a CPU
+// that runs one runs every kernel below it.
+type laneKernel uint8
+
+const (
+	kernelPortable laneKernel = iota // crypto/aes, one lane after the other
+	kernelXMM                        // absorb8: one chain per XMM register
+	kernelWide                       // absorbWide: four chains per ZMM register
+)
+
+func (k laneKernel) String() string {
+	return [...]string{"portable", "xmm", "wide"}[k]
+}
+
+// CPUID and XCR0 bits pickKernel reads.
+const (
+	cpuidAES     = 1 << 25 // CPUID.1:ECX
+	cpuidOSXSAVE = 1 << 27 // CPUID.1:ECX: XGETBV works, XCR0 is meaningful
+	cpuidAVX     = 1 << 28 // CPUID.1:ECX: the VEX moves and VZEROUPPER
+	cpuidAVX512F = 1 << 16 // CPUID.7.0:EBX
+	cpuidVAES    = 1 << 9  // CPUID.7.0:ECX
+
+	// xcr0ZMM is the state the OS must save for the wide kernel: SSE
+	// and AVX (bits 1, 2), the opmask registers, the upper halves of
+	// Z0-Z15 and all of Z16-Z31 (bits 5-7).
+	xcr0ZMM = 1<<1 | 1<<2 | 1<<5 | 1<<6 | 1<<7
+)
+
+// pickKernel maps the raw words CPUID.1:ECX, CPUID.7.0:EBX, CPUID.7.0:ECX
+// and XCR0 to the fastest kernel they allow. The wide kernel needs VAES
+// and AVX512F from the CPU and ZMM state from the OS: a CPU with both
+// under an OS that does not save the upper registers must not run it.
+// It names X16-X31 only as whole ZMM registers, so AVX512VL does not
+// matter.
+func pickKernel(ecx1, ebx7, ecx7, xcr0 uint32) laneKernel {
+	switch {
+	case ecx1&cpuidAES == 0:
+		return kernelPortable
+	case ecx1&(cpuidOSXSAVE|cpuidAVX) != cpuidOSXSAVE|cpuidAVX,
+		xcr0&xcr0ZMM != xcr0ZMM,
+		ebx7&cpuidAVX512F == 0,
+		ecx7&cpuidVAES == 0:
+		return kernelXMM
+	}
+	return kernelWide
+}
+
+// schedule is one chain's expanded AES key. Where a kernel runs, an
 // AES-128 key is expanded into rk and sw stays nil; everywhere else (no
 // AES-NI, the purego build, a 24- or 32-byte key) sw holds a crypto/aes
 // block and rk is unused.
@@ -60,7 +108,7 @@ func (s *swChain) absorb(state *[aes.BlockSize]byte, src []byte, n int) {
 }
 
 // lane is one of the CBC chains absorbLanes advances: state = E(key,
-// state ^ block) for each block of src. The 8-lane kernel addresses
+// state ^ block) for each block of src. The 8-lane kernels address
 // state, key and src by offset (absorb_amd64.go asserts the layout).
 type lane struct {
 	state [aes.BlockSize]byte

@@ -7,8 +7,13 @@ import (
 	"unsafe"
 )
 
-// hasAESNI is read from CPUID once; nothing else selects the kernel.
-var hasAESNI = cpuHasAES()
+// best is the fastest kernel the CPU and OS run, read from CPUID once;
+// kernel is the one absorbLanes runs: best, unless this package's own
+// tests and benchmarks swap it to compare the bodies.
+var (
+	best   = pickKernel(cpuid())
+	kernel = best
+)
 
 // The kernels address lane fields by these offsets; a layout change
 // must break the build, not the MAC.
@@ -20,8 +25,8 @@ var (
 	_ = [1]struct{}{}[unsafe.Offsetof(schedule{}.rk)-0]
 )
 
-// cpuHasAES reports CPUID.1:ECX.AES.
-func cpuHasAES() bool
+// cpuid returns the raw words pickKernel reads.
+func cpuid() (ecx1, ebx7, ecx7, xcr0 uint32)
 
 // expandKey128 writes the 11 AES-128 round keys of key into rk
 // (AESKEYGENASSIST; no table lookup).
@@ -42,8 +47,14 @@ func absorb1(state *[aes.BlockSize]byte, rk *[11][aes.BlockSize]byte, src *byte,
 //go:noescape
 func absorb8(lanes *[maxLanes]lane, n int)
 
+// absorbWide is absorb8 with the eight chains as two ZMM registers of
+// four, under VAES. Same contract; only a kernelWide CPU may call it.
+//
+//go:noescape
+func absorbWide(lanes *[maxLanes]lane, n int)
+
 func (s *schedule) init(key []byte) error {
-	if !hasAESNI || len(key) != SymKeySize {
+	if kernel == kernelPortable || len(key) != SymKeySize {
 		return s.initPortable(key)
 	}
 	s.sw = nil
@@ -62,20 +73,24 @@ func (s *schedule) absorb(state *[aes.BlockSize]byte, src []byte, n int) {
 }
 
 // absorbLanes chains the first n blocks of every lanes[:live] into its
-// state. lanes[live:] are scratch: the 8-lane kernel always runs eight
+// state. lanes[live:] are scratch: both 8-lane kernels always run eight
 // chains, so idle lanes repeat lane 0's input and their output is never
 // read.
 func absorbLanes(lanes *[maxLanes]lane, live, n int) {
-	kernel := live > 1
+	batched := live > 1
 	for i := range lanes[:live] {
-		kernel = kernel && lanes[i].key.sw == nil
+		batched = batched && lanes[i].key.sw == nil
 	}
-	if !kernel {
+	if !batched {
 		absorbEach(lanes, live, n)
 		return
 	}
 	for i := live; i < maxLanes; i++ {
 		lanes[i].key, lanes[i].src = lanes[0].key, lanes[0].src
+	}
+	if kernel == kernelWide {
+		absorbWide(lanes, n)
+		return
 	}
 	absorb8(lanes, n)
 }

@@ -4,6 +4,12 @@ package crypto
 
 import "crypto/aes"
 
+// The portable body is the only one here.
+var (
+	best   = kernelPortable
+	kernel = best
+)
+
 func (s *schedule) init(key []byte) error { return s.initPortable(key) }
 
 // absorb chains the first n blocks of src into state.

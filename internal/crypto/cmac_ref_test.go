@@ -82,8 +82,10 @@ func (c *refCMAC) tag(msg ...[]byte) [aes.BlockSize]byte {
 // TestMACBatchRFC4493 drives the RFC vectors through the batch at every
 // lane occupancy from one job to two full rounds and one over, so each
 // of the kernel's eight lanes, the idle-lane fill and the refill after a
-// lane retires all see a known answer.
-func TestMACBatchRFC4493(t *testing.T) {
+// lane retires all see a known answer, on every kernel.
+func TestMACBatchRFC4493(t *testing.T) { forEachKernel(t, macBatchRFC4493) }
+
+func macBatchRFC4493(t *testing.T) {
 	c, err := NewCMAC(cmacKey)
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +269,9 @@ func checkDifferential(t *testing.T, rng *rand.Rand, keyLen, msgLen int) {
 	}
 }
 
-func TestCMACDifferential(t *testing.T) {
+func TestCMACDifferential(t *testing.T) { forEachKernel(t, cmacDifferential) }
+
+func cmacDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(4493))
 	for i := 0; i < 300; i++ {
 		keyLen := []int{16, 16, 16, 24, 32}[rng.Intn(5)]
@@ -284,8 +288,13 @@ func TestCMACDifferential(t *testing.T) {
 }
 
 // FuzzCMACDifferential lets the fuzzer pick the seed, the key size and
-// the message length of checkDifferential.
+// the message length of checkDifferential, and runs it on every kernel
+// the CPU has.
 func FuzzCMACDifferential(f *testing.F) {
+	if best < kernelWide {
+		f.Logf("kernels above %s skipped: not on this CPU or build", best)
+	}
+	defer func(k laneKernel) { kernel = k }(kernel)
 	f.Add(int64(1), uint8(0), uint16(0))
 	f.Add(int64(2), uint8(1), uint16(16))
 	f.Add(int64(3), uint8(2), uint16(17))
@@ -293,7 +302,15 @@ func FuzzCMACDifferential(f *testing.F) {
 	f.Add(int64(5), uint8(0), uint16(4096))
 	f.Fuzz(func(t *testing.T, seed int64, keySel uint8, msgLen uint16) {
 		keyLen := []int{16, 16, 24, 32}[keySel%4]
-		checkDifferential(t, rand.New(rand.NewSource(seed)), keyLen, int(msgLen)%4097)
+		defer func() {
+			if t.Failed() {
+				t.Logf("on the %s kernel", kernel)
+			}
+		}()
+		for k := kernelPortable; k <= best; k++ {
+			kernel = k
+			checkDifferential(t, rand.New(rand.NewSource(seed)), keyLen, int(msgLen)%4097)
+		}
 	})
 }
 

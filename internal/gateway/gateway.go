@@ -163,7 +163,10 @@ func (g *Gateway) allocVirtual() uint32 {
 }
 
 // HandleIPv4 translates one IPv4 packet from the legacy side into the
-// APNA network.
+// APNA network. A fragment or a header with a bad checksum is dropped
+// (wire.ErrIPFragment, wire.ErrIPChecksum): the flow key's ports are
+// the first four payload bytes, and only a whole datagram's payload
+// starts with them.
 func (g *Gateway) HandleIPv4(pkt []byte) error {
 	var ip wire.IPv4Header
 	if err := ip.DecodeFromBytes(pkt); err != nil {

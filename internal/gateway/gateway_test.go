@@ -2,6 +2,8 @@ package gateway
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 	"time"
 
@@ -229,5 +231,64 @@ func TestInboundToLegacyServer(t *testing.T) {
 	msgs := w.native.Stack.Inbox()
 	if len(msgs) != 1 || !bytes.Contains(msgs[0].Payload, []byte("server says hi")) {
 		t.Fatalf("native inbox: %+v", msgs)
+	}
+}
+
+// TestFragmentsAndBadChecksumsNotTranslated: a non-first fragment
+// starts mid-datagram, so its first four payload bytes are not ports;
+// read as ports they would open a flow (and spend a per-flow EphID) on
+// garbage. A header whose checksum fails is not read either. Both are
+// dropped with their typed errors, counted, and open no flow.
+func TestFragmentsAndBadChecksumsNotTranslated(t *testing.T) {
+	w := newWorld(t)
+	if _, err := w.gwHost.NewEphID(ephid.KindData, 900); err != nil {
+		t.Fatal(err)
+	}
+	serverIP := uint32(0xC0A80001)
+	w.gw.LearnMapping(serverIP, &w.nativeE.Cert)
+
+	frag := ipv4Packet(t, 0x0A000002, serverIP, 5000, 80, []byte("middle of a datagram"))
+	binary.BigEndian.PutUint16(frag[6:], 185) // offset 1480 bytes, MF clear
+	var h wire.IPv4Header
+	reseal := func(pkt []byte) {
+		binary.BigEndian.PutUint16(pkt[10:], 0)
+		var sum uint32
+		for i := 0; i < wire.IPv4HeaderSize; i += 2 {
+			sum += uint32(binary.BigEndian.Uint16(pkt[i:]))
+		}
+		for sum>>16 != 0 {
+			sum = sum&0xffff + sum>>16
+		}
+		binary.BigEndian.PutUint16(pkt[10:], ^uint16(sum))
+	}
+	reseal(frag)
+	bad := ipv4Packet(t, 0x0A000002, serverIP, 5001, 80, []byte("x"))
+	bad[12] ^= 0x80 // source address; the checksum no longer matches
+
+	for _, c := range []struct {
+		name string
+		pkt  []byte
+		want error
+	}{
+		{"non-first fragment", frag, wire.ErrIPFragment},
+		{"bad checksum", bad, wire.ErrIPChecksum},
+	} {
+		if err := h.DecodeFromBytes(c.pkt[:wire.IPv4HeaderSize]); !errors.Is(err, c.want) {
+			t.Fatalf("%s: the packet is not what the case means (%v)", c.name, err)
+		}
+		before := w.gw.Untranslatable
+		if err := w.gw.HandleIPv4(c.pkt); !errors.Is(err, c.want) {
+			t.Errorf("%s: HandleIPv4 = %v, want %v", c.name, err, c.want)
+		}
+		if w.gw.Untranslatable != before+1 {
+			t.Errorf("%s: drop not counted", c.name)
+		}
+	}
+	if len(w.gw.flows) != 0 || w.gw.Translated != 0 {
+		t.Fatalf("%d flows opened, %d packets translated", len(w.gw.flows), w.gw.Translated)
+	}
+	w.in.RunUntilIdle()
+	if msgs := w.native.Stack.Inbox(); len(msgs) != 0 {
+		t.Fatalf("native host received %d messages", len(msgs))
 	}
 }

@@ -85,3 +85,28 @@ func TestTypeString(t *testing.T) {
 		}
 	}
 }
+
+// FuzzICMPDecode drives Decode, the decoder a host runs on every ICMP
+// payload it receives (internal/host/control.go), with arbitrary bytes:
+// no input may panic, and any message it accepts must encode back to
+// exactly the bytes it came from.
+func FuzzICMPDecode(f *testing.F) {
+	for _, m := range []Message{
+		{Type: TypeEchoRequest, Seq: 7, Body: []byte("ping")},
+		{Type: TypeDestUnreachable, Code: CodeEphIDRevoked, Body: bytes.Repeat([]byte{0xAB}, QuoteLimit)},
+		{Type: TypePacketTooBig, Seq: 1280},
+	} {
+		f.Add(m.Encode())
+	}
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 0, 0, 0, 9, 'x'}) // length field lies
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Decode(data)
+		if err != nil {
+			return
+		}
+		if got := m.Encode(); !bytes.Equal(got, data) {
+			t.Fatalf("Decode accepted %x, which re-encodes to %x", data, got)
+		}
+	})
+}

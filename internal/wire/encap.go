@@ -27,6 +27,12 @@ const (
 
 	ipv4Version = 4
 	ipv4IHL     = 5 // 20 bytes, no options
+
+	// The flags/fragment-offset word (bytes 6-7).
+	ipv4Reserved   = 0x8000
+	ipv4DF         = 0x4000
+	ipv4MF         = 0x2000
+	ipv4OffsetMask = 0x1fff
 )
 
 // Encapsulation errors.
@@ -35,23 +41,30 @@ var (
 	ErrNotGRE      = errors.New("wire: not a GRE packet")
 	ErrNotAPNAGRE  = errors.New("wire: GRE payload is not APNA")
 	ErrIPTruncated = errors.New("wire: truncated IPv4 packet")
+	ErrIPFragment  = errors.New("wire: IPv4 fragment")
+	ErrIPChecksum  = errors.New("wire: bad IPv4 header checksum")
 )
 
 // IPv4Header is the 20-byte outer header used for tunneling (and by the
 // gateway when translating legacy traffic).
 type IPv4Header struct {
-	TOS      uint8
-	TotalLen uint16
-	ID       uint16
-	TTL      uint8
-	Protocol uint8
-	Checksum uint16
-	SrcIP    uint32
-	DstIP    uint32
+	TOS          uint8
+	TotalLen     uint16
+	ID           uint16
+	DontFragment bool
+	TTL          uint8
+	Protocol     uint8
+	Checksum     uint16
+	SrcIP        uint32
+	DstIP        uint32
 }
 
 // DecodeFromBytes parses an IPv4 header (without options support; IHL
-// must be 5, which is all the tunnel path ever produces).
+// must be 5, which is all the tunnel path ever produces). It takes only
+// whole datagrams under a correct header checksum: a fragment (MF set or
+// a non-zero offset) is ErrIPFragment, since what follows its header is
+// not the start of a segment, and a bad checksum is ErrIPChecksum. A
+// header it accepts re-serializes to the same 20 bytes.
 func (h *IPv4Header) DecodeFromBytes(data []byte) error {
 	if len(data) < IPv4HeaderSize {
 		return fmt.Errorf("%w: %d bytes", ErrIPTruncated, len(data))
@@ -62,9 +75,20 @@ func (h *IPv4Header) DecodeFromBytes(data []byte) error {
 	if data[0]&0x0f != ipv4IHL {
 		return fmt.Errorf("%w: IHL %d unsupported", ErrNotIPv4, data[0]&0x0f)
 	}
+	if !ChecksumValid(data) {
+		return fmt.Errorf("%w: %#04x", ErrIPChecksum, binary.BigEndian.Uint16(data[10:]))
+	}
+	flags := binary.BigEndian.Uint16(data[6:])
+	if flags&ipv4Reserved != 0 {
+		return fmt.Errorf("%w: reserved flag set", ErrNotIPv4)
+	}
+	if flags&(ipv4MF|ipv4OffsetMask) != 0 {
+		return fmt.Errorf("%w: flags/offset %#04x", ErrIPFragment, flags)
+	}
 	h.TOS = data[1]
 	h.TotalLen = binary.BigEndian.Uint16(data[2:])
 	h.ID = binary.BigEndian.Uint16(data[4:])
+	h.DontFragment = flags&ipv4DF != 0
 	h.TTL = data[8]
 	h.Protocol = data[9]
 	h.Checksum = binary.BigEndian.Uint16(data[10:])
@@ -82,7 +106,11 @@ func (h *IPv4Header) SerializeTo(buf []byte) error {
 	buf[1] = h.TOS
 	binary.BigEndian.PutUint16(buf[2:], h.TotalLen)
 	binary.BigEndian.PutUint16(buf[4:], h.ID)
-	binary.BigEndian.PutUint16(buf[6:], 0) // flags/fragment: never fragmented
+	var flags uint16 // never a fragment
+	if h.DontFragment {
+		flags = ipv4DF
+	}
+	binary.BigEndian.PutUint16(buf[6:], flags)
 	buf[8] = h.TTL
 	buf[9] = h.Protocol
 	binary.BigEndian.PutUint16(buf[10:], 0) // checksum placeholder

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"apna/internal/border"
+	"apna/internal/dns"
 	"apna/internal/ephid"
 	"apna/internal/host"
 	"apna/internal/wire"
@@ -130,8 +131,9 @@ func TestReceiveOnlyClientServerFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	idA := w.ephID(t, w.alice)
-	resolved, err := w.alice.Resolve(idA, "shop.example")
+	// The shop lives in the root zone: alice's local resolver answers
+	// it, and the answer verifies under the root key.
+	resolved, err := w.alice.Lookup("shop.example")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,9 +144,10 @@ func TestReceiveOnlyClientServerFlow(t *testing.T) {
 		t.Error("kind not preserved through DNS")
 	}
 
-	// Connect with a second EphID (per-flow granularity).
-	idA2 := w.ephID(t, w.alice)
-	conn, err := w.alice.Connect(idA2, resolved, nil)
+	// Lookup queried from EphIDs of its own; the connection takes a
+	// fresh one (per-flow granularity).
+	idA := w.ephID(t, w.alice)
+	conn, err := w.alice.Connect(idA, resolved, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,9 +166,8 @@ func TestReceiveOnlyClientServerFlow(t *testing.T) {
 
 func TestResolveUnknownName(t *testing.T) {
 	w := newWorld(t)
-	idA := w.ephID(t, w.alice)
-	if _, err := w.alice.Resolve(idA, "nope.example"); err == nil {
-		t.Error("unknown name resolved")
+	if _, err := w.alice.Lookup("nope.example"); !errors.Is(err, dns.ErrNXDomain) {
+		t.Errorf("unknown name: %v, want the verified denial %v", err, dns.ErrNXDomain)
 	}
 }
 
@@ -186,9 +188,8 @@ func TestDNSPoisoningDetected(t *testing.T) {
 	}
 	w.in.Zone.Poison("bank.example", &idM.Cert)
 
-	idA := w.ephID(t, w.alice)
-	if _, err := w.alice.Resolve(idA, "bank.example"); err == nil {
-		t.Error("poisoned record accepted — DNSSEC check missing")
+	if _, err := w.alice.Lookup("bank.example"); !errors.Is(err, dns.ErrBadRecord) {
+		t.Errorf("poisoned record: %v, want %v — DNSSEC check missing", err, dns.ErrBadRecord)
 	}
 }
 

@@ -42,6 +42,7 @@ import (
 	"strings"
 	"time"
 
+	"apna/internal/engine"
 	"apna/internal/experiments"
 	"apna/internal/trace"
 )
@@ -171,7 +172,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if selected("e8") {
-		cfg := experiments.DefaultE8()
+		cfg := engine.DefaultSaturation()
 		cfg.ASes = *e8ASes
 		cfg.HostsPerAS = *fwdHosts
 		cfg.Workers = *fwdWork
@@ -183,7 +184,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for i := 1; i <= *reruns; i++ {
 			fmt.Fprintf(stderr, "engine saturation (run %d/%d): %d ASes x %d hosts, %d workers, %d pkts/worker...\n",
 				i, *reruns, cfg.ASes, cfg.HostsPerAS, cfg.Workers, cfg.PacketsPerWorker)
-			res, err := experiments.RunE8(cfg)
+			res, err := engine.Saturate(cfg)
 			if err != nil {
 				return fatal(stderr, err)
 			}

@@ -1,10 +1,12 @@
 package apna
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
+	"apna/internal/dns"
 	"apna/internal/ephid"
 	"apna/internal/host"
 )
@@ -484,20 +486,12 @@ func TestConcurrentResolves(t *testing.T) {
 	c1, c2 := in.Host("client1"), in.Host("client2")
 	s1, s2 := in.Host("srv1"), in.Host("srv2")
 
-	// One client EphID per resolve: a flow is (local EphID, peer), so
-	// concurrent queries ride separate per-flow identifiers — the
-	// paper's per-flow granularity.
 	p1, p2 := s1.NewEphIDAsync(ephid.KindReceiveOnly, 24*3600), s2.NewEphIDAsync(ephid.KindReceiveOnly, 24*3600)
-	q1, q2 := c1.NewEphIDAsync(ephid.KindData, 900), c2.NewEphIDAsync(ephid.KindData, 900)
-	q3 := c2.NewEphIDAsync(ephid.KindData, 900)
-	if err := in.AwaitAll(p1, p2, q1, q2, q3); err != nil {
+	if err := in.AwaitAll(p1, p2); err != nil {
 		t.Fatal(err)
 	}
 	r1, _ := p1.Result()
 	r2, _ := p2.Result()
-	id1, _ := q1.Result()
-	id2, _ := q2.Result()
-	id3, _ := q3.Result()
 	if err := s1.Publish("one.example", &r1.Cert); err != nil {
 		t.Fatal(err)
 	}
@@ -505,9 +499,11 @@ func TestConcurrentResolves(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res1 := c1.ResolveAsync(id1, "one.example")
-	res2 := c2.ResolveAsync(id2, "two.example")
-	resMissing := c2.ResolveAsync(id3, "three.example")
+	// Every lookup queries from an EphID of its own, so the three run
+	// as separate flows even when one host has two in flight.
+	res1 := c1.LookupAsync("one.example")
+	res2 := c2.LookupAsync("two.example")
+	resMissing := c2.LookupAsync("three.example")
 	if err := in.AwaitAll(res1, res2, resMissing); err != nil {
 		t.Fatal(err)
 	}
@@ -517,25 +513,8 @@ func TestConcurrentResolves(t *testing.T) {
 	if cert2, err := res2.Result(); err != nil || cert2.EphID != r2.Cert.EphID {
 		t.Errorf("resolve two.example: %v", err)
 	}
-	if _, err := resMissing.Result(); err == nil {
-		t.Error("unknown name resolved")
-	}
-
-	// A second resolve on an EphID with a query already in flight fails
-	// fast instead of corrupting the first flow.
-	first := c1.ResolveAsync(id1, "one.example")
-	dup := c1.ResolveAsync(id1, "two.example")
-	if !dup.Done() {
-		t.Error("duplicate resolve not rejected immediately")
-	}
-	if _, err := dup.Result(); err == nil {
-		t.Error("duplicate resolve on one EphID accepted")
-	}
-	if err := in.Await(first); err != nil {
-		t.Fatal(err)
-	}
-	if c, err := first.Result(); err != nil || c.EphID != r1.Cert.EphID {
-		t.Errorf("first resolve corrupted by rejected duplicate: %v", err)
+	if _, err := resMissing.Result(); !errors.Is(err, dns.ErrNXDomain) {
+		t.Errorf("unknown name: %v, want %v", err, dns.ErrNXDomain)
 	}
 }
 

@@ -51,24 +51,18 @@ func main() {
 		}
 	})
 
-	// Client: resolve, then connect with 0-RTT data riding on the
-	// very first packet.
-	pDNS := client.NewEphIDAsync(ephid.KindData, 900)
-	pConn := client.NewEphIDAsync(ephid.KindData, 900)
-	must(in.AwaitAll(pDNS, pConn))
-	idDNS, err := pDNS.Result()
-	if err != nil {
-		log.Fatal(err)
-	}
-	idConn, err := pConn.Result()
-	if err != nil {
-		log.Fatal(err)
-	}
-	resolved, err := client.Resolve(idDNS, "shop.example")
+	// Client: resolve (Lookup dials the resolver from EphIDs of its
+	// own, so the query is not linked to the connection), then connect
+	// with 0-RTT data riding on the very first packet.
+	resolved, err := client.Lookup("shop.example")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("resolved shop.example (kind=%v)\n", resolved.Kind)
+	idConn, err := client.NewEphID(ephid.KindData, 900)
+	if err != nil {
+		log.Fatal(err)
+	}
 	conn, err := client.Connect(idConn, resolved, []byte("GET /catalog (0-RTT)"))
 	if err != nil {
 		log.Fatal(err)

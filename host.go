@@ -44,10 +44,6 @@ type Host struct {
 	// sequence number, so replies resolve the probe that addressed
 	// them and not another destination's probe sharing the seq.
 	pings map[pingKey][]*Pending[bool]
-	// resolves marks local EphIDs with a DNS query in flight: a flow is
-	// (local EphID, peer), so a second resolve on the same EphID would
-	// collide with the first.
-	resolves map[EphID]bool
 	// dnsCache is the host-side verified resolution cache (positive and
 	// negative) behind LookupAsync; dnsStats counts its activity.
 	dnsCache *dns.Cache
@@ -121,7 +117,6 @@ func (in *Internet) AddHost(aid AID, name string) (*Host, error) {
 		shutoffs:   make(map[Endpoint][]*Pending[bool]),
 		complaints: make(map[complaintKey]*Pending[*ShutoffReceipt]),
 		pings:      make(map[pingKey][]*Pending[bool]),
-		resolves:   make(map[EphID]bool),
 		dnsCache:   dns.NewCache()}
 	h.link = in.Sim.NewLink("host-"+name, in.opts.HostLinkLatency, 0)
 	as.Router.AttachHost(boot.HID, h.link.A())
@@ -145,8 +140,8 @@ func (in *Internet) AddHost(aid AID, name string) (*Host, error) {
 	// Dispatch echo replies to the ping future(s) addressed to the
 	// replying endpoint, so overlapping pings — even ones sharing a
 	// sequence number toward different destinations — resolve
-	// independently. The additive listener keeps user OnEchoReply
-	// callbacks from displacing the dispatcher (and vice versa).
+	// independently. Echo listeners are additive, so an application
+	// listener cannot displace the dispatcher.
 	stack.AddEchoListener(func(from wire.Endpoint, seq uint16) {
 		if p := queuePop(h.pings, pingKey{dst: from, seq: seq}); p != nil {
 			p.complete(true, nil)
@@ -241,90 +236,6 @@ func (h *Host) Send(conn *host.Conn, data []byte) error {
 func (h *Host) Publish(name string, c *cert.Cert) error {
 	_, err := h.as.in.Zone.Register(name, c, int64(c.ExpTime))
 	return err
-}
-
-// ResolveAsync initiates a DNS query for name over an encrypted session
-// with the AS's DNS service, without driving the simulator. The future
-// resolves with the verified certificate when the response arrives on
-// the query's flow; responses are verified against the zone key, and
-// the returned certificate is additionally verified against its issuing
-// AS's key before use by Connect.
-func (h *Host) ResolveAsync(local *host.OwnedEphID, name string) *Pending[*cert.Cert] {
-	// A flow is (local EphID, peer): a second resolve on the same EphID
-	// would collide with the in-flight one's session and tap. Per-flow
-	// granularity means concurrent queries use fresh EphIDs.
-	if h.resolves[local.Cert.EphID] {
-		return failedPending[*cert.Cert](fmt.Errorf(
-			"apna: resolve already in flight on EphID %v; use a fresh per-flow EphID", local.Cert.EphID))
-	}
-	q, err := dns.EncodeQuery(name)
-	if err != nil {
-		return failedPending[*cert.Cert](err)
-	}
-	p := newPending[*cert.Cert]()
-	dnsCert := h.Stack.Config().DNSCert
-	conn, err := h.Stack.Dial(local, &dnsCert, host.DialOptions{
-		OnEstablish: func(c *host.Conn) {
-			// The query (queued below) is flushed before this fires;
-			// the tap is in place one RTT before the response.
-			h.Stack.TapFlow(local.Cert.EphID, c.Peer(), func(m host.Message) bool {
-				delete(h.resolves, local.Cert.EphID)
-				resp, err := dns.ParseResponse(m.Payload)
-				switch {
-				case err != nil:
-					p.complete(nil, err)
-				case resp.Status == dns.StatusNXDomain:
-					// Negative responses are signed too: an on-path
-					// attacker must not be able to suppress a name with
-					// a bare NXDOMAIN.
-					if resp.Denial == nil || resp.Denial.Name != name ||
-						h.verifyZoneSig(resp.Denial.Verify) != nil {
-						p.complete(nil, fmt.Errorf("apna: unauthenticated denial for %q: %w", name, dns.ErrBadDenial))
-					} else {
-						p.complete(nil, dns.ErrNXDomain)
-					}
-				case resp.Status != dns.StatusOK:
-					// Referrals belong to the chained resolver
-					// (LookupAsync); the single-zone resolve treats them
-					// as a miss it cannot follow.
-					p.complete(nil, dns.ErrNXDomain)
-				case resp.Record.Name != name:
-					p.complete(nil, fmt.Errorf("apna: DNS answered %q for query %q", resp.Record.Name, name))
-				default:
-					if err := h.verifyZoneSig(resp.Record.Verify); err != nil {
-						p.complete(nil, err)
-					} else {
-						p.complete(&resp.Record.Cert, nil)
-					}
-				}
-				return false
-			})
-		},
-	})
-	if err != nil {
-		return failedPending[*cert.Cert](fmt.Errorf("apna: dialing DNS: %w", err))
-	}
-	if err := conn.Send(q); err != nil {
-		return failedPending[*cert.Cert](err)
-	}
-	h.resolves[local.Cert.EphID] = true
-	p.onIdleAbandon = func() {
-		delete(h.resolves, local.Cert.EphID)
-		// Tear down whatever the dead exchange left behind: the dial
-		// record if the handshake never completed, and the response tap
-		// if it did — either could swallow a later exchange's traffic
-		// on this flow.
-		h.Stack.AbortDial(conn)
-		h.Stack.Untap(local.Cert.EphID, conn.Peer())
-	}
-	h.as.in.registerLive(p)
-	return p
-}
-
-// Resolve synchronously queries the AS's DNS service for a name,
-// driving the simulator until the verified response arrives.
-func (h *Host) Resolve(local *host.OwnedEphID, name string) (*cert.Cert, error) {
-	return AwaitResult(h.as.in, h.ResolveAsync(local, name))
 }
 
 // ShutoffAsync sends a shutoff request for the flow that delivered m

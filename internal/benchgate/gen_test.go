@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"apna/internal/engine"
 	"apna/internal/experiments"
 )
 
@@ -29,14 +30,14 @@ func TestRegenerateFixtures(t *testing.T) {
 		t.Logf("wrote testdata/%s (%d bytes)", name, len(data))
 	}
 
-	e8cfg := experiments.DefaultE8()
+	e8cfg := engine.DefaultSaturation()
 	e8cfg.ASes = 2
 	e8cfg.HostsPerAS = 8
 	e8cfg.FramesPerLane = 64
 	e8cfg.Workers = 2
 	e8cfg.PacketsPerWorker = 2_000
 	e8cfg.BadFrac = 0.2
-	e8res, err := experiments.RunE8(e8cfg)
+	e8res, err := engine.Saturate(e8cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

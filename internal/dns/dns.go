@@ -215,33 +215,8 @@ func DecodeQuery(data []byte) (string, error) {
 	return string(data[3:]), nil
 }
 
-// EncodeResponse builds a response message (record may be nil for
-// NXDOMAIN).
-func EncodeResponse(status uint8, rec *SignedRecord) []byte {
-	var raw []byte
-	if rec != nil {
-		raw = rec.Encode()
-	}
-	buf := make([]byte, 0, 4+len(raw))
-	buf = append(buf, msgResponse, status)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(raw)))
-	return append(buf, raw...)
-}
-
-// DecodeResponse parses a response message, returning the record for
-// StatusOK responses. Denial and referral bodies are ignored here; use
-// ParseResponse to get them.
-func DecodeResponse(data []byte) (uint8, *SignedRecord, error) {
-	r, err := ParseResponse(data)
-	if err != nil {
-		return 0, nil, err
-	}
-	return r.Status, r.Record, nil
-}
-
 // Response is a fully parsed response message. Exactly one of Record,
-// Denial and Referral is set, matching Status (all nil for a legacy
-// empty-bodied NXDOMAIN).
+// Denial and Referral is set, matching Status.
 type Response struct {
 	Status   uint8
 	Record   *SignedRecord
@@ -250,6 +225,7 @@ type Response struct {
 }
 
 // ParseResponse parses a response message and its status-typed body.
+// A denial must carry its signed body: a bare NXDOMAIN is malformed.
 func ParseResponse(data []byte) (*Response, error) {
 	if len(data) < 4 || data[0] != msgResponse {
 		return nil, ErrBadMessage
@@ -266,9 +242,7 @@ func ParseResponse(data []byte) (*Response, error) {
 	case StatusOK:
 		r.Record, err = DecodeRecord(body)
 	case StatusNXDomain:
-		if n > 0 {
-			r.Denial, err = DecodeDenial(body)
-		}
+		r.Denial, err = DecodeDenial(body)
 	case StatusReferral:
 		r.Referral, err = DecodeReferral(body)
 	default:

@@ -147,25 +147,19 @@ func TestResponseCodec(t *testing.T) {
 	c, _ := sampleCert(t)
 	rec, _ := z.Register("r.example", c, 100)
 
-	resp := EncodeResponse(StatusOK, rec)
-	status, got, err := DecodeResponse(resp)
-	if err != nil || status != StatusOK || got == nil {
-		t.Fatalf("decode: %d, %v, %v", status, got, err)
+	resp := encodeBody(StatusOK, rec.Encode())
+	r, err := ParseResponse(resp)
+	if err != nil || r.Status != StatusOK || r.Record == nil {
+		t.Fatalf("decode: %+v, %v", r, err)
 	}
-	if !bytes.Equal(got.Encode(), rec.Encode()) {
+	if !bytes.Equal(r.Record.Encode(), rec.Encode()) {
 		t.Error("record mismatch")
 	}
 
-	nx := EncodeResponse(StatusNXDomain, nil)
-	status, got, err = DecodeResponse(nx)
-	if err != nil || status != StatusNXDomain || got != nil {
-		t.Errorf("nxdomain decode: %d, %v, %v", status, got, err)
-	}
-
-	if _, _, err := DecodeResponse([]byte{1, 2}); !errors.Is(err, ErrBadMessage) {
+	if _, err := ParseResponse([]byte{1, 2}); !errors.Is(err, ErrBadMessage) {
 		t.Errorf("short: %v", err)
 	}
-	if _, _, err := DecodeResponse(append(resp, 0)); !errors.Is(err, ErrBadMessage) {
+	if _, err := ParseResponse(append(resp, 0)); !errors.Is(err, ErrBadMessage) {
 		t.Errorf("long: %v", err)
 	}
 }

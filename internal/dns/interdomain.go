@@ -159,12 +159,19 @@ func (z *Zone) Refer(apex string, dnsCert *cert.Cert, zoneKey []byte, notAfter i
 // Cache is a host-side verified resolution cache. Entries are only
 // inserted after signature verification, so a hit never re-verifies;
 // denials populate the negative side for the denial's validity window.
-// It is driven from simulator callbacks on one goroutine, like the
-// host stacks themselves, so it is unsynchronized.
+// It holds at most maxCacheEntries entries: a read drops the expired
+// entry it finds, an insert at the cap first drops every expired
+// entry, and an insert that still finds the cache full is not cached
+// (the lookup that verified it answers all the same). It is driven
+// from simulator callbacks on one goroutine, like the host stacks
+// themselves, so it is unsynchronized.
 type Cache struct {
 	records map[string]cachedRecord
 	denials map[string]int64
 }
+
+// maxCacheEntries bounds a cache's records and denials together.
+const maxCacheEntries = 1024
 
 type cachedRecord struct {
 	cert     cert.Cert
@@ -179,7 +186,11 @@ func NewCache() *Cache {
 // Record returns the cached certificate for name if present and fresh.
 func (c *Cache) Record(name string, nowUnix int64) (*cert.Cert, bool) {
 	e, ok := c.records[name]
-	if !ok || e.notAfter < nowUnix {
+	if !ok {
+		return nil, false
+	}
+	if e.notAfter < nowUnix {
+		delete(c.records, name)
 		return nil, false
 	}
 	crt := e.cert
@@ -188,19 +199,48 @@ func (c *Cache) Record(name string, nowUnix int64) (*cert.Cert, bool) {
 
 // PutRecord stores a verified record's certificate until notAfter, and
 // clears any negative entry for the name.
-func (c *Cache) PutRecord(name string, crt *cert.Cert, notAfter int64) {
-	c.records[name] = cachedRecord{cert: *crt, notAfter: notAfter}
+func (c *Cache) PutRecord(name string, crt *cert.Cert, notAfter, nowUnix int64) {
 	delete(c.denials, name)
+	if _, ok := c.records[name]; ok || c.room(nowUnix) {
+		c.records[name] = cachedRecord{cert: *crt, notAfter: notAfter}
+	}
 }
 
 // Denied reports whether a fresh verified denial for name is cached.
 func (c *Cache) Denied(name string, nowUnix int64) bool {
 	until, ok := c.denials[name]
-	return ok && until >= nowUnix
+	if ok && until < nowUnix {
+		delete(c.denials, name)
+		return false
+	}
+	return ok
 }
 
 // PutDenial stores a verified denial for name until notAfter.
-func (c *Cache) PutDenial(name string, notAfter int64) { c.denials[name] = notAfter }
+func (c *Cache) PutDenial(name string, notAfter, nowUnix int64) {
+	if _, ok := c.denials[name]; ok || c.room(nowUnix) {
+		c.denials[name] = notAfter
+	}
+}
+
+// room reports whether a new name fits, dropping every expired entry
+// first when the cache is at its cap.
+func (c *Cache) room(nowUnix int64) bool {
+	if len(c.records)+len(c.denials) < maxCacheEntries {
+		return true
+	}
+	for name, e := range c.records {
+		if e.notAfter < nowUnix {
+			delete(c.records, name)
+		}
+	}
+	for name, until := range c.denials {
+		if until < nowUnix {
+			delete(c.denials, name)
+		}
+	}
+	return len(c.records)+len(c.denials) < maxCacheEntries
+}
 
 // Len returns the number of positive and negative entries.
 func (c *Cache) Len() (records, denials int) { return len(c.records), len(c.denials) }

@@ -2,6 +2,7 @@ package dns
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"apna/internal/cert"
@@ -205,28 +206,75 @@ func TestCache(t *testing.T) {
 	if _, ok := c.Record("x", 0); ok {
 		t.Fatal("empty cache hit")
 	}
-	c.PutRecord("x", crt, 100)
+	c.PutRecord("x", crt, 100, 0)
 	if got, ok := c.Record("x", 50); !ok || got == nil {
 		t.Fatal("fresh record missed")
 	}
-	if _, ok := c.Record("x", 101); ok {
-		t.Fatal("expired record served")
-	}
-	c.PutDenial("y", 200)
+	c.PutDenial("y", 200, 0)
 	if !c.Denied("y", 150) {
 		t.Fatal("fresh denial missed")
 	}
-	if c.Denied("y", 201) {
-		t.Fatal("expired denial served")
-	}
 	// A record insert clears the negative entry: the name exists now.
-	c.PutDenial("x", 300)
-	c.PutRecord("x", crt, 400)
+	c.PutDenial("x", 300, 0)
+	c.PutRecord("x", crt, 400, 0)
 	if c.Denied("x", 250) {
 		t.Fatal("record insert left stale denial")
 	}
 	if r, d := c.Len(); r != 1 || d != 1 {
 		t.Fatalf("Len() = %d, %d", r, d)
+	}
+	// A read past an entry's expiry both misses and forgets it.
+	if _, ok := c.Record("x", 401); ok {
+		t.Fatal("expired record served")
+	}
+	if c.Denied("y", 201) {
+		t.Fatal("expired denial served")
+	}
+	if r, d := c.Len(); r != 0 || d != 0 {
+		t.Fatalf("Len() = %d, %d after reading both expired entries, want 0, 0", r, d)
+	}
+}
+
+// TestCacheBounded: a host that resolves ever more names holds at most
+// maxCacheEntries of them. A full cache of fresh entries turns new ones
+// away and keeps answering the old; once entries expire, an insert
+// makes room by dropping them.
+func TestCacheBounded(t *testing.T) {
+	c := NewCache()
+	crt := testCert(t, 4)
+	for i := 0; i < maxCacheEntries+10; i++ {
+		name := fmt.Sprintf("n%d.example", i)
+		if i%2 == 0 {
+			c.PutRecord(name, crt, 100, 0)
+		} else {
+			c.PutDenial(name, 100, 0)
+		}
+	}
+	if r, d := c.Len(); r+d != maxCacheEntries {
+		t.Fatalf("Len() = %d, %d; want %d entries in all", r, d, maxCacheEntries)
+	}
+	if _, ok := c.Record("n0.example", 50); !ok {
+		t.Error("full cache stopped answering a cached record")
+	}
+	if !c.Denied("n1.example", 50) {
+		t.Error("full cache stopped answering a cached denial")
+	}
+	if _, ok := c.Record(fmt.Sprintf("n%d.example", maxCacheEntries+8), 50); ok {
+		t.Error("record past the cap was cached")
+	}
+	// A name already cached is refreshed in place even at the cap.
+	c.PutRecord("n0.example", crt, 300, 50)
+	if _, ok := c.Record("n0.example", 200); !ok {
+		t.Error("refresh at the cap was dropped")
+	}
+
+	// Everything but n0 has expired by 150: the next insert sweeps.
+	c.PutRecord("late.example", crt, 400, 150)
+	if r, d := c.Len(); r != 2 || d != 0 {
+		t.Fatalf("Len() = %d, %d after the sweep, want 2, 0", r, d)
+	}
+	if _, ok := c.Record("late.example", 150); !ok {
+		t.Error("insert after the sweep was not cached")
 	}
 }
 
@@ -235,17 +283,13 @@ func TestParseResponseRejectsGarbage(t *testing.T) {
 		nil,
 		{msgResponse},
 		{msgQuery, 0, 0, 0},
-		{msgResponse, 99, 0, 0},          // unknown status
-		{msgResponse, StatusOK, 0, 5},    // length lies
-		{msgResponse, StatusOK, 0, 1, 7}, // truncated record
+		{msgResponse, 99, 0, 0},             // unknown status
+		{msgResponse, StatusOK, 0, 5},       // length lies
+		{msgResponse, StatusOK, 0, 1, 7},    // truncated record
+		{msgResponse, StatusNXDomain, 0, 0}, // denial without its signed body
 	} {
-		if _, err := ParseResponse(data); err == nil {
-			t.Fatalf("ParseResponse(%v) accepted", data)
+		if _, err := ParseResponse(data); !errors.Is(err, ErrBadMessage) {
+			t.Fatalf("ParseResponse(%v) = %v, want ErrBadMessage", data, err)
 		}
-	}
-	// Legacy empty NXDOMAIN still parses (no denial attached).
-	r, err := ParseResponse([]byte{msgResponse, StatusNXDomain, 0, 0})
-	if err != nil || r.Denial != nil || r.Status != StatusNXDomain {
-		t.Fatalf("legacy NXDOMAIN: %+v, %v", r, err)
 	}
 }

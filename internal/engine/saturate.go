@@ -13,8 +13,8 @@ import (
 
 // SaturationConfig sizes a multi-AS throughput run: the parallel
 // forwarding engine saturates a pktgen.World and reports pps, per-stage
-// latency percentiles and drop verdicts. The experiments package
-// exposes it as experiment E8; the facade as apna.Throughput.
+// latency percentiles and drop verdicts. It is experiment E8
+// (apna-bench -exp e8).
 type SaturationConfig struct {
 	// ASes is the number of autonomous systems in the ring (>= 2).
 	ASes int `json:"ases"`

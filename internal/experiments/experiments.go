@@ -1,8 +1,8 @@
 // Package experiments implements the reproduction harness behind
 // cmd/apna-bench: one function per table/figure of the paper's
 // evaluation (Section V), the latency analysis of Section VII-C, and
-// the gated runs E8, E11 and E12. E6, E7, E9 and E10 are specs under
-// scenarios/.
+// the gated runs E11 and E12. E8 is engine.Saturate, which apna-bench
+// calls directly; E6, E7, E9 and E10 are specs under scenarios/.
 package experiments
 
 import (

@@ -43,9 +43,6 @@ func (h *Host) handleICMP(hdr *wire.Header, payload []byte) {
 		_ = h.send(wire.ProtoICMP, 0, hdr.DstEphID,
 			wire.Endpoint{AID: hdr.SrcAID, EphID: hdr.SrcEphID}, reply.Encode(), nil)
 	case icmp.TypeEchoReply:
-		if h.onEcho != nil {
-			h.onEcho(m.Seq)
-		}
 		from := wire.Endpoint{AID: hdr.SrcAID, EphID: hdr.SrcEphID}
 		for _, fn := range h.echoListeners {
 			fn(from, m.Seq)

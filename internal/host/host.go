@@ -138,7 +138,6 @@ type Host struct {
 	flowTaps     map[sessKey]func(Message) bool
 	onMessage    func(Message)
 	onAccept     func(serving ephid.EphID, peer wire.Endpoint, addressed ephid.EphID)
-	onEcho       func(seq uint16)
 	onICMPError  func(typ, code uint8, quoted []byte)
 	rawHandlers  map[wire.NextProto]func(hdr *wire.Header, payload []byte)
 	rawListeners map[wire.NextProto][]func(hdr *wire.Header, payload []byte)
@@ -240,16 +239,12 @@ func (h *Host) OnAccept(fn func(serving ephid.EphID, peer wire.Endpoint, address
 	h.onAccept = fn
 }
 
-// OnEchoReply installs the ICMP echo reply callback, replacing any
-// previous one.
-func (h *Host) OnEchoReply(fn func(seq uint16)) { h.onEcho = fn }
-
-// AddEchoListener registers an additional echo reply listener that
-// coexists with the OnEchoReply callback and other listeners —
-// infrastructure (the facade's ping dispatcher) listens here so
-// application callbacks cannot displace it. from is the replying
-// endpoint (the EphID the request addressed), letting listeners match
-// replies to probes by destination, not just sequence number.
+// AddEchoListener registers an ICMP echo reply listener. Listeners
+// are additive: infrastructure (the facade's ping dispatcher) and
+// applications listen side by side, and neither displaces the other.
+// from is the replying endpoint (the EphID the request addressed),
+// letting listeners match replies to probes by destination, not just
+// sequence number.
 func (h *Host) AddEchoListener(fn func(from wire.Endpoint, seq uint16)) {
 	h.echoListeners = append(h.echoListeners, fn)
 }

@@ -620,7 +620,7 @@ func TestStackPingEcho(t *testing.T) {
 	idB := d.issue(t, d.b, d.signB, ephid.KindData, 2)
 
 	var replies []uint16
-	d.a.OnEchoReply(func(seq uint16) { replies = append(replies, seq) })
+	d.a.AddEchoListener(func(_ wire.Endpoint, seq uint16) { replies = append(replies, seq) })
 	if err := d.a.Ping(wire.Endpoint{AID: 2, EphID: idB.Cert.EphID}, 7); err != nil {
 		t.Fatal(err)
 	}

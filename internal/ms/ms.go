@@ -169,9 +169,6 @@ type Service struct {
 	aaEphID ephid.EphID
 	now     func() int64
 
-	// Issued counts successfully issued EphIDs.
-	issued func()
-
 	// renews shards the per-HID renewal rate-limit windows by HID. A
 	// single mutex over a single map was fine for tens of hosts, but a
 	// synchronized renewal storm at ISP scale (every host whose EphIDs
@@ -227,17 +224,13 @@ func New(aid ephid.AID, sealer *ephid.Sealer, signer *crypto.Signer, db *hostdb.
 	policy Policy, aaEphID ephid.EphID, now func() int64) *Service {
 	s := &Service{
 		aid: aid, sealer: sealer, signer: signer, db: db,
-		policy: policy, aaEphID: aaEphID, now: now, issued: func() {},
+		policy: policy, aaEphID: aaEphID, now: now,
 	}
 	for i := range s.renews {
 		s.renews[i].m = make(map[ephid.HID]*renewWindow)
 	}
 	return s
 }
-
-// SetIssuedHook installs a callback fired per successful issuance
-// (metrics).
-func (s *Service) SetIssuedHook(fn func()) { s.issued = fn }
 
 // Renewed reports how many issuances went through the renewal path.
 func (s *Service) Renewed() uint64 { return s.renewed.Load() }
@@ -470,7 +463,6 @@ func sealReply(encKey []byte, srcEphID ephid.EphID, status byte, raw []byte) ([]
 func (s *Service) mint(hid ephid.HID, req *Request) cert.Cert {
 	exp := uint32(s.now()) + s.policy.Clamp(req.Lifetime)
 	id := s.sealer.Mint(ephid.Payload{HID: hid, ExpTime: exp})
-	s.issued()
 	return cert.Cert{
 		Kind: req.Kind, EphID: id, ExpTime: exp,
 		AID: s.aid, AAEphID: s.aaEphID,

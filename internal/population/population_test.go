@@ -164,6 +164,9 @@ func TestRunExercisesControlPlane(t *testing.T) {
 	if r.PeakRSSBytes == 0 {
 		t.Errorf("peak RSS not measured")
 	}
+	if r.EventsPerSec <= 0 {
+		t.Errorf("events/s not measured: %.0f", r.EventsPerSec)
+	}
 }
 
 // TestParetoDurationMoments checks the whole-second duration sampler

@@ -17,8 +17,8 @@ import (
 // every record, denial and referral signature, and maintains a verified
 // positive/negative cache so repeated lookups stay local.
 
-// DNSStats counts a host's resolver activity (LookupAsync only;
-// ResolveAsync predates the cache and bypasses it).
+// DNSStats counts a host's resolver activity: every name a host
+// resolves goes through LookupAsync.
 type DNSStats struct {
 	// Queries counts network queries actually sent (one per hop).
 	Queries uint64 `json:"queries"`
@@ -44,21 +44,6 @@ const dnsLookupLifetime = 900
 // it through the referral chain.
 func (h *Host) PublishLocal(name string, c *cert.Cert) error {
 	_, err := h.as.Zone.Register(name, c, int64(c.ExpTime))
-	return err
-}
-
-// verifyZoneSig runs a signature check against the keys this host
-// trusts a priori: its own AS zone's key and the root zone's key (both
-// pinned at bootstrap).
-func (h *Host) verifyZoneSig(verify func(zonePub []byte, nowUnix int64) error) error {
-	now := h.as.in.Sim.NowUnix()
-	err := verify(h.as.Zone.PublicKey(), now)
-	if err == nil {
-		return nil
-	}
-	if rootErr := verify(h.as.in.Zone.PublicKey(), now); rootErr == nil {
-		return nil
-	}
 	return err
 }
 
@@ -189,16 +174,16 @@ func (lk *lookup) answer(payload []byte, zoneKeys [][]byte, followReferral bool)
 			lk.p.complete(nil, err)
 			return
 		}
-		h.dnsCache.PutRecord(lk.name, &rec.Cert, rec.NotAfter)
+		h.dnsCache.PutRecord(lk.name, &rec.Cert, rec.NotAfter, now)
 		lk.p.complete(&rec.Cert, nil)
 	case dns.StatusNXDomain:
 		d := resp.Denial
-		if d == nil || d.Name != lk.name || verifyAny(d.Verify) != nil {
+		if d.Name != lk.name || verifyAny(d.Verify) != nil {
 			lk.p.complete(nil, fmt.Errorf("apna: unauthenticated denial for %q: %w", lk.name, dns.ErrBadDenial))
 			return
 		}
 		h.dnsStats.Denials++
-		h.dnsCache.PutDenial(lk.name, d.NotAfter)
+		h.dnsCache.PutDenial(lk.name, d.NotAfter, now)
 		lk.p.complete(nil, dns.ErrNXDomain)
 	case dns.StatusReferral:
 		ref := resp.Referral

@@ -2,6 +2,7 @@ package apna
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -130,6 +131,33 @@ func TestLookupVerifiedDenialAndNegativeCache(t *testing.T) {
 	}
 	if got := alice.DNSStats(); got.Denials != 2 {
 		t.Fatalf("expired denial not re-fetched: %+v", got)
+	}
+}
+
+// TestLookupAnswersWithFullCache: a host's resolution cache is
+// bounded. Stuffed with fresh denials far past any plausible bound, it
+// stops growing, and a lookup of a new name still returns its verified
+// answer without growing it further.
+func TestLookupAnswersWithFullCache(t *testing.T) {
+	in, alice, _ := buildDNSPair(t)
+	now := in.Sim.NowUnix()
+	const stuffed = 1 << 12
+	for i := 0; i < stuffed; i++ {
+		alice.dnsCache.PutDenial(fmt.Sprintf("filler%d.as100", i), now+3600, now)
+	}
+	records, denials := alice.dnsCache.Len()
+	if records+denials >= stuffed {
+		t.Fatalf("cache holds all %d names: unbounded", records+denials)
+	}
+	crt, err := alice.Lookup("svc.as200")
+	if err != nil {
+		t.Fatalf("lookup with a full cache: %v", err)
+	}
+	if crt.AID != 200 {
+		t.Fatalf("resolved cert names AS %v, want 200", crt.AID)
+	}
+	if r, d := alice.dnsCache.Len(); r+d != records+denials {
+		t.Fatalf("cache grew past its bound: %d entries, was %d", r+d, records+denials)
 	}
 }
 

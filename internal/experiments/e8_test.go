@@ -5,10 +5,16 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"apna/internal/engine"
 )
 
+// TestRunE8SmallAndJSONShape runs a small E8 saturation the way
+// apna-bench does (engine.Saturate) and checks the BENCH_e8.json
+// artifact and table it writes.
+
 func TestRunE8SmallAndJSONShape(t *testing.T) {
-	cfg := DefaultE8()
+	cfg := engine.DefaultSaturation()
 	cfg.ASes = 2
 	cfg.HostsPerAS = 8
 	cfg.FramesPerLane = 64
@@ -16,7 +22,7 @@ func TestRunE8SmallAndJSONShape(t *testing.T) {
 	cfg.PacketsPerWorker = 2_000
 	cfg.BadFrac = 0.2
 
-	res, err := RunE8(cfg)
+	res, err := engine.Saturate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

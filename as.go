@@ -5,6 +5,7 @@ import (
 
 	"apna/internal/aa"
 	"apna/internal/accountability"
+	"apna/internal/asnode"
 	"apna/internal/border"
 	"apna/internal/crypto"
 	"apna/internal/dns"
@@ -43,8 +44,7 @@ type AS struct {
 	Zone *dns.Zone
 
 	in     *Internet
-	secret *crypto.ASSecret
-	sealer *ephid.Sealer
+	node   *asnode.Node
 	signer *crypto.Signer
 	dhKey  *crypto.KeyPair
 
@@ -69,7 +69,8 @@ func (in *Internet) addAS(aid AID) error {
 	if err != nil {
 		return err
 	}
-	sealer, err := ephid.NewSealer(secret)
+	now := in.Sim.NowUnix
+	node, err := asnode.New(aid, secret, 0, now)
 	if err != nil {
 		return err
 	}
@@ -81,17 +82,17 @@ func (in *Internet) addAS(aid AID) error {
 	if err != nil {
 		return err
 	}
-	now := in.Sim.NowUnix
 
 	zone, err := dns.NewZoneFor(fmt.Sprintf("as%d", uint32(aid)))
 	if err != nil {
 		return err
 	}
 	as := &AS{
-		AID: aid, in: in, secret: secret, sealer: sealer, signer: signer, dhKey: dhKey,
-		DB:    hostdb.New(),
-		Zone:  zone,
-		creds: registry.CredentialTable{},
+		AID: aid, in: in, node: node, signer: signer, dhKey: dhKey,
+		Router: node.Router,
+		DB:     node.DB,
+		Zone:   zone,
+		creds:  registry.CredentialTable{},
 	}
 
 	// RPKI registration so every other party can verify this AS's
@@ -105,12 +106,7 @@ func (in *Internet) addAS(aid AID) error {
 	}
 
 	as.RS = registry.New(registry.Config{AID: aid, ControlEphIDLifetime: 24 * 3600},
-		as.creds, sealer, signer, dhKey, as.DB, now)
-
-	as.Router, err = border.New(aid, sealer, as.DB, secret, now)
-	if err != nil {
-		return err
-	}
+		as.creds, node.Sealer, signer, dhKey, as.DB, now)
 
 	// Service identities: the AA first (self-referencing certificate),
 	// then MS and DNS pointing at it.
@@ -128,19 +124,14 @@ func (in *Internet) addAS(aid AID) error {
 	}
 	as.RS.InstallServiceCerts(&as.msID.Cert, &as.dnsID.Cert)
 
-	as.MS = ms.New(aid, sealer, signer, as.DB, in.opts.Policy, as.aaID.EphID, now)
-	as.Agent = aa.New(aa.Config{AID: aid, StrikeLimit: in.opts.StrikeLimit},
-		sealer, as.DB, secret, in.Trust, now)
-	as.Agent.AddRouter(as.Router)
-
-	// The inter-domain accountability plane: cross-AS complaints flow
-	// through it, and every local revocation (shutoff-driven or
-	// voluntary) feeds its dissemination digests via the agent's hook.
-	as.Acct = accountability.New(accountability.Config{
-		AID: aid, Signer: signer, Trust: in.Trust, Agent: as.Agent, Now: now,
+	// The control plane. Cross-AS complaints flow through the
+	// inter-domain accountability engine, and every local revocation
+	// (shutoff-driven or voluntary) feeds its dissemination digests.
+	node.AddControl(asnode.Control{
+		Signer: signer, Trust: in.Trust, Policy: in.opts.Policy,
+		AAEphID: as.aaID.EphID, StrikeLimit: in.opts.StrikeLimit,
 	})
-	as.Acct.AddRouter(as.Router)
-	as.Agent.SetRevocationHook(as.Acct.NoteRevoked)
+	as.MS, as.Agent, as.Acct = node.MS, node.Agent, node.Acct
 	as.Acct.SetObserver(func(ev accountability.Event) {
 		if in.acctObserver != nil {
 			in.acctObserver(ev)
@@ -271,7 +262,7 @@ func (as *AS) sendICMPError(reason border.Verdict, frame []byte) {
 		// Feedback to one of our own hosts: deliver directly, since
 		// the triggering condition (e.g. a revoked source EphID) would
 		// also block the feedback at the ingress checks.
-		p, err := as.sealer.Open(pkt.SrcEphID)
+		p, err := as.node.Sealer.Open(pkt.SrcEphID)
 		if err != nil {
 			return
 		}
@@ -327,11 +318,11 @@ func (as *AS) runGC(retention int64) (revocations, hosts int) {
 // Sealer exposes the AS's EphID sealer for benchmarks and tests that
 // exercise the data plane directly. Production code paths never hand
 // the sealer outside the AS's own infrastructure.
-func (as *AS) Sealer() *ephid.Sealer { return as.sealer }
+func (as *AS) Sealer() *ephid.Sealer { return as.node.Sealer }
 
 // Secret exposes the AS master secret for benchmark composition (e.g.
 // signing revocation orders in ablation tests).
-func (as *AS) Secret() *crypto.ASSecret { return as.secret }
+func (as *AS) Secret() *crypto.ASSecret { return as.node.Secret }
 
 // SignerPublicKey returns the AS's certificate-verification key.
 func (as *AS) SignerPublicKey() []byte { return as.signer.PublicKey() }

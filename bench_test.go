@@ -169,19 +169,28 @@ func BenchmarkMSHandleRequest(b *testing.B) {
 
 // --- E3/A3: forwarding pipelines --------------------------------------------
 
+// fwdLane is the first lane of a two-AS world with 64 hosts per AS:
+// one clean frame of the given size per source host, addressed to the
+// matching host of the other AS.
+func fwdLane(b *testing.B, size int) *pktgen.Lane {
+	b.Helper()
+	w, err := pktgen.NewWorld(pktgen.WorldConfig{ASes: 2, HostsPerAS: 64, FrameSize: size, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return w.Lanes[0]
+}
+
 func BenchmarkBorderEgress(b *testing.B) {
 	for _, size := range paperSizes {
 		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
-			f, err := pktgen.NewFixture(64, size)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pipe := f.Router.NewEgressPipeline()
+			lane := fwdLane(b, size)
+			pipe := lane.Src.Router.NewEgressPipeline()
 			b.SetBytes(int64(size))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if v := pipe.Process(f.Frames[i&63]); v != border.VerdictForward {
+				if v := pipe.Process(lane.Frames[i&63]); v != border.VerdictForward {
 					b.Fatalf("verdict %v", v)
 				}
 			}
@@ -192,17 +201,14 @@ func BenchmarkBorderEgress(b *testing.B) {
 // BenchmarkBorderEgressBatch measures the batched fast path: the
 // amortized per-packet cost the parallel engine pays.
 func BenchmarkBorderEgressBatch(b *testing.B) {
-	f, err := pktgen.NewFixture(64, 256)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pipe := f.Router.NewEgressPipeline()
-	verdicts := make([]border.Verdict, 0, len(f.Frames))
-	b.SetBytes(int64(256 * len(f.Frames)))
+	lane := fwdLane(b, 256)
+	pipe := lane.Src.Router.NewEgressPipeline()
+	verdicts := make([]border.Verdict, 0, len(lane.Frames))
+	b.SetBytes(int64(256 * len(lane.Frames)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		verdicts = pipe.ProcessBatch(f.Frames, verdicts[:0])
+		verdicts = pipe.ProcessBatch(lane.Frames, verdicts[:0])
 		for _, v := range verdicts {
 			if v != border.VerdictForward {
 				b.Fatalf("verdict %v", v)
@@ -211,40 +217,30 @@ func BenchmarkBorderEgressBatch(b *testing.B) {
 	}
 }
 
-// ingressBench builds a fixture whose frames are addressed to its own
-// hosts, so that ingress checks run against local state.
-func ingressBench(b *testing.B) (*pktgen.Fixture, [][]byte) {
+// ingressBench returns a lane whose destination AS has a populated
+// remote revocation list, so the per-packet remote-source check
+// performs real lookups against a non-empty table — the steady state
+// once revocation digests have been disseminated — and the alloc gate
+// covers it.
+func ingressBench(b *testing.B) *pktgen.Lane {
 	b.Helper()
-	f, err := pktgen.NewFixture(64, 256)
-	if err != nil {
-		b.Fatal(err)
-	}
-	frames := make([][]byte, len(f.Frames))
-	for i, frame := range f.Frames {
-		dup := append([]byte(nil), frame...)
-		dst := f.Sealer.Mint(ephid.Payload{HID: ephid.HID(i + 1), ExpTime: uint32(f.Now) + 3600})
-		copy(dup[40:56], dst[:])
-		frames[i] = dup
-	}
-	// Populate the remote revocation list so the per-packet
-	// remote-source check performs real lookups against a non-empty
-	// table — the steady state once revocation digests have been
-	// disseminated — and the alloc gate covers it.
+	lane := fwdLane(b, 256)
+	exp := uint32(lane.Src.Now) + 3600
 	for i := 0; i < 128; i++ {
-		e := f.Sealer.Mint(ephid.Payload{HID: 999, ExpTime: uint32(f.Now) + 3600})
-		f.Router.ApplyRemote(e, f.AID, uint32(f.Now)+3600)
+		e := lane.Src.Sealer.Mint(ephid.Payload{HID: 999, ExpTime: exp})
+		lane.Dst.Router.ApplyRemote(e, lane.Src.AID, exp)
 	}
-	return f, frames
+	return lane
 }
 
 func BenchmarkBorderIngress(b *testing.B) {
-	f, frames := ingressBench(b)
-	pipe := f.Router.NewIngressPipeline()
+	lane := ingressBench(b)
+	pipe := lane.Dst.Router.NewIngressPipeline()
 	b.SetBytes(256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if v, _ := pipe.Process(frames[i&63]); v != border.VerdictForward {
+		if v, _ := pipe.Process(lane.Frames[i&63]); v != border.VerdictForward {
 			b.Fatalf("verdict %v", v)
 		}
 	}
@@ -253,14 +249,14 @@ func BenchmarkBorderIngress(b *testing.B) {
 // BenchmarkBorderIngressBatch measures the staged ingress path a whole
 // chunk at a time: what the parallel engine pays per batch.
 func BenchmarkBorderIngressBatch(b *testing.B) {
-	f, frames := ingressBench(b)
-	pipe := f.Router.NewIngressPipeline()
-	results := make([]border.IngressResult, 0, len(frames))
-	b.SetBytes(int64(256 * len(frames)))
+	lane := ingressBench(b)
+	pipe := lane.Dst.Router.NewIngressPipeline()
+	results := make([]border.IngressResult, 0, len(lane.Frames))
+	b.SetBytes(int64(256 * len(lane.Frames)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results = pipe.ProcessBatch(frames, results[:0])
+		results = pipe.ProcessBatch(lane.Frames, results[:0])
 		for _, res := range results {
 			if res.Verdict != border.VerdictForward {
 				b.Fatalf("verdict %v", res.Verdict)
@@ -272,16 +268,13 @@ func BenchmarkBorderIngressBatch(b *testing.B) {
 func BenchmarkBaselineForward(b *testing.B) {
 	for _, size := range paperSizes {
 		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
-			f, err := pktgen.NewFixture(64, size)
-			if err != nil {
-				b.Fatal(err)
-			}
-			fwd := baseline.New(map[ephid.AID]ephid.AID{200: 200})
+			lane := fwdLane(b, size)
+			fwd := baseline.New(map[ephid.AID]ephid.AID{lane.Dst.AID: lane.Dst.AID})
 			b.SetBytes(int64(size))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if !fwd.Process(f.Frames[i&63]) {
+				if !fwd.Process(lane.Frames[i&63]) {
 					b.Fatal("dropped")
 				}
 			}

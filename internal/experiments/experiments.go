@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"apna/internal/asnode"
 	"apna/internal/crypto"
 	"apna/internal/engine"
 	"apna/internal/ephid"
@@ -38,13 +39,19 @@ type E1Result struct {
 
 // RunE1 measures EphID issuance (mint + certificate signature) across
 // the given number of workers — the paper parallelizes across 4
-// processes. peakDemand comes from the trace experiment (E2).
+// processes. It issues exactly requests EphIDs, spreading any remainder
+// over the first workers. peakDemand comes from the trace experiment
+// (E2).
 func RunE1(requests, workers, peakDemand int) (*E1Result, error) {
+	if requests < 1 {
+		return nil, fmt.Errorf("e1: requests %d, want >= 1", requests)
+	}
 	secret, err := crypto.NewASSecret()
 	if err != nil {
 		return nil, err
 	}
-	sealer, err := ephid.NewSealer(secret)
+	const hostCount = 1024
+	node, err := asnode.New(64512, secret, hostCount, func() int64 { return 1_000_000 })
 	if err != nil {
 		return nil, err
 	}
@@ -52,17 +59,16 @@ func RunE1(requests, workers, peakDemand int) (*E1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := hostdb.New()
-	const hostCount = 1024
 	for i := 0; i < hostCount; i++ {
-		db.Put(hostdb.Entry{
+		node.DB.Put(hostdb.Entry{
 			HID:  ephid.HID(i + 1),
 			Keys: crypto.DeriveHostASKeys([]byte{byte(i), byte(i >> 8)}),
 		})
 	}
-	aaEphID := sealer.Mint(ephid.Payload{HID: 1, ExpTime: 1 << 31})
-	svc := ms.New(64512, sealer, signer, db, ms.DefaultPolicy(), aaEphID,
-		func() int64 { return 1_000_000 })
+	node.AddControl(asnode.Control{
+		Signer: signer, Policy: ms.DefaultPolicy(),
+		AAEphID: node.Sealer.Mint(ephid.Payload{HID: 1, ExpTime: 1 << 31}),
+	})
 
 	// Pre-generate the per-request key material: in deployment the
 	// *hosts* generate these keys, so they are not part of the MS's
@@ -82,28 +88,37 @@ func RunE1(requests, workers, peakDemand int) (*E1Result, error) {
 	if workers <= 0 {
 		workers = 4 // the paper's parallelism
 	}
-	per := requests / workers
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	start := time.Now() //apna:wallclock
 	for w := 0; w < workers; w++ {
+		n := requests / workers
+		if w < requests%workers {
+			n++
+		}
 		wg.Add(1)
-		go func(w int) {
+		go func(w, n int) {
 			defer wg.Done()
-			for i := 0; i < per; i++ {
-				if _, err := svc.Issue(ephid.HID(i%hostCount+1), req); err != nil {
-					panic(err)
+			for i := 0; i < n; i++ {
+				if _, err := node.MS.Issue(ephid.HID(i%hostCount+1), req); err != nil {
+					errs[w] = err
+					return
 				}
 			}
-		}(w)
+		}(w, n)
 	}
 	wg.Wait()
 	elapsed := time.Since(start) //apna:wallclock
-	total := per * workers
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
 
 	res := &E1Result{
-		Requests: total, Workers: workers, Elapsed: elapsed,
-		PerEphID:     elapsed / time.Duration(total),
-		EphIDsPerSec: float64(total) / elapsed.Seconds(),
+		Requests: requests, Workers: workers, Elapsed: elapsed,
+		PerEphID:     elapsed / time.Duration(requests),
+		EphIDsPerSec: float64(requests) / elapsed.Seconds(),
 		PeakDemand:   peakDemand,
 	}
 	if peakDemand > 0 {

@@ -48,6 +48,24 @@ func TestRunE1DefaultWorkers(t *testing.T) {
 	}
 }
 
+// TestRunE1 checks that E1 issues exactly the requested count when it
+// is not a multiple of the workers, or is below them, and rejects an
+// empty run.
+func TestRunE1(t *testing.T) {
+	for _, requests := range []int{3, 5} {
+		res, err := RunE1(requests, 4, 0)
+		if err != nil {
+			t.Fatalf("RunE1(%d, 4): %v", requests, err)
+		}
+		if res.Requests != requests {
+			t.Errorf("RunE1(%d, 4) reports %d requests", requests, res.Requests)
+		}
+	}
+	if _, err := RunE1(0, 4, 0); err == nil {
+		t.Error("RunE1(0, 4) accepted an empty run")
+	}
+}
+
 func TestRunE2AndReport(t *testing.T) {
 	stats, err := RunE2(trace.Config{
 		Hosts: 5_000, Duration: 30 * time.Minute, PeakRate: 300, Seed: 2,

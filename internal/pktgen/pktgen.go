@@ -7,15 +7,7 @@
 // that the measured packet rates are clamped against.
 package pktgen
 
-import (
-	"fmt"
-
-	"apna/internal/border"
-	"apna/internal/crypto"
-	"apna/internal/ephid"
-	"apna/internal/hostdb"
-	"apna/internal/wire"
-)
+import "apna/internal/asnode"
 
 // PaperPacketSizes are the five frame sizes of Figure 8.
 var PaperPacketSizes = []int{128, 256, 512, 1024, 1518}
@@ -35,79 +27,11 @@ func LineRatePPS(capacityGbps float64, frameSize int) float64 {
 	return capacityGbps * 1e9 / (float64(frameSize+etherOverhead) * 8)
 }
 
-// Fixture is a self-contained data-plane world: an AS with a router,
-// a population of registered hosts, and valid MACed frames, ready to be
-// pumped through pipelines.
+// Fixture is one AS of a World: its data plane as asnode builds it,
+// with a registered host population, ready to be pumped through
+// pipelines.
 type Fixture struct {
-	// AID is the AS's identifier (100 for single-fixture setups).
-	AID    ephid.AID
-	Router *border.Router
-	Sealer *ephid.Sealer
-	DB     *hostdb.DB
-	Secret *crypto.ASSecret
-	// Frames holds one valid egress frame per host, all of equal
-	// size.
-	Frames [][]byte
+	*asnode.Node
 	// Now is the fixed clock the router checks expiry against.
 	Now int64
-}
-
-// NewFixture builds a fixture with the given number of hosts and frame
-// size (total APNA frame bytes, header included).
-func NewFixture(hosts, frameSize int) (*Fixture, error) {
-	if frameSize < wire.HeaderSize {
-		return nil, fmt.Errorf("pktgen: frame size %d below header size %d", frameSize, wire.HeaderSize)
-	}
-	secret, err := crypto.NewASSecret()
-	if err != nil {
-		return nil, err
-	}
-	sealer, err := ephid.NewSealer(secret)
-	if err != nil {
-		return nil, err
-	}
-	f := &Fixture{AID: 100, Sealer: sealer, DB: hostdb.New(), Secret: secret, Now: 1_000_000}
-	f.Router, err = border.New(100, sealer, f.DB, secret, func() int64 { return f.Now })
-	if err != nil {
-		return nil, err
-	}
-	f.Router.SetRoutes(nil)
-
-	payload := make([]byte, frameSize-wire.HeaderSize)
-	entries := make([]hostdb.Entry, 0, hosts)
-	for i := 0; i < hosts; i++ {
-		entries = append(entries, hostdb.Entry{
-			HID:          ephid.HID(i + 1),
-			Keys:         crypto.DeriveHostASKeys([]byte{byte(i), byte(i >> 8), byte(i >> 16), 0x7}),
-			RegisteredAt: f.Now,
-		})
-	}
-	f.DB.PutBatch(entries)
-	for i := 0; i < hosts; i++ {
-		hid := ephid.HID(i + 1)
-		keys := entries[i].Keys
-		src := sealer.Mint(ephid.Payload{HID: hid, ExpTime: uint32(f.Now) + 3600})
-
-		p := wire.Packet{
-			Header: wire.Header{
-				NextProto: wire.ProtoSession, HopLimit: wire.DefaultHopLimit,
-				Nonce:  uint64(i) + 1,
-				SrcAID: 100, DstAID: 200,
-				SrcEphID: src,
-			},
-			Payload: payload,
-		}
-		p.Header.DstEphID[0] = byte(i)
-		frame, err := p.Encode()
-		if err != nil {
-			return nil, err
-		}
-		pm, err := wire.NewPacketMAC(keys.MAC[:])
-		if err != nil {
-			return nil, err
-		}
-		pm.Apply(frame)
-		f.Frames = append(f.Frames, frame)
-	}
-	return f, nil
 }

@@ -3,9 +3,6 @@ package pktgen
 import (
 	"math"
 	"testing"
-
-	"apna/internal/border"
-	"apna/internal/wire"
 )
 
 func TestLineRatePPS(t *testing.T) {
@@ -18,33 +15,5 @@ func TestLineRatePPS(t *testing.T) {
 	// Smaller frames mean higher packet rates.
 	if LineRatePPS(120, 128) <= LineRatePPS(120, 1518) {
 		t.Error("line rate not monotone in frame size")
-	}
-}
-
-func TestFixtureFramesValid(t *testing.T) {
-	f, err := NewFixture(16, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Frames) != 16 {
-		t.Fatalf("frames = %d", len(f.Frames))
-	}
-	pipe := f.Router.NewEgressPipeline()
-	for i, frame := range f.Frames {
-		if len(frame) != 256 {
-			t.Fatalf("frame %d size %d", i, len(frame))
-		}
-		if !wire.ValidFrame(frame) {
-			t.Fatalf("frame %d invalid", i)
-		}
-		if v := pipe.Process(frame); v != border.VerdictForward {
-			t.Fatalf("frame %d verdict %v", i, v)
-		}
-	}
-}
-
-func TestFixtureRejectsTinyFrames(t *testing.T) {
-	if _, err := NewFixture(1, wire.HeaderSize-1); err == nil {
-		t.Error("sub-header frame size accepted")
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"time"
 
-	"apna/internal/border"
+	"apna/internal/asnode"
 	"apna/internal/crypto"
 	"apna/internal/ephid"
 	"apna/internal/hostdb"
@@ -104,11 +104,10 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 
 	// Stand up the per-AS data planes. AIDs are 100, 101, ...
 	for i := 0; i < cfg.ASes; i++ {
-		f, err := newEmptyFixture(ephid.AID(100+i), w.Now)
+		f, err := newFixture(ephid.AID(100+i), cfg.HostsPerAS, i, w.Now)
 		if err != nil {
 			return nil, err
 		}
-		registerHosts(f, cfg.HostsPerAS, i)
 		w.ASes = append(w.ASes, f)
 	}
 
@@ -154,28 +153,18 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	return w, nil
 }
 
-// newEmptyFixture builds a fixture shell (router, sealer, empty DB) for
-// one AS without hosts or frames.
-func newEmptyFixture(aid ephid.AID, now int64) (*Fixture, error) {
+// newFixture builds one AS with fresh keys and registers its hosts in
+// one batched snapshot swap.
+func newFixture(aid ephid.AID, hosts, asIndex int, now int64) (*Fixture, error) {
 	secret, err := crypto.NewASSecret()
 	if err != nil {
 		return nil, err
 	}
-	sealer, err := ephid.NewSealer(secret)
+	f := &Fixture{Now: now}
+	f.Node, err = asnode.New(aid, secret, hosts, func() int64 { return f.Now })
 	if err != nil {
 		return nil, err
 	}
-	f := &Fixture{AID: aid, Sealer: sealer, DB: hostdb.New(), Secret: secret, Now: now}
-	f.Router, err = border.New(aid, sealer, f.DB, secret, func() int64 { return f.Now })
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// registerHosts populates the fixture's host database in one batched
-// snapshot swap.
-func registerHosts(f *Fixture, hosts, asIndex int) {
 	entries := make([]hostdb.Entry, 0, hosts)
 	for i := 0; i < hosts; i++ {
 		entries = append(entries, hostdb.Entry{
@@ -186,6 +175,7 @@ func registerHosts(f *Fixture, hosts, asIndex int) {
 		})
 	}
 	f.DB.PutBatch(entries)
+	return f, nil
 }
 
 // mintLaneFrame builds one frame from src host hostIdx toward the

@@ -19,6 +19,11 @@ func TestNewWorldShape(t *testing.T) {
 		if len(lane.Frames) != 8 {
 			t.Fatalf("lane %d: %d frames", i, len(lane.Frames))
 		}
+		for j, frame := range lane.Frames {
+			if len(frame) != 256 {
+				t.Fatalf("lane %d frame %d: size %d", i, j, len(frame))
+			}
+		}
 		if lane.Dst != w.ASes[(i+1)%3] {
 			t.Fatalf("lane %d: wrong destination", i)
 		}

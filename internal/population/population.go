@@ -529,10 +529,10 @@ func (wk *worker) setup(horizon uint32) {
 		h := &wk.hosts[i]
 		h.hid = hid
 		h.keys = hostKeys(wk.cfg.Seed, hid)
-		h.ctrl = wk.w.sealer.Mint(ephid.Payload{HID: hid, ExpTime: horizon})
+		h.ctrl = wk.w.Sealer.Mint(ephid.Payload{HID: hid, ExpTime: horizon})
 		entries[i] = hostdb.Entry{HID: hid, Keys: h.keys, RegisteredAt: startTime}
 	}
-	wk.w.db.PutBatch(entries)
+	wk.w.DB.PutBatch(entries)
 }
 
 // schedule books a renewal for the slot at (expiry - lead), clamped
@@ -611,7 +611,7 @@ func (wk *worker) churn(t int, now int64) {
 	for i := 0; i < n; i++ {
 		hostIdx := wk.rng.Intn(len(wk.hosts))
 		h := &wk.hosts[hostIdx]
-		wk.w.db.RevokeAt(h.hid, now)
+		wk.w.DB.RevokeAt(h.hid, now)
 		wk.c.leaves++
 		wk.rec(t, evLeave, h.hid)
 
@@ -625,8 +625,8 @@ func (wk *worker) churn(t int, now int64) {
 		wk.nextHID++
 		h.hid = hid
 		h.keys = hostKeys(wk.cfg.Seed, hid)
-		h.ctrl = wk.w.sealer.Mint(ephid.Payload{HID: hid, ExpTime: wk.w.horizon})
-		wk.w.db.Put(hostdb.Entry{HID: hid, Keys: h.keys, RegisteredAt: now})
+		h.ctrl = wk.w.Sealer.Mint(ephid.Payload{HID: hid, ExpTime: wk.w.horizon})
+		wk.w.DB.Put(hostdb.Entry{HID: hid, Keys: h.keys, RegisteredAt: now})
 		wk.c.joins++
 		wk.rec(t, evJoin, hid)
 	}
@@ -769,7 +769,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	comp := newComplainer(w, &cfg)
-	res := &Result{Config: cfg, ReceiptStatus: map[string]uint64{}, HostdbShards: w.db.ShardCount()}
+	res := &Result{Config: cfg, ReceiptStatus: map[string]uint64{}, HostdbShards: w.DB.ShardCount()}
 
 	// Persistent workers with a per-tick barrier: the coordinator
 	// advances the virtual clock only between ticks, so every engine
@@ -802,7 +802,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		if cfg.GCEvery > 0 && t%cfg.GCEvery == cfg.GCEvery-1 {
 			g0 := time.Now() //apna:wallclock
-			res.GCReaped += w.db.GC(now, retention)
+			res.GCReaped += w.DB.GC(now, retention)
 			pause := float64(time.Since(g0).Nanoseconds()) / 1e3 //apna:wallclock
 			res.GCRuns++
 			res.GCTotalPauseUs += pause
@@ -811,7 +811,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 		if cfg.DigestEvery > 0 && t%cfg.DigestEvery == cfg.DigestEvery-1 {
-			res.DigestEntriesLast = w.acct.FlushDigest()
+			res.DigestEntriesLast = w.Acct.FlushDigest()
 			res.DigestFlushes++
 		}
 	}
@@ -852,10 +852,10 @@ func Run(cfg Config) (*Result, error) {
 	res.Replays = comp.replays
 	res.OffendersRevoked = comp.revoked
 	res.ReceiptStatus = comp.status
-	res.AcctDuplicates = w.acct.Stats().RequestsDuplicate
+	res.AcctDuplicates = w.Acct.Stats().RequestsDuplicate
 	res.DigestBytes = w.digestBytes.Load()
-	res.RenewTracked = w.ms.RenewTracked()
-	res.HostdbHosts = w.db.Len()
+	res.RenewTracked = w.MS.RenewTracked()
+	res.HostdbHosts = w.DB.Len()
 	res.ElapsedMs = float64(elapsed.Nanoseconds()) / 1e6
 	res.Events = res.Arrivals + res.Renewals + res.RenewDenied +
 		res.Joins + res.Leaves + res.Complaints + res.Replays
@@ -928,8 +928,8 @@ func (cp *complainer) newOffender(now int64) *hostState {
 	hid := ephid.HID(cp.nextHID)
 	cp.nextHID++
 	h := &hostState{hid: hid, keys: hostKeys(cp.cfg.Seed, hid)}
-	h.ctrl = cp.w.sealer.Mint(ephid.Payload{HID: hid, ExpTime: cp.w.horizon})
-	cp.w.db.Put(hostdb.Entry{HID: hid, Keys: h.keys, RegisteredAt: now})
+	h.ctrl = cp.w.Sealer.Mint(ephid.Payload{HID: hid, ExpTime: cp.w.horizon})
+	cp.w.DB.Put(hostdb.Entry{HID: hid, Keys: h.keys, RegisteredAt: now})
 	return h
 }
 
@@ -982,7 +982,7 @@ func (cp *complainer) cycle(now int64) {
 	raw := sr.Encode()
 
 	t0 := time.Now() //apna:wallclock
-	r, err := cp.w.acct.HandleShutoffRequest(raw)
+	r, err := cp.w.Acct.HandleShutoffRequest(raw)
 	cp.lat.add(float64(time.Since(t0).Nanoseconds()) / 1e3) //apna:wallclock
 	cp.complaints++
 	if err != nil {
@@ -995,7 +995,7 @@ func (cp *complainer) cycle(now int64) {
 		}
 	}
 	if cp.rng.Float64() < cp.cfg.ReplayFrac {
-		if _, err := cp.w.acct.HandleShutoffRequest(raw); err == nil {
+		if _, err := cp.w.Acct.HandleShutoffRequest(raw); err == nil {
 			cp.replays++
 		}
 	}
@@ -1094,5 +1094,5 @@ func (w *world) admit(h *hostState, lifetime uint32, prev *ephid.EphID) (*ms.Adm
 	if err != nil {
 		return nil, err
 	}
-	return w.ms.Admit(h.ctrl, ct)
+	return w.MS.Admit(h.ctrl, ct)
 }

@@ -82,6 +82,27 @@ func TestDeterministicTrace(t *testing.T) {
 	}
 }
 
+// smallTraceHash is smallConfig()'s trace hash. It is the same on amd64,
+// purego and 386, and at any GOMAXPROCS.
+const smallTraceHash = "6b52b50c6a0037a18cb7aacc046a883364376e12243c5cfc13804286076faffc"
+
+// TestTraceHashGolden pins the trace itself, not only its repeatability:
+// a change to how the AS under test is built or wired that alters what
+// the engines do shows up here even when every run repeats itself.
+func TestTraceHashGolden(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		r, err := Run(smallConfig())
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+		}
+		if r.TraceHash != smallTraceHash {
+			t.Errorf("GOMAXPROCS %d: trace hash %s, want %s", procs, r.TraceHash, smallTraceHash)
+		}
+	}
+}
+
 // TestSpareCoreSealingMatchesInline: with no spare core every reply is
 // sealed on its worker; with spare cores most go to helpers. The run
 // must not notice. A renewal budget of one makes denials and their

@@ -5,13 +5,10 @@ import (
 	"encoding/binary"
 	"sync/atomic"
 
-	"apna/internal/aa"
-	"apna/internal/accountability"
-	"apna/internal/border"
+	"apna/internal/asnode"
 	"apna/internal/cert"
 	"apna/internal/crypto"
 	"apna/internal/ephid"
-	"apna/internal/hostdb"
 	"apna/internal/ms"
 	"apna/internal/rpki"
 	"apna/internal/wire"
@@ -31,20 +28,13 @@ const (
 // fixtures.
 const startTime int64 = 1_000_000
 
-// world is the control-plane instance the population drives: every
-// engine of the AS under test, wired exactly as the facade wires them,
-// but without simulated hosts or a network — workers call the engines
-// directly, which is what lets 10^6–10^7 modeled hosts fit in one
-// process.
+// world is the control-plane instance the population drives: the AS
+// under test as asnode builds it, but without simulated hosts or a
+// network — workers call the engines directly, which is what lets
+// 10^6–10^7 modeled hosts fit in one process.
 type world struct {
-	clock  atomic.Int64
-	db     *hostdb.DB
-	sealer *ephid.Sealer
-	secret *crypto.ASSecret
-	ms     *ms.Service
-	agent  *aa.Agent
-	acct   *accountability.Engine
-	router *border.Router
+	*asnode.Node
+	clock atomic.Int64
 	// horizon is the control-EphID expiry: safely past the run, so
 	// control identifiers never lapse mid-measurement.
 	horizon uint32
@@ -74,18 +64,6 @@ func seedBytes(seed int64, label string) []byte {
 	return h.Sum(nil)
 }
 
-// shardCountFor sizes the hostdb for a population: one shard per ~4k
-// hosts so writer contention under churn stays flat as the host count
-// grows, clamped to [DefaultShardCount, 4096] and rounded up to a power
-// of two (NewSharded's contract).
-func shardCountFor(hosts int) int {
-	n := hostdb.DefaultShardCount
-	for n < 4096 && n*4096 < hosts {
-		n <<= 1
-	}
-	return n
-}
-
 // newWorld builds the AS under test and the victim AS from the seed.
 func newWorld(cfg Config) (*world, error) {
 	w := &world{}
@@ -96,12 +74,7 @@ func newWorld(cfg Config) (*world, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.secret = secret
-	w.sealer, err = ephid.NewSealer(secret)
-	if err != nil {
-		return nil, err
-	}
-	w.db, err = hostdb.NewSharded(shardCountFor(cfg.Hosts))
+	w.Node, err = asnode.New(localAID, secret, cfg.Hosts, now)
 	if err != nil {
 		return nil, err
 	}
@@ -161,33 +134,19 @@ func newWorld(cfg Config) (*world, error) {
 	// Control-plane engines of the AS under test. The AA's control
 	// EphID is minted directly (the RS bootstrap analogue) with an
 	// expiry past the run.
-	aaEphID := w.sealer.Mint(ephid.Payload{HID: 1, ExpTime: uint32(horizon)})
 	policy := ms.DefaultPolicy()
 	policy.DefaultLifetime = cfg.EphIDLifetime
 	policy.MaxLifetime = max(policy.MaxLifetime, cfg.EphIDLifetime)
 	if cfg.RenewBurst > 0 {
 		policy.RenewBurst = cfg.RenewBurst
 	}
-	w.ms = ms.New(localAID, w.sealer, signer, w.db, policy, aaEphID, now)
-
-	w.router, err = border.New(localAID, w.sealer, w.db, secret, now)
-	if err != nil {
-		return nil, err
-	}
-	w.router.SetRoutes(nil)
-
-	w.agent = aa.New(aa.Config{AID: localAID, StrikeLimit: cfg.StrikeLimit},
-		w.sealer, w.db, secret, trust, now)
-	w.agent.AddRouter(w.router)
-
-	w.acct = accountability.New(accountability.Config{
-		AID: localAID, Signer: signer, Trust: trust, Agent: w.agent, Now: now,
+	w.AddControl(asnode.Control{
+		Signer: signer, Trust: trust, Policy: policy, StrikeLimit: cfg.StrikeLimit,
+		AAEphID: w.Sealer.Mint(ephid.Payload{HID: 1, ExpTime: uint32(horizon)}),
 	})
-	w.acct.AddRouter(w.router)
-	w.agent.SetRevocationHook(w.acct.NoteRevoked)
 	// The transport only has to account bytes: digests leave for the
 	// victim AS's agent, and the population measures how big they got.
-	w.acct.SetSend(func(_ wire.Endpoint, payload []byte) error {
+	w.Acct.SetSend(func(_ wire.Endpoint, payload []byte) error {
 		w.digestBytes.Add(uint64(len(payload)))
 		return nil
 	})
@@ -212,7 +171,7 @@ func newWorld(cfg Config) (*world, error) {
 	copy(w.victimCert.SigPub[:], w.victimHostSigner.PublicKey())
 	w.victimCert.Sign(w.victimASSigner)
 
-	w.acct.RegisterPeer(victimAID, vAgentEphID)
+	w.Acct.RegisterPeer(victimAID, vAgentEphID)
 	return w, nil
 }
 

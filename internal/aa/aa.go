@@ -94,14 +94,14 @@ func (r *Request) Encode() ([]byte, error) {
 
 // DecodeRequest parses a serialized request.
 func DecodeRequest(data []byte) (*Request, error) {
-	if len(data) < cert.Size+crypto.SignatureSize+4 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrBadRequest, len(data))
-	}
 	var r Request
-	if err := r.Cert.UnmarshalBinary(data[:cert.Size]); err != nil {
+	off, err := r.Cert.Decode(data)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
-	off := cert.Size
+	if len(data) < off+crypto.SignatureSize+4 {
+		return nil, fmt.Errorf("%w: %d bytes", ErrBadRequest, len(data))
+	}
 	copy(r.Signature[:], data[off:])
 	off += crypto.SignatureSize
 	n := int(binary.BigEndian.Uint32(data[off:]))

@@ -93,14 +93,12 @@ func (c *Complaint) Encode() ([]byte, error) {
 
 // DecodeComplaint parses a serialized complaint.
 func DecodeComplaint(data []byte) (*Complaint, error) {
-	if len(data) < cert.Size {
-		return nil, fmt.Errorf("%w: %d bytes", ErrBadComplaint, len(data))
-	}
 	var c Complaint
-	if err := c.OffenderCert.UnmarshalBinary(data[:cert.Size]); err != nil {
+	n, err := c.OffenderCert.Decode(data)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadComplaint, err)
 	}
-	req, err := aa.DecodeRequest(data[cert.Size:])
+	req, err := aa.DecodeRequest(data[n:])
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadComplaint, err)
 	}

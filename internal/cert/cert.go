@@ -11,6 +11,13 @@
 // The paper uses a single Curve25519 key pair per EphID for both ECDH
 // and ed25519 signatures; the two operations need different key forms,
 // so this implementation binds one key of each type (see DESIGN.md §8).
+//
+// The AS signs certificates in batches: one Ed25519 signature over the
+// root of a SHA-256 Merkle tree of up to MaxBatch certificates, each of
+// which carries its leaf index and authentication path (SignBatch). A
+// certificate signed alone is the one-leaf tree, so every certificate
+// is signed and verified the same way (DESIGN.md §8, "Certificates are
+// signed in batches").
 package cert
 
 import (
@@ -25,20 +32,23 @@ import (
 // Wire layout constants.
 const (
 	// Version is the only certificate version this codec understands.
-	Version = 1
+	Version = 2
 
 	tbsSize = 1 + 1 + ephid.Size + 4 + crypto.X25519PublicKeySize +
 		crypto.SigningPublicKeySize + 4 + ephid.Size // 106
-	// Size is the full wire size of a certificate.
-	Size = tbsSize + crypto.SignatureSize // 170
-
-	sigLabel = "apna/v1/cert/ephid"
+	// MinSize is the wire size of a certificate signed alone: the
+	// to-be-signed fields, the signature, the depth byte and the index
+	// byte.
+	MinSize = tbsSize + crypto.SignatureSize + 2 // 172; at most 364 with a full path
 )
 
 // Codec errors.
 var (
 	ErrBadLength  = errors.New("cert: wrong certificate length")
 	ErrBadVersion = errors.New("cert: unsupported version")
+	// ErrBadPath means the encoded authentication path is malformed: a
+	// depth above MaxDepth or a leaf index outside the tree.
+	ErrBadPath = errors.New("cert: malformed authentication path")
 	// ErrBadSignature means the certificate is not signed by the
 	// claimed AS — the forged-certificate case of the MitM analysis in
 	// Section VI-B.
@@ -66,8 +76,18 @@ type Cert struct {
 	// AAEphID is the EphID of the issuing AS's accountability agent,
 	// the destination for shutoff requests against this EphID.
 	AAEphID ephid.EphID
-	// Signature is the AS's Ed25519 signature over the fields above.
+	// Signature is the AS's Ed25519 signature over the root of the
+	// Merkle tree this certificate is a leaf of.
 	Signature [crypto.SignatureSize]byte
+	// Depth is that tree's height, at most MaxDepth; 0 means the
+	// certificate was signed alone and its leaf is the root.
+	Depth uint8
+	// Index is the certificate's leaf position, below 1<<Depth.
+	Index uint8
+	// Path holds the Depth sibling hashes from the leaf up to the
+	// root. Entries past Depth are zero, so Cert stays comparable and
+	// two certificates are equal exactly when their encodings are.
+	Path [MaxDepth][HashSize]byte
 }
 
 // appendTBS appends the to-be-signed encoding to dst.
@@ -82,10 +102,10 @@ func (c *Cert) appendTBS(dst []byte) []byte {
 	return dst
 }
 
-// Sign computes and stores the issuing AS's signature.
+// Sign signs the certificate alone: the one-leaf batch, depth 0, whose
+// root is the certificate's own leaf hash. Any earlier path is cleared.
 func (c *Cert) Sign(as *crypto.Signer) {
-	tbs := c.appendTBS(make([]byte, 0, tbsSize))
-	copy(c.Signature[:], as.Sign(sigLabel, tbs))
+	SignBatch([]*Cert{c}, as)
 }
 
 // Verify checks the certificate signature against the issuing AS's
@@ -93,9 +113,8 @@ func (c *Cert) Sign(as *crypto.Signer) {
 // is the peer-side validation step of connection establishment
 // (Section IV-D1).
 func (c *Cert) Verify(asSigPub []byte, nowUnix int64) error {
-	tbs := c.appendTBS(make([]byte, 0, tbsSize))
-	if !crypto.Verify(asSigPub, sigLabel, tbs, c.Signature[:]) {
-		return ErrBadSignature
+	if err := c.VerifySignature(asSigPub); err != nil {
+		return err
 	}
 	if c.Expired(nowUnix) {
 		return fmt.Errorf("cert: %w", ephid.ErrExpired)
@@ -103,15 +122,17 @@ func (c *Cert) Verify(asSigPub []byte, nowUnix int64) error {
 	return nil
 }
 
-// VerifySignature checks only the issuer's signature, ignoring expiry.
-// The inter-domain accountability plane needs the split: a complaint
+// VerifySignature checks only the issuer's signature, ignoring expiry:
+// it folds the certificate's leaf up its authentication path and
+// verifies the signature over the root it reaches. The inter-domain
+// accountability plane needs the split from Verify: a complaint
 // about a just-expired EphID must still route to the genuine issuing
 // AS (where it yields a no-op receipt), so the victim side
 // authenticates the offender's certificate without judging its expiry
 // — that verdict belongs to the issuing AS's clock.
 func (c *Cert) VerifySignature(asSigPub []byte) error {
-	tbs := c.appendTBS(make([]byte, 0, tbsSize))
-	if !crypto.Verify(asSigPub, sigLabel, tbs, c.Signature[:]) {
+	root, ok := c.root()
+	if !ok || !crypto.Verify(asSigPub, rootLabel, root[:], c.Signature[:]) {
 		return ErrBadSignature
 	}
 	return nil
@@ -122,23 +143,47 @@ func (c *Cert) Expired(nowUnix int64) bool {
 	return int64(c.ExpTime) < nowUnix
 }
 
-// MarshalBinary encodes the certificate including its signature.
+// size is the certificate's wire size: MinSize plus one hash per level
+// of its tree.
+func (c *Cert) size() int { return MinSize + int(c.Depth)*HashSize }
+
+// MarshalBinary encodes the certificate: the to-be-signed fields, the
+// signature, the depth and index bytes, then Depth sibling hashes.
 func (c *Cert) MarshalBinary() ([]byte, error) {
-	out := c.appendTBS(make([]byte, 0, Size))
+	if c.Depth > MaxDepth {
+		return nil, fmt.Errorf("%w: depth %d", ErrBadPath, c.Depth)
+	}
+	out := c.appendTBS(make([]byte, 0, c.size()))
 	out = append(out, c.Signature[:]...)
+	out = append(out, c.Depth, c.Index)
+	for k := range c.Depth {
+		out = append(out, c.Path[k][:]...)
+	}
 	return out, nil
 }
 
-// UnmarshalBinary decodes a certificate produced by MarshalBinary. The
-// signature is carried along but not verified; call Verify.
-func (c *Cert) UnmarshalBinary(data []byte) error {
-	if len(data) != Size {
-		return fmt.Errorf("%w: got %d, want %d", ErrBadLength, len(data), Size)
+// Decode reads one certificate from the front of data and reports how
+// many bytes it took; what follows is the caller's. It is the only
+// certificate decoder, and it is canonical: it rejects a depth above
+// MaxDepth, an index outside the tree and a short input, and whatever
+// it accepts re-encodes to the bytes it consumed. The signature is
+// carried along but not verified; call Verify.
+func (c *Cert) Decode(data []byte) (int, error) {
+	if len(data) < MinSize {
+		return 0, fmt.Errorf("%w: %d bytes, want at least %d", ErrBadLength, len(data), MinSize)
 	}
 	if data[0] != Version {
-		return fmt.Errorf("%w: %d", ErrBadVersion, data[0])
+		return 0, fmt.Errorf("%w: %d", ErrBadVersion, data[0])
 	}
-	c.Kind = ephid.Kind(data[1])
+	depth, index := data[MinSize-2], data[MinSize-1]
+	if depth > MaxDepth || int(index) >= 1<<depth {
+		return 0, fmt.Errorf("%w: depth %d, index %d", ErrBadPath, depth, index)
+	}
+	n := MinSize + int(depth)*HashSize
+	if len(data) < n {
+		return 0, fmt.Errorf("%w: %d bytes, want %d for depth %d", ErrBadLength, len(data), n, depth)
+	}
+	*c = Cert{Kind: ephid.Kind(data[1]), Depth: depth, Index: index}
 	off := 2
 	copy(c.EphID[:], data[off:])
 	off += ephid.Size
@@ -153,10 +198,27 @@ func (c *Cert) UnmarshalBinary(data []byte) error {
 	copy(c.AAEphID[:], data[off:])
 	off += ephid.Size
 	copy(c.Signature[:], data[off:])
+	off = MinSize
+	for k := range depth {
+		copy(c.Path[k][:], data[off:])
+		off += HashSize
+	}
+	return n, nil
+}
+
+// UnmarshalBinary decodes data as exactly one certificate.
+func (c *Cert) UnmarshalBinary(data []byte) error {
+	n, err := c.Decode(data)
+	if err != nil {
+		return err
+	}
+	if n != len(data) {
+		return fmt.Errorf("%w: got %d, want %d", ErrBadLength, len(data), n)
+	}
 	return nil
 }
 
 // Equal reports whether two certificates are byte-identical. Every field
-// is fixed-size and encoded whole, so two encodings are equal exactly
-// when the values are.
+// is fixed-size and Path is zero past Depth, so two encodings are equal
+// exactly when the values are.
 func (c *Cert) Equal(o *Cert) bool { return *c == *o }

@@ -83,8 +83,8 @@ func TestCertMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(raw) != Size {
-		t.Fatalf("marshalled size %d, want %d", len(raw), Size)
+	if len(raw) != MinSize {
+		t.Fatalf("marshalled size %d, want %d", len(raw), MinSize)
 	}
 	var got Cert
 	if err := got.UnmarshalBinary(raw); err != nil {
@@ -124,13 +124,17 @@ func TestCertMarshalRoundTripProperty(t *testing.T) {
 
 func TestCertUnmarshalErrors(t *testing.T) {
 	var c Cert
-	if err := c.UnmarshalBinary(make([]byte, Size-1)); !errors.Is(err, ErrBadLength) {
+	short := make([]byte, MinSize-1)
+	short[0] = Version
+	if err := c.UnmarshalBinary(short); !errors.Is(err, ErrBadLength) {
 		t.Errorf("short: %v", err)
 	}
-	if err := c.UnmarshalBinary(make([]byte, Size+1)); !errors.Is(err, ErrBadLength) {
+	long := make([]byte, MinSize+1)
+	long[0] = Version
+	if err := c.UnmarshalBinary(long); !errors.Is(err, ErrBadLength) {
 		t.Errorf("long: %v", err)
 	}
-	bad := make([]byte, Size)
+	bad := make([]byte, MinSize)
 	bad[0] = 99 // wrong version
 	if err := c.UnmarshalBinary(bad); !errors.Is(err, ErrBadVersion) {
 		t.Errorf("version: %v", err)

@@ -60,17 +60,20 @@ func DecodeRecord(data []byte) (*SignedRecord, error) {
 		return nil, ErrBadMessage
 	}
 	n := int(binary.BigEndian.Uint16(data))
-	want := 2 + n + cert.Size + 8 + crypto.SignatureSize
-	if len(data) != want {
-		return nil, fmt.Errorf("%w: record length %d, want %d", ErrBadMessage, len(data), want)
+	off := 2 + n
+	if len(data) < off {
+		return nil, fmt.Errorf("%w: record length %d, name needs %d", ErrBadMessage, len(data), off)
 	}
 	var r SignedRecord
-	r.Name = string(data[2 : 2+n])
-	off := 2 + n
-	if err := r.Cert.UnmarshalBinary(data[off : off+cert.Size]); err != nil {
+	r.Name = string(data[2:off])
+	k, err := r.Cert.Decode(data[off:])
+	if err != nil {
 		return nil, err
 	}
-	off += cert.Size
+	off += k
+	if want := off + 8 + crypto.SignatureSize; len(data) != want {
+		return nil, fmt.Errorf("%w: record length %d, want %d", ErrBadMessage, len(data), want)
+	}
 	r.NotAfter = int64(binary.BigEndian.Uint64(data[off:]))
 	off += 8
 	copy(r.Sig[:], data[off:])

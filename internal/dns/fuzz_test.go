@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"apna/internal/cert"
 )
 
 // FuzzDNSCodec drives the resolver's decoders — a query as the server
@@ -53,7 +55,9 @@ func FuzzDNSCodec(f *testing.F) {
 
 // realMessages are what a resolver really sends: the queries for a few
 // names, the longest a name may be among them, and its answers to them —
-// a record, a denial and a referral, each alone and in its response.
+// a record, a denial and a referral, each alone and in its response. One
+// record and the referral carry a certificate from a batch of three, so
+// its authentication path is two hashes long.
 func realMessages(tb testing.TB) [][]byte {
 	tb.Helper()
 	root, err := NewZone()
@@ -68,14 +72,19 @@ func realMessages(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	c, _ := sampleCert(tb)
+	c, signer := sampleCert(tb)
+	deep := *c
+	cert.SignBatch([]*cert.Cert{&deep, {ExpTime: c.ExpTime}, {ExpTime: c.ExpTime}}, signer)
+	if deep.Depth == 0 {
+		tb.Fatal("batch of three signed at depth 0")
+	}
 	if _, err := root.Register("shop.example", c, 5000); err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := local.Register("www.as100", c, 5000); err != nil {
+	if _, err := local.Register("www.as100", &deep, 5000); err != nil {
 		tb.Fatal(err)
 	}
-	ref, err := root.Refer("as200", c, remote.PublicKey(), 5000)
+	ref, err := root.Refer("as200", &deep, remote.PublicKey(), 5000)
 	if err != nil {
 		tb.Fatal(err)
 	}

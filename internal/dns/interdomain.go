@@ -112,15 +112,19 @@ func DecodeReferral(data []byte) (*SignedReferral, error) {
 	}
 	n := int(binary.BigEndian.Uint16(data))
 	off := 2 + n
-	if len(data) < off+cert.Size+2 {
+	if len(data) < off {
 		return nil, ErrBadMessage
 	}
 	var r SignedReferral
 	r.Apex = string(data[2:off])
-	if err := r.DNSCert.UnmarshalBinary(data[off : off+cert.Size]); err != nil {
+	c, err := r.DNSCert.Decode(data[off:])
+	if err != nil {
 		return nil, err
 	}
-	off += cert.Size
+	off += c
+	if len(data) < off+2 {
+		return nil, ErrBadMessage
+	}
 	k := int(binary.BigEndian.Uint16(data[off:]))
 	off += 2
 	want := off + k + 8 + crypto.SignatureSize

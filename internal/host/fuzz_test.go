@@ -23,12 +23,14 @@ import (
 // these formats has slack. The issuance messages travel sealed under the
 // host's kHA key and bound to its control EphID, which the target fixes:
 // each input is decoded as it would arrive on the wire and, to reach the
-// parsers behind the AEAD, also sealed as a plaintext.
+// parsers behind the AEAD, also sealed as a plaintext. One seed carries
+// a certificate from a batch of three, with a two-hash path.
 func FuzzHandshake(f *testing.F) {
 	hs, ack := realHandshake(f)
 	f.Add(hs)
 	f.Add(ack)
-	f.Add(hs[1 : 1+cert.Size])
+	f.Add(hs[1 : 1+cert.MinSize])
+	f.Add(batchedHandshake(f, hs))
 	w, req, replies := realIssuance(f)
 	f.Add(req)
 	f.Add(w.open(req))
@@ -58,6 +60,29 @@ func FuzzHandshake(f *testing.F) {
 		w.checkReply(t, data)
 		w.checkReply(t, w.seal(make([]byte, crypto.NonceSize), data))
 	})
+}
+
+// batchedHandshake re-signs the certificate in hs as one of a batch of
+// three and returns the handshake carrying it.
+func batchedHandshake(f *testing.F, hs []byte) []byte {
+	m, err := decodeHandshake(hs)
+	if err != nil {
+		f.Fatal(err)
+	}
+	signer, err := crypto.GenerateSigner()
+	if err != nil {
+		f.Fatal(err)
+	}
+	exp := m.cert.ExpTime
+	cert.SignBatch([]*cert.Cert{&m.cert, {ExpTime: exp}, {ExpTime: exp}}, signer)
+	if m.cert.Depth == 0 {
+		f.Fatal("batch of three signed at depth 0")
+	}
+	deep, err := m.encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	return deep
 }
 
 // issuanceWire is one host's side of the issuance exchange: messages

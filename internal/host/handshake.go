@@ -48,16 +48,21 @@ func (m *handshakeMsg) encode() ([]byte, error) {
 }
 
 func decodeHandshake(data []byte) (*handshakeMsg, error) {
-	if len(data) < 1+cert.Size+2 {
+	if len(data) < 1 {
 		return nil, fmt.Errorf("%w: %d bytes", errBadHandshake, len(data))
 	}
 	var m handshakeMsg
 	m.flags = data[0]
-	if err := m.cert.UnmarshalBinary(data[1 : 1+cert.Size]); err != nil {
+	k, err := m.cert.Decode(data[1:])
+	if err != nil {
 		return nil, fmt.Errorf("%w: %w", errBadHandshake, err)
 	}
-	n := int(binary.BigEndian.Uint16(data[1+cert.Size:]))
-	rest := data[1+cert.Size+2:]
+	off := 1 + k
+	if len(data) < off+2 {
+		return nil, fmt.Errorf("%w: %d bytes", errBadHandshake, len(data))
+	}
+	n := int(binary.BigEndian.Uint16(data[off:]))
+	rest := data[off+2:]
 	if len(rest) != n {
 		return nil, fmt.Errorf("%w: data length %d vs %d", errBadHandshake, n, len(rest))
 	}

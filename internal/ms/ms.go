@@ -11,10 +11,12 @@
 // link the issued EphIDs to the requesting control EphID
 // (sender-flow unlinkability, Section IV-C).
 //
-// The service side is two steps, Admit and Admitted.Seal; HandleRequest
-// runs both. Admit decides everything (authentication, renewal budget,
-// the minted EphID) and Seal signs and encrypts, so a caller with a
-// spare core can hand the signature to it.
+// The service side is three steps: Admit decides everything
+// (authentication, renewal budget, the minted EphID), Sign certifies a
+// batch of admitted requests under one signature (cert.SignBatch), and
+// Admitted.Seal encrypts one reply. HandleRequest runs all three for a
+// batch of one. A caller with many requests signs them together, and a
+// caller with a spare core can hand the seals to it.
 package ms
 
 import (
@@ -45,6 +47,9 @@ var (
 	// for the current window. A compromised host churning identifiers to
 	// dodge shutoff strikes hits this wall (Section VIII-G2).
 	ErrRenewRateLimited = errors.New("ms: renewal rate limit exceeded")
+	// ErrUnsigned means Seal was called on an admitted request whose
+	// certificate no Sign call has signed.
+	ErrUnsigned = errors.New("ms: certificate not signed")
 )
 
 // Request flag bits.
@@ -157,8 +162,9 @@ func (p Policy) Clamp(requested uint32) uint32 {
 // Service is the Management Service of one AS. It is safe for
 // concurrent use; the paper parallelizes issuance across 4 processes.
 // Here the population engine's workers call it concurrently, and each
-// request splits in two: Admit makes every decision on the caller, and
-// the Admitted's Seal — the Ed25519 signature, ~80% of the cost — may
+// request splits in three: Admit makes every decision on the caller,
+// Sign covers up to cert.MaxBatch admitted requests with one Ed25519
+// signature, and the Admitted's Seal — the reply's encryption — may
 // run on another core.
 type Service struct {
 	aid     ephid.AID
@@ -298,26 +304,28 @@ func (s *Service) RenewTracked() int {
 // HandleRequest implements Figure 3. srcEphID is the source EphID of
 // the request packet (the host's control EphID) and ciphertext the
 // encrypted request. It returns the encrypted certificate reply. It is
-// Admit followed by Seal.
+// Admit, Sign of the one-request batch, then Seal.
 func (s *Service) HandleRequest(srcEphID ephid.EphID, ciphertext []byte) ([]byte, error) {
 	a, err := s.Admit(srcEphID, ciphertext)
 	if err != nil {
 		return nil, err
 	}
+	s.Sign([]*Admitted{a})
 	return a.Seal()
 }
 
 // Admitted is a request the service has admitted: Figure 3 up to the
 // signature. Every decision is made — the requester authenticated, the
 // renewal budget charged, the EphID minted — and what is left, signing
-// the certificate and encrypting the reply, touches no service state.
-// So Seal may run on another goroutine while the admitting one reads
-// Denial, EphID and ExpTime.
+// the certificate (Sign, which may batch it with others) and
+// encrypting the reply (Seal), reads no service state the decisions
+// changed. Once signed, Seal may run on another goroutine while the
+// admitting one reads Denial, EphID and ExpTime.
 type Admitted struct {
-	signer *crypto.Signer
 	encKey [crypto.SymKeySize]byte
 	src    ephid.EphID
 	status byte
+	signed bool
 	cert   cert.Cert
 }
 
@@ -358,7 +366,7 @@ func (s *Service) Admit(srcEphID ephid.EphID, ciphertext []byte) (*Admitted, err
 	if err != nil {
 		return nil, err
 	}
-	a := &Admitted{signer: s.signer, encKey: encKey, src: srcEphID}
+	a := &Admitted{encKey: encKey, src: srcEphID}
 	if req.Renewing() {
 		if err := s.checkRenewal(p.HID, req, now); err != nil {
 			// The requester is authenticated and its request well
@@ -387,7 +395,7 @@ func (a *Admitted) EphID() ephid.EphID { return a.cert.EphID }
 // ExpTime is the minted identifier's expiry (zero on a denial).
 func (a *Admitted) ExpTime() uint32 { return a.cert.ExpTime }
 
-// Cert is the certificate the reply carries, signed once Seal has
+// Cert is the certificate the reply carries, signed once Sign has
 // returned; nil on a denial.
 func (a *Admitted) Cert() *cert.Cert {
 	if a.status != replyStatusOK {
@@ -396,14 +404,35 @@ func (a *Admitted) Cert() *cert.Cert {
 	return &a.cert
 }
 
-// Seal signs the certificate and encrypts the reply under the host's
-// kHA key, bound to the requesting control EphID — the status byte
+// Sign certifies every certificate minted in batch with one signature
+// per Merkle tree (cert.SignBatch: at most cert.MaxBatch leaves, one
+// ExpTime per tree, leaves in random order). Denials carry no
+// certificate and get no leaf. The batch's Seals may run once it
+// returns.
+func (s *Service) Sign(batch []*Admitted) {
+	certs := make([]*cert.Cert, 0, len(batch))
+	for _, a := range batch {
+		if a.status == replyStatusOK {
+			certs = append(certs, &a.cert)
+		}
+	}
+	cert.SignBatch(certs, s.signer)
+	for _, a := range batch {
+		a.signed = true
+	}
+}
+
+// Seal encrypts the reply under the host's kHA key, bound to the
+// requesting control EphID: the signed certificate, or the status byte
 // alone for a denial. Encryption keeps observers from linking the new
-// EphID to the control EphID. Call it once.
+// EphID to the control EphID. A minted certificate must have been
+// signed (Sign) first, or Seal returns ErrUnsigned.
 func (a *Admitted) Seal() ([]byte, error) {
 	var raw []byte
 	if a.status == replyStatusOK {
-		a.cert.Sign(a.signer)
+		if !a.signed {
+			return nil, ErrUnsigned
+		}
 		var err error
 		if raw, err = a.cert.MarshalBinary(); err != nil {
 			return nil, err
@@ -470,9 +499,10 @@ func (s *Service) mint(hid ephid.HID, req *Request) cert.Cert {
 	}
 }
 
-// Issue mints and certifies an EphID for an already-validated host.
-// This is the core generation step measured in the paper's MS
-// performance experiment (Section V-A3).
+// Issue mints and certifies an EphID for an already-validated host,
+// signing its certificate alone (the one-leaf batch). This is the core
+// generation step measured in the paper's MS performance experiment
+// (Section V-A3).
 func (s *Service) Issue(hid ephid.HID, req *Request) (*cert.Cert, error) {
 	c := s.mint(hid, req)
 	c.Sign(s.signer)

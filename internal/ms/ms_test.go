@@ -618,8 +618,12 @@ func TestAdmitSealMatchesHandleRequest(t *testing.T) {
 			src, ct = tc.build(f)
 			a, err := f.svc.Admit(src, ct)
 			if err == nil {
-				// The decisions are readable before the seal.
+				// The decisions are readable before the signature.
 				denial, id, exp := a.Denial(), a.EphID(), a.ExpTime()
+				if _, err := a.Seal(); denial == nil && !errors.Is(err, ErrUnsigned) {
+					t.Fatalf("seal before sign: %v, want ErrUnsigned", err)
+				}
+				f.svc.Sign([]*Admitted{a})
 				if reply, err = a.Seal(); err != nil {
 					t.Fatalf("seal: %v", err)
 				}
@@ -640,10 +644,11 @@ func TestAdmitSealMatchesHandleRequest(t *testing.T) {
 	}
 }
 
-// TestSealConcurrent: admitted requests are sealed from eight
-// goroutines while the admitting goroutine reads their decisions; each
-// reply decodes under its own host's key to the admitted certificate,
-// which verifies against the AS key. Run it under -race.
+// TestSealConcurrent: admitted requests, signed as one batch, are
+// sealed from eight goroutines while the admitting goroutine reads
+// their decisions; each reply decodes under its own host's key to the
+// admitted certificate, which verifies against the AS key. Run it
+// under -race.
 func TestSealConcurrent(t *testing.T) {
 	f := newFixture(t)
 	const n, sealers = 64, 8
@@ -668,6 +673,11 @@ func TestSealConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	batch := make([]*Admitted, n)
+	for i := range hs {
+		batch[i] = hs[i].adm
+	}
+	f.svc.Sign(batch)
 	replies := make([][]byte, n)
 	var wg sync.WaitGroup
 	for s := range sealers {
@@ -771,5 +781,126 @@ func TestRenewalWindowPruning(t *testing.T) {
 	// table must hold far fewer than every HID ever seen.
 	if got := f.svc.RenewTracked(); got >= total {
 		t.Errorf("RenewTracked = %d, want < %d (pruning never ran)", got, total)
+	}
+}
+
+// TestOneSignaturePerBatch counts signatures from the outside: the
+// distinct Signature values on the certificates Sign certifies. A full
+// batch of cert.MaxBatch admitted requests takes one signature and one
+// more request a second; requests for two lifetimes (two ExpTimes) take
+// one root each; a denial takes no leaf; HandleRequest signs alone; and
+// a request's leaf index does not follow its admission order.
+func TestOneSignaturePerBatch(t *testing.T) {
+	f := newFixture(t)
+	req, _, _ := sampleRequest(t)
+	admit := func(r *Request) *Admitted {
+		t.Helper()
+		ct, err := EncodeRequest(f.keys.Enc[:], f.ctrlID, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := f.svc.Admit(f.ctrlID, ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	admitN := func(n int, r *Request) []*Admitted {
+		batch := make([]*Admitted, n)
+		for i := range batch {
+			batch[i] = admit(r)
+		}
+		return batch
+	}
+	// signatures signs batch and returns how many leaves each distinct
+	// signature covers, per ExpTime, after checking every certificate.
+	signatures := func(batch []*Admitted) map[[crypto.SignatureSize]byte]map[uint32]int {
+		t.Helper()
+		f.svc.Sign(batch)
+		sigs := map[[crypto.SignatureSize]byte]map[uint32]int{}
+		for _, a := range batch {
+			c := a.Cert()
+			if c == nil {
+				continue
+			}
+			if err := c.Verify(f.signer.PublicKey(), f.now); err != nil {
+				t.Fatal(err)
+			}
+			if sigs[c.Signature] == nil {
+				sigs[c.Signature] = map[uint32]int{}
+			}
+			sigs[c.Signature][c.ExpTime]++
+		}
+		return sigs
+	}
+
+	if got := signatures(admitN(cert.MaxBatch, req)); len(got) != 1 {
+		t.Errorf("%d admitted requests: %d signatures, want 1", cert.MaxBatch, len(got))
+	}
+	if got := signatures(admitN(cert.MaxBatch+1, req)); len(got) != 2 {
+		t.Errorf("%d admitted requests: %d signatures, want 2", cert.MaxBatch+1, len(got))
+	}
+
+	long := *req
+	long.Lifetime = req.Lifetime + 300
+	mixed := append(admitN(5, req), admitN(5, &long)...)
+	got := signatures(mixed)
+	if len(got) != 2 {
+		t.Errorf("two ExpTimes: %d signatures, want 2", len(got))
+	}
+	for _, byExp := range got {
+		if len(byExp) != 1 {
+			t.Errorf("one root covers ExpTimes %v", byExp)
+		}
+	}
+
+	f.db.Put(hostdb.Entry{HID: 99, Keys: crypto.DeriveHostASKeys([]byte("other"))})
+	foreign := *req
+	foreign.Flags = ReqFlagRenew
+	foreign.Prev = f.sealer.Mint(ephid.Payload{HID: 99, ExpTime: uint32(f.now) + 30})
+	denied := admit(&foreign)
+	if denied.Denial() == nil {
+		t.Fatal("renewal of a foreign EphID was admitted")
+	}
+	withDenial := append(admitN(cert.MaxBatch, req), denied)
+	if got := signatures(withDenial); len(got) != 1 {
+		t.Errorf("%d requests and a denial: %d signatures, want 1", cert.MaxBatch, len(got))
+	}
+	if denied.Cert() != nil {
+		t.Error("a denial carries a certificate")
+	}
+	if reply, err := denied.Seal(); err != nil {
+		t.Errorf("denial seal: %v", err)
+	} else if _, err := DecodeReply(f.keys.Enc[:], f.ctrlID, reply); !errors.Is(err, ErrForeignPrev) {
+		t.Errorf("denial decodes to %v", err)
+	}
+
+	ct, err := EncodeRequest(f.keys.Enc[:], f.ctrlID, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, err := f.svc.HandleRequest(f.ctrlID, ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := DecodeReply(f.keys.Enc[:], f.ctrlID, reply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Depth != 0 || c.Index != 0 {
+		t.Errorf("HandleRequest: depth %d, index %d, want a one-leaf batch", c.Depth, c.Index)
+	}
+
+	const batches = 200
+	first := 0
+	for range batches {
+		pair := admitN(2, req)
+		f.svc.Sign(pair)
+		if pair[0].Cert().Index == 0 {
+			first++
+		}
+	}
+	if first == batches {
+		t.Errorf("the first-admitted request sat at index 0 in all %d batches", batches)
 	}
 }

@@ -19,13 +19,18 @@
 // seeded from (Seed, worker) and from virtual time, and every modeled
 // host is owned by exactly one worker, so the logical event trace —
 // which host did what at which tick, and every counter — is a pure
-// function of the Config. Helper goroutines on the cores the workers
-// leave idle sign and seal the MS replies, but every decision is made
-// on the worker by ms.Service.Admit, so they change no outcome, only
-// the wall time. Only wall-clock measurements (latencies,
-// events/sec, RSS) vary between runs. EphID byte values are not part of
-// the trace: the sealer's IV counter is shared across workers, so the
-// identifiers themselves depend on scheduling.
+// function of the Config. Each worker signs its admitted requests in
+// batches, one signature per batch of up to cert.MaxBatch, and helper
+// goroutines on the cores the workers leave idle seal the MS replies;
+// but every decision is made on the worker by ms.Service.Admit, so
+// neither changes an outcome, only the wall time. A batch closes when
+// it is full or at the end of the tick, so in virtual time no request
+// waits for its signature; in wall-clock time an issuance or renewal
+// sample includes the wait for its batch to close. Only wall-clock
+// measurements (latencies, events/sec, RSS) vary between runs. EphID
+// byte values are not part of the trace: the sealer's IV counter is
+// shared across workers, so the identifiers themselves depend on
+// scheduling.
 package population
 
 import (
@@ -283,6 +288,11 @@ type Result struct {
 	HostdbHosts  int `json:"hostdb_hosts"`
 	HostdbShards int `json:"hostdb_shards"`
 
+	// IssueLatency and RenewLatency are wall-clock spans from a
+	// request's admit to its reply being checked. They include the
+	// wait for the request's signing batch to close (at cert.MaxBatch
+	// requests or the end of the tick), which takes no virtual time:
+	// the batch closes within the tick the request arrived in.
 	IssueLatency     OpStats `json:"issue_latency"`
 	RenewLatency     OpStats `json:"renew_latency"`
 	ComplaintLatency OpStats `json:"complaint_latency"`
@@ -407,6 +417,11 @@ type worker struct {
 	renew   reservoir
 	trace   []traceEvent
 
+	// batch is the open signing batch: jobs admitted but not yet
+	// signed, at most cert.MaxBatch; adms is its scratch list for
+	// ms.Service.Sign.
+	batch []*sealJob
+	adms  []*ms.Admitted
 	// helpers feeds this worker's spare-core helpers; its capacity is
 	// their count, and it is nil (every seal inline) when there are
 	// none. inflight counts the seal jobs handed to them this tick.
@@ -418,11 +433,11 @@ type worker struct {
 	free    []*sealJob
 }
 
-// sealJob is the second half of one round trip: seal the admitted
-// reply, decode it as the host would, and check that it carries what
-// was admitted. The host's key and control EphID are copied in, since
-// churn may hand the host's slot to a new identity before a helper
-// gets to the job.
+// sealJob is the second half of one round trip: seal the admitted and
+// signed reply, decode it as the host would, and check that it carries
+// what was admitted. The host's key and control EphID are copied in,
+// since churn may hand the host's slot to a new identity before a
+// helper gets to the job.
 type sealJob struct {
 	enc  [crypto.SymKeySize]byte
 	ctrl ephid.EphID
@@ -439,9 +454,9 @@ func (j *sealJob) run() {
 
 // sample is one issuance or renewal latency sample. It spans from the
 // first admit's start to the later of the worker finishing its part
-// (end) and the last of its seals being checked, so a wait for a
-// helper counts, and a renewal's sample spans its denial and its
-// fallback.
+// (end) and the last of its seals being checked, so the wait for its
+// batch to close and for a helper both count, and a renewal's sample
+// spans its denial and its fallback.
 type sample struct {
 	hid        ephid.HID
 	start, end time.Time
@@ -449,27 +464,14 @@ type sample struct {
 	into       *reservoir
 }
 
-// request admits one request from h and hands its seal off (seal). The
-// error is Admit's, or the denial the reply will carry.
+// request admits one request from h and adds it to the open signing
+// batch, closing the batch once it is full. The error is Admit's, or
+// the denial the reply will carry.
 func (wk *worker) request(h *hostState, prev *ephid.EphID, sm *sample) (*ms.Admitted, error) {
 	a, err := wk.w.admit(h, wk.cfg.EphIDLifetime, prev)
 	if err != nil {
 		return nil, err
 	}
-	j := wk.seal(h, a)
-	if sm.jobs[0] == nil {
-		sm.jobs[0] = j
-	} else {
-		sm.jobs[1] = j
-	}
-	return a, a.Denial()
-}
-
-// seal offers the job to this worker's helpers without blocking; if
-// none can take it now, the worker seals it itself, right away. So at
-// most two jobs per helper are ever outstanding, and with no helper
-// every request is sealed inline.
-func (wk *worker) seal(h *hostState, a *ms.Admitted) *sealJob {
 	var j *sealJob
 	if n := len(wk.free); n > 0 {
 		j, wk.free = wk.free[n-1], wk.free[:n-1]
@@ -477,6 +479,41 @@ func (wk *worker) seal(h *hostState, a *ms.Admitted) *sealJob {
 		j = new(sealJob)
 	}
 	j.enc, j.ctrl, j.adm = h.keys.Enc, h.ctrl, a
+	if sm.jobs[0] == nil {
+		sm.jobs[0] = j
+	} else {
+		sm.jobs[1] = j
+	}
+	if wk.batch = append(wk.batch, j); len(wk.batch) == cert.MaxBatch {
+		wk.closeBatch()
+	}
+	return a, a.Denial()
+}
+
+// closeBatch signs the open batch on the worker, one signature for all
+// its certificates, then hands each job on to seal.
+func (wk *worker) closeBatch() {
+	if len(wk.batch) == 0 {
+		return
+	}
+	for _, j := range wk.batch {
+		wk.adms = append(wk.adms, j.adm)
+	}
+	wk.w.MS.Sign(wk.adms)
+	clear(wk.adms)
+	wk.adms = wk.adms[:0]
+	for _, j := range wk.batch {
+		wk.seal(j)
+	}
+	clear(wk.batch)
+	wk.batch = wk.batch[:0]
+}
+
+// seal offers a signed job to this worker's helpers without blocking;
+// if none can take it now, the worker seals it itself, right away. So
+// at most two jobs per helper are ever outstanding, and with no helper
+// every request is sealed inline.
+func (wk *worker) seal(j *sealJob) {
 	wk.inflight.Add(1)
 	select {
 	case wk.helpers <- j:
@@ -484,13 +521,14 @@ func (wk *worker) seal(h *hostState, a *ms.Admitted) *sealJob {
 		j.run()
 		wk.inflight.Done()
 	}
-	return j
 }
 
-// collect waits for the seals handed off this tick, then folds every
-// sample into its reservoir in issue order. A reply that did not carry
-// what was admitted counts as ErrNoEphID.
+// collect closes the tick's last batch and waits for the seals handed
+// off this tick, then folds every sample into its reservoir in issue
+// order. A reply that did not carry what was admitted counts as
+// ErrNoEphID.
 func (wk *worker) collect(t int) {
+	wk.closeBatch()
 	wk.inflight.Wait()
 	for _, sm := range wk.samples {
 		end, bad := sm.end, false
@@ -742,9 +780,9 @@ func Run(cfg Config) (*Result, error) {
 	setupWG.Wait()
 
 	// Spare-core helpers: one per P the workers leave idle, shared out
-	// round-robin. They only sign, seal and check replies the workers
-	// admitted, so every decision stays on the workers (DESIGN §10,
-	// "Spare cores seal").
+	// round-robin. They only seal and check replies the workers admitted
+	// and signed, so every decision stays on the workers (DESIGN §10,
+	// "One signature per batch").
 	spare := max(runtime.GOMAXPROCS(0)-cfg.Workers, 0)
 	var helperWG sync.WaitGroup
 	for i, wk := range workers {
@@ -1042,18 +1080,19 @@ func (r *Result) Fprint(out io.Writer) {
 // than what the service admitted.
 var errReplyMismatch = errors.New("population: reply does not carry what was admitted")
 
-// issue is the full host→MS round trip on the caller: admit, then
-// reply. The complainer uses it between ticks.
+// issue is the full host→MS round trip on the caller: admit, sign the
+// one-request batch, then reply. The complainer uses it between ticks.
 func (w *world) issue(h *hostState, lifetime uint32, prev *ephid.EphID) (*cert.Cert, error) {
 	a, err := w.admit(h, lifetime, prev)
 	if err != nil {
 		return nil, err
 	}
+	w.MS.Sign([]*ms.Admitted{a})
 	return reply(h.keys.Enc[:], h.ctrl, a)
 }
 
 // reply is the round trip's second half: the service seals the
-// admitted reply, and the host decrypts and parses it under its own
+// admitted and signed reply, and the host decrypts and parses it under its own
 // kHA key. The reply must carry exactly what was admitted — the
 // certificate, or the denial, which comes back as the error.
 func reply(enc []byte, ctrl ephid.EphID, a *ms.Admitted) (*cert.Cert, error) {

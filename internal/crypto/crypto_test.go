@@ -2,63 +2,8 @@ package crypto
 
 import (
 	"bytes"
-	"crypto/aes"
-	"crypto/cipher"
 	"testing"
-	"testing/quick"
 )
-
-func TestBlockCipherKeystreamMatchesStdlibCTR(t *testing.T) {
-	key := mustHex(t, "2b7e151628aed2a6abf7158809cf4f3c")
-	bc, err := NewBlockCipher(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(iv [16]byte, data [8]byte) bool {
-		// Our one-block CTR against crypto/cipher's CTR stream.
-		got := data
-		bc.XORKeystream(got[:], &iv)
-
-		block, _ := aes.NewCipher(key)
-		stream := cipher.NewCTR(block, iv[:])
-		want := make([]byte, 8)
-		stream.XORKeyStream(want, data[:])
-		return bytes.Equal(got[:], want)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBlockCipherXORKeystreamRoundTrip(t *testing.T) {
-	bc, err := NewBlockCipher(make([]byte, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var counter [16]byte
-	counter[0] = 0xab
-	orig := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	data := append([]byte(nil), orig...)
-	bc.XORKeystream(data, &counter)
-	if bytes.Equal(data, orig) {
-		t.Error("keystream did not change data")
-	}
-	bc.XORKeystream(data, &counter)
-	if !bytes.Equal(data, orig) {
-		t.Error("double XOR did not restore data")
-	}
-}
-
-func TestBlockCipherRejectsOversized(t *testing.T) {
-	bc, _ := NewBlockCipher(make([]byte, 16))
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for >16-byte input")
-		}
-	}()
-	var counter [16]byte
-	bc.XORKeystream(make([]byte, 17), &counter)
-}
 
 func TestASSecretDerivations(t *testing.T) {
 	s, err := ASSecretFromBytes(bytes.Repeat([]byte{7}, SymKeySize))

@@ -9,10 +9,11 @@
 //     keys).
 //   - AES-CMAC (RFC 4493), used for the per-packet MAC that links every
 //     packet to its sender (Section IV-D2 of the paper).
-//   - CBC-MAC over a fixed-size input, used for the EphID authentication
-//     tag (Figure 6). CBC-MAC is only secure for fixed-length messages,
-//     which the EphID construction guarantees (16-byte input).
-//   - A one-block AES-CTR helper used by the EphID construction.
+//   - BlockPair, one-block AES under two keys side by side, for the EphID
+//     construction (Figure 6): its CTR keystream is one block under the
+//     encryption key, and its CBC-MAC tag, over a fixed 16-byte input
+//     (the only length at which raw CBC-MAC is secure), is one block
+//     under the MAC key.
 //
 // Asymmetric primitives wrap the standard library: X25519 (crypto/ecdh)
 // for Diffie-Hellman exchanges and Ed25519 (crypto/ed25519) for

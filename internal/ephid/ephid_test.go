@@ -170,11 +170,13 @@ func TestConstructionMatchesFigure6(t *testing.T) {
 	e := s.mintWithIV(p, iv)
 
 	// Manual CT: AES(kA', IV||0^12) XOR plaintext.
-	encKey := secret.EphIDEncKey()
-	bc, _ := crypto.NewBlockCipher(encKey)
+	enc, err := aes.NewCipher(secret.EphIDEncKey())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var counter, ks [aes.BlockSize]byte
 	copy(counter[:4], iv[:])
-	bc.Keystream(&ks, &counter)
+	enc.Encrypt(ks[:], counter[:])
 	wantCT := []byte{
 		ks[0] ^ 0x01, ks[1] ^ 0x02, ks[2] ^ 0x03, ks[3] ^ 0x04,
 		ks[4] ^ 0x05, ks[5] ^ 0x06, ks[6] ^ 0x07, ks[7] ^ 0x08,
@@ -186,13 +188,17 @@ func TestConstructionMatchesFigure6(t *testing.T) {
 		t.Errorf("IV field = %x, want %x", e[8:12], iv)
 	}
 
-	// Manual TAG: CBC-MAC(kA'', IV||0^4||CT)[:4].
-	mac, _ := crypto.NewCBCMAC(secret.EphIDMACKey())
+	// Manual TAG: CBC-MAC(kA'', IV||0^4||CT)[:4]; over one block it is
+	// AES under kA''.
+	mac, err := aes.NewCipher(secret.EphIDMACKey())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var macIn [16]byte
 	copy(macIn[:4], iv[:])
 	copy(macIn[8:], wantCT)
 	var tag [16]byte
-	mac.Tag(&tag, macIn[:])
+	mac.Encrypt(tag[:], macIn[:])
 	if !bytes.Equal(e[12:16], tag[:4]) {
 		t.Errorf("TAG = %x, want %x", e[12:16], tag[:4])
 	}

@@ -36,9 +36,7 @@ var (
 // EphID generation across 4 processes with no coordination
 // (Section V-A2).
 type Sealer struct {
-	enc *crypto.BlockCipher
-	mac *crypto.CBCMAC
-	// pair holds both keys again, for opening: the MAC key first.
+	// pair holds both keys, the MAC key first.
 	pair *crypto.BlockPair
 	// ivCtr is the IV allocation counter. Its low 32 bits, XORed with
 	// ivBase, form the per-EphID IV. A random base makes IVs
@@ -49,19 +47,11 @@ type Sealer struct {
 
 // NewSealer builds a Sealer from the AS master secret.
 func NewSealer(secret *crypto.ASSecret) (*Sealer, error) {
-	enc, err := crypto.NewBlockCipher(secret.EphIDEncKey())
-	if err != nil {
-		return nil, fmt.Errorf("ephid: %w", err)
-	}
-	mac, err := crypto.NewCBCMAC(secret.EphIDMACKey())
-	if err != nil {
-		return nil, fmt.Errorf("ephid: %w", err)
-	}
 	pair, err := crypto.NewBlockPair(secret.EphIDMACKey(), secret.EphIDEncKey())
 	if err != nil {
 		return nil, fmt.Errorf("ephid: %w", err)
 	}
-	s := &Sealer{enc: enc, mac: mac, pair: pair}
+	s := &Sealer{pair: pair}
 	var seed [4]byte
 	if _, err := io.ReadFull(rand.Reader, seed[:]); err != nil {
 		return nil, fmt.Errorf("ephid: seeding IV base: %w", err)
@@ -85,25 +75,28 @@ func (s *Sealer) Mint(p Payload) EphID {
 }
 
 // mintWithIV implements Figure 6 with an explicit IV (exposed for tests
-// that need bit-exact construction checks).
+// that need bit-exact construction checks). The tag covers the
+// ciphertext, so the keystream and the tag are two BlockPair calls, one
+// block each; it does not allocate.
 func (s *Sealer) mintWithIV(p Payload, iv [ivLen]byte) EphID {
 	var e EphID
+	var mac, ctr [crypto.PairLanes][aes.BlockSize]byte
 
 	// CipherText(8) = keystream(IV||0^12)[0:8] XOR (HID||ExpTime).
 	var pt [ctLen]byte
 	p.encodePlain(&pt)
-	var counter [aes.BlockSize]byte
-	copy(counter[:ivLen], iv[:])
-	copy(e[ctOff:ctOff+ctLen], pt[:])
-	s.enc.XORKeystream(e[ctOff:ctOff+ctLen], &counter)
+	copy(ctr[0][:ivLen], iv[:])
+	s.pair.Encrypt(&mac, &ctr, 1)
+	subtle.XORBytes(e[ctOff:ctOff+ctLen], pt[:], ctr[0][:ctLen])
 
 	copy(e[ivOff:ivOff+ivLen], iv[:])
 
-	// TAG(4) = CBC-MAC(IV || 0^4 || CT)[0:4].
-	var macIn [aes.BlockSize]byte
-	copy(macIn[:ivLen], iv[:])
-	copy(macIn[ivLen+4:], e[ctOff:ctOff+ctLen])
-	s.mac.TagTruncated(e[tagOff:tagOff+tagLen], tagLen, macIn[:])
+	// TAG(4) = CBC-MAC(IV || 0^4 || CT)[0:4], one block: AES under kA''.
+	mac[0] = [aes.BlockSize]byte{}
+	copy(mac[0][:ivLen], iv[:])
+	copy(mac[0][ivLen+4:], e[ctOff:ctOff+ctLen])
+	s.pair.Encrypt(&mac, &ctr, 1)
+	copy(e[tagOff:tagOff+tagLen], mac[0][:tagLen])
 
 	return e
 }

@@ -14,9 +14,11 @@
 // The service side is three steps: Admit decides everything
 // (authentication, renewal budget, the minted EphID), Sign certifies a
 // batch of admitted requests under one signature (cert.SignBatch), and
-// Admitted.Seal encrypts one reply. HandleRequest runs all three for a
-// batch of one. A caller with many requests signs them together, and a
-// caller with a spare core can hand the seals to it.
+// Admitted.Seal encrypts one reply under the AEAD Admit built to open
+// the request, so the MS builds one AES-GCM key schedule per request.
+// HandleRequest runs all three for a batch of one. A caller with many
+// requests signs them together, and a caller with a spare core can hand
+// a whole batch, signature and seals, to it.
 package ms
 
 import (
@@ -162,10 +164,10 @@ func (p Policy) Clamp(requested uint32) uint32 {
 // Service is the Management Service of one AS. It is safe for
 // concurrent use; the paper parallelizes issuance across 4 processes.
 // Here the population engine's workers call it concurrently, and each
-// request splits in three: Admit makes every decision on the caller,
-// Sign covers up to cert.MaxBatch admitted requests with one Ed25519
-// signature, and the Admitted's Seal — the reply's encryption — may
-// run on another core.
+// request splits in three: Admit makes every decision on the caller;
+// Sign, which covers up to cert.MaxBatch admitted requests with one
+// Ed25519 signature, and the Admitted's Seal — the reply's encryption —
+// may run on another core.
 type Service struct {
 	aid     ephid.AID
 	sealer  *ephid.Sealer
@@ -319,10 +321,12 @@ func (s *Service) HandleRequest(srcEphID ephid.EphID, ciphertext []byte) ([]byte
 // renewal budget charged, the EphID minted — and what is left, signing
 // the certificate (Sign, which may batch it with others) and
 // encrypting the reply (Seal), reads no service state the decisions
-// changed. Once signed, Seal may run on another goroutine while the
-// admitting one reads Denial, EphID and ExpTime.
+// changed. Sign and then Seal may run on another goroutine while the
+// admitting one reads Denial, EphID and ExpTime. An Admitted keeps the
+// AEAD that opened the request, built for the reply direction, so the
+// reply is sealed under the same key schedule.
 type Admitted struct {
-	encKey [crypto.SymKeySize]byte
+	aead   *crypto.AEAD
 	src    ephid.EphID
 	status byte
 	signed bool
@@ -353,8 +357,9 @@ func (s *Service) Admit(srcEphID ephid.EphID, ciphertext []byte) (*Admitted, err
 		return nil, fmt.Errorf("%w: %w", ErrUnknownHost, err)
 	}
 
-	// Decrypt and parse the request.
-	aead, err := crypto.NewAEAD(encKey[:], 0)
+	// Decrypt and parse the request. Open ignores the direction, so the
+	// AEAD is built for the reply's (1) and Seal reuses it.
+	aead, err := crypto.NewAEAD(encKey[:], 1)
 	if err != nil {
 		return nil, err
 	}
@@ -366,7 +371,7 @@ func (s *Service) Admit(srcEphID ephid.EphID, ciphertext []byte) (*Admitted, err
 	if err != nil {
 		return nil, err
 	}
-	a := &Admitted{encKey: encKey, src: srcEphID}
+	a := &Admitted{aead: aead, src: srcEphID}
 	if req.Renewing() {
 		if err := s.checkRenewal(p.HID, req, now); err != nil {
 			// The requester is authenticated and its request well
@@ -423,10 +428,14 @@ func (s *Service) Sign(batch []*Admitted) {
 }
 
 // Seal encrypts the reply under the host's kHA key, bound to the
-// requesting control EphID: the signed certificate, or the status byte
-// alone for a denial. Encryption keeps observers from linking the new
-// EphID to the control EphID. A minted certificate must have been
-// signed (Sign) first, or Seal returns ErrUnsigned.
+// requesting control EphID: the status byte, then the signed
+// certificate unless the reply is a denial. Encryption keeps observers
+// from linking the new EphID to the control EphID. Direction 1
+// separates the reply nonces from the host's request nonces under the
+// shared key, and each message draws its own random nonce (SealOnce):
+// the key lives as long as the host's registration. A minted
+// certificate must have been signed (Sign) first, or Seal returns
+// ErrUnsigned.
 func (a *Admitted) Seal() ([]byte, error) {
 	var raw []byte
 	if a.status == replyStatusOK {
@@ -438,7 +447,10 @@ func (a *Admitted) Seal() ([]byte, error) {
 			return nil, err
 		}
 	}
-	return sealReply(a.encKey[:], a.src, a.status, raw)
+	plain := make([]byte, 0, 1+len(raw))
+	plain = append(plain, a.status)
+	plain = append(plain, raw...)
+	return a.aead.SealOnce(nil, plain, a.src[:])
 }
 
 // Reply status codes, the first byte of the decrypted reply.
@@ -469,22 +481,6 @@ func statusErr(status byte) error {
 		return ErrForeignPrev
 	}
 	return fmt.Errorf("%w: reply status %d", ErrBadRequest, status)
-}
-
-// sealReply encrypts a status byte plus optional certificate under the
-// host's kHA key, bound to the requesting control EphID. Direction 1
-// separates the reply nonces from the host's request nonces under the
-// shared key, and each message draws its own random nonce (SealOnce):
-// the key lives as long as the host's registration.
-func sealReply(encKey []byte, srcEphID ephid.EphID, status byte, raw []byte) ([]byte, error) {
-	replyAEAD, err := crypto.NewAEAD(encKey, 1)
-	if err != nil {
-		return nil, err
-	}
-	plain := make([]byte, 0, 1+len(raw))
-	plain = append(plain, status)
-	plain = append(plain, raw...)
-	return replyAEAD.SealOnce(nil, plain, srcEphID[:])
 }
 
 // mint fills the unsigned certificate for an already-validated host:
@@ -527,7 +523,7 @@ func DecodeReply(encKey []byte, srcEphID ephid.EphID, reply []byte) (*cert.Cert,
 		return nil, ErrBadRequest
 	}
 	if plain[0] != replyStatusOK && len(plain) != 1 {
-		// A denial is the status byte alone (sealReply).
+		// A denial is the status byte alone (Admitted.Seal).
 		return nil, fmt.Errorf("%w: %d bytes after reply status %d", ErrBadRequest, len(plain)-1, plain[0])
 	}
 	if err := statusErr(plain[0]); err != nil {

@@ -756,6 +756,62 @@ func TestMessageNoncesAreFresh(t *testing.T) {
 	}
 }
 
+// TestReplyNonceDirection pins bit 0 of every nonce's first byte to
+// the message's direction under the host's kHA key: 0 on each request
+// (EncodeRequest), 1 on each reply — from HandleRequest, from Admit,
+// Sign and Seal, and for a denial by either path. Seal reuses the AEAD
+// Admit opened the request with, so this is what holds that AEAD to
+// the reply direction. Thirty-two rounds leave a nonce whose bit is
+// random, not set, a 2⁻³² chance per path to pass.
+func TestReplyNonceDirection(t *testing.T) {
+	f := newFixture(t)
+	f.db.Put(hostdb.Entry{HID: 99, Keys: crypto.DeriveHostASKeys([]byte("other"))})
+	denied := fixedRequest()
+	denied.Flags = ReqFlagRenew
+	denied.Prev = f.sealer.Mint(ephid.Payload{HID: 99, ExpTime: uint32(f.now) + 30})
+	direction := func(path string, msg []byte, want byte) {
+		t.Helper()
+		if len(msg) < crypto.NonceSize {
+			t.Fatalf("%s: %d-byte message", path, len(msg))
+		}
+		if got := msg[0] & 1; got != want {
+			t.Fatalf("%s: nonce %x has direction bit %d, want %d", path, msg[:crypto.NonceSize], got, want)
+		}
+	}
+	for range 32 {
+		for _, tc := range []struct {
+			name   string
+			req    *Request
+			denial error
+		}{{"issue", fixedRequest(), nil}, {"denial", denied, ErrForeignPrev}} {
+			ct, err := EncodeRequest(f.keys.Enc[:], f.ctrlID, tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direction(tc.name+" request", ct, 0)
+
+			reply, err := f.svc.HandleRequest(f.ctrlID, ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direction(tc.name+" HandleRequest reply", reply, 1)
+
+			a, err := f.svc.Admit(f.ctrlID, ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.svc.Sign([]*Admitted{a})
+			if reply, err = a.Seal(); err != nil {
+				t.Fatal(err)
+			}
+			direction(tc.name+" Admit/Sign/Seal reply", reply, 1)
+			if _, err := DecodeReply(f.keys.Enc[:], f.ctrlID, reply); !errors.Is(err, tc.denial) {
+				t.Fatalf("%s reply decodes to %v, want %v", tc.name, err, tc.denial)
+			}
+		}
+	}
+}
+
 // TestRenewalWindowPruning: lapsed renewal windows are swept once a
 // shard sees renewPruneEvery insertions, so a churning population
 // cannot grow the budget table without bound.

@@ -19,18 +19,20 @@
 // seeded from (Seed, worker) and from virtual time, and every modeled
 // host is owned by exactly one worker, so the logical event trace —
 // which host did what at which tick, and every counter — is a pure
-// function of the Config. Each worker signs its admitted requests in
-// batches, one signature per batch of up to cert.MaxBatch, and helper
-// goroutines on the cores the workers leave idle seal the MS replies;
-// but every decision is made on the worker by ms.Service.Admit, so
-// neither changes an outcome, only the wall time. A batch closes when
-// it is full or at the end of the tick, so in virtual time no request
-// waits for its signature; in wall-clock time an issuance or renewal
-// sample includes the wait for its batch to close. Only wall-clock
-// measurements (latencies, events/sec, RSS) vary between runs. EphID
-// byte values are not part of the trace: the sealer's IV counter is
-// shared across workers, so the identifiers themselves depend on
-// scheduling.
+// function of the Config. Each worker admits requests into batches of
+// up to cert.MaxBatch, one signature per batch, and hands each closed
+// batch whole to a helper goroutine on a core the workers leave idle,
+// which signs it and seals the MS replies (the worker does both itself
+// when no helper is free); but every decision is made on the worker by
+// ms.Service.Admit, so neither changes an outcome, only the wall time.
+// A batch closes when it is full or at the end of the tick, so in
+// virtual time no request waits for its signature; in wall-clock time
+// an issuance or renewal sample includes the wait for its batch to
+// close and then for a helper, behind at most one queued batch per
+// helper. Only wall-clock measurements (latencies, events/sec, RSS)
+// vary between runs. EphID byte values are not part of the trace: the
+// sealer's IV counter is shared across workers, so the identifiers
+// themselves depend on scheduling.
 package population
 
 import (
@@ -291,8 +293,9 @@ type Result struct {
 	// IssueLatency and RenewLatency are wall-clock spans from a
 	// request's admit to its reply being checked. They include the
 	// wait for the request's signing batch to close (at cert.MaxBatch
-	// requests or the end of the tick), which takes no virtual time:
-	// the batch closes within the tick the request arrived in.
+	// requests or the end of the tick) and, when a helper takes the
+	// batch, its wait in the helper's queue; neither takes virtual
+	// time: the batch is signed within the tick the request arrived in.
 	IssueLatency     OpStats `json:"issue_latency"`
 	RenewLatency     OpStats `json:"renew_latency"`
 	ComplaintLatency OpStats `json:"complaint_latency"`
@@ -418,19 +421,39 @@ type worker struct {
 	trace   []traceEvent
 
 	// batch is the open signing batch: jobs admitted but not yet
-	// signed, at most cert.MaxBatch; adms is its scratch list for
-	// ms.Service.Sign.
+	// signed, at most cert.MaxBatch; adms is the worker's scratch list
+	// for ms.Service.Sign when it signs a batch itself.
 	batch []*sealJob
 	adms  []*ms.Admitted
-	// helpers feeds this worker's spare-core helpers; its capacity is
-	// their count, and it is nil (every seal inline) when there are
-	// none. inflight counts the seal jobs handed to them this tick.
-	helpers  chan *sealJob
+	// helpers feeds this worker's spare-core helpers whole closed
+	// batches; its capacity is their count, and it is nil (every batch
+	// inline) when there are none. inflight counts the batches handed
+	// to them this tick, and handed holds those batches until the
+	// barrier, when they join spare for reuse.
+	helpers  chan []*sealJob
 	inflight sync.WaitGroup
+	handed   [][]*sealJob
+	spare    [][]*sealJob
 	// samples are this tick's latency samples in issue order, folded
 	// into the reservoirs once every seal is back; free recycles jobs.
 	samples []sample
 	free    []*sealJob
+}
+
+// signAndSeal is a closed batch's remaining work: one signature over
+// every certificate it minted, then each job's seal and check. adms is
+// the caller's scratch list for ms.Service.Sign, returned empty for
+// reuse.
+func signAndSeal(svc *ms.Service, batch []*sealJob, adms []*ms.Admitted) []*ms.Admitted {
+	for _, j := range batch {
+		adms = append(adms, j.adm)
+	}
+	svc.Sign(adms)
+	clear(adms)
+	for _, j := range batch {
+		j.run()
+	}
+	return adms[:0]
 }
 
 // sealJob is the second half of one round trip: seal the admitted and
@@ -490,46 +513,44 @@ func (wk *worker) request(h *hostState, prev *ephid.EphID, sm *sample) (*ms.Admi
 	return a, a.Denial()
 }
 
-// closeBatch signs the open batch on the worker, one signature for all
-// its certificates, then hands each job on to seal.
+// closeBatch offers the closed, unsigned batch to this worker's
+// helpers without blocking; if none can take it now, the worker signs
+// and seals it itself, right away. So at most two batches per helper
+// are ever outstanding, and with no helper every batch is inline.
 func (wk *worker) closeBatch() {
 	if len(wk.batch) == 0 {
 		return
 	}
-	for _, j := range wk.batch {
-		wk.adms = append(wk.adms, j.adm)
-	}
-	wk.w.MS.Sign(wk.adms)
-	clear(wk.adms)
-	wk.adms = wk.adms[:0]
-	for _, j := range wk.batch {
-		wk.seal(j)
-	}
-	clear(wk.batch)
-	wk.batch = wk.batch[:0]
-}
-
-// seal offers a signed job to this worker's helpers without blocking;
-// if none can take it now, the worker seals it itself, right away. So
-// at most two jobs per helper are ever outstanding, and with no helper
-// every request is sealed inline.
-func (wk *worker) seal(j *sealJob) {
 	wk.inflight.Add(1)
 	select {
-	case wk.helpers <- j:
+	case wk.helpers <- wk.batch:
+		wk.handed = append(wk.handed, wk.batch)
+		if n := len(wk.spare); n > 0 {
+			wk.batch, wk.spare = wk.spare[n-1], wk.spare[:n-1]
+		} else {
+			wk.batch = make([]*sealJob, 0, cert.MaxBatch)
+		}
 	default:
-		j.run()
+		wk.adms = signAndSeal(wk.w.MS, wk.batch, wk.adms)
 		wk.inflight.Done()
+		clear(wk.batch)
+		wk.batch = wk.batch[:0]
 	}
 }
 
-// collect closes the tick's last batch and waits for the seals handed
-// off this tick, then folds every sample into its reservoir in issue
-// order. A reply that did not carry what was admitted counts as
+// collect closes the tick's last batch and waits for the batches
+// handed off this tick, then folds every sample into its reservoir in
+// issue order. A reply that did not carry what was admitted counts as
 // ErrNoEphID.
 func (wk *worker) collect(t int) {
 	wk.closeBatch()
 	wk.inflight.Wait()
+	for _, b := range wk.handed {
+		clear(b)
+		wk.spare = append(wk.spare, b[:0])
+	}
+	clear(wk.handed)
+	wk.handed = wk.handed[:0]
 	for _, sm := range wk.samples {
 		end, bad := sm.end, false
 		for _, j := range sm.jobs {
@@ -780,8 +801,8 @@ func Run(cfg Config) (*Result, error) {
 	setupWG.Wait()
 
 	// Spare-core helpers: one per P the workers leave idle, shared out
-	// round-robin. They only seal and check replies the workers admitted
-	// and signed, so every decision stays on the workers (DESIGN §10,
+	// round-robin. They sign, seal and check whole batches the workers
+	// admitted, so every decision stays on the workers (DESIGN §10,
 	// "One signature per batch").
 	spare := max(runtime.GOMAXPROCS(0)-cfg.Workers, 0)
 	var helperWG sync.WaitGroup
@@ -793,13 +814,14 @@ func Run(cfg Config) (*Result, error) {
 		if n == 0 {
 			continue
 		}
-		wk.helpers = make(chan *sealJob, n)
+		wk.helpers = make(chan []*sealJob, n)
 		helperWG.Add(n)
 		for range n {
 			go func() {
 				defer helperWG.Done()
-				for j := range wk.helpers {
-					j.run()
+				var adms []*ms.Admitted
+				for b := range wk.helpers {
+					adms = signAndSeal(w.MS, b, adms)
 					wk.inflight.Done()
 				}
 			}()

@@ -103,10 +103,12 @@ func TestTraceHashGolden(t *testing.T) {
 	}
 }
 
-// TestSpareCoreSealingMatchesInline: with no spare core every reply is
-// sealed on its worker; with spare cores most go to helpers. The run
-// must not notice. A renewal budget of one makes denials and their
-// fallbacks go through helpers too, and churn and complaints stay on.
+// TestSpareCoreSealingMatchesInline: with no spare core every closed
+// batch is signed and sealed on its worker; with spare cores most
+// batches go whole to helpers, which sign them and seal every reply.
+// The run must not notice. A renewal budget of one puts denials and
+// their fallbacks into the helpers' batches too, and churn and
+// complaints stay on.
 func TestSpareCoreSealingMatchesInline(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		cfg := smallConfig()

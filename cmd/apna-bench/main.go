@@ -2,23 +2,22 @@
 // (Section V and Section VII-C): the MS performance table, the trace
 // statistics it is sized against, both Figure 8 forwarding series, the
 // connection-establishment latency analysis, the multi-AS
-// parallel-engine saturation run (E8), the million-host population
-// ramp (E11), and the thousand-AS digest dissemination sweep (E12);
-// each table prints the paper's numbers next to the measured ones. E6,
-// E7, E9 and E10 are scenario specs: run them with apna-scenario -file
-// scenarios/e6.json (or e7.json / e9.json / e10.json -seeds 5).
+// parallel-engine saturation run (E8) and the million-host population
+// ramp (E11); each table prints the paper's numbers next to the
+// measured ones. E6, E7, E9 and E10 are scenario specs: run them with
+// apna-scenario -file scenarios/e6.json (or e7.json / e9.json /
+// e10.json -seeds 5). The thousand-AS digest dissemination sweep (E12)
+// is a test: go test -run TestDisseminationAtScale
+// ./internal/accountability.
 //
 // The -seed flag drives every seeded experiment (E2 trace, E8 traffic
-// mix, E11 population model, E12 graph); E8, E11 and E12 exit 2 if any
-// of their gates is violated. Usage errors, an -exp that names no
-// experiment among them, exit 1.
+// mix, E11 population model); E8 and E11 exit 2 if any of their gates
+// is violated. Usage errors, an -exp that names no experiment among
+// them, exit 1.
 //
 // The gated runs additionally take -reruns N and -out PREFIX to emit
-// PREFIX_run1.json..PREFIX_runN.json. E8 and E11 time something, so
-// their rerun sets are what cmd/apna-gate compares against the
-// provenance-pinned baseline; E12 counts deterministically, so its
-// artifact is held byte for byte by a golden
-// (internal/experiments/testdata/e12.golden.json) instead.
+// PREFIX_run1.json..PREFIX_runN.json, the rerun sets cmd/apna-gate
+// compares against the provenance-pinned baseline.
 //
 // Usage:
 //
@@ -29,7 +28,6 @@
 //	apna-bench -exp e8 -ases 4 -fwd-workers 8 -json > BENCH_e8.json
 //	apna-bench -exp e11 -json > BENCH_e11.json     # 10^3→10^6 ramp
 //	apna-bench -exp e11 -e11-full -json            # extend to 10^7
-//	apna-bench -exp e12 -json > BENCH_e12.json     # 1000-AS dissemination
 package main
 
 import (
@@ -48,7 +46,7 @@ import (
 )
 
 // experimentNames is every value -exp takes.
-var experimentNames = []string{"all", "e1", "e2", "e3", "e4", "e5", "e8", "e11", "e12"}
+var experimentNames = []string{"all", "e1", "e2", "e3", "e4", "e5", "e8", "e11"}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -63,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("apna-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp       = fs.String("exp", "all", "experiment: e1, e2, e3 (includes e4), e5, e8, e11, e12, all")
+		exp       = fs.String("exp", "all", "experiment: e1, e2, e3 (includes e4), e5, e8, e11, all")
 		requests  = fs.Int("requests", 500_000, "E1: number of EphID requests")
 		workers   = fs.Int("workers", 4, "E1: parallel issuance workers (paper: 4)")
 		fwdHosts  = fs.Int("hosts", 256, "E3/E8: simulated source hosts (per AS for E8)")
@@ -71,21 +69,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fwdWork   = fs.Int("fwd-workers", runtime.NumCPU(), "E3/E8: forwarding workers, E11: population workers (cores)")
 		small     = fs.Bool("small", false, "E2: use a small trace instead of paper scale")
 		oneWay    = fs.Duration("oneway", 25*time.Millisecond, "E5: one-way inter-AS latency")
-		seed      = fs.Int64("seed", 1, "seed for every seeded experiment (E2, E8, E11, E12)")
-		jsonOut   = fs.Bool("json", false, "E8, E11, E12: emit machine-readable JSON")
+		seed      = fs.Int64("seed", 1, "seed for every seeded experiment (E2, E8, E11)")
+		jsonOut   = fs.Bool("json", false, "E8, E11: emit machine-readable JSON")
 		e8ASes    = fs.Int("ases", 4, "E8: autonomous systems in the ring")
 		e8Batch   = fs.Int("batch", 64, "E8: frames per pipeline batch")
 		e8Bad     = fs.Float64("bad", 0.05, "E8: fraction of adversarial frames")
 		e11Ticks  = fs.Int("pop-ticks", experiments.DefaultE11().Ticks, "E11: virtual ticks per population tier")
 		e11Bound  = fs.Float64("p99-bound", experiments.DefaultE11().P99BoundMs, "E11: issuance p99 gate in milliseconds")
 		e11Full   = fs.Bool("e11-full", false, "E11: extend the ramp to 10^7 modeled hosts")
-		e12Stubs  = fs.Int("dissem-stubs", experiments.DefaultE12().Stubs, "E12: stub ASes in the relay graph (total = core + mid + stubs)")
-		e12Ticks  = fs.Int("dissem-ticks", experiments.DefaultE12().Ticks, "E12: measured digest intervals in the relay phase")
-		reruns    = fs.Int("reruns", 1, "E8/E11/E12: repeat the run N times (requires -out for N > 1)")
-		outPrefix = fs.String("out", "", "E8/E11/E12: write each rerun's artifact to PREFIX_runN.json instead of stdout (implies -json)")
+		reruns    = fs.Int("reruns", 1, "E8/E11: repeat the run N times (requires -out for N > 1)")
+		outPrefix = fs.String("out", "", "E8/E11: write each rerun's artifact to PREFIX_runN.json instead of stdout (implies -json)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 1
+	}
+	if *exp == "e12" {
+		return fatal(stderr, fmt.Errorf("E12 is a test of the digest plane: go test -run TestDisseminationAtScale ./internal/accountability"))
 	}
 	if !slices.Contains(experimentNames, *exp) {
 		return fatal(stderr, fmt.Errorf("unknown experiment %q (valid: %s; E6, E7, E9 and E10 are apna-scenario specs: scenarios/e6.json, scenarios/e7.json, scenarios/e9.json, scenarios/e10.json)",
@@ -207,50 +206,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// The gated runs share one shape: configure, then per rerun run,
-	// route the artifact, and exit 2 if any run's gate failed.
-	type result interface {
-		Fprint(io.Writer)
-		Report(io.Writer, bool) (bool, error)
-	}
-	gated := []struct {
-		name, banner string
-		run          func() (result, error)
-	}{
-		{"e11", "population ramp", func() (result, error) {
-			cfg := experiments.DefaultE11()
-			cfg.Ticks = *e11Ticks
-			cfg.Workers = *fwdWork
-			cfg.Seed = *seed
-			cfg.P99BoundMs = *e11Bound
-			if *e11Full {
-				cfg.Tiers = append(cfg.Tiers, experiments.FullTopTier)
-			}
-			return experiments.RunE11(cfg)
-		}},
-		{"e12", "digest dissemination", func() (result, error) {
-			cfg := experiments.DefaultE12()
-			cfg.Seed = *seed
-			cfg.Stubs = *e12Stubs
-			cfg.Ticks = *e12Ticks
-			return experiments.RunE12(cfg)
-		}},
-	}
-	for _, g := range gated {
-		if !selected(g.name) {
-			continue
+	if selected("e11") {
+		cfg := experiments.DefaultE11()
+		cfg.Ticks = *e11Ticks
+		cfg.Workers = *fwdWork
+		cfg.Seed = *seed
+		cfg.P99BoundMs = *e11Bound
+		if *e11Full {
+			cfg.Tiers = append(cfg.Tiers, experiments.FullTopTier)
 		}
 		asJSON := *jsonOut || *outPrefix != ""
 		ok := true
 		for i := 1; i <= *reruns; i++ {
-			fmt.Fprintf(stderr, "%s: %s (run %d/%d)...\n", g.name, g.banner, i, *reruns)
-			res, err := g.run()
+			fmt.Fprintf(stderr, "e11: population ramp (run %d/%d)...\n", i, *reruns)
+			res, err := experiments.RunE11(cfg)
 			if err != nil {
 				return fatal(stderr, err)
 			}
 			if asJSON {
 				// The summary goes to stderr so the artifact stream
-				// stays clean JSON (BENCH_eN.json).
+				// stays clean JSON (BENCH_e11.json).
 				res.Fprint(stderr)
 			}
 			if err := writeArtifact(i, func(w io.Writer) error {
@@ -263,7 +238,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintln(stdout)
 		if !ok {
-			fmt.Fprintf(stderr, "apna-bench: %s gate failures\n", g.name)
+			fmt.Fprintln(stderr, "apna-bench: e11 gate failures")
 			return 2
 		}
 	}

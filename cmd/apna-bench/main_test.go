@@ -20,8 +20,9 @@ func TestExitCodes(t *testing.T) {
 		{"retired experiment", []string{"-exp", "e7"}, 1, "apna-scenario"},
 		{"retired experiment e10", []string{"-exp", "e10"}, 1, "scenarios/e10.json"},
 		{"retired experiment e9", []string{"-exp", "e9"}, 1, "scenarios/e9.json"},
-		{"retired e9 flag", []string{"-exp", "e12", "-windows", "4"}, 1, ""},
-		{"reruns without out", []string{"-exp", "e12", "-reruns", "2"}, 1, "-out"},
+		{"retired e9 flag", []string{"-exp", "e11", "-windows", "4"}, 1, ""},
+		{"reruns without out", []string{"-exp", "e11", "-reruns", "2"}, 1, "-out"},
+		{"e12 is a test", []string{"-exp", "e12"}, 1, "go test -run TestDisseminationAtScale ./internal/accountability"},
 		{"unknown flag", []string{"-no-such-flag"}, 1, ""},
 		{"e5 runs", []string{"-exp", "e5"}, 0, ""},
 	}

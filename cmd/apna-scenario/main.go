@@ -7,7 +7,8 @@
 // (E7), EphID lifecycle endurance sweep (E9) and inter-domain
 // accountability sweep (E10) are the committed specs scenarios/e6.json,
 // e7.json, e9.json and e10.json; the Go-driven experiments (E1-E5, E8,
-// E11, E12) live in apna-bench.
+// E11) live in apna-bench, and the dissemination sweep (E12) is
+// TestDisseminationAtScale in internal/accountability.
 //
 // -seed overrides the spec's seed; -seeds N sweeps the spec over
 // seed, seed+1, ... seed+N-1 (one verdict per seed, -json: one verdict
@@ -61,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if *file == "" {
-		return fatal(stderr, fmt.Errorf("-file is required (the experiments E1-E5, E8, E11 and E12 run from apna-bench)"))
+		return fatal(stderr, fmt.Errorf("-file is required (the experiments E1-E5, E8 and E11 run from apna-bench, E12 is go test -run TestDisseminationAtScale ./internal/accountability)"))
 	}
 	if *seeds > 1 && (*record != "" || *replayPath != "") {
 		return fatal(stderr, fmt.Errorf("-record and -replay bind one seed; drop -seeds"))

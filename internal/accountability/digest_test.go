@@ -3,7 +3,6 @@ package accountability
 import (
 	"bytes"
 	"errors"
-	"math/rand"
 	"testing"
 
 	"apna/internal/ephid"
@@ -264,86 +263,6 @@ func TestRelayLineOverlay(t *testing.T) {
 	}
 	if after.DigestsRelayed != before.DigestsRelayed {
 		t.Fatal("forged digest queued for relay")
-	}
-}
-
-// TestMeshRelayEquivalenceUnderLoss drives the same revocation schedule
-// through both dissemination modes over a 25%-lossy transport and
-// checks each converges to exactly the ground-truth remote-revocation
-// set (and hence to the same set as the other) within a bounded number
-// of anti-entropy rounds, with zero false installs.
-func TestMeshRelayEquivalenceUnderLoss(t *testing.T) {
-	const aidD = ephid.AID(400)
-	aids := []ephid.AID{aidA, aidB, aidC, aidD}
-
-	converged := func(w *world, truth map[ephid.AID][]ephid.EphID) bool {
-		for _, aid := range aids {
-			rem := w.ases[aid].router.RemoteRevoked()
-			want := 0
-			for origin, ids := range truth {
-				if origin == aid {
-					continue
-				}
-				want += len(ids)
-				for _, id := range ids {
-					if !rem.Matches(id, origin) {
-						return false
-					}
-				}
-			}
-			if rem.Len() != want { // an extra entry would be a false install
-				return false
-			}
-		}
-		return true
-	}
-
-	run := func(mode Mode) (*world, map[ephid.AID][]ephid.EphID) {
-		w := newWorld(t, aids...)
-		rng := rand.New(rand.NewSource(7))
-		for _, aid := range aids {
-			w.ases[aid].engine.SetDissemination(mode, 2)
-			w.filterSend(aid, func(dst wire.Endpoint, payload []byte) bool {
-				return rng.Float64() < 0.25
-			})
-		}
-		if mode == ModeRelay {
-			link := func(x, y ephid.AID) {
-				w.ases[x].engine.RegisterNeighbor(y, w.aaEphID[y])
-				w.ases[y].engine.RegisterNeighbor(x, w.aaEphID[x])
-			}
-			link(aidA, aidB)
-			link(aidB, aidC)
-			link(aidC, aidD)
-		}
-		truth := make(map[ephid.AID][]ephid.EphID)
-		hid := ephid.HID(50)
-		for round := 0; round < 3; round++ {
-			for _, aid := range aids {
-				hid++
-				truth[aid] = append(truth[aid], w.mintRevoked(aid, hid, 1_000_000))
-			}
-			for _, aid := range aids {
-				w.ases[aid].engine.FlushDigest()
-			}
-			w.now += 30
-		}
-		for round := 0; round < 24 && !converged(w, truth); round++ {
-			for _, aid := range aids {
-				w.ases[aid].engine.FlushDigest()
-			}
-			w.now += 30
-		}
-		return w, truth
-	}
-
-	meshW, meshTruth := run(ModeMesh)
-	if !converged(meshW, meshTruth) {
-		t.Fatal("mesh mode did not converge under 25% loss")
-	}
-	relayW, relayTruth := run(ModeRelay)
-	if !converged(relayW, relayTruth) {
-		t.Fatal("relay mode did not converge under 25% loss")
 	}
 }
 

@@ -16,5 +16,5 @@
 // fail the build on a statistically confirmed regression, update the
 // baseline. A deterministic count is not gated here: equal reruns tie
 // and cannot fail a rank test, so such counts are held by byte-exact
-// goldens instead (the scenario corpus, E12's artifact).
+// goldens instead (the scenario corpus, E12's test golden).
 package benchgate

@@ -161,7 +161,19 @@ func (r *E11Result) Fprint(w io.Writer) {
 		r.WallElapsed.Round(time.Millisecond), r.Provenance.Commit)
 }
 
-// Report renders the sweep to w and returns whether every gate held.
+// Report renders the sweep to w, the JSON artifact alone and
+// newline-terminated when jsonOut (so `-json > BENCH_e11.json` stays
+// clean), the human table otherwise, and returns whether every gate
+// held.
 func (r *E11Result) Report(w io.Writer, jsonOut bool) (bool, error) {
-	return report(w, jsonOut, r.OK, r.Fprint, r.JSON)
+	if !jsonOut {
+		r.Fprint(w)
+		return r.OK, nil
+	}
+	raw, err := r.JSON()
+	if err != nil {
+		return r.OK, err
+	}
+	_, err = fmt.Fprintln(w, string(raw))
+	return r.OK, err
 }

@@ -1,8 +1,9 @@
 // Package experiments implements the reproduction harness behind
 // cmd/apna-bench: one function per table/figure of the paper's
 // evaluation (Section V), the latency analysis of Section VII-C, and
-// the gated runs E11 and E12. E8 is engine.Saturate, which apna-bench
-// calls directly; E6, E7, E9 and E10 are specs under scenarios/.
+// the gated population ramp E11. E8 is engine.Saturate, which
+// apna-bench calls directly; E6, E7, E9 and E10 are specs under
+// scenarios/; E12 is TestDisseminationAtScale in internal/accountability.
 package experiments
 
 import (
@@ -226,20 +227,4 @@ func FprintE3(w io.Writer, reports []*engine.Report) {
 	fmt.Fprintf(w, "   batches; cores@line projects how many of this machine's cores the Go\n")
 	fmt.Fprintf(w, "   pipelines would need to hold the 120 Gbps line; the paper's testbed had\n")
 	fmt.Fprintf(w, "   16 cores running a DPDK/AES-NI C pipeline)\n")
-}
-
-// report is the body of every gated result's Report: the JSON artifact
-// alone, newline-terminated, when jsonOut (so `-json > BENCH_eN.json`
-// stays clean), the human table otherwise.
-func report(w io.Writer, jsonOut, ok bool, table func(io.Writer), artifact func() ([]byte, error)) (bool, error) {
-	if !jsonOut {
-		table(w)
-		return ok, nil
-	}
-	raw, err := artifact()
-	if err != nil {
-		return ok, err
-	}
-	_, err = fmt.Fprintln(w, string(raw))
-	return ok, err
 }

@@ -67,8 +67,9 @@ func describe(topo []TopologyOption) (*topology, error) {
 // Layout validates a description and returns the ASes and inter-AS links
 // it declares, in declaration order, without building anything. It is
 // how code outside the facade learns the shape a generator lays out:
-// the scenario validator checks taps and partitions against it, and E12
-// runs its engines over WithASGraph's graph.
+// the scenario validator checks taps and partitions against it, and
+// E12's TestDisseminationAtScale (internal/accountability) runs its
+// bare digest engines over the links of every graph it checks.
 func Layout(topo ...TopologyOption) ([]AID, []ASLink, error) {
 	t, err := describe(topo)
 	if err != nil {

@@ -109,9 +109,10 @@ func TestWithOptionsReachesSimulation(t *testing.T) {
 }
 
 // TestASGraphGenerator checks the provider/customer hierarchy through
-// Layout, without building an internet — the graph E12 and as-graph
-// scenario specs run on: AS numbering, link count, connectivity, the
-// degree bound the relay fan-out gate relies on, and determinism.
+// Layout, without building an internet — the graph as-graph scenario
+// specs and E12's TestDisseminationAtScale (internal/accountability)
+// run on: AS numbering, link count, connectivity, the degree bound the
+// relay fan-out gate relies on, and determinism.
 func TestASGraphGenerator(t *testing.T) {
 	g := ASGraphConfig{Core: 4, Mid: 8, Stubs: 24, ProvidersPerAS: 2,
 		CoreLatency: time.Millisecond, Latency: 5 * time.Millisecond}

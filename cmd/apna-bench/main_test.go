@@ -8,7 +8,8 @@ import (
 
 // TestExitCodes pins the exit-code contract: 0 when the experiment ran,
 // 1 on usage errors — an -exp that names no experiment among them, so
-// that a typo or a retired name cannot pass as a run.
+// that a typo or a retired name cannot pass as a run, and a flag that
+// is not one of the seven.
 func TestExitCodes(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -23,8 +24,12 @@ func TestExitCodes(t *testing.T) {
 		{"retired e9 flag", []string{"-exp", "e11", "-windows", "4"}, 1, ""},
 		{"reruns without out", []string{"-exp", "e11", "-reruns", "2"}, 1, "-out"},
 		{"e12 is a test", []string{"-exp", "e12"}, 1, "go test -run TestDisseminationAtScale ./internal/accountability"},
+		{"e2 is a test", []string{"-exp", "e2"}, 1, "go test -run TestPaperScaleTrace ./internal/trace"},
+		{"e5 is a test", []string{"-exp", "e5"}, 1, "go test -run TestConnectionRTTs ."},
 		{"unknown flag", []string{"-no-such-flag"}, 1, ""},
-		{"e5 runs", []string{"-exp", "e5"}, 0, ""},
+		{"retired json flag", []string{"-exp", "e8", "-json"}, 1, "-json"},
+		{"retired hosts flag", []string{"-exp", "e8", "-hosts", "16"}, 1, "-hosts"},
+		{"e8 runs", []string{"-exp", "e8", "-pkts", "1000", "-fwd-workers", "1"}, 0, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,19 +7,20 @@
 // gate; a missing or config-hash-mismatched baseline is a skip ("no
 // comparable baseline"), never a false verdict.
 //
+// The thresholds are fixed (internal/benchgate): significance level
+// 0.1, minimum effect 5%, at least 2 runs per side.
+//
 // Usage:
 //
 //	apna-gate compare -store .benchgate BENCH_e8_run*.json BENCH_e11_run*.json
-//	apna-gate compare -base old1.json,old2.json BENCH_e8_run*.json
 //	apna-gate compare -store .benchgate -gate-json GATE.json -report report.md ...
 //	apna-gate update  -store .benchgate BENCH_e8_run*.json BENCH_e11_run*.json
 //
 // compare groups the given artifacts by (experiment, provenance config
 // hash) — so one invocation gates every experiment at once — loads
-// each group's baseline from -store (or the explicit -base file list),
-// and writes GATE.json plus report.md. update parses the given
-// artifacts and stores them as the new baselines for their config
-// hashes.
+// each group's baseline from -store, and writes GATE.json plus
+// report.md. update parses the given artifacts and stores them as the
+// new baselines for their config hashes.
 //
 // Exit codes: 0 pass/improved/skip, 1 usage or parse error, 2
 // confirmed regression — and only that.
@@ -47,7 +48,7 @@ func fatal(stderr io.Writer, err error) int {
 
 func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage:
-  apna-gate compare [-store DIR | -base f1,f2,...] [flags] ARTIFACT...
+  apna-gate compare -store DIR [-gate-json FILE] [-report FILE] ARTIFACT...
   apna-gate update  -store DIR ARTIFACT...
 run "apna-gate compare -h" for the compare flags`)
 }
@@ -76,49 +77,30 @@ func runCompare(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		storeDir  = fs.String("store", "", "baseline store directory (keyed by experiment + config hash)")
-		baseList  = fs.String("base", "", "comma-separated baseline artifact files (alternative to -store)")
-		alpha     = fs.Float64("alpha", benchgate.DefaultConfig().Alpha, "two-sided significance level")
-		minEffect = fs.Float64("min-effect", benchgate.DefaultConfig().MinEffect, "minimum relative median shift a confirmed change must exceed (0.05 = 5%)")
-		minRuns   = fs.Int("min-runs", benchgate.DefaultConfig().MinRuns, "minimum runs per side for a metric to be testable")
-		effects   = fs.String("metric-min-effect", "", "per-metric overrides, name=frac comma-separated (e.g. pps=0.1,issue_p99_us@1000000=0.2)")
-		gateJSON  = fs.String("gate-json", "", "write the machine-readable gate document here (GATE.json)")
-		reportMD  = fs.String("report", "", "write the human-readable report here (report.md)")
+		storeDir = fs.String("store", "", "baseline store directory (keyed by experiment + config hash)")
+		gateJSON = fs.String("gate-json", "", "write the machine-readable gate document here (GATE.json)")
+		reportMD = fs.String("report", "", "write the human-readable report here (report.md)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
-	if fs.NArg() == 0 {
-		return fatal(stderr, errors.New("compare needs current artifact files"))
-	}
-	if (*storeDir == "") == (*baseList == "") {
-		return fatal(stderr, errors.New("compare needs exactly one of -store or -base"))
-	}
-	cfg := benchgate.Config{Alpha: *alpha, MinEffect: *minEffect, MinRuns: *minRuns}
-	var err error
-	if cfg.MetricMinEffect, err = parseEffects(*effects); err != nil {
-		return fatal(stderr, err)
+	if *storeDir == "" || fs.NArg() == 0 {
+		return fatal(stderr, errors.New("compare needs -store and current artifact files"))
 	}
 
 	groups, err := readGroups(fs.Args())
 	if err != nil {
 		return fatal(stderr, err)
 	}
-	var baseGroups []*benchgate.Group
-	if *baseList != "" {
-		if baseGroups, err = readGroups(strings.Split(*baseList, ",")); err != nil {
-			return fatal(stderr, fmt.Errorf("baseline: %w", err))
-		}
-	}
 
 	var gates []*benchgate.GateResult
 	store := benchgate.Store{Dir: *storeDir}
 	for _, g := range groups {
-		baseline, err := baselineFor(g, store, baseGroups, *storeDir != "")
-		if err != nil {
+		baseline, err := store.Load(g.Experiment, g.ConfigHash)
+		if err != nil && !errors.Is(err, benchgate.ErrNoBaseline) {
 			return fatal(stderr, err)
 		}
-		res, err := benchgate.Compare(baseline, g.Artifacts, cfg)
+		res, err := benchgate.Compare(baseline, g.Artifacts)
 		if err != nil {
 			return fatal(stderr, err)
 		}
@@ -146,29 +128,6 @@ func runCompare(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	return 0
-}
-
-// baselineFor resolves one group's baseline side: the store entry for
-// its config hash, or the explicit -base group with the same
-// experiment (config-hash mismatches fall through to Compare, which
-// reports them as no-baseline skips).
-func baselineFor(g *benchgate.Group, store benchgate.Store, baseGroups []*benchgate.Group, useStore bool) ([]*benchgate.Artifact, error) {
-	if useStore {
-		arts, err := store.Load(g.Experiment, g.ConfigHash)
-		if err != nil {
-			if errors.Is(err, benchgate.ErrNoBaseline) {
-				return nil, nil
-			}
-			return nil, err
-		}
-		return arts, nil
-	}
-	for _, b := range baseGroups {
-		if b.Experiment == g.Experiment {
-			return b.Artifacts, nil
-		}
-	}
-	return nil, nil
 }
 
 func runUpdate(args []string, stdout, stderr io.Writer) int {
@@ -207,26 +166,6 @@ func readGroups(paths []string) ([]*benchgate.Group, error) {
 		raws = append(raws, data)
 	}
 	return benchgate.GroupArtifacts(paths, raws)
-}
-
-// parseEffects parses "name=frac,name=frac".
-func parseEffects(s string) (map[string]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	out := make(map[string]float64)
-	for _, pair := range strings.Split(s, ",") {
-		name, val, ok := strings.Cut(pair, "=")
-		if !ok {
-			return nil, fmt.Errorf("bad -metric-min-effect entry %q (want name=frac)", pair)
-		}
-		var f float64
-		if _, err := fmt.Sscanf(val, "%g", &f); err != nil || f < 0 {
-			return nil, fmt.Errorf("bad -metric-min-effect value %q", pair)
-		}
-		out[name] = f
-	}
-	return out, nil
 }
 
 // printSummary narrates each gate.

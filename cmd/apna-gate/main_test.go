@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -35,7 +34,13 @@ func TestExitCodes(t *testing.T) {
 	if err := os.WriteFile(e9, []byte(`{"experiment":"e9","provenance":{"config_hash":"ab12"}}`+"\n"+`{"seed":1,"renewals":3}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	baseFlag := strings.Join(base, ",")
+	// The baseline goes through the store the way CI's does: update
+	// writes it, compare reads it.
+	store := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	if code := run(append([]string{"update", "-store", store}, base...), &stdout, &stderr); code != 0 {
+		t.Fatalf("update exit %d: %s", code, stderr.String())
+	}
 	cases := []struct {
 		name string
 		args []string
@@ -45,12 +50,13 @@ func TestExitCodes(t *testing.T) {
 		{"unknown subcommand", []string{"gate"}, 1},
 		{"unknown flag", []string{"compare", "-bogus", base[0]}, 1},
 		{"unknown update flag", []string{"update", "-bogus", base[0]}, 1},
-		{"compare without artifacts", []string{"compare", "-base", baseFlag}, 1},
-		{"both store and base", []string{"compare", "-store", t.TempDir(), "-base", baseFlag, base[0]}, 1},
+		{"compare without artifacts", []string{"compare", "-store", store}, 1},
+		{"compare without store", []string{"compare", base[0]}, 1},
+		{"retired base flag", []string{"compare", "-store", store, "-base", base[0], base[1]}, 1},
 		{"retired e9 artifact", []string{"compare", "-store", t.TempDir(), e9}, 1},
 		{"update without store", []string{"update", base[0]}, 1},
-		{"seeded regression", append([]string{"compare", "-base", baseFlag}, slow...), 2},
-		{"pass", append([]string{"compare", "-base", baseFlag}, same...), 0},
+		{"seeded regression", append([]string{"compare", "-store", store}, slow...), 2},
+		{"pass", append([]string{"compare", "-store", store}, same...), 0},
 		{"no baseline is a skip", append([]string{"compare", "-store", t.TempDir()}, slow...), 0},
 	}
 	for _, tc := range cases {

@@ -402,7 +402,7 @@ func TestDialRetryAfterAbandonedDial(t *testing.T) {
 
 	// Bob cannot serve yet: the handshake is dropped, no ack comes.
 	dead := alice.ConnectAsync(idA, &recvOnly.Cert, nil)
-	if err := in.Await(dead); err != ErrTimeout {
+	if err := in.AwaitAll(dead); err != ErrTimeout {
 		t.Fatalf("dial without server = %v, want ErrTimeout", err)
 	}
 
@@ -463,8 +463,8 @@ func TestAwaitWithinDeadline(t *testing.T) {
 	}
 
 	// The operation is not poisoned: a longer await completes it.
-	if err := in.Await(dial); err != nil {
-		t.Fatalf("Await after deadline: %v", err)
+	if err := in.AwaitAll(dial); err != nil {
+		t.Fatalf("AwaitAll after deadline: %v", err)
 	}
 	if conn, err := dial.Result(); err != nil || !conn.Established() {
 		t.Errorf("conn after retry: %v %v", conn, err)

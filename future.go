@@ -6,7 +6,7 @@ import (
 )
 
 // ErrPending is returned by Pending.Result before the operation has
-// resolved. Drive the simulator with Internet.Await, AwaitAll or
+// resolved. Drive the simulator with Internet.AwaitAll or
 // AwaitWithin first.
 var ErrPending = errors.New("apna: operation still pending")
 
@@ -114,27 +114,20 @@ func (p *Pending[T]) settle(idle bool) {
 // Await past the event that resolved what it was waiting for.)
 const awaitBudget = 1 << 22
 
-// Await steps the simulator until every given operation resolves,
+// AwaitAll steps the simulator until every given operation resolves,
 // executing only as many events as that takes. If the event queue
 // drains first, idle-resolved operations (sends) complete and any
-// remaining unresolved operation makes Await return ErrTimeout.
+// remaining unresolved operation makes AwaitAll return ErrTimeout.
 //
-// Await with several operations is the facade's concurrency primitive:
-// initiate any number of *Async operations across any hosts, then
-// resolve them against one shared timeline, letting handshakes, data
-// transfers and revocations interleave exactly as their packet timings
-// dictate.
-func (in *Internet) Await(ops ...Op) error {
-	return in.await(0, false, ops)
-}
-
-// AwaitAll is Await under its fan-in name; use it when resolving a
-// batch of operations initiated up front.
+// AwaitAll is the facade's concurrency primitive: initiate any number
+// of *Async operations across any hosts, then resolve them against one
+// shared timeline, letting handshakes, data transfers and revocations
+// interleave exactly as their packet timings dictate.
 func (in *Internet) AwaitAll(ops ...Op) error {
 	return in.await(0, false, ops)
 }
 
-// AwaitWithin is Await with a virtual-time deadline d relative to the
+// AwaitWithin is AwaitAll with a virtual-time deadline d relative to the
 // current simulator clock: events beyond the deadline stay queued, the
 // clock advances to the deadline, and unresolved operations make it
 // return ErrTimeout.
@@ -273,7 +266,7 @@ func Ops[T any](ps ...*Pending[T]) []Op {
 // AwaitResult drives the simulator until p resolves and returns its
 // result — the one-liner for "async call, synchronous answer".
 func AwaitResult[T any](in *Internet, p *Pending[T]) (T, error) {
-	if err := in.Await(p); err != nil {
+	if err := in.AwaitAll(p); err != nil {
 		var zero T
 		return zero, err
 	}

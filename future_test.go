@@ -52,8 +52,8 @@ func TestAwaitAfterQuiescenceAbandonment(t *testing.T) {
 	// A probe toward an AS that does not exist: the network drops it
 	// and no reply can ever arrive.
 	p := h.PingAsync(Endpoint{AID: 999}, 1)
-	if err := in.Await(p); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("first Await = %v, want ErrTimeout", err)
+	if err := in.AwaitAll(p); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("first AwaitAll = %v, want ErrTimeout", err)
 	}
 	// The quiescent timeline abandoned the operation: its reply-routing
 	// state must be gone, and further Awaits must stay stable rather
@@ -61,8 +61,8 @@ func TestAwaitAfterQuiescenceAbandonment(t *testing.T) {
 	if len(h.pings) != 0 {
 		t.Errorf("abandoned ping left routing state: %v", h.pings)
 	}
-	if err := in.Await(p); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("second Await = %v, want ErrTimeout again", err)
+	if err := in.AwaitAll(p); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("second AwaitAll = %v, want ErrTimeout again", err)
 	}
 	if p.Done() {
 		t.Error("abandoned operation reports Done")

@@ -50,7 +50,7 @@ func FuzzParseArtifact(f *testing.F) {
 		}
 		// Whatever parses must survive the rest of the pipeline: a
 		// self-comparison can only pass or skip, never fail or error.
-		res, err := Compare([]*Artifact{art}, []*Artifact{art}, DefaultConfig())
+		res, err := Compare([]*Artifact{art}, []*Artifact{art})
 		if err != nil {
 			t.Fatalf("self-comparison errored: %v", err)
 		}

@@ -26,36 +26,22 @@ const (
 	VerdictMissing Verdict = "missing"
 )
 
-// Config tunes the gate.
-type Config struct {
-	// Alpha is the two-sided significance level. The default 0.1 is
-	// deliberate: with 3 reruns per side the exact Mann–Whitney floor
-	// is exactly 0.1, so at CI's minimum rerun count only perfect
-	// separation of the two sides can fail the gate.
-	Alpha float64
-	// MinEffect is the default minimum relative median shift (0.05 =
-	// 5%) a confirmed change must exceed to count; below it, even a
-	// significant shift is reported as pass. Noise gates on Alpha,
-	// triviality gates on MinEffect.
-	MinEffect float64
-	// MetricMinEffect overrides MinEffect per metric name.
-	MetricMinEffect map[string]float64
-	// MinRuns is the minimum sample count per side for a metric to be
-	// testable (< 2 cannot carry a U test).
-	MinRuns int
-}
-
-// DefaultConfig returns the CI gate configuration.
-func DefaultConfig() Config {
-	return Config{Alpha: 0.1, MinEffect: 0.05, MinRuns: 2}
-}
-
-func (c Config) minEffectFor(metric string) float64 {
-	if v, ok := c.MetricMinEffect[metric]; ok {
-		return v
-	}
-	return c.MinEffect
-}
+// The gate's thresholds.
+const (
+	// alpha is the two-sided significance level. 0.1 is deliberate:
+	// with 3 reruns per side the exact Mann–Whitney floor is exactly
+	// 0.1, so at CI's minimum rerun count only perfect separation of
+	// the two sides can fail the gate.
+	alpha = 0.1
+	// minEffect is the minimum relative median shift (5%) a confirmed
+	// change must exceed to count; below it, even a significant shift
+	// is reported as pass. Noise gates on alpha, triviality on
+	// minEffect.
+	minEffect = 0.05
+	// minRuns is the fewest samples per side a metric needs to be
+	// testable: fewer cannot carry a U test.
+	minRuns = 2
+)
 
 // MetricVerdict is one metric's comparison.
 type MetricVerdict struct {
@@ -121,15 +107,9 @@ func (g *GateResult) OK() bool { return g.Status != StatusFail }
 // provenance config hash, or the result is StatusNoBaseline — a skip,
 // never a false verdict. Reruns on a side merge their samples per
 // metric before testing.
-func Compare(baseline, current []*Artifact, cfg Config) (*GateResult, error) {
+func Compare(baseline, current []*Artifact) (*GateResult, error) {
 	if len(current) == 0 {
 		return nil, fmt.Errorf("benchgate: no current artifacts")
-	}
-	if cfg.Alpha <= 0 || cfg.Alpha >= 1 {
-		return nil, fmt.Errorf("benchgate: alpha %v outside (0,1)", cfg.Alpha)
-	}
-	if cfg.MinRuns < 2 {
-		return nil, fmt.Errorf("benchgate: min runs %d cannot carry a rank test", cfg.MinRuns)
 	}
 	exp, curHash, err := sideKey(current)
 	if err != nil {
@@ -141,8 +121,8 @@ func Compare(baseline, current []*Artifact, cfg Config) (*GateResult, error) {
 		CurrentCommit: current[0].Provenance.Commit,
 		BaselineRuns:  len(baseline),
 		CurrentRuns:   len(current),
-		Alpha:         cfg.Alpha,
-		MinEffect:     cfg.MinEffect,
+		Alpha:         alpha,
+		MinEffect:     minEffect,
 	}
 	if len(baseline) == 0 {
 		res.Status = StatusNoBaseline
@@ -168,7 +148,7 @@ func Compare(baseline, current []*Artifact, cfg Config) (*GateResult, error) {
 	curVals := mergeSamples(current)
 	for _, name := range metricOrder(current, baseline) {
 		m := metricMeta(current, baseline, name)
-		mv := compareMetric(m, baseVals[name], curVals[name], cfg)
+		mv := compareMetric(m, baseVals[name], curVals[name])
 		switch mv.Verdict {
 		case VerdictFail:
 			res.Regressions++
@@ -189,7 +169,7 @@ func Compare(baseline, current []*Artifact, cfg Config) (*GateResult, error) {
 }
 
 // compareMetric gates one metric.
-func compareMetric(m Metric, base, cur []float64, cfg Config) MetricVerdict {
+func compareMetric(m Metric, base, cur []float64) MetricVerdict {
 	mv := MetricVerdict{
 		Name:           m.Name,
 		Direction:      m.Direction.String(),
@@ -209,33 +189,33 @@ func compareMetric(m Metric, base, cur []float64, cfg Config) MetricVerdict {
 		return mv
 	}
 	mv.DeltaPct = relativeDelta(mv.BaselineMedian, mv.CurrentMedian) * 100
-	if len(base) < cfg.MinRuns || len(cur) < cfg.MinRuns {
+	if len(base) < minRuns || len(cur) < minRuns {
 		mv.Verdict = VerdictIndeterminate
-		mv.Reason = fmt.Sprintf("fewer than %d runs on a side — cannot separate change from noise", cfg.MinRuns)
+		mv.Reason = fmt.Sprintf("fewer than %d runs on a side — cannot separate change from noise", minRuns)
 		return mv
 	}
 	mv.P = MannWhitneyU(base, cur)
-	minEffect := cfg.minEffectFor(m.Name) * 100
-	harmful := mv.DeltaPct < -minEffect // HigherBetter: drop is harm
-	helpful := mv.DeltaPct > +minEffect
+	const minEffectPct = minEffect * 100
+	harmful := mv.DeltaPct < -minEffectPct // HigherBetter: drop is harm
+	helpful := mv.DeltaPct > +minEffectPct
 	if m.Direction == LowerBetter {
 		harmful, helpful = helpful, harmful
 	}
 	switch {
-	case mv.P > cfg.Alpha:
+	case mv.P > alpha:
 		mv.Verdict = VerdictPass
-		mv.Reason = fmt.Sprintf("not significant (p=%.3f > α=%.2f)", mv.P, cfg.Alpha)
+		mv.Reason = fmt.Sprintf("not significant (p=%.3f > α=%.2f)", mv.P, alpha)
 	case harmful:
 		mv.Verdict = VerdictFail
 		mv.Reason = fmt.Sprintf("confirmed %s regression: %+.1f%% (p=%.3f, threshold %.0f%%)",
-			m.Direction, mv.DeltaPct, mv.P, minEffect)
+			m.Direction, mv.DeltaPct, mv.P, minEffectPct)
 	case helpful:
 		mv.Verdict = VerdictImproved
 		mv.Reason = fmt.Sprintf("confirmed improvement: %+.1f%% (p=%.3f)", mv.DeltaPct, mv.P)
 	default:
 		mv.Verdict = VerdictPass
 		mv.Reason = fmt.Sprintf("significant but below the %.0f%% effect threshold (%+.1f%%)",
-			minEffect, mv.DeltaPct)
+			minEffectPct, mv.DeltaPct)
 	}
 	return mv
 }

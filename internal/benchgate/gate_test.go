@@ -36,7 +36,6 @@ func runsAround(exp, hash string, name string, dir Direction, center float64, n 
 // threshold and small-sample edges around them.
 func TestGateVerdictTable(t *testing.T) {
 	const hash = "cafe0000cafe0000cafe0000cafe0000"
-	cfg := DefaultConfig()
 	cases := []struct {
 		name        string
 		metric      string
@@ -59,7 +58,7 @@ func TestGateVerdictTable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			base := runsAround("e8", hash, tc.metric, tc.dir, tc.baseCenter, tc.runs, 1)
 			cur := runsAround("e8", hash, tc.metric, tc.dir, tc.curCenter, tc.runs, 2)
-			res, err := Compare(base, cur, cfg)
+			res, err := Compare(base, cur)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,11 +83,10 @@ func TestGateVerdictTable(t *testing.T) {
 // effect threshold is what turns it into a pass.)
 func TestGateNoiseNeverFails(t *testing.T) {
 	const hash = "beef0000beef0000"
-	cfg := DefaultConfig()
 	for seed := int64(0); seed < 40; seed++ {
 		base := runsAround("e8", hash, "pps", HigherBetter, 1e6, 3, seed*2+1)
 		cur := runsAround("e8", hash, "pps", HigherBetter, 1e6, 3, seed*2+2)
-		res, err := Compare(base, cur, cfg)
+		res, err := Compare(base, cur)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +110,7 @@ func TestGateSubThresholdChangePasses(t *testing.T) {
 		synth("e8", hash, "b", Metric{Name: "pps", Direction: HigherBetter, Values: []float64{981}}),
 		synth("e8", hash, "b", Metric{Name: "pps", Direction: HigherBetter, Values: []float64{982}}),
 	}
-	res, err := Compare(base, cur, DefaultConfig())
+	res, err := Compare(base, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,29 +122,12 @@ func TestGateSubThresholdChangePasses(t *testing.T) {
 	}
 }
 
-// TestGatePerMetricEffectOverride: the same 10% regression passes when
-// that metric's threshold is raised to 20%.
-func TestGatePerMetricEffectOverride(t *testing.T) {
-	const hash = "0ddba11"
-	cfg := DefaultConfig()
-	cfg.MetricMinEffect = map[string]float64{"pps": 0.2}
-	base := runsAround("e8", hash, "pps", HigherBetter, 1e6, 5, 1)
-	cur := runsAround("e8", hash, "pps", HigherBetter, 0.9e6, 5, 2)
-	res, err := Compare(base, cur, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != StatusPass {
-		t.Fatalf("status %s, want pass under the 20%% override: %+v", res.Status, res.Metrics)
-	}
-}
-
 // TestGateConfigHashMismatchSkips: a changed experiment configuration
 // must yield "no comparable baseline" — a skip, never a verdict.
 func TestGateConfigHashMismatchSkips(t *testing.T) {
 	base := runsAround("e8", "hash-old", "pps", HigherBetter, 1e6, 3, 1)
 	cur := runsAround("e8", "hash-new", "pps", HigherBetter, 0.5e6, 3, 2)
-	res, err := Compare(base, cur, DefaultConfig())
+	res, err := Compare(base, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +149,7 @@ func TestGateConfigHashMismatchSkips(t *testing.T) {
 // against.
 func TestGateEmptyBaselineSkips(t *testing.T) {
 	cur := runsAround("e8", "h", "pps", HigherBetter, 1e6, 3, 1)
-	res, err := Compare(nil, cur, DefaultConfig())
+	res, err := Compare(nil, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +171,7 @@ func TestGateMissingMetricNeverFails(t *testing.T) {
 			Metric{Name: "pps", Direction: HigherBetter, Values: []float64{100, 101}},
 			Metric{Name: "gbps_delivered", Direction: HigherBetter, Values: []float64{5, 5}}),
 	}
-	res, err := Compare(base, cur, DefaultConfig())
+	res, err := Compare(base, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +201,7 @@ func TestGateDeterministicMetricsTie(t *testing.T) {
 		}
 		return arts
 	}
-	res, err := Compare(mk("a"), mk("b"), DefaultConfig())
+	res, err := Compare(mk("a"), mk("b"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,25 +214,15 @@ func TestGateDeterministicMetricsTie(t *testing.T) {
 // malformed comparisons.
 func TestCompareValidation(t *testing.T) {
 	good := runsAround("e8", "h", "pps", HigherBetter, 1e6, 2, 1)
-	if _, err := Compare(good, nil, DefaultConfig()); err == nil {
+	if _, err := Compare(good, nil); err == nil {
 		t.Error("empty current side accepted")
 	}
 	mixed := []*Artifact{good[0], synth("e11", "h", "c")}
-	if _, err := Compare(good, mixed, DefaultConfig()); err == nil {
+	if _, err := Compare(good, mixed); err == nil {
 		t.Error("mixed experiments within one side accepted")
 	}
-	if _, err := Compare(runsAround("e11", "h", "x", LowerBetter, 1, 2, 1), good, DefaultConfig()); err == nil {
+	if _, err := Compare(runsAround("e11", "h", "x", LowerBetter, 1, 2, 1), good); err == nil {
 		t.Error("cross-side experiment mismatch accepted")
-	}
-	bad := DefaultConfig()
-	bad.Alpha = 0
-	if _, err := Compare(good, good, bad); err == nil {
-		t.Error("alpha 0 accepted")
-	}
-	bad = DefaultConfig()
-	bad.MinRuns = 1
-	if _, err := Compare(good, good, bad); err == nil {
-		t.Error("min runs 1 accepted")
 	}
 }
 
@@ -261,11 +232,11 @@ func TestSummarizeAndReports(t *testing.T) {
 	const hash = "abad1dea"
 	base := runsAround("e8", hash, "pps", HigherBetter, 1e6, 3, 1)
 	cur := runsAround("e8", hash, "pps", HigherBetter, 0.8e6, 3, 2)
-	fail, err := Compare(base, cur, DefaultConfig())
+	fail, err := Compare(base, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
-	skip, err := Compare(nil, runsAround("e11", "other", "events_per_sec@1000", HigherBetter, 5e5, 3, 3), DefaultConfig())
+	skip, err := Compare(nil, runsAround("e11", "other", "events_per_sec@1000", HigherBetter, 5e5, 3, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ func TestMannWhitneyExactKnownValues(t *testing.T) {
 	}{
 		// Perfect separation at 3v3: both one-sided tails are 1/20, so
 		// the two-sided exact p is 0.1 — the floor CI's minimum rerun
-		// count can reach, and exactly the default Alpha.
+		// count can reach, and exactly the gate's alpha.
 		{"3v3 separated", []float64{1, 2, 3}, []float64{4, 5, 6}, 0.1},
 		{"3v3 separated reversed", []float64{4, 5, 6}, []float64{1, 2, 3}, 0.1},
 		// 4v4 perfect separation: 2/C(8,4) = 2/70.

@@ -130,17 +130,8 @@ func Saturate(cfg SaturationConfig) (*SaturationResult, error) {
 // JSON renders the result as the BENCH_e8.json artifact.
 func (r *SaturationResult) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
 
-// Fprint renders the human-readable table; with jsonOut it emits the
-// JSON artifact instead.
-func (r *SaturationResult) Fprint(w io.Writer, jsonOut bool) error {
-	if jsonOut {
-		data, err := r.JSON()
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Fprintln(w, string(data))
-		return err
-	}
+// Fprint renders the human-readable table.
+func (r *SaturationResult) Fprint(w io.Writer) {
 	rep := r.Report
 	fmt.Fprintf(w, "E8: parallel forwarding engine (multi-AS, %d workers)\n", rep.Workers)
 	fmt.Fprintf(w, "  %-28s %d-AS ring, %d hosts/AS, %dB frames\n", "topology",
@@ -171,7 +162,6 @@ func (r *SaturationResult) Fprint(w io.Writer, jsonOut bool) error {
 	}
 	fmt.Fprintf(w, "  paper: one decryption, two table lookups, one MAC verification per\n")
 	fmt.Fprintf(w, "  packet on dedicated cores (Section V-B); this engine is the Go analogue\n")
-	return nil
 }
 
 // verdictOrder lists verdict names with "forward" first, then drops in

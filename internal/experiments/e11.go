@@ -155,25 +155,13 @@ func (r *E11Result) Fprint(w io.Writer) {
 	}
 	status := "every population gate held at every tier"
 	if !r.OK {
-		status = "POPULATION GATE FAILURES — see JSON tiers"
+		status = "POPULATION GATE FAILURES"
+		for _, t := range r.Tiers {
+			for _, f := range t.Failures {
+				fmt.Fprintf(w, "  %d hosts: %s\n", t.Hosts, f)
+			}
+		}
 	}
 	fmt.Fprintf(w, "  %s (%v wall, commit %s)\n", status,
 		r.WallElapsed.Round(time.Millisecond), r.Provenance.Commit)
-}
-
-// Report renders the sweep to w, the JSON artifact alone and
-// newline-terminated when jsonOut (so `-json > BENCH_e11.json` stays
-// clean), the human table otherwise, and returns whether every gate
-// held.
-func (r *E11Result) Report(w io.Writer, jsonOut bool) (bool, error) {
-	if !jsonOut {
-		r.Fprint(w)
-		return r.OK, nil
-	}
-	raw, err := r.JSON()
-	if err != nil {
-		return r.OK, err
-	}
-	_, err = fmt.Fprintln(w, string(raw))
-	return r.OK, err
 }

@@ -60,15 +60,14 @@ func TestE11ReportShapes(t *testing.T) {
 		t.Fatalf("RunE11: %v", err)
 	}
 
-	var jsonOut bytes.Buffer
-	ok, err := res.Report(&jsonOut, true)
-	if err != nil || !ok {
-		t.Fatalf("JSON report: ok=%v err=%v", ok, err)
+	// The -out artifact must be exactly one decodable object (the
+	// BENCH_e11.json shape) carrying the provenance block.
+	raw, err := res.JSON()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The -json stream must be exactly one decodable object (the
-	// BENCH_e11.json artifact) carrying the provenance block.
 	var decoded E11Result
-	if err := json.Unmarshal(jsonOut.Bytes(), &decoded); err != nil {
+	if err := json.Unmarshal(raw, &decoded); err != nil {
 		t.Fatalf("artifact is not a single JSON object: %v", err)
 	}
 	if decoded.Experiment != "e11" || decoded.Provenance.ConfigHash != res.Provenance.ConfigHash {
@@ -76,9 +75,7 @@ func TestE11ReportShapes(t *testing.T) {
 	}
 
 	var human bytes.Buffer
-	if ok, err := res.Report(&human, false); err != nil || !ok {
-		t.Fatalf("human report: ok=%v err=%v", ok, err)
-	}
+	res.Fprint(&human)
 	if !strings.Contains(human.String(), "population ramp") || !strings.Contains(human.String(), "PASS") {
 		t.Errorf("human report missing expected lines:\n%s", human.String())
 	}

@@ -78,9 +78,7 @@ func TestRunE8SmallAndJSONShape(t *testing.T) {
 
 	// Human rendering mentions the headline numbers.
 	var buf bytes.Buffer
-	if err := res.Fprint(&buf, false); err != nil {
-		t.Fatal(err)
-	}
+	res.Fprint(&buf)
 	out := buf.String()
 	for _, want := range []string{"E8", "Mpps", "egress", "transit", "ingress", "verdicts"} {
 		if !strings.Contains(out, want) {

@@ -1,9 +1,12 @@
-// Package experiments implements the reproduction harness behind
-// cmd/apna-bench: one function per table/figure of the paper's
-// evaluation (Section V), the latency analysis of Section VII-C, and
+// Package experiments implements the timed experiments behind
+// cmd/apna-bench: the MS performance table (E1) and both Figure 8
+// forwarding series (E3/E4) of the paper's evaluation (Section V), and
 // the gated population ramp E11. E8 is engine.Saturate, which
-// apna-bench calls directly; E6, E7, E9 and E10 are specs under
-// scenarios/; E12 is TestDisseminationAtScale in internal/accountability.
+// apna-bench calls directly. The deterministic experiments are tests:
+// E2 is TestPaperScaleTrace in internal/trace, E5 TestConnectionRTTs in
+// the root package, E12 TestDisseminationAtScale in
+// internal/accountability; E6, E7, E9 and E10 are specs under
+// scenarios/.
 package experiments
 
 import (
@@ -19,8 +22,12 @@ import (
 	"apna/internal/hostdb"
 	"apna/internal/ms"
 	"apna/internal/pktgen"
-	"apna/internal/trace"
 )
+
+// paperPeakDemand is the peak new-session rate of the paper's trace
+// (Section V-A3), which E1's generation rate is measured against;
+// TestPaperScaleTrace in internal/trace holds the synthetic trace to it.
+const paperPeakDemand = 3_888
 
 // E1Result is the MS performance experiment (paper Section V-A3): the
 // paper reports 500,000 EphID requests in 6.9 s — 13.7 µs per EphID,
@@ -32,20 +39,17 @@ type E1Result struct {
 	Elapsed      time.Duration
 	PerEphID     time.Duration
 	EphIDsPerSec float64
-	// PeakDemand is the trace's peak new-session rate; Headroom is
-	// generation rate over demand.
-	PeakDemand int
-	Headroom   float64
+	// Headroom is generation rate over paperPeakDemand.
+	Headroom float64
 }
 
 // RunE1 measures EphID issuance (mint + certificate signature) across
 // the given number of workers — the paper parallelizes across 4
 // processes. It issues exactly requests EphIDs, spreading any remainder
-// over the first workers. peakDemand comes from the trace experiment
-// (E2).
-func RunE1(requests, workers, peakDemand int) (*E1Result, error) {
-	if requests < 1 {
-		return nil, fmt.Errorf("e1: requests %d, want >= 1", requests)
+// over the first workers.
+func RunE1(requests, workers int) (*E1Result, error) {
+	if requests < 1 || workers < 1 {
+		return nil, fmt.Errorf("e1: %d requests on %d workers, want >= 1 of each", requests, workers)
 	}
 	secret, err := crypto.NewASSecret()
 	if err != nil {
@@ -86,9 +90,6 @@ func RunE1(requests, workers, peakDemand int) (*E1Result, error) {
 	copy(req.DHPub[:], dh.PublicKey())
 	copy(req.SigPub[:], sig.PublicKey())
 
-	if workers <= 0 {
-		workers = 4 // the paper's parallelism
-	}
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	start := time.Now() //apna:wallclock
@@ -116,16 +117,13 @@ func RunE1(requests, workers, peakDemand int) (*E1Result, error) {
 		}
 	}
 
-	res := &E1Result{
+	rate := float64(requests) / elapsed.Seconds()
+	return &E1Result{
 		Requests: requests, Workers: workers, Elapsed: elapsed,
 		PerEphID:     elapsed / time.Duration(requests),
-		EphIDsPerSec: float64(requests) / elapsed.Seconds(),
-		PeakDemand:   peakDemand,
-	}
-	if peakDemand > 0 {
-		res.Headroom = res.EphIDsPerSec / float64(peakDemand)
-	}
-	return res, nil
+		EphIDsPerSec: rate,
+		Headroom:     rate / paperPeakDemand,
+	}, nil
 }
 
 // Fprint renders the E1 table next to the paper's numbers.
@@ -137,25 +135,7 @@ func (r *E1Result) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "  %-28s %-16s %.1fs\n", "total time", "6.9s", r.Elapsed.Seconds())
 	fmt.Fprintf(w, "  %-28s %-16s %.1fus\n", "per EphID", "13.7us", float64(r.PerEphID.Nanoseconds())/1e3)
 	fmt.Fprintf(w, "  %-28s %-16s %.1fk/s\n", "generation rate", "72.8k/s", r.EphIDsPerSec/1e3)
-	if r.PeakDemand > 0 {
-		fmt.Fprintf(w, "  %-28s %-16s %.1fx (peak %d/s)\n", "headroom over peak demand", ">18x", r.Headroom, r.PeakDemand)
-	}
-}
-
-// RunE2 generates the synthetic flow trace and returns its statistics
-// (paper: 1,266,598 unique hosts, peak 3,888 sessions/s).
-func RunE2(cfg trace.Config) (*trace.Stats, error) {
-	return trace.Generate(cfg)
-}
-
-// FprintE2 renders the trace statistics next to the paper's.
-func FprintE2(w io.Writer, s *trace.Stats) {
-	fmt.Fprintf(w, "E2: flow-trace statistics (Section V-A3; synthetic substitute)\n")
-	fmt.Fprintf(w, "  %-28s %-16s %s\n", "metric", "paper", "measured")
-	fmt.Fprintf(w, "  %-28s %-16s %d\n", "unique hosts", "1,266,598", s.UniqueHosts)
-	fmt.Fprintf(w, "  %-28s %-16s %d/s\n", "peak session rate", "3,888/s", s.PeakRate)
-	fmt.Fprintf(w, "  %-28s %-16s %d (%.0f/s mean)\n", "total sessions", "~178M", s.TotalSessions, s.MeanRate)
-	fmt.Fprintf(w, "  %-28s %-16s %v\n", "p98 flow duration", "<15m [11]", s.P98Duration.Round(time.Second))
+	fmt.Fprintf(w, "  %-28s %-16s %.1fx (peak %d/s)\n", "headroom over peak demand", ">18x", r.Headroom, paperPeakDemand)
 }
 
 // RunE3 runs the Figure 8 forwarding sweep: the forwarding engine over a

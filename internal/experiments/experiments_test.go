@@ -4,14 +4,12 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"apna/internal/pktgen"
-	"apna/internal/trace"
 )
 
 func TestRunE1Small(t *testing.T) {
-	res, err := RunE1(2_000, 2, 3_888)
+	res, err := RunE1(2_000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,25 +33,12 @@ func TestRunE1Small(t *testing.T) {
 	}
 }
 
-func TestRunE1DefaultWorkers(t *testing.T) {
-	res, err := RunE1(400, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Workers != 4 {
-		t.Errorf("default workers = %d, want the paper's 4", res.Workers)
-	}
-	if res.Headroom != 0 {
-		t.Error("headroom without peak demand")
-	}
-}
-
 // TestRunE1 checks that E1 issues exactly the requested count when it
 // is not a multiple of the workers, or is below them, and rejects an
-// empty run.
+// empty run or one without workers.
 func TestRunE1(t *testing.T) {
 	for _, requests := range []int{3, 5} {
-		res, err := RunE1(requests, 4, 0)
+		res, err := RunE1(requests, 4)
 		if err != nil {
 			t.Fatalf("RunE1(%d, 4): %v", requests, err)
 		}
@@ -61,25 +46,11 @@ func TestRunE1(t *testing.T) {
 			t.Errorf("RunE1(%d, 4) reports %d requests", requests, res.Requests)
 		}
 	}
-	if _, err := RunE1(0, 4, 0); err == nil {
+	if _, err := RunE1(0, 4); err == nil {
 		t.Error("RunE1(0, 4) accepted an empty run")
 	}
-}
-
-func TestRunE2AndReport(t *testing.T) {
-	stats, err := RunE2(trace.Config{
-		Hosts: 5_000, Duration: 30 * time.Minute, PeakRate: 300, Seed: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.UniqueHosts == 0 || stats.PeakRate == 0 {
-		t.Errorf("stats: %+v", stats)
-	}
-	var sb strings.Builder
-	FprintE2(&sb, stats)
-	if !strings.Contains(sb.String(), "1,266,598") {
-		t.Error("report missing paper column")
+	if _, err := RunE1(4, 0); err == nil {
+		t.Error("RunE1(4, 0) accepted a run without workers")
 	}
 }
 
@@ -128,40 +99,5 @@ func TestRunE3SmallAndReport(t *testing.T) {
 	out := sb.String()
 	if !strings.Contains(out, "1518") || !strings.Contains(out, "cores@line") {
 		t.Errorf("report incomplete:\n%s", out)
-	}
-}
-
-func TestRunE5MatchesPaperAccounting(t *testing.T) {
-	results, err := RunE5(10 * time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]float64{
-		"host-host":          1.0,
-		"host-host-0rtt":     0.0,
-		"client-server":      1.0,
-		"client-server-0rtt": 0.0,
-	}
-	wantPeer := map[string]float64{
-		"host-host":          1.5,
-		"host-host-0rtt":     0.5,
-		"client-server":      1.5, // the paper's "1.5 RTT total"
-		"client-server-0rtt": 0.5,
-	}
-	if len(results) != len(want) {
-		t.Fatalf("modes = %d", len(results))
-	}
-	for _, r := range results {
-		if got := r.RTTs(); got != want[r.Mode] {
-			t.Errorf("%s: initiator wait %.2f RTT, want %.2f", r.Mode, got, want[r.Mode])
-		}
-		if got := float64(r.FirstDataAtPeer) / float64(r.RTT); got != wantPeer[r.Mode] {
-			t.Errorf("%s: data at peer %.2f RTT, want %.2f", r.Mode, got, wantPeer[r.Mode])
-		}
-	}
-	var sb strings.Builder
-	FprintE5(&sb, results)
-	if !strings.Contains(sb.String(), "client-server-0rtt") {
-		t.Error("report incomplete")
 	}
 }

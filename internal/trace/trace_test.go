@@ -2,6 +2,7 @@ package trace
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 )
@@ -126,5 +127,31 @@ func TestPaperScaleConfigSane(t *testing.T) {
 	}
 	if cfg.Duration != 24*time.Hour {
 		t.Errorf("duration %v", cfg.Duration)
+	}
+}
+
+// TestPaperScaleTrace is the trace experiment of Section V-A3 (E2): the
+// day-long paper-scale trace at seed 1 must reproduce the two scalars the
+// MS experiment is sized against — 1,266,598 unique hosts (within 2%)
+// and a peak of 3,888 new sessions/s (within 5%) — and the paper's
+// "98% of flows last less than 15 minutes".
+func TestPaperScaleTrace(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the day-long trace is too slow under the race detector")
+	}
+	s, err := Generate(PaperScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("unique hosts %d, peak %d/s, p98 duration %v", s.UniqueHosts, s.PeakRate, s.P98Duration)
+	within := func(name string, got, paper, tol float64) {
+		if math.Abs(got-paper) > tol*paper {
+			t.Errorf("%s %.0f, want within %.0f%% of the paper's %.0f", name, got, tol*100, paper)
+		}
+	}
+	within("unique hosts", float64(s.UniqueHosts), 1_266_598, 0.02)
+	within("peak session rate", float64(s.PeakRate), 3_888, 0.05)
+	if s.P98Duration >= 15*time.Minute {
+		t.Errorf("p98 flow duration %v, want under 15m", s.P98Duration)
 	}
 }

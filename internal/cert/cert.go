@@ -39,7 +39,9 @@ const (
 	// MinSize is the wire size of a certificate signed alone: the
 	// to-be-signed fields, the signature, the depth byte and the index
 	// byte.
-	MinSize = tbsSize + crypto.SignatureSize + 2 // 172; at most 364 with a full path
+	MinSize = tbsSize + crypto.SignatureSize + 2 // 172
+	// MaxSize is the wire size of a certificate with a full path.
+	MaxSize = MinSize + MaxDepth*HashSize // 364
 )
 
 // Codec errors.
@@ -147,19 +149,25 @@ func (c *Cert) Expired(nowUnix int64) bool {
 // of its tree.
 func (c *Cert) size() int { return MinSize + int(c.Depth)*HashSize }
 
-// MarshalBinary encodes the certificate: the to-be-signed fields, the
-// signature, the depth and index bytes, then Depth sibling hashes.
+// MarshalBinary encodes the certificate into a buffer of its own.
 func (c *Cert) MarshalBinary() ([]byte, error) {
+	return c.AppendBinary(make([]byte, 0, c.size()))
+}
+
+// AppendBinary appends the certificate's encoding to dst: the
+// to-be-signed fields, the signature, the depth and index bytes, then
+// Depth sibling hashes. With room for them in dst it allocates nothing.
+func (c *Cert) AppendBinary(dst []byte) ([]byte, error) {
 	if c.Depth > MaxDepth {
 		return nil, fmt.Errorf("%w: depth %d", ErrBadPath, c.Depth)
 	}
-	out := c.appendTBS(make([]byte, 0, c.size()))
-	out = append(out, c.Signature[:]...)
-	out = append(out, c.Depth, c.Index)
+	dst = c.appendTBS(dst)
+	dst = append(dst, c.Signature[:]...)
+	dst = append(dst, c.Depth, c.Index)
 	for k := range c.Depth {
-		out = append(out, c.Path[k][:]...)
+		dst = append(dst, c.Path[k][:]...)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Decode reads one certificate from the front of data and reports how

@@ -98,6 +98,39 @@ func TestCertMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCertAppendBinary: AppendBinary writes MarshalBinary's bytes after
+// whatever dst holds, a full path fills exactly MaxSize, and with room
+// in dst the append allocates nothing.
+func TestCertAppendBinary(t *testing.T) {
+	c, signer := sampleCert(t)
+	certs := make([]*Cert, MaxBatch)
+	for i := range certs {
+		cc := *c
+		certs[i] = &cc
+	}
+	SignBatch(certs, signer)
+	for _, cc := range []*Cert{c, certs[0]} {
+		want, err := cc.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cc.AppendBinary([]byte("prefix"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[:6], []byte("prefix")) || !bytes.Equal(got[6:], want) {
+			t.Errorf("depth %d: AppendBinary = %x, want prefix then %x", cc.Depth, got, want)
+		}
+	}
+	if raw, _ := certs[0].MarshalBinary(); len(raw) != MaxSize {
+		t.Errorf("full path: %d bytes, want MaxSize %d", len(raw), MaxSize)
+	}
+	buf := make([]byte, 0, MaxSize)
+	if allocs := testing.AllocsPerRun(100, func() { buf, _ = certs[0].AppendBinary(buf[:0]) }); allocs != 0 {
+		t.Errorf("AppendBinary with room allocates %.0f times", allocs)
+	}
+}
+
 func TestCertMarshalRoundTripProperty(t *testing.T) {
 	f := func(kind uint8, eid, aaeid [16]byte, exp uint32, dh [32]byte, sig [32]byte, aid uint32, sigBytes [64]byte) bool {
 		c := Cert{

@@ -36,7 +36,9 @@ const maxSeals = 1 << 48
 // A counter nonce suits a long-lived sealer only. A key that seals one
 // message per sealer — the MS request and reply under a host's kHA key —
 // would restart the counter at 1 every time and leave just the prefix's
-// random bits between two nonces; such messages go through SealOnce.
+// random bits between two nonces; such messages go through SealOnce. So
+// does every message under an AEADCache's AEAD, which may be rebuilt
+// whenever the cache evicts it.
 //
 // This is the "conventional CCA-secure scheme" the paper assumes for data
 // communication (Section IV-A, citing GCM).
@@ -46,11 +48,15 @@ type AEAD struct {
 	ctr    atomic.Uint64
 }
 
-// NonceSize is the AES-GCM nonce size in bytes.
-const NonceSize = 12
+// NonceSize is the AES-GCM nonce size in bytes, and TagSize its
+// authentication tag's.
+const (
+	NonceSize = 12
+	TagSize   = 16
+)
 
 // Overhead is the ciphertext expansion of Seal: nonce plus GCM tag.
-func (a *AEAD) Overhead() int { return NonceSize + a.aead.Overhead() }
+func (a *AEAD) Overhead() int { return NonceSize + TagSize }
 
 // NewAEAD builds an AEAD from a 16- or 32-byte AES key. direction (0 or
 // 1) distinguishes the two sealers of a bidirectional session: it is
@@ -79,6 +85,10 @@ func NewAEAD(key []byte, direction byte) (*AEAD, error) {
 // of messages per AEAD over a long life, where the counter would restart
 // at 1 with every new AEAD; 95 random bits put a collision among 2³²
 // messages under one key at about 2⁻³².
+//
+// The plaintext may already sit in dst's spare capacity, NonceSize bytes
+// past its end; it is then sealed in place, and with room for the tag
+// the call allocates nothing.
 func (a *AEAD) SealOnce(dst, plaintext, aad []byte) ([]byte, error) {
 	dst = slices.Grow(dst, a.Overhead()+len(plaintext))
 	off := len(dst)
@@ -121,4 +131,14 @@ func (a *AEAD) Open(dst, msg, aad []byte) ([]byte, error) {
 		return nil, ErrDecrypt
 	}
 	return out, nil
+}
+
+// OpenInPlace is Open writing the plaintext over the ciphertext, from
+// msg[NonceSize:]: it allocates nothing, and msg no longer holds the
+// message afterwards, whether or not it authenticates.
+func (a *AEAD) OpenInPlace(msg, aad []byte) ([]byte, error) {
+	if len(msg) < NonceSize+TagSize {
+		return nil, ErrDecrypt
+	}
+	return a.Open(msg[NonceSize:NonceSize], msg, aad)
 }

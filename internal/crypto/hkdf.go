@@ -55,6 +55,33 @@ func expand(mac hash.Hash, dst, info []byte) {
 	}
 }
 
+// hmacBlockSize is SHA-256's block size, the longest key hmacSHA256
+// takes; hmacMaxMsg is the longest message it takes.
+const (
+	hmacBlockSize = 64
+	hmacMaxMsg    = 128
+)
+
+// hmacSHA256 is HMAC-SHA256 (RFC 2104) of msg under key, hashed from
+// one stack buffer with sha256.Sum256, so it allocates nothing. key is
+// at most hmacBlockSize bytes (an empty key is the zero salt's HMAC:
+// both pad to a block of zeros) and msg at most hmacMaxMsg.
+func hmacSHA256(key, msg []byte) [hashLen]byte {
+	var buf [hmacBlockSize + hmacMaxMsg]byte
+	for i := range hmacBlockSize {
+		buf[i] = 0x36
+	}
+	for i, b := range key {
+		buf[i] ^= b
+	}
+	inner := sha256.Sum256(buf[:hmacBlockSize+copy(buf[hmacBlockSize:], msg)])
+	for i := range hmacBlockSize {
+		buf[i] ^= 0x36 ^ 0x5c
+	}
+	copy(buf[hmacBlockSize:], inner[:])
+	return sha256.Sum256(buf[:hmacBlockSize+hashLen])
+}
+
 // HKDF derives length bytes from the initial keying material ikm using
 // the full extract-then-expand construction of RFC 5869.
 func HKDF(ikm, salt, info []byte, length int) []byte {

@@ -85,13 +85,18 @@ func TestDeriveKeyLabelsIndependent(t *testing.T) {
 	}
 }
 
-// TestDeriveHostASKeysIsDeriveKey pins that sharing one extract and one
-// keyed HMAC between the two host keys changes no byte of either: both
-// are DeriveKey's under their labels, for secrets of every length the
-// bootstrap or a test could hand in.
+// TestDeriveHostASKeysIsDeriveKey pins that the stack-only derivation
+// changes no byte of either key: both are DeriveKey's under their
+// labels, for every secret length from 0 to 64 — the population's
+// 12-byte seeds and the registry's 32-byte DH secret among them — and
+// on either side of hmacMaxMsg, where the extract moves to HKDFExtract.
 func TestDeriveHostASKeysIsDeriveKey(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
+	lengths := []int{hmacMaxMsg - 1, hmacMaxMsg, hmacMaxMsg + 1, 3 * hmacMaxMsg}
 	for n := 0; n <= 64; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
 		for range 4 {
 			secret := make([]byte, n)
 			for i := range secret {
@@ -108,15 +113,15 @@ func TestDeriveHostASKeysIsDeriveKey(t *testing.T) {
 	}
 }
 
-// TestDeriveHostASKeysAllocs is a ceiling on what a host registration
-// pays for its keys: two keyed HMACs, the extract's PRK, the labels and
-// a block buffer per key — 17 allocations, 19 under the race detector
-// (34 when each key ran its own DeriveKey).
+// TestDeriveHostASKeysAllocs: a host registration's keys cost no heap,
+// for the population's 12-byte secrets and the registry's 32-byte ones.
 func TestDeriveHostASKeysAllocs(t *testing.T) {
-	secret := bytes.Repeat([]byte{7}, 32)
-	waitRefills()
-	if allocs := testing.AllocsPerRun(100, func() { DeriveHostASKeys(secret) }); allocs > 19 {
-		t.Fatalf("DeriveHostASKeys allocates %.0f times, want at most 19", allocs)
+	for _, n := range []int{12, 32} {
+		secret := bytes.Repeat([]byte{7}, n)
+		waitRefills()
+		if allocs := testing.AllocsPerRun(100, func() { DeriveHostASKeys(secret) }); allocs != 0 {
+			t.Errorf("DeriveHostASKeys(%d-byte secret) allocates %.0f times, want 0", n, allocs)
+		}
 	}
 }
 

@@ -1,11 +1,10 @@
 package crypto
 
 import (
-	"crypto/hmac"
 	"crypto/rand"
-	"crypto/sha256"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Key sizes used throughout the architecture.
@@ -95,14 +94,33 @@ type HostASKeys struct {
 
 // DeriveHostASKeys derives the host<->AS key pair from a Diffie-Hellman
 // shared secret (the result of the bootstrap exchange in Figure 2). The
-// keys are DeriveKey's under the two labels; both derivations share one
-// extract and one PRK-keyed HMAC, since they differ only in info.
+// keys are DeriveKey's under the two labels: one extract under the zero
+// salt, then the first expand block per label, which holds a whole
+// key. Both run on the stack (hmacSHA256); only a secret longer than
+// hmacMaxMsg bytes is extracted through HKDFExtract.
 func DeriveHostASKeys(dhSecret []byte) HostASKeys {
+	var prk [hashLen]byte
+	if len(dhSecret) <= hmacMaxMsg {
+		prk = hmacSHA256(nil, dhSecret)
+	} else {
+		// A copy, so that dhSecret does not escape through the HMAC's
+		// hash.Hash on the short path too.
+		prk = [hashLen]byte(HKDFExtract(nil, slices.Clone(dhSecret)))
+	}
 	var k HostASKeys
-	mac := hmac.New(sha256.New, HKDFExtract(nil, dhSecret))
-	expand(mac, k.Enc[:], []byte(labelHostEnc))
-	expand(mac, k.MAC[:], []byte(labelHostMAC))
+	k.Enc = expandKey(&prk, labelHostEnc)
+	k.MAC = expandKey(&prk, labelHostMAC)
 	return k
+}
+
+// expandKey is HKDF-Expand's first block under prk for info label,
+// truncated to a symmetric key: HMAC(prk, label ‖ 0x01).
+func expandKey(prk *[hashLen]byte, label string) [SymKeySize]byte {
+	var info [hmacMaxMsg]byte
+	n := copy(info[:], label)
+	info[n] = 1
+	t := hmacSHA256(prk[:], info[:n+1])
+	return [SymKeySize]byte(t[:])
 }
 
 // DeriveSessionKey derives the symmetric session key kE1E2 for a pair of

@@ -89,6 +89,10 @@ type Host struct {
 	cfg  Config
 	port *netsim.Port
 	mac  *wire.PacketMAC
+	// ctl is the kHA AEAD of the host's MS requests and replies (request
+	// direction, 0; opening ignores the direction). It is built once and
+	// seals only through SealOnce (DESIGN §8, "Nonces").
+	ctl *crypto.AEAD
 
 	pool     map[ephid.EphID]*OwnedEphID
 	poolList []*OwnedEphID
@@ -200,9 +204,14 @@ func New(cfg Config) (*Host, error) {
 	if err != nil {
 		return nil, err
 	}
+	ctl, err := crypto.NewAEAD(cfg.Keys.Enc[:], 0)
+	if err != nil {
+		return nil, err
+	}
 	return &Host{
 		cfg:          cfg,
 		mac:          mac,
+		ctl:          ctl,
 		pool:         make(map[ephid.EphID]*OwnedEphID),
 		sessions:     make(map[sessKey]*session.Session),
 		peerCerts:    make(map[sessKey]*cert.Cert),

@@ -99,9 +99,15 @@ func (h *Host) RequestEphIDFor(kind ephid.Kind, lifetime uint32, dhPub, sigPub [
 }
 
 // requestEphID encrypts and sends an issuance (or renewal) request to
-// the MS and registers the FIFO reply continuation.
+// the MS and registers the FIFO reply continuation. A kind the MS does
+// not issue is refused here: the MS would drop the request unanswered,
+// and every later reply on this host would be matched to the wrong
+// continuation.
 func (h *Host) requestEphID(req *ms.Request, deliver func(*cert.Cert, error)) error {
-	ct, err := ms.EncodeRequest(h.cfg.Keys.Enc[:], h.cfg.CtrlEphID, req)
+	if !ms.Issuable(req.Kind) {
+		return fmt.Errorf("%w: the MS does not issue %v EphIDs", ms.ErrBadRequest, req.Kind)
+	}
+	ct, err := ms.AppendRequest(nil, h.ctl, &h.cfg.CtrlEphID, req)
 	if err != nil {
 		return err
 	}
@@ -126,8 +132,13 @@ func (h *Host) handleControlReply(hdr *wire.Header, payload []byte) {
 	p := h.pendingEphID[0]
 	h.pendingEphID = h.pendingEphID[1:]
 
-	c, err := ms.DecodeReply(h.cfg.Keys.Enc[:], hdr.DstEphID, payload)
-	if err != nil {
+	// The stack owns the frame, so the reply is decrypted in place. The
+	// additional data is copied off the frame's header: OpenReply's AEAD
+	// reads it through an interface, so it escapes, and the header must
+	// stay on HandleFrame's stack.
+	dst := hdr.DstEphID
+	c := new(cert.Cert)
+	if err := ms.OpenReply(c, h.ctl, &dst, payload); err != nil {
 		p.deliver(nil, err)
 		return
 	}

@@ -9,6 +9,7 @@ import (
 	"apna/internal/cert"
 	"apna/internal/crypto"
 	"apna/internal/ephid"
+	"apna/internal/ms"
 	"apna/internal/netsim"
 	"apna/internal/rpki"
 	"apna/internal/wire"
@@ -696,6 +697,54 @@ func TestStackControlReplyKeyMismatch(t *testing.T) {
 	}
 	if h.PoolSize() != 0 {
 		t.Error("foreign-key EphID installed")
+	}
+}
+
+// TestRequestRefusesKindsTheMSDoesNotIssue: a request for a control or
+// undefined EphID kind is refused before it is sent. The MS would drop
+// it unanswered, and the host, which matches replies FIFO, would hand
+// the next request's reply to it. A data request made afterwards still
+// gets its own reply.
+func TestRequestRefusesKindsTheMSDoesNotIssue(t *testing.T) {
+	d := newDuplex(t)
+	h := d.a
+	dh, _ := crypto.GenerateKeyPair()
+	sig, _ := crypto.GenerateSigner()
+	for _, kind := range []ephid.Kind{ephid.KindControl, 3, 255} {
+		err := h.RequestEphIDFor(kind, 900, dh.PublicKey(), sig.PublicKey(),
+			func(*cert.Cert, error) { t.Errorf("kind %v: continuation fired", kind) })
+		if !errors.Is(err, ms.ErrBadRequest) {
+			t.Errorf("RequestEphIDFor(%v): %v, want ErrBadRequest", kind, err)
+		}
+		if err := h.RequestEphID(kind, 900, func(*OwnedEphID, error) {}); !errors.Is(err, ms.ErrBadRequest) {
+			t.Errorf("RequestEphID(%v): %v, want ErrBadRequest", kind, err)
+		}
+	}
+	if sent := h.Stats().Sent; sent != 0 || len(h.pendingEphID) != 0 {
+		t.Fatalf("refused requests sent %d frames and left %d continuations", sent, len(h.pendingEphID))
+	}
+
+	var got *cert.Cert
+	if err := h.RequestEphIDFor(ephid.KindData, 900, dh.PublicKey(), sig.PublicKey(),
+		func(c *cert.Cert, err error) {
+			if err != nil {
+				t.Errorf("data request: %v", err)
+			}
+			got = c
+		}); err != nil {
+		t.Fatal(err)
+	}
+	c := &cert.Cert{Kind: ephid.KindData, ExpTime: 1 << 30, AID: 1}
+	copy(c.DHPub[:], dh.PublicKey())
+	copy(c.SigPub[:], sig.PublicKey())
+	c.Sign(d.signA)
+	raw, _ := c.MarshalBinary()
+	aead, _ := crypto.NewAEAD(h.cfg.Keys.Enc[:], 1)
+	reply, _ := aead.SealOnce(nil, append([]byte{0}, raw...), h.cfg.CtrlEphID[:])
+	hdr := wire.Header{NextProto: wire.ProtoControl, DstEphID: h.cfg.CtrlEphID}
+	h.handleControlReply(&hdr, reply)
+	if got == nil || !got.Equal(c) {
+		t.Errorf("the data request's reply delivered %+v", got)
 	}
 }
 

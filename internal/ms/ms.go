@@ -14,17 +14,24 @@
 // The service side is three steps: Admit decides everything
 // (authentication, renewal budget, the minted EphID), Sign certifies a
 // batch of admitted requests under one signature (cert.SignBatch), and
-// Admitted.Seal encrypts one reply under the AEAD Admit built to open
-// the request, so the MS builds one AES-GCM key schedule per request.
-// HandleRequest runs all three for a batch of one. A caller with many
-// requests signs them together, and a caller with a spare core can hand
-// a whole batch, signature and seals, to it.
+// Admitted.Seal encrypts one reply under the AEAD Admit opened the
+// request with. That AEAD comes from the service's schedule cache
+// (crypto.AEADCache), so the MS builds an AES-GCM key schedule per
+// host, not per request. HandleRequest runs all three for a batch of
+// one. A caller with many requests signs them together, and a caller
+// with a spare core can hand a whole batch, signature and seals, to it.
+//
+// The host side holds its kHA AEAD too: AppendRequest seals a request
+// into the caller's buffer and OpenReply decrypts a reply in place into
+// the caller's certificate. EncodeRequest and DecodeReply are the
+// key-taking forms that build an AEAD per call.
 package ms
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -66,8 +73,8 @@ const (
 // host generates the key pair for the EphID itself, because the keys
 // will protect data the AS must not read (Section IV-C).
 type Request struct {
-	// Kind of EphID requested (data or receive-only; control EphIDs
-	// come from the RS at bootstrap).
+	// Kind of EphID requested: data or receive-only (Issuable).
+	// Control EphIDs come from the RS at bootstrap.
 	Kind ephid.Kind
 	// Flags carries the request flag bits (ReqFlagRenew).
 	Flags byte
@@ -84,29 +91,44 @@ type Request struct {
 	SigPub [crypto.SigningPublicKeySize]byte
 }
 
-// RequestSize is the encoded request size.
-const RequestSize = 1 + 1 + 4 + ephid.Size + crypto.X25519PublicKeySize + crypto.SigningPublicKeySize
+// RequestSize is the encoded request size, and SealedRequestSize the
+// size of the message that carries it: nonce, request, GCM tag.
+const (
+	RequestSize       = 1 + 1 + 4 + ephid.Size + crypto.X25519PublicKeySize + crypto.SigningPublicKeySize
+	SealedRequestSize = crypto.NonceSize + RequestSize + crypto.TagSize
+)
+
+// Issuable reports whether the MS issues EphIDs of kind: data and
+// receive-only identifiers. Control EphIDs are the RS's to issue at
+// bootstrap, and no other kind is defined.
+func Issuable(kind ephid.Kind) bool {
+	return kind == ephid.KindData || kind == ephid.KindReceiveOnly
+}
 
 // Renewing reports whether the request is a renewal.
 func (r *Request) Renewing() bool { return r.Flags&ReqFlagRenew != 0 }
 
 // Encode serializes the request.
-func (r *Request) Encode() []byte {
-	buf := make([]byte, 0, RequestSize)
-	buf = append(buf, byte(r.Kind), r.Flags)
-	buf = binary.BigEndian.AppendUint32(buf, r.Lifetime)
-	buf = append(buf, r.Prev[:]...)
-	buf = append(buf, r.DHPub[:]...)
-	buf = append(buf, r.SigPub[:]...)
-	return buf
+func (r *Request) Encode() []byte { return r.Append(make([]byte, 0, RequestSize)) }
+
+// Append appends the request's encoding to dst.
+func (r *Request) Append(dst []byte) []byte {
+	dst = append(dst, byte(r.Kind), r.Flags)
+	dst = binary.BigEndian.AppendUint32(dst, r.Lifetime)
+	dst = append(dst, r.Prev[:]...)
+	dst = append(dst, r.DHPub[:]...)
+	return append(dst, r.SigPub[:]...)
 }
 
-// DecodeRequest parses a request.
-func DecodeRequest(data []byte) (*Request, error) {
+// UnmarshalBinary parses data as exactly one request for a kind the MS
+// issues; anything else is ErrBadRequest.
+func (r *Request) UnmarshalBinary(data []byte) error {
 	if len(data) != RequestSize {
-		return nil, fmt.Errorf("%w: %d bytes", ErrBadRequest, len(data))
+		return fmt.Errorf("%w: %d bytes", ErrBadRequest, len(data))
 	}
-	var r Request
+	if kind := ephid.Kind(data[0]); !Issuable(kind) {
+		return fmt.Errorf("%w: kind %d", ErrBadRequest, kind)
+	}
 	r.Kind = ephid.Kind(data[0])
 	r.Flags = data[1]
 	r.Lifetime = binary.BigEndian.Uint32(data[2:])
@@ -116,7 +138,7 @@ func DecodeRequest(data []byte) (*Request, error) {
 	copy(r.DHPub[:], data[off:])
 	off += crypto.X25519PublicKeySize
 	copy(r.SigPub[:], data[off:])
-	return &r, nil
+	return nil
 }
 
 // Policy bounds issued EphID lifetimes. The paper suggests 15 minutes
@@ -177,6 +199,11 @@ type Service struct {
 	aaEphID ephid.EphID
 	now     func() int64
 
+	// aeads keeps the hosts' kHA AEADs, built for the reply direction
+	// (1); Admit opens each request with one (Open ignores the
+	// direction) and its Admitted seals the reply.
+	aeads *crypto.AEADCache
+
 	// renews shards the per-HID renewal rate-limit windows by HID. A
 	// single mutex over a single map was fine for tens of hosts, but a
 	// synchronized renewal storm at ISP scale (every host whose EphIDs
@@ -233,6 +260,7 @@ func New(aid ephid.AID, sealer *ephid.Sealer, signer *crypto.Signer, db *hostdb.
 	s := &Service{
 		aid: aid, sealer: sealer, signer: signer, db: db,
 		policy: policy, aaEphID: aaEphID, now: now,
+		aeads: crypto.NewAEADCache(1),
 	}
 	for i := range s.renews {
 		s.renews[i].m = make(map[ephid.HID]*renewWindow)
@@ -305,8 +333,9 @@ func (s *Service) RenewTracked() int {
 
 // HandleRequest implements Figure 3. srcEphID is the source EphID of
 // the request packet (the host's control EphID) and ciphertext the
-// encrypted request. It returns the encrypted certificate reply. It is
-// Admit, Sign of the one-request batch, then Seal.
+// encrypted request, which it leaves intact. It returns the encrypted
+// certificate reply. It is Admit, Sign of the one-request batch, then
+// Seal.
 func (s *Service) HandleRequest(srcEphID ephid.EphID, ciphertext []byte) ([]byte, error) {
 	a, err := s.Admit(srcEphID, ciphertext)
 	if err != nil {
@@ -324,7 +353,8 @@ func (s *Service) HandleRequest(srcEphID ephid.EphID, ciphertext []byte) ([]byte
 // changed. Sign and then Seal may run on another goroutine while the
 // admitting one reads Denial, EphID and ExpTime. An Admitted keeps the
 // AEAD that opened the request, built for the reply direction, so the
-// reply is sealed under the same key schedule.
+// reply is sealed under the same key schedule even if the service's
+// cache has since evicted it.
 type Admitted struct {
 	aead   *crypto.AEAD
 	src    ephid.EphID
@@ -333,13 +363,21 @@ type Admitted struct {
 	cert   cert.Cert
 }
 
-// Admit runs Figure 3 up to the signature: it opens and checks the
-// control EphID, looks up the host's kHA key, decrypts and decodes the
-// request, charges a renewal against the host's budget, and mints the
-// EphID into an unsigned certificate. An error means the request is
-// dropped unanswered; a renewal denial is not an error but an admitted
-// request whose reply carries the denial (Denial).
+// Admit is AdmitInPlace on a copy of ciphertext, which it leaves
+// intact.
 func (s *Service) Admit(srcEphID ephid.EphID, ciphertext []byte) (*Admitted, error) {
+	return s.AdmitInPlace(srcEphID, slices.Clone(ciphertext))
+}
+
+// AdmitInPlace runs Figure 3 up to the signature: it opens and checks
+// the control EphID, looks up the host's kHA key, decrypts the request
+// in place — ciphertext is the service's from the call on, and holds no
+// message afterwards — and decodes it, charges a renewal against the
+// host's budget, and mints the EphID into an unsigned certificate. An
+// error means the request is dropped unanswered; a renewal denial is
+// not an error but an admitted request whose reply carries the denial
+// (Denial).
+func (s *Service) AdmitInPlace(srcEphID ephid.EphID, ciphertext []byte) (*Admitted, error) {
 	now := s.now()
 
 	// (HID, T1) = Dec(kA, EphID_ctrl); abort on forgery or expiry.
@@ -351,29 +389,32 @@ func (s *Service) Admit(srcEphID ephid.EphID, ciphertext []byte) (*Admitted, err
 		return nil, ErrExpiredEphID
 	}
 
-	// HID must be registered and not revoked.
+	// HID must be registered and not revoked. hostdb decides that, not
+	// the cache: a revoked host's schedule may still be cached.
 	encKey, err := s.db.EncKey(p.HID)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrUnknownHost, err)
 	}
 
-	// Decrypt and parse the request. Open ignores the direction, so the
-	// AEAD is built for the reply's (1) and Seal reuses it.
-	aead, err := crypto.NewAEAD(encKey[:], 1)
-	if err != nil {
-		return nil, err
-	}
-	plain, err := aead.Open(nil, ciphertext, srcEphID[:])
-	if err != nil {
-		return nil, ErrDecryptFailed
-	}
-	req, err := DecodeRequest(plain)
+	// Decrypt and parse the request under the cached AEAD for this HID
+	// and key. The additional data is read from the heap-allocated
+	// Admitted: the AEAD takes it through an interface, where a stack
+	// copy would escape.
+	aead, err := s.aeads.Get(uint32(p.HID), encKey)
 	if err != nil {
 		return nil, err
 	}
 	a := &Admitted{aead: aead, src: srcEphID}
+	plain, err := aead.OpenInPlace(ciphertext, a.src[:])
+	if err != nil {
+		return nil, ErrDecryptFailed
+	}
+	var req Request
+	if err := req.UnmarshalBinary(plain); err != nil {
+		return nil, err
+	}
 	if req.Renewing() {
-		if err := s.checkRenewal(p.HID, req, now); err != nil {
+		if err := s.checkRenewal(p.HID, &req, now); err != nil {
 			// The requester is authenticated and its request well
 			// formed, so the denial is answered, not dropped: the host
 			// matches replies to requests FIFO, and a silent drop would
@@ -382,7 +423,7 @@ func (s *Service) Admit(srcEphID ephid.EphID, ciphertext []byte) (*Admitted, err
 			return a, nil
 		}
 	}
-	a.cert = s.mint(p.HID, req)
+	a.cert = s.mint(p.HID, &req)
 	if req.Renewing() {
 		s.renewed.Add(1)
 	}
@@ -436,21 +477,25 @@ func (s *Service) Sign(batch []*Admitted) {
 // the key lives as long as the host's registration. A minted
 // certificate must have been signed (Sign) first, or Seal returns
 // ErrUnsigned.
-func (a *Admitted) Seal() ([]byte, error) {
-	var raw []byte
+func (a *Admitted) Seal() ([]byte, error) { return a.AppendSeal(nil) }
+
+// AppendSeal is Seal appending the reply to dst. The plaintext is
+// written where the ciphertext goes and sealed in place, so with room
+// for the longest reply in dst the call allocates nothing.
+func (a *Admitted) AppendSeal(dst []byte) ([]byte, error) {
+	if a.status == replyStatusOK && !a.signed {
+		return nil, ErrUnsigned
+	}
+	off := len(dst)
+	dst = slices.Grow(dst, crypto.NonceSize+1+cert.MaxSize+crypto.TagSize)
+	plain := append(dst[off+crypto.NonceSize:off+crypto.NonceSize], a.status)
 	if a.status == replyStatusOK {
-		if !a.signed {
-			return nil, ErrUnsigned
-		}
 		var err error
-		if raw, err = a.cert.MarshalBinary(); err != nil {
+		if plain, err = a.cert.AppendBinary(plain); err != nil {
 			return nil, err
 		}
 	}
-	plain := make([]byte, 0, 1+len(raw))
-	plain = append(plain, a.status)
-	plain = append(plain, raw...)
-	return a.aead.SealOnce(nil, plain, a.src[:])
+	return a.aead.SealOnce(dst, plain, a.src[:])
 }
 
 // Reply status codes, the first byte of the decrypted reply.
@@ -505,44 +550,66 @@ func (s *Service) Issue(hid ephid.HID, req *Request) (*cert.Cert, error) {
 	return &c, nil
 }
 
-// DecodeReply is the host-side decryption of the MS reply: it recovers
-// the status byte and, on success, parses the certificate using the
-// host's kHA encryption key. Denials come back as typed errors
-// (ErrRenewRateLimited, ErrForeignPrev) so requesters can distinguish
-// throttling from protocol failures.
+// DecodeReply is OpenReply under a kHA encryption key, on a copy of
+// reply, into a new certificate.
 func DecodeReply(encKey []byte, srcEphID ephid.EphID, reply []byte) (*cert.Cert, error) {
 	aead, err := crypto.NewAEAD(encKey, 0)
 	if err != nil {
 		return nil, err
 	}
-	plain, err := aead.Open(nil, reply, srcEphID[:])
-	if err != nil {
-		return nil, fmt.Errorf("ms: reply decryption failed: %w", err)
-	}
-	if len(plain) < 1 {
-		return nil, ErrBadRequest
-	}
-	if plain[0] != replyStatusOK && len(plain) != 1 {
-		// A denial is the status byte alone (Admitted.Seal).
-		return nil, fmt.Errorf("%w: %d bytes after reply status %d", ErrBadRequest, len(plain)-1, plain[0])
-	}
-	if err := statusErr(plain[0]); err != nil {
-		return nil, err
-	}
 	var c cert.Cert
-	if err := c.UnmarshalBinary(plain[1:]); err != nil {
+	if err := OpenReply(&c, aead, &srcEphID, slices.Clone(reply)); err != nil {
 		return nil, err
 	}
 	return &c, nil
 }
 
-// EncodeRequest is the host-side encryption of a request under the
-// host's kHA encryption key, bound to the control EphID it will be sent
-// from. Like the reply, each request draws its own random nonce.
+// OpenReply is the host-side decryption of the MS reply under the
+// host's kHA AEAD, bound to the control EphID the request went from: it
+// decrypts reply in place (reply holds no message afterwards), recovers
+// the status byte and, on success, decodes the certificate into c.
+// Denials come back as typed errors (ErrRenewRateLimited,
+// ErrForeignPrev) so requesters can distinguish throttling from
+// protocol failures. srcEphID is a pointer because the AEAD reads it
+// through an interface, where a copy on the stack would escape.
+func OpenReply(c *cert.Cert, aead *crypto.AEAD, srcEphID *ephid.EphID, reply []byte) error {
+	plain, err := aead.OpenInPlace(reply, srcEphID[:])
+	if err != nil {
+		return fmt.Errorf("ms: reply decryption failed: %w", err)
+	}
+	if len(plain) < 1 {
+		return ErrBadRequest
+	}
+	if plain[0] != replyStatusOK && len(plain) != 1 {
+		// A denial is the status byte alone (Admitted.Seal).
+		return fmt.Errorf("%w: %d bytes after reply status %d", ErrBadRequest, len(plain)-1, plain[0])
+	}
+	if err := statusErr(plain[0]); err != nil {
+		return err
+	}
+	return c.UnmarshalBinary(plain[1:])
+}
+
+// EncodeRequest is AppendRequest under a kHA encryption key, into a new
+// buffer.
 func EncodeRequest(encKey []byte, srcEphID ephid.EphID, req *Request) ([]byte, error) {
 	aead, err := crypto.NewAEAD(encKey, 0)
 	if err != nil {
 		return nil, err
 	}
-	return aead.SealOnce(nil, req.Encode(), srcEphID[:])
+	return AppendRequest(nil, aead, &srcEphID, req)
+}
+
+// AppendRequest is the host-side encryption of a request under the
+// host's kHA AEAD (built for direction 0), bound to the control EphID it
+// will be sent from, appended to dst. Like the reply, each request
+// draws its own random nonce. The request is encoded where its
+// ciphertext goes and sealed in place, so with SealedRequestSize bytes
+// to spare in dst the call allocates nothing. srcEphID is a pointer for
+// OpenReply's reason.
+func AppendRequest(dst []byte, aead *crypto.AEAD, srcEphID *ephid.EphID, req *Request) ([]byte, error) {
+	off := len(dst)
+	dst = slices.Grow(dst, SealedRequestSize)
+	plain := req.Append(dst[off+crypto.NonceSize : off+crypto.NonceSize])
+	return aead.SealOnce(dst, plain, srcEphID[:])
 }

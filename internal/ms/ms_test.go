@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -178,17 +179,17 @@ func TestHandleRequestBoundToSourceEphID(t *testing.T) {
 
 func TestRequestCodec(t *testing.T) {
 	req, _, _ := sampleRequest(t)
-	got, err := DecodeRequest(req.Encode())
-	if err != nil {
+	var got Request
+	if err := got.UnmarshalBinary(req.Encode()); err != nil {
 		t.Fatal(err)
 	}
-	if *got != *req {
+	if got != *req {
 		t.Errorf("roundtrip: %+v vs %+v", got, req)
 	}
-	if _, err := DecodeRequest(make([]byte, RequestSize-1)); !errors.Is(err, ErrBadRequest) {
+	if err := got.UnmarshalBinary(make([]byte, RequestSize-1)); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("short: %v", err)
 	}
-	if _, err := DecodeRequest(make([]byte, RequestSize+1)); !errors.Is(err, ErrBadRequest) {
+	if err := got.UnmarshalBinary(make([]byte, RequestSize+1)); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("long: %v", err)
 	}
 }
@@ -368,11 +369,11 @@ func TestRequestCodecRenewal(t *testing.T) {
 	req, _, _ := sampleRequest(t)
 	req.Flags = ReqFlagRenew
 	req.Prev = ephid.EphID{9, 8, 7}
-	got, err := DecodeRequest(req.Encode())
-	if err != nil {
+	var got Request
+	if err := got.UnmarshalBinary(req.Encode()); err != nil {
 		t.Fatal(err)
 	}
-	if *got != *req {
+	if got != *req {
 		t.Errorf("roundtrip: %+v vs %+v", got, req)
 	}
 	if !got.Renewing() {
@@ -959,4 +960,244 @@ func TestOneSignaturePerBatch(t *testing.T) {
 	if first == batches {
 		t.Errorf("the first-admitted request sat at index 0 in all %d batches", batches)
 	}
+}
+
+// TestRequestKinds: the MS issues data and receive-only EphIDs and
+// nothing else. Every other value of the kind byte — the RS's control
+// kind and the 253 undefined ones — is ErrBadRequest, from the decoder
+// and from Admit, so no certificate of that kind is ever signed.
+func TestRequestKinds(t *testing.T) {
+	f := newFixture(t)
+	for k := range 256 {
+		kind := ephid.Kind(k)
+		req := fixedRequest()
+		req.Kind = kind
+		want := kind == ephid.KindData || kind == ephid.KindReceiveOnly
+		if got := Issuable(kind); got != want {
+			t.Fatalf("Issuable(%v) = %v", kind, got)
+		}
+		var r Request
+		err := r.UnmarshalBinary(req.Encode())
+		if want != (err == nil) || !want && !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("decoding kind %v: %v", kind, err)
+		}
+		if want && r != *req {
+			t.Fatalf("kind %v decodes to %+v, want %+v", kind, r, req)
+		}
+		ct, err := EncodeRequest(f.keys.Enc[:], f.ctrlID, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := f.svc.Admit(f.ctrlID, ct)
+		if want != (err == nil) || !want && !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("Admit(kind %v): %v", kind, err)
+		}
+		if want && a.Cert().Kind != kind {
+			t.Fatalf("kind %v request minted a %v certificate", kind, a.Cert().Kind)
+		}
+	}
+}
+
+// admitFor seals req for the host with keys and control EphID ctrl and
+// admits it.
+func (f *fixture) admitFor(t *testing.T, keys crypto.HostASKeys, ctrl ephid.EphID, req *Request) (*Admitted, error) {
+	t.Helper()
+	ct, err := EncodeRequest(keys.Enc[:], ctrl, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.svc.Admit(ctrl, ct)
+}
+
+// TestAdmitCacheHit: a host's second request is opened, and its reply
+// sealed, under the schedule its first one built.
+func TestAdmitCacheHit(t *testing.T) {
+	f := newFixture(t)
+	first, err := f.admitFor(t, f.keys, f.ctrlID, fixedRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := f.admitFor(t, f.keys, f.ctrlID, fixedRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.aead != second.aead {
+		t.Fatal("the second request built a second AEAD for the same host and key")
+	}
+	f.svc.Sign([]*Admitted{first, second})
+	for _, a := range []*Admitted{first, second} {
+		reply, err := a.Seal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c, err := DecodeReply(f.keys.Enc[:], f.ctrlID, reply); err != nil || !c.Equal(a.Cert()) {
+			t.Fatalf("reply decodes to %+v, %v", c, err)
+		}
+	}
+}
+
+// TestAdmitCacheRekey: a HID registered again under new keys is served
+// under the new key's schedule at once, although the old one is still
+// cached, and a request sealed under the old key no longer opens.
+func TestAdmitCacheRekey(t *testing.T) {
+	f := newFixture(t)
+	old, err := f.admitFor(t, f.keys, f.ctrlID, fixedRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rekeyed := crypto.DeriveHostASKeys([]byte("host42-rekeyed"))
+	f.db.Put(hostdb.Entry{HID: f.hid, Keys: rekeyed, RegisteredAt: f.now})
+
+	a, err := f.admitFor(t, rekeyed, f.ctrlID, fixedRequest())
+	if err != nil {
+		t.Fatalf("request under the new key: %v", err)
+	}
+	if a.aead == old.aead {
+		t.Fatal("the new key was served the old key's schedule")
+	}
+	f.svc.Sign([]*Admitted{a})
+	reply, err := a.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeReply(rekeyed.Enc[:], f.ctrlID, reply); err != nil {
+		t.Fatalf("reply under the new key: %v", err)
+	}
+	if _, err := f.admitFor(t, f.keys, f.ctrlID, fixedRequest()); !errors.Is(err, ErrDecryptFailed) {
+		t.Fatalf("request under the old key: %v, want ErrDecryptFailed", err)
+	}
+}
+
+// TestAdmitCacheRevoked: hostdb, not the cache, decides who is
+// registered. A revoked host whose schedule is warm is refused.
+func TestAdmitCacheRevoked(t *testing.T) {
+	f := newFixture(t)
+	if _, err := f.admitFor(t, f.keys, f.ctrlID, fixedRequest()); err != nil {
+		t.Fatal(err)
+	}
+	f.db.Revoke(f.hid)
+	if _, err := f.admitFor(t, f.keys, f.ctrlID, fixedRequest()); !errors.Is(err, ErrUnknownHost) {
+		t.Fatalf("revoked host with a warm schedule: %v, want ErrUnknownHost", err)
+	}
+}
+
+// TestAdmitCacheConcurrent: eight goroutines admit requests of one host
+// from a cold cache, so several may build and store its schedule at
+// once; every request is admitted and every reply decodes. Run it under
+// -race.
+func TestAdmitCacheConcurrent(t *testing.T) {
+	f := newFixture(t)
+	const goroutines, each = 8, 16
+	var wg sync.WaitGroup
+	for range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range each {
+				ct, err := EncodeRequest(f.keys.Enc[:], f.ctrlID, fixedRequest())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				reply, err := f.svc.HandleRequest(f.ctrlID, ct)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := DecodeReply(f.keys.Enc[:], f.ctrlID, reply); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// awaitKeyRefills waits until no key-stock refill goroutine is running:
+// testing.AllocsPerRun counts every goroutine's allocations, and the
+// fixture's signer came from the stock.
+func awaitKeyRefills() {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n == len(buf) {
+			buf = make([]byte, 2*len(buf))
+			continue
+		}
+		if !bytes.Contains(buf[:n], []byte("created by apna/internal/crypto.(*stock[")) {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestRoundTripAllocs prices a warm issuance round trip in heap
+// allocations: a full batch of cert.MaxBatch hosts, each holding its
+// kHA AEAD, request buffer, reply buffer and certificate, runs
+// AppendRequest → AdmitInPlace → one Sign → AppendSeal → OpenReply with
+// the service's schedules cached. What is left per request is the
+// Admitted and a share of the batch signature's.
+func TestRoundTripAllocs(t *testing.T) {
+	f := newFixture(t)
+	const n = cert.MaxBatch
+	type host struct {
+		ctrl  ephid.EphID
+		aead  *crypto.AEAD
+		ct    [SealedRequestSize]byte
+		reply []byte
+		cert  cert.Cert
+	}
+	hs := make([]host, n)
+	for i := range hs {
+		hid := ephid.HID(3000 + i)
+		keys := crypto.DeriveHostASKeys([]byte{byte(i), 0xA})
+		f.db.Put(hostdb.Entry{HID: hid, Keys: keys, RegisteredAt: f.now})
+		hs[i].ctrl = f.sealer.Mint(ephid.Payload{HID: hid, ExpTime: uint32(f.now) + 3600})
+		var err error
+		if hs[i].aead, err = crypto.NewAEAD(keys.Enc[:], 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req := fixedRequest()
+	batch := make([]*Admitted, n)
+	var failed error
+	round := func() {
+		for i := range hs {
+			h := &hs[i]
+			ct, err := AppendRequest(h.ct[:0], h.aead, &h.ctrl, req)
+			if err == nil {
+				batch[i], err = f.svc.AdmitInPlace(h.ctrl, ct)
+			}
+			if err != nil {
+				failed = err
+				return
+			}
+		}
+		f.svc.Sign(batch)
+		for i := range hs {
+			h := &hs[i]
+			var err error
+			if h.reply, err = batch[i].AppendSeal(h.reply[:0]); err == nil {
+				err = OpenReply(&h.cert, h.aead, &h.ctrl, h.reply)
+			}
+			if err == nil && !h.cert.Equal(batch[i].Cert()) {
+				err = fmt.Errorf("reply %d carries %+v", i, h.cert)
+			}
+			if err != nil {
+				failed = err
+				return
+			}
+		}
+	}
+	round() // warm the schedule cache and size the reply buffers
+	awaitKeyRefills()
+	perRequest := testing.AllocsPerRun(10, round) / n
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	if perRequest > 2 {
+		t.Errorf("a warm round trip allocates %.2f times per request, want at most 2", perRequest)
+	}
+	t.Logf("%.2f allocations per request", perRequest)
 }

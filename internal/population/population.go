@@ -13,7 +13,10 @@
 // That is the point — the paper's Section IX sizes the management
 // service for ISP populations of millions of hosts, and this package is
 // what lets the repo measure those paths at that scale instead of at
-// the tens of hosts the conformance experiments use.
+// the tens of hosts the conformance experiments use. The hosts' kHA
+// AES-GCM schedules are not part of the 150 bytes: each worker keeps
+// them in one crypto.AEADCache, bounded at 4096 schedules (3.3 MiB)
+// whatever its host count, as the MS's own cache is.
 //
 // Determinism: all behavior derives from per-worker rand.Rand instances
 // seeded from (Seed, worker) and from virtual time, and every modeled
@@ -438,6 +441,12 @@ type worker struct {
 	// into the reservoirs once every seal is back; free recycles jobs.
 	samples []sample
 	free    []*sealJob
+
+	// aeads holds the modeled hosts' kHA AEADs (request direction, 0),
+	// and ct is the request scratch: each request is sealed into it and
+	// the MS opens it there in place.
+	aeads *crypto.AEADCache
+	ct    [ms.SealedRequestSize]byte
 }
 
 // signAndSeal is a closed batch's remaining work: one signature over
@@ -458,19 +467,23 @@ func signAndSeal(svc *ms.Service, batch []*sealJob, adms []*ms.Admitted) []*ms.A
 
 // sealJob is the second half of one round trip: seal the admitted and
 // signed reply, decode it as the host would, and check that it carries
-// what was admitted. The host's key and control EphID are copied in,
+// what was admitted. The host's AEAD and control EphID are copied in,
 // since churn may hand the host's slot to a new identity before a
-// helper gets to the job.
+// helper gets to the job. The job owns the reply's buffer and the
+// certificate it decodes to, and keeps both across reuse, so a round
+// trip leaves no garbage.
 type sealJob struct {
-	enc  [crypto.SymKeySize]byte
+	aead *crypto.AEAD
 	ctrl ephid.EphID
 	adm  *ms.Admitted
+	raw  []byte
+	cert cert.Cert
 	end  time.Time
 	bad  bool
 }
 
 func (j *sealJob) run() {
-	_, err := reply(j.enc[:], j.ctrl, j.adm)
+	err := j.reply()
 	j.bad = !errors.Is(err, j.adm.Denial())
 	j.end = time.Now() //apna:wallclock
 }
@@ -491,7 +504,11 @@ type sample struct {
 // batch, closing the batch once it is full. The error is Admit's, or
 // the denial the reply will carry.
 func (wk *worker) request(h *hostState, prev *ephid.EphID, sm *sample) (*ms.Admitted, error) {
-	a, err := wk.w.admit(h, wk.cfg.EphIDLifetime, prev)
+	aead, err := wk.aeads.Get(uint32(h.hid), h.keys.Enc)
+	if err != nil {
+		return nil, err
+	}
+	a, err := wk.w.admit(h, aead, wk.ct[:0], wk.cfg.EphIDLifetime, prev)
 	if err != nil {
 		return nil, err
 	}
@@ -501,7 +518,7 @@ func (wk *worker) request(h *hostState, prev *ephid.EphID, sm *sample) (*ms.Admi
 	} else {
 		j = new(sealJob)
 	}
-	j.enc, j.ctrl, j.adm = h.keys.Enc, h.ctrl, a
+	j.aead, j.ctrl, j.adm = aead, h.ctrl, a
 	if sm.jobs[0] == nil {
 		sm.jobs[0] = j
 	} else {
@@ -789,6 +806,7 @@ func Run(cfg Config) (*Result, error) {
 			slots:   make([]flowSlot, n*cfg.PoolSlots),
 			renewAt: make([][]renewSched, ringLen),
 			nextHID: uint32(i)*hidSpan + 1,
+			aeads:   crypto.NewAEADCache(0),
 		}
 		wk.zipf = rand.NewZipf(wk.rng, cfg.ZipfS, 1, uint64(max(n-1, 1)))
 		workers[i] = wk
@@ -1103,45 +1121,57 @@ func (r *Result) Fprint(out io.Writer) {
 var errReplyMismatch = errors.New("population: reply does not carry what was admitted")
 
 // issue is the full host→MS round trip on the caller: admit, sign the
-// one-request batch, then reply. The complainer uses it between ticks.
+// one-request batch, then reply. The complainer uses it between ticks,
+// a few dozen times a run, so it builds the host's AEAD per call.
 func (w *world) issue(h *hostState, lifetime uint32, prev *ephid.EphID) (*cert.Cert, error) {
-	a, err := w.admit(h, lifetime, prev)
+	aead, err := crypto.NewAEAD(h.keys.Enc[:], 0)
+	if err != nil {
+		return nil, err
+	}
+	var ct [ms.SealedRequestSize]byte
+	a, err := w.admit(h, aead, ct[:0], lifetime, prev)
 	if err != nil {
 		return nil, err
 	}
 	w.MS.Sign([]*ms.Admitted{a})
-	return reply(h.keys.Enc[:], h.ctrl, a)
+	j := &sealJob{aead: aead, ctrl: h.ctrl, adm: a}
+	if err := j.reply(); err != nil {
+		return nil, err
+	}
+	return &j.cert, nil
 }
 
 // reply is the round trip's second half: the service seals the
-// admitted and signed reply, and the host decrypts and parses it under its own
-// kHA key. The reply must carry exactly what was admitted — the
+// admitted and signed reply into the job's buffer, and the host
+// decrypts it there and decodes it into the job's certificate under its
+// own kHA AEAD. The reply must carry exactly what was admitted — the
 // certificate, or the denial, which comes back as the error.
-func reply(enc []byte, ctrl ephid.EphID, a *ms.Admitted) (*cert.Cert, error) {
-	raw, err := a.Seal()
-	if err != nil {
-		return nil, err
+func (j *sealJob) reply() error {
+	var err error
+	if j.raw, err = j.adm.AppendSeal(j.raw[:0]); err != nil {
+		return err
 	}
-	c, err := ms.DecodeReply(enc, ctrl, raw)
-	if denial := a.Denial(); denial != nil {
+	err = ms.OpenReply(&j.cert, j.aead, &j.ctrl, j.raw)
+	if denial := j.adm.Denial(); denial != nil {
 		if !errors.Is(err, denial) {
-			return nil, errReplyMismatch
+			return errReplyMismatch
 		}
-		return nil, denial
+		return denial
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if !c.Equal(a.Cert()) {
-		return nil, errReplyMismatch
+	if !j.cert.Equal(j.adm.Cert()) {
+		return errReplyMismatch
 	}
-	return c, nil
+	return nil
 }
 
-// admit is the round trip's first half: encode and encrypt the request
-// under the host's kHA key, then run Figure 3 in the service up to the
-// signature. prev non-nil makes it a renewal.
-func (w *world) admit(h *hostState, lifetime uint32, prev *ephid.EphID) (*ms.Admitted, error) {
+// admit is the round trip's first half: encrypt the request under the
+// host's kHA AEAD into ct, scratch with room for ms.SealedRequestSize
+// bytes, then run Figure 3 in the service up to the signature, which
+// opens the request in place there. prev non-nil makes it a renewal.
+func (w *world) admit(h *hostState, aead *crypto.AEAD, ct []byte, lifetime uint32, prev *ephid.EphID) (*ms.Admitted, error) {
 	req := ms.Request{Kind: ephid.KindData, Lifetime: lifetime}
 	if prev != nil {
 		req.Flags = ms.ReqFlagRenew
@@ -1151,9 +1181,9 @@ func (w *world) admit(h *hostState, lifetime uint32, prev *ephid.EphID) (*ms.Adm
 	// has to be host-stable, not usable.
 	binary.BigEndian.PutUint32(req.DHPub[:], uint32(h.hid))
 	binary.BigEndian.PutUint32(req.SigPub[:], uint32(h.hid))
-	ct, err := ms.EncodeRequest(h.keys.Enc[:], h.ctrl, &req)
+	ct, err := ms.AppendRequest(ct, aead, &h.ctrl, &req)
 	if err != nil {
 		return nil, err
 	}
-	return w.MS.Admit(h.ctrl, ct)
+	return w.MS.AdmitInPlace(h.ctrl, ct)
 }

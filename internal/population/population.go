@@ -29,16 +29,24 @@
 // when no helper is free); but every decision is made on the worker by
 // ms.Service.Admit, so neither changes an outcome, only the wall time.
 // A batch closes when it is full or at the end of the tick, so in
-// virtual time no request waits for its signature; in wall-clock time
-// an issuance or renewal sample includes the wait for its batch to
-// close and then for a helper, behind at most one queued batch per
-// helper. Only wall-clock measurements (latencies, events/sec, RSS)
-// vary between runs. EphID byte values are not part of the trace: the
-// sealer's IV counter is shared across workers, so the identifiers
-// themselves depend on scheduling.
+// virtual time no request waits for its signature. In wall-clock time
+// a batch handed off in tick t may still be signed and sealed while
+// the worker admits tick t+1: the tick barrier waits only for
+// admission, and the worker waits for tick t's hand-offs at the end of
+// tick t+1's admissions (and for its last tick's before the run ends),
+// then folds their checks and latencies. An issuance or renewal sample
+// includes the wait for its batch to close and then for a helper,
+// behind at most one queued batch per helper. The coordinator's
+// complaint cycle runs beside the workers' tick, at the same virtual
+// time, against offenders in an HID range of their own. Only
+// wall-clock measurements (latencies, events/sec, RSS) vary between
+// runs. EphID byte values are not part of the trace: the sealer's IV
+// counter is shared across workers, so the identifiers themselves
+// depend on scheduling.
 package population
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -297,8 +305,10 @@ type Result struct {
 	// request's admit to its reply being checked. They include the
 	// wait for the request's signing batch to close (at cert.MaxBatch
 	// requests or the end of the tick) and, when a helper takes the
-	// batch, its wait in the helper's queue; neither takes virtual
+	// batch, its wait in the helper's queue. Neither takes virtual
 	// time: the batch is signed within the tick the request arrived in.
+	// In wall-clock time the signature and the seal may finish while
+	// the worker admits the next tick.
 	IssueLatency     OpStats `json:"issue_latency"`
 	RenewLatency     OpStats `json:"renew_latency"`
 	ComplaintLatency OpStats `json:"complaint_latency"`
@@ -430,16 +440,13 @@ type worker struct {
 	adms  []*ms.Admitted
 	// helpers feeds this worker's spare-core helpers whole closed
 	// batches; its capacity is their count, and it is nil (every batch
-	// inline) when there are none. inflight counts the batches handed
-	// to them this tick, and handed holds those batches until the
-	// barrier, when they join spare for reuse.
-	helpers  chan []*sealJob
-	inflight sync.WaitGroup
-	handed   [][]*sealJob
-	spare    [][]*sealJob
-	// samples are this tick's latency samples in issue order, folded
-	// into the reservoirs once every seal is back; free recycles jobs.
-	samples []sample
+	// inline) when there are none. pending[t%2] is what tick t left to
+	// finish, kept until it settles at the end of tick t+1's
+	// admissions; then its batches join spare and its jobs free, so
+	// at most two ticks' worth are ever held.
+	helpers chan handoff
+	pending [2]pending
+	spare   [][]*sealJob
 	free    []*sealJob
 
 	// aeads holds the modeled hosts' kHA AEADs (request direction, 0),
@@ -447,6 +454,26 @@ type worker struct {
 	// the MS opens it there in place.
 	aeads *crypto.AEADCache
 	ct    [ms.SealedRequestSize]byte
+
+	// plant, set only by tests, may tamper with a job admitted in tick
+	// t before it is signed and sealed.
+	plant func(t int, j *sealJob)
+}
+
+// pending is one tick's unfinished round trips: inflight counts the
+// batches handed to helpers, handed holds them, and samples are the
+// tick's latency samples in issue order.
+type pending struct {
+	inflight sync.WaitGroup
+	handed   [][]*sealJob
+	samples  []sample
+}
+
+// handoff is one closed batch on its way to a helper, with the count
+// of its tick's outstanding batches to mark it done.
+type handoff struct {
+	jobs []*sealJob
+	done *sync.WaitGroup
 }
 
 // signAndSeal is a closed batch's remaining work: one signature over
@@ -500,10 +527,10 @@ type sample struct {
 	into       *reservoir
 }
 
-// request admits one request from h and adds it to the open signing
-// batch, closing the batch once it is full. The error is Admit's, or
-// the denial the reply will carry.
-func (wk *worker) request(h *hostState, prev *ephid.EphID, sm *sample) (*ms.Admitted, error) {
+// request admits one request from h in tick t and adds it to the open
+// signing batch, closing the batch once it is full. The error is
+// Admit's, or the denial the reply will carry.
+func (wk *worker) request(t int, h *hostState, prev *ephid.EphID, sm *sample) (*ms.Admitted, error) {
 	aead, err := wk.aeads.Get(uint32(h.hid), h.keys.Enc)
 	if err != nil {
 		return nil, err
@@ -519,29 +546,33 @@ func (wk *worker) request(h *hostState, prev *ephid.EphID, sm *sample) (*ms.Admi
 		j = new(sealJob)
 	}
 	j.aead, j.ctrl, j.adm = aead, h.ctrl, a
+	if wk.plant != nil {
+		wk.plant(t, j)
+	}
 	if sm.jobs[0] == nil {
 		sm.jobs[0] = j
 	} else {
 		sm.jobs[1] = j
 	}
 	if wk.batch = append(wk.batch, j); len(wk.batch) == cert.MaxBatch {
-		wk.closeBatch()
+		wk.closeBatch(t)
 	}
 	return a, a.Denial()
 }
 
-// closeBatch offers the closed, unsigned batch to this worker's
+// closeBatch offers tick t's closed, unsigned batch to this worker's
 // helpers without blocking; if none can take it now, the worker signs
 // and seals it itself, right away. So at most two batches per helper
 // are ever outstanding, and with no helper every batch is inline.
-func (wk *worker) closeBatch() {
+func (wk *worker) closeBatch(t int) {
 	if len(wk.batch) == 0 {
 		return
 	}
-	wk.inflight.Add(1)
+	p := &wk.pending[t%2]
+	p.inflight.Add(1)
 	select {
-	case wk.helpers <- wk.batch:
-		wk.handed = append(wk.handed, wk.batch)
+	case wk.helpers <- handoff{wk.batch, &p.inflight}:
+		p.handed = append(p.handed, wk.batch)
 		if n := len(wk.spare); n > 0 {
 			wk.batch, wk.spare = wk.spare[n-1], wk.spare[:n-1]
 		} else {
@@ -549,26 +580,26 @@ func (wk *worker) closeBatch() {
 		}
 	default:
 		wk.adms = signAndSeal(wk.w.MS, wk.batch, wk.adms)
-		wk.inflight.Done()
+		p.inflight.Done()
 		clear(wk.batch)
 		wk.batch = wk.batch[:0]
 	}
 }
 
-// collect closes the tick's last batch and waits for the batches
-// handed off this tick, then folds every sample into its reservoir in
-// issue order. A reply that did not carry what was admitted counts as
-// ErrNoEphID.
-func (wk *worker) collect(t int) {
-	wk.closeBatch()
-	wk.inflight.Wait()
-	for _, b := range wk.handed {
+// settle waits for the batches handed off in tick t, then folds the
+// tick's samples into their reservoirs in issue order. A reply that
+// did not carry what was admitted counts as ErrNoEphID, traced under
+// tick t however late the fold.
+func (wk *worker) settle(t int) {
+	p := &wk.pending[t%2]
+	p.inflight.Wait()
+	for _, b := range p.handed {
 		clear(b)
 		wk.spare = append(wk.spare, b[:0])
 	}
-	clear(wk.handed)
-	wk.handed = wk.handed[:0]
-	for _, sm := range wk.samples {
+	clear(p.handed)
+	p.handed = p.handed[:0]
+	for _, sm := range p.samples {
 		end, bad := sm.end, false
 		for _, j := range sm.jobs {
 			if j == nil {
@@ -587,7 +618,7 @@ func (wk *worker) collect(t int) {
 			wk.rec(t, evNoEphID, sm.hid)
 		}
 	}
-	wk.samples = wk.samples[:0]
+	p.samples = p.samples[:0]
 }
 
 func (wk *worker) rec(tick int, kind byte, hid ephid.HID) {
@@ -596,18 +627,30 @@ func (wk *worker) rec(tick int, kind byte, hid ephid.HID) {
 	}
 }
 
-// setup registers the worker's initial host partition.
-func (wk *worker) setup(horizon uint32) {
+// setup registers the worker's initial host partition, host i under
+// the worker's i-th HID. Deriving the hosts' keys and minting their
+// control EphIDs is most of the work, so parts goroutines split the
+// partition; the hostdb gets one batch.
+func (wk *worker) setup(horizon uint32, parts int) {
 	entries := make([]hostdb.Entry, len(wk.hosts))
-	for i := range wk.hosts {
-		hid := ephid.HID(wk.nextHID)
-		wk.nextHID++
-		h := &wk.hosts[i]
-		h.hid = hid
-		h.keys = hostKeys(wk.cfg.Seed, hid)
-		h.ctrl = wk.w.Sealer.Mint(ephid.Payload{HID: hid, ExpTime: horizon})
-		entries[i] = hostdb.Entry{HID: hid, Keys: h.keys, RegisteredAt: startTime}
+	first := wk.nextHID
+	wk.nextHID += uint32(len(wk.hosts))
+	var wg sync.WaitGroup
+	for p := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := p * len(wk.hosts) / parts; i < (p+1)*len(wk.hosts)/parts; i++ {
+				hid := ephid.HID(first + uint32(i))
+				h := &wk.hosts[i]
+				h.hid = hid
+				h.keys = hostKeys(wk.cfg.Seed, hid)
+				h.ctrl = wk.w.Sealer.Mint(ephid.Payload{HID: hid, ExpTime: horizon})
+				entries[i] = hostdb.Entry{HID: hid, Keys: h.keys, RegisteredAt: startTime}
+			}
+		}()
 	}
+	wg.Wait()
 	wk.w.DB.PutBatch(entries)
 }
 
@@ -625,13 +668,22 @@ func (wk *worker) schedule(slot int32, exp uint32, tick int) {
 	wk.renewAt[idx] = append(wk.renewAt[idx], renewSched{slot: slot, exp: exp})
 }
 
-// tick processes one virtual second for this worker's partition.
+// tick processes one virtual second for this worker's partition. Its
+// last batches may still be in a helper's hands when it returns: tick
+// t settles at the end of tick t+1's admissions, the run's last tick
+// before it returns.
 func (wk *worker) tick(t int) {
 	now := wk.w.clock.Load()
 	wk.renewals(t, now)
 	wk.churn(t, now)
 	wk.arrivals(t, now)
-	wk.collect(t)
+	wk.closeBatch(t)
+	if t > 0 {
+		wk.settle(t - 1)
+	}
+	if t == wk.cfg.Ticks-1 {
+		wk.settle(t)
+	}
 }
 
 // renewals drains this tick's renewal bucket: live flows renew their
@@ -651,17 +703,18 @@ func (wk *worker) renewals(t int, now int64) {
 			continue // flow ended; let the identifier lapse
 		}
 		sm := sample{hid: h.hid, start: time.Now(), into: &wk.renew} //apna:wallclock
-		a, err := wk.request(h, &s.id, &sm)
+		a, err := wk.request(t, h, &s.id, &sm)
 		if errors.Is(err, ms.ErrRenewRateLimited) {
 			// Denied renewals fall back to plain issuance, which the
 			// policy deliberately leaves unthrottled: the flow stays
 			// alive, only the identifier-history linkage is cut.
 			wk.c.renewDenied++
 			wk.rec(t, evRenewDenied, h.hid)
-			a, err = wk.request(h, nil, &sm)
+			a, err = wk.request(t, h, nil, &sm)
 		}
 		sm.end = time.Now() //apna:wallclock
-		wk.samples = append(wk.samples, sm)
+		p := &wk.pending[t%2]
+		p.samples = append(p.samples, sm)
 		if err != nil {
 			wk.c.errNoEphID++
 			wk.rec(t, evNoEphID, h.hid)
@@ -752,9 +805,10 @@ func (wk *worker) arrivals(t int, now int64) {
 			continue
 		}
 		sm := sample{hid: h.hid, start: time.Now(), into: &wk.issue} //apna:wallclock
-		a, err := wk.request(h, nil, &sm)
+		a, err := wk.request(t, h, nil, &sm)
 		sm.end = time.Now() //apna:wallclock
-		wk.samples = append(wk.samples, sm)
+		p := &wk.pending[t%2]
+		p.samples = append(p.samples, sm)
 		if err != nil {
 			wk.c.errNoEphID++
 			wk.rec(t, evNoEphID, h.hid)
@@ -777,20 +831,29 @@ func (wk *worker) arrivals(t int, now int64) {
 
 // Run executes the population workload and reports the measurement.
 func Run(cfg Config) (*Result, error) {
+	res, _, err := run(cfg, nil)
+	return res, err
+}
+
+// run is Run with plant handed to every worker. It also returns the
+// workers, their traces in the order they were hashed.
+func run(cfg Config, plant func(t int, j *sealJob)) (*Result, []*worker, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	w, err := newWorld(cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
-	// Partition hosts across workers.
+	// Partition hosts across workers, and each worker's set-up across
+	// enough goroutines to keep every P busy.
 	workers := make([]*worker, cfg.Workers)
 	ringLen := int(cfg.EphIDLifetime) + cfg.RenewLead + 2
 	per := cfg.Hosts / cfg.Workers
 	extra := cfg.Hosts % cfg.Workers
+	parts := (runtime.GOMAXPROCS(0) + cfg.Workers - 1) / cfg.Workers
 	var setupWG sync.WaitGroup
 	for i := range workers {
 		n := per
@@ -807,13 +870,14 @@ func Run(cfg Config) (*Result, error) {
 			renewAt: make([][]renewSched, ringLen),
 			nextHID: uint32(i)*hidSpan + 1,
 			aeads:   crypto.NewAEADCache(0),
+			plant:   plant,
 		}
 		wk.zipf = rand.NewZipf(wk.rng, cfg.ZipfS, 1, uint64(max(n-1, 1)))
 		workers[i] = wk
 		setupWG.Add(1)
 		go func() {
 			defer setupWG.Done()
-			wk.setup(w.horizon)
+			wk.setup(w.horizon, parts)
 		}()
 	}
 	setupWG.Wait()
@@ -832,15 +896,15 @@ func Run(cfg Config) (*Result, error) {
 		if n == 0 {
 			continue
 		}
-		wk.helpers = make(chan []*sealJob, n)
+		wk.helpers = make(chan handoff, n)
 		helperWG.Add(n)
 		for range n {
 			go func() {
 				defer helperWG.Done()
 				var adms []*ms.Admitted
-				for b := range wk.helpers {
-					adms = signAndSeal(w.MS, b, adms)
-					wk.inflight.Done()
+				for h := range wk.helpers {
+					adms = signAndSeal(w.MS, h.jobs, adms)
+					h.done.Done()
 				}
 			}()
 		}
@@ -851,7 +915,9 @@ func Run(cfg Config) (*Result, error) {
 
 	// Persistent workers with a per-tick barrier: the coordinator
 	// advances the virtual clock only between ticks, so every engine
-	// sees one consistent "now" per tick.
+	// sees one consistent "now" per tick. The barrier waits for the
+	// workers' admissions only; their last batches' seals finish during
+	// the next tick (worker.tick).
 	start := make([]chan int, cfg.Workers)
 	var tickWG sync.WaitGroup
 	for i, wk := range workers {
@@ -867,17 +933,20 @@ func Run(cfg Config) (*Result, error) {
 	retention := int64(cfg.EphIDLifetime)
 	t0 := time.Now() //apna:wallclock
 	for t := 0; t < cfg.Ticks; t++ {
-		w.clock.Store(startTime + int64(t))
+		now := startTime + int64(t)
+		w.clock.Store(now)
 		tickWG.Add(cfg.Workers)
 		for i := range start {
 			start[i] <- t
 		}
-		tickWG.Wait()
-
-		now := w.clock.Load()
+		// The complaint cycle runs beside the workers, at the same now:
+		// its offenders have an HID range of their own, and every
+		// engine it shares with the workers is safe for concurrent use.
 		if cfg.ComplaintEvery > 0 && t%cfg.ComplaintEvery == 0 {
 			comp.cycle(now)
 		}
+		tickWG.Wait()
+
 		if cfg.GCEvery > 0 && t%cfg.GCEvery == cfg.GCEvery-1 {
 			g0 := time.Now() //apna:wallclock
 			res.GCReaped += w.DB.GC(now, retention)
@@ -954,6 +1023,9 @@ func Run(cfg Config) (*Result, error) {
 			total++
 		}
 		for _, wk := range workers {
+			// A fold traces under its own tick one tick late; a stable
+			// sort by tick puts it where folding within the tick would.
+			slices.SortStableFunc(wk.trace, func(a, b traceEvent) int { return cmp.Compare(a.tick, b.tick) })
 			for _, ev := range wk.trace {
 				record(ev)
 			}
@@ -964,17 +1036,18 @@ func Run(cfg Config) (*Result, error) {
 		res.TraceHash = hex.EncodeToString(h.Sum(nil))
 		res.TraceEvents = total
 	}
-	return res, nil
+	return res, workers, nil
 }
 
 // complainer drives the inter-domain complaint path from the
-// coordinator: it keeps a current offender host (registered in the
-// reserved HID range), issues it a fresh EphID per complaint, builds
-// the MACed evidence frame and the victim-AS-signed ShutoffRequest, and
-// feeds it to the accountability engine — replaying a fraction
-// bit-exactly to exercise the receipt idempotency cache. Strike
-// escalation revokes the offender after StrikeLimit shutoffs, at which
-// point issuance fails and a fresh offender is registered.
+// coordinator, beside the workers' tick: it keeps a current offender
+// host (registered in the reserved HID range), issues it a fresh EphID
+// per complaint, builds the MACed evidence frame and the
+// victim-AS-signed ShutoffRequest, and feeds it to the accountability
+// engine — replaying a fraction bit-exactly to exercise the receipt
+// idempotency cache. Strike escalation revokes the offender after
+// StrikeLimit shutoffs, at which point issuance fails and a fresh
+// offender is registered.
 type complainer struct {
 	w       *world
 	cfg     *Config
@@ -983,6 +1056,8 @@ type complainer struct {
 	nextHID uint32
 	off     *hostState
 	payload []byte
+	// issue is the offender's round trip, world.issue outside tests.
+	issue func(h *hostState, lifetime uint32, prev *ephid.EphID) (*cert.Cert, error)
 
 	lat        reservoir
 	complaints uint64
@@ -998,6 +1073,7 @@ func newComplainer(w *world, cfg *Config) *complainer {
 		rng:     rand.New(rand.NewSource(cfg.Seed ^ 0x0c0c0c)),
 		nextHID: offenderHIDBase,
 		payload: make([]byte, 64),
+		issue:   w.issue,
 		status:  map[string]uint64{},
 	}
 }
@@ -1011,58 +1087,19 @@ func (cp *complainer) newOffender(now int64) *hostState {
 	return h
 }
 
+// cycle files one complaint at now. Every cycle counts as a complaint,
+// and one that fails before the accountability engine answers it
+// counts under the "error" receipt status.
 func (cp *complainer) cycle(now int64) {
-	if cp.off == nil {
-		cp.off = cp.newOffender(now)
-	}
-	// A fresh offending EphID per complaint: each shutoff lands a
-	// strike until the AA escalates and revokes the host.
-	c, err := cp.w.issue(cp.off, cp.cfg.EphIDLifetime, nil)
+	cp.complaints++
+	raw, err := cp.request(now)
 	if err != nil {
-		// The offender's HID was revoked by strike escalation — the
-		// MS refuses it service. Replace it.
-		cp.revoked++
-		cp.off = cp.newOffender(now)
-		if c, err = cp.w.issue(cp.off, cp.cfg.EphIDLifetime, nil); err != nil {
-			return
-		}
-	}
-
-	cp.seq++
-	p := wire.Packet{
-		Header: wire.Header{
-			NextProto: wire.ProtoSession, HopLimit: wire.DefaultHopLimit,
-			Nonce:  cp.seq,
-			SrcAID: localAID, DstAID: victimAID,
-			SrcEphID: c.EphID, DstEphID: cp.w.victimCert.EphID,
-		},
-		Payload: cp.payload,
-	}
-	frame, err := p.Encode()
-	if err != nil {
+		cp.status["error"]++
 		return
 	}
-	pm, err := wire.NewPacketMAC(cp.off.keys.MAC[:])
-	if err != nil {
-		return
-	}
-	pm.Apply(frame)
-
-	complaint := accountability.NewComplaint(frame, cp.w.victimCert, c, cp.w.victimHostSigner)
-	enc, err := complaint.Encode()
-	if err != nil {
-		return
-	}
-	sr := &accountability.ShutoffRequest{
-		Origin: victimAID, Seq: cp.seq, IssuedAt: now, Complaint: enc,
-	}
-	sr.Sign(cp.w.victimASSigner)
-	raw := sr.Encode()
-
 	t0 := time.Now() //apna:wallclock
 	r, err := cp.w.Acct.HandleShutoffRequest(raw)
 	cp.lat.add(float64(time.Since(t0).Nanoseconds()) / 1e3) //apna:wallclock
-	cp.complaints++
 	if err != nil {
 		cp.status["error"]++
 	} else {
@@ -1077,6 +1114,57 @@ func (cp *complainer) cycle(now int64) {
 			cp.replays++
 		}
 	}
+}
+
+// request builds the encoded ShutoffRequest of one complaint against
+// the current offender, under a fresh offending EphID: each shutoff
+// lands a strike until the AA escalates and revokes the host.
+func (cp *complainer) request(now int64) ([]byte, error) {
+	if cp.off == nil {
+		cp.off = cp.newOffender(now)
+	}
+	c, err := cp.issue(cp.off, cp.cfg.EphIDLifetime, nil)
+	if errors.Is(err, hostdb.ErrRevoked) || errors.Is(err, hostdb.ErrUnknownHost) {
+		// Strike escalation revoked the offender's HID (and GC may
+		// have reaped it since): the MS refuses it service. Replace it.
+		cp.revoked++
+		cp.off = cp.newOffender(now)
+		c, err = cp.issue(cp.off, cp.cfg.EphIDLifetime, nil)
+	}
+	if err != nil {
+		return nil, err
+	}
+
+	cp.seq++
+	p := wire.Packet{
+		Header: wire.Header{
+			NextProto: wire.ProtoSession, HopLimit: wire.DefaultHopLimit,
+			Nonce:  cp.seq,
+			SrcAID: localAID, DstAID: victimAID,
+			SrcEphID: c.EphID, DstEphID: cp.w.victimCert.EphID,
+		},
+		Payload: cp.payload,
+	}
+	frame, err := p.Encode()
+	if err != nil {
+		return nil, err
+	}
+	pm, err := wire.NewPacketMAC(cp.off.keys.MAC[:])
+	if err != nil {
+		return nil, err
+	}
+	pm.Apply(frame)
+
+	complaint := accountability.NewComplaint(frame, cp.w.victimCert, c, cp.w.victimHostSigner)
+	enc, err := complaint.Encode()
+	if err != nil {
+		return nil, err
+	}
+	sr := &accountability.ShutoffRequest{
+		Origin: victimAID, Seq: cp.seq, IssuedAt: now, Complaint: enc,
+	}
+	sr.Sign(cp.w.victimASSigner)
+	return sr.Encode(), nil
 }
 
 // PeakRSS reports the process's peak resident set in bytes (VmHWM on
@@ -1121,8 +1209,9 @@ func (r *Result) Fprint(out io.Writer) {
 var errReplyMismatch = errors.New("population: reply does not carry what was admitted")
 
 // issue is the full host→MS round trip on the caller: admit, sign the
-// one-request batch, then reply. The complainer uses it between ticks,
-// a few dozen times a run, so it builds the host's AEAD per call.
+// one-request batch, then reply. The complainer uses it beside the
+// workers, a few dozen times a run, so it builds the host's AEAD per
+// call.
 func (w *world) issue(h *hostState, lifetime uint32, prev *ephid.EphID) (*cert.Cert, error) {
 	aead, err := crypto.NewAEAD(h.keys.Enc[:], 0)
 	if err != nil {

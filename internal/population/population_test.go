@@ -1,11 +1,18 @@
 package population
 
 import (
+	"cmp"
+	"errors"
+	"fmt"
 	"maps"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
+
+	"apna/internal/cert"
+	"apna/internal/ephid"
 )
 
 // smallConfig is a population run small enough to execute twice in a
@@ -33,8 +40,9 @@ type logical struct {
 	arrivals, flash, poolHits, issued, overflow, renewals, denied, noEphID uint64
 	joins, leaves, bytes, complaints, replays, revoked, dups               uint64
 	gcRuns, digestFlushes, digestBytes, events, traceEvents                uint64
+	complaintLat                                                           uint64
 	gcReaped, digestLast, renewTracked, hostdb                             int
-	trace                                                                  string
+	trace, receipts                                                        string
 }
 
 func logicalOf(r *Result) logical {
@@ -48,7 +56,8 @@ func logicalOf(r *Result) logical {
 		events: r.Events, traceEvents: r.TraceEvents,
 		gcReaped: r.GCReaped, digestLast: r.DigestEntriesLast,
 		renewTracked: r.RenewTracked, hostdb: r.HostdbHosts,
-		trace: r.TraceHash,
+		trace: r.TraceHash, complaintLat: r.ComplaintLatency.Count,
+		receipts: fmt.Sprint(r.ReceiptStatus), // fmt sorts map keys
 	}
 }
 
@@ -90,7 +99,7 @@ const smallTraceHash = "6b52b50c6a0037a18cb7aacc046a883364376e12243c5cfc13804286
 // a change to how the AS under test is built or wired that alters what
 // the engines do shows up here even when every run repeats itself.
 func TestTraceHashGolden(t *testing.T) {
-	for _, procs := range []int{1, 2} {
+	for _, procs := range []int{1, 2, 4} {
 		prev := runtime.GOMAXPROCS(procs)
 		r, err := Run(smallConfig())
 		runtime.GOMAXPROCS(prev)
@@ -137,6 +146,135 @@ func TestSpareCoreSealingMatchesInline(t *testing.T) {
 		}
 		if a, b := runs[0].ReceiptStatus, runs[1].ReceiptStatus; !maps.Equal(a, b) {
 			t.Errorf("workers %d: receipt statuses %v inline, %v with helpers", workers, a, b)
+		}
+	}
+}
+
+// TestOverlapComplaintsMidTick: the complaint cycle runs beside the
+// workers' tick. With a complaint every tick and a strike limit of two,
+// an offender is revoked and replaced every other tick while the
+// workers admit, and replays hit the receipt cache; the run must read
+// the same at any GOMAXPROCS.
+func TestOverlapComplaintsMidTick(t *testing.T) {
+	cfg := smallConfig()
+	cfg.ComplaintEvery = 1
+	cfg.StrikeLimit = 2
+	cfg.ReplayFrac = 0.5
+	var first *Result
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		r, err := Run(cfg)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+		}
+		if r.ErrNoEphID != 0 || r.ReceiptStatus["error"] != 0 {
+			t.Errorf("GOMAXPROCS %d: ErrNoEphID %d, receipt statuses %v", procs, r.ErrNoEphID, r.ReceiptStatus)
+		}
+		if first == nil {
+			first = r
+			if r.OffendersRevoked < uint64(cfg.Ticks/3) || r.Replays == 0 {
+				t.Errorf("escalations or replays missing: %d offenders revoked, %d replays in %d ticks",
+					r.OffendersRevoked, r.Replays, cfg.Ticks)
+			}
+			continue
+		}
+		if a, b := logicalOf(first), logicalOf(r); a != b {
+			t.Errorf("GOMAXPROCS %d diverged from GOMAXPROCS 1:\n %+v\n %+v", procs, b, a)
+		}
+	}
+}
+
+// TestOverlapLateMismatchCounted: a batch's seals may finish during the
+// next tick, and the run's last tick is waited for before Run returns.
+// A reply mismatch planted in one tick must count as ErrNoEphID, traced
+// under that tick, whether the tick is mid-run or the last.
+func TestOverlapLateMismatchCounted(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Workers = 1
+	for _, tick := range []int{cfg.Ticks / 2, cfg.Ticks - 1} {
+		for _, procs := range []int{1, 2} {
+			planted := false
+			plant := func(t int, j *sealJob) {
+				if t == tick && !planted {
+					planted = true
+					j.ctrl[0] ^= 1 // the host decrypts under the wrong control EphID
+				}
+			}
+			prev := runtime.GOMAXPROCS(procs)
+			r, workers, err := run(cfg, plant)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatalf("tick %d, GOMAXPROCS %d: %v", tick, procs, err)
+			}
+			if !planted {
+				t.Fatalf("tick %d, GOMAXPROCS %d: no request admitted to plant in", tick, procs)
+			}
+			if r.ErrNoEphID != 1 {
+				t.Errorf("tick %d, GOMAXPROCS %d: ErrNoEphID = %d, want 1", tick, procs, r.ErrNoEphID)
+			}
+			var at []uint32
+			for _, ev := range workers[0].trace {
+				if ev.kind == evNoEphID {
+					at = append(at, ev.tick)
+				}
+			}
+			if len(at) != 1 || at[0] != uint32(tick) {
+				t.Errorf("tick %d, GOMAXPROCS %d: evNoEphID at ticks %v, want [%d]", tick, procs, at, tick)
+			}
+			if !slices.IsSortedFunc(workers[0].trace, func(a, b traceEvent) int { return cmp.Compare(a.tick, b.tick) }) {
+				t.Errorf("tick %d, GOMAXPROCS %d: trace hashed out of tick order", tick, procs)
+			}
+		}
+	}
+}
+
+// TestComplainerEarlyFailure: a complaint whose offender issuance fails
+// for any reason but a revocation still counts, under the "error"
+// receipt status, and keeps its offender; an offender the MS refuses
+// as revoked, or as unknown once GC has reaped it, is replaced and
+// counted as revoked.
+func TestComplainerEarlyFailure(t *testing.T) {
+	cfg, err := smallConfig().normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := newWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := newComplainer(w, &cfg)
+	now := startTime
+	cp.cycle(now)
+	if cp.complaints != 1 || cp.status["error"] != 0 || cp.off == nil {
+		t.Fatalf("first complaint: %d complaints, statuses %v", cp.complaints, cp.status)
+	}
+
+	off := cp.off
+	cp.issue = func(*hostState, uint32, *ephid.EphID) (*cert.Cert, error) {
+		return nil, errors.New("planted issuance failure")
+	}
+	cp.cycle(now)
+	if cp.complaints != 2 || cp.status["error"] != 1 || cp.revoked != 0 || cp.off != off || cp.lat.count != 1 {
+		t.Errorf("failed issuance: %d complaints, statuses %v, %d revoked, offender replaced %v, %d answered",
+			cp.complaints, cp.status, cp.revoked, cp.off != off, cp.lat.count)
+	}
+	cp.issue = w.issue
+
+	for i, reap := range []bool{false, true} {
+		off := cp.off
+		now++
+		w.DB.RevokeAt(off.hid, now)
+		if reap {
+			now += int64(cfg.EphIDLifetime) + 1
+			if w.DB.GC(now, int64(cfg.EphIDLifetime)) == 0 {
+				t.Fatal("GC reaped nothing")
+			}
+		}
+		cp.cycle(now)
+		if cp.revoked != uint64(i+1) || cp.off == off || cp.status["error"] != 1 {
+			t.Errorf("revoked offender (reaped %v): %d revoked, offender replaced %v, statuses %v",
+				reap, cp.revoked, cp.off != off, cp.status)
 		}
 	}
 }

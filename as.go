@@ -105,8 +105,7 @@ func (in *Internet) addAS(aid AID) error {
 		return err
 	}
 
-	as.RS = registry.New(registry.Config{AID: aid, ControlEphIDLifetime: 24 * 3600},
-		as.creds, node.Sealer, signer, dhKey, as.DB, now)
+	as.RS = registry.New(aid, as.creds, node.Sealer, signer, dhKey, as.DB, now)
 
 	// Service identities: the AA first (self-referencing certificate),
 	// then MS and DNS pointing at it.
@@ -201,7 +200,7 @@ func (as *AS) mountServices() error {
 	}
 	as.aaHost.RegisterRawHandler(wire.ProtoShutoff, func(hdr *wire.Header, payload []byte) {
 		status := byte(0)
-		req, err := aaDecode(payload)
+		req, err := aa.DecodeRequest(payload)
 		if err == nil {
 			if _, err = as.Agent.HandleShutoff(req); err == nil {
 				status = 1
@@ -284,9 +283,6 @@ func (as *AS) sendICMPError(reason border.Verdict, frame []byte) {
 	}
 	_ = as.rtrHost.SendRaw(wire.ProtoICMP, 0, as.rtrID.EphID, dst, m.Encode())
 }
-
-// aaDecode is split out for testability of the facade wiring.
-var aaDecode = aa.DecodeRequest
 
 // ServiceEndpoints returns the MS, DNS and AA endpoints of the AS (for
 // diagnostics and experiments).

@@ -65,7 +65,7 @@ func TestAttackerEndToEndReplayRejected(t *testing.T) {
 	if delivered != 2 {
 		t.Fatalf("honest deliveries = %d, want 2", delivered)
 	}
-	captured := len(mallory.Captured())
+	captured := int(mallory.Stats().Captured)
 	if captured == 0 {
 		t.Fatal("wiretap captured nothing")
 	}

@@ -36,7 +36,6 @@ import (
 	"apna/internal/pktgen"
 	"apna/internal/rpki"
 	"apna/internal/session"
-	"apna/internal/trace"
 	"apna/internal/wire"
 )
 
@@ -657,18 +656,6 @@ func BenchmarkHostSend(b *testing.B) {
 			if got := r.Stack.Inbox(); len(got) != 1 {
 				b.Fatalf("pair %d: %d messages delivered", j, len(got))
 			}
-		}
-	}
-}
-
-// BenchmarkTraceGeneration sizes the synthetic-trace substrate.
-func BenchmarkTraceGeneration(b *testing.B) {
-	cfg := trace.Config{Hosts: 10_000, Duration: time.Hour, PeakRate: 1000}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i)
-		if _, err := trace.Generate(cfg); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

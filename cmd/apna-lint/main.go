@@ -1,7 +1,9 @@
 // Command apna-lint runs the repo's custom static-analysis suite
 // (internal/analysis): detwall, hotpath, verifyfirst, wrapcheck,
-// nilness and directive-placement validation, over the packages named
-// by go list patterns.
+// nilness, deadexport and directive-placement validation, over the
+// packages named by go list patterns. deadexport reports only when the
+// patterns cover the whole module (./...), since a narrower load cannot
+// see every caller.
 //
 // Exit status: 0 clean, 1 findings, 2 load or internal error — so CI
 // can distinguish "invariant violated" from "lint broken".

@@ -370,7 +370,6 @@ func newWorld(t *testing.T, seed int64, topo apna.TopologyOption, mode accountab
 		truth:   make(map[ephid.EphID]ephid.AID),
 		markers: make(map[ephid.EphID]bool),
 	}
-	w.sim.SetEpoch(1_700_000_000)
 	trust := make(trustMap, n)
 	for i, aid := range aids {
 		w.aids = append(w.aids, aid)

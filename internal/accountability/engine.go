@@ -238,9 +238,8 @@ type Engine struct {
 
 	mu      sync.Mutex
 	routers []*border.Router
-	// sinks are the install targets for remote revocations. Border
-	// routers land here too (AddRouter); AddRemoteSink adds lightweight
-	// targets without the full router machinery.
+	// sinks are the install targets for remote revocations: the border
+	// routers (AddRouter), or the lightweight sinks of E12's harness.
 	sinks []RemoteSink
 	send  func(dst wire.Endpoint, payload []byte) error
 	peers map[ephid.AID]ephid.EphID
@@ -327,14 +326,6 @@ func (e *Engine) AddRouter(r *border.Router) {
 	e.sinks = append(e.sinks, r)
 }
 
-// AddRemoteSink registers an additional install target for remote
-// revocations, without the router's local-revocation oracle role.
-func (e *Engine) AddRemoteSink(s RemoteSink) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.sinks = append(e.sinks, s)
-}
-
 // SetDissemination selects the dissemination mode and the anti-entropy
 // cadence (every snapshotEvery-th flush tick is a full snapshot; non-
 // positive selects DefaultSnapshotEvery). Call before the digest timer
@@ -344,13 +335,6 @@ func (e *Engine) SetDissemination(mode Mode, snapshotEvery int) {
 	defer e.mu.Unlock()
 	e.mode = mode
 	e.snapshotEvery = snapshotEvery
-}
-
-// Mode returns the engine's dissemination mode.
-func (e *Engine) Mode() Mode {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.mode
 }
 
 // SetSend installs the transport: fn must deliver payload to the

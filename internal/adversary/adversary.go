@@ -127,7 +127,6 @@ type Attacker struct {
 	external func(frame []byte)
 
 	captured   [][]byte
-	received   [][]byte
 	injections []Injection
 	stats      Stats
 
@@ -157,14 +156,9 @@ func (a *Attacker) AttachPort(p *netsim.Port) {
 	p.Attach(a, "attacker:"+a.name)
 }
 
-// HandleFrame implements netsim.Handler: the attacker records whatever
+// HandleFrame implements netsim.Handler: the attacker drops whatever
 // the network delivers to it (ICMP feedback, stray traffic).
-func (a *Attacker) HandleFrame(frame []byte, _ *netsim.Port) {
-	a.received = append(a.received, append([]byte(nil), frame...))
-}
-
-// Received returns the frames the network delivered to the attacker.
-func (a *Attacker) Received() [][]byte { return a.received }
+func (a *Attacker) HandleFrame([]byte, *netsim.Port) {}
 
 // SetExternalInjector installs the hook for injecting frames at a
 // border router's external interface (border.Router.HandleExternalFrame
@@ -181,9 +175,6 @@ func (a *Attacker) TapLink(l *netsim.Link) {
 		a.stats.Captured++
 	})
 }
-
-// Captured returns the wiretapped frames in capture order.
-func (a *Attacker) Captured() [][]byte { return a.captured }
 
 // Injections returns every attack frame emitted so far.
 func (a *Attacker) Injections() []Injection { return a.injections }
@@ -321,9 +312,6 @@ func (a *Attacker) Compromise(macKey []byte, src wire.Endpoint) (*Compromised, e
 	}
 	return &Compromised{mac: pm, src: src, nonce: 1 << 41}, nil
 }
-
-// Endpoint returns the stolen identity's source endpoint.
-func (c *Compromised) Endpoint() wire.Endpoint { return c.src }
 
 // Frame builds a validly MACed frame from the stolen identity with a
 // fresh nonce.

@@ -31,6 +31,12 @@
 //   - nilness: a minimal known-nil-dereference check (the toolchain's
 //     go vet does not ship the x/tools nilness analyzer, so apna-lint
 //     carries the common cases).
+//   - deadexport: on a whole-module pass, reports exported names in
+//     internal/ that no non-test code of the module uses;
+//     //apna:testonly <reason> keeps one that a test in another
+//     package observes production behaviour through.
+//   - directives: reports unknown, misplaced or stale //apna:
+//     directives.
 package analysis
 
 import (
@@ -123,7 +129,7 @@ func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Diagnos
 
 // All returns the full suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Detwall, Hotpath, Verifyfirst, Wrapcheck, Nilness, Directives}
+	return []*Analyzer{Detwall, Hotpath, Verifyfirst, Wrapcheck, Nilness, Deadexport, Directives}
 }
 
 // ---- directives ----
@@ -146,6 +152,11 @@ func All() []*Analyzer {
 //	//apna:unordered     on a range statement: the map iteration is
 //	                     order-insensitive in a way the heuristics
 //	                     cannot see
+//	//apna:testonly R    on a declaration's doc comment: an exported
+//	                     name in internal/ that only tests call,
+//	                     through which a test in another package
+//	                     observes production behaviour; R says which
+//	                     test and is required (deadexport)
 //
 // A directive anywhere else is itself a diagnostic (misplaced or stale
 // annotations must not rot silently).
@@ -159,6 +170,7 @@ var knownDirectives = map[string]bool{
 	"alloc-ok":      true,
 	"verify-exempt": true,
 	"unordered":     true,
+	"testonly":      true,
 }
 
 type directive struct {

@@ -149,6 +149,100 @@ func TestDirectives(t *testing.T) {
 	runWant(t, "directives", "apna/example/directives", Directives)
 }
 
+func TestDeadexport(t *testing.T) {
+	// testdata/deadexport is a module of its own, so the pass holds the
+	// whole module; the synthetic path puts it under internal/.
+	runWant(t, "deadexport", "apna/internal/deadexport", Deadexport)
+}
+
+// copyDeadexport copies testdata/deadexport into a fresh directory,
+// applies edit to dead.go's source, and returns the directory.
+func copyDeadexport(t *testing.T, edit func(string) string) string {
+	t.Helper()
+	src := filepath.Join(moduleRoot(t), "internal/analysis/testdata/deadexport")
+	dir := t.TempDir()
+	for _, name := range []string{"go.mod", "dead.go", "dead_test.go"} {
+		data, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "dead.go" {
+			data = []byte(edit(string(data)))
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// runDeadexportDir loads dir as the testdata package and runs the
+// analyzer on it alone.
+func runDeadexportDir(t *testing.T, dir string) []Diagnostic {
+	t.Helper()
+	l := sharedLoader(t)
+	pkg, err := l.LoadDir(dir, "apna/internal/deadexport")
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := Run(l.Fset, []*Package{pkg}, []*Analyzer{Deadexport})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return diags
+}
+
+// TestDeadexportCascade is the second run after a deletion: with Dead
+// gone, Helper (used only by Dead) is reported, and nothing else new.
+func TestDeadexportCascade(t *testing.T) {
+	const dead = "func Dead() int { return Helper() }"
+	dir := copyDeadexport(t, func(src string) string {
+		if !strings.Contains(src, dead) {
+			t.Fatalf("testdata lost %q", dead)
+		}
+		return strings.Replace(src, dead, "", 1)
+	})
+	diags := runDeadexportDir(t, dir)
+	var helper, gone int
+	for _, d := range diags {
+		helper += strings.Count(d.Message, "deadexport.Helper is exported")
+		gone += strings.Count(d.Message, "deadexport.Dead ")
+	}
+	if helper != 1 || gone != 0 || len(diags) != 7 {
+		t.Fatalf("second run: Helper reported %d times, Dead %d, %d findings in all (want 1, 0, 7): %v", helper, gone, len(diags), diags)
+	}
+}
+
+// TestDeadexportSilentOnPartialLoad: a pass that did not load every
+// package of the module cannot see every caller, so it reports nothing
+// — neither in the testdata module once it gains a second package nor
+// for one package of this repository.
+func TestDeadexportSilentOnPartialLoad(t *testing.T) {
+	dir := copyDeadexport(t, func(src string) string { return src })
+	if err := os.Mkdir(filepath.Join(dir, "sub"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "sub", "sub.go"), []byte("package sub\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if diags := runDeadexportDir(t, dir); len(diags) != 0 {
+		t.Fatalf("partial load of the testdata module reported: %v", diags)
+	}
+
+	l := sharedLoader(t)
+	pkgs, err := l.Load("./internal/host")
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := Run(l.Fset, pkgs, []*Analyzer{Deadexport})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) != 0 {
+		t.Fatalf("partial load reported: %v", diags)
+	}
+}
+
 // TestRepoCleanUnderFullSuite is the regression gate the satellites ask
 // for: the entire module must stay clean under every analyzer, so a
 // stray time.Now or a mutex smuggled onto the hot path fails `go test`
@@ -226,7 +320,7 @@ func TestInjectedWallclockFails(t *testing.T) {
 // TestAllAnalyzersRegistered pins the suite composition: a new analyzer
 // must be wired into All() or the CI gate silently loses it.
 func TestAllAnalyzersRegistered(t *testing.T) {
-	want := []string{"detwall", "hotpath", "verifyfirst", "wrapcheck", "nilness", "directives"}
+	want := []string{"detwall", "hotpath", "verifyfirst", "wrapcheck", "nilness", "deadexport", "directives"}
 	got := All()
 	if len(got) != len(want) {
 		t.Fatalf("All() = %d analyzers, want %d", len(got), len(want))

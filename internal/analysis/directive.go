@@ -45,7 +45,8 @@ func runDirectives(pass *Pass) error {
 // comment lines where that directive would be honored. A directive on
 // line L annotates line L (trailing comment) or line L+1 (comment
 // above), except the declaration-doc directives (hotpath,
-// verify-exempt) which must sit inside the declaration's doc comment.
+// verify-exempt, testonly) which must sit inside the declaration's doc
+// comment.
 func validDirectiveLines(pkg *Package, fset *token.FileSet) map[string]map[string]map[int]bool {
 	valid := make(map[string]map[string]map[int]bool)
 	mark := func(pos token.Pos, name string, docLine bool) {
@@ -67,19 +68,35 @@ func validDirectiveLines(pkg *Package, fset *token.FileSet) map[string]map[strin
 	}
 
 	// Declaration-doc directives: every doc-comment line carrying the
-	// directive on a function declaration is valid.
+	// directive on a function declaration is valid, and testonly on any
+	// top-level declaration's doc comment.
+	markDoc := func(doc *ast.CommentGroup, names ...string) {
+		if doc == nil {
+			return
+		}
+		for _, c := range doc.List {
+			for _, name := range names {
+				// Same acceptance rule as funcDirective: exact text or
+				// directive followed by trailing text.
+				if c.Text == directivePrefix+name || strings.HasPrefix(c.Text, directivePrefix+name+" ") {
+					mark(c.Pos(), name, true)
+				}
+			}
+		}
+	}
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Doc == nil {
-				continue
-			}
-			for _, c := range fn.Doc.List {
-				for _, name := range []string{"hotpath", "verify-exempt"} {
-					// Same acceptance rule as funcDirective: exact text or
-					// directive followed by trailing text.
-					if c.Text == directivePrefix+name || strings.HasPrefix(c.Text, directivePrefix+name+" ") {
-						mark(c.Pos(), name, true)
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				markDoc(d.Doc, "hotpath", "verify-exempt", "testonly")
+			case *ast.GenDecl:
+				markDoc(d.Doc, "testonly")
+				for _, spec := range d.Specs {
+					switch sp := spec.(type) {
+					case *ast.TypeSpec:
+						markDoc(sp.Doc, "testonly")
+					case *ast.ValueSpec:
+						markDoc(sp.Doc, "testonly")
 					}
 				}
 			}

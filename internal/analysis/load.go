@@ -222,38 +222,6 @@ func (mi *mappedImporter) Import(path string) (*types.Package, error) {
 	return mi.next.Import(path)
 }
 
-// LoadDir parses and type-checks a single directory of Go files as the
-// package `importPath`, resolving its imports through the loader. This
-// is how testdata packages load: they are invisible to go list
-// patterns, and their import paths are synthetic.
-func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if n := e.Name(); strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") && !e.IsDir() {
-			names = append(names, n)
-		}
-	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", dir)
-	}
-	sort.Strings(names)
-	files, err := ParseDirFiles(l.Fset, dir, names)
-	if err != nil {
-		return nil, err
-	}
-	conf := types.Config{Importer: l, Sizes: types.SizesFor("gc", "amd64")}
-	info := newInfo()
-	tp, err := conf.Check(importPath, l.Fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("type-checking %s: %w", dir, err)
-	}
-	return &Package{ImportPath: importPath, Dir: dir, Files: files, Pkg: tp, Info: info}, nil
-}
-
 // ParseDirFiles parses the named files in dir with comments retained.
 func ParseDirFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
 	files := make([]*ast.File, 0, len(names))
@@ -276,17 +244,4 @@ func newInfo() *types.Info {
 		Implicits:  make(map[ast.Node]types.Object),
 		Instances:  make(map[*ast.Ident]types.Instance),
 	}
-}
-
-// Default is a process-wide loader for callers (tests, the repo-clean
-// regression gate) that want to amortize stdlib type-checking.
-var defaultLoader *Loader
-
-// DefaultLoader returns the shared loader rooted at dir; the first
-// caller fixes the root.
-func DefaultLoader(dir string) *Loader {
-	if defaultLoader == nil {
-		defaultLoader = NewLoader(dir)
-	}
-	return defaultLoader
 }

@@ -1,8 +1,13 @@
 package analysis
 
 import (
+	"fmt"
+	"go/types"
+	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -18,10 +23,47 @@ func moduleRoot(t *testing.T) string {
 }
 
 // sharedLoader amortizes stdlib type-checking across the package's
-// tests.
+// tests; the first caller fixes the root.
 func sharedLoader(t *testing.T) *Loader {
 	t.Helper()
-	return DefaultLoader(moduleRoot(t))
+	if defaultLoader == nil {
+		defaultLoader = NewLoader(moduleRoot(t))
+	}
+	return defaultLoader
+}
+
+var defaultLoader *Loader
+
+// LoadDir parses and type-checks a single directory of Go files as the
+// package `importPath`, resolving its imports through the loader. This
+// is how testdata packages load: they are invisible to go list
+// patterns, and their import paths are synthetic.
+func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range entries {
+		if n := e.Name(); strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") && !e.IsDir() {
+			names = append(names, n)
+		}
+	}
+	if len(names) == 0 {
+		return nil, fmt.Errorf("no Go files in %s", dir)
+	}
+	sort.Strings(names)
+	files, err := ParseDirFiles(l.Fset, dir, names)
+	if err != nil {
+		return nil, err
+	}
+	conf := types.Config{Importer: l, Sizes: types.SizesFor("gc", "amd64")}
+	info := newInfo()
+	tp, err := conf.Check(importPath, l.Fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("type-checking %s: %w", dir, err)
+	}
+	return &Package{ImportPath: importPath, Dir: dir, Files: files, Pkg: tp, Info: info}, nil
 }
 
 func TestLoaderTypeChecksModulePackages(t *testing.T) {

@@ -56,3 +56,17 @@ func coldBranch(b []byte) {
 		_ = make([]byte, 1)
 	}
 }
+
+// Observed carries a valid declaration-doc testonly directive.
+//
+//apna:testonly a test in another package reads it
+func Observed() {}
+
+// Marked types and values may carry it too.
+//
+//apna:testonly a test in another package reads it
+var Marked = 1
+
+func strayTestonly() {
+	//apna:testonly not a declaration // want `misplaced or stale //apna:testonly`
+}

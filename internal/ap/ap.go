@@ -6,7 +6,8 @@
 //
 //   - Bridge mode: the AP is a transparent relay; every client
 //     authenticates directly with the AS and appears as a first-class
-//     host. Implemented by Bridge.
+//     host, so the AP holds no protocol state and this package has
+//     no code for it.
 //   - NAT mode: the AP is a host to the AS and plays RS, MS, router and
 //     accountability agent for its clients. It relays EphID requests
 //     carrying client-supplied public keys, keeps the EphID_info list
@@ -33,32 +34,7 @@ import (
 var (
 	ErrUnknownClient = errors.New("ap: unknown client")
 	ErrUnknownEphID  = errors.New("ap: EphID not issued through this AP")
-	ErrBadClientMAC  = errors.New("ap: client packet MAC invalid")
-	ErrNotOwner      = errors.New("ap: EphID belongs to another client")
 )
-
-// Bridge is the transparent relay mode: two ports, frames cross
-// unmodified, and clients authenticate directly with the AS.
-type Bridge struct {
-	asPort, clientPort *netsim.Port
-	// Relayed counts frames crossed in either direction.
-	Relayed uint64
-}
-
-// NewBridge wires the relay between the AS-facing and client-facing
-// ports.
-func NewBridge(asPort, clientPort *netsim.Port) *Bridge {
-	b := &Bridge{asPort: asPort, clientPort: clientPort}
-	asPort.Attach(netsim.HandlerFunc(func(frame []byte, _ *netsim.Port) {
-		b.Relayed++
-		clientPort.Send(frame)
-	}), "bridge-as")
-	clientPort.Attach(netsim.HandlerFunc(func(frame []byte, _ *netsim.Port) {
-		b.Relayed++
-		asPort.Send(frame)
-	}), "bridge-client")
-	return b
-}
 
 // Client is a device behind a NAT-mode AP. It holds keys shared with
 // the AP (established by the AP's internal RS role) and the private

@@ -9,7 +9,6 @@ import (
 	"apna/internal/cert"
 	"apna/internal/crypto"
 	"apna/internal/ephid"
-	"apna/internal/netsim"
 	"apna/internal/wire"
 )
 
@@ -197,34 +196,5 @@ func TestNATDuplicateAdmission(t *testing.T) {
 	err := w.nat.RequestEphIDForClient("ghost", ephid.KindData, 900, nil, nil, nil)
 	if !errors.Is(err, ErrUnknownClient) {
 		t.Errorf("ghost request: %v", err)
-	}
-}
-
-func TestBridgeRelaysBothWays(t *testing.T) {
-	sim := netsim.New(1)
-	asSide := sim.NewLink("as", time.Millisecond, 0)
-	clientSide := sim.NewLink("client", time.Millisecond, 0)
-
-	var fromClient, fromAS [][]byte
-	asSide.A().Attach(netsim.HandlerFunc(func(f []byte, _ *netsim.Port) {
-		fromClient = append(fromClient, f)
-	}), "as-net")
-	clientSide.B().Attach(netsim.HandlerFunc(func(f []byte, _ *netsim.Port) {
-		fromAS = append(fromAS, f)
-	}), "client-dev")
-
-	b := NewBridge(asSide.B(), clientSide.A())
-	clientSide.B().Send([]byte("up"))
-	asSide.A().Send([]byte("down"))
-	sim.Run(100)
-
-	if len(fromClient) != 1 || string(fromClient[0]) != "up" {
-		t.Errorf("upstream relay: %q", fromClient)
-	}
-	if len(fromAS) != 1 || string(fromAS[0]) != "down" {
-		t.Errorf("downstream relay: %q", fromAS)
-	}
-	if b.Relayed != 2 {
-		t.Errorf("relayed = %d", b.Relayed)
 	}
 }

@@ -98,10 +98,6 @@ type GateResult struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// OK reports whether the gate holds the build (fail is the only
-// blocking status; no-baseline is a skip by design).
-func (g *GateResult) OK() bool { return g.Status != StatusFail }
-
 // Compare gates current against baseline. All artifacts on both sides
 // must come from one experiment; the sides must agree on the
 // provenance config hash, or the result is StatusNoBaseline — a skip,

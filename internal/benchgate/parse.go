@@ -55,15 +55,6 @@ func (a *Artifact) Metric(name string) *Metric {
 	return nil
 }
 
-// MetricNames lists the artifact's metric names in extraction order.
-func (a *Artifact) MetricNames() []string {
-	names := make([]string, len(a.Metrics))
-	for i := range a.Metrics {
-		names[i] = a.Metrics[i].Name
-	}
-	return names
-}
-
 // artifactHead is the common prefix of both artifact shapes.
 type artifactHead struct {
 	Experiment string           `json:"experiment"`

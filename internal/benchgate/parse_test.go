@@ -61,7 +61,11 @@ func TestGoldenArtifactShapes(t *testing.T) {
 			if art.Provenance.ConfigHash == "" || art.Provenance.Commit == "" {
 				t.Fatalf("provenance incomplete: %+v", art.Provenance)
 			}
-			if got := art.MetricNames(); !reflect.DeepEqual(got, tc.metrics) {
+			got := make([]string, len(art.Metrics))
+			for i := range art.Metrics {
+				got[i] = art.Metrics[i].Name
+			}
+			if !reflect.DeepEqual(got, tc.metrics) {
 				t.Errorf("metric set drifted:\n got %v\nwant %v", got, tc.metrics)
 			}
 			for _, m := range art.Metrics {

@@ -294,11 +294,10 @@ func TestPortHandlersRunZeroAllocs(t *testing.T) {
 	}
 	for _, side := range []string{"internal", "external"} {
 		f := newFixture(t)
-		tables := f.router.tables.Load()
 		// Frames enter at the far end of a link of the side and leave the
 		// router toward the far end of the other link, which keeps the
 		// buffers it is delivered for the next round.
-		in, out, frame := tables.hostPorts[f.hid].Link().B(), tables.asPorts[remoteAID].Link().B(), egressFrame
+		in, out, frame := f.hostEnd, f.extEnd, egressFrame
 		if side == "external" {
 			in, out, frame = out, in, ingressFrame
 		}

@@ -153,7 +153,7 @@ type forwardTables struct {
 
 // Router is one AS's border router. Its tables (routes, ports, hostdb,
 // revocation lists) may be read and written from any goroutine. Its port
-// handlers and HandleExternalFrame/HandleInternalFrame share one pipeline
+// handlers and HandleExternalFrame share one pipeline
 // pair and one set of scratch slices: they must all run on one
 // goroutine, as they do under netsim, and the ICMP hook must not call
 // back into them.
@@ -212,9 +212,6 @@ func New(aid ephid.AID, sealer *ephid.Sealer, db *hostdb.DB, secret *crypto.ASSe
 	return r, nil
 }
 
-// AID returns the router's AS identifier.
-func (r *Router) AID() ephid.AID { return r.aid }
-
 // Stats exposes the router's counters.
 func (r *Router) Stats() *Stats { return &r.stats }
 
@@ -260,16 +257,6 @@ func (r *Router) AttachHost(hid ephid.HID, p *netsim.Port) {
 	t := *r.tables.Load()
 	t.hostPorts = maps.Clone(t.hostPorts)
 	t.hostPorts[hid] = p
-	r.tables.Store(&t)
-}
-
-// DetachHost removes a host port (host left the network).
-func (r *Router) DetachHost(hid ephid.HID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t := *r.tables.Load()
-	t.hostPorts = maps.Clone(t.hostPorts)
-	delete(t.hostPorts, hid)
 	r.tables.Store(&t)
 }
 

@@ -59,7 +59,13 @@ type refAS struct {
 
 func newRefAS(f *pktgen.Fixture) *refAS {
 	a := &refAS{f: f, revoked: map[ephid.EphID]uint32{}, remote: map[remoteEntry]uint32{}, hosts: map[ephid.HID]hostdb.Entry{}}
-	f.DB.Range(func(e hostdb.Entry) bool { a.hosts[e.HID] = e; return true })
+	for hid := ephid.HID(1); int(hid) <= f.DB.Len(); hid++ { // pktgen numbers hosts from 1
+		e, err := f.DB.Get(hid)
+		if err != nil {
+			panic(err)
+		}
+		a.hosts[hid] = e
+	}
 	return a
 }
 
@@ -84,9 +90,15 @@ func (a *refAS) revokeHost(hid ephid.HID) {
 	a.f.DB.RevokeAt(hid, a.f.Now)
 }
 
+// deleteHost models a host leaving. hostdb drops an entry only in GC,
+// so the entry is replaced by one revoked at Unix time 1 and collected
+// at once; no other entry is revoked that early.
 func (a *refAS) deleteHost(hid ephid.HID) {
 	delete(a.hosts, hid)
-	a.f.DB.Delete(hid)
+	a.f.DB.Put(hostdb.Entry{HID: hid, Status: hostdb.StatusRevoked, RevokedAt: 1})
+	if n := a.f.DB.GC(a.f.Now, a.f.Now-1); n != 1 {
+		panic(fmt.Sprintf("hostdb GC reaped %d entries for one leaving host", n))
+	}
 }
 
 func (a *refAS) putHost(e hostdb.Entry) {
@@ -327,6 +339,15 @@ func (a *refAS) deliver(frame []byte) handled {
 	return handled{v, a.f.AID, hid}
 }
 
+// hopLimit reads a valid frame's hop limit through the header decoder.
+func hopLimit(frame []byte) uint8 {
+	var h wire.Header
+	if err := h.DecodeFromBytes(frame); err != nil {
+		panic(err)
+	}
+	return h.HopLimit
+}
+
 // refHandled is the reference for the port handlers: the internal side
 // of the source AS and, for what leaves it, the external side of the
 // destination AS, under the routes newPortSide installs. at is the
@@ -349,7 +370,7 @@ func refHandled(src, dst *refAS, frame []byte) (h handled, at int) {
 		return dst.deliver(frame), 1
 	case to != farAID && to != strandedAID:
 		return handled{v: border.VerdictDropNoRoute}, 0
-	case wire.FrameHopLimit(frame) <= 1: // transit through dst uses the last hop up
+	case hopLimit(frame) <= 1: // transit through dst uses the last hop up
 		return handled{v: border.VerdictDropHopLimit}, 1
 	case to == strandedAID:
 		return handled{v: border.VerdictDropNoRoute}, 1
@@ -504,11 +525,12 @@ func counters(r *border.Router) (c [statCount]uint64) {
 // with it. Exactly one counter may move, by one: a drop verdict's, and
 // then no sink sees the frame, or the counter that goes with the one
 // sink that does.
-func (s *portSide) step(t *testing.T, r *border.Router, inject func([]byte), frame []byte) arrival {
+func (s *portSide) step(t *testing.T, f *pktgen.Fixture, side netsim.BatchHandler, frame []byte) arrival {
 	t.Helper()
+	r := f.Router
 	before := counters(r)
 	s.out = s.out[:0]
-	inject(frame)
+	side.HandleFrame(append([]byte(nil), frame...), nil) // the handler owns what it gets
 	s.sim.Run(4)
 	moved := -1
 	for i, n := range counters(r) {
@@ -516,7 +538,7 @@ func (s *portSide) step(t *testing.T, r *border.Router, inject func([]byte), fra
 			continue
 		}
 		if moved >= 0 || n != before[i]+1 {
-			t.Fatalf("%v: one frame moved the counters from %v to %v", r.AID(), before, counters(r))
+			t.Fatalf("%v: one frame moved the counters from %v to %v", f.AID, before, counters(r))
 		}
 		moved = i
 	}
@@ -524,7 +546,7 @@ func (s *portSide) step(t *testing.T, r *border.Router, inject func([]byte), fra
 		return arrival{handled: handled{v: border.Verdict(moved)}}
 	}
 	if len(s.out) != 1 || moved != s.out[0].stat {
-		t.Fatalf("%v: counter %d moved and %d sinks saw the frame", r.AID(), moved, len(s.out))
+		t.Fatalf("%v: counter %d moved and %d sinks saw the frame", f.AID, moved, len(s.out))
 	}
 	return s.out[0]
 }
@@ -561,9 +583,9 @@ func (s *portSide) run(t *testing.T, frames [][]byte) []handled {
 	out := make([]handled, len(frames))
 	for i, frame := range frames {
 		want := append([]byte(nil), frame...)
-		a := s.step(t, s.src.Router, s.src.Router.HandleInternalFrame, frame)
+		a := s.step(t, s.src, s.internal, frame)
 		if a.stat == statEgressed {
-			a = s.step(t, s.dst.Router, s.dst.Router.HandleExternalFrame, a.frame)
+			a = s.step(t, s.dst, s.external, a.frame)
 			if a.stat == statTransited {
 				wire.FrameDecrementHopLimit(want)
 			}

@@ -50,17 +50,9 @@ func (s *externalSide) HandleFrame(frame []byte, _ *netsim.Port) {
 	s.HandleFrames(s.r.one[:], nil)
 }
 
-// HandleInternalFrame injects a frame as if it arrived from a local
-// host (gateway translation path). The frame stays the caller's: it is
-// copied here, once, and neither mutated nor retained.
-func (r *Router) HandleInternalFrame(frame []byte) {
-	r.internal.HandleFrame(append([]byte(nil), frame...), nil)
-}
-
 // HandleExternalFrame injects a frame as if it arrived from a neighbor
 // AS — the hook used by gateways and by adversary simulations (replay
-// injection). Like HandleInternalFrame it copies the caller's frame at
-// entry.
+// injection). It copies the caller's frame at entry.
 func (r *Router) HandleExternalFrame(frame []byte) {
 	r.external.HandleFrame(append([]byte(nil), frame...), nil)
 }

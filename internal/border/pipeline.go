@@ -202,6 +202,7 @@ func (r *Router) NewEgressPipeline() *EgressPipeline {
 // frame: a chunk of one.
 //
 //apna:hotpath
+//apna:testonly the differential test, pktgen's world test and the root benchmarks take single frames through it
 func (p *EgressPipeline) Process(frame []byte) Verdict {
 	p.one[0] = frame
 	return p.chunk(p.one[:], p.out[:0])[0]
@@ -301,6 +302,7 @@ func (r *Router) NewIngressPipeline() *IngressPipeline {
 // one — returning the verdict and the destination HID on success.
 //
 //apna:hotpath
+//apna:testonly the differential test, pktgen's world test and the root benchmarks take single frames through it
 func (p *IngressPipeline) Process(frame []byte) (Verdict, ephid.HID) {
 	p.one[0] = frame
 	res := p.chunk(p.one[:], p.out[:0])[0]

@@ -315,6 +315,8 @@ func (l *RemoteRevocationList) Contains(e ephid.EphID) bool {
 func (l *RemoteRevocationList) GC(nowUnix int64) int { return l.m.gc(nowUnix) }
 
 // Len reports the number of remote revocation entries tracked.
+//
+//apna:testonly internal/accountability's digest tests count a third AS's remote installs through it
 func (l *RemoteRevocationList) Len() int { return int(l.m.n.Load()) }
 
 // ApplyRemote installs a remote revocation: an EphID that origin

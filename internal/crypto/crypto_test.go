@@ -11,10 +11,9 @@ func TestASSecretDerivations(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := map[string][]byte{
-		"enc":   s.EphIDEncKey(),
-		"mac":   s.EphIDMACKey(),
-		"infra": s.InfraKey(),
-		"ctl":   s.InfraControlKey(),
+		"enc": s.EphIDEncKey(),
+		"mac": s.EphIDMACKey(),
+		"ctl": s.InfraControlKey(),
 	}
 	seen := make(map[string]string)
 	for name, k := range keys {

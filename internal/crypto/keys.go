@@ -24,7 +24,6 @@ const (
 const (
 	labelEphIDEnc  = "apna/v1/ephid/enc" // kA'  in the paper
 	labelEphIDMAC  = "apna/v1/ephid/mac" // kA'' in the paper
-	labelInfra     = "apna/v1/infra"     // kA used amongst AS infrastructure
 	labelHostEnc   = "apna/v1/host/enc"  // kHA for control-message encryption
 	labelHostMAC   = "apna/v1/host/mac"  // kHA for per-packet MACs
 	labelSessionV1 = "apna/v1/session"   // kE1E2 session keys
@@ -67,12 +66,6 @@ func (s *ASSecret) EphIDEncKey() []byte {
 // EphIDMACKey derives kA”, the AES key authenticating EphIDs.
 func (s *ASSecret) EphIDMACKey() []byte {
 	return DeriveKey(s.master[:], labelEphIDMAC, SymKeySize)
-}
-
-// InfraKey derives the symmetric key shared among the AS's
-// infrastructure entities (border routers, RS, MS, AA) — kA in Table I.
-func (s *ASSecret) InfraKey() []byte {
-	return DeriveKey(s.master[:], labelInfra, SymKeySize)
 }
 
 // InfraControlKey derives the key authenticating control orders between

@@ -166,16 +166,6 @@ func (z *Zone) Lookup(name string) (*SignedRecord, error) {
 	return r, nil
 }
 
-// Poison overwrites a record without signing it correctly — a test
-// helper modeling the malicious-resolver attack of Section VII-A. The
-// rogue record carries the attacker's certificate but cannot carry a
-// valid zone signature.
-func (z *Zone) Poison(name string, rogue *cert.Cert) {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	z.records[name] = &SignedRecord{Name: name, Cert: *rogue, NotAfter: 1<<62 - 1}
-}
-
 // Wire messages carried inside APNA sessions.
 const (
 	msgQuery    = 0x01

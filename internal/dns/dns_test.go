@@ -78,12 +78,16 @@ func TestZoneReRegisterReplaces(t *testing.T) {
 
 func TestZonePoisonFailsVerification(t *testing.T) {
 	z, _ := NewZone()
+	c, _ := sampleCert(t)
 	rogue, _ := sampleCert(t)
-	z.Poison("bank.example", rogue)
+	if _, err := z.Register("bank.example", c, 1<<62-1); err != nil {
+		t.Fatal(err)
+	}
 	rec, err := z.Lookup("bank.example")
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec.Cert = *rogue // a malicious resolver rewrites the stored record
 	if err := rec.Verify(z.PublicKey(), 0); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("poisoned record verified: %v", err)
 	}

@@ -71,24 +71,11 @@ type EphID [Size]byte
 // IsZero reports whether e is the all-zero EphID, used as "unset".
 func (e EphID) IsZero() bool { return e == EphID{} }
 
-// IV returns the 4-byte initialization vector embedded in the EphID.
-func (e EphID) IV() [ivLen]byte { return [ivLen]byte(e[ivOff : ivOff+ivLen]) }
-
 // String renders the EphID as hex, grouped as ciphertext-iv-tag.
 func (e EphID) String() string {
 	return hex.EncodeToString(e[ctOff:ctOff+ctLen]) + "-" +
 		hex.EncodeToString(e[ivOff:ivOff+ivLen]) + "-" +
 		hex.EncodeToString(e[tagOff:tagOff+tagLen])
-}
-
-// FromBytes parses an EphID from exactly Size bytes.
-func FromBytes(b []byte) (EphID, error) {
-	var e EphID
-	if len(b) != Size {
-		return e, fmt.Errorf("ephid: need %d bytes, got %d", Size, len(b))
-	}
-	copy(e[:], b)
-	return e, nil
 }
 
 // Kind classifies how an EphID is used. The wire construction is

@@ -90,20 +90,6 @@ func TestOpenRejectsZeroAndRandom(t *testing.T) {
 	}
 }
 
-func TestOpenValidExpiry(t *testing.T) {
-	s := testSealer(t, 7)
-	e := s.Mint(Payload{HID: 9, ExpTime: 1000})
-	if _, err := s.OpenValid(e, 999); err != nil {
-		t.Errorf("before expiry: %v", err)
-	}
-	if _, err := s.OpenValid(e, 1000); err != nil {
-		t.Errorf("at expiry second: %v", err) // exp < now is the paper's test
-	}
-	if _, err := s.OpenValid(e, 1001); err != ErrExpired {
-		t.Errorf("after expiry: err = %v, want ErrExpired", err)
-	}
-}
-
 func TestPayloadExpired(t *testing.T) {
 	p := Payload{ExpTime: 500}
 	if p.Expired(499) || p.Expired(500) {
@@ -204,23 +190,6 @@ func TestConstructionMatchesFigure6(t *testing.T) {
 	}
 }
 
-func TestFromBytes(t *testing.T) {
-	raw := bytes.Repeat([]byte{0x11}, Size)
-	e, err := FromBytes(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(e[:], raw) {
-		t.Error("FromBytes did not copy bytes")
-	}
-	if _, err := FromBytes(raw[:15]); err == nil {
-		t.Error("short input accepted")
-	}
-	if _, err := FromBytes(append(raw, 0)); err == nil {
-		t.Error("long input accepted")
-	}
-}
-
 func TestEphIDStringAndIsZero(t *testing.T) {
 	var zero EphID
 	if !zero.IsZero() {
@@ -234,9 +203,6 @@ func TestEphIDStringAndIsZero(t *testing.T) {
 	str := e.String()
 	if !strings.Contains(str, "-") || len(str) != 2*Size+2 {
 		t.Errorf("String() = %q", str)
-	}
-	if got := e.IV(); !bytes.Equal(got[:], e[8:12]) {
-		t.Error("IV() mismatch")
 	}
 }
 

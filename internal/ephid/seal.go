@@ -157,16 +157,3 @@ func (s *Sealer) OpenBatch(ids []EphID, out []Payload, ok []bool) {
 		}
 	}
 }
-
-// OpenValid is Open plus an expiration check against nowUnix. It is the
-// exact sequence border routers run per packet (Figure 4).
-func (s *Sealer) OpenValid(e EphID, nowUnix int64) (Payload, error) {
-	p, err := s.Open(e)
-	if err != nil {
-		return Payload{}, err
-	}
-	if p.Expired(nowUnix) {
-		return p, ErrExpired
-	}
-	return p, nil
-}

@@ -12,11 +12,12 @@
 //     destination, found by mapping the destination IPv4 address to an
 //     AID:EphID certificate — learned from DNS replies or statically
 //     configured.
-//   - For incoming APNA flows without an existing IPv4 mapping it
-//     allocates a virtual endpoint: a fresh IPv4 address from a private
-//     pool, so distinct APNA flows can never collapse onto one 5-tuple.
-//   - For legacy servers it publishes a receive-only EphID and maps it
-//     to the server's IPv4 address.
+//   - For destinations learned from DNS replies it allocates a virtual
+//     endpoint: a fresh IPv4 address from a private pool, so distinct
+//     APNA peers can never collapse onto one address.
+//
+// Inbound APNA flows reach the legacy side only as replies on
+// outbound flows; the paper's legacy-server publishing is not built.
 //
 // The translated unit is the upper-layer (transport) segment: the
 // gateway strips the IPv4 header on the way in and regenerates one on
@@ -35,10 +36,8 @@ import (
 
 // Errors returned by the gateway.
 var (
-	ErrNoMapping  = errors.New("gateway: no AID:EphID mapping for destination IP")
-	ErrNotIPv4    = errors.New("gateway: not a translatable IPv4 packet")
-	ErrNoFlow     = errors.New("gateway: no flow state for packet")
-	ErrNoServerIP = errors.New("gateway: destination EphID has no server mapping")
+	ErrNoMapping = errors.New("gateway: no AID:EphID mapping for destination IP")
+	ErrNotIPv4   = errors.New("gateway: not a translatable IPv4 packet")
 )
 
 // FlowKey is the IPv4 5-tuple. The transport segment keeps its ports,
@@ -58,23 +57,12 @@ func (k FlowKey) reverse() FlowKey {
 	}
 }
 
-// flow is one translated connection.
+// flow is one translated (gateway-initiated) connection.
 type flow struct {
-	key FlowKey
-	// conn is set for gateway-initiated (outbound) flows.
+	key  FlowKey
 	conn *host.Conn
-	// local is the gateway EphID serving this flow; peer is the
-	// remote endpoint (used when conn is nil, i.e. inbound flows).
+	// local is the gateway EphID serving this flow.
 	local ephid.EphID
-	peer  wire.Endpoint
-}
-
-// send transmits a transport segment on the flow's APNA session.
-func (f *flow) send(g *Gateway, seg []byte) error {
-	if f.conn != nil {
-		return f.conn.Send(seg)
-	}
-	return g.stack.SendData(f.local, f.peer, seg)
 }
 
 // apnaKey identifies an APNA flow at the gateway.
@@ -95,16 +83,8 @@ type Gateway struct {
 	flows  map[FlowKey]*flow
 	byAPNA map[apnaKey]FlowKey
 
-	// servers maps local receive-only EphIDs to legacy server IPs.
-	servers map[ephid.EphID]uint32
-	// accepted maps APNA sessions created by inbound handshakes to
-	// the legacy server IP they belong to (populated by the stack's
-	// accept hook, since connections to a receive-only EphID are
-	// served from a different, serving EphID).
-	accepted map[apnaKey]uint32
-
-	// virtual endpoint allocation for inbound flows (paper: "an IPv4
-	// address randomly drawn from a private address space").
+	// virtual endpoint allocation for DNS-learned destinations (paper:
+	// "an IPv4 address randomly drawn from a private address space").
 	nextVirtual uint32
 
 	// Stats counters.
@@ -120,17 +100,10 @@ func New(stack *host.Host, emitIPv4 func([]byte)) *Gateway {
 		mappings: make(map[uint32]*cert.Cert),
 		flows:    make(map[FlowKey]*flow),
 		byAPNA:   make(map[apnaKey]FlowKey),
-		servers:  make(map[ephid.EphID]uint32),
-		accepted: make(map[apnaKey]uint32),
 		// 10.200.0.0/16 pool for virtual endpoints.
 		nextVirtual: 0x0AC80001,
 	}
 	stack.OnMessage(g.handleAPNA)
-	stack.OnAccept(func(serving ephid.EphID, peer wire.Endpoint, addressed ephid.EphID) {
-		if ip, ok := g.servers[addressed]; ok {
-			g.accepted[apnaKey{local: serving, peer: peer}] = ip
-		}
-	})
 	return g
 }
 
@@ -148,12 +121,6 @@ func (g *Gateway) LearnFromDNS(c *cert.Cert) uint32 {
 	ip := g.allocVirtual()
 	g.LearnMapping(ip, c)
 	return ip
-}
-
-// RegisterServer maps a local receive-only EphID (published in DNS) to
-// a legacy server's IPv4 address, so inbound connections reach it.
-func (g *Gateway) RegisterServer(recvOnly ephid.EphID, serverIP uint32) {
-	g.servers[recvOnly] = serverIP
 }
 
 func (g *Gateway) allocVirtual() uint32 {
@@ -205,55 +172,24 @@ func (g *Gateway) HandleIPv4(pkt []byte) error {
 	}
 	g.Translated++
 	// Queueing before establishment is handled by Conn.
-	if err := fl.send(g, seg); err != nil {
+	if err := fl.conn.Send(seg); err != nil {
 		return err
 	}
 	// The peer may have migrated (receive-only dial): track the
 	// current endpoint too.
-	if fl.conn != nil {
-		g.byAPNA[apnaKey{local: fl.local, peer: fl.conn.Peer()}] = key
-	}
+	g.byAPNA[apnaKey{local: fl.local, peer: fl.conn.Peer()}] = key
 	return nil
 }
 
-// handleAPNA translates inbound APNA session data into IPv4 packets.
+// handleAPNA translates inbound APNA session data on an outbound flow
+// into IPv4 replies that reverse the flow's 5-tuple.
 func (g *Gateway) handleAPNA(m host.Message) {
-	k := apnaKey{local: m.Flow.Dst.EphID, peer: m.Flow.Src}
-	key, ok := g.byAPNA[k]
-	if ok {
-		// Reply on an outbound flow: reverse the original 5-tuple.
-		g.emit(key.reverse(), m.Payload)
-		return
-	}
-	// Unknown inbound flow: must target a registered legacy server,
-	// either directly (0-RTT data addressed to the receive-only
-	// EphID) or through the session the accept hook recorded.
-	serverIP, ok := g.servers[m.Flow.Dst.EphID]
-	if !ok {
-		serverIP, ok = g.accepted[k]
-	}
+	key, ok := g.byAPNA[apnaKey{local: m.Flow.Dst.EphID, peer: m.Flow.Src}]
 	if !ok {
 		g.Untranslatable++
 		return
 	}
-	if len(m.Payload) < 4 {
-		g.Untranslatable++
-		return
-	}
-	// Allocate a virtual endpoint for the remote peer.
-	virtual := g.allocVirtual()
-	key = FlowKey{
-		SrcIP: virtual, DstIP: serverIP, Proto: 17,
-		SrcPort: uint16(m.Payload[0])<<8 | uint16(m.Payload[1]),
-		DstPort: uint16(m.Payload[2])<<8 | uint16(m.Payload[3]),
-	}
-	// Wire up reply translation: the server's IPv4 replies carry
-	// key.reverse() and must flow back on this APNA session.
-	g.flows[key.reverse()] = &flow{
-		key: key.reverse(), local: m.Flow.Dst.EphID, peer: m.Flow.Src,
-	}
-	g.byAPNA[k] = key
-	g.emit(key, m.Payload)
+	g.emit(key.reverse(), m.Payload)
 }
 
 // emit builds and sends an IPv4 packet to the legacy side.

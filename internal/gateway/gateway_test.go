@@ -177,63 +177,6 @@ func TestLearnFromDNSAllocatesVirtualIPs(t *testing.T) {
 	}
 }
 
-func TestInboundToLegacyServer(t *testing.T) {
-	// A legacy server behind the gateway, published via a
-	// receive-only EphID; a native client connects in.
-	w := newWorld(t)
-	recvOnly, err := w.gwHost.NewEphID(ephid.KindReceiveOnly, 3600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.gwHost.NewEphID(ephid.KindData, 900); err != nil {
-		t.Fatal(err) // serving EphID
-	}
-	serverIP := uint32(0x0A000063)
-	w.gw.RegisterServer(recvOnly.Cert.EphID, serverIP)
-
-	nativeID, err := w.native.NewEphID(ephid.KindData, 900)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := w.native.Connect(nativeID, &recvOnly.Cert, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := append([]byte{0x1F, 0x40, 0, 80}, []byte("inbound hello")...)
-	if err := w.native.Send(conn, req); err != nil {
-		t.Fatal(err)
-	}
-
-	if len(w.gwOut) != 1 {
-		t.Fatalf("gateway emitted %d packets", len(w.gwOut))
-	}
-	var ip wire.IPv4Header
-	if err := ip.DecodeFromBytes(w.gwOut[0]); err != nil {
-		t.Fatal(err)
-	}
-	if ip.DstIP != serverIP {
-		t.Errorf("server IP %08x", ip.DstIP)
-	}
-	if ip.SrcIP>>16 != 0x0AC8 {
-		t.Errorf("source not a virtual endpoint: %08x", ip.SrcIP)
-	}
-	if !bytes.Contains(w.gwOut[0], []byte("inbound hello")) {
-		t.Error("body lost")
-	}
-
-	// The legacy server replies over IPv4; the gateway translates it
-	// back onto the APNA session.
-	replyPkt := ipv4Packet(t, serverIP, ip.SrcIP, 80, 0x1F40, []byte("server says hi"))
-	if err := w.gw.HandleIPv4(replyPkt); err != nil {
-		t.Fatal(err)
-	}
-	w.in.RunUntilIdle()
-	msgs := w.native.Stack.Inbox()
-	if len(msgs) != 1 || !bytes.Contains(msgs[0].Payload, []byte("server says hi")) {
-		t.Fatalf("native inbox: %+v", msgs)
-	}
-}
-
 // TestFragmentsAndBadChecksumsNotTranslated: a non-first fragment
 // starts mid-datagram, so its first four payload bytes are not ports;
 // read as ports they would open a flow (and spend a per-flow EphID) on

@@ -6,7 +6,6 @@ import (
 
 	"apna/internal/aa"
 	"apna/internal/accountability"
-	"apna/internal/cert"
 	"apna/internal/icmp"
 	"apna/internal/wire"
 )
@@ -52,17 +51,6 @@ func (h *Host) handleICMP(hdr *wire.Header, payload []byte) {
 			h.onICMPError(uint8(m.Type), m.Code, m.Body)
 		}
 	}
-}
-
-// PeerCert returns the certificate the peer presented on the given
-// flow, which carries the accountability agent coordinates needed for a
-// shutoff.
-func (h *Host) PeerCert(local wire.Endpoint, peer wire.Endpoint) (*cert.Cert, error) {
-	c, ok := h.peerCerts[sessKey{local: local.EphID, peer: peer}]
-	if !ok {
-		return nil, ErrNoPeerCert
-	}
-	return c, nil
 }
 
 // RequestShutoff builds and sends a shutoff request for the flow that

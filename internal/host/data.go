@@ -74,9 +74,3 @@ func (h *Host) deliver(m Message) {
 	}
 	h.inbox = append(h.inbox, m)
 }
-
-// HasSession reports whether a session exists from local to peer.
-func (h *Host) HasSession(local ephid.EphID, peer wire.Endpoint) bool {
-	_, ok := h.sessions[sessKey{local: local, peer: peer}]
-	return ok
-}

@@ -54,8 +54,8 @@ func FuzzHandshake(f *testing.F) {
 		}
 		for _, plain := range [][]byte{data, w.open(data)} {
 			var r ms.Request
-			if r.UnmarshalBinary(plain) == nil && !bytes.Equal(r.Encode(), plain) {
-				t.Fatalf("request re-encodes to %x, want %x", r.Encode(), plain)
+			if r.UnmarshalBinary(plain) == nil && !bytes.Equal(r.Append(nil), plain) {
+				t.Fatalf("request re-encodes to %x, want %x", r.Append(nil), plain)
 			}
 		}
 		w.checkReply(t, data)

@@ -259,6 +259,8 @@ func (h *Host) AddEchoListener(fn func(from wire.Endpoint, seq uint16)) {
 }
 
 // OnICMPError installs the ICMP error callback.
+//
+//apna:testonly the root package's ICMP tests (Section VIII-B) see router errors through it
 func (h *Host) OnICMPError(fn func(typ, code uint8, quoted []byte)) { h.onICMPError = fn }
 
 // RegisterRawHandler overrides packet handling for a protocol number —

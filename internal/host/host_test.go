@@ -216,13 +216,6 @@ func TestEndpointAccessor(t *testing.T) {
 	}
 }
 
-func TestPeerCertUnknownFlow(t *testing.T) {
-	h := testHost(t)
-	if _, err := h.PeerCert(wire.Endpoint{}, wire.Endpoint{}); !errors.Is(err, ErrNoPeerCert) {
-		t.Errorf("err = %v", err)
-	}
-}
-
 func TestRequestShutoffWithoutEvidence(t *testing.T) {
 	h := testHost(t)
 	_, err := h.RequestShutoff(Message{})

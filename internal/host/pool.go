@@ -162,9 +162,6 @@ func (h *Host) Lookup(e ephid.EphID) (*OwnedEphID, bool) {
 	return o, ok
 }
 
-// PoolSize reports how many EphIDs the host currently holds.
-func (h *Host) PoolSize() int { return len(h.poolList) }
-
 // Granularity selects how a host assigns EphIDs to traffic
 // (Section VIII-A).
 type Granularity uint8
@@ -305,7 +302,7 @@ func (h *Host) forgetHandshakes() {
 
 // ReapExpired drops expired EphIDs from the pool, returning how many
 // were removed. Expired identifiers cannot pass any border-router
-// check; keeping them only masks starvation (PoolSize looks healthy
+// check; keeping them only masks starvation (the pool looks healthy
 // while every Acquire fails). The lifecycle timer calls this on its
 // cadence; tests may call it directly.
 func (h *Host) ReapExpired() int {

@@ -156,8 +156,8 @@ func TestReapExpired(t *testing.T) {
 	if _, ok := h.Lookup(live.Cert.EphID); !ok {
 		t.Error("live EphID reaped")
 	}
-	if h.PoolSize() != 1 {
-		t.Errorf("pool size %d", h.PoolSize())
+	if len(h.poolList) != 1 {
+		t.Errorf("pool size %d", len(h.poolList))
 	}
 	if n := h.ReapExpired(); n != 0 {
 		t.Errorf("second reap removed %d", n)
@@ -184,7 +184,7 @@ func TestRetireRemovesFromPool(t *testing.T) {
 	o := owned(t, ephid.KindData, 9999, 1)
 	h.AddEphID(o)
 	h.Retire(o)
-	if _, ok := h.Lookup(o.Cert.EphID); ok || h.PoolSize() != 0 {
+	if _, ok := h.Lookup(o.Cert.EphID); ok || len(h.poolList) != 0 {
 		t.Error("retired EphID still present")
 	}
 	h.Retire(o) // idempotent

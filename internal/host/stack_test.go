@@ -132,7 +132,7 @@ func TestStackDialAndExchange(t *testing.T) {
 	if len(back) != 1 || string(back[0].Payload) != "reply" {
 		t.Fatalf("a inbox: %+v", back)
 	}
-	if !d.a.HasSession(idA.Cert.EphID, conn.Peer()) {
+	if d.a.sessions[sessKey{local: idA.Cert.EphID, peer: conn.Peer()}] == nil {
 		t.Error("initiator session missing")
 	}
 }
@@ -175,9 +175,8 @@ func TestStackReceiveOnlyMigration(t *testing.T) {
 		t.Errorf("accept hook: %v", accepted)
 	}
 	// The peer certificate (with AA coordinates) is retained.
-	if _, err := d.a.PeerCert(
-		wire.Endpoint{AID: 1, EphID: idA.Cert.EphID}, conn.Peer()); err != nil {
-		t.Errorf("PeerCert: %v", err)
+	if d.a.peerCerts[sessKey{local: idA.Cert.EphID, peer: conn.Peer()}] == nil {
+		t.Error("peer certificate not retained")
 	}
 }
 
@@ -588,7 +587,7 @@ func TestStackAbortRedialKeepsEstablishedSession(t *testing.T) {
 	}
 	d.a.AbortDial(c2)
 
-	if !d.a.HasSession(idA.Cert.EphID, c1.Peer()) {
+	if d.a.sessions[sessKey{local: idA.Cert.EphID, peer: c1.Peer()}] == nil {
 		t.Fatal("aborted re-dial destroyed the established session")
 	}
 	if err := c1.Send([]byte("still alive")); err != nil {
@@ -695,7 +694,7 @@ func TestStackControlReplyKeyMismatch(t *testing.T) {
 	if cbErr == nil {
 		t.Error("foreign-key reply accepted")
 	}
-	if h.PoolSize() != 0 {
+	if len(h.poolList) != 0 {
 		t.Error("foreign-key EphID installed")
 	}
 }

@@ -102,7 +102,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 						}
 						return
 					}
-					if e.Status != StatusActive && e.Status != StatusRevoked {
+					if e.Status != 0 && e.Status != StatusRevoked {
 						select {
 						case readErr <- "Get returned an impossible status":
 						default:

@@ -27,18 +27,14 @@ import (
 	"apna/internal/ephid"
 )
 
-// Status is a host's standing with its AS.
+// Status is a host's standing with its AS. The zero Status is active:
+// the host may communicate.
 type Status uint8
 
-const (
-	// StatusActive means the host may communicate.
-	StatusActive Status = iota
-	// StatusRevoked means the AS has invalidated the HID — the
-	// escalation step of the paper's revocation management
-	// (Section VIII-G2): all EphIDs of a revoked HID are implicitly
-	// invalid.
-	StatusRevoked
-)
+// StatusRevoked means the AS has invalidated the HID — the escalation
+// step of the paper's revocation management (Section VIII-G2): all
+// EphIDs of a revoked HID are implicitly invalid.
+const StatusRevoked Status = 1
 
 // Errors returned by the database.
 var (
@@ -418,17 +414,6 @@ func (db *DB) AddStrike(hid ephid.HID) (int, error) {
 	return next.Strikes, nil
 }
 
-// Delete removes a host entirely (used when an AS reassigns a HID,
-// Section VI-A "identity minting").
-func (db *DB) Delete(hid ephid.HID) {
-	s := db.shardFor(hid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sl, _ := db.Locate(hid).find(); sl != nil {
-		s.kill(sl)
-	}
-}
-
 // Len returns the number of registered hosts.
 func (db *DB) Len() int {
 	n := 0
@@ -436,20 +421,4 @@ func (db *DB) Len() int {
 		n += int(db.shards[i].live.Load())
 	}
 	return n
-}
-
-// Range calls fn for every entry (deep copy, like Get) until fn
-// returns false. It takes no lock: an entry in the database for the whole
-// call is visited once, one put or deleted meanwhile may or may not be.
-func (db *DB) Range(fn func(Entry) bool) {
-	for i := range db.shards {
-		for t, j := db.shards[i].t.Load(), 0; j < len(t.slots); j++ {
-			if t.slots[j].w.Load()&slotLive == 0 {
-				continue
-			}
-			if e := t.slots[j].e.Load(); e != nil && !fn(deepCopy(*e)) {
-				return
-			}
-		}
-	}
 }

@@ -25,7 +25,7 @@ func TestPutGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.HID != 42 || got.Status != StatusActive {
+	if got.HID != 42 || got.Status != 0 {
 		t.Errorf("entry = %+v", got)
 	}
 	if _, err := db.Get(43); !errors.Is(err, ErrUnknownHost) {

@@ -49,11 +49,10 @@ func (t Type) String() string {
 
 // Codes for TypeDestUnreachable.
 const (
-	CodeEphIDExpired  = 1
-	CodeEphIDRevoked  = 2
-	CodeUnknownHost   = 3
-	CodeNoRouteToAS   = 4
-	CodeHostUnmatched = 5
+	CodeEphIDExpired = 1
+	CodeEphIDRevoked = 2
+	CodeUnknownHost  = 3
+	CodeNoRouteToAS  = 4
 )
 
 // Message is an ICMP message. Error messages quote the leading bytes of

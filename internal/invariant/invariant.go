@@ -26,7 +26,6 @@
 package invariant
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -165,9 +164,6 @@ type Report struct {
 	Results []Result `json:"invariants"`
 }
 
-// JSON renders the report as one JSON object.
-func (r *Report) JSON() ([]byte, error) { return json.Marshal(r) }
-
 // registry is the named-invariant table in canonical check order.
 // Declarative scenario specs select invariant subsets by these names.
 var registry = []string{
@@ -207,16 +203,6 @@ func (c *Checker) checkFor(name string) func() Result {
 	default:
 		return nil
 	}
-}
-
-// Check replays the recorded trace against every invariant.
-func (c *Checker) Check() *Report {
-	rep, err := c.CheckSelected(nil)
-	if err != nil {
-		// Unreachable: nil selects the registry, whose names all resolve.
-		panic(err)
-	}
-	return rep
 }
 
 // CheckSelected replays the recorded trace against the named invariants

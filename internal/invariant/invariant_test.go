@@ -1,6 +1,7 @@
 package invariant
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -36,6 +37,16 @@ func msg(t *testing.T, src, dst wire.Endpoint, nonce uint64) host.Message {
 	return host.Message{Flow: wire.Flow{Src: src, Dst: dst}, Raw: raw}
 }
 
+// checkAll replays the recorded trace against every invariant.
+func checkAll(t *testing.T, c *Checker) *Report {
+	t.Helper()
+	rep, err := c.CheckSelected(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func result(t *testing.T, rep *Report, name string) Result {
 	t.Helper()
 	for _, r := range rep.Results {
@@ -59,9 +70,9 @@ func TestCleanTraceHoldsAllInvariants(t *testing.T) {
 	c.Delivered("bob", msg(t, src, dst, 1))
 	c.Delivered("bob", msg(t, src, dst, 2))
 
-	rep := c.Check()
+	rep := checkAll(t, c)
 	if !rep.OK {
-		raw, _ := rep.JSON()
+		raw, _ := json.Marshal(rep)
 		t.Fatalf("clean trace violated invariants: %s", raw)
 	}
 	if len(rep.Results) != 5 {
@@ -74,7 +85,7 @@ func TestUnattributableDeliveryCaught(t *testing.T) {
 	src, dst := ep(1, 1), ep(2, 2)
 	// src never issued.
 	c.Delivered("bob", msg(t, src, dst, 1))
-	rep := c.Check()
+	rep := checkAll(t, c)
 	if r := result(t, rep, InvAttributable); r.OK || len(r.Violations) != 1 {
 		t.Errorf("unissued source not caught: %+v", r)
 	}
@@ -82,7 +93,7 @@ func TestUnattributableDeliveryCaught(t *testing.T) {
 	c2 := New((&tick{}).fn(), 0)
 	c2.Issued(7, src.EphID)
 	c2.Delivered("bob", msg(t, src, dst, 1))
-	if r := result(t, c2.Check(), InvAttributable); r.OK {
+	if r := result(t, checkAll(t, c2), InvAttributable); r.OK {
 		t.Error("cross-AS attribution mismatch not caught")
 	}
 }
@@ -93,14 +104,14 @@ func TestForgedAcceptCaught(t *testing.T) {
 	c.Issued(1, forged.EphID) // even a collision with an issued ID:
 	c.ForgedInjected(forged.EphID)
 	c.Delivered("bob", msg(t, forged, dst, 1))
-	if r := result(t, c.Check(), InvNoForgedAccept); r.OK {
+	if r := result(t, checkAll(t, c), InvNoForgedAccept); r.OK {
 		t.Error("forged delivery not caught")
 	}
 
 	c2 := New((&tick{}).fn(), 0)
 	c2.ForgedInjected(forged.EphID)
 	c2.Accepted(forged, dst)
-	if r := result(t, c2.Check(), InvNoForgedAccept); r.OK {
+	if r := result(t, checkAll(t, c2), InvNoForgedAccept); r.OK {
 		t.Error("forged handshake accept not caught")
 	}
 }
@@ -117,13 +128,13 @@ func TestShutoffGraceSemantics(t *testing.T) {
 	// Within grace: in-flight packet, legitimate.
 	clk.now = 14 * time.Millisecond
 	c.Delivered("bob", msg(t, src, dst, 1))
-	if r := result(t, c.Check(), InvShutoffStops); !r.OK {
+	if r := result(t, checkAll(t, c), InvShutoffStops); !r.OK {
 		t.Errorf("in-grace delivery flagged: %+v", r.Violations)
 	}
 	// Past grace: the shutoff failed to stop traffic.
 	clk.now = 16 * time.Millisecond
 	c.Delivered("bob", msg(t, src, dst, 2))
-	if r := result(t, c.Check(), InvShutoffStops); r.OK {
+	if r := result(t, checkAll(t, c), InvShutoffStops); r.OK {
 		t.Error("post-grace delivery not caught")
 	}
 }
@@ -135,7 +146,7 @@ func TestReplayCaught(t *testing.T) {
 	c.Dialed(src, dst)
 	c.Delivered("bob", msg(t, src, dst, 42))
 	c.Delivered("bob", msg(t, src, dst, 42)) // same flow+nonce twice
-	if r := result(t, c.Check(), InvNoReplay); r.OK || len(r.Violations) != 1 {
+	if r := result(t, checkAll(t, c), InvNoReplay); r.OK || len(r.Violations) != 1 {
 		t.Errorf("replayed delivery not caught: %+v", r)
 	}
 }
@@ -146,7 +157,7 @@ func TestReplayedHandshakeCaught(t *testing.T) {
 	c.Dialed(src, dst)
 	c.Accepted(src, dst)
 	c.Accepted(src, dst) // one dial, two completions
-	if r := result(t, c.Check(), InvNoReplay); r.OK {
+	if r := result(t, checkAll(t, c), InvNoReplay); r.OK {
 		t.Error("handshake completing twice for one dial not caught")
 	}
 }
@@ -157,7 +168,7 @@ func TestFlowReuseCaught(t *testing.T) {
 	c.Issued(1, src.EphID)
 	c.Dialed(src, ep(2, 2))
 	c.Dialed(src, ep(3, 3)) // same source EphID toward a second peer
-	if r := result(t, c.Check(), InvFlowUnlinkable); r.OK {
+	if r := result(t, checkAll(t, c), InvFlowUnlinkable); r.OK {
 		t.Error("cross-flow EphID reuse not caught")
 	}
 }
@@ -165,7 +176,7 @@ func TestFlowReuseCaught(t *testing.T) {
 func TestReportJSON(t *testing.T) {
 	c := New((&tick{}).fn(), 0)
 	c.Delivered("bob", msg(t, ep(1, 1), ep(2, 2), 1))
-	raw, err := c.Check().JSON()
+	raw, err := json.Marshal(checkAll(t, c))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func TestCheckSelected(t *testing.T) {
 	e[0] = 0xAB
 	c.Delivered("victim", deliveredFrom(e))
 
-	full := c.Check()
+	full := checkAll(t, c)
 	if full.OK {
 		t.Fatal("full check should fail on the unissued delivery")
 	}

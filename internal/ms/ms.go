@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"apna/internal/cert"
 	"apna/internal/crypto"
@@ -107,9 +106,6 @@ func Issuable(kind ephid.Kind) bool {
 
 // Renewing reports whether the request is a renewal.
 func (r *Request) Renewing() bool { return r.Flags&ReqFlagRenew != 0 }
-
-// Encode serializes the request.
-func (r *Request) Encode() []byte { return r.Append(make([]byte, 0, RequestSize)) }
 
 // Append appends the request's encoding to dst.
 func (r *Request) Append(dst []byte) []byte {
@@ -213,9 +209,6 @@ type Service struct {
 	// opportunistically so host churn cannot grow the table without
 	// bound.
 	renews [renewShardCount]renewShard
-
-	renewed     atomic.Uint64
-	renewDenied atomic.Uint64
 }
 
 // renewShardCount is the renewal-window shard count (a power of two so
@@ -268,12 +261,6 @@ func New(aid ephid.AID, sealer *ephid.Sealer, signer *crypto.Signer, db *hostdb.
 	return s
 }
 
-// Renewed reports how many issuances went through the renewal path.
-func (s *Service) Renewed() uint64 { return s.renewed.Load() }
-
-// RenewDenied reports how many renewals the rate limiter rejected.
-func (s *Service) RenewDenied() uint64 { return s.renewDenied.Load() }
-
 // checkRenewal validates and charges a renewal: the predecessor EphID
 // must decrypt under this AS's key to the same HID as the requesting
 // control EphID (a host can only renew its own identifiers), and the
@@ -309,7 +296,6 @@ func (s *Service) checkRenewal(hid ephid.HID, req *Request, now int64) error {
 		sh.m[hid] = w
 	}
 	if w.used >= s.policy.RenewBurst {
-		s.renewDenied.Add(1)
 		return ErrRenewRateLimited
 	}
 	w.used++
@@ -424,9 +410,6 @@ func (s *Service) AdmitInPlace(srcEphID ephid.EphID, ciphertext []byte) (*Admitt
 		}
 	}
 	a.cert = s.mint(p.HID, &req)
-	if req.Renewing() {
-		s.renewed.Add(1)
-	}
 	return a, nil
 }
 

@@ -44,12 +44,6 @@ func (i Interval) Contains(t time.Duration) bool {
 	return t >= i.From && t < i.Until
 }
 
-// Enabled reports whether any chaos knob is set.
-func (c *ChaosConfig) Enabled() bool {
-	return c.Loss > 0 || c.Jitter > 0 || c.DupProb > 0 ||
-		c.ReorderProb > 0 || len(c.Partitions) > 0
-}
-
 // partitioned reports whether the link is inside a partition window.
 func (c *ChaosConfig) partitioned(now time.Duration) bool {
 	for _, iv := range c.Partitions {
@@ -78,9 +72,6 @@ func (c *ChaosConfig) extraDelay(s *Simulator, link string) (d time.Duration, re
 // setup; the simulator is single-threaded, so mid-run reconfiguration
 // from an event callback is also safe.
 func (l *Link) SetChaos(c ChaosConfig) { l.chaos = c }
-
-// Chaos returns the link's current chaos configuration.
-func (l *Link) Chaos() ChaosConfig { return l.chaos }
 
 // Partition schedules a timed partition: the link drops every frame
 // sent in [from, until) of virtual time.

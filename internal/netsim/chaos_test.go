@@ -184,18 +184,3 @@ func TestChaosDeterministicAcrossRuns(t *testing.T) {
 		t.Error("same seed produced different chaotic timelines")
 	}
 }
-
-func TestChaosConfigEnabled(t *testing.T) {
-	var c ChaosConfig
-	if c.Enabled() {
-		t.Error("zero config reports enabled")
-	}
-	for _, cfg := range []ChaosConfig{
-		{Loss: 0.1}, {Jitter: time.Millisecond}, {DupProb: 0.1},
-		{ReorderProb: 0.1}, {Partitions: []Interval{{0, time.Second}}},
-	} {
-		if !cfg.Enabled() {
-			t.Errorf("%+v reports disabled", cfg)
-		}
-	}
-}

@@ -91,10 +91,9 @@ func (l *Link) A() *Port { return &l.a }
 // B returns the second port of the link.
 func (l *Link) B() *Port { return &l.b }
 
-// Latency returns the one-way latency.
-func (l *Link) Latency() time.Duration { return l.latency }
-
 // Stats returns a snapshot of the link counters.
+//
+//apna:testonly the root package's chaos and run-delivery tests read a link's duplicate and drop counts through it
 func (l *Link) Stats() LinkStats { return l.stats }
 
 // String names the link.
@@ -119,12 +118,6 @@ func (p *Port) Attach(owner Handler, label string) {
 
 // Owner returns the attached handler (nil if unattached).
 func (p *Port) Owner() Handler { return p.owner }
-
-// Label returns the attachment label (for diagnostics).
-func (p *Port) Label() string { return p.label }
-
-// Link returns the port's link.
-func (p *Port) Link() *Link { return p.link }
 
 // Send transmits a frame to the opposite port after the link latency
 // plus any chaotic delay. The frame is copied at send time: the caller

@@ -101,10 +101,9 @@ func TestRunUntil(t *testing.T) {
 
 func TestNowUnix(t *testing.T) {
 	s := New(1)
-	s.SetEpoch(1000)
 	s.Schedule(90*time.Second, func() {})
 	s.Run(10)
-	if got := s.NowUnix(); got != 1090 {
+	if got := s.NowUnix(); got != epoch+90 {
 		t.Errorf("NowUnix = %d", got)
 	}
 }
@@ -201,11 +200,8 @@ func TestPortAccessors(t *testing.T) {
 	l := s.NewLink("x", 0, 0)
 	h := HandlerFunc(func([]byte, *Port) {})
 	l.A().Attach(h, "left")
-	if l.A().Label() != "left" || l.A().Owner() == nil || l.A().Link() != l {
+	if l.A().Label() != "left" || l.A().Owner() == nil {
 		t.Error("port accessors")
-	}
-	if l.Latency() != 0 {
-		t.Error("latency")
 	}
 	if l.String() != "link(x)" {
 		t.Errorf("String = %q", l)

@@ -64,6 +64,8 @@ func ComputeAllRoutes(adj map[ephid.AID][]ephid.AID) map[ephid.AID]Routes {
 // PathLength returns the number of AS hops from src to dst under the
 // routing tables, or an error if dst is unreachable (or a routing loop
 // is detected).
+//
+//apna:testonly the root package's topology tests check every graph's diameter through it
 func PathLength(tables map[ephid.AID]Routes, src, dst ephid.AID) (int, error) {
 	if src == dst {
 		return 0, nil

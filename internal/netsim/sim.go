@@ -67,7 +67,6 @@ type Simulator struct {
 	queue  eventQueue
 	timers timerQueue
 	rng    *rand.Rand
-	epoch  int64 // Unix seconds corresponding to virtual time zero
 	events uint64
 
 	// The slices a run is handed to its BatchHandler in, kept between
@@ -83,21 +82,17 @@ type Simulator struct {
 	faultSeq    uint64
 }
 
-// DefaultEpoch is the Unix time at which simulations start unless
-// overridden: 2026-01-01 00:00:00 UTC.
-const DefaultEpoch int64 = 1_767_225_600
+// epoch is the Unix time at which simulations start: 2026-01-01
+// 00:00:00 UTC.
+const epoch int64 = 1_767_225_600
 
 // New creates a simulator seeded for deterministic pseudo-randomness
 // (link loss, jitter).
 func New(seed int64) *Simulator {
 	return &Simulator{
-		rng:   rand.New(rand.NewSource(seed)),
-		epoch: DefaultEpoch,
+		rng: rand.New(rand.NewSource(seed)),
 	}
 }
-
-// SetEpoch overrides the Unix time of virtual time zero.
-func (s *Simulator) SetEpoch(unix int64) { s.epoch = unix }
 
 // Now returns the current virtual time since simulation start.
 func (s *Simulator) Now() time.Duration { return s.now }
@@ -105,7 +100,7 @@ func (s *Simulator) Now() time.Duration { return s.now }
 // NowUnix returns the current virtual wall-clock time in Unix seconds,
 // the time base used for EphID expiration checks.
 func (s *Simulator) NowUnix() int64 {
-	return s.epoch + int64(s.now/time.Second)
+	return epoch + int64(s.now/time.Second)
 }
 
 // Rand exposes the simulator's deterministic randomness source.

@@ -52,7 +52,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"runtime"
@@ -1187,21 +1186,6 @@ func PeakRSS() uint64 {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
 	return m.Sys
-}
-
-// Fprint renders a compact human-readable summary.
-func (r *Result) Fprint(out io.Writer) {
-	fmt.Fprintf(out, "population: %d hosts, %d ticks, %d workers — %.0f events/s (%.1f ms wall)\n",
-		r.Config.Hosts, r.Config.Ticks, r.Config.Workers, r.EventsPerSec, r.ElapsedMs)
-	fmt.Fprintf(out, "  arrivals %d (pool hits %d, issued %d, overflow %d), renewals %d (denied %d, rate %.4f)\n",
-		r.Arrivals, r.PoolHits, r.Issued, r.OverflowIssued, r.Renewals, r.RenewDenied, r.RenewDenialRate)
-	fmt.Fprintf(out, "  err_no_ephid %d, churn %d/%d join/leave, gc reaped %d (max pause %.0fµs)\n",
-		r.ErrNoEphID, r.Joins, r.Leaves, r.GCReaped, r.GCMaxPauseUs)
-	fmt.Fprintf(out, "  complaints %d (replays %d, offenders revoked %d), digest %d flushes / %d B\n",
-		r.Complaints, r.Replays, r.OffendersRevoked, r.DigestFlushes, r.DigestBytes)
-	fmt.Fprintf(out, "  issuance p50 %.0fµs p99 %.0fµs max %.0fµs; renewal p99 %.0fµs; peak RSS %.1f MiB\n",
-		r.IssueLatency.P50us, r.IssueLatency.P99us, r.IssueLatency.MaxUs,
-		r.RenewLatency.P99us, float64(r.PeakRSSBytes)/(1<<20))
 }
 
 // errReplyMismatch reports a reply that decoded to something other

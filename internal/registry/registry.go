@@ -98,19 +98,13 @@ type BootstrapResult struct {
 	ASDHPub [crypto.X25519PublicKeySize]byte
 }
 
-// Config parameterizes a registry service.
-type Config struct {
-	AID ephid.AID
-	// ControlEphIDLifetime is the control EphID validity in seconds
-	// ("e.g., DHCP lease time", Section IV-B).
-	ControlEphIDLifetime uint32
-	// MaxHosts bounds HID allocation (0 means the full 32-bit space).
-	MaxHosts uint32
-}
+// controlEphIDLifetime is the control EphID validity in seconds ("e.g.,
+// DHCP lease time", Section IV-B).
+const controlEphIDLifetime = 24 * 3600
 
 // Service is the Registry Service of one AS.
 type Service struct {
-	cfg    Config
+	aid    ephid.AID
 	auth   Authenticator
 	sealer *ephid.Sealer
 	signer *crypto.Signer
@@ -125,15 +119,12 @@ type Service struct {
 	dnsCert *cert.Cert
 }
 
-// New creates a registry service. now supplies Unix seconds (the
-// simulation's virtual clock).
-func New(cfg Config, auth Authenticator, sealer *ephid.Sealer, signer *crypto.Signer,
+// New creates the registry service of AS aid. now supplies Unix seconds
+// (the simulation's virtual clock).
+func New(aid ephid.AID, auth Authenticator, sealer *ephid.Sealer, signer *crypto.Signer,
 	dh *crypto.KeyPair, db *hostdb.DB, now func() int64) *Service {
-	if cfg.ControlEphIDLifetime == 0 {
-		cfg.ControlEphIDLifetime = 24 * 3600
-	}
 	return &Service{
-		cfg: cfg, auth: auth, sealer: sealer, signer: signer, dh: dh, db: db,
+		aid: aid, auth: auth, sealer: sealer, signer: signer, dh: dh, db: db,
 		now: now, bySub: make(map[string]ephid.HID),
 	}
 }
@@ -148,11 +139,7 @@ func (s *Service) InstallServiceCerts(ms, dns *cert.Cert) {
 
 // allocHID assigns the next free HID. The caller holds s.mu.
 func (s *Service) allocHID() (ephid.HID, error) {
-	max := s.cfg.MaxHosts
-	if max == 0 {
-		max = ^uint32(0)
-	}
-	if s.nextHID >= max {
+	if s.nextHID == ^uint32(0) {
 		return 0, ErrExhausted
 	}
 	s.nextHID++
@@ -196,7 +183,7 @@ func (s *Service) AllocServiceIdentity(kind ephid.Kind, lifetime uint32, aaEphID
 	if aaEphID.IsZero() {
 		aaEphID = id
 	}
-	c := cert.Cert{Kind: kind, EphID: id, ExpTime: exp, AID: s.cfg.AID, AAEphID: aaEphID}
+	c := cert.Cert{Kind: kind, EphID: id, ExpTime: exp, AID: s.aid, AAEphID: aaEphID}
 	copy(c.DHPub[:], dh.PublicKey())
 	copy(c.SigPub[:], sig.PublicKey())
 	c.Sign(s.signer)
@@ -259,7 +246,7 @@ func (s *Service) Bootstrap(credential, hostPub []byte) (*BootstrapResult, error
 		HID: hid, Keys: keys, HostPub: hostPub, RegisteredAt: now,
 	})
 
-	exp := uint32(now) + s.cfg.ControlEphIDLifetime
+	exp := uint32(now) + controlEphIDLifetime
 	info := IDInfo{
 		ControlEphID: s.sealer.Mint(ephid.Payload{HID: hid, ExpTime: exp}),
 		ExpTime:      exp,
@@ -269,12 +256,4 @@ func (s *Service) Bootstrap(credential, hostPub []byte) (*BootstrapResult, error
 	res := &BootstrapResult{HID: hid, IDInfo: info, MSCert: msCert, DNSCert: dnsCert}
 	copy(res.ASDHPub[:], s.dh.PublicKey())
 	return res, nil
-}
-
-// HostCount reports how many identities (hosts plus services) have been
-// allocated.
-func (s *Service) HostCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return int(s.nextHID)
 }

@@ -39,7 +39,7 @@ func newFixture(t *testing.T) *fixture {
 	}
 	f := &fixture{db: hostdb.New(), sealer: sealer, signer: signer, asDH: asDH, now: 1_000_000}
 	auth := CredentialTable{"alice-token": "alice", "bob-token": "bob"}
-	f.svc = New(Config{AID: 64512, ControlEphIDLifetime: 3600}, auth,
+	f.svc = New(64512, auth,
 		sealer, signer, asDH, f.db, func() int64 { return f.now })
 
 	// Install service certs (normally built by the facade).
@@ -89,7 +89,7 @@ func TestBootstrapHappyPath(t *testing.T) {
 	if p.HID != res.HID {
 		t.Errorf("EphID HID %v != assigned %v", p.HID, res.HID)
 	}
-	if p.ExpTime != uint32(f.now)+3600 {
+	if p.ExpTime != uint32(f.now)+controlEphIDLifetime {
 		t.Errorf("ExpTime = %d", p.ExpTime)
 	}
 	// The host can derive the same kHA the AS stored.
@@ -163,9 +163,6 @@ func TestDistinctSubscribersDistinctHIDs(t *testing.T) {
 	if a.HID == b.HID {
 		t.Error("two subscribers share a HID")
 	}
-	if f.svc.HostCount() < 5 { // 3 services + 2 hosts
-		t.Errorf("HostCount = %d", f.svc.HostCount())
-	}
 }
 
 func TestBootstrapWithoutServiceCerts(t *testing.T) {
@@ -173,7 +170,7 @@ func TestBootstrapWithoutServiceCerts(t *testing.T) {
 	sealer, _ := ephid.NewSealer(secret)
 	signer, _ := crypto.GenerateSigner()
 	asDH, _ := crypto.GenerateKeyPair()
-	svc := New(Config{AID: 1}, CredentialTable{"t": "s"}, sealer, signer, asDH,
+	svc := New(1, CredentialTable{"t": "s"}, sealer, signer, asDH,
 		hostdb.New(), func() int64 { return 0 })
 	if _, err := svc.Bootstrap([]byte("t"), hostKey(t).PublicKey()); !errors.Is(err, ErrNoService) {
 		t.Errorf("err = %v", err)
@@ -182,9 +179,9 @@ func TestBootstrapWithoutServiceCerts(t *testing.T) {
 
 func TestHIDExhaustion(t *testing.T) {
 	f := newFixture(t)
-	f.svc.cfg.MaxHosts = 4 // 3 already taken by services
+	f.svc.nextHID = ^uint32(0) - 1 // one HID left
 	if _, err := f.svc.Bootstrap([]byte("alice-token"), hostKey(t).PublicKey()); err != nil {
-		t.Fatalf("4th identity: %v", err)
+		t.Fatalf("last HID: %v", err)
 	}
 	if _, err := f.svc.Bootstrap([]byte("bob-token"), hostKey(t).PublicKey()); !errors.Is(err, ErrExhausted) {
 		t.Errorf("err = %v", err)

@@ -135,19 +135,3 @@ func (t *TrustStore) SigKey(aid ephid.AID, nowUnix int64) ([]byte, error) {
 	}
 	return r.SigPub[:], nil
 }
-
-// DHKey resolves an AID to the AS's X25519 bootstrap key.
-func (t *TrustStore) DHKey(aid ephid.AID, nowUnix int64) ([]byte, error) {
-	r, err := t.Lookup(aid, nowUnix)
-	if err != nil {
-		return nil, err
-	}
-	return r.DHPub[:], nil
-}
-
-// Len reports how many AS records the store holds.
-func (t *TrustStore) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.records)
-}

@@ -52,12 +52,6 @@ func TestCertifyAndLookup(t *testing.T) {
 	if k, err := store.SigKey(64512, 500); err != nil || !bytes.Equal(k, sigPub) {
 		t.Errorf("SigKey: %x, %v", k, err)
 	}
-	if k, err := store.DHKey(64512, 500); err != nil || !bytes.Equal(k, dhPub) {
-		t.Errorf("DHKey: %x, %v", k, err)
-	}
-	if store.Len() != 1 {
-		t.Errorf("Len = %d", store.Len())
-	}
 }
 
 func TestTrustStoreRejectsForgedRecord(t *testing.T) {
@@ -104,9 +98,6 @@ func TestLookupStaleRecord(t *testing.T) {
 	}
 	if _, err := store.SigKey(99, 0); !errors.Is(err, ErrUnknownAS) {
 		t.Errorf("unknown SigKey: %v", err)
-	}
-	if _, err := store.DHKey(99, 0); !errors.Is(err, ErrUnknownAS) {
-		t.Errorf("unknown DHKey: %v", err)
 	}
 }
 

@@ -25,19 +25,15 @@ var (
 	// ErrReplay means a packet's nonce was already accepted (or is too
 	// old to track) — the replay defence of Section VIII-D.
 	ErrReplay = errors.New("session: replayed or stale nonce")
-	// ErrDecrypt re-exports the AEAD failure for convenience.
-	ErrDecrypt = crypto.ErrDecrypt
 )
 
 // Session is one end of an established, encrypted communication session
 // between two EphIDs. Both ends hold the same symmetric key but
 // different sealing directions, so their nonce spaces are disjoint.
 type Session struct {
-	local, peer ephid.EphID
-	seal        *crypto.AEAD
-	open        *crypto.AEAD
-	sendSeq     uint64
-	replay      Window
+	seal   *crypto.AEAD
+	open   *crypto.AEAD
+	replay Window
 }
 
 // New derives the session key kE1E2 and returns the local end of the
@@ -70,20 +66,7 @@ func New(localPriv *crypto.KeyPair, peerDHPub []byte, local, peer ephid.EphID) (
 	if err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}
-	return &Session{local: local, peer: peer, seal: seal, open: open, replay: NewWindow(1024)}, nil
-}
-
-// Local returns the local EphID of the session.
-func (s *Session) Local() ephid.EphID { return s.local }
-
-// Peer returns the peer EphID of the session.
-func (s *Session) Peer() ephid.EphID { return s.peer }
-
-// NextSeq allocates the next send sequence number, carried in the APNA
-// header's nonce field.
-func (s *Session) NextSeq() uint64 {
-	s.sendSeq++
-	return s.sendSeq
+	return &Session{seal: seal, open: open, replay: NewWindow(1024)}, nil
 }
 
 // Overhead is how much longer a sealed message is than its plaintext.

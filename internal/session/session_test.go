@@ -94,10 +94,12 @@ func TestSessionRejectsTamperAndWrongAAD(t *testing.T) {
 }
 
 func TestSessionThirdPartyCannotDecrypt(t *testing.T) {
-	a, b := pair(t)
+	a, _ := pair(t)
 	// Eve with her own keys, even knowing both EphIDs.
 	eveKey, _ := crypto.GenerateKeyPair()
-	eve, err := New(eveKey, eveKey.PublicKey(), a.Local(), b.Local())
+	var aID, bID ephid.EphID
+	aID[0], bID[0] = 1, 2 // pair's EphIDs
+	eve, err := New(eveKey, eveKey.PublicKey(), aID, bID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,18 +146,6 @@ func TestSessionDeriveSymmetricRegardlessOfOrder(t *testing.T) {
 	}
 }
 
-func TestSessionNextSeqMonotonic(t *testing.T) {
-	a, _ := pair(t)
-	prev := uint64(0)
-	for i := 0; i < 100; i++ {
-		s := a.NextSeq()
-		if s <= prev {
-			t.Fatalf("seq %d after %d", s, prev)
-		}
-		prev = s
-	}
-}
-
 func TestSessionAcceptSeq(t *testing.T) {
 	a, _ := pair(t)
 	if err := a.AcceptSeq(1); err != nil {
@@ -194,8 +184,8 @@ func TestWindowBasics(t *testing.T) {
 			t.Fatalf("duplicate seq %d accepted", i)
 		}
 	}
-	if w.Highest() != 64 {
-		t.Errorf("highest = %d", w.Highest())
+	if w.highest != 64 {
+		t.Errorf("highest = %d", w.highest)
 	}
 }
 

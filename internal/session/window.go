@@ -53,9 +53,6 @@ func (w *Window) Accept(seq uint64) bool {
 	}
 }
 
-// Highest returns the highest accepted sequence number.
-func (w *Window) Highest() uint64 { return w.highest }
-
 func (w *Window) setBit(seq uint64) {
 	idx := seq % w.span
 	w.bitmap[idx/64] |= 1 << (idx % 64)

@@ -84,8 +84,8 @@ func TestDiurnalShape(t *testing.T) {
 	cfg := smallConfig()
 	cfg.BaseRate = cfg.PeakRate / 4 // Generate's default, applied manually here
 	total := 86_400
-	peakIntensity := intensity(cfg, 14*3600, total)
-	troughIntensity := intensity(cfg, 2*3600, total)
+	peakIntensity := Intensity(cfg.PeakRate, cfg.BaseRate, 14*3600, total)
+	troughIntensity := Intensity(cfg.PeakRate, cfg.BaseRate, 2*3600, total)
 	if peakIntensity <= troughIntensity {
 		t.Errorf("peak %f <= trough %f", peakIntensity, troughIntensity)
 	}
@@ -153,5 +153,17 @@ func TestPaperScaleTrace(t *testing.T) {
 	within("peak session rate", float64(s.PeakRate), 3_888, 0.05)
 	if s.P98Duration >= 15*time.Minute {
 		t.Errorf("p98 flow duration %v, want under 15m", s.P98Duration)
+	}
+}
+
+// BenchmarkTraceGeneration sizes the synthetic-trace substrate.
+func BenchmarkTraceGeneration(b *testing.B) {
+	cfg := Config{Hosts: 10_000, Duration: time.Hour, PeakRate: 1000}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = int64(i)
+		if _, err := Generate(cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

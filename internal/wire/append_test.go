@@ -57,43 +57,6 @@ func TestPacketAppendToRejectsOversize(t *testing.T) {
 	}
 }
 
-func TestAppendEncapsulateMatchesEncapsulate(t *testing.T) {
-	frame := Packet{Header: sampleHeader(), Payload: []byte("hi")}
-	raw, err := frame.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Encapsulate(0x0a000001, 0x0a000002, raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := AppendEncapsulate(nil, 0x0a000001, 0x0a000002, raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("AppendEncapsulate != Encapsulate")
-	}
-	_, inner, err := Decapsulate(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(inner, raw) {
-		t.Fatal("decapsulated frame mismatch")
-	}
-}
-
-func TestAppendEncapsulateRejectsOversize(t *testing.T) {
-	frame := make([]byte, 0x10000)
-	out, err := AppendEncapsulate([]byte{7}, 1, 2, frame)
-	if err == nil {
-		t.Fatal("expected ErrTooLarge")
-	}
-	if len(out) != 1 || out[0] != 7 {
-		t.Fatal("failed AppendEncapsulate must return dst unchanged")
-	}
-}
-
 // Allocation regression: the append encoders must not allocate when
 // the destination has capacity (satellite of the zero-allocation data
 // plane refactor).
@@ -127,28 +90,6 @@ func TestPacketAppendToZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Packet.AppendTo allocates %.1f times per op", allocs)
-	}
-}
-
-func TestAppendEncapsulateZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("alloc counts are unreliable under the race detector")
-	}
-	p := Packet{Header: sampleHeader(), Payload: []byte("payload")}
-	raw, err := p.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 0, IPv4HeaderSize+GREHeaderSize+len(raw))
-	allocs := testing.AllocsPerRun(100, func() {
-		var err error
-		buf, err = AppendEncapsulate(buf[:0], 1, 2, raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("AppendEncapsulate allocates %.1f times per op", allocs)
 	}
 }
 

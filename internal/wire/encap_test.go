@@ -5,13 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"testing"
-	"testing/quick"
 )
 
 func TestIPv4HeaderRoundTrip(t *testing.T) {
 	h := IPv4Header{
 		TOS: 0x10, TotalLen: 1500, ID: 42, TTL: 63,
-		Protocol: IPProtoGRE, SrcIP: 0x0A000001, DstIP: 0xC0A80101,
+		Protocol: 47, SrcIP: 0x0A000001, DstIP: 0xC0A80101,
 	}
 	buf := make([]byte, IPv4HeaderSize)
 	if err := h.SerializeTo(buf); err != nil {
@@ -94,7 +93,7 @@ func TestIPv4RejectsFragmentsAndBadChecksums(t *testing.T) {
 }
 
 func TestChecksumDetectsCorruption(t *testing.T) {
-	h := IPv4Header{TotalLen: 100, TTL: 64, Protocol: IPProtoGRE, SrcIP: 1, DstIP: 2}
+	h := IPv4Header{TotalLen: 100, TTL: 64, Protocol: 47, SrcIP: 1, DstIP: 2}
 	buf := make([]byte, IPv4HeaderSize)
 	if err := h.SerializeTo(buf); err != nil {
 		t.Fatal(err)
@@ -108,92 +107,5 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	}
 	if ChecksumValid(buf[:10]) {
 		t.Error("short buffer accepted")
-	}
-}
-
-func TestEncapsulateDecapsulate(t *testing.T) {
-	p := Packet{Header: sampleHeader(), Payload: []byte("tunnel me")}
-	frame, _ := p.Encode()
-	tun, err := Encapsulate(0x0A000001, 0x0A000002, frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ip, inner, err := Decapsulate(tun)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ip.SrcIP != 0x0A000001 || ip.DstIP != 0x0A000002 {
-		t.Errorf("outer addresses %x -> %x", ip.SrcIP, ip.DstIP)
-	}
-	if !bytes.Equal(inner, frame) {
-		t.Error("inner frame mismatch")
-	}
-	if _, err := DecodePacket(inner); err != nil {
-		t.Errorf("inner frame does not decode: %v", err)
-	}
-}
-
-func TestDecapsulateErrors(t *testing.T) {
-	p := Packet{Header: sampleHeader()}
-	frame, _ := p.Encode()
-	tun, _ := Encapsulate(1, 2, frame)
-
-	// Wrong IP protocol.
-	bad := append([]byte(nil), tun...)
-	bad[9] = 6 // TCP
-	var ip IPv4Header
-	_ = ip // recompute checksum so only the protocol check fires
-	h := IPv4Header{TotalLen: uint16(len(bad)), TTL: DefaultHopLimit, Protocol: 6, SrcIP: 1, DstIP: 2}
-	_ = h.SerializeTo(bad)
-	if _, _, err := Decapsulate(bad); !errors.Is(err, ErrNotGRE) {
-		t.Errorf("wrong proto: %v", err)
-	}
-
-	// Wrong GRE ethertype.
-	bad2 := append([]byte(nil), tun...)
-	bad2[IPv4HeaderSize+2] = 0
-	bad2[IPv4HeaderSize+3] = 0
-	if _, _, err := Decapsulate(bad2); !errors.Is(err, ErrNotAPNAGRE) {
-		t.Errorf("wrong ethertype: %v", err)
-	}
-
-	// GRE flags set.
-	bad3 := append([]byte(nil), tun...)
-	bad3[IPv4HeaderSize] = 0x80
-	if _, _, err := Decapsulate(bad3); !errors.Is(err, ErrNotGRE) {
-		t.Errorf("flags: %v", err)
-	}
-
-	// Truncated.
-	if _, _, err := Decapsulate(tun[:len(tun)-1]); err == nil {
-		t.Error("truncated tunnel packet accepted")
-	}
-}
-
-func TestEncapsulateRoundTripProperty(t *testing.T) {
-	f := func(src, dst uint32, payload []byte) bool {
-		if len(payload) > 1400 {
-			payload = payload[:1400]
-		}
-		p := Packet{Header: sampleHeader(), Payload: payload}
-		frame, err := p.Encode()
-		if err != nil {
-			return false
-		}
-		tun, err := Encapsulate(src, dst, frame)
-		if err != nil {
-			return false
-		}
-		ip, inner, err := Decapsulate(tun)
-		return err == nil && ip.SrcIP == src && ip.DstIP == dst && bytes.Equal(inner, frame)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestEncapsulateTooLarge(t *testing.T) {
-	if _, err := Encapsulate(1, 2, make([]byte, 0x10000)); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("err = %v", err)
 	}
 }

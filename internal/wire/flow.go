@@ -17,21 +17,6 @@ type Endpoint struct {
 // String renders the endpoint as AID:EphID.
 func (e Endpoint) String() string { return fmt.Sprintf("%v:%v", e.AID, e.EphID) }
 
-// FastHash returns a quick non-cryptographic hash of the endpoint
-// (FNV-1a), usable for load balancing across workers.
-func (e Endpoint) FastHash() uint64 {
-	h := fnvOffset
-	h = fnvMix(h, uint64(e.AID))
-	for i := 0; i < ephid.Size; i += 8 {
-		var v uint64
-		for j := 0; j < 8; j++ {
-			v = v<<8 | uint64(e.EphID[i+j])
-		}
-		h = fnvMix(h, v)
-	}
-	return finalize(h)
-}
-
 // Flow identifies a unidirectional packet flow by its two endpoints.
 type Flow struct {
 	Src, Dst Endpoint
@@ -45,46 +30,5 @@ func FlowFromHeader(h *Header) Flow {
 	}
 }
 
-// Reverse returns the flow in the opposite direction, used to route
-// replies.
-func (f Flow) Reverse() Flow { return Flow{Src: f.Dst, Dst: f.Src} }
-
 // String renders the flow as src->dst.
 func (f Flow) String() string { return f.Src.String() + "->" + f.Dst.String() }
-
-// FastHash returns a symmetric hash: a flow and its reverse hash
-// identically, so bidirectional traffic lands on the same worker
-// (the gopacket Flow.FastHash contract).
-func (f Flow) FastHash() uint64 {
-	a, b := f.Src.FastHash(), f.Dst.FastHash()
-	if a > b {
-		a, b = b, a
-	}
-	return finalize(fnvMix(fnvMix(fnvOffset, a), b))
-}
-
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-func fnvMix(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime
-		v >>= 8
-	}
-	return h
-}
-
-// finalize avalanches the hash (splitmix64 finalizer) so that the low
-// bits — which callers use for bucket selection — depend on every input
-// bit. Raw FNV-1a has weak low bits.
-func finalize(h uint64) uint64 {
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}

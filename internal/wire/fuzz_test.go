@@ -81,45 +81,37 @@ func FuzzParseHeader(f *testing.F) {
 		// frame (the fast path and slow path can never disagree).
 		if FrameSrcAID(data) != h.SrcAID || FrameDstAID(data) != h.DstAID ||
 			FrameSrcEphID(data) != h.SrcEphID || FrameDstEphID(data) != h.DstEphID ||
-			FrameFlags(data) != h.Flags || FrameHopLimit(data) != h.HopLimit {
+			FrameFlags(data) != h.Flags || data[offHopLimit] != h.HopLimit {
 			t.Fatal("raw accessors disagree with decoded header")
 		}
 	})
 }
 
-// FuzzIPv4Decode drives the IPv4 decoder and the tunnel decapsulator
-// with arbitrary bytes: no input may panic, a fragment or a header with
-// a bad checksum is never accepted, and whatever is accepted encodes
-// back byte for byte — the header alone, and the tunnel packet as
-// header, GRE and inner frame.
+// FuzzIPv4Decode drives the IPv4 header decoder with arbitrary bytes:
+// no input may panic, a fragment or a header with a bad checksum is
+// never accepted, and whatever is accepted encodes back byte for byte.
 func FuzzIPv4Decode(f *testing.F) {
-	frame, err := (&Packet{Header: Header{HopLimit: 9}, Payload: []byte("inner")}).Encode()
-	if err != nil {
+	h := IPv4Header{TotalLen: 40, ID: 7, TTL: 64, Protocol: 17, SrcIP: 0x0A000001, DstIP: 0x0A000002}
+	pkt := make([]byte, 40)
+	if err := h.SerializeTo(pkt); err != nil {
 		f.Fatal(err)
 	}
-	tun, err := Encapsulate(0x0A000001, 0x0A000002, frame)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(tun)
-	f.Add(tun[:IPv4HeaderSize])
+	f.Add(pkt)
+	f.Add(pkt[:IPv4HeaderSize])
 	for _, flags := range []uint16{ipv4DF, ipv4MF, 1, ipv4DF | 0x00b9, ipv4Reserved} {
-		g := bytes.Clone(tun)
+		g := bytes.Clone(pkt)
 		binary.BigEndian.PutUint16(g[6:], flags)
 		binary.BigEndian.PutUint16(g[10:], 0)
 		binary.BigEndian.PutUint16(g[10:], ipv4Checksum(g[:IPv4HeaderSize]))
 		f.Add(g)
 	}
-	bad := bytes.Clone(tun)
+	bad := bytes.Clone(pkt)
 	bad[10] ^= 1
 	f.Add(bad)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var h IPv4Header
 		if h.DecodeFromBytes(data) != nil {
-			if _, _, err := Decapsulate(data); err == nil {
-				t.Fatalf("Decapsulate accepted a header DecodeFromBytes rejects: %x", data)
-			}
 			return
 		}
 		if !ChecksumValid(data) {
@@ -134,17 +126,6 @@ func FuzzIPv4Decode(f *testing.F) {
 		}
 		if !bytes.Equal(hdr, data[:IPv4HeaderSize]) {
 			t.Fatalf("header %x re-encodes to %x", data[:IPv4HeaderSize], hdr)
-		}
-		ip, inner, err := Decapsulate(data)
-		if err != nil {
-			return
-		}
-		if *ip != h {
-			t.Fatalf("Decapsulate's header %+v, DecodeFromBytes' %+v", *ip, h)
-		}
-		again := append(hdr, 0, 0, EtherTypeAPNA>>8, EtherTypeAPNA&0xff)
-		if again = append(again, inner...); !bytes.Equal(again, data) {
-			t.Fatalf("tunnel packet %x re-encodes to %x", data, again)
 		}
 	})
 }

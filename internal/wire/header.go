@@ -1,6 +1,6 @@
 // Package wire implements the APNA packet formats: the network header of
-// Figure 7, per-packet MACs, flow identifiers, and the IPv4+GRE
-// encapsulation of the incremental-deployment path (Figure 9).
+// Figure 7, per-packet MACs, flow identifiers, and the IPv4 header the
+// gateway of the incremental-deployment path translates (Section VII-D).
 //
 // The codec follows the gopacket decoding-layer idiom: DecodeFromBytes
 // parses into a caller-owned struct without allocating, and SerializeTo
@@ -257,9 +257,6 @@ func FrameDstEphID(frame []byte) ephid.EphID {
 
 // FrameFlags reads the flag byte directly from a raw frame.
 func FrameFlags(frame []byte) uint8 { return frame[offFlags] }
-
-// FrameHopLimit reads the hop limit from a raw frame.
-func FrameHopLimit(frame []byte) uint8 { return frame[offHopLimit] }
 
 // FrameDecrementHopLimit decrements the hop limit in place and reports
 // whether the packet may still be forwarded. The hop limit is excluded

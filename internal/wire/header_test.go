@@ -145,8 +145,8 @@ func TestFrameAccessors(t *testing.T) {
 	if FrameFlags(frame) != p.Header.Flags {
 		t.Error("FrameFlags")
 	}
-	if FrameHopLimit(frame) != DefaultHopLimit {
-		t.Error("FrameHopLimit")
+	if frame[offHopLimit] != DefaultHopLimit {
+		t.Error("hop limit offset")
 	}
 }
 
@@ -184,48 +184,10 @@ func TestEndpointAndFlow(t *testing.T) {
 	if f.Src.AID != h.SrcAID || f.Dst.EphID != h.DstEphID {
 		t.Error("FlowFromHeader fields")
 	}
-	r := f.Reverse()
-	if r.Src != f.Dst || r.Dst != f.Src {
-		t.Error("Reverse")
-	}
-	if r.Reverse() != f {
-		t.Error("double Reverse")
-	}
 	if !strings.Contains(f.String(), "->") {
 		t.Errorf("Flow.String() = %q", f)
 	}
 	if !strings.Contains(f.Src.String(), "AS100") {
 		t.Errorf("Endpoint.String() = %q", f.Src)
-	}
-}
-
-func TestFlowFastHashSymmetric(t *testing.T) {
-	f := func(sa, da uint32, se, de [16]byte) bool {
-		fl := Flow{
-			Src: Endpoint{AID: ephid.AID(sa), EphID: ephid.EphID(se)},
-			Dst: Endpoint{AID: ephid.AID(da), EphID: ephid.EphID(de)},
-		}
-		return fl.FastHash() == fl.Reverse().FastHash()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFastHashDistribution(t *testing.T) {
-	// Different endpoints should rarely collide; hash 4096 distinct
-	// endpoints into 8 buckets and require every bucket be non-empty.
-	var buckets [8]int
-	for i := 0; i < 4096; i++ {
-		var e Endpoint
-		e.AID = ephid.AID(i)
-		e.EphID[0] = byte(i)
-		e.EphID[1] = byte(i >> 8)
-		buckets[e.FastHash()&7]++
-	}
-	for i, n := range buckets {
-		if n == 0 {
-			t.Errorf("bucket %d empty — degenerate hash", i)
-		}
 	}
 }

@@ -22,7 +22,7 @@ import (
 
 // frameByFrame re-attaches every router port of in behind HandlerFunc.
 func frameByFrame(in *Internet) {
-	wrap := func(p *netsim.Port) { p.Attach(netsim.HandlerFunc(p.Owner().HandleFrame), p.Label()) }
+	wrap := func(p *netsim.Port) { p.Attach(netsim.HandlerFunc(p.Owner().HandleFrame), "one-frame") }
 	for _, l := range in.links {
 		wrap(l.A())
 		wrap(l.B())

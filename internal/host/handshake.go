@@ -174,9 +174,11 @@ type DialOptions struct {
 // certificate (obtained from DNS or out of band). The certificate is
 // verified against the trust store first: the session key, and any
 // 0-RTT data sealed under it, come from its DHPub, so nothing may be
-// derived from a certificate its AS did not sign. The session key is
-// derived immediately; queued data flows once the ack confirms (or
-// immediately as 0-RTT data).
+// derived from a certificate its AS did not sign. Only then does the
+// session key's derivation start, on a spare core (session.Start), so
+// it overlaps the handshake's flight and the responder's verify; queued
+// data flows once the ack confirms (or immediately as 0-RTT data, whose
+// seal waits for the key).
 func (h *Host) Dial(local *OwnedEphID, peerCert *cert.Cert, opts DialOptions) (*Conn, error) {
 	if err := h.verifyCert(peerCert); err != nil {
 		return nil, err
@@ -191,7 +193,7 @@ func (h *Host) Dial(local *OwnedEphID, peerCert *cert.Cert, opts DialOptions) (*
 	sess, ok := h.sessions[key]
 	if !ok {
 		var err error
-		sess, err = session.New(local.DH, peerCert.DHPub[:], local.Cert.EphID, peerCert.EphID)
+		sess, err = session.Start(local.DH, peerCert.DHPub[:], local.Cert.EphID, peerCert.EphID)
 		if err != nil {
 			return nil, err
 		}
@@ -459,7 +461,7 @@ func (h *Host) handleHandshake(hdr *wire.Header, payload []byte, frame []byte) {
 		}
 	}
 
-	sess, err := session.New(serving.DH, msg.cert.DHPub[:], serving.Cert.EphID, msg.cert.EphID)
+	sess, err := session.Start(serving.DH, msg.cert.DHPub[:], serving.Cert.EphID, msg.cert.EphID)
 	if err != nil {
 		h.stats.DropBadHandshake++
 		return
@@ -479,7 +481,7 @@ func (h *Host) handleHandshake(hdr *wire.Header, payload []byte, frame []byte) {
 	if len(msg.data) > 0 {
 		sess0 := sess
 		if serving != local {
-			sess0, err = session.New(local.DH, msg.cert.DHPub[:], local.Cert.EphID, msg.cert.EphID)
+			sess0, err = session.Start(local.DH, msg.cert.DHPub[:], local.Cert.EphID, msg.cert.EphID)
 			if err != nil {
 				h.stats.DropBadHandshake++
 				return
@@ -569,7 +571,7 @@ func (h *Host) handleHandshakeAck(hdr *wire.Header, msg *handshakeMsg) {
 		// consumed.
 		key := sessKey{local: conn.local.Cert.EphID, peer: serving}
 		if _, ok := h.sessions[key]; !ok {
-			sess, err := session.New(conn.local.DH, msg.cert.DHPub[:], conn.local.Cert.EphID, msg.cert.EphID)
+			sess, err := session.Start(conn.local.DH, msg.cert.DHPub[:], conn.local.Cert.EphID, msg.cert.EphID)
 			if err != nil {
 				h.stats.DropBadHandshake++
 				return

@@ -12,6 +12,7 @@ import (
 	"apna/internal/ms"
 	"apna/internal/netsim"
 	"apna/internal/rpki"
+	"apna/internal/session"
 	"apna/internal/wire"
 )
 
@@ -206,7 +207,7 @@ func TestStackRejectsBadHandshakeCert(t *testing.T) {
 // with one DHPub byte flipped, passed out of band, used to get a session
 // keyed to the substituted public key and a 0-RTT frame sealed under it
 // on the wire before the ack's certificate check. Dial must refuse it
-// before any frame or flow state exists.
+// before any frame, flow state or key derivation exists.
 func TestDialVerifiesPeerCert(t *testing.T) {
 	d := newDuplex(t)
 	idA := d.issue(t, d.a, d.signA, ephid.KindData, 1)
@@ -214,12 +215,15 @@ func TestDialVerifiesPeerCert(t *testing.T) {
 	substituted := idB.Cert
 	substituted.DHPub[0] ^= 1
 
-	sent := d.a.Stats().Sent
+	sent, derivations := d.a.Stats().Sent, session.Derivations()
 	if _, err := d.a.Dial(idA, &substituted, DialOptions{Data0RTT: []byte("for B only")}); !errors.Is(err, ErrBadPeerCert) {
 		t.Fatalf("dialing a substituted DHPub: err = %v, want ErrBadPeerCert", err)
 	}
 	if got := d.a.Stats().Sent; got != sent {
 		t.Errorf("Sent %d -> %d: a frame left for an unverified certificate", sent, got)
+	}
+	if got := session.Derivations(); got != derivations {
+		t.Errorf("%d key derivations started for an unverified certificate", got-derivations)
 	}
 	if len(d.a.sessions) != 0 || len(d.a.peerCerts) != 0 || len(d.a.dials) != 0 || len(d.a.conns) != 0 {
 		t.Errorf("refused dial left state: %d sessions, %d peer certs, %d dials, %d conns",
@@ -234,6 +238,57 @@ func TestDialVerifiesPeerCert(t *testing.T) {
 	d.sim.Run(1000)
 	if msgs := d.b.Inbox(); !conn.Established() || len(msgs) != 1 || string(msgs[0].Payload) != "for B only" {
 		t.Fatalf("genuine dial: established %v, inbox %+v", conn.Established(), msgs)
+	}
+}
+
+// TestResponderDropsBeforeDeriving: the responder derives a session key
+// only from a certificate that verified and a DHPub that is not of small
+// order. A handshake carrying a forged certificate (a DHPub substituted
+// after the AS signed it) or a properly signed one whose DHPub is a
+// small-order point is dropped as a bad handshake, unanswered, with no
+// session and no derivation started.
+func TestResponderDropsBeforeDeriving(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(c *cert.Cert, signer *crypto.Signer)
+	}{
+		{"forged certificate", func(c *cert.Cert, _ *crypto.Signer) { c.DHPub[0] ^= 1 }},
+		{"small-order DHPub", func(c *cert.Cert, signer *crypto.Signer) {
+			c.DHPub = [crypto.X25519PublicKeySize]byte{0: 1} // u = 1
+			c.Sign(signer)
+		}},
+		{"small-order DHPub, bit 255 set", func(c *cert.Cert, signer *crypto.Signer) {
+			c.DHPub = [crypto.X25519PublicKeySize]byte{31: 0x80} // u = 0
+			c.Sign(signer)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := newDuplex(t)
+			idA := d.issue(t, d.a, d.signA, ephid.KindData, 1)
+			idB := d.issue(t, d.b, d.signB, ephid.KindData, 2)
+			bad := &OwnedEphID{Cert: idA.Cert, DH: idA.DH, Sig: idA.Sig}
+			tc.edit(&bad.Cert, d.signA)
+
+			conn, err := d.a.Dial(bad, &idB.Cert, DialOptions{})
+			if err != nil {
+				t.Fatal(err) // the initiator's own certificate is not its to check
+			}
+			sent, derivations := d.b.Stats().Sent, session.Derivations()
+			d.sim.Run(1000)
+			if got := d.b.Stats().DropBadHandshake; got != 1 {
+				t.Errorf("DropBadHandshake = %d, want 1", got)
+			}
+			if got := d.b.Stats().Sent; got != sent {
+				t.Errorf("responder sent %d frames, want no ack", got-sent)
+			}
+			if got := session.Derivations(); got != derivations {
+				t.Errorf("responder started %d key derivations", got-derivations)
+			}
+			if len(d.b.sessions) != 0 || len(d.b.hsCompleted) != 0 || conn.Established() {
+				t.Errorf("dropped handshake left %d sessions, %d completed handshakes; established %v",
+					len(d.b.sessions), len(d.b.hsCompleted), conn.Established())
+			}
+		})
 	}
 }
 

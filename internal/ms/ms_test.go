@@ -1099,7 +1099,8 @@ func TestAdmitCacheConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// awaitKeyRefills waits until no key-stock refill goroutine is running:
+// awaitKeyRefills waits until no key-stock refill goroutine and no
+// session-key derivation (session.Start) is running:
 // testing.AllocsPerRun counts every goroutine's allocations, and the
 // fixture's signer came from the stock.
 func awaitKeyRefills() {
@@ -1110,7 +1111,8 @@ func awaitKeyRefills() {
 			buf = make([]byte, 2*len(buf))
 			continue
 		}
-		if !bytes.Contains(buf[:n], []byte("created by apna/internal/crypto.(*stock[")) {
+		if !bytes.Contains(buf[:n], []byte("created by apna/internal/crypto.(*stock[")) &&
+			!bytes.Contains(buf[:n], []byte("created by apna/internal/session.Start")) {
 			return
 		}
 		runtime.Gosched()

@@ -13,6 +13,15 @@ import (
 
 func pair(t *testing.T) (*Session, *Session) {
 	t.Helper()
+	return pairOf(t, New, New)
+}
+
+// constructor is New or Start.
+type constructor func(*crypto.KeyPair, []byte, ephid.EphID, ephid.EphID) (*Session, error)
+
+// pairOf builds the two ends of one session, a with mkA and b with mkB.
+func pairOf(t *testing.T, mkA, mkB constructor) (*Session, *Session) {
+	t.Helper()
 	aKey, err := crypto.GenerateKeyPair()
 	if err != nil {
 		t.Fatal(err)
@@ -23,11 +32,11 @@ func pair(t *testing.T) (*Session, *Session) {
 	}
 	var aID, bID ephid.EphID
 	aID[0], bID[0] = 1, 2
-	a, err := New(aKey, bKey.PublicKey(), aID, bID)
+	a, err := mkA(aKey, bKey.PublicKey(), aID, bID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(bKey, aKey.PublicKey(), bID, aID)
+	b, err := mkB(bKey, aKey.PublicKey(), bID, aID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,10 +44,12 @@ func pair(t *testing.T) (*Session, *Session) {
 }
 
 // awaitKeyRefills returns once no goroutine refills internal/crypto's
-// key stock. pair takes key pairs, and each take starts a refill on
-// another core; testing.AllocsPerRun counts every goroutine's mallocs,
-// so an allocation test waits for the refill to finish first. crypto's
-// TestStockRefillerInGoroutineDump pins the frame this looks for.
+// key stock or derives a session's keys. pair takes key pairs, each
+// take starts a refill on another core, and Start derives on one;
+// testing.AllocsPerRun counts every goroutine's mallocs, so an
+// allocation test waits for both to finish first. crypto's
+// TestStockRefillerInGoroutineDump and this package's
+// TestDerivationInGoroutineDump pin the frames this looks for.
 func awaitKeyRefills() {
 	buf := make([]byte, 64<<10)
 	for {
@@ -47,7 +58,8 @@ func awaitKeyRefills() {
 			buf = make([]byte, 2*len(buf))
 			continue
 		}
-		if !bytes.Contains(buf[:n], []byte("created by apna/internal/crypto.(*stock[")) {
+		if !bytes.Contains(buf[:n], []byte("created by apna/internal/crypto.(*stock[")) &&
+			!bytes.Contains(buf[:n], []byte(derivationFrame)) {
 			return
 		}
 		runtime.Gosched()
@@ -159,13 +171,6 @@ func TestSessionAcceptSeq(t *testing.T) {
 	}
 	if err := a.AcceptSeq(3); err != nil {
 		t.Errorf("in-window out-of-order: %v", err)
-	}
-}
-
-func TestSessionBadPeerKey(t *testing.T) {
-	aKey, _ := crypto.GenerateKeyPair()
-	if _, err := New(aKey, make([]byte, 31), ephid.EphID{}, ephid.EphID{}); err == nil {
-		t.Error("bad peer key accepted")
 	}
 }
 
@@ -293,9 +298,11 @@ func TestSessionSealOpenSizesProperty(t *testing.T) {
 // TestAppendSealInPlace: the append form writes after what dst already
 // holds (a host seals behind the packet header it has just written),
 // leaves those bytes alone, yields what Seal yields, and — into a buffer
-// with Overhead()+len(plaintext) to spare — allocates nothing.
+// with Overhead()+len(plaintext) to spare — allocates nothing, the check
+// that Start's derivation has finished included.
 func TestAppendSealInPlace(t *testing.T) {
-	a, b := pair(t)
+	spareCore(t)
+	a, b := pairOf(t, Start, New)
 	pt, aad := bytes.Repeat([]byte{0xA5}, 1024), []byte("flow and nonce")
 	header := []byte("64 bytes of header in the real thing")
 	buf := make([]byte, 0, len(header)+len(pt)+a.Overhead())

@@ -236,11 +236,13 @@ func TestEvidenceFromRawVerifiesAfterFurtherTraffic(t *testing.T) {
 }
 
 // awaitKeyRefills returns once no goroutine refills internal/crypto's
-// key stock. Building an internet takes key pairs, and each take starts
-// a refill on another core; testing.AllocsPerRun counts every
-// goroutine's mallocs, so an allocation test waits for the refill to
-// finish first. crypto's TestStockRefillerInGoroutineDump pins the
-// frame this looks for.
+// key stock or derives a session's keys. Building an internet takes key
+// pairs, and each take starts a refill on another core; a handshake
+// derives its session key on one (session.Start). testing.AllocsPerRun
+// counts every goroutine's mallocs, so an allocation test waits for
+// both to finish first. crypto's TestStockRefillerInGoroutineDump and
+// session's TestDerivationInGoroutineDump pin the frames this looks
+// for.
 func awaitKeyRefills() {
 	buf := make([]byte, 64<<10)
 	for {
@@ -249,7 +251,8 @@ func awaitKeyRefills() {
 			buf = make([]byte, 2*len(buf))
 			continue
 		}
-		if !bytes.Contains(buf[:n], []byte("created by apna/internal/crypto.(*stock[")) {
+		if !bytes.Contains(buf[:n], []byte("created by apna/internal/crypto.(*stock[")) &&
+			!bytes.Contains(buf[:n], []byte("created by apna/internal/session.Start")) {
 			return
 		}
 		runtime.Gosched()

@@ -14,6 +14,7 @@ import (
 	"apna/internal/hostdb"
 	"apna/internal/icmp"
 	"apna/internal/ms"
+	"apna/internal/netsim"
 	"apna/internal/registry"
 	"apna/internal/wire"
 )
@@ -145,9 +146,9 @@ func (in *Internet) addAS(aid AID) error {
 	return nil
 }
 
-// serviceHost builds a host stack for a service identity and attaches
-// it to the border router.
-func (as *AS) serviceHost(id *registry.ServiceIdentity, label string) (*host.Host, error) {
+// serviceHost builds a host stack for a service identity and a link to
+// the border router, whose far end attach binds to the stack.
+func (as *AS) serviceHost(id *registry.ServiceIdentity, label string, attach func(*host.Host, *netsim.Port)) (*host.Host, error) {
 	h, err := host.New(host.Config{
 		AID: as.AID, HID: id.HID, Keys: id.Keys,
 		CtrlEphID: id.EphID,
@@ -160,7 +161,7 @@ func (as *AS) serviceHost(id *registry.ServiceIdentity, label string) (*host.Hos
 	h.AddEphID(&host.OwnedEphID{Cert: id.Cert, DH: id.DH, Sig: id.Sig})
 	link := as.in.Sim.NewLink(fmt.Sprintf("%v-%s", as.AID, label), as.in.opts.ServiceLinkLatency, 0)
 	as.Router.AttachHost(id.HID, link.A())
-	h.Attach(link.B())
+	attach(h, link.B())
 	return h, nil
 }
 
@@ -168,25 +169,17 @@ func (as *AS) serviceHost(id *registry.ServiceIdentity, label string) (*host.Hos
 func (as *AS) mountServices() error {
 	var err error
 
-	// MS: answers ProtoControl EphID requests.
-	if as.msHost, err = as.serviceHost(as.msID, "ms"); err != nil {
+	// MS: answers ProtoControl EphID requests, a run at a time.
+	if as.msHost, err = as.serviceHost(as.msID, "ms", as.serveMS); err != nil {
 		return err
 	}
-	as.msHost.RegisterRawHandler(wire.ProtoControl, func(hdr *wire.Header, payload []byte) {
-		reply, err := as.MS.HandleRequest(hdr.SrcEphID, payload)
-		if err != nil {
-			return // invalid requests are dropped, as in Figure 3
-		}
-		_ = as.msHost.SendRaw(wire.ProtoControl, wire.FlagControl, as.msID.EphID,
-			wire.Endpoint{AID: hdr.SrcAID, EphID: hdr.SrcEphID}, reply)
-	})
 
 	// DNS: ordinary session service. Names under the AS's own apex are
 	// answered from its authoritative zone, delegated apexes via signed
 	// referral (installed by New once every AS exists), and the rest
 	// from the shared root zone; misses get signed denials stamped on
 	// the virtual clock.
-	if as.dnsHost, err = as.serviceHost(as.dnsID, "dns"); err != nil {
+	if as.dnsHost, err = as.serviceHost(as.dnsID, "dns", (*host.Host).Attach); err != nil {
 		return err
 	}
 	as.dnsSvc = dns.NewService(as.in.Zone)
@@ -195,7 +188,7 @@ func (as *AS) mountServices() error {
 	as.dnsSvc.Mount(as.dnsHost)
 
 	// AA: answers ProtoShutoff requests with a one-byte status.
-	if as.aaHost, err = as.serviceHost(as.aaID, "aa"); err != nil {
+	if as.aaHost, err = as.serviceHost(as.aaID, "aa", (*host.Host).Attach); err != nil {
 		return err
 	}
 	as.aaHost.RegisterRawHandler(wire.ProtoShutoff, func(hdr *wire.Header, payload []byte) {
@@ -225,11 +218,87 @@ func (as *AS) mountServices() error {
 	if as.rtrID, err = as.RS.AllocServiceIdentity(ephid.KindControl, serviceLifetime, as.aaID.EphID); err != nil {
 		return err
 	}
-	if as.rtrHost, err = as.serviceHost(as.rtrID, "rtr"); err != nil {
+	if as.rtrHost, err = as.serviceHost(as.rtrID, "rtr", (*host.Host).Attach); err != nil {
 		return err
 	}
 	as.Router.SetICMPSender(as.sendICMPError)
 	return nil
+}
+
+// serveMS binds the MS host stack h to p behind an msRuns.
+func (as *AS) serveMS(h *host.Host, p *netsim.Port) {
+	runs := &msRuns{svc: as.MS, host: h, src: as.msID.EphID}
+	h.Attach(p)
+	h.RegisterRawHandler(wire.ProtoControl, runs.admit)
+	p.Attach(runs, "ms")
+}
+
+// msRuns owns the MS's end of its service link and answers requests the
+// way the population engine does (paper Figure 3, in three steps).
+// netsim hands it the frames due at one instant as one run
+// (netsim.BatchHandler). Each frame goes through the MS host stack,
+// whose ProtoControl handler admits the request; once the run is in,
+// one Sign certifies every admitted request (one signature per ExpTime,
+// cert.SignBatch) and the replies are sealed and sent in admission
+// order. A lone frame is a run of one.
+type msRuns struct {
+	svc  *ms.Service
+	host *host.Host
+	src  ephid.EphID // the MS's EphID, every reply's source
+
+	// The run's admitted requests and, index for index, whom to answer.
+	admitted []*ms.Admitted
+	to       []wire.Endpoint
+	reply    []byte
+}
+
+// HandleFrame implements netsim.Handler on a run of one.
+func (r *msRuns) HandleFrame(frame []byte, from *netsim.Port) {
+	r.host.HandleFrame(frame, from)
+	r.answer()
+}
+
+// HandleFrames implements netsim.BatchHandler.
+func (r *msRuns) HandleFrames(frames [][]byte, from []*netsim.Port) {
+	for i, frame := range frames {
+		r.host.HandleFrame(frame, from[i])
+	}
+	r.answer()
+}
+
+// admit is the MS stack's ProtoControl handler: Figure 3 up to the
+// signature. The stack owns the delivered frame and keeps no part of a
+// control frame, so the request is decrypted where it arrived. An error
+// drops the request unanswered, as in Figure 3; a renewal denial is
+// admitted and answered.
+func (r *msRuns) admit(hdr *wire.Header, payload []byte) {
+	a, err := r.svc.AdmitInPlace(hdr.SrcEphID, payload)
+	if err != nil {
+		return
+	}
+	r.admitted = append(r.admitted, a)
+	r.to = append(r.to, wire.Endpoint{AID: hdr.SrcAID, EphID: hdr.SrcEphID})
+}
+
+// answer signs the run's admitted requests together and sends their
+// replies in admission order, which keeps each host's replies in the
+// order of its requests: a host matches them FIFO.
+func (r *msRuns) answer() {
+	if len(r.admitted) == 0 {
+		return
+	}
+	r.svc.Sign(r.admitted)
+	// Sealing fails only on an unsigned certificate and sending only on
+	// a detached stack: neither happens here, and a reply lost anyway is
+	// lost like a dropped frame.
+	for i, a := range r.admitted {
+		var err error
+		if r.reply, err = a.AppendSeal(r.reply[:0]); err == nil {
+			_ = r.host.SendRaw(wire.ProtoControl, wire.FlagControl, r.src, r.to[i], r.reply)
+		}
+	}
+	clear(r.admitted)
+	r.admitted, r.to = r.admitted[:0], r.to[:0]
 }
 
 // sendICMPError converts a router drop into an ICMP error toward the

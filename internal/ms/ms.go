@@ -11,15 +11,18 @@
 // link the issued EphIDs to the requesting control EphID
 // (sender-flow unlinkability, Section IV-C).
 //
-// The service side is three steps: Admit decides everything
+// The service side is three steps: AdmitInPlace decides everything
 // (authentication, renewal budget, the minted EphID), Sign certifies a
 // batch of admitted requests under one signature (cert.SignBatch), and
-// Admitted.Seal encrypts one reply under the AEAD Admit opened the
-// request with. That AEAD comes from the service's schedule cache
+// Admitted.Seal encrypts one reply under the AEAD AdmitInPlace opened
+// the request with. That AEAD comes from the service's schedule cache
 // (crypto.AEADCache), so the MS builds an AES-GCM key schedule per
-// host, not per request. HandleRequest runs all three for a batch of
-// one. A caller with many requests signs them together, and a caller
-// with a spare core can hand a whole batch, signature and seals, to it.
+// host, not per request. Every production issuance takes these steps
+// over a batch: the simulated AS's MS signs the requests that reach it
+// at one virtual instant together, and the population engine signs up
+// to cert.MaxBatch at a time, handing a whole batch, signature and
+// seals, to a spare core when it has one. HandleRequest and Issue sign
+// one certificate alone; they are left to the MS benchmarks and E1.
 //
 // The host side holds its kHA AEAD too: AppendRequest seals a request
 // into the caller's buffer and OpenReply decrypts a reply in place into
@@ -182,10 +185,10 @@ func (p Policy) Clamp(requested uint32) uint32 {
 // Service is the Management Service of one AS. It is safe for
 // concurrent use; the paper parallelizes issuance across 4 processes.
 // Here the population engine's workers call it concurrently, and each
-// request splits in three: Admit makes every decision on the caller;
-// Sign, which covers up to cert.MaxBatch admitted requests with one
-// Ed25519 signature, and the Admitted's Seal — the reply's encryption —
-// may run on another core.
+// request splits in three: AdmitInPlace makes every decision on the
+// caller; Sign, which covers up to cert.MaxBatch admitted requests with
+// one Ed25519 signature, and the Admitted's Seal — the reply's
+// encryption — may run on another core.
 type Service struct {
 	aid     ephid.AID
 	sealer  *ephid.Sealer
@@ -196,7 +199,7 @@ type Service struct {
 	now     func() int64
 
 	// aeads keeps the hosts' kHA AEADs, built for the reply direction
-	// (1); Admit opens each request with one (Open ignores the
+	// (1); AdmitInPlace opens each request with one (Open ignores the
 	// direction) and its Admitted seals the reply.
 	aeads *crypto.AEADCache
 
@@ -317,13 +320,13 @@ func (s *Service) RenewTracked() int {
 	return n
 }
 
-// HandleRequest implements Figure 3. srcEphID is the source EphID of
-// the request packet (the host's control EphID) and ciphertext the
-// encrypted request, which it leaves intact. It returns the encrypted
-// certificate reply. It is Admit, Sign of the one-request batch, then
-// Seal.
+// HandleRequest implements Figure 3 for one request. srcEphID is the
+// source EphID of the request packet (the host's control EphID) and
+// ciphertext the encrypted request, which it leaves intact. It returns
+// the encrypted certificate reply. It is AdmitInPlace on a copy of
+// ciphertext, Sign of the one-request batch, then Seal.
 func (s *Service) HandleRequest(srcEphID ephid.EphID, ciphertext []byte) ([]byte, error) {
-	a, err := s.Admit(srcEphID, ciphertext)
+	a, err := s.AdmitInPlace(srcEphID, slices.Clone(ciphertext))
 	if err != nil {
 		return nil, err
 	}
@@ -347,12 +350,6 @@ type Admitted struct {
 	status byte
 	signed bool
 	cert   cert.Cert
-}
-
-// Admit is AdmitInPlace on a copy of ciphertext, which it leaves
-// intact.
-func (s *Service) Admit(srcEphID ephid.EphID, ciphertext []byte) (*Admitted, error) {
-	return s.AdmitInPlace(srcEphID, slices.Clone(ciphertext))
 }
 
 // AdmitInPlace runs Figure 3 up to the signature: it opens and checks

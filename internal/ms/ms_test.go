@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -516,10 +517,10 @@ func fixedRequest() *Request {
 	return req
 }
 
-// TestAdmitSealMatchesHandleRequest: Admit then Seal is HandleRequest,
-// on every path through Figure 3 — the same error, or a reply that
-// decodes to the same certificate or the same denial. Each case runs on a fresh fixture
-// per path.
+// TestAdmitSealMatchesHandleRequest: AdmitInPlace, Sign and Seal are
+// HandleRequest on every path through Figure 3 — the same error, or a
+// reply that decodes to the same certificate or the same denial. Each
+// case runs on a fresh fixture per path.
 func TestAdmitSealMatchesHandleRequest(t *testing.T) {
 	renewal := func(f *fixture, prevHID ephid.HID) *Request {
 		req := fixedRequest()
@@ -602,7 +603,7 @@ func TestAdmitSealMatchesHandleRequest(t *testing.T) {
 
 			f = newFixture(t)
 			src, ct = tc.build(f)
-			a, err := f.svc.Admit(src, ct)
+			a, err := admitCopy(f.svc, src, ct)
 			if err == nil {
 				// The decisions are readable before the signature.
 				denial, id, exp := a.Denial(), a.EphID(), a.ExpTime()
@@ -624,7 +625,7 @@ func TestAdmitSealMatchesHandleRequest(t *testing.T) {
 				}
 			}
 			if got := f.exchangeOf(t, reply, err); got != want {
-				t.Errorf("Admit+Seal %+v\nHandleRequest %+v", got, want)
+				t.Errorf("AdmitInPlace+Sign+Seal %+v\nHandleRequest %+v", got, want)
 			}
 		})
 	}
@@ -655,7 +656,7 @@ func TestSealConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h.adm, err = f.svc.Admit(h.ctrl, ct); err != nil {
+		if h.adm, err = admitCopy(f.svc, h.ctrl, ct); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -744,9 +745,9 @@ func TestMessageNoncesAreFresh(t *testing.T) {
 
 // TestReplyNonceDirection pins bit 0 of every nonce's first byte to
 // the message's direction under the host's kHA key: 0 on each request
-// (EncodeRequest), 1 on each reply — from HandleRequest, from Admit,
-// Sign and Seal, and for a denial by either path. Seal reuses the AEAD
-// Admit opened the request with, so this is what holds that AEAD to
+// (EncodeRequest), 1 on each reply — from HandleRequest, from
+// AdmitInPlace, Sign and Seal, and for a denial by either path. Seal
+// reuses the AEAD AdmitInPlace opened the request with, so this is what holds that AEAD to
 // the reply direction. Thirty-two rounds leave a nonce whose bit is
 // random, not set, a 2⁻³² chance per path to pass.
 func TestReplyNonceDirection(t *testing.T) {
@@ -782,7 +783,7 @@ func TestReplyNonceDirection(t *testing.T) {
 			}
 			direction(tc.name+" HandleRequest reply", reply, 1)
 
-			a, err := f.svc.Admit(f.ctrlID, ct)
+			a, err := admitCopy(f.svc, f.ctrlID, ct)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -790,7 +791,7 @@ func TestReplyNonceDirection(t *testing.T) {
 			if reply, err = a.Seal(); err != nil {
 				t.Fatal(err)
 			}
-			direction(tc.name+" Admit/Sign/Seal reply", reply, 1)
+			direction(tc.name+" AdmitInPlace/Sign/Seal reply", reply, 1)
 			if _, err := DecodeReply(f.keys.Enc[:], f.ctrlID, reply); !errors.Is(err, tc.denial) {
 				t.Fatalf("%s reply decodes to %v, want %v", tc.name, err, tc.denial)
 			}
@@ -841,7 +842,7 @@ func TestOneSignaturePerBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := f.svc.Admit(f.ctrlID, ct)
+		a, err := admitCopy(f.svc, f.ctrlID, ct)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -950,7 +951,7 @@ func TestOneSignaturePerBatch(t *testing.T) {
 // TestRequestKinds: the MS issues data and receive-only EphIDs and
 // nothing else. Every other value of the kind byte — the RS's control
 // kind and the 253 undefined ones — is ErrBadRequest, from the decoder
-// and from Admit, so no certificate of that kind is ever signed.
+// and from AdmitInPlace, so no certificate of that kind is ever signed.
 func TestRequestKinds(t *testing.T) {
 	f := newFixture(t)
 	for k := range 256 {
@@ -973,14 +974,20 @@ func TestRequestKinds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := f.svc.Admit(f.ctrlID, ct)
+		a, err := admitCopy(f.svc, f.ctrlID, ct)
 		if want != (err == nil) || !want && !errors.Is(err, ErrBadRequest) {
-			t.Fatalf("Admit(kind %v): %v", kind, err)
+			t.Fatalf("AdmitInPlace(kind %v): %v", kind, err)
 		}
 		if want && a.Cert().Kind != kind {
 			t.Fatalf("kind %v request minted a %v certificate", kind, a.Cert().Kind)
 		}
 	}
+}
+
+// admitCopy is AdmitInPlace on a copy of ciphertext, which it leaves
+// intact.
+func admitCopy(s *Service, srcEphID ephid.EphID, ciphertext []byte) (*Admitted, error) {
+	return s.AdmitInPlace(srcEphID, slices.Clone(ciphertext))
 }
 
 // admitFor seals req for the host with keys and control EphID ctrl and
@@ -991,7 +998,7 @@ func (f *fixture) admitFor(t *testing.T, keys crypto.HostASKeys, ctrl ephid.EphI
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f.svc.Admit(ctrl, ct)
+	return admitCopy(f.svc, ctrl, ct)
 }
 
 // TestAdmitCacheHit: a host's second request is opened, and its reply

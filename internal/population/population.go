@@ -27,7 +27,8 @@
 // batch whole to a helper goroutine on a core the workers leave idle,
 // which signs it and seals the MS replies (the worker does both itself
 // when no helper is free); but every decision is made on the worker by
-// ms.Service.Admit, so neither changes an outcome, only the wall time.
+// ms.Service.AdmitInPlace, so neither changes an outcome, only the wall
+// time.
 // A batch closes when it is full or at the end of the tick, so in
 // virtual time no request waits for its signature. In wall-clock time
 // a batch handed off in tick t may still be signed and sealed while
@@ -528,7 +529,7 @@ type sample struct {
 
 // request admits one request from h in tick t and adds it to the open
 // signing batch, closing the batch once it is full. The error is
-// Admit's, or the denial the reply will carry.
+// AdmitInPlace's, or the denial the reply will carry.
 func (wk *worker) request(t int, h *hostState, prev *ephid.EphID, sm *sample) (*ms.Admitted, error) {
 	aead, err := wk.aeads.Get(uint32(h.hid), h.keys.Enc)
 	if err != nil {

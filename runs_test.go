@@ -18,7 +18,9 @@ import (
 // this test plays one timeline on two internets built alike, one as
 // built and one with every router port behind netsim.HandlerFunc, which
 // hides HandleFrames so that the routers get their frames one by one,
-// and compares all that the timeline leaves behind.
+// and compares all that the timeline leaves behind. The MSes answer in
+// runs in both (msRuns): a frame-by-frame MS would sign each certificate
+// alone, and the certificates' length would show in every byte count.
 
 // frameByFrame re-attaches every router port of in behind HandlerFunc.
 func frameByFrame(in *Internet) {
@@ -31,21 +33,28 @@ func frameByFrame(in *Internet) {
 		wrap(h.link.A())
 	}
 	// An AS does not keep its services' access links: each service moves
-	// to a link like the one it was built with, which the test holds.
+	// to a link like the one it was built with, which the test holds, and
+	// the MS keeps answering in runs.
 	for _, as := range in.ases {
 		for _, svc := range []*host.Host{as.msHost, as.dnsHost, as.aaHost, as.rtrHost} {
 			hid := svc.Config().HID
 			link := in.Sim.NewLink(fmt.Sprintf("%v-svc%v", as.AID, hid), in.opts.ServiceLinkLatency, 0)
 			as.Router.AttachHost(hid, link.A())
-			svc.Attach(link.B())
+			attach := (*host.Host).Attach
+			if svc == as.msHost {
+				attach = as.serveMS
+			}
+			attach(svc, link.B())
 			wrap(link.A())
 		}
 	}
 }
 
 // runsTimeline plays the timeline and returns what it left behind, line
-// by line, with the most events one Step executed.
-func runsTimeline(t *testing.T, prepare func(*Internet)) (trace []string, longest uint64) {
+// by line, with the most events one Step executed at a router (router)
+// and at an MS (msRun). Only those two take runs, and a step that handed
+// an MS its frames is told apart by the MS stacks' receive counters.
+func runsTimeline(t *testing.T, prepare func(*Internet)) (trace []string, router, msRun uint64) {
 	t.Helper()
 	const perAS = 6
 	topo := []TopologyOption{
@@ -69,12 +78,22 @@ func runsTimeline(t *testing.T, prepare func(*Internet)) (trace []string, longes
 		prepare(in)
 	}
 	faults := in.Sim.CaptureFaults()
+	msReceived := func() (n uint64) {
+		for _, as := range in.ases {
+			n += as.msHost.Stats().Received
+		}
+		return n
+	}
 	// await drives the timeline step by step until it drains, then lets
 	// the facade settle the operations against the idle queue.
 	await := func(what string, ops ...Op) {
 		t.Helper()
-		for before := in.Sim.Events(); in.Sim.Step(); before = in.Sim.Events() {
-			longest = max(longest, in.Sim.Events()-before)
+		for before, ms := in.Sim.Events(), msReceived(); in.Sim.Step(); before, ms = in.Sim.Events(), msReceived() {
+			if n := in.Sim.Events() - before; msReceived() > ms {
+				msRun = max(msRun, n)
+			} else {
+				router = max(router, n)
+			}
 		}
 		if err := in.AwaitAll(ops...); err != nil {
 			t.Fatalf("%s: %v", what, err)
@@ -154,14 +173,17 @@ func runsTimeline(t *testing.T, prepare func(*Internet)) (trace []string, longes
 			trace = append(trace, fmt.Sprintf("%s got %q", h.Name, m.Payload))
 		}
 	}
-	return trace, longest
+	return trace, router, msRun
 }
 
 func TestRunsChangeNothingEndToEnd(t *testing.T) {
-	runs, longest := runsTimeline(t, nil)
-	single, one := runsTimeline(t, frameByFrame)
+	runs, longest, msRuns := runsTimeline(t, nil)
+	single, one, msOne := runsTimeline(t, frameByFrame)
 	if longest < 6 || one != 1 {
-		t.Fatalf("the longest step ran %d events as built and %d frame by frame: want runs in the one and none in the other", longest, one)
+		t.Fatalf("the longest router step ran %d events as built and %d frame by frame: want runs in the one and none in the other", longest, one)
+	}
+	if msRuns < 2 || msOne != msRuns {
+		t.Fatalf("the longest MS step ran %d events as built and %d frame by frame: want the same runs in both", msRuns, msOne)
 	}
 	if len(runs) != len(single) {
 		t.Errorf("%d trace lines as built, %d frame by frame", len(runs), len(single))

@@ -44,10 +44,9 @@ type AS struct {
 	// referrals (Section VII-A).
 	Zone *dns.Zone
 
-	in     *Internet
-	node   *asnode.Node
-	signer *crypto.Signer
-	dhKey  *crypto.KeyPair
+	in    *Internet
+	node  *asnode.Node
+	dhKey *crypto.KeyPair
 
 	creds registry.CredentialTable
 
@@ -89,7 +88,7 @@ func (in *Internet) addAS(aid AID) error {
 		return err
 	}
 	as := &AS{
-		AID: aid, in: in, node: node, signer: signer, dhKey: dhKey,
+		AID: aid, in: in, node: node, dhKey: dhKey,
 		Router: node.Router,
 		DB:     node.DB,
 		Zone:   zone,
@@ -388,6 +387,3 @@ func (as *AS) Sealer() *ephid.Sealer { return as.node.Sealer }
 // Secret exposes the AS master secret for benchmark composition (e.g.
 // signing revocation orders in ablation tests).
 func (as *AS) Secret() *crypto.ASSecret { return as.node.Secret }
-
-// SignerPublicKey returns the AS's certificate-verification key.
-func (as *AS) SignerPublicKey() []byte { return as.signer.PublicKey() }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"apna/internal/spare"
 )
 
 func cacheKey(b byte) [SymKeySize]byte {
@@ -104,7 +106,7 @@ func TestAEADCacheHitAllocs(t *testing.T) {
 	if _, err := c.Get(3, k); err != nil {
 		t.Fatal(err)
 	}
-	waitRefills()
+	spare.Idle()
 	if allocs := testing.AllocsPerRun(100, func() { c.Get(3, k) }); allocs != 0 {
 		t.Errorf("a hit allocates %.0f times", allocs)
 	}
@@ -142,7 +144,7 @@ func TestSealOnceInPlace(t *testing.T) {
 	if _, err := a.OpenInPlace(make([]byte, NonceSize+TagSize-1), aad); !errors.Is(err, ErrDecrypt) {
 		t.Errorf("short message: %v", err)
 	}
-	waitRefills()
+	spare.Idle()
 	if allocs := testing.AllocsPerRun(100, func() {
 		staged := append(buf[3+NonceSize:3+NonceSize], plain...)
 		msg, _ = a.SealOnce(buf[:3], staged, aad)

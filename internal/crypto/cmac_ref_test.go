@@ -6,6 +6,8 @@ import (
 	"crypto/cipher"
 	"math/rand"
 	"testing"
+
+	"apna/internal/spare"
 )
 
 // refCMAC is the CMAC this package shipped before the multi-lane
@@ -326,7 +328,7 @@ func TestCMACOnStackZeroAllocs(t *testing.T) {
 		t.Skip("portable build: crypto/aes allocates its key schedule")
 	}
 	want := newRefCMAC(t, cmacKey).tag(cmacMsg)
-	waitRefills()
+	spare.Idle()
 	allocs := testing.AllocsPerRun(100, func() {
 		var c CMAC
 		var head [24]byte

@@ -6,6 +6,8 @@ import (
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
+
+	"apna/internal/spare"
 )
 
 func mustHex(t *testing.T, s string) []byte {
@@ -118,7 +120,7 @@ func TestDeriveHostASKeysIsDeriveKey(t *testing.T) {
 func TestDeriveHostASKeysAllocs(t *testing.T) {
 	for _, n := range []int{12, 32} {
 		secret := bytes.Repeat([]byte{7}, n)
-		waitRefills()
+		spare.Idle()
 		if allocs := testing.AllocsPerRun(100, func() { DeriveHostASKeys(secret) }); allocs != 0 {
 			t.Errorf("DeriveHostASKeys(%d-byte secret) allocates %.0f times, want 0", n, allocs)
 		}

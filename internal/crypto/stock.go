@@ -1,29 +1,31 @@
 package crypto
 
-import "sync"
+import (
+	"sync"
 
-// stockDepth bounds how many fresh key pairs of one type wait ahead of
-// demand. The stock grows only when a take finds it empty, so it
-// reaches this depth only after a burst of takes faster than one core
-// can generate — an internet build bootstrapping every host back to
-// back, a wave of EphID issuance or renewals. 64 holds one build of the
-// benchmark's host worlds (64 hosts, one X25519 bootstrap key each), so
-// the next build is served from stock; a deeper stock would keep more
-// unused private keys in memory for the rarer, larger bursts, which
-// fall back to generating inline.
+	"apna/internal/spare"
+)
+
+// stockDepth bounds how many fresh key pairs of one type are stocked or
+// owed. That sum grows only when a take finds the stock empty and its
+// replacement is queued, in a burst of takes faster than the refills
+// (an internet build bootstrapping every host back to back, a wave of
+// EphID issuance or renewals). Each owed replacement is one spare-core
+// task, so today the budget's 16 tasks cap the sum first; the depth is
+// the stock's own bound on the unused private keys it keeps in memory.
 const stockDepth = 64
 
 // stock keeps fresh key pairs of one type ahead of demand, so that the
 // caller's core does not pay for generating them: a take pops a stocked
-// key, and a goroutine on another core generates its replacement.
+// key, and a spare core generates its replacement (internal/spare).
 //
 // Replace-on-take: every take owes the stock one replacement, whether
 // it popped a key or — finding the stock empty — generated one inline
-// (a take never waits on the refiller). At most one refiller runs per
-// stock, it exits as soon as the replacements owed are paid, and a
-// stock nobody takes from starts none. Background generation therefore
-// never exceeds what callers consumed, and the stock never holds more
-// than stockDepth keys.
+// (a take never waits on a refill), and hands it to spare.Go. A
+// replacement the budget refuses is not made, so at GOMAXPROCS 1 every
+// key is generated inline, and a stock nobody takes from starts
+// nothing. Background generation therefore never exceeds what callers
+// consumed, and the stock never holds more than stockDepth keys.
 //
 // Every key is fresh crypto/rand output handed out exactly once; only
 // the moment it is drawn moves.
@@ -33,16 +35,12 @@ type stock[K any] struct {
 
 	mu   sync.Mutex
 	keys []K
-	// owed counts replacements not yet generated; len(keys)+owed never
-	// exceeds stockDepth.
+	// owed counts replacements queued but not yet generated;
+	// len(keys)+owed never exceeds stockDepth.
 	owed int
-	// err is the refiller's last failure. The next take that finds the
+	// err is a refill's last failure. The next take that finds the
 	// stock empty returns it instead of generating.
 	err error
-	// running is set while a refiller runs; refills counts refillers
-	// that have not yet exited.
-	running bool
-	refills sync.WaitGroup
 }
 
 var (
@@ -67,13 +65,8 @@ func (s *stock[K]) take() (K, error) {
 		s.keys[n-1] = zero // the stock keeps no reference to a key it handed out
 		s.keys = s.keys[:n-1]
 	}
-	if len(s.keys)+s.owed < stockDepth {
-		s.owed++
-	}
-	if !s.running && s.owed > 0 {
-		s.running = true
-		s.refills.Add(1)
-		go s.refill()
+	if len(s.keys)+s.owed < stockDepth && spare.Go(s.refill) {
+		s.owed++ // before the refill can run: it waits for s.mu
 	}
 	s.mu.Unlock()
 	if n > 0 {
@@ -82,24 +75,15 @@ func (s *stock[K]) take() (K, error) {
 	return s.gen()
 }
 
-// refill generates the replacements owed, then exits. A failure stops
-// it and waits in err for the next take that finds the stock empty.
+// refill generates one replacement owed. A failure waits in err for
+// the next take that finds the stock empty.
 func (s *stock[K]) refill() {
-	defer s.refills.Done()
-	for {
-		k, err := s.gen()
-		s.mu.Lock()
-		if err != nil {
-			s.err, s.owed = err, 0
-		} else {
-			s.keys = append(s.keys, k)
-			s.owed--
-		}
-		if s.owed == 0 {
-			s.running = false
-			s.mu.Unlock()
-			return
-		}
-		s.mu.Unlock()
+	k, err := s.gen()
+	s.mu.Lock()
+	if s.owed--; err != nil {
+		s.err = err
+	} else {
+		s.keys = append(s.keys, k)
 	}
+	s.mu.Unlock()
 }

@@ -1,17 +1,18 @@
 package crypto
 
 import (
-	"bytes"
 	"errors"
 	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"apna/internal/spare"
 )
 
 // stocksIdleAtStart records, before any test runs, whether the package's
-// two stocks were idle: nothing stocked, nothing owed, no refiller.
+// two stocks were idle: nothing stocked, nothing owed.
 var stocksIdleAtStart bool
 
 func TestMain(m *testing.M) {
@@ -22,18 +23,17 @@ func TestMain(m *testing.M) {
 func (s *stock[K]) idle() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.keys) == 0 && s.owed == 0 && !s.running
+	return len(s.keys) == 0 && s.owed == 0
 }
 
-// wait returns once every refiller started on s has exited.
-func (s *stock[K]) wait() { s.refills.Wait() }
-
-// waitRefills returns once neither of the package's stocks is being
-// refilled. testing.AllocsPerRun counts every goroutine's mallocs, so an
-// allocation test calls it first.
-func waitRefills() {
-	dhStock.wait()
-	sigStock.wait()
+// spareCore gives the test at least two Ps, so the stock's refills run
+// on a spare core, and restores GOMAXPROCS afterwards.
+func spareCore(t *testing.T) {
+	t.Helper()
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
 }
 
 // counter is a generator whose keys are 1, 2, 3, ...; calls says how
@@ -44,7 +44,7 @@ func counter() (gen func() (int, error), calls *atomic.Int64) {
 }
 
 // TestStockIdleUntilTaken: a program that imports the package and has
-// not taken a key has no key stocked and no refiller started.
+// not taken a key has no key stocked and no refill queued.
 func TestStockIdleUntilTaken(t *testing.T) {
 	if !stocksIdleAtStart {
 		t.Fatal("the key stocks were busy before any test took a key")
@@ -77,7 +77,7 @@ func TestStockKeysDistinct(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	waitRefills()
+	spare.Idle()
 	seen := make(map[string]bool, 2*takers*takes)
 	for _, ps := range pubs {
 		for _, p := range ps {
@@ -98,11 +98,12 @@ func TestStockKeysDistinct(t *testing.T) {
 	}
 }
 
-// TestStockRefillerExitsWhenPaid: after a burst of takes the refiller
-// generates the replacements owed and exits, having generated nothing
-// beyond them — every key generated was either handed out or is in
-// stock, each exactly once.
+// TestStockRefillerExitsWhenPaid: after a burst of takes the refills
+// queued generate the replacements owed and nothing beyond them — every
+// key generated was either handed out or is in stock, each exactly
+// once.
 func TestStockRefillerExitsWhenPaid(t *testing.T) {
+	spareCore(t)
 	gen, calls := counter()
 	s := &stock[int]{gen: gen}
 	const burst = 3 * stockDepth
@@ -117,11 +118,11 @@ func TestStockRefillerExitsWhenPaid(t *testing.T) {
 		}
 		seen[k] = true
 	}
-	s.wait()
+	spare.Idle()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.running || s.owed != 0 {
-		t.Fatalf("refiller still owes %d (running: %v)", s.owed, s.running)
+	if s.owed != 0 {
+		t.Fatalf("refills still owe %d", s.owed)
 	}
 	if n := len(s.keys); n == 0 || n > stockDepth {
 		t.Fatalf("stock holds %d keys after the burst, want 1..%d", n, stockDepth)
@@ -136,34 +137,27 @@ func TestStockRefillerExitsWhenPaid(t *testing.T) {
 	}
 }
 
-// TestStockNeverExceedsDepth holds the refiller back while takes pile up
-// replacements: what is owed stops at the depth, the refiller then
-// fills the stock to exactly the depth, and takes from a full stock
-// keep it there.
+// TestStockNeverExceedsDepth: with replacements for the whole depth
+// already owed, takes from the empty stock generate inline and queue
+// nothing; once those replacements are stocked, takes from a full stock
+// keep it full, one replacement each.
 func TestStockNeverExceedsDepth(t *testing.T) {
+	spareCore(t)
 	gen, calls := counter()
-	s := &stock[int]{gen: gen}
-	s.running = true // as if a refiller ran: takes start none
-	for i := 0; i < 2*stockDepth; i++ {
+	s := &stock[int]{gen: gen, owed: stockDepth} // as if stockDepth refills were queued
+	for i := 0; i < stockDepth; i++ {
 		if _, err := s.take(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s.owed != stockDepth || len(s.keys) != 0 {
-		t.Fatalf("after %d inline takes: %d owed, %d stocked; want %d, 0", 2*stockDepth, s.owed, len(s.keys), stockDepth)
+	spare.Idle()
+	if calls.Load() != stockDepth || s.owed != stockDepth {
+		t.Fatalf("takes at the depth: %d generated, %d owed; want %d, %d", calls.Load(), s.owed, stockDepth, stockDepth)
 	}
-	s.running = false
-	check := func(when string) {
-		t.Helper()
-		s.wait()
-		if len(s.keys) != stockDepth || s.owed != 0 {
-			t.Fatalf("%s: %d stocked, %d owed; want %d, 0", when, len(s.keys), s.owed, stockDepth)
-		}
+	s.owed = 0
+	for i := range stockDepth {
+		s.keys = append(s.keys, -i) // the refills' keys
 	}
-	if _, err := s.take(); err != nil { // finds the stock empty, starts the refiller
-		t.Fatal(err)
-	}
-	check("refilled")
 	for i := 0; i < 3*stockDepth; i++ {
 		if _, err := s.take(); err != nil {
 			t.Fatal(err)
@@ -171,20 +165,41 @@ func TestStockNeverExceedsDepth(t *testing.T) {
 		s.mu.Lock()
 		n := len(s.keys) + s.owed
 		s.mu.Unlock()
-		if n > stockDepth {
+		if n != stockDepth {
 			t.Fatalf("take %d: %d stocked or owed, depth is %d", i, n, stockDepth)
 		}
+		spare.Idle()
+		if len(s.keys) != stockDepth || s.owed != 0 {
+			t.Fatalf("take %d from full: %d stocked, %d owed; want %d, 0", i, len(s.keys), s.owed, stockDepth)
+		}
 	}
-	check("taken from full")
-	if got, want := calls.Load(), int64(2*stockDepth+1+3*stockDepth+stockDepth); got != want {
+	if got, want := calls.Load(), int64(4*stockDepth); got != want {
 		t.Fatalf("generated %d keys, want %d", got, want)
 	}
 }
 
-// TestStockFailureReachesTaker: a refiller whose generator fails
-// stops at once, and the next take that finds the stock empty returns
-// that failure instead of generating.
+// TestStockInlineAtOneProc: at GOMAXPROCS 1 no core is spare, so every
+// take generates its key inline and the stock neither queues nor keeps
+// anything.
+func TestStockInlineAtOneProc(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	gen, calls := counter()
+	s := &stock[int]{gen: gen}
+	for i := 1; i <= stockDepth; i++ {
+		if k, err := s.take(); err != nil || k != i {
+			t.Fatalf("take %d: key %d, %v", i, k, err)
+		}
+	}
+	if calls.Load() != stockDepth || !s.idle() {
+		t.Fatalf("%d generated, %d stocked, %d owed; want %d, 0, 0", calls.Load(), len(s.keys), s.owed, stockDepth)
+	}
+}
+
+// TestStockFailureReachesTaker: a refill whose generator fails stocks
+// nothing, and the next take that finds the stock empty returns that
+// failure instead of generating.
 func TestStockFailureReachesTaker(t *testing.T) {
+	spareCore(t)
 	boom := errors.New("entropy source failed")
 	var calls atomic.Int64
 	s := &stock[int]{gen: func() (int, error) {
@@ -194,47 +209,14 @@ func TestStockFailureReachesTaker(t *testing.T) {
 	if _, err := s.take(); !errors.Is(err, boom) {
 		t.Fatalf("inline generation: err = %v, want %v", err, boom)
 	}
-	s.wait()
-	if calls.Load() != 2 || s.owed != 0 || s.running {
-		t.Fatalf("after a failed refill: %d generator calls, %d owed, running %v; want 2, 0, false",
-			calls.Load(), s.owed, s.running)
+	spare.Idle()
+	if calls.Load() != 2 || s.owed != 0 {
+		t.Fatalf("after a failed refill: %d generator calls, %d owed; want 2, 0", calls.Load(), s.owed)
 	}
 	if _, err := s.take(); !errors.Is(err, boom) {
 		t.Fatalf("take after the failed refill: err = %v, want %v", err, boom)
 	}
 	if calls.Load() != 2 || !s.idle() {
-		t.Fatalf("the take that got the refiller's failure generated or started something: %d calls", calls.Load())
-	}
-}
-
-// refillerFrame is how a goroutine dump names a running refiller. Test
-// packages whose allocation tests build internets wait for it to leave
-// the dump (ownership_test.go at the root, internal/session); this test
-// keeps the name they look for honest.
-const refillerFrame = "created by apna/internal/crypto.(*stock["
-
-func TestStockRefillerInGoroutineDump(t *testing.T) {
-	entered, release := make(chan struct{}, 2), make(chan struct{})
-	s := &stock[int]{gen: func() (int, error) {
-		entered <- struct{}{}
-		<-release
-		return 0, nil
-	}}
-	taken := make(chan error)
-	go func() {
-		_, err := s.take() // starts the refiller, then generates inline
-		taken <- err
-	}()
-	<-entered // the take's own generation and the refiller's are both
-	<-entered // blocked in gen
-	buf := make([]byte, 1<<20)
-	dump := buf[:runtime.Stack(buf, true)]
-	close(release)
-	if err := <-taken; err != nil {
-		t.Fatal(err)
-	}
-	s.wait()
-	if !bytes.Contains(dump, []byte(refillerFrame)) {
-		t.Fatalf("a running refiller is not named %q in the goroutine dump:\n%s", refillerFrame, dump)
+		t.Fatalf("the take that got the refill's failure generated or started something: %d calls", calls.Load())
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -13,6 +12,7 @@ import (
 	"apna/internal/crypto"
 	"apna/internal/ephid"
 	"apna/internal/hostdb"
+	"apna/internal/spare"
 )
 
 type fixture struct {
@@ -1106,26 +1106,6 @@ func TestAdmitCacheConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// awaitKeyRefills waits until no key-stock refill goroutine and no
-// session-key derivation (session.Start) is running:
-// testing.AllocsPerRun counts every goroutine's allocations, and the
-// fixture's signer came from the stock.
-func awaitKeyRefills() {
-	buf := make([]byte, 64<<10)
-	for {
-		n := runtime.Stack(buf, true)
-		if n == len(buf) {
-			buf = make([]byte, 2*len(buf))
-			continue
-		}
-		if !bytes.Contains(buf[:n], []byte("created by apna/internal/crypto.(*stock[")) &&
-			!bytes.Contains(buf[:n], []byte("created by apna/internal/session.Start")) {
-			return
-		}
-		runtime.Gosched()
-	}
-}
-
 // TestRoundTripAllocs prices a warm issuance round trip in heap
 // allocations: a full batch of cert.MaxBatch hosts, each holding its
 // kHA AEAD, request buffer, reply buffer and certificate, runs
@@ -1185,7 +1165,7 @@ func TestRoundTripAllocs(t *testing.T) {
 		}
 	}
 	round() // warm the schedule cache and size the reply buffers
-	awaitKeyRefills()
+	spare.Idle()
 	perRequest := testing.AllocsPerRun(10, round) / n
 	if failed != nil {
 		t.Fatal(failed)

@@ -24,9 +24,9 @@
 // which host did what at which tick, and every counter — is a pure
 // function of the Config. Each worker admits requests into batches of
 // up to cert.MaxBatch, one signature per batch, and hands each closed
-// batch whole to a helper goroutine on a core the workers leave idle,
-// which signs it and seals the MS replies (the worker does both itself
-// when no helper is free); but every decision is made on the worker by
+// batch whole to a core the workers leave idle (internal/spare), where
+// it is signed and its MS replies sealed (the worker does both itself
+// when the budget refuses it); but every decision is made on the worker by
 // ms.Service.AdmitInPlace, so neither changes an outcome, only the wall
 // time.
 // A batch closes when it is full or at the end of the tick, so in
@@ -36,8 +36,8 @@
 // admission, and the worker waits for tick t's hand-offs at the end of
 // tick t+1's admissions (and for its last tick's before the run ends),
 // then folds their checks and latencies. An issuance or renewal sample
-// includes the wait for its batch to close and then for a helper,
-// behind at most one queued batch per helper. The coordinator's
+// includes the wait for its batch to close and then for a spare core,
+// behind the spare-core queue. The coordinator's
 // complaint cycle runs beside the workers' tick, at the same virtual
 // time, against offenders in an HID range of their own. Only
 // wall-clock measurements (latencies, events/sec, RSS) vary between
@@ -69,6 +69,7 @@ import (
 	"apna/internal/hostdb"
 	"apna/internal/ms"
 	"apna/internal/quantile"
+	"apna/internal/spare"
 	"apna/internal/trace"
 	"apna/internal/wire"
 )
@@ -304,8 +305,8 @@ type Result struct {
 	// IssueLatency and RenewLatency are wall-clock spans from a
 	// request's admit to its reply being checked. They include the
 	// wait for the request's signing batch to close (at cert.MaxBatch
-	// requests or the end of the tick) and, when a helper takes the
-	// batch, its wait in the helper's queue. Neither takes virtual
+	// requests or the end of the tick) and, when a spare core takes
+	// the batch, its wait in the spare-core queue. Neither takes virtual
 	// time: the batch is signed within the tick the request arrived in.
 	// In wall-clock time the signature and the seal may finish while
 	// the worker admits the next tick.
@@ -434,19 +435,13 @@ type worker struct {
 	trace   []traceEvent
 
 	// batch is the open signing batch: jobs admitted but not yet
-	// signed, at most cert.MaxBatch; adms is the worker's scratch list
-	// for ms.Service.Sign when it signs a batch itself.
-	batch []*sealJob
-	adms  []*ms.Admitted
-	// helpers feeds this worker's spare-core helpers whole closed
-	// batches; its capacity is their count, and it is nil (every batch
-	// inline) when there are none. pending[t%2] is what tick t left to
-	// finish, kept until it settles at the end of tick t+1's
-	// admissions; then its batches join spare and its jobs free, so
-	// at most two ticks' worth are ever held.
-	helpers chan handoff
+	// signed, at most cert.MaxBatch. pending[t%2] is what tick t left
+	// to finish, kept until it settles at the end of tick t+1's
+	// admissions; then its batches join reuse and its jobs free, so at
+	// most two ticks' worth are ever held.
+	batch   []*sealJob
 	pending [2]pending
-	spare   [][]*sealJob
+	reuse   [][]*sealJob
 	free    []*sealJob
 
 	// aeads holds the modeled hosts' kHA AEADs (request direction, 0),
@@ -461,42 +456,32 @@ type worker struct {
 }
 
 // pending is one tick's unfinished round trips: inflight counts the
-// batches handed to helpers, handed holds them, and samples are the
-// tick's latency samples in issue order.
+// batches handed to spare cores, handed holds them, and samples are
+// the tick's latency samples in issue order.
 type pending struct {
 	inflight sync.WaitGroup
 	handed   [][]*sealJob
 	samples  []sample
 }
 
-// handoff is one closed batch on its way to a helper, with the count
-// of its tick's outstanding batches to mark it done.
-type handoff struct {
-	jobs []*sealJob
-	done *sync.WaitGroup
-}
-
 // signAndSeal is a closed batch's remaining work: one signature over
-// every certificate it minted, then each job's seal and check. adms is
-// the caller's scratch list for ms.Service.Sign, returned empty for
-// reuse.
-func signAndSeal(svc *ms.Service, batch []*sealJob, adms []*ms.Admitted) []*ms.Admitted {
-	for _, j := range batch {
-		adms = append(adms, j.adm)
+// every certificate it minted, then each job's seal and check.
+func signAndSeal(svc *ms.Service, batch []*sealJob) {
+	var adms [cert.MaxBatch]*ms.Admitted
+	for i, j := range batch {
+		adms[i] = j.adm
 	}
-	svc.Sign(adms)
-	clear(adms)
+	svc.Sign(adms[:len(batch)])
 	for _, j := range batch {
 		j.run()
 	}
-	return adms[:0]
 }
 
 // sealJob is the second half of one round trip: seal the admitted and
 // signed reply, decode it as the host would, and check that it carries
 // what was admitted. The host's AEAD and control EphID are copied in,
 // since churn may hand the host's slot to a new identity before a
-// helper gets to the job. The job owns the reply's buffer and the
+// spare core gets to the job. The job owns the reply's buffer and the
 // certificate it decodes to, and keeps both across reuse, so a round
 // trip leaves no garbage.
 type sealJob struct {
@@ -518,7 +503,7 @@ func (j *sealJob) run() {
 // sample is one issuance or renewal latency sample. It spans from the
 // first admit's start to the later of the worker finishing its part
 // (end) and the last of its seals being checked, so the wait for its
-// batch to close and for a helper both count, and a renewal's sample
+// batch to close and for a spare core both count, and a renewal's sample
 // spans its denial and its fallback.
 type sample struct {
 	hid        ephid.HID
@@ -560,30 +545,27 @@ func (wk *worker) request(t int, h *hostState, prev *ephid.EphID, sm *sample) (*
 	return a, a.Denial()
 }
 
-// closeBatch offers tick t's closed, unsigned batch to this worker's
-// helpers without blocking; if none can take it now, the worker signs
-// and seals it itself, right away. So at most two batches per helper
-// are ever outstanding, and with no helper every batch is inline.
+// closeBatch hands tick t's closed, unsigned batch to spare.Go; if the
+// budget refuses it, the worker signs and seals it itself, right away.
 func (wk *worker) closeBatch(t int) {
 	if len(wk.batch) == 0 {
 		return
 	}
-	p := &wk.pending[t%2]
+	p, b, svc := &wk.pending[t%2], wk.batch, wk.w.MS
 	p.inflight.Add(1)
-	select {
-	case wk.helpers <- handoff{wk.batch, &p.inflight}:
-		p.handed = append(p.handed, wk.batch)
-		if n := len(wk.spare); n > 0 {
-			wk.batch, wk.spare = wk.spare[n-1], wk.spare[:n-1]
+	if spare.Go(func() { signAndSeal(svc, b); p.inflight.Done() }) {
+		p.handed = append(p.handed, b)
+		if n := len(wk.reuse); n > 0 {
+			wk.batch, wk.reuse = wk.reuse[n-1], wk.reuse[:n-1]
 		} else {
 			wk.batch = make([]*sealJob, 0, cert.MaxBatch)
 		}
-	default:
-		wk.adms = signAndSeal(wk.w.MS, wk.batch, wk.adms)
-		p.inflight.Done()
-		clear(wk.batch)
-		wk.batch = wk.batch[:0]
+		return
 	}
+	signAndSeal(svc, b)
+	p.inflight.Done()
+	clear(b)
+	wk.batch = b[:0]
 }
 
 // settle waits for the batches handed off in tick t, then folds the
@@ -595,7 +577,7 @@ func (wk *worker) settle(t int) {
 	p.inflight.Wait()
 	for _, b := range p.handed {
 		clear(b)
-		wk.spare = append(wk.spare, b[:0])
+		wk.reuse = append(wk.reuse, b[:0])
 	}
 	clear(p.handed)
 	p.handed = p.handed[:0]
@@ -669,7 +651,7 @@ func (wk *worker) schedule(slot int32, exp uint32, tick int) {
 }
 
 // tick processes one virtual second for this worker's partition. Its
-// last batches may still be in a helper's hands when it returns: tick
+// last batches may still be on a spare core when it returns: tick
 // t settles at the end of tick t+1's admissions, the run's last tick
 // before it returns.
 func (wk *worker) tick(t int) {
@@ -882,33 +864,11 @@ func run(cfg Config, plant func(t int, j *sealJob)) (*Result, []*worker, error) 
 	}
 	setupWG.Wait()
 
-	// Spare-core helpers: one per P the workers leave idle, shared out
-	// round-robin. They sign, seal and check whole batches the workers
-	// admitted, so every decision stays on the workers (DESIGN §10,
-	// "One signature per batch").
-	spare := max(runtime.GOMAXPROCS(0)-cfg.Workers, 0)
-	var helperWG sync.WaitGroup
-	for i, wk := range workers {
-		n := spare / cfg.Workers
-		if i < spare%cfg.Workers {
-			n++
-		}
-		if n == 0 {
-			continue
-		}
-		wk.helpers = make(chan handoff, n)
-		helperWG.Add(n)
-		for range n {
-			go func() {
-				defer helperWG.Done()
-				var adms []*ms.Admitted
-				for h := range wk.helpers {
-					adms = signAndSeal(w.MS, h.jobs, adms)
-					h.done.Done()
-				}
-			}()
-		}
-	}
+	// The workers hold their own cores for the run, so spare cores
+	// sign, seal and check whole batches only on the Ps they leave
+	// idle; every decision stays on the workers (DESIGN §10, "One
+	// signature per batch").
+	defer spare.Reserve(cfg.Workers - 1)()
 
 	comp := newComplainer(w, &cfg)
 	res := &Result{Config: cfg, ReceiptStatus: map[string]uint64{}, HostdbShards: w.DB.ShardCount()}
@@ -965,11 +925,7 @@ func run(cfg Config, plant func(t int, j *sealJob)) (*Result, []*worker, error) 
 	elapsed := time.Since(t0) //apna:wallclock
 	for i := range start {
 		close(start[i])
-		if workers[i].helpers != nil {
-			close(workers[i].helpers)
-		}
 	}
-	helperWG.Wait()
 
 	// Merge.
 	issueRes := make([]*reservoir, 0, len(workers))

@@ -114,25 +114,27 @@ func TestTraceHashGolden(t *testing.T) {
 
 // TestSpareCoreSealingMatchesInline: with no spare core every closed
 // batch is signed and sealed on its worker; with spare cores most
-// batches go whole to helpers, which sign them and seal every reply.
-// The run must not notice. A renewal budget of one puts denials and
-// their fallbacks into the helpers' batches too, and churn and
-// complaints stay on.
+// batches go whole to spare.Go, which signs them and seals every
+// reply. The run must not notice. GOMAXPROCS 2 leaves one spare core
+// at one worker and none at two (spare.Reserve). A renewal budget of
+// one puts denials and their fallbacks into the spare cores' batches
+// too, and churn and complaints stay on.
 func TestSpareCoreSealingMatchesInline(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		cfg := smallConfig()
 		cfg.Workers = workers
 		cfg.RenewBurst = 1
-		var runs [2]*Result
-		for i, procs := range []int{1, 4} {
-			prev := runtime.GOMAXPROCS(procs)
+		procs := []int{1, 2, 4}
+		runs := make([]*Result, len(procs))
+		for i, p := range procs {
+			prev := runtime.GOMAXPROCS(p)
 			r, err := Run(cfg)
 			runtime.GOMAXPROCS(prev)
 			if err != nil {
-				t.Fatalf("workers %d, GOMAXPROCS %d: %v", workers, procs, err)
+				t.Fatalf("workers %d, GOMAXPROCS %d: %v", workers, p, err)
 			}
 			if r.ErrNoEphID != 0 {
-				t.Errorf("workers %d, GOMAXPROCS %d: ErrNoEphID = %d", workers, procs, r.ErrNoEphID)
+				t.Errorf("workers %d, GOMAXPROCS %d: ErrNoEphID = %d", workers, p, r.ErrNoEphID)
 			}
 			runs[i] = r
 		}
@@ -141,11 +143,13 @@ func TestSpareCoreSealingMatchesInline(t *testing.T) {
 				workers, runs[0].RenewDenied, runs[0].Complaints, runs[0].Leaves)
 		}
 		t.Logf("workers %d: trace %.12s, %d denials", workers, runs[0].TraceHash, runs[0].RenewDenied)
-		if a, b := logicalOf(runs[0]), logicalOf(runs[1]); a != b {
-			t.Errorf("workers %d: helpers changed the run:\n inline  %+v\n helpers %+v", workers, a, b)
-		}
-		if a, b := runs[0].ReceiptStatus, runs[1].ReceiptStatus; !maps.Equal(a, b) {
-			t.Errorf("workers %d: receipt statuses %v inline, %v with helpers", workers, a, b)
+		for i, r := range runs[1:] {
+			if a, b := logicalOf(runs[0]), logicalOf(r); a != b {
+				t.Errorf("workers %d, GOMAXPROCS %d: spare cores changed the run:\n inline %+v\n spare  %+v", workers, procs[i+1], a, b)
+			}
+			if a, b := runs[0].ReceiptStatus, r.ReceiptStatus; !maps.Equal(a, b) {
+				t.Errorf("workers %d, GOMAXPROCS %d: receipt statuses %v inline, %v with spare cores", workers, procs[i+1], a, b)
+			}
 		}
 	}
 }

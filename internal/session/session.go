@@ -11,13 +11,12 @@
 // The derivation is the same routine whichever way it runs. New runs it
 // on the caller's core. Start checks the peer's key on the caller's core,
 // returning every error New would, and runs the rest — the X25519
-// exchange, HKDF and the two AES-GCM schedules — on another goroutine;
-// the session's first Seal, AppendSeal or Open waits for it. A host's
-// handshake calls Start once the peer's certificate has verified, so the
-// key agreement overlaps the peer's verify and the handshake's flight
-// instead of holding up the thread that runs the handshake. A fixed
-// number of derivations, process-wide, run that way at once; beyond
-// that, or at GOMAXPROCS 1, Start derives inline.
+// exchange, HKDF and the two AES-GCM schedules — on a spare core
+// (internal/spare); the session's first Seal, AppendSeal or Open waits
+// for it. A host's handshake calls Start once the peer's certificate has
+// verified, so the key agreement overlaps the peer's verify and the
+// handshake's flight instead of holding up the thread that runs the
+// handshake. When the spare-core budget refuses it, Start derives inline.
 //
 // The package also implements the receiver-side replay window for the
 // per-packet nonce of Section VIII-D.
@@ -26,12 +25,12 @@ package session
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"apna/internal/crypto"
 	"apna/internal/ephid"
+	"apna/internal/spare"
 )
 
 // Errors returned by session operations.
@@ -53,18 +52,6 @@ type Session struct {
 	open    *crypto.AEAD
 	replay  Window
 }
-
-// maxDeferred caps how many Start derivations run on other goroutines
-// at once, process-wide. A burst of handshakes beyond it derives
-// inline, so derivations cannot pile up behind a busy core and spill
-// into whatever the process does next. 16 keeps a spare core fed
-// through a burst of connections; 4 gave up part of the gain on
-// bench's host_connect (DESIGN §8, "Key agreement off the critical
-// path").
-const maxDeferred = 16
-
-// deferred holds one token per derivation running on another goroutine.
-var deferred = make(chan struct{}, maxDeferred)
 
 // deferredHook, when set by a test, runs first in every deferred
 // derivation; an error it returns fails the session.
@@ -97,11 +84,11 @@ func New(localPriv *crypto.KeyPair, peerDHPub []byte, local, peer ephid.EphID) (
 
 // Start is New with the key agreement moved off the caller's core. It
 // checks the peer key and returns every error New would for it at once;
-// the X25519 exchange, HKDF and AES-GCM schedules then run on another
-// goroutine, and the session's first Seal, AppendSeal or Open waits for
+// the X25519 exchange, HKDF and AES-GCM schedules then run on a spare
+// core, and the session's first Seal, AppendSeal or Open waits for
 // them. If that derivation fails, every Seal, AppendSeal and Open
-// returns its error. With maxDeferred derivations already running, or
-// no second core (GOMAXPROCS 1), Start derives inline, as New does.
+// returns its error. When spare.Go refuses the derivation, Start
+// derives inline, as New does.
 //
 // Call it only on a key the caller has authenticated: it spends a core
 // on whatever key it is handed.
@@ -109,33 +96,29 @@ func Start(localPriv *crypto.KeyPair, peerDHPub []byte, local, peer ephid.EphID)
 	if _, err := crypto.ParseX25519PeerKey(peerDHPub); err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}
-	if runtime.GOMAXPROCS(0) > 1 {
-		select {
-		case deferred <- struct{}{}:
-			derivations.Add(1)
-			s := &Session{replay: NewWindow(1024)}
-			s.derived.Add(1)
-			// The goroutine gets its own copy of the key it was handed:
-			// the caller may reuse its bytes as soon as Start returns.
-			go s.deriveDeferred(localPriv, [crypto.X25519PublicKeySize]byte(peerDHPub), local, peer)
-			return s, nil
-		default:
-		}
+	derivations.Add(1)
+	s := &Session{replay: NewWindow(1024)}
+	s.derived.Add(1)
+	// The deferred half copies the key: the caller may reuse its bytes.
+	key := [crypto.X25519PublicKeySize]byte(peerDHPub)
+	if spare.Go(func() { s.deriveDeferred(localPriv, key, local, peer) }) {
+		return s, nil
 	}
-	return New(localPriv, peerDHPub, local, peer)
+	s.derived.Done()
+	if err := s.derive(localPriv, peerDHPub, local, peer); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // deriveDeferred is Start's deferred half.
 func (s *Session) deriveDeferred(localPriv *crypto.KeyPair, peerDHPub [crypto.X25519PublicKeySize]byte, local, peer ephid.EphID) {
-	var err error
 	if deferredHook != nil {
-		err = deferredHook()
+		s.err = deferredHook()
 	}
-	if err == nil {
-		err = s.derive(localPriv, peerDHPub[:], local, peer)
+	if s.err == nil {
+		s.err = s.derive(localPriv, peerDHPub[:], local, peer)
 	}
-	s.err = err
-	<-deferred
 	s.derived.Done()
 }
 

@@ -3,12 +3,12 @@ package session
 import (
 	"bytes"
 	"errors"
-	"runtime"
 	"testing"
 	"testing/quick"
 
 	"apna/internal/crypto"
 	"apna/internal/ephid"
+	"apna/internal/spare"
 )
 
 func pair(t *testing.T) (*Session, *Session) {
@@ -41,29 +41,6 @@ func pairOf(t *testing.T, mkA, mkB constructor) (*Session, *Session) {
 		t.Fatal(err)
 	}
 	return a, b
-}
-
-// awaitKeyRefills returns once no goroutine refills internal/crypto's
-// key stock or derives a session's keys. pair takes key pairs, each
-// take starts a refill on another core, and Start derives on one;
-// testing.AllocsPerRun counts every goroutine's mallocs, so an
-// allocation test waits for both to finish first. crypto's
-// TestStockRefillerInGoroutineDump and this package's
-// TestDerivationInGoroutineDump pin the frames this looks for.
-func awaitKeyRefills() {
-	buf := make([]byte, 64<<10)
-	for {
-		n := runtime.Stack(buf, true)
-		if n == len(buf) {
-			buf = make([]byte, 2*len(buf))
-			continue
-		}
-		if !bytes.Contains(buf[:n], []byte("created by apna/internal/crypto.(*stock[")) &&
-			!bytes.Contains(buf[:n], []byte(derivationFrame)) {
-			return
-		}
-		runtime.Gosched()
-	}
 }
 
 func TestSessionBidirectional(t *testing.T) {
@@ -318,7 +295,7 @@ func TestAppendSealInPlace(t *testing.T) {
 		t.Fatalf("peer cannot open what was sealed in place: %v", err)
 	}
 
-	awaitKeyRefills()
+	spare.Idle()
 	if n := testing.AllocsPerRun(100, func() {
 		if _, err := a.AppendSeal(append(buf, header...), pt, aad); err != nil {
 			t.Fatal(err)

@@ -1,0 +1,75 @@
+// Package spare is the process's one way onto a core its callers leave
+// idle: at most GOMAXPROCS−1−reserved background goroutines take queued
+// tasks in FIFO order, and at most maxTasks are queued or running. Go
+// refuses what this budget cannot take, and nothing at GOMAXPROCS 1.
+package spare
+
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
+
+// maxTasks bounds the tasks queued or running (DESIGN §8, "Spare cores").
+const maxTasks = 16
+
+var (
+	mu       sync.Mutex
+	drained  = sync.NewCond(&mu)
+	queue    = make(chan func(), maxTasks)
+	tasks    int // queued or running
+	workers  int // background goroutines
+	reserved atomic.Int64
+)
+
+// Go queues f for a background goroutine and returns true. It returns
+// false, and f never runs, when maxTasks tasks are queued or running or
+// no P is spare; the caller then does the work inline or skips it.
+func Go(f func()) bool {
+	mu.Lock()
+	defer mu.Unlock()
+	cores := runtime.GOMAXPROCS(0) - 1 - int(reserved.Load())
+	if cores <= 0 || tasks == maxTasks {
+		return false
+	}
+	tasks++
+	queue <- f
+	if workers < cores {
+		workers++
+		go work()
+	}
+	return true
+}
+
+func work() {
+	mu.Lock()
+	for len(queue) > 0 {
+		f := <-queue
+		mu.Unlock()
+		f()
+		mu.Lock()
+		if tasks--; tasks == 0 {
+			drained.Broadcast()
+		}
+	}
+	workers--
+	mu.Unlock()
+}
+
+// Reserve holds n Ps for the caller's own goroutines until release is
+// called, so Go starts background goroutines only on the Ps left.
+func Reserve(n int) (release func()) {
+	reserved.Add(int64(n))
+	return func() { reserved.Add(-int64(n)) }
+}
+
+// Idle waits until no task is queued or running.
+//
+//apna:testonly allocation tests in internal/crypto, internal/session, internal/ms and the root package wait through it for key refills and derivations before counting mallocs
+func Idle() {
+	mu.Lock()
+	for tasks > 0 {
+		drained.Wait()
+	}
+	mu.Unlock()
+}

@@ -1,0 +1,132 @@
+package spare
+
+import (
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// procs sets GOMAXPROCS for one test and restores it afterwards.
+func procs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// goWithin calls Go(f) and fails the test if it does not return
+// within ten seconds: Go never waits for room in the budget.
+func goWithin(t *testing.T, f func()) bool {
+	t.Helper()
+	res := make(chan bool, 1)
+	go func() { res <- Go(f) }()
+	select {
+	case ok := <-res:
+		return ok
+	case <-time.After(10 * time.Second):
+		t.Fatal("Go blocked")
+		return false
+	}
+}
+
+// TestGoNothingAtOneProc: at GOMAXPROCS 1 no core is spare, so Go
+// refuses every task and runs none.
+func TestGoNothingAtOneProc(t *testing.T) {
+	procs(t, 1)
+	var ran atomic.Bool
+	for range 3 {
+		if Go(func() { ran.Store(true) }) {
+			t.Fatal("Go took a task at GOMAXPROCS 1")
+		}
+	}
+	Idle()
+	if ran.Load() {
+		t.Fatal("a refused task ran")
+	}
+}
+
+// TestGoBound: with every background goroutine blocked, Go takes
+// maxTasks tasks and refuses the rest at once; at most GOMAXPROCS−1 run
+// at a time, and one background goroutine takes them in the order they
+// were queued.
+func TestGoBound(t *testing.T) {
+	for _, p := range []int{2, 4} {
+		procs(t, p)
+		release := make(chan struct{})
+		var running, most atomic.Int32
+		var order []int // appended by the tasks; read after Idle
+		took := 0
+		for i := range 4 * maxTasks {
+			if goWithin(t, func() {
+				n := running.Add(1)
+				for m := most.Load(); n > m && !most.CompareAndSwap(m, n); m = most.Load() {
+				}
+				<-release
+				if p == 2 {
+					order = append(order, i)
+				}
+				running.Add(-1)
+			}) {
+				took++
+			}
+		}
+		close(release)
+		Idle()
+		if took != maxTasks {
+			t.Errorf("GOMAXPROCS %d: Go took %d tasks, bound %d", p, took, maxTasks)
+		}
+		if m := most.Load(); m < 1 || int(m) > p-1 {
+			t.Errorf("GOMAXPROCS %d: %d tasks ran at once, want 1..%d", p, m, p-1)
+		}
+		for i, v := range order {
+			if v != i {
+				t.Fatalf("GOMAXPROCS %d: tasks ran in order %v, want FIFO", p, order)
+			}
+		}
+	}
+}
+
+// TestReserve: the Ps a caller reserves are not spare. At GOMAXPROCS 2
+// a reservation of one leaves none, and its release gives it back.
+func TestReserve(t *testing.T) {
+	procs(t, 2)
+	release := Reserve(1)
+	if Go(func() {}) {
+		t.Error("Go took a task with the only spare P reserved")
+	}
+	release()
+	if !Go(func() {}) {
+		t.Error("Go refused a task after the reservation was released")
+	}
+	Idle()
+}
+
+// TestIdleWaitsForEveryTask: Idle returns only once every task queued
+// has finished, those behind the one running and, with nothing left
+// in the queue, the one running.
+func TestIdleWaitsForEveryTask(t *testing.T) {
+	procs(t, 2)
+	var done atomic.Int32
+	started := make(chan struct{})
+	for i := range 3 {
+		if !Go(func() {
+			if i == 2 {
+				close(started)
+			}
+			time.Sleep(20 * time.Millisecond)
+			done.Add(1)
+		}) {
+			t.Fatal("Go refused a task with the budget idle")
+		}
+		if i == 1 {
+			Idle()
+			if n := done.Load(); n != 2 {
+				t.Fatalf("Idle returned with %d of 2 tasks done", n)
+			}
+		}
+	}
+	<-started // the last task runs, and nothing is queued
+	Idle()
+	if n := done.Load(); n != 3 {
+		t.Fatal("Idle returned while a task ran")
+	}
+}

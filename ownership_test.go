@@ -3,13 +3,13 @@ package apna
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
 	"apna/internal/aa"
 	"apna/internal/host"
 	"apna/internal/netsim"
+	"apna/internal/spare"
 	"apna/internal/wire"
 )
 
@@ -235,30 +235,6 @@ func TestEvidenceFromRawVerifiesAfterFurtherTraffic(t *testing.T) {
 	}
 }
 
-// awaitKeyRefills returns once no goroutine refills internal/crypto's
-// key stock or derives a session's keys. Building an internet takes key
-// pairs, and each take starts a refill on another core; a handshake
-// derives its session key on one (session.Start). testing.AllocsPerRun
-// counts every goroutine's mallocs, so an allocation test waits for
-// both to finish first. crypto's TestStockRefillerInGoroutineDump and
-// session's TestDerivationInGoroutineDump pin the frames this looks
-// for.
-func awaitKeyRefills() {
-	buf := make([]byte, 64<<10)
-	for {
-		n := runtime.Stack(buf, true)
-		if n == len(buf) {
-			buf = make([]byte, 2*len(buf))
-			continue
-		}
-		if !bytes.Contains(buf[:n], []byte("created by apna/internal/crypto.(*stock[")) &&
-			!bytes.Contains(buf[:n], []byte("created by apna/internal/session.Start")) {
-			return
-		}
-		runtime.Gosched()
-	}
-}
-
 // TestSendAllocCeiling pins the host data path's allocation budget: one
 // message through the facade — SendAsync, the simulator, both routers,
 // the peer's inbox — costs the frame, the plaintext, the inbox slice and
@@ -293,7 +269,7 @@ func TestSendAllocCeiling(t *testing.T) {
 		}
 	}
 	send() // grow the event queue and the live-operation registry
-	awaitKeyRefills()
+	spare.Idle()
 	if allocs := testing.AllocsPerRun(100, send); allocs > 5 {
 		t.Errorf("one message costs %v allocations, want at most 5", allocs)
 	} else {

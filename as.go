@@ -44,9 +44,8 @@ type AS struct {
 	// referrals (Section VII-A).
 	Zone *dns.Zone
 
-	in    *Internet
-	node  *asnode.Node
-	dhKey *crypto.KeyPair
+	in   *Internet
+	node *asnode.Node
 
 	creds registry.CredentialTable
 
@@ -88,7 +87,7 @@ func (in *Internet) addAS(aid AID) error {
 		return err
 	}
 	as := &AS{
-		AID: aid, in: in, node: node, dhKey: dhKey,
+		AID: aid, in: in, node: node,
 		Router: node.Router,
 		DB:     node.DB,
 		Zone:   zone,

@@ -215,7 +215,8 @@ func tagMatches(tag []byte, full *[aes.BlockSize]byte) bool {
 }
 
 // MACJob is one message of a batch: Tag is checked against the CMAC of
-// the two Msg segments under MAC, and OK receives the answer.
+// the two Msg segments under MAC, and OK receives the answer — or, under
+// MACBatch.Sum, Tag receives the CMAC.
 type MACJob struct {
 	MAC *CMAC
 	Msg [2][]byte
@@ -223,12 +224,12 @@ type MACJob struct {
 	OK  bool
 }
 
-// MACBatch verifies the tags of many independent messages at once. The
-// CBC chain of one message is bound by AES latency; the chains of
-// different messages do not depend on each other, so up to maxLanes of
-// them run interleaved and the AES unit stays full. A MACBatch is
-// scratch for that, reused across calls; it is not safe for concurrent
-// use.
+// MACBatch verifies (Verify) or computes (Sum) the tags of many
+// independent messages at once. The CBC chain of one message is bound
+// by AES latency; the chains of different messages do not depend on
+// each other, so up to maxLanes of them run interleaved and the AES
+// unit stays full. A MACBatch is scratch for that, reused across calls;
+// it is not safe for concurrent use.
 type MACBatch struct {
 	lanes [maxLanes]lane
 	plans [maxLanes]plan // lanes[i]'s message
@@ -345,7 +346,19 @@ func (p *plan) plan(job *MACJob) {
 // run any lane holds. The order puts the lanes whose messages end first
 // last, so a lane whose message ends hands back its verdict and drops
 // out, and the busy lanes are always lanes[:live].
-func (b *MACBatch) Verify(jobs []MACJob) {
+func (b *MACBatch) Verify(jobs []MACJob) { b.run(jobs, false) }
+
+// Sum writes the leading len(jobs[i].Tag) bytes of every job's CMAC into
+// jobs[i].Tag, what jobs[i].MAC.SumTruncated(jobs[i].Tag,
+// len(jobs[i].Tag), jobs[i].Msg[0], jobs[i].Msg[1]) writes; a Tag longer
+// than 16 bytes gets the whole CMAC. OK is left alone. A job's Tag must
+// not overlap any job's message. It runs Verify's loop, and does not
+// allocate.
+func (b *MACBatch) Sum(jobs []MACJob) { b.run(jobs, true) }
+
+// run is Verify, or Sum when sum is set: the two differ only in what a
+// lane whose message has ended hands back.
+func (b *MACBatch) run(jobs []MACJob, sum bool) {
 	for len(jobs) > 0 {
 		w := jobs[:min(len(jobs), maxJobs)]
 		jobs = jobs[len(w):]
@@ -361,7 +374,11 @@ func (b *MACBatch) Verify(jobs []MACJob) {
 				for live > 0 && b.plans[live-1].n == s+1 {
 					live--
 					job := b.plans[live].job
-					job.OK = tagMatches(job.Tag, &b.lanes[live].state)
+					if sum {
+						copy(job.Tag, b.lanes[live].state[:])
+					} else {
+						job.OK = tagMatches(job.Tag, &b.lanes[live].state)
+					}
 				}
 			}
 		}

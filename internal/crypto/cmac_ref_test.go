@@ -164,8 +164,9 @@ func segment(rng *rand.Rand, msg []byte, max int) [][]byte {
 // inputs drawn from rng: one message of msgLen bytes under a key of
 // keyLen bytes, cut at random; one batch of mixed lengths and keys, and
 // one of runs of same-length, same-cut messages (the groups whose runs
-// line up), both with some tags one bit off; and that batch once more in
-// another order, which must permute the verdicts and nothing else.
+// line up), both with some tags one bit off, verified and then summed;
+// and that batch once more in another order, which must permute the
+// verdicts and nothing else.
 func checkDifferential(t *testing.T, rng *rand.Rand, keyLen, msgLen int) {
 	t.Helper()
 	key := make([]byte, keyLen)
@@ -236,11 +237,44 @@ func checkDifferential(t *testing.T, rng *rand.Rand, keyLen, msgLen int) {
 			}
 		}
 	}
+	// sum runs the tag-writing pass over the batch's messages into
+	// fresh tags of the same lengths: every tag must be what
+	// SumTruncated writes, and Verify must then accept every one.
+	sum := func(what string) {
+		t.Helper()
+		summed := make([]MACJob, len(jobs))
+		for j := range jobs {
+			summed[j] = jobs[j]
+			summed[j].Tag = make([]byte, len(jobs[j].Tag))
+			rng.Read(summed[j].Tag)
+			summed[j].OK = j%2 == 0 // Sum must leave it alone
+		}
+		var b MACBatch
+		b.Sum(summed)
+		var want [aes.BlockSize]byte
+		for j := range summed {
+			job := &summed[j]
+			if err := job.MAC.SumTruncated(want[:], len(job.Tag), job.Msg[0], job.Msg[1]); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(job.Tag, want[:len(job.Tag)]) || job.OK != (j%2 == 0) {
+				t.Fatalf("%s of %d, Sum job %d (len %d+%d): tag %x, OK %v; SumTruncated %x",
+					what, len(summed), j, len(job.Msg[0]), len(job.Msg[1]), job.Tag, job.OK, want[:len(job.Tag)])
+			}
+		}
+		b.Verify(summed)
+		for j := range summed {
+			if !summed[j].OK {
+				t.Fatalf("%s of %d: Verify rejected the tag Sum wrote for job %d", what, len(summed), j)
+			}
+		}
+	}
 	for range 1 + rng.Intn(3*maxLanes) {
 		jlen := length()
 		add(jlen, rng.Intn(jlen+1))
 	}
 	check("mixed batch")
+	sum("mixed batch")
 
 	jobs, flipped = nil, nil
 	for range 1 + rng.Intn(4) {
@@ -251,6 +285,7 @@ func checkDifferential(t *testing.T, rng *rand.Rand, keyLen, msgLen int) {
 		}
 	}
 	check("batch of runs")
+	sum("batch of runs")
 	verdicts := make([]bool, len(jobs))
 	for j := range jobs {
 		verdicts[j] = jobs[j].OK

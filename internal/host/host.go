@@ -88,7 +88,11 @@ type Config struct {
 type Host struct {
 	cfg  Config
 	port *netsim.Port
-	mac  *wire.PacketMAC
+	// mac is set once, by New: a frame waiting in macs is MACed under
+	// the key its host held when it sent it.
+	mac *wire.PacketMAC
+	// macs is the packet-MAC batch of port's simulator (sendMACs).
+	macs *sendMACs
 	// ctl is the kHA AEAD of the host's MS requests and replies (request
 	// direction, 0; opening ignores the direction). It is built once and
 	// seals only through SealOnce (DESIGN §8, "Nonces").
@@ -226,6 +230,7 @@ func New(cfg Config) (*Host, error) {
 // Attach binds the host to a network port (its access link).
 func (h *Host) Attach(p *netsim.Port) {
 	h.port = p
+	h.macs = sendMACsOf(p.Sim())
 	p.Attach(h, fmt.Sprintf("host:%v", h.cfg.HID))
 }
 
@@ -306,10 +311,11 @@ func (h *Host) Inbox() []Message {
 // send is the one way a packet leaves this stack. It builds the frame
 // once, in one buffer — header, then data (sealed under sess with the
 // header bound as additional data when sess is non-nil, as is
-// otherwise), then the packet MAC over both — and hands that buffer to
-// the access link. A send that is refused consumes nothing: attachment
-// and size are checked before the header nonce or an AEAD counter value
-// is drawn.
+// otherwise) — and hands that buffer to the access link, after adding
+// it to the simulator's sendMACs, which writes the packet MAC over both
+// before anything reads the frame. A send that is refused consumes
+// nothing: attachment and size are checked before the header nonce or
+// an AEAD counter value is drawn.
 func (h *Host) send(proto wire.NextProto, flags uint8, src ephid.EphID, dst wire.Endpoint, data []byte, sess *session.Session) error {
 	if h.port == nil {
 		return ErrNotAttached
@@ -338,10 +344,46 @@ func (h *Host) send(proto wire.NextProto, flags uint8, src ephid.EphID, dst wire
 			return err
 		}
 	}
-	h.mac.Apply(frame)
+	h.macs.add(h.mac, frame)
 	h.port.Forward(frame)
 	h.stats.Sent++
 	return nil
+}
+
+// sendMACs is the packet-MAC batch of all the host stacks attached to
+// one simulator. send adds each frame to it instead of MACing the frame
+// itself, and the first frame of an instant Defers the batch, so the
+// simulator MACs every frame sent at that instant in one
+// wire.MACBatch pass before any of them can be read. A lone frame is a
+// batch of one.
+type sendMACs struct {
+	sim   *netsim.Simulator
+	batch wire.MACBatch
+	armed bool // deferred, and not settled since
+}
+
+// sendMACsKey is what a simulator keeps its sendMACs under.
+type sendMACsKey struct{}
+
+// sendMACsOf returns the sendMACs of sim, made on first use.
+func sendMACsOf(sim *netsim.Simulator) *sendMACs {
+	return sim.Shared(sendMACsKey{}, func() any { return &sendMACs{sim: sim} }).(*sendMACs)
+}
+
+// add queues frame to be MACed under mac.
+func (m *sendMACs) add(mac *wire.PacketMAC, frame []byte) {
+	if !m.armed {
+		m.armed = true
+		m.sim.Defer(m)
+	}
+	m.batch.Add(mac, frame)
+}
+
+// Settle implements netsim.Settler: it MACs every queued frame.
+func (m *sendMACs) Settle() {
+	m.batch.Apply()
+	m.batch.Reset(0)
+	m.armed = false
 }
 
 // SendRaw sends an arbitrary protocol payload (service replies).

@@ -116,6 +116,9 @@ func (p *Port) Attach(owner Handler, label string) {
 	p.label = label
 }
 
+// Sim returns the simulator the port's link belongs to.
+func (p *Port) Sim() *Simulator { return p.link.sim }
+
 // Owner returns the attached handler (nil if unattached).
 func (p *Port) Owner() Handler { return p.owner }
 
@@ -151,6 +154,7 @@ func (p *Port) transmit(frame []byte, owned bool) {
 	// The copies below are what a wiretap, Send and a duplicating link
 	// cost; a router Forwarding over a plain link makes none of them.
 	for _, tap := range l.taps { //apna:coldpath
+		l.sim.settle()
 		tap(append([]byte(nil), frame...), p)
 	}
 	buf := frame
@@ -160,6 +164,7 @@ func (p *Port) transmit(frame []byte, owned bool) {
 	p.deliver(buf)
 	if l.chaos.DupProb > 0 && l.sim.faultChance(l.name, FaultDup, l.chaos.DupProb) { //apna:coldpath
 		l.stats.Duplicated++
+		l.sim.settle()
 		p.deliver(append([]byte(nil), frame...))
 	}
 }

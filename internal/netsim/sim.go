@@ -27,6 +27,13 @@
 //   - Taps and duplicates get copies. Every tap receives its own copy at
 //     send time, and a duplicating chaos link copies for the second
 //     delivery, so no two receivers ever share a backing array.
+//   - A frame's bytes are final before any handler, tap or duplicate
+//     sees them. A sender may hand a frame over with bytes still to be
+//     written (a host's packet MAC, which the hosts of one simulator
+//     write for all the frames they send at one instant in one pass)
+//     and Defer that work: the simulator runs deferred work before it
+//     executes any queued event or fires any timer, nested Steps
+//     included, and before a tap or a duplicating link copies a frame.
 //
 // # Runs
 //
@@ -74,6 +81,11 @@ type Simulator struct {
 	// handler that steps the simulator itself gets a nested run its own.
 	runFrames [][]byte
 	runFrom   []*Port
+
+	// The work deferred to the next settle point (Defer), and the
+	// values the simulation's components share (Shared).
+	unsettled []Settler
+	shared    map[any]any
 
 	// Fault capture/replay state (see faults.go). At most one of
 	// faultCap/faultReplay is non-nil.
@@ -128,10 +140,59 @@ func (s *Simulator) enqueue(delay time.Duration, ev event) {
 	s.queue.push(ev)
 }
 
+// Settler is work on frames already handed to the simulator, such as
+// bytes still to be written into them, that must be done before
+// anything reads them.
+type Settler interface {
+	Settle()
+}
+
+// Defer has w settled at the next settle point: before the simulator
+// executes any queued event or fires any timer, and before a tap or a
+// duplicating link copies a frame. w is settled once per Defer; work
+// added to it afterwards needs another Defer. Defer does not allocate
+// once the simulator has seen as many settlers deferred at once.
+func (s *Simulator) Defer(w Settler) {
+	s.unsettled = append(s.unsettled, w)
+}
+
+// settle is a settle point: it runs the work deferred since the last.
+func (s *Simulator) settle() {
+	if len(s.unsettled) > 0 {
+		s.settleAll()
+	}
+}
+
+// settleAll is settle's slow path, kept apart so that settle inlines.
+func (s *Simulator) settleAll() {
+	for i := 0; i < len(s.unsettled); i++ {
+		s.unsettled[i].Settle()
+	}
+	clear(s.unsettled)
+	s.unsettled = s.unsettled[:0]
+}
+
+// Shared returns the value the simulator keeps under key, made by mk
+// the first time key is asked for. It is how the components of one
+// simulation share state, such as the hosts' packet-MAC batch, without
+// a global: simulators on different goroutines share nothing.
+func (s *Simulator) Shared(key any, mk func() any) any {
+	v, ok := s.shared[key]
+	if !ok {
+		if s.shared == nil {
+			s.shared = make(map[any]any)
+		}
+		v = mk()
+		s.shared[key] = v
+	}
+	return v
+}
+
 // runNext pops and executes the earliest queued event and returns how
 // many events that was: one, unless the event opens a run (see the
 // package comment), which is executed whole or up to budget frames.
 func (s *Simulator) runNext(budget int) int {
+	s.settle()
 	ev := s.queue.pop()
 	s.now = ev.at
 	s.events++
@@ -214,6 +275,7 @@ func (s *Simulator) dueTimer(at time.Duration) *Timer {
 // fireTimer advances the clock to the timer's deadline, runs its
 // callback, and reschedules the next occurrence.
 func (s *Simulator) fireTimer(t *Timer) {
+	s.settle()
 	s.now = t.due
 	s.events++
 	t.due += t.interval

@@ -68,10 +68,10 @@ func (m *PacketMAC) Verify(frame []byte) bool {
 	return m.cmac.Verify(frame[offMAC:offMAC+MACSize], staged, rest)
 }
 
-// MACBatch verifies the packet MACs of many frames together, so that
-// their independent CMAC chains run interleaved (crypto.MACBatch) rather
-// than one after the other. It is scratch, reused from batch to batch,
-// and not safe for concurrent use.
+// MACBatch verifies (Verify) or applies (Apply) the packet MACs of many
+// frames together, so that their independent CMAC chains run
+// interleaved (crypto.MACBatch) rather than one after the other. It is
+// scratch, reused from batch to batch, and not safe for concurrent use.
 type MACBatch struct {
 	jobs  []crypto.MACJob
 	heads [][macHeadSize]byte
@@ -88,8 +88,8 @@ func (b *MACBatch) Reset(n int) {
 	b.jobs, b.heads = b.jobs[:0], b.heads[:0]
 }
 
-// Add queues frame to be verified under m. Neither may change until
-// Verify has returned.
+// Add queues frame to be verified, or MACed, under m. Neither may
+// change until Verify or Apply has returned.
 func (b *MACBatch) Add(m *PacketMAC, frame []byte) {
 	i := len(b.jobs)
 	if i == cap(b.jobs) || i == cap(b.heads) { //apna:coldpath
@@ -107,6 +107,10 @@ func (b *MACBatch) Add(m *PacketMAC, frame []byte) {
 
 // Verify checks every queued frame; OK then reports the outcomes.
 func (b *MACBatch) Verify() { b.lanes.Verify(b.jobs) }
+
+// Apply writes every queued frame's MAC into its MAC field, as
+// PacketMAC.Apply does frame by frame.
+func (b *MACBatch) Apply() { b.lanes.Sum(b.jobs) }
 
 // OK reports whether the i-th frame added since Reset carried a valid
 // MAC. It is meaningful only after Verify.

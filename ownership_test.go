@@ -235,6 +235,63 @@ func TestEvidenceFromRawVerifiesAfterFurtherTraffic(t *testing.T) {
 	}
 }
 
+// TestSendAsyncFramesMACedOnTheWire sends from outside any event, the
+// way an application drives the facade, and taps both access links: the
+// sender's frame is MACed by the time the first tap copies it, and the
+// same bytes reach the receiver's link, where the sender's MAC still
+// verifies.
+func TestSendAsyncFramesMACedOnTheWire(t *testing.T) {
+	in, err := New(1, WithAS(1, "a"), WithAS(2, "b"), WithLink(1, 2, time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := in.Host("a"), in.Host("b")
+	idA, err := a.NewEphID(KindData, 900)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idB, err := b.NewEphID(KindData, 900)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := a.Connect(idA, &idB.Cert, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := a.Stack.Config().Keys
+	mac, err := wire.NewPacketMAC(keys.MAC[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sent, delivered int
+	a.link.AddTap(func(frame []byte, from *netsim.Port) {
+		if from == a.link.B() {
+			if !mac.Verify(frame) {
+				t.Errorf("the sender's access link carried frame %d without a valid MAC", sent)
+			}
+			sent++
+		}
+	})
+	b.link.AddTap(func(frame []byte, from *netsim.Port) {
+		if from == b.link.A() {
+			if !mac.Verify(frame) {
+				t.Errorf("the receiver's access link carried frame %d without the sender's MAC", delivered)
+			}
+			delivered++
+		}
+	})
+	ops := make([]Op, 3)
+	for i := range ops {
+		ops[i] = a.SendAsync(conn, []byte(fmt.Sprint("message ", i)))
+	}
+	if err := in.AwaitAll(ops...); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Stack.Inbox(); len(got) != len(ops) || sent != len(ops) || delivered != len(ops) {
+		t.Fatalf("%d sent, %d delivered, %d in the inbox; want %d each", sent, delivered, len(got), len(ops))
+	}
+}
+
 // TestSendAllocCeiling pins the host data path's allocation budget: one
 // message through the facade — SendAsync, the simulator, both routers,
 // the peer's inbox — costs the frame, the plaintext, the inbox slice and

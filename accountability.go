@@ -16,23 +16,19 @@ import (
 // their *own* AS, which verifies the complaint and carries the shutoff
 // across the border to the offender's AS; the offender's AS answers
 // with a signed receipt and floods revocation digests so every border
-// in the internet drops the revoked sender's frames. Host.Complain /
-// ComplainAsync file complaints; the WithDissemination option turns on
-// periodic digest dissemination; OnAccountability observes the whole
-// plane.
+// in the internet drops the revoked sender's frames. Host.ComplainAsync
+// files a complaint (AwaitResult waits for its receipt); the
+// WithDissemination option turns on periodic digest dissemination;
+// OnAccountability observes the whole plane.
 
 // Re-exported inter-domain accountability types.
 type (
 	// ShutoffReceipt is the source AS's signed answer to a cross-AS
 	// shutoff request, verified end-to-end against its RPKI key.
 	ShutoffReceipt = accountability.Receipt
-	// ShutoffStatus classifies a receipt's outcome.
-	ShutoffStatus = accountability.Status
 	// AcctEvent is one accountability-plane action (complaint, forward,
 	// shutoff, receipt, digest flush/install).
 	AcctEvent = accountability.Event
-	// AcctStats counts one AS engine's accountability-plane activity.
-	AcctStats = accountability.Stats
 	// DisseminationMode selects how digests travel between ASes.
 	DisseminationMode = accountability.Mode
 )
@@ -49,19 +45,9 @@ const (
 	DisseminateRelay = accountability.ModeRelay
 )
 
-// Re-exported receipt statuses.
-const (
-	// ShutoffRevoked: the EphID was revoked by this request.
-	ShutoffRevoked = accountability.StatusRevoked
-	// ShutoffAlreadyRevoked: the EphID (or its host) was already
-	// revoked — a no-op receipt.
-	ShutoffAlreadyRevoked = accountability.StatusAlreadyRevoked
-	// ShutoffExpiredNoOp: the EphID had already expired — a no-op
-	// receipt.
-	ShutoffExpiredNoOp = accountability.StatusExpiredNoOp
-	// ShutoffRejected: the complaint failed verification.
-	ShutoffRejected = accountability.StatusRejected
-)
+// ShutoffRevoked is the receipt status of a complaint that revoked the
+// EphID.
+const ShutoffRevoked = accountability.StatusRevoked
 
 // ErrComplaintRejected means the accountability plane closed a
 // complaint without a receipt: the victim-side agent refused to forward
@@ -141,12 +127,6 @@ func (h *Host) ComplainAsync(m host.Message) *Pending[*ShutoffReceipt] {
 	p.onIdleAbandon = func() { delete(h.complaints, key) }
 	h.as.in.registerLive(p)
 	return p
-}
-
-// Complain synchronously files a complaint and returns the offending
-// AS's verified receipt.
-func (h *Host) Complain(m host.Message) (*ShutoffReceipt, error) {
-	return AwaitResult(h.as.in, h.ComplainAsync(m))
 }
 
 // handleComplaintAck resolves complaint futures from MsgComplaintAck

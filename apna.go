@@ -66,10 +66,10 @@ import (
 	"apna/internal/wire"
 )
 
-// Re-exported types so consumers outside this module (which cannot
-// import the internal packages) can name every value the facade hands
-// out — identifiers, certificates, connections, messages, and the host
-// stack itself.
+// Re-exported types: the facade's own signatures name these, so a
+// caller of the facade can write the values it hands out — identifiers,
+// certificates, connections and messages — without spelling the
+// internal package each comes from.
 type (
 	// AID identifies an AS.
 	AID = ephid.AID
@@ -77,8 +77,6 @@ type (
 	HID = ephid.HID
 	// EphID is the 16-byte ephemeral identifier.
 	EphID = ephid.EphID
-	// Kind classifies how an EphID is used.
-	Kind = ephid.Kind
 	// Endpoint is a routable AID:EphID address.
 	Endpoint = wire.Endpoint
 	// Cert is an AS-issued EphID certificate.
@@ -89,31 +87,17 @@ type (
 	Conn = host.Conn
 	// Message is application data delivered by a host stack.
 	Message = host.Message
-	// Stack is the underlying protocol stack behind a facade Host.
-	Stack = host.Host
-	// Granularity selects how a host assigns EphIDs to traffic
-	// (Section VIII-A), used with Stack.Acquire.
-	Granularity = host.Granularity
 )
 
-// Re-exported EphID granularities (Section VIII-A) so external
-// consumers can drive Stack.Acquire — per-flow pools are the surface
+// PerFlow is the EphID granularity (Section VIII-A) that gives every
+// connection a fresh EphID, released by Conn.Close — the per-flow pools
 // the lifecycle engine (WithLifetimes) keeps fed.
-const (
-	// PerHost: one EphID for everything.
-	PerHost = host.PerHost
-	// PerFlow: a fresh EphID per connection, released by Conn.Close.
-	PerFlow = host.PerFlow
-	// PerApplication: one EphID per application label.
-	PerApplication = host.PerApplication
-)
+const PerFlow = host.PerFlow
 
 // Re-exported EphID kinds (Section VIII-A / VII-A of the paper).
 const (
 	// KindData is a data-plane EphID for regular communication.
 	KindData = ephid.KindData
-	// KindControl is issued at bootstrap to reach AS services.
-	KindControl = ephid.KindControl
 	// KindReceiveOnly marks an EphID that is only ever a destination.
 	KindReceiveOnly = ephid.KindReceiveOnly
 )

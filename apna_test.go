@@ -446,7 +446,7 @@ func TestRevocationGC(t *testing.T) {
 	}
 	// Long after the EphID expires, GC clears the entry.
 	w.in.RunFor(2 * time.Hour)
-	if n := w.in.AS(100).GCRevocations(); n != 1 {
+	if n := w.in.AS(100).Router.Revoked().GC(w.in.Sim.NowUnix()); n != 1 {
 		t.Errorf("GC removed %d entries", n)
 	}
 }

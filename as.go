@@ -359,15 +359,6 @@ func (as *AS) ServiceEndpoints() (msEp, dnsEp, aaEp Endpoint) {
 		wire.Endpoint{AID: as.AID, EphID: as.aaID.EphID}
 }
 
-// GCRevocations removes expired entries from the router's revocation
-// list (Section VIII-G2), returning the number removed. This is the
-// manual hook for tests and diagnostics; production topologies run the
-// same reap on the lifecycle engine's timer (WithLifetimes), which also
-// reaps the hostdb.
-func (as *AS) GCRevocations() int {
-	return as.Router.Revoked().GC(as.in.Sim.NowUnix())
-}
-
 // runGC is one scheduled lifecycle GC pass over this AS: expired
 // local and remote revocation-list entries plus revoked host_info
 // entries older than the retention window. It returns the revocation
@@ -382,7 +373,3 @@ func (as *AS) runGC(retention int64) (revocations, hosts int) {
 // exercise the data plane directly. Production code paths never hand
 // the sealer outside the AS's own infrastructure.
 func (as *AS) Sealer() *ephid.Sealer { return as.node.Sealer }
-
-// Secret exposes the AS master secret for benchmark composition (e.g.
-// signing revocation orders in ablation tests).
-func (as *AS) Secret() *crypto.ASSecret { return as.node.Secret }

@@ -13,28 +13,19 @@ import (
 // the invariant checker they form the adversarial conformance harness
 // the scenario layer (E7) drives.
 
-// Re-exported adversary types so external consumers can name them.
+// Re-exported chaos types so a topology description can name them.
 type (
 	// ChaosConfig describes chaotic link behaviour (jitter,
 	// duplication, reordering, loss, timed partitions).
 	ChaosConfig = netsim.ChaosConfig
 	// ChaosInterval is a virtual-time window, used for partitions.
 	ChaosInterval = netsim.Interval
-	// AttackKind classifies an injected attack frame.
-	AttackKind = adversary.Kind
-	// Compromised is a stolen host identity (MAC key + EphID).
-	Compromised = adversary.Compromised
 )
 
 // Re-exported attack kinds.
 const (
-	AttackForged      = adversary.KindForged
-	AttackExpired     = adversary.KindExpired
-	AttackForeign     = adversary.KindForeign
-	AttackSpoof       = adversary.KindSpoof
 	AttackReplay      = adversary.KindReplay
 	AttackPostShutoff = adversary.KindPostShutoff
-	AttackFraming     = adversary.KindFraming
 )
 
 // attackerHIDBase keeps rogue-device port registrations clear of the

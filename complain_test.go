@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"apna"
+	"apna/internal/accountability"
 	"apna/internal/border"
 	"apna/internal/ephid"
 )
@@ -49,7 +50,7 @@ func TestComplainCrossASRevokesAndDisseminates(t *testing.T) {
 		t.Fatalf("victim inbox %d, want 1", len(msgs))
 	}
 
-	rcpt, err := victim.Complain(msgs[0])
+	rcpt, err := apna.AwaitResult(in, victim.ComplainAsync(msgs[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +90,11 @@ func TestComplainCrossASRevokesAndDisseminates(t *testing.T) {
 
 	// A repeated complaint about the same offender is idempotent: a
 	// no-op receipt, not a second strike.
-	rcpt2, err := victim.Complain(msgs[0])
+	rcpt2, err := apna.AwaitResult(in, victim.ComplainAsync(msgs[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rcpt2.Status != apna.ShutoffAlreadyRevoked {
+	if rcpt2.Status != accountability.StatusAlreadyRevoked {
 		t.Fatalf("second receipt status %v, want already-revoked", rcpt2.Status)
 	}
 	if got := in.AS(100).Acct.Stats().Revocations; got != 1 {
@@ -192,7 +193,7 @@ func TestComplainLocalOffender(t *testing.T) {
 	if len(msgs) != 1 {
 		t.Fatalf("inbox %d, want 1", len(msgs))
 	}
-	rcpt, err := b.Complain(msgs[0])
+	rcpt, err := apna.AwaitResult(in, b.ComplainAsync(msgs[0]))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -425,52 +425,6 @@ func TestDialRetryAfterAbandonedDial(t *testing.T) {
 	}
 }
 
-// TestAwaitWithinDeadline: an operation that cannot complete within the
-// virtual deadline resolves to ErrTimeout, and the clock lands on the
-// deadline.
-func TestAwaitWithinDeadline(t *testing.T) {
-	in, err := New(1,
-		WithAS(100, "alice"),
-		WithAS(200, "bob"),
-		WithLink(100, 200, 50*time.Millisecond),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alice, bob := in.Host("alice"), in.Host("bob")
-	pa, pb := alice.NewEphIDAsync(ephid.KindData, 3600), bob.NewEphIDAsync(ephid.KindData, 3600)
-	if err := in.AwaitAll(pa, pb); err != nil {
-		t.Fatal(err)
-	}
-	idA, _ := pa.Result()
-	idB, _ := pb.Result()
-
-	// The handshake needs a full 100 ms RTT plus access links; 20 ms of
-	// virtual time cannot cover it.
-	dial := alice.ConnectAsync(idA, &idB.Cert, nil)
-	start := in.Sim.Now()
-	if err := in.AwaitWithin(20*time.Millisecond, dial); err != ErrTimeout {
-		t.Fatalf("AwaitWithin = %v, want ErrTimeout", err)
-	}
-	if dial.Done() {
-		t.Error("dial resolved despite the deadline")
-	}
-	if _, err := dial.Result(); err != ErrPending {
-		t.Errorf("Result() err = %v, want ErrPending", err)
-	}
-	if got := in.Sim.Now() - start; got != 20*time.Millisecond {
-		t.Errorf("clock advanced %v, want exactly the deadline", got)
-	}
-
-	// The operation is not poisoned: a longer await completes it.
-	if err := in.AwaitAll(dial); err != nil {
-		t.Fatalf("AwaitAll after deadline: %v", err)
-	}
-	if conn, err := dial.Result(); err != nil || !conn.Established() {
-		t.Errorf("conn after retry: %v %v", conn, err)
-	}
-}
-
 // TestConcurrentResolves: two hosts resolve different names over
 // encrypted DNS sessions at the same time; the flow taps keep the
 // responses from cross-contaminating inboxes.

@@ -1,13 +1,10 @@
 package apna
 
-import (
-	"errors"
-	"time"
-)
+import "errors"
 
 // ErrPending is returned by Pending.Result before the operation has
-// resolved. Drive the simulator with Internet.AwaitAll or
-// AwaitWithin first.
+// resolved. Drive the simulator with Internet.AwaitAll or AwaitResult
+// first.
 var ErrPending = errors.New("apna: operation still pending")
 
 // Op is a pending protocol operation as seen by the Await drivers. All
@@ -124,18 +121,6 @@ const awaitBudget = 1 << 22
 // shared timeline, letting handshakes, data transfers and revocations
 // interleave exactly as their packet timings dictate.
 func (in *Internet) AwaitAll(ops ...Op) error {
-	return in.await(0, false, ops)
-}
-
-// AwaitWithin is AwaitAll with a virtual-time deadline d relative to the
-// current simulator clock: events beyond the deadline stay queued, the
-// clock advances to the deadline, and unresolved operations make it
-// return ErrTimeout.
-func (in *Internet) AwaitWithin(d time.Duration, ops ...Op) error {
-	return in.await(in.Sim.Now()+d, true, ops)
-}
-
-func (in *Internet) await(deadline time.Duration, bounded bool, ops []Op) error {
 	// next is a cursor over ops: everything before it is done. Checking
 	// only ops[next] per event keeps the loop O(events + ops) instead
 	// of rescanning the whole batch after every event.
@@ -147,11 +132,9 @@ func (in *Internet) await(deadline time.Duration, bounded bool, ops []Op) error 
 		if next == len(ops) {
 			break
 		}
-		at, ok := in.Sim.PeekNext()
-		if !ok || (bounded && at > deadline) {
+		if !in.Sim.Step() {
 			break
 		}
-		in.Sim.Step()
 	}
 	idle := in.Sim.Pending() == 0
 	for _, op := range ops {
@@ -163,15 +146,6 @@ func (in *Internet) await(deadline time.Duration, bounded bool, ops []Op) error 
 		in.pruneLive()
 	}
 	if !allDone(ops) {
-		if bounded && in.Sim.Now() < deadline {
-			// The deadline passed with the operation unresolved; the
-			// clock still owes the wait. (Skipped when the step budget
-			// stopped us — then events at or before the deadline remain
-			// and the timeline is livelocked, not slow.)
-			if at, ok := in.Sim.PeekNext(); !ok || at > deadline {
-				in.Sim.RunUntil(deadline)
-			}
-		}
 		return ErrTimeout
 	}
 	return nil
@@ -231,8 +205,8 @@ func (in *Internet) settleLive() {
 }
 
 // pruneLive drops resolved operations from the registry so workloads
-// that never fully quiesce (continuous background traffic driven by
-// AwaitWithin) do not grow it without bound.
+// that never fully quiesce (continuous background traffic, or an
+// AwaitAll stopped by its event budget) do not grow it without bound.
 func (in *Internet) pruneLive() {
 	kept := in.live[:0]
 	for _, op := range in.live {

@@ -47,7 +47,7 @@ type Host struct {
 	// dnsCache is the host-side verified resolution cache (positive and
 	// negative) behind LookupAsync; dnsStats counts its activity.
 	dnsCache *dns.Cache
-	dnsStats DNSStats
+	dnsStats dnsStats
 }
 
 // pingKey identifies an in-flight echo probe.
@@ -209,10 +209,8 @@ func (h *Host) Connect(local *host.OwnedEphID, peerCert *cert.Cert, data0RTT []b
 // until establishment if necessary) without driving the simulator. The
 // returned future is idle-resolved: it completes when an Await drains
 // the timeline, i.e. when the network has fully processed the
-// transmission. Under AwaitWithin, a send settles only if the timeline
-// actually quiesces by the deadline — unrelated traffic scheduled past
-// the deadline keeps it pending even if its own packets were long
-// delivered, so await sends with the unbounded drivers.
+// transmission. Unrelated traffic that keeps the timeline busy keeps a
+// send pending even after its own packets were delivered.
 func (h *Host) SendAsync(conn *host.Conn, data []byte) *Pending[struct{}] {
 	if err := conn.Send(data); err != nil {
 		return failedPending[struct{}](err)

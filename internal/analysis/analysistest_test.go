@@ -149,10 +149,16 @@ func TestDirectives(t *testing.T) {
 	runWant(t, "directives", "apna/example/directives", Directives)
 }
 
+// TestDeadexport runs the analyzer on testdata/deadexport, a module of
+// its own, so the pass holds the whole module. The analyzer covers
+// every package of the module, so the same findings must come whether
+// the synthetic import path lies under internal/ or not.
 func TestDeadexport(t *testing.T) {
-	// testdata/deadexport is a module of its own, so the pass holds the
-	// whole module; the synthetic path puts it under internal/.
-	runWant(t, "deadexport", "apna/internal/deadexport", Deadexport)
+	for _, path := range []string{"apna/internal/deadexport", "apna/deadexport"} {
+		t.Run(strings.ReplaceAll(path, "/", "_"), func(t *testing.T) {
+			runWant(t, "deadexport", path, Deadexport)
+		})
+	}
 }
 
 // copyDeadexport copies testdata/deadexport into a fresh directory,

@@ -12,10 +12,11 @@ import (
 	"strings"
 )
 
-// Deadexport keeps internal/ to what production calls. The module path
+// Deadexport keeps the module to what production calls. The module path
 // is "apna", which nothing outside this repository can import, so the
 // module is a closed world: an exported name declared in a non-test
-// file under internal/ that no non-test file of the module references
+// file of any of its packages — the root facade, cmd/, examples/ and
+// internal/ alike — that no non-test file of the module references
 // (outside its own declaration) is code only tests keep alive. Each
 // finding is resolved by deleting the name, moving it into a _test.go
 // file of its package, or — when a test in another package observes
@@ -31,7 +32,7 @@ import (
 // on the next run after the first is deleted.
 var Deadexport = &Analyzer{
 	Name: "deadexport",
-	Doc:  "report exported names in internal/ that no non-test code of the module uses",
+	Doc:  "report exported names that no non-test code of the module uses",
 	Run:  runDeadexport,
 }
 
@@ -53,9 +54,6 @@ func runDeadexport(pass *Pass) error {
 	}
 	ifaces := interfacesByMethod(pass.Packages)
 	for _, pkg := range pass.Packages {
-		if !internalPath(pkg.ImportPath) {
-			continue
-		}
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
 				for _, d := range exportedDecls(pkg, decl) {
@@ -289,12 +287,6 @@ func satisfiesInterface(fn *types.Func, ifaces map[string][]*types.Interface) bo
 		}
 	}
 	return false
-}
-
-// internalPath reports whether the import path lies under an internal/
-// directory.
-func internalPath(path string) bool {
-	return strings.Contains("/"+path+"/", "/internal/")
 }
 
 // wholeModule reports whether pkgs hold every package of the module

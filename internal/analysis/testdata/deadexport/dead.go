@@ -1,6 +1,7 @@
 // Package deadexport exercises the deadexport analyzer. Its go.mod
-// makes it a whole module on its own, so the analyzer runs on it; it
-// loads as apna/internal/deadexport, inside the analyzer's scope.
+// makes it a whole module on its own, so the analyzer runs on it. The
+// analyzer covers every package of the module, so the findings are the
+// same whether it loads under internal/ or not.
 package deadexport
 
 import "fmt"

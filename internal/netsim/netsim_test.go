@@ -354,19 +354,6 @@ func TestTimerSweepsIdleGapsUnderRunUntil(t *testing.T) {
 	}
 }
 
-func TestTimerStop(t *testing.T) {
-	s := New(1)
-	fired := 0
-	tm := s.Every(10*time.Second, func() { fired++ })
-	s.RunUntil(15 * time.Second)
-	tm.Stop()
-	tm.Stop() // idempotent
-	s.RunUntil(100 * time.Second)
-	if fired != 1 {
-		t.Errorf("fired %d after stop, want 1", fired)
-	}
-}
-
 // TestTimerCallbackSchedulesEvents: a timer that schedules real work
 // (the renewal pattern) has that work executed in the same sweep.
 func TestTimerCallbackSchedulesEvents(t *testing.T) {

@@ -13,8 +13,8 @@ import (
 // timers in plain slices and finds the next one by sorting on
 // (time, seq): no heap, nothing to get wrong. Both run the same
 // self-extending schedule — closures and frame deliveries, ties on
-// purpose, events that schedule events and stop timers from inside
-// their handlers — under the same random mix of Step, Run and RunUntil,
+// purpose, events that schedule events from inside their handlers —
+// under the same random mix of Step, Run and RunUntil,
 // and must agree on every return value, on the clock, and on the order
 // and time of everything that ran.
 
@@ -48,15 +48,6 @@ func (r *refSim) schedule(delay time.Duration, id int) {
 func (r *refSim) every(interval time.Duration, id int) {
 	r.seq++
 	r.timers = append(r.timers, &refTimer{due: r.now + interval, interval: interval, seq: r.seq, id: id})
-}
-
-func (r *refSim) stop(id int) {
-	for i, t := range r.timers {
-		if t.id == id {
-			r.timers = append(r.timers[:i], r.timers[i+1:]...)
-			return
-		}
-	}
 }
 
 // sortQueues puts the next event and the next timer first.
@@ -168,16 +159,12 @@ type child struct {
 	delay time.Duration
 }
 
-func (w queueWorkload) children(id int) (out []child, stopTimer int) {
+func (w queueWorkload) children(id int) (out []child) {
 	r := w.rng(id)
 	for n := r.Intn(4); n > 0; n-- { // mean 1.5: the schedule grows until maxIDs caps it
 		out = append(out, child{frame: r.Intn(3) == 0, delay: queueDelays[r.Intn(len(queueDelays))] * time.Millisecond})
 	}
-	stopTimer = -1
-	if id > 0 && id%97 == 0 {
-		stopTimer = (id / 97) % queueTimers
-	}
-	return out, stopTimer
+	return out
 }
 
 func TestEventQueueMatchesSortedReference(t *testing.T) {
@@ -190,7 +177,6 @@ func TestEventQueueMatchesSortedReference(t *testing.T) {
 			link := sim.NewLink("q", w.latency, 0)
 			var gotLog []ran
 			gotIDs := 0
-			timers := make([]*Timer, queueTimers)
 			var body func(id int)
 			spawn := func(c child) {
 				if gotIDs >= w.maxIDs {
@@ -206,12 +192,8 @@ func TestEventQueueMatchesSortedReference(t *testing.T) {
 			}
 			body = func(id int) {
 				gotLog = append(gotLog, ran{id, sim.Now()})
-				kids, stop := w.children(id)
-				for _, c := range kids {
+				for _, c := range w.children(id) {
 					spawn(c)
-				}
-				if stop >= 0 {
-					timers[stop].Stop()
 				}
 			}
 			link.B().Attach(HandlerFunc(func(frame []byte, _ *Port) {
@@ -235,12 +217,8 @@ func TestEventQueueMatchesSortedReference(t *testing.T) {
 			}
 			ref.run = func(id int) {
 				wantLog = append(wantLog, ran{id, ref.now})
-				kids, stop := w.children(id)
-				for _, c := range kids {
+				for _, c := range w.children(id) {
 					refSpawn(c)
-				}
-				if stop >= 0 {
-					ref.stop(stop)
 				}
 			}
 
@@ -248,7 +226,7 @@ func TestEventQueueMatchesSortedReference(t *testing.T) {
 			for i := 0; i < queueTimers; i++ {
 				i := i
 				interval := time.Duration(i+1) * time.Millisecond
-				timers[i] = sim.Every(interval, func() {
+				sim.Every(interval, func() {
 					gotLog = append(gotLog, ran{-1 - i, sim.Now()})
 					spawn(child{delay: time.Millisecond})
 				})
@@ -273,10 +251,10 @@ func TestEventQueueMatchesSortedReference(t *testing.T) {
 					t.Fatalf("%s: now %v pending %d executed %d, model %v %d %d",
 						op, sim.Now(), sim.Pending(), sim.Events(), ref.now, len(ref.events), ref.executed)
 				}
-				if at, ok := sim.PeekNext(); ok {
+				if len(sim.queue) > 0 {
 					ref.sortQueues()
-					if at != ref.events[0].at {
-						t.Fatalf("%s: PeekNext %v, model %v", op, at, ref.events[0].at)
+					if at := sim.queue[0].at; at != ref.events[0].at {
+						t.Fatalf("%s: queue head at %v, model %v", op, at, ref.events[0].at)
 					}
 				}
 				if len(gotLog) != len(wantLog) {

@@ -228,16 +228,6 @@ func (s *Simulator) runNext(budget int) int {
 	return n
 }
 
-// PeekNext returns the timestamp of the earliest queued event, or false
-// if the queue is empty. Drivers that step the simulator toward a
-// deadline use it to stop before executing events past the deadline.
-func (s *Simulator) PeekNext() (time.Duration, bool) {
-	if len(s.queue) == 0 {
-		return 0, false
-	}
-	return s.queue[0].at, true
-}
-
 // Step executes the next event — a queued event or a recurring timer
 // firing, whichever is due first, and with a frame that opens a run the
 // rest of the run — returning false if the event queue is empty. Timers
@@ -265,7 +255,7 @@ func (s *Simulator) step(budget int) int {
 // event at some instant has run, no timer is due at or before that
 // instant until the clock moves on: the ones that were have fired and
 // moved past it, and a new one is first due a positive interval later.
-func (s *Simulator) dueTimer(at time.Duration) *Timer {
+func (s *Simulator) dueTimer(at time.Duration) *timer {
 	if s.timers.Len() == 0 || s.timers[0].due > at {
 		return nil
 	}
@@ -274,7 +264,7 @@ func (s *Simulator) dueTimer(at time.Duration) *Timer {
 
 // fireTimer advances the clock to the timer's deadline, runs its
 // callback, and reschedules the next occurrence.
-func (s *Simulator) fireTimer(t *Timer) {
+func (s *Simulator) fireTimer(t *timer) {
 	s.settle()
 	s.now = t.due
 	s.events++
@@ -333,51 +323,26 @@ func (s *Simulator) RunUntil(deadline time.Duration) int {
 	return n
 }
 
-// Timer is a recurring virtual-time callback created by Every. It fires
+// timer is a recurring virtual-time callback created by Every. It fires
 // interleaved with ordinary events in strict time order; see Step and
 // RunUntil for when due timers actually run.
-type Timer struct {
+type timer struct {
 	due      time.Duration
 	seq      uint64
-	index    int // heap position, -1 when stopped
 	interval time.Duration
 	fn       func()
-	queue    *timerQueue
 }
 
 // Every schedules fn to run every interval of virtual time, first at
-// now+interval. It panics on non-positive intervals (a zero-interval
-// timer would livelock the clock). Stop the returned Timer to cancel.
-func (s *Simulator) Every(interval time.Duration, fn func()) *Timer {
+// now+interval, for the rest of the simulation. It panics on
+// non-positive intervals (a zero-interval timer would livelock the
+// clock).
+func (s *Simulator) Every(interval time.Duration, fn func()) {
 	if interval <= 0 {
 		panic(fmt.Sprintf("netsim: non-positive timer interval %v", interval))
 	}
 	s.seq++
-	t := &Timer{due: s.now + interval, seq: s.seq, interval: interval, fn: fn, queue: &s.timers}
-	heap.Push(&s.timers, t)
-	return t
-}
-
-// Stop cancels the timer. Safe to call more than once.
-func (t *Timer) Stop() {
-	if t.index < 0 {
-		return
-	}
-	// The owning simulator's heap holds the timer; remove by index.
-	t.heapRemove()
-}
-
-// heapRemove detaches the timer from its queue. Timers keep their heap
-// index up to date through timerQueue's Swap, so removal is O(log n)
-// without a back-pointer to the simulator.
-func (t *Timer) heapRemove() {
-	q := t.queue
-	if q == nil || t.index < 0 {
-		return
-	}
-	heap.Remove(q, t.index)
-	t.index = -1
-	t.queue = nil
+	heap.Push(&s.timers, &timer{due: s.now + interval, seq: s.seq, interval: interval, fn: fn})
 }
 
 // Pending reports the number of queued events.
@@ -463,7 +428,7 @@ func (q *eventQueue) pop() event {
 
 // timerQueue is the min-heap of recurring timers, ordered like the
 // event queue (time, then creation sequence).
-type timerQueue []*Timer
+type timerQueue []*timer
 
 func (q timerQueue) Len() int { return len(q) }
 func (q timerQueue) Less(i, j int) bool {
@@ -472,22 +437,13 @@ func (q timerQueue) Less(i, j int) bool {
 	}
 	return q[i].seq < q[j].seq
 }
-func (q timerQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *timerQueue) Push(x any) {
-	t := x.(*Timer)
-	t.index = len(*q)
-	*q = append(*q, t)
-}
+func (q timerQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *timerQueue) Push(x any)   { *q = append(*q, x.(*timer)) }
 func (q *timerQueue) Pop() any {
 	old := *q
 	n := len(old)
 	t := old[n-1]
 	old[n-1] = nil
-	t.index = -1
 	*q = old[:n-1]
 	return t
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"apna/internal/host"
-	"apna/internal/netsim"
 )
 
 // The EphID lifecycle engine. APNA's privacy and accountability story
@@ -130,7 +129,6 @@ type Lifecycle struct {
 	cfg   Lifetimes
 	stats LifecycleStats
 
-	check, gc *netsim.Timer
 	// renewing guards against double renewal of one EphID. The guard is
 	// held from the renewal request until the predecessor is retired —
 	// not just while the request is in flight: the predecessor stays in
@@ -163,23 +161,13 @@ type migration struct {
 // startLifecycle starts the engine a WithLifetimes option asked for.
 func (in *Internet) startLifecycle(lt Lifetimes) {
 	lc := &Lifecycle{in: in, cfg: lt.withDefaults(), renewing: make(map[EphID]bool)}
-	lc.check = in.Sim.Every(lc.cfg.CheckInterval, lc.tick)
-	lc.gc = in.Sim.Every(lc.cfg.GCInterval, lc.gcTick)
+	in.Sim.Every(lc.cfg.CheckInterval, lc.tick)
+	in.Sim.Every(lc.cfg.GCInterval, lc.gcTick)
 	in.lifecycle = lc
 }
 
 // Lifecycle returns the running engine, or nil.
 func (in *Internet) Lifecycle() *Lifecycle { return in.lifecycle }
-
-// Stop cancels the engine's timers. In-flight renewals and migrations
-// still complete when their replies arrive; nothing new starts.
-func (lc *Lifecycle) Stop() {
-	lc.check.Stop()
-	lc.gc.Stop()
-	if lc.in.lifecycle == lc {
-		lc.in.lifecycle = nil
-	}
-}
 
 // Stats returns a copy of the engine's counters.
 func (lc *Lifecycle) Stats() LifecycleStats { return lc.stats }
@@ -374,28 +362,6 @@ func (lc *Lifecycle) gcTick() {
 		lc.stats.RevocationsReaped += uint64(rev)
 		lc.stats.HostsReaped += uint64(hosts)
 	}
-}
-
-// RenewAsync requests a successor for an EphID this host owns, through
-// the MS's rate-limited renewal path, without driving the simulator.
-// The future resolves with the installed successor; live flows on the
-// old identifier are NOT migrated — use the lifecycle engine
-// (WithLifetimes) for automatic migration, or Stack.Migrate directly.
-func (h *Host) RenewAsync(old *host.OwnedEphID, lifetime uint32) *Pending[*host.OwnedEphID] {
-	p := newPending[*host.OwnedEphID]()
-	err := h.Stack.RequestRenewal(old, lifetime, func(o *host.OwnedEphID, err error) {
-		p.complete(o, err)
-	})
-	if err != nil {
-		return failedPending[*host.OwnedEphID](err)
-	}
-	return p
-}
-
-// Renew synchronously renews an EphID, driving the simulator until the
-// successor arrives.
-func (h *Host) Renew(old *host.OwnedEphID, lifetime uint32) (*host.OwnedEphID, error) {
-	return AwaitResult(h.as.in, h.RenewAsync(old, lifetime))
 }
 
 // String renders an event for logs.

@@ -12,22 +12,23 @@ import (
 	"apna/internal/ms"
 )
 
-// lifecycleWorld builds a two-AS internet with the lifecycle engine
-// running and a server flow ready to dial: bob publishes a long-lived
-// data EphID, alice holds a pool of short-lived per-flow identifiers.
+// lifecycleWorld is a two-AS internet with a server flow ready to
+// dial: bob publishes a long-lived data EphID, alice holds a pool of
+// short-lived per-flow identifiers. The lifecycle engine runs when the
+// world was built with WithLifetimes; without it a test renews by
+// hand.
 type lifecycleWorld struct {
 	in         *Internet
 	alice, bob *Host
 	srv        *host.OwnedEphID
 }
 
-func newLifecycleWorld(t *testing.T, poolSize int, life uint32, lt Lifetimes) *lifecycleWorld {
+func newLifecycleWorld(t *testing.T, poolSize int, life uint32, opts ...TopologyOption) *lifecycleWorld {
 	t.Helper()
-	in, err := New(1,
+	in, err := New(1, append([]TopologyOption{
 		WithAS(100, "alice"),
 		WithAS(200, "bob"),
-		WithLink(100, 200, 10*time.Millisecond),
-		WithLifetimes(lt))
+		WithLink(100, 200, 10*time.Millisecond)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func newLifecycleWorld(t *testing.T, poolSize int, life uint32, lt Lifetimes) *l
 // the fourth dial starved with ErrNoEphID.
 func TestDialCloseRedialBeyondPoolSize(t *testing.T) {
 	const poolSize = 2
-	w := newLifecycleWorld(t, poolSize, 24*3600, DefaultLifetimes())
+	w := newLifecycleWorld(t, poolSize, 24*3600, WithLifetimes(DefaultLifetimes()))
 	received := 0
 	w.bob.Stack.OnMessage(func(m Message) { received++ })
 
@@ -80,10 +81,10 @@ func TestDialCloseRedialBeyondPoolSize(t *testing.T) {
 // validity windows, with the engine renewing the pool, never starve.
 func TestConcurrentFlowsBeyondPoolAcrossWindows(t *testing.T) {
 	const poolSize = 3
-	w := newLifecycleWorld(t, poolSize, 60, Lifetimes{
+	w := newLifecycleWorld(t, poolSize, 60, WithLifetimes(Lifetimes{
 		RenewLead: 20 * time.Second, CheckInterval: 5 * time.Second,
 		RenewLifetime: 60,
-	})
+	}))
 	received := 0
 	w.bob.Stack.OnMessage(func(m Message) { received++ })
 
@@ -120,11 +121,10 @@ func TestConcurrentFlowsBeyondPoolAcrossWindows(t *testing.T) {
 }
 
 // TestExpiryMidFlow drives a session across its EphID's expiry with
-// the engine disabled: post-expiry frames die at the border with
+// no engine running: post-expiry frames die at the border with
 // drop-expired until a manual renewal and migration restore the flow.
 func TestExpiryMidFlow(t *testing.T) {
-	w := newLifecycleWorld(t, 1, 60, DefaultLifetimes())
-	w.in.Lifecycle().Stop() // manual control: the engine must not rescue the flow
+	w := newLifecycleWorld(t, 1, 60) // no engine: nothing may rescue the flow
 	received := 0
 	w.bob.Stack.OnMessage(func(m Message) { received++ })
 
@@ -160,7 +160,7 @@ func TestExpiryMidFlow(t *testing.T) {
 
 	// Renewal + migration restore the flow. Renewing an identifier
 	// that already lapsed is the recovery path and must succeed.
-	succ, err := w.alice.Renew(id, 60)
+	succ, err := AwaitResult(w.in, w.alice.RenewAsync(id, 60))
 	if err != nil {
 		t.Fatalf("renew: %v", err)
 	}
@@ -187,10 +187,10 @@ func TestExpiryMidFlow(t *testing.T) {
 // crossing several validity windows keeps delivering and hops onto
 // fresh identifiers without the application doing anything.
 func TestEngineRenewsAndMigratesLiveFlow(t *testing.T) {
-	w := newLifecycleWorld(t, 1, 60, Lifetimes{
+	w := newLifecycleWorld(t, 1, 60, WithLifetimes(Lifetimes{
 		RenewLead: 20 * time.Second, CheckInterval: 5 * time.Second,
 		RenewLifetime: 60,
-	})
+	}))
 	received := 0
 	w.bob.Stack.OnMessage(func(m Message) { received++ })
 
@@ -247,11 +247,11 @@ func TestRenewRateLimitSurfacesTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if id, err = alice.Renew(id, 600); err != nil {
+		if id, err = AwaitResult(in, alice.RenewAsync(id, 600)); err != nil {
 			t.Fatalf("renewal %d: %v", i, err)
 		}
 	}
-	if _, err := alice.Renew(id, 600); !errors.Is(err, ms.ErrRenewRateLimited) {
+	if _, err := AwaitResult(in, alice.RenewAsync(id, 600)); !errors.Is(err, ms.ErrRenewRateLimited) {
 		t.Errorf("over budget: %v", err)
 	}
 	// The denial consumed its reply slot: the next issuance still
@@ -264,7 +264,7 @@ func TestRenewRateLimitSurfacesTypedError(t *testing.T) {
 // TestScheduledGCReapsRevocations: revocation-list entries reap on the
 // engine's GC cadence once their EphIDs expire — no manual GC call.
 func TestScheduledGCReapsRevocations(t *testing.T) {
-	w := newLifecycleWorld(t, 1, 60, Lifetimes{GCInterval: 30 * time.Second})
+	w := newLifecycleWorld(t, 1, 60, WithLifetimes(Lifetimes{GCInterval: 30 * time.Second}))
 	id, err := w.alice.Stack.Acquire(host.PerFlow, "")
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +300,7 @@ func TestWithLifetimesValidation(t *testing.T) {
 // TestCloseFailsFurtherSends: a closed connection refuses data instead
 // of silently queueing into a dead flow.
 func TestCloseFailsFurtherSends(t *testing.T) {
-	w := newLifecycleWorld(t, 1, 3600, DefaultLifetimes())
+	w := newLifecycleWorld(t, 1, 3600, WithLifetimes(DefaultLifetimes()))
 	id, err := w.alice.Stack.Acquire(host.PerFlow, "")
 	if err != nil {
 		t.Fatal(err)
@@ -320,7 +320,7 @@ func TestCloseFailsFurtherSends(t *testing.T) {
 // sendable identifier is leased to a per-flow connection must not
 // answer a receive-only dial with it (doing so would link the flows).
 func TestPickServingRefusesLeasedEphID(t *testing.T) {
-	w := newLifecycleWorld(t, 1, 3600, DefaultLifetimes())
+	w := newLifecycleWorld(t, 1, 3600, WithLifetimes(DefaultLifetimes()))
 
 	// Bob: a receive-only identifier plus ONE data identifier, leased
 	// out to bob's own outbound flow.
@@ -339,7 +339,8 @@ func TestPickServingRefusesLeasedEphID(t *testing.T) {
 	}
 	drops := w.bob.Stack.Stats().DropBadHandshake
 	p := w.alice.ConnectAsync(id, &ro.Cert, nil)
-	if err := w.in.AwaitWithin(time.Second, p); err == nil {
+	w.in.RunFor(time.Second)
+	if _, err := p.Result(); err == nil {
 		t.Fatal("dial served from a leased per-flow EphID")
 	}
 	if got := w.bob.Stack.Stats().DropBadHandshake; got != drops+1 {
@@ -363,8 +364,7 @@ func TestPickServingRefusesLeasedEphID(t *testing.T) {
 // migration re-handshake is in flight must not leak the successor's
 // per-flow lease — the close-vs-migration race found in review.
 func TestCloseDuringMigrationReturnsLease(t *testing.T) {
-	w := newLifecycleWorld(t, 1, 3600, DefaultLifetimes())
-	w.in.Lifecycle().Stop() // drive the migration by hand
+	w := newLifecycleWorld(t, 1, 3600) // no engine: the test drives the migration
 	id, err := w.alice.Stack.Acquire(host.PerFlow, "")
 	if err != nil {
 		t.Fatal(err)
@@ -373,7 +373,7 @@ func TestCloseDuringMigrationReturnsLease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	succ, err := w.alice.Renew(id, 3600)
+	succ, err := AwaitResult(w.in, w.alice.RenewAsync(id, 3600))
 	if err != nil {
 		t.Fatal(err)
 	}

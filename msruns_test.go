@@ -130,7 +130,7 @@ func TestMSRunAnswersADenial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if old, err = hosts[0].Renew(old, 900); err != nil {
+	if old, err = apna.AwaitResult(in, hosts[0].RenewAsync(old, 900)); err != nil {
 		t.Fatal(err)
 	}
 	denied := hosts[0].RenewAsync(old, 900)

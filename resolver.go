@@ -17,23 +17,20 @@ import (
 // every record, denial and referral signature, and maintains a verified
 // positive/negative cache so repeated lookups stay local.
 
-// DNSStats counts a host's resolver activity: every name a host
+// dnsStats counts a host's resolver activity: every name a host
 // resolves goes through LookupAsync.
-type DNSStats struct {
+type dnsStats struct {
 	// Queries counts network queries actually sent (one per hop).
-	Queries uint64 `json:"queries"`
+	Queries uint64
 	// CacheHits and NegCacheHits count lookups answered from the
 	// verified cache without touching the network.
-	CacheHits    uint64 `json:"cache_hits"`
-	NegCacheHits uint64 `json:"neg_cache_hits"`
+	CacheHits    uint64
+	NegCacheHits uint64
 	// Referrals counts verified delegations followed.
-	Referrals uint64 `json:"referrals"`
+	Referrals uint64
 	// Denials counts verified negative responses accepted.
-	Denials uint64 `json:"denials"`
+	Denials uint64
 }
-
-// DNSStats returns a snapshot of the host's resolver counters.
-func (h *Host) DNSStats() DNSStats { return h.dnsStats }
 
 // dnsLookupLifetime is the lifetime of the per-hop EphIDs LookupAsync
 // issues (the default session lifetime).

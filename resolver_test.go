@@ -50,7 +50,7 @@ func TestLookupCrossASViaReferral(t *testing.T) {
 	if crt.AID != 200 {
 		t.Fatalf("resolved cert names AS %v, want 200", crt.AID)
 	}
-	st := alice.DNSStats()
+	st := alice.dnsStats
 	if st.Referrals != 1 {
 		t.Fatalf("referrals = %d, want 1 (local resolver delegates as200)", st.Referrals)
 	}
@@ -67,7 +67,7 @@ func TestLookupCrossASViaReferral(t *testing.T) {
 	if *crt2 != *crt {
 		t.Fatal("cache returned a different certificate")
 	}
-	st = alice.DNSStats()
+	st = alice.dnsStats
 	if st.CacheHits != 1 || st.Queries != 2 {
 		t.Fatalf("cache hit not recorded: %+v", st)
 	}
@@ -94,7 +94,7 @@ func TestLookupLocalZone(t *testing.T) {
 	if crt.AID != 200 {
 		t.Fatalf("AID = %v", crt.AID)
 	}
-	st := bob.DNSStats()
+	st := bob.dnsStats
 	if st.Referrals != 0 || st.Queries != 1 {
 		t.Fatalf("local lookup took the wrong path: %+v", st)
 	}
@@ -105,7 +105,7 @@ func TestLookupVerifiedDenialAndNegativeCache(t *testing.T) {
 	if _, err := alice.Lookup("missing.as100"); !errors.Is(err, dns.ErrNXDomain) {
 		t.Fatalf("err = %v, want ErrNXDomain", err)
 	}
-	st := alice.DNSStats()
+	st := alice.dnsStats
 	if st.Denials != 1 {
 		t.Fatalf("denials = %d, want 1 (signed negative response)", st.Denials)
 	}
@@ -115,7 +115,7 @@ func TestLookupVerifiedDenialAndNegativeCache(t *testing.T) {
 	if _, err := alice.Lookup("missing.as100"); !errors.Is(err, dns.ErrNXDomain) {
 		t.Fatalf("repeat err = %v", err)
 	}
-	st = alice.DNSStats()
+	st = alice.dnsStats
 	if st.NegCacheHits != 1 {
 		t.Fatalf("neg cache hits = %d: %+v", st.NegCacheHits, st)
 	}
@@ -129,7 +129,7 @@ func TestLookupVerifiedDenialAndNegativeCache(t *testing.T) {
 	if _, err := alice.Lookup("missing.as100"); !errors.Is(err, dns.ErrNXDomain) {
 		t.Fatalf("post-expiry err = %v", err)
 	}
-	if got := alice.DNSStats(); got.Denials != 2 {
+	if got := alice.dnsStats; got.Denials != 2 {
 		t.Fatalf("expired denial not re-fetched: %+v", got)
 	}
 }
@@ -169,7 +169,7 @@ func TestLookupCrossASDenial(t *testing.T) {
 	if _, err := alice.Lookup("ghost.as200"); !errors.Is(err, dns.ErrNXDomain) {
 		t.Fatalf("err = %v, want ErrNXDomain", err)
 	}
-	st := alice.DNSStats()
+	st := alice.dnsStats
 	if st.Referrals != 1 || st.Denials != 1 {
 		t.Fatalf("cross-AS denial path: %+v", st)
 	}

@@ -270,7 +270,7 @@ func WithLifetimes(lt Lifetimes) TopologyOption {
 // overlay is the set of physically linked ASes, so under
 // DisseminateRelay digests follow the same provider/customer edges
 // packets do. Zero fields take DefaultDigestInterval, DisseminateMesh
-// and DefaultSnapshotEvery. Complaints (Host.Complain) work without
+// and DefaultSnapshotEvery. Complaints (Host.ComplainAsync) work without
 // this option; only internet-wide dissemination needs the timer.
 func WithDissemination(d Dissemination) TopologyOption {
 	return func(t *topology) { t.dissem = &d }

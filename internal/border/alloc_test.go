@@ -139,82 +139,63 @@ func TestEgressVerifyZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestEgressMACCacheBounded drives more distinct senders through one
-// pipeline than its key-schedule cache may hold: the cache must stay
-// within its bound, and the wholesale reset that keeps it there must
-// not change a single verdict.
-func TestEgressMACCacheBounded(t *testing.T) {
-	f := newFixture(t)
-	const hosts = maxCachedMACs + 1000
-	entries := make([]hostdb.Entry, hosts)
-	for i := range entries {
-		var keys crypto.HostASKeys
-		binary.BigEndian.PutUint32(keys.MAC[:], uint32(i))
-		entries[i] = hostdb.Entry{HID: ephid.HID(1000 + i), Keys: keys, RegisteredAt: f.now}
+// TestFreshEgressPipelineZeroAllocs pins where a host's packet-MAC key
+// schedule lives: in host_info, once for every worker. engine.Run builds
+// fresh pipelines for every run, so a pipeline whose hosts have sent
+// through another one before must find each schedule there: its first
+// 64-frame batch, one frame from each of 64 hosts, allocates nothing.
+func TestFreshEgressPipelineZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are unreliable under the race detector")
 	}
-	f.db.PutBatch(entries)
-
+	f := newFixture(t)
 	var remoteDst ephid.EphID
 	remoteDst[0] = 0xEE
-	pipe := f.router.NewEgressPipeline()
-	batch := make([][]byte, 0, 64)
-	var verdicts []Verdict
-	flush := func(first int) {
-		verdicts = pipe.ProcessBatch(batch, verdicts[:0])
-		for j, v := range verdicts {
-			// Every seventh sender's frame is tampered with.
-			want := VerdictForward
-			if (first+j)%7 == 0 {
-				want = VerdictDropBadMAC
-			}
-			if v != want {
-				t.Fatalf("sender %d (cache holds %d): verdict %v, want %v", first+j, pipe.macs.n, v, want)
-			}
-		}
-		if pipe.macs.n > maxCachedMACs {
-			t.Fatalf("macs cache holds %d entries, bound is %d", pipe.macs.n, maxCachedMACs)
-		}
-		batch = batch[:0]
-	}
-	var pm wire.PacketMAC
-	for i, e := range entries {
+	frames := make([][]byte, 64)
+	for i := range frames {
+		hid := ephid.HID(1000 + i)
+		keys := crypto.DeriveHostASKeys(binary.BigEndian.AppendUint32(nil, uint32(hid)))
+		f.db.Put(hostdb.Entry{HID: hid, Keys: keys, RegisteredAt: f.now})
 		p := wire.Packet{Header: wire.Header{
-			HopLimit: wire.DefaultHopLimit, Nonce: uint64(i), SrcAID: localAID, DstAID: remoteAID,
-			SrcEphID: f.sealer.Mint(ephid.Payload{HID: e.HID, ExpTime: uint32(f.now) + 600}),
+			HopLimit: wire.DefaultHopLimit, SrcAID: localAID, DstAID: remoteAID,
+			SrcEphID: f.sealer.Mint(ephid.Payload{HID: hid, ExpTime: uint32(f.now) + 600}),
 			DstEphID: remoteDst,
 		}}
 		frame, err := p.Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := pm.Init(e.Keys.MAC[:]); err != nil {
+		pm, err := wire.NewPacketMAC(keys.MAC[:])
+		if err != nil {
 			t.Fatal(err)
 		}
 		pm.Apply(frame)
-		if i%7 == 0 {
-			frame[wire.HeaderSize-1] ^= 1
+		frames[i] = frame
+	}
+	dst := make([]Verdict, 0, len(frames))
+	check := func() {
+		for i, v := range dst {
+			if v != VerdictForward {
+				t.Fatalf("frame %d: verdict %v", i, v)
+			}
 		}
-		if batch = append(batch, frame); len(batch) == cap(batch) {
-			flush(i + 1 - len(batch))
-		}
 	}
-	flush(hosts - len(batch))
-	if pipe.macs.n == 0 || pipe.macs.n >= hosts-maxCachedMACs+64 {
-		t.Fatalf("macs cache holds %d entries after %d senders: it was never reset", pipe.macs.n, hosts)
+	dst = f.router.NewEgressPipeline().ProcessBatch(frames, dst) // each host sends once
+	check()
+
+	// AllocsPerRun calls its function once more than it is asked to.
+	const runs = 20
+	pipes := make([]*EgressPipeline, runs+1)
+	for i := range pipes {
+		pipes[i] = f.router.NewEgressPipeline()
 	}
-	// A sender cached before the reset is still served after it.
-	first := entries[0]
-	p := wire.Packet{Header: wire.Header{
-		HopLimit: wire.DefaultHopLimit, SrcAID: localAID, DstAID: remoteAID,
-		SrcEphID: f.sealer.Mint(ephid.Payload{HID: first.HID, ExpTime: uint32(f.now) + 600}),
-	}}
-	frame, _ := p.Encode()
-	if err := pm.Init(first.Keys.MAC[:]); err != nil {
-		t.Fatal(err)
-	}
-	pm.Apply(frame)
-	if v := pipe.Process(frame); v != VerdictForward {
-		t.Fatalf("evicted sender's next frame: %v", v)
+	allocs := testing.AllocsPerRun(runs, func() {
+		dst = pipes[0].ProcessBatch(frames, dst[:0])
+		pipes = pipes[1:]
+		check()
+	})
+	if allocs != 0 {
+		t.Fatalf("a fresh EgressPipeline's first batch allocates %.1f times", allocs)
 	}
 }
 

@@ -3,7 +3,6 @@ package border
 import (
 	"encoding/binary"
 
-	"apna/internal/crypto"
 	"apna/internal/ephid"
 	"apna/internal/hostdb"
 	"apna/internal/wire"
@@ -113,81 +112,19 @@ func (a *admission) admit(frames [][]byte, ingress bool) {
 	a.live = a.live[:n]
 }
 
-// cachedMAC is one host's packet-MAC key schedule. Entries are never
-// rekeyed in place: a frame parked for the chunk's MAC stage keeps
-// pointing at the schedule of the key it was admitted under.
-type cachedMAC struct {
-	key [crypto.SymKeySize]byte
-	pm  wire.PacketMAC
-}
-
-// maxCachedMACs bounds an EgressPipeline's key-schedule cache the way
-// openCache is bounded: hosts that left the AS would otherwise keep a
-// key schedule for ever.
-const maxCachedMACs = 1 << 16
-
-// macCache maps HID to key schedule for one worker: a flat open-addressed
-// table, never more than half full, that doubles until it holds
-// maxCachedMACs schedules and is then emptied wholesale — cheaper than LRU
-// bookkeeping, and refilling an entry is one key expansion.
-type macCache struct {
-	slots []macSlot // a power of two; m == nil marks an empty slot
-	n     int
-}
-
-type macSlot struct {
-	hid ephid.HID
-	m   *cachedMAC
-}
-
-// slot walks hid's probe chain to its slot, or to the empty slot that
-// ends the chain.
-func (c *macCache) slot(hid ephid.HID) *macSlot {
-	for i := hid.Hash(); ; i++ {
-		if s := &c.slots[i&uint32(len(c.slots)-1)]; s.m == nil || s.hid == hid {
-			return s
-		}
-	}
-}
-
-// put caches m as hid's schedule, replacing the one it has.
-func (c *macCache) put(hid ephid.HID, m *cachedMAC) {
-	s := c.slot(hid)
-	if s.m == nil && (c.n+1)*2 > len(c.slots) {
-		old := c.slots
-		if c.n >= maxCachedMACs {
-			clear(old)
-			old = nil
-		} else {
-			c.slots = make([]macSlot, 2*len(old))
-		}
-		c.n = 0
-		for _, o := range old {
-			if o.m != nil {
-				c.put(o.hid, o.m)
-			}
-		}
-		s = c.slot(hid)
-	}
-	if s.m == nil {
-		c.n++
-	}
-	*s = macSlot{hid, m}
-}
-
 // EgressPipeline is a per-worker egress fast path. The paper's DPDK
 // prototype dedicates cores to forwarding (Section V-B2); the benchmark
 // equivalent here is one EgressPipeline per core (internal/engine wires
-// one per worker). Each pipeline caches the AES-CMAC key schedules of
-// the hosts it has seen and the decrypted payloads of the EphIDs it has
-// seen, so the steady state per packet is: one cached EphID compare (or
-// one decrypt on miss), one revocation-list lookup, one host_info
-// lookup — both lock-free — and one CMAC verification.
+// one per worker). Each pipeline caches the decrypted payloads of the
+// EphIDs it has seen; the AES-CMAC key schedule of a host's MAC key is
+// host_info's, expanded once for every worker (hostdb.Probe.PacketMAC).
+// So the steady state per packet is: one cached EphID compare (or one
+// decrypt on miss), one revocation-list lookup, one host_info lookup —
+// both lock-free — and one CMAC verification.
 //
 // A pipeline is not safe for concurrent use; create one per worker.
 type EgressPipeline struct {
 	admission
-	macs  macCache
 	batch wire.MACBatch
 	one   [1][]byte // Process's chunk
 	out   [1]Verdict
@@ -195,7 +132,9 @@ type EgressPipeline struct {
 
 // NewEgressPipeline creates a worker pipeline for the router.
 func (r *Router) NewEgressPipeline() *EgressPipeline {
-	return &EgressPipeline{admission: admission{r: r}, macs: macCache{slots: make([]macSlot, 2*chunkSize)}}
+	p := &EgressPipeline{admission: admission{r: r}}
+	p.batch.Reset(chunkSize) // so that not even the first chunk allocates
+	return p
 }
 
 // Process runs the outgoing-packet checks of Figure 4 (bottom) on one
@@ -239,26 +178,18 @@ func (p *EgressPipeline) chunk(frames [][]byte, dst []Verdict) []Verdict {
 	}
 	p.live = p.live[:n]
 
-	// HID valid; fetch kHA and the schedule cached for it.
+	// HID valid; fetch the schedule of kHA and park the frame under it.
+	// The schedule is never rekeyed in place: a frame keeps the one of the
+	// key it was admitted under.
 	p.batch.Reset(n)
 	n = 0
 	for j, i := range p.live {
-		macKey, err := p.hosts[j].MACKey()
+		pm, err := p.hosts[j].PacketMAC()
 		if err != nil {
 			p.v[i] = VerdictDropUnknownHost
 			continue
 		}
-		hid := p.pl[i].HID
-		m := p.macs.slot(hid).m
-		if m == nil || m.key != macKey { //apna:coldpath
-			m = &cachedMAC{key: macKey}
-			if err := m.pm.Init(macKey[:]); err != nil {
-				p.v[i] = VerdictDropBadMAC
-				continue
-			}
-			p.macs.put(hid, m)
-		}
-		p.batch.Add(&m.pm, frames[i])
+		p.batch.Add(pm, frames[i])
 		p.live[n] = i
 		n++
 	}

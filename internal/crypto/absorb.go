@@ -5,6 +5,7 @@ import (
 	"crypto/cipher"
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 )
 
 // The CBC core of CMAC. Everything above it — Sum, Verify, the packet
@@ -78,13 +79,11 @@ type schedule struct {
 	sw *swChain
 }
 
-// swChain is the portable chaining step: a crypto/aes block and the
-// heap scratch it encrypts in. Arguments of a cipher.Block interface
-// call escape, so chaining through x instead of through the caller's
-// state is what lets a CMAC value live on its caller's stack.
+// swChain is the portable chaining step: a crypto/aes block. It is only
+// read once keyed, like the kernels' round keys, so one schedule serves
+// any number of goroutines at once.
 type swChain struct {
 	block cipher.Block
-	x     [aes.BlockSize]byte
 }
 
 func (s *schedule) initPortable(key []byte) error {
@@ -96,15 +95,52 @@ func (s *schedule) initPortable(key []byte) error {
 	return nil
 }
 
-// absorb chains the first n blocks of src into state.
+// absorb chains the first n blocks of src into state, in a block
+// borrowed from swBlocks.
 func (s *swChain) absorb(state *[aes.BlockSize]byte, src []byte, n int) {
-	s.x = *state
+	x := takeSWBlock()
+	*x = *state
 	for ; n > 0; n-- {
-		xorBlock(&s.x, src)
-		s.block.Encrypt(s.x[:], s.x[:])
+		xorBlock(x, src)
+		s.block.Encrypt(x[:], x[:])
 		src = src[aes.BlockSize:]
 	}
-	*state = s.x
+	*state = *x
+	putSWBlock(x)
+}
+
+// swBlocks lends the portable path a heap block to encrypt in:
+// arguments of a cipher.Block interface call escape, and routing them
+// through here is what keeps the callers' blocks — a CMAC's chain
+// state, BlockPair.Encrypt's blocks — on their stacks. It is a fixed set
+// of slots emptied and refilled by atomic swaps, not a sync.Pool: the
+// race detector drops Pool Puts at random, which would make the callers
+// allocate under -race, and the forwarding plane takes no locks or
+// channel operations.
+var swBlocks [64]atomic.Pointer[[aes.BlockSize]byte]
+
+// takeSWBlock empties the first full slot of swBlocks, or allocates
+// when every slot is empty (only until as many blocks are out at once
+// as ever were).
+func takeSWBlock() *[aes.BlockSize]byte {
+	for i := range swBlocks {
+		if swBlocks[i].Load() != nil {
+			if x := swBlocks[i].Swap(nil); x != nil {
+				return x
+			}
+		}
+	}
+	return new([aes.BlockSize]byte) //apna:alloc-ok
+}
+
+// putSWBlock hands x back to the first empty slot of swBlocks, or drops
+// it when every slot is full.
+func putSWBlock(x *[aes.BlockSize]byte) {
+	for i := range swBlocks {
+		if swBlocks[i].CompareAndSwap(nil, x) {
+			return
+		}
+	}
 }
 
 // lane is one of the CBC chains absorbLanes advances: state = E(key,

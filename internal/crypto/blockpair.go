@@ -1,9 +1,6 @@
 package crypto
 
-import (
-	"crypto/aes"
-	"sync/atomic"
-)
+import "crypto/aes"
 
 // PairLanes is how many blocks per key one BlockPair.Encrypt call takes:
 // the two keys share the lane kernel's chains.
@@ -31,15 +28,6 @@ func NewBlockPair(keyA, keyB []byte) (*BlockPair, error) {
 	return p, nil
 }
 
-// swBlocks lends the portable path a heap block to encrypt in:
-// arguments of a cipher.Block interface call escape, and routing them
-// through here is what keeps Encrypt's callers' blocks on their stacks.
-// It is a fixed set of slots emptied and refilled by atomic swaps, not
-// a sync.Pool: the race detector drops Pool Puts at random, which would
-// make Encrypt allocate under -race, and the forwarding plane takes no
-// locks or channel operations.
-var swBlocks [64]atomic.Pointer[[aes.BlockSize]byte]
-
 // Encrypt replaces a[i] by its encryption under the first key and b[i]
 // by its encryption under the second, for every i below n; the other
 // blocks are scratch. It does not allocate.
@@ -47,31 +35,12 @@ func (p *BlockPair) Encrypt(a, b *[PairLanes][aes.BlockSize]byte, n int) {
 	if p.encryptLanes(a, b) {
 		return
 	}
-	// A swChain's scratch is one goroutine's; its cipher.Block is not.
 	x := takeSWBlock()
 	for i := 0; i < n; i++ {
 		p.a.encryptBlock(&a[i], x)
 		p.b.encryptBlock(&b[i], x)
 	}
-	for i := range swBlocks {
-		if swBlocks[i].CompareAndSwap(nil, x) {
-			return
-		}
-	}
-}
-
-// takeSWBlock empties the first full slot of swBlocks, or allocates
-// when every slot is empty (only until as many blocks are out at once
-// as ever were).
-func takeSWBlock() *[aes.BlockSize]byte {
-	for i := range swBlocks {
-		if swBlocks[i].Load() != nil {
-			if x := swBlocks[i].Swap(nil); x != nil {
-				return x
-			}
-		}
-	}
-	return new([aes.BlockSize]byte) //apna:alloc-ok
+	putSWBlock(x)
 }
 
 // encryptBlock replaces b by its encryption, through the heap block x

@@ -22,9 +22,9 @@ var ErrTagSize = errors.New("crypto: cmac tag size out of range")
 //
 // A CMAC is a self-contained value: with an AES-128 key on a CPU with
 // AES-NI, Init expands the round keys in place and touches no heap, so a
-// CMAC can be keyed and used on the stack. It is not safe for concurrent
-// use; each goroutine should own its instance (the border router
-// pipeline keeps its own per worker).
+// CMAC can be keyed and used on the stack. Once keyed it is only read,
+// so one CMAC may serve any number of goroutines (the border routers'
+// workers share each host's); Init must not race with its use.
 type CMAC struct {
 	key schedule
 	k1  [aes.BlockSize]byte

@@ -317,8 +317,8 @@ func TestProbeSurvivesSlotReuse(t *testing.T) {
 	if s, _ := db.Locate(squatter).find(); s != &db.shards[0].t.Load().slots[probe.i] {
 		t.Fatal("the squatter did not reuse the victim's slot; the test no longer tests anything")
 	}
-	if key, err := probe.MACKey(); !errors.Is(err, ErrUnknownHost) {
-		t.Fatalf("a probe overtaken by delete and reuse returned key %x, err %v", key, err)
+	if m, err := probe.PacketMAC(); !errors.Is(err, ErrUnknownHost) {
+		t.Fatalf("a probe overtaken by delete and reuse returned schedule %p, err %v", m, err)
 	}
 	// Valid, by contrast, answers from the word Locate loaded: the host
 	// was valid then, and a lookup that ran wholly before the deletion

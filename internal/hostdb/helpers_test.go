@@ -22,7 +22,7 @@ func (db *DB) Range(fn func(Entry) bool) {
 			if t.slots[j].w.Load()&slotLive == 0 {
 				continue
 			}
-			if e := t.slots[j].e.Load(); e != nil && !fn(deepCopy(*e)) {
+			if e := t.slots[j].e.Load(); e != nil && !fn(deepCopy(e.Entry)) {
 				return
 			}
 		}

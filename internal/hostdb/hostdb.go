@@ -4,17 +4,22 @@
 //
 // It maps a host's HID to the symmetric keys the host shares with the AS
 // and to the host's standing (active or revoked). Border routers consult
-// it on every outgoing packet to fetch the MAC key (Figure 4), so reads
-// must not contend with other forwarding workers, and the control plane
-// registers, revokes and reaps hosts by the million, so a write must not
-// copy what it does not change. Each shard is one flat open-addressed
-// table behind an atomic pointer; a slot is two atomic words, HID and
-// standing in one and a pointer to the immutable Entry in the other.
-// Readers take no lock. Writers serialize on the shard's mutex and write
-// in place — entry pointer first, slot word last — so an entry is seen
-// whole or not at all. Delete and GC leave tombstones for later inserts
-// to reuse; only an insert that would take the used slots past half
-// builds a new table. DESIGN.md §6 has the argument.
+// it on every outgoing packet for the MAC key's schedule (Figure 4), so
+// reads must not contend with other forwarding workers, and the control
+// plane registers, revokes and reaps hosts by the million, so a write
+// must not copy what it does not change. Each shard is one flat
+// open-addressed table behind an atomic pointer; a slot is two atomic
+// words, HID and standing in one and a pointer to the immutable record
+// in the other. A record is an Entry plus a write-once memo of the
+// host's packet-MAC key schedule, expanded the first time a router asks
+// for it (Probe.PacketMAC) and freed with the record, so there is one
+// schedule per sending host for all of the AS's workers, and none for a
+// host that never sends through a border. Readers take no lock. Writers
+// serialize on the shard's mutex and write in place — record pointer
+// first, slot word last — so an entry is seen whole or not at all.
+// Delete and GC leave tombstones for later inserts to reuse; only an
+// insert that would take the used slots past half builds a new table.
+// DESIGN.md §6 has the argument.
 package hostdb
 
 import (
@@ -25,6 +30,7 @@ import (
 
 	"apna/internal/crypto"
 	"apna/internal/ephid"
+	"apna/internal/wire"
 )
 
 // Status is a host's standing with its AS. The zero Status is active:
@@ -46,14 +52,16 @@ var (
 // entries inside the database are immutable once published.
 type Entry struct {
 	HID ephid.HID
+	// Status is the host's standing. Beside the HID it fills padding
+	// instead of a word of its own, and a lookup finds both on the
+	// cache line it loads first.
+	Status Status
 	// Keys are the symmetric keys shared between the host and the AS
 	// (kHA), established during bootstrap.
 	Keys crypto.HostASKeys
 	// HostPub is the host's long-term public key learned during
 	// authentication (K+H).
 	HostPub []byte
-	// Status is the host's standing.
-	Status Status
 	// Strikes counts shutoff incidents against the host's EphIDs,
 	// feeding the CAS-style escalation policy (Section VIII-G2).
 	Strikes int
@@ -91,7 +99,20 @@ const (
 
 type slot struct {
 	w atomic.Uint64
-	e atomic.Pointer[Entry]
+	e atomic.Pointer[record]
+}
+
+// record is a published entry. Its Entry is immutable; mac is the memo
+// of the packet-MAC key schedule of Keys.MAC, nil until the first
+// PacketMAC and then written never again. A write that changes the keys
+// publishes a new record, with no memo, so a schedule never outlives its
+// key in the table, and a frame that holds the old one keeps a schedule
+// nothing writes to. mac comes first, so that it shares a cache line
+// with the HID and Status a probe reads anyway; with them packed, a
+// record is 96 bytes, the allocation Entry alone takes.
+type record struct {
+	mac atomic.Pointer[wire.PacketMAC]
+	Entry
 }
 
 // table is one shard's slots, a power of two of them. used counts those
@@ -111,7 +132,7 @@ func newTable(live int) *table {
 	return &table{slots: make([]slot, n)}
 }
 
-func wordFor(e *Entry) uint64 {
+func wordFor(e *record) uint64 {
 	w := uint64(e.HID)<<32 | slotUsed | slotLive
 	if e.Status == StatusRevoked {
 		w |= slotRevoked
@@ -165,7 +186,7 @@ func (db *DB) shardFor(hid ephid.HID) *shard {
 
 // Probe is a lookup split in two, so that a caller with a batch of HIDs
 // can overlap their cache misses: Locate hashes and loads the home slot
-// without branching on what it finds; Valid and MACKey compare, walk the
+// without branching on what it finds; Valid and PacketMAC compare, walk the
 // chain and follow the entry pointer. Locate a batch before resolving it.
 type Probe struct {
 	t   *table
@@ -196,12 +217,12 @@ func (p Probe) find() (*slot, uint64) {
 	return nil, 0
 }
 
-// entry resolves the probe to hid's published entry. Between the slot
+// entry resolves the probe to hid's published record. Between the slot
 // word and the pointer a writer may have deleted the host and reused the
-// slot, so the entry has the last word on whose it is: a mismatch means
+// slot, so the record has the last word on whose it is: a mismatch means
 // hid was deleted during the call. With active set a revoked host's
-// entry is an error too.
-func (p Probe) entry(active bool) (*Entry, error) {
+// record is an error too.
+func (p Probe) entry(active bool) (*record, error) {
 	s, _ := p.find()
 	if s == nil {
 		return nil, ErrUnknownHost
@@ -225,15 +246,34 @@ func (p Probe) Valid() bool {
 	return w&(slotLive|slotRevoked) == slotLive
 }
 
-// MACKey returns the located host's per-packet MAC key, as DB.MACKey.
+// PacketMAC returns the packet-MAC key schedule of the located host's
+// MAC key, failing as DB.MACKey does. The schedule is the record's memo:
+// the first call for a record expands it, and every later one, from any
+// goroutine, returns the same pointer. Callers only read it.
 //
 //apna:hotpath
-func (p Probe) MACKey() ([crypto.SymKeySize]byte, error) {
-	e, err := p.entry(true)
+func (p Probe) PacketMAC() (*wire.PacketMAC, error) {
+	r, err := p.entry(true)
 	if err != nil {
-		return [crypto.SymKeySize]byte{}, err
+		return nil, err
 	}
-	return e.Keys.MAC, nil
+	m := r.mac.Load()
+	if m == nil { //apna:coldpath
+		m = r.expandMAC()
+	}
+	return m, nil
+}
+
+// expandMAC installs r's memo unless a racing call has, and returns the
+// one installed.
+func (r *record) expandMAC() *wire.PacketMAC {
+	m := new(wire.PacketMAC)
+	// Keys.MAC is an AES-128 key, and a key size is all Init can refuse.
+	_ = m.Init(r.Keys.MAC[:])
+	if r.mac.CompareAndSwap(nil, m) {
+		return m
+	}
+	return r.mac.Load()
 }
 
 // deepCopy returns a value copy whose HostPub does not alias the
@@ -254,11 +294,11 @@ func (t *table) free(hid ephid.HID) *slot {
 	}
 }
 
-// put publishes e, the database's own copy, in place: entry pointer
+// put publishes e, the database's own record, in place: record pointer
 // first, slot word last. Only an insert that would take the used slots
 // past half builds a new table, published once it holds e too. The
 // caller holds s.mu.
-func (db *DB) put(s *shard, e *Entry) {
+func (db *DB) put(s *shard, e *record) {
 	t := s.t.Load()
 	sl, _ := db.Locate(e.HID).find()
 	if sl == nil {
@@ -279,7 +319,7 @@ func (db *DB) put(s *shard, e *Entry) {
 }
 
 // fill stores e in sl, a slot of t.
-func (t *table) fill(sl *slot, e *Entry) {
+func (t *table) fill(sl *slot, e *record) {
 	if sl.w.Load() == 0 {
 		t.used++
 	}
@@ -294,13 +334,13 @@ func (s *shard) kill(sl *slot) {
 	s.live.Add(-1)
 }
 
-// Put inserts or replaces the entry for a host.
+// Put inserts or replaces the entry for a host. The record it publishes
+// has no packet-MAC memo yet.
 func (db *DB) Put(e Entry) {
 	s := db.shardFor(e.HID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e = deepCopy(e)
-	db.put(s, &e)
+	db.put(s, &record{Entry: deepCopy(e)})
 }
 
 // PutBatch inserts or replaces many entries — the bootstrap path for
@@ -319,7 +359,7 @@ func (db *DB) Get(hid ephid.HID) (Entry, error) {
 	if err != nil {
 		return Entry{}, err
 	}
-	return deepCopy(*e), nil
+	return deepCopy(e.Entry), nil
 }
 
 // MACKey returns the per-packet MAC key for an active host. It is the
@@ -329,7 +369,11 @@ func (db *DB) Get(hid ephid.HID) (Entry, error) {
 //
 //apna:hotpath
 func (db *DB) MACKey(hid ephid.HID) ([crypto.SymKeySize]byte, error) {
-	return db.Locate(hid).MACKey()
+	e, err := db.Locate(hid).entry(true)
+	if err != nil {
+		return [crypto.SymKeySize]byte{}, err
+	}
+	return e.Keys.MAC, nil
 }
 
 // EncKey returns the control-message encryption key for an active host
@@ -356,18 +400,19 @@ func (db *DB) Revoke(hid ephid.HID) { db.RevokeAt(hid, 0) }
 
 // RevokeAt marks a host revoked at the given Unix time, making the
 // entry eligible for GC once the retention window passes. Unknown HIDs
-// are ignored. Re-revoking keeps the earliest recorded time.
+// are ignored. Re-revoking keeps the earliest recorded time. The
+// revoked record drops the packet-MAC memo, which no revoked host gets.
 func (db *DB) RevokeAt(hid ephid.HID, nowUnix int64) {
 	s := db.shardFor(hid)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, err := db.Locate(hid).entry(false); err == nil {
-		next := *e
+		next := &record{Entry: e.Entry}
 		next.Status = StatusRevoked
 		if next.RevokedAt == 0 {
 			next.RevokedAt = nowUnix
 		}
-		db.put(s, &next)
+		db.put(s, next)
 	}
 }
 
@@ -400,6 +445,7 @@ func (db *DB) GC(nowUnix, retention int64) int {
 }
 
 // AddStrike increments and returns the host's shutoff-strike counter.
+// The keys stay, and so does the packet-MAC memo.
 func (db *DB) AddStrike(hid ephid.HID) (int, error) {
 	s := db.shardFor(hid)
 	s.mu.Lock()
@@ -408,9 +454,10 @@ func (db *DB) AddStrike(hid ephid.HID) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	next := *e
+	next := &record{Entry: e.Entry}
 	next.Strikes++
-	db.put(s, &next)
+	next.mac.Store(e.mac.Load())
+	db.put(s, next)
 	return next.Strikes, nil
 }
 

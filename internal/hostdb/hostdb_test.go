@@ -2,11 +2,15 @@ package hostdb
 
 import (
 	"errors"
+	"math/rand"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"apna/internal/crypto"
 	"apna/internal/ephid"
+	"apna/internal/wire"
 )
 
 func entry(hid ephid.HID) Entry {
@@ -257,5 +261,118 @@ func TestNewSharded(t *testing.T) {
 	db.Delete(8)
 	if db.Len() != hosts-2 {
 		t.Errorf("Len = %d, want %d", db.Len(), hosts-2)
+	}
+}
+
+// TestPacketMACMemo pins the packet-MAC memo: it MACs as a schedule
+// keyed from the entry does, concurrent first uses share one, a re-key
+// replaces it without touching the old one, revoked and reaped hosts get
+// none, and Get hands out no part of it.
+func TestPacketMACMemo(t *testing.T) {
+	db := New()
+	e := entry(9)
+	db.Put(e)
+	m, err := db.Locate(9).PacketMAC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := wire.NewPacketMAC(e.Keys.MAC[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	frameOf := func() []byte {
+		frame := make([]byte, wire.HeaderSize+rng.Intn(300))
+		rng.Read(frame)
+		return frame
+	}
+	for i := 0; i < 200; i++ {
+		frame := frameOf()
+		ref.Apply(frame)
+		if !m.Verify(frame) {
+			t.Fatalf("frame %d (%d bytes): the memo rejects the reference MAC", i, len(frame))
+		}
+		frame[wire.HeaderSize-1] ^= 1
+		if m.Verify(frame) {
+			t.Fatalf("frame %d: the memo accepts a tampered frame", i)
+		}
+	}
+	if again, _ := db.Locate(9).PacketMAC(); again != m {
+		t.Fatal("a second use expanded a second schedule")
+	}
+	if _, err := db.AddStrike(9); err != nil {
+		t.Fatal(err)
+	}
+	if kept, _ := db.Locate(9).PacketMAC(); kept != m {
+		t.Error("AddStrike dropped the memo of keys it did not change")
+	}
+
+	// Concurrent first uses, each verifying a frame with what it got.
+	const hosts, workers = 256, 8
+	for hid := ephid.HID(1000); hid < 1000+hosts; hid++ {
+		db.Put(entry(hid))
+	}
+	frame := frameOf()
+	var got [workers][hosts]*wire.PacketMAC
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range got[w] {
+				pm, err := db.Locate(1000 + ephid.HID(i)).PacketMAC()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				pm.Verify(frame)
+				got[w][i] = pm
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range got[0] {
+		for w := range got {
+			if got[w][i] != got[0][i] {
+				t.Fatalf("host %d: concurrent first uses got different schedules", 1000+i)
+			}
+		}
+	}
+
+	// A re-key: a new schedule, and the old one still serves frames
+	// parked under the old key.
+	old := frameOf()
+	m.Apply(old)
+	rekeyed := e
+	rekeyed.Keys = crypto.DeriveHostASKeys([]byte("new key"))
+	db.Put(rekeyed)
+	next, err := db.Locate(9).PacketMAC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next == m || next.Verify(old) {
+		t.Fatal("a re-keying Put kept the old key's schedule")
+	}
+	if !m.Verify(old) {
+		t.Fatal("the old schedule changed under a frame parked with it")
+	}
+
+	db.RevokeAt(9, 50)
+	if _, err := db.Locate(9).PacketMAC(); !errors.Is(err, ErrRevoked) {
+		t.Errorf("revoked host: %v", err)
+	}
+	db.GC(100, 10)
+	if _, err := db.Locate(9).PacketMAC(); !errors.Is(err, ErrUnknownHost) {
+		t.Errorf("reaped host: %v", err)
+	}
+
+	// Entry, what Get returns, is a plain value: no memo rides along.
+	for i, typ := 0, reflect.TypeOf(Entry{}); i < typ.NumField(); i++ {
+		if f := typ.Field(i); strings.Contains(f.Type.String(), "PacketMAC") || strings.Contains(f.Type.String(), "atomic") {
+			t.Errorf("Entry.%s (%s) carries the memo out of the database", f.Name, f.Type)
+		}
+	}
+	if got, err := db.Get(1000); err != nil || !reflect.DeepEqual(got, entry(1000)) {
+		t.Errorf("Get after use = %+v, %v; want the entry as put", got, err)
 	}
 }

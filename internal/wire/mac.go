@@ -30,8 +30,9 @@ func macInput(head *[macHeadSize]byte, frame []byte) (staged, rest []byte) {
 }
 
 // PacketMAC computes and verifies per-packet MACs for one host<->AS key.
-// It is a self-contained value wrapping an AES-CMAC and is not safe for
-// concurrent use; pipelines keep their own per worker.
+// It is a self-contained value wrapping an AES-CMAC. Once keyed it is
+// only read, so one PacketMAC may serve many goroutines at once: hostdb
+// keeps one per host for every forwarding worker.
 type PacketMAC struct {
 	cmac crypto.CMAC
 }

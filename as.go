@@ -361,12 +361,13 @@ func (as *AS) ServiceEndpoints() (msEp, dnsEp, aaEp Endpoint) {
 
 // runGC is one scheduled lifecycle GC pass over this AS: expired
 // local and remote revocation-list entries plus revoked host_info
-// entries older than the retention window. It returns the revocation
-// reap count (both lists) and the host reap count.
-func (as *AS) runGC(retention int64) (revocations, hosts int) {
+// entries older than the retention window. It returns how many
+// revocation entries it reaped (both lists).
+func (as *AS) runGC(retention int64) int {
 	now := as.in.Sim.NowUnix()
 	reaped := as.Router.Revoked().GC(now) + as.Router.RemoteRevoked().GC(now)
-	return reaped, as.DB.GC(now, retention)
+	as.DB.GC(now, retention)
+	return reaped
 }
 
 // Sealer exposes the AS's EphID sealer for benchmarks and tests that

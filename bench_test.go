@@ -185,12 +185,14 @@ func BenchmarkBorderEgress(b *testing.B) {
 		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
 			lane := fwdLane(b, size)
 			pipe := lane.Src.Router.NewEgressPipeline()
+			verdicts := make([]border.Verdict, 0, 1)
 			b.SetBytes(int64(size))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if v := pipe.Process(lane.Frames[i&63]); v != border.VerdictForward {
-					b.Fatalf("verdict %v", v)
+				verdicts = pipe.ProcessBatch(lane.Frames[i&63:i&63+1], verdicts[:0])
+				if verdicts[0] != border.VerdictForward {
+					b.Fatalf("verdict %v", verdicts[0])
 				}
 			}
 		})
@@ -235,12 +237,14 @@ func ingressBench(b *testing.B) *pktgen.Lane {
 func BenchmarkBorderIngress(b *testing.B) {
 	lane := ingressBench(b)
 	pipe := lane.Dst.Router.NewIngressPipeline()
+	results := make([]border.IngressResult, 0, 1)
 	b.SetBytes(256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if v, _ := pipe.Process(lane.Frames[i&63]); v != border.VerdictForward {
-			b.Fatalf("verdict %v", v)
+		results = pipe.ProcessBatch(lane.Frames[i&63:i&63+1], results[:0])
+		if results[0].Verdict != border.VerdictForward {
+			b.Fatalf("verdict %v", results[0].Verdict)
 		}
 	}
 }

@@ -18,7 +18,7 @@ func TestICMPTimeExceededInTransit(t *testing.T) {
 	idC := w.ephID(t, w.carol)
 
 	var errTypes []uint8
-	w.alice.Stack.OnICMPError(func(typ, _ uint8, _ []byte) { errTypes = append(errTypes, typ) })
+	onICMPError(w.alice, func(typ, _ uint8, _ []byte) { errTypes = append(errTypes, typ) })
 
 	// Build a frame that will exhaust its hop limit at AS 200: the
 	// facade host stack always uses the default, so craft it manually

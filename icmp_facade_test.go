@@ -8,6 +8,19 @@ import (
 	"apna/internal/wire"
 )
 
+// onICMPError calls fn with every ICMP error h receives, read the way
+// the facade's own listeners read their protocols: a raw listener and
+// icmp.Decode. Echo requests and replies are not errors.
+func onICMPError(h *Host, fn func(typ, code uint8, quoted []byte)) {
+	h.Stack.AddRawListener(wire.ProtoICMP, func(_ *wire.Header, payload []byte) {
+		m, err := icmp.Decode(payload)
+		if err != nil || m.Type == icmp.TypeEchoRequest || m.Type == icmp.TypeEchoReply {
+			return
+		}
+		fn(uint8(m.Type), m.Code, m.Body)
+	})
+}
+
 // TestICMPDestUnreachableOnExpiredEphID exercises the router-originated
 // ICMP feedback of Section VIII-B: a packet to an expired destination
 // EphID is dropped at the destination AS, whose border router answers
@@ -20,7 +33,7 @@ func TestICMPDestUnreachableOnExpiredEphID(t *testing.T) {
 	var errs []struct {
 		typ, code uint8
 	}
-	w.alice.Stack.OnICMPError(func(typ, code uint8, quoted []byte) {
+	onICMPError(w.alice, func(typ, code uint8, quoted []byte) {
 		errs = append(errs, struct{ typ, code uint8 }{typ, code})
 		// The quoted frame lets the source attribute the error to its
 		// own flow.
@@ -58,7 +71,7 @@ func TestICMPErrorDeliveredAcrossInterASLink(t *testing.T) {
 	idA := w.ephID(t, w.alice)
 
 	errs := 0
-	w.alice.Stack.OnICMPError(func(typ, code uint8, _ []byte) {
+	onICMPError(w.alice, func(typ, code uint8, _ []byte) {
 		errs++
 		if typ != uint8(icmp.TypeDestUnreachable) || code != icmp.CodeEphIDExpired {
 			t.Errorf("got type %d code %d", typ, code)
@@ -118,7 +131,7 @@ func TestICMPRevokedFeedbackUsesLocalFastPath(t *testing.T) {
 
 	rtrSentBefore := w.in.AS(100).rtrHost.Stats().Sent
 	errs := 0
-	w.alice.Stack.OnICMPError(func(_, code uint8, _ []byte) {
+	onICMPError(w.alice, func(_, code uint8, _ []byte) {
 		errs++
 		if code != icmp.CodeEphIDRevoked {
 			t.Errorf("code = %d", code)
@@ -150,8 +163,8 @@ func TestICMPNoFeedbackForSpoofedPackets(t *testing.T) {
 	w.ephID(t, mallory)
 
 	fired := 0
-	w.alice.Stack.OnICMPError(func(uint8, uint8, []byte) { fired++ })
-	mallory.Stack.OnICMPError(func(uint8, uint8, []byte) { fired++ })
+	onICMPError(w.alice, func(uint8, uint8, []byte) { fired++ })
+	onICMPError(mallory, func(uint8, uint8, []byte) { fired++ })
 
 	// Mallory spoofs alice's EphID; her MAC cannot verify.
 	idC := w.ephID(t, w.carol)
@@ -184,7 +197,7 @@ func TestICMPRevokedFeedback(t *testing.T) {
 	}
 
 	var codes []uint8
-	w.alice.Stack.OnICMPError(func(typ, code uint8, _ []byte) { codes = append(codes, code) })
+	onICMPError(w.alice, func(typ, code uint8, _ []byte) { codes = append(codes, code) })
 	if err := w.alice.Send(conn, []byte("again")); err != nil {
 		t.Fatal(err)
 	}

@@ -160,15 +160,15 @@ const (
 	snapshotServeSpacing   = 2
 )
 
-// Stats counts engine activity, in the spirit of border.Stats.
+// Stats counts engine activity, in the spirit of border.Stats. Refusals
+// are not counted: a rejected complaint shows as its
+// "complaint-rejected" event, a refused shutoff request or receipt as
+// the error its handler returns.
 type Stats struct {
 	// Victim side.
-	ComplaintsReceived, ComplaintsRejected, ComplaintsLocal uint64
-	RequestsForwarded                                       uint64
-	ReceiptsReceived, ReceiptsInvalid, ReceiptsUnmatched    uint64
+	ComplaintsLocal, RequestsForwarded uint64
 	// Source side.
-	RequestsReceived, RequestsDuplicate, RequestsInvalid uint64
-	Revocations, NoOpReceipts, Rejections                uint64
+	RequestsDuplicate, Revocations, NoOpReceipts uint64
 	// Dissemination. DigestsSent counts own-digest flushes (snapshots +
 	// deltas); MessagesSent and DigestBytesSent count every successful
 	// digest-plane transmission (floods, relay batches, snapshot
@@ -422,14 +422,7 @@ func (e *Engine) sendTo(dst wire.Endpoint, payload []byte) error {
 // any request left this AS (done never fires).
 func (e *Engine) HandleComplaint(c *Complaint, done func(*Receipt, error)) error {
 	now := e.cfg.Now()
-	e.mu.Lock()
-	e.stats.ComplaintsReceived++
-	e.mu.Unlock()
-
 	reject := func(format string, args ...any) error {
-		e.mu.Lock()
-		e.stats.ComplaintsRejected++
-		e.mu.Unlock()
 		e.emit(Event{Kind: "complaint-rejected"})
 		return fmt.Errorf("%w: %s", ErrComplaintProof, fmt.Sprintf(format, args...))
 	}
@@ -437,9 +430,6 @@ func (e *Engine) HandleComplaint(c *Complaint, done func(*Receipt, error)) error
 	// The complainant must be our customer, with a certificate we
 	// issued.
 	if c.Req.Cert.AID != e.cfg.AID {
-		e.mu.Lock()
-		e.stats.ComplaintsRejected++
-		e.mu.Unlock()
 		e.emit(Event{Kind: "complaint-rejected"})
 		return fmt.Errorf("%w: cert from %v", ErrNotVictimAS, c.Req.Cert.AID)
 	}
@@ -599,8 +589,6 @@ func (e *Engine) execute(req *aa.Request, reqHash [32]byte) *Receipt {
 			e.stats.Revocations++
 		case StatusAlreadyRevoked, StatusExpiredNoOp:
 			e.stats.NoOpReceipts++
-		default:
-			e.stats.Rejections++
 		}
 	}
 	defer func() { count(r.Status); r.Sign(e.cfg.Signer) }()
@@ -651,10 +639,6 @@ func (e *Engine) execute(req *aa.Request, reqHash [32]byte) *Receipt {
 // is dropped without an answer (the Figure 5 abort).
 func (e *Engine) HandleShutoffRequest(raw []byte) (*Receipt, error) {
 	now := e.cfg.Now()
-	e.mu.Lock()
-	e.stats.RequestsReceived++
-	e.mu.Unlock()
-
 	hash := RequestHash(raw)
 	e.mu.Lock()
 	cached, dup := e.receipts[hash]
@@ -666,33 +650,27 @@ func (e *Engine) HandleShutoffRequest(raw []byte) (*Receipt, error) {
 		return cached, nil
 	}
 
-	invalid := func(err error) (*Receipt, error) {
-		e.mu.Lock()
-		e.stats.RequestsInvalid++
-		e.mu.Unlock()
-		return nil, err
-	}
 	sr, err := DecodeShutoffRequest(raw)
 	if err != nil {
-		return invalid(err)
+		return nil, err
 	}
 	if err := sr.Verify(e.cfg.Trust, now); err != nil {
-		return invalid(err)
+		return nil, err
 	}
 	c, err := DecodeComplaint(sr.Complaint)
 	if err != nil {
-		return invalid(err)
+		return nil, err
 	}
 	// The forwarding AS must be the victim's own AS: agents only relay
 	// their customers' complaints.
 	if c.Req.Cert.AID != sr.Origin {
-		return invalid(fmt.Errorf("%w: origin %v relayed a cert from %v",
-			ErrBadRequest, sr.Origin, c.Req.Cert.AID))
+		return nil, fmt.Errorf("%w: origin %v relayed a cert from %v",
+			ErrBadRequest, sr.Origin, c.Req.Cert.AID)
 	}
 	// The named source must be ours; everything further (victim cert,
 	// signature, MAC) is the agent's Figure 5 validation inside execute.
 	if wire.ValidFrame(c.Req.Packet) && wire.FrameSrcAID(c.Req.Packet) != e.cfg.AID {
-		return invalid(fmt.Errorf("%w: source AS %v", ErrNotSourceAS, wire.FrameSrcAID(c.Req.Packet)))
+		return nil, fmt.Errorf("%w: source AS %v", ErrNotSourceAS, wire.FrameSrcAID(c.Req.Packet))
 	}
 
 	r := e.execute(&c.Req, hash)
@@ -713,19 +691,12 @@ func (e *Engine) HandleReceipt(raw []byte) error {
 	now := e.cfg.Now()
 	r, err := DecodeReceipt(raw)
 	if err != nil {
-		e.mu.Lock()
-		e.stats.ReceiptsInvalid++
-		e.mu.Unlock()
 		return err
 	}
 	if err := r.Verify(e.cfg.Trust, now); err != nil {
-		e.mu.Lock()
-		e.stats.ReceiptsInvalid++
-		e.mu.Unlock()
 		return err
 	}
 	e.mu.Lock()
-	e.stats.ReceiptsReceived++
 	p, ok := e.pending[r.ReqHash]
 	// Only honor receipts from the AS the request was actually sent to:
 	// a third AS cannot answer (and so revoke, or deny) on another's
@@ -733,15 +704,12 @@ func (e *Engine) HandleReceipt(raw []byte) error {
 	// hash is observable on-path) must not displace the genuine one
 	// still in flight.
 	if ok && p.peer != r.Issuer {
-		e.stats.ReceiptsInvalid++
 		e.mu.Unlock()
 		return fmt.Errorf("%w: receipt from %v for a request to %v",
 			ErrBadReceipt, r.Issuer, p.peer)
 	}
 	if ok {
 		delete(e.pending, r.ReqHash)
-	} else {
-		e.stats.ReceiptsUnmatched++
 	}
 	sinks := e.sinks
 	e.mu.Unlock()

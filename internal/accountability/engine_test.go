@@ -3,6 +3,7 @@ package accountability
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"apna/internal/aa"
@@ -260,6 +261,69 @@ func TestComplaintWithForgedSignatureRejected(t *testing.T) {
 	}
 	if w.ases[aidA].router.Revoked().Contains(offender.ephID) {
 		t.Fatal("forged complaint caused a revocation")
+	}
+}
+
+// TestComplaintRejectionsObservable: every reason HandleComplaint
+// refuses a complaint for shows twice, as the typed error it returns and
+// as exactly one "complaint-rejected" event; no callback fires and no
+// request leaves the victim's AS.
+func TestComplaintRejectionsObservable(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// complaint builds the complaint filed at the victim AS (aidB).
+		complaint func(w *world, offender, victim *identity) *Complaint
+		want      error
+		reason    string // in the error's text: the check that refused it
+	}{
+		{"foreign cert", func(w *world, offender, _ *identity) *Complaint {
+			outsider := w.addHost(aidA, 9, 600)
+			return NewComplaint(w.evidence(offender, outsider, []byte("spam")), &outsider.cert, &offender.cert, outsider.sig)
+		}, ErrNotVictimAS, "cert from"},
+		{"bad victim signature", func(w *world, offender, victim *identity) *Complaint {
+			wrong, err := crypto.GenerateSigner()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return NewComplaint(w.evidence(offender, victim, []byte("spam")), &victim.cert, &offender.cert, wrong)
+		}, ErrComplaintProof, "victim signature"},
+		{"evidence addressed to another host", func(w *world, offender, victim *identity) *Complaint {
+			other := w.addHost(aidB, 9, 600)
+			return NewComplaint(w.evidence(offender, other, []byte("spam")), &victim.cert, &offender.cert, victim.sig)
+		}, ErrComplaintProof, "not addressed to complainant"},
+		{"offender cert not the evidence's source", func(w *world, offender, victim *identity) *Complaint {
+			bystander := w.addHost(aidA, 9, 600)
+			return NewComplaint(w.evidence(offender, victim, []byte("spam")), &victim.cert, &bystander.cert, victim.sig)
+		}, ErrComplaintProof, "does not match evidence source"},
+		{"unresolvable offender AS", func(w *world, offender, victim *identity) *Complaint {
+			ghost := *offender
+			ghost.cert.AID = 999 // in no trust store
+			return NewComplaint(w.evidence(&ghost, victim, []byte("spam")), &victim.cert, &ghost.cert, victim.sig)
+		}, ErrComplaintProof, "resolving offender AS"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t, aidA, aidB)
+			offender := w.addHost(aidA, 7, 600)
+			victim := w.addHost(aidB, 8, 600)
+			c := tc.complaint(w, offender, victim)
+			var events []Event
+			w.ases[aidB].engine.SetObserver(func(ev Event) { events = append(events, ev) })
+			err := w.ases[aidB].engine.HandleComplaint(c, func(*Receipt, error) {
+				t.Fatal("a rejected complaint resolved")
+			})
+			if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), tc.reason) {
+				t.Fatalf("err = %v, want %v for %q", err, tc.want, tc.reason)
+			}
+			if len(events) != 1 || events[0].Kind != "complaint-rejected" || events[0].AID != aidB {
+				t.Fatalf("events %+v, want one complaint-rejected at %v", events, aidB)
+			}
+			if st := w.ases[aidB].engine.Stats(); st.RequestsForwarded != 0 || st.ComplaintsLocal != 0 {
+				t.Fatalf("stats %+v: the rejected complaint went on", st)
+			}
+			if w.ases[aidA].router.Revoked().Contains(offender.ephID) {
+				t.Fatal("a rejected complaint caused a revocation")
+			}
+		})
 	}
 }
 

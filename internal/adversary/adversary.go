@@ -100,9 +100,6 @@ type Injection struct {
 	At time.Duration
 	// SrcEphID is the source EphID the frame claimed.
 	SrcEphID ephid.EphID
-	// External reports whether the frame was injected at a router's
-	// external interface rather than through the attacker's own port.
-	External bool
 }
 
 // Stats counts the attacker's activity by kind.
@@ -234,7 +231,7 @@ func (a *Attacker) inject(kind Kind, frame []byte, external bool) error {
 	}
 	a.injections = append(a.injections, Injection{
 		Kind: kind, At: a.sim.Now(),
-		SrcEphID: wire.FrameSrcEphID(frame), External: external,
+		SrcEphID: wire.FrameSrcEphID(frame),
 	})
 	a.stats.Injected[kind]++
 	return nil

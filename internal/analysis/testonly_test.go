@@ -1,0 +1,105 @@
+package analysis
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// testonlySeams lists, sorted, every declaration of the module that
+// carries a //apna:testonly mark: the exported names production does not
+// call but a test in another package observes production behaviour
+// through. A new seam is a reviewed change to this list.
+var testonlySeams = []string{
+	"border.RemoteRevocationList.Len",
+	"netsim.PathLength",
+	"session.Derivations",
+	"spare.Idle",
+}
+
+// TestTestonlySeams pins the //apna:testonly marks to testonlySeams, as
+// TestFacadeAPI pins the facade's surface to testdata/api.txt. A mark
+// that is not on a declaration's doc comment counts too, under its file
+// and line, so it cannot hide from the list.
+func TestTestonlySeams(t *testing.T) {
+	root := moduleRoot(t)
+	fset := token.NewFileSet()
+	var got []string
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if n := d.Name(); p != root && (n == "testdata" || strings.HasPrefix(n, ".")) {
+				return fs.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		onDecl := make(map[*ast.Comment]bool)
+		for _, decl := range f.Decls {
+			var doc *ast.CommentGroup
+			name := f.Name.Name + "."
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				doc = d.Doc
+				if d.Recv != nil {
+					name += recvTypeName(d.Recv.List[0].Type) + "."
+				}
+				name += d.Name.Name
+			case *ast.GenDecl:
+				doc = d.Doc
+				if len(d.Specs) > 0 {
+					switch s := d.Specs[0].(type) {
+					case *ast.TypeSpec:
+						name += s.Name.Name
+					case *ast.ValueSpec:
+						name += s.Names[0].Name
+					}
+				}
+			}
+			if doc == nil {
+				continue
+			}
+			for _, c := range doc.List {
+				if isTestonlyMark(c) {
+					onDecl[c] = true
+					got = append(got, name)
+				}
+			}
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if isTestonlyMark(c) && !onDecl[c] {
+					rel, _ := filepath.Rel(root, p)
+					got = append(got, filepath.ToSlash(rel)+":"+strconv.Itoa(fset.Position(c.Pos()).Line))
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, testonlySeams) {
+		t.Errorf("//apna:testonly marks:\n  %s\nwant testonlySeams:\n  %s",
+			strings.Join(got, "\n  "), strings.Join(testonlySeams, "\n  "))
+	}
+}
+
+func isTestonlyMark(c *ast.Comment) bool {
+	return strings.HasPrefix(c.Text, "//apna:testonly")
+}

@@ -345,26 +345,40 @@ func TestRevocationListGC(t *testing.T) {
 	}
 }
 
+// egressOne and ingressOne take one frame through a pipeline the way a
+// router's port handler takes a frame that is alone at its instant: as
+// a ProcessBatch of one.
+func egressOne(p *EgressPipeline, frame []byte) Verdict {
+	var v [1]Verdict
+	return p.ProcessBatch([][]byte{frame}, v[:0])[0]
+}
+
+func ingressOne(p *IngressPipeline, frame []byte) (Verdict, ephid.HID) {
+	var res [1]IngressResult
+	r := p.ProcessBatch([][]byte{frame}, res[:0])[0]
+	return r.Verdict, r.HID
+}
+
 func TestEgressPipelineMatchesRouter(t *testing.T) {
 	f := newFixture(t)
 	pipe := f.router.NewEgressPipeline()
 	good := f.hostFrame(t, remoteAID, ephid.EphID{}, 0)
-	if v := pipe.Process(good); v != VerdictForward {
+	if v := egressOne(pipe, good); v != VerdictForward {
 		t.Errorf("good frame: %v", v)
 	}
 	// Cached path: process again.
-	if v := pipe.Process(good); v != VerdictForward {
+	if v := egressOne(pipe, good); v != VerdictForward {
 		t.Errorf("cached good frame: %v", v)
 	}
 	bad := append([]byte(nil), good...)
 	bad[len(bad)-1] ^= 1
-	if v := pipe.Process(bad); v != VerdictDropBadMAC {
+	if v := egressOne(pipe, bad); v != VerdictDropBadMAC {
 		t.Errorf("bad frame: %v", v)
 	}
 	// Revocation respected by the pipeline.
 	order, _ := SignOrder(f.secret, f.srcID, uint32(f.now)+600)
 	_ = f.router.ApplyOrder(order)
-	if v := pipe.Process(good); v != VerdictDropRevoked {
+	if v := egressOne(pipe, good); v != VerdictDropRevoked {
 		t.Errorf("revoked frame: %v", v)
 	}
 }
@@ -373,7 +387,7 @@ func TestIngressPipeline(t *testing.T) {
 	f := newFixture(t)
 	pipe := f.router.NewIngressPipeline()
 	dst := f.sealer.Mint(ephid.Payload{HID: f.hid, ExpTime: uint32(f.now) + 600})
-	v, hid := pipe.Process(f.hostFrame(t, localAID, dst, 0))
+	v, hid := ingressOne(pipe, f.hostFrame(t, localAID, dst, 0))
 	if v != VerdictForward || hid != f.hid {
 		t.Errorf("ingress: %v, %v", v, hid)
 	}

@@ -83,11 +83,11 @@ func TestEgressPipelineCacheRespectsRevocation(t *testing.T) {
 	frame := f.hostFrame(t, remoteAID, remoteDst, 0)
 	pipe := f.router.NewEgressPipeline()
 
-	if v := pipe.Process(frame); v != VerdictForward {
+	if v := egressOne(pipe, frame); v != VerdictForward {
 		t.Fatalf("verdict %v", v)
 	}
 	f.router.Revoked().Insert(f.srcID, uint32(f.now)+600)
-	if v := pipe.Process(frame); v != VerdictDropRevoked {
+	if v := egressOne(pipe, frame); v != VerdictDropRevoked {
 		t.Fatalf("cached EphID ignored revocation: %v", v)
 	}
 }
@@ -101,11 +101,11 @@ func TestEgressPipelineCacheRespectsExpiry(t *testing.T) {
 	frame := f.hostFrame(t, remoteAID, remoteDst, 0)
 	pipe := f.router.NewEgressPipeline()
 
-	if v := pipe.Process(frame); v != VerdictForward {
+	if v := egressOne(pipe, frame); v != VerdictForward {
 		t.Fatalf("verdict %v", v)
 	}
 	f.now += 3600 // past the EphID's 600 s lifetime
-	if v := pipe.Process(frame); v != VerdictDropExpired {
+	if v := egressOne(pipe, frame); v != VerdictDropExpired {
 		t.Fatalf("cached EphID ignored expiry: %v", v)
 	}
 }
@@ -118,11 +118,11 @@ func TestIngressPipelineCacheRespectsRevocation(t *testing.T) {
 	frame := f.hostFrame(t, localAID, dst, 0)
 	pipe := f.router.NewIngressPipeline()
 
-	if v, hid := pipe.Process(frame); v != VerdictForward || hid != f.hid {
+	if v, hid := ingressOne(pipe, frame); v != VerdictForward || hid != f.hid {
 		t.Fatalf("verdict %v hid %v", v, hid)
 	}
 	f.router.Revoked().Insert(dst, uint32(f.now)+600)
-	if v, _ := pipe.Process(frame); v != VerdictDropRevoked {
+	if v, _ := ingressOne(pipe, frame); v != VerdictDropRevoked {
 		t.Fatalf("cached EphID ignored revocation: %v", v)
 	}
 }

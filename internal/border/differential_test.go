@@ -19,8 +19,8 @@ import (
 // The whole-border differential test: one frame stream goes through a
 // slow reference that shares no table, cache or batch with the routers,
 // and through every way the routers can be driven — the single-packet
-// slow path, the pipelines' Process and their ProcessBatch at several
-// batch sizes, all with caches that stay warm across the stream, and the
+// slow path and the pipelines' ProcessBatch at several batch sizes, one
+// frame the smallest, all with caches that stay warm across the stream, and the
 // routers' own port handlers — while revocations, remote digests, host
 // revocations, deletions, re-keys, garbage collections and clock steps
 // land between its parts. Every frame must get the reference's verdict,
@@ -234,42 +234,30 @@ func routed(src *pktgen.Fixture, frame []byte) bool {
 	return ok
 }
 
-// perFrame composes a single-packet egress check, the route lookup and
-// a single-packet ingress check, behind the frame check the routers'
-// port handlers do first.
-func perFrame(name string, src *pktgen.Fixture, egress func([]byte) border.Verdict, ingress func([]byte) (border.Verdict, ephid.HID)) borderPath {
+// slowPath is the routers' uncached single-packet checks: the egress
+// check, the route lookup and the ingress check, frame by frame, behind
+// the frame check the routers' port handlers do first.
+func slowPath(src, dst *pktgen.Fixture) borderPath {
 	one := func(frame []byte) outcome {
 		if !wire.ValidFrame(frame) {
 			return outcome{v: border.VerdictDropMalformed}
 		}
-		if v := egress(frame); v != border.VerdictForward {
+		if v, _ := src.Router.EgressVerify(frame); v != border.VerdictForward {
 			return outcome{v: v}
 		}
 		if !routed(src, frame) {
 			return outcome{v: border.VerdictDropNoRoute}
 		}
-		v, hid := ingress(frame)
+		v, hid := dst.Router.IngressVerify(frame)
 		return outcome{v, hid}
 	}
-	return borderPath{name, func(frames [][]byte) []outcome {
+	return borderPath{"EgressVerify/IngressVerify", func(frames [][]byte) []outcome {
 		out := make([]outcome, len(frames))
 		for i, frame := range frames {
 			out[i] = one(frame)
 		}
 		return out
 	}}
-}
-
-// slowPath is the routers' uncached single-packet checks.
-func slowPath(src, dst *pktgen.Fixture) borderPath {
-	return perFrame("EgressVerify/IngressVerify", src, func(frame []byte) border.Verdict {
-		v, _ := src.Router.EgressVerify(frame)
-		return v
-	}, dst.Router.IngressVerify)
-}
-
-func singlePath(src, dst *pktgen.Fixture) borderPath {
-	return perFrame("Process", src, src.Router.NewEgressPipeline().Process, dst.Router.NewIngressPipeline().Process)
 }
 
 // batchPath drives the pipelines the way internal/engine does: a batch
@@ -837,7 +825,7 @@ func (w *diffWorld) apply(op byte) {
 func runDifferential(t *testing.T, seed int64, hosts, rounds int, script []byte, sorted bool) map[border.Verdict]int {
 	t.Helper()
 	w := newDiffWorld(t, seed, hosts, rounds, sorted)
-	paths := []borderPath{slowPath(w.src.f, w.dst.f), singlePath(w.src.f, w.dst.f)}
+	paths := []borderPath{slowPath(w.src.f, w.dst.f)}
 	for _, size := range diffBatchSizes {
 		paths = append(paths, batchPath(w.src.f, w.dst.f, size))
 	}

@@ -126,8 +126,6 @@ func (a *admission) admit(frames [][]byte, ingress bool) {
 type EgressPipeline struct {
 	admission
 	batch wire.MACBatch
-	one   [1][]byte // Process's chunk
-	out   [1]Verdict
 }
 
 // NewEgressPipeline creates a worker pipeline for the router.
@@ -137,22 +135,13 @@ func (r *Router) NewEgressPipeline() *EgressPipeline {
 	return p
 }
 
-// Process runs the outgoing-packet checks of Figure 4 (bottom) on one
-// frame: a chunk of one.
-//
-//apna:hotpath
-//apna:testonly the differential test, pktgen's world test and the root benchmarks take single frames through it
-func (p *EgressPipeline) Process(frame []byte) Verdict {
-	p.one[0] = frame
-	return p.chunk(p.one[:], p.out[:0])[0]
-}
-
-// ProcessBatch runs the egress checks over a batch of frames of any
-// length, appending one verdict per frame to dst and returning the
-// extended slice. With cap(dst) >= len(dst)+len(frames) the call does
-// not allocate. The batch is walked in chunks, each chunk stage by stage
-// (see chunkSize) in the order of Router.EgressVerify, the packet MACs of
-// the frames still standing verified all together at the end.
+// ProcessBatch runs the outgoing-packet checks of Figure 4 (bottom) over
+// a batch of frames of any length (a lone frame is a batch of one),
+// appending one verdict per frame to dst and returning the extended
+// slice. With cap(dst) >= len(dst)+len(frames) the call does not
+// allocate. The batch is walked in chunks, each chunk stage by stage
+// (see chunkSize) in the order of Router.EgressVerify, the packet MACs
+// of the frames still standing verified all together at the end.
 //
 //apna:hotpath
 func (p *EgressPipeline) ProcessBatch(frames [][]byte, dst []Verdict) []Verdict {
@@ -220,8 +209,6 @@ type IngressResult struct {
 // A pipeline is not safe for concurrent use; create one per worker.
 type IngressPipeline struct {
 	admission
-	one [1][]byte // Process's chunk
-	out [1]IngressResult
 }
 
 // NewIngressPipeline creates a worker pipeline for the router.
@@ -229,22 +216,12 @@ func (r *Router) NewIngressPipeline() *IngressPipeline {
 	return &IngressPipeline{admission: admission{r: r}}
 }
 
-// Process runs the incoming-packet checks on one frame — a chunk of
-// one — returning the verdict and the destination HID on success.
-//
-//apna:hotpath
-//apna:testonly the differential test, pktgen's world test and the root benchmarks take single frames through it
-func (p *IngressPipeline) Process(frame []byte) (Verdict, ephid.HID) {
-	p.one[0] = frame
-	res := p.chunk(p.one[:], p.out[:0])[0]
-	return res.Verdict, res.HID
-}
-
-// ProcessBatch runs the ingress checks over a batch of frames of any
-// length, appending one result per frame to dst and returning the
-// extended slice. With cap(dst) >= len(dst)+len(frames) the call does
-// not allocate. Like the egress pipeline it walks the batch in chunks
-// and each chunk stage by stage, in the order of Router.IngressVerify.
+// ProcessBatch runs the incoming-packet checks over a batch of frames of
+// any length (a lone frame is a batch of one), appending one result per
+// frame to dst and returning the extended slice. With cap(dst) >=
+// len(dst)+len(frames) the call does not allocate. Like the egress
+// pipeline it walks the batch in chunks and each chunk stage by stage,
+// in the order of Router.IngressVerify.
 //
 //apna:hotpath
 func (p *IngressPipeline) ProcessBatch(frames [][]byte, dst []IngressResult) []IngressResult {

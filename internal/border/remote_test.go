@@ -25,7 +25,7 @@ func TestIngressDropsRemotelyRevokedSource(t *testing.T) {
 		t.Fatalf("verdict %v, want drop-revoked-remote", v)
 	}
 	pipe := f.router.NewIngressPipeline()
-	if v, _ := pipe.Process(frame); v != VerdictDropRevokedRemote {
+	if v, _ := ingressOne(pipe, frame); v != VerdictDropRevokedRemote {
 		t.Fatalf("pipeline verdict %v, want drop-revoked-remote", v)
 	}
 	// The local list is untouched: remote and local revocations are
@@ -86,11 +86,11 @@ func TestIngressRemoteRevokedZeroAllocs(t *testing.T) {
 	frame := ingressFrame(t, f)
 	f.router.ApplyRemote(wire.FrameSrcEphID(frame), localAID, uint32(f.now)+600)
 	pipe := f.router.NewIngressPipeline()
-	if v, _ := pipe.Process(frame); v != VerdictDropRevokedRemote { // warm caches
+	if v, _ := ingressOne(pipe, frame); v != VerdictDropRevokedRemote { // warm caches
 		t.Fatalf("warm-up verdict %v", v)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if v, _ := pipe.Process(frame); v != VerdictDropRevokedRemote {
+		if v, _ := ingressOne(pipe, frame); v != VerdictDropRevokedRemote {
 			t.Fatalf("verdict %v", v)
 		}
 	})

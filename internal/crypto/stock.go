@@ -6,15 +6,6 @@ import (
 	"apna/internal/spare"
 )
 
-// stockDepth bounds how many fresh key pairs of one type are stocked or
-// owed. That sum grows only when a take finds the stock empty and its
-// replacement is queued, in a burst of takes faster than the refills
-// (an internet build bootstrapping every host back to back, a wave of
-// EphID issuance or renewals). Each owed replacement is one spare-core
-// task, so today the budget's 16 tasks cap the sum first; the depth is
-// the stock's own bound on the unused private keys it keeps in memory.
-const stockDepth = 64
-
 // stock keeps fresh key pairs of one type ahead of demand, so that the
 // caller's core does not pay for generating them: a take pops a stocked
 // key, and a spare core generates its replacement (internal/spare).
@@ -25,7 +16,10 @@ const stockDepth = 64
 // replacement the budget refuses is not made, so at GOMAXPROCS 1 every
 // key is generated inline, and a stock nobody takes from starts
 // nothing. Background generation therefore never exceeds what callers
-// consumed, and the stock never holds more than stockDepth keys.
+// consumed. Nor does the stock grow past the budget's task cap: stocked
+// plus owed keys grow only when a take finds the stock empty, so that
+// every key of the sum is owed, one queued or running task each, and
+// spare.Go accepts the new one.
 //
 // Every key is fresh crypto/rand output handed out exactly once; only
 // the moment it is drawn moves.
@@ -35,8 +29,7 @@ type stock[K any] struct {
 
 	mu   sync.Mutex
 	keys []K
-	// owed counts replacements queued but not yet generated;
-	// len(keys)+owed never exceeds stockDepth.
+	// owed counts replacements queued but not yet generated.
 	owed int
 	// err is a refill's last failure. The next take that finds the
 	// stock empty returns it instead of generating.
@@ -65,7 +58,7 @@ func (s *stock[K]) take() (K, error) {
 		s.keys[n-1] = zero // the stock keeps no reference to a key it handed out
 		s.keys = s.keys[:n-1]
 	}
-	if len(s.keys)+s.owed < stockDepth && spare.Go(s.refill) {
+	if spare.Go(s.refill) {
 		s.owed++ // before the refill can run: it waits for s.mu
 	}
 	s.mu.Unlock()

@@ -36,6 +36,11 @@ func spareCore(t *testing.T) {
 	}
 }
 
+// spareTasks is internal/spare's cap on tasks queued or running. Every
+// owed key is one such task, so it bounds a stock's stocked plus owed
+// keys too.
+const spareTasks = 16
+
 // counter is a generator whose keys are 1, 2, 3, ...; calls says how
 // many it made.
 func counter() (gen func() (int, error), calls *atomic.Int64) {
@@ -90,11 +95,11 @@ func TestStockKeysDistinct(t *testing.T) {
 	if len(seen) != 2*takers*takes {
 		t.Fatalf("%d distinct keys, want %d", len(seen), 2*takers*takes)
 	}
-	if n := len(dhStock.keys); n > stockDepth {
-		t.Errorf("X25519 stock holds %d keys, depth is %d", n, stockDepth)
+	if n := len(dhStock.keys); n > spareTasks {
+		t.Errorf("X25519 stock holds %d keys, the task cap is %d", n, spareTasks)
 	}
-	if n := len(sigStock.keys); n > stockDepth {
-		t.Errorf("Ed25519 stock holds %d keys, depth is %d", n, stockDepth)
+	if n := len(sigStock.keys); n > spareTasks {
+		t.Errorf("Ed25519 stock holds %d keys, the task cap is %d", n, spareTasks)
 	}
 }
 
@@ -106,7 +111,7 @@ func TestStockRefillerExitsWhenPaid(t *testing.T) {
 	spareCore(t)
 	gen, calls := counter()
 	s := &stock[int]{gen: gen}
-	const burst = 3 * stockDepth
+	const burst = 3 * spareTasks
 	seen := make(map[int]bool, burst)
 	for i := 0; i < burst; i++ {
 		k, err := s.take()
@@ -124,8 +129,8 @@ func TestStockRefillerExitsWhenPaid(t *testing.T) {
 	if s.owed != 0 {
 		t.Fatalf("refills still owe %d", s.owed)
 	}
-	if n := len(s.keys); n == 0 || n > stockDepth {
-		t.Fatalf("stock holds %d keys after the burst, want 1..%d", n, stockDepth)
+	if n := len(s.keys); n == 0 || n > spareTasks {
+		t.Fatalf("stock holds %d keys after the burst, want 1..%d", n, spareTasks)
 	}
 	if got, want := calls.Load(), int64(burst+len(s.keys)); got != want {
 		t.Fatalf("generated %d keys for %d takes and %d stocked", got, burst, len(s.keys))
@@ -137,44 +142,73 @@ func TestStockRefillerExitsWhenPaid(t *testing.T) {
 	}
 }
 
-// TestStockNeverExceedsDepth: with replacements for the whole depth
-// already owed, takes from the empty stock generate inline and queue
-// nothing; once those replacements are stocked, takes from a full stock
-// keep it full, one replacement each.
-func TestStockNeverExceedsDepth(t *testing.T) {
-	spareCore(t)
-	gen, calls := counter()
-	s := &stock[int]{gen: gen, owed: stockDepth} // as if stockDepth refills were queued
-	for i := 0; i < stockDepth; i++ {
-		if _, err := s.take(); err != nil {
-			t.Fatal(err)
-		}
-	}
+// TestStockWithinTaskCap: stocked plus owed keys never pass the spare
+// budget's task cap, however takes from several goroutines race the
+// refills. A task that holds the one spare core makes it exact: takes
+// from the empty stock queue refills behind it until the budget is
+// full, then generate inline and queue nothing; once it lets go, the
+// refills run while the takes go on. Afterwards each take from the
+// full stock queues exactly one replacement, so the stock stays full.
+func TestStockWithinTaskCap(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // one spare core
 	spare.Idle()
-	if calls.Load() != stockDepth || s.owed != stockDepth {
-		t.Fatalf("takes at the depth: %d generated, %d owed; want %d, %d", calls.Load(), s.owed, stockDepth, stockDepth)
+	gen, calls := counter()
+	s := &stock[int]{gen: gen}
+	sum := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.keys) + s.owed
 	}
-	s.owed = 0
-	for i := range stockDepth {
-		s.keys = append(s.keys, -i) // the refills' keys
+	release := make(chan struct{})
+	if !spare.Go(func() { <-release }) {
+		t.Fatal("the budget refused the task holding the spare core")
 	}
-	for i := 0; i < 3*stockDepth; i++ {
+	burst := func(takers, takes int) {
+		var wg sync.WaitGroup
+		for range takers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range takes {
+					if _, err := s.take(); err != nil {
+						t.Error(err)
+						return
+					}
+					if n := sum(); n > spareTasks {
+						t.Errorf("%d keys stocked or owed, the task cap is %d", n, spareTasks)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	const takers, takes = 4, 3 * spareTasks
+	burst(takers, takes)
+	if n := sum(); n != spareTasks-1 {
+		t.Fatalf("with the spare core held: %d keys owed, want the %d tasks the budget had left", n, spareTasks-1)
+	}
+	close(release)
+	burst(takers, takes)
+	spare.Idle()
+	full := len(s.keys)
+	if s.owed != 0 || full == 0 || full > spareTasks {
+		t.Fatalf("after the bursts: %d stocked, %d owed; want 1..%d, 0", full, s.owed, spareTasks)
+	}
+	if got, want := calls.Load(), int64(2*takers*takes+full); got != want {
+		t.Fatalf("generated %d keys for %d takes and %d stocked", got, 2*takers*takes, full)
+	}
+	for i := 0; i < 3*full; i++ {
 		if _, err := s.take(); err != nil {
 			t.Fatal(err)
 		}
-		s.mu.Lock()
-		n := len(s.keys) + s.owed
-		s.mu.Unlock()
-		if n != stockDepth {
-			t.Fatalf("take %d: %d stocked or owed, depth is %d", i, n, stockDepth)
+		if n := sum(); n != full {
+			t.Fatalf("take %d from full: %d stocked or owed, want %d", i, n, full)
 		}
 		spare.Idle()
-		if len(s.keys) != stockDepth || s.owed != 0 {
-			t.Fatalf("take %d from full: %d stocked, %d owed; want %d, 0", i, len(s.keys), s.owed, stockDepth)
+		if len(s.keys) != full || s.owed != 0 {
+			t.Fatalf("take %d from full: %d stocked, %d owed; want %d, 0", i, len(s.keys), s.owed, full)
 		}
-	}
-	if got, want := calls.Load(), int64(4*stockDepth); got != want {
-		t.Fatalf("generated %d keys, want %d", got, want)
 	}
 }
 
@@ -185,13 +219,14 @@ func TestStockInlineAtOneProc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	gen, calls := counter()
 	s := &stock[int]{gen: gen}
-	for i := 1; i <= stockDepth; i++ {
+	const takes = 64
+	for i := 1; i <= takes; i++ {
 		if k, err := s.take(); err != nil || k != i {
 			t.Fatalf("take %d: key %d, %v", i, k, err)
 		}
 	}
-	if calls.Load() != stockDepth || !s.idle() {
-		t.Fatalf("%d generated, %d stocked, %d owed; want %d, 0, 0", calls.Load(), len(s.keys), s.owed, stockDepth)
+	if calls.Load() != takes || !s.idle() {
+		t.Fatalf("%d generated, %d stocked, %d owed; want %d, 0, 0", calls.Load(), len(s.keys), s.owed, takes)
 	}
 }
 

@@ -245,8 +245,3 @@ func (c *Cache) room(nowUnix int64) bool {
 	}
 	return len(c.records)+len(c.denials) < maxCacheEntries
 }
-
-// Len returns the number of positive and negative entries.
-//
-//apna:testonly the root package's resolver tests check a host cache's bound through it
-func (c *Cache) Len() (records, denials int) { return len(c.records), len(c.denials) }

@@ -220,8 +220,8 @@ func TestCache(t *testing.T) {
 	if c.Denied("x", 250) {
 		t.Fatal("record insert left stale denial")
 	}
-	if r, d := c.Len(); r != 1 || d != 1 {
-		t.Fatalf("Len() = %d, %d", r, d)
+	if r, d := len(c.records), len(c.denials); r != 1 || d != 1 {
+		t.Fatalf("%d records, %d denials", r, d)
 	}
 	// A read past an entry's expiry both misses and forgets it.
 	if _, ok := c.Record("x", 401); ok {
@@ -230,8 +230,8 @@ func TestCache(t *testing.T) {
 	if c.Denied("y", 201) {
 		t.Fatal("expired denial served")
 	}
-	if r, d := c.Len(); r != 0 || d != 0 {
-		t.Fatalf("Len() = %d, %d after reading both expired entries, want 0, 0", r, d)
+	if r, d := len(c.records), len(c.denials); r != 0 || d != 0 {
+		t.Fatalf("%d records, %d denials after reading both expired entries, want 0, 0", r, d)
 	}
 }
 
@@ -250,8 +250,8 @@ func TestCacheBounded(t *testing.T) {
 			c.PutDenial(name, 100, 0)
 		}
 	}
-	if r, d := c.Len(); r+d != maxCacheEntries {
-		t.Fatalf("Len() = %d, %d; want %d entries in all", r, d, maxCacheEntries)
+	if r, d := len(c.records), len(c.denials); r+d != maxCacheEntries {
+		t.Fatalf("%d records, %d denials; want %d entries in all", r, d, maxCacheEntries)
 	}
 	if _, ok := c.Record("n0.example", 50); !ok {
 		t.Error("full cache stopped answering a cached record")
@@ -270,8 +270,8 @@ func TestCacheBounded(t *testing.T) {
 
 	// Everything but n0 has expired by 150: the next insert sweeps.
 	c.PutRecord("late.example", crt, 400, 150)
-	if r, d := c.Len(); r != 2 || d != 0 {
-		t.Fatalf("Len() = %d, %d after the sweep, want 2, 0", r, d)
+	if r, d := len(c.records), len(c.denials); r != 2 || d != 0 {
+		t.Fatalf("%d records, %d denials after the sweep, want 2, 0", r, d)
 	}
 	if _, ok := c.Record("late.example", 150); !ok {
 		t.Error("insert after the sweep was not cached")

@@ -25,7 +25,8 @@ func (h *Host) Ping(dst wire.Endpoint, seq uint16) error {
 	return h.send(wire.ProtoICMP, 0, src.Cert.EphID, dst, m.Encode(), nil)
 }
 
-// handleICMP answers echo requests and surfaces replies and errors.
+// handleICMP answers echo requests and hands replies to the echo
+// listeners. Errors reach whoever listens with AddRawListener.
 func (h *Host) handleICMP(hdr *wire.Header, payload []byte) {
 	m, err := icmp.Decode(payload)
 	if err != nil {
@@ -45,10 +46,6 @@ func (h *Host) handleICMP(hdr *wire.Header, payload []byte) {
 		from := wire.Endpoint{AID: hdr.SrcAID, EphID: hdr.SrcEphID}
 		for _, fn := range h.echoListeners {
 			fn(from, m.Seq)
-		}
-	default:
-		if h.onICMPError != nil {
-			h.onICMPError(uint8(m.Type), m.Code, m.Body)
 		}
 	}
 }

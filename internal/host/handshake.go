@@ -326,7 +326,6 @@ func (h *Host) Migrate(c *Conn, succ *OwnedEphID, done func(error)) error {
 		delete(h.sessions, oldKey)
 		delete(h.peerCerts, oldKey)
 		h.Release(old)
-		h.stats.FlowsMigrated++
 		if done != nil {
 			done(nil)
 		}

@@ -146,7 +146,6 @@ type Host struct {
 	flowTaps     map[sessKey]func(Message) bool
 	onMessage    func(Message)
 	onAccept     func(serving ephid.EphID, peer wire.Endpoint, addressed ephid.EphID)
-	onICMPError  func(typ, code uint8, quoted []byte)
 	rawHandlers  map[wire.NextProto]func(hdr *wire.Header, payload []byte)
 	rawListeners map[wire.NextProto][]func(hdr *wire.Header, payload []byte)
 
@@ -160,18 +159,9 @@ type Stats struct {
 	DropDecrypt      uint64
 	DropReplay       uint64
 	DropBadHandshake uint64
-	EphIDsIssued     uint64
-	// EphIDsRenewed counts issuances that went through the renewal path
-	// (a subset of EphIDsIssued).
-	EphIDsRenewed uint64
 	// EphIDsReleased counts per-flow identifiers returned to the pool by
 	// flow teardown.
 	EphIDsReleased uint64
-	// EphIDsReaped counts expired identifiers dropped from the pool.
-	EphIDsReaped uint64
-	// FlowsMigrated counts live connections re-handshaken onto a
-	// successor EphID by the lifecycle engine.
-	FlowsMigrated uint64
 }
 
 // sessKey identifies a session by local EphID and peer endpoint.
@@ -247,8 +237,8 @@ func (h *Host) OnMessage(fn func(Message)) { h.onMessage = fn }
 // OnAccept installs a callback fired when an inbound handshake creates
 // a session: serving is the local EphID answering, peer the remote
 // endpoint, and addressed the EphID the peer originally dialed (these
-// differ for receive-only identifiers). Gateways use it to associate
-// inbound connections with the legacy servers they front.
+// differ for receive-only identifiers). The scenario referee uses it to
+// tell the invariant checker which flows a responder accepted.
 func (h *Host) OnAccept(fn func(serving ephid.EphID, peer wire.Endpoint, addressed ephid.EphID)) {
 	h.onAccept = fn
 }
@@ -262,11 +252,6 @@ func (h *Host) OnAccept(fn func(serving ephid.EphID, peer wire.Endpoint, address
 func (h *Host) AddEchoListener(fn func(from wire.Endpoint, seq uint16)) {
 	h.echoListeners = append(h.echoListeners, fn)
 }
-
-// OnICMPError installs the ICMP error callback.
-//
-//apna:testonly the root package's ICMP tests (Section VIII-B) see router errors through it
-func (h *Host) OnICMPError(fn func(typ, code uint8, quoted []byte)) { h.onICMPError = fn }
 
 // RegisterRawHandler overrides packet handling for a protocol number —
 // how AS services (MS, DNS, AA) mount their logic on a host stack.

@@ -45,7 +45,6 @@ func (h *Host) RequestEphID(kind ephid.Kind, lifetime uint32, cb func(*OwnedEphI
 			}
 			owned := &OwnedEphID{Cert: *c, DH: dh, Sig: sig}
 			h.AddEphID(owned)
-			h.stats.EphIDsIssued++
 			cb(owned, nil)
 		})
 }
@@ -80,8 +79,6 @@ func (h *Host) RequestRenewal(old *OwnedEphID, lifetime uint32, cb func(*OwnedEp
 		}
 		owned := &OwnedEphID{Cert: *c, DH: dh, Sig: sig}
 		h.AddEphID(owned)
-		h.stats.EphIDsIssued++
-		h.stats.EphIDsRenewed++
 		cb(owned, nil)
 	})
 }
@@ -321,7 +318,6 @@ func (h *Host) ReapExpired() int {
 		h.poolList[i] = nil
 	}
 	h.poolList = kept
-	h.stats.EphIDsReaped += uint64(reaped)
 	if reaped > 0 {
 		h.forgetHandshakes()
 	}

@@ -175,9 +175,11 @@ func TestSendBatchMatchesPerFrameApply(t *testing.T) {
 				t.Fatalf("seed %d: entry %d is\n%s batched, and\n%s with Apply", seed, i, batched.log[i], ref.log[i])
 			}
 		}
-		var dups uint64
-		for _, l := range batched.links {
-			dups += l.Stats().Duplicated
+		dups := 0
+		for _, ev := range batched.faults.Events {
+			if ev.Kind == netsim.FaultDup && ev.Hit {
+				dups++
+			}
 		}
 		if batched.next != macPlayFrames || batched.nested == 0 || dups == 0 {
 			t.Fatalf("seed %d: %d frames, %d nested Steps and %d duplicates: the schedule does not exercise them",
@@ -196,6 +198,7 @@ type macPlay struct {
 	seed   int64
 	sim    *netsim.Simulator
 	links  []*netsim.Link
+	faults *netsim.FaultTrace
 	send   func(i int, payload []byte)
 	log    []string
 	next   uint32 // frames sent so far
@@ -205,6 +208,7 @@ type macPlay struct {
 
 func newMACPlay(t *testing.T, seed int64, batched bool) *macPlay {
 	p := &macPlay{t: t, seed: seed, sim: netsim.New(seed)}
+	p.faults = p.sim.CaptureFaults()
 	node := &macPlayNode{p}
 	macs := make([]*wire.PacketMAC, macPlayHosts)
 	hosts := make([]*Host, macPlayHosts)

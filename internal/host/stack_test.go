@@ -9,6 +9,7 @@ import (
 	"apna/internal/cert"
 	"apna/internal/crypto"
 	"apna/internal/ephid"
+	"apna/internal/icmp"
 	"apna/internal/ms"
 	"apna/internal/netsim"
 	"apna/internal/rpki"
@@ -806,7 +807,11 @@ func TestStackICMPErrorSurfaced(t *testing.T) {
 	d := newDuplex(t)
 	idA := d.issue(t, d.a, d.signA, ephid.KindData, 1)
 	var got []uint8
-	d.a.OnICMPError(func(typ, code uint8, _ []byte) { got = append(got, typ, code) })
+	d.a.AddRawListener(wire.ProtoICMP, func(_ *wire.Header, payload []byte) {
+		if m, err := icmp.Decode(payload); err == nil {
+			got = append(got, uint8(m.Type), m.Code)
+		}
+	})
 
 	// B plays a router sending a dest-unreachable to A.
 	idB := d.issue(t, d.b, d.signB, ephid.KindData, 2)

@@ -57,15 +57,14 @@ func (c *ChaosConfig) partitioned(now time.Duration) bool {
 // extraDelay draws the chaotic latency additions for one frame copy.
 // Draws route through the simulator's fault helpers so capture and
 // replay see every decision.
-func (c *ChaosConfig) extraDelay(s *Simulator, link string) (d time.Duration, reordered bool) {
+func (c *ChaosConfig) extraDelay(s *Simulator, link string) (d time.Duration) {
 	if c.Jitter > 0 {
 		d += s.faultJitter(link, c.Jitter)
 	}
 	if c.ReorderProb > 0 && s.faultChance(link, FaultReorder, c.ReorderProb) {
 		d += c.ReorderDelay
-		reordered = true
 	}
-	return d, reordered
+	return d
 }
 
 // SetChaos installs the chaos configuration on the link. Call it during

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -15,6 +16,20 @@ type collector struct {
 func (c *collector) HandleFrame(frame []byte, _ *Port) {
 	c.frames = append(c.frames, frame)
 	c.times = append(c.times, c.sim.Now())
+}
+
+// faultCount returns how many decisions of one kind the trace recorded
+// and how many of them hit.
+func faultCount(trace *FaultTrace, kind string) (draws, hits int) {
+	for _, ev := range trace.Events {
+		if ev.Kind == kind {
+			draws++
+			if ev.Hit {
+				hits++
+			}
+		}
+	}
+	return draws, hits
 }
 
 func chaosPair(t *testing.T, seed int64, latency time.Duration, cfg ChaosConfig) (*Simulator, *Link, *collector) {
@@ -59,6 +74,7 @@ func TestChaosJitterBoundsAndReordering(t *testing.T) {
 
 func TestChaosDuplication(t *testing.T) {
 	sim, l, c := chaosPair(t, 1, time.Millisecond, ChaosConfig{DupProb: 1})
+	trace := sim.CaptureFaults()
 	const n = 50
 	for i := 0; i < n; i++ {
 		l.A().Send([]byte{byte(i)})
@@ -67,11 +83,8 @@ func TestChaosDuplication(t *testing.T) {
 	if len(c.frames) != 2*n {
 		t.Fatalf("delivered %d, want %d (every frame duplicated)", len(c.frames), 2*n)
 	}
-	if got := l.Stats().Duplicated; got != n {
-		t.Errorf("Duplicated = %d, want %d", got, n)
-	}
-	if got := l.Stats().Frames; got != n {
-		t.Errorf("Frames = %d, want %d (duplicates are not offered frames)", got, n)
+	if draws, hits := faultCount(trace, FaultDup); hits != n || draws != n {
+		t.Errorf("%d duplication draws, %d hits; want %d, %d (duplicates are not offered frames)", draws, hits, n, n)
 	}
 }
 
@@ -80,19 +93,21 @@ func TestChaosReorderDelay(t *testing.T) {
 	// arrival time proves the path was taken.
 	const latency, hold = time.Millisecond, 5 * time.Millisecond
 	sim, l, c := chaosPair(t, 1, latency, ChaosConfig{ReorderProb: 1, ReorderDelay: hold})
+	trace := sim.CaptureFaults()
 	l.A().Send([]byte{1})
 	sim.Run(1 << 10)
 	if len(c.times) != 1 || c.times[0] != latency+hold {
 		t.Fatalf("arrival %v, want %v", c.times, latency+hold)
 	}
-	if l.Stats().Reordered != 1 {
-		t.Errorf("Reordered = %d, want 1", l.Stats().Reordered)
+	if _, hits := faultCount(trace, FaultReorder); hits != 1 {
+		t.Errorf("%d reorder hits, want 1", hits)
 	}
 }
 
 func TestChaosTimedPartition(t *testing.T) {
 	sim, l, c := chaosPair(t, 1, time.Millisecond, ChaosConfig{})
 	l.Partition(10*time.Millisecond, 20*time.Millisecond)
+	trace := sim.CaptureFaults()
 
 	send := func(at time.Duration, b byte) {
 		sim.Schedule(at, func() { l.A().Send([]byte{b}) })
@@ -105,25 +120,26 @@ func TestChaosTimedPartition(t *testing.T) {
 	if len(c.frames) != 2 || c.frames[0][0] != 1 || c.frames[1][0] != 3 {
 		t.Fatalf("delivered %v, want frames 1 and 3", c.frames)
 	}
-	st := l.Stats()
-	if st.PartitionDrops != 1 || st.Dropped != 1 {
-		t.Errorf("stats = %+v, want 1 partition drop", st)
+	if len(trace.Events) != 1 || trace.Events[0].Kind != FaultPartition || trace.Events[0].At != int64(15*time.Millisecond) {
+		t.Errorf("fault trace %+v, want the one partition drop at 15ms", trace.Events)
 	}
 }
 
 func TestChaosExtraLossIndependentOfBaseLoss(t *testing.T) {
 	sim, l, c := chaosPair(t, 3, time.Millisecond, ChaosConfig{Loss: 0.5})
+	trace := sim.CaptureFaults()
 	const n = 400
 	for i := 0; i < n; i++ {
 		l.A().Send([]byte{byte(i)})
 	}
 	sim.Run(1 << 20)
-	st := l.Stats()
-	if st.Dropped == 0 || len(c.frames) == 0 {
-		t.Fatalf("chaos loss 0.5: %d delivered, %d dropped — want both nonzero", len(c.frames), st.Dropped)
+	draws, dropped := faultCount(trace, FaultChaosLoss)
+	if dropped == 0 || len(c.frames) == 0 {
+		t.Fatalf("chaos loss 0.5: %d delivered, %d dropped — want both nonzero", len(c.frames), dropped)
 	}
-	if int(st.Frames)+int(st.Dropped) != n {
-		t.Errorf("Frames %d + Dropped %d != %d", st.Frames, st.Dropped, n)
+	if len(c.frames)+dropped != n || draws != n || len(trace.Events) != n {
+		t.Errorf("%d delivered + %d dropped != %d, or %d chaos-loss draws in %d fault events (want %d, and no base-loss draw)",
+			len(c.frames), dropped, n, draws, len(trace.Events), n)
 	}
 }
 
@@ -163,11 +179,12 @@ func TestChaosTapsAccumulate(t *testing.T) {
 }
 
 func TestChaosDeterministicAcrossRuns(t *testing.T) {
-	run := func() ([]byte, LinkStats) {
+	run := func() ([]byte, []FaultEvent) {
 		sim, l, c := chaosPair(t, 11, time.Millisecond, ChaosConfig{
 			Loss: 0.2, Jitter: 3 * time.Millisecond, DupProb: 0.3,
 			ReorderProb: 0.2, ReorderDelay: 2 * time.Millisecond,
 		})
+		trace := sim.CaptureFaults()
 		for i := 0; i < 100; i++ {
 			l.A().Send([]byte{byte(i)})
 		}
@@ -176,11 +193,11 @@ func TestChaosDeterministicAcrossRuns(t *testing.T) {
 		for _, f := range c.frames {
 			order = append(order, f[0])
 		}
-		return order, l.Stats()
+		return order, trace.Events
 	}
-	o1, s1 := run()
-	o2, s2 := run()
-	if string(o1) != string(o2) || s1 != s2 {
+	o1, f1 := run()
+	o2, f2 := run()
+	if string(o1) != string(o2) || !slices.Equal(f1, f2) {
 		t.Error("same seed produced different chaotic timelines")
 	}
 }

@@ -59,21 +59,6 @@ type Link struct {
 
 	chaos ChaosConfig
 	taps  []func(frame []byte, from *Port)
-
-	stats LinkStats
-}
-
-// LinkStats counts traffic over a link (both directions). Dropped
-// includes partition drops and frames that crossed the link to a port
-// nothing is attached to; Duplicated and Reordered count the extra
-// copies and held-back frames the chaos configuration introduced.
-type LinkStats struct {
-	Frames         uint64
-	Bytes          uint64
-	Dropped        uint64
-	PartitionDrops uint64
-	Duplicated     uint64
-	Reordered      uint64
 }
 
 // NewLink creates a link in the simulator with the given one-way latency
@@ -90,11 +75,6 @@ func (l *Link) A() *Port { return &l.a }
 
 // B returns the second port of the link.
 func (l *Link) B() *Port { return &l.b }
-
-// Stats returns a snapshot of the link counters.
-//
-//apna:testonly the root package's chaos and run-delivery tests read a link's duplicate and drop counts through it
-func (l *Link) Stats() LinkStats { return l.stats }
 
 // String names the link.
 func (l *Link) String() string { return fmt.Sprintf("link(%s)", l.name) }
@@ -137,20 +117,14 @@ func (p *Port) transmit(frame []byte, owned bool) {
 	l := p.link
 	if l.chaos.partitioned(l.sim.now) {
 		l.sim.faultMark(l.name, FaultPartition)
-		l.stats.Dropped++
-		l.stats.PartitionDrops++
 		return
 	}
 	if l.loss > 0 && l.sim.faultChance(l.name, FaultLoss, l.loss) {
-		l.stats.Dropped++
 		return
 	}
 	if l.chaos.Loss > 0 && l.sim.faultChance(l.name, FaultChaosLoss, l.chaos.Loss) {
-		l.stats.Dropped++
 		return
 	}
-	l.stats.Frames++
-	l.stats.Bytes += uint64(len(frame))
 	// The copies below are what a wiretap, Send and a duplicating link
 	// cost; a router Forwarding over a plain link makes none of them.
 	for _, tap := range l.taps { //apna:coldpath
@@ -163,7 +137,6 @@ func (p *Port) transmit(frame []byte, owned bool) {
 	}
 	p.deliver(buf)
 	if l.chaos.DupProb > 0 && l.sim.faultChance(l.name, FaultDup, l.chaos.DupProb) { //apna:coldpath
-		l.stats.Duplicated++
 		l.sim.settle()
 		p.deliver(append([]byte(nil), frame...))
 	}
@@ -174,9 +147,5 @@ func (p *Port) transmit(frame []byte, owned bool) {
 // jitters independently, so duplicates can overtake originals.
 func (p *Port) deliver(buf []byte) {
 	l := p.link
-	extra, reordered := l.chaos.extraDelay(l.sim, l.name)
-	if reordered {
-		l.stats.Reordered++
-	}
-	l.sim.scheduleFrame(l.latency+extra, p.peer, buf)
+	l.sim.scheduleFrame(l.latency+l.chaos.extraDelay(l.sim, l.name), p.peer, buf)
 }

@@ -113,9 +113,11 @@ func TestLinkDeliversWithLatency(t *testing.T) {
 	l := s.NewLink("ab", 25*time.Millisecond, 0)
 	var arrived time.Duration
 	var got []byte
+	n := 0
 	l.B().Attach(HandlerFunc(func(frame []byte, from *Port) {
 		arrived = s.Now()
 		got = frame
+		n++
 	}), "b")
 	l.A().Attach(HandlerFunc(func([]byte, *Port) {}), "a")
 
@@ -127,8 +129,8 @@ func TestLinkDeliversWithLatency(t *testing.T) {
 	if arrived != 25*time.Millisecond {
 		t.Errorf("arrived at %v", arrived)
 	}
-	if st := l.Stats(); st.Frames != 1 || st.Bytes != 5 {
-		t.Errorf("stats = %+v", st)
+	if n != 1 || len(got) != 5 {
+		t.Errorf("%d frames, %d bytes arrived; want 1, 5", n, len(got))
 	}
 }
 
@@ -162,6 +164,7 @@ func TestLinkBidirectional(t *testing.T) {
 
 func TestLinkLossStatistical(t *testing.T) {
 	s := New(42)
+	trace := s.CaptureFaults()
 	l := s.NewLink("lossy", 0, 0.5)
 	delivered := 0
 	l.B().Attach(HandlerFunc(func([]byte, *Port) { delivered++ }), "b")
@@ -173,8 +176,8 @@ func TestLinkLossStatistical(t *testing.T) {
 	if delivered < 850 || delivered > 1150 {
 		t.Errorf("delivered %d of %d at 50%% loss", delivered, sent)
 	}
-	if st := l.Stats(); st.Dropped+st.Frames != sent {
-		t.Errorf("drops %d + frames %d != %d", st.Dropped, st.Frames, sent)
+	if draws, drops := faultCount(trace, FaultLoss); drops+delivered != sent || draws != sent {
+		t.Errorf("drops %d + delivered %d != %d, or %d loss draws", drops, delivered, sent, draws)
 	}
 }
 

@@ -204,8 +204,6 @@ func (s *Simulator) runNext(budget int) int {
 	if h == nil {
 		if ev.dst.owner != nil {
 			ev.dst.owner.HandleFrame(ev.buf, ev.dst)
-		} else {
-			ev.dst.link.stats.Dropped++
 		}
 		return 1
 	}

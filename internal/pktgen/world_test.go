@@ -40,15 +40,16 @@ func TestWorldCleanTrafficForwards(t *testing.T) {
 	for _, lane := range w.Lanes {
 		eg := lane.Src.Router.NewEgressPipeline()
 		ig := lane.Dst.Router.NewIngressPipeline()
-		for _, frame := range lane.Frames {
-			if v := eg.Process(frame); v != border.VerdictForward {
+		for i, frame := range lane.Frames {
+			one := lane.Frames[i : i+1]
+			if v := eg.ProcessBatch(one, nil)[0]; v != border.VerdictForward {
 				t.Fatalf("egress verdict %v", v)
 			}
 			if _, ok := lane.Src.Router.LookupRoute(wire.FrameDstAID(frame)); !ok {
 				t.Fatalf("no route toward %v", wire.FrameDstAID(frame))
 			}
-			if v, _ := ig.Process(frame); v != border.VerdictForward {
-				t.Fatalf("ingress verdict %v", v)
+			if res := ig.ProcessBatch(one, nil)[0]; res.Verdict != border.VerdictForward {
+				t.Fatalf("ingress verdict %v", res.Verdict)
 			}
 		}
 	}
@@ -72,14 +73,14 @@ func TestWorldBadFramesDrop(t *testing.T) {
 		}
 		eg := lane.Src.Router.NewEgressPipeline()
 		ig := lane.Dst.Router.NewIngressPipeline()
-		for _, frame := range lane.Frames {
-			v := eg.Process(frame)
+		for i := range lane.Frames {
+			one := lane.Frames[i : i+1]
+			v := eg.ProcessBatch(one, nil)[0]
 			if v != border.VerdictForward {
 				counts[v]++
 				continue
 			}
-			iv, _ := ig.Process(frame)
-			counts[iv]++
+			counts[ig.ProcessBatch(one, nil)[0].Verdict]++
 		}
 	}
 	if totalBad == 0 {

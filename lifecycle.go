@@ -87,20 +87,18 @@ func (lt Lifetimes) withDefaults() Lifetimes {
 // LifecycleStats counts what the engine did, in the same spirit as the
 // border router's per-verdict counters.
 type LifecycleStats struct {
-	// Ticks and GCTicks count timer firings.
-	Ticks, GCTicks uint64
-	// RenewalsStarted/Completed/Failed count renewal requests; Failed
+	// RenewalsCompleted/Failed count answered renewal requests; Failed
 	// includes MS rejections (rate limit, unknown host).
-	RenewalsStarted, RenewalsCompleted, RenewalsFailed uint64
-	// MigrationsStarted/Completed/Retried/Failed count connection
-	// re-handshakes onto successor EphIDs.
-	MigrationsStarted, MigrationsCompleted, MigrationsRetried, MigrationsFailed uint64
-	// PoolReaped counts expired EphIDs dropped from host pools;
+	RenewalsCompleted, RenewalsFailed uint64
+	// MigrationsCompleted counts connections re-handshaken onto
+	// successor EphIDs; a failed migration shows as its
+	// "migrate-failed" event.
+	MigrationsCompleted uint64
 	// Retired counts predecessors removed after their flows migrated.
-	PoolReaped, Retired uint64
-	// RevocationsReaped and HostsReaped count the scheduled GC's
+	Retired uint64
+	// RevocationsReaped counts the scheduled GC's revocation-list
 	// harvest across all ASes.
-	RevocationsReaped, HostsReaped uint64
+	RevocationsReaped uint64
 }
 
 // LifecycleEvent is one engine action, surfaced to observers (scenario
@@ -185,11 +183,10 @@ func (lc *Lifecycle) emit(ev LifecycleEvent) {
 // stuck migrations, and start renewals for identifiers entering the
 // lead window.
 func (lc *Lifecycle) tick() {
-	lc.stats.Ticks++
 	lc.retryMigrations()
 	deadline := lc.in.Sim.NowUnix() + int64(lc.cfg.RenewLead/time.Second)
 	for _, h := range lc.in.Hosts() {
-		lc.stats.PoolReaped += uint64(h.Stack.ReapExpired())
+		h.Stack.ReapExpired()
 		for _, o := range h.Stack.ExpiringBefore(deadline) {
 			lc.renew(h, o)
 		}
@@ -209,7 +206,6 @@ func (lc *Lifecycle) renew(h *Host, old *host.OwnedEphID) {
 		return
 	}
 	lc.renewing[e] = true
-	lc.stats.RenewalsStarted++
 	err := h.Stack.RequestRenewal(old, lc.cfg.RenewLifetime, func(succ *host.OwnedEphID, err error) {
 		if err != nil {
 			delete(lc.renewing, e) // retried next tick
@@ -243,7 +239,6 @@ func (lc *Lifecycle) adopt(h *Host, old, succ *host.OwnedEphID) {
 		}
 		moved = true
 		m := &migration{h: h, conn: c, old: old, new: succ}
-		lc.stats.MigrationsStarted++
 		if c.Established() {
 			m.started = true
 			if !lc.dialMigration(m) {
@@ -280,7 +275,6 @@ func (lc *Lifecycle) dialMigration(m *migration) bool {
 // out of every future renewal.
 func (lc *Lifecycle) abandonMigration(m *migration, err error) {
 	lc.emit(LifecycleEvent{Kind: "migrate-failed", Host: m.h, Old: m.old, New: m.new, Err: err})
-	lc.stats.MigrationsFailed++
 	m.done = true
 	if m.started {
 		// Only a started migration holds the transferred lease; before
@@ -322,7 +316,6 @@ func (lc *Lifecycle) retryMigrations() {
 			// If the lost frame was only the acknowledgment, the
 			// responder's handshake-replay cache answers the redial with
 			// the original ack, so retrying is idempotent.
-			lc.stats.MigrationsRetried++
 			m.h.Stack.AbortMigration(m.conn, m.new)
 			if !lc.dialMigration(m) {
 				continue
@@ -352,15 +345,12 @@ func (lc *Lifecycle) retire(h *Host, old *host.OwnedEphID) {
 
 // gcTick is one scheduled GC pass over every AS.
 func (lc *Lifecycle) gcTick() {
-	lc.stats.GCTicks++
 	retention := int64(lc.cfg.RevokedRetention / time.Second)
 	if retention <= 0 {
 		retention = int64(lc.in.opts.Policy.MaxLifetime)
 	}
 	for _, as := range lc.in.ASes() {
-		rev, hosts := as.runGC(retention)
-		lc.stats.RevocationsReaped += uint64(rev)
-		lc.stats.HostsReaped += uint64(hosts)
+		lc.stats.RevocationsReaped += uint64(as.runGC(retention))
 	}
 }
 

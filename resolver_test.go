@@ -136,8 +136,8 @@ func TestLookupVerifiedDenialAndNegativeCache(t *testing.T) {
 
 // TestLookupAnswersWithFullCache: a host's resolution cache is
 // bounded. Stuffed with fresh denials far past any plausible bound, it
-// stops growing, and a lookup of a new name still returns its verified
-// answer without growing it further.
+// stops taking new names, and a lookup of a new name still returns its
+// verified answer, which the full cache refuses to keep.
 func TestLookupAnswersWithFullCache(t *testing.T) {
 	in, alice, _ := buildDNSPair(t)
 	now := in.Sim.NowUnix()
@@ -145,9 +145,11 @@ func TestLookupAnswersWithFullCache(t *testing.T) {
 	for i := 0; i < stuffed; i++ {
 		alice.dnsCache.PutDenial(fmt.Sprintf("filler%d.as100", i), now+3600, now)
 	}
-	records, denials := alice.dnsCache.Len()
-	if records+denials >= stuffed {
-		t.Fatalf("cache holds all %d names: unbounded", records+denials)
+	if !alice.dnsCache.Denied("filler0.as100", now) {
+		t.Fatal("the first denial was not cached")
+	}
+	if alice.dnsCache.Denied(fmt.Sprintf("filler%d.as100", stuffed-1), now) {
+		t.Fatalf("cache took all %d names: unbounded", stuffed)
 	}
 	crt, err := alice.Lookup("svc.as200")
 	if err != nil {
@@ -156,8 +158,8 @@ func TestLookupAnswersWithFullCache(t *testing.T) {
 	if crt.AID != 200 {
 		t.Fatalf("resolved cert names AS %v, want 200", crt.AID)
 	}
-	if r, d := alice.dnsCache.Len(); r+d != records+denials {
-		t.Fatalf("cache grew past its bound: %d entries, was %d", r+d, records+denials)
+	if _, ok := alice.dnsCache.Record("svc.as200", in.Sim.NowUnix()); ok {
+		t.Fatal("cache grew past its bound: the full cache kept the new record")
 	}
 }
 

@@ -78,6 +78,18 @@ func runsTimeline(t *testing.T, prepare func(*Internet)) (trace []string, router
 		prepare(in)
 	}
 	faults := in.Sim.CaptureFaults()
+	// What crossed each inter-AS link, counted where an on-path observer
+	// sees it; the fault lines below add what the links dropped,
+	// duplicated and held back.
+	type carried struct{ frames, bytes int }
+	var links [3]carried
+	for a := range links {
+		c := &links[a]
+		in.InterASLink(AID(100+a), AID(101+a)).AddTap(func(frame []byte, _ *netsim.Port) {
+			c.frames++
+			c.bytes += len(frame)
+		})
+	}
 	msReceived := func() (n uint64) {
 		for _, as := range in.ases {
 			n += as.msHost.Stats().Received
@@ -164,8 +176,8 @@ func runsTimeline(t *testing.T, prepare func(*Internet)) (trace []string, router
 		}
 		trace = append(trace, line)
 	}
-	for a := AID(100); a < 103; a++ {
-		trace = append(trace, fmt.Sprintf("link %v-%v %+v", a, a+1, in.InterASLink(a, a+1).Stats()))
+	for a, c := range links {
+		trace = append(trace, fmt.Sprintf("link %v-%v %+v", 100+a, 101+a, c))
 	}
 	for _, h := range hosts {
 		trace = append(trace, fmt.Sprintf("%s %+v", h.Name, h.Stack.Stats()))

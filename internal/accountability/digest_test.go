@@ -296,6 +296,43 @@ func TestFlushSurfacesSendFailures(t *testing.T) {
 	}
 }
 
+// TestSnapshotServedToRegisteredPeersOnly: a snapshot request names its
+// requester only in the frame's unauthenticated source, so one from an
+// AS that is not a registered peer is dropped before the engine keeps
+// anything of it or signs anything for it. The same request from a
+// registered peer is served.
+func TestSnapshotServedToRegisteredPeersOnly(t *testing.T) {
+	w := newWorld(t, aidA, aidB)
+	eng := w.ases[aidA].engine
+	w.mintRevoked(aidA, 31, 1_000_000)
+	eng.FlushDigest()
+	var replies []wire.Endpoint
+	eng.SetSend(func(dst wire.Endpoint, payload []byte) error {
+		replies = append(replies, dst)
+		return nil
+	})
+	req := append([]byte{MsgSnapshotRequest}, EncodeSnapshotRequest(aidA)...)
+	stranger := wire.Endpoint{AID: aidC, EphID: ephid.EphID{0xEE}}
+	eng.HandleMessage(stranger, req)
+	if len(replies) != 0 || eng.Stats().SnapshotRequestsServed != 0 {
+		t.Fatalf("unregistered requester served: replies=%v served=%d",
+			replies, eng.Stats().SnapshotRequestsServed)
+	}
+	eng.mu.Lock()
+	_, kept := eng.peers[aidC]
+	eng.mu.Unlock()
+	if kept {
+		t.Fatal("an unregistered requester left a peer record")
+	}
+
+	registered := wire.Endpoint{AID: aidB, EphID: w.aaEphID[aidB]}
+	eng.HandleMessage(registered, req)
+	if len(replies) != 1 || replies[0] != registered || eng.Stats().SnapshotRequestsServed != 1 {
+		t.Fatalf("registered requester: replies=%v served=%d, want one to %v",
+			replies, eng.Stats().SnapshotRequestsServed, registered)
+	}
+}
+
 func TestDigestBatchCodec(t *testing.T) {
 	raws := [][]byte{[]byte("alpha"), {}, []byte("gamma-gamma")}
 	enc := EncodeDigestBatch(raws)

@@ -32,8 +32,8 @@
 //     entries added or removed since the previous flush, seq-chained to
 //     it — with a periodic full-*snapshot* anti-entropy round (every
 //     SnapshotEvery-th flush, and always the first) that repairs any
-//     loss or reordering; a receiver that detects a seq gap marks the
-//     origin for repair and may unicast a MsgSnapshotRequest. Receivers
+//     loss or reordering; a receiver that detects a seq gap may
+//     unicast a MsgSnapshotRequest to the origin. Receivers
 //     install entries into their border routers' remote revocation
 //     lists (sharded, copy-on-write, lock-free — the same structure as
 //     the local list), so border ingress drops frames bearing
@@ -242,10 +242,9 @@ type Engine struct {
 	// routers (AddRouter), or the lightweight sinks of E12's harness.
 	sinks []RemoteSink
 	send  func(dst wire.Endpoint, payload []byte) error
-	peers map[ephid.AID]ephid.EphID
-	// neighbors is the relay overlay: the subset of peers this engine
-	// forwards digests to in ModeRelay.
-	neighbors     map[ephid.AID]ephid.EphID
+	// peers holds one record per other AS the engine knows: registered
+	// ones, and digest origins it learned of only from a verified digest.
+	peers         map[ephid.AID]*peer
 	mode          Mode
 	snapshotEvery int
 	// announced is the cumulative set of this AS's live revocations —
@@ -268,16 +267,6 @@ type Engine struct {
 	receiptOrder [][32]byte
 	// prunedAt is the clock second of the last prune walk.
 	prunedAt int64
-	// peerSeq is the highest digest seq applied per origin; relayHW the
-	// highest seq queued for relay forwarding (which can run ahead of
-	// applied across a gap).
-	peerSeq map[ephid.AID]uint64
-	relayHW map[ephid.AID]uint64
-	// needSnap marks origins whose delta chain broke; snapReqAt and
-	// servedAt rate-limit the unicast snapshot-repair path.
-	needSnap  map[ephid.AID]bool
-	snapReqAt map[ephid.AID]int64
-	servedAt  map[ephid.AID]int64
 	// outbox holds verified foreign digests accepted since the last
 	// flush, awaiting relay to overlay neighbors.
 	outbox   []relayItem
@@ -288,6 +277,36 @@ type Engine struct {
 	tick     uint64
 	stats    Stats
 	observer func(Event)
+}
+
+// peer is what an engine keeps about another AS.
+type peer struct {
+	// ep is the AS's agent EphID, zero for an origin known only from
+	// its digests: registered peers get floods and snapshot repair.
+	ep ephid.EphID
+	// neighbor marks an overlay neighbor, which ModeRelay forwards to.
+	neighbor bool
+	// seq is the highest digest seq applied from the AS as an origin;
+	// relayHW the highest queued for relay forwarding, which can run
+	// ahead of seq across a gap.
+	seq, relayHW uint64
+	// snapReqAt and servedAt rate-limit snapshot repair: when the
+	// engine last asked the AS for a snapshot, and last served it one.
+	snapReqAt, servedAt int64
+}
+
+// registered reports whether the AS was registered as a peer.
+func (p *peer) registered() bool { return p != nil && p.ep != ephid.EphID{} }
+
+// peer returns aid's record, making an unregistered one if there is
+// none. The caller holds e.mu.
+func (e *Engine) peer(aid ephid.AID) *peer {
+	p := e.peers[aid]
+	if p == nil {
+		p = new(peer)
+		e.peers[aid] = p
+	}
+	return p
 }
 
 // relayItem is one foreign origin-signed digest awaiting relay: the raw
@@ -303,17 +322,11 @@ type relayItem struct {
 func New(cfg Config) *Engine {
 	return &Engine{
 		cfg:         cfg,
-		peers:       make(map[ephid.AID]ephid.EphID),
-		neighbors:   make(map[ephid.AID]ephid.EphID),
+		peers:       make(map[ephid.AID]*peer),
 		announced:   make(map[ephid.EphID]uint32),
 		lastFlushed: make(map[ephid.EphID]uint32),
 		pending:     make(map[[32]byte]pendingReq),
 		receipts:    make(map[[32]byte]*Receipt),
-		peerSeq:     make(map[ephid.AID]uint64),
-		relayHW:     make(map[ephid.AID]uint64),
-		needSnap:    make(map[ephid.AID]bool),
-		snapReqAt:   make(map[ephid.AID]int64),
-		servedAt:    make(map[ephid.AID]int64),
 	}
 }
 
@@ -353,7 +366,7 @@ func (e *Engine) RegisterPeer(aid ephid.AID, agentEphID ephid.EphID) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.peers[aid] = agentEphID
+	e.peer(aid).ep = agentEphID
 }
 
 // RegisterNeighbor records an overlay neighbor for ModeRelay
@@ -365,8 +378,8 @@ func (e *Engine) RegisterNeighbor(aid ephid.AID, agentEphID ephid.EphID) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.neighbors[aid] = agentEphID
-	e.peers[aid] = agentEphID
+	p := e.peer(aid)
+	p.ep, p.neighbor = agentEphID, true
 }
 
 // SetObserver installs a callback fired on every engine action.
@@ -823,13 +836,11 @@ func (e *Engine) FlushDigest() int {
 		aid ephid.AID
 		ep  ephid.EphID
 	}
-	src := e.peers
-	if mode == ModeRelay {
-		src = e.neighbors
-	}
-	dsts := make([]peerDst, 0, len(src))
-	for aid, ep := range src {
-		dsts = append(dsts, peerDst{aid, ep})
+	dsts := make([]peerDst, 0, len(e.peers))
+	for aid, p := range e.peers {
+		if p.registered() && (mode != ModeRelay || p.neighbor) {
+			dsts = append(dsts, peerDst{aid, p.ep})
+		}
 	}
 	e.mu.Unlock()
 
@@ -898,9 +909,9 @@ func (e *Engine) FlushDigest() int {
 // HandleDigest verifies a digest received from peer `from` and applies
 // it: a snapshot installs on top of any older state; a delta installs
 // only when it extends the applied chain by exactly one (seq =
-// applied+1). A delta past a gap is not installed — the receiver marks
-// the origin for repair, counts the gap, and asks the origin for a
-// snapshot (rate-limited; the periodic anti-entropy snapshot repairs it
+// applied+1). A delta past a gap is not installed — the receiver counts
+// the gap and asks the origin for a snapshot (rate-limited, and only
+// of a registered origin; the periodic anti-entropy snapshot repairs it
 // regardless). Replays and already-known seqs are dropped before the
 // signature check: suppression by (origin, seq) high-water marks is
 // safe because those marks only ever advanced on verified digests, and
@@ -924,7 +935,11 @@ func (e *Engine) HandleDigest(from ephid.AID, raw []byte) error {
 		e.mu.Unlock()
 		return nil
 	}
-	if d.Seq <= e.peerSeq[d.Origin] && (e.mode != ModeRelay || d.Seq <= e.relayHW[d.Origin]) {
+	var applied, queued uint64
+	if p := e.peers[d.Origin]; p != nil {
+		applied, queued = p.seq, p.relayHW
+	}
+	if d.Seq <= applied && (e.mode != ModeRelay || d.Seq <= queued) {
 		e.stats.DigestsStale++
 		e.mu.Unlock()
 		return nil
@@ -939,29 +954,27 @@ func (e *Engine) HandleDigest(from ephid.AID, raw []byte) error {
 	}
 
 	e.mu.Lock()
-	if e.mode == ModeRelay && d.Seq > e.relayHW[d.Origin] {
-		e.relayHW[d.Origin] = d.Seq
+	p := e.peer(d.Origin)
+	if e.mode == ModeRelay && d.Seq > p.relayHW {
+		p.relayHW = d.Seq
 		e.outbox = append(e.outbox, relayItem{
 			origin: d.Origin, from: from, raw: append([]byte(nil), raw...)})
 		e.stats.DigestsRelayed++
 	}
-	applied := e.peerSeq[d.Origin]
 	switch {
-	case d.Seq <= applied:
+	case d.Seq <= p.seq:
 		e.stats.DigestsStale++
 		e.mu.Unlock()
 		return nil
-	case d.Kind == DigestDelta && d.Seq != applied+1:
-		// Chain broken: seqs applied+1 .. d.Seq-1 are missing. Deltas
+	case d.Kind == DigestDelta && d.Seq != p.seq+1:
+		// Chain broken: seqs p.seq+1 .. d.Seq-1 are missing. Deltas
 		// are not buffered — the snapshot path repairs wholesale.
 		e.stats.SeqGaps++
-		e.needSnap[d.Origin] = true
 		e.mu.Unlock()
 		e.maybeRequestSnapshot(d.Origin, now)
 		return nil
 	}
-	e.peerSeq[d.Origin] = d.Seq
-	delete(e.needSnap, d.Origin)
+	p.seq = d.Seq
 	e.stats.DigestsReceived++
 	sinks := e.sinks
 	e.mu.Unlock()
@@ -1010,12 +1023,13 @@ func (e *Engine) handleDigestBatch(from ephid.AID, body []byte) error {
 // agent endpoint is known and the per-origin rate limit allows.
 func (e *Engine) maybeRequestSnapshot(origin ephid.AID, now int64) {
 	e.mu.Lock()
-	ep, known := e.peers[origin]
-	if !known || now < e.snapReqAt[origin]+snapshotRequestSpacing {
+	p := e.peers[origin]
+	if !p.registered() || now < p.snapReqAt+snapshotRequestSpacing {
 		e.mu.Unlock()
 		return
 	}
-	e.snapReqAt[origin] = now
+	p.snapReqAt = now
+	ep := p.ep
 	e.stats.SnapshotRequestsSent++
 	e.mu.Unlock()
 	payload := append([]byte{MsgSnapshotRequest}, EncodeSnapshotRequest(origin)...)
@@ -1030,7 +1044,9 @@ func (e *Engine) maybeRequestSnapshot(origin ephid.AID, now int64) {
 // chain from us broke. The snapshot reuses seq flushSeq over the
 // lastFlushed set — the state every receiver at flushSeq already has —
 // so serving one never advances the seq and cannot open gaps at other
-// receivers. Rate-limited per requester.
+// receivers. Only registered peers are served, at most once per
+// snapshotServeSpacing each: the requester's AID is the frame's claim,
+// so an unknown one must cost neither state nor a signature.
 func (e *Engine) handleSnapshotRequest(src wire.Endpoint, body []byte) {
 	origin, err := DecodeSnapshotRequest(body)
 	if err != nil || origin != e.cfg.AID {
@@ -1038,11 +1054,12 @@ func (e *Engine) handleSnapshotRequest(src wire.Endpoint, body []byte) {
 	}
 	now := e.cfg.Now()
 	e.mu.Lock()
-	if e.flushSeq == 0 || now < e.servedAt[src.AID]+snapshotServeSpacing {
+	p := e.peers[src.AID]
+	if e.flushSeq == 0 || !p.registered() || now < p.servedAt+snapshotServeSpacing {
 		e.mu.Unlock()
 		return
 	}
-	e.servedAt[src.AID] = now
+	p.servedAt = now
 	d := &Digest{Origin: e.cfg.AID, Seq: e.flushSeq, IssuedAt: now, Kind: DigestSnapshot,
 		Entries: make([]DigestEntry, 0, len(e.lastFlushed))}
 	for id, exp := range e.lastFlushed {

@@ -321,8 +321,8 @@ const (
 // periodically to peer AAs. Seq increases with every flush and chains
 // deltas to their predecessor: a DigestDelta with seq s applies only to
 // a receiver whose applied seq is exactly s-1, while a DigestSnapshot
-// applies on top of any older seq. Receivers that detect a seq gap mark
-// the origin for repair and recover from the next snapshot — the
+// applies on top of any older seq. Receivers that detect a seq gap
+// recover from the next snapshot — the
 // periodic anti-entropy round, or a unicast answer to a
 // MsgSnapshotRequest. Replays (seq at or below the newest accepted)
 // are dropped either way.

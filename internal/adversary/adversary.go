@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"apna/internal/ephid"
 	"apna/internal/netsim"
@@ -96,8 +95,6 @@ func (k Kind) String() string {
 // Injection records one attack frame the attacker emitted.
 type Injection struct {
 	Kind Kind
-	// At is the virtual time of injection.
-	At time.Duration
 	// SrcEphID is the source EphID the frame claimed.
 	SrcEphID ephid.EphID
 }
@@ -230,7 +227,7 @@ func (a *Attacker) inject(kind Kind, frame []byte, external bool) error {
 		a.port.Send(frame)
 	}
 	a.injections = append(a.injections, Injection{
-		Kind: kind, At: a.sim.Now(),
+		Kind:     kind,
 		SrcEphID: wire.FrameSrcEphID(frame),
 	})
 	a.stats.Injected[kind]++

@@ -32,7 +32,8 @@
 //     go vet does not ship the x/tools nilness analyzer, so apna-lint
 //     carries the common cases).
 //   - deadexport: on a whole-module pass, reports exported names in
-//     internal/ that no non-test code of the module uses;
+//     any package of the module, the root facade included, that no
+//     non-test code of the module uses;
 //     //apna:testonly <reason> keeps one that a test in another
 //     package observes production behaviour through.
 //   - directives: reports unknown, misplaced or stale //apna:

@@ -297,19 +297,16 @@ func (h *Host) forgetHandshakes() {
 	}
 }
 
-// ReapExpired drops expired EphIDs from the pool, returning how many
-// were removed. Expired identifiers cannot pass any border-router
+// ReapExpired drops expired EphIDs from the pool. Expired identifiers cannot pass any border-router
 // check; keeping them only masks starvation (the pool looks healthy
 // while every Acquire fails). The lifecycle timer calls this on its
 // cadence; tests may call it directly.
-func (h *Host) ReapExpired() int {
+func (h *Host) ReapExpired() {
 	now := h.cfg.Now()
 	kept := h.poolList[:0]
-	reaped := 0
 	for _, o := range h.poolList {
 		if o.Cert.Expired(now) {
 			delete(h.pool, o.Cert.EphID)
-			reaped++
 			continue
 		}
 		kept = append(kept, o)
@@ -317,11 +314,10 @@ func (h *Host) ReapExpired() int {
 	for i := len(kept); i < len(h.poolList); i++ {
 		h.poolList[i] = nil
 	}
-	h.poolList = kept
-	if reaped > 0 {
+	if len(kept) < len(h.poolList) {
+		h.poolList = kept
 		h.forgetHandshakes()
 	}
-	return reaped
 }
 
 // ExpiringBefore returns the pooled EphIDs whose certificates expire at

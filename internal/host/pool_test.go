@@ -147,9 +147,7 @@ func TestReapExpired(t *testing.T) {
 	h.AddEphID(dead)
 	h.AddEphID(live)
 
-	if n := h.ReapExpired(); n != 1 {
-		t.Fatalf("reaped %d, want 1", n)
-	}
+	h.ReapExpired()
 	if _, ok := h.Lookup(dead.Cert.EphID); ok {
 		t.Error("expired EphID still in pool")
 	}
@@ -159,8 +157,9 @@ func TestReapExpired(t *testing.T) {
 	if len(h.poolList) != 1 {
 		t.Errorf("pool size %d", len(h.poolList))
 	}
-	if n := h.ReapExpired(); n != 0 {
-		t.Errorf("second reap removed %d", n)
+	h.ReapExpired()
+	if _, ok := h.Lookup(live.Cert.EphID); !ok || len(h.poolList) != 1 {
+		t.Errorf("second reap: live EphID kept %v, pool size %d", ok, len(h.poolList))
 	}
 }
 

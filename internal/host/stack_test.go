@@ -892,8 +892,9 @@ func TestHandshakeRecordsLeaveWithTheirEphID(t *testing.T) {
 
 	// Past the serving EphID's expiry the reap takes the records along.
 	now = 2001
-	if got := d.b.ReapExpired(); got != 1 {
-		t.Fatalf("ReapExpired = %d, want 1", got)
+	d.b.ReapExpired()
+	if _, ok := d.b.Lookup(idB.Cert.EphID); ok || len(d.b.poolList) != 0 {
+		t.Fatalf("after the reap: serving EphID pooled %v, %d EphIDs left, want none", ok, len(d.b.poolList))
 	}
 	if len(d.b.hsCompleted) != 0 {
 		t.Errorf("%d handshake records outlived their EphID", len(d.b.hsCompleted))

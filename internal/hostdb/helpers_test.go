@@ -13,7 +13,7 @@ func (db *DB) Delete(hid ephid.HID) {
 	}
 }
 
-// Range calls fn for every entry (deep copy, like Get) until fn
+// Range calls fn for every entry (a copy, like Get) until fn
 // returns false. It takes no lock: an entry in the database for the whole
 // call is visited once, one put or deleted meanwhile may or may not be.
 func (db *DB) Range(fn func(Entry) bool) {
@@ -22,7 +22,7 @@ func (db *DB) Range(fn func(Entry) bool) {
 			if t.slots[j].w.Load()&slotLive == 0 {
 				continue
 			}
-			if e := t.slots[j].e.Load(); e != nil && !fn(deepCopy(e.Entry)) {
+			if e := t.slots[j].e.Load(); e != nil && !fn(e.Entry) {
 				return
 			}
 		}

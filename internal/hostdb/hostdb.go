@@ -14,9 +14,13 @@
 // host's packet-MAC key schedule, expanded the first time a router asks
 // for it (Probe.PacketMAC) and freed with the record, so there is one
 // schedule per sending host for all of the AS's workers, and none for a
-// host that never sends through a border. Readers take no lock. Writers
-// serialize on the shard's mutex and write in place — record pointer
-// first, slot word last — so an entry is seen whole or not at all.
+// host that never sends through a border. The record also holds the
+// host's renewal budget (ChargeRenewal), one atomic word the MS charges
+// by compare-and-swap and every republish hands to the next record, so
+// the AS keeps one record per host with one bound: the table's. Readers
+// take no lock. Writers serialize on the shard's mutex and write in
+// place — record pointer first, slot word last — so an entry is seen
+// whole or not at all.
 // Delete and GC leave tombstones for later inserts to reuse; only an
 // insert that would take the used slots past half builds a new table.
 // DESIGN.md §6 has the argument.
@@ -25,6 +29,7 @@ package hostdb
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -59,9 +64,6 @@ type Entry struct {
 	// Keys are the symmetric keys shared between the host and the AS
 	// (kHA), established during bootstrap.
 	Keys crypto.HostASKeys
-	// HostPub is the host's long-term public key learned during
-	// authentication (K+H).
-	HostPub []byte
 	// Strikes counts shutoff incidents against the host's EphIDs,
 	// feeding the CAS-style escalation policy (Section VIII-G2).
 	Strikes int
@@ -108,11 +110,29 @@ type slot struct {
 // publishes a new record, with no memo, so a schedule never outlives its
 // key in the table, and a frame that holds the old one keeps a schedule
 // nothing writes to. mac comes first, so that it shares a cache line
-// with the HID and Status a probe reads anyway; with them packed, a
-// record is 96 bytes, the allocation Entry alone takes.
+// with the HID and Status a probe reads anyway. renew is the host's
+// renewal budget (ChargeRenewal); every republish carries it over
+// (handOver). A record is 80 bytes.
 type record struct {
 	mac atomic.Pointer[wire.PacketMAC]
 	Entry
+	renew atomic.Uint64
+}
+
+// A renewal word holds the second the host's current renewal window
+// started in its high half and the renewals charged in it in the low
+// half; 0 is a host that has no window yet. renewSealed is no budget:
+// the record is being republished, and a charger that reads it finds
+// the next record and charges there.
+const renewSealed = ^uint64(0)
+
+// handOver moves old's renewal budget to next, which the caller, holding
+// the shard's mutex, publishes in old's place. Sealing old first means
+// a charge either lands on old before the swap, and is carried, or
+// fails its compare-and-swap and retries on next: none is lost and none
+// counts twice.
+func handOver(old, next *record) {
+	next.renew.Store(old.renew.Swap(renewSealed))
 }
 
 // table is one shard's slots, a power of two of them. used counts those
@@ -276,14 +296,6 @@ func (r *record) expandMAC() *wire.PacketMAC {
 	return r.mac.Load()
 }
 
-// deepCopy returns a value copy whose HostPub does not alias the
-// original: published entries are immutable and must never be
-// reachable through a caller-held slice.
-func deepCopy(e Entry) Entry {
-	e.HostPub = append([]byte(nil), e.HostPub...)
-	return e
-}
-
 // free returns the slot an insert of hid takes: the first slot on its
 // chain that holds no entry, tombstone or never used.
 func (t *table) free(hid ephid.HID) *slot {
@@ -335,12 +347,16 @@ func (s *shard) kill(sl *slot) {
 }
 
 // Put inserts or replaces the entry for a host. The record it publishes
-// has no packet-MAC memo yet.
+// has no packet-MAC memo yet; a replaced host keeps its renewal budget.
 func (db *DB) Put(e Entry) {
 	s := db.shardFor(e.HID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	db.put(s, &record{Entry: deepCopy(e)})
+	next := &record{Entry: e}
+	if old, err := db.Locate(e.HID).entry(false); err == nil {
+		handOver(old, next)
+	}
+	db.put(s, next)
 }
 
 // PutBatch inserts or replaces many entries — the bootstrap path for
@@ -351,15 +367,13 @@ func (db *DB) PutBatch(entries []Entry) {
 	}
 }
 
-// Get returns a copy of the entry for hid. The copy is deep (HostPub
-// included): published entries are immutable and must not be reachable
-// through a caller-held slice.
+// Get returns a copy of the entry for hid.
 func (db *DB) Get(hid ephid.HID) (Entry, error) {
 	e, err := db.Locate(hid).entry(false)
 	if err != nil {
 		return Entry{}, err
 	}
-	return deepCopy(e.Entry), nil
+	return e.Entry, nil
 }
 
 // MACKey returns the per-packet MAC key for an active host. It is the
@@ -412,6 +426,7 @@ func (db *DB) RevokeAt(hid ephid.HID, nowUnix int64) {
 		if next.RevokedAt == 0 {
 			next.RevokedAt = nowUnix
 		}
+		handOver(e, next)
 		db.put(s, next)
 	}
 }
@@ -423,7 +438,8 @@ func (db *DB) RevokeAt(hid ephid.HID, nowUnix int64) {
 // data-plane check — so retention is typically the AS's maximum EphID
 // lifetime (Section VIII-G2's revocation-management argument applied
 // to host_info). Entries revoked without a timestamp (RevokedAt 0)
-// are kept forever. Reaped slots become tombstones; nothing is copied.
+// are kept forever. Reaped slots become tombstones; nothing is copied,
+// and a reaped host's renewal budget goes with its record.
 func (db *DB) GC(nowUnix, retention int64) int {
 	reaped := 0
 	for i := range db.shards {
@@ -457,8 +473,40 @@ func (db *DB) AddStrike(hid ephid.HID) (int, error) {
 	next := &record{Entry: e.Entry}
 	next.Strikes++
 	next.mac.Store(e.mac.Load())
+	handOver(e, next)
 	db.put(s, next)
 	return next.Strikes, nil
+}
+
+// ChargeRenewal charges one renewal to an active host's budget of burst
+// renewals per window seconds, a fixed window that starts at the first
+// renewal and restarts at the first one window or more later. It
+// reports false, charging nothing, when the window's budget is spent,
+// and fails as EncKey does for a host unknown or revoked by the time of
+// the charge. now is a Unix second, which the word keeps in 32 bits.
+// Lock-free: one compare-and-swap on the host's record.
+func (db *DB) ChargeRenewal(hid ephid.HID, now, window int64, burst int) (bool, error) {
+	for {
+		r, err := db.Locate(hid).entry(true)
+		if err != nil {
+			return false, err
+		}
+		w := r.renew.Load()
+		if w == renewSealed {
+			runtime.Gosched() // a writer is publishing r's successor
+			continue
+		}
+		start, used := int64(w>>32), w&(1<<32-1)
+		if w == 0 || now-start >= window {
+			start, used = now, 0
+		}
+		if used >= uint64(burst) {
+			return false, nil
+		}
+		if r.renew.CompareAndSwap(w, uint64(start)<<32|(used+1)) {
+			return true, nil
+		}
+	}
 }
 
 // Len returns the number of registered hosts.

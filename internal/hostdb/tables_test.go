@@ -16,12 +16,11 @@ func allocatedBy(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// hosts builds n entries with consecutive HIDs, each with a public key
-// for Put to copy.
+// hosts builds n entries with consecutive HIDs.
 func hosts(first, n int) []Entry {
 	out := make([]Entry, n)
 	for i := range out {
-		out[i] = Entry{HID: ephid.HID(first + i), HostPub: make([]byte, 32)}
+		out[i] = Entry{HID: ephid.HID(first + i)}
 		out[i].Keys.MAC[0] = byte(i)
 	}
 	return out

@@ -35,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"apna/internal/cert"
 	"apna/internal/crypto"
@@ -202,72 +201,24 @@ type Service struct {
 	// (1); AdmitInPlace opens each request with one (Open ignores the
 	// direction) and its Admitted seals the reply.
 	aeads *crypto.AEADCache
-
-	// renews shards the per-HID renewal rate-limit windows by HID. A
-	// single mutex over a single map was fine for tens of hosts, but a
-	// synchronized renewal storm at ISP scale (every host whose EphIDs
-	// were issued in the same second renewing in the same tick) would
-	// serialize all issuance workers on it; sharding keeps the budget
-	// check per-HID-local, and each shard prunes its lapsed windows
-	// opportunistically so host churn cannot grow the table without
-	// bound.
-	renews [renewShardCount]renewShard
-}
-
-// renewShardCount is the renewal-window shard count (a power of two so
-// the shard index is a mask, like hostdb).
-const renewShardCount = 64
-
-// renewPruneEvery is how many window insertions a shard accepts before
-// sweeping lapsed windows. A lapsed window holds no budget information
-// — re-insertion starts a fresh window — so sweeping is purely a
-// memory bound, amortized O(1) per insertion.
-const renewPruneEvery = 4096
-
-// renewShard is one shard of the renewal-budget table.
-type renewShard struct {
-	mu sync.Mutex
-	m  map[ephid.HID]*renewWindow
-	// writes counts insertions since the last prune.
-	writes int
-}
-
-// prune removes windows that lapsed before now. Called with mu held.
-func (sh *renewShard) prune(now, window int64) {
-	for hid, w := range sh.m {
-		if now-w.start >= window {
-			delete(sh.m, hid)
-		}
-	}
-	sh.writes = 0
-}
-
-// renewWindow is one host's renewal budget accounting: renewals used
-// since the window started.
-type renewWindow struct {
-	start int64
-	used  int
 }
 
 // New creates the service. aaEphID is embedded in every certificate so
 // peers know where to send shutoff requests.
 func New(aid ephid.AID, sealer *ephid.Sealer, signer *crypto.Signer, db *hostdb.DB,
 	policy Policy, aaEphID ephid.EphID, now func() int64) *Service {
-	s := &Service{
+	return &Service{
 		aid: aid, sealer: sealer, signer: signer, db: db,
 		policy: policy, aaEphID: aaEphID, now: now,
 		aeads: crypto.NewAEADCache(1),
 	}
-	for i := range s.renews {
-		s.renews[i].m = make(map[ephid.HID]*renewWindow)
-	}
-	return s
 }
 
 // checkRenewal validates and charges a renewal: the predecessor EphID
 // must decrypt under this AS's key to the same HID as the requesting
 // control EphID (a host can only renew its own identifiers), and the
-// host must have renewal budget left in the current window. The
+// host must have renewal budget left in the current window. The budget
+// is the host's, kept in its hostdb record (hostdb.ChargeRenewal). The
 // predecessor may already be expired — renewing an identifier that
 // lapsed while its flow idled is exactly the recovery path.
 func (s *Service) checkRenewal(hid ephid.HID, req *Request, now int64) error {
@@ -285,39 +236,14 @@ func (s *Service) checkRenewal(hid ephid.HID, req *Request, now int64) error {
 	if window == 0 {
 		window = int64(DefaultRenewWindow)
 	}
-	sh := &s.renews[uint32(hid)&(renewShardCount-1)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	w := sh.m[hid]
-	if w == nil || now-w.start >= window {
-		if w == nil {
-			if sh.writes++; sh.writes >= renewPruneEvery {
-				sh.prune(now, window)
-			}
-		}
-		w = &renewWindow{start: now}
-		sh.m[hid] = w
+	ok, err := s.db.ChargeRenewal(hid, now, window, s.policy.RenewBurst)
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrUnknownHost, err)
 	}
-	if w.used >= s.policy.RenewBurst {
+	if !ok {
 		return ErrRenewRateLimited
 	}
-	w.used++
 	return nil
-}
-
-// RenewTracked reports how many per-HID renewal windows the service
-// currently holds (lapsed windows linger until their shard's next
-// prune). It exists for capacity observability: the population engine
-// graphs it against the modeled host count.
-func (s *Service) RenewTracked() int {
-	n := 0
-	for i := range s.renews {
-		sh := &s.renews[i]
-		sh.mu.Lock()
-		n += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return n
 }
 
 // HandleRequest implements Figure 3 for one request. srcEphID is the
@@ -397,7 +323,12 @@ func (s *Service) AdmitInPlace(srcEphID ephid.EphID, ciphertext []byte) (*Admitt
 		return nil, err
 	}
 	if req.Renewing() {
-		if err := s.checkRenewal(p.HID, &req, now); err != nil {
+		switch err := s.checkRenewal(p.HID, &req, now); {
+		case errors.Is(err, ErrUnknownHost):
+			// Revoked since the EncKey lookup: dropped like any request
+			// from a revoked host.
+			return nil, err
+		case err != nil:
 			// The requester is authenticated and its request well
 			// formed, so the denial is answered, not dropped: the host
 			// matches replies to requests FIFO, and a silent drop would

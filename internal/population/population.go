@@ -298,7 +298,6 @@ type Result struct {
 	DigestEntriesLast int    `json:"digest_entries_last"`
 	DigestBytes       uint64 `json:"digest_bytes"`
 
-	RenewTracked int `json:"renew_tracked"`
 	HostdbHosts  int `json:"hostdb_hosts"`
 	HostdbShards int `json:"hostdb_shards"`
 
@@ -957,7 +956,6 @@ func run(cfg Config, plant func(t int, j *sealJob)) (*Result, []*worker, error) 
 	res.ReceiptStatus = comp.status
 	res.AcctDuplicates = w.Acct.Stats().RequestsDuplicate
 	res.DigestBytes = w.digestBytes.Load()
-	res.RenewTracked = w.MS.RenewTracked()
 	res.HostdbHosts = w.DB.Len()
 	res.ElapsedMs = float64(elapsed.Nanoseconds()) / 1e6
 	res.Events = res.Arrivals + res.Renewals + res.RenewDenied +

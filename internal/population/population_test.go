@@ -41,7 +41,7 @@ type logical struct {
 	joins, leaves, bytes, complaints, replays, revoked, dups               uint64
 	gcRuns, digestFlushes, digestBytes, events, traceEvents                uint64
 	complaintLat                                                           uint64
-	gcReaped, digestLast, renewTracked, hostdb                             int
+	gcReaped, digestLast, hostdb                                           int
 	trace, receipts                                                        string
 }
 
@@ -55,8 +55,8 @@ func logicalOf(r *Result) logical {
 		gcRuns: r.GCRuns, digestFlushes: r.DigestFlushes, digestBytes: r.DigestBytes,
 		events: r.Events, traceEvents: r.TraceEvents,
 		gcReaped: r.GCReaped, digestLast: r.DigestEntriesLast,
-		renewTracked: r.RenewTracked, hostdb: r.HostdbHosts,
-		trace: r.TraceHash, complaintLat: r.ComplaintLatency.Count,
+		hostdb: r.HostdbHosts,
+		trace:  r.TraceHash, complaintLat: r.ComplaintLatency.Count,
 		receipts: fmt.Sprint(r.ReceiptStatus), // fmt sorts map keys
 	}
 }

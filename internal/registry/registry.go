@@ -173,10 +173,7 @@ func (s *Service) AllocServiceIdentity(kind ephid.Kind, lifetime uint32, aaEphID
 		return nil, fmt.Errorf("registry: %w", err)
 	}
 	keys := crypto.DeriveHostASKeys(secret)
-	s.db.Put(hostdb.Entry{
-		HID: hid, Keys: keys, HostPub: dh.PublicKey(),
-		RegisteredAt: s.now(),
-	})
+	s.db.Put(hostdb.Entry{HID: hid, Keys: keys, RegisteredAt: s.now()})
 
 	exp := uint32(s.now()) + lifetime
 	id := s.sealer.Mint(ephid.Payload{HID: hid, ExpTime: exp})
@@ -242,9 +239,7 @@ func (s *Service) Bootstrap(credential, hostPub []byte) (*BootstrapResult, error
 	s.mu.Unlock()
 
 	now := s.now()
-	s.db.Put(hostdb.Entry{
-		HID: hid, Keys: keys, HostPub: hostPub, RegisteredAt: now,
-	})
+	s.db.Put(hostdb.Entry{HID: hid, Keys: keys, RegisteredAt: now})
 
 	exp := uint32(now) + controlEphIDLifetime
 	info := IDInfo{

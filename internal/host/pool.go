@@ -297,10 +297,10 @@ func (h *Host) forgetHandshakes() {
 	}
 }
 
-// ReapExpired drops expired EphIDs from the pool. Expired identifiers cannot pass any border-router
-// check; keeping them only masks starvation (the pool looks healthy
-// while every Acquire fails). The lifecycle timer calls this on its
-// cadence; tests may call it directly.
+// ReapExpired drops expired EphIDs from the pool. Expired identifiers
+// cannot pass any border-router check; keeping them only masks
+// starvation (the pool looks healthy while every Acquire fails). The
+// lifecycle timer calls this on its cadence; tests may call it directly.
 func (h *Host) ReapExpired() {
 	now := h.cfg.Now()
 	kept := h.poolList[:0]

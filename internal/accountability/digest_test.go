@@ -298,9 +298,11 @@ func TestFlushSurfacesSendFailures(t *testing.T) {
 
 // TestSnapshotServedToRegisteredPeersOnly: a snapshot request names its
 // requester only in the frame's unauthenticated source, so one from an
-// AS that is not a registered peer is dropped before the engine keeps
-// anything of it or signs anything for it. The same request from a
-// registered peer is served.
+// AS that is not a registered peer, or from a registered AS at an EphID
+// other than its registered agent endpoint, is dropped before the engine
+// keeps anything of it or signs anything for it (servedAt is written
+// before the signature, so an untouched servedAt means none was made).
+// The same request from the registered endpoint is served, there.
 func TestSnapshotServedToRegisteredPeersOnly(t *testing.T) {
 	w := newWorld(t, aidA, aidB)
 	eng := w.ases[aidA].engine
@@ -312,24 +314,43 @@ func TestSnapshotServedToRegisteredPeersOnly(t *testing.T) {
 		return nil
 	})
 	req := append([]byte{MsgSnapshotRequest}, EncodeSnapshotRequest(aidA)...)
-	stranger := wire.Endpoint{AID: aidC, EphID: ephid.EphID{0xEE}}
-	eng.HandleMessage(stranger, req)
-	if len(replies) != 0 || eng.Stats().SnapshotRequestsServed != 0 {
-		t.Fatalf("unregistered requester served: replies=%v served=%d",
-			replies, eng.Stats().SnapshotRequestsServed)
-	}
-	eng.mu.Lock()
-	_, kept := eng.peers[aidC]
-	eng.mu.Unlock()
-	if kept {
-		t.Fatal("an unregistered requester left a peer record")
-	}
-
 	registered := wire.Endpoint{AID: aidB, EphID: w.aaEphID[aidB]}
-	eng.HandleMessage(registered, req)
-	if len(replies) != 1 || replies[0] != registered || eng.Stats().SnapshotRequestsServed != 1 {
-		t.Fatalf("registered requester: replies=%v served=%d, want one to %v",
-			replies, eng.Stats().SnapshotRequestsServed, registered)
+	impostor := wire.Endpoint{AID: aidB, EphID: ephid.EphID{0xEE}}
+	for _, row := range []struct {
+		name   string
+		src    wire.Endpoint
+		served bool
+	}{
+		// The refused rows come first: a served request starts the
+		// spacing that would refuse the rows after it anyway.
+		{"unregistered AID", wire.Endpoint{AID: aidC, EphID: ephid.EphID{0xEE}}, false},
+		{"registered AID, other EphID", impostor, false},
+		{"registered endpoint", registered, true},
+	} {
+		replies = replies[:0]
+		before := eng.Stats().SnapshotRequestsServed
+		eng.HandleMessage(row.src, req)
+		served := eng.Stats().SnapshotRequestsServed - before
+		eng.mu.Lock()
+		p, kept := eng.peers[row.src.AID]
+		var servedAt int64
+		if kept {
+			servedAt = p.servedAt
+		}
+		eng.mu.Unlock()
+		if !row.served {
+			if len(replies) != 0 || served != 0 || servedAt != 0 {
+				t.Fatalf("%s: served: replies=%v served=%d servedAt=%d", row.name, replies, served, servedAt)
+			}
+			if kept && row.src.AID == aidC {
+				t.Fatalf("%s: the requester left a peer record", row.name)
+			}
+			continue
+		}
+		if len(replies) != 1 || replies[0] != registered || served != 1 || servedAt == 0 {
+			t.Fatalf("%s: replies=%v served=%d servedAt=%d, want one to %v",
+				row.name, replies, served, servedAt, registered)
+		}
 	}
 }
 

@@ -1045,8 +1045,9 @@ func (e *Engine) maybeRequestSnapshot(origin ephid.AID, now int64) {
 // lastFlushed set — the state every receiver at flushSeq already has —
 // so serving one never advances the seq and cannot open gaps at other
 // receivers. Only registered peers are served, at most once per
-// snapshotServeSpacing each: the requester's AID is the frame's claim,
-// so an unknown one must cost neither state nor a signature.
+// snapshotServeSpacing each, and only at their registered agent
+// endpoint: the requester's endpoint is the frame's claim, so one that
+// is not a registered peer's must cost neither state nor a signature.
 func (e *Engine) handleSnapshotRequest(src wire.Endpoint, body []byte) {
 	origin, err := DecodeSnapshotRequest(body)
 	if err != nil || origin != e.cfg.AID {
@@ -1055,11 +1056,12 @@ func (e *Engine) handleSnapshotRequest(src wire.Endpoint, body []byte) {
 	now := e.cfg.Now()
 	e.mu.Lock()
 	p := e.peers[src.AID]
-	if e.flushSeq == 0 || !p.registered() || now < p.servedAt+snapshotServeSpacing {
+	if e.flushSeq == 0 || !p.registered() || src.EphID != p.ep || now < p.servedAt+snapshotServeSpacing {
 		e.mu.Unlock()
 		return
 	}
 	p.servedAt = now
+	dst := wire.Endpoint{AID: src.AID, EphID: p.ep}
 	d := &Digest{Origin: e.cfg.AID, Seq: e.flushSeq, IssuedAt: now, Kind: DigestSnapshot,
 		Entries: make([]DigestEntry, 0, len(e.lastFlushed))}
 	for id, exp := range e.lastFlushed {
@@ -1070,7 +1072,7 @@ func (e *Engine) handleSnapshotRequest(src wire.Endpoint, body []byte) {
 	sortDigest(d)
 	d.Sign(e.cfg.Signer)
 	payload := append([]byte{MsgDigest}, d.Encode()...)
-	if err := e.sendTo(src, payload); err != nil {
+	if err := e.sendTo(dst, payload); err != nil {
 		e.mu.Lock()
 		e.stats.SendFailures++
 		e.mu.Unlock()

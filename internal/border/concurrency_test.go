@@ -238,6 +238,48 @@ func TestRevocationListsConcurrentWithWrites(t *testing.T) {
 	}
 }
 
+// TestRevocationConcurrentWriters runs writers against each other on one
+// list from empty, through every growth: an insert hashes its EphID for
+// the lock-free check and reuses that probe under the lock, so one that
+// waited on the lock while another writer grew the table must probe the
+// new table, or its entry lands in one no reader will see again. Every
+// writer also re-inserts the keys of the writer beside it, so the locked
+// walk meets its own key as often as an empty slot.
+func TestRevocationConcurrentWriters(t *testing.T) {
+	const (
+		writers = 4
+		each    = 4000
+		origin  = ephid.AID(200)
+	)
+	var local RevocationList
+	var remote RemoteRevocationList
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				own, other := revKey('w', w*each+i), revKey('w', (w+1)%writers*each+i)
+				local.Insert(own, 1000)
+				remote.Insert(own, origin, 1000)
+				local.Insert(other, 2000)
+				remote.Insert(other, origin, 2000)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if local.Len() != writers*each || remote.Len() != writers*each {
+		t.Fatalf("lists hold %d and %d entries, want %d", local.Len(), remote.Len(), writers*each)
+	}
+	for i := 0; i < writers*each; i++ {
+		if e := revKey('w', i); !local.Contains(e) || !remote.Matches(e, origin) {
+			t.Fatalf("entry %d lost", i)
+		}
+	}
+	checkTags(t, "local", &local.m)
+	checkTags(t, "remote", &remote.m)
+}
+
 // TestRevocationReinsertIsLockFree pins what cumulative digests rely on:
 // installing an entry the list already holds, unchanged, does not wait
 // for the writer lock.

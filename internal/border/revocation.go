@@ -64,9 +64,8 @@ func (s *revEntry) ephID() (e ephid.EphID) {
 	return e
 }
 
-// put fills the first empty slot of e's chain, entry first, tag last. The
-// table has one; the caller knows (e, origin) is not in it, and is the
-// only writer.
+// put fills the first empty slot of e's chain. The table has one; the
+// caller knows (e, origin) is not in it, and is the only writer.
 func (t *revTable) put(e ephid.EphID, origin, exp uint32) {
 	h := maphash.Bytes(t.seed, e[:])
 	mask := uint32(len(t.tags) - 1)
@@ -74,13 +73,18 @@ func (t *revTable) put(e ephid.EphID, origin, exp uint32) {
 	for t.tags[i].Load() != 0 {
 		i = (i + 1) & mask
 	}
+	t.fill(i, uint32(h>>32)|1, e, origin, exp)
+}
+
+// fill writes (e, origin, exp) into empty slot i, entry first, tag last.
+func (t *revTable) fill(i, tag uint32, e ephid.EphID, origin, exp uint32) {
 	s := &t.entries[i]
 	lo, hi := ephidWords(&e)
 	s.lo.Store(lo)
 	s.hi.Store(hi)
 	s.origin.Store(origin)
 	s.exp.Store(exp)
-	t.tags[i].Store(uint32(h>>32) | 1)
+	t.tags[i].Store(tag)
 }
 
 // revList is the core of both revocation lists: one revTable behind an
@@ -136,25 +140,55 @@ func (p revProbe) find(e ephid.EphID, origin ephid.AID, anyOrigin bool) *revEntr
 	return nil
 }
 
+// claim walks p's chain as the list's only writer, loading every tag
+// afresh: it returns the entry holding (e, origin), or nil and the
+// chain's first empty slot, which is where put would write. An empty
+// list has neither.
+func (p revProbe) claim(e ephid.EphID, origin ephid.AID) (*revEntry, uint32) {
+	if p.t == nil {
+		return nil, 0
+	}
+	lo, hi := ephidWords(&e)
+	mask := uint32(len(p.t.tags) - 1)
+	i := p.i
+	for cur := p.t.tags[i].Load(); cur != 0; cur = p.t.tags[i].Load() {
+		if cur == p.tag {
+			s := &p.t.entries[i]
+			if s.lo.Load() == lo && s.hi.Load() == hi && s.origin.Load() == uint32(origin) {
+				return s, i
+			}
+		}
+		i = (i + 1) & mask
+	}
+	return nil, i
+}
+
 // insert adds (e, origin) or updates its expiry. Re-inserting an
 // identical entry is a lock-free no-op — cumulative revocation digests
-// re-install their whole contents every interval.
+// re-install their whole contents every interval. The lock-free probe's
+// hash serves the locked write too, unless another writer replaced the
+// table in between; only growth hashes e again, under the new seed.
 func (l *revList) insert(e ephid.EphID, origin ephid.AID, exp uint32) {
-	if s := l.locate(e).find(e, origin, false); s != nil && s.exp.Load() == exp {
+	p := l.locate(e)
+	if s := p.find(e, origin, false); s != nil && s.exp.Load() == exp {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if s := l.locate(e).find(e, origin, false); s != nil {
+	if l.t.Load() != p.t {
+		p = l.locate(e)
+	}
+	s, free := p.claim(e, origin)
+	if s != nil {
 		s.exp.Store(exp)
 		return
 	}
-	t, n := l.t.Load(), int(l.n.Add(1))
-	if t != nil && n*2 <= len(t.tags) {
-		t.put(e, uint32(origin), exp)
+	n := int(l.n.Add(1))
+	if p.t != nil && n*2 <= len(p.t.tags) {
+		p.t.fill(free, p.tag, e, uint32(origin), exp)
 		return
 	}
-	t = t.rebuilt(n, 0)
+	t := p.t.rebuilt(n, 0)
 	t.put(e, uint32(origin), exp)
 	l.t.Store(t)
 }

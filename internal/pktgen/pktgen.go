@@ -5,6 +5,13 @@
 // configurable sizes — for internal/engine to drive, and knows the
 // testbed's line rate (120 Gbps in the paper: 6 dual-port 10 GbE NICs)
 // that the measured packet rates are clamped against.
+//
+// NewWorld draws everything its seed fixes first, then builds the ASes
+// and mints the lanes on the caller and on the spare cores
+// internal/spare lends it; it starts no goroutine of its own, so at
+// GOMAXPROCS 1 the caller does all of it. A lane's frames share one
+// slab, each capped at its own bytes, and get their packet MACs in
+// wire.MACBatch passes under one schedule per source host.
 package pktgen
 
 import "apna/internal/asnode"

@@ -3,6 +3,9 @@ package pktgen
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"apna/internal/asnode"
@@ -10,6 +13,7 @@ import (
 	"apna/internal/ephid"
 	"apna/internal/hostdb"
 	"apna/internal/netsim"
+	"apna/internal/spare"
 	"apna/internal/wire"
 )
 
@@ -80,7 +84,11 @@ type WorldConfig struct {
 	Seed int64
 }
 
-// NewWorld builds the multi-AS data plane.
+// NewWorld builds the multi-AS data plane. Its seeded output — every
+// lane's bad-frame placement, kinds and forged EphIDs — is drawn first,
+// in order, from one rng; the work that follows, the AS fixtures and
+// then the lanes, runs on the caller and on the spare cores
+// internal/spare lends it (fanOut), and reads nothing of the rng.
 func NewWorld(cfg WorldConfig) (*World, error) {
 	if cfg.ASes < 2 {
 		return nil, fmt.Errorf("pktgen: world needs >= 2 ASes, got %d", cfg.ASes)
@@ -102,13 +110,23 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	w := &World{Now: 1_000_000}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
+	// Place every lane's bad frames, lane by lane and frame by frame, so
+	// the rng is read in one fixed order whichever core mints the lane.
+	w.Lanes = make([]*Lane, cfg.ASes)
+	plans := make([][]badFrame, cfg.ASes)
+	for i := range w.Lanes {
+		w.Lanes[i] = &Lane{}
+		plans[i] = placeBad(w.Lanes[i], framesPerLane, cfg.BadFrac, rng)
+	}
+
 	// Stand up the per-AS data planes. AIDs are 100, 101, ...
-	for i := 0; i < cfg.ASes; i++ {
-		f, err := newFixture(ephid.AID(100+i), cfg.HostsPerAS, i, w.Now)
-		if err != nil {
-			return nil, err
-		}
-		w.ASes = append(w.ASes, f)
+	w.ASes = make([]*Fixture, cfg.ASes)
+	err := fanOut(cfg.ASes, func(i int) (err error) {
+		w.ASes[i], err = newFixture(ephid.AID(100+i), cfg.HostsPerAS, i, w.Now)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Ring adjacency with computed next-hop tables, and real ports so
@@ -129,28 +147,89 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		f.Router.SetRoutes(tables[f.AID])
 	}
 
-	// One lane per AS toward its ring successor, with bad frames mixed
-	// in deterministically.
-	for i, src := range w.ASes {
-		dst := w.ASes[(i+1)%cfg.ASes]
-		lane := &Lane{Src: src, Dst: dst}
-		payload := make([]byte, cfg.FrameSize-wire.HeaderSize)
-		for j := 0; j < framesPerLane; j++ {
-			hostIdx := j % cfg.HostsPerAS
-			kind := BadKind(-1)
-			if cfg.BadFrac > 0 && rng.Float64() < cfg.BadFrac {
-				kind = BadKind(rng.Intn(int(badKinds)))
-				lane.Bad[kind]++
-			}
-			frame, err := mintLaneFrame(src, dst, hostIdx, uint64(j)+1, payload, kind, rng)
-			if err != nil {
-				return nil, err
-			}
-			lane.Frames = append(lane.Frames, frame)
-		}
-		w.Lanes = append(w.Lanes, lane)
+	// One lane per AS toward its ring successor. A lane writes its
+	// source's local revocation list and its destination's remote one;
+	// in the ring no two lanes write one list, so each list gets its
+	// entries in the order one core would give them.
+	err = fanOut(cfg.ASes, func(i int) error {
+		lane := w.Lanes[i]
+		lane.Src, lane.Dst = w.ASes[i], w.ASes[(i+1)%cfg.ASes]
+		return mintLane(lane, plans[i], framesPerLane, cfg.HostsPerAS, cfg.FrameSize)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return w, nil
+}
+
+// maxHelpers bounds the spare-core tasks one fanOut queues, so that a
+// world build never holds more than a quarter of internal/spare's task
+// cap and the key stock's refills always find room.
+const maxHelpers = 4
+
+// fanOut runs do(0), ..., do(n-1), each once, on the caller and on up to
+// maxHelpers spare-core helpers that internal/spare accepts. Items are
+// claimed one at a time, so a helper that starts late — queued behind a
+// key refill — finds less to do, not a share it must finish. Where the
+// budget refuses (always at GOMAXPROCS 1) the caller does everything.
+// It returns the error of the lowest failing item.
+func fanOut(n int, do func(i int) error) error {
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	errs := make([]error, n)
+	run := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			errs[i] = do(i)
+		}
+	}
+	for h := min(n, runtime.GOMAXPROCS(0), maxHelpers+1) - 1; h > 0; h-- {
+		wg.Add(1)
+		if !spare.Go(func() { defer wg.Done(); run() }) {
+			wg.Done()
+			break
+		}
+	}
+	run()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// badFrame is one adversarial frame of a lane: its index, its kind and,
+// for a forged kind, the EphID bytes that replace the genuine one.
+type badFrame struct {
+	at     int
+	kind   BadKind
+	forged ephid.EphID
+}
+
+// placeBad draws lane's bad frames from rng in the order NewWorld has
+// always drawn them — per frame a Float64, for a bad frame an Intn, and
+// for a forged kind a Read — counts them in lane.Bad and returns them in
+// frame order.
+func placeBad(lane *Lane, frames int, frac float64, rng *rand.Rand) []badFrame {
+	if frac == 0 {
+		return nil
+	}
+	var plan []badFrame
+	for j := 0; j < frames; j++ {
+		if rng.Float64() >= frac {
+			continue
+		}
+		b := badFrame{at: j, kind: BadKind(rng.Intn(int(badKinds)))}
+		if b.kind == BadForgedSrc || b.kind == BadForgedDst {
+			rng.Read(b.forged[:])
+		}
+		lane.Bad[b.kind]++
+		plan = append(plan, b)
+	}
+	return plan
 }
 
 // newFixture builds one AS with fresh keys and registers its hosts in
@@ -178,29 +257,97 @@ func newFixture(aid ephid.AID, hosts, asIndex int, now int64) (*Fixture, error) 
 	return f, nil
 }
 
-// mintLaneFrame builds one frame from src host hostIdx toward the
-// matching dst host, optionally sabotaged per kind.
-func mintLaneFrame(src, dst *Fixture, hostIdx int, nonce uint64, payload []byte, kind BadKind, rng *rand.Rand) ([]byte, error) {
-	srcHID := ephid.HID(hostIdx + 1)
-	dstHID := ephid.HID(hostIdx + 1)
+// macChunk is how many frames one wire.MACBatch pass MACs.
+const macChunk = 64
+
+// mintLane mints lane's n frames, from source host j mod hosts to the
+// same destination host, sabotaging those plan names, in one pass. The
+// frames are carved from one slab, each capped at its own bytes; each
+// source host's packet-MAC schedule is built once; and the MACs are
+// applied macChunk frames at a time through one wire.MACBatch.
+func mintLane(lane *Lane, plan []badFrame, n, hosts, frameSize int) error {
+	payload := make([]byte, frameSize-wire.HeaderSize)
+	slab := make([]byte, n*frameSize)
+	lane.Frames = make([][]byte, n)
+	// One schedule per source host, keyed at the host's first frame.
+	// When no host sends twice, a schedule is dead once its chunk is
+	// MACed, so one chunk's worth is rekeyed chunk after chunk.
+	schedules := hosts
+	if n <= hosts {
+		schedules = min(n, macChunk)
+	}
+	macs := make([]wire.PacketMAC, schedules)
+	var (
+		batch wire.MACBatch
+		flips []int
+	)
+	for c := 0; c < n; c += macChunk {
+		end := min(c+macChunk, n)
+		batch.Reset(end - c)
+		flips = flips[:0]
+		for j := c; j < end; j++ {
+			bad := badFrame{kind: -1}
+			if len(plan) > 0 && plan[0].at == j {
+				bad, plan = plan[0], plan[1:]
+			}
+			hid := ephid.HID(j%hosts + 1)
+			m := &macs[j%hosts%len(macs)]
+			if j < hosts {
+				e, err := lane.Src.DB.Get(hid)
+				if err != nil {
+					return err
+				}
+				if err := m.Init(e.Keys.MAC[:]); err != nil {
+					return err
+				}
+			}
+			at := j * frameSize
+			frame, err := mintFrame(lane.Src, lane.Dst, hid, uint64(j)+1, payload, bad, slab[at:at:at+frameSize])
+			if err != nil {
+				return err
+			}
+			lane.Frames[j] = frame
+			batch.Add(m, frame)
+			if bad.kind == BadMAC {
+				flips = append(flips, j)
+			}
+		}
+		batch.Apply()
+		for _, j := range flips {
+			// Flip the frame's last byte: the final payload byte when
+			// there is a payload, otherwise the last MAC byte — either
+			// way the MAC check fails.
+			lane.Frames[j][frameSize-1] ^= 0xff
+		}
+	}
+	return nil
+}
+
+// mintFrame encodes into buf, without its MAC, one frame from src host
+// hid toward dst host hid, sabotaged as bad says: a forged EphID, an
+// expired source, or a source EphID the source AS (BadRevokedSrc) or
+// the destination AS (BadRemoteRevokedSrc) lists as revoked.
+func mintFrame(src, dst *Fixture, hid ephid.HID, nonce uint64, payload []byte, bad badFrame, buf []byte) ([]byte, error) {
 	exp := uint32(src.Now) + 3600
-
-	srcEphID := src.Sealer.Mint(ephid.Payload{HID: srcHID, ExpTime: exp})
-	dstEphID := dst.Sealer.Mint(ephid.Payload{HID: dstHID, ExpTime: uint32(dst.Now) + 3600})
-
-	switch kind {
+	var srcEphID ephid.EphID
+	switch bad.kind {
 	case BadForgedSrc:
-		rng.Read(srcEphID[:])
+		srcEphID = bad.forged
 	case BadExpiredSrc:
-		srcEphID = src.Sealer.Mint(ephid.Payload{HID: srcHID, ExpTime: uint32(src.Now) - 10})
+		srcEphID = src.Sealer.Mint(ephid.Payload{HID: hid, ExpTime: uint32(src.Now) - 10})
+	default:
+		srcEphID = src.Sealer.Mint(ephid.Payload{HID: hid, ExpTime: exp})
+	}
+	dstEphID := bad.forged
+	if bad.kind != BadForgedDst {
+		dstEphID = dst.Sealer.Mint(ephid.Payload{HID: hid, ExpTime: uint32(dst.Now) + 3600})
+	}
+	switch bad.kind {
 	case BadRevokedSrc:
 		src.Router.Revoked().Insert(srcEphID, exp)
-	case BadForgedDst:
-		rng.Read(dstEphID[:])
 	case BadRemoteRevokedSrc:
 		dst.Router.ApplyRemote(srcEphID, src.AID, exp)
 	}
-
 	p := wire.Packet{
 		Header: wire.Header{
 			NextProto: wire.ProtoSession, HopLimit: wire.DefaultHopLimit,
@@ -210,26 +357,7 @@ func mintLaneFrame(src, dst *Fixture, hostIdx int, nonce uint64, payload []byte,
 		},
 		Payload: payload,
 	}
-	frame, err := p.Encode()
-	if err != nil {
-		return nil, err
-	}
-	keys, err := src.DB.Get(srcHID)
-	if err != nil {
-		return nil, err
-	}
-	pm, err := wire.NewPacketMAC(keys.Keys.MAC[:])
-	if err != nil {
-		return nil, err
-	}
-	pm.Apply(frame)
-	if kind == BadMAC {
-		// Flip the frame's last byte: the final payload byte when there
-		// is a payload, otherwise the last MAC byte — either way the
-		// MAC check fails.
-		frame[len(frame)-1] ^= 0xff
-	}
-	return frame, nil
+	return p.AppendTo(buf)
 }
 
 // Shard splits frames into `workers` stripes by round-robin, so every

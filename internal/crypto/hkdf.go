@@ -11,7 +11,7 @@ import (
 const hashLen = sha256.Size
 
 // zeroSalt is the salt HKDFExtract keys with when it is handed none;
-// hmac.New copies its key, so nothing writes to it.
+// hmac.New and the host-key pads copy it, so nothing writes to it.
 var zeroSalt [hashLen]byte
 
 // HKDFExtract implements the HKDF-Extract step of RFC 5869 using
@@ -53,33 +53,6 @@ func expand(mac hash.Hash, dst, info []byte) {
 		prev = mac.Sum(buf[:0])
 		dst = dst[copy(dst, prev):]
 	}
-}
-
-// hmacBlockSize is SHA-256's block size, the longest key hmacSHA256
-// takes; hmacMaxMsg is the longest message it takes.
-const (
-	hmacBlockSize = 64
-	hmacMaxMsg    = 128
-)
-
-// hmacSHA256 is HMAC-SHA256 (RFC 2104) of msg under key, hashed from
-// one stack buffer with sha256.Sum256, so it allocates nothing. key is
-// at most hmacBlockSize bytes (an empty key is the zero salt's HMAC:
-// both pad to a block of zeros) and msg at most hmacMaxMsg.
-func hmacSHA256(key, msg []byte) [hashLen]byte {
-	var buf [hmacBlockSize + hmacMaxMsg]byte
-	for i := range hmacBlockSize {
-		buf[i] = 0x36
-	}
-	for i, b := range key {
-		buf[i] ^= b
-	}
-	inner := sha256.Sum256(buf[:hmacBlockSize+copy(buf[hmacBlockSize:], msg)])
-	for i := range hmacBlockSize {
-		buf[i] ^= 0x36 ^ 0x5c
-	}
-	copy(buf[hmacBlockSize:], inner[:])
-	return sha256.Sum256(buf[:hmacBlockSize+hashLen])
 }
 
 // HKDF derives length bytes from the initial keying material ikm using

@@ -3,7 +3,9 @@ package crypto
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"math/rand/v2"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -87,14 +89,16 @@ func TestDeriveKeyLabelsIndependent(t *testing.T) {
 	}
 }
 
-// TestDeriveHostASKeysIsDeriveKey pins that the stack-only derivation
-// changes no byte of either key: both are DeriveKey's under their
+// TestDeriveHostASKeysIsDeriveKey pins that the resumed pad states
+// change no byte of either key: both are DeriveKey's under their
 // labels, for every secret length from 0 to 64 — the population's
-// 12-byte seeds and the registry's 32-byte DH secret among them — and
-// on either side of hmacMaxMsg, where the extract moves to HKDFExtract.
+// 12-byte seeds and the registry's 32-byte DH secret among them — on
+// either side of the lengths where the extract's inner hash needs
+// another SHA-256 block (55, 119 and 183 bytes still fit their last
+// block with its padding), and for secrets of several blocks.
 func TestDeriveHostASKeysIsDeriveKey(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
-	lengths := []int{hmacMaxMsg - 1, hmacMaxMsg, hmacMaxMsg + 1, 3 * hmacMaxMsg}
+	lengths := []int{119, 120, 121, 183, 184, 185, 200, 1000}
 	for n := 0; n <= 64; n++ {
 		lengths = append(lengths, n)
 	}
@@ -116,14 +120,77 @@ func TestDeriveHostASKeysIsDeriveKey(t *testing.T) {
 }
 
 // TestDeriveHostASKeysAllocs: a host registration's keys cost no heap,
-// for the population's 12-byte secrets and the registry's 32-byte ones.
+// for the population's 12-byte secrets, the registry's 32-byte ones and
+// a 200-byte one that spans four blocks. The secret is built inside the
+// measured call in a stack array, as population.hostKeys builds it, so
+// a secret that escapes into the digest counts as an allocation. Each
+// run derives twice: AllocsPerRun rounds down, and one allocation per
+// derivation has been seen to read 0 when the count came up short.
 func TestDeriveHostASKeysAllocs(t *testing.T) {
-	for _, n := range []int{12, 32} {
-		secret := bytes.Repeat([]byte{7}, n)
+	if raceEnabled {
+		t.Skip("under -race the digest's AppendBinary allocates and sync.Pool drops scratch at random")
+	}
+	for _, n := range []int{12, 32, 200} {
 		spare.Idle()
-		if allocs := testing.AllocsPerRun(100, func() { DeriveHostASKeys(secret) }); allocs != 0 {
+		var i byte
+		allocs := testing.AllocsPerRun(100, func() {
+			for range 2 {
+				var b [200]byte
+				b[0], b[n-1] = i, 7
+				i++
+				DeriveHostASKeys(b[:n])
+			}
+		})
+		if allocs != 0 {
 			t.Errorf("DeriveHostASKeys(%d-byte secret) allocates %.0f times, want 0", n, allocs)
 		}
+	}
+}
+
+// TestDeriveHostASKeysConcurrent derives overlapping secrets from
+// several goroutines at once, so the pooled scratch is taken and
+// handed back under contention; every pair must still be DeriveKey's.
+// Run it under -race.
+func TestDeriveHostASKeysConcurrent(t *testing.T) {
+	secrets := make([][]byte, 16)
+	for i := range secrets {
+		secrets[i] = bytes.Repeat([]byte{byte(i)}, 12+13*i) // 12 … 207 bytes
+	}
+	want := make([]HostASKeys, len(secrets))
+	for i, s := range secrets {
+		want[i].Enc = [SymKeySize]byte(DeriveKey(s, labelHostEnc, SymKeySize))
+		want[i].MAC = [SymKeySize]byte(DeriveKey(s, labelHostMAC, SymKeySize))
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range 500 {
+				i := (g + j) % len(secrets)
+				if k := DeriveHostASKeys(secrets[i]); k != want[i] {
+					t.Errorf("goroutine %d: %d-byte secret: got %x, want %x", g, len(secrets[i]), k, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// BenchmarkDeriveHostASKeys prices one host registration's key pair for
+// the population's and ctl world's 12-byte secrets and the registry's
+// and NAT's 32-byte DH secrets.
+func BenchmarkDeriveHostASKeys(b *testing.B) {
+	for _, n := range []int{12, 32} {
+		b.Run(fmt.Sprintf("%dB", n), func(b *testing.B) {
+			secret := bytes.Repeat([]byte{7}, n)
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				secret[0] = byte(i)
+				DeriveHostASKeys(secret)
+			}
+		})
 	}
 }
 

@@ -2,9 +2,12 @@ package crypto
 
 import (
 	"crypto/rand"
+	"crypto/sha256"
+	"encoding"
 	"fmt"
+	"hash"
 	"io"
-	"slices"
+	"sync"
 )
 
 // Key sizes used throughout the architecture.
@@ -88,32 +91,86 @@ type HostASKeys struct {
 // DeriveHostASKeys derives the host<->AS key pair from a Diffie-Hellman
 // shared secret (the result of the bootstrap exchange in Figure 2). The
 // keys are DeriveKey's under the two labels: one extract under the zero
-// salt, then the first expand block per label, which holds a whole
-// key. Both run on the stack (hmacSHA256); only a secret longer than
-// hmacMaxMsg bytes is extracted through HKDFExtract.
+// salt, then the first expand block per label. Each HMAC resumes from
+// its key's pad states, hashed once per process for the zero salt and
+// once per call for the PRK: 8 SHA-256 blocks, not 12, for a secret of
+// up to 55 bytes. The secret is copied into pooled scratch a block at a
+// time, so every length takes this one path and none allocates.
 func DeriveHostASKeys(dhSecret []byte) HostASKeys {
-	var prk [hashLen]byte
-	if len(dhSecret) <= hmacMaxMsg {
-		prk = hmacSHA256(nil, dhSecret)
-	} else {
-		// A copy, so that dhSecret does not escape through the HMAC's
-		// hash.Hash on the short path too.
-		prk = [hashLen]byte(HKDFExtract(nil, slices.Clone(dhSecret)))
+	s := hostKeyScratches.Get().(*hostKeyScratch)
+	s.d.UnmarshalBinary(zeroSaltPads[0])
+	for len(dhSecret) > 0 {
+		n := copy(s.block[:], dhSecret)
+		s.d.Write(s.block[:n])
+		dhSecret = dhSecret[n:]
 	}
-	var k HostASKeys
-	k.Enc = expandKey(&prk, labelHostEnc)
-	k.MAC = expandKey(&prk, labelHostMAC)
+	s.finish(zeroSaltPads[1])
+	s.prk = s.pads(s.prk, s.sum[:])
+	k := HostASKeys{Enc: s.expand(labelHostEnc), MAC: s.expand(labelHostMAC)}
+	hostKeyScratches.Put(s)
 	return k
 }
 
-// expandKey is HKDF-Expand's first block under prk for info label,
-// truncated to a symmetric key: HMAC(prk, label ‖ 0x01).
-func expandKey(prk *[hashLen]byte, label string) [SymKeySize]byte {
-	var info [hmacMaxMsg]byte
-	n := copy(info[:], label)
-	info[n] = 1
-	t := hmacSHA256(prk[:], info[:n+1])
-	return [SymKeySize]byte(t[:])
+// stateDigest is a SHA-256 digest whose state can be saved and resumed.
+// It only resumes states it saved itself, which cannot fail to decode,
+// so their errors are dropped.
+type stateDigest interface {
+	hash.Hash
+	encoding.BinaryAppender
+	encoding.BinaryUnmarshaler
+}
+
+// hostKeyScratch is what DeriveHostASKeys hashes in, pooled because
+// the arguments of the digest's methods escape. prk holds the PRK's
+// inner and outer pad states.
+type hostKeyScratch struct {
+	d     stateDigest
+	prk   [2][]byte
+	block [sha256.BlockSize]byte
+	sum   [hashLen]byte
+}
+
+var hostKeyScratches = sync.Pool{New: func() any {
+	return &hostKeyScratch{d: sha256.New().(stateDigest)}
+}}
+
+// zeroSaltPads are the extract's pad states.
+var zeroSaltPads = hostKeyScratches.Get().(*hostKeyScratch).pads([2][]byte{}, zeroSalt[:])
+
+// pads hashes the inner and outer pad blocks of key (at most a block)
+// and saves each state, as AppendBinary writes it, in p's buffers.
+func (s *hostKeyScratch) pads(p [2][]byte, key []byte) [2][]byte {
+	clear(s.block[:])
+	copy(s.block[:], key)
+	for i, pad := range [2]byte{0x36, 0x36 ^ 0x5c} { // ipad, then ipad to opad
+		for j := range s.block {
+			s.block[j] ^= pad
+		}
+		s.d.Reset()
+		s.d.Write(s.block[:])
+		p[i], _ = s.d.AppendBinary(p[i][:0])
+	}
+	return p
+}
+
+// finish ends an HMAC whose message s.d has absorbed: the inner hash is
+// hashed on from the outer pad state, and the MAC lands in s.sum.
+func (s *hostKeyScratch) finish(outer []byte) {
+	s.d.Sum(s.sum[:0])
+	s.d.UnmarshalBinary(outer)
+	s.d.Write(s.sum[:])
+	s.d.Sum(s.sum[:0])
+}
+
+// expand is HKDF-Expand's first block for info label under the PRK,
+// truncated to a key: HMAC(prk, label ‖ 0x01).
+func (s *hostKeyScratch) expand(label string) [SymKeySize]byte {
+	s.d.UnmarshalBinary(s.prk[0])
+	n := copy(s.block[:], label)
+	s.block[n] = 1
+	s.d.Write(s.block[:n+1])
+	s.finish(s.prk[1])
+	return [SymKeySize]byte(s.sum[:])
 }
 
 // DeriveSessionKey derives the symmetric session key kE1E2 for a pair of

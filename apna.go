@@ -31,8 +31,8 @@
 // ASes and links (WithAS, WithLink, the WithLine/WithStar/WithFullMesh/
 // WithASGraph generators), hosts, attackers, chaos, the EphID lifecycle
 // engine and revocation-digest dissemination. Layout returns the ASes
-// and links a description lays out without building it; AddHost adds a
-// host to a running internet.
+// and links a description lays out without building it; AddHosts adds
+// hosts to a running internet.
 //
 // Every blocking helper above is a thin Await wrapper over a
 // non-blocking *Async counterpart (NewEphIDAsync, ConnectAsync, ...)
@@ -209,10 +209,8 @@ func New(seed int64, topo ...TopologyOption) (*Internet, error) {
 		}
 	}
 	for _, as := range t.ases {
-		for _, name := range as.hosts {
-			if _, err := in.AddHost(as.aid, name); err != nil {
-				return nil, err
-			}
+		if _, err := in.AddHosts(as.aid, as.hosts...); err != nil {
+			return nil, err
 		}
 	}
 	for _, a := range t.attackers {
@@ -244,7 +242,7 @@ func (in *Internet) Now() int64 { return in.Sim.NowUnix() }
 func (in *Internet) AS(aid AID) *AS { return in.ases[aid] }
 
 // Host returns the host with the given name, or nil. Names are assigned
-// by AddHost / WithAS / WithHosts and are unique within the internet.
+// by AddHosts / WithAS / WithHosts and are unique within the internet.
 func (in *Internet) Host(name string) *Host { return in.hosts[name] }
 
 // ASes returns every AS in the internet, sorted by AID — the

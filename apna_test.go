@@ -176,10 +176,7 @@ func TestDNSPoisoningDetected(t *testing.T) {
 	}
 	// Mallory poisons the zone: the stored record now carries her
 	// certificate, which the zone's signature does not cover.
-	mallory, err := w.in.AddHost(300, "mallory")
-	if err != nil {
-		t.Fatal(err)
-	}
+	mallory := addHost(t, w.in, 300, "mallory")
 	idM, err := mallory.NewEphID(ephid.KindData, 900)
 	if err != nil {
 		t.Fatal(err)
@@ -303,16 +300,13 @@ func TestSpoofedPacketsDropAtEgress(t *testing.T) {
 	// alice's EphID but cannot MAC with alice's kHA.
 	w := newWorld(t)
 	idA := w.ephID(t, w.alice)
-	mallory, err := w.in.AddHost(100, "mallory")
-	if err != nil {
-		t.Fatal(err)
-	}
+	mallory := addHost(t, w.in, 100, "mallory")
 	w.ephID(t, mallory)
 	idC := w.ephID(t, w.carol)
 
 	// Mallory crafts a packet with alice's EphID as source. Her stack
 	// MACs with her own key, which cannot match alice's.
-	err = mallory.Stack.SendRaw(wire.ProtoSession, 0, idA.Cert.EphID,
+	err := mallory.Stack.SendRaw(wire.ProtoSession, 0, idA.Cert.EphID,
 		Endpoint{AID: 300, EphID: idC.Cert.EphID}, []byte("spoofed"))
 	if err != nil {
 		t.Fatal(err)
@@ -416,18 +410,18 @@ func TestConnectToExpiredCertRejected(t *testing.T) {
 }
 
 // TestUnknownASRejected covers the one way onto a running internet:
-// AddHost. Links, attackers and duplicate ASes are description errors,
+// AddHosts. Links, attackers and duplicate ASes are description errors,
 // rejected by New (TestTopologyValidationRejects).
 func TestUnknownASRejected(t *testing.T) {
 	in, err := New(1, WithAS(7, "resident"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := in.AddHost(42, "ghost"); !errors.Is(err, ErrUnknownAS) {
+	if _, err := in.AddHosts(42, "ghost"); !errors.Is(err, ErrUnknownAS) {
 		t.Errorf("err = %v", err)
 	}
-	if _, err := in.AddHost(7, "resident"); !errors.Is(err, ErrDuplicateHost) {
-		t.Errorf("duplicate AddHost err = %v", err)
+	if _, err := in.AddHosts(7, "resident"); !errors.Is(err, ErrDuplicateHost) {
+		t.Errorf("duplicate AddHosts err = %v", err)
 	}
 }
 

@@ -56,10 +56,7 @@ func TestICMPTimeExceededInTransit(t *testing.T) {
 // identically.
 func TestIntraASCommunication(t *testing.T) {
 	w := newWorld(t)
-	dave, err := w.in.AddHost(100, "dave")
-	if err != nil {
-		t.Fatal(err)
-	}
+	dave := addHost(t, w.in, 100, "dave")
 	idA := w.ephID(t, w.alice)
 	idD, err := dave.NewEphID(ephid.KindData, 900)
 	if err != nil {

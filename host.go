@@ -10,6 +10,8 @@ import (
 	"apna/internal/ephid"
 	"apna/internal/host"
 	"apna/internal/netsim"
+	"apna/internal/registry"
+	"apna/internal/spare"
 	"apna/internal/wire"
 )
 
@@ -63,48 +65,82 @@ type complaintKey struct {
 	seq   uint64
 }
 
-// AddHost registers a subscriber with the AS, bootstraps it (Figure 2),
-// and attaches its stack to the border router. Host names are the
-// facade's handles: they must be unique within the internet.
-func (in *Internet) AddHost(aid AID, name string) (*Host, error) {
+// AddHosts registers subscribers with the AS, bootstraps them as one
+// batch (Figure 2) and attaches their stacks to the border router, all
+// in the order the names are given, which is also the order of the
+// hosts returned and of their HIDs. Host names are the facade's
+// handles: they must be unique within the internet, and a name already
+// taken, or given twice, fails the call before any host registers.
+func (in *Internet) AddHosts(aid AID, names ...string) ([]*Host, error) {
 	as, ok := in.ases[aid]
 	if !ok {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownAS, aid)
 	}
-	if _, dup := in.hosts[name]; dup {
-		return nil, fmt.Errorf("%w: %q", ErrDuplicateHost, name)
+	seen := make(map[string]bool, len(names))
+	for _, name := range names {
+		if _, dup := in.hosts[name]; dup || seen[name] {
+			return nil, fmt.Errorf("%w: %q", ErrDuplicateHost, name)
+		}
+		seen[name] = true
 	}
-	// Provision a credential — the facade plays the subscription
-	// office.
-	credential := name + "-credential"
-	as.creds[credential] = name
+	hostKeys := make([]*crypto.KeyPair, len(names))
+	batch := make([]registry.Enrollment, len(names))
+	for i, name := range names {
+		// Provision a credential — the facade plays the subscription
+		// office.
+		credential := name + "-credential"
+		as.creds[credential] = name
+		k, err := crypto.GenerateKeyPair()
+		if err != nil {
+			return nil, err
+		}
+		hostKeys[i] = k
+		batch[i] = registry.Enrollment{Credential: []byte(credential), HostPub: k.PublicKey()}
+	}
+	boots, err := as.RS.Bootstrap(batch)
+	if err != nil {
+		return nil, err
+	}
 
-	hostKey, err := crypto.GenerateKeyPair()
-	if err != nil {
-		return nil, err
-	}
-	boot, err := as.RS.Bootstrap([]byte(credential), hostKey.PublicKey())
-	if err != nil {
-		return nil, err
-	}
-	// Verify the signed bootstrap information against the AS key from
-	// the trust store, as the host side of Figure 2 prescribes.
+	// The host side of Figure 2, each host on the caller or a spare
+	// core: verify the signed bootstrap information against the AS key
+	// from the trust store, then derive kHA from the host's own DH
+	// exchange.
 	asKey, err := in.Trust.SigKey(aid, in.Sim.NowUnix())
 	if err != nil {
 		return nil, err
 	}
-	if err := boot.IDInfo.Verify(asKey); err != nil {
-		return nil, err
-	}
-	// kHA: the host derives its AS keys from the DH exchange.
-	dhSecret, err := hostKey.SharedSecret(boot.ASDHPub[:])
+	keys := make([]crypto.HostASKeys, len(names))
+	err = spare.Each(len(boots), func(i int) error {
+		if err := boots[i].IDInfo.Verify(asKey); err != nil {
+			return err
+		}
+		dhSecret, err := hostKeys[i].SharedSecret(boots[i].ASDHPub[:])
+		if err != nil {
+			return err
+		}
+		keys[i] = crypto.DeriveHostASKeys(dhSecret)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
 
+	hosts := make([]*Host, len(names))
+	for i, name := range names {
+		if hosts[i], err = in.attachHost(as, name, &boots[i], keys[i]); err != nil {
+			return nil, err
+		}
+	}
+	return hosts, nil
+}
+
+// attachHost builds a bootstrapped host's stack from its kHA and its
+// bootstrap result, and attaches it to its AS's border router.
+func (in *Internet) attachHost(as *AS, name string, boot *registry.BootstrapResult, keys crypto.HostASKeys) (*Host, error) {
 	stack, err := host.New(host.Config{
-		AID: aid, HID: boot.HID,
-		Keys:      crypto.DeriveHostASKeys(dhSecret),
+		AID: as.AID, HID: boot.HID,
+		Keys:      keys,
 		CtrlEphID: boot.IDInfo.ControlEphID,
 		MSCert:    boot.MSCert, DNSCert: boot.DNSCert,
 		Trust: in.Trust, Now: in.Sim.NowUnix,

@@ -156,10 +156,7 @@ func TestICMPRevokedFeedbackUsesLocalFastPath(t *testing.T) {
 func TestICMPNoFeedbackForSpoofedPackets(t *testing.T) {
 	w := newWorld(t)
 	idA := w.ephID(t, w.alice)
-	mallory, err := w.in.AddHost(100, "mallory2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	mallory := addHost(t, w.in, 100, "mallory2")
 	w.ephID(t, mallory)
 
 	fired := 0

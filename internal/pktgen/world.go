@@ -3,9 +3,6 @@ package pktgen
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"apna/internal/asnode"
@@ -88,7 +85,7 @@ type WorldConfig struct {
 // lane's bad-frame placement, kinds and forged EphIDs — is drawn first,
 // in order, from one rng; the work that follows, the AS fixtures and
 // then the lanes, runs on the caller and on the spare cores
-// internal/spare lends it (fanOut), and reads nothing of the rng.
+// internal/spare lends it (spare.Each), and reads nothing of the rng.
 func NewWorld(cfg WorldConfig) (*World, error) {
 	if cfg.ASes < 2 {
 		return nil, fmt.Errorf("pktgen: world needs >= 2 ASes, got %d", cfg.ASes)
@@ -121,7 +118,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 
 	// Stand up the per-AS data planes. AIDs are 100, 101, ...
 	w.ASes = make([]*Fixture, cfg.ASes)
-	err := fanOut(cfg.ASes, func(i int) (err error) {
+	err := spare.Each(cfg.ASes, func(i int) (err error) {
 		w.ASes[i], err = newFixture(ephid.AID(100+i), cfg.HostsPerAS, i, w.Now)
 		return err
 	})
@@ -151,7 +148,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	// source's local revocation list and its destination's remote one;
 	// in the ring no two lanes write one list, so each list gets its
 	// entries in the order one core would give them.
-	err = fanOut(cfg.ASes, func(i int) error {
+	err = spare.Each(cfg.ASes, func(i int) error {
 		lane := w.Lanes[i]
 		lane.Src, lane.Dst = w.ASes[i], w.ASes[(i+1)%cfg.ASes]
 		return mintLane(lane, plans[i], framesPerLane, cfg.HostsPerAS, cfg.FrameSize)
@@ -160,45 +157,6 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		return nil, err
 	}
 	return w, nil
-}
-
-// maxHelpers bounds the spare-core tasks one fanOut queues, so that a
-// world build never holds more than a quarter of internal/spare's task
-// cap and the key stock's refills always find room.
-const maxHelpers = 4
-
-// fanOut runs do(0), ..., do(n-1), each once, on the caller and on up to
-// maxHelpers spare-core helpers that internal/spare accepts. Items are
-// claimed one at a time, so a helper that starts late — queued behind a
-// key refill — finds less to do, not a share it must finish. Where the
-// budget refuses (always at GOMAXPROCS 1) the caller does everything.
-// It returns the error of the lowest failing item.
-func fanOut(n int, do func(i int) error) error {
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	errs := make([]error, n)
-	run := func() {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			errs[i] = do(i)
-		}
-	}
-	for h := min(n, runtime.GOMAXPROCS(0), maxHelpers+1) - 1; h > 0; h-- {
-		wg.Add(1)
-		if !spare.Go(func() { defer wg.Done(); run() }) {
-			wg.Done()
-			break
-		}
-	}
-	run()
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // badFrame is one adversarial frame of a lane: its index, its kind and,

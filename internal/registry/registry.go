@@ -26,6 +26,7 @@ import (
 	"apna/internal/crypto"
 	"apna/internal/ephid"
 	"apna/internal/hostdb"
+	"apna/internal/spare"
 )
 
 // Errors returned by the registry.
@@ -137,13 +138,15 @@ func (s *Service) InstallServiceCerts(ms, dns *cert.Cert) {
 	s.msCert, s.dnsCert = ms, dns
 }
 
-// allocHID assigns the next free HID. The caller holds s.mu.
-func (s *Service) allocHID() (ephid.HID, error) {
-	if s.nextHID == ^uint32(0) {
+// allocHIDs assigns the next n free HIDs, first to first+n-1, or none
+// when fewer than n are left. The caller holds s.mu.
+func (s *Service) allocHIDs(n int) (first ephid.HID, err error) {
+	if uint64(n) > uint64(^uint32(0)-s.nextHID) {
 		return 0, ErrExhausted
 	}
-	s.nextHID++
-	return ephid.HID(s.nextHID), nil
+	first = ephid.HID(s.nextHID + 1)
+	s.nextHID += uint32(n)
+	return first, nil
 }
 
 // AllocServiceIdentity registers an AS-internal service (MS, DNS, AA,
@@ -162,7 +165,7 @@ func (s *Service) AllocServiceIdentity(kind ephid.Kind, lifetime uint32, aaEphID
 	}
 
 	s.mu.Lock()
-	hid, err := s.allocHID()
+	hid, err := s.allocHIDs(1)
 	s.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -201,54 +204,88 @@ type ServiceIdentity struct {
 	Cert    cert.Cert
 }
 
-// Bootstrap runs the host-side of Figure 2: authenticate the credential,
-// register the host, and return the bootstrap material. hostPub is the
-// host's X25519 public key (K+H) learned during authentication.
+// Enrollment is one host's entry in a bootstrap batch: the credential
+// it authenticates with and its X25519 public key (K+H), learned during
+// authentication.
+type Enrollment struct {
+	Credential, HostPub []byte
+}
+
+// Bootstrap runs the AS side of Figure 2 for a batch of hosts and
+// returns one result per entry, in order; a lone host is a batch of
+// one. Every entry is authenticated and its kHA derived before any
+// state changes, so a batch registers whole or not at all, and the
+// error returned is the lowest failing entry's. The X25519 agreements
+// and the id_info signatures run on the caller and on the spare cores
+// internal/spare lends (spare.Each); HIDs, hostdb records and control
+// EphIDs are assigned under the mutex in argument order, exactly as one
+// call per entry would assign them.
 //
-// A subscriber bootstrapping again gets a fresh HID and the old HID is
-// revoked with all its EphIDs — the identity-minting defence.
-func (s *Service) Bootstrap(credential, hostPub []byte) (*BootstrapResult, error) {
-	sub, err := s.auth.Authenticate(credential)
+// A subscriber bootstrapping again — in a later batch or later in the
+// same one — gets a fresh HID and the old HID is revoked with all its
+// EphIDs: the identity-minting defence.
+func (s *Service) Bootstrap(batch []Enrollment) ([]BootstrapResult, error) {
+	subs := make([]string, len(batch))
+	for i, e := range batch {
+		sub, err := s.auth.Authenticate(e.Credential)
+		if err != nil {
+			return nil, err
+		}
+		if len(e.HostPub) != crypto.X25519PublicKeySize {
+			return nil, fmt.Errorf("%w: %d bytes", ErrBadHostKey, len(e.HostPub))
+		}
+		subs[i] = sub
+	}
+	keys := make([]crypto.HostASKeys, len(batch))
+	err := spare.Each(len(batch), func(i int) error {
+		secret, err := s.dh.SharedSecret(batch[i].HostPub)
+		if err != nil {
+			return fmt.Errorf("%w: %w", ErrBadHostKey, err)
+		}
+		keys[i] = crypto.DeriveHostASKeys(secret)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if len(hostPub) != crypto.X25519PublicKeySize {
-		return nil, fmt.Errorf("%w: %d bytes", ErrBadHostKey, len(hostPub))
-	}
-	secret, err := s.dh.SharedSecret(hostPub)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadHostKey, err)
-	}
-	keys := crypto.DeriveHostASKeys(secret)
 
+	asPub := s.dh.PublicKey()
 	s.mu.Lock()
 	if s.msCert == nil || s.dnsCert == nil {
 		s.mu.Unlock()
 		return nil, ErrNoService
 	}
-	msCert, dnsCert := *s.msCert, *s.dnsCert
-	if old, ok := s.bySub[sub]; ok {
-		s.db.Revoke(old)
-	}
-	hid, err := s.allocHID()
+	first, err := s.allocHIDs(len(batch))
 	if err != nil {
 		s.mu.Unlock()
 		return nil, err
 	}
-	s.bySub[sub] = hid
+	now := s.now()
+	exp := uint32(now) + controlEphIDLifetime
+	res := make([]BootstrapResult, len(batch))
+	for i, sub := range subs {
+		hid := first + ephid.HID(i)
+		if old, ok := s.bySub[sub]; ok {
+			s.db.Revoke(old)
+		}
+		s.bySub[sub] = hid
+		s.db.Put(hostdb.Entry{HID: hid, Keys: keys[i], RegisteredAt: now})
+		res[i] = BootstrapResult{
+			HID: hid,
+			IDInfo: IDInfo{
+				ControlEphID: s.sealer.Mint(ephid.Payload{HID: hid, ExpTime: exp}),
+				ExpTime:      exp,
+			},
+			MSCert: *s.msCert, DNSCert: *s.dnsCert,
+		}
+		copy(res[i].ASDHPub[:], asPub)
+	}
 	s.mu.Unlock()
 
-	now := s.now()
-	s.db.Put(hostdb.Entry{HID: hid, Keys: keys, RegisteredAt: now})
-
-	exp := uint32(now) + controlEphIDLifetime
-	info := IDInfo{
-		ControlEphID: s.sealer.Mint(ephid.Payload{HID: hid, ExpTime: exp}),
-		ExpTime:      exp,
-	}
-	copy(info.Signature[:], s.signer.Sign(idInfoLabel, info.appendTBS(nil)))
-
-	res := &BootstrapResult{HID: hid, IDInfo: info, MSCert: msCert, DNSCert: dnsCert}
-	copy(res.ASDHPub[:], s.dh.PublicKey())
+	_ = spare.Each(len(res), func(i int) error { // signing cannot fail
+		info := &res[i].IDInfo
+		copy(info.Signature[:], s.signer.Sign(idInfoLabel, info.appendTBS(nil)))
+		return nil
+	})
 	return res, nil
 }

@@ -73,3 +73,42 @@ func Idle() {
 	}
 	mu.Unlock()
 }
+
+// maxHelpers bounds the spare-core tasks one Each queues, so that one
+// fan-out never holds more than a quarter of the task cap and the key
+// stock's refills always find room.
+const maxHelpers = 4
+
+// Each runs do(0), ..., do(n-1), each once, on the caller and on up to
+// maxHelpers spare-core helpers that Go accepts. Items are claimed one
+// at a time, so a helper that starts late — queued behind a key refill
+// — finds less to do, not a share it must finish. Where the budget
+// refuses (always at GOMAXPROCS 1) the caller does everything. It
+// returns the error of the lowest failing item.
+func Each(n int, do func(i int) error) error {
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	errs := make([]error, n)
+	run := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			errs[i] = do(i)
+		}
+	}
+	for h := min(n, runtime.GOMAXPROCS(0), maxHelpers+1) - 1; h > 0; h-- {
+		wg.Add(1)
+		if !Go(func() { defer wg.Done(); run() }) {
+			wg.Done()
+			break
+		}
+	}
+	run()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}

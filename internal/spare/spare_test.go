@@ -1,6 +1,7 @@
 package spare
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -128,5 +129,66 @@ func TestIdleWaitsForEveryTask(t *testing.T) {
 	Idle()
 	if n := done.Load(); n != 3 {
 		t.Fatal("Idle returned while a task ran")
+	}
+}
+
+// TestEachRunsEveryIndexOnce: at one P and more, Each calls do once
+// for every index, failing ones included, and returns the error of
+// the lowest failing index whichever finished first.
+func TestEachRunsEveryIndexOnce(t *testing.T) {
+	for _, p := range []int{1, 2, 4} {
+		procs(t, p)
+		for _, n := range []int{0, 1, 3, 100} {
+			counts := make([]atomic.Int32, n)
+			failAt := map[int]bool{n / 2: true, n - 1: true}
+			err := Each(n, func(i int) error {
+				counts[i].Add(1)
+				if failAt[i] {
+					return fmt.Errorf("item %d", i)
+				}
+				return nil
+			})
+			for i := range counts {
+				if c := counts[i].Load(); c != 1 {
+					t.Errorf("GOMAXPROCS %d, n %d: index %d ran %d times", p, n, i, c)
+				}
+			}
+			want := ""
+			if n > 0 {
+				want = fmt.Sprintf("item %d", n/2)
+			}
+			if got := fmt.Sprint(err); n > 0 && got != want || n == 0 && err != nil {
+				t.Errorf("GOMAXPROCS %d, n %d: err %v, want %q", p, n, err, want)
+			}
+		}
+		Idle()
+	}
+}
+
+// TestEachOnTheCallerAtOneProc: at GOMAXPROCS 1 Each queues no helper,
+// so every item runs on the caller, in index order.
+func TestEachOnTheCallerAtOneProc(t *testing.T) {
+	procs(t, 1)
+	var order []int
+	err := Each(10, func(i int) error {
+		mu.Lock()
+		queued := tasks
+		mu.Unlock()
+		if queued != 0 {
+			t.Errorf("item %d ran with %d tasks queued or running", i, queued)
+		}
+		order = append(order, i)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 10 {
+		t.Fatalf("items ran in order %v, want 0..9", order)
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("items ran in order %v, want 0..9", order)
+		}
 	}
 }

@@ -55,10 +55,7 @@ func hopLimit(t *testing.T, frame []byte) uint8 {
 // one, nor when the sender reuses the slice it sent from.
 func TestDeliveredMessagesAreByteStable(t *testing.T) {
 	w := newWorld(t)
-	bob, err := w.in.AddHost(100, "bob")
-	if err != nil {
-		t.Fatal(err)
-	}
+	bob := addHost(t, w.in, 100, "bob")
 	connA, _ := w.connect(t, w.alice, w.carol)
 	connB, _ := w.connect(t, bob, w.carol)
 
@@ -212,10 +209,7 @@ func TestEvidenceFromRawVerifiesAfterFurtherTraffic(t *testing.T) {
 	if len(first) != 1 {
 		t.Fatalf("carol inbox: %d", len(first))
 	}
-	bob, err := w.in.AddHost(100, "bob")
-	if err != nil {
-		t.Fatal(err)
-	}
+	bob := addHost(t, w.in, 100, "bob")
 	connB, _ := w.connect(t, bob, w.carol)
 	for i := 0; i < 20; i++ {
 		if err := w.in.AwaitAll(w.alice.SendAsync(conn, []byte("more")), bob.SendAsync(connB, []byte("other flow"))); err != nil {

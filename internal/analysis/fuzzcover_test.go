@@ -4,9 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"io/fs"
 	"path"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -37,8 +35,6 @@ type decoder struct {
 // pkg.Func or Func for a function, any x.Method in a file of the
 // method's package or importing it for a method.
 func TestEveryDecoderIsFuzzed(t *testing.T) {
-	root := moduleRoot(t)
-	fset := token.NewFileSet()
 	var decoders []decoder
 	// Calls made in Fuzz bodies, keyed {import path, name}: funcCalls of
 	// package-level functions, methodCalls of a method of that name on
@@ -46,29 +42,9 @@ func TestEveryDecoderIsFuzzed(t *testing.T) {
 	funcCalls := make(map[[2]string]bool)
 	methodCalls := make(map[[2]string]bool)
 
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if n := d.Name(); p != root && (n == "testdata" || strings.HasPrefix(n, ".")) {
-				return fs.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") {
-			return nil
-		}
-		rel, err := filepath.Rel(root, filepath.Dir(p))
-		if err != nil {
-			return err
-		}
-		pkg := path.Join("apna", filepath.ToSlash(rel))
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		if !strings.HasSuffix(p, "_test.go") {
+	walkModule(t, parser.SkipObjectResolution, func(rel string, _ *token.FileSet, f *ast.File) {
+		pkg := path.Join("apna", path.Dir(rel))
+		if !strings.HasSuffix(rel, "_test.go") {
 			for _, decl := range f.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
 				if !ok || !fn.Name.IsExported() || !isDecoderName(fn.Name.Name) {
@@ -82,7 +58,7 @@ func TestEveryDecoderIsFuzzed(t *testing.T) {
 				dec.key += dec.name
 				decoders = append(decoders, dec)
 			}
-			return nil
+			return
 		}
 		imports := map[string]string{} // local name -> import path
 		for _, imp := range f.Imports {
@@ -119,11 +95,7 @@ func TestEveryDecoderIsFuzzed(t *testing.T) {
 				return true
 			})
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	var unfuzzed, stale []string
 	exempt := 0

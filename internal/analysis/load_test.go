@@ -2,7 +2,11 @@ package analysis
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"go/types"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -20,6 +24,42 @@ func moduleRoot(t *testing.T) string {
 		t.Fatal("no caller info")
 	}
 	return filepath.Clean(filepath.Join(filepath.Dir(file), "..", ".."))
+}
+
+// walkModule parses every .go file of the module, outside testdata and
+// dot directories, and hands it to visit with its path from the module
+// root, slash-separated.
+func walkModule(t *testing.T, mode parser.Mode, visit func(rel string, fset *token.FileSet, f *ast.File)) {
+	t.Helper()
+	root := moduleRoot(t)
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if n := d.Name(); p != root && (n == "testdata" || strings.HasPrefix(n, ".")) {
+				return fs.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		rel, err := filepath.Rel(root, p)
+		if err != nil {
+			return err
+		}
+		f, err := parser.ParseFile(fset, p, nil, mode)
+		if err != nil {
+			return err
+		}
+		visit(filepath.ToSlash(rel), fset, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // sharedLoader amortizes stdlib type-checking across the package's

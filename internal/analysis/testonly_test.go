@@ -4,8 +4,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"io/fs"
-	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -28,26 +26,8 @@ var testonlySeams = []string{
 // that is not on a declaration's doc comment counts too, under its file
 // and line, so it cannot hide from the list.
 func TestTestonlySeams(t *testing.T) {
-	root := moduleRoot(t)
-	fset := token.NewFileSet()
 	var got []string
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if n := d.Name(); p != root && (n == "testdata" || strings.HasPrefix(n, ".")) {
-				return fs.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	walkModule(t, parser.ParseComments|parser.SkipObjectResolution, func(rel string, fset *token.FileSet, f *ast.File) {
 		onDecl := make(map[*ast.Comment]bool)
 		for _, decl := range f.Decls {
 			var doc *ast.CommentGroup
@@ -83,16 +63,11 @@ func TestTestonlySeams(t *testing.T) {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				if isTestonlyMark(c) && !onDecl[c] {
-					rel, _ := filepath.Rel(root, p)
-					got = append(got, filepath.ToSlash(rel)+":"+strconv.Itoa(fset.Position(c.Pos()).Line))
+					got = append(got, rel+":"+strconv.Itoa(fset.Position(c.Pos()).Line))
 				}
 			}
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	slices.Sort(got)
 	if !slices.Equal(got, testonlySeams) {
 		t.Errorf("//apna:testonly marks:\n  %s\nwant testonlySeams:\n  %s",

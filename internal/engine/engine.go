@@ -20,12 +20,12 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"apna/internal/border"
 	"apna/internal/pktgen"
 	"apna/internal/quantile"
+	"apna/internal/spare"
 	"apna/internal/wire"
 )
 
@@ -178,16 +178,8 @@ func Run(w *pktgen.World, cfg Config) (*Report, error) {
 		}
 	}
 
-	var wg sync.WaitGroup
 	start := time.Now() //apna:wallclock
-	for _, wk := range ws {
-		wg.Add(1)
-		go func(wk *worker) {
-			defer wg.Done()
-			wk.run(budget, batch)
-		}(wk)
-	}
-	wg.Wait()
+	spare.Workers(workers, func(i int) { ws[i].run(budget, batch) })()
 	elapsed := time.Since(start) //apna:wallclock
 
 	return aggregate(ws, w, workers, batch, elapsed), nil

@@ -12,7 +12,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"apna/internal/asnode"
@@ -22,6 +21,7 @@ import (
 	"apna/internal/hostdb"
 	"apna/internal/ms"
 	"apna/internal/pktgen"
+	"apna/internal/spare"
 )
 
 // paperPeakDemand is the peak new-session rate of the paper's trace
@@ -91,25 +91,19 @@ func RunE1(requests, workers int) (*E1Result, error) {
 	copy(req.SigPub[:], sig.PublicKey())
 
 	errs := make([]error, workers)
-	var wg sync.WaitGroup
 	start := time.Now() //apna:wallclock
-	for w := 0; w < workers; w++ {
+	spare.Workers(workers, func(w int) {
 		n := requests / workers
 		if w < requests%workers {
 			n++
 		}
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			for i := 0; i < n; i++ {
-				if _, err := node.MS.Issue(ephid.HID(i%hostCount+1), req); err != nil {
-					errs[w] = err
-					return
-				}
+		for i := 0; i < n; i++ {
+			if _, err := node.MS.Issue(ephid.HID(i%hostCount+1), req); err != nil {
+				errs[w] = err
+				return
 			}
-		}(w, n)
-	}
-	wg.Wait()
+		}
+	})()
 	elapsed := time.Since(start) //apna:wallclock
 	for _, err := range errs {
 		if err != nil {

@@ -608,31 +608,20 @@ func (wk *worker) rec(tick int, kind byte, hid ephid.HID) {
 	}
 }
 
-// setup registers the worker's initial host partition, host i under
-// the worker's i-th HID. Deriving the hosts' keys and minting their
-// control EphIDs is most of the work, so parts goroutines split the
-// partition; the hostdb gets one batch.
-func (wk *worker) setup(horizon uint32, parts int) {
-	entries := make([]hostdb.Entry, len(wk.hosts))
-	first := wk.nextHID
-	wk.nextHID += uint32(len(wk.hosts))
-	var wg sync.WaitGroup
-	for p := range parts {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := p * len(wk.hosts) / parts; i < (p+1)*len(wk.hosts)/parts; i++ {
-				hid := ephid.HID(first + uint32(i))
-				h := &wk.hosts[i]
-				h.hid = hid
-				h.keys = hostKeys(wk.cfg.Seed, hid)
-				h.ctrl = wk.w.Sealer.Mint(ephid.Payload{HID: hid, ExpTime: horizon})
-				entries[i] = hostdb.Entry{HID: hid, Keys: h.keys, RegisteredAt: startTime}
-			}
-		}()
+// setupRun is how many hosts one spare.Each item of the set-up takes.
+const setupRun = 256
+
+// setup sets up the worker's hosts from first, setupRun or fewer, host i
+// under the worker's i-th HID, and writes their hostdb entries.
+func (wk *worker) setup(first int, horizon uint32, entries []hostdb.Entry) {
+	for i := first; i < min(first+setupRun, len(wk.hosts)); i++ {
+		hid := ephid.HID(wk.nextHID + uint32(i))
+		h := &wk.hosts[i]
+		h.hid = hid
+		h.keys = hostKeys(wk.cfg.Seed, hid)
+		h.ctrl = wk.w.Sealer.Mint(ephid.Payload{HID: hid, ExpTime: horizon})
+		entries[i] = hostdb.Entry{HID: hid, Keys: h.keys, RegisteredAt: startTime}
 	}
-	wg.Wait()
-	wk.w.DB.PutBatch(entries)
 }
 
 // schedule books a renewal for the slot at (expiry - lead), clamped
@@ -828,14 +817,15 @@ func run(cfg Config, plant func(t int, j *sealJob)) (*Result, []*worker, error) 
 		return nil, nil, err
 	}
 
-	// Partition hosts across workers, and each worker's set-up across
-	// enough goroutines to keep every P busy.
+	// Partition hosts across workers, and set them all up through one
+	// spare.Each over runs of setupRun hosts: deriving their keys and
+	// minting their control EphIDs is most of the work. Each worker's
+	// hostdb entries then go in one batch.
 	workers := make([]*worker, cfg.Workers)
+	entries := make([][]hostdb.Entry, cfg.Workers)
 	ringLen := int(cfg.EphIDLifetime) + cfg.RenewLead + 2
 	per := cfg.Hosts / cfg.Workers
 	extra := cfg.Hosts % cfg.Workers
-	parts := (runtime.GOMAXPROCS(0) + cfg.Workers - 1) / cfg.Workers
-	var setupWG sync.WaitGroup
 	for i := range workers {
 		n := per
 		if i < extra {
@@ -855,19 +845,19 @@ func run(cfg Config, plant func(t int, j *sealJob)) (*Result, []*worker, error) 
 		}
 		wk.zipf = rand.NewZipf(wk.rng, cfg.ZipfS, 1, uint64(max(n-1, 1)))
 		workers[i] = wk
-		setupWG.Add(1)
-		go func() {
-			defer setupWG.Done()
-			wk.setup(w.horizon, parts)
-		}()
+		entries[i] = make([]hostdb.Entry, n)
 	}
-	setupWG.Wait()
-
-	// The workers hold their own cores for the run, so spare cores
-	// sign, seal and check whole batches only on the Ps they leave
-	// idle; every decision stays on the workers (DESIGN §10, "One
-	// signature per batch").
-	defer spare.Reserve(cfg.Workers - 1)()
+	// runs per worker, enough for per+1 hosts; set-up cannot fail.
+	runs := per/setupRun + 1
+	_ = spare.Each(cfg.Workers*runs, func(r int) error {
+		i := r / runs
+		workers[i].setup(r%runs*setupRun, w.horizon, entries[i])
+		return nil
+	})
+	for i, wk := range workers {
+		w.DB.PutBatch(entries[i])
+		wk.nextHID += uint32(len(wk.hosts))
+	}
 
 	comp := newComplainer(w, &cfg)
 	res := &Result{Config: cfg, ReceiptStatus: map[string]uint64{}, HostdbShards: w.DB.ShardCount()}
@@ -876,18 +866,21 @@ func run(cfg Config, plant func(t int, j *sealJob)) (*Result, []*worker, error) 
 	// advances the virtual clock only between ticks, so every engine
 	// sees one consistent "now" per tick. The barrier waits for the
 	// workers' admissions only; their last batches' seals finish during
-	// the next tick (worker.tick).
+	// the next tick (worker.tick). The workers hold their own cores, so
+	// spare cores sign, seal and check whole batches only on the Ps
+	// they leave idle; every decision stays on the workers (DESIGN §10,
+	// "One signature per batch").
 	start := make([]chan int, cfg.Workers)
-	var tickWG sync.WaitGroup
-	for i, wk := range workers {
+	for i := range start {
 		start[i] = make(chan int, 1)
-		go func(wk *worker, ch chan int) {
-			for t := range ch {
-				wk.tick(t)
-				tickWG.Done()
-			}
-		}(wk, start[i])
 	}
+	var tickWG sync.WaitGroup
+	join := spare.Workers(cfg.Workers, func(i int) {
+		for t := range start[i] {
+			workers[i].tick(t)
+			tickWG.Done()
+		}
+	})
 
 	retention := int64(cfg.EphIDLifetime)
 	t0 := time.Now() //apna:wallclock
@@ -925,6 +918,7 @@ func run(cfg Config, plant func(t int, j *sealJob)) (*Result, []*worker, error) 
 	for i := range start {
 		close(start[i])
 	}
+	join()
 
 	// Merge.
 	issueRes := make([]*reservoir, 0, len(workers))

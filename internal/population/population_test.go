@@ -116,7 +116,7 @@ func TestTraceHashGolden(t *testing.T) {
 // batch is signed and sealed on its worker; with spare cores most
 // batches go whole to spare.Go, which signs them and seals every
 // reply. The run must not notice. GOMAXPROCS 2 leaves one spare core
-// at one worker and none at two (spare.Reserve). A renewal budget of
+// at one worker and none at two (spare.Workers). A renewal budget of
 // one puts denials and their fallbacks into the spare cores' batches
 // too, and churn and complaints stay on.
 func TestSpareCoreSealingMatchesInline(t *testing.T) {

@@ -1,7 +1,8 @@
-// Package spare is the process's one way onto a core its callers leave
-// idle: at most GOMAXPROCS−1−reserved background goroutines take queued
-// tasks in FIFO order, and at most maxTasks are queued or running. Go
-// refuses what this budget cannot take, and nothing at GOMAXPROCS 1.
+// Package spare is the process's one way onto a core: Workers starts
+// long-lived workers and holds their Ps, and on the Ps left at most
+// GOMAXPROCS−1−reserved background goroutines take queued tasks in FIFO
+// order, at most maxTasks queued or running. Go refuses what this
+// budget cannot take, and nothing at GOMAXPROCS 1.
 package spare
 
 import (
@@ -56,11 +57,19 @@ func work() {
 	mu.Unlock()
 }
 
-// Reserve holds n Ps for the caller's own goroutines until release is
-// called, so Go starts background goroutines only on the Ps left.
-func Reserve(n int) (release func()) {
-	reserved.Add(int64(n))
-	return func() { reserved.Add(-int64(n)) }
+// Workers runs fn(0), ..., fn(n-1) on goroutines of their own, for
+// workers that hold a core for a whole run, and holds n−1 Ps out of the
+// budget until join returns: the n-th is the caller's, which only
+// coordinates or waits. join waits for every fn to return.
+func Workers(n int, fn func(i int)) (join func()) {
+	held := int64(n - 1)
+	reserved.Add(held)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range n {
+		go func() { defer wg.Done(); fn(i) }()
+	}
+	return func() { wg.Wait(); reserved.Add(-held) }
 }
 
 // Idle waits until no task is queued or running.

@@ -86,17 +86,49 @@ func TestGoBound(t *testing.T) {
 	}
 }
 
-// TestReserve: the Ps a caller reserves are not spare. At GOMAXPROCS 2
-// a reservation of one leaves none, and its release gives it back.
-func TestReserve(t *testing.T) {
+// TestWorkers: Workers runs every index once, each on a goroutine of
+// its own, and join returns only once every fn has. At GOMAXPROCS 2 the
+// two workers leave no P spare until join, and one worker reserves
+// nothing.
+func TestWorkers(t *testing.T) {
 	procs(t, 2)
-	release := Reserve(1)
-	if Go(func() {}) {
-		t.Error("Go took a task with the only spare P reserved")
+	const n = 2
+	var counts [n]atomic.Int32
+	var returned atomic.Int32
+	started := make(chan struct{}, n)
+	release := make(chan struct{})
+	join := Workers(n, func(i int) {
+		counts[i].Add(1)
+		started <- struct{}{}
+		<-release
+		time.Sleep(10 * time.Millisecond)
+		returned.Add(1)
+	})
+	for range n {
+		<-started
 	}
-	release()
-	if !Go(func() {}) {
-		t.Error("Go refused a task after the reservation was released")
+	if goWithin(t, func() {}) {
+		t.Error("Go took a task while two workers held both Ps")
+	}
+	close(release)
+	join()
+	if r := returned.Load(); r != n {
+		t.Errorf("join returned with %d of %d workers done", r, n)
+	}
+	for i := range counts {
+		if c := counts[i].Load(); c != 1 {
+			t.Errorf("index %d ran %d times", i, c)
+		}
+	}
+	if !goWithin(t, func() {}) {
+		t.Error("Go refused a task after join")
+	}
+	Idle()
+
+	var inside bool
+	Workers(1, func(int) { inside = Go(func() {}) })()
+	if !inside {
+		t.Error("Go refused a task beside one worker")
 	}
 	Idle()
 }

@@ -3,7 +3,10 @@
 // nilness, deadexport and directive-placement validation, over the
 // packages named by go list patterns. deadexport reports only when the
 // patterns cover the whole module (./...), since a narrower load cannot
-// see every caller.
+// see every caller; on such a run it also holds every //apna:only mark,
+// which keeps a declaration to the packages it lists, so the
+// architecture's single paths (one verifier, one AS constructor, one
+// issuance path) fail here and in go test alike.
 //
 // Exit status: 0 clean, 1 findings, 2 load or internal error — so CI
 // can distinguish "invariant violated" from "lint broken".

@@ -155,6 +155,8 @@ type Agent struct {
 }
 
 // New creates an agent.
+//
+//apna:only apna/internal/asnode apna/bench
 func New(cfg Config, sealer *ephid.Sealer, db *hostdb.DB, secret *crypto.ASSecret,
 	trust *rpki.TrustStore, now func() int64) *Agent {
 	return &Agent{cfg: cfg, sealer: sealer, db: db, secret: secret, trust: trust, now: now}
@@ -170,6 +172,8 @@ func (a *Agent) AddRouter(r *border.Router) {
 // SetRevocationHook installs a callback fired after every successful
 // EphID revocation (shutoff-driven or voluntary), carrying the revoked
 // EphID and its expiration time.
+//
+//apna:only apna/internal/asnode apna/bench
 func (a *Agent) SetRevocationHook(fn func(e ephid.EphID, expTime uint32)) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

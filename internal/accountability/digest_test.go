@@ -384,3 +384,45 @@ func TestDigestBatchCodec(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodersRejectWithErrBadDigest drives every rejecting branch of
+// the three digest-plane decoders, one row each, and requires the error
+// to wrap ErrBadDigest, which the engine counts malformed input by.
+func TestDecodersRejectWithErrBadDigest(t *testing.T) {
+	d := Digest{Origin: 1, Seq: 2, IssuedAt: 3, Kind: DigestDelta,
+		Entries: []DigestEntry{{ExpTime: 4}}, Removed: make([]ephid.EphID, 1)}
+	valid := d.Encode()
+	if _, err := DecodeDigest(valid); err != nil {
+		t.Fatalf("valid digest rejected: %v", err)
+	}
+	edit := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), valid...)) }
+	batch := EncodeDigestBatch([][]byte{[]byte("x")})
+	rows := []struct {
+		name   string
+		decode func([]byte) error
+		data   []byte
+	}{
+		{"digest shorter than its fixed fields", decodeDigest, valid[:20]},
+		{"digest of an unknown kind", decodeDigest, edit(func(b []byte) []byte { b[20] = 9; return b })},
+		{"digest entry count past its bytes", decodeDigest, edit(func(b []byte) []byte { b[24] = 200; return b })},
+		{"digest length off its counts", decodeDigest, append(edit(func(b []byte) []byte { return b }), 0)},
+		{"snapshot with removals", decodeDigest, edit(func(b []byte) []byte { b[20] = DigestSnapshot; return b })},
+		{"batch shorter than its count", decodeBatch, batch[:1]},
+		{"batch over MaxDigestBatch", decodeBatch, []byte{0x40, 0x01}},
+		{"batch truncated before an element's length", decodeBatch, batch[:4]},
+		{"batch element past the body", decodeBatch, batch[:len(batch)-1]},
+		{"batch with trailing bytes", decodeBatch, append(append([]byte(nil), batch...), 0)},
+		{"snapshot request of the wrong length", decodeSnapshotRequest, EncodeSnapshotRequest(7)[:3]},
+	}
+	for _, r := range rows {
+		if err := r.decode(r.data); !errors.Is(err, ErrBadDigest) {
+			t.Errorf("%s: err = %v, want ErrBadDigest", r.name, err)
+		}
+	}
+}
+
+func decodeDigest(b []byte) error { _, err := DecodeDigest(b); return err }
+
+func decodeBatch(b []byte) error { _, err := DecodeDigestBatch(b); return err }
+
+func decodeSnapshotRequest(b []byte) error { _, err := DecodeSnapshotRequest(b); return err }

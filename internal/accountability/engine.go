@@ -319,6 +319,8 @@ type relayItem struct {
 }
 
 // New creates an engine.
+//
+//apna:only apna/internal/asnode apna/bench
 func New(cfg Config) *Engine {
 	return &Engine{
 		cfg:         cfg,

@@ -35,7 +35,10 @@
 //     any package of the module, the root facade included, that no
 //     non-test code of the module uses;
 //     //apna:testonly <reason> keeps one that a test in another
-//     package observes production behaviour through.
+//     package observes production behaviour through, and
+//     //apna:only <import path>... keeps a name to the listed
+//     packages, which is how the architecture's single paths (one
+//     verifier, one AS constructor, one issuance path) are held.
 //   - directives: reports unknown, misplaced or stale //apna:
 //     directives.
 package analysis
@@ -158,6 +161,10 @@ func All() []*Analyzer {
 //	                     through which a test in another package
 //	                     observes production behaviour; R says which
 //	                     test and is required (deadexport)
+//	//apna:only P...     on a declaration's doc comment: only the
+//	                     non-test code of the listed import paths may
+//	                     reference the exported name, and each of them
+//	                     must (deadexport)
 //
 // A directive anywhere else is itself a diagnostic (misplaced or stale
 // annotations must not rot silently).
@@ -172,6 +179,7 @@ var knownDirectives = map[string]bool{
 	"verify-exempt": true,
 	"unordered":     true,
 	"testonly":      true,
+	"only":          true,
 }
 
 type directive struct {

@@ -67,11 +67,23 @@ func runWant(t *testing.T, sub, importPath string, a *Analyzer) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := Run(l.Fset, []*Package{pkg}, []*Analyzer{a})
+	checkWants(t, l, []*Package{pkg}, a)
+}
+
+// checkWants runs one analyzer over pkgs and requires its diagnostics
+// to match their want comments exactly.
+func checkWants(t *testing.T, l *Loader, pkgs []*Package, a *Analyzer) {
+	t.Helper()
+	diags, err := Run(l.Fset, pkgs, []*Analyzer{a})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wants := parseWants(t, pkg)
+	wants := make(map[string][]*regexp.Regexp)
+	for _, pkg := range pkgs {
+		for key, res := range parseWants(t, pkg) {
+			wants[key] = append(wants[key], res...)
+		}
+	}
 	matched := make(map[string][]bool)
 	for key, res := range wants {
 		matched[key] = make([]bool, len(res))
@@ -159,6 +171,26 @@ func TestDeadexport(t *testing.T) {
 			runWant(t, "deadexport", path, Deadexport)
 		})
 	}
+}
+
+// TestDeadexportOnly runs the analyzer on testdata/only, a module of
+// several packages, so the pass holds the whole module: every reference
+// to an //apna:only name from an unlisted package fails where it is made
+// (a plain call, a method value, a renamed import, a type conversion,
+// the declaring package itself), and so do a listed package that no
+// longer references the name and a mark without a list. A reference
+// from a _test.go file is not one.
+func TestDeadexportOnly(t *testing.T) {
+	l := NewLoader(filepath.Join(moduleRoot(t), "internal/analysis/testdata/only"))
+	l.Fset = sharedLoader(t).Fset // parseWants reads positions from it
+	pkgs, err := l.Load("./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 3 {
+		t.Fatalf("loaded %d packages of testdata/only, want 3", len(pkgs))
+	}
+	checkWants(t, l, pkgs, Deadexport)
 }
 
 // copyDeadexport copies testdata/deadexport into a fresh directory,

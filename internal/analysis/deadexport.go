@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
@@ -22,6 +23,13 @@ import (
 // file of its package, or — when a test in another package observes
 // production behaviour through it — marking its doc comment
 // //apna:testonly <reason>.
+//
+// //apna:only <import path>... on a declaration's doc comment names the
+// packages whose non-test code may reference it (its own package only
+// if listed): a reference from any other package is reported where it
+// is made, and so is a listed package that no longer references it.
+// The check is typed, so a method value, a renamed import or a type
+// conversion counts as a reference; test files never do.
 //
 // A method is exempt when its receiver type implements an interface of
 // the type-checked program with a method of that name (String,
@@ -44,7 +52,7 @@ func runDeadexport(pass *Pass) error {
 	if err != nil || !whole {
 		return err
 	}
-	used := make(map[types.Object]bool)
+	used := make(map[types.Object]map[string]token.Pos)
 	for _, pkg := range pass.Packages {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
@@ -57,10 +65,11 @@ func runDeadexport(pass *Pass) error {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
 				for _, d := range exportedDecls(pkg, decl) {
+					checkOnly(pass, d, used[d.obj])
 					if fn, ok := d.obj.(*types.Func); ok && satisfiesInterface(fn, ifaces) {
 						continue
 					}
-					reportDead(pass, d, used[d.obj])
+					reportDead(pass, d, len(used[d.obj]) > 0)
 				}
 			}
 		}
@@ -69,7 +78,7 @@ func runDeadexport(pass *Pass) error {
 }
 
 // declared is one exported package-level name or method with the doc
-// comments that may carry its //apna:testonly directive.
+// comments that may carry its //apna:testonly or //apna:only directive.
 type declared struct {
 	obj  types.Object
 	pos  token.Pos
@@ -78,36 +87,57 @@ type declared struct {
 
 func reportDead(pass *Pass, d declared, used bool) {
 	name := qualifiedName(d.obj)
+	reason, marked := d.directive("testonly")
+	switch {
+	case marked && reason == "":
+		pass.Reportf(d.pos, "//apna:testonly on %s needs a reason: name the test that observes production behaviour through it", name)
+	case marked && used:
+		pass.Reportf(d.pos, "stale //apna:testonly: %s has a non-test caller", name)
+	case !marked && !used:
+		pass.Reportf(d.pos, "%s is exported but no non-test code in the module uses it: delete it, move it into a _test.go file, or mark it //apna:testonly <reason>", name)
+	}
+}
+
+// checkOnly enforces d's //apna:only mark, if it has one, against the
+// packages that reference d (import path -> first reference).
+func checkOnly(pass *Pass, d declared, users map[string]token.Pos) {
+	list, marked := d.directive("only")
+	if !marked {
+		return
+	}
+	name := qualifiedName(d.obj)
+	allowed := strings.Fields(list)
+	if len(allowed) == 0 {
+		pass.Reportf(d.pos, "//apna:only on %s needs the import paths that may use it", name)
+		return
+	}
+	for _, path := range allowed {
+		if _, ok := users[path]; !ok {
+			pass.Reportf(d.pos, "stale //apna:only: %s lists %s, whose non-test code no longer uses it", name, path)
+		}
+	}
+	for path, pos := range users {
+		if !slices.Contains(allowed, path) {
+			pass.Reportf(pos, "%s is //apna:only %s: %s may not use it", name, list, path)
+		}
+	}
+}
+
+// directive returns the text after the first //apna:<name> directive in
+// d's doc comments; marked is false when there is none.
+func (d declared) directive(name string) (arg string, marked bool) {
 	for _, doc := range d.docs {
 		if doc == nil {
 			continue
 		}
 		for _, c := range doc.List {
-			reason, ok := testonlyReason(c.Text)
-			switch {
-			case !ok:
-				continue
-			case reason == "":
-				pass.Reportf(d.pos, "//apna:testonly on %s needs a reason: name the test that observes production behaviour through it", name)
-			case used:
-				pass.Reportf(d.pos, "stale //apna:testonly: %s has a non-test caller", name)
+			rest, ok := strings.CutPrefix(c.Text, directivePrefix+name)
+			if ok && (rest == "" || rest[0] == ' ' || rest[0] == '\t') {
+				return strings.TrimSpace(rest), true
 			}
-			return
 		}
 	}
-	if !used {
-		pass.Reportf(d.pos, "%s is exported but no non-test code in the module uses it: delete it, move it into a _test.go file, or mark it //apna:testonly <reason>", name)
-	}
-}
-
-// testonlyReason parses a //apna:testonly comment; ok is false for any
-// other comment.
-func testonlyReason(text string) (reason string, ok bool) {
-	rest, ok := strings.CutPrefix(text, directivePrefix+"testonly")
-	if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
-		return "", false
-	}
-	return strings.TrimSpace(rest), true
+	return "", false
 }
 
 func qualifiedName(obj types.Object) string {
@@ -148,10 +178,11 @@ func exportedDecls(pkg *Package, decl ast.Decl) []declared {
 	return out
 }
 
-// markUses records every object a declaration references, except the
-// objects the declaration itself defines: a recursive call, a method's
-// receiver naming its own type or a constant's iota are not uses.
-func markUses(pkg *Package, decl ast.Decl, used map[types.Object]bool) {
+// markUses records every object a declaration references, with the
+// first reference from each package, except the objects the declaration
+// itself defines: a recursive call, a method's receiver naming its own
+// type or a constant's iota are not uses.
+func markUses(pkg *Package, decl ast.Decl, used map[types.Object]map[string]token.Pos) {
 	mark := func(n ast.Node, self ...types.Object) {
 		ast.Inspect(n, func(n ast.Node) bool {
 			id, ok := n.(*ast.Ident)
@@ -167,7 +198,12 @@ func markUses(pkg *Package, decl ast.Decl, used map[types.Object]bool) {
 					return true
 				}
 			}
-			used[obj] = true
+			if used[obj] == nil {
+				used[obj] = make(map[string]token.Pos)
+			}
+			if _, ok := used[obj][pkg.ImportPath]; !ok {
+				used[obj][pkg.ImportPath] = id.Pos()
+			}
 			return true
 		})
 	}

@@ -45,8 +45,8 @@ func runDirectives(pass *Pass) error {
 // comment lines where that directive would be honored. A directive on
 // line L annotates line L (trailing comment) or line L+1 (comment
 // above), except the declaration-doc directives (hotpath,
-// verify-exempt, testonly) which must sit inside the declaration's doc
-// comment.
+// verify-exempt, testonly, only) which must sit inside the declaration's
+// doc comment.
 func validDirectiveLines(pkg *Package, fset *token.FileSet) map[string]map[string]map[int]bool {
 	valid := make(map[string]map[string]map[int]bool)
 	mark := func(pos token.Pos, name string, docLine bool) {
@@ -68,8 +68,8 @@ func validDirectiveLines(pkg *Package, fset *token.FileSet) map[string]map[strin
 	}
 
 	// Declaration-doc directives: every doc-comment line carrying the
-	// directive on a function declaration is valid, and testonly on any
-	// top-level declaration's doc comment.
+	// directive on a function declaration is valid, and testonly and
+	// only on any top-level declaration's doc comment.
 	markDoc := func(doc *ast.CommentGroup, names ...string) {
 		if doc == nil {
 			return
@@ -88,15 +88,15 @@ func validDirectiveLines(pkg *Package, fset *token.FileSet) map[string]map[strin
 		for _, decl := range file.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
-				markDoc(d.Doc, "hotpath", "verify-exempt", "testonly")
+				markDoc(d.Doc, "hotpath", "verify-exempt", "testonly", "only")
 			case *ast.GenDecl:
-				markDoc(d.Doc, "testonly")
+				markDoc(d.Doc, "testonly", "only")
 				for _, spec := range d.Specs {
 					switch sp := spec.(type) {
 					case *ast.TypeSpec:
-						markDoc(sp.Doc, "testonly")
+						markDoc(sp.Doc, "testonly", "only")
 					case *ast.ValueSpec:
-						markDoc(sp.Doc, "testonly")
+						markDoc(sp.Doc, "testonly", "only")
 					}
 				}
 			}

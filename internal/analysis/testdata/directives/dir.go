@@ -70,3 +70,12 @@ var Marked = 1
 func strayTestonly() {
 	//apna:testonly not a declaration // want `misplaced or stale //apna:testonly`
 }
+
+// Only carries a valid declaration-doc only directive.
+//
+//apna:only apna/example/other
+type Only int
+
+func strayOnly() {
+	//apna:only apna/example/other // want `misplaced or stale //apna:only`
+}

@@ -199,6 +199,8 @@ type Router struct {
 }
 
 // New creates a border router. now supplies Unix seconds.
+//
+//apna:only apna/internal/asnode apna/bench
 func New(aid ephid.AID, sealer *ephid.Sealer, db *hostdb.DB, secret *crypto.ASSecret, now func() int64) (*Router, error) {
 	r := &Router{aid: aid, sealer: sealer, db: db, now: now}
 	r.internal, r.external = internalSide{r}, externalSide{r}
@@ -266,6 +268,8 @@ func (r *Router) AttachHost(hid ephid.HID, p *netsim.Port) {
 // the router's tables — that differential_test.go and bench/'s verdict
 // checks compare the pipelines with; the router forwards through the
 // pipelines.
+//
+//apna:only apna/bench
 func (r *Router) EgressVerify(frame []byte) (Verdict, [crypto.SymKeySize]byte) {
 	var zero [crypto.SymKeySize]byte
 
@@ -299,6 +303,8 @@ func (r *Router) EgressVerify(frame []byte) (Verdict, [crypto.SymKeySize]byte) {
 // returning the verdict and, on success, the destination HID. Like
 // EgressVerify it is the reference for its pipeline, not a forwarding
 // path.
+//
+//apna:only apna/bench
 func (r *Router) IngressVerify(frame []byte) (Verdict, ephid.HID) {
 	p, err := r.sealer.Open(wire.FrameDstEphID(frame))
 	if err != nil {

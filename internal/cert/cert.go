@@ -41,6 +41,9 @@ const (
 	// byte.
 	MinSize = tbsSize + crypto.SignatureSize + 2 // 172
 	// MaxSize is the wire size of a certificate with a full path.
+	// Decoders read a certificate's length from it.
+	//
+	//apna:only apna/internal/ms
 	MaxSize = MinSize + MaxDepth*HashSize // 364
 )
 

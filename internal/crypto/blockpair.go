@@ -17,6 +17,8 @@ type BlockPair struct {
 }
 
 // NewBlockPair keys a BlockPair (16, 24 or 32 bytes each).
+//
+//apna:only apna/internal/ephid
 func NewBlockPair(keyA, keyB []byte) (*BlockPair, error) {
 	p := new(BlockPair)
 	if err := p.a.init(keyA); err != nil {

@@ -205,6 +205,8 @@ type Service struct {
 
 // New creates the service. aaEphID is embedded in every certificate so
 // peers know where to send shutoff requests.
+//
+//apna:only apna/internal/asnode apna/bench
 func New(aid ephid.AID, sealer *ephid.Sealer, signer *crypto.Signer, db *hostdb.DB,
 	policy Policy, aaEphID ephid.EphID, now func() int64) *Service {
 	return &Service{
@@ -251,6 +253,8 @@ func (s *Service) checkRenewal(hid ephid.HID, req *Request, now int64) error {
 // ciphertext the encrypted request, which it leaves intact. It returns
 // the encrypted certificate reply. It is AdmitInPlace on a copy of
 // ciphertext, Sign of the one-request batch, then Seal.
+//
+//apna:only apna/bench
 func (s *Service) HandleRequest(srcEphID ephid.EphID, ciphertext []byte) ([]byte, error) {
 	a, err := s.AdmitInPlace(srcEphID, slices.Clone(ciphertext))
 	if err != nil {
@@ -455,6 +459,8 @@ func (s *Service) mint(hid ephid.HID, req *Request) cert.Cert {
 // signing its certificate alone (the one-leaf batch). This is the core
 // generation step measured in the paper's MS performance experiment
 // (Section V-A3).
+//
+//apna:only apna/bench apna/internal/experiments
 func (s *Service) Issue(hid ephid.HID, req *Request) (*cert.Cert, error) {
 	c := s.mint(hid, req)
 	c.Sign(s.signer)
@@ -463,6 +469,8 @@ func (s *Service) Issue(hid ephid.HID, req *Request) (*cert.Cert, error) {
 
 // DecodeReply is OpenReply under a kHA encryption key, on a copy of
 // reply, into a new certificate.
+//
+//apna:only apna/bench
 func DecodeReply(encKey []byte, srcEphID ephid.EphID, reply []byte) (*cert.Cert, error) {
 	aead, err := crypto.NewAEAD(encKey, 0)
 	if err != nil {
@@ -503,6 +511,8 @@ func OpenReply(c *cert.Cert, aead *crypto.AEAD, srcEphID *ephid.EphID, reply []b
 
 // EncodeRequest is AppendRequest under a kHA encryption key, into a new
 // buffer.
+//
+//apna:only apna/bench
 func EncodeRequest(encKey []byte, srcEphID ephid.EphID, req *Request) ([]byte, error) {
 	aead, err := crypto.NewAEAD(encKey, 0)
 	if err != nil {

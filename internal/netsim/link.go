@@ -40,6 +40,8 @@ type BatchHandler interface {
 // HandlerFunc adapts a function to the Handler interface. The result is
 // never a BatchHandler: wrapping a handler's HandleFrame in it makes the
 // simulator deliver to that handler frame by frame.
+//
+//apna:only apna/internal/ap
 type HandlerFunc func(frame []byte, from *Port)
 
 // HandleFrame implements Handler.

@@ -50,8 +50,7 @@ type AS struct {
 	creds registry.CredentialTable
 
 	aaID, msID, dnsID, rtrID *registry.ServiceIdentity
-	msHost, dnsHost          *host.Host
-	aaHost, rtrHost          *host.Host
+	dnsHost, aaHost, rtrHost *host.Host
 
 	dnsSvc *dns.Service
 }
@@ -148,7 +147,7 @@ func (in *Internet) addAS(aid AID) error {
 // the border router, whose far end attach binds to the stack.
 func (as *AS) serviceHost(id *registry.ServiceIdentity, label string, attach func(*host.Host, *netsim.Port)) (*host.Host, error) {
 	h, err := host.New(host.Config{
-		AID: as.AID, HID: id.HID, Keys: id.Keys,
+		AID: as.AID, Keys: id.Keys,
 		CtrlEphID: id.EphID,
 		MSCert:    as.msID.Cert, DNSCert: as.dnsID.Cert,
 		Trust: as.in.Trust, Now: as.in.Sim.NowUnix,
@@ -168,7 +167,7 @@ func (as *AS) mountServices() error {
 	var err error
 
 	// MS: answers ProtoControl EphID requests, a run at a time.
-	if as.msHost, err = as.serviceHost(as.msID, "ms", as.serveMS); err != nil {
+	if _, err = as.serviceHost(as.msID, "ms", as.serveMS); err != nil {
 		return err
 	}
 
@@ -228,7 +227,7 @@ func (as *AS) serveMS(h *host.Host, p *netsim.Port) {
 	runs := &msRuns{svc: as.MS, host: h, src: as.msID.EphID}
 	h.Attach(p)
 	h.RegisterRawHandler(wire.ProtoControl, runs.admit)
-	p.Attach(runs, "ms")
+	p.Attach(runs)
 }
 
 // msRuns owns the MS's end of its service link and answers requests the

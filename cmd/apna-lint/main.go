@@ -9,7 +9,8 @@
 // issuance path) fail here and in go test alike.
 //
 // Exit status: 0 clean, 1 findings, 2 load or internal error — so CI
-// can distinguish "invariant violated" from "lint broken".
+// can distinguish "invariant violated" from "lint broken". An unknown
+// -analyzers name exits 2 and lists every analyzer with its doc.
 //
 //	apna-lint ./...
 //	apna-lint -json -out LINT.json ./...
@@ -18,8 +19,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -38,12 +41,21 @@ type artifact struct {
 }
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit the findings as a provenance-stamped JSON artifact on stdout")
-	outFile := flag.String("out", "", "also write the JSON artifact to this file")
-	only := flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	patterns := flag.Args()
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("apna-lint", flag.ContinueOnError)
+	jsonOut := fs.Bool("json", false, "emit the findings as a provenance-stamped JSON artifact on stdout")
+	outFile := fs.String("out", "", "also write the JSON artifact to this file")
+	only := fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -58,8 +70,11 @@ func main() {
 		for _, name := range strings.Split(*only, ",") {
 			a, ok := byName[strings.TrimSpace(name)]
 			if !ok {
-				fmt.Fprintf(os.Stderr, "apna-lint: unknown analyzer %q\n", name)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "apna-lint: unknown analyzer %q; the analyzers are:\n", name)
+				for _, a := range analysis.All() {
+					fmt.Fprintf(stderr, "  %-11s %s\n", a.Name, a.Doc)
+				}
+				return 2
 			}
 			analyzers = append(analyzers, a)
 		}
@@ -68,13 +83,13 @@ func main() {
 	loader := analysis.NewLoader("")
 	pkgs, err := loader.Load(patterns...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "apna-lint: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "apna-lint: %v\n", err)
+		return 2
 	}
 	diags, err := analysis.Run(loader.Fset, pkgs, analyzers)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "apna-lint: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "apna-lint: %v\n", err)
+		return 2
 	}
 
 	if *jsonOut || *outFile != "" {
@@ -93,27 +108,28 @@ func main() {
 		}
 		raw, err := json.MarshalIndent(art, "", "  ")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "apna-lint: encoding artifact: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "apna-lint: encoding artifact: %v\n", err)
+			return 2
 		}
 		raw = append(raw, '\n')
 		if *jsonOut {
-			os.Stdout.Write(raw)
+			stdout.Write(raw)
 		}
 		if *outFile != "" {
 			if err := os.WriteFile(*outFile, raw, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "apna-lint: %v\n", err)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "apna-lint: %v\n", err)
+				return 2
 			}
 		}
 	}
 	if !*jsonOut {
 		for _, d := range diags {
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 		}
-		fmt.Fprintf(os.Stderr, "apna-lint: %d packages, %d findings\n", len(pkgs), len(diags))
+		fmt.Fprintf(stderr, "apna-lint: %d packages, %d findings\n", len(pkgs), len(diags))
 	}
 	if len(diags) > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -47,9 +47,8 @@ type Host struct {
 	// them and not another destination's probe sharing the seq.
 	pings map[pingKey][]*Pending[bool]
 	// dnsCache is the host-side verified resolution cache (positive and
-	// negative) behind LookupAsync; dnsStats counts its activity.
+	// negative) behind LookupAsync.
 	dnsCache *dns.Cache
-	dnsStats dnsStats
 }
 
 // pingKey identifies an in-flight echo probe.
@@ -139,7 +138,7 @@ func (in *Internet) AddHosts(aid AID, names ...string) ([]*Host, error) {
 // bootstrap result, and attaches it to its AS's border router.
 func (in *Internet) attachHost(as *AS, name string, boot *registry.BootstrapResult, keys crypto.HostASKeys) (*Host, error) {
 	stack, err := host.New(host.Config{
-		AID: as.AID, HID: boot.HID,
+		AID:       as.AID,
 		Keys:      keys,
 		CtrlEphID: boot.IDInfo.ControlEphID,
 		MSCert:    boot.MSCert, DNSCert: boot.DNSCert,

@@ -1,10 +1,12 @@
 package apna
 
 import (
+	"fmt"
 	"testing"
 
 	"apna/internal/ephid"
 	"apna/internal/icmp"
+	"apna/internal/netsim"
 	"apna/internal/wire"
 )
 
@@ -62,6 +64,21 @@ func TestICMPDestUnreachableOnExpiredEphID(t *testing.T) {
 	}
 }
 
+// tapRouterHost moves as's router host onto a service link like the one
+// it was built with, and returns the count of the frames it sends there.
+func tapRouterHost(in *Internet, as *AS) *int {
+	sent := new(int)
+	link := in.Sim.NewLink(fmt.Sprintf("%v-rtr-tap", as.AID), in.opts.ServiceLinkLatency, 0)
+	as.Router.AttachHost(as.rtrID.HID, link.A())
+	as.rtrHost.Attach(link.B())
+	link.AddTap(func(_ []byte, from *netsim.Port) {
+		if from == link.B() {
+			*sent++
+		}
+	})
+	return sent
+}
+
 // TestICMPErrorDeliveredAcrossInterASLink pins the remote-AS branch of
 // sendICMPError: when the drop happens at a *foreign* AS, the error is
 // a regular APNA packet from that AS's router identity, forwarded back
@@ -79,7 +96,7 @@ func TestICMPErrorDeliveredAcrossInterASLink(t *testing.T) {
 	})
 
 	transitBefore := w.in.AS(200).Router.Stats().Transited.Load()
-	rtrSentBefore := w.in.AS(300).rtrHost.Stats().Sent
+	rtrSent := tapRouterHost(w.in, w.in.AS(300))
 
 	// A destination EphID at AS 300 that is already expired: the drop
 	// verdict is rendered by AS 300's ingress, two links away from
@@ -99,7 +116,7 @@ func TestICMPErrorDeliveredAcrossInterASLink(t *testing.T) {
 	}
 	// The error left AS 300 through its router host's stack (the remote
 	// branch), not via the local DeliverToHost shortcut.
-	if got := w.in.AS(300).rtrHost.Stats().Sent - rtrSentBefore; got != 1 {
+	if got := *rtrSent; got != 1 {
 		t.Errorf("AS300 router host sent %d packets, want 1", got)
 	}
 	// Both the doomed packet and the returning error transited AS 200.
@@ -129,7 +146,7 @@ func TestICMPRevokedFeedbackUsesLocalFastPath(t *testing.T) {
 		t.Fatalf("shutoff: %v %v", ok, err)
 	}
 
-	rtrSentBefore := w.in.AS(100).rtrHost.Stats().Sent
+	rtrSent := tapRouterHost(w.in, w.in.AS(100))
 	errs := 0
 	onICMPError(w.alice, func(_, code uint8, _ []byte) {
 		errs++
@@ -145,7 +162,7 @@ func TestICMPRevokedFeedbackUsesLocalFastPath(t *testing.T) {
 	}
 	// Local fast path: the router host's stack never transmitted — the
 	// frame went straight to alice's port.
-	if got := w.in.AS(100).rtrHost.Stats().Sent - rtrSentBefore; got != 0 {
+	if got := *rtrSent; got != 0 {
 		t.Errorf("AS100 router host sent %d packets, want 0 (DeliverToHost)", got)
 	}
 }

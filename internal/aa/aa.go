@@ -115,16 +115,8 @@ func DecodeRequest(data []byte) (*Request, error) {
 
 // Result reports a successful shutoff.
 type Result struct {
-	// SrcEphID is the revoked EphID.
-	SrcEphID ephid.EphID
-	// HID is the responsible host (never revealed to the requester —
-	// host privacy holds even under shutoff).
-	HID ephid.HID
 	// Strikes is the host's updated shutoff-incident count.
 	Strikes int
-	// HostRevoked reports whether the strike policy escalated to
-	// revoking the host's HID entirely (Section VIII-G2).
-	HostRevoked bool
 }
 
 // Config parameterizes the agent.
@@ -299,7 +291,7 @@ func (a *Agent) ShutoffVerified(req *Request, p ephid.Payload) (*Result, error) 
 	}
 	a.notifyRevoked(srcEphID, p.ExpTime)
 
-	res := &Result{SrcEphID: srcEphID, HID: p.HID}
+	res := &Result{}
 	res.Strikes, err = a.db.AddStrike(p.HID)
 	if err != nil {
 		return nil, err
@@ -308,7 +300,6 @@ func (a *Agent) ShutoffVerified(req *Request, p ephid.Payload) (*Result, error) 
 		// Timestamped so the lifecycle GC can reap the entry once the
 		// retention window (max EphID lifetime) passes.
 		a.db.RevokeAt(p.HID, now)
-		res.HostRevoked = true
 	}
 	return res, nil
 }

@@ -3,6 +3,7 @@ package accountability
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"apna/internal/ephid"
@@ -22,20 +23,25 @@ func (w *world) mintRevoked(aid ephid.AID, hid ephid.HID, lifetime int64) ephid.
 // filterSend interposes on src's transport: messages for which drop
 // returns true vanish silently — a lossy link, not a transport error.
 func (w *world) filterSend(src ephid.AID, drop func(dst wire.Endpoint, payload []byte) bool) {
-	as := w.ases[src]
-	as.engine.SetSend(func(dst wire.Endpoint, payload []byte) error {
-		if drop(dst, payload) {
-			return nil
+	w.ases[src].engine.SetSend(w.transport(src, drop))
+}
+
+// digestsTo decodes the MsgDigest messages src handed its transport
+// for dst's AS, in order.
+func (w *world) digestsTo(src, dst ephid.AID) []*Digest {
+	w.t.Helper()
+	var out []*Digest
+	for _, m := range w.sentOf(src, MsgDigest) {
+		if m.dst.AID != dst {
+			continue
 		}
-		peer, ok := w.ases[dst.AID]
-		if !ok || dst.EphID != w.aaEphID[dst.AID] {
-			w.dropped++
-			return nil
+		d, err := DecodeDigest(m.payload[1:])
+		if err != nil {
+			w.t.Fatal(err)
 		}
-		from := wire.Endpoint{AID: src, EphID: w.aaEphID[src]}
-		peer.engine.HandleMessage(from, append([]byte(nil), payload...))
-		return nil
-	})
+		out = append(out, d)
+	}
+	return out
 }
 
 func TestDeltaFlushesAnnounceOnlyChurn(t *testing.T) {
@@ -49,9 +55,9 @@ func TestDeltaFlushesAnnounceOnlyChurn(t *testing.T) {
 	if got := eng.FlushDigest(); got != 1 {
 		t.Fatalf("second flush announced %d entries, want 1 (delta)", got)
 	}
-	st := eng.Stats()
-	if st.SnapshotsSent != 1 || st.DeltasSent != 1 {
-		t.Fatalf("snapshots=%d deltas=%d, want 1/1", st.SnapshotsSent, st.DeltasSent)
+	ds := w.digestsTo(aidA, aidC)
+	if len(ds) != 2 || ds[0].Kind != DigestSnapshot || ds[1].Kind != DigestDelta {
+		t.Fatalf("A sent C %d digests (%+v), want a snapshot then a delta", len(ds), ds)
 	}
 	rem := w.ases[aidC].router.RemoteRevoked()
 	if !rem.Matches(e1, aidA) || !rem.Matches(e2, aidA) {
@@ -67,6 +73,7 @@ func TestDeltaFlushesAnnounceOnlyChurn(t *testing.T) {
 func TestDeltaAnnouncesRemovals(t *testing.T) {
 	w := newWorld(t, aidA, aidB, aidC)
 	eng := w.ases[aidA].engine
+	events := w.events(aidC)
 	w.mintRevoked(aidA, 61, 100) // expires below
 	w.mintRevoked(aidA, 62, 100_000)
 	if got := eng.FlushDigest(); got != 2 {
@@ -76,21 +83,21 @@ func TestDeltaAnnouncesRemovals(t *testing.T) {
 	if got := eng.FlushDigest(); got != 1 {
 		t.Fatalf("delta announced %d changes, want 1 (the removal)", got)
 	}
-	st := eng.Stats()
-	if st.DeltasSent != 1 || st.RemovalsAnnounced != 1 {
-		t.Fatalf("deltas=%d removals=%d, want 1/1", st.DeltasSent, st.RemovalsAnnounced)
+	ds := w.digestsTo(aidA, aidC)
+	if len(ds) != 2 || ds[1].Kind != DigestDelta || len(ds[1].Entries) != 0 || len(ds[1].Removed) != 1 {
+		t.Fatalf("A sent C %d digests (%+v), want the second a delta of one removal", len(ds), ds)
 	}
 	// Removals are advisory: nothing installs from them.
-	cs := w.ases[aidC].engine.Stats()
-	if cs.DigestsReceived != 2 || cs.EntriesInstalled != 2 {
-		t.Fatalf("C received=%d installed=%d, want 2/2", cs.DigestsReceived, cs.EntriesInstalled)
+	if got := countKind(*events, "digest-install"); got != 2 || w.ases[aidC].engine.Stats().EntriesInstalled != 2 {
+		t.Fatalf("C installed %d digests of %d entries, want 2/2", got, w.ases[aidC].engine.Stats().EntriesInstalled)
 	}
 }
 
 // TestGapThenSnapshotRepair drives a lost delta through both repair
 // paths: the unicast snapshot request (answered inline by the origin)
 // and the periodic anti-entropy snapshot (when the request itself is
-// lost).
+// lost). Requests and served snapshots are read off the transport: A
+// sends C one digest per flush round plus each snapshot it serves.
 func TestGapThenSnapshotRepair(t *testing.T) {
 	cases := []struct {
 		name          string
@@ -98,18 +105,17 @@ func TestGapThenSnapshotRepair(t *testing.T) {
 		dropFlush     int  // A's flush round whose digest is lost toward C
 		blockRequests bool // C's snapshot requests to A are lost too
 		rounds        int
-		wantGaps      uint64
-		wantRequests  uint64
-		wantServed    uint64
+		wantRequests  int
+		wantServed    int
 	}{
 		// flush1 = first snapshot; the flush-2 delta is lost toward C;
 		// flush 3's delta reveals the gap and the unicast snapshot
 		// repairs it inline.
-		{"unicast-snapshot-repair", 100, 2, false, 4, 1, 1, 1},
+		{"unicast-snapshot-repair", 100, 2, false, 4, 1, 1},
 		// snapshotEvery=3: flush 3 is a snapshot, the flush-4 delta is
 		// lost, flush 5's delta reveals the gap, the repair request is
 		// lost too, and the flush-6 anti-entropy snapshot heals.
-		{"anti-entropy-repair", 3, 4, true, 6, 1, 1, 0},
+		{"anti-entropy-repair", 3, 4, true, 6, 1, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -145,13 +151,11 @@ func TestGapThenSnapshotRepair(t *testing.T) {
 					t.Fatalf("C missing revocation %d after repair", i+1)
 				}
 			}
-			cs, as := w.ases[aidC].engine.Stats(), w.ases[aidA].engine.Stats()
-			if cs.SeqGaps != tc.wantGaps || cs.SnapshotRequestsSent != tc.wantRequests {
-				t.Fatalf("C gaps=%d requests=%d, want %d/%d",
-					cs.SeqGaps, cs.SnapshotRequestsSent, tc.wantGaps, tc.wantRequests)
+			if got := len(w.sentOf(aidC, MsgSnapshotRequest)); got != tc.wantRequests {
+				t.Fatalf("C sent %d snapshot requests, want %d", got, tc.wantRequests)
 			}
-			if as.SnapshotRequestsServed != tc.wantServed {
-				t.Fatalf("A served %d snapshots, want %d", as.SnapshotRequestsServed, tc.wantServed)
+			if served := len(w.digestsTo(aidA, aidC)) - tc.rounds; served != tc.wantServed {
+				t.Fatalf("A served %d snapshots, want %d", served, tc.wantServed)
 			}
 		})
 	}
@@ -190,11 +194,13 @@ func TestDigestReorderRepairedBySnapshot(t *testing.T) {
 			t.Fatalf("C missing revocation %d after reorder repair", i+1)
 		}
 	}
-	// The late seq 2 is a replay now: dropped without reinstalling.
-	before := eng.Stats().DigestsStale
+	// The late seq 2 is a replay now: dropped without reinstalling or
+	// asking for a repair.
+	events := w.events(aidC)
+	requests := len(w.sent[aidC])
 	eng.HandleMessage(from, stash[0])
-	if got := eng.Stats().DigestsStale; got != before+1 {
-		t.Fatalf("stale count %d after late delta, want %d", got, before+1)
+	if len(*events) != 0 || len(w.sent[aidC]) != requests {
+		t.Fatalf("late delta: events %v, %d messages sent, want none", *events, len(w.sent[aidC])-requests)
 	}
 	if rem.Len() != 3 {
 		t.Fatalf("C has %d remote revocations, want 3", rem.Len())
@@ -231,18 +237,35 @@ func TestRelayLineOverlay(t *testing.T) {
 	}
 	w.ases[aidC].engine.FlushDigest() // learned from B: nothing to forward
 
-	sa, sb, sc := w.ases[aidA].engine.Stats(), w.ases[aidB].engine.Stats(), w.ases[aidC].engine.Stats()
-	if sa.MessagesSent != 1 || sa.RelayBatchesSent != 1 {
-		t.Fatalf("A sent %d msgs / %d batches, want 1/1", sa.MessagesSent, sa.RelayBatchesSent)
+	for _, row := range []struct {
+		src, dst ephid.AID
+		origins  []ephid.AID
+	}{
+		{aidA, aidB, []ephid.AID{aidA}},
+		{aidB, aidC, []ephid.AID{aidA}}, // not back to A
+	} {
+		sent := w.sent[row.src]
+		if len(sent) != 1 || sent[0].dst.AID != row.dst || sent[0].payload[0] != MsgDigestBatch {
+			t.Fatalf("%v sent %d messages, want one batch to %v", row.src, len(sent), row.dst)
+		}
+		raws, err := DecodeDigestBatch(sent[0].payload[1:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var origins []ephid.AID
+		for _, raw := range raws {
+			d, err := DecodeDigest(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			origins = append(origins, d.Origin)
+		}
+		if !slices.Equal(origins, row.origins) {
+			t.Fatalf("%v's batch carries digests of %v, want %v", row.src, origins, row.origins)
+		}
 	}
-	if sb.DigestsRelayed != 1 || sb.MessagesSent != 1 {
-		t.Fatalf("B relayed %d / sent %d, want 1/1", sb.DigestsRelayed, sb.MessagesSent)
-	}
-	if sc.MessagesSent != 0 {
-		t.Fatalf("C sent %d messages, want 0 (nothing to forward)", sc.MessagesSent)
-	}
-	if sa.DigestsStale != 0 {
-		t.Fatal("A was handed its own digest back")
+	if len(w.sent[aidC]) != 0 {
+		t.Fatalf("C sent %d messages, want 0 (nothing to forward)", len(w.sent[aidC]))
 	}
 
 	// A relay cannot forge: a digest claiming origin A but signed by B
@@ -251,48 +274,44 @@ func TestRelayLineOverlay(t *testing.T) {
 	forged := &Digest{Origin: aidA, Seq: 99, IssuedAt: w.now, Kind: DigestSnapshot,
 		Entries: []DigestEntry{{EphID: victim, ExpTime: uint32(w.now + 1000)}}}
 	forged.Sign(w.ases[aidB].signer)
-	payload := append([]byte{MsgDigestBatch}, EncodeDigestBatch([][]byte{forged.Encode()})...)
-	before := w.ases[aidC].engine.Stats()
-	w.ases[aidC].engine.HandleMessage(wire.Endpoint{AID: aidB, EphID: w.aaEphID[aidB]}, payload)
-	after := w.ases[aidC].engine.Stats()
-	if after.DigestsInvalid != before.DigestsInvalid+1 {
-		t.Fatalf("forged digest not counted invalid: %d -> %d", before.DigestsInvalid, after.DigestsInvalid)
+	engC := w.ases[aidC].engine
+	if err := engC.HandleDigest(aidB, forged.Encode()); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("forged digest: err = %v, want ErrBadSignature", err)
 	}
+	payload := append([]byte{MsgDigestBatch}, EncodeDigestBatch([][]byte{forged.Encode()})...)
+	engC.HandleMessage(wire.Endpoint{AID: aidB, EphID: w.aaEphID[aidB]}, payload)
 	if w.ases[aidC].router.RemoteRevoked().Matches(victim, aidA) {
 		t.Fatal("forged entry installed")
 	}
-	if after.DigestsRelayed != before.DigestsRelayed {
+	engC.mu.Lock()
+	queued := len(engC.outbox)
+	engC.mu.Unlock()
+	if queued != 0 {
 		t.Fatal("forged digest queued for relay")
 	}
 }
 
-func TestFlushSurfacesSendFailures(t *testing.T) {
+// TestFlushOverAFailingTransport: a transport error toward one peer
+// does not stop the flood to the others, and the flush still announces
+// its digest.
+func TestFlushOverAFailingTransport(t *testing.T) {
 	w := newWorld(t, aidA, aidB, aidC)
 	eng := w.ases[aidA].engine
-	var events []Event
-	eng.SetObserver(func(ev Event) { events = append(events, ev) })
+	events := w.events(aidA)
+	var tried []ephid.AID
 	eng.SetSend(func(dst wire.Endpoint, payload []byte) error {
+		tried = append(tried, dst.AID)
 		return errors.New("link down")
 	})
 	w.mintRevoked(aidA, 41, 1_000_000)
 	if got := eng.FlushDigest(); got != 1 {
 		t.Fatalf("flush announced %d entries, want 1", got)
 	}
-	st := eng.Stats()
-	if st.SendFailures != 2 || st.MessagesSent != 0 {
-		t.Fatalf("failures=%d sent=%d, want 2/0", st.SendFailures, st.MessagesSent)
+	if !slices.Equal(tried, []ephid.AID{aidB, aidC}) {
+		t.Fatalf("the flood tried %v, want both peers", tried)
 	}
-	var flush *Event
-	for i := range events {
-		if events[i].Kind == "digest-flush" {
-			flush = &events[i]
-		}
-	}
-	if flush == nil {
-		t.Fatal("no digest-flush event")
-	}
-	if flush.SendFailures != 2 || flush.Entries != 1 {
-		t.Fatalf("event failures=%d entries=%d, want 2/1", flush.SendFailures, flush.Entries)
+	if len(*events) != 1 || (*events)[0].Kind != "digest-flush" || (*events)[0].Entries != 1 {
+		t.Fatalf("events %v, want one digest-flush of 1 entry", *events)
 	}
 }
 
@@ -328,9 +347,7 @@ func TestSnapshotServedToRegisteredPeersOnly(t *testing.T) {
 		{"registered endpoint", registered, true},
 	} {
 		replies = replies[:0]
-		before := eng.Stats().SnapshotRequestsServed
 		eng.HandleMessage(row.src, req)
-		served := eng.Stats().SnapshotRequestsServed - before
 		eng.mu.Lock()
 		p, kept := eng.peers[row.src.AID]
 		var servedAt int64
@@ -339,17 +356,17 @@ func TestSnapshotServedToRegisteredPeersOnly(t *testing.T) {
 		}
 		eng.mu.Unlock()
 		if !row.served {
-			if len(replies) != 0 || served != 0 || servedAt != 0 {
-				t.Fatalf("%s: served: replies=%v served=%d servedAt=%d", row.name, replies, served, servedAt)
+			if len(replies) != 0 || servedAt != 0 {
+				t.Fatalf("%s: served: replies=%v servedAt=%d", row.name, replies, servedAt)
 			}
 			if kept && row.src.AID == aidC {
 				t.Fatalf("%s: the requester left a peer record", row.name)
 			}
 			continue
 		}
-		if len(replies) != 1 || replies[0] != registered || served != 1 || servedAt == 0 {
-			t.Fatalf("%s: replies=%v served=%d servedAt=%d, want one to %v",
-				row.name, replies, served, servedAt, registered)
+		if len(replies) != 1 || replies[0] != registered || servedAt == 0 {
+			t.Fatalf("%s: replies=%v servedAt=%d, want one to %v",
+				row.name, replies, servedAt, registered)
 		}
 	}
 }

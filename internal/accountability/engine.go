@@ -160,25 +160,13 @@ const (
 	snapshotServeSpacing   = 2
 )
 
-// Stats counts engine activity, in the spirit of border.Stats. Refusals
-// are not counted: a rejected complaint shows as its
-// "complaint-rejected" event, a refused shutoff request or receipt as
-// the error its handler returns.
+// Stats counts what the population run and scenario verdicts report;
+// the rest of an engine's work shows as its events, errors and sends.
 type Stats struct {
-	// Victim side.
-	ComplaintsLocal, RequestsForwarded uint64
-	// Source side.
-	RequestsDuplicate, Revocations, NoOpReceipts uint64
-	// Dissemination. DigestsSent counts own-digest flushes (snapshots +
-	// deltas); MessagesSent and DigestBytesSent count every successful
-	// digest-plane transmission (floods, relay batches, snapshot
-	// repair), which is what the fan-out bound gates on.
-	DigestsSent, DigestsReceived, DigestsInvalid, DigestsStale uint64
-	SnapshotsSent, DeltasSent, FlushesSkippedNoChange          uint64
-	DigestsRelayed, RelayBatchesSent                           uint64
-	SeqGaps, SnapshotRequestsSent, SnapshotRequestsServed      uint64
-	SendFailures, MessagesSent, DigestBytesSent                uint64
-	EntriesInstalled, EntriesSkippedExpired, RemovalsAnnounced uint64
+	// Shutoff requests answered from the receipt cache, and revocations.
+	RequestsDuplicate, Revocations uint64
+	// Own-digest flushes (snapshots + deltas), and entries installed.
+	DigestsSent, EntriesInstalled uint64
 }
 
 // Event is one engine action, surfaced to observers (scenario referees
@@ -199,10 +187,6 @@ type Event struct {
 	// Entries counts digest entries for "digest-flush" and
 	// "digest-install" events (adds + removals for a delta flush).
 	Entries int
-	// SendFailures counts transport errors while flooding a
-	// "digest-flush" — previously discarded silently, now surfaced so
-	// referees can tell a quiet interval from a broken transport.
-	SendFailures int
 }
 
 // pendingReq is one in-flight cross-AS shutoff request on the victim
@@ -478,9 +462,6 @@ func (e *Engine) HandleComplaint(c *Complaint, done func(*Receipt, error)) error
 
 	if c.OffenderCert.AID == e.cfg.AID {
 		// Intra-AS complaint: execute directly, no border crossing.
-		e.mu.Lock()
-		e.stats.ComplaintsLocal++
-		e.mu.Unlock()
 		r := e.execute(&c.Req, [32]byte{})
 		e.emit(Event{Kind: "shutoff", Peer: e.cfg.AID, EphID: r.SrcEphID, Status: r.Status})
 		done(r, nil)
@@ -525,9 +506,6 @@ func (e *Engine) HandleComplaint(c *Complaint, done func(*Receipt, error)) error
 		e.mu.Unlock()
 		return err
 	}
-	e.mu.Lock()
-	e.stats.RequestsForwarded++
-	e.mu.Unlock()
 	e.emit(Event{Kind: "forward", Peer: c.OffenderCert.AID, EphID: c.OffenderCert.EphID})
 	return nil
 }
@@ -596,17 +574,7 @@ func (e *Engine) alreadyRevoked(id ephid.EphID) bool {
 func (e *Engine) execute(req *aa.Request, reqHash [32]byte) *Receipt {
 	now := e.cfg.Now()
 	r := &Receipt{Issuer: e.cfg.AID, ReqHash: reqHash, IssuedAt: now}
-	count := func(st Status) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		switch st {
-		case StatusRevoked:
-			e.stats.Revocations++
-		case StatusAlreadyRevoked, StatusExpiredNoOp:
-			e.stats.NoOpReceipts++
-		}
-	}
-	defer func() { count(r.Status); r.Sign(e.cfg.Signer) }()
+	defer r.Sign(e.cfg.Signer)
 
 	if !wire.ValidFrame(req.Packet) {
 		r.Status = StatusRejected
@@ -642,6 +610,9 @@ func (e *Engine) execute(req *aa.Request, reqHash [32]byte) *Receipt {
 			}
 		} else {
 			r.Status = StatusRevoked
+			e.mu.Lock()
+			e.stats.Revocations++
+			e.mu.Unlock()
 		}
 	}
 	return r
@@ -758,8 +729,8 @@ func sortDigest(d *Digest) {
 // peer in ModeMesh; bundled with the relay outbox into one
 // MsgDigestBatch per overlay neighbor in ModeRelay). When nothing
 // changed and no snapshot is due, the flush is skipped entirely: no
-// sort, no signature, no messages (FlushesSkippedNoChange counts it) —
-// though a relay still drains its outbox. It returns the number of
+// sort, no signature, no messages — though a relay still drains its
+// outbox. It returns the number of
 // entries announced in this AS's own digest (adds + removals for a
 // delta; 0 when skipped). The facade drives it from a recurring
 // virtual-time timer (netsim.Simulator.Every).
@@ -814,12 +785,10 @@ func (e *Engine) FlushDigest() int {
 			for id, exp := range e.announced {
 				d.Entries = append(d.Entries, DigestEntry{EphID: id, ExpTime: exp})
 			}
-			e.stats.SnapshotsSent++
 		} else {
 			d.Kind = DigestDelta
 			d.Entries = added
 			d.Removed = removed
-			e.stats.DeltasSent++
 		}
 		entries = len(d.Entries) + len(d.Removed)
 		e.lastFlushed = make(map[ephid.EphID]uint32, len(e.announced))
@@ -827,9 +796,6 @@ func (e *Engine) FlushDigest() int {
 			e.lastFlushed[id] = exp
 		}
 		e.stats.DigestsSent++
-		e.stats.RemovalsAnnounced += uint64(len(d.Removed))
-	} else if haveState {
-		e.stats.FlushesSkippedNoChange++
 	}
 	mode := e.mode
 	outbox := e.outbox
@@ -856,7 +822,8 @@ func (e *Engine) FlushDigest() int {
 		d.Sign(e.cfg.Signer)
 		ownRaw = d.Encode()
 	}
-	var msgs, batches, bytesSent, failures uint64
+	// A digest-plane send that fails is lost like a dropped message: the
+	// seq chain shows the gap and a snapshot repairs it.
 	if mode == ModeRelay {
 		for _, p := range dsts {
 			raws := make([][]byte, 0, len(outbox)+1)
@@ -877,33 +844,16 @@ func (e *Engine) FlushDigest() int {
 				continue
 			}
 			payload := append([]byte{MsgDigestBatch}, EncodeDigestBatch(raws)...)
-			if err := e.sendTo(wire.Endpoint{AID: p.aid, EphID: p.ep}, payload); err != nil {
-				failures++
-				continue
-			}
-			msgs++
-			batches++
-			bytesSent += uint64(len(payload))
+			_ = e.sendTo(wire.Endpoint{AID: p.aid, EphID: p.ep}, payload)
 		}
 	} else if ownRaw != nil {
 		payload := append([]byte{MsgDigest}, ownRaw...)
 		for _, p := range dsts {
-			if err := e.sendTo(wire.Endpoint{AID: p.aid, EphID: p.ep}, payload); err != nil {
-				failures++
-				continue
-			}
-			msgs++
-			bytesSent += uint64(len(payload))
+			_ = e.sendTo(wire.Endpoint{AID: p.aid, EphID: p.ep}, payload)
 		}
 	}
-	e.mu.Lock()
-	e.stats.MessagesSent += msgs
-	e.stats.RelayBatchesSent += batches
-	e.stats.DigestBytesSent += bytesSent
-	e.stats.SendFailures += failures
-	e.mu.Unlock()
 	if d != nil {
-		e.emit(Event{Kind: "digest-flush", Entries: entries, SendFailures: int(failures)})
+		e.emit(Event{Kind: "digest-flush", Entries: entries})
 	}
 	return entries
 }
@@ -911,8 +861,8 @@ func (e *Engine) FlushDigest() int {
 // HandleDigest verifies a digest received from peer `from` and applies
 // it: a snapshot installs on top of any older state; a delta installs
 // only when it extends the applied chain by exactly one (seq =
-// applied+1). A delta past a gap is not installed — the receiver counts
-// the gap and asks the origin for a snapshot (rate-limited, and only
+// applied+1). A delta past a gap is not installed — the receiver asks
+// the origin for a snapshot (rate-limited, and only
 // of a registered origin; the periodic anti-entropy snapshot repairs it
 // regardless). Replays and already-known seqs are dropped before the
 // signature check: suppression by (origin, seq) high-water marks is
@@ -926,32 +876,23 @@ func (e *Engine) HandleDigest(from ephid.AID, raw []byte) error {
 	now := e.cfg.Now()
 	d, err := DecodeDigest(raw)
 	if err != nil {
-		e.mu.Lock()
-		e.stats.DigestsInvalid++
-		e.mu.Unlock()
 		return err
 	}
-	e.mu.Lock()
 	if d.Origin == e.cfg.AID {
-		e.stats.DigestsStale++
-		e.mu.Unlock()
 		return nil
 	}
+	e.mu.Lock()
 	var applied, queued uint64
 	if p := e.peers[d.Origin]; p != nil {
 		applied, queued = p.seq, p.relayHW
 	}
 	if d.Seq <= applied && (e.mode != ModeRelay || d.Seq <= queued) {
-		e.stats.DigestsStale++
 		e.mu.Unlock()
 		return nil
 	}
 	e.mu.Unlock()
 
 	if err := d.Verify(e.cfg.Trust, now); err != nil {
-		e.mu.Lock()
-		e.stats.DigestsInvalid++
-		e.mu.Unlock()
 		return err
 	}
 
@@ -961,32 +902,25 @@ func (e *Engine) HandleDigest(from ephid.AID, raw []byte) error {
 		p.relayHW = d.Seq
 		e.outbox = append(e.outbox, relayItem{
 			origin: d.Origin, from: from, raw: append([]byte(nil), raw...)})
-		e.stats.DigestsRelayed++
 	}
 	switch {
 	case d.Seq <= p.seq:
-		e.stats.DigestsStale++
 		e.mu.Unlock()
 		return nil
 	case d.Kind == DigestDelta && d.Seq != p.seq+1:
 		// Chain broken: seqs p.seq+1 .. d.Seq-1 are missing. Deltas
 		// are not buffered — the snapshot path repairs wholesale.
-		e.stats.SeqGaps++
 		e.mu.Unlock()
 		e.maybeRequestSnapshot(d.Origin, now)
 		return nil
 	}
 	p.seq = d.Seq
-	e.stats.DigestsReceived++
 	sinks := e.sinks
 	e.mu.Unlock()
 
 	installed := 0
 	for _, en := range d.Entries {
 		if int64(en.ExpTime) < now {
-			e.mu.Lock()
-			e.stats.EntriesSkippedExpired++
-			e.mu.Unlock()
 			continue
 		}
 		for _, s := range sinks {
@@ -1004,23 +938,6 @@ func (e *Engine) HandleDigest(from ephid.AID, raw []byte) error {
 	return nil
 }
 
-// handleDigestBatch unpacks a relay batch and runs every element
-// through the ordinary digest path — verification included, so a relay
-// can drop, delay or duplicate digests but never alter or forge one.
-func (e *Engine) handleDigestBatch(from ephid.AID, body []byte) error {
-	raws, err := DecodeDigestBatch(body)
-	if err != nil {
-		e.mu.Lock()
-		e.stats.DigestsInvalid++
-		e.mu.Unlock()
-		return err
-	}
-	for _, raw := range raws {
-		_ = e.HandleDigest(from, raw) // per-element errors are counted inside
-	}
-	return nil
-}
-
 // maybeRequestSnapshot unicasts a MsgSnapshotRequest to origin if its
 // agent endpoint is known and the per-origin rate limit allows.
 func (e *Engine) maybeRequestSnapshot(origin ephid.AID, now int64) {
@@ -1032,14 +949,9 @@ func (e *Engine) maybeRequestSnapshot(origin ephid.AID, now int64) {
 	}
 	p.snapReqAt = now
 	ep := p.ep
-	e.stats.SnapshotRequestsSent++
 	e.mu.Unlock()
 	payload := append([]byte{MsgSnapshotRequest}, EncodeSnapshotRequest(origin)...)
-	if err := e.sendTo(wire.Endpoint{AID: origin, EphID: ep}, payload); err != nil {
-		e.mu.Lock()
-		e.stats.SendFailures++
-		e.mu.Unlock()
-	}
+	_ = e.sendTo(wire.Endpoint{AID: origin, EphID: ep}, payload) // lost: the anti-entropy snapshot repairs
 }
 
 // handleSnapshotRequest serves a unicast snapshot to a peer whose delta
@@ -1069,21 +981,10 @@ func (e *Engine) handleSnapshotRequest(src wire.Endpoint, body []byte) {
 	for id, exp := range e.lastFlushed {
 		d.Entries = append(d.Entries, DigestEntry{EphID: id, ExpTime: exp})
 	}
-	e.stats.SnapshotRequestsServed++
 	e.mu.Unlock()
 	sortDigest(d)
 	d.Sign(e.cfg.Signer)
-	payload := append([]byte{MsgDigest}, d.Encode()...)
-	if err := e.sendTo(dst, payload); err != nil {
-		e.mu.Lock()
-		e.stats.SendFailures++
-		e.mu.Unlock()
-		return
-	}
-	e.mu.Lock()
-	e.stats.MessagesSent++
-	e.stats.DigestBytesSent += uint64(len(payload))
-	e.mu.Unlock()
+	_ = e.sendTo(dst, append([]byte{MsgDigest}, d.Encode()...)) // lost: the anti-entropy snapshot repairs
 }
 
 // HandleMessage is the ProtoAcct demux the facade mounts on the agent's
@@ -1147,7 +1048,13 @@ func (e *Engine) HandleMessage(src wire.Endpoint, payload []byte) {
 	case MsgDigest:
 		_ = e.HandleDigest(src.AID, body)
 	case MsgDigestBatch:
-		_ = e.handleDigestBatch(src.AID, body)
+		// Every element of a relay batch takes the ordinary digest path,
+		// verification included, so a relay can drop, delay or duplicate
+		// digests but never alter or forge one. A malformed batch has none.
+		raws, _ := DecodeDigestBatch(body)
+		for _, raw := range raws {
+			_ = e.HandleDigest(src.AID, raw)
+		}
 	case MsgSnapshotRequest:
 		e.handleSnapshotRequest(src, body)
 	}

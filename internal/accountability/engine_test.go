@@ -42,6 +42,66 @@ type world struct {
 	aaEphID map[ephid.AID]ephid.EphID
 	// dropped counts sends the transport could not route.
 	dropped int
+	// sent logs, per sending AS and in order, every message an engine
+	// handed its transport, delivered or not.
+	sent map[ephid.AID][]sentMsg
+}
+
+// sentMsg is one message an engine handed its transport.
+type sentMsg struct {
+	dst     wire.Endpoint
+	payload []byte
+}
+
+// transport is src's direct transport: it logs every message, drops
+// the ones drop (if any) returns true for — a lossy link, not a
+// transport error — and hands the rest synchronously to the addressed
+// engine, with src's agent endpoint as source.
+func (w *world) transport(src ephid.AID, drop func(dst wire.Endpoint, payload []byte) bool) func(wire.Endpoint, []byte) error {
+	return func(dst wire.Endpoint, payload []byte) error {
+		w.sent[src] = append(w.sent[src], sentMsg{dst: dst, payload: append([]byte(nil), payload...)})
+		if drop != nil && drop(dst, payload) {
+			return nil
+		}
+		peer, ok := w.ases[dst.AID]
+		if !ok || dst.EphID != w.aaEphID[dst.AID] {
+			w.dropped++
+			return nil
+		}
+		from := wire.Endpoint{AID: src, EphID: w.aaEphID[src]}
+		peer.engine.HandleMessage(from, append([]byte(nil), payload...))
+		return nil
+	}
+}
+
+// sentOf returns the messages of the given kind that src handed its
+// transport, in order.
+func (w *world) sentOf(src ephid.AID, kind byte) []sentMsg {
+	var out []sentMsg
+	for _, m := range w.sent[src] {
+		if m.payload[0] == kind {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// events records every event the AS's engine emits from now on.
+func (w *world) events(aid ephid.AID) *[]Event {
+	var evs []Event
+	w.ases[aid].engine.SetObserver(func(ev Event) { evs = append(evs, ev) })
+	return &evs
+}
+
+// countKind counts the events of one kind.
+func countKind(evs []Event, kind string) int {
+	n := 0
+	for _, ev := range evs {
+		if ev.Kind == kind {
+			n++
+		}
+	}
+	return n
 }
 
 func newWorld(t *testing.T, aids ...ephid.AID) *world {
@@ -55,6 +115,7 @@ func newWorld(t *testing.T, aids ...ephid.AID) *world {
 		trust:   rpki.NewTrustStore(auth.PublicKey()),
 		ases:    make(map[ephid.AID]*testAS),
 		aaEphID: make(map[ephid.AID]ephid.EphID),
+		sent:    make(map[ephid.AID][]sentMsg),
 	}
 	nowFn := func() int64 { return w.now }
 	for _, aid := range aids {
@@ -97,20 +158,8 @@ func newWorld(t *testing.T, aids ...ephid.AID) *world {
 		w.ases[aid] = as
 		w.aaEphID[aid] = sealer.Mint(ephid.Payload{HID: 1, ExpTime: uint32(w.now) + 1<<30})
 	}
-	// Direct transport: a send to (AID, agent EphID) invokes that AS's
-	// engine synchronously, with the sender's agent endpoint as source.
 	for _, as := range w.ases {
-		as := as
-		as.engine.SetSend(func(dst wire.Endpoint, payload []byte) error {
-			peer, ok := w.ases[dst.AID]
-			if !ok || dst.EphID != w.aaEphID[dst.AID] {
-				w.dropped++
-				return nil
-			}
-			from := wire.Endpoint{AID: as.aid, EphID: w.aaEphID[as.aid]}
-			peer.engine.HandleMessage(from, append([]byte(nil), payload...))
-			return nil
-		})
+		as.engine.SetSend(w.transport(as.aid, nil))
 		for aid, ep := range w.aaEphID {
 			as.engine.RegisterPeer(aid, ep)
 		}
@@ -317,8 +366,8 @@ func TestComplaintRejectionsObservable(t *testing.T) {
 			if len(events) != 1 || events[0].Kind != "complaint-rejected" || events[0].AID != aidB {
 				t.Fatalf("events %+v, want one complaint-rejected at %v", events, aidB)
 			}
-			if st := w.ases[aidB].engine.Stats(); st.RequestsForwarded != 0 || st.ComplaintsLocal != 0 {
-				t.Fatalf("stats %+v: the rejected complaint went on", st)
+			if len(w.sent[aidB]) != 0 {
+				t.Fatalf("the rejected complaint went on: %d messages sent", len(w.sent[aidB]))
 			}
 			if w.ases[aidA].router.Revoked().Contains(offender.ephID) {
 				t.Fatal("a rejected complaint caused a revocation")
@@ -420,8 +469,8 @@ func TestDuplicateShutoffRequestsIdempotent(t *testing.T) {
 		t.Fatalf("offender strikes = %d, want exactly 1", got)
 	}
 	st := src.Stats()
-	if st.RequestsDuplicate != 1 || st.Revocations != 1 || st.NoOpReceipts != 1 {
-		t.Fatalf("stats %+v, want 1 duplicate, 1 revocation, 1 no-op", st)
+	if st.RequestsDuplicate != 1 || st.Revocations != 1 {
+		t.Fatalf("stats %+v, want 1 duplicate and 1 revocation (the retry's no-op is its receipt)", st)
 	}
 }
 
@@ -442,6 +491,79 @@ func TestUnsignedRequestDroppedSilently(t *testing.T) {
 	}
 	if w.ases[aidA].router.Revoked().Contains(offender.ephID) {
 		t.Fatal("unauthenticated request caused a revocation")
+	}
+}
+
+// signedRequest wraps an encoded complaint in a shutoff request that
+// origin's AS signs.
+func (w *world) signedRequest(origin ephid.AID, complaint []byte) []byte {
+	req := &ShutoffRequest{Origin: origin, Seq: 1, IssuedAt: w.now, Complaint: complaint}
+	req.Sign(w.ases[origin].signer)
+	return req.Encode()
+}
+
+// TestTruncatedComplaintRefused: a validly signed shutoff request
+// whose complaint is cut short is refused with ErrBadComplaint, before
+// anything is revoked or answered.
+func TestTruncatedComplaintRefused(t *testing.T) {
+	w := newWorld(t, aidA, aidB)
+	offender := w.addHost(aidA, 7, 600)
+	victim := w.addHost(aidB, 8, 600)
+	enc, err := NewComplaint(w.evidence(offender, victim, []byte("spam")), &victim.cert, &offender.cert, victim.sig).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := w.events(aidA)
+	for _, cut := range []int{10, len(enc) - 1} {
+		if _, err := w.ases[aidA].engine.HandleShutoffRequest(w.signedRequest(aidB, enc[:cut])); !errors.Is(err, ErrBadComplaint) {
+			t.Fatalf("complaint cut to %d bytes: err = %v, want ErrBadComplaint", cut, err)
+		}
+	}
+	if w.ases[aidA].router.Revoked().Contains(offender.ephID) || len(*events) != 0 {
+		t.Fatalf("a malformed complaint was acted on: events %v", *events)
+	}
+}
+
+// TestRequestForAnotherSourceASRefused: a validly signed request from
+// the victim's AS whose evidence names a third AS's source is refused
+// by the AS it reached with ErrNotSourceAS: an agent answers only for
+// its own hosts.
+func TestRequestForAnotherSourceASRefused(t *testing.T) {
+	w := newWorld(t, aidA, aidB, aidC)
+	offender := w.addHost(aidC, 7, 600)
+	victim := w.addHost(aidB, 8, 600)
+	enc, err := NewComplaint(w.evidence(offender, victim, []byte("spam")), &victim.cert, &offender.cert, victim.sig).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := w.events(aidA)
+	if _, err := w.ases[aidA].engine.HandleShutoffRequest(w.signedRequest(aidB, enc)); !errors.Is(err, ErrNotSourceAS) {
+		t.Fatalf("err = %v, want ErrNotSourceAS", err)
+	}
+	if w.ases[aidC].router.Revoked().Contains(offender.ephID) || len(*events) != 0 {
+		t.Fatalf("the misdirected request was acted on: events %v", *events)
+	}
+}
+
+// TestComplaintWithoutTransportRefused: an engine that was never given
+// a transport refuses a complaint it would have to forward with
+// ErrNoTransport, never resolves it, and keeps no pending request.
+func TestComplaintWithoutTransportRefused(t *testing.T) {
+	w := newWorld(t, aidA, aidB)
+	offender := w.addHost(aidA, 7, 600)
+	victim := w.addHost(aidB, 8, 600)
+	b := w.ases[aidB]
+	eng := New(Config{AID: aidB, Signer: b.signer, Trust: w.trust, Agent: b.agent, Now: func() int64 { return w.now }})
+	c := NewComplaint(w.evidence(offender, victim, []byte("spam")), &victim.cert, &offender.cert, victim.sig)
+	err := eng.HandleComplaint(c, func(*Receipt, error) { t.Fatal("the refused complaint resolved") })
+	if !errors.Is(err, ErrNoTransport) {
+		t.Fatalf("err = %v, want ErrNoTransport", err)
+	}
+	eng.mu.Lock()
+	pending := len(eng.pending)
+	eng.mu.Unlock()
+	if pending != 0 || w.ases[aidA].router.Revoked().Contains(offender.ephID) {
+		t.Fatalf("%d pending requests left, or the offender was revoked", pending)
 	}
 }
 
@@ -532,11 +654,16 @@ func TestDigestFloodInstallsAtThirdAS(t *testing.T) {
 	// With zero churn since the first flush and the anti-entropy round
 	// not yet due, a second flush is skipped outright: no signing, no
 	// messages.
+	flushed := len(w.sentOf(aidA, MsgDigest))
+	events := w.events(aidA)
 	if n := w.ases[aidA].engine.FlushDigest(); n != 0 {
 		t.Fatalf("unchanged re-flush announced %d entries, want 0 (skip)", n)
 	}
-	if st := w.ases[aidA].engine.Stats(); st.FlushesSkippedNoChange != 1 || st.DigestsSent != 1 {
-		t.Fatalf("stats %+v, want 1 skipped flush and 1 digest sent", st)
+	if got := len(w.sentOf(aidA, MsgDigest)); got != flushed || len(*events) != 0 {
+		t.Fatalf("the skipped flush sent %d digests and emitted %v", got-flushed, *events)
+	}
+	if st := w.ases[aidA].engine.Stats(); st.DigestsSent != 1 {
+		t.Fatalf("stats %+v, want 1 digest sent", st)
 	}
 	// Forcing the anti-entropy cadence re-floods the full set (loss
 	// recovery); installing again is a no-op, and stale seqs are
@@ -564,12 +691,13 @@ func TestDigestReplayAndForgeryRejected(t *testing.T) {
 	if got := w.ases[aidC].router.RemoteRevoked().Len(); got != 1 {
 		t.Fatalf("remote list %d, want 1", got)
 	}
-	// Replay: same seq again is stale.
+	// Replay: same seq again is stale, dropped without an install.
+	events := w.events(aidC)
 	if err := engC.HandleDigest(aidA, d.Encode()); err != nil {
 		t.Fatal(err)
 	}
-	if st := engC.Stats(); st.DigestsStale != 1 {
-		t.Fatalf("stats %+v, want 1 stale digest", st)
+	if len(*events) != 0 || engC.Stats().EntriesInstalled != 1 {
+		t.Fatalf("the replay was installed: events %v, %d entries", *events, engC.Stats().EntriesInstalled)
 	}
 	// Forgery: a digest signed by the wrong AS is rejected — its seq is
 	// above the accepted high-water mark, so it reaches (and fails) the
@@ -594,6 +722,7 @@ func TestDigestAfterGCRetentionSkipsExpiredEntries(t *testing.T) {
 	}}
 	d.Sign(w.ases[aidA].signer)
 	engC := w.ases[aidC].engine
+	events := w.events(aidC)
 	if err := engC.HandleDigest(aidA, d.Encode()); err != nil {
 		t.Fatal(err)
 	}
@@ -604,9 +733,8 @@ func TestDigestAfterGCRetentionSkipsExpiredEntries(t *testing.T) {
 	if !list.Contains(live) {
 		t.Fatal("live digest entry was skipped")
 	}
-	st := engC.Stats()
-	if st.EntriesSkippedExpired != 1 || st.EntriesInstalled != 1 {
-		t.Fatalf("stats %+v, want 1 skipped + 1 installed", st)
+	if len(*events) != 1 || (*events)[0].Kind != "digest-install" || (*events)[0].Entries != 1 || engC.Stats().EntriesInstalled != 1 {
+		t.Fatalf("events %v, want one digest-install of 1 of the 2 entries", *events)
 	}
 	// Expired announcements are likewise pruned before flooding.
 	w.ases[aidA].engine.NoteRevoked(dead, uint32(w.now-50))
@@ -621,6 +749,7 @@ func TestLocalComplaintShortCircuits(t *testing.T) {
 	victim := w.addHost(aidA, 8, 600)
 	frame := w.evidence(offender, victim, []byte("spam"))
 
+	events := w.events(aidA)
 	r, err := w.complain(victim, offender, frame)
 	if err != nil {
 		t.Fatal(err)
@@ -631,8 +760,8 @@ func TestLocalComplaintShortCircuits(t *testing.T) {
 	if !w.ases[aidA].router.Revoked().Contains(offender.ephID) {
 		t.Fatal("local complaint did not revoke")
 	}
-	if st := w.ases[aidA].engine.Stats(); st.ComplaintsLocal != 1 || st.RequestsForwarded != 0 {
-		t.Fatalf("stats %+v, want a local complaint and no forwarding", st)
+	if countKind(*events, "shutoff") != 1 || countKind(*events, "forward") != 0 || len(w.sent[aidA]) != 0 {
+		t.Fatalf("events %v, %d messages sent: want one local shutoff and no forwarding", *events, len(w.sent[aidA]))
 	}
 }
 

@@ -102,7 +102,6 @@ type Injection struct {
 // Stats counts the attacker's activity by kind.
 type Stats struct {
 	Injected [kindCount]uint64
-	Captured uint64
 }
 
 // Errors returned by attacker operations.
@@ -147,7 +146,7 @@ func (a *Attacker) Name() string { return a.name }
 // attached to a border router like a host port.
 func (a *Attacker) AttachPort(p *netsim.Port) {
 	a.port = p
-	p.Attach(a, "attacker:"+a.name)
+	p.Attach(a)
 }
 
 // HandleFrame implements netsim.Handler: the attacker drops whatever
@@ -166,7 +165,6 @@ func (a *Attacker) SetExternalInjector(fn func(frame []byte)) { a.external = fn 
 func (a *Attacker) TapLink(l *netsim.Link) {
 	l.AddTap(func(frame []byte, _ *netsim.Port) {
 		a.captured = append(a.captured, frame)
-		a.stats.Captured++
 	})
 }
 

@@ -33,7 +33,8 @@
 //     carries the common cases).
 //   - deadexport: on a whole-module pass, reports exported names in
 //     any package of the module, the root facade included, that no
-//     non-test code of the module uses;
+//     non-test code of the module uses, and struct fields it writes
+//     but never reads;
 //     //apna:testonly <reason> keeps one that a test in another
 //     package observes production behaviour through, and
 //     //apna:only <import path>... keeps a name to the listed
@@ -156,11 +157,12 @@ func All() []*Analyzer {
 //	//apna:unordered     on a range statement: the map iteration is
 //	                     order-insensitive in a way the heuristics
 //	                     cannot see
-//	//apna:testonly R    on a declaration's doc comment: an exported
-//	                     name in internal/ that only tests call,
-//	                     through which a test in another package
-//	                     observes production behaviour; R says which
-//	                     test and is required (deadexport)
+//	//apna:testonly R    on a declaration's or a struct field's doc
+//	                     comment: an exported name that only tests
+//	                     call, or a field that only tests read,
+//	                     through which a test observes production
+//	                     behaviour; R says which test and is required
+//	                     (deadexport)
 //	//apna:only P...     on a declaration's doc comment: only the
 //	                     non-test code of the listed import paths may
 //	                     reference the exported name, and each of them

@@ -31,6 +31,15 @@ import (
 // The check is typed, so a method value, a renamed import or a type
 // conversion counts as a reference; test files never do.
 //
+// A struct field that non-test code never reads is reported too: a
+// composite-literal key, an assignment target, x.f++ and x.f += v are
+// writes, any other reference is a read. A read of the whole struct
+// reads every field (and those of the structs it holds by value): a
+// == or != operand, a map key, a struct with a tag, and a value handed
+// to encoding/json or encoding/binary. Embedded and blank fields are
+// not checked. //apna:testonly <reason> on the field's doc keeps one
+// that a test observes production behaviour through.
+//
 // A method is exempt when its receiver type implements an interface of
 // the type-checked program with a method of that name (String,
 // MarshalJSON, heap.Interface, netsim.Handler, ...): such a call may
@@ -40,7 +49,7 @@ import (
 // on the next run after the first is deleted.
 var Deadexport = &Analyzer{
 	Name: "deadexport",
-	Doc:  "report exported names that no non-test code of the module uses",
+	Doc:  "report exported names that no non-test code of the module uses, and struct fields it never reads",
 	Run:  runDeadexport,
 }
 
@@ -61,40 +70,48 @@ func runDeadexport(pass *Pass) error {
 		}
 	}
 	ifaces := interfacesByMethod(pass.Packages)
+	read := make(map[types.Object]bool)
+	var fields []declared
 	for _, pkg := range pass.Packages {
+		markFieldReads(pkg, read)
 		for _, file := range pkg.Files {
+			fields = append(fields, structFields(pkg, file)...)
 			for _, decl := range file.Decls {
 				for _, d := range exportedDecls(pkg, decl) {
 					checkOnly(pass, d, used[d.obj])
 					if fn, ok := d.obj.(*types.Func); ok && satisfiesInterface(fn, ifaces) {
 						continue
 					}
-					reportDead(pass, d, len(used[d.obj]) > 0)
+					reportDead(pass, d, len(used[d.obj]) > 0, "is exported but no non-test code in the module uses it: delete it, move it into a _test.go file", "caller")
 				}
 			}
 		}
 	}
+	for _, f := range fields {
+		reportDead(pass, f, read[f.obj], "is written but no non-test code in the module reads it: delete it with its writes", "reader")
+	}
 	return nil
 }
 
-// declared is one exported package-level name or method with the doc
-// comments that may carry its //apna:testonly or //apna:only directive.
+// declared is one exported package-level name or method, or one struct
+// field, with the doc comments that may carry its //apna:testonly or
+// //apna:only directive.
 type declared struct {
 	obj  types.Object
+	name string
 	pos  token.Pos
 	docs []*ast.CommentGroup
 }
 
-func reportDead(pass *Pass, d declared, used bool) {
-	name := qualifiedName(d.obj)
+func reportDead(pass *Pass, d declared, used bool, dead, user string) {
 	reason, marked := d.directive("testonly")
 	switch {
 	case marked && reason == "":
-		pass.Reportf(d.pos, "//apna:testonly on %s needs a reason: name the test that observes production behaviour through it", name)
+		pass.Reportf(d.pos, "//apna:testonly on %s needs a reason: name the test that observes production behaviour through it", d.name)
 	case marked && used:
-		pass.Reportf(d.pos, "stale //apna:testonly: %s has a non-test caller", name)
+		pass.Reportf(d.pos, "stale //apna:testonly: %s has a non-test %s", d.name, user)
 	case !marked && !used:
-		pass.Reportf(d.pos, "%s is exported but no non-test code in the module uses it: delete it, move it into a _test.go file, or mark it //apna:testonly <reason>", name)
+		pass.Reportf(d.pos, "%s %s, or mark it //apna:testonly <reason>", d.name, dead)
 	}
 }
 
@@ -105,7 +122,7 @@ func checkOnly(pass *Pass, d declared, users map[string]token.Pos) {
 	if !marked {
 		return
 	}
-	name := qualifiedName(d.obj)
+	name := d.name
 	allowed := strings.Fields(list)
 	if len(allowed) == 0 {
 		pass.Reportf(d.pos, "//apna:only on %s needs the import paths that may use it", name)
@@ -157,7 +174,7 @@ func exportedDecls(pkg *Package, decl ast.Decl) []declared {
 	var out []declared
 	add := func(id *ast.Ident, docs ...*ast.CommentGroup) {
 		if obj := pkg.Info.Defs[id]; obj != nil && id.IsExported() {
-			out = append(out, declared{obj: obj, pos: id.Pos(), docs: docs})
+			out = append(out, declared{obj: obj, name: qualifiedName(obj), pos: id.Pos(), docs: docs})
 		}
 	}
 	switch d := decl.(type) {
@@ -233,6 +250,124 @@ func markUses(pkg *Package, decl ast.Decl, used map[types.Object]map[string]toke
 				}
 			}
 			mark(spec, self...)
+		}
+	}
+}
+
+// structFields lists the named, non-embedded struct fields a file
+// declares, each named after the type, function or variable whose
+// declaration holds its struct.
+func structFields(pkg *Package, file *ast.File) []declared {
+	var out []declared
+	var walk func(n ast.Node, owner string)
+	walk = func(n ast.Node, owner string) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				walk(n.Type, n.Name.Name)
+				return false
+			case *ast.FuncDecl:
+				owner = n.Name.Name
+			case *ast.ValueSpec:
+				owner = n.Names[0].Name
+			case *ast.StructType:
+				for _, f := range n.Fields.List {
+					for _, id := range f.Names {
+						if id.Name != "_" {
+							name := pkg.Pkg.Name() + "." + owner + "." + id.Name
+							out = append(out, declared{obj: pkg.Info.Defs[id], name: name, pos: id.Pos(), docs: []*ast.CommentGroup{f.Doc}})
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	walk(file, "")
+	return out
+}
+
+// markFieldReads marks every struct field that pkg's non-test code
+// reads: by name anywhere but as a write, and whole (see Deadexport).
+func markFieldReads(pkg *Package, read map[types.Object]bool) {
+	seen := make(map[types.Type]bool) // walked deep: it may cycle
+	// whole marks every field of t read, and those of the structs and
+	// arrays it holds; deep also follows pointers, slices and map
+	// values, as reflection does.
+	var whole func(t types.Type, deep bool)
+	whole = func(t types.Type, deep bool) {
+		if t == nil || seen[t] {
+			return
+		}
+		seen[t] = deep
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			for i := range u.NumFields() {
+				read[origin(u.Field(i))] = true
+				whole(u.Field(i).Type(), deep)
+			}
+		case *types.Array:
+			whole(u.Elem(), deep)
+		case interface{ Elem() types.Type }: // pointer, slice, map, chan
+			if deep {
+				whole(u.Elem(), deep)
+			}
+		}
+	}
+	for _, tv := range pkg.Info.Types {
+		switch u := tv.Type.(type) {
+		case *types.Map:
+			whole(u.Key(), false)
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				if u.Tag(i) != "" {
+					whole(u, false)
+				}
+			}
+		}
+	}
+	writes := make(map[*ast.Ident]bool)
+	write := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			writes[sel.Sel] = true
+		}
+	}
+	for _, file := range pkg.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					write(lhs)
+				}
+			case *ast.IncDecStmt:
+				write(n.X)
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					writes[id] = true
+				}
+			case *ast.BinaryExpr:
+				if n.Op == token.EQL || n.Op == token.NEQ {
+					whole(pkg.Info.TypeOf(n.X), false)
+					whole(pkg.Info.TypeOf(n.Y), false)
+				}
+			case *ast.CallExpr: // json.Marshal(v), enc.Encode(v), binary.Write(w, o, v), ...
+				sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
+				if !ok {
+					break
+				}
+				if fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil &&
+					(fn.Pkg().Path() == "encoding/json" || fn.Pkg().Path() == "encoding/binary") {
+					for _, arg := range n.Args {
+						whole(pkg.Info.TypeOf(arg), true)
+					}
+				}
+			}
+			return true
+		})
+	}
+	for id, obj := range pkg.Info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] {
+			read[origin(v)] = true
 		}
 	}
 }

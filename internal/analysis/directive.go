@@ -46,7 +46,7 @@ func runDirectives(pass *Pass) error {
 // line L annotates line L (trailing comment) or line L+1 (comment
 // above), except the declaration-doc directives (hotpath,
 // verify-exempt, testonly, only) which must sit inside the declaration's
-// doc comment.
+// doc comment; testonly may sit on a struct field's doc too.
 func validDirectiveLines(pkg *Package, fset *token.FileSet) map[string]map[string]map[int]bool {
 	valid := make(map[string]map[string]map[int]bool)
 	mark := func(pos token.Pos, name string, docLine bool) {
@@ -68,8 +68,9 @@ func validDirectiveLines(pkg *Package, fset *token.FileSet) map[string]map[strin
 	}
 
 	// Declaration-doc directives: every doc-comment line carrying the
-	// directive on a function declaration is valid, and testonly and
-	// only on any top-level declaration's doc comment.
+	// directive on a function declaration is valid, testonly and only
+	// on any top-level declaration's doc comment, and testonly on any
+	// struct field's.
 	markDoc := func(doc *ast.CommentGroup, names ...string) {
 		if doc == nil {
 			return
@@ -101,6 +102,14 @@ func validDirectiveLines(pkg *Package, fset *token.FileSet) map[string]map[strin
 				}
 			}
 		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if st, ok := n.(*ast.StructType); ok {
+				for _, f := range st.Fields.List {
+					markDoc(f.Doc, "testonly")
+				}
+			}
+			return true
+		})
 	}
 
 	// wallclock: any banned clock/RNG use.

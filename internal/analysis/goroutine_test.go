@@ -4,6 +4,10 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"os"
+	"path"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -50,4 +54,75 @@ func TestOneDoorOntoACore(t *testing.T) {
 	if inSpare == 0 {
 		t.Fatal("found no go statement in internal/spare: the walk is broken")
 	}
+}
+
+// raceStep is the CI step that runs every test handing work to
+// internal/spare under the race detector, at one and two Ps.
+const raceStep = "One spare-core budget under the race detector"
+
+// raceStepExempt lists, with the reason, the packages that start work
+// through internal/spare but are not in raceStep.
+var raceStepExempt = map[string]string{
+	"internal/experiments": "retires with its only driver, apna-bench (ROADMAP item 5); engine.Run, which it drives, is in the step",
+}
+
+// TestSpareUsersRunUnderRace keeps raceStep's package list whole: every
+// package whose non-test files import internal/spare is in it, or in
+// raceStepExempt with a reason.
+func TestSpareUsersRunUnderRace(t *testing.T) {
+	users := make(map[string]bool)
+	walkModule(t, parser.ImportsOnly, func(rel string, _ *token.FileSet, f *ast.File) {
+		if strings.HasSuffix(rel, "_test.go") {
+			return
+		}
+		for _, imp := range f.Imports {
+			if ip, _ := strconv.Unquote(imp.Path.Value); ip == "apna/internal/spare" {
+				users[path.Dir(rel)] = true
+			}
+		}
+	})
+	if !users["internal/engine"] {
+		t.Fatalf("found no non-test import of internal/spare in internal/engine: the walk is broken (%v)", users)
+	}
+	listed := racePackages(t)
+	for pkg := range users {
+		if !slices.Contains(listed, pkg) && raceStepExempt[pkg] == "" {
+			t.Errorf("%s starts work through internal/spare but is not in the CI step %q: add it with the tests that reach spare", pkg, raceStep)
+		}
+	}
+	for pkg := range raceStepExempt {
+		if slices.Contains(listed, pkg) || !users[pkg] {
+			t.Errorf("stale raceStepExempt entry %s", pkg)
+		}
+	}
+}
+
+// racePackages returns the packages, relative to the module root ("."
+// for the root), that raceStep's go test commands name.
+func racePackages(t *testing.T) []string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(moduleRoot(t), ".github/workflows/ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pkgs []string
+	in := false
+	for _, line := range strings.Split(string(data), "\n") {
+		if name, ok := strings.CutPrefix(strings.TrimSpace(line), "- name: "); ok {
+			in = strings.HasPrefix(name, raceStep)
+			continue
+		}
+		if !in || !strings.Contains(line, "go test") {
+			continue
+		}
+		for _, f := range strings.Fields(line) {
+			if f == "." || strings.HasPrefix(f, "./") {
+				pkgs = append(pkgs, path.Clean(f))
+			}
+		}
+	}
+	if len(pkgs) == 0 {
+		t.Fatalf("found no go test packages in the CI step %q", raceStep)
+	}
+	return pkgs
 }

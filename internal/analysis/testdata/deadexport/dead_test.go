@@ -7,3 +7,10 @@ func TestTestedOnly(t *testing.T) {
 		t.Fatal("TestedOnly")
 	}
 }
+
+func TestCounters(t *testing.T) {
+	count(1)
+	if c.tested != 1 || c.observed != 1 {
+		t.Fatal("count")
+	}
+}

@@ -67,6 +67,16 @@ func Observed() {}
 //apna:testonly a test in another package reads it
 var Marked = 1
 
+// fielded carries a testonly mark on a field's doc, where it is valid,
+// and one beside a field, where it is not.
+type fielded struct {
+	// seam is read by a test in another package.
+	//
+	//apna:testonly a test in another package reads it
+	seam  int
+	plain int //apna:testonly beside the field // want `misplaced or stale //apna:testonly`
+}
+
 func strayTestonly() {
 	//apna:testonly not a declaration // want `misplaced or stale //apna:testonly`
 }

@@ -10,25 +10,53 @@ import (
 	"testing"
 )
 
-// testonlySeams lists, sorted, every declaration of the module that
-// carries a //apna:testonly mark: the exported names production does not
-// call but a test in another package observes production behaviour
-// through. A new seam is a reviewed change to this list.
+// testonlySeams lists, sorted, every declaration and struct field of
+// the module that carries a //apna:testonly mark: the exported names
+// production does not call, and the fields it does not read, that a
+// test observes production behaviour through. A new seam is a reviewed
+// change to this list.
 var testonlySeams = []string{
 	"border.RemoteRevocationList.Len",
+	"hostdb.Entry.RegisteredAt",
 	"netsim.PathLength",
 	"session.Derivations",
 	"spare.Idle",
 }
 
 // TestTestonlySeams pins the //apna:testonly marks to testonlySeams, as
-// TestFacadeAPI pins the facade's surface to testdata/api.txt. A mark
-// that is not on a declaration's doc comment counts too, under its file
+// TestFacadeAPI pins the facade's surface to testdata/api.txt. A field
+// mark counts as pkg.Type.Field. A mark that is on neither a
+// declaration's nor a field's doc comment counts too, under its file
 // and line, so it cannot hide from the list.
 func TestTestonlySeams(t *testing.T) {
 	var got []string
 	walkModule(t, parser.ParseComments|parser.SkipObjectResolution, func(rel string, fset *token.FileSet, f *ast.File) {
 		onDecl := make(map[*ast.Comment]bool)
+		mark := func(doc *ast.CommentGroup, name string) {
+			if doc == nil {
+				return
+			}
+			for _, c := range doc.List {
+				if isTestonlyMark(c) {
+					onDecl[c] = true
+					got = append(got, name)
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			if st, ok := ts.Type.(*ast.StructType); ok {
+				for _, field := range st.Fields.List {
+					for _, id := range field.Names {
+						mark(field.Doc, f.Name.Name+"."+ts.Name.Name+"."+id.Name)
+					}
+				}
+			}
+			return true
+		})
 		for _, decl := range f.Decls {
 			var doc *ast.CommentGroup
 			name := f.Name.Name + "."
@@ -50,15 +78,7 @@ func TestTestonlySeams(t *testing.T) {
 					}
 				}
 			}
-			if doc == nil {
-				continue
-			}
-			for _, c := range doc.List {
-				if isTestonlyMark(c) {
-					onDecl[c] = true
-					got = append(got, name)
-				}
-			}
+			mark(doc, name)
 		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {

@@ -36,14 +36,10 @@ var (
 	ErrUnknownEphID  = errors.New("ap: EphID not issued through this AP")
 )
 
-// Client is a device behind a NAT-mode AP. It holds keys shared with
-// the AP (established by the AP's internal RS role) and the private
-// halves of its EphID keys.
+// Client is a device behind a NAT-mode AP. It MACs its frames under a
+// key shared with the AP (established by the AP's internal RS role),
+// mirroring kHA one level down.
 type Client struct {
-	Name string
-	// Keys are shared with the AP, mirroring kHA one level down.
-	Keys crypto.HostASKeys
-
 	mac  *wire.PacketMAC
 	port *netsim.Port
 	// Inbox collects frames the AP delivered to this client.
@@ -86,8 +82,8 @@ type NAT struct {
 	// macs caches per-client verifiers.
 	macs map[string]*wire.PacketMAC
 
-	// Stats.
-	Forwarded, DroppedBadMAC, DroppedUnknown uint64
+	// Stats; a frame with an EphID the AP did not issue goes uncounted.
+	Forwarded, DroppedBadMAC uint64
 }
 
 // NewNAT creates a NAT-mode AP around the AP's own (already
@@ -128,7 +124,7 @@ func (n *NAT) AdmitClient(name string) (*Client, error) {
 	}
 	keys := crypto.DeriveHostASKeys(secret)
 
-	c := &Client{Name: name, Keys: keys}
+	c := &Client{}
 	if c.mac, err = wire.NewPacketMAC(keys.MAC[:]); err != nil {
 		return nil, err
 	}
@@ -140,10 +136,10 @@ func (n *NAT) AdmitClient(name string) (*Client, error) {
 	link := n.sim.NewLink("ap-"+name, 0, 0)
 	link.A().Attach(netsim.HandlerFunc(func(frame []byte, _ *netsim.Port) {
 		n.handleClientFrame(name, frame)
-	}), "ap")
+	}))
 	link.B().Attach(netsim.HandlerFunc(func(frame []byte, _ *netsim.Port) {
 		c.Inbox = append(c.Inbox, frame)
-	}), "client-"+name)
+	}))
 	c.port = link.B()
 
 	n.clients[name] = c
@@ -177,7 +173,6 @@ func (n *NAT) handleClientFrame(name string, frame []byte) {
 	}
 	owner, ok := n.ephidInfo[wire.FrameSrcEphID(frame)]
 	if !ok || owner != name {
-		n.DroppedUnknown++
 		return
 	}
 	verifier := n.macs[name]
@@ -198,7 +193,6 @@ func (n *NAT) handleClientFrame(name string, frame []byte) {
 func (n *NAT) deliverInbound(hdr *wire.Header, payload []byte) {
 	owner, ok := n.ephidInfo[hdr.DstEphID]
 	if !ok {
-		n.DroppedUnknown++
 		return
 	}
 	c := n.clients[owner]

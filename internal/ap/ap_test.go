@@ -149,7 +149,7 @@ func TestNATDropsCrossClientEphIDUse(t *testing.T) {
 	frame, _ := cB.BuildFrame(wire.ProtoSession, issuedA, 100, *w.peerID, 1, []byte("steal"))
 	cB.Send(frame)
 	w.in.RunUntilIdle()
-	if len(w.peerRx) != 0 || w.nat.DroppedUnknown == 0 {
+	if len(w.peerRx) != 0 || w.nat.Forwarded != 0 {
 		t.Error("cross-client EphID use forwarded")
 	}
 }

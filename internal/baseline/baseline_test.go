@@ -28,7 +28,4 @@ func TestForwarder(t *testing.T) {
 	if f.Process([]byte("garbage")) {
 		t.Error("invalid frame forwarded")
 	}
-	if f.Forwarded != 1 || f.Dropped != 2 {
-		t.Errorf("counters: %d forwarded, %d dropped", f.Forwarded, f.Dropped)
-	}
 }

@@ -287,7 +287,7 @@ func TestPortHandlersRunZeroAllocs(t *testing.T) {
 			frames[i] = frame(t, f)
 		}
 		got := make([][]byte, 0, len(frames))
-		out.Attach(netsim.HandlerFunc(func(frame []byte, _ *netsim.Port) { got = append(got, frame) }), "sink")
+		out.Attach(netsim.HandlerFunc(func(frame []byte, _ *netsim.Port) { got = append(got, frame) }))
 		run := func() {
 			got = got[:0]
 			for _, frame := range frames {

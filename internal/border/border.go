@@ -242,7 +242,7 @@ func (r *Router) SetRoutes(routes netsim.Routes) {
 
 // AttachNeighbor binds an external port toward a neighbor AS.
 func (r *Router) AttachNeighbor(aid ephid.AID, p *netsim.Port) {
-	p.Attach(&r.external, "ext:"+aid.String())
+	p.Attach(&r.external)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	t := *r.tables.Load()
@@ -253,7 +253,7 @@ func (r *Router) AttachNeighbor(aid ephid.AID, p *netsim.Port) {
 
 // AttachHost binds an internal port toward a local host or service.
 func (r *Router) AttachHost(hid ephid.HID, p *netsim.Port) {
-	p.Attach(&r.internal, "int:"+hid.String())
+	p.Attach(&r.internal)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	t := *r.tables.Load()

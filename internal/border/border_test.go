@@ -65,7 +65,7 @@ func newFixture(t *testing.T) *fixture {
 	f.hostEnd = hostLink.B()
 	hostLink.B().Attach(netsim.HandlerFunc(func(frame []byte, _ *netsim.Port) {
 		f.hostRx = append(f.hostRx, frame)
-	}), "host")
+	}))
 
 	// External link to AS 200.
 	extLink := f.sim.NewLink("as200", 0, 0)
@@ -73,7 +73,7 @@ func newFixture(t *testing.T) *fixture {
 	f.extEnd = extLink.B()
 	extLink.B().Attach(netsim.HandlerFunc(func(frame []byte, _ *netsim.Port) {
 		f.extRx = append(f.extRx, frame)
-	}), "as200")
+	}))
 
 	f.router.SetRoutes(netsim.Routes{remoteAID: remoteAID})
 	return f

@@ -466,7 +466,7 @@ func newPortSide(seed int64, src, dst *pktgen.Fixture, hosts int) *portSide {
 			if stat != statEgressed { // the frame leaves the two routers here
 				s.seen.sinks[h] = append(s.seen.sinks[h], frame)
 			}
-		}), "sink")
+		}))
 		return link.A()
 	}
 	src.Router.AttachNeighbor(dst.AID, sink(dst.AID, 0, statEgressed))

@@ -17,9 +17,9 @@ import (
 // key is generated inline, and a stock nobody takes from starts
 // nothing. Background generation therefore never exceeds what callers
 // consumed. Nor does the stock grow past the budget's task cap: stocked
-// plus owed keys grow only when a take finds the stock empty, so that
-// every key of the sum is owed, one queued or running task each, and
-// spare.Go accepts the new one.
+// keys plus queued replacements grow only when a take finds the stock
+// empty, so that each is one queued or running task, and spare.Go
+// accepts the new one.
 //
 // Every key is fresh crypto/rand output handed out exactly once; only
 // the moment it is drawn moves.
@@ -29,8 +29,6 @@ type stock[K any] struct {
 
 	mu   sync.Mutex
 	keys []K
-	// owed counts replacements queued but not yet generated.
-	owed int
 	// err is a refill's last failure. The next take that finds the
 	// stock empty returns it instead of generating.
 	err error
@@ -58,9 +56,7 @@ func (s *stock[K]) take() (K, error) {
 		s.keys[n-1] = zero // the stock keeps no reference to a key it handed out
 		s.keys = s.keys[:n-1]
 	}
-	if spare.Go(s.refill) {
-		s.owed++ // before the refill can run: it waits for s.mu
-	}
+	spare.Go(s.refill) // under s.mu, which a refill waits for: the budget still counts it
 	s.mu.Unlock()
 	if n > 0 {
 		return k, nil
@@ -68,12 +64,12 @@ func (s *stock[K]) take() (K, error) {
 	return s.gen()
 }
 
-// refill generates one replacement owed. A failure waits in err for
-// the next take that finds the stock empty.
+// refill generates one replacement. A failure waits in err for the
+// next take that finds the stock empty.
 func (s *stock[K]) refill() {
 	k, err := s.gen()
 	s.mu.Lock()
-	if s.owed--; err != nil {
+	if err != nil {
 		s.err = err
 	} else {
 		s.keys = append(s.keys, k)

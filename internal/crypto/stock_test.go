@@ -12,7 +12,8 @@ import (
 )
 
 // stocksIdleAtStart records, before any test runs, whether the package's
-// two stocks were idle: nothing stocked, nothing owed.
+// two stocks were idle: nothing stocked, and nothing stocked once the
+// background work is done either, so no refill was queued.
 var stocksIdleAtStart bool
 
 func TestMain(m *testing.M) {
@@ -20,10 +21,17 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// idle waits for the background work and reports whether s holds no
+// key.
 func (s *stock[K]) idle() bool {
+	spare.Idle()
+	return s.stocked() == 0
+}
+
+func (s *stock[K]) stocked() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.keys) == 0 && s.owed == 0
+	return len(s.keys)
 }
 
 // spareCore gives the test at least two Ps, so the stock's refills run
@@ -37,8 +45,8 @@ func spareCore(t *testing.T) {
 }
 
 // spareTasks is internal/spare's cap on tasks queued or running. Every
-// owed key is one such task, so it bounds a stock's stocked plus owed
-// keys too.
+// queued replacement is one such task, so it bounds a stock's stocked
+// keys plus queued replacements too.
 const spareTasks = 16
 
 // counter is a generator whose keys are 1, 2, 3, ...; calls says how
@@ -104,7 +112,7 @@ func TestStockKeysDistinct(t *testing.T) {
 }
 
 // TestStockRefillerExitsWhenPaid: after a burst of takes the refills
-// queued generate the replacements owed and nothing beyond them — every
+// queued generate their replacements and nothing beyond them — every
 // key generated was either handed out or is in stock, each exactly
 // once.
 func TestStockRefillerExitsWhenPaid(t *testing.T) {
@@ -126,9 +134,6 @@ func TestStockRefillerExitsWhenPaid(t *testing.T) {
 	spare.Idle()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.owed != 0 {
-		t.Fatalf("refills still owe %d", s.owed)
-	}
 	if n := len(s.keys); n == 0 || n > spareTasks {
 		t.Fatalf("stock holds %d keys after the burst, want 1..%d", n, spareTasks)
 	}
@@ -142,23 +147,20 @@ func TestStockRefillerExitsWhenPaid(t *testing.T) {
 	}
 }
 
-// TestStockWithinTaskCap: stocked plus owed keys never pass the spare
-// budget's task cap, however takes from several goroutines race the
-// refills. A task that holds the one spare core makes it exact: takes
-// from the empty stock queue refills behind it until the budget is
-// full, then generate inline and queue nothing; once it lets go, the
-// refills run while the takes go on. Afterwards each take from the
-// full stock queues exactly one replacement, so the stock stays full.
+// TestStockWithinTaskCap: the stock never holds more keys than the
+// spare budget's task cap, however takes from several goroutines race
+// the refills. A task that holds the one spare core makes it exact:
+// takes from the empty stock queue refills behind it until the budget
+// is full, then generate inline and queue nothing, so once it lets go
+// exactly the budget's remaining tasks generate and stock a key each;
+// then the refills run while the takes go on. Afterwards each take from
+// the full stock queues exactly one replacement, so the stock stays
+// full.
 func TestStockWithinTaskCap(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // one spare core
 	spare.Idle()
 	gen, calls := counter()
 	s := &stock[int]{gen: gen}
-	sum := func() int {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return len(s.keys) + s.owed
-	}
 	release := make(chan struct{})
 	if !spare.Go(func() { <-release }) {
 		t.Fatal("the budget refused the task holding the spare core")
@@ -174,8 +176,8 @@ func TestStockWithinTaskCap(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					if n := sum(); n > spareTasks {
-						t.Errorf("%d keys stocked or owed, the task cap is %d", n, spareTasks)
+					if n := s.stocked(); n > spareTasks {
+						t.Errorf("%d keys stocked, the task cap is %d", n, spareTasks)
 						return
 					}
 				}
@@ -185,29 +187,31 @@ func TestStockWithinTaskCap(t *testing.T) {
 	}
 	const takers, takes = 4, 3 * spareTasks
 	burst(takers, takes)
-	if n := sum(); n != spareTasks-1 {
-		t.Fatalf("with the spare core held: %d keys owed, want the %d tasks the budget had left", n, spareTasks-1)
+	if n := s.stocked(); n != 0 || calls.Load() != takers*takes {
+		t.Fatalf("with the spare core held: %d stocked, %d generated; want 0 and the %d takes' own", n, calls.Load(), takers*takes)
 	}
 	close(release)
+	spare.Idle()
+	if n := s.stocked(); n != spareTasks-1 || calls.Load() != takers*takes+spareTasks-1 {
+		t.Fatalf("once released: %d stocked, %d generated; want the %d refills the budget had left queued", n, calls.Load()-takers*takes, spareTasks-1)
+	}
 	burst(takers, takes)
 	spare.Idle()
-	full := len(s.keys)
-	if s.owed != 0 || full == 0 || full > spareTasks {
-		t.Fatalf("after the bursts: %d stocked, %d owed; want 1..%d, 0", full, s.owed, spareTasks)
+	full := s.stocked()
+	if full == 0 || full > spareTasks {
+		t.Fatalf("after the bursts: %d stocked, want 1..%d", full, spareTasks)
 	}
 	if got, want := calls.Load(), int64(2*takers*takes+full); got != want {
 		t.Fatalf("generated %d keys for %d takes and %d stocked", got, 2*takers*takes, full)
 	}
 	for i := 0; i < 3*full; i++ {
+		before := calls.Load()
 		if _, err := s.take(); err != nil {
 			t.Fatal(err)
 		}
-		if n := sum(); n != full {
-			t.Fatalf("take %d from full: %d stocked or owed, want %d", i, n, full)
-		}
 		spare.Idle()
-		if len(s.keys) != full || s.owed != 0 {
-			t.Fatalf("take %d from full: %d stocked, %d owed; want %d, 0", i, len(s.keys), s.owed, full)
+		if n := s.stocked(); n != full || calls.Load() != before+1 {
+			t.Fatalf("take %d from full: %d stocked, %d generated; want %d, 1", i, n, calls.Load()-before, full)
 		}
 	}
 }
@@ -225,8 +229,8 @@ func TestStockInlineAtOneProc(t *testing.T) {
 			t.Fatalf("take %d: key %d, %v", i, k, err)
 		}
 	}
-	if calls.Load() != takes || !s.idle() {
-		t.Fatalf("%d generated, %d stocked, %d owed; want %d, 0, 0", calls.Load(), len(s.keys), s.owed, takes)
+	if !s.idle() || calls.Load() != takes {
+		t.Fatalf("%d generated, %d stocked; want %d, 0", calls.Load(), s.stocked(), takes)
 	}
 }
 
@@ -245,8 +249,8 @@ func TestStockFailureReachesTaker(t *testing.T) {
 		t.Fatalf("inline generation: err = %v, want %v", err, boom)
 	}
 	spare.Idle()
-	if calls.Load() != 2 || s.owed != 0 {
-		t.Fatalf("after a failed refill: %d generator calls, %d owed; want 2, 0", calls.Load(), s.owed)
+	if calls.Load() != 2 {
+		t.Fatalf("after a failed refill: %d generator calls, want 2", calls.Load())
 	}
 	if _, err := s.take(); !errors.Is(err, boom) {
 		t.Fatalf("take after the failed refill: err = %v, want %v", err, boom)

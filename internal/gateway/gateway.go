@@ -59,7 +59,6 @@ func (k FlowKey) reverse() FlowKey {
 
 // flow is one translated (gateway-initiated) connection.
 type flow struct {
-	key  FlowKey
 	conn *host.Conn
 	// local is the gateway EphID serving this flow.
 	local ephid.EphID
@@ -87,8 +86,8 @@ type Gateway struct {
 	// "an IPv4 address randomly drawn from a private address space").
 	nextVirtual uint32
 
-	// Stats counters.
-	Translated, Untranslatable uint64
+	// Translated counts packets sent on; HandleIPv4's error is a refusal.
+	Translated uint64
 }
 
 // New creates a gateway around an attached host stack. emitIPv4
@@ -137,11 +136,9 @@ func (g *Gateway) allocVirtual() uint32 {
 func (g *Gateway) HandleIPv4(pkt []byte) error {
 	var ip wire.IPv4Header
 	if err := ip.DecodeFromBytes(pkt); err != nil {
-		g.Untranslatable++
 		return fmt.Errorf("%w: %w", ErrNotIPv4, err)
 	}
 	if int(ip.TotalLen) != len(pkt) || len(pkt) < wire.IPv4HeaderSize+4 {
-		g.Untranslatable++
 		return ErrNotIPv4
 	}
 	seg := pkt[wire.IPv4HeaderSize:]
@@ -155,7 +152,6 @@ func (g *Gateway) HandleIPv4(pkt []byte) error {
 	if !ok {
 		peerCert, okm := g.mappings[ip.DstIP]
 		if !okm {
-			g.Untranslatable++
 			return fmt.Errorf("%w: %08x", ErrNoMapping, ip.DstIP)
 		}
 		local, err := g.stack.Acquire(host.PerFlow, "")
@@ -166,7 +162,7 @@ func (g *Gateway) HandleIPv4(pkt []byte) error {
 		if err != nil {
 			return err
 		}
-		fl = &flow{key: key, conn: conn, local: local.Cert.EphID}
+		fl = &flow{conn: conn, local: local.Cert.EphID}
 		g.flows[key] = fl
 		g.byAPNA[apnaKey{local: local.Cert.EphID, peer: conn.Peer()}] = key
 	}
@@ -186,7 +182,6 @@ func (g *Gateway) HandleIPv4(pkt []byte) error {
 func (g *Gateway) handleAPNA(m host.Message) {
 	key, ok := g.byAPNA[apnaKey{local: m.Flow.Dst.EphID, peer: m.Flow.Src}]
 	if !ok {
-		g.Untranslatable++
 		return
 	}
 	g.emit(key.reverse(), m.Payload)

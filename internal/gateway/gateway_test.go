@@ -150,11 +150,11 @@ func TestUnmappedDestinationRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	pkt := ipv4Packet(t, 1, 0xDEADBEEF, 1, 2, []byte("x"))
-	if err := w.gw.HandleIPv4(pkt); err == nil {
-		t.Error("unmapped destination accepted")
+	if err := w.gw.HandleIPv4(pkt); !errors.Is(err, ErrNoMapping) {
+		t.Errorf("unmapped destination: err = %v, want ErrNoMapping", err)
 	}
-	if w.gw.Untranslatable == 0 {
-		t.Error("drop not counted")
+	if len(w.gw.flows) != 0 || w.gw.Translated != 0 {
+		t.Errorf("unmapped destination opened %d flows, translated %d packets", len(w.gw.flows), w.gw.Translated)
 	}
 }
 
@@ -181,7 +181,7 @@ func TestLearnFromDNSAllocatesVirtualIPs(t *testing.T) {
 // starts mid-datagram, so its first four payload bytes are not ports;
 // read as ports they would open a flow (and spend a per-flow EphID) on
 // garbage. A header whose checksum fails is not read either. Both are
-// dropped with their typed errors, counted, and open no flow.
+// dropped with their typed errors and open no flow.
 func TestFragmentsAndBadChecksumsNotTranslated(t *testing.T) {
 	w := newWorld(t)
 	if _, err := w.gwHost.NewEphID(ephid.KindData, 900); err != nil {
@@ -219,12 +219,8 @@ func TestFragmentsAndBadChecksumsNotTranslated(t *testing.T) {
 		if err := h.DecodeFromBytes(c.pkt[:wire.IPv4HeaderSize]); !errors.Is(err, c.want) {
 			t.Fatalf("%s: the packet is not what the case means (%v)", c.name, err)
 		}
-		before := w.gw.Untranslatable
 		if err := w.gw.HandleIPv4(c.pkt); !errors.Is(err, c.want) {
 			t.Errorf("%s: HandleIPv4 = %v, want %v", c.name, err, c.want)
-		}
-		if w.gw.Untranslatable != before+1 {
-			t.Errorf("%s: drop not counted", c.name)
 		}
 	}
 	if len(w.gw.flows) != 0 || w.gw.Translated != 0 {

@@ -71,7 +71,6 @@ type Message struct {
 // Config assembles a host's identity, produced by bootstrapping.
 type Config struct {
 	AID  ephid.AID
-	HID  ephid.HID
 	Keys crypto.HostASKeys
 	// CtrlEphID is the control EphID issued at bootstrap, used to
 	// reach AS services.
@@ -152,16 +151,12 @@ type Host struct {
 	stats Stats
 }
 
-// Stats counts host-level events.
+// Stats counts the frames a host drops, by reason.
 type Stats struct {
-	Sent, Received   uint64
 	DropNoSession    uint64
 	DropDecrypt      uint64
 	DropReplay       uint64
 	DropBadHandshake uint64
-	// EphIDsReleased counts per-flow identifiers returned to the pool by
-	// flow teardown.
-	EphIDsReleased uint64
 }
 
 // sessKey identifies a session by local EphID and peer endpoint.
@@ -221,7 +216,7 @@ func New(cfg Config) (*Host, error) {
 func (h *Host) Attach(p *netsim.Port) {
 	h.port = p
 	h.macs = sendMACsOf(p.Sim())
-	p.Attach(h, fmt.Sprintf("host:%v", h.cfg.HID))
+	p.Attach(h)
 }
 
 // Stats returns a copy of the host's counters.
@@ -331,7 +326,6 @@ func (h *Host) send(proto wire.NextProto, flags uint8, src ephid.EphID, dst wire
 	}
 	h.macs.add(h.mac, frame)
 	h.port.Forward(frame)
-	h.stats.Sent++
 	return nil
 }
 
@@ -387,7 +381,6 @@ func (h *Host) SendFrame(frame []byte) error {
 		return ErrNotAttached
 	}
 	h.port.Send(frame)
-	h.stats.Sent++
 	return nil
 }
 
@@ -401,7 +394,6 @@ func (h *Host) HandleFrame(frame []byte, _ *netsim.Port) {
 	if err != nil {
 		return
 	}
-	h.stats.Received++
 	proto := pkt.Header.NextProto
 	listeners, handler := h.rawListeners[proto], h.rawHandlers[proto]
 	if len(listeners) > 0 || handler != nil {

@@ -18,7 +18,7 @@ import (
 func testHost(t *testing.T) *Host {
 	t.Helper()
 	h, err := New(Config{
-		AID: 100, HID: 7,
+		AID:   100,
 		Keys:  crypto.DeriveHostASKeys([]byte("h")),
 		Trust: rpki.NewTrustStore(nil),
 		Now:   func() int64 { return 1000 },

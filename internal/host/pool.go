@@ -261,7 +261,6 @@ func (h *Host) Release(o *OwnedEphID) {
 		return
 	}
 	o.InUse = false
-	h.stats.EphIDsReleased++
 }
 
 // Retire removes an EphID from the pool entirely — the teardown for

@@ -18,7 +18,7 @@ import (
 func clockHost(t *testing.T, now *int64) *Host {
 	t.Helper()
 	h, err := New(Config{
-		AID: 100, HID: 7,
+		AID:   100,
 		Keys:  crypto.DeriveHostASKeys([]byte("h")),
 		Trust: rpki.NewTrustStore(nil),
 		Now:   func() int64 { return *now },
@@ -45,9 +45,9 @@ func TestReleaseRefillsPerFlowPool(t *testing.T) {
 			t.Fatalf("round %d: double acquire: %v", round, err)
 		}
 		h.Release(o)
-	}
-	if got := h.Stats().EphIDsReleased; got != 5 {
-		t.Errorf("EphIDsReleased = %d, want 5", got)
+		if o.InUse {
+			t.Fatalf("round %d: Release left the EphID in use", round)
+		}
 	}
 }
 
@@ -57,8 +57,19 @@ func TestReleaseIdempotentAndNilSafe(t *testing.T) {
 	h.AddEphID(o)
 	h.Release(nil)
 	h.Release(o) // never claimed: no-op
-	if got := h.Stats().EphIDsReleased; got != 0 {
-		t.Errorf("unclaimed release counted: %d", got)
+	if o.InUse {
+		t.Fatal("an unclaimed release claimed the EphID")
+	}
+	if got, err := h.Acquire(PerFlow, ""); err != nil || got != o {
+		t.Fatalf("acquire after an unclaimed release: %v, %v", got, err)
+	}
+	h.Release(o)
+	h.Release(o) // released twice: still one free identifier
+	if got, err := h.Acquire(PerFlow, ""); err != nil || got != o {
+		t.Fatalf("acquire after a double release: %v, %v", got, err)
+	}
+	if _, err := h.Acquire(PerFlow, ""); !errors.Is(err, ErrNoEphID) {
+		t.Fatalf("second acquire from a pool of one: %v, want ErrNoEphID", err)
 	}
 }
 

@@ -42,7 +42,7 @@ func (s *macSink) HandleFrame(frame []byte, _ *netsim.Port) {
 // sink puts a macSink checking a's frames on the duplex's b end.
 func (d *duplex) sink(t *testing.T) *macSink {
 	s := &macSink{t: t, mac: d.a.mac}
-	d.link.B().Attach(s, "sink")
+	d.link.B().Attach(s)
 	return s
 }
 
@@ -227,12 +227,12 @@ func newMACPlay(t *testing.T, seed int64, batched bool) *macPlay {
 			t.Fatal(err)
 		}
 		if batched {
-			if hosts[i], err = New(Config{AID: ephid.AID(i + 1), HID: ephid.HID(i), Keys: keys}); err != nil {
+			if hosts[i], err = New(Config{AID: ephid.AID(i + 1), Keys: keys}); err != nil {
 				t.Fatal(err)
 			}
 			hosts[i].Attach(l.A())
 		}
-		l.B().Attach(node, fmt.Sprint("sink/", i))
+		l.B().Attach(node)
 		p.links = append(p.links, l)
 	}
 	dst := wire.Endpoint{AID: 9, EphID: ephid.EphID{9}}

@@ -29,6 +29,8 @@ type duplex struct {
 	a, b  *Host
 	// signers for the two synthetic ASes.
 	signA, signB *crypto.Signer
+	// sent counts the frames each host put on the link.
+	sent map[*Host]int
 }
 
 func newDuplex(t testing.TB) *duplex {
@@ -59,9 +61,9 @@ func newDuplex(t testing.TB) *duplex {
 	}
 	d.signA, d.signB = mkAS(1), mkAS(2)
 
-	mkHost := func(aid ephid.AID, hid ephid.HID) *Host {
+	mkHost := func(aid ephid.AID) *Host {
 		h, err := New(Config{
-			AID: aid, HID: hid,
+			AID:   aid,
 			Keys:  crypto.DeriveHostASKeys([]byte{byte(aid)}),
 			Trust: d.trust,
 			Now:   func() int64 { return 1000 },
@@ -71,11 +73,19 @@ func newDuplex(t testing.TB) *duplex {
 		}
 		return h
 	}
-	d.a, d.b = mkHost(1, 10), mkHost(2, 20)
+	d.a, d.b = mkHost(1), mkHost(2)
 
 	d.link = d.sim.NewLink("ab", 0, 0)
 	d.a.Attach(d.link.A())
 	d.b.Attach(d.link.B())
+	d.sent = make(map[*Host]int)
+	d.link.AddTap(func(_ []byte, from *netsim.Port) {
+		if from == d.link.A() {
+			d.sent[d.a]++
+		} else {
+			d.sent[d.b]++
+		}
+	})
 	return d
 }
 
@@ -216,11 +226,11 @@ func TestDialVerifiesPeerCert(t *testing.T) {
 	substituted := idB.Cert
 	substituted.DHPub[0] ^= 1
 
-	sent, derivations := d.a.Stats().Sent, session.Derivations()
+	sent, derivations := d.sent[d.a], session.Derivations()
 	if _, err := d.a.Dial(idA, &substituted, DialOptions{Data0RTT: []byte("for B only")}); !errors.Is(err, ErrBadPeerCert) {
 		t.Fatalf("dialing a substituted DHPub: err = %v, want ErrBadPeerCert", err)
 	}
-	if got := d.a.Stats().Sent; got != sent {
+	if got := d.sent[d.a]; got != sent {
 		t.Errorf("Sent %d -> %d: a frame left for an unverified certificate", sent, got)
 	}
 	if got := session.Derivations(); got != derivations {
@@ -274,12 +284,12 @@ func TestResponderDropsBeforeDeriving(t *testing.T) {
 			if err != nil {
 				t.Fatal(err) // the initiator's own certificate is not its to check
 			}
-			sent, derivations := d.b.Stats().Sent, session.Derivations()
+			sent, derivations := d.sent[d.b], session.Derivations()
 			d.sim.Run(1000)
 			if got := d.b.Stats().DropBadHandshake; got != 1 {
 				t.Errorf("DropBadHandshake = %d, want 1", got)
 			}
-			if got := d.b.Stats().Sent; got != sent {
+			if got := d.sent[d.b]; got != sent {
 				t.Errorf("responder sent %d frames, want no ack", got-sent)
 			}
 			if got := session.Derivations(); got != derivations {
@@ -715,8 +725,7 @@ func TestStackShutoffRequestPath(t *testing.T) {
 	if _, err := d.b.RequestShutoff(msgs[0]); err != nil {
 		t.Fatalf("RequestShutoff: %v", err)
 	}
-	sent := d.b.Stats().Sent
-	if sent == 0 {
+	if d.sent[d.b] == 0 {
 		t.Error("no shutoff frame sent")
 	}
 }
@@ -775,7 +784,7 @@ func TestRequestRefusesKindsTheMSDoesNotIssue(t *testing.T) {
 			t.Errorf("RequestEphID(%v): %v, want ErrBadRequest", kind, err)
 		}
 	}
-	if sent := h.Stats().Sent; sent != 0 || len(h.pendingEphID) != 0 {
+	if sent := d.sent[h]; sent != 0 || len(h.pendingEphID) != 0 {
 		t.Fatalf("refused requests sent %d frames and left %d continuations", sent, len(h.pendingEphID))
 	}
 

@@ -68,6 +68,8 @@ type Entry struct {
 	// feeding the CAS-style escalation policy (Section VIII-G2).
 	Strikes int
 	// RegisteredAt is the bootstrap time in Unix seconds.
+	//
+	//apna:testonly the benchmark's control-plane world still writes it, and TestPutBatchMatchesPut reads it back to hold PutBatch to Put's record
 	RegisteredAt int64
 	// RevokedAt is the Unix time the host was revoked (via RevokeAt), 0
 	// if never revoked or revoked without a timestamp. GC uses it to

@@ -38,8 +38,8 @@ func chaosPair(t *testing.T, seed int64, latency time.Duration, cfg ChaosConfig)
 	l := sim.NewLink("chaos", latency, 0)
 	l.SetChaos(cfg)
 	c := &collector{sim: sim}
-	l.A().Attach(HandlerFunc(func([]byte, *Port) {}), "src")
-	l.B().Attach(c, "dst")
+	l.A().Attach(HandlerFunc(func([]byte, *Port) {}))
+	l.B().Attach(c)
 	return sim, l, c
 }
 
@@ -148,7 +148,7 @@ func TestChaosTapCapturesCopies(t *testing.T) {
 	var captured [][]byte
 	l.AddTap(func(frame []byte, from *Port) {
 		if from != l.A() {
-			t.Errorf("tap saw sender %v, want port A", from.Label())
+			t.Error("tap saw a sender other than port A")
 		}
 		captured = append(captured, frame)
 	})

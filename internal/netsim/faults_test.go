@@ -20,7 +20,7 @@ func chaoticRun(t *testing.T, sim *Simulator, frames int) []string {
 	var log []string
 	link.B().Attach(HandlerFunc(func(frame []byte, from *Port) {
 		log = append(log, fmt.Sprintf("t=%d len=%d", sim.Now(), len(frame)))
-	}), "sink")
+	}))
 	for i := 0; i < frames; i++ {
 		i := i
 		sim.Schedule(time.Duration(i)*200*time.Microsecond, func() {
@@ -111,7 +111,7 @@ func TestFaultReplayOverridesRNG(t *testing.T) {
 func TestFaultReplayPreservesRNGStream(t *testing.T) {
 	drain := func(sim *Simulator) []int64 {
 		link := sim.NewLink("l0", time.Millisecond, 0.5)
-		link.B().Attach(HandlerFunc(func([]byte, *Port) {}), "sink")
+		link.B().Attach(HandlerFunc(func([]byte, *Port) {}))
 		var draws []int64
 		for i := 0; i < 50; i++ {
 			link.A().Send([]byte("x"))
@@ -168,7 +168,7 @@ func TestFaultCaptureCleanLinkRecordsNothing(t *testing.T) {
 	sim := New(5)
 	trace := sim.CaptureFaults()
 	link := sim.NewLink("clean", time.Millisecond, 0)
-	link.B().Attach(HandlerFunc(func([]byte, *Port) {}), "sink")
+	link.B().Attach(HandlerFunc(func([]byte, *Port) {}))
 	for i := 0; i < 100; i++ {
 		link.A().Send([]byte("y"))
 	}

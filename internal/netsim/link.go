@@ -88,14 +88,12 @@ type Port struct {
 	peer  *Port
 	owner Handler
 	batch BatchHandler // owner, if it takes runs
-	label string
 }
 
 // Attach binds the port to its owning node.
-func (p *Port) Attach(owner Handler, label string) {
+func (p *Port) Attach(owner Handler) {
 	p.owner = owner
 	p.batch, _ = owner.(BatchHandler)
-	p.label = label
 }
 
 // Sim returns the simulator the port's link belongs to.

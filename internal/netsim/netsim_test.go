@@ -118,8 +118,8 @@ func TestLinkDeliversWithLatency(t *testing.T) {
 		arrived = s.Now()
 		got = frame
 		n++
-	}), "b")
-	l.A().Attach(HandlerFunc(func([]byte, *Port) {}), "a")
+	}))
+	l.A().Attach(HandlerFunc(func([]byte, *Port) {}))
 
 	l.A().Send([]byte("hello"))
 	s.Run(10)
@@ -138,7 +138,7 @@ func TestLinkCopiesFrames(t *testing.T) {
 	s := New(1)
 	l := s.NewLink("ab", 0, 0)
 	var got []byte
-	l.B().Attach(HandlerFunc(func(frame []byte, from *Port) { got = frame }), "b")
+	l.B().Attach(HandlerFunc(func(frame []byte, from *Port) { got = frame }))
 	buf := []byte("mutate-me")
 	l.A().Send(buf)
 	buf[0] = 'X'
@@ -152,8 +152,8 @@ func TestLinkBidirectional(t *testing.T) {
 	s := New(1)
 	l := s.NewLink("ab", time.Millisecond, 0)
 	var aGot, bGot string
-	l.A().Attach(HandlerFunc(func(f []byte, _ *Port) { aGot = string(f) }), "a")
-	l.B().Attach(HandlerFunc(func(f []byte, _ *Port) { bGot = string(f) }), "b")
+	l.A().Attach(HandlerFunc(func(f []byte, _ *Port) { aGot = string(f) }))
+	l.B().Attach(HandlerFunc(func(f []byte, _ *Port) { bGot = string(f) }))
 	l.A().Send([]byte("to-b"))
 	l.B().Send([]byte("to-a"))
 	s.Run(10)
@@ -167,7 +167,7 @@ func TestLinkLossStatistical(t *testing.T) {
 	trace := s.CaptureFaults()
 	l := s.NewLink("lossy", 0, 0.5)
 	delivered := 0
-	l.B().Attach(HandlerFunc(func([]byte, *Port) { delivered++ }), "b")
+	l.B().Attach(HandlerFunc(func([]byte, *Port) { delivered++ }))
 	const sent = 2000
 	for i := 0; i < sent; i++ {
 		l.A().Send([]byte{1})
@@ -186,7 +186,7 @@ func TestLossDeterministicPerSeed(t *testing.T) {
 		s := New(seed)
 		l := s.NewLink("lossy", 0, 0.3)
 		n := 0
-		l.B().Attach(HandlerFunc(func([]byte, *Port) { n++ }), "b")
+		l.B().Attach(HandlerFunc(func([]byte, *Port) { n++ }))
 		for i := 0; i < 500; i++ {
 			l.A().Send([]byte{1})
 		}
@@ -202,8 +202,8 @@ func TestPortAccessors(t *testing.T) {
 	s := New(1)
 	l := s.NewLink("x", 0, 0)
 	h := HandlerFunc(func([]byte, *Port) {})
-	l.A().Attach(h, "left")
-	if l.A().Label() != "left" || l.A().Owner() == nil {
+	l.A().Attach(h)
+	if l.A().Owner() == nil || l.A().Sim() != s {
 		t.Error("port accessors")
 	}
 	if l.String() != "link(x)" {

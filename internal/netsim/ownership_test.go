@@ -99,7 +99,7 @@ func TestRunFramesBelongToTheHandlerItsSlicesToTheSimulator(t *testing.T) {
 	sim := New(1)
 	l := sim.NewLink("run", time.Millisecond, 0)
 	k := &runKeeper{sim: sim}
-	l.B().Attach(k, "keeper")
+	l.B().Attach(k)
 	sent := [][]byte{{1}, {2}, {3}}
 	for _, f := range sent {
 		l.A().Forward(f)
@@ -132,7 +132,7 @@ func TestRunInsideARunGetsItsOwnSlices(t *testing.T) {
 	sim := New(1)
 	l := sim.NewLink("outer", time.Millisecond, 0)
 	k := &runKeeper{sim: sim, stepInsideOf: 2}
-	l.B().Attach(k, "keeper")
+	l.B().Attach(k)
 	// A first run, so that the simulator has slices to reuse.
 	for i := 0; i < 8; i++ {
 		l.A().Forward([]byte{0})

@@ -198,7 +198,7 @@ func TestEventQueueMatchesSortedReference(t *testing.T) {
 			}
 			link.B().Attach(HandlerFunc(func(frame []byte, _ *Port) {
 				body(int(binary.BigEndian.Uint32(frame)))
-			}), "sink")
+			}))
 
 			// The model.
 			ref := &refSim{}
@@ -309,7 +309,7 @@ func TestFrameEventAllocs(t *testing.T) {
 	sim := New(1)
 	l := sim.NewLink("alloc", time.Millisecond, 0)
 	var held []byte // the sink owns what it is given and hands it back
-	l.B().Attach(HandlerFunc(func(frame []byte, _ *Port) { held = frame }), "sink")
+	l.B().Attach(HandlerFunc(func(frame []byte, _ *Port) { held = frame }))
 	for i := 0; i < 64; i++ {
 		l.A().Forward(make([]byte, 128))
 	}
@@ -334,14 +334,14 @@ func TestFrameEventAllocs(t *testing.T) {
 // frames, some with no delay at all, schedule functions that send —
 // depends on the frame alone; timers fire throughout; and the driver
 // mixes RunUntil with Run under budgets small enough to stop inside a
-// run. Both plays must log the same (node, frame, port, time) sequence
+// run. Both plays must log the same (node, frame, link, time) sequence
 // and agree on every return value, on Events and on the clock.
 
 // delivery is one log entry of a run play.
 type delivery struct {
 	node  int // -1: a scheduled function, -2: a timer
 	frame uint32
-	port  string
+	link  string
 	at    time.Duration
 }
 
@@ -366,7 +366,7 @@ type runNode struct {
 func (n *runNode) HandleFrame(frame []byte, from *Port) {
 	p := n.p
 	id := binary.BigEndian.Uint32(frame)
-	p.log = append(p.log, delivery{n.id, id, from.Label(), p.sim.Now()})
+	p.log = append(p.log, delivery{n.id, id, from.link.name, p.sim.Now()})
 	r := rand.New(rand.NewSource(p.seed*1_000_003 + int64(id)))
 	for k := r.Intn(4); k > 0; k-- {
 		link := p.links[r.Intn(len(p.links))]
@@ -385,7 +385,7 @@ func (n *runNode) HandleFrames(frames [][]byte, from []*Port) {
 	n.p.runs = append(n.p.runs, len(frames))
 	for i, frame := range frames {
 		if from[i].Owner() != Handler(n) {
-			n.p.t.Errorf("node %d was handed a frame for %s in its run", n.id, from[i].Label())
+			n.p.t.Errorf("node %d was handed a frame for %v in its run", n.id, from[i].link)
 		}
 		n.HandleFrame(frame, from[i])
 	}
@@ -412,12 +412,12 @@ func newRunPlay(t *testing.T, seed int64, batched bool) *runPlay {
 		if i%2 == 1 {
 			node = p.links[i-1].B().Owner().(*runNode) // one handler value per node
 		}
-		l.B().Attach(node, fmt.Sprint("n", node.id, "/", i))
+		l.B().Attach(node)
 		p.links = append(p.links, l)
 	}
 	if !batched {
 		for _, l := range p.links {
-			l.B().Attach(HandlerFunc(l.B().Owner().HandleFrame), l.B().Label())
+			l.B().Attach(HandlerFunc(l.B().Owner().HandleFrame))
 		}
 	}
 	// A link to nowhere: its frames are events like any other.

@@ -55,11 +55,11 @@ func TestSettleBeforeEveryRead(t *testing.T) {
 		s := &stamper{sim: sim}
 		l := sim.NewLink("l", time.Millisecond, 0)
 		var got int
-		l.B().Attach(HandlerFunc(func(frame []byte, _ *Port) { stamped(t, "HandleFrame", frame); got++ }), "b")
+		l.B().Attach(HandlerFunc(func(frame []byte, _ *Port) { stamped(t, "HandleFrame", frame); got++ }))
 		s.send(l.A())
 		run := &runSink{t: t}
 		m := sim.NewLink("m", time.Millisecond, 0)
-		m.B().Attach(run, "run")
+		m.B().Attach(run)
 		s.send(m.A())
 		s.send(m.A())
 		sim.Run(10)
@@ -99,13 +99,13 @@ func TestSettleBeforeEveryRead(t *testing.T) {
 		s := &stamper{sim: sim}
 		in, out := sim.NewLink("in", 0, 0), sim.NewLink("out", 0, 0)
 		var nested []byte
-		out.B().Attach(HandlerFunc(func(frame []byte, _ *Port) { nested = frame; stamped(t, "nested Step", frame) }), "out")
+		out.B().Attach(HandlerFunc(func(frame []byte, _ *Port) { nested = frame; stamped(t, "nested Step", frame) }))
 		in.B().Attach(HandlerFunc(func([]byte, *Port) {
 			s.send(out.A())
 			if !sim.Step() || nested == nil {
 				t.Error("the nested Step did not deliver the frame sent from the handler")
 			}
-		}), "in")
+		}))
 		s.send(in.A())
 		sim.Run(10)
 	})
@@ -116,7 +116,7 @@ func TestSettleBeforeEveryRead(t *testing.T) {
 		l.SetChaos(ChaosConfig{DupProb: 1})
 		var taps, copies int
 		l.AddTap(func(frame []byte, _ *Port) { stamped(t, "tap", frame); taps++ })
-		l.B().Attach(HandlerFunc(func(frame []byte, _ *Port) { stamped(t, "duplicate", frame); copies++ }), "b")
+		l.B().Attach(HandlerFunc(func(frame []byte, _ *Port) { stamped(t, "duplicate", frame); copies++ }))
 		s.send(l.A())
 		sim.Run(10)
 		if taps != 1 || copies != 2 {
@@ -149,7 +149,7 @@ func TestDeferAllocs(t *testing.T) {
 	sim := New(1)
 	s := &stamper{sim: sim}
 	l := sim.NewLink("alloc", time.Millisecond, 0)
-	l.B().Attach(HandlerFunc(func([]byte, *Port) {}), "sink")
+	l.B().Attach(HandlerFunc(func([]byte, *Port) {}))
 	for range 4 {
 		s.send(l.A())
 		sim.Run(10)

@@ -419,7 +419,6 @@ type counters struct {
 // whose per-HID state is worker-disjoint), so the logical outcome per
 // worker is deterministic.
 type worker struct {
-	id      int
 	cfg     *Config
 	w       *world
 	rng     *rand.Rand
@@ -832,7 +831,6 @@ func run(cfg Config, plant func(t int, j *sealJob)) (*Result, []*worker, error) 
 			n++
 		}
 		wk := &worker{
-			id:      i,
 			cfg:     &cfg,
 			w:       w,
 			rng:     rand.New(rand.NewSource(cfg.Seed ^ int64(i)<<20 ^ 0x5eed)),

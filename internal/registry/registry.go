@@ -189,19 +189,18 @@ func (s *Service) AllocServiceIdentity(kind ephid.Kind, lifetime uint32, aaEphID
 	c.Sign(s.signer)
 
 	return &ServiceIdentity{
-		HID: hid, EphID: id, ExpTime: exp, Keys: keys, DH: dh, Sig: sig, Cert: c,
+		HID: hid, EphID: id, Keys: keys, DH: dh, Sig: sig, Cert: c,
 	}, nil
 }
 
 // ServiceIdentity is the full identity of an AS-internal service.
 type ServiceIdentity struct {
-	HID     ephid.HID
-	EphID   ephid.EphID
-	ExpTime uint32
-	Keys    crypto.HostASKeys
-	DH      *crypto.KeyPair
-	Sig     *crypto.Signer
-	Cert    cert.Cert
+	HID   ephid.HID
+	EphID ephid.EphID
+	Keys  crypto.HostASKeys
+	DH    *crypto.KeyPair
+	Sig   *crypto.Signer
+	Cert  cert.Cert
 }
 
 // Enrollment is one host's entry in a bootstrap batch: the credential

@@ -92,10 +92,9 @@ type LifecycleStats struct {
 	RenewalsCompleted, RenewalsFailed uint64
 	// MigrationsCompleted counts connections re-handshaken onto
 	// successor EphIDs; a failed migration shows as its
-	// "migrate-failed" event.
+	// "migrate-failed" event, a predecessor removed after its flows
+	// migrated as its "retired" event.
 	MigrationsCompleted uint64
-	// Retired counts predecessors removed after their flows migrated.
-	Retired uint64
 	// RevocationsReaped counts the scheduled GC's revocation-list
 	// harvest across all ASes.
 	RevocationsReaped uint64
@@ -339,7 +338,6 @@ func (lc *Lifecycle) retire(h *Host, old *host.OwnedEphID) {
 	}
 	h.Stack.Release(old)
 	h.Stack.Retire(old)
-	lc.stats.Retired++
 	lc.emit(LifecycleEvent{Kind: "retired", Host: h, Old: old})
 }
 

@@ -17,21 +17,6 @@ import (
 // every record, denial and referral signature, and maintains a verified
 // positive/negative cache so repeated lookups stay local.
 
-// dnsStats counts a host's resolver activity: every name a host
-// resolves goes through LookupAsync.
-type dnsStats struct {
-	// Queries counts network queries actually sent (one per hop).
-	Queries uint64
-	// CacheHits and NegCacheHits count lookups answered from the
-	// verified cache without touching the network.
-	CacheHits    uint64
-	NegCacheHits uint64
-	// Referrals counts verified delegations followed.
-	Referrals uint64
-	// Denials counts verified negative responses accepted.
-	Denials uint64
-}
-
 // dnsLookupLifetime is the lifetime of the per-hop EphIDs LookupAsync
 // issues (the default session lifetime).
 const dnsLookupLifetime = 900
@@ -62,13 +47,11 @@ type lookup struct {
 func (h *Host) LookupAsync(name string) *Pending[*cert.Cert] {
 	now := h.as.in.Sim.NowUnix()
 	if crt, ok := h.dnsCache.Record(name, now); ok {
-		h.dnsStats.CacheHits++
 		p := newPending[*cert.Cert]()
 		p.complete(crt, nil)
 		return p
 	}
 	if h.dnsCache.Denied(name, now) {
-		h.dnsStats.NegCacheHits++
 		return failedPending[*cert.Cert](dns.ErrNXDomain)
 	}
 	lk := &lookup{h: h, name: name, p: newPending[*cert.Cert]()}
@@ -134,7 +117,6 @@ func (lk *lookup) dial(id *host.OwnedEphID, server *cert.Cert, zoneKeys [][]byte
 		lk.p.complete(nil, err)
 		return
 	}
-	h.dnsStats.Queries++
 	lk.teardown = func() {
 		h.Stack.AbortDial(conn)
 		h.Stack.Untap(id.Cert.EphID, conn.Peer())
@@ -179,7 +161,6 @@ func (lk *lookup) answer(payload []byte, zoneKeys [][]byte, followReferral bool)
 			lk.p.complete(nil, fmt.Errorf("apna: unauthenticated denial for %q: %w", lk.name, dns.ErrBadDenial))
 			return
 		}
-		h.dnsStats.Denials++
 		h.dnsCache.PutDenial(lk.name, d.NotAfter, now)
 		lk.p.complete(nil, dns.ErrNXDomain)
 	case dns.StatusReferral:
@@ -192,7 +173,6 @@ func (lk *lookup) answer(payload []byte, zoneKeys [][]byte, followReferral bool)
 			lk.p.complete(nil, err)
 			return
 		}
-		h.dnsStats.Referrals++
 		// The delegated hop's answers verify only under the referred
 		// zone's key, anchored by the signature just checked.
 		lk.hop(&ref.DNSCert, [][]byte{ref.ZoneKey}, false)

@@ -40,8 +40,35 @@ func buildDNSPair(t *testing.T) (in *Internet, alice, bob *Host) {
 	return in, alice, bob
 }
 
+// resolverHops taps h's access link and returns, per AS, the source
+// EphIDs of the frames h sends toward that AS's resolver. Every lookup
+// hop dials from a fresh EphID, so each is one query hop.
+func resolverHops(in *Internet, h *Host) map[AID]map[EphID]bool {
+	resolvers := make(map[Endpoint]bool)
+	for _, as := range in.ASes() {
+		_, dnsEp, _ := as.ServiceEndpoints()
+		resolvers[dnsEp] = true
+	}
+	hops := make(map[AID]map[EphID]bool)
+	h.link.AddTap(func(frame []byte, _ *netsim.Port) {
+		var hdr wire.Header
+		if err := hdr.DecodeFromBytes(frame); err != nil {
+			return
+		}
+		if !resolvers[Endpoint{AID: hdr.DstAID, EphID: hdr.DstEphID}] {
+			return
+		}
+		if hops[hdr.DstAID] == nil {
+			hops[hdr.DstAID] = make(map[EphID]bool)
+		}
+		hops[hdr.DstAID][hdr.SrcEphID] = true
+	})
+	return hops
+}
+
 func TestLookupCrossASViaReferral(t *testing.T) {
 	in, alice, _ := buildDNSPair(t)
+	hops := resolverHops(in, alice)
 
 	crt, err := alice.Lookup("svc.as200")
 	if err != nil {
@@ -50,26 +77,20 @@ func TestLookupCrossASViaReferral(t *testing.T) {
 	if crt.AID != 200 {
 		t.Fatalf("resolved cert names AS %v, want 200", crt.AID)
 	}
-	st := alice.dnsStats
-	if st.Referrals != 1 {
-		t.Fatalf("referrals = %d, want 1 (local resolver delegates as200)", st.Referrals)
-	}
-	if st.Queries != 2 {
-		t.Fatalf("queries = %d, want 2 (local hop + delegated hop)", st.Queries)
+	// The local resolver delegates as200: one hop to each resolver.
+	if len(hops) != 2 || len(hops[100]) != 1 || len(hops[200]) != 1 {
+		t.Fatalf("query hops %v, want one local and one delegated", hops)
 	}
 
 	// Second lookup: answered from the verified cache, zero network.
 	ev := in.Sim.Events()
-	crt2, err := alice.Lookup("svc.as200")
-	if err != nil {
-		t.Fatal(err)
+	p := alice.LookupAsync("svc.as200")
+	crt2, err := p.Result()
+	if !p.Done() || err != nil {
+		t.Fatalf("cached lookup: done=%v err=%v, want answered at once", p.Done(), err)
 	}
 	if *crt2 != *crt {
 		t.Fatal("cache returned a different certificate")
-	}
-	st = alice.dnsStats
-	if st.CacheHits != 1 || st.Queries != 2 {
-		t.Fatalf("cache hit not recorded: %+v", st)
 	}
 	if in.Sim.Events() != ev {
 		t.Fatal("cache hit touched the network")
@@ -86,7 +107,8 @@ func TestLookupCrossASViaReferral(t *testing.T) {
 }
 
 func TestLookupLocalZone(t *testing.T) {
-	_, _, bob := buildDNSPair(t)
+	in, _, bob := buildDNSPair(t)
+	hops := resolverHops(in, bob)
 	crt, err := bob.Lookup("svc.as200")
 	if err != nil {
 		t.Fatalf("local-zone lookup: %v", err)
@@ -94,30 +116,26 @@ func TestLookupLocalZone(t *testing.T) {
 	if crt.AID != 200 {
 		t.Fatalf("AID = %v", crt.AID)
 	}
-	st := bob.dnsStats
-	if st.Referrals != 0 || st.Queries != 1 {
-		t.Fatalf("local lookup took the wrong path: %+v", st)
+	if len(hops) != 1 || len(hops[200]) != 1 {
+		t.Fatalf("local lookup took the wrong path: query hops %v", hops)
 	}
 }
 
 func TestLookupVerifiedDenialAndNegativeCache(t *testing.T) {
 	in, alice, _ := buildDNSPair(t)
+	hops := resolverHops(in, alice)
 	if _, err := alice.Lookup("missing.as100"); !errors.Is(err, dns.ErrNXDomain) {
 		t.Fatalf("err = %v, want ErrNXDomain", err)
 	}
-	st := alice.dnsStats
-	if st.Denials != 1 {
-		t.Fatalf("denials = %d, want 1 (signed negative response)", st.Denials)
+	if len(hops[100]) != 1 {
+		t.Fatalf("query hops %v, want one to the local resolver (signed negative response)", hops)
 	}
 
 	// Negative cache: the repeat is answered locally, still NXDOMAIN.
 	ev := in.Sim.Events()
-	if _, err := alice.Lookup("missing.as100"); !errors.Is(err, dns.ErrNXDomain) {
-		t.Fatalf("repeat err = %v", err)
-	}
-	st = alice.dnsStats
-	if st.NegCacheHits != 1 {
-		t.Fatalf("neg cache hits = %d: %+v", st.NegCacheHits, st)
+	p := alice.LookupAsync("missing.as100")
+	if _, err := p.Result(); !p.Done() || !errors.Is(err, dns.ErrNXDomain) {
+		t.Fatalf("repeat: done=%v err=%v, want ErrNXDomain at once", p.Done(), err)
 	}
 	if in.Sim.Events() != ev {
 		t.Fatal("negative cache hit touched the network")
@@ -129,8 +147,8 @@ func TestLookupVerifiedDenialAndNegativeCache(t *testing.T) {
 	if _, err := alice.Lookup("missing.as100"); !errors.Is(err, dns.ErrNXDomain) {
 		t.Fatalf("post-expiry err = %v", err)
 	}
-	if got := alice.dnsStats; got.Denials != 2 {
-		t.Fatalf("expired denial not re-fetched: %+v", got)
+	if len(hops[100]) != 2 {
+		t.Fatalf("expired denial not re-fetched: query hops %v", hops)
 	}
 }
 
@@ -164,16 +182,16 @@ func TestLookupAnswersWithFullCache(t *testing.T) {
 }
 
 func TestLookupCrossASDenial(t *testing.T) {
-	_, alice, _ := buildDNSPair(t)
 	// The name is under as200's apex but not registered: the referral is
 	// followed and the *remote* zone's signed denial is verified against
 	// the referred key.
+	in, alice, _ := buildDNSPair(t)
+	hops := resolverHops(in, alice)
 	if _, err := alice.Lookup("ghost.as200"); !errors.Is(err, dns.ErrNXDomain) {
 		t.Fatalf("err = %v, want ErrNXDomain", err)
 	}
-	st := alice.dnsStats
-	if st.Referrals != 1 || st.Denials != 1 {
-		t.Fatalf("cross-AS denial path: %+v", st)
+	if len(hops) != 2 || len(hops[100]) != 1 || len(hops[200]) != 1 {
+		t.Fatalf("cross-AS denial path: query hops %v, want the referral followed", hops)
 	}
 }
 
@@ -183,35 +201,19 @@ func TestLookupFreshEphIDPerHop(t *testing.T) {
 	// the host's control EphID. Observe alice's access link and bucket
 	// query sources by the resolver endpoint they address.
 	in, alice, _ := buildDNSPair(t)
-	_, dns100, _ := in.AS(100).ServiceEndpoints()
-	_, dns200, _ := in.AS(200).ServiceEndpoints()
-	srcsToward := map[Endpoint]map[EphID]bool{}
-	alice.link.AddTap(func(frame []byte, _ *netsim.Port) {
-		var hdr wire.Header
-		if err := hdr.DecodeFromBytes(frame); err != nil {
-			return
-		}
-		dst := Endpoint{AID: hdr.DstAID, EphID: hdr.DstEphID}
-		if dst != dns100 && dst != dns200 {
-			return
-		}
-		if srcsToward[dst] == nil {
-			srcsToward[dst] = map[EphID]bool{}
-		}
-		srcsToward[dst][hdr.SrcEphID] = true
-	})
+	srcsToward := resolverHops(in, alice)
 	if _, err := alice.Lookup("svc.as200"); err != nil {
 		t.Fatal(err)
 	}
-	if len(srcsToward[dns100]) != 1 || len(srcsToward[dns200]) != 1 {
+	if len(srcsToward[100]) != 1 || len(srcsToward[200]) != 1 {
 		t.Fatalf("expected one source EphID per resolver hop, got %v", srcsToward)
 	}
 	ctrl := alice.Stack.Config().CtrlEphID
 	var hop1, hop2 EphID
-	for e := range srcsToward[dns100] {
+	for e := range srcsToward[100] {
 		hop1 = e
 	}
-	for e := range srcsToward[dns200] {
+	for e := range srcsToward[200] {
 		hop2 = e
 	}
 	if hop1 == hop2 {

@@ -22,9 +22,50 @@ import (
 // runs in both (msRuns): a frame-by-frame MS would sign each certificate
 // alone, and the certificates' length would show in every byte count.
 
-// frameByFrame re-attaches every router port of in behind HandlerFunc.
-func frameByFrame(in *Internet) {
-	wrap := func(p *netsim.Port) { p.Attach(netsim.HandlerFunc(p.Owner().HandleFrame), "one-frame") }
+// countedRuns is an MS's msRuns that counts the frames it is handed.
+type countedRuns struct {
+	*msRuns
+	n *uint64
+}
+
+func (c countedRuns) HandleFrame(frame []byte, from *netsim.Port) {
+	*c.n++
+	c.msRuns.HandleFrame(frame, from)
+}
+
+func (c countedRuns) HandleFrames(frames [][]byte, from []*netsim.Port) {
+	*c.n += uint64(len(frames))
+	c.msRuns.HandleFrames(frames, from)
+}
+
+// countMS moves every MS of in onto a fresh stack of the same identity,
+// on a service link like the one it was built with, behind an msRuns
+// that counts into n. It returns the stacks by AS.
+func countMS(t *testing.T, in *Internet, n *uint64) map[AID]*host.Host {
+	t.Helper()
+	stacks := make(map[AID]*host.Host)
+	for _, as := range in.ases {
+		h, err := as.serviceHost(as.msID, "ms", countedMS(as, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stacks[as.AID] = h
+	}
+	return stacks
+}
+
+// countedMS serves as's MS behind a countedRuns.
+func countedMS(as *AS, n *uint64) func(*host.Host, *netsim.Port) {
+	return func(h *host.Host, p *netsim.Port) {
+		as.serveMS(h, p)
+		p.Attach(countedRuns{p.Owner().(*msRuns), n})
+	}
+}
+
+// frameByFrame re-attaches every router port of in behind HandlerFunc;
+// ms holds the MS stacks and n their frame count (countMS).
+func frameByFrame(in *Internet, ms map[AID]*host.Host, n *uint64) {
+	wrap := func(p *netsim.Port) { p.Attach(netsim.HandlerFunc(p.Owner().HandleFrame)) }
 	for _, l := range in.links {
 		wrap(l.A())
 		wrap(l.B())
@@ -36,15 +77,18 @@ func frameByFrame(in *Internet) {
 	// to a link like the one it was built with, which the test holds, and
 	// the MS keeps answering in runs.
 	for _, as := range in.ases {
-		for _, svc := range []*host.Host{as.msHost, as.dnsHost, as.aaHost, as.rtrHost} {
-			hid := svc.Config().HID
+		for _, svc := range []struct {
+			*host.Host
+			hid ephid.HID
+		}{{ms[as.AID], as.msID.HID}, {as.dnsHost, as.dnsID.HID}, {as.aaHost, as.aaID.HID}, {as.rtrHost, as.rtrID.HID}} {
+			hid := svc.hid
 			link := in.Sim.NewLink(fmt.Sprintf("%v-svc%v", as.AID, hid), in.opts.ServiceLinkLatency, 0)
 			as.Router.AttachHost(hid, link.A())
 			attach := (*host.Host).Attach
-			if svc == as.msHost {
-				attach = as.serveMS
+			if svc.Host == ms[as.AID] {
+				attach = countedMS(as, n)
 			}
-			attach(svc, link.B())
+			attach(svc.Host, link.B())
 			wrap(link.A())
 		}
 	}
@@ -53,8 +97,9 @@ func frameByFrame(in *Internet) {
 // runsTimeline plays the timeline and returns what it left behind, line
 // by line, with the most events one Step executed at a router (router)
 // and at an MS (msRun). Only those two take runs, and a step that handed
-// an MS its frames is told apart by the MS stacks' receive counters.
-func runsTimeline(t *testing.T, prepare func(*Internet)) (trace []string, router, msRun uint64) {
+// an MS its frames is told apart by the MSes' frame count (countMS).
+// With oneByOne the routers take their frames one by one (frameByFrame).
+func runsTimeline(t *testing.T, oneByOne bool) (trace []string, router, msRun uint64) {
 	t.Helper()
 	const perAS = 6
 	topo := []TopologyOption{
@@ -74,8 +119,10 @@ func runsTimeline(t *testing.T, prepare func(*Internet)) (trace []string, router
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prepare != nil {
-		prepare(in)
+	var msFrames uint64
+	ms := countMS(t, in, &msFrames)
+	if oneByOne {
+		frameByFrame(in, ms, &msFrames)
 	}
 	faults := in.Sim.CaptureFaults()
 	// What crossed each inter-AS link, counted where an on-path observer
@@ -90,18 +137,12 @@ func runsTimeline(t *testing.T, prepare func(*Internet)) (trace []string, router
 			c.bytes += len(frame)
 		})
 	}
-	msReceived := func() (n uint64) {
-		for _, as := range in.ases {
-			n += as.msHost.Stats().Received
-		}
-		return n
-	}
 	// await drives the timeline step by step until it drains, then lets
 	// the facade settle the operations against the idle queue.
 	await := func(what string, ops ...Op) {
 		t.Helper()
-		for before, ms := in.Sim.Events(), msReceived(); in.Sim.Step(); before, ms = in.Sim.Events(), msReceived() {
-			if n := in.Sim.Events() - before; msReceived() > ms {
+		for before, handed := in.Sim.Events(), msFrames; in.Sim.Step(); before, handed = in.Sim.Events(), msFrames {
+			if n := in.Sim.Events() - before; msFrames > handed {
 				msRun = max(msRun, n)
 			} else {
 				router = max(router, n)
@@ -113,6 +154,18 @@ func runsTimeline(t *testing.T, prepare func(*Internet)) (trace []string, router
 	}
 
 	hosts := in.Hosts()
+	// What each host sent and was sent, on its access link.
+	sent := make(map[*Host]*carried)
+	for _, h := range hosts {
+		c := &carried{}
+		sent[h] = c
+		h.link.AddTap(func(frame []byte, from *netsim.Port) {
+			if from == h.link.B() {
+				c.frames++
+				c.bytes += len(frame)
+			}
+		})
+	}
 	var ops []Op
 	issues := make([]*Pending[*host.OwnedEphID], len(hosts))
 	for i, h := range hosts {
@@ -180,7 +233,7 @@ func runsTimeline(t *testing.T, prepare func(*Internet)) (trace []string, router
 		trace = append(trace, fmt.Sprintf("link %v-%v %+v", 100+a, 101+a, c))
 	}
 	for _, h := range hosts {
-		trace = append(trace, fmt.Sprintf("%s %+v", h.Name, h.Stack.Stats()))
+		trace = append(trace, fmt.Sprintf("%s %+v sent %+v", h.Name, h.Stack.Stats(), *sent[h]))
 		for _, m := range h.Stack.Inbox() {
 			trace = append(trace, fmt.Sprintf("%s got %q", h.Name, m.Payload))
 		}
@@ -189,8 +242,8 @@ func runsTimeline(t *testing.T, prepare func(*Internet)) (trace []string, router
 }
 
 func TestRunsChangeNothingEndToEnd(t *testing.T) {
-	runs, longest, msRuns := runsTimeline(t, nil)
-	single, one, msOne := runsTimeline(t, frameByFrame)
+	runs, longest, msRuns := runsTimeline(t, false)
+	single, one, msOne := runsTimeline(t, true)
 	if longest < 6 || one != 1 {
 		t.Fatalf("the longest router step ran %d events as built and %d frame by frame: want runs in the one and none in the other", longest, one)
 	}

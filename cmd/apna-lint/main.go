@@ -46,6 +46,7 @@ func main() {
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("apna-lint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit the findings as a provenance-stamped JSON artifact on stdout")
 	outFile := fs.String("out", "", "also write the JSON artifact to this file")
 	only := fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")

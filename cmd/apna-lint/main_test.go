@@ -26,3 +26,20 @@ func TestUnknownAnalyzerListsTheSuite(t *testing.T) {
 		}
 	}
 }
+
+// TestFlagErrorsGoToStderr: a bad flag and -h write the usage to the
+// stderr writer run is handed, not to the process's own stderr.
+func TestFlagErrorsGoToStderr(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		code int
+	}{{[]string{"-bogus"}, 2}, {[]string{"-h"}, 0}} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != tc.code {
+			t.Errorf("%v: exit %d, want %d", tc.args, code, tc.code)
+		}
+		if !strings.Contains(stderr.String(), "-analyzers") || stdout.Len() != 0 {
+			t.Errorf("%v: stderr %q, stdout %q", tc.args, stderr.String(), stdout.String())
+		}
+	}
+}

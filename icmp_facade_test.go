@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"apna/internal/ephid"
+	"apna/internal/host"
 	"apna/internal/icmp"
 	"apna/internal/netsim"
+	"apna/internal/registry"
 	"apna/internal/wire"
 )
 
@@ -64,18 +66,25 @@ func TestICMPDestUnreachableOnExpiredEphID(t *testing.T) {
 	}
 }
 
-// tapRouterHost moves as's router host onto a service link like the one
-// it was built with, and returns the count of the frames it sends there.
-func tapRouterHost(in *Internet, as *AS) *int {
-	sent := new(int)
-	link := in.Sim.NewLink(fmt.Sprintf("%v-rtr-tap", as.AID), in.opts.ServiceLinkLatency, 0)
-	as.Router.AttachHost(as.rtrID.HID, link.A())
-	as.rtrHost.Attach(link.B())
-	link.AddTap(func(_ []byte, from *netsim.Port) {
+// tapServiceHost moves the service stack h of as, the one serving
+// identity id, onto a service link like the one it was built with, and
+// calls onSend with every frame h sends there.
+func tapServiceHost(in *Internet, as *AS, h *host.Host, id *registry.ServiceIdentity, onSend func(frame []byte)) {
+	link := in.Sim.NewLink(fmt.Sprintf("%v-tap-%v", as.AID, id.HID), in.opts.ServiceLinkLatency, 0)
+	as.Router.AttachHost(id.HID, link.A())
+	h.Attach(link.B())
+	link.AddTap(func(frame []byte, from *netsim.Port) {
 		if from == link.B() {
-			*sent++
+			onSend(frame)
 		}
 	})
+}
+
+// tapRouterHost moves as's router host onto a tapped service link, and
+// returns the count of the frames it sends there.
+func tapRouterHost(in *Internet, as *AS) *int {
+	sent := new(int)
+	tapServiceHost(in, as, as.rtrHost, as.rtrID, func([]byte) { *sent++ })
 	return sent
 }
 

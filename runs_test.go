@@ -154,16 +154,20 @@ func runsTimeline(t *testing.T, oneByOne bool) (trace []string, router, msRun ui
 	}
 
 	hosts := in.Hosts()
-	// What each host sent and was sent, on its access link.
-	sent := make(map[*Host]*carried)
+	// What each host sent and was sent, on its access link: the host
+	// sends from its end (B), the router hands it frames from A.
+	type access struct{ sent, got carried }
+	onLink := make(map[*Host]*access)
 	for _, h := range hosts {
-		c := &carried{}
-		sent[h] = c
+		c := &access{}
+		onLink[h] = c
 		h.link.AddTap(func(frame []byte, from *netsim.Port) {
+			d := &c.got
 			if from == h.link.B() {
-				c.frames++
-				c.bytes += len(frame)
+				d = &c.sent
 			}
+			d.frames++
+			d.bytes += len(frame)
 		})
 	}
 	var ops []Op
@@ -233,7 +237,7 @@ func runsTimeline(t *testing.T, oneByOne bool) (trace []string, router, msRun ui
 		trace = append(trace, fmt.Sprintf("link %v-%v %+v", 100+a, 101+a, c))
 	}
 	for _, h := range hosts {
-		trace = append(trace, fmt.Sprintf("%s %+v sent %+v", h.Name, h.Stack.Stats(), *sent[h]))
+		trace = append(trace, fmt.Sprintf("%s %+v %+v", h.Name, h.Stack.Stats(), *onLink[h]))
 		for _, m := range h.Stack.Inbox() {
 			trace = append(trace, fmt.Sprintf("%s got %q", h.Name, m.Payload))
 		}

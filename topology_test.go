@@ -216,14 +216,18 @@ func TestASGraphRelayDissemination(t *testing.T) {
 	// With ProvidersPerAS=1 the shape is a tree: stubs 104..107 hang off
 	// mids 102/103, which hang off cores 100/101.
 	origin, far := AID(104), AID(107)
-	// Count each engine's digest-plane messages on its way out.
+	// Count each engine's digest-plane messages on the wire, as its AA
+	// host sends them.
 	sent := make(map[AID]int)
 	for _, as := range in.ASes() {
-		as.Acct.SetSend(func(dst wire.Endpoint, payload []byte) error {
-			if payload[0] == accountability.MsgDigest || payload[0] == accountability.MsgDigestBatch {
+		tapServiceHost(in, as, as.aaHost, as.aaID, func(frame []byte) {
+			pkt, err := wire.DecodePacket(frame)
+			if err != nil || pkt.Header.NextProto != wire.ProtoAcct || len(pkt.Payload) == 0 {
+				return
+			}
+			if typ := pkt.Payload[0]; typ == accountability.MsgDigest || typ == accountability.MsgDigestBatch {
 				sent[as.AID]++
 			}
-			return as.aaHost.SendRaw(wire.ProtoAcct, 0, as.aaID.EphID, dst, payload)
 		})
 	}
 	id := EphID{0xaa, 0xbb, 1}

@@ -402,9 +402,9 @@ func BenchmarkHeaderAppendTo(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSaturate runs a small end-to-end engine measurement:
+// BenchmarkEngineRun runs a small end-to-end engine measurement:
 // multi-AS world, batched egress -> transit -> ingress.
-func BenchmarkEngineSaturate(b *testing.B) {
+func BenchmarkEngineRun(b *testing.B) {
 	w, err := pktgen.NewWorld(pktgen.WorldConfig{
 		ASes: 2, HostsPerAS: 32, FrameSize: 256, FramesPerLane: 128, Seed: 1,
 	})

@@ -9,7 +9,7 @@ import (
 // TestExitCodes pins the exit-code contract: 0 when the experiment ran,
 // 1 on usage errors — an -exp that names no experiment among them, so
 // that a typo or a retired name cannot pass as a run, and a flag that
-// is not one of the seven.
+// is not one of the seven. A retired name also says where it went.
 func TestExitCodes(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -29,7 +29,8 @@ func TestExitCodes(t *testing.T) {
 		{"unknown flag", []string{"-no-such-flag"}, 1, ""},
 		{"retired json flag", []string{"-exp", "e8", "-json"}, 1, "-json"},
 		{"retired hosts flag", []string{"-exp", "e8", "-hosts", "16"}, 1, "-hosts"},
-		{"e8 runs", []string{"-exp", "e8", "-pkts", "1000", "-fwd-workers", "1"}, 0, ""},
+		{"e8 is the benchmark", []string{"-exp", "e8", "-pkts", "1000", "-fwd-workers", "1"}, 1, "go run ./bench (fwd_small, fwd_large, fwd_churn)"},
+		{"e3 runs", []string{"-exp", "e3", "-pkts", "1000", "-fwd-workers", "1"}, 0, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

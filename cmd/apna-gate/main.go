@@ -1,9 +1,11 @@
 // Command apna-gate is the statistical bench-trend gate: it compares
-// the current crop of BENCH_*.json artifacts (E8 and E11, the two timed
-// experiments) against a provenance-pinned baseline and fails (exit 2)
-// only on a statistically confirmed regression — a Mann–Whitney U test
-// under the significance level *and* a median shift beyond the minimum
-// effect size, in the metric's harmful direction. Noise never fails the
+// the current crop of artifacts — the benchmark's results files (go run
+// ./bench writes bench/out/results.json; each workload's end-to-end
+// medians are gated) and apna-bench's E11 artifacts — against a
+// provenance-pinned baseline and fails (exit 2) only on a statistically
+// confirmed regression: a Mann–Whitney U test under the significance
+// level *and* a median shift beyond the minimum effect size, in the
+// metric's harmful direction. Noise never fails the
 // gate; a missing or config-hash-mismatched baseline is a skip ("no
 // comparable baseline"), never a false verdict.
 //
@@ -12,9 +14,9 @@
 //
 // Usage:
 //
-//	apna-gate compare -store .benchgate BENCH_e8_run*.json BENCH_e11_run*.json
+//	apna-gate compare -store .benchgate BENCH_bench_run*.json BENCH_e11_run*.json
 //	apna-gate compare -store .benchgate -gate-json GATE.json -report report.md ...
-//	apna-gate update  -store .benchgate BENCH_e8_run*.json BENCH_e11_run*.json
+//	apna-gate update  -store .benchgate BENCH_bench_run*.json BENCH_e11_run*.json
 //
 // compare groups the given artifacts by (experiment, provenance config
 // hash) — so one invocation gates every experiment at once — loads

@@ -8,12 +8,14 @@ import (
 	"testing"
 )
 
-// e8Artifact writes a minimal E8 artifact reporting pps and returns
-// its path.
-func e8Artifact(t *testing.T, name string, pps float64) string {
+// resultsFile writes a minimal results file of the benchmark (go run
+// ./bench) whose fwd_small workload ran at opsPerS, and returns its
+// path.
+func resultsFile(t *testing.T, name string, opsPerS float64) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), name)
-	raw := fmt.Sprintf(`{"experiment":"e8","provenance":{"commit":"c0ffee","config_hash":"ab12"},"report":{"pps":%g,"gbps_delivered":1}}`, pps)
+	raw := fmt.Sprintf(`{"provenance":{"commit":"c0ffee","config_hash":"ab12"},"workloads":{"fwd_small":{"attempted":1000,"failed":0,"metrics":{`+
+		`"ops_per_s":{"unit":"1/s","median":%g},"setup_s":{"unit":"s","median":0.001}}}}}`, opsPerS)
 	if err := os.WriteFile(path, []byte(raw), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -25,10 +27,10 @@ func e8Artifact(t *testing.T, name string, pps float64) string {
 // 1, and a pass is 0.
 func TestExitCodes(t *testing.T) {
 	var base, same, slow []string
-	for i, pps := range []float64{1000, 1010, 990} {
-		base = append(base, e8Artifact(t, fmt.Sprintf("base%d.json", i), pps))
-		same = append(same, e8Artifact(t, fmt.Sprintf("same%d.json", i), pps+1))
-		slow = append(slow, e8Artifact(t, fmt.Sprintf("slow%d.json", i), pps*0.8))
+	for i, ops := range []float64{1000, 1010, 990} {
+		base = append(base, resultsFile(t, fmt.Sprintf("base%d.json", i), ops))
+		same = append(same, resultsFile(t, fmt.Sprintf("same%d.json", i), ops+1))
+		slow = append(slow, resultsFile(t, fmt.Sprintf("slow%d.json", i), ops*0.8))
 	}
 	e9 := filepath.Join(t.TempDir(), "BENCH_e9.json")
 	if err := os.WriteFile(e9, []byte(`{"experiment":"e9","provenance":{"config_hash":"ab12"}}`+"\n"+`{"seed":1,"renewals":3}`), 0o644); err != nil {

@@ -6,8 +6,9 @@
 // concurrent multi-flow scenario (E6), adversarial conformance sweep
 // (E7), EphID lifecycle endurance sweep (E9) and inter-domain
 // accountability sweep (E10) are the committed specs scenarios/e6.json,
-// e7.json, e9.json and e10.json; the timed experiments (E1, E3/E4, E8,
-// E11) live in apna-bench, and the deterministic ones are tests:
+// e7.json, e9.json and e10.json; the timed experiments (E1, E3/E4, E11)
+// live in apna-bench, E8 is the benchmark's fwd_* workloads (go run
+// ./bench), and the deterministic ones are tests:
 // TestPaperScaleTrace in internal/trace (E2), TestConnectionRTTs in the
 // root package (E5) and TestDisseminationAtScale in
 // internal/accountability (E12).
@@ -64,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if *file == "" {
-		return fatal(stderr, fmt.Errorf("-file is required (the experiments E1, E3/E4, E8 and E11 run from apna-bench; E2, E5 and E12 are the tests TestPaperScaleTrace, TestConnectionRTTs and TestDisseminationAtScale)"))
+		return fatal(stderr, fmt.Errorf("-file is required (the experiments E1, E3/E4 and E11 run from apna-bench; E8 is go run ./bench; E2, E5 and E12 are the tests TestPaperScaleTrace, TestConnectionRTTs and TestDisseminationAtScale)"))
 	}
 	if *seeds > 1 && (*record != "" || *replayPath != "") {
 		return fatal(stderr, fmt.Errorf("-record and -replay bind one seed; drop -seeds"))

@@ -292,8 +292,8 @@ func TestRelayLineOverlay(t *testing.T) {
 }
 
 // TestFlushOverAFailingTransport: a transport error toward one peer
-// does not stop the flood to the others, and the flush still announces
-// its digest.
+// does not stop the flood to the others, each failure is a send-failed
+// event naming its peer, and the flush still announces its digest.
 func TestFlushOverAFailingTransport(t *testing.T) {
 	w := newWorld(t, aidA, aidB, aidC)
 	eng := w.ases[aidA].engine
@@ -310,8 +310,13 @@ func TestFlushOverAFailingTransport(t *testing.T) {
 	if !slices.Equal(tried, []ephid.AID{aidB, aidC}) {
 		t.Fatalf("the flood tried %v, want both peers", tried)
 	}
-	if len(*events) != 1 || (*events)[0].Kind != "digest-flush" || (*events)[0].Entries != 1 {
-		t.Fatalf("events %v, want one digest-flush of 1 entry", *events)
+	want := []Event{
+		{Kind: "send-failed", AID: aidA, Peer: aidB},
+		{Kind: "send-failed", AID: aidA, Peer: aidC},
+		{Kind: "digest-flush", AID: aidA, Entries: 1},
+	}
+	if !slices.Equal(*events, want) {
+		t.Fatalf("events %v, want %v", *events, want)
 	}
 }
 

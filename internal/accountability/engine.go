@@ -173,11 +173,14 @@ type Stats struct {
 // time dissemination with it; harnesses log it).
 type Event struct {
 	// Kind is "complaint", "complaint-rejected", "forward", "shutoff",
-	// "receipt", "digest-flush" or "digest-install".
+	// "receipt", "digest-flush", "digest-install" or "send-failed" (the
+	// transport refused a digest, snapshot request, snapshot, complaint
+	// ack or receipt, which no caller waits on).
 	Kind string
 	// AID is the engine's AS.
 	AID ephid.AID
-	// Peer is the other AS of the exchange (zero for digest-flush).
+	// Peer is the other AS of the exchange (zero for digest-flush; the
+	// destination AS for send-failed).
 	Peer ephid.AID
 	// EphID is the offending identifier, where one is known.
 	EphID ephid.EphID
@@ -411,6 +414,14 @@ func (e *Engine) sendTo(dst wire.Endpoint, payload []byte) error {
 		return ErrNoTransport
 	}
 	return fn(dst, payload)
+}
+
+// sendOrEmit sends a message no caller waits on, and reports a
+// transport error as a "send-failed" event.
+func (e *Engine) sendOrEmit(dst wire.Endpoint, payload []byte) {
+	if err := e.sendTo(dst, payload); err != nil {
+		e.emit(Event{Kind: "send-failed", Peer: dst.AID})
+	}
 }
 
 // HandleComplaint runs the victim-side validation of a complaint and
@@ -823,7 +834,8 @@ func (e *Engine) FlushDigest() int {
 		ownRaw = d.Encode()
 	}
 	// A digest-plane send that fails is lost like a dropped message: the
-	// seq chain shows the gap and a snapshot repairs it.
+	// seq chain shows the gap and a snapshot repairs it. The failure
+	// itself is a send-failed event.
 	if mode == ModeRelay {
 		for _, p := range dsts {
 			raws := make([][]byte, 0, len(outbox)+1)
@@ -844,12 +856,12 @@ func (e *Engine) FlushDigest() int {
 				continue
 			}
 			payload := append([]byte{MsgDigestBatch}, EncodeDigestBatch(raws)...)
-			_ = e.sendTo(wire.Endpoint{AID: p.aid, EphID: p.ep}, payload)
+			e.sendOrEmit(wire.Endpoint{AID: p.aid, EphID: p.ep}, payload)
 		}
 	} else if ownRaw != nil {
 		payload := append([]byte{MsgDigest}, ownRaw...)
 		for _, p := range dsts {
-			_ = e.sendTo(wire.Endpoint{AID: p.aid, EphID: p.ep}, payload)
+			e.sendOrEmit(wire.Endpoint{AID: p.aid, EphID: p.ep}, payload)
 		}
 	}
 	if d != nil {
@@ -951,7 +963,7 @@ func (e *Engine) maybeRequestSnapshot(origin ephid.AID, now int64) {
 	ep := p.ep
 	e.mu.Unlock()
 	payload := append([]byte{MsgSnapshotRequest}, EncodeSnapshotRequest(origin)...)
-	_ = e.sendTo(wire.Endpoint{AID: origin, EphID: ep}, payload) // lost: the anti-entropy snapshot repairs
+	e.sendOrEmit(wire.Endpoint{AID: origin, EphID: ep}, payload) // lost: the anti-entropy snapshot repairs
 }
 
 // handleSnapshotRequest serves a unicast snapshot to a peer whose delta
@@ -984,7 +996,7 @@ func (e *Engine) handleSnapshotRequest(src wire.Endpoint, body []byte) {
 	e.mu.Unlock()
 	sortDigest(d)
 	d.Sign(e.cfg.Signer)
-	_ = e.sendTo(dst, append([]byte{MsgDigest}, d.Encode()...)) // lost: the anti-entropy snapshot repairs
+	e.sendOrEmit(dst, append([]byte{MsgDigest}, d.Encode()...)) // lost: the anti-entropy snapshot repairs
 }
 
 // HandleMessage is the ProtoAcct demux the facade mounts on the agent's
@@ -1024,7 +1036,7 @@ func (e *Engine) HandleMessage(src wire.Endpoint, payload []byte) {
 				out = append(out, 1)
 				out = append(out, r.Encode()...)
 			}
-			_ = e.sendTo(src, out)
+			e.sendOrEmit(src, out)
 		}
 		err = e.HandleComplaint(c, func(r *Receipt, err error) {
 			if err != nil {
@@ -1042,7 +1054,7 @@ func (e *Engine) HandleMessage(src wire.Endpoint, payload []byte) {
 		if err != nil || r == nil {
 			return
 		}
-		_ = e.sendTo(src, append([]byte{MsgReceipt}, r.Encode()...))
+		e.sendOrEmit(src, append([]byte{MsgReceipt}, r.Encode()...))
 	case MsgReceipt:
 		_ = e.HandleReceipt(body)
 	case MsgDigest:

@@ -3,6 +3,7 @@ package accountability
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -892,5 +893,48 @@ func TestReceiptCacheCappedByCount(t *testing.T) {
 	}
 	if st.RequestsDuplicate != dupBefore {
 		t.Fatal("an evicted request was answered from the cache")
+	}
+}
+
+// TestSendFailuresAreEvents: an answer no caller waits on — a
+// complaint ack, a receipt — that the transport refuses shows as a
+// send-failed event naming the destination AS (a refused digest is
+// TestFlushOverAFailingTransport).
+func TestSendFailuresAreEvents(t *testing.T) {
+	w := newWorld(t, aidA, aidB)
+	offender := w.addHost(aidA, 7, 600)
+	local := w.addHost(aidA, 8, 600)
+	remote := w.addHost(aidB, 9, 600)
+	a := w.ases[aidA].engine
+	a.SetSend(func(wire.Endpoint, []byte) error { return errors.New("link down") })
+	events := w.events(aidA)
+	complaint := func(victim *identity) []byte {
+		c, err := NewComplaint(w.evidence(offender, victim, []byte("spam")), &victim.cert, &offender.cert, victim.sig).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	failed := func() []ephid.AID {
+		var peers []ephid.AID
+		for _, ev := range *events {
+			if ev.Kind == "send-failed" {
+				peers = append(peers, ev.Peer)
+			}
+		}
+		*events = nil
+		return peers
+	}
+
+	// A local complaint resolves at once; its ack goes back to the
+	// complaining host's AS.
+	a.HandleMessage(wire.Endpoint{AID: aidA, EphID: local.ephID}, append([]byte{MsgComplaint, 0, 0, 0, 0, 0, 0, 0, 1}, complaint(local)...))
+	if got := failed(); !slices.Equal(got, []ephid.AID{aidA}) {
+		t.Fatalf("complaint ack: send-failed to %v, want %v", got, []ephid.AID{aidA})
+	}
+	// A shutoff request from AS B is answered with a receipt to B.
+	a.HandleMessage(wire.Endpoint{AID: aidB, EphID: w.aaEphID[aidB]}, append([]byte{MsgShutoffRequest}, w.signedRequest(aidB, complaint(remote))...))
+	if got := failed(); !slices.Equal(got, []ephid.AID{aidB}) {
+		t.Fatalf("receipt: send-failed to %v, want %v", got, []ephid.AID{aidB})
 	}
 }

@@ -22,7 +22,7 @@
 //   - hotpath: propagates //apna:hotpath through the static call graph
 //     and reports heap allocations, mutex acquisition and channel
 //     operations reachable from the annotated roots — the static face
-//     of the E8 "0 allocs/op" bench gate.
+//     of the data plane's 0 allocs/op tests.
 //   - verifyfirst: flags accountability/aa state mutation reachable
 //     before the dominating signature verification in the same
 //     function.

@@ -35,7 +35,9 @@ var checkedDocs = []string{"README.md", "DESIGN.md", "cmd/README.md"}
 //     included. File names and snake_case metric or span names are not
 //     Go names;
 //   - in checkedDocs, a backticked or fenced `apna-<cmd> ... -flag`
-//     names a directory of cmd/ and flags that command defines.
+//     names a directory of cmd/ and flags that command defines, and the
+//     value after an apna-bench -exp is one of the experiments it still
+//     runs.
 func TestDocsResolve(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module type-check is not short")
@@ -117,6 +119,24 @@ func TestDocsScanner(t *testing.T) {
 	}
 	if len(doc.fenced) != 2 || doc.fenced[1] != (mdText{"apna-bench -exp e8", 10}) {
 		t.Errorf("fenced = %+v", doc.fenced)
+	}
+}
+
+// TestDocsCommandValues pins the -exp check: a retired or unknown
+// experiment fails, in either flag form, and a pipe ends the line.
+func TestDocsCommandValues(t *testing.T) {
+	ix := &docIndex{flags: map[string][]string{"apna-bench": {"exp", "pkts"}}, experiments: []string{"e1", "e11"}}
+	for text, bad := range map[string]bool{
+		"apna-bench -exp e11 -pkts 10":    false,
+		"apna-bench -exp=e1":              false,
+		"apna-bench -exp e1|e11":          false,
+		"go run ./cmd/apna-bench -exp=e8": true,
+		"apna-bench -pkts 10 -exp e12":    true,
+		"apna-bench -exp":                 true,
+	} {
+		if msg := ix.command(text); (msg != "") != bad {
+			t.Errorf("%q: %q", text, msg)
+		}
 	}
 }
 
@@ -250,6 +270,9 @@ type docIndex struct {
 	fields map[string][]*types.Var // struct fields of the module's named types
 	bare   map[string]bool         // every name the module declares, tests included, and the library exports
 	flags  map[string][]string     // cmd name -> flags it defines
+	// experiments are the values apna-bench's -exp takes: its
+	// experimentNames.
+	experiments []string
 }
 
 func newDocIndex(t *testing.T) *docIndex {
@@ -299,6 +322,9 @@ func newDocIndex(t *testing.T) *docIndex {
 		add(p.Pkg, true)
 		if cmd, ok := strings.CutPrefix(p.ImportPath, "apna/cmd/"); ok {
 			ix.flags[cmd] = definedFlags(p)
+		}
+		if p.ImportPath == "apna/cmd/apna-bench" {
+			ix.experiments = stringList(p, "experimentNames")
 		}
 	}
 	// The module requires nothing, so every import outside it is the
@@ -364,6 +390,36 @@ func definedFlags(p *Package) []string {
 				}
 			}
 			return true
+		})
+	}
+	return out
+}
+
+// stringList returns the string literals of the package-level
+// composite literal assigned to name.
+func stringList(p *Package, name string) []string {
+	var out []string
+	for _, f := range p.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			spec, ok := n.(*ast.ValueSpec)
+			if !ok {
+				return true
+			}
+			for i, id := range spec.Names {
+				if id.Name != name || i >= len(spec.Values) {
+					continue
+				}
+				lit, ok := spec.Values[i].(*ast.CompositeLit)
+				if !ok {
+					continue
+				}
+				for _, elt := range lit.Elts {
+					if tv := p.Info.Types[elt]; tv.Value != nil && tv.Value.Kind() == constant.String {
+						out = append(out, constant.StringVal(tv.Value))
+					}
+				}
+			}
+			return false
 		})
 	}
 	return out
@@ -482,9 +538,24 @@ func (ix *docIndex) command(text string) string {
 	if i := strings.IndexAny(line, "#|>;"); i >= 0 {
 		line = line[:i]
 	}
-	for _, w := range strings.Fields(line) {
-		if f := flagWord.FindStringSubmatch(w); f != nil && !slices.Contains(flags, f[1]) {
+	words := strings.Fields(line)
+	for i, w := range words {
+		f := flagWord.FindStringSubmatch(w)
+		if f == nil {
+			continue
+		}
+		if !slices.Contains(flags, f[1]) {
 			return fmt.Sprintf("apna-%s defines no flag -%s", m[1], f[1])
+		}
+		if m[1] != "bench" || f[1] != "exp" {
+			continue
+		}
+		exp, inline := strings.CutPrefix(w[len(f[0]):], "=")
+		if !inline && i+1 < len(words) {
+			exp = words[i+1]
+		}
+		if !slices.Contains(ix.experiments, exp) {
+			return fmt.Sprintf("apna-bench runs no experiment %q (it runs %s)", exp, strings.Join(ix.experiments, ", "))
 		}
 	}
 	return ""

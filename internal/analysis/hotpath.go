@@ -7,7 +7,7 @@ import (
 )
 
 // Hotpath propagates //apna:hotpath from annotated root declarations
-// (the E8-gated forwarding entry points: pipeline Process/ProcessBatch,
+// (the forwarding entry points: pipeline Process/ProcessBatch,
 // RevocationList.Contains, the hostdb lock-free getters, Sealer.Open,
 // Router.LookupRoute) through the static call graph, and reports
 // anything reachable that the "0 allocs/op, lock-free" contract
@@ -131,7 +131,7 @@ func hotpathFunc(pass *Pass, node funcNode, self, root *types.Func, visit func(*
 		if pkg.directiveAt(pass.Fset, pos, "alloc-ok") {
 			return
 		}
-		pass.Reportf(pos, "%s %s: the E8 gate requires 0 allocs/op (annotate //apna:alloc-ok if amortized or pre-sized)", what, where())
+		pass.Reportf(pos, "%s %s: the hot path requires 0 allocs/op (annotate //apna:alloc-ok if amortized or pre-sized)", what, where())
 	}
 	hardReport := func(pos token.Pos, what string) {
 		pass.Reportf(pos, "%s %s: the forwarding plane is lock-free and share-nothing", what, where())

@@ -1,11 +1,11 @@
-// Package benchgate turns the repo's BENCH_*.json artifacts from
-// per-run snapshots into enforced trajectories: it parses both
-// artifact shapes the bench job emits (BENCH_e8 and BENCH_e11, one
-// JSON object each, the two experiments that time something) into a
-// common series of direction-tagged metrics, aggregates N reruns per
-// side, and applies a Mann–Whitney U
-// test with a minimum-effect-size threshold per metric, so noise never
-// fails the gate and real regressions cannot hide behind variance.
+// Package benchgate turns the repo's timed artifacts from per-run
+// snapshots into enforced trajectories: it parses both artifact shapes
+// the bench job emits (the benchmark's results file from go run ./bench
+// and apna-bench's E11 artifact, one JSON object each) into a common
+// series of direction-tagged metrics, aggregates N reruns per side, and
+// applies a Mann–Whitney U test with a minimum-effect-size threshold
+// per metric, so noise never fails the gate and real regressions cannot
+// hide behind variance.
 //
 // Baselines are keyed by the provenance config hash stamped into every
 // artifact (internal/provenance): two runs compare like-for-like only

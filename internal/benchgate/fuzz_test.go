@@ -15,15 +15,15 @@ import (
 // tests pin (missing provenance, the E9/E10 JSON lines, the E12
 // object).
 func FuzzParseArtifact(f *testing.F) {
-	for _, fixture := range []string{"BENCH_e8.json", "BENCH_e11.json"} {
+	for _, fixture := range []string{"BENCH_bench.json", "BENCH_e11.json"} {
 		if data, err := os.ReadFile(filepath.Join("testdata", fixture)); err == nil {
 			f.Add(data)
 			f.Add(data[:len(data)/2])
 			f.Add(append(data, `{"extra":true}`...))
 		}
 	}
-	f.Add([]byte(`{"experiment":"e8","provenance":{"config_hash":"ab"},"report":{"pps":1}}`))
-	f.Add([]byte(`{"experiment":"e8","report":{"pps":1}}`))
+	f.Add([]byte(`{"provenance":{"config_hash":"ab"},"workloads":{"w":{"metrics":{"ops_per_s":{"median":1},"setup_s":{"median":1}}}}}`))
+	f.Add([]byte(`{"workloads":{"w":{"metrics":{"ops_per_s":{"median":1}}}}}`))
 	f.Add([]byte(`{"experiment":"e9","provenance":{"config_hash":"ab"}}` + "\n" + `{"seed":1}`))
 	f.Add([]byte(`{"experiment":"e11","provenance":{"config_hash":"ab"},"tiers":[{"hosts":10,"result":{}}]}`))
 	f.Add([]byte(`{"experiment":"e10","provenance":{"config_hash":"ab"}}` + "\n" + `{"seed":1}`))

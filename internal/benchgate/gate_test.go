@@ -56,8 +56,8 @@ func TestGateVerdictTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			base := runsAround("e8", hash, tc.metric, tc.dir, tc.baseCenter, tc.runs, 1)
-			cur := runsAround("e8", hash, tc.metric, tc.dir, tc.curCenter, tc.runs, 2)
+			base := runsAround("bench", hash, tc.metric, tc.dir, tc.baseCenter, tc.runs, 1)
+			cur := runsAround("bench", hash, tc.metric, tc.dir, tc.curCenter, tc.runs, 2)
 			res, err := Compare(base, cur)
 			if err != nil {
 				t.Fatal(err)
@@ -84,8 +84,8 @@ func TestGateVerdictTable(t *testing.T) {
 func TestGateNoiseNeverFails(t *testing.T) {
 	const hash = "beef0000beef0000"
 	for seed := int64(0); seed < 40; seed++ {
-		base := runsAround("e8", hash, "pps", HigherBetter, 1e6, 3, seed*2+1)
-		cur := runsAround("e8", hash, "pps", HigherBetter, 1e6, 3, seed*2+2)
+		base := runsAround("bench", hash, "pps", HigherBetter, 1e6, 3, seed*2+1)
+		cur := runsAround("bench", hash, "pps", HigherBetter, 1e6, 3, seed*2+2)
 		res, err := Compare(base, cur)
 		if err != nil {
 			t.Fatal(err)
@@ -101,14 +101,14 @@ func TestGateNoiseNeverFails(t *testing.T) {
 func TestGateSubThresholdChangePasses(t *testing.T) {
 	const hash = "f00d0000"
 	base := []*Artifact{
-		synth("e8", hash, "a", Metric{Name: "pps", Direction: HigherBetter, Values: []float64{1000}}),
-		synth("e8", hash, "a", Metric{Name: "pps", Direction: HigherBetter, Values: []float64{1001}}),
-		synth("e8", hash, "a", Metric{Name: "pps", Direction: HigherBetter, Values: []float64{1002}}),
+		synth("bench", hash, "a", Metric{Name: "pps", Direction: HigherBetter, Values: []float64{1000}}),
+		synth("bench", hash, "a", Metric{Name: "pps", Direction: HigherBetter, Values: []float64{1001}}),
+		synth("bench", hash, "a", Metric{Name: "pps", Direction: HigherBetter, Values: []float64{1002}}),
 	}
 	cur := []*Artifact{
-		synth("e8", hash, "b", Metric{Name: "pps", Direction: HigherBetter, Values: []float64{980}}),
-		synth("e8", hash, "b", Metric{Name: "pps", Direction: HigherBetter, Values: []float64{981}}),
-		synth("e8", hash, "b", Metric{Name: "pps", Direction: HigherBetter, Values: []float64{982}}),
+		synth("bench", hash, "b", Metric{Name: "pps", Direction: HigherBetter, Values: []float64{980}}),
+		synth("bench", hash, "b", Metric{Name: "pps", Direction: HigherBetter, Values: []float64{981}}),
+		synth("bench", hash, "b", Metric{Name: "pps", Direction: HigherBetter, Values: []float64{982}}),
 	}
 	res, err := Compare(base, cur)
 	if err != nil {
@@ -125,8 +125,8 @@ func TestGateSubThresholdChangePasses(t *testing.T) {
 // TestGateConfigHashMismatchSkips: a changed experiment configuration
 // must yield "no comparable baseline" — a skip, never a verdict.
 func TestGateConfigHashMismatchSkips(t *testing.T) {
-	base := runsAround("e8", "hash-old", "pps", HigherBetter, 1e6, 3, 1)
-	cur := runsAround("e8", "hash-new", "pps", HigherBetter, 0.5e6, 3, 2)
+	base := runsAround("bench", "hash-old", "pps", HigherBetter, 1e6, 3, 1)
+	cur := runsAround("bench", "hash-new", "pps", HigherBetter, 0.5e6, 3, 2)
 	res, err := Compare(base, cur)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestGateConfigHashMismatchSkips(t *testing.T) {
 // TestGateEmptyBaselineSkips: a first run has nothing to compare
 // against.
 func TestGateEmptyBaselineSkips(t *testing.T) {
-	cur := runsAround("e8", "h", "pps", HigherBetter, 1e6, 3, 1)
+	cur := runsAround("bench", "h", "pps", HigherBetter, 1e6, 3, 1)
 	res, err := Compare(nil, cur)
 	if err != nil {
 		t.Fatal(err)
@@ -163,11 +163,11 @@ func TestGateEmptyBaselineSkips(t *testing.T) {
 func TestGateMissingMetricNeverFails(t *testing.T) {
 	const hash = "feed"
 	base := []*Artifact{
-		synth("e8", hash, "a",
+		synth("bench", hash, "a",
 			Metric{Name: "pps", Direction: HigherBetter, Values: []float64{100, 101}}),
 	}
 	cur := []*Artifact{
-		synth("e8", hash, "b",
+		synth("bench", hash, "b",
 			Metric{Name: "pps", Direction: HigherBetter, Values: []float64{100, 101}},
 			Metric{Name: "gbps_delivered", Direction: HigherBetter, Values: []float64{5, 5}}),
 	}
@@ -213,7 +213,7 @@ func TestGateDeterministicMetricsTie(t *testing.T) {
 // TestCompareValidation pins the hard errors (never silent) for
 // malformed comparisons.
 func TestCompareValidation(t *testing.T) {
-	good := runsAround("e8", "h", "pps", HigherBetter, 1e6, 2, 1)
+	good := runsAround("bench", "h", "pps", HigherBetter, 1e6, 2, 1)
 	if _, err := Compare(good, nil); err == nil {
 		t.Error("empty current side accepted")
 	}
@@ -230,8 +230,8 @@ func TestCompareValidation(t *testing.T) {
 // the verdicts.
 func TestSummarizeAndReports(t *testing.T) {
 	const hash = "abad1dea"
-	base := runsAround("e8", hash, "pps", HigherBetter, 1e6, 3, 1)
-	cur := runsAround("e8", hash, "pps", HigherBetter, 0.8e6, 3, 2)
+	base := runsAround("bench", hash, "pps", HigherBetter, 1e6, 3, 1)
+	cur := runsAround("bench", hash, "pps", HigherBetter, 0.8e6, 3, 2)
 	fail, err := Compare(base, cur)
 	if err != nil {
 		t.Fatal(err)
@@ -257,6 +257,12 @@ func TestSummarizeAndReports(t *testing.T) {
 	for _, want := range []string{"Verdict: FAIL", "| pps |", "**FAIL**", "no-baseline"} {
 		if !strings.Contains(md, want) {
 			t.Errorf("report.md missing %q", want)
+		}
+	}
+	// A unit that starts with a digit must not run into the value.
+	for v, want := range map[float64]string{285299.4: "285299 1/s", 0.0499: "0.0499 1/s", 0: "0 1/s", 2.5e9: "2.5e+09 1/s"} {
+		if got := formatValue(v, "1/s"); got != want {
+			t.Errorf("formatValue(%v) = %q, want %q", v, got, want)
 		}
 	}
 }

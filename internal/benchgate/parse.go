@@ -61,8 +61,10 @@ type artifactHead struct {
 	Provenance provenance.Block `json:"provenance"`
 }
 
-// ParseArtifact decodes one BENCH_*.json artifact of either of the two
-// shapes (E8, E11), each a single JSON object. It refuses artifacts
+// ParseArtifact decodes one artifact of either of the two shapes, each
+// a single JSON object: the benchmark's results file (go run ./bench,
+// bench/out/results.json), which names no experiment and is parsed as
+// experiment "bench", and the E11 artifact. It refuses artifacts
 // without a provenance config hash — without one the gate cannot prove
 // two runs are comparable — and rejects trailing data and unknown
 // experiments, so artifact-schema drift surfaces as a loud parse error
@@ -87,12 +89,10 @@ func ParseArtifact(data []byte) (*Artifact, error) {
 
 	var parse func(json.RawMessage, *Artifact) error
 	switch head.Experiment {
-	case "e8":
-		parse = parseE8
+	case "":
+		head.Experiment, parse = "bench", parseBench
 	case "e11":
 		parse = parseE11
-	case "":
-		return nil, fmt.Errorf("benchgate: artifact names no experiment")
 	default:
 		return nil, fmt.Errorf("benchgate: unknown experiment %q", head.Experiment)
 	}
@@ -108,38 +108,57 @@ func (a *Artifact) add(name string, dir Direction, unit string, v float64) {
 	a.Metrics = append(a.Metrics, Metric{Name: name, Direction: dir, Unit: unit, Values: []float64{v}})
 }
 
-// ---- E8: engine saturation, single object ----
+// ---- bench: the benchmark's results file, one object of workloads ----
 
-type e8Artifact struct {
-	Report *struct {
-		PPS           float64 `json:"pps"`
-		GbpsDelivered float64 `json:"gbps_delivered"`
-		Stages        map[string]struct {
-			P50 float64 `json:"p50_ns"`
-			P99 float64 `json:"p99_ns"`
-		} `json:"stages"`
-	} `json:"report"`
+// endToEnd is BENCHMARK.json's end_to_end list — the metrics the
+// benchmark's own comparison reads — each with the direction its
+// "better" names.
+var endToEnd = []struct {
+	name string
+	dir  Direction
+}{
+	{"ops_per_s", HigherBetter},
+	{"setup_s", LowerBetter},
 }
 
-func parseE8(raw json.RawMessage, art *Artifact) error {
-	var doc e8Artifact
+type benchResults struct {
+	Workloads map[string]struct {
+		Failed  uint64 `json:"failed"`
+		Metrics map[string]struct {
+			Unit   string  `json:"unit"`
+			Median float64 `json:"median"`
+		} `json:"metrics"`
+	} `json:"workloads"`
+}
+
+// parseBench gives every workload one metric per end-to-end metric,
+// "<workload>/<metric>", valued at the run's median. A run that failed
+// an operation measured broken code, so its file is refused.
+func parseBench(raw json.RawMessage, art *Artifact) error {
+	var doc benchResults
 	if err := json.Unmarshal(raw, &doc); err != nil {
-		return fmt.Errorf("benchgate: e8 artifact: %w", err)
+		return fmt.Errorf("benchgate: results file: %w", err)
 	}
-	if doc.Report == nil {
-		return fmt.Errorf("benchgate: e8 artifact carries no report")
+	if len(doc.Workloads) == 0 {
+		return fmt.Errorf("benchgate: artifact names no experiment and carries no workloads")
 	}
-	art.add("pps", HigherBetter, "pps", doc.Report.PPS)
-	art.add("gbps_delivered", HigherBetter, "Gbps", doc.Report.GbpsDelivered)
-	stages := make([]string, 0, len(doc.Report.Stages))
-	for name := range doc.Report.Stages {
-		stages = append(stages, name)
+	names := make([]string, 0, len(doc.Workloads))
+	for name := range doc.Workloads {
+		names = append(names, name)
 	}
-	sort.Strings(stages)
-	for _, name := range stages {
-		s := doc.Report.Stages[name]
-		art.add(name+"_p50_ns", LowerBetter, "ns", s.P50)
-		art.add(name+"_p99_ns", LowerBetter, "ns", s.P99)
+	sort.Strings(names)
+	for _, name := range names {
+		wl := doc.Workloads[name]
+		if wl.Failed > 0 {
+			return fmt.Errorf("benchgate: workload %s failed %d operations", name, wl.Failed)
+		}
+		for _, m := range endToEnd {
+			v, ok := wl.Metrics[m.name]
+			if !ok {
+				return fmt.Errorf("benchgate: workload %s carries no %s", name, m.name)
+			}
+			art.add(name+"/"+m.name, m.dir, v.Unit, v.Median)
+		}
 	}
 	return nil
 }

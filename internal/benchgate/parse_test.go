@@ -1,6 +1,7 @@
 package benchgate
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,7 +13,7 @@ func readFixture(t *testing.T, name string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
-		t.Fatalf("fixture %s: %v (regenerate with BENCHGATE_REGEN=1)", name, err)
+		t.Fatalf("fixture %s: %v (see TestRegenerateFixtures)", name, err)
 	}
 	return data
 }
@@ -31,12 +32,14 @@ func TestGoldenArtifactShapes(t *testing.T) {
 		samples int
 	}{
 		{
-			fixture: "BENCH_e8.json", experiment: "e8", samples: 1,
+			fixture: "BENCH_bench.json", experiment: "bench", samples: 1,
 			metrics: []string{
-				"pps", "gbps_delivered",
-				"egress_p50_ns", "egress_p99_ns",
-				"ingress_p50_ns", "ingress_p99_ns",
-				"transit_p50_ns", "transit_p99_ns",
+				"ctl_population/ops_per_s", "ctl_population/setup_s",
+				"fwd_churn/ops_per_s", "fwd_churn/setup_s",
+				"fwd_large/ops_per_s", "fwd_large/setup_s",
+				"fwd_small/ops_per_s", "fwd_small/setup_s",
+				"host_connect/ops_per_s", "host_connect/setup_s",
+				"host_send/ops_per_s", "host_send/setup_s",
 			},
 		},
 		{
@@ -84,11 +87,12 @@ func TestGoldenDirections(t *testing.T) {
 		fixture string
 		want    Direction
 	}{
-		"pps":                {"BENCH_e8.json", HigherBetter},
-		"egress_p99_ns":      {"BENCH_e8.json", LowerBetter},
-		"events_per_sec@500": {"BENCH_e11.json", HigherBetter},
-		"issue_p99_us@2000":  {"BENCH_e11.json", LowerBetter},
-		"peak_rss_bytes@500": {"BENCH_e11.json", LowerBetter},
+		"fwd_small/ops_per_s": {"BENCH_bench.json", HigherBetter},
+		"fwd_churn/setup_s":   {"BENCH_bench.json", LowerBetter},
+		"host_send/ops_per_s": {"BENCH_bench.json", HigherBetter},
+		"events_per_sec@500":  {"BENCH_e11.json", HigherBetter},
+		"issue_p99_us@2000":   {"BENCH_e11.json", LowerBetter},
+		"peak_rss_bytes@500":  {"BENCH_e11.json", LowerBetter},
 	}
 	for name, tc := range dirs {
 		art, err := ParseArtifact(readFixture(t, tc.fixture))
@@ -109,7 +113,7 @@ func TestGoldenDirections(t *testing.T) {
 // TestParseArtifactRejects pins the loud-failure contract: malformed
 // input must error, never yield a quietly empty metric series.
 func TestParseArtifactRejects(t *testing.T) {
-	e8 := string(readFixture(t, "BENCH_e8.json"))
+	results := string(readFixture(t, "BENCH_bench.json"))
 	// The retired E9 artifact was JSON lines: a header, then a verdict
 	// per seed. Whatever its lines hold, the shape is refused.
 	e9Header := `{"experiment":"e9","provenance":{"config_hash":"ab"}}`
@@ -124,12 +128,15 @@ func TestParseArtifactRejects(t *testing.T) {
 		{"unknown experiment", `{"experiment":"e99","provenance":{"config_hash":"ab"}}`, "unknown experiment"},
 		{"retired e10 shape", `{"experiment":"e10","provenance":{"config_hash":"ab"}}` + "\n" + `{"seed":1}`, "unknown experiment"},
 		{"no experiment", `{"provenance":{"config_hash":"ab"}}`, "names no experiment"},
-		{"missing provenance", `{"experiment":"e8","report":{"pps":1}}`, "no provenance config hash"},
+		{"missing provenance", `{"workloads":{"fwd_small":{"metrics":{"ops_per_s":{"median":1}}}}}`, "no provenance config hash"},
 		{"jsonlines header only", e9Header, "unknown experiment"},
-		{"truncated jsonlines", e8 + "\n" + `{"seed":1,"renewals":`, "trailing data"},
+		{"truncated jsonlines", results + "\n" + `{"seed":1,"renewals":`, "trailing data"},
 		{"verdict without seed", e9Header + "\n" + `{"renewals":3}`, "unknown experiment"},
-		{"trailing garbage after object", e8 + `{"extra":true}`, "trailing data"},
-		{"e8 without report", `{"experiment":"e8","provenance":{"config_hash":"ab"}}`, "no report"},
+		{"trailing garbage after object", results + `{"extra":true}`, "trailing data"},
+		{"results without workloads", `{"provenance":{"config_hash":"ab"},"workloads":{}}`, "no workloads"},
+		{"workload without an end-to-end metric", `{"provenance":{"config_hash":"ab"},"workloads":{"fwd_small":{"metrics":{"ops_per_s":{"median":1}}}}}`, "fwd_small carries no setup_s"},
+		{"workload that failed operations", `{"provenance":{"config_hash":"ab"},"workloads":{"fwd_small":{"failed":3,"metrics":{}}}}`, "fwd_small failed 3 operations"},
+		{"e8 without report", `{"experiment":"e8","provenance":{"config_hash":"ab"}}`, "unknown experiment"},
 		{"e11 without tiers", `{"experiment":"e11","provenance":{"config_hash":"ab"}}`, "no tiers"},
 		{"e11 tier without result", `{"experiment":"e11","provenance":{"config_hash":"ab"},"tiers":[{"hosts":10}]}`, "no result"},
 		{"e12 without phases", `{"experiment":"e12","provenance":{"config_hash":"ab"}}`, "unknown experiment"},
@@ -144,5 +151,42 @@ func TestParseArtifactRejects(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestEndToEndMatchesBenchmark holds the gate to BENCHMARK.json: it
+// gates exactly the end_to_end metrics the benchmark declares, each in
+// the direction that metric's "better" names.
+func TestEndToEndMatchesBenchmark(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCHMARK.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var manifest struct {
+		EndToEnd []struct {
+			Name   string `json:"name"`
+			Better string `json:"better"`
+		} `json:"end_to_end"`
+	}
+	if err := json.Unmarshal(raw, &manifest); err != nil {
+		t.Fatal(err)
+	}
+	gated := map[string]Direction{}
+	for _, m := range endToEnd {
+		gated[m.name] = m.dir
+	}
+	for _, m := range manifest.EndToEnd {
+		want := map[string]Direction{"higher": HigherBetter, "lower": LowerBetter}[m.Better]
+		dir, ok := gated[m.Name]
+		switch {
+		case !ok:
+			t.Errorf("end_to_end metric %s is not gated", m.Name)
+		case dir != want || (m.Better != "higher" && m.Better != "lower"):
+			t.Errorf("end_to_end metric %s: gate direction %v, BENCHMARK.json says %q", m.Name, dir, m.Better)
+		}
+		delete(gated, m.Name)
+	}
+	for name := range gated {
+		t.Errorf("the gate reads %s, which BENCHMARK.json's end_to_end does not declare", name)
 	}
 }

@@ -79,7 +79,8 @@ func (s *Summary) Markdown() []byte {
 }
 
 // formatValue renders a metric value with its unit, compacting large
-// magnitudes so the table stays scannable.
+// magnitudes so the table stays scannable. A space keeps a unit that
+// starts with a digit ("1/s") apart from the value.
 func formatValue(v float64, unit string) string {
 	abs := v
 	if abs < 0 {
@@ -87,12 +88,12 @@ func formatValue(v float64, unit string) string {
 	}
 	switch {
 	case abs >= 1e9:
-		return fmt.Sprintf("%.3g%s", v, unit)
+		return fmt.Sprintf("%.3g %s", v, unit)
 	case abs >= 1000:
-		return fmt.Sprintf("%.0f%s", v, unit)
+		return fmt.Sprintf("%.0f %s", v, unit)
 	case abs == 0:
-		return "0" + unit
+		return "0 " + unit
 	default:
-		return fmt.Sprintf("%.3g%s", v, unit)
+		return fmt.Sprintf("%.3g %s", v, unit)
 	}
 }

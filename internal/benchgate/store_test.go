@@ -9,7 +9,7 @@ import (
 
 func TestStoreRoundTrip(t *testing.T) {
 	store := Store{Dir: filepath.Join(t.TempDir(), "nested", "store")}
-	raw := readFixture(t, "BENCH_e8.json")
+	raw := readFixture(t, "BENCH_bench.json")
 	if err := store.Save([][]byte{raw, raw, raw}); err != nil {
 		t.Fatal(err)
 	}
@@ -17,7 +17,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := store.Load("e8", art.Provenance.ConfigHash)
+	loaded, err := store.Load("bench", art.Provenance.ConfigHash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestStoreRoundTrip(t *testing.T) {
 
 func TestStoreNoBaseline(t *testing.T) {
 	store := Store{Dir: t.TempDir()}
-	_, err := store.Load("e8", "0123456789abcdef0123456789abcdef")
+	_, err := store.Load("bench", "0123456789abcdef0123456789abcdef")
 	if !errors.Is(err, ErrNoBaseline) {
 		t.Fatalf("missing baseline: %v, want ErrNoBaseline", err)
 	}
@@ -61,7 +61,7 @@ func TestStoreNoBaseline(t *testing.T) {
 
 func TestStoreRefusesCorruptAndMismatched(t *testing.T) {
 	store := Store{Dir: t.TempDir()}
-	raw := readFixture(t, "BENCH_e8.json")
+	raw := readFixture(t, "BENCH_bench.json")
 	if err := store.Save([][]byte{raw}); err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +69,11 @@ func TestStoreRefusesCorruptAndMismatched(t *testing.T) {
 	hash := art.Provenance.ConfigHash
 
 	// Corrupt file: loud error, not a verdict.
-	path := store.path("e8", hash)
+	path := store.path("bench", hash)
 	if err := os.WriteFile(path, []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.Load("e8", hash); err == nil || errors.Is(err, ErrNoBaseline) {
+	if _, err := store.Load("bench", hash); err == nil || errors.Is(err, ErrNoBaseline) {
 		t.Fatalf("corrupt baseline: %v, want a hard error", err)
 	}
 
@@ -84,14 +84,14 @@ func TestStoreRefusesCorruptAndMismatched(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := hash[:16] + "ffffffffffffffffffffffffffffffffffffffffffffffff"
-	if _, err := store.Load("e8", other); !errors.Is(err, ErrNoBaseline) {
+	if _, err := store.Load("bench", other); !errors.Is(err, ErrNoBaseline) {
 		t.Fatalf("hash-mismatched baseline: %v, want ErrNoBaseline", err)
 	}
 }
 
 func TestStoreRejectsMixedSaves(t *testing.T) {
 	store := Store{Dir: t.TempDir()}
-	if err := store.Save([][]byte{readFixture(t, "BENCH_e8.json"), readFixture(t, "BENCH_e11.json")}); err == nil {
+	if err := store.Save([][]byte{readFixture(t, "BENCH_bench.json"), readFixture(t, "BENCH_e11.json")}); err == nil {
 		t.Fatal("mixed-experiment baseline save accepted")
 	}
 	if err := store.Save(nil); err == nil {
@@ -100,19 +100,19 @@ func TestStoreRejectsMixedSaves(t *testing.T) {
 }
 
 func TestGroupArtifacts(t *testing.T) {
-	e8 := readFixture(t, "BENCH_e8.json")
+	results := readFixture(t, "BENCH_bench.json")
 	e11 := readFixture(t, "BENCH_e11.json")
 	groups, err := GroupArtifacts(
-		[]string{"e8_run1.json", "e8_run2.json", "e11_run1.json"},
-		[][]byte{e8, e8, e11})
+		[]string{"bench_run1.json", "bench_run2.json", "e11_run1.json"},
+		[][]byte{results, results, e11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(groups) != 2 {
 		t.Fatalf("%d groups, want 2", len(groups))
 	}
-	if groups[0].Experiment != "e8" || len(groups[0].Artifacts) != 2 {
-		t.Errorf("group 0: %s with %d runs, want e8 with 2", groups[0].Experiment, len(groups[0].Artifacts))
+	if groups[0].Experiment != "bench" || len(groups[0].Artifacts) != 2 {
+		t.Errorf("group 0: %s with %d runs, want bench with 2", groups[0].Experiment, len(groups[0].Artifacts))
 	}
 	if groups[1].Experiment != "e11" || len(groups[1].Artifacts) != 1 {
 		t.Errorf("group 1: %s with %d runs, want e11 with 1", groups[1].Experiment, len(groups[1].Artifacts))

@@ -54,41 +54,31 @@ const (
 // StageStats summarizes one stage's per-packet latency distribution
 // (estimated per batch: stage time divided by batch size).
 type StageStats struct {
-	P50 time.Duration `json:"p50_ns"`
-	P90 time.Duration `json:"p90_ns"`
-	P99 time.Duration `json:"p99_ns"`
-	Max time.Duration `json:"max_ns"`
-	// Samples is how many batch measurements fed the percentiles.
-	Samples int `json:"samples"`
+	P50 time.Duration
+	P99 time.Duration
 }
 
 // Report is the engine's measurement output.
 type Report struct {
-	Workers   int `json:"workers"`
-	BatchSize int `json:"batch_size"`
-	Lanes     int `json:"lanes"`
-	FrameSize int `json:"frame_size"`
+	Workers   int
+	FrameSize int
 
 	// Packets is the number of frames entering the egress stage.
-	Packets uint64        `json:"packets"`
-	Elapsed time.Duration `json:"elapsed_ns"`
+	Packets uint64
 	// PPS is end-to-end packets per second across all workers.
-	PPS float64 `json:"pps"`
-	// GbpsDelivered is the bit rate of frames that completed all three
-	// stages.
-	GbpsDelivered float64 `json:"gbps_delivered"`
+	PPS float64
 
 	// Delivered counts frames that survived egress, transit and
 	// ingress; Dropped counts the rest.
-	Delivered uint64 `json:"delivered"`
-	Dropped   uint64 `json:"dropped"`
+	Delivered uint64
+	Dropped   uint64
 
 	// Verdicts counts every pipeline outcome by name (forward counts
 	// stage passes, so it exceeds Delivered).
-	Verdicts map[string]uint64 `json:"verdicts"`
+	Verdicts map[string]uint64
 
 	// Stages holds per-stage latency percentiles.
-	Stages map[string]StageStats `json:"stages"`
+	Stages map[string]StageStats
 }
 
 // stage indices for the per-worker sample reservoirs.
@@ -182,7 +172,7 @@ func Run(w *pktgen.World, cfg Config) (*Report, error) {
 	spare.Workers(workers, func(i int) { ws[i].run(budget, batch) })()
 	elapsed := time.Since(start) //apna:wallclock
 
-	return aggregate(ws, w, workers, batch, elapsed), nil
+	return aggregate(ws, w, workers, elapsed), nil
 }
 
 // run pumps batches until the packet budget is exhausted, cycling over
@@ -274,15 +264,13 @@ func (wk *worker) sample(stage int, d time.Duration, n int) {
 }
 
 // aggregate merges worker results into the report.
-func aggregate(ws []*worker, w *pktgen.World, workers, batch int, elapsed time.Duration) *Report {
+func aggregate(ws []*worker, w *pktgen.World, workers int, elapsed time.Duration) *Report {
 	frameSize := 0
 	if len(w.Lanes) > 0 && len(w.Lanes[0].Frames) > 0 {
 		frameSize = len(w.Lanes[0].Frames[0])
 	}
 	r := &Report{
-		Workers: workers, BatchSize: batch,
-		Lanes: len(w.Lanes), FrameSize: frameSize,
-		Elapsed:  elapsed,
+		Workers: workers, FrameSize: frameSize,
 		Verdicts: make(map[string]uint64),
 		Stages:   make(map[string]StageStats, stageCount),
 	}
@@ -302,7 +290,6 @@ func aggregate(ws []*worker, w *pktgen.World, workers, batch int, elapsed time.D
 	r.Dropped = r.Packets - r.Delivered
 	if secs := elapsed.Seconds(); secs > 0 {
 		r.PPS = float64(r.Packets) / secs
-		r.GbpsDelivered = float64(r.Delivered) * float64(frameSize) * 8 / 1e9 / secs
 	}
 	for s := range merged {
 		r.Stages[stageNames[s]] = percentiles(merged[s])
@@ -317,11 +304,5 @@ func percentiles(samples []float64) StageStats {
 	}
 	slices.Sort(samples)
 	at := func(q float64) time.Duration { return time.Duration(quantile.NearestRank(samples, q)) }
-	return StageStats{
-		P50:     at(0.50),
-		P90:     at(0.90),
-		P99:     at(0.99),
-		Max:     at(1),
-		Samples: len(samples),
-	}
+	return StageStats{P50: at(0.50), P99: at(0.99)}
 }

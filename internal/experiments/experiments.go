@@ -1,8 +1,7 @@
 // Package experiments implements the timed experiments behind
 // cmd/apna-bench: the MS performance table (E1) and both Figure 8
 // forwarding series (E3/E4) of the paper's evaluation (Section V), and
-// the gated population ramp E11. E8 is engine.Saturate, which
-// apna-bench calls directly. The deterministic experiments are tests:
+// the gated population ramp E11. The deterministic experiments are tests:
 // E2 is TestPaperScaleTrace in internal/trace, E5 TestConnectionRTTs in
 // the root package, E12 TestDisseminationAtScale in
 // internal/accountability; E6, E7, E9 and E10 are specs under
@@ -134,23 +133,24 @@ func (r *E1Result) Fprint(w io.Writer) {
 
 // RunE3 runs the Figure 8 forwarding sweep: the forwarding engine over a
 // clean two-AS world at every paper packet size. What is timed is what
-// E8 and bench/'s fwd_* workloads time — egress, route lookup and ingress
-// in 64-frame batches.
+// bench/'s fwd_* workloads time — egress, route lookup and ingress in
+// 64-frame batches.
 func RunE3(hosts, workers, packetsPerWorker int) ([]*engine.Report, error) {
 	reports := make([]*engine.Report, 0, len(pktgen.PaperPacketSizes))
 	for _, size := range pktgen.PaperPacketSizes {
-		res, err := engine.Saturate(engine.SaturationConfig{
-			ASes: 2, HostsPerAS: hosts, FrameSize: size,
-			Workers: workers, BatchSize: engine.DefaultBatchSize, PacketsPerWorker: packetsPerWorker,
-		})
+		w, err := pktgen.NewWorld(pktgen.WorldConfig{ASes: 2, HostsPerAS: hosts, FrameSize: size})
+		if err != nil {
+			return nil, fmt.Errorf("e3: %w", err)
+		}
+		rep, err := engine.Run(w, engine.Config{Workers: workers, PacketsPerWorker: packetsPerWorker})
 		if err != nil {
 			return nil, err
 		}
-		if rep := res.Report; !res.OK || rep.Dropped > 0 {
+		if rep.Dropped > 0 {
 			// A fixture bug, not a measurement.
-			return nil, fmt.Errorf("e3: %d B: %d of %d valid frames dropped %v", size, rep.Dropped, rep.Packets, res.Failures)
+			return nil, fmt.Errorf("e3: %d B: %d of %d clean frames dropped %v", size, rep.Dropped, rep.Packets, rep.Verdicts)
 		}
-		reports = append(reports, res.Report)
+		reports = append(reports, rep)
 	}
 	return reports, nil
 }

@@ -55,7 +55,8 @@ type Lane struct {
 // World is a multi-AS data plane: one Fixture per AS (router, sealer,
 // host population), ring adjacency with computed next-hop tables, and
 // one traffic lane per AS toward its ring successor. It is what the
-// parallel forwarding engine saturates in experiment E8.
+// parallel forwarding engine saturates in E3 and in the benchmark's
+// fwd_* workloads.
 type World struct {
 	ASes  []*Fixture
 	Lanes []*Lane

@@ -1,9 +1,9 @@
 // Package provenance stamps benchmark artifacts with where they came
 // from: commit hash, configuration digest, seed, toolchain and
-// timestamp. Every BENCH_*.json artifact (E8–E11) embeds one Block so
-// future cross-commit comparison tooling — the ROADMAP's m5gate-style
-// trend gate — has stable, self-describing inputs instead of having to
-// reconstruct run conditions from CI metadata.
+// timestamp. The benchmark's results file (go run ./bench) and every
+// E11 artifact embed one Block, so the trend gate (internal/benchgate)
+// has stable, self-describing inputs instead of having to reconstruct
+// run conditions from CI metadata.
 package provenance
 
 import (

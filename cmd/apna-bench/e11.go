@@ -1,4 +1,4 @@
-package experiments
+package main
 
 import (
 	"encoding/json"
@@ -22,8 +22,8 @@ import (
 // RSS per tier, so "10^6 hosts fit in one process" is documented, not
 // asserted.
 
-// E11Config sizes the population ramp.
-type E11Config struct {
+// e11Config sizes the population ramp.
+type e11Config struct {
 	// Tiers are the modeled host populations, run in order.
 	Tiers []int `json:"tiers"`
 	// Ticks is the virtual run length per tier.
@@ -41,13 +41,13 @@ type E11Config struct {
 	Population population.Config `json:"population"`
 }
 
-// DefaultE11 returns the CI short ramp: 10^3 → 10^6 hosts over a
+// defaultE11 returns the CI short ramp: 10^3 → 10^6 hosts over a
 // compressed 40-tick day per tier. The full ramp (apna-bench
 // -e11-full) extends to 10^7.
-func DefaultE11() E11Config {
+func defaultE11() e11Config {
 	pop := population.DefaultConfig()
 	pop.Ticks = 40
-	return E11Config{
+	return e11Config{
 		Tiers:      []int{1_000, 10_000, 100_000, 1_000_000},
 		Ticks:      40,
 		Seed:       1,
@@ -56,38 +56,38 @@ func DefaultE11() E11Config {
 	}
 }
 
-// FullTopTier is the tier -e11-full appends to the default ramp.
-const FullTopTier = 10_000_000
+// fullTopTier is the tier -e11-full appends to the default ramp.
+const fullTopTier = 10_000_000
 
-// E11Tier is one tier's verdict.
-type E11Tier struct {
+// e11Tier is one tier's verdict.
+type e11Tier struct {
 	Hosts    int                `json:"hosts"`
 	OK       bool               `json:"ok"`
 	Failures []string           `json:"failures,omitempty"`
 	Result   *population.Result `json:"result"`
 }
 
-// E11Result is the sweep report — the BENCH_e11.json shape: one JSON
+// e11Result is the sweep report — the BENCH_e11.json shape: one JSON
 // object with the provenance block, the configuration, and the per-tier
 // verdicts.
-type E11Result struct {
+type e11Result struct {
 	Experiment  string           `json:"experiment"`
 	Provenance  provenance.Block `json:"provenance"`
-	Config      E11Config        `json:"config"`
-	Tiers       []E11Tier        `json:"tiers"`
+	Config      e11Config        `json:"config"`
+	Tiers       []e11Tier        `json:"tiers"`
 	OK          bool             `json:"ok"`
 	WallElapsed time.Duration    `json:"wall_elapsed_ns"`
 }
 
-// RunE11 runs the ramp. Every tier runs the same per-host workload, so
+// runE11 runs the ramp. Every tier runs the same per-host workload, so
 // scaling effects — not workload changes — explain any latency drift
 // across tiers.
-func RunE11(cfg E11Config) (*E11Result, error) {
+func runE11(cfg e11Config) (*e11Result, error) {
 	if len(cfg.Tiers) == 0 || cfg.Ticks <= 0 || cfg.P99BoundMs <= 0 {
-		return nil, fmt.Errorf("experiments: e11 needs tiers, ticks and a p99 bound, got %+v", cfg)
+		return nil, fmt.Errorf("e11 needs tiers, ticks and a p99 bound, got %+v", cfg)
 	}
 	start := time.Now() //apna:wallclock
-	res := &E11Result{
+	res := &e11Result{
 		Experiment: "e11",
 		Provenance: provenance.Collect(cfg.Seed, cfg),
 		Config:     cfg,
@@ -102,9 +102,9 @@ func RunE11(cfg E11Config) (*E11Result, error) {
 		pcfg.Seed = cfg.Seed
 		r, err := population.Run(pcfg)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: e11 tier %d: %w", hosts, err)
+			return nil, fmt.Errorf("e11 tier %d: %w", hosts, err)
 		}
-		tier := E11Tier{Hosts: hosts, Result: r}
+		tier := e11Tier{Hosts: hosts, Result: r}
 		fail := func(format string, args ...any) {
 			tier.Failures = append(tier.Failures, fmt.Sprintf(format, args...))
 		}
@@ -133,10 +133,10 @@ func RunE11(cfg E11Config) (*E11Result, error) {
 }
 
 // JSON renders the result as the BENCH_e11.json artifact.
-func (r *E11Result) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
+func (r *e11Result) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
 
 // Fprint renders the human-readable ramp table.
-func (r *E11Result) Fprint(w io.Writer) {
+func (r *e11Result) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "E11: population ramp (%d tiers, %d ticks/tier, p99 bound %.0fms)\n",
 		len(r.Tiers), r.Config.Ticks, r.Config.P99BoundMs)
 	fmt.Fprintf(w, "  %-9s %-8s %-10s %-9s %-9s %-8s %-10s %-10s %-9s %s\n",

@@ -1,8 +1,10 @@
-package experiments
+package main
 
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -11,8 +13,8 @@ import (
 // crossing every gate: a short EphID lifetime forces renewal storms,
 // churn feeds the GC gate, and two tiers exercise the top-tier p99
 // check.
-func tinyE11() E11Config {
-	cfg := DefaultE11()
+func tinyE11() e11Config {
+	cfg := defaultE11()
 	cfg.Tiers = []int{300, 600}
 	cfg.Ticks = 24
 	cfg.Workers = 2
@@ -26,9 +28,9 @@ func tinyE11() E11Config {
 }
 
 func TestE11SmokeRamp(t *testing.T) {
-	res, err := RunE11(tinyE11())
+	res, err := runE11(tinyE11())
 	if err != nil {
-		t.Fatalf("RunE11: %v", err)
+		t.Fatalf("runE11: %v", err)
 	}
 	if !res.OK {
 		for _, tier := range res.Tiers {
@@ -55,9 +57,9 @@ func TestE11SmokeRamp(t *testing.T) {
 }
 
 func TestE11ReportShapes(t *testing.T) {
-	res, err := RunE11(tinyE11())
+	res, err := runE11(tinyE11())
 	if err != nil {
-		t.Fatalf("RunE11: %v", err)
+		t.Fatalf("runE11: %v", err)
 	}
 
 	// The -out artifact must be exactly one decodable object (the
@@ -66,7 +68,7 @@ func TestE11ReportShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var decoded E11Result
+	var decoded e11Result
 	if err := json.Unmarshal(raw, &decoded); err != nil {
 		t.Fatalf("artifact is not a single JSON object: %v", err)
 	}
@@ -82,13 +84,47 @@ func TestE11ReportShapes(t *testing.T) {
 }
 
 func TestE11RejectsBadConfig(t *testing.T) {
-	for i, cfg := range []E11Config{
+	for i, cfg := range []e11Config{
 		{},
 		{Tiers: []int{100}, Ticks: 0, P99BoundMs: 25},
 		{Tiers: []int{100}, Ticks: 10, P99BoundMs: 0},
 	} {
-		if _, err := RunE11(cfg); err == nil {
+		if _, err := runE11(cfg); err == nil {
 			t.Errorf("case %d: invalid e11 config accepted", i)
 		}
+	}
+}
+
+// TestRegenerateFixtures rewrites internal/benchgate's E11 golden
+// artifact by running a tiny real configuration. It only runs under
+// BENCHGATE_REGEN=1:
+//
+//	BENCHGATE_REGEN=1 go test -run TestRegenerateFixtures ./cmd/apna-bench
+//
+// The other fixture there, BENCH_bench.json, is a copy of a real
+// results file: run go run ./bench from the repository root and copy
+// bench/out/results.json over it. Refresh a fixture in the same PR as
+// any deliberate artifact-schema change; benchgate's
+// TestGoldenArtifactShapes failing without a refresh is the drift alarm
+// doing its job.
+func TestRegenerateFixtures(t *testing.T) {
+	if os.Getenv("BENCHGATE_REGEN") != "1" {
+		t.Skip("set BENCHGATE_REGEN=1 to rewrite testdata fixtures")
+	}
+	cfg := defaultE11()
+	cfg.Tiers = []int{500, 2_000}
+	cfg.Ticks = 10
+	cfg.Workers = 2
+	res, err := runE11(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := res.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := filepath.Join("..", "..", "internal", "benchgate", "testdata", "BENCH_e11.json")
+	if err := os.WriteFile(name, append(raw, '\n'), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

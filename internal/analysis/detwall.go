@@ -28,9 +28,9 @@ var DeterministicPackages = map[string]bool{
 // global math/rand state, and order-leaking map iteration in
 // deterministic packages. Outside those packages wall-clock reads are
 // still flagged unless sanctioned by //apna:wallclock, which confines
-// real time to the measurement layer (engine, population, experiments,
-// provenance, benchgate, cmds) where it is part of the artifact, not of
-// the simulated behavior.
+// real time to the measurement layer (engine, population, provenance,
+// benchgate, cmds) where it is part of the artifact, not of the
+// simulated behavior.
 var Detwall = &Analyzer{
 	Name: "detwall",
 	Doc:  "forbid wall-clock, global RNG and map-order leaks that break seeded determinism",

@@ -60,15 +60,8 @@ func TestOneDoorOntoACore(t *testing.T) {
 // internal/spare under the race detector, at one and two Ps.
 const raceStep = "One spare-core budget under the race detector"
 
-// raceStepExempt lists, with the reason, the packages that start work
-// through internal/spare but are not in raceStep.
-var raceStepExempt = map[string]string{
-	"internal/experiments": "retires with its only driver, apna-bench (ROADMAP item 5); engine.Run, which it drives, is in the step",
-}
-
 // TestSpareUsersRunUnderRace keeps raceStep's package list whole: every
-// package whose non-test files import internal/spare is in it, or in
-// raceStepExempt with a reason.
+// package whose non-test files import internal/spare is in it.
 func TestSpareUsersRunUnderRace(t *testing.T) {
 	users := make(map[string]bool)
 	walkModule(t, parser.ImportsOnly, func(rel string, _ *token.FileSet, f *ast.File) {
@@ -86,13 +79,8 @@ func TestSpareUsersRunUnderRace(t *testing.T) {
 	}
 	listed := racePackages(t)
 	for pkg := range users {
-		if !slices.Contains(listed, pkg) && raceStepExempt[pkg] == "" {
+		if !slices.Contains(listed, pkg) {
 			t.Errorf("%s starts work through internal/spare but is not in the CI step %q: add it with the tests that reach spare", pkg, raceStep)
-		}
-	}
-	for pkg := range raceStepExempt {
-		if slices.Contains(listed, pkg) || !users[pkg] {
-			t.Errorf("stale raceStepExempt entry %s", pkg)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package crypto
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -249,6 +250,36 @@ func TestAEADDirectionBit(t *testing.T) {
 				t.Fatalf("SealOnce output does not open: %q, %v", got, err)
 			}
 		}
+	}
+}
+
+// TestAEADNonceExhausted starts the counter two seals short of maxSeals:
+// the last counter nonce still seals a message that opens, and the seal
+// after it is refused with ErrNonceExhausted without writing to dst.
+func TestAEADNonceExhausted(t *testing.T) {
+	key := DeriveKey([]byte("secret"), "test", SymKeySize)
+	a, err := NewAEAD(key, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.ctr.Store(maxSeals - 2)
+	last, err := a.Seal(nil, []byte("last"), nil)
+	if err != nil {
+		t.Fatalf("seal %d: %v", maxSeals-1, err)
+	}
+	if got, err := a.Open(nil, last, nil); err != nil || string(got) != "last" {
+		t.Fatalf("last counter nonce does not open: %q, %v", got, err)
+	}
+	// dst has room for the sealed message, so a write would land in
+	// its spare capacity: compare all of it.
+	dst := append(make([]byte, 0, 64), "prefix"...)
+	before := bytes.Clone(dst[:cap(dst)])
+	out, err := a.Seal(dst, []byte("one too many"), nil)
+	if !errors.Is(err, ErrNonceExhausted) {
+		t.Fatalf("seal %d: %v, want ErrNonceExhausted", maxSeals, err)
+	}
+	if out != nil || !bytes.Equal(dst[:cap(dst)], before) {
+		t.Errorf("refused seal returned %x and left dst %q, want nil and %q", out, dst[:cap(dst)], before)
 	}
 }
 

@@ -60,9 +60,6 @@ type StageStats struct {
 
 // Report is the engine's measurement output.
 type Report struct {
-	Workers   int
-	FrameSize int
-
 	// Packets is the number of frames entering the egress stage.
 	Packets uint64
 	// PPS is end-to-end packets per second across all workers.
@@ -172,7 +169,7 @@ func Run(w *pktgen.World, cfg Config) (*Report, error) {
 	spare.Workers(workers, func(i int) { ws[i].run(budget, batch) })()
 	elapsed := time.Since(start) //apna:wallclock
 
-	return aggregate(ws, w, workers, elapsed), nil
+	return aggregate(ws, elapsed), nil
 }
 
 // run pumps batches until the packet budget is exhausted, cycling over
@@ -264,13 +261,8 @@ func (wk *worker) sample(stage int, d time.Duration, n int) {
 }
 
 // aggregate merges worker results into the report.
-func aggregate(ws []*worker, w *pktgen.World, workers int, elapsed time.Duration) *Report {
-	frameSize := 0
-	if len(w.Lanes) > 0 && len(w.Lanes[0].Frames) > 0 {
-		frameSize = len(w.Lanes[0].Frames[0])
-	}
+func aggregate(ws []*worker, elapsed time.Duration) *Report {
 	r := &Report{
-		Workers: workers, FrameSize: frameSize,
 		Verdicts: make(map[string]uint64),
 		Stages:   make(map[string]StageStats, stageCount),
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"maps"
 	"testing"
 
@@ -9,10 +10,13 @@ import (
 	"apna/internal/wire"
 )
 
-func testWorld(t *testing.T, badFrac float64) *pktgen.World {
+// paperSizes are the five frame sizes of the paper's Figure 8.
+var paperSizes = []int{128, 256, 512, 1024, 1518}
+
+func testWorld(t *testing.T, frameSize int, badFrac float64) *pktgen.World {
 	t.Helper()
 	w, err := pktgen.NewWorld(pktgen.WorldConfig{
-		ASes: 3, HostsPerAS: 16, FrameSize: 256,
+		ASes: 3, HostsPerAS: 16, FrameSize: frameSize,
 		FramesPerLane: 128, BadFrac: badFrac, Seed: 42,
 	})
 	if err != nil {
@@ -21,33 +25,34 @@ func testWorld(t *testing.T, badFrac float64) *pktgen.World {
 	return w
 }
 
+// TestRunCleanWorldDeliversEverything runs a clean world at every
+// Figure 8 size: each worker spends its whole budget, every frame is
+// delivered, and every stage has latency samples.
 func TestRunCleanWorldDeliversEverything(t *testing.T) {
-	w := testWorld(t, 0)
-	rep, err := Run(w, Config{Workers: 2, BatchSize: 32, PacketsPerWorker: 5_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Packets == 0 {
-		t.Fatal("no packets processed")
-	}
-	if rep.Delivered != rep.Packets {
-		t.Fatalf("delivered %d of %d clean packets (verdicts %v)",
-			rep.Delivered, rep.Packets, rep.Verdicts)
-	}
-	if rep.Dropped != 0 {
-		t.Fatalf("dropped %d clean packets", rep.Dropped)
-	}
-	if rep.PPS <= 0 {
-		t.Fatalf("pps %v", rep.PPS)
-	}
-	for _, stage := range []string{"egress", "transit", "ingress"} {
-		s, ok := rep.Stages[stage]
-		if !ok {
-			t.Fatalf("missing stage %q", stage)
-		}
-		if s.P50 <= 0 || s.P99 < s.P50 {
-			t.Fatalf("stage %q stats inconsistent: %+v", stage, s)
-		}
+	const workers, budget = 2, 2_000
+	for _, size := range paperSizes {
+		t.Run(fmt.Sprintf("%dB", size), func(t *testing.T) {
+			rep, err := Run(testWorld(t, size, 0), Config{Workers: workers, BatchSize: 32, PacketsPerWorker: budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Packets != workers*budget || rep.Delivered != rep.Packets || rep.Dropped != 0 {
+				t.Fatalf("%d packets, %d delivered, %d dropped; want %d delivered (verdicts %v)",
+					rep.Packets, rep.Delivered, rep.Dropped, workers*budget, rep.Verdicts)
+			}
+			if rep.PPS <= 0 {
+				t.Fatalf("pps %v", rep.PPS)
+			}
+			for _, stage := range []string{"egress", "transit", "ingress"} {
+				s, ok := rep.Stages[stage]
+				if !ok {
+					t.Fatalf("missing stage %q", stage)
+				}
+				if s.P50 <= 0 || s.P99 < s.P50 {
+					t.Fatalf("stage %q stats inconsistent: %+v", stage, s)
+				}
+			}
+		})
 	}
 }
 
@@ -58,7 +63,7 @@ func TestRunCleanWorldDeliversEverything(t *testing.T) {
 // counted once per stage passed), Delivered and Dropped exactly — on
 // one worker and on two.
 func TestRunBadTrafficIsDropped(t *testing.T) {
-	w := testWorld(t, 0.3)
+	w := testWorld(t, 256, 0.3)
 	want := map[string]uint64{}
 	var frames, delivered uint64
 	for _, lane := range w.Lanes {
@@ -106,7 +111,7 @@ func TestRunBadTrafficIsDropped(t *testing.T) {
 // TestRunScalesAcrossWorkers is a smoke check that more workers process
 // the same per-worker budget, i.e. total packets grow linearly.
 func TestRunScalesAcrossWorkers(t *testing.T) {
-	w := testWorld(t, 0)
+	w := testWorld(t, 256, 0)
 	one, err := Run(w, Config{Workers: 1, BatchSize: 32, PacketsPerWorker: 2_000})
 	if err != nil {
 		t.Fatal(err)

@@ -460,7 +460,7 @@ func (s *Service) mint(hid ephid.HID, req *Request) cert.Cert {
 // generation step measured in the paper's MS performance experiment
 // (Section V-A3).
 //
-//apna:only apna/bench apna/internal/experiments
+//apna:only apna/bench
 func (s *Service) Issue(hid ephid.HID, req *Request) (*cert.Cert, error) {
 	c := s.mint(hid, req)
 	c.Sign(s.signer)

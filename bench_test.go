@@ -467,6 +467,41 @@ func BenchmarkHeaderAppendTo(b *testing.B) {
 	}
 }
 
+// figure8World is BenchmarkEngineRun's clean two-AS world at one frame
+// size.
+func figure8World(tb testing.TB, size int) *pktgen.World {
+	tb.Helper()
+	w, err := pktgen.NewWorld(pktgen.WorldConfig{
+		ASes: 2, HostsPerAS: 32, FrameSize: size, FramesPerLane: 128, Seed: 1,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return w
+}
+
+// TestFigure8WorldDeliversEverything runs BenchmarkEngineRun's world at
+// every Figure 8 size on a small budget: each worker spends its whole
+// budget and every frame is delivered, so the benchmark's Mpps is a
+// delivered rate, and its cores@120Gbps is finite and positive.
+func TestFigure8WorldDeliversEverything(t *testing.T) {
+	const workers, budget = 2, 2_000
+	for _, size := range paperSizes {
+		rep, err := engine.Run(figure8World(t, size), engine.Config{
+			Workers: workers, BatchSize: 64, PacketsPerWorker: budget,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Packets != workers*budget || rep.Delivered != rep.Packets {
+			t.Errorf("%d B: %d packets, %d delivered, want %d of each", size, rep.Packets, rep.Delivered, workers*budget)
+		}
+		if cores := lineRatePPS(size) / (rep.PPS / workers); !(cores > 0) || math.IsInf(cores, 0) {
+			t.Errorf("%d B: cores@120Gbps = %v at %.0f pps", size, cores, rep.PPS)
+		}
+	}
+}
+
 // BenchmarkEngineRun is Figure 8: the forwarding engine (egress, route
 // lookup and ingress in 64-frame batches) over a clean two-AS world at
 // each paper frame size, on GOMAXPROCS workers. Besides ns/op and MB/s
@@ -478,12 +513,7 @@ func BenchmarkEngineRun(b *testing.B) {
 	const budget = 10_000
 	for _, size := range paperSizes {
 		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
-			w, err := pktgen.NewWorld(pktgen.WorldConfig{
-				ASes: 2, HostsPerAS: 32, FrameSize: size, FramesPerLane: 128, Seed: 1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
+			w := figure8World(b, size)
 			workers := runtime.GOMAXPROCS(0)
 			b.SetBytes(int64(size * budget * workers))
 			b.ReportAllocs()

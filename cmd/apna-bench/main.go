@@ -14,14 +14,13 @@
 //
 // -seed drives the population model and -workers bounds its worker
 // count. stdout always carries the human-readable table. -out PREFIX
-// writes each run's JSON artifact to PREFIX_run1.json..PREFIX_runN.json
-// (N from -reruns), the rerun sets cmd/apna-gate compares against the
-// provenance-pinned baseline.
+// also writes the run's JSON artifact to PREFIX_run1.json, one side's
+// run of the parent/change pairs that cmd/apna-gate compares.
 //
 // Usage:
 //
 //	apna-bench                                # 10^3→10^6 ramp
-//	apna-bench -workers 4 -reruns 3 -out BENCH_e11
+//	apna-bench -workers 4 -out BENCH_e11      # writes BENCH_e11_run1.json
 //	apna-bench -e11-full                      # extend to 10^7
 package main
 
@@ -50,17 +49,10 @@ func run(args []string, stdout, stderr io.Writer, cfg e11Config) int {
 		seed      = fs.Int64("seed", 1, "seed for the population model")
 		workers   = fs.Int("workers", runtime.NumCPU(), "population workers (cores)")
 		e11Full   = fs.Bool("e11-full", false, "extend the ramp to 10^7 modeled hosts")
-		reruns    = fs.Int("reruns", 1, "repeat the run N times (requires -out for N > 1)")
-		outPrefix = fs.String("out", "", "also write each rerun's JSON artifact to PREFIX_runN.json")
+		outPrefix = fs.String("out", "", "also write the run's JSON artifact to PREFIX_run1.json")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 1
-	}
-	if *reruns < 1 {
-		return fatal(stderr, fmt.Errorf("-reruns must be >= 1"))
-	}
-	if *reruns > 1 && *outPrefix == "" {
-		return fatal(stderr, fmt.Errorf("-reruns > 1 needs -out so the artifacts land in separate files"))
 	}
 
 	cfg.Workers = *workers
@@ -68,30 +60,25 @@ func run(args []string, stdout, stderr io.Writer, cfg e11Config) int {
 	if *e11Full {
 		cfg.Tiers = append(cfg.Tiers, fullTopTier)
 	}
-	ok := true
-	for i := 1; i <= *reruns; i++ {
-		fmt.Fprintf(stderr, "e11: population ramp (run %d/%d)...\n", i, *reruns)
-		res, err := runE11(cfg)
+	fmt.Fprintln(stderr, "e11: population ramp...")
+	res, err := runE11(cfg)
+	if err != nil {
+		return fatal(stderr, err)
+	}
+	res.Fprint(stdout)
+	if *outPrefix != "" {
+		raw, err := res.JSON()
 		if err != nil {
 			return fatal(stderr, err)
 		}
-		res.Fprint(stdout)
-		if *outPrefix != "" {
-			// One file per rerun: the trend gate compares the set.
-			raw, err := res.JSON()
-			if err != nil {
-				return fatal(stderr, err)
-			}
-			name := fmt.Sprintf("%s_run%d.json", *outPrefix, i)
-			if err := os.WriteFile(name, append(raw, '\n'), 0o644); err != nil {
-				return fatal(stderr, err)
-			}
-			fmt.Fprintf(stderr, "wrote %s\n", name)
+		name := *outPrefix + "_run1.json"
+		if err := os.WriteFile(name, append(raw, '\n'), 0o644); err != nil {
+			return fatal(stderr, err)
 		}
-		ok = ok && res.OK
+		fmt.Fprintf(stderr, "wrote %s\n", name)
 	}
 	fmt.Fprintln(stdout)
-	if !ok {
+	if !res.OK {
 		fmt.Fprintln(stderr, "apna-bench: e11 gate failures")
 		return 2
 	}

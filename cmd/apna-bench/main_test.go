@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,9 +11,9 @@ import (
 )
 
 // TestExitCodes pins the exit-code contract: 1 on usage errors — a
-// flag that is not one of the five, retired ones included, so that an
+// flag that is not one of the four, retired ones included, so that an
 // old command line cannot pass as a run — and 0 when the ramp ran and
-// its gates held, with one artifact per rerun under -out.
+// its gates held, with its artifact under -out.
 func TestExitCodes(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -22,7 +21,7 @@ func TestExitCodes(t *testing.T) {
 		stderr string
 	}{
 		{"unknown flag", []string{"-no-such-flag"}, "-no-such-flag"},
-		{"reruns without out", []string{"-reruns", "2"}, "-out"},
+		{"retired reruns flag", []string{"-reruns", "2"}, "-reruns"},
 		{"retired exp flag", []string{"-exp", "e11"}, "-exp"},
 		{"retired pkts flag", []string{"-pkts", "1000"}, "-pkts"},
 		{"retired fwd-workers flag", []string{"-fwd-workers", "4"}, "-fwd-workers"},
@@ -48,20 +47,18 @@ func TestExitCodes(t *testing.T) {
 	t.Run("ramp runs", func(t *testing.T) {
 		prefix := filepath.Join(t.TempDir(), "BENCH_e11")
 		var stdout, stderr bytes.Buffer
-		if code := run([]string{"-workers", "2", "-reruns", "2", "-out", prefix}, &stdout, &stderr, tinyE11()); code != 0 {
+		if code := run([]string{"-workers", "2", "-out", prefix}, &stdout, &stderr, tinyE11()); code != 0 {
 			t.Fatalf("exit %d, want 0 (stderr: %s)", code, stderr.String())
 		}
 		if !strings.Contains(stdout.String(), "population ramp") {
 			t.Errorf("no ramp table on stdout:\n%s", stdout.String())
 		}
-		for i := 1; i <= 2; i++ {
-			raw, err := os.ReadFile(fmt.Sprintf("%s_run%d.json", prefix, i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := benchgate.ParseArtifact(raw); err != nil {
-				t.Errorf("run %d artifact: %v", i, err)
-			}
+		raw, err := os.ReadFile(prefix + "_run1.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := benchgate.ParseArtifact(raw); err != nil {
+			t.Errorf("artifact: %v", err)
 		}
 	})
 }

@@ -1,39 +1,39 @@
 // Command apna-gate is the statistical bench-trend gate: it compares
-// the current crop of artifacts — the benchmark's results files (go run
-// ./bench writes bench/out/results.json; each workload's end-to-end
-// medians are gated) and apna-bench's E11 artifacts — against a
-// provenance-pinned baseline and fails (exit 2) only on a statistically
-// confirmed regression: a Mann–Whitney U test under the significance
-// level *and* a median shift beyond the minimum effect size, in the
-// metric's harmful direction. Noise never fails the
-// gate; a missing or config-hash-mismatched baseline is a skip ("no
-// comparable baseline"), never a false verdict.
+// two sides' artifacts — the benchmark's results files (go run ./bench
+// writes bench/out/results.json; each workload's end-to-end medians are
+// gated) and apna-bench's E11 artifacts — and fails (exit 2) only on a
+// statistically confirmed regression: a Mann–Whitney U test under the
+// significance level *and* a median shift beyond the minimum effect
+// size, in the metric's harmful direction. Noise never fails the gate;
+// a config-hash mismatch between the sides is a skip ("not
+// comparable"), never a false verdict.
+//
+// The two sides are the parent commit and the change, run in
+// interleaved pairs in one job (see the bench job in ci.yml), so drift
+// of the machine's speed loads both sides alike.
 //
 // The thresholds are fixed (internal/benchgate): significance level
 // 0.1, minimum effect 5%, at least 2 runs per side.
 //
 // Usage:
 //
-//	apna-gate compare -store .benchgate BENCH_bench_run*.json BENCH_e11_run*.json
-//	apna-gate compare -store .benchgate -gate-json GATE.json -report report.md ...
-//	apna-gate update  -store .benchgate BENCH_bench_run*.json BENCH_e11_run*.json
+//	apna-gate compare [-gate-json GATE.json] [-report report.md] BASE_DIR HEAD_DIR
 //
-// compare groups the given artifacts by (experiment, provenance config
-// hash) — so one invocation gates every experiment at once — loads
-// each group's baseline from -store, and writes GATE.json plus
-// report.md. update parses the given artifacts and stores them as the
-// new baselines for their config hashes.
+// Each directory holds one side's artifacts, every *.json file in it.
+// compare groups each side by experiment — so one invocation gates
+// every experiment at once — compares each of HEAD_DIR's experiments
+// against BASE_DIR's runs of it, and writes GATE.json plus report.md.
 //
 // Exit codes: 0 pass/improved/skip, 1 usage or parse error, 2
 // confirmed regression — and only that.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"apna/internal/benchgate"
@@ -48,11 +48,10 @@ func fatal(stderr io.Writer, err error) int {
 	return 1
 }
 
+const synopsis = "apna-gate compare [-gate-json FILE] [-report FILE] BASE_DIR HEAD_DIR"
+
 func usage(w io.Writer) {
-	fmt.Fprintln(w, `usage:
-  apna-gate compare -store DIR [-gate-json FILE] [-report FILE] ARTIFACT...
-  apna-gate update  -store DIR ARTIFACT...
-run "apna-gate compare -h" for the compare flags`)
+	fmt.Fprintln(w, "usage: "+synopsis+"\nrun \"apna-gate compare -h\" for the compare flags")
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -63,8 +62,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch args[0] {
 	case "compare":
 		return runCompare(args[1:], stdout, stderr)
-	case "update":
-		return runUpdate(args[1:], stdout, stderr)
 	case "-h", "-help", "--help", "help":
 		usage(stdout)
 		return 0
@@ -78,35 +75,46 @@ func run(args []string, stdout, stderr io.Writer) int {
 func runCompare(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: "+synopsis)
+		fs.PrintDefaults()
+	}
 	var (
-		storeDir = fs.String("store", "", "baseline store directory (keyed by experiment + config hash)")
 		gateJSON = fs.String("gate-json", "", "write the machine-readable gate document here (GATE.json)")
 		reportMD = fs.String("report", "", "write the human-readable report here (report.md)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
-	if *storeDir == "" || fs.NArg() == 0 {
-		return fatal(stderr, errors.New("compare needs -store and current artifact files"))
+	if fs.NArg() != 2 {
+		return fatal(stderr, fmt.Errorf("compare needs two directories, BASE_DIR and HEAD_DIR; got %d", fs.NArg()))
 	}
 
-	groups, err := readGroups(fs.Args())
+	base, err := readGroups(fs.Arg(0))
 	if err != nil {
 		return fatal(stderr, err)
 	}
-
+	head, err := readGroups(fs.Arg(1))
+	if err != nil {
+		return fatal(stderr, err)
+	}
+	baseRuns := make(map[string][]*benchgate.Artifact)
+	for _, g := range base {
+		baseRuns[g.Experiment] = g.Artifacts
+	}
 	var gates []*benchgate.GateResult
-	store := benchgate.Store{Dir: *storeDir}
-	for _, g := range groups {
-		baseline, err := store.Load(g.Experiment, g.ConfigHash)
-		if err != nil && !errors.Is(err, benchgate.ErrNoBaseline) {
-			return fatal(stderr, err)
-		}
-		res, err := benchgate.Compare(baseline, g.Artifacts)
+	for _, g := range head {
+		res, err := benchgate.Compare(baseRuns[g.Experiment], g.Artifacts)
 		if err != nil {
 			return fatal(stderr, err)
 		}
 		gates = append(gates, res)
+		delete(baseRuns, g.Experiment)
+	}
+	for _, g := range base {
+		if _, left := baseRuns[g.Experiment]; left {
+			return fatal(stderr, fmt.Errorf("%s holds %s artifacts and %s none", fs.Arg(0), g.Experiment, fs.Arg(1)))
+		}
 	}
 
 	summary := benchgate.Summarize(gates)
@@ -132,33 +140,13 @@ func runCompare(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func runUpdate(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("update", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	storeDir := fs.String("store", "", "baseline store directory")
-	if err := fs.Parse(args); err != nil {
-		return 1
-	}
-	if *storeDir == "" || fs.NArg() == 0 {
-		return fatal(stderr, errors.New("update needs -store and artifact files"))
-	}
-	groups, err := readGroups(fs.Args())
+// readGroups loads one side's artifact files, every *.json in dir, and
+// groups them by experiment.
+func readGroups(dir string) ([]*benchgate.Group, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil {
-		return fatal(stderr, err)
+		return nil, err
 	}
-	store := benchgate.Store{Dir: *storeDir}
-	for _, g := range groups {
-		if err := store.Save(g.Raws); err != nil {
-			return fatal(stderr, err)
-		}
-		fmt.Fprintf(stdout, "apna-gate: baseline for %s (config %.12s) <- %d run(s)\n",
-			g.Experiment, g.ConfigHash, len(g.Raws))
-	}
-	return 0
-}
-
-// readGroups loads and groups artifact files.
-func readGroups(paths []string) ([]*benchgate.Group, error) {
 	raws := make([][]byte, 0, len(paths))
 	for _, p := range paths {
 		data, err := os.ReadFile(p)
@@ -167,7 +155,11 @@ func readGroups(paths []string) ([]*benchgate.Group, error) {
 		}
 		raws = append(raws, data)
 	}
-	return benchgate.GroupArtifacts(paths, raws)
+	groups, err := benchgate.GroupArtifacts(paths, raws)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", dir, err)
+	}
+	return groups, nil
 }
 
 // printSummary narrates each gate.

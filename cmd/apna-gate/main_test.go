@@ -8,40 +8,37 @@ import (
 	"testing"
 )
 
-// resultsFile writes a minimal results file of the benchmark (go run
-// ./bench) whose fwd_small workload ran at opsPerS, and returns its
-// path.
-func resultsFile(t *testing.T, name string, opsPerS float64) string {
+// side writes one side's directory: a minimal results file of the
+// benchmark (go run ./bench) per value of ops, whose fwd_small
+// workload ran at that many ops/s under config hash hash.
+func side(t *testing.T, hash string, ops ...float64) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), name)
-	raw := fmt.Sprintf(`{"provenance":{"commit":"c0ffee","config_hash":"ab12"},"workloads":{"fwd_small":{"attempted":1000,"failed":0,"metrics":{`+
-		`"ops_per_s":{"unit":"1/s","median":%g},"setup_s":{"unit":"s","median":0.001}}}}}`, opsPerS)
-	if err := os.WriteFile(path, []byte(raw), 0o644); err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	for i, v := range ops {
+		raw := fmt.Sprintf(`{"provenance":{"commit":"c0ffee","config_hash":%q},"workloads":{"fwd_small":{"attempted":1000,"failed":0,"metrics":{`+
+			`"ops_per_s":{"unit":"1/s","median":%g},"setup_s":{"unit":"s","median":0.001}}}}}`, hash, v)
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("bench_run%d.json", i+1)), []byte(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return path
+	return dir
 }
 
 // TestExitCodes pins the exit-code contract: 2 means a statistically
 // confirmed regression and nothing else; every usage or parse error is
-// 1, and a pass is 0.
+// 1, and a pass or a skip is 0.
 func TestExitCodes(t *testing.T) {
-	var base, same, slow []string
-	for i, ops := range []float64{1000, 1010, 990} {
-		base = append(base, resultsFile(t, fmt.Sprintf("base%d.json", i), ops))
-		same = append(same, resultsFile(t, fmt.Sprintf("same%d.json", i), ops+1))
-		slow = append(slow, resultsFile(t, fmt.Sprintf("slow%d.json", i), ops*0.8))
-	}
-	e9 := filepath.Join(t.TempDir(), "BENCH_e9.json")
-	if err := os.WriteFile(e9, []byte(`{"experiment":"e9","provenance":{"config_hash":"ab12"}}`+"\n"+`{"seed":1,"renewals":3}`), 0o644); err != nil {
+	base := side(t, "ab12", 1000, 1010, 990)
+	same := side(t, "ab12", 1001, 1011, 991)
+	slow := side(t, "ab12", 800, 808, 792)
+	otherConfig := side(t, "cd34", 800, 808, 792)
+	e9 := t.TempDir()
+	if err := os.WriteFile(filepath.Join(e9, "BENCH_e9.json"), []byte(`{"experiment":"e9","provenance":{"config_hash":"ab12"}}`+"\n"+`{"seed":1,"renewals":3}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// The baseline goes through the store the way CI's does: update
-	// writes it, compare reads it.
-	store := t.TempDir()
-	var stdout, stderr bytes.Buffer
-	if code := run(append([]string{"update", "-store", store}, base...), &stdout, &stderr); code != 0 {
-		t.Fatalf("update exit %d: %s", code, stderr.String())
+	withE11 := side(t, "ab12", 1000, 1010, 990)
+	if err := os.WriteFile(filepath.Join(withE11, "e11_run1.json"), []byte(`{"experiment":"e11","provenance":{"config_hash":"ef56"},"tiers":[{"hosts":1000,"result":{"events_per_sec":1}}]}`), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	cases := []struct {
 		name string
@@ -50,16 +47,14 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{"no subcommand", nil, 1},
 		{"unknown subcommand", []string{"gate"}, 1},
-		{"unknown flag", []string{"compare", "-bogus", base[0]}, 1},
-		{"unknown update flag", []string{"update", "-bogus", base[0]}, 1},
-		{"compare without artifacts", []string{"compare", "-store", store}, 1},
-		{"compare without store", []string{"compare", base[0]}, 1},
-		{"retired base flag", []string{"compare", "-store", store, "-base", base[0], base[1]}, 1},
-		{"retired e9 artifact", []string{"compare", "-store", t.TempDir(), e9}, 1},
-		{"update without store", []string{"update", base[0]}, 1},
-		{"seeded regression", append([]string{"compare", "-store", store}, slow...), 2},
-		{"pass", append([]string{"compare", "-store", store}, same...), 0},
-		{"no baseline is a skip", append([]string{"compare", "-store", t.TempDir()}, slow...), 0},
+		{"unknown flag", []string{"compare", "-bogus", base, same}, 1},
+		{"compare without artifacts", []string{"compare", base, t.TempDir()}, 1},
+		{"one directory is a usage error", []string{"compare", base}, 1},
+		{"retired e9 artifact", []string{"compare", base, e9}, 1},
+		{"experiment missing from head", []string{"compare", withE11, same}, 1},
+		{"seeded regression", []string{"compare", base, slow}, 2},
+		{"pass", []string{"compare", base, same}, 0},
+		{"config-hash mismatch is a skip", []string{"compare", base, otherConfig}, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,8 +1,11 @@
 package apna
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 
+	"apna/internal/accountability"
 	"apna/internal/ephid"
 	"apna/internal/icmp"
 	"apna/internal/wire"
@@ -114,6 +117,45 @@ func TestShutoffSurvivesUserRawHandler(t *testing.T) {
 	}
 	if observed != 1 {
 		t.Errorf("user handler observed %d acks, want 1", observed)
+	}
+}
+
+// TestComplaintFutureVerifiesTheReceipt: the complaint future checks
+// the offender AS's receipt at the complaining host, end to end. The
+// victim AS's agent, past its own check, hands on a receipt whose
+// signature bytes are corrupted, and the future completes with the
+// verify error instead of the receipt.
+func TestComplaintFutureVerifiesTheReceipt(t *testing.T) {
+	w := newWorld(t)
+	idA := w.ephID(t, w.alice)
+	idC := w.ephID(t, w.carol)
+	conn, err := w.alice.Connect(idA, &idC.Cert, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.alice.Send(conn, []byte("spam")); err != nil {
+		t.Fatal(err)
+	}
+	msgs := w.carol.Stack.Inbox()
+	if len(msgs) != 1 {
+		t.Fatalf("carol inbox %d, want 1", len(msgs))
+	}
+	as := w.in.AS(300)
+	corrupted := 0
+	as.Acct.SetSend(func(dst wire.Endpoint, payload []byte) error {
+		if payload[0] == accountability.MsgComplaintAck && len(payload) == 10+accountability.ReceiptSize {
+			payload = bytes.Clone(payload)
+			payload[len(payload)-1] ^= 0xff
+			corrupted++
+		}
+		return as.aaHost.SendRaw(wire.ProtoAcct, 0, as.aaID.EphID, dst, payload)
+	})
+	rcpt, err := AwaitResult(w.in, w.carol.ComplainAsync(msgs[0]))
+	if corrupted != 1 {
+		t.Fatalf("%d receipts corrupted on the way to the host, want 1", corrupted)
+	}
+	if !errors.Is(err, accountability.ErrBadSignature) || rcpt != nil {
+		t.Fatalf("receipt %+v, err %v; want no receipt and accountability.ErrBadSignature", rcpt, err)
 	}
 }
 

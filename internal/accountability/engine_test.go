@@ -330,6 +330,11 @@ func TestComplaintRejectionsObservable(t *testing.T) {
 			outsider := w.addHost(aidA, 9, 600)
 			return NewComplaint(w.evidence(offender, outsider, []byte("spam")), &outsider.cert, &offender.cert, outsider.sig)
 		}, ErrNotVictimAS, "cert from"},
+		{"forged victim certificate", func(w *world, offender, victim *identity) *Complaint {
+			forged := victim.cert
+			forged.Signature[0] ^= 0xff
+			return NewComplaint(w.evidence(offender, victim, []byte("spam")), &forged, &offender.cert, victim.sig)
+		}, ErrComplaintProof, "victim certificate"},
 		{"bad victim signature", func(w *world, offender, victim *identity) *Complaint {
 			wrong, err := crypto.GenerateSigner()
 			if err != nil {
@@ -350,6 +355,11 @@ func TestComplaintRejectionsObservable(t *testing.T) {
 			ghost.cert.AID = 999 // in no trust store
 			return NewComplaint(w.evidence(&ghost, victim, []byte("spam")), &victim.cert, &ghost.cert, victim.sig)
 		}, ErrComplaintProof, "resolving offender AS"},
+		{"offender certificate with a bad signature", func(w *world, offender, victim *identity) *Complaint {
+			forged := offender.cert
+			forged.Signature[0] ^= 0xff
+			return NewComplaint(w.evidence(offender, victim, []byte("spam")), &victim.cert, &forged, victim.sig)
+		}, ErrComplaintProof, "offender certificate:"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := newWorld(t, aidA, aidB)
@@ -611,11 +621,26 @@ func TestWrongIssuerReceiptCannotDisplacePending(t *testing.T) {
 		t.Fatal("rogue receipt resolved the complaint")
 	}
 
-	// The genuine receipt still lands, resolves, and installs.
+	// The genuine receipt with its signature corrupted names the right
+	// issuer, but its signature does not verify: it is refused the same
+	// way, and installs nothing.
 	genuine, err := w.ases[aidA].engine.HandleShutoffRequest(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
+	forged := genuine.Encode()
+	forged[len(forged)-1] ^= 0xff
+	if err := engB.HandleReceipt(forged); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("err = %v, want ErrBadSignature", err)
+	}
+	if got != nil {
+		t.Fatal("a receipt with a bad signature resolved the complaint")
+	}
+	if w.ases[aidB].router.RemoteRevoked().Contains(offender.ephID) {
+		t.Fatal("a receipt with a bad signature installed a remote revocation")
+	}
+
+	// The genuine receipt still lands, resolves, and installs.
 	if err := engB.HandleReceipt(genuine.Encode()); err != nil {
 		t.Fatal(err)
 	}

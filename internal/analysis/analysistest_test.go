@@ -251,8 +251,8 @@ func TestDeadexportCascade(t *testing.T) {
 		helper += strings.Count(d.Message, "deadexport.Helper is exported")
 		gone += strings.Count(d.Message, "deadexport.Dead ")
 	}
-	if helper != 1 || gone != 0 || len(diags) != 13 {
-		t.Fatalf("second run: Helper reported %d times, Dead %d, %d findings in all (want 1, 0, 13): %v", helper, gone, len(diags), diags)
+	if helper != 1 || gone != 0 || len(diags) != 14 {
+		t.Fatalf("second run: Helper reported %d times, Dead %d, %d findings in all (want 1, 0, 14): %v", helper, gone, len(diags), diags)
 	}
 }
 

@@ -32,8 +32,9 @@ import (
 // conversion counts as a reference; test files never do.
 //
 // A struct field that non-test code never reads is reported too: a
-// composite-literal key, an assignment target, x.f++ and x.f += v are
-// writes, any other reference is a read. A read of the whole struct
+// composite-literal key, an assignment target, x.f++, x.f += v and
+// the x.f inside x.f = append(x.f, v) are writes, any other reference
+// is a read. A read of the whole struct
 // reads every field (and those of the structs it holds by value): a
 // == or != operand, a map key, a struct with a tag, and a value handed
 // to encoding/json or encoding/binary. Embedded and blank fields are
@@ -336,8 +337,11 @@ func markFieldReads(pkg *Package, read map[types.Object]bool) {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
+				for i, lhs := range n.Lhs {
 					write(lhs)
+					if len(n.Rhs) == len(n.Lhs) {
+						write(appendTarget(pkg, lhs, n.Rhs[i]))
+					}
 				}
 			case *ast.IncDecStmt:
 				write(n.X)
@@ -370,6 +374,27 @@ func markFieldReads(pkg *Package, read map[types.Object]bool) {
 			read[origin(v)] = true
 		}
 	}
+}
+
+// appendTarget returns append's first argument when rhs appends to lhs
+// itself: x.f = append(x.f, v) reads x.f only to write it back. It
+// returns nil for any other right-hand side.
+func appendTarget(pkg *Package, lhs, rhs ast.Expr) ast.Expr {
+	call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+	if !ok || len(call.Args) == 0 {
+		return nil
+	}
+	fn, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || fn.Name != "append" {
+		return nil
+	}
+	if _, ok := pkg.Info.Uses[fn].(*types.Builtin); !ok {
+		return nil
+	}
+	if types.ExprString(ast.Unparen(lhs)) != types.ExprString(ast.Unparen(call.Args[0])) {
+		return nil
+	}
+	return call.Args[0]
 }
 
 // origin maps an instantiated generic function, method or field to its

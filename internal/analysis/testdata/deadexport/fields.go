@@ -13,7 +13,11 @@ type counters struct {
 	added   int // want `deadexport\.counters\.added is written`
 	literal int // want `deadexport\.counters\.literal is written`
 	tested  int // want `deadexport\.counters\.tested is written`
-	read    int
+	// appended is only ever appended to itself; ranged is appended to
+	// and also read.
+	appended []int // want `deadexport\.counters\.appended is written`
+	ranged   []int
+	read     int
 	// observed is a seam that a test reads.
 	//
 	//apna:testonly TestCounters reads it
@@ -33,7 +37,12 @@ func count(n int) int {
 	c.tested = n
 	c.observed = n
 	c.stale = n
-	return c.read + c.stale
+	c.appended = append(c.appended, n)
+	c.ranged = append(c.ranged, n)
+	for _, v := range c.ranged {
+		n += v
+	}
+	return c.read + c.stale + n
 }
 
 // pair is a map key: the map reads every field.

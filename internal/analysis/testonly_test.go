@@ -16,6 +16,7 @@ import (
 // test observes production behaviour through. A new seam is a reviewed
 // change to this list.
 var testonlySeams = []string{
+	"ap.Client.Inbox",
 	"border.RemoteRevocationList.Len",
 	"hostdb.Entry.RegisteredAt",
 	"netsim.PathLength",

@@ -43,6 +43,8 @@ type Client struct {
 	mac  *wire.PacketMAC
 	port *netsim.Port
 	// Inbox collects frames the AP delivered to this client.
+	//
+	//apna:testonly TestNATInboundRouting reads through it which client the AP delivered each inbound frame to
 	Inbox [][]byte
 }
 

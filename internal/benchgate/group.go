@@ -2,26 +2,20 @@ package benchgate
 
 import "fmt"
 
-// Group is one rerun set: every artifact sharing an experiment and
-// config hash. A CI gate invocation hands apna-gate the whole
-// BENCH_*_run*.json crop at once; grouping splits it back into one
-// comparison per experiment.
+// Group is one experiment's runs on one side of a comparison. The gate
+// reads each side's whole directory of artifacts at once; grouping
+// splits it back into one comparison per experiment.
 type Group struct {
 	Experiment string
-	ConfigHash string
-	// Names are the source file names, for error messages and reports.
-	Names []string
-	// Artifacts are the parsed reruns; Raws their raw bytes (what the
-	// store persists).
-	Artifacts []*Artifact
-	Raws      [][]byte
+	Artifacts  []*Artifact
 }
 
 // GroupArtifacts parses raws (named by names, same length, for
-// diagnostics) and groups them by (experiment, config hash), ordered
-// by first appearance. A parse failure in any file fails the whole
-// call: a gate that silently ignored an unreadable artifact would pass
-// exactly when it should be loudest.
+// diagnostics) and groups them by experiment, ordered by first
+// appearance. A parse failure in any file fails the whole call: a gate
+// that silently ignored an unreadable artifact would pass exactly when
+// it should be loudest. Mixed config hashes within a group are left
+// for Compare to refuse.
 func GroupArtifacts(names []string, raws [][]byte) ([]*Group, error) {
 	if len(names) != len(raws) {
 		return nil, fmt.Errorf("benchgate: %d names for %d artifacts", len(names), len(raws))
@@ -36,16 +30,13 @@ func GroupArtifacts(names []string, raws [][]byte) ([]*Group, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", names[i], err)
 		}
-		key := art.Experiment + "\x00" + art.Provenance.ConfigHash
-		g, ok := index[key]
+		g, ok := index[art.Experiment]
 		if !ok {
-			g = &Group{Experiment: art.Experiment, ConfigHash: art.Provenance.ConfigHash}
-			index[key] = g
+			g = &Group{Experiment: art.Experiment}
+			index[art.Experiment] = g
 			groups = append(groups, g)
 		}
-		g.Names = append(g.Names, names[i])
 		g.Artifacts = append(g.Artifacts, art)
-		g.Raws = append(g.Raws, raw)
 	}
 	return groups, nil
 }

@@ -12,7 +12,8 @@ type Summary struct {
 	Gates []*GateResult `json:"gates"`
 	// OK is false iff any gate confirmed a regression.
 	OK bool `json:"ok"`
-	// Skipped counts no-baseline gates (first run, or config change).
+	// Skipped counts no-baseline gates (a config change, or an
+	// experiment the parent did not run).
 	Skipped int `json:"skipped"`
 }
 
@@ -42,7 +43,7 @@ func (s *Summary) Markdown() []byte {
 	case !s.OK:
 		b.WriteString("**Verdict: FAIL** — statistically confirmed regression(s) below.\n\n")
 	case s.Skipped == len(s.Gates) && len(s.Gates) > 0:
-		b.WriteString("**Verdict: SKIP** — no comparable baseline for any experiment (first run or config change).\n\n")
+		b.WriteString("**Verdict: SKIP** — no comparable baseline for any experiment (a config change, or an experiment the parent did not run).\n\n")
 	default:
 		b.WriteString("**Verdict: PASS** — no confirmed regression.\n\n")
 	}

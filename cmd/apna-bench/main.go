@@ -14,8 +14,10 @@
 //
 // -seed drives the population model and -workers bounds its worker
 // count. stdout always carries the human-readable table. -out PREFIX
-// also writes the run's JSON artifact to PREFIX_run1.json, one side's
-// run of the parent/change pairs that cmd/apna-gate compares.
+// also writes the run's JSON artifact to PREFIX_run1.json, which
+// cmd/apna-gate can compare with another side's runs. CI's trend gate
+// does not: E11's p99 and GC-pause metrics swing several-fold run to
+// run, so in CI its exit status is its only gate.
 //
 // Usage:
 //

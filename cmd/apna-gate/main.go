@@ -10,7 +10,8 @@
 //
 // The two sides are the parent commit and the change, run in
 // interleaved pairs in one job (see the bench job in ci.yml), so drift
-// of the machine's speed loads both sides alike.
+// of the machine's speed loads both sides alike. That job feeds it only
+// the benchmark's results files.
 //
 // The thresholds are fixed (internal/benchgate): significance level
 // 0.1, minimum effect 5%, at least 2 runs per side.
@@ -111,10 +112,8 @@ func runCompare(args []string, stdout, stderr io.Writer) int {
 		gates = append(gates, res)
 		delete(baseRuns, g.Experiment)
 	}
-	for _, g := range base {
-		if _, left := baseRuns[g.Experiment]; left {
-			return fatal(stderr, fmt.Errorf("%s holds %s artifacts and %s none", fs.Arg(0), g.Experiment, fs.Arg(1)))
-		}
+	for exp := range baseRuns {
+		return fatal(stderr, fmt.Errorf("%s holds %s artifacts and %s none", fs.Arg(0), exp, fs.Arg(1)))
 	}
 
 	summary := benchgate.Summarize(gates)

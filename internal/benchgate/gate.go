@@ -28,10 +28,12 @@ const (
 
 // The gate's thresholds.
 const (
-	// alpha is the two-sided significance level. 0.1 is deliberate:
-	// with 3 reruns per side the exact Mann–Whitney floor is exactly
-	// 0.1, so at CI's minimum rerun count only perfect separation of
-	// the two sides can fail the gate.
+	// alpha is the two-sided significance level. At 3 runs per side
+	// the exact Mann–Whitney floor is exactly 0.1, so there only
+	// perfect separation of the two sides can fail the gate. At CI's
+	// 10 pairs it is a per-metric level with no family-wise rule, so
+	// the benchmark's 12 metrics together fail one noisy tree against
+	// itself more often than alpha (DESIGN §11).
 	alpha = 0.1
 	// minEffect is the minimum relative median shift (5%) a confirmed
 	// change must exceed to count; below it, even a significant shift

@@ -18,9 +18,8 @@ import (
 // "production scale, millions of users" claim into numbers: issuance
 // p99 must stay under a bound at the top tier, no arrival may ever end
 // without an EphID, and hostdb GC must actually reclaim churned
-// identities. The artifact (BENCH_e11.json) records events/sec and peak
-// RSS per tier, so "10^6 hosts fit in one process" is documented, not
-// asserted.
+// identities. The -out artifact records events/sec and peak RSS per
+// tier, so "10^6 hosts fit in one process" is documented, not asserted.
 
 // e11Config sizes the population ramp.
 type e11Config struct {
@@ -67,7 +66,7 @@ type e11Tier struct {
 	Result   *population.Result `json:"result"`
 }
 
-// e11Result is the sweep report — the BENCH_e11.json shape: one JSON
+// e11Result is the sweep report — the -out artifact's shape: one JSON
 // object with the provenance block, the configuration, and the per-tier
 // verdicts.
 type e11Result struct {
@@ -132,7 +131,7 @@ func runE11(cfg e11Config) (*e11Result, error) {
 	return res, nil
 }
 
-// JSON renders the result as the BENCH_e11.json artifact.
+// JSON renders the result as the -out artifact.
 func (r *e11Result) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
 
 // Fprint renders the human-readable ramp table.

@@ -3,8 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -62,8 +60,8 @@ func TestE11ReportShapes(t *testing.T) {
 		t.Fatalf("runE11: %v", err)
 	}
 
-	// The -out artifact must be exactly one decodable object (the
-	// BENCH_e11.json shape) carrying the provenance block.
+	// The -out artifact must be exactly one decodable object carrying
+	// the provenance block.
 	raw, err := res.JSON()
 	if err != nil {
 		t.Fatal(err)
@@ -92,39 +90,5 @@ func TestE11RejectsBadConfig(t *testing.T) {
 		if _, err := runE11(cfg); err == nil {
 			t.Errorf("case %d: invalid e11 config accepted", i)
 		}
-	}
-}
-
-// TestRegenerateFixtures rewrites internal/benchgate's E11 golden
-// artifact by running a tiny real configuration. It only runs under
-// BENCHGATE_REGEN=1:
-//
-//	BENCHGATE_REGEN=1 go test -run TestRegenerateFixtures ./cmd/apna-bench
-//
-// The other fixture there, BENCH_bench.json, is a copy of a real
-// results file: run go run ./bench from the repository root and copy
-// bench/out/results.json over it. Refresh a fixture in the same PR as
-// any deliberate artifact-schema change; benchgate's
-// TestGoldenArtifactShapes failing without a refresh is the drift alarm
-// doing its job.
-func TestRegenerateFixtures(t *testing.T) {
-	if os.Getenv("BENCHGATE_REGEN") != "1" {
-		t.Skip("set BENCHGATE_REGEN=1 to rewrite testdata fixtures")
-	}
-	cfg := defaultE11()
-	cfg.Tiers = []int{500, 2_000}
-	cfg.Ticks = 10
-	cfg.Workers = 2
-	res, err := runE11(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := res.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	name := filepath.Join("..", "..", "internal", "benchgate", "testdata", "BENCH_e11.json")
-	if err := os.WriteFile(name, append(raw, '\n'), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }

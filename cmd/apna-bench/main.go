@@ -13,16 +13,15 @@
 // / e9.json / e10.json -seeds 5).
 //
 // -seed drives the population model and -workers bounds its worker
-// count. stdout always carries the human-readable table. -out PREFIX
-// also writes the run's JSON artifact to PREFIX_run1.json, which
-// cmd/apna-gate can compare with another side's runs. CI's trend gate
-// does not: E11's p99 and GC-pause metrics swing several-fold run to
-// run, so in CI its exit status is its only gate.
+// count. stdout always carries the human-readable table. -out FILE
+// also writes the run's JSON artifact, with its provenance block, to
+// FILE. No trend gate reads it: E11's p99 and GC-pause metrics swing
+// several-fold run to run, so its exit status is its only gate.
 //
 // Usage:
 //
 //	apna-bench                                # 10^3→10^6 ramp
-//	apna-bench -workers 4 -out BENCH_e11      # writes BENCH_e11_run1.json
+//	apna-bench -workers 4 -out e11.json       # also writes e11.json
 //	apna-bench -e11-full                      # extend to 10^7
 package main
 
@@ -48,10 +47,10 @@ func run(args []string, stdout, stderr io.Writer, cfg e11Config) int {
 	fs := flag.NewFlagSet("apna-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		seed      = fs.Int64("seed", 1, "seed for the population model")
-		workers   = fs.Int("workers", runtime.NumCPU(), "population workers (cores)")
-		e11Full   = fs.Bool("e11-full", false, "extend the ramp to 10^7 modeled hosts")
-		outPrefix = fs.String("out", "", "also write the run's JSON artifact to PREFIX_run1.json")
+		seed    = fs.Int64("seed", 1, "seed for the population model")
+		workers = fs.Int("workers", runtime.NumCPU(), "population workers (cores)")
+		e11Full = fs.Bool("e11-full", false, "extend the ramp to 10^7 modeled hosts")
+		out     = fs.String("out", "", "also write the run's JSON artifact to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 1
@@ -68,16 +67,15 @@ func run(args []string, stdout, stderr io.Writer, cfg e11Config) int {
 		return fatal(stderr, err)
 	}
 	res.Fprint(stdout)
-	if *outPrefix != "" {
+	if *out != "" {
 		raw, err := res.JSON()
 		if err != nil {
 			return fatal(stderr, err)
 		}
-		name := *outPrefix + "_run1.json"
-		if err := os.WriteFile(name, append(raw, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(*out, append(raw, '\n'), 0o644); err != nil {
 			return fatal(stderr, err)
 		}
-		fmt.Fprintf(stderr, "wrote %s\n", name)
+		fmt.Fprintf(stderr, "wrote %s\n", *out)
 	}
 	fmt.Fprintln(stdout)
 	if !res.OK {

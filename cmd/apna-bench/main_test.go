@@ -2,12 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"apna/internal/benchgate"
 )
 
 // TestExitCodes pins the exit-code contract: 1 on usage errors — a
@@ -45,20 +44,28 @@ func TestExitCodes(t *testing.T) {
 	}
 
 	t.Run("ramp runs", func(t *testing.T) {
-		prefix := filepath.Join(t.TempDir(), "BENCH_e11")
+		dir := t.TempDir()
+		out := filepath.Join(dir, "e11.json")
 		var stdout, stderr bytes.Buffer
-		if code := run([]string{"-workers", "2", "-out", prefix}, &stdout, &stderr, tinyE11()); code != 0 {
+		if code := run([]string{"-workers", "2", "-out", out}, &stdout, &stderr, tinyE11()); code != 0 {
 			t.Fatalf("exit %d, want 0 (stderr: %s)", code, stderr.String())
 		}
 		if !strings.Contains(stdout.String(), "population ramp") {
 			t.Errorf("no ramp table on stdout:\n%s", stdout.String())
 		}
-		raw, err := os.ReadFile(prefix + "_run1.json")
+		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+			t.Fatalf("-out wrote %d files (%v), want exactly the one it names", len(entries), err)
+		}
+		raw, err := os.ReadFile(out)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := benchgate.ParseArtifact(raw); err != nil {
-			t.Errorf("artifact: %v", err)
+		var res e11Result
+		if err := json.Unmarshal(raw, &res); err != nil {
+			t.Fatalf("artifact: %v", err)
+		}
+		if res.Provenance.ConfigHash == "" {
+			t.Error("artifact carries no provenance config hash")
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -37,30 +38,40 @@ func TestExitCodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	withE11 := side(t, "ab12", 1000, 1010, 990)
-	if err := os.WriteFile(filepath.Join(withE11, "e11_run1.json"), []byte(`{"experiment":"e11","provenance":{"config_hash":"ef56"},"tiers":[{"hosts":1000,"result":{"events_per_sec":1}}]}`), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(withE11, "e11.json"), []byte(`{"experiment":"e11","provenance":{"config_hash":"ab12"},"tiers":[{"hosts":1000,"result":{"events_per_sec":1}}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	withJunk := side(t, "ab12", 1001, 1011, 991)
+	if err := os.WriteFile(filepath.Join(withJunk, "notes.json"), []byte("runner was busy"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
 		name string
 		args []string
 		want int
+		// stderr, when set, must appear in the error output.
+		stderr string
 	}{
-		{"no subcommand", nil, 1},
-		{"unknown subcommand", []string{"gate"}, 1},
-		{"unknown flag", []string{"compare", "-bogus", base, same}, 1},
-		{"compare without artifacts", []string{"compare", base, t.TempDir()}, 1},
-		{"one directory is a usage error", []string{"compare", base}, 1},
-		{"retired e9 artifact", []string{"compare", base, e9}, 1},
-		{"experiment missing from head", []string{"compare", withE11, same}, 1},
-		{"seeded regression", []string{"compare", base, slow}, 2},
-		{"pass", []string{"compare", base, same}, 0},
-		{"config-hash mismatch is a skip", []string{"compare", base, otherConfig}, 0},
+		{"no subcommand", nil, 1, ""},
+		{"unknown subcommand", []string{"gate"}, 1, ""},
+		{"unknown flag", []string{"compare", "-bogus", base, same}, 1, ""},
+		{"compare without artifacts", []string{"compare", base, t.TempDir()}, 1, ""},
+		{"one directory is a usage error", []string{"compare", base}, 1, ""},
+		{"retired e9 artifact", []string{"compare", base, e9}, 1, ""},
+		{"e11 artifact in a side", []string{"compare", withE11, same}, 1, "e11.json: benchgate: artifact carries no workloads"},
+		{"one unreadable file fails its side", []string{"compare", base, withJunk}, 1, "notes.json"},
+		{"seeded regression", []string{"compare", base, slow}, 2, ""},
+		{"pass", []string{"compare", base, same}, 0, ""},
+		{"config-hash mismatch is a skip", []string{"compare", base, otherConfig}, 0, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
 			if code := run(tc.args, &stdout, &stderr); code != tc.want {
 				t.Fatalf("exit %d, want %d\nstdout: %s\nstderr: %s", code, tc.want, stdout.String(), stderr.String())
+			}
+			if !strings.Contains(stderr.String(), tc.stderr) {
+				t.Errorf("stderr %q does not mention %q", stderr.String(), tc.stderr)
 			}
 		})
 	}

@@ -8,22 +8,24 @@ import (
 
 // FuzzParseArtifact drives the artifact parser with arbitrary bytes:
 // it must never panic, and whatever it accepts must honor the parsed
-// contract — a named experiment, a provenance config hash, and metric
-// series that exist where the gate will dereference them. Seeds
-// include both golden fixtures, whole, truncated and followed by
-// trailing data, plus the malformed and retired shapes the rejection
-// tests pin (missing provenance, the E9/E10 JSON lines, the E12
-// object).
+// contract — a provenance config hash, and metric series that exist
+// where the gate will dereference them. Seeds include the golden
+// results file, whole, truncated and followed by trailing data, plus
+// the malformed and foreign shapes the rejection tests pin (missing
+// provenance, a missing end-to-end metric, a failed operation, a
+// mistyped median, the E9 and E10 JSON lines, the E11 and E12
+// objects).
 func FuzzParseArtifact(f *testing.F) {
-	for _, fixture := range []string{"BENCH_bench.json", "BENCH_e11.json"} {
-		if data, err := os.ReadFile(filepath.Join("testdata", fixture)); err == nil {
-			f.Add(data)
-			f.Add(data[:len(data)/2])
-			f.Add(append(data, `{"extra":true}`...))
-		}
+	if data, err := os.ReadFile(filepath.Join("testdata", "BENCH_bench.json")); err == nil {
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+		f.Add(append(data, `{"extra":true}`...))
 	}
 	f.Add([]byte(`{"provenance":{"config_hash":"ab"},"workloads":{"w":{"metrics":{"ops_per_s":{"median":1},"setup_s":{"median":1}}}}}`))
 	f.Add([]byte(`{"workloads":{"w":{"metrics":{"ops_per_s":{"median":1}}}}}`))
+	f.Add([]byte(`{"provenance":{"config_hash":"ab"},"workloads":{"w":{"metrics":{"ops_per_s":{"median":1}}}}}`))
+	f.Add([]byte(`{"provenance":{"config_hash":"ab"},"workloads":{"w":{"failed":1,"metrics":{"ops_per_s":{"median":1},"setup_s":{"median":1}}}}}`))
+	f.Add([]byte(`{"provenance":{"config_hash":"ab"},"workloads":{"w":{"metrics":{"ops_per_s":{"median":"fast"}}}}}`))
 	f.Add([]byte(`{"experiment":"e9","provenance":{"config_hash":"ab"}}` + "\n" + `{"seed":1}`))
 	f.Add([]byte(`{"experiment":"e11","provenance":{"config_hash":"ab"},"tiers":[{"hosts":10,"result":{}}]}`))
 	f.Add([]byte(`{"experiment":"e10","provenance":{"config_hash":"ab"}}` + "\n" + `{"seed":1}`))
@@ -36,9 +38,6 @@ func FuzzParseArtifact(f *testing.F) {
 		art, err := ParseArtifact(data)
 		if err != nil {
 			return
-		}
-		if art.Experiment == "" {
-			t.Fatal("accepted artifact without an experiment")
 		}
 		if art.Provenance.ConfigHash == "" {
 			t.Fatal("accepted artifact without a provenance config hash")

@@ -66,19 +66,19 @@ type MetricVerdict struct {
 	Reason string `json:"reason"`
 }
 
-// GateStatus is the whole-gate outcome for one experiment.
+// GateStatus is the whole-gate outcome.
 type GateStatus string
 
 const (
-	StatusPass       GateStatus = "pass"
-	StatusFail       GateStatus = "fail"
-	StatusImproved   GateStatus = "improved"
+	StatusPass     GateStatus = "pass"
+	StatusFail     GateStatus = "fail"
+	StatusImproved GateStatus = "improved"
+	// StatusNoBaseline is a skip: the sides ran different configs.
 	StatusNoBaseline GateStatus = "no-baseline"
 )
 
-// GateResult is one experiment's gate outcome — the GATE.json element.
+// GateResult is the gate's outcome — the GATE.json document.
 type GateResult struct {
-	Experiment string     `json:"experiment"`
 	ConfigHash string     `json:"config_hash"`
 	Status     GateStatus `json:"status"`
 	// BaselineCommit and CurrentCommit locate the two sides in
@@ -100,40 +100,27 @@ type GateResult struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// Compare gates current against baseline. All artifacts on both sides
-// must come from one experiment; the sides must agree on the
-// provenance config hash, or the result is StatusNoBaseline — a skip,
-// never a false verdict. Reruns on a side merge their samples per
-// metric before testing.
+// Compare gates current against baseline. Each side needs at least one
+// artifact, and all of a side's artifacts one config hash. The sides
+// must agree on the provenance config hash, or the result is
+// StatusNoBaseline — a skip, never a false verdict. Reruns on a side
+// merge their samples per metric before testing.
 func Compare(baseline, current []*Artifact) (*GateResult, error) {
-	if len(current) == 0 {
-		return nil, fmt.Errorf("benchgate: no current artifacts")
-	}
-	exp, curHash, err := sideKey(current)
+	curHash, err := sideHash(current)
 	if err != nil {
 		return nil, fmt.Errorf("benchgate: current side: %w", err)
 	}
-	res := &GateResult{
-		Experiment:    exp,
-		ConfigHash:    curHash,
-		CurrentCommit: current[0].Provenance.Commit,
-		BaselineRuns:  len(baseline),
-		CurrentRuns:   len(current),
-		Alpha:         alpha,
-		MinEffect:     minEffect,
-	}
-	if len(baseline) == 0 {
-		res.Status = StatusNoBaseline
-		res.Reason = "no baseline artifacts for this experiment and config hash"
-		return res, nil
-	}
-	baseExp, _, err := sideKey(baseline)
-	if err != nil {
+	if _, err := sideHash(baseline); err != nil {
 		return nil, fmt.Errorf("benchgate: baseline side: %w", err)
 	}
-	res.BaselineCommit = baseline[0].Provenance.Commit
-	if baseExp != exp {
-		return nil, fmt.Errorf("benchgate: baseline is %s, current is %s", baseExp, exp)
+	res := &GateResult{
+		ConfigHash:     curHash,
+		BaselineCommit: baseline[0].Provenance.Commit,
+		CurrentCommit:  current[0].Provenance.Commit,
+		BaselineRuns:   len(baseline),
+		CurrentRuns:    len(current),
+		Alpha:          alpha,
+		MinEffect:      minEffect,
 	}
 	if !baseline[0].Provenance.Comparable(current[0].Provenance) {
 		res.Status = StatusNoBaseline
@@ -230,20 +217,20 @@ func relativeDelta(base, cur float64) float64 {
 	return (cur - base) / math.Abs(base)
 }
 
-// sideKey validates that one side's artifacts share an experiment and
-// config hash and returns both.
-func sideKey(arts []*Artifact) (exp, hash string, err error) {
-	exp, hash = arts[0].Experiment, arts[0].Provenance.ConfigHash
+// sideHash checks that one side holds artifacts, all under one config
+// hash, and returns it.
+func sideHash(arts []*Artifact) (string, error) {
+	if len(arts) == 0 {
+		return "", fmt.Errorf("no artifacts")
+	}
+	hash := arts[0].Provenance.ConfigHash
 	for _, a := range arts[1:] {
-		if a.Experiment != exp {
-			return "", "", fmt.Errorf("mixed experiments %s and %s", exp, a.Experiment)
-		}
 		if a.Provenance.ConfigHash != hash {
-			return "", "", fmt.Errorf("mixed config hashes within one side (%s: %.12s vs %.12s)",
-				exp, hash, a.Provenance.ConfigHash)
+			return "", fmt.Errorf("mixed config hashes within one side (%.12s vs %.12s)",
+				hash, a.Provenance.ConfigHash)
 		}
 	}
-	return exp, hash, nil
+	return hash, nil
 }
 
 // mergeSamples pools every artifact's samples per metric name.

@@ -9,9 +9,8 @@ import (
 )
 
 // synth builds one synthetic single-run artifact.
-func synth(exp, hash, commit string, metrics ...Metric) *Artifact {
+func synth(hash, commit string, metrics ...Metric) *Artifact {
 	return &Artifact{
-		Experiment: exp,
 		Provenance: provenance.Block{ConfigHash: hash, Commit: commit},
 		Metrics:    metrics,
 	}
@@ -20,12 +19,12 @@ func synth(exp, hash, commit string, metrics ...Metric) *Artifact {
 // runsAround builds n reruns of a one-metric artifact whose values are
 // center ± up to 1% of deterministic seeded jitter — the noise floor
 // the gate must see through.
-func runsAround(exp, hash string, name string, dir Direction, center float64, n int, seed int64) []*Artifact {
+func runsAround(hash, name string, dir Direction, center float64, n int, seed int64) []*Artifact {
 	rng := rand.New(rand.NewSource(seed))
 	arts := make([]*Artifact, n)
 	for i := range arts {
 		v := center * (1 + (rng.Float64()-0.5)*0.02)
-		arts[i] = synth(exp, hash, "c0ffee", Metric{Name: name, Direction: dir, Unit: "x", Values: []float64{v}})
+		arts[i] = synth(hash, "c0ffee", Metric{Name: name, Direction: dir, Unit: "x", Values: []float64{v}})
 	}
 	return arts
 }
@@ -56,8 +55,8 @@ func TestGateVerdictTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			base := runsAround("bench", hash, tc.metric, tc.dir, tc.baseCenter, tc.runs, 1)
-			cur := runsAround("bench", hash, tc.metric, tc.dir, tc.curCenter, tc.runs, 2)
+			base := runsAround(hash, tc.metric, tc.dir, tc.baseCenter, tc.runs, 1)
+			cur := runsAround(hash, tc.metric, tc.dir, tc.curCenter, tc.runs, 2)
 			res, err := Compare(base, cur)
 			if err != nil {
 				t.Fatal(err)
@@ -84,8 +83,8 @@ func TestGateVerdictTable(t *testing.T) {
 func TestGateNoiseNeverFails(t *testing.T) {
 	const hash = "beef0000beef0000"
 	for seed := int64(0); seed < 40; seed++ {
-		base := runsAround("bench", hash, "pps", HigherBetter, 1e6, 3, seed*2+1)
-		cur := runsAround("bench", hash, "pps", HigherBetter, 1e6, 3, seed*2+2)
+		base := runsAround(hash, "pps", HigherBetter, 1e6, 3, seed*2+1)
+		cur := runsAround(hash, "pps", HigherBetter, 1e6, 3, seed*2+2)
 		res, err := Compare(base, cur)
 		if err != nil {
 			t.Fatal(err)
@@ -101,14 +100,14 @@ func TestGateNoiseNeverFails(t *testing.T) {
 func TestGateSubThresholdChangePasses(t *testing.T) {
 	const hash = "f00d0000"
 	base := []*Artifact{
-		synth("bench", hash, "a", Metric{Name: "pps", Direction: HigherBetter, Values: []float64{1000}}),
-		synth("bench", hash, "a", Metric{Name: "pps", Direction: HigherBetter, Values: []float64{1001}}),
-		synth("bench", hash, "a", Metric{Name: "pps", Direction: HigherBetter, Values: []float64{1002}}),
+		synth(hash, "a", Metric{Name: "pps", Direction: HigherBetter, Values: []float64{1000}}),
+		synth(hash, "a", Metric{Name: "pps", Direction: HigherBetter, Values: []float64{1001}}),
+		synth(hash, "a", Metric{Name: "pps", Direction: HigherBetter, Values: []float64{1002}}),
 	}
 	cur := []*Artifact{
-		synth("bench", hash, "b", Metric{Name: "pps", Direction: HigherBetter, Values: []float64{980}}),
-		synth("bench", hash, "b", Metric{Name: "pps", Direction: HigherBetter, Values: []float64{981}}),
-		synth("bench", hash, "b", Metric{Name: "pps", Direction: HigherBetter, Values: []float64{982}}),
+		synth(hash, "b", Metric{Name: "pps", Direction: HigherBetter, Values: []float64{980}}),
+		synth(hash, "b", Metric{Name: "pps", Direction: HigherBetter, Values: []float64{981}}),
+		synth(hash, "b", Metric{Name: "pps", Direction: HigherBetter, Values: []float64{982}}),
 	}
 	res, err := Compare(base, cur)
 	if err != nil {
@@ -125,8 +124,8 @@ func TestGateSubThresholdChangePasses(t *testing.T) {
 // TestGateConfigHashMismatchSkips: a changed experiment configuration
 // must yield "no comparable baseline" — a skip, never a verdict.
 func TestGateConfigHashMismatchSkips(t *testing.T) {
-	base := runsAround("bench", "hash-old", "pps", HigherBetter, 1e6, 3, 1)
-	cur := runsAround("bench", "hash-new", "pps", HigherBetter, 0.5e6, 3, 2)
+	base := runsAround("hash-old", "pps", HigherBetter, 1e6, 3, 1)
+	cur := runsAround("hash-new", "pps", HigherBetter, 0.5e6, 3, 2)
 	res, err := Compare(base, cur)
 	if err != nil {
 		t.Fatal(err)
@@ -145,29 +144,16 @@ func TestGateConfigHashMismatchSkips(t *testing.T) {
 	}
 }
 
-// TestGateEmptyBaselineSkips: a first run has nothing to compare
-// against.
-func TestGateEmptyBaselineSkips(t *testing.T) {
-	cur := runsAround("bench", "h", "pps", HigherBetter, 1e6, 3, 1)
-	res, err := Compare(nil, cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != StatusNoBaseline {
-		t.Fatalf("status %s, want no-baseline skip", res.Status)
-	}
-}
-
 // TestGateMissingMetricNeverFails: a metric present on only one side
 // (schema drift, new metric) is reported but cannot fail the build.
 func TestGateMissingMetricNeverFails(t *testing.T) {
 	const hash = "feed"
 	base := []*Artifact{
-		synth("bench", hash, "a",
+		synth(hash, "a",
 			Metric{Name: "pps", Direction: HigherBetter, Values: []float64{100, 101}}),
 	}
 	cur := []*Artifact{
-		synth("bench", hash, "b",
+		synth(hash, "b",
 			Metric{Name: "pps", Direction: HigherBetter, Values: []float64{100, 101}},
 			Metric{Name: "gbps_delivered", Direction: HigherBetter, Values: []float64{5, 5}}),
 	}
@@ -196,7 +182,7 @@ func TestGateDeterministicMetricsTie(t *testing.T) {
 	mk := func(commit string) []*Artifact {
 		var arts []*Artifact
 		for i := 0; i < 3; i++ {
-			arts = append(arts, synth("e9", hash, commit,
+			arts = append(arts, synth(hash, commit,
 				Metric{Name: "renewals", Direction: HigherBetter, Values: []float64{8}}))
 		}
 		return arts
@@ -210,54 +196,61 @@ func TestGateDeterministicMetricsTie(t *testing.T) {
 	}
 }
 
-// TestCompareValidation pins the hard errors (never silent) for
-// malformed comparisons.
-func TestCompareValidation(t *testing.T) {
-	good := runsAround("bench", "h", "pps", HigherBetter, 1e6, 2, 1)
-	if _, err := Compare(good, nil); err == nil {
-		t.Error("empty current side accepted")
-	}
-	mixed := []*Artifact{good[0], synth("e11", "h", "c")}
-	if _, err := Compare(good, mixed); err == nil {
-		t.Error("mixed experiments within one side accepted")
-	}
-	if _, err := Compare(runsAround("e11", "h", "x", LowerBetter, 1, 2, 1), good); err == nil {
-		t.Error("cross-side experiment mismatch accepted")
+// TestGateEmptyBaselineErrors: a side with no artifacts is an error,
+// never a skip — apna-gate refuses an empty directory before Compare.
+func TestGateEmptyBaselineErrors(t *testing.T) {
+	cur := runsAround("h", "pps", HigherBetter, 1e6, 3, 1)
+	if res, err := Compare(nil, cur); err == nil {
+		t.Fatalf("empty baseline side accepted: status %s", res.Status)
 	}
 }
 
-// TestSummarizeAndReports: the GATE.json document and report.md carry
-// the verdicts.
-func TestSummarizeAndReports(t *testing.T) {
+// TestCompareValidation pins the hard errors (never silent) for
+// malformed comparisons.
+func TestCompareValidation(t *testing.T) {
+	good := runsAround("h", "pps", HigherBetter, 1e6, 2, 1)
+	if _, err := Compare(good, nil); err == nil {
+		t.Error("empty current side accepted")
+	}
+	mixed := []*Artifact{good[0], synth("other", "c")}
+	if _, err := Compare(good, mixed); err == nil {
+		t.Error("mixed config hashes within the current side accepted")
+	}
+	if _, err := Compare(mixed, good); err == nil {
+		t.Error("mixed config hashes within the baseline side accepted")
+	}
+}
+
+// TestGateReports: the GATE.json document and report.md carry the
+// verdicts, and a skip says why.
+func TestGateReports(t *testing.T) {
 	const hash = "abad1dea"
-	base := runsAround("bench", hash, "pps", HigherBetter, 1e6, 3, 1)
-	cur := runsAround("bench", hash, "pps", HigherBetter, 0.8e6, 3, 2)
-	fail, err := Compare(base, cur)
+	base := runsAround(hash, "pps", HigherBetter, 1e6, 3, 1)
+	fail, err := Compare(base, runsAround(hash, "pps", HigherBetter, 0.8e6, 3, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	skip, err := Compare(nil, runsAround("e11", "other", "events_per_sec@1000", HigherBetter, 5e5, 3, 3))
+	raw, err := fail.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Summarize([]*GateResult{fail, skip})
-	if s.OK || s.Skipped != 1 {
-		t.Fatalf("summary ok=%v skipped=%d, want false/1", s.OK, s.Skipped)
-	}
-	raw, err := s.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"status": "fail"`, `"status": "no-baseline"`, `"ok": false`} {
+	for _, want := range []string{`"status": "fail"`, `"regressions": 1`, `"verdict": "fail"`} {
 		if !strings.Contains(string(raw), want) {
 			t.Errorf("GATE.json missing %q", want)
 		}
 	}
-	md := string(s.Markdown())
-	for _, want := range []string{"Verdict: FAIL", "| pps |", "**FAIL**", "no-baseline"} {
+	md := string(fail.Markdown())
+	for _, want := range []string{"Verdict: FAIL", "| pps |", "**FAIL**"} {
 		if !strings.Contains(md, want) {
 			t.Errorf("report.md missing %q", want)
 		}
+	}
+	skip, err := Compare(base, runsAround("other", "pps", HigherBetter, 0.5e6, 3, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if md := string(skip.Markdown()); !strings.Contains(md, "Verdict: SKIP") || !strings.Contains(md, "not comparable") {
+		t.Errorf("skip report does not say why:\n%s", md)
 	}
 	// A unit that starts with a digit must not run into the value.
 	for v, want := range map[float64]string{285299.4: "285299 1/s", 0.0499: "0.0499 1/s", 0: "0 1/s", 2.5e9: "2.5e+09 1/s"} {

@@ -21,6 +21,12 @@ func TestMannWhitneyExactKnownValues(t *testing.T) {
 		// Interleaved: U=3 of 9, so the two-sided tail is
 		// 2*P(U<=3) = 2*(1+1+2+3)/20 = 0.7 — nowhere near rejection.
 		{"3v3 interleaved", []float64{1, 3, 5}, []float64{2, 4, 6}, 0.7},
+		// CI's 10 pairs: with 27 of the 100 cross-side orderings
+		// reversed the exact two-sided p, 2*P(U<=27) = 2*8241/C(20,10),
+		// is still under alpha (0.0892); with 28 it is 2*9711/C(20,10),
+		// over it (0.1051).
+		{"10v10 27 reversed", seq(1, 10), append([]float64{0.5, 0.6, 3.5}, seq(11, 17)...), 2.0 * 8241 / 184756},
+		{"10v10 28 reversed", seq(1, 10), append([]float64{0.5, 0.6, 2.5}, seq(11, 17)...), 2.0 * 9711 / 184756},
 		{"empty side", nil, []float64{1, 2}, 1.0},
 	}
 	for _, tc := range cases {
@@ -29,6 +35,15 @@ func TestMannWhitneyExactKnownValues(t *testing.T) {
 			t.Errorf("%s: p=%v, want %v", tc.name, got, tc.want)
 		}
 	}
+}
+
+// seq returns lo, lo+1, ..., hi.
+func seq(lo, hi float64) []float64 {
+	var s []float64
+	for v := lo; v <= hi; v++ {
+		s = append(s, v)
+	}
+	return s
 }
 
 func TestMannWhitneyTiesNeverReject(t *testing.T) {

@@ -257,7 +257,7 @@ type OpStats struct {
 }
 
 // Result is a population run's report — the per-tier body of the
-// BENCH_e11.json artifact.
+// apna-bench -out artifact.
 type Result struct {
 	Config    Config  `json:"config"`
 	ElapsedMs float64 `json:"elapsed_ms"`

@@ -1,9 +1,9 @@
 // Package provenance stamps benchmark artifacts with where they came
 // from: commit hash, configuration digest, seed, toolchain and
-// timestamp. The benchmark's results file (go run ./bench) and every
-// E11 artifact embed one Block, so the trend gate (internal/benchgate)
-// has stable, self-describing inputs instead of having to reconstruct
-// run conditions from CI metadata.
+// timestamp. The benchmark's results file (go run ./bench) embeds one
+// Block, so the trend gate (internal/benchgate) has stable,
+// self-describing inputs; apna-bench's E11 artifact embeds one too, so
+// its run conditions need no reconstructing from CI metadata.
 package provenance
 
 import (

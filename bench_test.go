@@ -15,6 +15,9 @@ package apna
 //	E5' -> BenchmarkConnectionEstablishment (wall-clock cost of the
 //	       full handshake machinery, complementing the virtual-time
 //	       experiment)
+//	E11 -> BenchmarkPopulationRamp/hosts=<n>/workers=<w> in
+//	       internal/population (the 10^3..10^6-host ramp; a gate
+//	       breach fails it)
 //
 // Run: go test -bench=. -benchmem
 

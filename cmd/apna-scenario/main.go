@@ -6,12 +6,8 @@
 // concurrent multi-flow scenario (E6), adversarial conformance sweep
 // (E7), EphID lifecycle endurance sweep (E9) and inter-domain
 // accountability sweep (E10) are the committed specs scenarios/e6.json,
-// e7.json, e9.json and e10.json; the timed experiments (E1, E3/E4, E11)
-// live in apna-bench, E8 is the benchmark's fwd_* workloads (go run
-// ./bench), and the deterministic ones are tests:
-// TestPaperScaleTrace in internal/trace (E2), TestConnectionRTTs in the
-// root package (E5) and TestDisseminationAtScale in
-// internal/accountability (E12).
+// e7.json, e9.json and e10.json; cmd/README.md says where every other
+// experiment runs.
 //
 // -seed overrides the spec's seed; -seeds N sweeps the spec over
 // seed, seed+1, ... seed+N-1 (one verdict per seed, -json: one verdict
@@ -65,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if *file == "" {
-		return fatal(stderr, fmt.Errorf("-file is required (the experiments E1, E3/E4 and E11 run from apna-bench; E8 is go run ./bench; E2, E5 and E12 are the tests TestPaperScaleTrace, TestConnectionRTTs and TestDisseminationAtScale)"))
+		return fatal(stderr, fmt.Errorf("-file is required (see cmd/README.md for where each experiment runs)"))
 	}
 	if *seeds > 1 && (*record != "" || *replayPath != "") {
 		return fatal(stderr, fmt.Errorf("-record and -replay bind one seed; drop -seeds"))

@@ -21,7 +21,8 @@ func runCmd(t *testing.T, args ...string) (int, string, string) {
 }
 
 // TestExitCodes pins the exit-code contract: 0 when the gate passes, 2
-// on gate failures, 1 on usage errors.
+// on gate failures, 1 on usage errors; a run without -file points at
+// the experiment map in cmd/README.md.
 func TestExitCodes(t *testing.T) {
 	e6 := filepath.Join("..", "..", "scenarios", "e6.json")
 	e7 := filepath.Join("..", "..", "scenarios", "e7.json")
@@ -46,25 +47,29 @@ func TestExitCodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		name string
-		args []string
-		want int
+		name   string
+		args   []string
+		want   int
+		stderr string // a substring stderr must hold, if set
 	}{
-		{"e6 default passes", []string{"-file", e6}, 0},
-		{"e6 shutoffs without evidence gate", []string{"-file", noEvidence}, 2},
-		{"e7 sweep passes", []string{"-file", e7, "-seeds", "5"}, 0},
-		{"e9 sweep passes", []string{"-file", e9, "-seed", "1", "-seeds", "5"}, 0},
-		{"e10 sweep passes", []string{"-file", e10, "-seed", "1", "-seeds", "5"}, 0},
-		{"no spec file", nil, 1},
-		{"unknown flag", []string{"-no-such-flag"}, 1},
-		{"spec file passes", []string{"-file", e6, "-seed", "7", "-json"}, 0},
-		{"spec file missing", []string{"-file", "no-such-spec.json"}, 1},
+		{"e6 default passes", []string{"-file", e6}, 0, ""},
+		{"e6 shutoffs without evidence gate", []string{"-file", noEvidence}, 2, ""},
+		{"e7 sweep passes", []string{"-file", e7, "-seeds", "5"}, 0, ""},
+		{"e9 sweep passes", []string{"-file", e9, "-seed", "1", "-seeds", "5"}, 0, ""},
+		{"e10 sweep passes", []string{"-file", e10, "-seed", "1", "-seeds", "5"}, 0, ""},
+		{"no spec file", nil, 1, "cmd/README.md"},
+		{"unknown flag", []string{"-no-such-flag"}, 1, ""},
+		{"spec file passes", []string{"-file", e6, "-seed", "7", "-json"}, 0, ""},
+		{"spec file missing", []string{"-file", "no-such-spec.json"}, 1, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			code, _, stderr := runCmd(t, tc.args...)
 			if code != tc.want {
 				t.Fatalf("exit %d, want %d (stderr: %s)", code, tc.want, stderr)
+			}
+			if !strings.Contains(stderr, tc.stderr) {
+				t.Errorf("stderr %q does not name %q", stderr, tc.stderr)
 			}
 		})
 	}

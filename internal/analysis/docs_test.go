@@ -96,7 +96,7 @@ func TestDocsResolve(t *testing.T) {
 // link-shaped code span is code, a missing target is broken, and a code
 // span may wrap a line.
 func TestDocsScanner(t *testing.T) {
-	doc := scanMarkdown("A generic call `f[T](a, b)` is code.\n\nSee [x](missing.md) and\n[y](docs_test.go#TestDocsScanner),\n`two\nlines`.\n\n```\n[z](fenced.md)\napna-bench -exp e8\n```\n")
+	doc := scanMarkdown("A generic call `f[T](a, b)` is code.\n\nSee [x](missing.md) and\n[y](docs_test.go#TestDocsScanner),\n`two\nlines`.\n\n```\n[z](fenced.md)\napna-scenario -exp e8\n```\n")
 	var links []string
 	for _, l := range doc.links {
 		links = append(links, fmt.Sprintf("%d:%s", l.line, l.text))
@@ -115,7 +115,7 @@ func TestDocsScanner(t *testing.T) {
 	if len(doc.spans) != 2 || doc.spans[0].text != "f[T](a, b)" || doc.spans[1] != (mdText{"two lines", 5}) {
 		t.Errorf("spans = %+v", doc.spans)
 	}
-	if len(doc.fenced) != 2 || doc.fenced[1] != (mdText{"apna-bench -exp e8", 10}) {
+	if len(doc.fenced) != 2 || doc.fenced[1] != (mdText{"apna-scenario -exp e8", 10}) {
 		t.Errorf("fenced = %+v", doc.fenced)
 	}
 }
@@ -124,14 +124,14 @@ func TestDocsScanner(t *testing.T) {
 // hold fails, and so does a flag the command does not define, in
 // either flag form; a pipe ends the line.
 func TestDocsCommandValues(t *testing.T) {
-	ix := &docIndex{flags: map[string][]string{"apna-bench": {"workers", "out"}}}
+	ix := &docIndex{flags: map[string][]string{"apna-scenario": {"file", "seeds"}}}
 	for text, bad := range map[string]bool{
-		"apna-bench -workers 4 -out P":          false,
-		"apna-bench -workers=4":                 false,
-		"apna-bench -workers 4 | tee -exp":      false,
-		"go run ./cmd/apna-bench -exp=e11":      true,
-		"apna-bench -workers 4 -pkts 10":        true,
-		"apna-scenario -file scenarios/e6.json": true,
+		"apna-scenario -file s.json -seeds 5":     false,
+		"apna-scenario -file=s.json":              false,
+		"apna-scenario -file s.json | tee -exp":   false,
+		"go run ./cmd/apna-scenario -exp=e11":     true,
+		"apna-scenario -file s.json -pkts 10":     true,
+		"apna-gate compare pairs/base pairs/head": true,
 	} {
 		if msg := ix.command(text); (msg != "") != bad {
 			t.Errorf("%q: %q", text, msg)

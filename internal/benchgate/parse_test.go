@@ -86,8 +86,8 @@ func TestParseArtifactRejects(t *testing.T) {
 	// The retired E9 artifact was JSON lines: a header, then a verdict
 	// per seed. Whatever its lines hold, the shape is refused.
 	e9Header := `{"experiment":"e9","provenance":{"config_hash":"ab"}}`
-	// apna-bench's E11 artifact: a valid JSON object with a provenance
-	// block, but no workloads.
+	// The retired E11 ramp artifact: a valid JSON object with a
+	// provenance block, but no workloads.
 	e11Shape := `{"experiment":"e11","provenance":{"commit":"c0ffee","config_hash":"ab"},` +
 		`"tiers":[{"hosts":500,"result":{"events_per_sec":1e5,"issue_latency":{"p99_us":40}}}]}`
 	cases := []struct {

@@ -256,8 +256,8 @@ type OpStats struct {
 	MaxUs float64 `json:"max_us"`
 }
 
-// Result is a population run's report — the per-tier body of the
-// apna-bench -out artifact.
+// Result is a population run's report: what E11's ramp
+// (BenchmarkPopulationRamp) gates at each tier.
 type Result struct {
 	Config    Config  `json:"config"`
 	ElapsedMs float64 `json:"elapsed_ms"`
@@ -277,7 +277,7 @@ type Result struct {
 	RenewDenied     uint64  `json:"renew_denied"`
 	RenewDenialRate float64 `json:"renew_denial_rate"`
 	// ErrNoEphID counts arrivals or renewals that ended with no usable
-	// EphID after every fallback — the E11 gate requires zero.
+	// EphID after every fallback; E11's ramp gate requires zero.
 	ErrNoEphID   uint64 `json:"err_no_ephid"`
 	Joins        uint64 `json:"joins"`
 	Leaves       uint64 `json:"leaves"`
@@ -1115,7 +1115,7 @@ func (cp *complainer) request(now int64) ([]byte, error) {
 
 // PeakRSS reports the process's peak resident set in bytes (VmHWM on
 // Linux), falling back to the Go runtime's Sys estimate elsewhere —
-// the "does 10^6 hosts fit in one process" number of the E11 artifact.
+// the "does 10^6 hosts fit in one process" number of E11's top tier.
 func PeakRSS() uint64 {
 	if data, err := os.ReadFile("/proc/self/status"); err == nil {
 		for _, line := range strings.Split(string(data), "\n") {

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"apna/internal/cert"
@@ -463,5 +464,142 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := base.normalize(); err != nil {
 		t.Errorf("default config rejected: %v", err)
+	}
+}
+
+// rampTiers are E11's modeled host populations, run in order; the last
+// is the top tier, the one the issuance p99 bound holds at. A 10^7 run
+// is one more entry.
+var rampTiers = []int{1_000, 10_000, 100_000, 1_000_000}
+
+// rampP99BoundUs is E11's issuance-latency gate: at the top tier the MS
+// round trip's p99 must stay under 25 ms even with 10^6 hosts behind it.
+const rampP99BoundUs = 25_000
+
+// rampFailures lists the E11 gates r breaks; top marks the top tier.
+func rampFailures(r *Result, top bool) []string {
+	var fails []string
+	fail := func(format string, args ...any) {
+		fails = append(fails, fmt.Sprintf(format, args...))
+	}
+	if r.ErrNoEphID != 0 {
+		fail("%d arrivals ended with no EphID under churn and renewal storms", r.ErrNoEphID)
+	}
+	if top && r.IssueLatency.P99us > rampP99BoundUs {
+		fail("issuance p99 %.0fµs exceeds the %dµs bound at the top tier",
+			r.IssueLatency.P99us, rampP99BoundUs)
+	}
+	if r.Config.ChurnFrac > 0 && r.Config.GCEvery > 0 && r.GCReaped == 0 {
+		fail("hostdb GC reclaimed no churned identities")
+	}
+	if r.Renewals == 0 {
+		fail("no renewal storm reached the MS")
+	}
+	if r.Issued == 0 {
+		fail("no issuance traffic reached the MS")
+	}
+	return fails
+}
+
+// TestRampFailures shows that every E11 gate trips on a result that
+// breaks it, and that the p99 bound holds only at the top tier.
+func TestRampFailures(t *testing.T) {
+	clean := Result{Config: DefaultConfig(), Issued: 1, Renewals: 1, GCReaped: 1,
+		IssueLatency: OpStats{P99us: 100}}
+	cases := []struct {
+		name   string
+		top    bool
+		mutate func(*Result)
+		want   string // "" when no gate may trip
+	}{
+		{"clean top tier", true, func(*Result) {}, ""},
+		{"arrival without an EphID", false, func(r *Result) { r.ErrNoEphID = 1 }, "no EphID"},
+		{"GC idle under churn", false, func(r *Result) { r.GCReaped = 0 }, "GC reclaimed"},
+		{"GC idle without churn", false, func(r *Result) { r.GCReaped, r.Config.ChurnFrac = 0, 0 }, ""},
+		{"no renewals", false, func(r *Result) { r.Renewals = 0 }, "no renewal"},
+		{"no issuance", false, func(r *Result) { r.Issued = 0 }, "no issuance"},
+		{"slow top tier", true, func(r *Result) { r.IssueLatency.P99us = 25_001 }, "25001µs"},
+		{"slow lower tier", false, func(r *Result) { r.IssueLatency.P99us = 25_001 }, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := clean
+			tc.mutate(&r)
+			fails := rampFailures(&r, tc.top)
+			if tc.want == "" {
+				if len(fails) != 0 {
+					t.Errorf("reported %q", fails)
+				}
+			} else if len(fails) != 1 || !strings.Contains(fails[0], tc.want) {
+				t.Errorf("reported %q, want one finding naming %q", fails, tc.want)
+			}
+		})
+	}
+}
+
+// TestRampSmoke runs a two-tier ramp small enough for a unit test
+// through the same gates as BenchmarkPopulationRamp: real runs must
+// pass them, so a gate that trips on a healthy workload shows here and
+// not first in CI's benchmark step.
+func TestRampSmoke(t *testing.T) {
+	tiers := []int{300, 600}
+	for i, hosts := range tiers {
+		cfg := smallConfig()
+		cfg.Hosts = hosts
+		r, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%d hosts: %v", hosts, err)
+		}
+		if fails := rampFailures(r, i == len(tiers)-1); len(fails) > 0 {
+			t.Errorf("%d hosts failed the ramp gates: %q", hosts, fails)
+		}
+		if r.PeakRSSBytes == 0 || r.EventsPerSec <= 0 {
+			t.Errorf("%d hosts missing scale metrics: rss %d, events/s %.0f",
+				hosts, r.PeakRSSBytes, r.EventsPerSec)
+		}
+	}
+}
+
+// BenchmarkPopulationRamp is E11, the population ramp: every tier runs
+// the default per-host workload for 40 virtual ticks at seed 1, so
+// scaling, not a workload change, explains any drift across tiers. Each
+// run must pass rampFailures' gates; a breach fails the benchmark.
+// peak-rss-MiB is the process's high-water mark, so only the top tier
+// reports it.
+func BenchmarkPopulationRamp(b *testing.B) {
+	workers := []int{1}
+	if n := runtime.NumCPU(); n > 1 {
+		workers = append(workers, n)
+	}
+	for i, hosts := range rampTiers {
+		top := i == len(rampTiers)-1
+		b.Run(fmt.Sprintf("hosts=%d", hosts), func(b *testing.B) {
+			for _, w := range workers {
+				b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+					cfg := DefaultConfig()
+					cfg.Hosts, cfg.Ticks, cfg.Workers, cfg.Seed = hosts, 40, w, 1
+					var r *Result
+					var events uint64
+					var elapsedMs, p99 float64
+					for n := 0; n < b.N; n++ {
+						var err error
+						if r, err = Run(cfg); err != nil {
+							b.Fatalf("%d hosts, %d workers: %v", hosts, w, err)
+						}
+						if fails := rampFailures(r, top); len(fails) > 0 {
+							b.Fatalf("%d hosts, %d workers: %s", hosts, w, strings.Join(fails, "; "))
+						}
+						events += r.Events
+						elapsedMs += r.ElapsedMs
+						p99 = max(p99, r.IssueLatency.P99us)
+					}
+					b.ReportMetric(float64(events)/(elapsedMs/1e3), "events/s")
+					b.ReportMetric(p99, "issue-p99-us")
+					if top {
+						b.ReportMetric(float64(r.PeakRSSBytes)/(1<<20), "peak-rss-MiB")
+					}
+				})
+			}
+		})
 	}
 }

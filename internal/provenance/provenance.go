@@ -2,8 +2,8 @@
 // from: commit hash, configuration digest, seed, toolchain and
 // timestamp. The benchmark's results file (go run ./bench) embeds one
 // Block, so the trend gate (internal/benchgate) has stable,
-// self-describing inputs; apna-bench's E11 artifact embeds one too, so
-// its run conditions need no reconstructing from CI metadata.
+// self-describing inputs; apna-lint's findings file (-out) embeds one
+// too, so its run conditions need no reconstructing from CI metadata.
 package provenance
 
 import (

@@ -1,9 +1,14 @@
-// Package analysis is apna-lint: a suite of static analyzers that turn
-// the repository's paper-level invariants — determinism of seeded
+// Package analysis is a suite of static analyzers that turn the
+// repository's paper-level invariants — determinism of seeded
 // artifacts, zero allocations on the forwarding hot path, and
-// verify-before-trust in the accountability plane — into build-time
-// errors, the way go vet's printf checker made a class of bugs
-// unwritable.
+// verify-before-trust in the accountability plane — into test
+// failures, the way go vet's printf checker made a class of bugs
+// unwritable. The suite has no binary: TestRepoCleanUnderFullSuite
+// runs every analyzer over the whole module in go test, and
+//
+//	go test -run TestRepoCleanUnderFullSuite ./internal/analysis
+//
+// runs it alone.
 //
 // The suite is deliberately self-contained: it is built on go/ast and
 // go/types plus the go command only (no golang.org/x/tools dependency,
@@ -29,7 +34,7 @@
 //   - wrapcheck: enforces the %w error-chaining convention in
 //     internal/ non-test code.
 //   - nilness: a minimal known-nil-dereference check (the toolchain's
-//     go vet does not ship the x/tools nilness analyzer, so apna-lint
+//     go vet does not ship the x/tools nilness analyzer, so the suite
 //     carries the common cases).
 //   - deadexport: on a whole-module pass, reports exported names in
 //     any package of the module, the root facade included, that no
@@ -81,15 +86,14 @@ type Pass struct {
 // Analyzer is one named check.
 type Analyzer struct {
 	Name string
-	Doc  string
 	Run  func(*Pass) error
 }
 
 // Diagnostic is one finding.
 type Diagnostic struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"pos"`
-	Message  string         `json:"message"`
+	Analyzer string
+	Pos      token.Position
+	Message  string
 }
 
 func (d Diagnostic) String() string {
@@ -105,9 +109,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Run executes the analyzers over the loaded packages and returns every
+// run executes the analyzers over the loaded packages and returns every
 // diagnostic, sorted by position then analyzer name.
-func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+func run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var out []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{Analyzer: a, Fset: fset, Packages: pkgs}
@@ -132,14 +136,14 @@ func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Diagnos
 	return out, nil
 }
 
-// All returns the full suite in reporting order.
-func All() []*Analyzer {
+// all returns the full suite in reporting order.
+func all() []*Analyzer {
 	return []*Analyzer{Detwall, Hotpath, Verifyfirst, Wrapcheck, Nilness, Deadexport, Directives}
 }
 
 // ---- directives ----
 //
-// apna-lint directives are machine-readable comments in the //apna:name
+// The suite's directives are machine-readable comments in the //apna:name
 // form (no space after //, mirroring //go:build):
 //
 //	//apna:wallclock     sanctions a wall-clock read on the same or the

@@ -34,12 +34,12 @@ import (
 // A struct field that non-test code never reads is reported too: a
 // composite-literal key, an assignment target, x.f++, x.f += v and
 // the x.f inside x.f = append(x.f, v) are writes, any other reference
-// is a read. A read of the whole struct
-// reads every field (and those of the structs it holds by value): a
-// == or != operand, a map key, a struct with a tag, and a value handed
-// to encoding/json or encoding/binary. Embedded and blank fields are
-// not checked. //apna:testonly <reason> on the field's doc keeps one
-// that a test observes production behaviour through.
+// is a read. A read of the whole struct reads every field (and those
+// of the structs it holds by value): a == or != operand, a map key,
+// and a value handed to encoding/json or encoding/binary. A struct tag
+// reads nothing. Embedded and blank fields are not checked.
+// //apna:testonly <reason> on the field's doc keeps one that a test
+// observes production behaviour through.
 //
 // A method is exempt when its receiver type implements an interface of
 // the type-checked program with a method of that name (String,
@@ -50,7 +50,6 @@ import (
 // on the next run after the first is deleted.
 var Deadexport = &Analyzer{
 	Name: "deadexport",
-	Doc:  "report exported names that no non-test code of the module uses, and struct fields it never reads",
 	Run:  runDeadexport,
 }
 
@@ -316,15 +315,8 @@ func markFieldReads(pkg *Package, read map[types.Object]bool) {
 		}
 	}
 	for _, tv := range pkg.Info.Types {
-		switch u := tv.Type.(type) {
-		case *types.Map:
-			whole(u.Key(), false)
-		case *types.Struct:
-			for i := 0; i < u.NumFields(); i++ {
-				if u.Tag(i) != "" {
-					whole(u, false)
-				}
-			}
+		if m, ok := tv.Type.(*types.Map); ok {
+			whole(m.Key(), false)
 		}
 	}
 	writes := make(map[*ast.Ident]bool)

@@ -33,7 +33,6 @@ var DeterministicPackages = map[string]bool{
 // simulated behavior.
 var Detwall = &Analyzer{
 	Name: "detwall",
-	Doc:  "forbid wall-clock, global RNG and map-order leaks that break seeded determinism",
 	Run:  runDetwall,
 }
 

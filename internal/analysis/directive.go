@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// Directives validates apna-lint directive placement structurally: a
+// Directives validates //apna: directive placement structurally: a
 // directive only means something on the kind of node its analyzer
 // reads, so one that annotates anything else — a //apna:hotpath whose
 // function was deleted, an //apna:wallclock stranded away from any
@@ -14,7 +14,6 @@ import (
 // is reported instead of rotting silently as false documentation.
 var Directives = &Analyzer{
 	Name: "directives",
-	Doc:  "report unknown, misplaced or stale //apna: directives",
 	Run:  runDirectives,
 }
 

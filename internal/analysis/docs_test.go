@@ -274,7 +274,7 @@ type docIndex struct {
 func newDocIndex(t *testing.T) *docIndex {
 	t.Helper()
 	l := sharedLoader(t)
-	loaded, err := l.Load("./...")
+	loaded, err := l.load("./...")
 	if err != nil {
 		t.Fatal(err)
 	}

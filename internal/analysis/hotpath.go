@@ -26,7 +26,6 @@ import (
 // AllocsPerRun tests remain the backstop for those.
 var Hotpath = &Analyzer{
 	Name: "hotpath",
-	Doc:  "report allocations, locks and channel ops reachable from //apna:hotpath roots",
 	Run:  runHotpath,
 }
 

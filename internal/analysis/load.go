@@ -22,7 +22,7 @@ import (
 // go/types with every dependency — standard library included —
 // type-checked from source in dependency order. Deterministic, offline,
 // and toolchain-exact; the price is a few seconds of stdlib
-// type-checking per process, which the Loader amortizes across Load
+// type-checking per process, which the Loader amortizes across load
 // calls.
 type Loader struct {
 	// Dir is the module root the go command runs in.
@@ -49,9 +49,9 @@ type listPkg struct {
 	Error      *struct{ Err string }
 }
 
-// NewLoader creates a loader rooted at dir (the module root; "" means
+// newLoader creates a loader rooted at dir (the module root; "" means
 // the current directory).
-func NewLoader(dir string) *Loader {
+func newLoader(dir string) *Loader {
 	return &Loader{
 		Dir:     dir,
 		Fset:    token.NewFileSet(),
@@ -91,18 +91,18 @@ func (l *Loader) goList(patterns ...string) ([]*listPkg, error) {
 			l.meta[p.ImportPath] = p
 		}
 		// Return the freshly-decoded entry, not the cached one: DepOnly
-		// is relative to this invocation's patterns, and Load filters on
-		// it. (A package that was a target of an earlier, broader Load
+		// is relative to this invocation's patterns, and load filters on
+		// it. (A package that was a target of an earlier, broader load
 		// must not leak into a narrower one.)
 		pkgs = append(pkgs, p)
 	}
 	return pkgs, nil
 }
 
-// Load loads the packages matching the go list patterns (plus their
+// load loads the packages matching the go list patterns (plus their
 // whole dependency closure, type-checked but not analyzed) and returns
 // the matching packages ready for analysis, sorted by import path.
-func (l *Loader) Load(patterns ...string) ([]*Package, error) {
+func (l *Loader) load(patterns ...string) ([]*Package, error) {
 	pkgs, err := l.goList(patterns...)
 	if err != nil {
 		return nil, err
@@ -179,7 +179,7 @@ func (l *Loader) checkRetained(m *listPkg) (*Package, error) {
 }
 
 // typecheck parses and checks one package whose dependencies are
-// already in the cache (go list -deps order guarantees it for Load;
+// already in the cache (go list -deps order guarantees it for load;
 // Import recurses for stragglers).
 func (l *Loader) typecheck(m *listPkg, retain bool) (*Package, error) {
 	files, err := ParseDirFiles(l.Fset, m.Dir, m.GoFiles)

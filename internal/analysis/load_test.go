@@ -67,7 +67,7 @@ func walkModule(t *testing.T, mode parser.Mode, visit func(rel string, fset *tok
 func sharedLoader(t *testing.T) *Loader {
 	t.Helper()
 	if defaultLoader == nil {
-		defaultLoader = NewLoader(moduleRoot(t))
+		defaultLoader = newLoader(moduleRoot(t))
 	}
 	return defaultLoader
 }
@@ -108,9 +108,9 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 
 func TestLoaderTypeChecksModulePackages(t *testing.T) {
 	l := sharedLoader(t)
-	pkgs, err := l.Load("apna/internal/wire", "apna/internal/border")
+	pkgs, err := l.load("apna/internal/wire", "apna/internal/border")
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("load: %v", err)
 	}
 	if len(pkgs) != 2 {
 		t.Fatalf("got %d packages, want 2", len(pkgs))

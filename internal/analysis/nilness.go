@@ -10,13 +10,12 @@ import (
 // where a comparison just established that a pointer, interface, slice
 // or function value is nil, dereferencing that value panics. The
 // toolchain's go vet does not ship the x/tools nilness analyzer, so
-// apna-lint carries the high-confidence subset (the full dataflow
+// this suite carries the high-confidence subset (the full dataflow
 // version would need SSA). The check is branch-lexical: it flags
 // dereferences before any reassignment of the value within the nil
 // branch.
 var Nilness = &Analyzer{
 	Name: "nilness",
-	Doc:  "flag dereferences of values a dominating comparison proved nil",
 	Run:  runNilness,
 }
 

@@ -60,9 +60,10 @@ type inner struct{ z int }
 
 func same(p, q point) bool { return p == q }
 
-// tagged is serialized: reflection reads a struct with a tag.
+// tagged carries a tag but is never handed to an encoder: the tag
+// reads nothing.
 type tagged struct {
-	Name string `json:"name"`
+	Name string `json:"name"` // want `deadexport\.tagged\.Name is written`
 }
 
 var named = tagged{Name: "x"}

@@ -20,6 +20,20 @@ var testonlySeams = []string{
 	"border.RemoteRevocationList.Len",
 	"hostdb.Entry.RegisteredAt",
 	"netsim.PathLength",
+	"netsim.ReplayStats.Diverged",
+	"population.OpStats.Count",
+	"population.Result.AcctDuplicates",
+	"population.Result.DigestBytes",
+	"population.Result.DigestEntriesLast",
+	"population.Result.DigestFlushes",
+	"population.Result.GCReaped",
+	"population.Result.HostdbHosts",
+	"population.Result.HostdbShards",
+	"population.Result.ModeledBytes",
+	"population.Result.OffendersRevoked",
+	"population.Result.OverflowIssued",
+	"population.Result.PeakRSSBytes",
+	"population.Result.TraceEvents",
 	"session.Derivations",
 	"spare.Idle",
 }

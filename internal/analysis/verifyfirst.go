@@ -29,7 +29,6 @@ var VerifyFirstPackages = map[string]bool{
 // //apna:verify-exempt on its declaration.
 var Verifyfirst = &Analyzer{
 	Name: "verifyfirst",
-	Doc:  "flag accountability state mutation before the dominating signature verification",
 	Run:  runVerifyfirst,
 }
 

@@ -14,7 +14,6 @@ import (
 // depend on it), and never stringified via err.Error().
 var Wrapcheck = &Analyzer{
 	Name: "wrapcheck",
-	Doc:  "enforce %w error chaining in internal packages",
 	Run:  runWrapcheck,
 }
 

@@ -63,13 +63,14 @@ type FaultTrace struct {
 //   - Underrun counts sites reached after the schedule was exhausted.
 //   - Leftover is how many schedule events were never consumed.
 type ReplayStats struct {
-	Consumed   int    `json:"consumed"`
-	Diverged   int    `json:"diverged"`
-	Mismatched int    `json:"mismatched"`
-	Underrun   int    `json:"underrun"`
-	Leftover   int    `json:"leftover"`
-	Desynced   bool   `json:"desynced"`
-	FirstError string `json:"first_error,omitempty"`
+	Consumed int
+	//apna:testonly TestFaultCaptureReplayBitExact and TestFaultReplayOverridesRNG check through it whether a recorded outcome overrode a live draw
+	Diverged   int
+	Mismatched int
+	Underrun   int
+	Leftover   int
+	Desynced   bool
+	FirstError string
 }
 
 type faultReplay struct {

@@ -93,72 +93,72 @@ const offenderHIDBase = 0xF000_0000
 // one configuration scales across population tiers.
 type Config struct {
 	// Hosts is the modeled host population.
-	Hosts int `json:"hosts"`
+	Hosts int
 	// Ticks is the run length in virtual seconds.
-	Ticks int `json:"ticks"`
+	Ticks int
 	// Workers is the share-nothing worker count; <= 0 means NumCPU
 	// (clamped to 64 and to Hosts).
-	Workers int `json:"workers"`
+	Workers int
 	// Seed drives the whole model.
-	Seed int64 `json:"seed"`
+	Seed int64
 
 	// PeakSessionsPerHost is the diurnal-peak arrival rate, new
 	// sessions per second per host.
-	PeakSessionsPerHost float64 `json:"peak_sessions_per_host"`
+	PeakSessionsPerHost float64
 	// BaseSessionsPerHost is the overnight trough (0: peak/4).
-	BaseSessionsPerHost float64 `json:"base_sessions_per_host"`
+	BaseSessionsPerHost float64
 	// ZipfS is the host-popularity skew (> 1; 0 means 1.1).
-	ZipfS float64 `json:"zipf_s"`
+	ZipfS float64
 	// DiurnalPeriod is the virtual length of one "day" in ticks; 0
 	// compresses a full day into the run (period = Ticks) so even short
 	// runs sweep peak and trough.
-	DiurnalPeriod int `json:"diurnal_period"`
+	DiurnalPeriod int
 
 	// EphIDLifetime is the issued EphID validity in seconds. Short
 	// lifetimes are what make renewal storms: every flow issued in the
 	// same tick renews in the same later tick.
-	EphIDLifetime uint32 `json:"ephid_lifetime"`
+	EphIDLifetime uint32
 	// RenewLead is how many seconds before expiry a live flow renews.
-	RenewLead int `json:"renew_lead"`
+	RenewLead int
 	// PoolSlots is each host's EphID pool size: expired idle slots are
 	// re-issued, valid idle slots are reused (a pool hit), and arrivals
 	// beyond the pool trigger overflow issuance.
-	PoolSlots int `json:"pool_slots"`
+	PoolSlots int
 	// RenewBurst overrides the MS per-host renewal budget (0: policy
 	// default).
-	RenewBurst int `json:"renew_burst,omitempty"`
+	RenewBurst int
 
 	// ChurnFrac is the fraction of hosts replaced per tick: each leave
 	// revokes the HID (GC reaps it after the retention window) and a
 	// join registers a fresh HID in its place.
-	ChurnFrac float64 `json:"churn_frac"`
+	ChurnFrac float64
 
 	// FlashMult, when > 1, models a flash crowd: for FlashTicks ticks
 	// starting at FlashTick the diurnal arrival intensity is multiplied
 	// by FlashMult, on top of whatever the raised-cosine law gives —
 	// the onboarding surge a viral event aims at one AS's MS.
-	FlashMult  float64 `json:"flash_mult,omitempty"`
-	FlashTick  int     `json:"flash_tick,omitempty"`
-	FlashTicks int     `json:"flash_ticks,omitempty"`
+	FlashMult  float64
+	FlashTick  int
+	FlashTicks int
 
 	// ComplaintEvery files one inter-domain shutoff complaint every N
 	// ticks (0 disables complaints).
-	ComplaintEvery int `json:"complaint_every"`
+	ComplaintEvery int
 	// ReplayFrac replays that complaint bit-exactly with this
 	// probability, exercising the receipt idempotency cache.
-	ReplayFrac float64 `json:"replay_frac"`
+	ReplayFrac float64
 	// StrikeLimit is the AA's shutoff-strike escalation threshold.
-	StrikeLimit int `json:"strike_limit"`
+	StrikeLimit int
 
 	// GCEvery runs hostdb GC every N ticks (0 disables).
-	GCEvery int `json:"gc_every"`
+	GCEvery int
 	// DigestEvery flushes the revocation digest every N ticks (0
 	// disables).
-	DigestEvery int `json:"digest_every"`
+	DigestEvery int
 
 	// RecordTrace keeps the logical event trace and reports its hash,
 	// for determinism tests. Costs ~9 bytes per event.
-	RecordTrace bool `json:"record_trace,omitempty"`
+	RecordTrace bool
 }
 
 // DefaultConfig returns a population run sized for interactive use:
@@ -249,57 +249,74 @@ func (cfg Config) normalize() (Config, error) {
 // OpStats summarizes one operation class's wall-clock latency
 // distribution from the merged per-worker reservoirs.
 type OpStats struct {
-	Count uint64  `json:"count"`
-	P50us float64 `json:"p50_us"`
-	P90us float64 `json:"p90_us"`
-	P99us float64 `json:"p99_us"`
-	MaxUs float64 `json:"max_us"`
+	// Count is how many operations the reservoirs saw.
+	//
+	//apna:testonly TestRunExercisesControlPlane checks the issue reservoir filled, and TestDeterministicTrace compares the complaint count run to run
+	Count uint64
+	P50us float64
+	P99us float64
+	MaxUs float64
 }
 
 // Result is a population run's report: what E11's ramp
 // (BenchmarkPopulationRamp) gates at each tier.
 type Result struct {
-	Config    Config  `json:"config"`
-	ElapsedMs float64 `json:"elapsed_ms"`
+	ElapsedMs float64
 	// Events counts logical control-plane events (arrivals, renewals,
 	// churn operations, complaints); EventsPerSec divides by wall time.
-	Events       uint64  `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
+	Events       uint64
+	EventsPerSec float64
 
-	Arrivals uint64 `json:"arrivals"`
+	Arrivals uint64
 	// FlashArrivals is the subset of Arrivals that landed inside the
 	// configured flash-crowd window (zero when FlashMult is unset).
-	FlashArrivals   uint64  `json:"flash_arrivals,omitempty"`
-	PoolHits        uint64  `json:"pool_hits"`
-	Issued          uint64  `json:"issued"`
-	OverflowIssued  uint64  `json:"overflow_issued"`
-	Renewals        uint64  `json:"renewals"`
-	RenewDenied     uint64  `json:"renew_denied"`
-	RenewDenialRate float64 `json:"renew_denial_rate"`
+	FlashArrivals uint64
+	PoolHits      uint64
+	Issued        uint64
+	// OverflowIssued counts issuances beyond the pool; ModeledBytes is
+	// the modeled flows' byte volume.
+	//
+	//apna:testonly TestDeterministicTrace compares them run to run
+	OverflowIssued, ModeledBytes uint64
+	Renewals                     uint64
+	RenewDenied                  uint64
+	RenewDenialRate              float64
 	// ErrNoEphID counts arrivals or renewals that ended with no usable
 	// EphID after every fallback; E11's ramp gate requires zero.
-	ErrNoEphID   uint64 `json:"err_no_ephid"`
-	Joins        uint64 `json:"joins"`
-	Leaves       uint64 `json:"leaves"`
-	ModeledBytes uint64 `json:"modeled_bytes"`
+	ErrNoEphID uint64
+	Joins      uint64
+	Leaves     uint64
 
-	GCRuns         uint64  `json:"gc_runs"`
-	GCReaped       int     `json:"gc_reaped"`
-	GCMaxPauseUs   float64 `json:"gc_max_pause_us"`
-	GCTotalPauseUs float64 `json:"gc_total_pause_us"`
+	// GCReaped counts the identities hostdb GC reclaimed.
+	//
+	//apna:testonly TestRunExercisesControlPlane and E11's ramp gate, rampFailures, check that GC reclaimed churned identities
+	GCReaped     int
+	GCMaxPauseUs float64
 
-	Complaints       uint64            `json:"complaints"`
-	Replays          uint64            `json:"replays"`
-	OffendersRevoked uint64            `json:"offenders_revoked"`
-	ReceiptStatus    map[string]uint64 `json:"receipt_status"`
-	AcctDuplicates   uint64            `json:"acct_duplicates"`
+	Complaints uint64
+	Replays    uint64
+	// OffendersRevoked counts offenders that strike escalation revoked;
+	// AcctDuplicates counts replayed requests the receipt cache caught.
+	//
+	//apna:testonly TestRunExercisesControlPlane and TestOverlapComplaintsMidTick check the complaint path through them
+	OffendersRevoked, AcctDuplicates uint64
+	ReceiptStatus                    map[string]uint64
 
-	DigestFlushes     uint64 `json:"digest_flushes"`
-	DigestEntriesLast int    `json:"digest_entries_last"`
-	DigestBytes       uint64 `json:"digest_bytes"`
+	// DigestFlushes and DigestBytes count the digests flushed and the
+	// bytes they carried.
+	//
+	//apna:testonly TestRunExercisesControlPlane checks the digest path ran
+	DigestFlushes, DigestBytes uint64
+	// DigestEntriesLast is the last digest's entry count.
+	//
+	//apna:testonly TestDeterministicTrace compares it run to run
+	DigestEntriesLast int
 
-	HostdbHosts  int `json:"hostdb_hosts"`
-	HostdbShards int `json:"hostdb_shards"`
+	// HostdbHosts and HostdbShards are the hostdb's size at the end of
+	// the run.
+	//
+	//apna:testonly TestRunExercisesControlPlane checks the hostdb's state through them
+	HostdbHosts, HostdbShards int
 
 	// IssueLatency and RenewLatency are wall-clock spans from a
 	// request's admit to its reply being checked. They include the
@@ -309,14 +326,20 @@ type Result struct {
 	// time: the batch is signed within the tick the request arrived in.
 	// In wall-clock time the signature and the seal may finish while
 	// the worker admits the next tick.
-	IssueLatency     OpStats `json:"issue_latency"`
-	RenewLatency     OpStats `json:"renew_latency"`
-	ComplaintLatency OpStats `json:"complaint_latency"`
+	IssueLatency     OpStats
+	RenewLatency     OpStats
+	ComplaintLatency OpStats
 
-	PeakRSSBytes uint64 `json:"peak_rss_bytes"`
+	// PeakRSSBytes is the process's peak resident set after the run.
+	//
+	//apna:testonly TestRunExercisesControlPlane, TestRampSmoke and BenchmarkPopulationRamp report it
+	PeakRSSBytes uint64
 
-	TraceHash   string `json:"trace_hash,omitempty"`
-	TraceEvents uint64 `json:"trace_events,omitempty"`
+	TraceHash string
+	// TraceEvents counts the events TraceHash covers.
+	//
+	//apna:testonly TestDeterministicTrace checks a trace was recorded
+	TraceEvents uint64
 }
 
 // hostState is one modeled host: its kHA keys, control EphID, and HID.
@@ -401,7 +424,6 @@ func mergeStats(rs ...*reservoir) OpStats {
 	}
 	slices.Sort(all)
 	out.P50us = quantile.NearestRank(all, 0.50)
-	out.P90us = quantile.NearestRank(all, 0.90)
 	out.P99us = quantile.NearestRank(all, 0.99)
 	return out
 }
@@ -858,7 +880,7 @@ func run(cfg Config, plant func(t int, j *sealJob)) (*Result, []*worker, error) 
 	}
 
 	comp := newComplainer(w, &cfg)
-	res := &Result{Config: cfg, ReceiptStatus: map[string]uint64{}, HostdbShards: w.DB.ShardCount()}
+	res := &Result{ReceiptStatus: map[string]uint64{}, HostdbShards: w.DB.ShardCount()}
 
 	// Persistent workers with a per-tick barrier: the coordinator
 	// advances the virtual clock only between ticks, so every engine
@@ -901,8 +923,6 @@ func run(cfg Config, plant func(t int, j *sealJob)) (*Result, []*worker, error) 
 			g0 := time.Now() //apna:wallclock
 			res.GCReaped += w.DB.GC(now, retention)
 			pause := float64(time.Since(g0).Nanoseconds()) / 1e3 //apna:wallclock
-			res.GCRuns++
-			res.GCTotalPauseUs += pause
 			if pause > res.GCMaxPauseUs {
 				res.GCMaxPauseUs = pause
 			}

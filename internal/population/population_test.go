@@ -40,7 +40,7 @@ func smallConfig() Config {
 type logical struct {
 	arrivals, flash, poolHits, issued, overflow, renewals, denied, noEphID uint64
 	joins, leaves, bytes, complaints, replays, revoked, dups               uint64
-	gcRuns, digestFlushes, digestBytes, events, traceEvents                uint64
+	digestFlushes, digestBytes, events, traceEvents                        uint64
 	complaintLat                                                           uint64
 	gcReaped, digestLast, hostdb                                           int
 	trace, receipts                                                        string
@@ -53,7 +53,7 @@ func logicalOf(r *Result) logical {
 		noEphID: r.ErrNoEphID, joins: r.Joins, leaves: r.Leaves,
 		bytes: r.ModeledBytes, complaints: r.Complaints, replays: r.Replays,
 		revoked: r.OffendersRevoked, dups: r.AcctDuplicates,
-		gcRuns: r.GCRuns, digestFlushes: r.DigestFlushes, digestBytes: r.DigestBytes,
+		digestFlushes: r.DigestFlushes, digestBytes: r.DigestBytes,
 		events: r.Events, traceEvents: r.TraceEvents,
 		gcReaped: r.GCReaped, digestLast: r.DigestEntriesLast,
 		hostdb: r.HostdbHosts,
@@ -476,8 +476,9 @@ var rampTiers = []int{1_000, 10_000, 100_000, 1_000_000}
 // round trip's p99 must stay under 25 ms even with 10^6 hosts behind it.
 const rampP99BoundUs = 25_000
 
-// rampFailures lists the E11 gates r breaks; top marks the top tier.
-func rampFailures(r *Result, top bool) []string {
+// rampFailures lists the E11 gates r, a run of cfg, breaks; top marks
+// the top tier.
+func rampFailures(r *Result, cfg Config, top bool) []string {
 	var fails []string
 	fail := func(format string, args ...any) {
 		fails = append(fails, fmt.Sprintf(format, args...))
@@ -489,7 +490,7 @@ func rampFailures(r *Result, top bool) []string {
 		fail("issuance p99 %.0fµs exceeds the %dµs bound at the top tier",
 			r.IssueLatency.P99us, rampP99BoundUs)
 	}
-	if r.Config.ChurnFrac > 0 && r.Config.GCEvery > 0 && r.GCReaped == 0 {
+	if cfg.ChurnFrac > 0 && cfg.GCEvery > 0 && r.GCReaped == 0 {
 		fail("hostdb GC reclaimed no churned identities")
 	}
 	if r.Renewals == 0 {
@@ -504,28 +505,27 @@ func rampFailures(r *Result, top bool) []string {
 // TestRampFailures shows that every E11 gate trips on a result that
 // breaks it, and that the p99 bound holds only at the top tier.
 func TestRampFailures(t *testing.T) {
-	clean := Result{Config: DefaultConfig(), Issued: 1, Renewals: 1, GCReaped: 1,
-		IssueLatency: OpStats{P99us: 100}}
+	clean := Result{Issued: 1, Renewals: 1, GCReaped: 1, IssueLatency: OpStats{P99us: 100}}
 	cases := []struct {
 		name   string
 		top    bool
-		mutate func(*Result)
+		mutate func(*Result, *Config)
 		want   string // "" when no gate may trip
 	}{
-		{"clean top tier", true, func(*Result) {}, ""},
-		{"arrival without an EphID", false, func(r *Result) { r.ErrNoEphID = 1 }, "no EphID"},
-		{"GC idle under churn", false, func(r *Result) { r.GCReaped = 0 }, "GC reclaimed"},
-		{"GC idle without churn", false, func(r *Result) { r.GCReaped, r.Config.ChurnFrac = 0, 0 }, ""},
-		{"no renewals", false, func(r *Result) { r.Renewals = 0 }, "no renewal"},
-		{"no issuance", false, func(r *Result) { r.Issued = 0 }, "no issuance"},
-		{"slow top tier", true, func(r *Result) { r.IssueLatency.P99us = 25_001 }, "25001µs"},
-		{"slow lower tier", false, func(r *Result) { r.IssueLatency.P99us = 25_001 }, ""},
+		{"clean top tier", true, func(*Result, *Config) {}, ""},
+		{"arrival without an EphID", false, func(r *Result, _ *Config) { r.ErrNoEphID = 1 }, "no EphID"},
+		{"GC idle under churn", false, func(r *Result, _ *Config) { r.GCReaped = 0 }, "GC reclaimed"},
+		{"GC idle without churn", false, func(r *Result, c *Config) { r.GCReaped, c.ChurnFrac = 0, 0 }, ""},
+		{"no renewals", false, func(r *Result, _ *Config) { r.Renewals = 0 }, "no renewal"},
+		{"no issuance", false, func(r *Result, _ *Config) { r.Issued = 0 }, "no issuance"},
+		{"slow top tier", true, func(r *Result, _ *Config) { r.IssueLatency.P99us = 25_001 }, "25001µs"},
+		{"slow lower tier", false, func(r *Result, _ *Config) { r.IssueLatency.P99us = 25_001 }, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := clean
-			tc.mutate(&r)
-			fails := rampFailures(&r, tc.top)
+			r, cfg := clean, DefaultConfig()
+			tc.mutate(&r, &cfg)
+			fails := rampFailures(&r, cfg, tc.top)
 			if tc.want == "" {
 				if len(fails) != 0 {
 					t.Errorf("reported %q", fails)
@@ -550,7 +550,7 @@ func TestRampSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d hosts: %v", hosts, err)
 		}
-		if fails := rampFailures(r, i == len(tiers)-1); len(fails) > 0 {
+		if fails := rampFailures(r, cfg, i == len(tiers)-1); len(fails) > 0 {
 			t.Errorf("%d hosts failed the ramp gates: %q", hosts, fails)
 		}
 		if r.PeakRSSBytes == 0 || r.EventsPerSec <= 0 {
@@ -586,7 +586,7 @@ func BenchmarkPopulationRamp(b *testing.B) {
 						if r, err = Run(cfg); err != nil {
 							b.Fatalf("%d hosts, %d workers: %v", hosts, w, err)
 						}
-						if fails := rampFailures(r, top); len(fails) > 0 {
+						if fails := rampFailures(r, cfg, top); len(fails) > 0 {
 							b.Fatalf("%d hosts, %d workers: %s", hosts, w, strings.Join(fails, "; "))
 						}
 						events += r.Events

@@ -27,10 +27,10 @@ func runSpec(t *testing.T, s *Spec, opts RunOptions) *Result {
 }
 
 // TestScenarioCorpusGolden runs every committed scenario spec, compares
-// its verdict byte for byte against the golden under
-// scenarios/testdata/, then replays the committed fault schedule and
-// requires the replayed verdict to be byte-identical too — the DSL's
-// regression gate. Regenerate with:
+// its verdict and its captured fault schedule byte for byte against the
+// goldens under scenarios/testdata/, then replays the committed
+// schedule and requires the replayed verdict to be byte-identical too —
+// the DSL's regression gate. Regenerate with:
 //
 //	SCENARIO_REGEN=1 go test ./internal/scenario -run TestScenarioCorpusGolden
 func TestScenarioCorpusGolden(t *testing.T) {
@@ -61,13 +61,15 @@ func TestScenarioCorpusGolden(t *testing.T) {
 
 			goldenPath := filepath.Join("..", "..", "scenarios", "testdata", name+".verdict.json")
 			schedPath := filepath.Join("..", "..", "scenarios", "testdata", name+".schedule.json")
+			freshSched := filepath.Join(t.TempDir(), "schedule.json")
 			if regen {
 				if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
 					t.Fatalf("write golden: %v", err)
 				}
-				if err := res.Schedule.Save(schedPath); err != nil {
-					t.Fatalf("write schedule: %v", err)
-				}
+				freshSched = schedPath
+			}
+			if err := res.Schedule.Save(freshSched); err != nil {
+				t.Fatalf("write schedule: %v", err)
 			}
 			want, err := os.ReadFile(goldenPath)
 			if err != nil {
@@ -75,6 +77,15 @@ func TestScenarioCorpusGolden(t *testing.T) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Errorf("verdict drifted from golden %s:\n got: %s\nwant: %s", goldenPath, got, want)
+			}
+			gotSched, err := os.ReadFile(freshSched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantSched, err := os.ReadFile(schedPath); err != nil {
+				t.Fatalf("missing schedule (regenerate with SCENARIO_REGEN=1): %v", err)
+			} else if !bytes.Equal(gotSched, wantSched) {
+				t.Errorf("captured schedule drifted from golden %s", schedPath)
 			}
 
 			// Replay the committed schedule: the run must consume it

@@ -138,8 +138,8 @@ func runSpec(spec *scenario.Spec, record, replayPath string, jsonOut bool, stdou
 		}
 	}
 	if st := res.Replay; st != nil {
-		fmt.Fprintf(stderr, "  replay: consumed %d, mismatched %d, underrun %d, leftover %d, desynced %v\n",
-			st.Consumed, st.Mismatched, st.Underrun, st.Leftover, st.Desynced)
+		fmt.Fprintf(stderr, "  replay: consumed %d, diverged %d, mismatched %d, underrun %d, leftover %d, desynced %v\n",
+			st.Consumed, st.Diverged, st.Mismatched, st.Underrun, st.Leftover, st.Desynced)
 		if st.Mismatched > 0 || st.Desynced {
 			fmt.Fprintln(stderr, "apna-scenario: replay diverged from the recorded schedule")
 			return 2

@@ -213,7 +213,7 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	if captured != replayed {
 		t.Errorf("replayed verdict differs from captured:\n%s\n%s", captured, replayed)
 	}
-	if !strings.Contains(stderr, "mismatched 0") {
+	if !strings.Contains(stderr, "diverged 0, mismatched 0") {
 		t.Errorf("replay alignment not reported: %s", stderr)
 	}
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -60,24 +61,48 @@ func TestOneDoorOntoACore(t *testing.T) {
 // internal/spare under the race detector, at one and two Ps.
 const raceStep = "One spare-core budget under the race detector"
 
-// TestSpareUsersRunUnderRace keeps raceStep's package list whole: every
-// package whose non-test files import internal/spare is in it.
+// TestSpareUsersRunUnderRace keeps raceStep's lists whole: every
+// package whose non-test files import internal/spare is in it, and
+// every alternative of a -run pattern there selects at least one test
+// of its command's packages, so a renamed or deleted test cannot leave
+// a name that runs nothing.
 func TestSpareUsersRunUnderRace(t *testing.T) {
 	users := make(map[string]bool)
-	walkModule(t, parser.ImportsOnly, func(rel string, _ *token.FileSet, f *ast.File) {
+	tests := make(map[string][]string) // package → its Test functions
+	walkModule(t, parser.SkipObjectResolution, func(rel string, _ *token.FileSet, f *ast.File) {
+		pkg := path.Dir(rel)
 		if strings.HasSuffix(rel, "_test.go") {
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Test") {
+					tests[pkg] = append(tests[pkg], fn.Name.Name)
+				}
+			}
 			return
 		}
 		for _, imp := range f.Imports {
 			if ip, _ := strconv.Unquote(imp.Path.Value); ip == "apna/internal/spare" {
-				users[path.Dir(rel)] = true
+				users[pkg] = true
 			}
 		}
 	})
 	if !users["internal/engine"] {
 		t.Fatalf("found no non-test import of internal/spare in internal/engine: the walk is broken (%v)", users)
 	}
-	listed := racePackages(t)
+	cmds := raceCommands(t)
+	var listed []string
+	for _, c := range cmds {
+		listed = append(listed, c.pkgs...)
+		for _, alt := range c.run {
+			re, err := regexp.Compile("^(?:" + alt + ")")
+			if err != nil {
+				t.Errorf("CI step %q: -run alternative %q: %v", raceStep, alt, err)
+				continue
+			}
+			if !slices.ContainsFunc(c.pkgs, func(pkg string) bool { return slices.ContainsFunc(tests[pkg], re.MatchString) }) {
+				t.Errorf("CI step %q: -run alternative %q selects no test in %v: rename it with its test, or delete it", raceStep, alt, c.pkgs)
+			}
+		}
+	}
 	for pkg := range users {
 		if !slices.Contains(listed, pkg) {
 			t.Errorf("%s starts work through internal/spare but is not in the CI step %q: add it with the tests that reach spare", pkg, raceStep)
@@ -85,15 +110,22 @@ func TestSpareUsersRunUnderRace(t *testing.T) {
 	}
 }
 
-// racePackages returns the packages, relative to the module root ("."
-// for the root), that raceStep's go test commands name.
-func racePackages(t *testing.T) []string {
+// raceCommand is one go test command of raceStep: its packages,
+// relative to the module root ("." for the root), and the alternatives
+// of its -run pattern (none when it runs every test).
+type raceCommand struct {
+	pkgs, run []string
+}
+
+// raceCommands returns raceStep's go test commands. A -run pattern
+// must have the form '^(A|B|...)'.
+func raceCommands(t *testing.T) []raceCommand {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join(moduleRoot(t), ".github/workflows/ci.yml"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pkgs []string
+	var cmds []raceCommand
 	in := false
 	for _, line := range strings.Split(string(data), "\n") {
 		if name, ok := strings.CutPrefix(strings.TrimSpace(line), "- name: "); ok {
@@ -103,14 +135,24 @@ func racePackages(t *testing.T) []string {
 		if !in || !strings.Contains(line, "go test") {
 			continue
 		}
-		for _, f := range strings.Fields(line) {
-			if f == "." || strings.HasPrefix(f, "./") {
-				pkgs = append(pkgs, path.Clean(f))
+		var c raceCommand
+		fields := strings.Fields(line)
+		for i, f := range fields {
+			switch {
+			case f == "." || strings.HasPrefix(f, "./"):
+				c.pkgs = append(c.pkgs, path.Clean(f))
+			case f == "-run" && i+1 < len(fields):
+				pat := strings.Trim(fields[i+1], "'")
+				if !strings.HasPrefix(pat, "^(") || !strings.HasSuffix(pat, ")") {
+					t.Fatalf("CI step %q: -run %s is not of the form '^(A|B|...)'", raceStep, fields[i+1])
+				}
+				c.run = strings.Split(pat[2:len(pat)-1], "|")
 			}
 		}
+		cmds = append(cmds, c)
 	}
-	if len(pkgs) == 0 {
-		t.Fatalf("found no go test packages in the CI step %q", raceStep)
+	if len(cmds) == 0 {
+		t.Fatalf("found no go test commands in the CI step %q", raceStep)
 	}
-	return pkgs
+	return cmds
 }

@@ -20,7 +20,6 @@ var testonlySeams = []string{
 	"border.RemoteRevocationList.Len",
 	"hostdb.Entry.RegisteredAt",
 	"netsim.PathLength",
-	"netsim.ReplayStats.Diverged",
 	"population.OpStats.Count",
 	"population.Result.AcctDuplicates",
 	"population.Result.DigestBytes",

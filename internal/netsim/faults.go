@@ -63,8 +63,7 @@ type FaultTrace struct {
 //   - Underrun counts sites reached after the schedule was exhausted.
 //   - Leftover is how many schedule events were never consumed.
 type ReplayStats struct {
-	Consumed int
-	//apna:testonly TestFaultCaptureReplayBitExact and TestFaultReplayOverridesRNG check through it whether a recorded outcome overrode a live draw
+	Consumed   int
 	Diverged   int
 	Mismatched int
 	Underrun   int

@@ -89,49 +89,19 @@ const hidSpan = 1 << 25
 // above every worker's namespace.
 const offenderHIDBase = 0xF000_0000
 
-// Config parameterizes a population run. Rates are per modeled host so
-// one configuration scales across population tiers.
+// Config parameterizes a population run. Everything else about the
+// workload is one of the model's constants below.
 type Config struct {
 	// Hosts is the modeled host population.
 	Hosts int
-	// Ticks is the run length in virtual seconds.
+	// Ticks is the run length in virtual seconds. The diurnal period is
+	// the whole run, so even a short run sweeps peak and trough.
 	Ticks int
 	// Workers is the share-nothing worker count; <= 0 means NumCPU
 	// (clamped to 64 and to Hosts).
 	Workers int
 	// Seed drives the whole model.
 	Seed int64
-
-	// PeakSessionsPerHost is the diurnal-peak arrival rate, new
-	// sessions per second per host.
-	PeakSessionsPerHost float64
-	// BaseSessionsPerHost is the overnight trough (0: peak/4).
-	BaseSessionsPerHost float64
-	// ZipfS is the host-popularity skew (> 1; 0 means 1.1).
-	ZipfS float64
-	// DiurnalPeriod is the virtual length of one "day" in ticks; 0
-	// compresses a full day into the run (period = Ticks) so even short
-	// runs sweep peak and trough.
-	DiurnalPeriod int
-
-	// EphIDLifetime is the issued EphID validity in seconds. Short
-	// lifetimes are what make renewal storms: every flow issued in the
-	// same tick renews in the same later tick.
-	EphIDLifetime uint32
-	// RenewLead is how many seconds before expiry a live flow renews.
-	RenewLead int
-	// PoolSlots is each host's EphID pool size: expired idle slots are
-	// re-issued, valid idle slots are reused (a pool hit), and arrivals
-	// beyond the pool trigger overflow issuance.
-	PoolSlots int
-	// RenewBurst overrides the MS per-host renewal budget (0: policy
-	// default).
-	RenewBurst int
-
-	// ChurnFrac is the fraction of hosts replaced per tick: each leave
-	// revokes the HID (GC reaps it after the retention window) and a
-	// join registers a fresh HID in its place.
-	ChurnFrac float64
 
 	// FlashMult, when > 1, models a flash crowd: for FlashTicks ticks
 	// starting at FlashTick the diurnal arrival intensity is multiplied
@@ -141,45 +111,40 @@ type Config struct {
 	FlashTick  int
 	FlashTicks int
 
-	// ComplaintEvery files one inter-domain shutoff complaint every N
-	// ticks (0 disables complaints).
-	ComplaintEvery int
-	// ReplayFrac replays that complaint bit-exactly with this
-	// probability, exercising the receipt idempotency cache.
-	ReplayFrac float64
-	// StrikeLimit is the AA's shutoff-strike escalation threshold.
-	StrikeLimit int
-
-	// GCEvery runs hostdb GC every N ticks (0 disables).
-	GCEvery int
-	// DigestEvery flushes the revocation digest every N ticks (0
-	// disables).
-	DigestEvery int
-
 	// RecordTrace keeps the logical event trace and reports its hash,
 	// for determinism tests. Costs ~9 bytes per event.
 	RecordTrace bool
+
+	// RenewBurst overrides the MS per-host renewal budget (0: policy
+	// default). The default budget never runs out in the model, so a
+	// small budget is the only way a run reaches the MS's renewal
+	// denial and the worker's fallback to plain issuance, which
+	// TestSpareCoreSealingMatchesInline checks on spare cores.
+	RenewBurst int
 }
+
+// The model's rates and cadences, one value each (DESIGN §10, "The
+// model"): the ctl_population benchmark, E11's ramp and the flash-crowd
+// spec all run these, and no caller sets another.
+const (
+	peakSessionsPerHost        = 0.01                    // new sessions per second per host at the diurnal peak
+	baseSessionsPerHost        = peakSessionsPerHost / 4 // the overnight trough
+	zipfS                      = 1.1                     // host-popularity skew
+	ephIDLifetime       uint32 = 20                      // issued EphID validity in seconds
+	renewLead                  = 2                       // a live flow renews this many seconds before expiry
+	poolSlots                  = 2                       // EphIDs pooled per host
+	churnFrac                  = 0.0005                  // hosts replaced per tick
+	complaintEvery             = 2                       // ticks between complaints
+	replayFrac                 = 0.25                    // share of complaints replayed bit-exactly
+	strikeLimit                = 3                       // shutoff strikes before the AA revokes an offender
+	gcEvery                    = 10                      // ticks between hostdb GC passes
+	digestEvery                = 10                      // ticks between revocation-digest flushes
+)
 
 // DefaultConfig returns a population run sized for interactive use:
 // 10k hosts over a 60-tick compressed day.
 func DefaultConfig() Config {
-	return Config{
-		Hosts:               10_000,
-		Ticks:               60,
-		Seed:                1,
-		PeakSessionsPerHost: 0.01,
-		ZipfS:               1.1,
-		EphIDLifetime:       20,
-		RenewLead:           2,
-		PoolSlots:           2,
-		ChurnFrac:           0.0005,
-		ComplaintEvery:      2,
-		ReplayFrac:          0.25,
-		StrikeLimit:         3,
-		GCEvery:             10,
-		DigestEvery:         10,
-	}
+	return Config{Hosts: 10_000, Ticks: 60, Seed: 1}
 }
 
 // Validate checks the configuration without running it — the scenario
@@ -199,36 +164,6 @@ func (cfg Config) normalize() (Config, error) {
 		cfg.Workers = runtime.NumCPU()
 	}
 	cfg.Workers = min(cfg.Workers, maxWorkers, cfg.Hosts)
-	if cfg.PeakSessionsPerHost <= 0 {
-		return cfg, fmt.Errorf("%w: peak rate %v", ErrBadConfig, cfg.PeakSessionsPerHost)
-	}
-	if cfg.BaseSessionsPerHost <= 0 {
-		cfg.BaseSessionsPerHost = cfg.PeakSessionsPerHost / 4
-	}
-	if cfg.ZipfS == 0 {
-		cfg.ZipfS = 1.1
-	}
-	if cfg.ZipfS <= 1 {
-		return cfg, fmt.Errorf("%w: zipf s %v must be > 1", ErrBadConfig, cfg.ZipfS)
-	}
-	if cfg.DiurnalPeriod <= 0 {
-		cfg.DiurnalPeriod = cfg.Ticks
-	}
-	if cfg.EphIDLifetime < 2 {
-		return cfg, fmt.Errorf("%w: ephid lifetime %d < 2s", ErrBadConfig, cfg.EphIDLifetime)
-	}
-	if cfg.RenewLead <= 0 {
-		cfg.RenewLead = 1
-	}
-	if cfg.RenewLead >= int(cfg.EphIDLifetime) {
-		return cfg, fmt.Errorf("%w: renew lead %d >= lifetime %d", ErrBadConfig, cfg.RenewLead, cfg.EphIDLifetime)
-	}
-	if cfg.PoolSlots <= 0 {
-		cfg.PoolSlots = 1
-	}
-	if cfg.ChurnFrac < 0 || cfg.ChurnFrac >= 1 {
-		return cfg, fmt.Errorf("%w: churn fraction %v", ErrBadConfig, cfg.ChurnFrac)
-	}
 	if cfg.FlashMult < 0 || cfg.FlashTick < 0 || cfg.FlashTicks < 0 {
 		return cfg, fmt.Errorf("%w: flash crowd mult %v tick %d ticks %d",
 			ErrBadConfig, cfg.FlashMult, cfg.FlashTick, cfg.FlashTicks)
@@ -238,7 +173,7 @@ func (cfg Config) normalize() (Config, error) {
 	}
 	// Each worker's identity turnover must fit its HID namespace.
 	perWorker := cfg.Hosts/cfg.Workers + 1
-	turnover := float64(perWorker) * (1 + cfg.ChurnFrac*float64(cfg.Ticks))
+	turnover := float64(perWorker) * (1 + churnFrac*float64(cfg.Ticks))
 	if turnover+16 >= hidSpan {
 		return cfg, fmt.Errorf("%w: per-worker identity turnover %.0f exceeds HID namespace %d",
 			ErrBadConfig, turnover, hidSpan)
@@ -540,7 +475,7 @@ func (wk *worker) request(t int, h *hostState, prev *ephid.EphID, sm *sample) (*
 	if err != nil {
 		return nil, err
 	}
-	a, err := wk.w.admit(h, aead, wk.ct[:0], wk.cfg.EphIDLifetime, prev)
+	a, err := wk.w.admit(h, aead, wk.ct[:0], ephIDLifetime, prev)
 	if err != nil {
 		return nil, err
 	}
@@ -648,7 +583,7 @@ func (wk *worker) setup(first int, horizon uint32, entries []hostdb.Entry) {
 // schedule books a renewal for the slot at (expiry - lead), clamped
 // into the run.
 func (wk *worker) schedule(slot int32, exp uint32, tick int) {
-	at := int(int64(exp)-startTime) - wk.cfg.RenewLead
+	at := int(int64(exp)-startTime) - renewLead
 	if at <= tick {
 		at = tick + 1
 	}
@@ -689,7 +624,7 @@ func (wk *worker) renewals(t int, now int64) {
 		if s.exp != sc.exp {
 			continue // slot re-issued since scheduling
 		}
-		h := &wk.hosts[int(sc.slot)/wk.cfg.PoolSlots]
+		h := &wk.hosts[int(sc.slot)/poolSlots]
 		if s.busyUntil <= now {
 			continue // flow ended; let the identifier lapse
 		}
@@ -718,12 +653,12 @@ func (wk *worker) renewals(t int, now int64) {
 	}
 }
 
-// churn replaces ChurnFrac of the partition: the leaver's HID is
+// churn replaces churnFrac of the partition: the leaver's HID is
 // revoked (GC reaps it once the retention window passes) and a fresh
 // identity joins in its place, so the modeled population stays constant
 // while the identity space turns over.
 func (wk *worker) churn(t int, now int64) {
-	want := wk.cfg.ChurnFrac * float64(len(wk.hosts))
+	want := churnFrac * float64(len(wk.hosts))
 	n := int(want)
 	if wk.rng.Float64() < want-float64(n) {
 		n++
@@ -737,7 +672,7 @@ func (wk *worker) churn(t int, now int64) {
 
 		// Clear the leaver's flow slots; scheduled renewals notice the
 		// expiry mismatch and skip.
-		for s := hostIdx * wk.cfg.PoolSlots; s < (hostIdx+1)*wk.cfg.PoolSlots; s++ {
+		for s := hostIdx * poolSlots; s < (hostIdx+1)*poolSlots; s++ {
 			wk.slots[s] = flowSlot{}
 		}
 
@@ -755,8 +690,8 @@ func (wk *worker) churn(t int, now int64) {
 // arrivals draws this tick's session arrivals from the diurnal Poisson
 // process and satisfies each from the host's EphID pool or the MS.
 func (wk *worker) arrivals(t int, now int64) {
-	lam := trace.Intensity(wk.cfg.PeakSessionsPerHost, wk.cfg.BaseSessionsPerHost,
-		t, wk.cfg.DiurnalPeriod) * float64(len(wk.hosts))
+	lam := trace.Intensity(peakSessionsPerHost, baseSessionsPerHost,
+		t, wk.cfg.Ticks) * float64(len(wk.hosts))
 	inFlash := wk.cfg.FlashMult > 0 &&
 		t >= wk.cfg.FlashTick && t < wk.cfg.FlashTick+wk.cfg.FlashTicks
 	if inFlash {
@@ -773,9 +708,9 @@ func (wk *worker) arrivals(t int, now int64) {
 		dur := sampleDuration(wk.rng)
 		wk.c.bytes += sampleSize(wk.rng)
 
-		base := hostIdx * wk.cfg.PoolSlots
+		base := hostIdx * poolSlots
 		idleValid, idleAny := -1, -1
-		for s := base; s < base+wk.cfg.PoolSlots; s++ {
+		for s := base; s < base+poolSlots; s++ {
 			sl := &wk.slots[s]
 			if sl.busyUntil > now {
 				continue
@@ -844,7 +779,7 @@ func run(cfg Config, plant func(t int, j *sealJob)) (*Result, []*worker, error) 
 	// hostdb entries then go in one batch.
 	workers := make([]*worker, cfg.Workers)
 	entries := make([][]hostdb.Entry, cfg.Workers)
-	ringLen := int(cfg.EphIDLifetime) + cfg.RenewLead + 2
+	ringLen := int(ephIDLifetime) + renewLead + 2
 	per := cfg.Hosts / cfg.Workers
 	extra := cfg.Hosts % cfg.Workers
 	for i := range workers {
@@ -857,13 +792,13 @@ func run(cfg Config, plant func(t int, j *sealJob)) (*Result, []*worker, error) 
 			w:       w,
 			rng:     rand.New(rand.NewSource(cfg.Seed ^ int64(i)<<20 ^ 0x5eed)),
 			hosts:   make([]hostState, n),
-			slots:   make([]flowSlot, n*cfg.PoolSlots),
+			slots:   make([]flowSlot, n*poolSlots),
 			renewAt: make([][]renewSched, ringLen),
 			nextHID: uint32(i)*hidSpan + 1,
 			aeads:   crypto.NewAEADCache(0),
 			plant:   plant,
 		}
-		wk.zipf = rand.NewZipf(wk.rng, cfg.ZipfS, 1, uint64(max(n-1, 1)))
+		wk.zipf = rand.NewZipf(wk.rng, zipfS, 1, uint64(max(n-1, 1)))
 		workers[i] = wk
 		entries[i] = make([]hostdb.Entry, n)
 	}
@@ -902,7 +837,7 @@ func run(cfg Config, plant func(t int, j *sealJob)) (*Result, []*worker, error) 
 		}
 	})
 
-	retention := int64(cfg.EphIDLifetime)
+	retention := int64(ephIDLifetime)
 	t0 := time.Now() //apna:wallclock
 	for t := 0; t < cfg.Ticks; t++ {
 		now := startTime + int64(t)
@@ -914,12 +849,12 @@ func run(cfg Config, plant func(t int, j *sealJob)) (*Result, []*worker, error) 
 		// The complaint cycle runs beside the workers, at the same now:
 		// its offenders have an HID range of their own, and every
 		// engine it shares with the workers is safe for concurrent use.
-		if cfg.ComplaintEvery > 0 && t%cfg.ComplaintEvery == 0 {
+		if t%complaintEvery == 0 {
 			comp.cycle(now)
 		}
 		tickWG.Wait()
 
-		if cfg.GCEvery > 0 && t%cfg.GCEvery == cfg.GCEvery-1 {
+		if t%gcEvery == gcEvery-1 {
 			g0 := time.Now() //apna:wallclock
 			res.GCReaped += w.DB.GC(now, retention)
 			pause := float64(time.Since(g0).Nanoseconds()) / 1e3 //apna:wallclock
@@ -927,7 +862,7 @@ func run(cfg Config, plant func(t int, j *sealJob)) (*Result, []*worker, error) 
 				res.GCMaxPauseUs = pause
 			}
 		}
-		if cfg.DigestEvery > 0 && t%cfg.DigestEvery == cfg.DigestEvery-1 {
+		if t%digestEvery == digestEvery-1 {
 			res.DigestEntriesLast = w.Acct.FlushDigest()
 			res.DigestFlushes++
 		}
@@ -1012,7 +947,7 @@ func run(cfg Config, plant func(t int, j *sealJob)) (*Result, []*worker, error) 
 // victim-AS-signed ShutoffRequest, and feeds it to the accountability
 // engine — replaying a fraction bit-exactly to exercise the receipt
 // idempotency cache. Strike escalation revokes the offender after
-// StrikeLimit shutoffs, at which point issuance fails and a fresh
+// strikeLimit shutoffs, at which point issuance fails and a fresh
 // offender is registered.
 type complainer struct {
 	w       *world
@@ -1075,7 +1010,7 @@ func (cp *complainer) cycle(now int64) {
 				traceEvent{uint32(now - startTime), byte(0x80 | byte(r.Status)), uint32(cp.off.hid)})
 		}
 	}
-	if cp.rng.Float64() < cp.cfg.ReplayFrac {
+	if cp.rng.Float64() < replayFrac {
 		if _, err := cp.w.Acct.HandleShutoffRequest(raw); err == nil {
 			cp.replays++
 		}
@@ -1089,13 +1024,13 @@ func (cp *complainer) request(now int64) ([]byte, error) {
 	if cp.off == nil {
 		cp.off = cp.newOffender(now)
 	}
-	c, err := cp.issue(cp.off, cp.cfg.EphIDLifetime, nil)
+	c, err := cp.issue(cp.off, ephIDLifetime, nil)
 	if errors.Is(err, hostdb.ErrRevoked) || errors.Is(err, hostdb.ErrUnknownHost) {
 		// Strike escalation revoked the offender's HID (and GC may
 		// have reaped it since): the MS refuses it service. Replace it.
 		cp.revoked++
 		cp.off = cp.newOffender(now)
-		c, err = cp.issue(cp.off, cp.cfg.EphIDLifetime, nil)
+		c, err = cp.issue(cp.off, ephIDLifetime, nil)
 	}
 	if err != nil {
 		return nil, err

@@ -16,21 +16,13 @@ import (
 	"apna/internal/ephid"
 )
 
-// smallConfig is a population run small enough to execute twice in a
-// unit test but busy enough to cross every path: renewal storms
-// (lifetime 6s inside 30 ticks), churn, complaints with replays, GC and
-// digest flushes.
+// smallConfig is the default workload small enough to execute twice in
+// a unit test but busy enough to cross every path: renewal storms
+// (lifetime 20s inside 30 ticks), churn, complaints with replays and
+// escalations, GC reaps and digest flushes.
 func smallConfig() Config {
 	cfg := DefaultConfig()
-	cfg.Hosts = 600
-	cfg.Ticks = 30
-	cfg.Workers = 4
-	cfg.EphIDLifetime = 6
-	cfg.RenewLead = 1
-	cfg.ChurnFrac = 0.01
-	cfg.PeakSessionsPerHost = 0.05
-	cfg.GCEvery = 5
-	cfg.DigestEvery = 5
+	cfg.Hosts, cfg.Ticks, cfg.Workers = 2000, 30, 4
 	cfg.RecordTrace = true
 	return cfg
 }
@@ -94,7 +86,7 @@ func TestDeterministicTrace(t *testing.T) {
 
 // smallTraceHash is smallConfig()'s trace hash. It is the same on amd64,
 // purego and 386, and at any GOMAXPROCS.
-const smallTraceHash = "6b52b50c6a0037a18cb7aacc046a883364376e12243c5cfc13804286076faffc"
+const smallTraceHash = "3c8a490e0b2e74785f4d9272471b25287fc1ca59cced925d617433740508f9ab"
 
 // TestTraceHashGolden pins the trace itself, not only its repeatability:
 // a change to how the AS under test is built or wired that alters what
@@ -156,15 +148,16 @@ func TestSpareCoreSealingMatchesInline(t *testing.T) {
 }
 
 // TestOverlapComplaintsMidTick: the complaint cycle runs beside the
-// workers' tick. With a complaint every tick and a strike limit of two,
-// an offender is revoked and replaced every other tick while the
-// workers admit, and replays hit the receipt cache; the run must read
-// the same at any GOMAXPROCS.
+// workers' tick. An offender is revoked at its strikeLimit-th shutoff
+// and replaced at the next complaint, while the workers admit, and
+// replays hit the receipt cache; the run must read the same at any
+// GOMAXPROCS.
 func TestOverlapComplaintsMidTick(t *testing.T) {
 	cfg := smallConfig()
-	cfg.ComplaintEvery = 1
-	cfg.StrikeLimit = 2
-	cfg.ReplayFrac = 0.5
+	cfg.Ticks = 60
+	// An offender takes strikeLimit complaints; the next one finds it
+	// revoked and counts an escalation.
+	escalations := uint64((cfg.Ticks/complaintEvery - 1) / strikeLimit)
 	var first *Result
 	for _, procs := range []int{1, 2, 4} {
 		prev := runtime.GOMAXPROCS(procs)
@@ -178,7 +171,7 @@ func TestOverlapComplaintsMidTick(t *testing.T) {
 		}
 		if first == nil {
 			first = r
-			if r.OffendersRevoked < uint64(cfg.Ticks/3) || r.Replays == 0 {
+			if r.OffendersRevoked < escalations || r.Replays == 0 {
 				t.Errorf("escalations or replays missing: %d offenders revoked, %d replays in %d ticks",
 					r.OffendersRevoked, r.Replays, cfg.Ticks)
 			}
@@ -271,8 +264,8 @@ func TestComplainerEarlyFailure(t *testing.T) {
 		now++
 		w.DB.RevokeAt(off.hid, now)
 		if reap {
-			now += int64(cfg.EphIDLifetime) + 1
-			if w.DB.GC(now, int64(cfg.EphIDLifetime)) == 0 {
+			now += int64(ephIDLifetime) + 1
+			if w.DB.GC(now, int64(ephIDLifetime)) == 0 {
 				t.Fatal("GC reaped nothing")
 			}
 		}
@@ -446,11 +439,7 @@ func TestConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Hosts = 0 },
 		func(c *Config) { c.Ticks = 0 },
-		func(c *Config) { c.PeakSessionsPerHost = 0 },
-		func(c *Config) { c.ZipfS = 0.5 },
-		func(c *Config) { c.EphIDLifetime = 1 },
-		func(c *Config) { c.RenewLead = 30; c.EphIDLifetime = 20 },
-		func(c *Config) { c.ChurnFrac = 1.5 },
+		func(c *Config) { c.Hosts, c.Workers = hidSpan, 1 },
 		func(c *Config) { c.FlashMult = -1 },
 		func(c *Config) { c.FlashMult = 3; c.FlashTicks = 0 },
 		func(c *Config) { c.FlashMult = 3; c.FlashTicks = 5; c.FlashTick = -1 },
@@ -476,9 +465,8 @@ var rampTiers = []int{1_000, 10_000, 100_000, 1_000_000}
 // round trip's p99 must stay under 25 ms even with 10^6 hosts behind it.
 const rampP99BoundUs = 25_000
 
-// rampFailures lists the E11 gates r, a run of cfg, breaks; top marks
-// the top tier.
-func rampFailures(r *Result, cfg Config, top bool) []string {
+// rampFailures lists the E11 gates r breaks; top marks the top tier.
+func rampFailures(r *Result, top bool) []string {
 	var fails []string
 	fail := func(format string, args ...any) {
 		fails = append(fails, fmt.Sprintf(format, args...))
@@ -490,7 +478,7 @@ func rampFailures(r *Result, cfg Config, top bool) []string {
 		fail("issuance p99 %.0fµs exceeds the %dµs bound at the top tier",
 			r.IssueLatency.P99us, rampP99BoundUs)
 	}
-	if cfg.ChurnFrac > 0 && cfg.GCEvery > 0 && r.GCReaped == 0 {
+	if r.GCReaped == 0 {
 		fail("hostdb GC reclaimed no churned identities")
 	}
 	if r.Renewals == 0 {
@@ -509,23 +497,22 @@ func TestRampFailures(t *testing.T) {
 	cases := []struct {
 		name   string
 		top    bool
-		mutate func(*Result, *Config)
+		mutate func(*Result)
 		want   string // "" when no gate may trip
 	}{
-		{"clean top tier", true, func(*Result, *Config) {}, ""},
-		{"arrival without an EphID", false, func(r *Result, _ *Config) { r.ErrNoEphID = 1 }, "no EphID"},
-		{"GC idle under churn", false, func(r *Result, _ *Config) { r.GCReaped = 0 }, "GC reclaimed"},
-		{"GC idle without churn", false, func(r *Result, c *Config) { r.GCReaped, c.ChurnFrac = 0, 0 }, ""},
-		{"no renewals", false, func(r *Result, _ *Config) { r.Renewals = 0 }, "no renewal"},
-		{"no issuance", false, func(r *Result, _ *Config) { r.Issued = 0 }, "no issuance"},
-		{"slow top tier", true, func(r *Result, _ *Config) { r.IssueLatency.P99us = 25_001 }, "25001µs"},
-		{"slow lower tier", false, func(r *Result, _ *Config) { r.IssueLatency.P99us = 25_001 }, ""},
+		{"clean top tier", true, func(*Result) {}, ""},
+		{"arrival without an EphID", false, func(r *Result) { r.ErrNoEphID = 1 }, "no EphID"},
+		{"GC idle under churn", false, func(r *Result) { r.GCReaped = 0 }, "GC reclaimed"},
+		{"no renewals", false, func(r *Result) { r.Renewals = 0 }, "no renewal"},
+		{"no issuance", false, func(r *Result) { r.Issued = 0 }, "no issuance"},
+		{"slow top tier", true, func(r *Result) { r.IssueLatency.P99us = 25_001 }, "25001µs"},
+		{"slow lower tier", false, func(r *Result) { r.IssueLatency.P99us = 25_001 }, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r, cfg := clean, DefaultConfig()
-			tc.mutate(&r, &cfg)
-			fails := rampFailures(&r, cfg, tc.top)
+			r := clean
+			tc.mutate(&r)
+			fails := rampFailures(&r, tc.top)
 			if tc.want == "" {
 				if len(fails) != 0 {
 					t.Errorf("reported %q", fails)
@@ -542,7 +529,7 @@ func TestRampFailures(t *testing.T) {
 // pass them, so a gate that trips on a healthy workload shows here and
 // not first in CI's benchmark step.
 func TestRampSmoke(t *testing.T) {
-	tiers := []int{300, 600}
+	tiers := []int{1000, 2000}
 	for i, hosts := range tiers {
 		cfg := smallConfig()
 		cfg.Hosts = hosts
@@ -550,7 +537,7 @@ func TestRampSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d hosts: %v", hosts, err)
 		}
-		if fails := rampFailures(r, cfg, i == len(tiers)-1); len(fails) > 0 {
+		if fails := rampFailures(r, i == len(tiers)-1); len(fails) > 0 {
 			t.Errorf("%d hosts failed the ramp gates: %q", hosts, fails)
 		}
 		if r.PeakRSSBytes == 0 || r.EventsPerSec <= 0 {
@@ -586,7 +573,7 @@ func BenchmarkPopulationRamp(b *testing.B) {
 						if r, err = Run(cfg); err != nil {
 							b.Fatalf("%d hosts, %d workers: %v", hosts, w, err)
 						}
-						if fails := rampFailures(r, cfg, top); len(fails) > 0 {
+						if fails := rampFailures(r, top); len(fails) > 0 {
 							b.Fatalf("%d hosts, %d workers: %s", hosts, w, strings.Join(fails, "; "))
 						}
 						events += r.Events

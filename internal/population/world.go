@@ -135,13 +135,11 @@ func newWorld(cfg Config) (*world, error) {
 	// EphID is minted directly (the RS bootstrap analogue) with an
 	// expiry past the run.
 	policy := ms.DefaultPolicy()
-	policy.DefaultLifetime = cfg.EphIDLifetime
-	policy.MaxLifetime = max(policy.MaxLifetime, cfg.EphIDLifetime)
 	if cfg.RenewBurst > 0 {
 		policy.RenewBurst = cfg.RenewBurst
 	}
 	w.AddControl(asnode.Control{
-		Signer: signer, Trust: trust, Policy: policy, StrikeLimit: cfg.StrikeLimit,
+		Signer: signer, Trust: trust, Policy: policy, StrikeLimit: strikeLimit,
 		AAEphID: w.Sealer.Mint(ephid.Payload{HID: 1, ExpTime: uint32(horizon)}),
 	})
 	// The transport only has to account bytes: digests leave for the

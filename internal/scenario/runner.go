@@ -1255,9 +1255,6 @@ func (r *runner) finish() {
 		if b.MinFlows > 0 && v.Flows < b.MinFlows {
 			r.fail("flows %d < min %d", v.Flows, b.MinFlows)
 		}
-		if b.MaxFlowsFailed > 0 && v.FlowsFailed > b.MaxFlowsFailed {
-			r.fail("flows failed %d > max %d", v.FlowsFailed, b.MaxFlowsFailed)
-		}
 		if b.MinDelivered > 0 && v.Delivered < b.MinDelivered {
 			r.fail("delivered %d < min %d", v.Delivered, b.MinDelivered)
 		}

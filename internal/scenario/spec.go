@@ -108,10 +108,8 @@ type TopologySpec struct {
 	// Kind selects the generator: "full-mesh", "line", "star" or
 	// "as-graph".
 	Kind string `json:"kind"`
-	// FirstAID numbers the first AS (0 means 100).
-	FirstAID uint32 `json:"first_aid,omitempty"`
 	// ASes is the AS count for full-mesh/line/star (star: center plus
-	// ASes-1 leaves).
+	// ASes-1 leaves). Every generator numbers the first AS 100.
 	ASes int `json:"ases,omitempty"`
 	// HostsPerAS bootstraps this many hosts in every AS.
 	HostsPerAS int `json:"hosts_per_as"`
@@ -163,12 +161,11 @@ type AttackerSpec struct {
 
 // LifetimesSpec mirrors apna.Lifetimes with JSON-friendly durations.
 type LifetimesSpec struct {
-	RenewLead        Duration `json:"renew_lead,omitempty"`
-	CheckInterval    Duration `json:"check_interval,omitempty"`
-	GCInterval       Duration `json:"gc_interval,omitempty"`
-	MigrateRetry     Duration `json:"migrate_retry,omitempty"`
-	RenewLifetime    uint32   `json:"renew_lifetime_s,omitempty"`
-	RevokedRetention Duration `json:"revoked_retention,omitempty"`
+	RenewLead     Duration `json:"renew_lead,omitempty"`
+	CheckInterval Duration `json:"check_interval,omitempty"`
+	GCInterval    Duration `json:"gc_interval,omitempty"`
+	MigrateRetry  Duration `json:"migrate_retry,omitempty"`
+	RenewLifetime uint32   `json:"renew_lifetime_s,omitempty"`
 }
 
 // DissemSpec mirrors apna.Dissemination.
@@ -339,7 +336,6 @@ type PopulationSpec struct {
 // be accepted and the filed count to reach the requested count.
 type Bounds struct {
 	MinFlows         int    `json:"min_flows,omitempty"`
-	MaxFlowsFailed   int    `json:"max_flows_failed,omitempty"`
 	MinDelivered     int    `json:"min_delivered,omitempty"`
 	MinRevoked       int    `json:"min_revoked,omitempty"`
 	MinResolved      int    `json:"min_resolved,omitempty"`
@@ -698,10 +694,7 @@ func (t *TopologySpec) layout() []string {
 // the ASes are known.
 func (s *Spec) compile() ([]apna.TopologyOption, []apna.AID, []apna.ASLink, error) {
 	t := &s.Topology
-	first := apna.AID(t.FirstAID)
-	if first == 0 {
-		first = 100
-	}
+	const first apna.AID = 100
 	var topo []apna.TopologyOption
 	switch t.Kind {
 	case "full-mesh":
@@ -741,7 +734,7 @@ func (s *Spec) compile() ([]apna.TopologyOption, []apna.AID, []apna.ASLink, erro
 		topo = append(topo, apna.WithLifetimes(apna.Lifetimes{
 			RenewLead: lt.RenewLead.D(), CheckInterval: lt.CheckInterval.D(),
 			GCInterval: lt.GCInterval.D(), MigrateRetry: lt.MigrateRetry.D(),
-			RenewLifetime: lt.RenewLifetime, RevokedRetention: lt.RevokedRetention.D(),
+			RenewLifetime: lt.RenewLifetime,
 		}))
 	}
 	if d := s.Dissemination; d != nil {

@@ -48,10 +48,6 @@ type Lifetimes struct {
 	// RenewLifetime is the validity requested for successors, in
 	// seconds; 0 asks for the MS policy default.
 	RenewLifetime uint32
-	// RevokedRetention is how long revoked host_info entries are kept
-	// before GC reaps them; 0 uses the MS policy's MaxLifetime (no
-	// EphID of the host can outlive that).
-	RevokedRetention time.Duration
 }
 
 // DefaultLifetimes returns a cadence suited to the default simulation
@@ -341,12 +337,11 @@ func (lc *Lifecycle) retire(h *Host, old *host.OwnedEphID) {
 	lc.emit(LifecycleEvent{Kind: "retired", Host: h, Old: old})
 }
 
-// gcTick is one scheduled GC pass over every AS.
+// gcTick is one scheduled GC pass over every AS. A revoked host_info
+// entry is kept for the MS policy's MaxLifetime: no EphID of the host
+// can outlive that.
 func (lc *Lifecycle) gcTick() {
-	retention := int64(lc.cfg.RevokedRetention / time.Second)
-	if retention <= 0 {
-		retention = int64(lc.in.opts.Policy.MaxLifetime)
-	}
+	retention := int64(lc.in.opts.Policy.MaxLifetime)
 	for _, as := range lc.in.ASes() {
 		lc.stats.RevocationsReaped += uint64(as.runGC(retention))
 	}

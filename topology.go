@@ -348,8 +348,7 @@ func (t *topology) validate() error {
 		}
 	}
 	if lt := t.lifetimes; lt != nil {
-		for _, d := range []time.Duration{lt.RenewLead, lt.CheckInterval, lt.GCInterval,
-			lt.MigrateRetry, lt.RevokedRetention} {
+		for _, d := range []time.Duration{lt.RenewLead, lt.CheckInterval, lt.GCInterval, lt.MigrateRetry} {
 			if d < 0 {
 				return fmt.Errorf("%w: negative lifecycle duration %v", ErrBadTopology, d)
 			}
